@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race chaos chaos-cluster bench bench-query bench-obs bench-federate bench-serve bench-cq bench-cluster fuzz-smoke verify clean
+.PHONY: all build vet test bench-smoke race chaos chaos-cluster bench bench-query bench-obs bench-federate bench-serve bench-cq bench-cluster fuzz-smoke verify clean
 
 all: verify
 
@@ -12,6 +12,13 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# The repo's benchmark (benchmark/, see BENCHMARK.json) is its own Go
+# module, so the root build, vet and test never compile it. This target
+# does: an internal/ signature change that breaks benchmark/sut.go fails
+# here instead of in the driver's run.
+bench-smoke:
+	(cd benchmark && $(GO) vet ./... && $(GO) test ./...)
 
 # The concurrency-heavy packages get a dedicated race-detector pass: the
 # striped-lock LAKE store, the partitioned STREAM broker, the pipeline
@@ -84,7 +91,9 @@ bench-serve:
 # (the dashboard-refresh hot path) vs a full window re-fold vs the
 # equivalent cold batch scan, plus the publish-throughput overhead pair
 # with and without a pump attached; rows land in BENCH_cq.json. The
-# acceptance bars are speedup_vs_cold >= 100x and overhead_pct <= 10.
+# acceptance bars are speedup_vs_cold >= 100x (on the cold-batch row: hot
+# read vs cold scan) and overhead_pct <= 10. The fold row carries its own
+# speedup_vs_cold (cold scan / re-fold) — reported, not a bar.
 # The publish pair runs in its own process so the read fixtures'
 # half-million resident cells don't distort its GC behaviour; the rows
 # merge into one file.
@@ -113,7 +122,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzColumnarExt -fuzztime 30s ./internal/columnar
 	$(GO) test -run xxx -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal
 
-verify: vet build test race chaos chaos-cluster fuzz-smoke bench-federate bench-serve bench-cq
+verify: vet build test bench-smoke race chaos chaos-cluster fuzz-smoke bench-federate bench-serve bench-cq
 
 clean:
 	$(GO) clean ./...

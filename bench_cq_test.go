@@ -167,6 +167,10 @@ func BenchmarkCQServe(b *testing.B) {
 	// in its own process) never carries the query grid's half-million
 	// resident cells into the GC heap the publish measurement runs on.
 	var hotNs float64
+	// The fold row gains its speedup once the cold-batch row has run.
+	var foldName string
+	var foldRow map[string]any
+	var foldNs float64
 
 	b.Run("read=hot", func(b *testing.B) {
 		view := cqServeWorld(b)
@@ -200,10 +204,11 @@ func BenchmarkCQServe(b *testing.B) {
 			}
 		}
 		b.StopTimer()
-		recordBenchRow(b.Name(), map[string]any{
-			"read": "fold", "ns_per_op": b.Elapsed().Nanoseconds() / int64(b.N),
-			"cells": info.Cells,
-		})
+		foldNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
+		foldName, foldRow = b.Name(), map[string]any{
+			"read": "fold", "ns_per_op": int64(foldNs), "cells": info.Cells,
+		}
+		recordBenchRow(foldName, foldRow)
 	})
 
 	b.Run("read=cold-batch", func(b *testing.B) {
@@ -227,6 +232,10 @@ func BenchmarkCQServe(b *testing.B) {
 			row["speedup_vs_cold"] = coldNs / hotNs
 		}
 		recordBenchRow(b.Name(), row)
+		if foldRow != nil {
+			foldRow["speedup_vs_cold"] = coldNs / foldNs
+			recordBenchRow(foldName, foldRow)
+		}
 	})
 
 	// Paired measurement: the same b.N records through two identically

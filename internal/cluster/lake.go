@@ -133,9 +133,10 @@ func (c *Cluster) markStripeUnsynced(s int, id string) {
 // RunWithStats executes a query scatter-gather: every stripe is scanned
 // on one live in-sync replica (stripes grouped per node, nodes scanned
 // concurrently), and the per-stripe partials fold back together in
-// ascending stripe order — tsdb.MergeStripePartials replays Run's exact
-// float accumulation order, so the merged frame is byte-identical to a
-// single node running the same query.
+// ascending stripe order — tsdb.MergeStripePartials is the merge and
+// emit a single node's Run ends in, fed remote partials instead of local
+// ones, so the merged frame is byte-identical to a single node running
+// the same query.
 func (c *Cluster) RunWithStats(q tsdb.Query) (*schema.Frame, tsdb.QueryStats, error) {
 	t0 := time.Now()
 	var st tsdb.QueryStats
@@ -148,11 +149,9 @@ func (c *Cluster) RunWithStats(q tsdb.Query) (*schema.Frame, tsdb.QueryStats, er
 		return nil, st, err
 	}
 	st.Workers = owners
+	st.Groups = frame.Len()
 	for _, sp := range parts {
-		st.SegmentsScanned += sp.Stats.SegmentsScanned
-		st.SegmentsPruned += sp.Stats.SegmentsPruned
-		st.CellsScanned += sp.Stats.CellsScanned
-		st.CellsMatched += sp.Stats.CellsMatched
+		st.AddStripe(sp.Stats)
 	}
 	st.TotalWall = time.Since(t0)
 	return frame, st, nil
@@ -221,35 +220,19 @@ func (c *Cluster) scatter(q tsdb.Query) ([]*tsdb.StripePartial, int, error) {
 
 // TopN ranks a dimension's values across the cluster, byte-identical to
 // a single node's tsdb.TopN: the scatter-gather merge yields the same
-// per-value aggregates, and the ordering (value descending, dimension
-// ascending on ties) is total, so ranks cannot be perturbed by where
-// stripes were scanned.
+// per-value aggregates, and selection is the engine's own bounded heap,
+// whose ordering (value descending, dimension ascending on ties) is
+// total, so ranks cannot be perturbed by where stripes were scanned.
 func (c *Cluster) TopN(q tsdb.Query, dim string, n int) ([]tsdb.TopNEntry, error) {
-	q.GroupBy = []string{dim}
-	q.Granularity = 0
+	q, err := tsdb.TopNQuery(q, dim)
+	if err != nil {
+		return nil, err
+	}
 	parts, _, err := c.scatter(q)
 	if err != nil {
 		return nil, err
 	}
-	frame, err := tsdb.MergeStripePartials(q, parts)
-	if err != nil {
-		return nil, err
-	}
-	entries := make([]tsdb.TopNEntry, 0, frame.Len())
-	for i := 0; i < frame.Len(); i++ {
-		r := frame.Row(i)
-		entries = append(entries, tsdb.TopNEntry{Dim: r[1].StrVal(), Value: r[2].FloatVal()})
-	}
-	sort.SliceStable(entries, func(i, j int) bool {
-		if entries[i].Value != entries[j].Value {
-			return entries[i].Value > entries[j].Value
-		}
-		return entries[i].Dim < entries[j].Dim
-	})
-	if n > 0 && len(entries) > n {
-		entries = entries[:n]
-	}
-	return entries, nil
+	return tsdb.TopNStripePartials(q, parts, n)
 }
 
 // Repair restores full replication after failures and membership

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -143,5 +144,50 @@ func TestClusterQueryByteIdentityAcrossEpochs(t *testing.T) {
 
 	if h := c.Health(); h.Status != "ok" {
 		t.Fatalf("final health = %s, want ok (%+v)", h.Status, h)
+	}
+}
+
+// TestClusterTopNMatchesSingleNode pins the router's top-N to the
+// engine's: same entries, same order, for every n including the edges
+// (n <= 0 selects nothing, n past the group count returns every group)
+// and with two components tied on value, where only the dimension
+// tie-break orders them.
+func TestClusterTopNMatchesSingleNode(t *testing.T) {
+	ref := tsdb.New(lakeOpts())
+	c := testCluster(t, 3, 2)
+	var batch []schema.Observation
+	for comp, v := range []float64{40, 70, 70, 10, 55} { // node00001 ties node00002
+		for i := 0; i < 6; i++ {
+			batch = append(batch, schema.Observation{
+				Ts: base.Add(time.Duration(i) * 20 * time.Second), System: "sys0", Source: "src0",
+				Component: fmt.Sprintf("node%05d", comp), Metric: "node_power_w", Value: v,
+			})
+		}
+	}
+	insertBoth(t, ref, c, batch)
+	const groups = 5
+	for _, agg := range []tsdb.AggKind{tsdb.AggAvg, tsdb.AggMax, tsdb.AggCount} {
+		q := tsdb.Query{From: base, To: base.Add(10 * time.Minute), Agg: agg}
+		for _, n := range []int{-1, 0, 1, 2, groups + 5} {
+			want, err := ref.TopN(q, tsdb.DimComponent, n)
+			if err != nil {
+				t.Fatalf("agg %d n %d: reference: %v", agg, n, err)
+			}
+			got, err := c.TopN(q, tsdb.DimComponent, n)
+			if err != nil {
+				t.Fatalf("agg %d n %d: cluster: %v", agg, n, err)
+			}
+			if got == nil || len(got) != len(want) {
+				t.Fatalf("agg %d n %d: cluster returned %v, single node %v", agg, n, got, want)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("agg %d n %d: rank %d: cluster %v, single node %v", agg, n, i, got, want)
+				}
+			}
+		}
+	}
+	if _, err := c.TopN(tsdb.Query{From: base, To: base.Add(time.Minute)}, "bogus", 3); !errors.Is(err, tsdb.ErrBadQuery) {
+		t.Fatalf("bogus dimension: err = %v, want ErrBadQuery", err)
 	}
 }

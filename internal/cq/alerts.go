@@ -7,6 +7,7 @@ import (
 
 	"odakit/internal/forecast"
 	"odakit/internal/telemetry"
+	"odakit/internal/tsdb"
 )
 
 // Alert is one fired threshold or anomaly detection.
@@ -81,7 +82,7 @@ func (a *alertState) closeBuckets(v *View) []closedBucket {
 	// Buckets with end <= watermark are final. A watermark exactly on
 	// a boundary leaves [closedEnd, +granN) open: it holds the record
 	// at its own start.
-	closedEnd := v.watermark - floorMod(v.watermark, a.granN)
+	closedEnd := v.watermark - tsdb.FloorMod(v.watermark, a.granN)
 	fromN, _, ok := v.windowBounds(v.watermark)
 	if !ok {
 		return nil
@@ -90,7 +91,7 @@ func (a *alertState) closeBuckets(v *View) []closedBucket {
 	start := a.scored
 	a.mu.Unlock()
 	if start == minWatermark || start < fromN {
-		start = fromN - floorMod(fromN, a.granN)
+		start = fromN - tsdb.FloorMod(fromN, a.granN)
 		if start < fromN {
 			start += a.granN
 		}
@@ -100,14 +101,14 @@ func (a *alertState) closeBuckets(v *View) []closedBucket {
 	if start >= closedEnd {
 		return nil
 	}
-	pairs, _ := v.foldRangeLocked(start, closedEnd, a.granN)
-	sortGroups(pairs, 4)
-	out := make([]closedBucket, 0, len(pairs))
-	for i := range pairs {
+	total, _ := v.foldRangeLocked(start, closedEnd, a.granN)
+	groups := total.Sorted()
+	out := make([]closedBucket, 0, len(groups))
+	for i := range groups {
 		out = append(out, closedBucket{
-			ts:    pairs[i].key.ts,
-			dims:  pairs[i].key.dims,
-			value: aggValue(v.cs.agg, &pairs[i].cell),
+			ts:    groups[i].Key.Ts,
+			dims:  groups[i].Key.Dims,
+			value: groups[i].Cell.Value(v.Spec.Agg),
 		})
 	}
 	a.mu.Lock()

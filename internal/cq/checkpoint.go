@@ -143,42 +143,34 @@ func (v *View) snapshot() ckptView {
 		Watermark: v.watermark, EvictedBefore: v.evictedBefore,
 		Applied: v.applied, Late: v.late,
 	}
+	// Deterministic file bytes: parts in (stripe, topic, part) order —
+	// v.tps is kept sorted — chunks ascending, cells in insertion order.
 	for s := range v.stripes {
-		for tp, pc := range v.stripes[s] {
+		starts := tsdb.SortedChunks(v.stripes[s])
+		for _, tp := range v.tps {
 			cp := ckptPart{Stripe: s, Topic: tp.topic, Part: tp.part}
-			starts := make([]int64, 0, len(pc.chunks))
-			for start := range pc.chunks {
-				starts = append(starts, start)
-			}
-			sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 			for _, start := range starts {
-				cc := pc.chunks[start]
-				ch := ckptChunk{Start: start, Cells: make([]ckptCell, 0, len(cc.keys))}
-				for i := range cc.keys {
-					k, c := &cc.keys[i], &cc.cells[i]
+				ct := v.stripes[s][start][tp]
+				if ct == nil {
+					continue
+				}
+				ch := ckptChunk{Start: start, Cells: make([]ckptCell, 0, len(ct.Keys))}
+				for i := range ct.Keys {
+					k, c := &ct.Keys[i], &ct.Cells[i]
 					ch.Cells = append(ch.Cells, ckptCell{
-						Ts: k.ts, System: k.system, Source: k.source, Comp: k.component, Metric: k.metric,
-						Count: c.count, Sum: math.Float64bits(c.sum),
-						Min: math.Float64bits(c.min), Max: math.Float64bits(c.max),
-						LastTs: c.lastTs, Last: math.Float64bits(c.last),
+						Ts: k.Ts, System: k.System, Source: k.Source, Comp: k.Component, Metric: k.Metric,
+						Count: c.Count, Sum: math.Float64bits(c.Sum),
+						Min: math.Float64bits(c.Min), Max: math.Float64bits(c.Max),
+						LastTs: c.LastTs, Last: math.Float64bits(c.Last),
 					})
 				}
 				cp.Chunks = append(cp.Chunks, ch)
 			}
-			cv.Parts = append(cv.Parts, cp)
+			if len(cp.Chunks) > 0 {
+				cv.Parts = append(cv.Parts, cp)
+			}
 		}
 	}
-	// Deterministic file bytes: sort by (stripe, topic, part).
-	sort.Slice(cv.Parts, func(i, j int) bool {
-		a, b := cv.Parts[i], cv.Parts[j]
-		if a.Stripe != b.Stripe {
-			return a.Stripe < b.Stripe
-		}
-		if a.Topic != b.Topic {
-			return a.Topic < b.Topic
-		}
-		return a.Part < b.Part
-	})
 	if v.alerts != nil {
 		cv.Alerts = v.alerts.snapshot()
 	}
@@ -229,27 +221,15 @@ func (v *View) restoreInto(cv ckptView) error {
 			return fmt.Errorf("cq: checkpoint stripe %d out of range", cp.Stripe)
 		}
 		tp := topicPart{topic: cp.Topic, part: cp.Part}
-		pc := v.stripes[cp.Stripe][tp]
-		if pc == nil {
-			pc = &partChunks{chunks: make(map[int64]*chunkCells)}
-			v.stripes[cp.Stripe][tp] = pc
-			v.noteTPLocked(tp)
-		}
 		for _, ch := range cp.Chunks {
-			cc := pc.chunks[ch.Start]
-			if cc == nil {
-				cc = &chunkCells{index: make(map[cellKey]int32, len(ch.Cells))}
-				pc.chunks[ch.Start] = cc
-			}
+			ct := v.tableLocked(cp.Stripe, ch.Start, tp)
 			for _, c := range ch.Cells {
-				key := cellKey{ts: c.Ts, system: c.System, source: c.Source, component: c.Comp, metric: c.Metric}
-				cell := cc.cell(key)
-				cell.count = c.Count
-				cell.sum = math.Float64frombits(c.Sum)
-				cell.min = math.Float64frombits(c.Min)
-				cell.max = math.Float64frombits(c.Max)
-				cell.lastTs = c.LastTs
-				cell.last = math.Float64frombits(c.Last)
+				key := tsdb.Key{Ts: c.Ts, System: c.System, Source: c.Source, Component: c.Comp, Metric: c.Metric}
+				*ct.Cell(key.Hash(), key) = tsdb.Cell{
+					Count: c.Count, Sum: math.Float64frombits(c.Sum),
+					Min: math.Float64frombits(c.Min), Max: math.Float64frombits(c.Max),
+					LastTs: c.LastTs, Last: math.Float64frombits(c.Last),
+				}
 			}
 		}
 	}

@@ -21,22 +21,27 @@
 // fully, offsets ascending). Float aggregation is order-sensitive, so
 // this takes a structural argument, not just matching math:
 //
-//   - View state lives in the LAKE's exact cell geometry: rollup cells
-//     keyed by (bucket ts, system, source, component, metric), grouped
-//     into time chunks of SegmentDuration, striped across
-//     tsdb.NumStripes by tsdb.StripeFor. Cells are appended in arrival
-//     order per (topic, partition).
+//   - View state is the LAKE's own cell type in the LAKE's geometry:
+//     one tsdb.CellTable of rollup cells (keyed by bucket ts, system,
+//     source, component, metric) per time chunk of SegmentDuration and
+//     (topic, partition), striped across tsdb.NumStripes by the
+//     tsdb.SeriesHash that also seeds the table probe. Cells are
+//     appended in arrival order per (topic, partition).
 //   - Producers key records by component, so every series lives in
 //     exactly one partition of one topic ("per-series partition
 //     affinity") and the broker preserves per-partition order. Each
-//     cell therefore sees the same add() sequence the LAKE's ingest
+//     cell therefore sees the same Cell.Add sequence the LAKE's ingest
 //     path would apply, regardless of how Poll interleaves partitions.
-//   - The read path folds cells in stripe order, then chunk order, then
-//     (topic, partition) order, then insertion order — exactly the
-//     first-touch enumeration a partition-major replay produces in
-//     tsdb's own segments — and merges and emits with the same code
-//     shape Run uses (per-stripe partial tables merged in stripe order,
-//     rows sorted by ts then dims).
+//   - A read is a feeder of tsdb's aggregation kernel
+//     (internal/tsdb/kernel.go) — alongside the hot shard scan, the cold
+//     tier's row groups and the cluster's remote stripe partials — not a
+//     copy of it: it hands each table's (Keys, Cells) slices to
+//     GroupTable.Fold in stripe order, then chunk order, then (topic,
+//     partition) order, then insertion order — exactly the first-touch
+//     enumeration a partition-major replay produces in tsdb's own
+//     segments — and merges stripe partials (GroupTable.Merge) and
+//     emits (Plan.Frame) with the same code Run executes. Only the
+//     feeding order is cq's to get right; the property test guards it.
 //
 // Views are crash-consistent: a Pump checkpoints consumer offsets and
 // full view state in one atomic file (internal/atomicfile), and applies
@@ -204,22 +209,12 @@ func viewID(s Spec) string {
 	return fmt.Sprintf("cq%016x", h.Sum64())
 }
 
-// floorMod is the positive modulo tsdb uses for epoch-anchored
-// bucketing; mirrored here so cq buckets bit-match the LAKE's.
-func floorMod(x, m int64) int64 {
-	r := x % m
-	if r < 0 {
-		r += m
-	}
-	return r
-}
-
 // ceilMul rounds d up to a whole multiple of unit.
 func ceilMul(d, unit int64) int64 {
 	if unit <= 0 {
 		return d
 	}
-	if r := floorMod(d, unit); r != 0 {
+	if r := tsdb.FloorMod(d, unit); r != 0 {
 		return d + unit - r
 	}
 	return d

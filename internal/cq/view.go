@@ -10,194 +10,12 @@ import (
 	"odakit/internal/tsdb"
 )
 
-// cellKey mirrors tsdb's rollupKey: one rollup cell per (bucket ts,
-// series). Comparable, so it keys the per-chunk index map directly.
-type cellKey struct {
-	ts                                int64
-	system, source, component, metric string
-}
-
-func (k *cellKey) dimAt(idx int) string {
-	switch idx {
-	case 0:
-		return k.system
-	case 1:
-		return k.source
-	case 2:
-		return k.component
-	default:
-		return k.metric
-	}
-}
-
-// cell mirrors tsdb's aggCell bit-for-bit: same fields, same add and
-// merge sequences, so a view cell fed the per-partition record order
-// holds exactly the state the LAKE's cell would after a partition-major
-// replay.
-type cell struct {
-	count    int64
-	sum      float64
-	min, max float64
-	lastTs   int64
-	last     float64
-}
-
-func (c *cell) add(tsNanos int64, v float64) {
-	if c.count == 0 || v < c.min {
-		c.min = v
-	}
-	if c.count == 0 || v > c.max {
-		c.max = v
-	}
-	c.count++
-	c.sum += v
-	if tsNanos >= c.lastTs {
-		c.lastTs, c.last = tsNanos, v
-	}
-}
-
-func (c *cell) merge(o cell) {
-	if o.count == 0 {
-		return
-	}
-	if c.count == 0 || o.min < c.min {
-		c.min = o.min
-	}
-	if c.count == 0 || o.max > c.max {
-		c.max = o.max
-	}
-	c.count += o.count
-	c.sum += o.sum
-	if o.lastTs >= c.lastTs {
-		c.lastTs, c.last = o.lastTs, o.last
-	}
-}
-
-func aggValue(kind tsdb.AggKind, c *cell) float64 {
-	switch kind {
-	case tsdb.AggSum:
-		return c.sum
-	case tsdb.AggMin:
-		return c.min
-	case tsdb.AggMax:
-		return c.max
-	case tsdb.AggCount:
-		return float64(c.count)
-	case tsdb.AggLast:
-		return c.last
-	default: // AggAvg
-		if c.count == 0 {
-			return 0
-		}
-		return c.sum / float64(c.count)
-	}
-}
-
-// chunkCells is one (stripe, topic, partition, time chunk)'s cells in
-// dense insertion order — the same first-touch enumeration a tsdb
-// segment's cellTable keeps.
-type chunkCells struct {
-	index map[cellKey]int32
-	keys  []cellKey
-	cells []cell
-}
-
-func (cc *chunkCells) cell(key cellKey) *cell {
-	if i, ok := cc.index[key]; ok {
-		return &cc.cells[i]
-	}
-	cc.index[key] = int32(len(cc.keys))
-	cc.keys = append(cc.keys, key)
-	cc.cells = append(cc.cells, cell{})
-	return &cc.cells[len(cc.cells)-1]
-}
-
 // topicPart identifies one partition's slice of view state. The read
 // fold visits these in (topic asc, partition asc) order — the replay
 // order of ReplayBronzeToLake.
 type topicPart struct {
 	topic string
 	part  int
-}
-
-// partChunks is one partition's cells, chunked by segment start.
-type partChunks struct {
-	chunks map[int64]*chunkCells
-}
-
-// groupPair accumulates one output group's partial per stripe.
-type groupPair struct {
-	key  groupKey
-	cell cell
-}
-
-type groupKey struct {
-	ts   int64
-	dims [4]string
-}
-
-// compiledSpec is the per-read execution plan, mirroring tsdb's
-// compiledQuery over the view's own cell layout.
-type compiledSpec struct {
-	filters   []specFilter
-	groupDims []int
-	agg       tsdb.AggKind
-	granN     int64
-}
-
-type specFilter struct {
-	dim    int
-	single string
-	set    map[string]struct{}
-}
-
-func compileSpec(s Spec) compiledSpec {
-	cs := compiledSpec{agg: s.Agg, granN: int64(s.Granularity)}
-	for d, name := range []string{tsdb.DimSystem, tsdb.DimSource, tsdb.DimComponent, tsdb.DimMetric} {
-		vals, ok := s.Filters[name]
-		if !ok {
-			continue
-		}
-		f := specFilter{dim: d}
-		if len(vals) == 1 {
-			f.single = vals[0]
-		} else {
-			f.set = make(map[string]struct{}, len(vals))
-			for _, v := range vals {
-				f.set[v] = struct{}{}
-			}
-		}
-		cs.filters = append(cs.filters, f)
-	}
-	cs.groupDims = make([]int, len(s.GroupBy))
-	for i, dim := range s.GroupBy {
-		switch dim {
-		case tsdb.DimSystem:
-			cs.groupDims[i] = 0
-		case tsdb.DimSource:
-			cs.groupDims[i] = 1
-		case tsdb.DimComponent:
-			cs.groupDims[i] = 2
-		default:
-			cs.groupDims[i] = 3
-		}
-	}
-	return cs
-}
-
-func (cs *compiledSpec) match(k *cellKey) bool {
-	for i := range cs.filters {
-		f := &cs.filters[i]
-		v := k.dimAt(f.dim)
-		if f.set == nil {
-			if v != f.single {
-				return false
-			}
-		} else if _, ok := f.set[v]; !ok {
-			return false
-		}
-	}
-	return true
 }
 
 // WindowInfo describes the window a Read answered for.
@@ -218,11 +36,14 @@ type View struct {
 	rollupN int64
 	segN    int64
 	windowN int64 // Window rounded up to whole rollup intervals
-	cs      compiledSpec
+	// plan is the spec compiled by tsdb: apply admits records with its
+	// filters, foldRangeLocked re-targets it at the range being read.
+	plan tsdb.Plan
 
 	mu sync.Mutex
-	// stripes × (topic, partition) × chunk, in tsdb's exact geometry.
-	stripes [tsdb.NumStripes]map[topicPart]*partChunks
+	// stripe → chunk start → (topic, partition) → that slice's rollup
+	// cells in arrival order: tsdb's own cell table in tsdb's geometry.
+	stripes [tsdb.NumStripes]map[int64]map[topicPart]*tsdb.CellTable
 	// sorted (topic, partition) fold order, rebuilt when a partition
 	// first appears. Shared by all stripes.
 	tps       []topicPart
@@ -255,8 +76,11 @@ func newView(e *Engine, spec Spec) *View {
 		Spec:    spec,
 		rollupN: int64(e.cfg.RollupInterval),
 		segN:    int64(e.cfg.SegmentDuration),
-		cs:      compileSpec(spec),
-		subs:    make(map[int]chan struct{}),
+		plan: tsdb.Compile(tsdb.Query{
+			Filters: spec.Filters, GroupBy: spec.GroupBy,
+			Granularity: spec.Granularity, Agg: spec.Agg,
+		}),
+		subs: make(map[int]chan struct{}),
 
 		watermark:     minWatermark,
 		evictedBefore: minWatermark,
@@ -264,7 +88,7 @@ func newView(e *Engine, spec Spec) *View {
 	}
 	v.windowN = ceilMul(int64(spec.Window), v.rollupN)
 	for i := range v.stripes {
-		v.stripes[i] = make(map[topicPart]*partChunks)
+		v.stripes[i] = make(map[int64]map[topicPart]*tsdb.CellTable)
 	}
 	if spec.Alert != nil {
 		v.alerts = newAlertState(spec, v.rollupN)
@@ -279,10 +103,10 @@ func (v *View) windowBounds(wm int64) (fromN, toN int64, ok bool) {
 		return 0, 0, false
 	}
 	if v.Spec.Kind == WindowTumbling {
-		fromN = wm - floorMod(wm, v.windowN)
+		fromN = wm - tsdb.FloorMod(wm, v.windowN)
 		return fromN, fromN + v.windowN, true
 	}
-	toN = wm - floorMod(wm, v.rollupN) + v.rollupN
+	toN = wm - tsdb.FloorMod(wm, v.rollupN) + v.rollupN
 	return toN - v.windowN, toN, true
 }
 
@@ -300,14 +124,14 @@ func (v *View) apply(topic string, part int, obs []schema.Observation) (appliedN
 		if tsn > v.watermark {
 			v.watermark = tsn
 		}
-		key := cellKey{
-			ts:     tsn - floorMod(tsn, v.rollupN),
-			system: o.System, source: o.Source, component: o.Component, metric: o.Metric,
+		key := tsdb.Key{
+			Ts:     tsn - tsdb.FloorMod(tsn, v.rollupN),
+			System: o.System, Source: o.Source, Component: o.Component, Metric: o.Metric,
 		}
-		if !v.cs.match(&key) {
+		if !v.plan.Match(&key) {
 			continue
 		}
-		chunkN := tsn - floorMod(tsn, v.segN)
+		chunkN := tsn - tsdb.FloorMod(tsn, v.segN)
 		if chunkN+v.segN <= v.evictedBefore {
 			// Late record below the eviction horizon: its chunk is gone
 			// and the window can never include it again. The batch
@@ -315,19 +139,10 @@ func (v *View) apply(topic string, part int, obs []schema.Observation) (appliedN
 			v.late++
 			continue
 		}
-		stripe := tsdb.StripeFor(o.Component, o.Metric)
-		pc := v.stripes[stripe][tp]
-		if pc == nil {
-			pc = &partChunks{chunks: make(map[int64]*chunkCells)}
-			v.stripes[stripe][tp] = pc
-			v.noteTPLocked(tp)
-		}
-		cc := pc.chunks[chunkN]
-		if cc == nil {
-			cc = &chunkCells{index: make(map[cellKey]int32)}
-			pc.chunks[chunkN] = cc
-		}
-		cc.cell(key).add(tsn, o.Value)
+		// One series hash picks the stripe and seeds the cell probe,
+		// exactly as the LAKE's ingest does.
+		h := tsdb.SeriesHash(o.Component, o.Metric)
+		v.tableLocked(int(h%tsdb.NumStripes), chunkN, tp).Cell(tsdb.CellHash(h, key.Ts), key).Add(tsn, o.Value)
 		v.applied++
 	}
 	v.evictLocked()
@@ -344,6 +159,23 @@ func (v *View) apply(topic string, part int, obs []schema.Observation) (appliedN
 		}
 	}
 	return appliedN, lateN
+}
+
+// tableLocked returns (creating if needed) the cell table of one
+// (stripe, chunk, topic-partition).
+func (v *View) tableLocked(stripe int, chunkN int64, tp topicPart) *tsdb.CellTable {
+	byTP := v.stripes[stripe][chunkN]
+	if byTP == nil {
+		byTP = make(map[topicPart]*tsdb.CellTable)
+		v.stripes[stripe][chunkN] = byTP
+	}
+	ct := byTP[tp]
+	if ct == nil {
+		ct = &tsdb.CellTable{}
+		byTP[tp] = ct
+		v.noteTPLocked(tp)
+	}
+	return ct
 }
 
 // noteTPLocked records a newly seen (topic, partition) in fold order.
@@ -372,11 +204,9 @@ func (v *View) evictLocked() {
 		return
 	}
 	for s := range v.stripes {
-		for _, pc := range v.stripes[s] {
-			for chunkN := range pc.chunks {
-				if chunkN+v.segN <= fromN {
-					delete(pc.chunks, chunkN)
-				}
+		for chunkN := range v.stripes[s] {
+			if chunkN+v.segN <= fromN {
+				delete(v.stripes[s], chunkN)
 			}
 		}
 	}
@@ -453,152 +283,53 @@ func (v *View) Read() (*schema.Frame, WindowInfo) {
 	return frame, info
 }
 
-// resultSchema mirrors tsdb.Query.ResultSchema.
-func (v *View) resultSchema() *schema.Schema {
-	fields := []schema.Field{{Name: "ts", Kind: schema.KindTime}}
-	for _, d := range v.Spec.GroupBy {
-		fields = append(fields, schema.Field{Name: d, Kind: schema.KindString})
-	}
-	fields = append(fields, schema.Field{Name: "value", Kind: schema.KindFloat})
-	return schema.New(fields...)
-}
-
-// foldLocked is the canonical fold: stripe asc → chunk asc → (topic,
-// partition) asc → insertion order, per-stripe partials merged in
-// stripe order, rows sorted by (ts, dims) — tsdb.Run's exact float
-// accumulation order over a partition-major-replayed store.
+// foldLocked answers the live window: the kernel's fold and emit over
+// the view's resident cells.
 func (v *View) foldLocked() (*schema.Frame, WindowInfo) {
 	fromN, toN, ok := v.windowBounds(v.watermark)
 	info := WindowInfo{}
+	var total tsdb.GroupTable
 	if ok {
 		info.From = time.Unix(0, fromN).UTC()
 		info.To = time.Unix(0, toN).UTC()
 		info.Watermark = time.Unix(0, v.watermark).UTC()
+		total, info.Cells = v.foldRangeLocked(fromN, toN, int64(v.Spec.Granularity))
 	}
-	var order []groupPair
-	if ok {
-		order, info.Cells = v.foldRangeLocked(fromN, toN, v.cs.granN)
-	}
-	nDims := len(v.Spec.GroupBy)
-	sortGroups(order, nDims)
-	out := schema.NewFrame(v.resultSchema())
-	row := make(schema.Row, 0, nDims+2)
-	for i := range order {
-		row = row[:0]
-		row = append(row, schema.TimeNanos(order[i].key.ts))
-		for d := 0; d < nDims; d++ {
-			row = append(row, schema.Str(order[i].key.dims[d]))
-		}
-		row = append(row, schema.Float(aggValue(v.cs.agg, &order[i].cell)))
-		if err := out.AppendRow(row); err != nil {
-			// Row was built from the frame's own schema; unreachable.
-			panic(err)
-		}
+	out, err := v.plan.Frame(&total)
+	if err != nil {
+		// Rows are built from the frame's own schema; unreachable.
+		panic(err)
 	}
 	return out, info
 }
 
-// foldRangeLocked folds [fromN, toN) at granN into per-group partials
-// in the canonical order: stripe asc → chunk asc → (topic, partition)
-// asc → insertion order, per-stripe partials merged into the total in
-// stripe order. granN 0 collapses the range into one bucket at fromN.
-// Output order is accumulation order; callers sort for emission.
-func (v *View) foldRangeLocked(fromN, toN, granN int64) ([]groupPair, int64) {
-	var cellsScanned int64
-	total := make(map[groupKey]int)
-	var order []groupPair
-	stripeGroups := make(map[groupKey]int)
-	var stripeOrder []groupPair
-	for s := 0; s < tsdb.NumStripes; s++ {
-		byTP := v.stripes[s]
-		if len(byTP) == 0 {
-			continue
-		}
-		// Union of chunk starts across this stripe's partitions,
-		// ascending — tsdb folds a stripe's segments in chunk order.
-		chunkSet := make(map[int64]struct{})
-		for _, pc := range byTP {
-			for chunkN := range pc.chunks {
-				if chunkN >= toN || chunkN+v.segN <= fromN {
-					continue
-				}
-				chunkSet[chunkN] = struct{}{}
+// foldRangeLocked feeds the view's resident cells of [fromN, toN) to the
+// same kernel tsdb.Run scans with, in the canonical order: stripe asc →
+// chunk asc → (topic, partition) asc → insertion order, each stripe's
+// partial merged into the total in stripe order — Run's exact float
+// accumulation order over a partition-major-replayed store. granN 0
+// collapses the range into one bucket at fromN.
+func (v *View) foldRangeLocked(fromN, toN, granN int64) (total tsdb.GroupTable, cellsScanned int64) {
+	// Every resident cell passed the spec's filters at apply time.
+	p := v.plan.Admitted().Over(fromN, toN, granN)
+	var part tsdb.GroupTable
+	for s := range v.stripes {
+		part.Reset()
+		for _, chunkN := range tsdb.SortedChunks(v.stripes[s]) {
+			overlaps, contained := p.Chunk(chunkN, v.segN)
+			if !overlaps {
+				continue
 			}
-		}
-		if len(chunkSet) == 0 {
-			continue
-		}
-		chunks := make([]int64, 0, len(chunkSet))
-		for c := range chunkSet {
-			chunks = append(chunks, c)
-		}
-		sort.Slice(chunks, func(i, j int) bool { return chunks[i] < chunks[j] })
-		clear(stripeGroups)
-		stripeOrder = stripeOrder[:0]
-		for _, chunkN := range chunks {
-			contained := chunkN >= fromN && chunkN+v.segN <= toN
 			for _, tp := range v.tps {
-				pc := byTP[tp]
-				if pc == nil {
-					continue
-				}
-				cc := pc.chunks[chunkN]
-				if cc == nil {
-					continue
-				}
-				cellsScanned += int64(len(cc.keys))
-				for i := range cc.keys {
-					key := &cc.keys[i]
-					if !contained && (key.ts < fromN || key.ts >= toN) {
-						continue
-					}
-					gk := groupKey{ts: fromN}
-					if granN > 0 {
-						gk.ts = key.ts - floorMod(key.ts, granN)
-					}
-					for gi, d := range v.cs.groupDims {
-						gk.dims[gi] = key.dimAt(d)
-					}
-					gi, seen := stripeGroups[gk]
-					if !seen {
-						gi = len(stripeOrder)
-						stripeGroups[gk] = gi
-						stripeOrder = append(stripeOrder, groupPair{key: gk})
-					}
-					stripeOrder[gi].cell.merge(cc.cells[i])
+				if ct := v.stripes[s][chunkN][tp]; ct != nil {
+					cellsScanned += int64(len(ct.Keys))
+					part.Fold(&p, ct.Keys, ct.Cells, contained)
 				}
 			}
 		}
-		// Merge this stripe's partial into the running total in stripe
-		// order — Run's deterministic stripe-order merge.
-		for gi := range stripeOrder {
-			p := &stripeOrder[gi]
-			ti, seen := total[p.key]
-			if !seen {
-				ti = len(order)
-				total[p.key] = ti
-				order = append(order, groupPair{key: p.key})
-			}
-			order[ti].cell.merge(p.cell)
-		}
+		total.Merge(&part)
 	}
-	return order, cellsScanned
-}
-
-// sortGroups orders emission rows by (ts, dims) — tsdb.Run's output
-// order. Keys are unique, so the comparator never ties.
-func sortGroups(order []groupPair, nDims int) {
-	sort.Slice(order, func(i, j int) bool {
-		if order[i].key.ts != order[j].key.ts {
-			return order[i].key.ts < order[j].key.ts
-		}
-		for d := 0; d < nDims; d++ {
-			if order[i].key.dims[d] != order[j].key.dims[d] {
-				return order[i].key.dims[d] < order[j].key.dims[d]
-			}
-		}
-		return false
-	})
+	return total, cellsScanned
 }
 
 // ViewStats is a view's live state summary.
@@ -629,9 +360,9 @@ func (v *View) Stats() ViewStats {
 		st.Watermark = time.Unix(0, v.watermark).UTC()
 	}
 	for s := range v.stripes {
-		for _, pc := range v.stripes[s] {
-			for _, cc := range pc.chunks {
-				st.Cells += int64(len(cc.keys))
+		for _, byTP := range v.stripes[s] {
+			for _, ct := range byTP {
+				st.Cells += int64(len(ct.Keys))
 			}
 		}
 	}

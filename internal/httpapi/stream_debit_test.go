@@ -96,6 +96,10 @@ func TestPreparedStreamOver256PointsDebits(t *testing.T) {
 		t.Fatalf("client-visible X-ODA-Query-Cells-Scanned = %q",
 			resp.Header.Get("X-ODA-Query-Cells-Scanned"))
 	}
+	// The gateway debits once the handler has returned, which a client
+	// that already holds the whole body can outrun; Close blocks until the
+	// server is done with the request.
+	srv.Close()
 	var budget float64
 	for _, ts := range g.Stats().Tenants {
 		if ts.Name == "proj-s" {

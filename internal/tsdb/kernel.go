@@ -1,0 +1,619 @@
+// The aggregation kernel: the one place the rollup algebra lives. Every
+// path that turns rollup cells into an answer — the hot shard scan, the
+// cold tier's row groups (tier.go), a continuous-query view's resident
+// chunks (internal/cq) and the cluster's remote stripe partials
+// (partial.go) — is a feeder of the same three GroupTable operations:
+// Fold an insertion-ordered (keys, cells) slice pair under a Plan, Merge
+// another table in stripe order, and emit (Plan.Frame, Plan.TopN). The
+// byte-identity the property suites check across those paths therefore
+// holds by construction: they share the float accumulation code, not a
+// mirror of it. RunSerial (query.go) stays outside on purpose, as the
+// independent reference.
+package tsdb
+
+import (
+	"sort"
+
+	"odakit/internal/schema"
+)
+
+// AggKind selects the aggregation applied to matching cells.
+type AggKind int
+
+// Supported aggregations.
+const (
+	AggAvg AggKind = iota
+	AggSum
+	AggMin
+	AggMax
+	AggCount
+	AggLast
+)
+
+// Key identifies one rollup cell: a series in one rollup bucket.
+type Key struct {
+	Ts                                int64 // rollup bucket start, unix nanos
+	System, Source, Component, Metric string
+}
+
+func (k Key) dim(name string) string {
+	switch name {
+	case DimSystem:
+		return k.System
+	case DimSource:
+		return k.Source
+	case DimComponent:
+		return k.Component
+	case DimMetric:
+		return k.Metric
+	default:
+		return ""
+	}
+}
+
+// dimValueAt returns a key's value for a dimension slot (see dimIndex).
+func dimValueAt(k *Key, idx int) string {
+	switch idx {
+	case 0:
+		return k.System
+	case 1:
+		return k.Source
+	case 2:
+		return k.Component
+	default:
+		return k.Metric
+	}
+}
+
+// Cell is one rolled-up cell: enough state for every supported
+// aggregation without keeping raw samples.
+type Cell struct {
+	Count    int64
+	Sum      float64
+	Min, Max float64
+	LastTs   int64
+	Last     float64
+}
+
+// Add rolls one sample into the cell.
+func (c *Cell) Add(tsNanos int64, v float64) {
+	if c.Count == 0 || v < c.Min {
+		c.Min = v
+	}
+	if c.Count == 0 || v > c.Max {
+		c.Max = v
+	}
+	c.Count++
+	c.Sum += v
+	if tsNanos >= c.LastTs {
+		c.LastTs, c.Last = tsNanos, v
+	}
+}
+
+// Merge folds another cell's state into c. Float sums are
+// order-sensitive: callers fix the merge order to keep results
+// reproducible.
+func (c *Cell) Merge(o Cell) {
+	if o.Count == 0 {
+		return
+	}
+	if c.Count == 0 || o.Min < c.Min {
+		c.Min = o.Min
+	}
+	if c.Count == 0 || o.Max > c.Max {
+		c.Max = o.Max
+	}
+	c.Count += o.Count
+	c.Sum += o.Sum
+	if o.LastTs >= c.LastTs {
+		c.LastTs, c.Last = o.LastTs, o.Last
+	}
+}
+
+// Value finalizes the cell for one aggregation.
+func (c *Cell) Value(kind AggKind) float64 {
+	switch kind {
+	case AggSum:
+		return c.Sum
+	case AggMin:
+		return c.Min
+	case AggMax:
+		return c.Max
+	case AggCount:
+		return float64(c.Count)
+	case AggLast:
+		return c.Last
+	default: // AggAvg
+		if c.Count == 0 {
+			return 0
+		}
+		return c.Sum / float64(c.Count)
+	}
+}
+
+// CellTable maps Key to Cell. It replaces a Go map on the ingest hot
+// path: the probe hash is derived from the series hash already computed
+// for shard striping, and the stored hash makes misses cheap. Layout is
+// structure-of-arrays: a compact open-addressed index (8 bytes per
+// entry) resolves a key to a position in dense, insertion-ordered key
+// and cell arrays. Queries stream sequentially over the packed keys and
+// touch aggregation state only for cells that match — roughly halving
+// scan memory traffic versus keys and cells interleaved in 128-byte hash
+// slots, with no change to the ingest probe cost.
+type CellTable struct {
+	index []cellRef // open-addressed probe index
+	// Keys and Cells are the dense, parallel, insertion-ordered arrays —
+	// the slice pair GroupTable.Fold consumes. Insert through Cell only.
+	Keys  []Key
+	Cells []Cell
+}
+
+// cellRef is one index entry: the probe hash plus a 1-based position in
+// the dense arrays (0 marks an empty slot).
+type cellRef struct {
+	hash uint32
+	idx  int32
+}
+
+// SeriesHash is FNV-1a over component and metric — the dimensions that
+// actually vary across concurrent producers. It is computed once per
+// record and reused for both the lock stripe (modulo NumStripes) and the
+// cell-table probe; series differing only in system or source share a
+// stripe and a probe chain, which costs a little clustering, never
+// correctness.
+func SeriesHash(component, metric string) uint32 {
+	const (
+		offset32 = 2166136261
+		prime32  = 16777619
+	)
+	h := uint32(offset32)
+	for i := 0; i < len(component); i++ {
+		h = (h ^ uint32(component[i])) * prime32
+	}
+	h = (h ^ 0xff) * prime32 // separator so ("ab","c") != ("a","bc")
+	for i := 0; i < len(metric); i++ {
+		h = (h ^ uint32(metric[i])) * prime32
+	}
+	return h
+}
+
+// CellHash mixes the rollup bucket into the series hash. bucketN is in
+// nanos so consecutive buckets differ only in high bits; the shift brings
+// them down and the odd multiplier spreads them.
+func CellHash(seriesH uint32, bucketN int64) uint32 {
+	return (seriesH ^ uint32(uint64(bucketN)>>30)) * 2654435761
+}
+
+// Hash is the key's CellTable probe hash, for callers with no series
+// hash at hand.
+func (k *Key) Hash() uint32 { return CellHash(SeriesHash(k.Component, k.Metric), k.Ts) }
+
+// Cell returns the cell for key (creating it if absent). h must be
+// CellHash of the key's series and bucket. The returned pointer is only
+// valid until the next Cell call — a later insert may grow the arrays.
+func (t *CellTable) Cell(h uint32, key Key) *Cell {
+	if len(t.Keys) >= len(t.index)*3/4 { // covers the empty table too
+		t.grow()
+	}
+	mask := uint32(len(t.index) - 1)
+	i := h & mask
+	for {
+		r := t.index[i]
+		if r.idx == 0 {
+			t.Keys = append(t.Keys, key)
+			t.Cells = append(t.Cells, Cell{})
+			t.index[i] = cellRef{hash: h, idx: int32(len(t.Keys))}
+			return &t.Cells[len(t.Cells)-1]
+		}
+		if r.hash == h && t.Keys[r.idx-1] == key {
+			return &t.Cells[r.idx-1]
+		}
+		i = (i + 1) & mask
+	}
+}
+
+func (t *CellTable) grow() {
+	newCap := 2 * len(t.index)
+	if newCap == 0 {
+		newCap = 64
+	}
+	old := t.index
+	t.index = make([]cellRef, newCap)
+	mask := uint32(newCap - 1)
+	for _, r := range old {
+		if r.idx == 0 {
+			continue
+		}
+		i := r.hash & mask
+		for t.index[i].idx != 0 {
+			i = (i + 1) & mask
+		}
+		t.index[i] = r
+	}
+}
+
+// FloorMod returns x mod m with the sign of m (m > 0), so bucket
+// alignment is correct for timestamps before the epoch too.
+func FloorMod(x, m int64) int64 {
+	r := x % m
+	if r < 0 {
+		r += m
+	}
+	return r
+}
+
+// SortedChunks returns the chunk starts keying m in ascending order —
+// the order every fold visits a stripe's time chunks in.
+func SortedChunks[V any](m map[int64]V) []int64 {
+	chunks := make([]int64, 0, len(m))
+	for k := range m {
+		chunks = append(chunks, k)
+	}
+	sort.Slice(chunks, func(i, j int) bool { return chunks[i] < chunks[j] })
+	return chunks
+}
+
+// dimFilter is one compiled dimension constraint. Single-value filters
+// (the common dashboard shape: one metric) compare directly; multi-value
+// filters hit a lookup set. Compiling once per query replaces the
+// per-cell map iteration + nested linear scan of matchFilters.
+type dimFilter struct {
+	dim    int
+	single string
+	set    map[string]struct{} // nil when single applies
+}
+
+// Plan is a compiled query: the time range, bucket width, dimension
+// filters, group-by slots and aggregation every feeder folds under.
+type Plan struct {
+	fromN, toN  int64
+	granN       int64
+	collapsedTs int64 // output ts when granN == 0
+	filters     []dimFilter
+	groupDims   []int // dimension slot per GroupBy position
+	agg         AggKind
+	result      *schema.Schema
+}
+
+// Compile builds q's plan. It does not validate; a standing query
+// compiles its shape once with a zero range and sets the window per read
+// with Over.
+func Compile(q Query) Plan {
+	p := Plan{
+		fromN:       clampNanos(q.From),
+		toN:         clampNanos(q.To),
+		granN:       int64(q.Granularity),
+		collapsedTs: q.From.UnixNano(),
+		agg:         q.Agg,
+		result:      q.ResultSchema(),
+	}
+	for d := 0; d < len(dimNames); d++ {
+		vals, ok := q.Filters[dimNames[d]]
+		if !ok {
+			continue
+		}
+		f := dimFilter{dim: d}
+		if len(vals) == 1 {
+			f.single = vals[0]
+		} else {
+			f.set = make(map[string]struct{}, len(vals))
+			for _, v := range vals {
+				f.set[v] = struct{}{}
+			}
+		}
+		p.filters = append(p.filters, f)
+	}
+	p.groupDims = make([]int, len(q.GroupBy))
+	for i, d := range q.GroupBy {
+		p.groupDims[i] = dimIndex(d)
+	}
+	return p
+}
+
+// Over returns the plan re-targeted at [fromN, toN) with granN-wide
+// output buckets; granN 0 collapses the range into one bucket at fromN.
+func (p Plan) Over(fromN, toN, granN int64) Plan {
+	p.fromN, p.toN, p.granN, p.collapsedTs = fromN, toN, granN, fromN
+	return p
+}
+
+// Admitted returns the plan without its dimension filters, for folding
+// cells that already passed Match (a view admits at apply time, the cold
+// tier pushes the filters down into the columnar reader).
+func (p Plan) Admitted() Plan {
+	p.filters = nil
+	return p
+}
+
+// Match reports whether a cell's key passes every compiled filter.
+func (p *Plan) Match(k *Key) bool {
+	for i := range p.filters {
+		f := &p.filters[i]
+		v := dimValueAt(k, f.dim)
+		if f.set == nil {
+			if v != f.single {
+				return false
+			}
+		} else if _, ok := f.set[v]; !ok {
+			return false
+		}
+	}
+	return true
+}
+
+// Chunk classifies the time chunk [chunkN, chunkN+segDur) against the
+// plan's range: whether it overlaps at all (else prune it), and whether
+// it lies wholly inside, in which case Fold needs no per-cell time check.
+func (p *Plan) Chunk(chunkN, segDur int64) (overlaps, contained bool) {
+	if chunkN >= p.toN || chunkN+segDur <= p.fromN {
+		return false, false
+	}
+	return true, chunkN >= p.fromN && chunkN+segDur <= p.toN
+}
+
+// groupHash hashes the output group (bucket ts + grouped dims) for the
+// group table. Only the dimensions the query groups by are hashed — a Go
+// map over GroupKey would hash all four plus padding.
+func (p *Plan) groupHash(ts int64, k *Key) uint32 {
+	const prime32 = 16777619
+	h := uint32(2166136261)
+	for _, d := range p.groupDims {
+		s := dimValueAt(k, d)
+		for j := 0; j < len(s); j++ {
+			h = (h ^ uint32(s[j])) * prime32
+		}
+		h = (h ^ 0xff) * prime32
+	}
+	return (h ^ uint32(uint64(ts)>>30) ^ uint32(uint64(ts))) * 2654435761
+}
+
+// GroupKey identifies one output group: the bucket start plus the
+// grouped dimension values, aligned with the query's GroupBy.
+type GroupKey struct {
+	Ts   int64
+	Dims [4]string
+}
+
+// Group is one output group with its full aggregation state, so any
+// AggKind can be finalized after merging.
+type Group struct {
+	Key  GroupKey
+	Cell Cell
+}
+
+// GroupTable is the open-addressed partial-aggregation table — the query
+// path's counterpart of the ingest path's CellTable. Group cells live
+// inline in the slots; one table per stripe means no locks and no shared
+// state between scan workers. The zero value is an empty table.
+type GroupTable struct {
+	slots []groupSlot
+	n     int
+}
+
+type groupSlot struct {
+	hash uint32
+	used bool
+	Group
+}
+
+// Len returns the number of groups.
+func (t *GroupTable) Len() int { return t.n }
+
+// Reset empties the table, keeping its slot array for reuse.
+func (t *GroupTable) Reset() {
+	for i := range t.slots {
+		t.slots[i].used = false
+	}
+	t.n = 0
+}
+
+// cell returns the aggregation cell for key, creating it if absent. The
+// pointer is only valid until the next cell call (growth moves slots).
+func (t *GroupTable) cell(h uint32, key GroupKey) *Cell {
+	if t.n >= len(t.slots)*3/4 {
+		t.grow()
+	}
+	mask := uint32(len(t.slots) - 1)
+	i := h & mask
+	for {
+		s := &t.slots[i]
+		if !s.used {
+			s.used = true
+			s.hash = h
+			s.Key = key
+			s.Cell = Cell{} // slots are reused; clear the prior fold's state
+			t.n++
+			return &s.Cell
+		}
+		if s.hash == h && s.Key == key {
+			return &s.Cell
+		}
+		i = (i + 1) & mask
+	}
+}
+
+func (t *GroupTable) grow() {
+	newCap := 2 * len(t.slots)
+	if newCap == 0 {
+		newCap = 64
+	}
+	old := t.slots
+	t.slots = make([]groupSlot, newCap)
+	mask := uint32(newCap - 1)
+	for oi := range old {
+		s := &old[oi]
+		if !s.used {
+			continue
+		}
+		i := s.hash & mask
+		for t.slots[i].used {
+			i = (i + 1) & mask
+		}
+		t.slots[i] = *s
+	}
+}
+
+// Fold accumulates one insertion-ordered (keys, cells) slice pair — a
+// segment's CellTable arrays, a view chunk's, or a run of cold rows —
+// into the table under p and returns how many cells matched. contained
+// skips the per-cell time check for a chunk wholly inside the range (see
+// Plan.Chunk). Per-group accumulation order is slice order, so feeding
+// pairs in a fixed order makes float rounding deterministic.
+func (t *GroupTable) Fold(p *Plan, keys []Key, cells []Cell, contained bool) (matched int64) {
+	noFilters := len(p.filters) == 0
+	for i := range keys {
+		key := &keys[i]
+		ts := key.Ts
+		if !contained && (ts < p.fromN || ts >= p.toN) {
+			continue
+		}
+		if !noFilters && !p.Match(key) {
+			continue
+		}
+		matched++
+		gk := GroupKey{Ts: p.collapsedTs}
+		if p.granN > 0 {
+			gk.Ts = ts - FloorMod(ts, p.granN)
+		}
+		for gi, d := range p.groupDims {
+			gk.Dims[gi] = dimValueAt(key, d)
+		}
+		t.cell(p.groupHash(gk.Ts, key), gk).Merge(cells[i])
+	}
+	return matched
+}
+
+// Merge folds o's groups into t and leaves o's contents unspecified.
+// Callers merge stripe partials in ascending stripe order — the fixed
+// fold order that keeps float accumulation deterministic and identical
+// to RunSerial. An empty t takes o's slots over instead of copying, so
+// the first non-empty partial doubles as the accumulator and a query
+// whose matches live on one stripe merges for free.
+func (t *GroupTable) Merge(o *GroupTable) {
+	if o.n == 0 {
+		return
+	}
+	if t.n == 0 {
+		*t, *o = *o, *t
+		return
+	}
+	for i := range o.slots {
+		if s := &o.slots[i]; s.used {
+			t.cell(s.hash, s.Key).Merge(s.Cell)
+		}
+	}
+}
+
+// Sorted returns the table's groups ordered by (ts, dims) — the row
+// order of every result frame. Keys are unique, so the order is total.
+func (t *GroupTable) Sorted() []Group {
+	groups := make([]Group, 0, t.n)
+	for i := range t.slots {
+		if s := &t.slots[i]; s.used {
+			groups = append(groups, s.Group)
+		}
+	}
+	sort.Slice(groups, func(i, j int) bool {
+		a, b := &groups[i].Key, &groups[j].Key
+		if a.Ts != b.Ts {
+			return a.Ts < b.Ts
+		}
+		for d := range a.Dims {
+			if a.Dims[d] != b.Dims[d] {
+				return a.Dims[d] < b.Dims[d]
+			}
+		}
+		return false
+	})
+	return groups
+}
+
+// Frame emits the table as the plan's result frame: one row per group in
+// Sorted order — ts, the grouped dimensions, then the finalized value.
+func (p *Plan) Frame(t *GroupTable) (*schema.Frame, error) {
+	out := schema.NewFrame(p.result)
+	nDims := len(p.groupDims)
+	row := make(schema.Row, 0, nDims+2)
+	groups := t.Sorted()
+	for i := range groups {
+		g := &groups[i]
+		row = append(row[:0], schema.TimeNanos(g.Key.Ts))
+		for d := 0; d < nDims; d++ {
+			row = append(row, schema.Str(g.Key.Dims[d]))
+		}
+		row = append(row, schema.Float(g.Cell.Value(p.agg)))
+		if err := out.AppendRow(row); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// TopNEntry is one row of a top-N result.
+type TopNEntry struct {
+	Dim   string
+	Value float64
+}
+
+// topNWorse orders heap entries: a is worse than b when it aggregates
+// lower, or ties and sorts later alphabetically (value descending, then
+// dim ascending — a total order, so ranks do not depend on slot layout).
+func topNWorse(a, b TopNEntry) bool {
+	if a.Value != b.Value {
+		return a.Value < b.Value
+	}
+	return a.Dim > b.Dim
+}
+
+// TopN selects the n highest-aggregating groups of a table grouped by
+// one dimension (see TopNQuery), best first. A bounded min-heap keeps
+// selection O(groups·log n): top 10 over 10k dimension values never
+// materializes a 10k-row frame. n <= 0 selects nothing.
+func (p *Plan) TopN(t *GroupTable, n int) []TopNEntry {
+	if n <= 0 {
+		return []TopNEntry{}
+	}
+	// Min-heap of the n best entries seen; the root is the worst keeper.
+	heap := make([]TopNEntry, 0, n)
+	for i := range t.slots {
+		s := &t.slots[i]
+		if !s.used {
+			continue
+		}
+		e := TopNEntry{Dim: s.Key.Dims[0], Value: s.Cell.Value(p.agg)}
+		if len(heap) < n {
+			heap = append(heap, e)
+			// Sift up: a child worse than its parent moves toward the root.
+			for c := len(heap) - 1; c > 0; {
+				par := (c - 1) / 2
+				if !topNWorse(heap[c], heap[par]) {
+					break
+				}
+				heap[par], heap[c] = heap[c], heap[par]
+				c = par
+			}
+			continue
+		}
+		if !topNWorse(heap[0], e) {
+			continue // not better than the worst keeper
+		}
+		heap[0] = e
+		// Sift down: the replacement sinks below any worse child.
+		for par := 0; ; {
+			c := 2*par + 1
+			if c >= n {
+				break
+			}
+			if r := c + 1; r < n && topNWorse(heap[r], heap[c]) {
+				c = r
+			}
+			if !topNWorse(heap[c], heap[par]) {
+				break
+			}
+			heap[par], heap[c] = heap[c], heap[par]
+			par = c
+		}
+	}
+	sort.Slice(heap, func(i, j int) bool { return topNWorse(heap[j], heap[i]) })
+	return heap
+}

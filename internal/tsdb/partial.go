@@ -6,14 +6,14 @@
 // cells live on exactly one stripe (striping hashes the same dimensions
 // the group key is built from, component+metric — and the dimensions a
 // group does not include are aggregated over cells that still fold in
-// stripe-major, chunk-ascending, insertion order), and the merge folds
-// partials in the same fixed stripe order 0..NumStripes-1 that Run's
-// in-process merge uses. The final sort and emit are shared with Run.
+// stripe-major, chunk-ascending, insertion order), and the merge is the
+// kernel's own (kernel.go): remote partials are fed to the GroupTable.Merge
+// Run's in-process merge calls, in the same fixed stripe order
+// 0..NumStripes-1, and emitted by the same Plan.Frame / Plan.TopN.
 package tsdb
 
 import (
 	"fmt"
-	"sort"
 
 	"odakit/internal/schema"
 )
@@ -29,19 +29,17 @@ type StripeScanStats struct {
 
 // StripePartial is one stripe's partial-aggregation result: the output
 // groups that stripe's cells contribute to, with full aggregation state
-// so any AggKind can be finalized after the merge. The cell order inside
-// a partial is unspecified (hash-table layout); determinism comes from
+// so any AggKind can be finalized after the merge. Determinism comes from
 // per-group accumulation order, which scanShard fixes at chunk-ascending,
 // insertion order.
 type StripePartial struct {
 	Stripe int
 	Stats  StripeScanStats
-	keys   []groupKey
-	cells  []aggCell
+	groups GroupTable
 }
 
 // Groups returns how many output groups the partial carries.
-func (sp *StripePartial) Groups() int { return len(sp.keys) }
+func (sp *StripePartial) Groups() int { return sp.groups.Len() }
 
 // StripePartial executes q against a single lock stripe of the hot tier
 // and returns that stripe's partial aggregation. The cold tier is not
@@ -54,88 +52,55 @@ func (db *DB) StripePartial(q Query, stripe int) (*StripePartial, error) {
 	if stripe < 0 || stripe >= NumStripes {
 		return nil, fmt.Errorf("%w: stripe %d out of range", ErrBadQuery, stripe)
 	}
-	cq := compileQuery(q)
-	var gt groupTable
-	ss := db.scanShard(stripe, &cq, &gt)
-	sp := &StripePartial{
-		Stripe: stripe,
-		Stats: StripeScanStats{
-			SegmentsScanned: ss.segsScanned,
-			SegmentsPruned:  ss.segsPruned,
-			CellsScanned:    ss.cellsScanned,
-			CellsMatched:    ss.cellsMatched,
-		},
-		keys:  make([]groupKey, 0, gt.n),
-		cells: make([]aggCell, 0, gt.n),
-	}
-	for i := range gt.slots {
-		if s := &gt.slots[i]; s.used {
-			sp.keys = append(sp.keys, s.key)
-			sp.cells = append(sp.cells, s.cell)
-		}
-	}
+	plan := Compile(q)
+	sp := &StripePartial{Stripe: stripe}
+	sp.Stats = db.scanShard(stripe, &plan, &sp.groups)
 	return sp, nil
 }
 
-// MergeStripePartials folds stripe partials — which must be supplied in
-// ascending stripe order, Run's fixed fold order — into the final result
-// frame, sorted and emitted exactly like Run. Nil entries (stripes with
-// no live owner already reported as errors by the router) are rejected:
-// a silent gap would silently drop that stripe's groups.
-func MergeStripePartials(q Query, parts []*StripePartial) (*schema.Frame, error) {
+// mergePartials folds stripe partials — which must be supplied in
+// ascending stripe order, Run's fixed fold order — into one group table,
+// consuming them (see GroupTable.Merge). Nil entries (stripes with no
+// live owner already reported as errors by the router) are rejected: a
+// silent gap would silently drop that stripe's groups.
+func mergePartials(q Query, parts []*StripePartial) (Plan, *GroupTable, error) {
 	if err := q.validate(); err != nil {
-		return nil, err
+		return Plan{}, nil, err
 	}
-	groups := make(map[groupKey]*aggCell)
+	total := &GroupTable{}
 	prev := -1
 	for _, sp := range parts {
 		if sp == nil {
-			return nil, fmt.Errorf("%w: nil stripe partial", ErrBadQuery)
+			return Plan{}, nil, fmt.Errorf("%w: nil stripe partial", ErrBadQuery)
 		}
 		if sp.Stripe <= prev {
-			return nil, fmt.Errorf("%w: stripe partials out of order (%d after %d)", ErrBadQuery, sp.Stripe, prev)
+			return Plan{}, nil, fmt.Errorf("%w: stripe partials out of order (%d after %d)", ErrBadQuery, sp.Stripe, prev)
 		}
 		prev = sp.Stripe
-		for i := range sp.keys {
-			g, ok := groups[sp.keys[i]]
-			if !ok {
-				g = &aggCell{}
-				groups[sp.keys[i]] = g
-			}
-			g.merge(sp.cells[i])
-		}
+		total.Merge(&sp.groups)
 	}
+	return Compile(q), total, nil
+}
 
-	keys := make([]groupKey, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
+// MergeStripePartials merges stripe partials — in ascending stripe
+// order, and consumed by the merge (see mergePartials) — into the final
+// result frame, sorted and emitted by the same code as Run.
+func MergeStripePartials(q Query, parts []*StripePartial) (*schema.Frame, error) {
+	plan, total, err := mergePartials(q, parts)
+	if err != nil {
+		return nil, err
 	}
-	nDims := len(q.GroupBy)
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].ts != keys[j].ts {
-			return keys[i].ts < keys[j].ts
-		}
-		for d := 0; d < nDims; d++ {
-			if keys[i].dims[d] != keys[j].dims[d] {
-				return keys[i].dims[d] < keys[j].dims[d]
-			}
-		}
-		return false
-	})
-	out := schema.NewFrame(q.ResultSchema())
-	row := make(schema.Row, 0, nDims+2)
-	for _, k := range keys {
-		row = row[:0]
-		row = append(row, schema.TimeNanos(k.ts))
-		for d := 0; d < nDims; d++ {
-			row = append(row, schema.Str(k.dims[d]))
-		}
-		row = append(row, schema.Float(aggValue(q.Agg, groups[k])))
-		if err := out.AppendRow(row); err != nil {
-			return nil, err
-		}
+	return plan.Frame(total)
+}
+
+// TopNStripePartials merges the stripe partials of a TopNQuery and
+// selects the n best entries with the same bounded heap as DB.TopN.
+func TopNStripePartials(q Query, parts []*StripePartial, n int) ([]TopNEntry, error) {
+	plan, total, err := mergePartials(q, parts)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	return plan.TopN(total, n), nil
 }
 
 // ExportStripes serializes every cell of the given stripes as a
@@ -154,22 +119,17 @@ func (db *DB) ExportStripes(stripes []int) (*schema.Frame, error) {
 		}
 		sh := &db.shards[si]
 		sh.mu.RLock()
-		chunks := make([]int64, 0, len(sh.segments))
-		for k := range sh.segments {
-			chunks = append(chunks, k)
-		}
-		sort.Slice(chunks, func(i, j int) bool { return chunks[i] < chunks[j] })
-		for _, chunkN := range chunks {
+		for _, chunkN := range SortedChunks(sh.segments) {
 			seg := sh.segments[chunkN]
-			for i := range seg.cells.keys {
-				k := &seg.cells.keys[i]
-				c := &seg.cells.cells[i]
+			for i := range seg.cells.Keys {
+				k := &seg.cells.Keys[i]
+				c := &seg.cells.Cells[i]
 				row := schema.Row{
-					schema.TimeNanos(k.ts), schema.Str(k.system), schema.Str(k.source),
-					schema.Str(k.component), schema.Str(k.metric),
-					schema.Int(c.count), schema.Float(c.sum),
-					schema.Float(c.min), schema.Float(c.max),
-					schema.Float(c.last), schema.TimeNanos(c.lastTs),
+					schema.TimeNanos(k.Ts), schema.Str(k.System), schema.Str(k.Source),
+					schema.Str(k.Component), schema.Str(k.Metric),
+					schema.Int(c.Count), schema.Float(c.Sum),
+					schema.Float(c.Min), schema.Float(c.Max),
+					schema.Float(c.Last), schema.TimeNanos(c.LastTs),
 				}
 				if err := out.AppendRow(row); err != nil {
 					sh.mu.RUnlock()

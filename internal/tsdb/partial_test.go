@@ -95,3 +95,60 @@ func TestExportStripesRoundTripPreservesScanOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestMergeSparseStripePartials covers the merge's accumulator shortcut
+// — the first non-empty partial's table becomes the total instead of
+// being copied — on the inputs that steer it: filters that leave most
+// stripes (the leading ones included) with no groups, and groups that
+// span the stripes that do match, so later partials merge into a table
+// that began life as an earlier one. The serial reference shares none of
+// this code.
+func TestMergeSparseStripePartials(t *testing.T) {
+	db := propDB(-1)
+	sawLeadingEmpty := false
+	for _, comps := range [][]string{
+		{"node00000"}, {"node00003", "node00007"}, {"node00001", "node00002", "node00005"},
+	} {
+		for _, groupBy := range [][]string{nil, {DimMetric}, {DimSystem, DimMetric}} {
+			q := Query{
+				From: base, To: base.Add(25 * time.Minute), Granularity: 7 * time.Minute,
+				Filters: map[string][]string{DimComponent: comps}, GroupBy: groupBy, Agg: AggAvg,
+			}
+			want, err := db.RunSerial(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// A merge consumes its partials, so each merge scans its own.
+			scan := func(keepEmpty bool) (parts []*StripePartial) {
+				for s := 0; s < NumStripes; s++ {
+					sp, err := db.StripePartial(q, s)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if keepEmpty || sp.Groups() > 0 {
+						parts = append(parts, sp)
+					}
+				}
+				return parts
+			}
+			all, nonEmpty := scan(true), scan(false)
+			if len(nonEmpty) == 0 || len(nonEmpty) > 2*len(comps) {
+				t.Fatalf("%v: %d non-empty stripes, want a sparse non-zero count", comps, len(nonEmpty))
+			}
+			sawLeadingEmpty = sawLeadingEmpty || all[0].Groups() == 0
+			for name, parts := range map[string][]*StripePartial{"all stripes": all, "non-empty only": nonEmpty} {
+				got, err := MergeStripePartials(q, parts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				if !got.Equal(want) {
+					t.Fatalf("%s, components %v, group-by %v: merge diverges from serial\nserial: %v\nmerged: %v",
+						name, comps, groupBy, want.Rows(), got.Rows())
+				}
+			}
+		}
+	}
+	if !sawLeadingEmpty {
+		t.Fatal("no case left stripe 0 empty: the accumulator never moved off the first partial")
+	}
+}

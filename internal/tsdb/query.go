@@ -30,19 +30,6 @@ import (
 // ErrBadQuery reports an invalid query.
 var ErrBadQuery = errors.New("tsdb: bad query")
 
-// AggKind selects the aggregation applied to matching cells.
-type AggKind int
-
-// Supported aggregations.
-const (
-	AggAvg AggKind = iota
-	AggSum
-	AggMin
-	AggMax
-	AggCount
-	AggLast
-)
-
 // Query describes a group-by query.
 type Query struct {
 	// From and To bound the time range (half-open).
@@ -122,25 +109,6 @@ func dimIndex(d string) int {
 	}
 }
 
-// dimValueAt returns a rollup key's value for a dimension slot.
-func dimValueAt(k *rollupKey, idx int) string {
-	switch idx {
-	case 0:
-		return k.system
-	case 1:
-		return k.source
-	case 2:
-		return k.component
-	default:
-		return k.metric
-	}
-}
-
-type groupKey struct {
-	ts   int64
-	dims [4]string // aligned with q.GroupBy, max 4 dims
-}
-
 // clampNanos converts a bound to unix nanos with saturation, so times
 // outside the representable nano range (e.g. the zero time.Time) compare
 // like their time.Time counterparts instead of wrapping.
@@ -159,171 +127,19 @@ var (
 	maxNanoTime = time.Unix(0, math.MaxInt64)
 )
 
-// dimFilter is one compiled dimension constraint. Single-value filters
-// (the common dashboard shape: one metric) compare directly; multi-value
-// filters hit a lookup set. Compiling once per query replaces the
-// per-cell map iteration + nested linear scan of the old matchFilters.
-type dimFilter struct {
-	dim    int
-	single string
-	set    map[string]struct{} // nil when single applies
-}
-
-// compiledQuery is the per-query execution plan shared by all workers.
-type compiledQuery struct {
-	fromN, toN  int64
-	granN       int64
-	collapsedTs int64 // output ts when granN == 0
-	filters     []dimFilter
-	groupDims   []int // dimension slot per GroupBy position
-	agg         AggKind
-}
-
-func compileQuery(q Query) compiledQuery {
-	cq := compiledQuery{
-		fromN:       clampNanos(q.From),
-		toN:         clampNanos(q.To),
-		granN:       int64(q.Granularity),
-		collapsedTs: q.From.UnixNano(),
-		agg:         q.Agg,
-	}
-	for d := 0; d < len(dimNames); d++ {
-		vals, ok := q.Filters[dimNames[d]]
-		if !ok {
-			continue
-		}
-		f := dimFilter{dim: d}
-		if len(vals) == 1 {
-			f.single = vals[0]
-		} else {
-			f.set = make(map[string]struct{}, len(vals))
-			for _, v := range vals {
-				f.set[v] = struct{}{}
-			}
-		}
-		cq.filters = append(cq.filters, f)
-	}
-	cq.groupDims = make([]int, len(q.GroupBy))
-	for i, d := range q.GroupBy {
-		cq.groupDims[i] = dimIndex(d)
-	}
-	return cq
-}
-
-// match reports whether a cell's key passes every compiled filter.
-func (cq *compiledQuery) match(k *rollupKey) bool {
-	for i := range cq.filters {
-		f := &cq.filters[i]
-		v := dimValueAt(k, f.dim)
-		if f.set == nil {
-			if v != f.single {
-				return false
-			}
-		} else if _, ok := f.set[v]; !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// groupHash hashes the output group (bucket ts + grouped dims) for the
-// partial-aggregation table. Only the dimensions the query groups by are
-// hashed — a Go map over groupKey would hash all four plus padding.
-func (cq *compiledQuery) groupHash(ts int64, k *rollupKey) uint32 {
-	const prime32 = 16777619
-	h := uint32(2166136261)
-	for _, d := range cq.groupDims {
-		s := dimValueAt(k, d)
-		for j := 0; j < len(s); j++ {
-			h = (h ^ uint32(s[j])) * prime32
-		}
-		h = (h ^ 0xff) * prime32
-	}
-	return (h ^ uint32(uint64(ts)>>30) ^ uint32(uint64(ts))) * 2654435761
-}
-
-// groupTable is the open-addressed partial-aggregation table — the query
-// path's counterpart of the ingest path's cellTable. Group cells live
-// inline in the slots; one table per shard means no locks and no shared
-// state between scan workers.
-type groupTable struct {
-	slots []groupSlot
-	n     int
-}
-
-type groupSlot struct {
-	hash uint32
-	used bool
-	key  groupKey
-	cell aggCell
-}
-
-// cell returns the aggregation cell for key, creating it if absent. The
-// pointer is only valid until the next cell call (growth moves slots).
-func (t *groupTable) cell(h uint32, key groupKey) *aggCell {
-	if t.n >= len(t.slots)*3/4 {
-		t.grow()
-	}
-	mask := uint32(len(t.slots) - 1)
-	i := h & mask
-	for {
-		s := &t.slots[i]
-		if !s.used {
-			s.used = true
-			s.hash = h
-			s.key = key
-			s.cell = aggCell{} // slots are pooled; clear prior query's state
-			t.n++
-			return &s.cell
-		}
-		if s.hash == h && s.key == key {
-			return &s.cell
-		}
-		i = (i + 1) & mask
-	}
-}
-
-func (t *groupTable) grow() {
-	newCap := 2 * len(t.slots)
-	if newCap == 0 {
-		newCap = 64
-	}
-	old := t.slots
-	t.slots = make([]groupSlot, newCap)
-	mask := uint32(newCap - 1)
-	for oi := range old {
-		s := &old[oi]
-		if !s.used {
-			continue
-		}
-		i := s.hash & mask
-		for t.slots[i].used {
-			i = (i + 1) & mask
-		}
-		t.slots[i] = *s
-	}
-}
-
 // partialSet is one query's per-shard partial-aggregation tables. Sets
 // are pooled per DB: a steady query load reuses grown slot arrays
 // instead of re-allocating ~megabytes of table per query, which keeps
 // the garbage collector out of the scan path.
 type partialSet struct {
-	tables [shardCount]groupTable
-}
-
-func (t *groupTable) reset() {
-	for i := range t.slots {
-		t.slots[i].used = false
-	}
-	t.n = 0
+	tables [shardCount]GroupTable
 }
 
 func (db *DB) getPartials() *partialSet {
 	if v := db.partials.Get(); v != nil {
 		ps := v.(*partialSet)
 		for i := range ps.tables {
-			ps.tables[i].reset()
+			ps.tables[i].Reset()
 		}
 		return ps
 	}
@@ -378,59 +194,33 @@ type QueryStats struct {
 	TotalWall time.Duration
 }
 
-type scanStats struct {
-	segsScanned, segsPruned    int
-	cellsScanned, cellsMatched int64
+// AddStripe sums one stripe scan's counters into the query's.
+func (st *QueryStats) AddStripe(ss StripeScanStats) {
+	st.SegmentsScanned += ss.SegmentsScanned
+	st.SegmentsPruned += ss.SegmentsPruned
+	st.CellsScanned += ss.CellsScanned
+	st.CellsMatched += ss.CellsMatched
 }
 
 // scanShard folds one stripe's cells into gt, the shard's private
 // partial-aggregation table. Segments are visited in chunk order so
 // accumulation order — and therefore float rounding — is deterministic.
-func (db *DB) scanShard(si int, cq *compiledQuery, gt *groupTable) scanStats {
-	var ss scanStats
+func (db *DB) scanShard(si int, p *Plan, gt *GroupTable) StripeScanStats {
+	var ss StripeScanStats
 	sh := &db.shards[si]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if len(sh.segments) == 0 {
-		return ss
-	}
-	chunks := make([]int64, 0, len(sh.segments))
-	for k := range sh.segments {
-		chunks = append(chunks, k)
-	}
-	sort.Slice(chunks, func(i, j int) bool { return chunks[i] < chunks[j] })
 	segDur := int64(db.opts.SegmentDuration)
-	noFilters := len(cq.filters) == 0
-	for _, chunkN := range chunks {
-		if chunkN >= cq.toN || chunkN+segDur <= cq.fromN {
-			ss.segsPruned++ // segment pruning by time chunk
+	for _, chunkN := range SortedChunks(sh.segments) {
+		overlaps, contained := p.Chunk(chunkN, segDur)
+		if !overlaps {
+			ss.SegmentsPruned++ // segment pruning by time chunk
 			continue
 		}
-		ss.segsScanned++
-		seg := sh.segments[chunkN]
-		// A segment wholly inside the range needs no per-cell time check.
-		contained := chunkN >= cq.fromN && chunkN+segDur <= cq.toN
-		keys := seg.cells.keys
-		ss.cellsScanned += int64(len(keys))
-		for i := range keys {
-			key := &keys[i]
-			ts := key.ts
-			if !contained && (ts < cq.fromN || ts >= cq.toN) {
-				continue
-			}
-			if !noFilters && !cq.match(key) {
-				continue
-			}
-			ss.cellsMatched++
-			gk := groupKey{ts: cq.collapsedTs}
-			if cq.granN > 0 {
-				gk.ts = ts - floorMod(ts, cq.granN)
-			}
-			for gi, d := range cq.groupDims {
-				gk.dims[gi] = dimValueAt(key, d)
-			}
-			gt.cell(cq.groupHash(gk.ts, key), gk).merge(seg.cells.cells[i])
-		}
+		ss.SegmentsScanned++
+		cells := &sh.segments[chunkN].cells
+		ss.CellsScanned += int64(len(cells.Keys))
+		ss.CellsMatched += gt.Fold(p, cells.Keys, cells.Cells, contained)
 	}
 	return ss
 }
@@ -458,7 +248,7 @@ func queryWorkers() int {
 // idle store fans out across all shards; sixteen concurrent queries
 // each run near-serial instead of stampeding 256 goroutines onto the
 // scheduler.
-func (db *DB) aggregate(cq *compiledQuery, st *QueryStats) (*groupTable, *partialSet, error) {
+func (db *DB) aggregate(p *Plan, st *QueryStats) (*GroupTable, *partialSet, error) {
 	ps := db.getPartials()
 	if ct := db.cold.Load(); ct != nil {
 		// Hold the tier shared for the cold fold AND the hot scan: an
@@ -467,7 +257,7 @@ func (db *DB) aggregate(cq *compiledQuery, st *QueryStats) (*groupTable, *partia
 		ct.mu.RLock()
 		defer ct.mu.RUnlock()
 		coldStart := time.Now()
-		if err := ct.scanCold(cq, st, ps); err != nil {
+		if err := ct.scanCold(p, st, ps); err != nil {
 			return nil, ps, err
 		}
 		st.ColdWall = time.Since(coldStart)
@@ -483,7 +273,7 @@ func (db *DB) aggregate(cq *compiledQuery, st *QueryStats) (*groupTable, *partia
 		break
 	}
 	st.Workers = helpers + 1
-	var stats [shardCount]scanStats
+	var stats [shardCount]StripeScanStats
 	scanStart := time.Now()
 	var next atomic.Int32
 	scanLoop := func() {
@@ -492,7 +282,7 @@ func (db *DB) aggregate(cq *compiledQuery, st *QueryStats) (*groupTable, *partia
 			if s >= shardCount {
 				return
 			}
-			stats[s] = db.scanShard(s, cq, &ps.tables[s])
+			stats[s] = db.scanShard(s, p, &ps.tables[s])
 		}
 	}
 	var wg sync.WaitGroup
@@ -508,34 +298,16 @@ func (db *DB) aggregate(cq *compiledQuery, st *QueryStats) (*groupTable, *partia
 	wg.Wait()
 	st.ScanWall = time.Since(scanStart)
 	mergeStart := time.Now()
-	// Merge partials in stripe order — the fixed fold order that keeps
-	// float accumulation deterministic and identical to RunSerial. The
-	// first non-empty partial doubles as the accumulator, so a query
-	// whose matches live on one stripe merges for free.
+	// Stripe order is the deterministic fold order (see GroupTable.Merge).
 	total := &ps.tables[0]
 	for s := 1; s < shardCount; s++ {
-		p := &ps.tables[s]
-		if p.n == 0 {
-			continue
-		}
-		if total.n == 0 {
-			total = p
-			continue
-		}
-		for i := range p.slots {
-			if sl := &p.slots[i]; sl.used {
-				total.cell(sl.hash, sl.key).merge(sl.cell)
-			}
-		}
+		total.Merge(&ps.tables[s])
 	}
 	st.MergeWall = time.Since(mergeStart)
 	for s := range stats {
-		st.SegmentsScanned += stats[s].segsScanned
-		st.SegmentsPruned += stats[s].segsPruned
-		st.CellsScanned += stats[s].cellsScanned
-		st.CellsMatched += stats[s].cellsMatched
+		st.AddStripe(stats[s])
 	}
-	st.Groups = total.n
+	st.Groups = total.Len()
 	return total, ps, nil
 }
 
@@ -565,53 +337,20 @@ func (db *DB) RunWithStats(q Query) (*schema.Frame, QueryStats, error) {
 		if f, ok := db.cache.get(key); ok {
 			st.CacheHit = true
 			st.Groups = f.Len()
-			st.TotalWall = time.Since(t0)
-			db.noteQuery(st)
+			db.noteQuery(&st, t0)
 			return f, st, nil
 		}
 	}
-	cq := compileQuery(q)
-	total, ps, err := db.aggregate(&cq, &st)
+	plan := Compile(q)
+	total, ps, err := db.aggregate(&plan, &st)
 	defer db.putPartials(ps)
 	if err != nil {
 		return nil, st, err
 	}
-
 	emitStart := time.Now()
-	type kgc struct {
-		k groupKey
-		c aggCell
-	}
-	cells := make([]kgc, 0, total.n)
-	for i := range total.slots {
-		if s := &total.slots[i]; s.used {
-			cells = append(cells, kgc{s.key, s.cell})
-		}
-	}
-	nDims := len(q.GroupBy)
-	sort.Slice(cells, func(i, j int) bool {
-		if cells[i].k.ts != cells[j].k.ts {
-			return cells[i].k.ts < cells[j].k.ts
-		}
-		for d := 0; d < nDims; d++ {
-			if cells[i].k.dims[d] != cells[j].k.dims[d] {
-				return cells[i].k.dims[d] < cells[j].k.dims[d]
-			}
-		}
-		return false
-	})
-	out := schema.NewFrame(q.ResultSchema())
-	row := make(schema.Row, 0, nDims+2)
-	for i := range cells {
-		row = row[:0]
-		row = append(row, schema.TimeNanos(cells[i].k.ts))
-		for d := 0; d < nDims; d++ {
-			row = append(row, schema.Str(cells[i].k.dims[d]))
-		}
-		row = append(row, schema.Float(aggValue(q.Agg, &cells[i].c)))
-		if err := out.AppendRow(row); err != nil {
-			return nil, st, err
-		}
+	out, err := plan.Frame(total)
+	if err != nil {
+		return nil, st, err
 	}
 	st.EmitWall = time.Since(emitStart)
 	// A result missing glacier-pending segments is correct for "what is
@@ -620,15 +359,16 @@ func (db *DB) RunWithStats(q Query) (*schema.Frame, QueryStats, error) {
 	if db.cache != nil && st.GlacierPending == 0 {
 		db.cache.put(key, out)
 	}
-	st.TotalWall = time.Since(t0)
-	db.noteQuery(st)
+	db.noteQuery(&st, t0)
 	return out, st, nil
 }
 
-// noteQuery folds one execution's stats into the live obs instruments.
-// The query path is heavyweight enough (microseconds to milliseconds)
-// that a few counter adds and one histogram observation are noise.
-func (db *DB) noteQuery(st QueryStats) {
+// noteQuery closes one execution's stats — total wall clock since t0 —
+// and folds them into the live obs instruments. The query path is
+// heavyweight enough (microseconds to milliseconds) that a few counter
+// adds and one histogram observation are noise.
+func (db *DB) noteQuery(st *QueryStats, t0 time.Time) {
+	st.TotalWall = time.Since(t0)
 	ins := db.instr.Load()
 	if ins == nil {
 		return
@@ -658,7 +398,7 @@ func (db *DB) RunSerial(q Query) (*schema.Frame, error) {
 		return nil, err
 	}
 	granNanos := int64(q.Granularity)
-	groups := make(map[groupKey]*aggCell)
+	groups := make(map[GroupKey]*Cell)
 	for si := range db.shards {
 		sh := &db.shards[si]
 		sh.mu.RLock()
@@ -667,59 +407,59 @@ func (db *DB) RunSerial(q Query) (*schema.Frame, error) {
 			chunks = append(chunks, k)
 		}
 		sort.Slice(chunks, func(i, j int) bool { return chunks[i] < chunks[j] })
-		partial := make(map[groupKey]*aggCell)
+		partial := make(map[GroupKey]*Cell)
 		for _, chunkN := range chunks {
 			seg := sh.segments[chunkN]
 			segEnd := seg.start.Add(db.opts.SegmentDuration)
 			if !seg.start.Before(q.To) || !segEnd.After(q.From) {
 				continue // segment pruning by time chunk
 			}
-			for ci := range seg.cells.keys {
-				key := seg.cells.keys[ci]
-				ts := time.Unix(0, key.ts).UTC()
+			for ci := range seg.cells.Keys {
+				key := seg.cells.Keys[ci]
+				ts := time.Unix(0, key.Ts).UTC()
 				if ts.Before(q.From) || !ts.Before(q.To) {
 					continue
 				}
 				if !matchFilters(key, q.Filters) {
 					continue
 				}
-				gk := groupKey{ts: q.From.UnixNano()}
+				gk := GroupKey{Ts: q.From.UnixNano()}
 				if granNanos > 0 {
-					gk.ts = key.ts - floorMod(key.ts, granNanos)
+					gk.Ts = key.Ts - FloorMod(key.Ts, granNanos)
 				}
 				for i, d := range q.GroupBy {
-					gk.dims[i] = key.dim(d)
+					gk.Dims[i] = key.dim(d)
 				}
 				g, ok := partial[gk]
 				if !ok {
-					g = &aggCell{}
+					g = &Cell{}
 					partial[gk] = g
 				}
-				g.merge(seg.cells.cells[ci])
+				g.Merge(seg.cells.Cells[ci])
 			}
 		}
 		sh.mu.RUnlock()
 		for gk, c := range partial {
 			g, ok := groups[gk]
 			if !ok {
-				g = &aggCell{}
+				g = &Cell{}
 				groups[gk] = g
 			}
-			g.merge(*c)
+			g.Merge(*c)
 		}
 	}
 
-	keys := make([]groupKey, 0, len(groups))
+	keys := make([]GroupKey, 0, len(groups))
 	for k := range groups {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].ts != keys[j].ts {
-			return keys[i].ts < keys[j].ts
+		if keys[i].Ts != keys[j].Ts {
+			return keys[i].Ts < keys[j].Ts
 		}
 		for d := 0; d < len(q.GroupBy); d++ {
-			if keys[i].dims[d] != keys[j].dims[d] {
-				return keys[i].dims[d] < keys[j].dims[d]
+			if keys[i].Dims[d] != keys[j].Dims[d] {
+				return keys[i].Dims[d] < keys[j].Dims[d]
 			}
 		}
 		return false
@@ -728,11 +468,11 @@ func (db *DB) RunSerial(q Query) (*schema.Frame, error) {
 	out := schema.NewFrame(q.ResultSchema())
 	for _, k := range keys {
 		cell := groups[k]
-		row := schema.Row{schema.TimeNanos(k.ts)}
+		row := schema.Row{schema.TimeNanos(k.Ts)}
 		for i := range q.GroupBy {
-			row = append(row, schema.Str(k.dims[i]))
+			row = append(row, schema.Str(k.Dims[i]))
 		}
-		row = append(row, schema.Float(aggValue(q.Agg, cell)))
+		row = append(row, schema.Float(cell.Value(q.Agg)))
 		if err := out.AppendRow(row); err != nil {
 			return nil, err
 		}
@@ -741,7 +481,7 @@ func (db *DB) RunSerial(q Query) (*schema.Frame, error) {
 }
 
 // matchFilters is the uncompiled filter check used by RunSerial.
-func matchFilters(key rollupKey, filters map[string][]string) bool {
+func matchFilters(key Key, filters map[string][]string) bool {
 	for dim, accepted := range filters {
 		v := key.dim(dim)
 		ok := false
@@ -758,109 +498,39 @@ func matchFilters(key rollupKey, filters map[string][]string) bool {
 	return true
 }
 
-func aggValue(kind AggKind, c *aggCell) float64 {
-	switch kind {
-	case AggSum:
-		return c.sum
-	case AggMin:
-		return c.min
-	case AggMax:
-		return c.max
-	case AggCount:
-		return float64(c.count)
-	case AggLast:
-		return c.last
-	default: // AggAvg
-		if c.count == 0 {
-			return 0
-		}
-		return c.sum / float64(c.count)
+// TopNQuery rewrites q into the group-by that ranks dim's values: one
+// group per value over the whole range.
+func TopNQuery(q Query, dim string) (Query, error) {
+	if !validDim(dim) {
+		return q, fmt.Errorf("%w: unknown top-n dimension %q", ErrBadQuery, dim)
 	}
-}
-
-// TopNEntry is one row of a top-N result.
-type TopNEntry struct {
-	Dim   string
-	Value float64
-}
-
-// topNWorse orders heap entries: a is worse than b when it aggregates
-// lower, or ties and sorts later alphabetically (the old full-sort
-// ordering was value descending, then dim ascending).
-func topNWorse(a, b TopNEntry) bool {
-	if a.Value != b.Value {
-		return a.Value < b.Value
-	}
-	return a.Dim > b.Dim
+	q.GroupBy = []string{dim}
+	q.Granularity = 0
+	return q, q.validate()
 }
 
 // TopN returns the n highest-aggregating values of one dimension over a
 // time range — the Druid-style "which nodes drew the most power" query
-// behind user-assistance triage. A bounded min-heap over the merged
-// partials keeps selection O(groups·log n): TopN(q, dim, 10) over 10k
-// dimension values never materializes a 10k-row frame.
+// behind user-assistance triage. Selection is Plan.TopN's bounded heap
+// over the merged partials; no frame is materialized.
 func (db *DB) TopN(q Query, dim string, n int) ([]TopNEntry, error) {
-	if !validDim(dim) {
-		return nil, fmt.Errorf("%w: unknown top-n dimension %q", ErrBadQuery, dim)
-	}
-	q.GroupBy = []string{dim}
-	q.Granularity = 0
-	if err := q.validate(); err != nil {
+	t0 := time.Now()
+	q, err := TopNQuery(q, dim)
+	if err != nil {
 		return nil, err
 	}
 	var st QueryStats
-	cq := compileQuery(q)
-	total, ps, err := db.aggregate(&cq, &st)
+	plan := Compile(q)
+	total, ps, err := db.aggregate(&plan, &st)
 	defer db.putPartials(ps)
 	if err != nil {
 		return nil, err
 	}
-	if n <= 0 {
-		return []TopNEntry{}, nil
-	}
-	// Min-heap of the n best entries seen; the root is the worst keeper.
-	heap := make([]TopNEntry, 0, n)
-	for i := range total.slots {
-		s := &total.slots[i]
-		if !s.used {
-			continue
-		}
-		e := TopNEntry{Dim: s.key.dims[0], Value: aggValue(q.Agg, &s.cell)}
-		if len(heap) < n {
-			heap = append(heap, e)
-			// Sift up: a child worse than its parent moves toward the root.
-			for c := len(heap) - 1; c > 0; {
-				p := (c - 1) / 2
-				if !topNWorse(heap[c], heap[p]) {
-					break
-				}
-				heap[p], heap[c] = heap[c], heap[p]
-				c = p
-			}
-			continue
-		}
-		if !topNWorse(heap[0], e) {
-			continue // not better than the worst keeper
-		}
-		heap[0] = e
-		// Sift down: the replacement sinks below any worse child.
-		for p := 0; ; {
-			c := 2*p + 1
-			if c >= n {
-				break
-			}
-			if r := c + 1; r < n && topNWorse(heap[r], heap[c]) {
-				c = r
-			}
-			if !topNWorse(heap[c], heap[p]) {
-				break
-			}
-			heap[p], heap[c] = heap[c], heap[p]
-			p = c
-		}
-	}
-	sort.Slice(heap, func(i, j int) bool { return topNWorse(heap[j], heap[i]) })
-	return heap, nil
+	emitStart := time.Now()
+	top := plan.TopN(total, n)
+	st.EmitWall = time.Since(emitStart)
+	db.noteQuery(&st, t0)
+	return top, nil
 }
 
 // Fingerprint returns the query's canonical identity string: semantically

@@ -285,13 +285,7 @@ func (db *DB) Offload(cutoff time.Time) (OffloadStats, error) {
 		}
 		sh.mu.RUnlock()
 	}
-	chunks := make([]int64, 0, len(chunkSet))
-	for k := range chunkSet {
-		chunks = append(chunks, k)
-	}
-	sort.Slice(chunks, func(i, j int) bool { return chunks[i] < chunks[j] })
-
-	for _, chunkN := range chunks {
+	for _, chunkN := range SortedChunks(chunkSet) {
 		if err := db.offloadChunk(ct, chunkN, &st); err != nil {
 			return st, err
 		}
@@ -303,8 +297,8 @@ func (db *DB) Offload(cutoff time.Time) (OffloadStats, error) {
 type coldCell struct {
 	stripe int32
 	seq    int32
-	key    rollupKey
-	cell   aggCell
+	key    Key
+	cell   Cell
 }
 
 // offloadChunk moves one time chunk into the tier; ct.mu must be held
@@ -331,10 +325,10 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 			continue
 		}
 		rawRows += seg.rows
-		for i := range seg.cells.keys {
+		for i := range seg.cells.Keys {
 			cells = append(cells, coldCell{
 				stripe: int32(si), seq: int32(i),
-				key: seg.cells.keys[i], cell: seg.cells.cells[i],
+				key: seg.cells.Keys[i], cell: seg.cells.Cells[i],
 			})
 		}
 	}
@@ -353,10 +347,9 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 			if cur, ok := sh.segments[chunkN]; ok {
 				// A concurrent insert re-created the chunk: merge the
 				// extracted cells into it rather than dropping either side.
-				for i := range seg.cells.keys {
-					k := seg.cells.keys[i]
-					h := cellHash(seriesHash(k.component, k.metric), k.ts)
-					cur.cells.cell(h, k).merge(seg.cells.cells[i])
+				for i := range seg.cells.Keys {
+					k := seg.cells.Keys[i]
+					cur.cells.Cell(k.Hash(), k).Merge(seg.cells.Cells[i])
 				}
 				cur.rows += seg.rows
 			} else {
@@ -374,20 +367,20 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 	// ride along as columns so queries can restore fold order.
 	sort.Slice(cells, func(i, j int) bool {
 		a, b := &cells[i].key, &cells[j].key
-		if a.metric != b.metric {
-			return a.metric < b.metric
+		if a.Metric != b.Metric {
+			return a.Metric < b.Metric
 		}
-		if a.component != b.component {
-			return a.component < b.component
+		if a.Component != b.Component {
+			return a.Component < b.Component
 		}
-		if a.system != b.system {
-			return a.system < b.system
+		if a.System != b.System {
+			return a.System < b.System
 		}
-		if a.source != b.source {
-			return a.source < b.source
+		if a.Source != b.Source {
+			return a.Source < b.Source
 		}
-		if a.ts != b.ts {
-			return a.ts < b.ts
+		if a.Ts != b.Ts {
+			return a.Ts < b.Ts
 		}
 		if cells[i].stripe != cells[j].stripe {
 			return cells[i].stripe < cells[j].stripe
@@ -403,11 +396,11 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 	}
 	for i := range cells {
 		c := &cells[i]
-		if i == 0 || c.key.ts < meta.MinTs {
-			meta.MinTs = c.key.ts
+		if i == 0 || c.key.Ts < meta.MinTs {
+			meta.MinTs = c.key.Ts
 		}
-		if i == 0 || c.key.ts > meta.MaxTs {
-			meta.MaxTs = c.key.ts
+		if i == 0 || c.key.Ts > meta.MaxTs {
+			meta.MaxTs = c.key.Ts
 		}
 		for d := 0; d < 4; d++ {
 			v := dimValueAt(&c.key, d)
@@ -421,12 +414,12 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 		}
 		row := schema.Row{
 			schema.Int(int64(c.stripe)), schema.Int(int64(c.seq)),
-			schema.TimeNanos(c.key.ts), schema.Str(c.key.system),
-			schema.Str(c.key.source), schema.Str(c.key.component),
-			schema.Str(c.key.metric), schema.Int(c.cell.count),
-			schema.Float(c.cell.sum), schema.Float(c.cell.min),
-			schema.Float(c.cell.max), schema.Float(c.cell.last),
-			schema.TimeNanos(c.cell.lastTs),
+			schema.TimeNanos(c.key.Ts), schema.Str(c.key.System),
+			schema.Str(c.key.Source), schema.Str(c.key.Component),
+			schema.Str(c.key.Metric), schema.Int(c.cell.Count),
+			schema.Float(c.cell.Sum), schema.Float(c.cell.Min),
+			schema.Float(c.cell.Max), schema.Float(c.cell.Last),
+			schema.TimeNanos(c.cell.LastTs),
 		}
 		if err := f.AppendRow(row); err != nil {
 			return err
@@ -516,9 +509,9 @@ func filterValues(f *dimFilter) []string {
 // mayMatch reports whether the segment can contain cells satisfying the
 // query's filters, using the manifest's per-dimension zone maps and
 // bloom filters.
-func (s *coldSegment) mayMatch(cq *compiledQuery) bool {
-	for i := range cq.filters {
-		f := &cq.filters[i]
+func (s *coldSegment) mayMatch(p *Plan) bool {
+	for i := range p.filters {
+		f := &p.filters[i]
 		d := &s.meta.Dims[f.dim]
 		any := false
 		for _, v := range filterValues(f) {
@@ -541,20 +534,20 @@ func (s *coldSegment) mayMatch(cq *compiledQuery) bool {
 // scanCold folds every surviving cold segment into the per-stripe
 // partial tables; ct.mu must be held (shared) by the caller across the
 // subsequent hot scan too.
-func (ct *ColdTier) scanCold(cq *compiledQuery, st *QueryStats, ps *partialSet) error {
+func (ct *ColdTier) scanCold(p *Plan, st *QueryStats, ps *partialSet) error {
 	noPrune := ct.noPrune.Load()
 	for _, seg := range ct.segs {
 		if !noPrune {
-			if seg.meta.MinTs >= cq.toN || seg.meta.MaxTs < cq.fromN {
+			if seg.meta.MinTs >= p.toN || seg.meta.MaxTs < p.fromN {
 				st.ColdSegmentsPruned++
 				continue
 			}
-			if !seg.mayMatch(cq) {
+			if !seg.mayMatch(p) {
 				st.ColdSegmentsPruned++
 				continue
 			}
 		}
-		if err := ct.scanSegment(seg, cq, st, ps, noPrune); err != nil {
+		if err := ct.scanSegment(seg, p, st, ps, noPrune); err != nil {
 			return err
 		}
 	}
@@ -617,17 +610,16 @@ func (ct *ColdTier) glacierFetch(key string, st *QueryStats) ([]byte, error) {
 	}
 }
 
-// coldRow is one matched cold cell staged for folding.
-type coldRow struct {
-	stripe int64
-	seq    int64
-	key    rollupKey
-	cell   aggCell
+// coldRef is one matched cold row: its fold coordinates and its position
+// in the decoded frame.
+type coldRef struct {
+	stripe, seq int64
+	row         int
 }
 
 // scanSegment scans one segment object with predicate + projection
 // pushdown and folds the matches into ps in (stripe, seq) order.
-func (ct *ColdTier) scanSegment(seg *coldSegment, cq *compiledQuery, st *QueryStats, ps *partialSet, noPrune bool) error {
+func (ct *ColdTier) scanSegment(seg *coldSegment, p *Plan, st *QueryStats, ps *partialSet, noPrune bool) error {
 	data, err := ct.getObject(seg.meta.Key, st)
 	if err != nil {
 		return fmt.Errorf("tsdb: cold segment %s: %w", seg.meta.Key, err)
@@ -640,7 +632,7 @@ func (ct *ColdTier) scanSegment(seg *coldSegment, cq *compiledQuery, st *QuerySt
 		return fmt.Errorf("tsdb: cold segment %s: %w", seg.meta.Key, err)
 	}
 
-	cols, preds := coldPlan(cq, noPrune)
+	cols, preds := coldPlan(p, noPrune)
 	res, err := fr.ScanColumns(cols, preds...)
 	if err != nil {
 		return fmt.Errorf("tsdb: cold segment %s: %w", seg.meta.Key, err)
@@ -685,68 +677,81 @@ func (ct *ColdTier) scanSegment(seg *coldSegment, cq *compiledQuery, st *QuerySt
 	lastTsC := ints("last_ts")
 	sysC, srcC, compC, metC := strs("system"), strs("source"), strs("component"), strs("metric")
 
-	rows := make([]coldRow, 0, n)
-	for r := 0; r < n; r++ {
-		cr := coldRow{stripe: stripeC[r], seq: seqC[r]}
-		if cr.stripe < 0 || cr.stripe >= shardCount {
-			return fmt.Errorf("tsdb: cold segment %s: stripe %d out of range", seg.meta.Key, cr.stripe)
-		}
-		cr.key.ts = bucketC[r]
+	// Projection pushdown leaves unneeded columns nil; their fields stay
+	// zero, which neither the group key nor the requested agg reads.
+	keyAt := func(r int) (k Key) {
+		k.Ts = bucketC[r]
 		if sysC != nil {
-			cr.key.system = sysC[r]
+			k.System = sysC[r]
 		}
 		if srcC != nil {
-			cr.key.source = srcC[r]
+			k.Source = srcC[r]
 		}
 		if compC != nil {
-			cr.key.component = compC[r]
+			k.Component = compC[r]
 		}
 		if metC != nil {
-			cr.key.metric = metC[r]
+			k.Metric = metC[r]
+		}
+		return k
+	}
+	cellAt := func(r int) (c Cell) {
+		c.Count = countC[r]
+		if sumC != nil {
+			c.Sum = sumC[r]
+		}
+		if minC != nil {
+			c.Min = minC[r]
+		}
+		if maxC != nil {
+			c.Max = maxC[r]
+		}
+		if lastC != nil {
+			c.Last = lastC[r]
+		}
+		if lastTsC != nil {
+			c.LastTs = lastTsC[r]
+		}
+		return c
+	}
+	rows := make([]coldRef, 0, n)
+	for r := 0; r < n; r++ {
+		if stripeC[r] < 0 || stripeC[r] >= shardCount {
+			return fmt.Errorf("tsdb: cold segment %s: stripe %d out of range", seg.meta.Key, stripeC[r])
 		}
 		if noPrune {
 			// No pushdown happened: apply the time range and filters
 			// exactly, same as the hot scan loop.
-			if cr.key.ts < cq.fromN || cr.key.ts >= cq.toN || !cq.match(&cr.key) {
+			if k := keyAt(r); k.Ts < p.fromN || k.Ts >= p.toN || !p.Match(&k) {
 				continue
 			}
 		}
-		cr.cell.count = countC[r]
-		if sumC != nil {
-			cr.cell.sum = sumC[r]
-		}
-		if minC != nil {
-			cr.cell.min = minC[r]
-		}
-		if maxC != nil {
-			cr.cell.max = maxC[r]
-		}
-		if lastC != nil {
-			cr.cell.last = lastC[r]
-		}
-		if lastTsC != nil {
-			cr.cell.lastTs = lastTsC[r]
-		}
-		rows = append(rows, cr)
+		rows = append(rows, coldRef{stripe: stripeC[r], seq: seqC[r], row: r})
 	}
 	// Restore per-stripe insertion order so folding reproduces the hot
-	// path's accumulation order exactly.
+	// path's accumulation order exactly, then stage the rows as the
+	// (keys, cells) slice pair the kernel folds.
 	sort.Slice(rows, func(i, j int) bool {
 		if rows[i].stripe != rows[j].stripe {
 			return rows[i].stripe < rows[j].stripe
 		}
 		return rows[i].seq < rows[j].seq
 	})
+	keys, cells := make([]Key, len(rows)), make([]Cell, len(rows))
 	for i := range rows {
-		cr := &rows[i]
-		gk := groupKey{ts: cq.collapsedTs}
-		if cq.granN > 0 {
-			gk.ts = cr.key.ts - floorMod(cr.key.ts, cq.granN)
+		keys[i], cells[i] = keyAt(rows[i].row), cellAt(rows[i].row)
+	}
+	// The rows were admitted above or by the pushdown, whose projection
+	// may not even carry the filtered dimensions: fold them unfiltered,
+	// one stripe's run at a time.
+	admitted := p.Admitted()
+	for a := 0; a < len(rows); {
+		b := a + 1
+		for b < len(rows) && rows[b].stripe == rows[a].stripe {
+			b++
 		}
-		for gi, d := range cq.groupDims {
-			gk.dims[gi] = dimValueAt(&cr.key, d)
-		}
-		ps.tables[cr.stripe].cell(cq.groupHash(gk.ts, &cr.key), gk).merge(cr.cell)
+		ps.tables[rows[a].stripe].Fold(&admitted, keys[a:b], cells[a:b], true)
+		a = b
 	}
 	st.ColdCells += int64(len(rows))
 	return nil
@@ -759,7 +764,7 @@ func (ct *ColdTier) scanSegment(seg *coldSegment, cq *compiledQuery, st *QuerySt
 // range and every dimension filter travel as predicates, so whole files
 // and row groups are skipped before decode; with pruning off, everything
 // is decoded and filtered row-exactly in the fold loop.
-func coldPlan(cq *compiledQuery, noPrune bool) ([]string, []columnar.Predicate) {
+func coldPlan(p *Plan, noPrune bool) ([]string, []columnar.Predicate) {
 	if noPrune {
 		cols := make([]string, ColdSchema.Len())
 		for i := range cols {
@@ -768,10 +773,10 @@ func coldPlan(cq *compiledQuery, noPrune bool) ([]string, []columnar.Predicate) 
 		return cols, nil
 	}
 	cols := []string{"stripe", "seq", "bucket", "count"}
-	for _, d := range cq.groupDims {
+	for _, d := range p.groupDims {
 		cols = append(cols, dimNames[d])
 	}
-	switch cq.agg {
+	switch p.agg {
 	case AggAvg, AggSum:
 		cols = append(cols, "sum")
 	case AggMin:
@@ -783,11 +788,11 @@ func coldPlan(cq *compiledQuery, noPrune bool) ([]string, []columnar.Predicate) 
 	}
 	preds := []columnar.Predicate{{
 		Col: "bucket",
-		Min: schema.TimeNanos(cq.fromN),
-		Max: schema.TimeNanos(cq.toN - 1),
+		Min: schema.TimeNanos(p.fromN),
+		Max: schema.TimeNanos(p.toN - 1),
 	}}
-	for i := range cq.filters {
-		f := &cq.filters[i]
+	for i := range p.filters {
+		f := &p.filters[i]
 		vals := filterValues(f)
 		in := make([]schema.Value, len(vals))
 		for j, v := range vals {

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"odakit/internal/obs"
 	"odakit/internal/schema"
 )
 
@@ -195,6 +196,8 @@ func TestRetention(t *testing.T) {
 
 func TestTopN(t *testing.T) {
 	db := seededDB(t)
+	reg := obs.NewRegistry()
+	db.Instrument(reg)
 	top, err := db.TopN(Query{
 		From: base, To: base.Add(2 * time.Minute),
 		Filters: map[string][]string{DimMetric: {"node_power_w"}},
@@ -205,6 +208,11 @@ func TestTopN(t *testing.T) {
 	}
 	if len(top) != 1 || top[0].Dim != "node00001" {
 		t.Fatalf("top = %+v", top)
+	}
+	// A top-N is a query like any other to the operator's dashboards.
+	if q, cells := reg.Counter("oda_lake_queries_total", "").Value(),
+		reg.Counter("oda_lake_query_cells_scanned_total", "").Value(); q != 1 || cells == 0 {
+		t.Fatalf("after one TopN: oda_lake_queries_total = %d, cells scanned = %d", q, cells)
 	}
 	if _, err := db.TopN(Query{From: base, To: base.Add(time.Minute)}, "bogus", 3); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("bad dim: %v", err)
