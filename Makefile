@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test bench-smoke race chaos chaos-cluster bench bench-query bench-obs bench-federate bench-serve bench-cq bench-cluster fuzz-smoke verify clean
+.PHONY: all build vet test bench-smoke loc-delta race chaos chaos-cluster bench bench-query bench-obs bench-federate bench-serve bench-cq bench-cluster fuzz-smoke verify clean
 
 all: verify
 
@@ -19,6 +19,15 @@ test:
 # here instead of in the driver's run.
 bench-smoke:
 	(cd benchmark && $(GO) vet ./... && $(GO) test ./...)
+
+# Net non-test Go line delta of the working tree versus BASE — the number
+# ROADMAP asks every PR to state. Counts added/deleted lines of .go files
+# that are neither tests nor under benchmark/; stage new files first
+# (git add -A) or they are not seen.
+BASE ?= HEAD
+loc-delta:
+	@git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' ':(exclude)benchmark' | \
+		awk '{a += $$1; d += $$2} END {printf "non-test .go lines vs $(BASE): +%d -%d (net %+d)\n", a, d, a - d}'
 
 # The concurrency-heavy packages get a dedicated race-detector pass: the
 # striped-lock LAKE store, the partitioned STREAM broker, the pipeline

@@ -129,7 +129,7 @@ func cqPublishBroker(b *testing.B, withPump bool) (*stream.Broker, context.Cance
 	}); err != nil {
 		b.Fatal(err)
 	}
-	pump, err := cq.NewPump(e, br, cq.PumpConfig{Topics: []string{topic}})
+	pump, err := cq.NewPumpSource(e, br, cq.PumpConfig{Topics: []string{topic}})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -24,11 +24,14 @@
 //	curl localhost:8080/api/v1/cq
 //	curl -N -H 'Accept: text/event-stream' 'localhost:8080/api/v1/cq/<id>/watch?count=3'
 //
-// With -cluster-nodes the ingested window is mirrored into an N-node
-// in-process cluster (replication factor -rf): lake queries are served
-// by the replica-aware scatter-gather router (byte-identical results),
-// /healthz folds in replication health, oda_cluster_* metrics land on
-// /metrics, and a background repair loop re-replicates after failures.
+// With -cluster-nodes the facility runs on an N-node in-process cluster
+// (replication factor -rf) instead of its own broker and lake: the
+// cluster is attached before ingest, so the window lands in it once, with
+// quorum replication; lake queries are served by the replica-aware
+// scatter-gather router (byte-identical results), the -cq pump reads the
+// cluster's committed prefix, /healthz folds in replication health,
+// oda_cluster_* metrics land on /metrics, and a background repair loop
+// re-replicates after failures.
 //
 //	odaserve -addr :8080 -cluster-nodes=3 -rf=2
 //	curl localhost:8080/healthz
@@ -60,7 +63,7 @@ func main() {
 		withGW    = flag.Bool("gateway", false, "front the portal with the multi-tenant gateway (demo tenants)")
 		withCQ    = flag.Bool("cq", false, "register a demo continuous query and pump the bronze topics into it")
 		cqDir     = flag.String("cq-checkpoint-dir", "", "CQ pump checkpoint directory (crash-consistent restore); empty disables")
-		cnodes    = flag.Int("cluster-nodes", 0, "serve lake queries from an N-node replicated cluster; 0 disables")
+		cnodes    = flag.Int("cluster-nodes", 0, "run the facility on an N-node replicated cluster; 0 keeps the single-node plane")
 		rf        = flag.Int("rf", 2, "cluster replication factor (with -cluster-nodes)")
 		walDir    = flag.String("wal-dir", "", "cluster per-node WAL directory (crash recovery from disk); empty keeps nodes memory-only")
 	)
@@ -71,6 +74,26 @@ func main() {
 		log.Fatal(err)
 	}
 	defer f.Close()
+
+	var c *oda.Cluster
+	if *cnodes > 0 {
+		ids := make([]string, *cnodes)
+		for i := range ids {
+			ids[i] = fmt.Sprintf("n%d", i+1)
+		}
+		c, err = oda.NewCluster(ids, oda.ClusterConfig{
+			RF: *rf, LakeOptions: tsdb.Options{RollupInterval: f.Opts.SilverWindow},
+			WALDir: *walDir,
+		})
+		if err != nil {
+			log.Fatal(err)
+		}
+		c.Instrument(f.Obs)
+		if err := f.AttachPlane(c, c); err != nil {
+			log.Fatal(err)
+		}
+		log.Printf("facility attached to a %d-node cluster (rf=%d)", *cnodes, *rf)
+	}
 
 	from := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
 	to := from.Add(time.Duration(*minutes) * time.Minute)
@@ -119,33 +142,14 @@ func main() {
 		fmt.Printf("debug surface (pprof, /metrics, /api/v1/traces) on %s\n", *debugAddr)
 	}
 	api := httpapi.New(f)
-	if *cnodes > 0 {
-		ids := make([]string, *cnodes)
-		for i := range ids {
-			ids[i] = fmt.Sprintf("n%d", i+1)
-		}
-		c, err := oda.NewCluster(ids, oda.ClusterConfig{
-			RF: *rf, LakeOptions: tsdb.Options{RollupInterval: f.Opts.SilverWindow},
-			WALDir: *walDir,
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("mirroring bronze into a %d-node cluster (rf=%d)...", *cnodes, *rf)
-		records, rows, err := f.MirrorToCluster(context.Background(), c, oda.SourcePowerTemp, oda.SourceGPU)
-		if err != nil {
-			log.Fatal(err)
-		}
-		log.Printf("mirrored %d records, %d lake rows; cluster epoch %d", records, rows, c.Epoch())
-		c.Instrument(f.Obs)
+	if c != nil {
 		go func() {
 			if err := c.RepairLoop(context.Background(), 2*time.Second); err != nil && err != context.Canceled {
 				log.Printf("cluster repair loop: %v", err)
 			}
 		}()
-		api.SetQueryBackend(c)
 		api.SetClusterHealth(c.Health)
-		fmt.Printf("lake queries served by the %d-node cluster; /healthz carries replication state\n", *cnodes)
+		fmt.Printf("portal served by the %d-node cluster; /healthz carries replication state\n", *cnodes)
 	}
 	var handler http.Handler = api
 	if *withGW {

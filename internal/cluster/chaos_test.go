@@ -27,12 +27,6 @@ func publishRetry(t *testing.T, c *Cluster, topic string, msgs []stream.Message,
 	t.Fatalf("publish did not commit after %d attempts: %v", attempts, err)
 }
 
-// expectPartition computes a keyed message's partition the way both the
-// broker and the cluster route: FNV-1a 32 over the key.
-func expectPartition(key []byte, parts int) int {
-	return int(fnv32(key) % uint32(parts))
-}
-
 // assertExactSequences fetches every partition through the cluster read
 // path and requires exactly the expected value sequence — no committed
 // record lost, none duplicated, order preserved.
@@ -81,7 +75,7 @@ func TestChaosClusterKillNode(t *testing.T) {
 			next++
 			publishRetry(t, c, topic, msgs, 100)
 			for _, m := range msgs {
-				p := expectPartition(m.Key, 4)
+				p := stream.KeyPartition(m.Key, 4)
 				want[p] = append(want[p], string(m.Value))
 			}
 		}
@@ -162,7 +156,7 @@ func TestChaosClusterKillLeaderMidPublish(t *testing.T) {
 			next++
 			publishRetry(t, c, topic, msgs, 100)
 			for _, m := range msgs {
-				p := expectPartition(m.Key, 4)
+				p := stream.KeyPartition(m.Key, 4)
 				want[p] = append(want[p], string(m.Value))
 			}
 		}
@@ -451,7 +445,7 @@ func TestChaosClusterJoinLeaveRebalance(t *testing.T) {
 			next++
 			publishRetry(t, c, topic, msgs, 100)
 			for _, m := range msgs {
-				p := expectPartition(m.Key, 4)
+				p := stream.KeyPartition(m.Key, 4)
 				want[p] = append(want[p], string(m.Value))
 			}
 		}

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"odakit/internal/plane"
 	"odakit/internal/resilience"
 	"odakit/internal/stream"
 	"odakit/internal/tsdb"
@@ -224,6 +225,13 @@ type Cluster struct {
 	walRecoveriesPeer   atomic.Int64 // Restarts that came back empty (peer resync)
 	lakeCatchups        atomic.Int64 // stripe suffix catch-ups from a peer's WAL
 }
+
+// A Cluster is a whole data plane: anything written against plane.Stream
+// and plane.Lake runs on it unchanged.
+var (
+	_ plane.Stream = (*Cluster)(nil)
+	_ plane.Lake   = (*Cluster)(nil)
+)
 
 // New builds a cluster of the given node IDs. The node list is the
 // initial membership; AddNode/RemoveNode change it later.

@@ -238,6 +238,11 @@ func TestClusterHealthTransitions(t *testing.T) {
 	if err := c.CreateTopic("telemetry", stream.TopicConfig{Partitions: 4}); err != nil {
 		t.Fatal(err)
 	}
+	// A never-published topic (a bronze source the deployment does not
+	// ingest) is fully replicated: there is nothing to replicate.
+	if err := c.CreateTopic("idle", stream.TopicConfig{Partitions: 2}); err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(chaosSeed(t)))
 	if _, err := c.PublishBatch("telemetry", keyedMsgs(rng, 0, 64)); err != nil {
 		t.Fatal(err)
@@ -290,7 +295,7 @@ func TestClusterIdenticalBatchRepublish(t *testing.T) {
 			t.Fatalf("publish %d = (%d, %v), want (%d, nil)", i, n, err, len(msgs))
 		}
 	}
-	p := expectPartition([]byte("hb"), 2)
+	p := stream.KeyPartition([]byte("hb"), 2)
 	if recs := fetchAll(t, c, topic, p); len(recs) != 4 {
 		t.Fatalf("identical republish deduped: %d records, want 4", len(recs))
 	}
@@ -303,6 +308,55 @@ func TestClusterIdenticalBatchRepublish(t *testing.T) {
 		}
 		if part != p || off != int64(4+i) {
 			t.Fatalf("publish %d landed at %d/%d, want %d/%d", i, part, off, p, 4+i)
+		}
+	}
+}
+
+// TestClusterRoutesKeysLikeBroker is the one-router property: for random
+// keys and partition counts, a single broker, the cluster's per-record
+// Publish and the cluster's PublishBatch all place a keyed message on the
+// partition stream.KeyPartition names.
+func TestClusterRoutesKeysLikeBroker(t *testing.T) {
+	seed := chaosSeed(t)
+	rng := rand.New(rand.NewSource(seed))
+	b := stream.NewBroker()
+	defer b.Close()
+	c := testCluster(t, 3, 2)
+	for _, parts := range []int{1, 2, 3, 4, 7, 16} {
+		topic := fmt.Sprintf("route-%d", parts)
+		if err := b.CreateTopic(topic, stream.TopicConfig{Partitions: parts}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.CreateTopic(topic, stream.TopicConfig{Partitions: parts}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 64; i++ {
+			key := make([]byte, 1+rng.Intn(24))
+			rng.Read(key)
+			want := stream.KeyPartition(key, parts)
+			bp, _, err := b.Publish(topic, key, []byte("v"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, _, err := c.Publish(topic, key, []byte("v"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			before, err := c.EndOffset(topic, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := c.PublishBatch(topic, []stream.Message{{Key: key, Value: []byte("v")}}); err != nil {
+				t.Fatal(err)
+			}
+			after, err := c.EndOffset(topic, want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bp != want || cp != want || after != before+1 {
+				t.Fatalf("seed %d: key %x over %d partitions: broker→%d cluster→%d batch landed on %d=%v, want %d",
+					seed, key, parts, bp, cp, want, after == before+1, want)
+			}
 		}
 	}
 }

@@ -53,10 +53,10 @@ func (c *Cluster) Health() Health {
 				replicas++
 			}
 			for _, f := range ps.followers {
-				if n := c.node(f); n != nil && n.Alive() {
-					if end, ok := ps.acked[f]; ok && end >= ps.hw {
-						replicas++
-					}
+				// A follower with no ack yet holds nothing, which is the
+				// whole committed prefix of a never-published partition.
+				if n := c.node(f); n != nil && n.Alive() && ps.acked[f] >= ps.hw {
+					replicas++
 				}
 			}
 			ps.mu.Unlock()

@@ -9,21 +9,6 @@ import (
 	"odakit/internal/stream"
 )
 
-// fnv32 matches the broker's keyed-routing hash, so a keyed message
-// lands on the same partition whether published through a cluster or a
-// single broker.
-func fnv32(key []byte) uint32 {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for _, b := range key {
-		h = (h ^ uint32(b)) * prime32
-	}
-	return h
-}
-
 // fingerprintMsgs identifies a publish batch for retry deduplication.
 func fingerprintMsgs(msgs []stream.Message) uint64 {
 	const (
@@ -42,6 +27,15 @@ func fingerprintMsgs(msgs []stream.Message) uint64 {
 		mix(m.Value)
 	}
 	return h
+}
+
+// route picks a message's partition the way a single broker does: the
+// shared keyed router, cluster-level round-robin when keyless.
+func (t *topicState) route(key []byte) int {
+	if len(key) == 0 {
+		return int(t.rr.Add(1) % uint64(len(t.parts)))
+	}
+	return stream.KeyPartition(key, len(t.parts))
 }
 
 // PublishBatch publishes a batch through the cluster: each message
@@ -66,12 +60,7 @@ func (c *Cluster) PublishBatch(topicName string, msgs []stream.Message) (int, er
 	}
 	byPart := make([][]stream.Message, len(t.parts))
 	for _, m := range msgs {
-		var p int
-		if len(m.Key) == 0 {
-			p = int(t.rr.Add(1) % uint64(len(t.parts)))
-		} else {
-			p = int(fnv32(m.Key) % uint32(len(t.parts)))
-		}
+		p := t.route(m.Key)
 		byPart[p] = append(byPart[p], m)
 	}
 	published := 0
@@ -125,12 +114,7 @@ func (c *Cluster) Publish(topicName string, key, value []byte) (int, int64, erro
 	if err != nil {
 		return 0, 0, err
 	}
-	var p int
-	if len(key) == 0 {
-		p = int(t.rr.Add(1) % uint64(len(t.parts)))
-	} else {
-		p = int(fnv32(key) % uint32(len(t.parts)))
-	}
+	p := t.route(key)
 	ps := t.parts[p]
 	msgs := []stream.Message{{Key: key, Value: value}}
 	// publishPart reports the record's committed offset from the staged

@@ -49,7 +49,7 @@ func TestChaosClusterPumpFailoverResume(t *testing.T) {
 
 	ckptDir := t.TempDir()
 	pumpCfg := cq.PumpConfig{Topics: []string{topic}, CheckpointDir: ckptDir, BatchSize: 64}
-	refPump, err := cq.NewPump(refEng, ref, cq.PumpConfig{Topics: []string{topic}, BatchSize: 64})
+	refPump, err := cq.NewPumpSource(refEng, ref, cq.PumpConfig{Topics: []string{topic}, BatchSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,7 @@ func crashPointWorkload(t *testing.T, c *Cluster, ref *tsdb.DB, seed int64, topi
 		msgs := keyedMsgs(rng, b, 12)
 		publishRetry(t, c, topic, msgs, 200)
 		for _, m := range msgs {
-			p := expectPartition(m.Key, 2)
+			p := stream.KeyPartition(m.Key, 2)
 			want[p] = append(want[p], string(m.Value))
 		}
 		if b%2 == 0 {
@@ -132,7 +132,7 @@ func TestChaosClusterRestartFromDiskPartitioned(t *testing.T) {
 			msgs := keyedMsgs(rng, b, size)
 			publishRetry(t, c, topic, msgs, 100)
 			for _, m := range msgs {
-				p := expectPartition(m.Key, 2)
+				p := stream.KeyPartition(m.Key, 2)
 				want[p] = append(want[p], string(m.Value))
 			}
 		}

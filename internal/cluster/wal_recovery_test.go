@@ -137,7 +137,7 @@ func TestClusterRestartRecoversFromDisk(t *testing.T) {
 			next++
 			publishRetry(t, c, topic, msgs, 100)
 			for _, m := range msgs {
-				p := expectPartition(m.Key, 4)
+				p := stream.KeyPartition(m.Key, 4)
 				want[p] = append(want[p], string(m.Value))
 			}
 		}
@@ -362,7 +362,7 @@ func TestClusterRestartDuringPublish(t *testing.T) {
 						}
 						mu.Lock()
 						for _, m := range msgs {
-							p := expectPartition(m.Key, 4)
+							p := stream.KeyPartition(m.Key, 4)
 							want[p] = append(want[p], string(m.Value))
 						}
 						mu.Unlock()

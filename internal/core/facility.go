@@ -22,6 +22,7 @@ import (
 	"odakit/internal/mlops"
 	"odakit/internal/objstore"
 	"odakit/internal/obs"
+	"odakit/internal/plane"
 	"odakit/internal/platform"
 	"odakit/internal/report"
 	"odakit/internal/resilience"
@@ -115,8 +116,8 @@ type Facility struct {
 	Gen   *telemetry.Generator
 	Sched *jobsched.Schedule
 
-	Broker  *stream.Broker     // STREAM tier
-	Lake    *tsdb.DB           // LAKE: time-series store
+	Broker  *stream.Broker     // STREAM tier: the facility's own engine
+	Lake    *tsdb.DB           // LAKE: the facility's own time-series store
 	Logs    *logsearch.Index   // LAKE: log search
 	Ocean   *objstore.Store    // OCEAN tier
 	Glacier *archive.Archive   // GLACIER tier
@@ -153,6 +154,13 @@ type Facility struct {
 	// retries (publish, insert, fetch, ocean I/O).
 	silverInstr *sproc.Instruments
 	retries     *obs.Counter
+
+	// stream and lake are the data plane the facility runs on: Broker
+	// and Lake unless AttachPlane moved it. Every bronze/LAKE read and
+	// write in core, the CQ pump, the HTTP portal and the dashboards go
+	// through them, never through Broker/Lake directly.
+	stream plane.Stream
+	lake   plane.Lake
 }
 
 // NewFacility builds and wires a facility.
@@ -221,19 +229,12 @@ func NewFacility(opts Options) (*Facility, error) {
 	f.retries = f.Obs.Counter("oda_core_retries_total",
 		"Facility-level infrastructure retries (publish, insert, fetch, ocean I/O).")
 	for _, src := range telemetry.MetricSources {
-		if err := f.Broker.EnsureTopic(BronzeTopic(src), stream.TopicConfig{
-			Partitions: opts.TopicPartitions, RetentionBytes: opts.StreamRetentionBytes,
-		}); err != nil {
-			return nil, err
-		}
 		f.Datasets.Register(string(src)+"_bronze", medallion.Bronze, schema.ObservationSchema)
 	}
-	if err := f.Broker.EnsureTopic(BronzeTopic(telemetry.SourceSyslog), stream.TopicConfig{
-		Partitions: opts.TopicPartitions, RetentionBytes: opts.StreamRetentionBytes,
-	}); err != nil {
+	f.Datasets.Register("syslog_bronze", medallion.Bronze, schema.EventSchema)
+	if err := f.AttachPlane(f.Broker, f.Lake); err != nil {
 		return nil, err
 	}
-	f.Datasets.Register("syslog_bronze", medallion.Bronze, schema.EventSchema)
 	f.Rats.Ingest(report.FromSchedule(sched))
 	return f, nil
 }
@@ -241,10 +242,32 @@ func NewFacility(opts Options) (*Facility, error) {
 // Close shuts down facility services.
 func (f *Facility) Close() { f.Broker.Close() }
 
-// NewCQPump builds a continuous-query pump draining the facility's
-// bronze metric topics (all telemetry.MetricSources when none are
-// named) into f.CQ. checkpointDir enables crash-consistent
-// exactly-once recovery; "" runs without checkpoints.
+// AttachPlane moves the facility onto a data plane — a replicated
+// cluster in place of its own Broker + Lake — and creates the bronze
+// topics there. Attach before ingesting: telemetry then lands in that
+// plane once, in generator order, and everything that reads bronze or
+// LAKE data (replay, the CQ pump, the portal, the dashboards) follows.
+func (f *Facility) AttachPlane(s plane.Stream, l plane.Lake) error {
+	cfg := stream.TopicConfig{Partitions: f.Opts.TopicPartitions, RetentionBytes: f.Opts.StreamRetentionBytes}
+	for _, src := range telemetry.MetricSources {
+		if err := s.EnsureTopic(BronzeTopic(src), cfg); err != nil {
+			return err
+		}
+	}
+	if err := s.EnsureTopic(BronzeTopic(telemetry.SourceSyslog), cfg); err != nil {
+		return err
+	}
+	f.stream, f.lake = s, l
+	return nil
+}
+
+// Plane returns the data plane the facility runs on.
+func (f *Facility) Plane() (plane.Stream, plane.Lake) { return f.stream, f.lake }
+
+// NewCQPump builds a continuous-query pump draining the plane's bronze
+// metric topics (all telemetry.MetricSources when none are named) into
+// f.CQ. checkpointDir enables crash-consistent exactly-once recovery; ""
+// runs without checkpoints.
 func (f *Facility) NewCQPump(checkpointDir string, sources ...telemetry.Source) (*cq.Pump, error) {
 	if len(sources) == 0 {
 		sources = telemetry.MetricSources
@@ -253,7 +276,7 @@ func (f *Facility) NewCQPump(checkpointDir string, sources ...telemetry.Source) 
 	for _, src := range sources {
 		topics = append(topics, BronzeTopic(src))
 	}
-	return cq.NewPump(f.CQ, f.Broker, cq.PumpConfig{Topics: topics, CheckpointDir: checkpointDir})
+	return cq.NewPumpSource(f.CQ, f.stream, cq.PumpConfig{Topics: topics, CheckpointDir: checkpointDir})
 }
 
 // SourceIngest summarizes one source's ingest volume.
@@ -276,7 +299,7 @@ type IngestStats struct {
 // observations go to the per-source bronze topics AND the LAKE rollup
 // store (the real-time path); syslog events go to the log index and the
 // syslog topic. Records are accumulated into Options.IngestBatch-sized
-// batches and flushed via Broker.PublishBatch + Lake.InsertBatch, so
+// batches and flushed via the plane's PublishBatch + InsertBatch, so
 // ingest never serializes on per-record broker or lake locks. It
 // returns per-source volumes.
 func (f *Facility) IngestWindow(from, to time.Time, sources ...telemetry.Source) (IngestStats, error) {

@@ -81,6 +81,9 @@ func TestReplayBronzeToLake(t *testing.T) {
 	}
 	// Simulate a LAKE restart: fresh store, replay from STREAM.
 	f.Lake = tsdb.New(tsdb.Options{RollupInterval: f.Opts.SilverWindow})
+	if err := f.AttachPlane(f.Broker, f.Lake); err != nil {
+		t.Fatal(err)
+	}
 	n, quarantined, err := f.ReplayBronzeToLake(context.Background(), telemetry.SourcePowerTemp)
 	if err != nil {
 		t.Fatal(err)

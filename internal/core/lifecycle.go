@@ -134,7 +134,7 @@ func (f *Facility) RunLifeCycle(ctx context.Context, from, to time.Time) (*LifeC
 
 	// 4. Visualization: operator dashboard for the busiest job.
 	if err := step(StageVisualization, "UA dashboard build", func() error {
-		dash := &viz.UADashboard{Lake: f.Lake, Logs: f.Logs, Sched: f.Sched}
+		dash := &viz.UADashboard{Lake: f.lake, Logs: f.Logs, Sched: f.Sched}
 		var target string
 		for _, j := range f.Sched.Jobs {
 			if !j.Start.IsZero() && j.Start.Before(to) && j.End.After(from) {

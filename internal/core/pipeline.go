@@ -8,6 +8,7 @@ import (
 	"odakit/internal/columnar"
 	"odakit/internal/medallion"
 	"odakit/internal/obs"
+	"odakit/internal/plane"
 	"odakit/internal/resilience"
 	"odakit/internal/schema"
 	"odakit/internal/sproc"
@@ -37,17 +38,20 @@ func (f *Facility) ReplayBronzeToLake(ctx context.Context, src telemetry.Source)
 			sp.Annotate("dlq", "%d poison records quarantined", quarantined)
 		}
 	}()
-	parts, err := f.Broker.Partitions(topic)
+	parts, err := f.stream.Partitions(topic)
 	if err != nil {
 		return 0, 0, err
 	}
 	batch := make([]schema.Observation, 0, f.Opts.IngestBatch)
 	for p := 0; p < parts; p++ {
-		st, err := f.Broker.Stats(topic)
+		off, err := f.stream.OldestOffset(topic, p)
 		if err != nil {
 			return replayed, quarantined, err
 		}
-		off, end := st.OldestOffsets[p], st.EndOffsets[p]
+		end, err := f.stream.EndOffset(topic, p)
+		if err != nil {
+			return replayed, quarantined, err
+		}
 		for off < end {
 			recs, err := f.fetchRetry(ctx, topic, p, off, f.Opts.IngestBatch)
 			if err != nil {
@@ -74,7 +78,7 @@ func (f *Facility) ReplayBronzeToLake(ctx context.Context, src telemetry.Source)
 				batch = append(batch, schema.ObservationFromRow(row))
 			}
 			if len(dead) > 0 {
-				n, derr := sproc.DeadLetter(f.Broker, dead)
+				n, derr := sproc.DeadLetter(f.stream, dead)
 				quarantined += int64(n)
 				if derr != nil {
 					return replayed, quarantined, derr
@@ -114,8 +118,14 @@ type SilverPipelineConfig struct {
 // job allocations, appended to the source's OCEAN Silver object. The job
 // dead-letters poison records, retries transient poll/sink faults under
 // the facility retry policy, and (when configured) guards its sink with
-// a circuit breaker.
+// a circuit breaker. Silver jobs consume through a stream.Consumer group,
+// which only the facility's own Broker offers: on an attached plane the
+// job is refused rather than left draining an empty local topic.
 func (f *Facility) NewSilverJob(cfg SilverPipelineConfig) (*sproc.Job, error) {
+	if f.stream != plane.Stream(f.Broker) {
+		return nil, fmt.Errorf("core: silver job %s: streaming Silver jobs consume the facility's local broker (stream.Consumer) and are not supported on an attached data plane (%T)",
+			cfg.Source, f.stream)
+	}
 	if cfg.Group == "" {
 		cfg.Group = "silver-" + string(cfg.Source)
 	}

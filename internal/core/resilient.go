@@ -49,8 +49,10 @@ func (f *Facility) retry(ctx context.Context, op string, fn func() error) error 
 }
 
 // publishRetry publishes a batch, retrying transient failures. A partial
-// publish (some partitions faulted) resumes with only the unpublished
-// remainder, so retries never duplicate records.
+// publish (some partitions faulted, or missed quorum) resumes with only
+// the unpublished remainder, so retries never duplicate records: a broker
+// left nothing behind for the failed partitions, and a cluster partition
+// recognises its staged sub-batch by fingerprint and resumes the commit.
 func (f *Facility) publishRetry(ctx context.Context, topic string, msgs []stream.Message) error {
 	ctx, sp := obs.StartSpan(ctx, "stream.publish")
 	defer sp.End()
@@ -58,7 +60,7 @@ func (f *Facility) publishRetry(ctx context.Context, topic string, msgs []stream
 	sp.Annotate("records", "%d", len(msgs))
 	pending := msgs
 	err := f.retry(ctx, "publish "+topic, func() error {
-		_, err := f.Broker.PublishBatch(topic, pending)
+		_, err := f.stream.PublishBatch(topic, pending)
 		var pp *stream.PartialPublishError
 		if errors.As(err, &pp) {
 			pending = pp.Failed
@@ -78,7 +80,7 @@ func (f *Facility) insertRetry(ctx context.Context, batch []schema.Observation) 
 	defer sp.End()
 	sp.Annotate("rows", "%d", len(batch))
 	err := f.retry(ctx, "lake insert", func() error {
-		return f.Lake.InsertBatch(batch)
+		return f.lake.InsertBatch(batch)
 	})
 	if err != nil {
 		sp.SetErr(err)
@@ -86,7 +88,8 @@ func (f *Facility) insertRetry(ctx context.Context, batch []schema.Observation) 
 	return err
 }
 
-// fetchRetry fetches records from a bronze topic, retrying transients.
+// fetchRetry fetches retained records from a bronze topic without
+// blocking (callers read below EndOffset), retrying transients.
 func (f *Facility) fetchRetry(ctx context.Context, topic string, part int, off int64, max int) ([]stream.Record, error) {
 	ctx, sp := obs.StartSpan(ctx, "stream.fetch")
 	defer sp.End()
@@ -94,7 +97,7 @@ func (f *Facility) fetchRetry(ctx context.Context, topic string, part int, off i
 	var recs []stream.Record
 	err := f.retry(ctx, "fetch "+topic, func() error {
 		var ferr error
-		recs, ferr = f.Broker.Fetch(ctx, topic, part, off, max)
+		recs, ferr = f.stream.FetchNoWait(topic, part, off, max)
 		return ferr
 	})
 	if err != nil {

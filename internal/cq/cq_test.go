@@ -284,7 +284,7 @@ func TestPumpSkipsBadRecords(t *testing.T) {
 	if _, _, err := b.Publish("bronze.alpha", []byte("n1"), []byte("not a row")); err != nil {
 		t.Fatal(err)
 	}
-	p, err := NewPump(e, b, PumpConfig{Topics: []string{"bronze.alpha"}})
+	p, err := NewPumpSource(e, b, PumpConfig{Topics: []string{"bronze.alpha"}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -192,7 +192,7 @@ func TestViewMatchesBatchAtEveryEpoch(t *testing.T) {
 			if err != nil {
 				t.Fatalf("register: %v", err)
 			}
-			pump, err := NewPump(eng, w.broker, PumpConfig{Topics: w.topics})
+			pump, err := NewPumpSource(eng, w.broker, PumpConfig{Topics: w.topics})
 			if err != nil {
 				t.Fatalf("pump: %v", err)
 			}
@@ -231,7 +231,7 @@ func TestViewSurvivesCrashRestore(t *testing.T) {
 			// CheckpointEvery 3: most steps leave an un-checkpointed
 			// suffix for the crash to destroy.
 			pcfg := PumpConfig{Topics: w.topics, CheckpointDir: dir, CheckpointEvery: 3}
-			pump, err := NewPump(eng, w.broker, pcfg)
+			pump, err := NewPumpSource(eng, w.broker, pcfg)
 			if err != nil {
 				t.Fatalf("pump: %v", err)
 			}
@@ -252,7 +252,7 @@ func TestViewSurvivesCrashRestore(t *testing.T) {
 			}
 
 			eng2 := NewEngine(Config{RollupInterval: propRollup, SegmentDuration: propSegment})
-			pump2, err := NewPump(eng2, w.broker, pcfg)
+			pump2, err := NewPumpSource(eng2, w.broker, pcfg)
 			if err != nil {
 				t.Fatalf("restart pump: %v", err)
 			}
@@ -301,7 +301,7 @@ func TestLargeWindowViewMatchesBatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("register: %v", err)
 	}
-	pump, err := NewPump(eng, w.broker, PumpConfig{Topics: w.topics})
+	pump, err := NewPumpSource(eng, w.broker, PumpConfig{Topics: w.topics})
 	if err != nil {
 		t.Fatalf("pump: %v", err)
 	}
@@ -365,7 +365,7 @@ func TestRestoreFromPR12FormatCheckpoint(t *testing.T) {
 		w.publishRound(100) // the rounds the fixture's offsets cover
 	}
 	eng := NewEngine(Config{RollupInterval: propRollup, SegmentDuration: propSegment})
-	pump, err := NewPump(eng, w.broker, PumpConfig{Topics: w.topics, CheckpointDir: dir})
+	pump, err := NewPumpSource(eng, w.broker, PumpConfig{Topics: w.topics, CheckpointDir: dir})
 	if err != nil {
 		t.Fatalf("pump: %v", err)
 	}

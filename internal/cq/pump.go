@@ -11,26 +11,11 @@ import (
 	"time"
 
 	"odakit/internal/atomicfile"
+	"odakit/internal/plane"
 	"odakit/internal/resilience"
 	"odakit/internal/schema"
 	"odakit/internal/stream"
 )
-
-// Source is where a Pump reads bronze records from: a single broker or
-// the cluster's replicated read path — anything exposing non-blocking
-// partition reads with offset semantics matching stream.Broker. The
-// cluster's EndOffset is its quorum-committed high watermark, so a pump
-// on a cluster only ever sees records that survive any single-node
-// failover: resuming from a checkpoint on a promoted leader can neither
-// duplicate nor lose applies.
-type Source interface {
-	Partitions(topic string) (int, error)
-	FetchNoWait(topic string, partition int, offset int64, max int) ([]stream.Record, error)
-	EndOffset(topic string, partition int) (int64, error)
-	OldestOffset(topic string, partition int) (int64, error)
-}
-
-var _ Source = (*stream.Broker)(nil)
 
 // PumpConfig wires a Pump to its source.
 type PumpConfig struct {
@@ -39,9 +24,6 @@ type PumpConfig struct {
 	// Topics are the bronze topics to drain. Fold order is topic-name
 	// ascending, matching ReplayBronzeToLake's replay order.
 	Topics []string
-	// Group is the consumer-group prefix (default "cq"); retained for
-	// checkpoint-name compatibility.
-	Group string
 	// BatchSize caps records per poll (default 512).
 	BatchSize int
 	// CheckpointDir enables crash consistency; "" disables it.
@@ -55,9 +37,6 @@ type PumpConfig struct {
 func (c PumpConfig) withDefaults() PumpConfig {
 	if c.Name == "" {
 		c.Name = "cq"
-	}
-	if c.Group == "" {
-		c.Group = "cq"
 	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 512
@@ -82,12 +61,11 @@ type PumpMetrics struct {
 // run two pumps against the same engine.
 type Pump struct {
 	engine *Engine
-	source Source
+	source plane.Stream
 	cfg    PumpConfig
 	topics []string // sorted
 	// offsets holds the next offset to fetch per topic partition — the
-	// same "next offset" semantics stream.Consumer.Position used, so
-	// checkpoints written before the Source refactor restore unchanged.
+	// same "next offset" semantics stream.Consumer.Position uses.
 	offsets map[string][]int64
 
 	// Decode scratch: one reused row and an interner for the dimension
@@ -101,17 +79,13 @@ type Pump struct {
 	metrics   PumpMetrics
 }
 
-// NewPump wires a pump to a single broker and restores from the
-// checkpoint when one exists. See NewPumpSource.
-func NewPump(engine *Engine, broker *stream.Broker, cfg PumpConfig) (*Pump, error) {
-	return NewPumpSource(engine, broker, cfg)
-}
-
-// NewPumpSource wires a pump to any Source (a broker, the cluster) and
-// restores from the checkpoint when one exists: specs are re-registered,
-// view state is rebuilt cell-for-cell, and cursors seek to the
-// checkpointed offsets.
-func NewPumpSource(engine *Engine, src Source, cfg PumpConfig) (*Pump, error) {
+// NewPumpSource wires a pump to a data plane's STREAM and restores from
+// the checkpoint when one exists: specs are re-registered, view state is
+// rebuilt cell-for-cell, and cursors seek to the checkpointed offsets. On
+// a cluster the pump reads only the quorum-committed prefix (EndOffset is
+// the high watermark), so resuming from a checkpoint on a promoted leader
+// can neither duplicate nor lose applies.
+func NewPumpSource(engine *Engine, src plane.Stream, cfg PumpConfig) (*Pump, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Topics) == 0 {
 		return nil, fmt.Errorf("cq: pump needs at least one topic")

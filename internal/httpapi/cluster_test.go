@@ -1,27 +1,37 @@
 package httpapi
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"testing"
 	"time"
 
 	"odakit/internal/cluster"
 	"odakit/internal/core"
+	"odakit/internal/stream"
 	"odakit/internal/telemetry"
 	"odakit/internal/tsdb"
 )
 
-// TestClusterBackedServing mirrors an ingested facility into a 3-node
-// RF=2 cluster, swaps the server's query backend to it, and requires the
-// clustered answers to be byte-identical to the local engine's — then
-// kills a node and checks /healthz degrades (not down) and keeps
-// serving, and that repair after restart returns the probe to ok.
-func TestClusterBackedServing(t *testing.T) {
+// servedPlane is one facility behind the portal with the seeded window
+// ingested into whatever plane it runs on and a CQ view pumped from it.
+type servedPlane struct {
+	f      *core.Facility
+	api    *Server
+	srv    *httptest.Server
+	viewID string
+}
+
+// servePlane builds the seeded facility, lets attach move it onto another
+// plane (nil keeps its own Broker + Lake), registers a standing query
+// over HTTP, ingests one minute of power telemetry and drains the CQ
+// pump — the odaserve composition order: attach, ingest, pump, serve.
+func servePlane(t *testing.T, attach func(*core.Facility)) servedPlane {
+	t.Helper()
 	sys := telemetry.FrontierLike(17).Scaled(8)
 	sys.LossRate = 0
 	f, err := core.NewFacility(core.Options{
@@ -31,70 +41,151 @@ func TestClusterBackedServing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(f.Close)
+	if attach != nil {
+		attach(f)
+	}
+	api := New(f)
+	srv := httptest.NewServer(api)
+	t.Cleanup(func() { srv.Close(); f.Close() })
+
+	resp, err := http.Post(srv.URL+"/api/v1/cq?window=5m&metric=node_power_w&groupby=component&granularity=15s&agg=avg&name=power", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reg struct {
+		ID string `json:"id"`
+	}
+	err = json.NewDecoder(resp.Body).Decode(&reg)
+	resp.Body.Close()
+	if err != nil || reg.ID == "" {
+		t.Fatalf("cq register: status %d id %q err %v", resp.StatusCode, reg.ID, err)
+	}
 	if _, err := f.IngestWindow(t0, t0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
 		t.Fatal(err)
 	}
+	cqDrain(t, f)
+	return servedPlane{f: f, api: api, srv: srv, viewID: reg.ID}
+}
 
-	c, err := cluster.New([]string{"n1", "n2", "n3"}, cluster.Config{
-		RF: 2, LakeOptions: tsdb.Options{RollupInterval: f.Opts.SilverWindow},
-	})
+// urls are the plane-served reads that must not depend on the plane.
+func (p servedPlane) urls() map[string]string {
+	from, to := t0.Format(time.RFC3339), t0.Add(time.Minute).Format(time.RFC3339)
+	return map[string]string{
+		"lake/query": fmt.Sprintf("%s/api/v1/lake/query?metric=node_power_w&agg=avg&granularity=15s&groupby=component&from=%s&to=%s", p.srv.URL, from, to),
+		"lake/topn":  fmt.Sprintf("%s/api/v1/lake/topn?metric=node_power_w&n=5&from=%s&to=%s", p.srv.URL, from, to),
+		"cq view":    p.srv.URL + "/api/v1/cq/" + p.viewID,
+	}
+}
+
+func httpBody(t *testing.T, url string) string {
+	t.Helper()
+	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
-	records, rows, err := f.MirrorToCluster(context.Background(), c, telemetry.SourcePowerTemp)
+	defer resp.Body.Close()
+	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatalf("mirror: %v", err)
+		t.Fatal(err)
 	}
-	if records == 0 || rows == 0 {
-		t.Fatalf("mirror moved records=%d rows=%d, want both > 0", records, rows)
+	if resp.StatusCode != 200 {
+		t.Fatalf("GET %s = %d: %s", url, resp.StatusCode, b)
+	}
+	return string(b)
+}
+
+// TestClusterBackedServing ingests the same seeded window into a
+// facility on its own plane and into one attached to a 3-node RF=2
+// cluster, and requires every plane-served read — lake query, top-N, the
+// CQ view — to be byte-identical over HTTP. The clustered facility's own
+// broker and lake must stay empty (telemetry lands once, in the plane)
+// and /healthz must list the serving plane's topics. Then a node dies:
+// /healthz degrades (not down) while the survivors keep answering with
+// the same bytes, and repair after restart returns the probe to ok.
+func TestClusterBackedServing(t *testing.T) {
+	local := servePlane(t, nil)
+
+	var c *cluster.Cluster
+	clustered := servePlane(t, func(f *core.Facility) {
+		var err error
+		c, err = cluster.New([]string{"n1", "n2", "n3"}, cluster.Config{
+			RF: 2, LakeOptions: tsdb.Options{RollupInterval: f.Opts.SilverWindow},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.AttachPlane(c, c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	clusterOnly := "probe.cluster-only"
+	if err := c.EnsureTopic(clusterOnly, stream.TopicConfig{Partitions: 1}); err != nil {
+		t.Fatal(err)
 	}
 
-	s := New(f)
-	srv := httptest.NewServer(s)
-	t.Cleanup(srv.Close)
-	queryURL := fmt.Sprintf("%s/api/v1/lake/query?metric=node_power_w&agg=avg&granularity=15s&groupby=component&from=%s&to=%s",
-		srv.URL, t0.Format(time.RFC3339), t0.Add(time.Minute).Format(time.RFC3339))
-	topNURL := fmt.Sprintf("%s/api/v1/lake/topn?metric=node_power_w&n=5&from=%s&to=%s",
-		srv.URL, t0.Format(time.RFC3339), t0.Add(time.Minute).Format(time.RFC3339))
-	body := func(url string) string {
+	want := map[string]string{}
+	for name, url := range local.urls() {
+		want[name] = httpBody(t, url)
+	}
+	for _, name := range []string{"lake/query", "lake/topn", "cq view"} {
+		if want[name] == "" || want[name] == "[]\n" {
+			t.Fatalf("local %s served nothing: %q", name, want[name])
+		}
+	}
+	requireIdentical := func(when string) {
 		t.Helper()
-		resp, err := http.Get(url)
-		if err != nil {
-			t.Fatal(err)
+		for name, url := range clustered.urls() {
+			if got := httpBody(t, url); got != want[name] {
+				t.Fatalf("%s: clustered %s diverged from the local plane\nlocal:   %s\ncluster: %s", when, name, want[name], got)
+			}
 		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != 200 {
-			t.Fatalf("GET %s = %d: %s", url, resp.StatusCode, b)
-		}
-		return string(b)
 	}
+	requireIdentical("full cluster")
 
-	localQuery, localTopN := body(queryURL), body(topNURL)
-	if localQuery == "" || localQuery == "[]\n" {
-		t.Fatalf("local query served nothing: %q", localQuery)
+	// Ingest went straight into the cluster: nothing was stored twice.
+	topic := core.BronzeTopic(telemetry.SourcePowerTemp)
+	var committed int64
+	for p := 0; p < clustered.f.Opts.TopicPartitions; p++ {
+		if end, err := clustered.f.Broker.EndOffset(topic, p); err != nil || end != 0 {
+			t.Fatalf("clustered facility's own broker holds %s/%d end=%d err=%v, want empty", topic, p, end, err)
+		}
+		end, err := c.EndOffset(topic, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		committed += end
 	}
-	s.SetQueryBackend(c)
-	s.SetClusterHealth(c.Health)
-	if got := body(queryURL); got != localQuery {
-		t.Fatalf("clustered query diverged from local engine\nlocal: %s\ncluster: %s", localQuery, got)
-	}
-	if got := body(topNURL); got != localTopN {
-		t.Fatalf("clustered topn diverged from local engine\nlocal: %s\ncluster: %s", localTopN, got)
+	if rows := clustered.f.Lake.Stats().RawIngested; rows != 0 || committed == 0 {
+		t.Fatalf("clustered facility: own lake rows=%d (want 0), cluster committed=%d (want > 0)", rows, committed)
 	}
 
 	health := func() map[string]any {
 		t.Helper()
 		var h map[string]any
-		if code := getJSON(t, srv.URL+"/healthz", &h); code != 200 {
+		if code := getJSON(t, clustered.srv.URL+"/healthz", &h); code != 200 {
 			t.Fatalf("healthz status = %d", code)
 		}
 		return h
 	}
+	// No cluster health merged yet: the probe still reports the serving
+	// plane's topics, including one the local broker never saw.
+	var topics []string
+	for _, v := range health()["topics"].([]any) {
+		topics = append(topics, v.(string))
+	}
+	if !reflect.DeepEqual(topics, c.Topics()) {
+		t.Fatalf("healthz topics = %v, want the cluster's %v", topics, c.Topics())
+	}
+	hasBronze, hasProbe := false, false
+	for _, name := range topics {
+		hasBronze = hasBronze || name == topic
+		hasProbe = hasProbe || name == clusterOnly
+	}
+	if !hasBronze || !hasProbe {
+		t.Fatalf("healthz topics %v miss %s or %s", topics, topic, clusterOnly)
+	}
+
+	clustered.api.SetClusterHealth(c.Health)
 	if h := health(); h["status"] != "ok" {
 		t.Fatalf("health with full cluster = %v", h["status"])
 	}
@@ -112,9 +203,7 @@ func TestClusterBackedServing(t *testing.T) {
 	}
 	// Degraded means still serving: the surviving replicas answer with
 	// the same bytes.
-	if got := body(queryURL); got != localQuery {
-		t.Fatalf("degraded clustered query diverged from local engine\nlocal: %s\ncluster: %s", localQuery, got)
-	}
+	requireIdentical("one node dead")
 
 	if err := c.Restart("n2"); err != nil {
 		t.Fatal(err)
@@ -126,7 +215,5 @@ func TestClusterBackedServing(t *testing.T) {
 		b, _ := json.Marshal(h)
 		t.Fatalf("health after repair = %s", b)
 	}
-	if got := body(queryURL); got != localQuery {
-		t.Fatalf("repaired clustered query diverged from local engine")
-	}
+	requireIdentical("repaired")
 }

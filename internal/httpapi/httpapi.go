@@ -60,6 +60,7 @@ import (
 	"odakit/internal/core"
 	"odakit/internal/logsearch"
 	"odakit/internal/obs"
+	"odakit/internal/plane"
 	"odakit/internal/schema"
 	"odakit/internal/tsdb"
 )
@@ -67,15 +68,6 @@ import (
 // shedLoad is the scan-slot utilization at or above which query
 // endpoints start shedding (1.0 = every slot busy).
 const shedLoad = 1.0
-
-// QueryBackend answers the LAKE query endpoints. The default is the
-// facility's local tsdb.DB; a clustered deployment swaps in the
-// replica-aware scatter-gather router (internal/cluster), whose results
-// are byte-identical to the local engine's.
-type QueryBackend interface {
-	RunWithStats(q tsdb.Query) (*schema.Frame, tsdb.QueryStats, error)
-	TopN(q tsdb.Query, dim string, n int) ([]tsdb.TopNEntry, error)
-}
 
 // Server wraps a facility with HTTP handlers.
 type Server struct {
@@ -87,10 +79,11 @@ type Server struct {
 	// exercise the shed paths deterministically.
 	overloaded func() bool
 
-	// backend serves the lake query routes; backendLocal gates the
-	// stale-cache shed path, which only the local engine can answer.
-	backend      QueryBackend
-	backendLocal bool
+	// stream and backend are the facility's data plane as of New:
+	// /healthz lists stream's topics, backend serves the lake query
+	// routes (SetQueryBackend swaps it).
+	stream  plane.Stream
+	backend plane.Lake
 
 	// clusterHealth, when set, folds cluster replication state into
 	// /healthz: an under-replicated cluster degrades the probe, a cluster
@@ -107,7 +100,7 @@ type Server struct {
 // New returns a server for the facility.
 func New(f *core.Facility) *Server {
 	s := &Server{f: f, mux: http.NewServeMux(), prepared: newPreparedRegistry()}
-	s.backend, s.backendLocal = f.Lake, true
+	s.stream, s.backend = f.Plane()
 	s.overloaded = func() bool { return f.Lake.ScanLoad() >= shedLoad }
 	s.shedStale = f.Obs.Counter("oda_http_shed_stale_total",
 		"Overloaded queries answered from the stale cache side.")
@@ -150,14 +143,10 @@ func (s *Server) handle(pattern, route string, h http.HandlerFunc) {
 func (s *Server) SetOverloadCheck(fn func() bool) { s.overloaded = fn }
 
 // SetQueryBackend routes the lake query endpoints through b instead of
-// the facility's local engine. The stale-cache shed path is disabled —
-// the cache belongs to the local engine, and answering cluster queries
-// from it could serve another topology's data — so overloaded requests
-// shed with 503 only.
-func (s *Server) SetQueryBackend(b QueryBackend) {
-	s.backend = b
-	s.backendLocal = b == QueryBackend(s.f.Lake)
-}
+// the facility plane's LAKE. Overloaded requests are answered stale only
+// when b itself keeps a stale cache (see cachedStale); otherwise they
+// shed with 503.
+func (s *Server) SetQueryBackend(b plane.Lake) { s.backend = b }
 
 // SetClusterHealth merges cluster replication health into /healthz.
 // Pass the Cluster's Health method; nil disables the merge.
@@ -217,7 +206,7 @@ func (s *Server) health(w http.ResponseWriter, r *http.Request) {
 		"lake_rows":      lake.RawIngested,
 		"lake_scan_load": load,
 		"log_docs":       s.f.Logs.Stats().Docs,
-		"topics":         s.f.Broker.Topics(),
+		"topics":         s.stream.Topics(),
 		"pipelines":      pipelines,
 	}
 	if s.clusterHealth != nil {
@@ -265,13 +254,17 @@ func (s *Server) shed(w http.ResponseWriter, query tsdb.Query, emit func(*schema
 	return true
 }
 
-// cachedStale consults the local engine's stale cache — only when it is
-// the active backend (see SetQueryBackend).
+// cachedStale asks the active backend for a stale answer. Only a
+// backend that keeps its own result cache (tsdb.DB) has one; answering
+// from any other cache could serve another topology's data.
 func (s *Server) cachedStale(query tsdb.Query) (*schema.Frame, bool) {
-	if !s.backendLocal {
+	c, ok := s.backend.(interface {
+		CachedStale(tsdb.Query) (*schema.Frame, bool)
+	})
+	if !ok {
 		return nil, false
 	}
-	return s.f.Lake.CachedStale(query)
+	return c.CachedStale(query)
 }
 
 // parseWindow reads from/to query params (RFC3339); a missing pair

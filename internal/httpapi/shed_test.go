@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"odakit/internal/core"
+	"odakit/internal/plane"
 	"odakit/internal/resilience"
 	"odakit/internal/sproc"
 	"odakit/internal/telemetry"
@@ -39,7 +40,7 @@ func shedServer(t *testing.T) (*httptest.Server, *Server, *core.Facility) {
 }
 
 func TestLoadShedStaleAndReject(t *testing.T) {
-	srv, s, _ := shedServer(t)
+	srv, s, f := shedServer(t)
 	url := fmt.Sprintf("%s/api/v1/lake/query?metric=node_power_w&agg=avg&granularity=15s&from=%s&to=%s",
 		srv.URL, t0.Format(time.RFC3339), t0.Add(time.Minute).Format(time.RFC3339))
 
@@ -79,6 +80,24 @@ func TestLoadShedStaleAndReject(t *testing.T) {
 	}
 	if len(stale) != len(fresh) {
 		t.Fatalf("stale points = %d, want %d", len(stale), len(fresh))
+	}
+
+	// Stale answers come from the backend's own result cache: a backend
+	// without one (a cluster) sheds the warm shape with 503, and handing
+	// the engine back restores the stale side.
+	for _, tc := range []struct {
+		backend plane.Lake
+		status  int
+	}{{struct{ plane.Lake }{f.Lake}, http.StatusServiceUnavailable}, {f.Lake, http.StatusOK}} {
+		s.SetQueryBackend(tc.backend)
+		resp, err = http.Get(url)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Fatalf("warm shape on backend %T: status = %d, want %d", tc.backend, resp.StatusCode, tc.status)
+		}
 	}
 
 	// A query shape never seen before has no stale fallback: shed with

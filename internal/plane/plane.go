@@ -1,0 +1,56 @@
+// Package plane declares the data plane of Fig 5 once: the one STREAM
+// and the one LAKE every pipeline and every data application shares. A
+// facility runs on exactly one plane — its own Broker + Lake, or a
+// replicated cluster — and core's ingest and replay, the CQ pump, the
+// HTTP portal and the dashboards depend only on these two interfaces.
+// Both implementations satisfy them with the methods they already had;
+// there is no adapter type, so "cluster ≡ single node" is one code path
+// whose degenerate case is the single node.
+//
+// Declarations only: no logic lives here.
+package plane
+
+import (
+	"odakit/internal/schema"
+	"odakit/internal/stream"
+	"odakit/internal/tsdb"
+)
+
+// Stream is the STREAM tier: partitioned, offset-addressed topics.
+type Stream interface {
+	// EnsureTopic creates a topic when absent; an existing topic is a
+	// no-op.
+	EnsureTopic(name string, cfg stream.TopicConfig) error
+	// PublishBatch appends a batch, routing each message by key
+	// (stream.KeyPartition). A failure affecting only some partitions is
+	// a *stream.PartialPublishError whose Failed remainder can be retried
+	// without duplicating the published part.
+	PublishBatch(topic string, msgs []stream.Message) (int, error)
+	Partitions(topic string) (int, error)
+	// FetchNoWait reads up to max records at offset without blocking:
+	// below the retention horizon is stream.ErrOffsetTrimmed, beyond
+	// EndOffset is stream.ErrOffsetInFuture.
+	FetchNoWait(topic string, partition int, offset int64, max int) ([]stream.Record, error)
+	// EndOffset is the end of the prefix readers may consume — on a
+	// cluster the quorum-committed high watermark, so a reader only ever
+	// sees records that survive any single-node failover.
+	EndOffset(topic string, partition int) (int64, error)
+	OldestOffset(topic string, partition int) (int64, error)
+	Topics() []string
+}
+
+// Lake is the LAKE tier: the rollup store behind every query route. The
+// two implementations answer the same query with the same bytes.
+type Lake interface {
+	InsertBatch(obs []schema.Observation) error
+	RunWithStats(q tsdb.Query) (*schema.Frame, tsdb.QueryStats, error)
+	TopN(q tsdb.Query, dim string, n int) ([]tsdb.TopNEntry, error)
+}
+
+// The single-node plane. *cluster.Cluster asserts both interfaces next to
+// its own declaration (cluster tests import cq, which imports this
+// package, so the assertion cannot live here).
+var (
+	_ Stream = (*stream.Broker)(nil)
+	_ Lake   = (*tsdb.DB)(nil)
+)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"time"
 
+	"odakit/internal/plane"
 	"odakit/internal/schema"
 	"odakit/internal/stream"
 )
@@ -72,7 +73,7 @@ func deadRecordFromRow(r schema.Row) (DeadRecord, error) {
 // DeadLetter publishes quarantined records to their topics' DLQ topics,
 // creating those topics (single partition — DLQ volume is tiny and order
 // aids forensics) as needed. It returns how many records were published.
-func DeadLetter(b *stream.Broker, recs []DeadRecord) (int, error) {
+func DeadLetter(b plane.Stream, recs []DeadRecord) (int, error) {
 	byTopic := make(map[string][]stream.Message)
 	for _, d := range recs {
 		dlq := DLQTopic(d.Topic)

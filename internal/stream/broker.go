@@ -477,14 +477,12 @@ func (b *Broker) Stats(topicName string) (TopicStats, error) {
 	return s, nil
 }
 
-// route picks a partition for a key. The keyed case is FNV-1a inlined
-// (identical to hash/fnv) to keep the per-record publish path
-// allocation-free.
-func (t *topic) route(key []byte) int {
-	if len(key) == 0 {
-		n := t.rr.Add(1)
-		return int(n % uint64(len(t.parts)))
-	}
+// KeyPartition is the keyed-message router: FNV-1a of the key (inlined,
+// identical to hash/fnv, so the per-record publish path stays
+// allocation-free) modulo the partition count. Every STREAM
+// implementation routes through it, which is what keeps a key on the
+// same partition whether it is published to a broker or to a cluster.
+func KeyPartition(key []byte, parts int) int {
 	const (
 		offset32 = 2166136261
 		prime32  = 16777619
@@ -493,5 +491,14 @@ func (t *topic) route(key []byte) int {
 	for _, b := range key {
 		h = (h ^ uint32(b)) * prime32
 	}
-	return int(h % uint32(len(t.parts)))
+	return int(h % uint32(parts))
+}
+
+// route picks a partition for a message: round-robin when keyless.
+func (t *topic) route(key []byte) int {
+	if len(key) == 0 {
+		n := t.rr.Add(1)
+		return int(n % uint64(len(t.parts)))
+	}
+	return KeyPartition(key, len(t.parts))
 }

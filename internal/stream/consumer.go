@@ -27,9 +27,10 @@ type Consumer struct {
 	groupID string
 	g       *group
 
-	mu      sync.Mutex
-	cursors []int64
-	next    int // round-robin partition scan position
+	mu       sync.Mutex
+	assigned []int // every partition, fixed at Subscribe
+	cursors  []int64
+	next     int // round-robin partition scan position
 }
 
 // Subscribe attaches a consumer group to a topic. StartAt controls where a
@@ -64,7 +65,11 @@ func (b *Broker) Subscribe(topicName, groupID string, start StartPosition) (*Con
 	}
 	c := &Consumer{
 		broker: b, topic: topicName, groupID: groupID, g: g,
-		cursors: append([]int64(nil), cursors...),
+		assigned: make([]int, len(t.parts)),
+		cursors:  append([]int64(nil), cursors...),
+	}
+	for i := range c.assigned {
+		c.assigned[i] = i
 	}
 	return c, nil
 }
@@ -95,53 +100,69 @@ func (c *Consumer) Poll(ctx context.Context, max int) ([]Record, error) {
 	}
 	for {
 		c.mu.Lock()
-		var out []Record
-		for i := 0; i < len(t.parts) && len(out) < max; i++ {
-			p := (c.next + i) % len(t.parts)
-			// Non-blocking probe: use an already-cancelled context path by
-			// checking available range directly via fetchNoWait.
-			recs, err := t.parts[p].fetchNoWait(c.cursors[p], max-len(out))
-			if errors.Is(err, ErrOffsetTrimmed) {
-				// Retention passed our cursor; skip forward rather than
-				// stall (records were lost to retention, by design).
-				c.cursors[p] = t.parts[p].stats().oldest
-				recs, err = t.parts[p].fetchNoWait(c.cursors[p], max-len(out))
-			}
-			if err != nil {
-				c.mu.Unlock()
-				return nil, err
-			}
-			if len(recs) > 0 {
-				// Advance past the last delivered offset (the log may
-				// have compaction holes, so cursor+len is not valid).
-				c.cursors[p] = recs[len(recs)-1].Offset + 1
-				out = append(out, recs...)
-			}
-		}
-		if len(out) > 0 {
-			c.next = (c.next + 1) % len(t.parts)
-			c.mu.Unlock()
-			return out, nil
-		}
-		// Nothing available anywhere: wait on every partition's notifier.
-		chans := make([]chan struct{}, len(t.parts))
-		closedBroker := true
-		for i, p := range t.parts {
-			p.mu.Lock()
-			if !p.closed {
-				closedBroker = false
-			}
-			chans[i] = p.notify
-			p.mu.Unlock()
+		out, err := t.pollAssigned(c.assigned, c.next, c.cursors, max)
+		if err == nil && len(out) > 0 {
+			c.next = (c.next + 1) % len(c.assigned)
 		}
 		c.mu.Unlock()
-		if closedBroker {
+		if err != nil || len(out) > 0 {
+			return out, err
+		}
+		// Nothing available anywhere: wait on every partition's notifier.
+		chans, closed := t.notifiers(c.assigned)
+		if closed {
 			return nil, ErrBrokerClosed
 		}
 		if err := waitAny(ctx, chans); err != nil {
 			return nil, err
 		}
 	}
+}
+
+// pollAssigned is one non-blocking pass over an assignment, shared by
+// Consumer (a fixed full assignment) and Member (a rebalanced share): it
+// reads up to max records from the assigned partitions, starting at
+// rotation next, and advances cursors (indexed by partition) past what it
+// returns.
+func (t *topic) pollAssigned(assigned []int, next int, cursors []int64, max int) ([]Record, error) {
+	var out []Record
+	for i := 0; i < len(assigned) && len(out) < max; i++ {
+		p := assigned[(next+i)%len(assigned)]
+		recs, err := t.parts[p].fetchNoWait(cursors[p], max-len(out))
+		if errors.Is(err, ErrOffsetTrimmed) {
+			// Retention passed our cursor; skip forward rather than
+			// stall (records were lost to retention, by design).
+			cursors[p] = t.parts[p].stats().oldest
+			recs, err = t.parts[p].fetchNoWait(cursors[p], max-len(out))
+		}
+		if err != nil {
+			return nil, err
+		}
+		if len(recs) > 0 {
+			// Advance past the last delivered offset (the log may
+			// have compaction holes, so cursor+len is not valid).
+			cursors[p] = recs[len(recs)-1].Offset + 1
+			out = append(out, recs...)
+		}
+	}
+	return out, nil
+}
+
+// notifiers returns the assigned partitions' append-notification
+// channels and whether every one of those partitions is closed.
+func (t *topic) notifiers(assigned []int) (chans []chan struct{}, closed bool) {
+	chans = make([]chan struct{}, 0, len(assigned))
+	closed = true
+	for _, p := range assigned {
+		part := t.parts[p]
+		part.mu.Lock()
+		if !part.closed {
+			closed = false
+		}
+		chans = append(chans, part.notify)
+		part.mu.Unlock()
+	}
+	return chans, closed
 }
 
 // waitAny blocks until any channel closes or ctx is done.

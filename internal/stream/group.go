@@ -37,9 +37,9 @@ type Member struct {
 	start   StartPosition
 
 	mu         sync.Mutex
-	generation int   // last generation this member synced with
-	assigned   []int // partitions owned at that generation
-	cursors    map[int]int64
+	generation int     // last generation this member synced with
+	assigned   []int   // partitions owned at that generation
+	cursors    []int64 // indexed by partition; meaningful for assigned ones
 	left       bool
 	next       int
 }
@@ -86,7 +86,7 @@ func (b *Broker) JoinGroup(topicName, groupID string, start StartPosition) (*Mem
 
 	m := &Member{
 		broker: b, topic: topicName, groupID: groupID, g: g, ms: ms,
-		start: start, cursors: make(map[int]int64),
+		start: start,
 	}
 	ms.mu.Lock()
 	m.id = len(ms.members)
@@ -152,7 +152,7 @@ func (m *Member) syncAssignment(t *topic) error {
 	m.g.mu.Lock()
 	committed := m.g.committed[m.topic]
 	m.g.mu.Unlock()
-	cursors := make(map[int]int64, len(assigned))
+	cursors := make([]int64, len(t.parts))
 	for _, p := range assigned {
 		if p < len(committed) {
 			cursors[p] = committed[p]
@@ -198,33 +198,14 @@ func (m *Member) Poll(ctx context.Context, max int) ([]Record, error) {
 		}
 		m.mu.Lock()
 		assigned := append([]int(nil), m.assigned...)
-		var out []Record
-		for i := 0; i < len(assigned) && len(out) < max; i++ {
-			p := assigned[(m.next+i)%len(assigned)]
-			recs, err := t.parts[p].fetchNoWait(m.cursors[p], max-len(out))
-			if errors.Is(err, ErrOffsetTrimmed) {
-				m.cursors[p] = t.parts[p].stats().oldest
-				recs, err = t.parts[p].fetchNoWait(m.cursors[p], max-len(out))
-			}
-			if err != nil {
-				m.mu.Unlock()
-				return nil, err
-			}
-			if len(recs) > 0 {
-				// Advance past the last delivered offset (compaction may
-				// have punched holes in the log).
-				m.cursors[p] = recs[len(recs)-1].Offset + 1
-				out = append(out, recs...)
-			}
-		}
-		if len(out) > 0 {
-			if len(assigned) > 0 {
-				m.next = (m.next + 1) % len(assigned)
-			}
-			m.mu.Unlock()
-			return out, nil
+		out, err := t.pollAssigned(assigned, m.next, m.cursors, max)
+		if err == nil && len(out) > 0 {
+			m.next = (m.next + 1) % len(assigned)
 		}
 		m.mu.Unlock()
+		if err != nil || len(out) > 0 {
+			return out, err
+		}
 		if len(assigned) == 0 {
 			// Over-provisioned group: no partitions; wait for rebalance.
 			select {
@@ -234,23 +215,13 @@ func (m *Member) Poll(ctx context.Context, max int) ([]Record, error) {
 				continue
 			}
 		}
-		chans := make([]chan struct{}, 0, len(assigned))
-		closedBroker := true
-		for _, p := range assigned {
-			part := t.parts[p]
-			part.mu.Lock()
-			if !part.closed {
-				closedBroker = false
-			}
-			chans = append(chans, part.notify)
-			part.mu.Unlock()
-		}
-		if closedBroker {
+		chans, closed := t.notifiers(assigned)
+		if closed {
 			return nil, ErrBrokerClosed
 		}
 		// Wake periodically to notice rebalances even without new data.
 		wctx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
-		err := waitAny(wctx, chans)
+		err = waitAny(wctx, chans)
 		cancel()
 		if err != nil && ctx.Err() != nil {
 			return nil, ctx.Err()
@@ -269,16 +240,13 @@ func (m *Member) Commit() error {
 		return err
 	}
 	m.mu.Lock()
-	cursors := make(map[int]int64, len(m.cursors))
-	for p, off := range m.cursors {
-		cursors[p] = off
-	}
+	assigned, cursors := m.assigned, append([]int64(nil), m.cursors...)
 	m.mu.Unlock()
 	m.g.mu.Lock()
 	committed := m.g.committed[m.topic]
-	for p, off := range cursors {
-		if p < len(committed) && off > committed[p] {
-			committed[p] = off
+	for _, p := range assigned {
+		if p < len(committed) && cursors[p] > committed[p] {
+			committed[p] = cursors[p]
 		}
 	}
 	m.g.mu.Unlock()

@@ -9,6 +9,7 @@ import (
 	"odakit/internal/gateway"
 	"odakit/internal/jobsched"
 	"odakit/internal/logsearch"
+	"odakit/internal/plane"
 	"odakit/internal/sproc"
 	"odakit/internal/tsdb"
 )
@@ -18,7 +19,8 @@ import (
 // system logs, all integrated with job node allocation details" —
 // replacing the old method of manually checking different systems.
 type UADashboard struct {
-	Lake *tsdb.DB
+	// Lake answers the view's queries: any data plane's LAKE.
+	Lake plane.Lake
 	Logs *logsearch.Index
 	// Sched resolves job metadata and node lists.
 	Sched *jobsched.Schedule

@@ -37,11 +37,11 @@ import (
 	"odakit/internal/jobsched"
 	"odakit/internal/medallion"
 	"odakit/internal/obs"
+	"odakit/internal/plane"
 	"odakit/internal/profiles"
 	"odakit/internal/resilience"
 	"odakit/internal/schema"
 	"odakit/internal/sproc"
-	"odakit/internal/stream"
 	"odakit/internal/telemetry"
 	"odakit/internal/tsdb"
 	"odakit/internal/twin"
@@ -349,11 +349,11 @@ const (
 	CQWindowTumbling = cq.WindowTumbling
 )
 
-// NewCQPump drains the given broker topics into a CQ engine; most
-// callers want Facility.NewCQPump, which wires the facility's bronze
-// topics automatically.
-func NewCQPump(e *CQEngine, b *stream.Broker, cfg CQPumpConfig) (*CQPump, error) {
-	return cq.NewPump(e, b, cfg)
+// NewCQPump drains the given topics of a data plane's STREAM (a broker
+// or a Cluster) into a CQ engine; most callers want Facility.NewCQPump,
+// which wires the facility's bronze topics automatically.
+func NewCQPump(e *CQEngine, s plane.Stream, cfg CQPumpConfig) (*CQPump, error) {
+	return cq.NewPumpSource(e, s, cfg)
 }
 
 // Cluster re-exports: N-node replicated deployment of STREAM + LAKE
