@@ -38,7 +38,8 @@ loc-delta:
 # the serving layer (gateway token buckets + priority admission,
 # httpapi handlers + prepared-query registry), and the continuous-query
 # engine (concurrent Apply/Read/Subscribe/checkpoint under a live pump),
-# the replicated cluster (quorum publish, failover, scatter-gather), and
+# the replicated cluster (quorum publish with its concurrent flush wave
+# and ascending multi-partition locking, failover, scatter-gather), and
 # the per-node WAL (concurrent appends/syncs against replay and close).
 race:
 	$(GO) test -race ./internal/stream ./internal/tsdb ./internal/core ./internal/logsearch ./internal/columnar ./internal/faults ./internal/resilience ./internal/sproc ./internal/obs ./internal/objstore ./internal/archive ./internal/gateway ./internal/httpapi ./internal/cq ./internal/cluster ./internal/wal
@@ -54,15 +55,24 @@ chaos:
 # asymmetric link partition, join/leave rebalance, CQ-pump failover
 # resume, the WAL crash-point sweep (kill a node at every WAL
 # append/fsync boundary, restart it from disk, require a byte-identical
-# committed prefix), and restart-from-disk under a partial transport
-# partition — all under the race detector with a pinned fault schedule.
-# Each scenario asserts exactly-once committed data and degraded-not-down
-# serving at every step. ODA_CHAOS_SEED drives both the fault schedules
-# and the crash-point workloads: a failure message names the seed, and
-# `make chaos-cluster ODA_CHAOS_SEED=<seed>` replays that exact run
-# (boundary counts, publish contents, and injection points included).
+# committed prefix), the flush-wave fault cases (one follower / leader /
+# stripe log failing mid-wave; a replica killed after its flush still
+# acks), a lock-order stress with a deadline, and restart-from-disk
+# under a partial transport partition — all under the race detector
+# with a pinned fault schedule. Each scenario asserts exactly-once
+# committed data and degraded-not-down serving at every step.
+# ODA_CHAOS_SEED drives both the fault schedules and the crash-point
+# workloads: a failure message names the seed, and
+# `make chaos-cluster ODA_CHAOS_SEED=<seed>` replays that run's publish
+# contents, transport-fault schedule and per-node boundary COUNTS. What a
+# seed does not pin: a batch flushes every log it touched in one
+# concurrent wave, so the LOG the k-th wal.fsync on a node lands on
+# depends on the scheduler — the sweep's failure messages name the op
+# and the log the injected fault actually hit, and -count=2 runs every
+# scenario twice so an assertion that only holds for one order cannot
+# hide.
 chaos-cluster:
-	ODA_CHAOS_SEED=$(ODA_CHAOS_SEED) $(GO) test -race -count=1 -run 'ChaosCluster' ./internal/cluster -v
+	ODA_CHAOS_SEED=$(ODA_CHAOS_SEED) $(GO) test -race -count=2 -run 'ChaosCluster' ./internal/cluster -v
 
 # Parallel ingest benchmarks (1/4/16 goroutines x batch 1/64/1024).
 bench:

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"odakit/internal/obs"
 	"odakit/internal/plane"
 	"odakit/internal/resilience"
 	"odakit/internal/stream"
@@ -224,6 +225,11 @@ type Cluster struct {
 	walRecoveriesDisk   atomic.Int64 // Restarts that recovered state from disk
 	walRecoveriesPeer   atomic.Int64 // Restarts that came back empty (peer resync)
 	lakeCatchups        atomic.Int64 // stripe suffix catch-ups from a peer's WAL
+	flushWaves          atomic.Int64 // flush waves run (one per durable batch)
+	flushWaveLogs       atomic.Int64 // logs flushed by those waves
+	// flushWaveSeconds times a wave from its start to its last Sync
+	// returning; nil (a no-op) until Instrument registers it.
+	flushWaveSeconds atomic.Pointer[obs.Histogram]
 }
 
 // A Cluster is a whole data plane: anything written against plane.Stream

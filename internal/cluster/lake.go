@@ -19,6 +19,12 @@ import (
 // observations in one global order — which is why any replica can answer
 // a stripe scan byte-identically.
 //
+// The touched stripes are locked in ascending order and written the way
+// publishParts writes partitions: apply + WAL append on every replica of
+// every stripe on this goroutine, one flush wave over every stripe log
+// that dirtied, then the sequence numbers advance. A replica counts
+// toward a stripe's ack only after its own log's Sync.
+//
 // A replica that fails an insert after retries is marked out-of-sync and
 // dropped from the stripe's serving set (Repair resyncs it from a
 // healthy peer); the batch succeeds as long as one replica per touched
@@ -28,40 +34,58 @@ func (c *Cluster) InsertBatch(obs []schema.Observation) error {
 	if len(obs) == 0 {
 		return nil
 	}
-	byStripe := make(map[int][]schema.Observation)
+	var byStripe [tsdb.NumStripes][]schema.Observation
 	for _, o := range obs {
 		s := tsdb.StripeFor(o.Component, o.Metric)
 		byStripe[s] = append(byStripe[s], o)
 	}
-	stripes := make([]int, 0, len(byStripe))
+	var buf [tsdb.NumStripes]int
+	touched := buf[:0] // ascending: the stripe lock order
 	for s := range byStripe {
-		stripes = append(stripes, s)
+		if len(byStripe[s]) > 0 {
+			touched = append(touched, s)
+		}
 	}
-	sort.Ints(stripes)
+	for _, s := range touched {
+		c.stripeMu[s].Lock()
+	}
+	defer func() {
+		for _, s := range touched {
+			c.stripeMu[s].Unlock()
+		}
+	}()
+	var wave flushWave
+	var staged [tsdb.NumStripes]stripeInsert
+	for _, s := range touched {
+		staged[s] = c.stageStripeLocked(s, byStripe[s], &wave)
+	}
+	c.runWave(&wave)
 	var firstErr error
-	for _, s := range stripes {
-		if err := c.insertStripe(s, byStripe[s]); err != nil && firstErr == nil {
+	for _, s := range touched {
+		if err := c.finishStripeLocked(s, staged[s], &wave); err != nil && firstErr == nil {
 			firstErr = err
 		}
 	}
 	return firstErr
 }
 
-// insertStripe applies one stripe's sub-batch to every in-sync replica
-// under the next cluster-wide stripe sequence number. Each replica logs
-// the batch (append + fsync) on its WAL before counting toward the ack;
-// the cluster sequence advances only once some replica applied it, so a
-// WAL replay can always tell a fully-caught-up replica from one missing
-// a suffix.
-func (c *Cluster) insertStripe(s int, sub []schema.Observation) error {
-	c.stripeMu[s].Lock()
-	defer c.stripeMu[s].Unlock()
+// stripeInsert is one stripe's insert between staging and the wave: the
+// sequence number it will commit under and the replicas that applied it.
+type stripeInsert struct {
+	seq     int64
+	applied []*Node
+	err     error
+}
+
+// stageStripeLocked applies one stripe's sub-batch to every in-sync
+// replica under the next cluster-wide stripe sequence number and stages
+// it on each replica's WAL. stripeMu[s] held.
+func (c *Cluster) stageStripeLocked(s int, sub []schema.Observation, w *flushWave) stripeInsert {
 	targets := c.stripeServers(s, true)
 	if len(targets) == 0 {
-		return fmt.Errorf("%w: %d", ErrStripeDown, s)
+		return stripeInsert{err: fmt.Errorf("%w: %d", ErrStripeDown, s)}
 	}
-	seq := c.stripeSeqs[s].Load() + 1
-	applied := 0
+	si := stripeInsert{seq: c.stripeSeqs[s].Load() + 1, applied: make([]*Node, 0, len(targets))}
 	for _, id := range targets {
 		n := c.node(id)
 		if n == nil || !n.Alive() {
@@ -85,20 +109,41 @@ func (c *Cluster) insertStripe(s int, sub []schema.Observation) error {
 			c.markStripeUnsynced(s, id)
 			continue
 		}
-		if err := c.walAppendInsert(n, s, seq, sub); err != nil {
+		if err := c.walAppendInsert(n, s, si.seq, sub, w); err != nil {
 			// The WAL failure crashed the node; its lake held the batch
 			// but nothing durable says so, which is exactly the state a
 			// crash after apply would leave — drop it from serving.
 			c.markStripeUnsynced(s, id)
 			continue
 		}
-		n.stripeSeq[s].Store(seq)
-		applied++
+		si.applied = append(si.applied, n)
 	}
-	if applied == 0 {
+	return si
+}
+
+// finishStripeLocked counts one stripe's acks after the wave: a replica
+// whose stripe log flushed moves to the new sequence; one whose flush
+// failed crashed holding a batch nothing durable describes, and leaves
+// the serving set. The cluster sequence advances only once some replica
+// holds the batch durably, so a WAL replay can always tell a
+// fully-caught-up replica from one missing a suffix. stripeMu[s] held.
+func (c *Cluster) finishStripeLocked(s int, si stripeInsert, w *flushWave) error {
+	if si.err != nil {
+		return si.err
+	}
+	acks := 0
+	for _, n := range si.applied {
+		if w.failed(n, stripeLog(s)) {
+			c.markStripeUnsynced(s, n.ID)
+			continue
+		}
+		n.stripeSeq[s].Store(si.seq)
+		acks++
+	}
+	if acks == 0 {
 		return fmt.Errorf("%w: %d (all replicas failed the insert)", ErrStripeDown, s)
 	}
-	c.stripeSeqs[s].Store(seq)
+	c.stripeSeqs[s].Store(si.seq)
 	return nil
 }
 

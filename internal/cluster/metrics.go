@@ -12,11 +12,15 @@ import (
 // registry. Everything the cluster already tracks under its own locks —
 // membership, per-partition replication state, stripe replica sets, the
 // failure counters — is exposed by a scrape-time collector, so the
-// publish/replicate hot paths gain zero instructions.
+// publish/replicate hot paths gain zero instructions. The one live
+// instrument is the flush-wave histogram: a WAL-backed batch observes
+// it once per wave, next to the flush it times.
 func (c *Cluster) Instrument(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
+	c.flushWaveSeconds.Store(reg.Histogram("oda_cluster_wal_flush_wave_seconds",
+		"WAL flush wave wall time: wave start to the last log's Sync returning.", obs.LatencySeconds()))
 	reg.RegisterCollector(func(emit func(obs.Sample)) {
 		h := c.Health()
 		emit(obs.Sample{Name: "oda_cluster_nodes", Kind: obs.KindGauge,
@@ -85,6 +89,10 @@ func (c *Cluster) Instrument(reg *obs.Registry) {
 		// only when at least one node actually runs a WAL.
 		emit(obs.Sample{Name: "oda_cluster_wal_crashes_total", Kind: obs.KindCounter,
 			Help: "Nodes failed because their WAL could not persist.", Value: float64(c.walCrashes.Load())})
+		emit(obs.Sample{Name: "oda_cluster_wal_flush_waves_total", Kind: obs.KindCounter,
+			Help: "WAL flush waves run: one per durable publish or insert batch.", Value: float64(c.flushWaves.Load())})
+		emit(obs.Sample{Name: "oda_cluster_wal_flush_wave_logs_total", Kind: obs.KindCounter,
+			Help: "WAL logs flushed by flush waves.", Value: float64(c.flushWaveLogs.Load())})
 		emit(obs.Sample{Name: "oda_cluster_wal_recovered_records_total", Kind: obs.KindCounter,
 			Help: "Partition records rebuilt from local WALs on restart.", Value: float64(c.walRecoveredRecords.Load())})
 		emit(obs.Sample{Name: "oda_cluster_wal_recovered_rows_total", Kind: obs.KindCounter,

@@ -42,7 +42,9 @@ func (t *topicState) route(key []byte) int {
 // routes to a partition (key hash, cluster-level round-robin when
 // keyless — identical placement to a single broker for keyed messages),
 // the partition leader appends it, and followers replicate it before
-// the batch commits and becomes readable.
+// the batch commits and becomes readable. With WALs, every touched
+// replica log is flushed in one wave (see publishParts) and a replica
+// counts toward its partition's quorum only after its own log's Sync.
 //
 // Retry semantics: on error, retry the same batch. Keyed messages are
 // exactly-once — each partition remembers its staged (appended but
@@ -50,6 +52,12 @@ func (t *topicState) route(key []byte) int {
 // re-appending, even across a leader failover that lost part of the
 // staged suffix. Keyless messages re-route through the round-robin
 // cursor on retry and may duplicate; use keys when replay matters.
+//
+// The guarantee assumes one in-flight publisher per partition: a
+// partition remembers ONE staged batch. If a batch fails on some
+// partitions, commits on others, and a second publisher stages on one of
+// the committed partitions before the retry arrives, that partition has
+// forgotten the first batch and the retry appends its sub-batch again.
 func (c *Cluster) PublishBatch(topicName string, msgs []stream.Message) (int, error) {
 	if len(msgs) == 0 {
 		return 0, nil
@@ -63,22 +71,101 @@ func (c *Cluster) PublishBatch(topicName string, msgs []stream.Message) (int, er
 		p := t.route(m.Key)
 		byPart[p] = append(byPart[p], m)
 	}
+	subs := make([]partBatch, 0, len(byPart))
+	for p, sub := range byPart {
+		if len(sub) > 0 {
+			subs = append(subs, partBatch{ps: t.parts[p], msgs: sub, fp: fingerprintMsgs(sub)})
+		}
+	}
+	c.publishParts(t, subs)
 	published := 0
 	var failed []stream.Message
 	var failErr error
-	for p, sub := range byPart {
-		if len(sub) == 0 {
+	for i := range subs {
+		if subs[i].err != nil {
+			failed = append(failed, subs[i].msgs...)
+			failErr = subs[i].err
 			continue
 		}
-		if _, err := c.publishPart(t, t.parts[p], sub); err != nil {
-			failed = append(failed, sub...)
-			failErr = err
-			continue
-		}
-		published += len(sub)
+		published += len(subs[i].msgs)
 	}
 	if failErr != nil {
 		return published, &stream.PartialPublishError{Published: published, Failed: failed, Err: failErr}
+	}
+	return published, nil
+}
+
+// Publish publishes one record, returning its partition and committed
+// offset: the one-partition case of PublishBatch.
+func (c *Cluster) Publish(topicName string, key, value []byte) (int, int64, error) {
+	t, err := c.topic(topicName)
+	if err != nil {
+		return 0, 0, err
+	}
+	p := t.route(key)
+	msgs := []stream.Message{{Key: key, Value: value}}
+	subs := []partBatch{{ps: t.parts[p], msgs: msgs, fp: fingerprintMsgs(msgs)}}
+	c.publishParts(t, subs)
+	if subs[0].err != nil {
+		return 0, 0, subs[0].err
+	}
+	return p, subs[0].first, nil
+}
+
+// partBatch is one partition's share of a publish: the sub-batch and its
+// fingerprint going in, its first committed offset or its error coming
+// out.
+type partBatch struct {
+	ps   *partitionState
+	msgs []stream.Message
+	fp   uint64
+
+	pending *pendingCommit // staged, waiting for the wave; nil when nothing is
+	first   int64          // taken from the staged region while ps.mu is held
+	err     error
+}
+
+// publishParts runs the publish protocol over the touched partitions of
+// one topic (subs ascending by partition index, which is the lock
+// order). Three steps under all of their locks:
+//
+//  1. stage — per partition, on this goroutine, in index order: append on
+//     the leader (broker log + WAL), ship [hw, leaderEnd) to followers
+//     (broker log + WAL). Nothing is flushed, nothing acked.
+//  2. one flush wave — every WAL log step 1 dirtied, Sync'd concurrently.
+//  3. commit — per partition: count the replicas whose log flushed,
+//     advance hw at Quorum, append commit barriers.
+//
+// The partition lock serializes publishes, so at most one staged batch
+// exists per partition at a time — that is what lets a fingerprint match
+// identify "the same batch, retried". Paths that take one partition lock
+// at a time (fetch, Kill, Restart's replay, Repair) cannot deadlock
+// against the ascending multi-lock here.
+func (c *Cluster) publishParts(t *topicState, subs []partBatch) {
+	for i := range subs {
+		subs[i].ps.mu.Lock()
+	}
+	defer func() {
+		for i := range subs {
+			subs[i].ps.mu.Unlock()
+		}
+	}()
+	var wave flushWave
+	for i := range subs {
+		sb := &subs[i]
+		sb.first, sb.pending, sb.err = c.stagePartLocked(t, sb, &wave)
+	}
+	c.runWave(&wave)
+	ok := true
+	for i := range subs {
+		sb := &subs[i]
+		if sb.err == nil && sb.pending != nil {
+			sb.err = c.finishCommitLocked(t, sb.ps, sb.pending, &wave)
+		}
+		ok = ok && sb.err == nil
+	}
+	if !ok {
+		return
 	}
 	// The whole batch committed and the caller is about to observe
 	// success, so no retry of it can arrive: drop each partition's dedup
@@ -87,119 +174,80 @@ func (c *Cluster) PublishBatch(topicName string, msgs []stream.Message) (int, er
 	// their sub-batches by fingerprint. Dropping it now is what lets a
 	// later batch with identical content (heartbeats, constant-valued
 	// events) append as a new publish instead of being silently deduped.
-	for p, sub := range byPart {
-		if len(sub) == 0 {
-			continue
-		}
-		c.ackCommitted(t.parts[p], fingerprintMsgs(sub), len(sub))
+	for i := range subs {
+		subs[i].ps.inflight = nil
 	}
-	return published, nil
 }
 
-// ackCommitted drops a partition's committed-batch dedup state once the
-// publisher has observed success for its whole batch. A mismatched
-// fingerprint means another publisher already staged new work; leave it.
-func (c *Cluster) ackCommitted(ps *partitionState, fp uint64, n int) {
-	ps.mu.Lock()
-	if st := ps.inflight; st != nil && st.committed && st.fp == fp && st.n == n {
-		ps.inflight = nil
-	}
-	ps.mu.Unlock()
-}
-
-// Publish publishes one record, returning its partition and committed
-// offset.
-func (c *Cluster) Publish(topicName string, key, value []byte) (int, int64, error) {
-	t, err := c.topic(topicName)
-	if err != nil {
-		return 0, 0, err
-	}
-	p := t.route(key)
-	ps := t.parts[p]
-	msgs := []stream.Message{{Key: key, Value: value}}
-	// publishPart reports the record's committed offset from the staged
-	// region while it still holds the partition lock; reading hw-1 after
-	// relocking would race with concurrent publishers to the partition.
-	off, err := c.publishPart(t, ps, msgs)
-	if err != nil {
-		return 0, 0, err
-	}
-	c.ackCommitted(ps, fingerprintMsgs(msgs), len(msgs))
-	return p, off, nil
-}
-
-// publishPart runs one partition's publish protocol: stage the batch on
-// the leader log, replicate [hw, leaderEnd) to followers, commit (advance
-// hw) once Quorum replicas hold it. The partition lock serializes
-// publishes, so at most one staged batch exists at a time — that is what
-// lets a fingerprint match identify "the same batch, retried". It
-// returns the batch's first committed offset, taken from the staged
-// region while the lock is held.
-func (c *Cluster) publishPart(t *topicState, ps *partitionState, msgs []stream.Message) (int64, error) {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
+// stagePartLocked stages one partition's sub-batch: on the leader log,
+// then out to the followers, noting every WAL log it dirtied in the
+// wave. It returns the batch's first offset and the commit the wave must
+// precede — nil when a retry finds the batch already committed.
+func (c *Cluster) stagePartLocked(t *topicState, sb *partBatch, w *flushWave) (int64, *pendingCommit, error) {
+	ps := sb.ps
 	if err := c.ensureLeaderLocked(t, ps); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	fp := fingerprintMsgs(msgs)
-	if st := ps.inflight; st != nil && st.fp == fp && st.n == len(msgs) {
+	if st := ps.inflight; st != nil && st.fp == sb.fp && st.n == len(sb.msgs) {
 		// The same batch, retried: it is already on the leader log (or
 		// partially, after a failover). Resume the commit, never
 		// re-append the whole batch.
 		if st.committed {
-			return st.first, nil // a Repair pass finished the commit for us
+			return st.first, nil, nil // a Repair pass finished the commit for us
 		}
-		return c.commitStagedLocked(t, ps, msgs)
+		return c.stageCommitLocked(t, ps, sb.msgs, w)
 	}
 	if st := ps.inflight; st != nil && !st.committed {
 		// A different batch while one is staged: its publisher gave up
 		// retrying. Resolve the old region first (commit whatever the
-		// leader log holds) so a single staged region remains.
+		// leader log holds, in a wave of its own) so a single staged
+		// region remains.
 		if err := c.commitSuffixLocked(t, ps); err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 	}
 	ps.inflight = nil
-	first, err := c.stageOnLeaderLocked(t, ps, msgs)
+	first, err := c.stageOnLeaderLocked(t, ps, sb.msgs, w)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
-	ps.inflight = &staged{fp: fp, n: len(msgs), first: first}
-	return c.commitStagedLocked(t, ps, msgs)
+	ps.inflight = &staged{fp: sb.fp, n: len(sb.msgs), first: first}
+	return c.stageCommitLocked(t, ps, sb.msgs, w)
 }
 
-// commitStagedLocked finishes committing the staged batch, re-appending
-// whatever suffix a failover lost, and returns the batch's first
-// committed offset. The new leader's end offset can only be inside
+// stageCommitLocked brings the staged batch to the point where only the
+// flush is missing: it re-appends whatever suffix a failover lost, ships
+// the region to the followers, and returns the batch's first offset with
+// the pending commit. The new leader's end offset can only be inside
 // [hw, first+n]: below first+n when the promoted follower had not
 // replicated the whole staged batch, never above because the partition
 // lock admits no other publish while a batch is staged.
-func (c *Cluster) commitStagedLocked(t *topicState, ps *partitionState, msgs []stream.Message) (int64, error) {
+func (c *Cluster) stageCommitLocked(t *topicState, ps *partitionState, msgs []stream.Message, w *flushWave) (int64, *pendingCommit, error) {
 	if err := c.ensureLeaderLocked(t, ps); err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	st := ps.inflight
 	if st == nil {
 		// A failover between retries dropped the staged region below hw:
 		// the whole batch is gone from every surviving log. Re-stage it.
-		first, err := c.stageOnLeaderLocked(t, ps, msgs)
+		first, err := c.stageOnLeaderLocked(t, ps, msgs, w)
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		st = &staged{fp: fingerprintMsgs(msgs), n: len(msgs), first: first}
 		ps.inflight = st
 	}
 	ld := c.node(ps.leader)
 	if ld == nil || !ld.Alive() {
-		return 0, &nodeDownError{id: ps.leader}
+		return 0, nil, &nodeDownError{id: ps.leader}
 	}
 	end, err := ld.Broker.EndOffset(t.name, ps.idx)
 	if err != nil {
-		return 0, err
+		return 0, nil, err
 	}
 	want := st.first + int64(st.n)
 	if end > want {
-		return 0, fmt.Errorf("cluster: %s/%d leader end %d beyond staged region end %d",
+		return 0, nil, fmt.Errorf("cluster: %s/%d leader end %d beyond staged region end %d",
 			t.name, ps.idx, end, want)
 	}
 	if end < want {
@@ -209,37 +257,69 @@ func (c *Cluster) commitStagedLocked(t *topicState, ps *partitionState, msgs []s
 		if end > st.first {
 			missing = msgs[end-st.first:]
 		}
-		first2, err := c.stageOnLeaderLocked(t, ps, missing)
+		first2, err := c.stageOnLeaderLocked(t, ps, missing, w)
 		if err != nil {
-			return 0, err
+			return 0, nil, err
 		}
 		if first2 != end {
-			return 0, fmt.Errorf("cluster: %s/%d staged re-append landed at %d, want %d",
+			return 0, nil, fmt.Errorf("cluster: %s/%d staged re-append landed at %d, want %d",
 				t.name, ps.idx, first2, end)
 		}
 		if end <= st.first {
 			st.first = first2 // whole batch was lost; region restarts here
 		}
 	}
-	if err := c.commitSuffixLocked(t, ps); err != nil {
-		return 0, err
+	pc, err := c.shipSuffixLocked(t, ps, w)
+	if err != nil {
+		return 0, nil, err
 	}
-	return st.first, nil
+	return st.first, pc, nil
 }
 
-// commitSuffixLocked replicates the leader log's uncommitted suffix
-// [hw, leaderEnd) to the followers and advances hw once Quorum replicas
-// (leader included) hold it — the "followers ack before publish commits"
-// half of the protocol. On a quorum miss the suffix stays staged and
-// invisible; the error is transient so publishers retry.
+// pendingCommit is one partition's commit between its two halves: what
+// shipSuffixLocked put on the replicas' logs, for finishCommitLocked to
+// judge once the wave has flushed them.
+type pendingCommit struct {
+	leader    *Node
+	lend      int64 // leader log end: the commit covers [hw, lend)
+	followers []followerSync
+	lastErr   error // why the most recent follower dropped out, for the quorum error
+}
+
+// followerSync is one follower that holds [.., lend) in its broker log.
+type followerSync struct {
+	n       *Node
+	end     int64
+	shipped bool // records moved in this pass (its log grew)
+}
+
+// commitSuffixLocked is the one-partition commit: replicate the leader
+// log's uncommitted suffix [hw, leaderEnd) to the followers, flush, and
+// advance hw once Quorum replicas (leader included) hold it durably —
+// the "followers ack before publish commits" half of the protocol. On a
+// quorum miss the suffix stays staged and invisible; the error is
+// transient so publishers retry.
 func (c *Cluster) commitSuffixLocked(t *topicState, ps *partitionState) error {
+	var wave flushWave
+	pc, err := c.shipSuffixLocked(t, ps, &wave)
+	if err != nil {
+		return err
+	}
+	c.runWave(&wave)
+	return c.finishCommitLocked(t, ps, pc, &wave)
+}
+
+// shipSuffixLocked is the commit's first half: every follower is brought
+// up to the leader's end in its broker log and WAL buffer. Nothing it
+// does is durable yet and nothing is acked.
+func (c *Cluster) shipSuffixLocked(t *topicState, ps *partitionState, w *flushWave) (*pendingCommit, error) {
 	ld := c.node(ps.leader)
 	if ld == nil || !ld.Alive() {
-		return &nodeDownError{id: ps.leader}
+		return nil, &nodeDownError{id: ps.leader}
 	}
 	lend, err := ld.Broker.EndOffset(t.name, ps.idx)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// A dead follower — or a follower set left short by a failover when
 	// fewer than RF members were alive — would pin the partition below
@@ -259,51 +339,61 @@ func (c *Cluster) commitSuffixLocked(t *topicState, ps *partitionState) error {
 	if refresh {
 		c.refreshFollowersLocked(ps)
 	}
-	ps.acked[ps.leader] = lend
-	acks := 1
-	var lastErr error
-	type followerAck struct {
-		id      string
-		shipped bool
-	}
-	ackedFollowers := make([]followerAck, 0, len(ps.followers))
+	pc := &pendingCommit{leader: ld, lend: lend, followers: make([]followerSync, 0, len(ps.followers))}
 	for _, r := range ps.followers {
-		shipped, err := c.syncFollowerLocked(t, ps, r, lend)
+		f, err := c.syncFollowerLocked(t, ps, r, lend, w)
 		if err != nil {
-			lastErr = err
+			pc.lastErr = err
 			continue
 		}
-		ackedFollowers = append(ackedFollowers, followerAck{id: r, shipped: shipped})
+		pc.followers = append(pc.followers, f)
+	}
+	return pc, nil
+}
+
+// finishCommitLocked is the commit's second half, after the wave: a
+// replica counts toward the quorum only if its own log's Sync returned.
+// A leader whose flush failed has crashed with the batch still staged;
+// the transient node-down error makes the publisher retry, and the retry
+// resumes the staged batch on whichever replica is promoted.
+func (c *Cluster) finishCommitLocked(t *topicState, ps *partitionState, pc *pendingCommit, w *flushWave) error {
+	name := partitionLog(t.name, ps.idx)
+	if w.failed(pc.leader, name) {
+		return &nodeDownError{id: pc.leader.ID}
+	}
+	ps.acked[ps.leader] = pc.lend
+	acks := 1
+	lastErr := pc.lastErr
+	acked := pc.followers[:0]
+	for _, f := range pc.followers {
+		if w.failed(f.n, name) {
+			lastErr = &nodeDownError{id: f.n.ID}
+			continue
+		}
+		ps.acked[f.n.ID] = f.end
+		acked = append(acked, f)
 		acks++
 	}
 	if acks < c.cfg.Quorum {
 		c.quorumFailures.Add(1)
 		return &quorumError{topic: t.name, part: ps.idx, acks: acks, quorum: c.cfg.Quorum, cause: lastErr}
 	}
-	hwBefore := ps.hw
-	if lend > ps.hw {
-		ps.hw = lend
+	advanced := pc.lend > ps.hw
+	if advanced {
+		ps.hw = pc.lend
 	}
 	// WAL commit barriers, on the replicas whose knowledge changed this
 	// pass: the leader when hw advanced, an acked follower when it also
 	// shipped records (its log grew) or hw advanced. Quiescent repair
-	// passes change nothing and write nothing. Barrier failures crash
-	// the replica (walCrash) but never undo the quorum commit above.
-	if name := partitionLog(t.name, ps.idx); ps.hw > hwBefore {
-		_ = c.walCommitBarrier(ld, name, ps.hw, ps.epoch)
-		for _, f := range ackedFollowers {
-			if fn := c.node(f.id); fn != nil && fn.Alive() {
-				_ = c.walCommitBarrier(fn, name, ps.hw, ps.epoch)
-			}
-		}
-	} else {
-		for _, f := range ackedFollowers {
-			if !f.shipped {
-				continue
-			}
-			if fn := c.node(f.id); fn != nil && fn.Alive() {
-				_ = c.walCommitBarrier(fn, name, ps.hw, ps.epoch)
-			}
+	// passes change nothing and write nothing. Barriers ride the next
+	// wave; a barrier failure crashes the replica (walCrash) but never
+	// undoes the quorum commit above.
+	if advanced {
+		_ = c.walCommitBarrier(pc.leader, name, ps.hw, ps.epoch)
+	}
+	for _, f := range acked {
+		if (advanced || f.shipped) && f.n.Alive() {
+			_ = c.walCommitBarrier(f.n, name, ps.hw, ps.epoch)
 		}
 	}
 	if ps.inflight != nil {
@@ -316,31 +406,30 @@ func (c *Cluster) commitSuffixLocked(t *topicState, ps *partitionState) error {
 }
 
 // syncFollowerLocked ships the leader log to one follower until the
-// follower holds [.., lend), returning whether any records moved. Each
-// hop crosses the faultable transport under the retry policy;
-// ReplicateBatch preserves leader offsets and skips records the
-// follower already holds, so re-delivery after a failed session cannot
-// duplicate or reorder. Shipped chunks land on the follower's WAL
-// (append + fsync) before the loop continues — the follower's ack is
-// only ever granted for durable records.
-func (c *Cluster) syncFollowerLocked(t *topicState, ps *partitionState, id string, lend int64) (bool, error) {
-	shipped := false
+// follower holds [.., lend). Each hop crosses the faultable transport
+// under the retry policy; ReplicateBatch preserves leader offsets and
+// skips records the follower already holds, so re-delivery after a
+// failed session cannot duplicate or reorder. Shipped chunks are staged
+// on the follower's WAL and noted in the wave — the follower's ack is
+// only ever granted after that log's flush.
+func (c *Cluster) syncFollowerLocked(t *topicState, ps *partitionState, id string, lend int64, w *flushWave) (followerSync, error) {
 	f := c.node(id)
 	if f == nil || !f.Alive() {
-		return shipped, &nodeDownError{id: id}
+		return followerSync{}, &nodeDownError{id: id}
 	}
 	ld := c.node(ps.leader)
 	if ld == nil || !ld.Alive() {
-		return shipped, &nodeDownError{id: ps.leader}
+		return followerSync{}, &nodeDownError{id: ps.leader}
 	}
+	fs := followerSync{n: f}
 	for {
 		fend, err := f.Broker.EndOffset(t.name, ps.idx)
 		if err != nil {
-			return shipped, err
+			return fs, err
 		}
 		if fend >= lend {
-			ps.acked[id] = fend
-			return shipped, nil
+			fs.end = fend
+			return fs, nil
 		}
 		var recs []stream.Record
 		err = resilience.Retry(context.Background(), c.cfg.Retry, func() error {
@@ -363,19 +452,19 @@ func (c *Cluster) syncFollowerLocked(t *topicState, ps *partitionState, id strin
 			return ferr
 		})
 		if err != nil {
-			return shipped, err
+			return fs, err
 		}
 		if len(recs) == 0 {
-			return shipped, fmt.Errorf("cluster: %s/%d replication stalled at %d (leader end %d)",
+			return fs, fmt.Errorf("cluster: %s/%d replication stalled at %d (leader end %d)",
 				t.name, ps.idx, fend, lend)
 		}
 		if err := f.Broker.ReplicateBatch(t.name, ps.idx, recs); err != nil {
-			return shipped, err
+			return fs, err
 		}
-		if err := c.walAppendRecords(f, partitionLog(t.name, ps.idx), recs); err != nil {
-			return shipped, err
+		if err := c.walAppendRecords(f, partitionLog(t.name, ps.idx), recs, w); err != nil {
+			return fs, err
 		}
-		shipped = true
+		fs.shipped = true
 		c.replicated.Add(int64(len(recs)))
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"net/url"
 	"strconv"
+	"sync"
 	"time"
 
 	"odakit/internal/schema"
@@ -19,7 +20,16 @@ func partitionLog(topic string, idx int) string {
 	return "t/" + url.PathEscape(topic) + "/" + strconv.Itoa(idx)
 }
 
-func stripeLog(s int) string { return "lake/" + strconv.Itoa(s) }
+// stripeLogs holds the stripe log names, built once: the insert path asks
+// for one per stripe per batch, WAL or not.
+var stripeLogs = func() (names [tsdb.NumStripes]string) {
+	for s := range names {
+		names[s] = "lake/" + strconv.Itoa(s)
+	}
+	return names
+}()
+
+func stripeLog(s int) string { return stripeLogs[s] }
 
 // errStopReplay aborts a WAL replay early without reporting failure —
 // recovery trusts the contiguous prefix it has seen so far.
@@ -51,17 +61,105 @@ func (c *Cluster) walCrash(n *Node) error {
 	return &nodeDownError{id: n.ID}
 }
 
-// walAppendRecords makes a replicated chunk durable on a node's WAL.
-// Replication acks ride on the Sync barrier: the caller must not count
-// the node's ack until this returns nil.
-func (c *Cluster) walAppendRecords(n *Node, name string, recs []stream.Record) error {
-	w := n.WAL()
-	if w == nil {
+// flushWave is the durability half of a write. Staging (walAppendRecords,
+// walAppendInsert) only appends to a replica's log and notes the log
+// here; runWave then issues every noted log's Sync at once. Nodes are
+// separate machines and logs separate files, so nothing in the
+// fsync-before-ack contract orders those waits — only that each
+// replica's ack comes after its own log's Sync, which the callers keep
+// by asking failed before they count it. A memory-only cluster notes
+// nothing, so its wave is empty and runs nothing.
+type flushWave struct {
+	logs []dirtyLog
+}
+
+// dirtyLog is one (node, log) a batch appended to and has not flushed.
+type dirtyLog struct {
+	n    *Node
+	name string
+	l    *wal.Log
+	err  error // set by runWave: this log's Sync failed
+}
+
+// note records that the batch dirtied l; a log appended to twice in one
+// batch (chunked follower sync, a re-staged suffix) is flushed once.
+func (w *flushWave) note(n *Node, name string, l *wal.Log) {
+	for i := range w.logs {
+		if w.logs[i].l == l {
+			return
+		}
+	}
+	w.logs = append(w.logs, dirtyLog{n: n, name: name, l: l})
+}
+
+// failed reports whether the node's named log failed to flush in this
+// wave — the one condition that drops a replica's ack. It is asked of
+// the flush, not of the node: a replica whose Sync returned and whose
+// node died afterwards holds the records durably and still counts.
+func (w *flushWave) failed(n *Node, name string) bool {
+	for i := range w.logs {
+		if d := &w.logs[i]; d.err != nil && d.n == n && d.name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// runWave flushes every noted log concurrently and returns once all
+// have. Only the Sync calls leave the calling goroutine: every append,
+// broker write and transport call of the batch already happened on it,
+// in order. A failed Sync crashes its node, exactly as a failed append
+// does.
+func (c *Cluster) runWave(w *flushWave) {
+	if len(w.logs) == 0 {
+		return
+	}
+	t0 := time.Now()
+	var wg sync.WaitGroup
+	wg.Add(len(w.logs))
+	for i := range w.logs {
+		go func(d *dirtyLog) {
+			defer wg.Done()
+			d.err = d.l.Sync()
+		}(&w.logs[i])
+	}
+	wg.Wait()
+	c.flushWaves.Add(1)
+	c.flushWaveLogs.Add(int64(len(w.logs)))
+	c.flushWaveSeconds.Load().Observe(time.Since(t0).Seconds())
+	for i := range w.logs {
+		if w.logs[i].err != nil {
+			_ = c.walCrash(w.logs[i].n) // the error is the caller's to build, per replica
+		}
+	}
+}
+
+// walAppend stages entries on a node's named log and notes the log in
+// the wave. Nothing is durable, and the node's ack must not count, until
+// the wave has run and failed reports false for this log. A nil wave
+// notes nothing: the entries ride the next wave that flushes this log.
+func (c *Cluster) walAppend(n *Node, name string, w *flushWave, entries ...wal.Entry) error {
+	nw := n.WAL()
+	if nw == nil {
 		return nil
 	}
-	l, err := w.Log(name)
+	l, err := nw.Log(name)
+	if err == nil {
+		err = l.Append(entries...)
+	}
 	if err != nil {
 		return c.walCrash(n)
+	}
+	if w != nil {
+		w.note(n, name, l)
+	}
+	return nil
+}
+
+// walAppendRecords stages a replicated chunk on a node's WAL.
+func (c *Cluster) walAppendRecords(n *Node, name string, recs []stream.Record, w *flushWave) error {
+	if n.WAL() == nil {
+		return nil
 	}
 	entries := make([]wal.Entry, len(recs))
 	for i, r := range recs {
@@ -70,60 +168,30 @@ func (c *Cluster) walAppendRecords(n *Node, name string, recs []stream.Record) e
 			Key: r.Key, Value: r.Value,
 		}
 	}
-	if err := l.Append(entries...); err != nil {
-		return c.walCrash(n)
-	}
-	if err := l.Sync(); err != nil {
-		return c.walCrash(n)
-	}
-	return nil
+	return c.walAppend(n, name, w, entries...)
 }
 
 // walCommitBarrier records how far the quorum-committed prefix reached
 // on one replica's log, and at which leadership epoch the replica
-// learned it. Barriers are appended without an fsync of their own — the
-// next record append's Sync flushes them, and losing one only shrinks
-// the prefix the next recovery trusts, never corrupts it.
+// learned it. Barriers are appended after the batch's wave and join no
+// wave of their own — the next batch's wave on this log flushes them,
+// and losing one only shrinks the prefix the next recovery trusts,
+// never corrupts it.
 func (c *Cluster) walCommitBarrier(n *Node, name string, hw, epoch int64) error {
-	w := n.WAL()
-	if w == nil {
-		return nil
-	}
-	l, err := w.Log(name)
-	if err != nil {
-		return c.walCrash(n)
-	}
-	if err := l.Append(wal.Entry{Kind: wal.KindCommit, HW: hw, Epoch: epoch}); err != nil {
-		return c.walCrash(n)
-	}
-	return nil
+	return c.walAppend(n, name, nil, wal.Entry{Kind: wal.KindCommit, HW: hw, Epoch: epoch})
 }
 
-// walAppendInsert makes one lake insert batch durable on a replica's
-// stripe log under its cluster-wide sequence number, before the replica
-// counts toward the insert's ack.
-func (c *Cluster) walAppendInsert(n *Node, s int, seq int64, obs []schema.Observation) error {
-	w := n.WAL()
-	if w == nil {
-		return nil
-	}
-	l, err := w.Log(stripeLog(s))
-	if err == nil {
-		if err = l.Append(wal.Entry{Kind: wal.KindInsert, Seq: seq, Obs: obs}); err == nil {
-			err = l.Sync()
-		}
-	}
-	if err != nil {
-		return c.walCrash(n)
-	}
-	return nil
+// walAppendInsert stages one lake insert batch on a replica's stripe
+// log under its cluster-wide sequence number.
+func (c *Cluster) walAppendInsert(n *Node, s int, seq int64, obs []schema.Observation, w *flushWave) error {
+	return c.walAppend(n, stripeLog(s), w, wal.Entry{Kind: wal.KindInsert, Seq: seq, Obs: obs})
 }
 
 // stageOnLeaderLocked appends msgs to the leader's partition log and
-// makes them durable on the leader's WAL — the leader's half of the
-// "persist before ack" rule (followers persist in syncFollowerLocked).
-// ps.mu held.
-func (c *Cluster) stageOnLeaderLocked(t *topicState, ps *partitionState, msgs []stream.Message) (int64, error) {
+// stages them on the leader's WAL — the leader's half of the "persist
+// before ack" rule (followers stage in syncFollowerLocked; the wave
+// flushes both). ps.mu held.
+func (c *Cluster) stageOnLeaderLocked(t *topicState, ps *partitionState, msgs []stream.Message, w *flushWave) (int64, error) {
 	ld := c.node(ps.leader)
 	if ld == nil || !ld.Alive() {
 		return 0, &nodeDownError{id: ps.leader}
@@ -142,7 +210,7 @@ func (c *Cluster) stageOnLeaderLocked(t *topicState, ps *partitionState, msgs []
 		if err != nil {
 			return 0, err
 		}
-		if err := c.walAppendRecords(ld, partitionLog(t.name, ps.idx), recs); err != nil {
+		if err := c.walAppendRecords(ld, partitionLog(t.name, ps.idx), recs, w); err != nil {
 			return 0, err
 		}
 	}
@@ -345,21 +413,36 @@ func (c *Cluster) catchupStripeFromWAL(s int, src, tgt string) bool {
 	if ins[start].Seq > have+1 {
 		return false
 	}
+	// Stage the whole missing suffix, then flush it in one wave. The
+	// target's sequence moves only after the wave, and only as far as was
+	// staged: a crash mid-suffix leaves it where its log left it, and a
+	// suffix cut short by the transport still records what the lake now
+	// holds, so the next pass resumes there instead of re-applying it.
+	var wave flushWave
+	last := have
 	for _, e := range ins[start:] {
 		if e.Seq <= have {
 			continue
 		}
 		if err := c.transport.call(OpResync, src, tgt); err != nil {
-			return false
+			break
 		}
 		if err := tn.Lake().InsertBatch(e.Obs); err != nil {
-			tn.stripeSeq[s].Store(-1)
+			last = -1
+			break
+		}
+		if err := c.walAppendInsert(tn, s, e.Seq, e.Obs, &wave); err != nil {
 			return false
 		}
-		if err := c.walAppendInsert(tn, s, e.Seq, e.Obs); err != nil {
-			return false
-		}
-		tn.stripeSeq[s].Store(e.Seq)
+		last = e.Seq
+	}
+	c.runWave(&wave)
+	if wave.failed(tn, stripeLog(s)) {
+		return false
+	}
+	tn.stripeSeq[s].Store(last)
+	if last != target {
+		return false
 	}
 	c.lmu.Lock()
 	c.servers[s][tgt] = true

@@ -88,27 +88,38 @@ func TestChaosClusterWALCrashPoints(t *testing.T) {
 				c, ref := newCrashPointCluster(t)
 				inj := faults.New(seed)
 				inj.Set(op, faults.Rates{FailAfter: k})
-				inj.InstallWAL(c.NodeWAL("n2"))
+				// Inside a flush wave the log the k-th fsync lands on depends
+				// on the scheduler (the boundary COUNT does not), so every
+				// failure below names the log this run's fault actually hit.
+				var hit atomic.Value
+				c.NodeWAL("n2").SetFaultHook(func(o, target string) error {
+					err := inj.Before(o, target)
+					if err != nil {
+						hit.CompareAndSwap(nil, target)
+					}
+					return err
+				})
 
 				want := crashPointWorkload(t, c, ref, seed, topic)
 				if got := inj.Stats()[op].Permanents; got == 0 {
 					t.Fatalf("k=%d: boundary never hit (%d calls)", k, inj.Stats()[op].Calls)
 				}
+				where := fmt.Sprintf("k=%d %s on n2 log %v (seed %d)", k, op, hit.Load(), seed)
 				if c.node("n2").Alive() {
-					t.Fatalf("k=%d: n2 survived a failed %s; WAL failure must crash the node", k, op)
+					t.Fatalf("%s: n2 survived; WAL failure must crash the node", where)
 				}
 
 				// The restarted WAL handle carries no fault hook, so
 				// recovery itself runs clean — the crash left whatever
 				// prefix the fsync boundaries made durable.
 				if err := c.Restart("n2"); err != nil {
-					t.Fatalf("k=%d: restart: %v", k, err)
+					t.Fatalf("%s: restart: %v", where, err)
 				}
-				assertDiskPrefix(t, c, "n2", topic, want, fmt.Sprintf("k=%d %s", k, op))
+				assertDiskPrefix(t, c, "n2", topic, want, where)
 				repairUntilOK(t, c)
-				assertExactSequences(t, c, topic, want, fmt.Sprintf("k=%d %s", k, op))
+				assertExactSequences(t, c, topic, want, where)
 				qrng := rand.New(rand.NewSource(seed + k))
-				assertQueriesMatch(t, ref, c, qrng, 3, fmt.Sprintf("k=%d %s", k, op))
+				assertQueriesMatch(t, ref, c, qrng, 3, where)
 			}
 		})
 	}

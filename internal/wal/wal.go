@@ -10,6 +10,14 @@
 // NodeWAL.Abandon, which simulates one) loses buffered frames but never
 // corrupts the flushed prefix; open truncates at the first torn frame.
 //
+// What an ack rides on: the cluster stages a whole batch with Append on
+// every replica log it touches, then calls Sync on all of those logs
+// concurrently (one flush wave per batch; Log is safe for that) and
+// counts a replica's ack only once that replica's own Sync has returned
+// nil. Commit barriers are appended after the wave without a Sync of
+// their own and become durable with the next wave that flushes their
+// log.
+//
 // Fault injection: SetFaultHook arms the wal.open, wal.append,
 // wal.fsync, and wal.replay operations (see the Op constants), firing
 // before the guarded step mutates anything — the hook surface
