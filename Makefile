@@ -16,9 +16,11 @@ test:
 # The repo's benchmark (benchmark/, see BENCHMARK.json) is its own Go
 # module, so the root build, vet and test never compile it. This target
 # does: an internal/ signature change that breaks benchmark/sut.go fails
-# here instead of in the driver's run.
+# here instead of in the driver's run. The cold-scan and OCF-write
+# microbenchmarks run once each so they cannot rot either.
 bench-smoke:
 	(cd benchmark && $(GO) vet ./... && $(GO) test ./...)
+	$(GO) test -bench 'ScanColumnsCold|WriteTelemetry' -benchtime 1x -run xxx ./internal/columnar
 
 # Net non-test Go line delta of the working tree versus BASE — the number
 # ROADMAP asks every PR to state. Counts added/deleted lines of .go files
@@ -32,7 +34,8 @@ loc-delta:
 # The concurrency-heavy packages get a dedicated race-detector pass: the
 # striped-lock LAKE store, the partitioned STREAM broker, the pipeline
 # that batches into both, the parallel read surfaces (log search
-# fan-out, columnar row-group decode), the resilience substrate
+# fan-out, columnar row-group decode and the schema frame primitives it
+# gathers and appends with on its workers), the resilience substrate
 # (retry/breaker/supervisor, fault injector, streaming jobs), the
 # tier-federation path (object store gets under offload, glacier recall),
 # the serving layer (gateway token buckets + priority admission,
@@ -42,7 +45,7 @@ loc-delta:
 # and ascending multi-partition locking, failover, scatter-gather), and
 # the per-node WAL (concurrent appends/syncs against replay and close).
 race:
-	$(GO) test -race ./internal/stream ./internal/tsdb ./internal/core ./internal/logsearch ./internal/columnar ./internal/faults ./internal/resilience ./internal/sproc ./internal/obs ./internal/objstore ./internal/archive ./internal/gateway ./internal/httpapi ./internal/cq ./internal/cluster ./internal/wal
+	$(GO) test -race ./internal/schema ./internal/stream ./internal/tsdb ./internal/core ./internal/logsearch ./internal/columnar ./internal/faults ./internal/resilience ./internal/sproc ./internal/obs ./internal/objstore ./internal/archive ./internal/gateway ./internal/httpapi ./internal/cq ./internal/cluster ./internal/wal
 
 # Chaos pass: the full pipeline under deterministic fault injection with
 # the race detector on. ODA_CHAOS_SEED pins the injection schedule so a

@@ -423,6 +423,7 @@ func BenchmarkScanWithPushdown(b *testing.B) {
 	}
 	base := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
 	pred := Predicate{Col: "ts", Min: schema.Time(base.Add(10 * time.Second)), Max: schema.Time(base.Add(60 * time.Second))}
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := fr.Scan(pred); err != nil {

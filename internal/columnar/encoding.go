@@ -53,16 +53,16 @@ func decodeIntBlock(buf []byte) ([]int64, int, error) {
 		return nil, 0, fmt.Errorf("columnar: bad int block count")
 	}
 	off := sz
-	vals := make([]int64, 0, n)
+	vals := make([]int64, n)
 	prev := int64(0)
-	for i := uint64(0); i < n; i++ {
+	for i := range vals {
 		d, sz := binary.Varint(buf[off:])
 		if sz <= 0 {
 			return nil, 0, fmt.Errorf("columnar: truncated int block at %d", i)
 		}
 		off += sz
 		prev += d
-		vals = append(vals, prev)
+		vals[i] = prev
 	}
 	return vals, off, nil
 }
@@ -237,7 +237,8 @@ func encodeColumn(col *schema.Column) []byte {
 	return buf
 }
 
-// decodeColumn rebuilds a column from its serialized form.
+// decodeColumn rebuilds a column from its serialized form. The column
+// keeps no reference to buf.
 func decodeColumn(buf []byte) (*schema.Column, int, error) {
 	if len(buf) < 2 {
 		return nil, 0, fmt.Errorf("columnar: short column chunk")
@@ -259,18 +260,16 @@ func decodeColumn(buf []byte) (*schema.Column, int, error) {
 	mask := buf[off : off+mb]
 	off += mb
 
-	col := schema.NewColumn(kind)
-	appendAll := func(get func(i int) schema.Value) error {
-		for i := 0; i < n; i++ {
-			var v schema.Value
-			if !bitmapGet(mask, i) {
-				v = get(i)
-			}
-			if err := col.Append(v); err != nil {
-				return err
+	// The decoded block goes to the column as is: the schema constructor
+	// adopts the slice and zeroes whatever payload sits under a null bit.
+	nulls := make([]bool, n)
+	for i, b := range mask {
+		for j := i * 8; b != 0; j, b = j+1, b>>1 {
+			// Set bits past n in the last mask byte are padding, not rows.
+			if b&1 != 0 && j < n {
+				nulls[j] = true
 			}
 		}
-		return nil
 	}
 	switch kind {
 	case schema.KindInt, schema.KindTime:
@@ -281,23 +280,21 @@ func decodeColumn(buf []byte) (*schema.Column, int, error) {
 		if len(vals) != n {
 			return nil, 0, fmt.Errorf("columnar: int block has %d values, want %d", len(vals), n)
 		}
-		off += consumed
-		mk := schema.Int
-		if kind == schema.KindTime {
-			mk = schema.TimeNanos
-		}
-		if err := appendAll(func(i int) schema.Value { return mk(vals[i]) }); err != nil {
-			return nil, 0, err
-		}
+		col, err := schema.IntColumn(kind, vals, nulls)
+		return col, off + consumed, err
 	case schema.KindBool:
-		if off+bitmapBytes(n) > len(buf) {
+		if off+mb > len(buf) {
 			return nil, 0, fmt.Errorf("columnar: truncated bool bitmap")
 		}
-		bm := buf[off : off+bitmapBytes(n)]
-		off += bitmapBytes(n)
-		if err := appendAll(func(i int) schema.Value { return schema.Bool(bitmapGet(bm, i)) }); err != nil {
-			return nil, 0, err
+		bm := buf[off : off+mb]
+		vals := make([]int64, n)
+		for i := range vals {
+			if bitmapGet(bm, i) {
+				vals[i] = 1
+			}
 		}
+		col, err := schema.IntColumn(kind, vals, nulls)
+		return col, off + mb, err
 	case schema.KindFloat:
 		vals, consumed, err := decodeFloatBlock(buf[off:])
 		if err != nil {
@@ -306,10 +303,8 @@ func decodeColumn(buf []byte) (*schema.Column, int, error) {
 		if len(vals) != n {
 			return nil, 0, fmt.Errorf("columnar: float block has %d values, want %d", len(vals), n)
 		}
-		off += consumed
-		if err := appendAll(func(i int) schema.Value { return schema.Float(vals[i]) }); err != nil {
-			return nil, 0, err
-		}
+		col, err := schema.FloatColumn(vals, nulls)
+		return col, off + consumed, err
 	case schema.KindString:
 		vals, consumed, err := decodeStringBlock(buf[off:])
 		if err != nil {
@@ -318,12 +313,9 @@ func decodeColumn(buf []byte) (*schema.Column, int, error) {
 		if len(vals) != n {
 			return nil, 0, fmt.Errorf("columnar: string block has %d values, want %d", len(vals), n)
 		}
-		off += consumed
-		if err := appendAll(func(i int) schema.Value { return schema.Str(vals[i]) }); err != nil {
-			return nil, 0, err
-		}
+		col, err := schema.StringColumn(vals, nulls)
+		return col, off + consumed, err
 	default:
 		return nil, 0, fmt.Errorf("columnar: unknown column kind %d", kind)
 	}
-	return col, off, nil
 }

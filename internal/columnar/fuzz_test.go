@@ -67,6 +67,7 @@ func FuzzFileReader(f *testing.F) {
 	}
 	f.Add([]byte("OCF1"))
 	f.Add([]byte{})
+	f.Add(hostileNullStream())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {
@@ -92,6 +93,20 @@ func FuzzFileReader(f *testing.F) {
 		}
 		if all.Len() != total {
 			t.Fatalf("ReadAll rows %d != sum of groups %d", all.Len(), total)
+		}
+		// Decoded blocks are adopted, not re-appended: whatever a chunk
+		// hid under a null bit must be gone from the raw payload.
+		for c := 0; c < all.Schema().Len(); c++ {
+			col := all.Col(c)
+			for i := 0; i < col.Len(); i++ {
+				if !col.IsNull(i) {
+					continue
+				}
+				if (col.Ints() != nil && col.Ints()[i] != 0) || (col.Floats() != nil && col.Floats()[i] != 0) ||
+					(col.Strs() != nil && col.Strs()[i] != "") {
+					t.Fatalf("column %d row %d: null with a non-zero payload", c, i)
+				}
+			}
 		}
 		res, err := fr.Scan()
 		if err != nil {

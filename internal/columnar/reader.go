@@ -3,11 +3,14 @@ package columnar
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"compress/flate"
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -26,19 +29,44 @@ type ColStats struct {
 }
 
 func computeStats(col *schema.Column) ColStats {
-	s := ColStats{Count: col.Len()}
-	for i := 0; i < col.Len(); i++ {
-		v := col.Value(i)
-		if v.IsNull() {
+	switch col.Kind() {
+	case schema.KindInt:
+		return typedStats(col, col.Ints(), schema.Int)
+	case schema.KindTime:
+		return typedStats(col, col.Ints(), schema.TimeNanos)
+	case schema.KindBool:
+		return typedStats(col, col.Ints(), func(v int64) schema.Value { return schema.Bool(v != 0) })
+	case schema.KindFloat:
+		return typedStats(col, col.Floats(), schema.Float)
+	case schema.KindString:
+		return typedStats(col, col.Strs(), schema.Str)
+	}
+	return ColStats{Count: col.Len(), NullCount: col.Len()}
+}
+
+// typedStats folds a column's raw payload into its zone map without
+// boxing each value. cmp.Less is Value.Compare's order within a kind,
+// NaN before every number included.
+func typedStats[T cmp.Ordered](col *schema.Column, vals []T, box func(T) schema.Value) ColStats {
+	s := ColStats{Count: len(vals)}
+	var lo, hi T
+	for i, v := range vals {
+		switch {
+		case col.IsNull(i):
 			s.NullCount++
-			continue
+		case s.NullCount == i: // first non-null value
+			lo, hi = v, v
+		default:
+			if cmp.Less(v, lo) {
+				lo = v
+			}
+			if cmp.Less(hi, v) {
+				hi = v
+			}
 		}
-		if s.Min.IsNull() || v.Compare(s.Min) < 0 {
-			s.Min = v
-		}
-		if s.Max.IsNull() || v.Compare(s.Max) > 0 {
-			s.Max = v
-		}
+	}
+	if s.NullCount < len(vals) {
+		s.Min, s.Max = box(lo), box(hi)
 	}
 	return s
 }
@@ -269,29 +297,86 @@ func (fr *FileReader) GroupStats(i int) []ColStats { return fr.groups[i].Stats }
 // cap it becomes an arbitrary allocation in decodeChunk.
 const maxChunkRawLen = 1 << 30
 
+// chunkReader is the pooled state for reading one column chunk: an
+// inflater reused through flate.Resetter instead of built per chunk, the
+// buffered reader the streaming dictionary pre-pass parses through, and
+// the scratch both paths fill. Nothing decoded keeps a reference to the
+// scratch, so it goes back to the pool with the reader.
+type chunkReader struct {
+	src bytes.Reader
+	zr  io.ReadCloser    // flate reader over &src
+	lim io.LimitedReader // the chunk's raw bytes, see openChunk
+	br  *bufio.Reader    // over &lim
+	raw bytes.Buffer     // a whole inflated chunk (decodeChunk)
+	str []byte           // one string (stringEqKeep)
+}
+
+// maxPooledScratch is the largest scratch buffer a pooled chunkReader
+// keeps; one oversized chunk must not pin its buffer for the process.
+const maxPooledScratch = 1 << 20
+
+var chunkReaders = sync.Pool{New: func() any {
+	cr := &chunkReader{}
+	cr.zr = flate.NewReader(&cr.src)
+	cr.br = bufio.NewReader(&cr.lim)
+	return cr
+}}
+
+// openChunk returns a pooled reader with lim positioned at the start of
+// the chunk's raw bytes. lim ends one byte past the declared raw length:
+// enough to tell a chunk that inflates past its declaration, and the stop
+// for decompression bombs.
+func openChunk(ch chunkRef) *chunkReader {
+	cr := chunkReaders.Get().(*chunkReader)
+	cr.src.Reset(ch.payload)
+	cr.lim.R = &cr.src
+	if ch.comp == CompressFlate {
+		// Reset only fails on a bad dictionary; there is none.
+		_ = cr.zr.(flate.Resetter).Reset(&cr.src, nil)
+		cr.lim.R = cr.zr
+	}
+	cr.lim.N = int64(ch.rawLen) + 1
+	return cr
+}
+
+func (cr *chunkReader) release() {
+	cr.src.Reset(nil) // drop the object's bytes
+	if cr.raw.Cap() > maxPooledScratch {
+		cr.raw = bytes.Buffer{}
+	}
+	if cap(cr.str) > maxPooledScratch {
+		cr.str = nil
+	}
+	chunkReaders.Put(cr)
+}
+
 // decodeChunk inflates and decodes one column chunk of a group.
 func (fr *FileReader) decodeChunk(g *RowGroup, c int) (*schema.Column, error) {
 	ch := g.chunks[c]
 	raw := ch.payload
 	if ch.comp == CompressFlate {
-		zr := flate.NewReader(bytes.NewReader(ch.payload))
+		cr := openChunk(ch)
+		defer cr.release()
+		cr.raw.Reset()
 		// The declared raw length is only an allocation hint, capped so a
-		// corrupt header cannot force a huge up-front make; LimitReader
-		// stops decompression bombs that inflate past their declaration.
-		dec := make([]byte, 0, min(ch.rawLen, 1<<20))
-		b := bytes.NewBuffer(dec)
-		n, err := io.Copy(b, io.LimitReader(zr, int64(ch.rawLen)+1))
+		// corrupt header cannot force a huge up-front make. MinRead spare
+		// lets ReadFrom see EOF without regrowing an exactly-sized buffer.
+		cr.raw.Grow(min(ch.rawLen, maxPooledScratch) + bytes.MinRead)
+		n, err := cr.raw.ReadFrom(&cr.lim)
 		if err != nil {
 			return nil, fmt.Errorf("columnar: inflate: %w", err)
 		}
 		if n > int64(ch.rawLen) {
 			return nil, fmt.Errorf("columnar: chunk inflates past declared %d bytes", ch.rawLen)
 		}
-		raw = b.Bytes()
+		raw = cr.raw.Bytes()
 	}
 	col, _, err := decodeColumn(raw)
 	if err != nil {
 		return nil, fmt.Errorf("columnar: column %d: %w", c, err)
+	}
+	if want := fr.sch.Field(c).Kind; col.Kind() != want {
+		return nil, fmt.Errorf("columnar: column %d is %v, schema says %v", c, col.Kind(), want)
 	}
 	if col.Len() != g.Rows {
 		return nil, fmt.Errorf("columnar: column %d has %d rows, group has %d", c, col.Len(), g.Rows)
@@ -305,8 +390,7 @@ func (fr *FileReader) ReadGroup(i int) (*schema.Frame, error) {
 		return nil, fmt.Errorf("columnar: row group %d out of range", i)
 	}
 	g := fr.groups[i]
-	f := schema.NewFrame(fr.sch)
-	cols := make([]*schema.Column, fr.sch.Len())
+	cols := make([]*schema.Column, len(g.chunks))
 	for c := range g.chunks {
 		col, err := fr.decodeChunk(g, c)
 		if err != nil {
@@ -314,17 +398,7 @@ func (fr *FileReader) ReadGroup(i int) (*schema.Frame, error) {
 		}
 		cols[c] = col
 	}
-	// Rebuild the frame row-wise (columns validated above).
-	for r := 0; r < g.Rows; r++ {
-		row := make(schema.Row, len(cols))
-		for c := range cols {
-			row[c] = cols[c].Value(r)
-		}
-		if err := f.AppendRow(row); err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
+	return schema.FrameOfColumns(fr.sch, cols)
 }
 
 // Predicate restricts a scan to row groups whose statistics may match.
@@ -408,6 +482,50 @@ func (p Predicate) rowMatches(v schema.Value) bool {
 	return true
 }
 
+// filter narrows sel, ascending row indices into col, in place to the
+// rows whose value satisfies the predicate. A pure range whose bounds are
+// unbounded or of the column's kind compares the typed payload of int,
+// time, bool and float columns directly (cmp.Compare orders floats as
+// Value.Compare does, NaN first); every other shape — candidate lists,
+// bounds of another kind, strings — goes through rowMatches.
+func (p Predicate) filter(col *schema.Column, sel []int32) []int32 {
+	out := sel[:0]
+	kind := col.Kind()
+	hasMin, hasMax := !p.Min.IsNull(), !p.Max.IsNull()
+	typed := len(p.In) == 0 && (!hasMin || p.Min.Kind() == kind) && (!hasMax || p.Max.Kind() == kind)
+	switch {
+	case typed && (kind == schema.KindInt || kind == schema.KindTime || kind == schema.KindBool):
+		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
+		if hasMin {
+			lo = p.Min.IntVal()
+		}
+		if hasMax {
+			hi = p.Max.IntVal()
+		}
+		vals := col.Ints()
+		for _, r := range sel {
+			if v := vals[r]; v >= lo && v <= hi && !col.IsNull(int(r)) {
+				out = append(out, r)
+			}
+		}
+	case typed && kind == schema.KindFloat:
+		lo, hi := p.Min.FloatVal(), p.Max.FloatVal()
+		vals := col.Floats()
+		for _, r := range sel {
+			if v := vals[r]; (!hasMin || cmp.Compare(v, lo) >= 0) && (!hasMax || cmp.Compare(v, hi) <= 0) && !col.IsNull(int(r)) {
+				out = append(out, r)
+			}
+		}
+	default:
+		for _, r := range sel {
+			if p.rowMatches(col.Value(int(r))) {
+				out = append(out, r)
+			}
+		}
+	}
+	return out
+}
+
 // ScanResult reports pushdown effectiveness alongside the data.
 type ScanResult struct {
 	Frame         *schema.Frame
@@ -422,6 +540,10 @@ type ScanResult struct {
 	// column chunks were actually inflated vs what a full scan decodes.
 	ColumnsDecoded int
 	ColumnsTotal   int
+	// RowsDecoded counts the rows of every row group that had a chunk
+	// inflated (scanned and not dictionary-skipped); Frame.Len() of them
+	// survived the predicates.
+	RowsDecoded int
 }
 
 // scanWorkerCap bounds the row-group decode pool; inflate is CPU-bound,
@@ -444,12 +566,12 @@ func scanWorkers(n int) int {
 }
 
 // scanCtx is the per-ScanColumns plan shared by every row group: the
-// output projection, the set of columns that must be decoded, and the
-// predicate column mapping.
+// output projection, the columns that must be decoded, and the predicate
+// column mapping.
 type scanCtx struct {
 	outSchema *schema.Schema
-	need      map[int]bool // projection ∪ predicate columns
-	proj      map[int]bool // projection columns only
+	need      []int  // projection ∪ predicate columns, ascending
+	proj      []bool // by column index: part of the projection
 	outIdx    []int
 	predIdx   []int
 	preds     []Predicate
@@ -457,15 +579,18 @@ type scanCtx struct {
 
 // scanGroup evaluates one row group: a dictionary-id pre-pass handles
 // string-equality predicates against the encoded chunk (possibly skipping
-// the whole group), the surviving needed chunks are decoded, and the
-// remaining predicates are applied exactly. Returns the surviving rows,
-// how many column chunks were inflated, and whether the dictionary
-// pre-pass eliminated the group. Row groups are independent, so this is
-// the unit of parallelism in ScanColumns.
+// the whole group), the surviving needed chunks are decoded in ascending
+// column order, the remaining predicates narrow a selection vector of row
+// indices, and each projected column is gathered through it once. Returns
+// the surviving rows, how many column chunks were inflated, and whether
+// the dictionary pre-pass eliminated the group. Row groups are
+// independent, so this is the unit of parallelism in ScanColumns.
 func (fr *FileReader) scanGroup(g *RowGroup, sc *scanCtx) (*schema.Frame, int, bool, error) {
+	if g.Rows > math.MaxInt32 {
+		return nil, 0, false, fmt.Errorf("columnar: row group of %d rows is too large to scan", g.Rows)
+	}
 	var masks [][]byte
 	handled := make([]bool, len(sc.preds))
-	skipDecode := map[int]bool{}
 	for i, p := range sc.preds {
 		c := sc.predIdx[i]
 		if c < 0 || len(p.In) == 0 || !p.Min.IsNull() || !p.Max.IsNull() ||
@@ -484,14 +609,20 @@ func (fr *FileReader) scanGroup(g *RowGroup, sc *scanCtx) (*schema.Frame, int, b
 		}
 		masks = append(masks, mask)
 		handled[i] = true
-		if !sc.proj[c] {
-			skipDecode[c] = true // predicate-only column fully answered
-		}
 	}
-	decoded := make(map[int]*schema.Column, len(sc.need))
+	// A predicate-only column the pre-pass fully answered is not inflated.
+	answered := func(c int) bool {
+		for i, pc := range sc.predIdx {
+			if pc == c && !handled[i] {
+				return false
+			}
+		}
+		return true
+	}
+	decoded := make([]*schema.Column, fr.sch.Len())
 	decodedN := 0
-	for c := range sc.need {
-		if skipDecode[c] {
+	for _, c := range sc.need {
+		if !sc.proj[c] && answered(c) {
 			continue
 		}
 		col, err := fr.decodeChunk(g, c)
@@ -501,38 +632,32 @@ func (fr *FileReader) scanGroup(g *RowGroup, sc *scanCtx) (*schema.Frame, int, b
 		decoded[c] = col
 		decodedN++
 	}
-	f := schema.NewFrame(sc.outSchema)
-	row := make(schema.Row, len(sc.outIdx))
+	// The selection vector stays ascending through every narrowing step,
+	// so surviving rows keep their file order.
+	sel := make([]int32, 0, g.Rows)
+rows:
 	for r := 0; r < g.Rows; r++ {
-		keep := true
 		for _, m := range masks {
 			if !bitmapGet(m, r) {
-				keep = false
-				break
+				continue rows
 			}
 		}
-		if keep {
-			for i, p := range sc.preds {
-				if handled[i] || sc.predIdx[i] < 0 {
-					continue
-				}
-				if !p.rowMatches(decoded[sc.predIdx[i]].Value(r)) {
-					keep = false
-					break
-				}
-			}
-		}
-		if !keep {
-			continue
-		}
-		for i, c := range sc.outIdx {
-			row[i] = decoded[c].Value(r)
-		}
-		if err := f.AppendRow(row); err != nil {
-			return nil, decodedN, false, err
+		sel = append(sel, int32(r))
+	}
+	for i, p := range sc.preds {
+		if !handled[i] && sc.predIdx[i] >= 0 {
+			sel = p.filter(decoded[sc.predIdx[i]], sel)
 		}
 	}
-	return f, decodedN, false, nil
+	cols := make([]*schema.Column, len(sc.outIdx))
+	for i, c := range sc.outIdx {
+		cols[i] = decoded[c]
+		if len(sel) < g.Rows {
+			cols[i] = decoded[c].Gather(sel)
+		}
+	}
+	f, err := schema.FrameOfColumns(sc.outSchema, cols)
+	return f, decodedN, false, err
 }
 
 // stringEqKeep evaluates a string-equality candidate set against column
@@ -544,11 +669,10 @@ func (fr *FileReader) scanGroup(g *RowGroup, sc *scanCtx) (*schema.Frame, int, b
 // and the caller must fall back to exact evaluation.
 func (fr *FileReader) stringEqKeep(g *RowGroup, c int, in []schema.Value) ([]byte, int, error) {
 	ch := g.chunks[c]
-	var src io.Reader = bytes.NewReader(ch.payload)
-	if ch.comp == CompressFlate {
-		src = flate.NewReader(bytes.NewReader(ch.payload))
-	}
-	br := bufio.NewReader(io.LimitReader(src, int64(ch.rawLen)+1))
+	cr := openChunk(ch)
+	defer cr.release()
+	br := cr.br
+	br.Reset(&cr.lim)
 	kind, err := br.ReadByte()
 	if err != nil || schema.Kind(kind) != schema.KindString {
 		return nil, 0, err
@@ -567,19 +691,21 @@ func (fr *FileReader) stringEqKeep(g *RowGroup, c int, in []schema.Value) ([]byt
 			want[v.StrVal()] = true
 		}
 	}
-	readStr := func() (string, error) {
+	// wanted reads the next string into the reader's scratch and reports
+	// whether it is a candidate; the map lookup does not copy the bytes.
+	wanted := func() (bool, error) {
 		l, err := binary.ReadUvarint(br)
 		if err != nil {
-			return "", err
+			return false, err
 		}
 		if l > uint64(ch.rawLen) {
-			return "", fmt.Errorf("columnar: oversized string in chunk")
+			return false, fmt.Errorf("columnar: oversized string in chunk")
 		}
-		sb := make([]byte, l)
-		if _, err := io.ReadFull(br, sb); err != nil {
-			return "", err
+		cr.str = slices.Grow(cr.str[:0], int(l))[:l]
+		if _, err := io.ReadFull(br, cr.str); err != nil {
+			return false, err
 		}
-		return string(sb), nil
+		return want[string(cr.str)], nil
 	}
 	mode, err := br.ReadByte()
 	if err != nil {
@@ -593,17 +719,19 @@ func (fr *FileReader) stringEqKeep(g *RowGroup, c int, in []schema.Value) ([]byt
 		if err != nil || dn > uint64(ch.rawLen) {
 			return nil, 0, err
 		}
-		accept := make(map[uint64]bool, len(want))
+		// accept[id] says dictionary entry id is a candidate. It grows
+		// with the entries actually read, not with the declared dn.
+		var accept []bool
+		hit := false
 		for i := uint64(0); i < dn; i++ {
-			s, err := readStr()
+			ok, err := wanted()
 			if err != nil {
 				return nil, 0, err
 			}
-			if want[s] {
-				accept[i] = true
-			}
+			accept = append(accept, ok)
+			hit = hit || ok
 		}
-		if len(accept) == 0 {
+		if !hit {
 			// Dictionary miss: the group cannot contain any candidate.
 			// The id section is never inflated.
 			return mask, 0, nil
@@ -628,11 +756,11 @@ func (fr *FileReader) stringEqKeep(g *RowGroup, c int, in []schema.Value) ([]byt
 			return nil, 0, err
 		}
 		for i := 0; i < g.Rows; i++ {
-			s, err := readStr()
+			ok, err := wanted()
 			if err != nil {
 				return nil, 0, err
 			}
-			if want[s] && !bitmapGet(nulls, i) {
+			if ok && !bitmapGet(nulls, i) {
 				bitmapSet(mask, i)
 				matched++
 			}
@@ -657,16 +785,16 @@ func (fr *FileReader) ScanColumns(columns []string, preds ...Predicate) (*ScanRe
 	// Columns that must be decoded: projection plus predicate columns.
 	sc := &scanCtx{
 		outSchema: outSchema,
-		need:      map[int]bool{},
-		proj:      map[int]bool{},
+		proj:      make([]bool, fr.sch.Len()),
 		outIdx:    make([]int, len(columns)),
 		predIdx:   make([]int, len(preds)),
 		preds:     preds,
 	}
+	need := make([]bool, fr.sch.Len())
 	for i, c := range columns {
 		j := fr.sch.MustIndex(c)
 		sc.outIdx[i] = j
-		sc.need[j] = true
+		need[j] = true
 		sc.proj[j] = true
 	}
 	for i, p := range preds {
@@ -676,7 +804,12 @@ func (fr *FileReader) ScanColumns(columns []string, preds ...Predicate) (*ScanRe
 			continue
 		}
 		sc.predIdx[i] = j
-		sc.need[j] = true
+		need[j] = true
+	}
+	for c, n := range need {
+		if n {
+			sc.need = append(sc.need, c)
+		}
 	}
 
 	res := &ScanResult{Frame: schema.NewFrame(outSchema), GroupsTotal: len(fr.groups)}
@@ -724,6 +857,8 @@ func (fr *FileReader) ScanColumns(columns []string, preds ...Predicate) (*ScanRe
 		}
 		wg.Wait()
 	}
+	var parts []*schema.Frame
+	rows := 0
 	for i := range selected {
 		if errs[i] != nil {
 			return nil, errs[i]
@@ -733,55 +868,34 @@ func (fr *FileReader) ScanColumns(columns []string, preds ...Predicate) (*ScanRe
 			res.GroupsDictSkipped++
 			continue
 		}
-		if err := res.Frame.AppendFrame(frames[i]); err != nil {
+		res.RowsDecoded += selected[i].Rows
+		if n := frames[i].Len(); n > 0 {
+			parts = append(parts, frames[i])
+			rows += n
+		}
+	}
+	if len(parts) == 1 {
+		res.Frame = parts[0] // nothing to concatenate: hand the group through
+		return res, nil
+	}
+	res.Frame.Grow(rows)
+	for _, f := range parts {
+		if err := res.Frame.AppendFrame(f); err != nil {
 			return nil, err
 		}
 	}
 	return res, nil
 }
 
-// Scan decodes all row groups that survive every predicate, filters the
-// decoded rows exactly, and returns the matching rows plus pushdown
-// counters. Predicates are conjunctive.
+// Scan is ScanColumns over every column: it decodes all row groups that
+// survive every predicate, filters the decoded rows exactly, and returns
+// the matching rows plus pushdown counters. Predicates are conjunctive.
 func (fr *FileReader) Scan(preds ...Predicate) (*ScanResult, error) {
-	res := &ScanResult{Frame: schema.NewFrame(fr.sch), GroupsTotal: len(fr.groups)}
-	for i, g := range fr.groups {
-		skip := false
-		for _, p := range preds {
-			if !p.matches(fr.sch, g) {
-				skip = true
-				break
-			}
-		}
-		if skip {
-			continue
-		}
-		res.GroupsScanned++
-		f, err := fr.ReadGroup(i)
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < f.Len(); r++ {
-			row := f.Row(r)
-			keep := true
-			for _, p := range preds {
-				ci, ok := fr.sch.Index(p.Col)
-				if !ok {
-					continue
-				}
-				if !p.rowMatches(row[ci]) {
-					keep = false
-					break
-				}
-			}
-			if keep {
-				if err := res.Frame.AppendRow(row); err != nil {
-					return nil, err
-				}
-			}
-		}
+	cols := make([]string, fr.sch.Len())
+	for i := range cols {
+		cols[i] = fr.sch.Field(i).Name
 	}
-	return res, nil
+	return fr.ScanColumns(cols, preds...)
 }
 
 // ReadAll decodes the entire stream into one frame.

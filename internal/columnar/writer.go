@@ -76,6 +76,10 @@ type Writer struct {
 	buf    *schema.Frame
 	header bool
 	closed bool
+	// zw deflates every chunk into zb, Reset between chunks: building a
+	// flate.Writer allocates hundreds of KB of state.
+	zw *flate.Writer
+	zb bytes.Buffer
 
 	// RawBytes and CompressedBytes count column-chunk payload sizes, the
 	// numbers behind the compression ablation bench.
@@ -102,11 +106,23 @@ func (w *Writer) WriteRow(r schema.Row) error {
 	return nil
 }
 
-// WriteFrame buffers all rows of f.
+// WriteFrame buffers all rows of f, whose schema must equal the writer's,
+// one column range at a time up to each row-group boundary. The stream is
+// byte for byte what a WriteRow loop over f's rows emits.
 func (w *Writer) WriteFrame(f *schema.Frame) error {
-	for i := 0; i < f.Len(); i++ {
-		if err := w.WriteRow(f.Row(i)); err != nil {
+	if w.closed {
+		return fmt.Errorf("columnar: write after close")
+	}
+	for lo := 0; lo < f.Len(); {
+		hi := min(f.Len(), lo+w.opts.RowGroupRows-w.buf.Len())
+		if err := w.buf.AppendRange(f, lo, hi); err != nil {
 			return err
+		}
+		lo = hi
+		if w.buf.Len() >= w.opts.RowGroupRows {
+			if err := w.flush(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -171,19 +187,24 @@ func (w *Writer) flushLocked() error {
 		payload := raw
 		comp := w.opts.Compression
 		if comp == CompressFlate {
-			var zb bytes.Buffer
-			zw, err := flate.NewWriter(&zb, w.opts.FlateLevel)
-			if err != nil {
-				return fmt.Errorf("columnar: flate: %w", err)
+			w.zb.Reset()
+			if w.zw == nil {
+				zw, err := flate.NewWriter(&w.zb, w.opts.FlateLevel)
+				if err != nil {
+					return fmt.Errorf("columnar: flate: %w", err)
+				}
+				w.zw = zw
+			} else {
+				w.zw.Reset(&w.zb)
 			}
-			if _, err := zw.Write(raw); err != nil {
+			if _, err := w.zw.Write(raw); err != nil {
 				return fmt.Errorf("columnar: flate write: %w", err)
 			}
-			if err := zw.Close(); err != nil {
+			if err := w.zw.Close(); err != nil {
 				return fmt.Errorf("columnar: flate close: %w", err)
 			}
-			if zb.Len() < len(raw) {
-				payload = zb.Bytes()
+			if w.zb.Len() < len(raw) {
+				payload = w.zb.Bytes() // copied into out below, before the next Reset
 			} else {
 				comp = CompressNone // incompressible chunk: store raw
 			}

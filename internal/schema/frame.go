@@ -2,7 +2,7 @@ package schema
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Column is a typed vector of values plus a null mask. Only the slice
@@ -107,6 +107,103 @@ func (c *Column) Floats() []float64 { return c.floats }
 // Strs exposes the raw string payload (string columns).
 func (c *Column) Strs() []string { return c.strs }
 
+// IntColumn adopts vals as the payload of an int, time (unix nanos) or
+// bool (0/1) column without copying; nulls marks the null positions and
+// may be nil for none. The column owns both slices afterwards. Payload
+// under a null is zeroed and bool payloads are normalized to 0/1, so the
+// result is indistinguishable from one built by Append.
+func IntColumn(kind Kind, vals []int64, nulls []bool) (*Column, error) {
+	if kind != KindInt && kind != KindTime && kind != KindBool {
+		return nil, fmt.Errorf("schema: int payload for column kind %v", kind)
+	}
+	nulls, err := adoptNulls(vals, nulls)
+	if err != nil {
+		return nil, err
+	}
+	if kind == KindBool {
+		for i, v := range vals {
+			if v != 0 {
+				vals[i] = 1
+			}
+		}
+	}
+	return &Column{kind: kind, nulls: nulls, ints: vals, length: len(vals)}, nil
+}
+
+// FloatColumn adopts vals as the payload of a float column; see IntColumn.
+func FloatColumn(vals []float64, nulls []bool) (*Column, error) {
+	nulls, err := adoptNulls(vals, nulls)
+	if err != nil {
+		return nil, err
+	}
+	return &Column{kind: KindFloat, nulls: nulls, floats: vals, length: len(vals)}, nil
+}
+
+// StringColumn adopts vals as the payload of a string column; see
+// IntColumn.
+func StringColumn(vals []string, nulls []bool) (*Column, error) {
+	nulls, err := adoptNulls(vals, nulls)
+	if err != nil {
+		return nil, err
+	}
+	return &Column{kind: KindString, nulls: nulls, strs: vals, length: len(vals)}, nil
+}
+
+// adoptNulls checks a null mask against its payload and zeroes the
+// payload under every null; a nil mask becomes all-false.
+func adoptNulls[T any](vals []T, nulls []bool) ([]bool, error) {
+	if nulls == nil {
+		return make([]bool, len(vals)), nil
+	}
+	if len(nulls) != len(vals) {
+		return nil, fmt.Errorf("schema: null mask has %d entries, payload has %d", len(nulls), len(vals))
+	}
+	var zero T
+	for i, null := range nulls {
+		if null {
+			vals[i] = zero
+		}
+	}
+	return nulls, nil
+}
+
+// appendRange bulk-appends rows [lo, hi) of o, a column of c's kind.
+func (c *Column) appendRange(o *Column, lo, hi int) {
+	c.nulls = append(c.nulls, o.nulls[lo:hi]...)
+	switch c.kind {
+	case KindBool, KindInt, KindTime:
+		c.ints = append(c.ints, o.ints[lo:hi]...)
+	case KindFloat:
+		c.floats = append(c.floats, o.floats[lo:hi]...)
+	case KindString:
+		c.strs = append(c.strs, o.strs[lo:hi]...)
+	}
+	c.length += hi - lo
+}
+
+// Gather returns a new column holding rows sel[0], sel[1], ... of c, in
+// that order. Every index must be in [0, Len).
+func (c *Column) Gather(sel []int32) *Column {
+	out := &Column{kind: c.kind, nulls: gather(c.nulls, sel), length: len(sel)}
+	switch c.kind {
+	case KindBool, KindInt, KindTime:
+		out.ints = gather(c.ints, sel)
+	case KindFloat:
+		out.floats = gather(c.floats, sel)
+	case KindString:
+		out.strs = gather(c.strs, sel)
+	}
+	return out
+}
+
+func gather[T any](src []T, sel []int32) []T {
+	out := make([]T, len(sel))
+	for i, r := range sel {
+		out[i] = src[r]
+	}
+	return out
+}
+
 // Frame is a columnar batch of rows sharing one schema: the unit of work
 // in the stream processor and the row-group payload in the columnar file
 // format. A Frame is not safe for concurrent mutation.
@@ -133,6 +230,25 @@ func FrameOf(s *Schema, rows ...Row) (*Frame, error) {
 		}
 	}
 	return f, nil
+}
+
+// FrameOfColumns assembles a frame from whole columns, which it adopts
+// without copying: one per schema field, of that field's kind, all of
+// equal length.
+func FrameOfColumns(s *Schema, cols []*Column) (*Frame, error) {
+	if len(cols) != s.Len() {
+		return nil, fmt.Errorf("schema: %d columns for frame width %d", len(cols), s.Len())
+	}
+	for i, c := range cols {
+		if c.kind != s.Field(i).Kind {
+			return nil, fmt.Errorf("schema: column %q: kind %v, field kind %v", s.Field(i).Name, c.kind, s.Field(i).Kind)
+		}
+		if c.length != cols[0].length {
+			return nil, fmt.Errorf("schema: column %q has %d rows, column %q has %d",
+				s.Field(i).Name, c.length, s.Field(0).Name, cols[0].length)
+		}
+	}
+	return &Frame{schema: s, cols: cols}, nil
 }
 
 // Schema returns the frame's schema.
@@ -171,17 +287,48 @@ func (f *Frame) AppendRow(r Row) error {
 	return nil
 }
 
+// Grow reserves capacity for n more rows, so a caller that knows how much
+// it is about to append pays for one allocation per column.
+func (f *Frame) Grow(n int) {
+	for _, c := range f.cols {
+		c.nulls = slices.Grow(c.nulls, n)
+		switch c.kind {
+		case KindBool, KindInt, KindTime:
+			c.ints = slices.Grow(c.ints, n)
+		case KindFloat:
+			c.floats = slices.Grow(c.floats, n)
+		case KindString:
+			c.strs = slices.Grow(c.strs, n)
+		}
+	}
+}
+
 // AppendFrame appends all rows of o, which must have an equal schema.
-func (f *Frame) AppendFrame(o *Frame) error {
+func (f *Frame) AppendFrame(o *Frame) error { return f.AppendRange(o, 0, o.Len()) }
+
+// AppendRange appends rows [lo, hi) of o, which must have an equal
+// schema, column by column. The rows are copied; o may be f itself.
+func (f *Frame) AppendRange(o *Frame, lo, hi int) error {
 	if !f.schema.Equal(o.schema) {
 		return fmt.Errorf("schema: append frame: schema mismatch %s vs %s", f.schema, o.schema)
 	}
-	for i := 0; i < o.Len(); i++ {
-		if err := f.AppendRow(o.Row(i)); err != nil {
-			return err
-		}
+	if lo < 0 || hi < lo || hi > o.Len() {
+		return fmt.Errorf("schema: append frame: rows [%d, %d) out of range of %d", lo, hi, o.Len())
+	}
+	for i, c := range f.cols {
+		c.appendRange(o.cols[i], lo, hi)
 	}
 	return nil
+}
+
+// Gather returns a new frame holding rows sel[0], sel[1], ... of f, in
+// that order. Every index must be in [0, Len).
+func (f *Frame) Gather(sel []int32) *Frame {
+	out := &Frame{schema: f.schema, cols: make([]*Column, len(f.cols))}
+	for i, c := range f.cols {
+		out.cols[i] = c.Gather(sel)
+	}
+	return out
 }
 
 // Row materializes the i'th row.
@@ -204,15 +351,13 @@ func (f *Frame) Rows() []Row {
 
 // Filter returns a new frame holding only rows where keep returns true.
 func (f *Frame) Filter(keep func(Row) bool) *Frame {
-	out := NewFrame(f.schema)
+	var sel []int32
 	for i := 0; i < f.Len(); i++ {
-		r := f.Row(i)
-		if keep(r) {
-			// AppendRow cannot fail: the row came from a conforming frame.
-			_ = out.AppendRow(r)
+		if keep(f.Row(i)) {
+			sel = append(sel, int32(i))
 		}
 	}
-	return out
+	return f.Gather(sel)
 }
 
 // Select returns a new frame with only the named columns.
@@ -222,46 +367,36 @@ func (f *Frame) Select(names ...string) (*Frame, error) {
 		return nil, err
 	}
 	out := NewFrame(ns)
-	idx := make([]int, len(names))
 	for i, n := range names {
-		idx[i] = f.schema.MustIndex(n)
-	}
-	for r := 0; r < f.Len(); r++ {
-		row := make(Row, len(idx))
-		for i, c := range idx {
-			row[i] = f.cols[c].Value(r)
-		}
-		if err := out.AppendRow(row); err != nil {
-			return nil, err
-		}
+		out.cols[i].appendRange(f.cols[f.schema.MustIndex(n)], 0, f.Len())
 	}
 	return out, nil
 }
 
 // SortBy sorts rows in place ordering by the named columns ascending.
+// The sort is stable.
 func (f *Frame) SortBy(names ...string) error {
-	idx := make([]int, len(names))
+	keys := make([]*Column, len(names))
 	for i, n := range names {
 		j, ok := f.schema.Index(n)
 		if !ok {
 			return fmt.Errorf("schema: sort: no column %q", n)
 		}
-		idx[i] = j
+		keys[i] = f.cols[j]
 	}
-	rows := f.Rows()
-	sort.SliceStable(rows, func(a, b int) bool {
-		for _, c := range idx {
-			if cmp := rows[a][c].Compare(rows[b][c]); cmp != 0 {
-				return cmp < 0
+	perm := make([]int32, f.Len())
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortStableFunc(perm, func(a, b int32) int {
+		for _, c := range keys {
+			if cmp := c.Value(int(a)).Compare(c.Value(int(b))); cmp != 0 {
+				return cmp
 			}
 		}
-		return false
+		return 0
 	})
-	nf := NewFrame(f.schema)
-	for _, r := range rows {
-		_ = nf.AppendRow(r)
-	}
-	f.cols = nf.cols
+	f.cols = f.Gather(perm).cols
 	return nil
 }
 

@@ -24,6 +24,11 @@ type instruments struct {
 	coldSegsPruned       *obs.Counter
 	coldRowGroupsScanned *obs.Counter
 	coldRowGroupsPruned  *obs.Counter
+	// Rows inflated vs rows folded by cold scans, and the cold fold's
+	// wall time (observed only by queries that ran one).
+	coldRowsDecoded *obs.Counter
+	coldCellsFolded *obs.Counter
+	coldScan        *obs.Histogram
 	// GLACIER interactions observed by federated queries.
 	glacierPending *obs.Counter
 	glacierRecalls *obs.Counter
@@ -71,6 +76,12 @@ func (db *DB) Instrument(reg *obs.Registry) {
 			"Cold OCF row groups decoded by federated queries."),
 		coldRowGroupsPruned: reg.Counter("oda_tsdb_cold_rowgroups_pruned_total",
 			"Cold OCF row groups skipped by stats/bloom/dictionary pruning."),
+		coldRowsDecoded: reg.Counter("oda_tsdb_cold_rows_decoded_total",
+			"Rows of the cold OCF row groups inflated by federated queries."),
+		coldCellsFolded: reg.Counter("oda_tsdb_cold_cells_folded_total",
+			"Cold rollup cells folded into federated query results."),
+		coldScan: reg.Histogram("oda_tsdb_cold_scan_seconds",
+			"Cold-tier fold wall time of federated queries that scanned the tier.", obs.LatencySeconds()),
 		glacierPending: reg.Counter("oda_tsdb_glacier_pending_total",
 			"Cold segments a federated query could not read (recall in flight)."),
 		glacierRecalls: reg.Counter("oda_tsdb_glacier_recalls_total",

@@ -174,8 +174,12 @@ type QueryStats struct {
 	ColdSegmentsPruned   int
 	ColdRowGroupsScanned int
 	ColdRowGroupsPruned  int
-	// ColdCells counts cold rollup cells folded into the result.
-	ColdCells int64
+	// ColdRowsDecoded counts the rows of every cold row group inflated;
+	// ColdCells counts the cold rollup cells of them that were folded into
+	// the result. The ratio is what a decoded-row-group cache or finer
+	// row groups would have to improve.
+	ColdRowsDecoded int64
+	ColdCells       int64
 	// GlacierSegments counts cold segments whose object had aged into
 	// the archive; GlacierPending how many were unreadable this pass
 	// (recall not complete — the answer excludes them), GlacierRecalls
@@ -382,6 +386,11 @@ func (db *DB) noteQuery(st *QueryStats, t0 time.Time) {
 	ins.coldSegsPruned.Add(int64(st.ColdSegmentsPruned))
 	ins.coldRowGroupsScanned.Add(int64(st.ColdRowGroupsScanned))
 	ins.coldRowGroupsPruned.Add(int64(st.ColdRowGroupsPruned))
+	ins.coldRowsDecoded.Add(st.ColdRowsDecoded)
+	ins.coldCellsFolded.Add(st.ColdCells)
+	if st.ColdWall > 0 {
+		ins.coldScan.Observe(st.ColdWall.Seconds())
+	}
 	ins.glacierPending.Add(int64(st.GlacierPending))
 	ins.glacierRecalls.Add(int64(st.GlacierRecalls))
 	ins.queryLatency.Observe(st.TotalWall.Seconds())

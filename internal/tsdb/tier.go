@@ -18,9 +18,11 @@
 package tsdb
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -640,6 +642,7 @@ func (ct *ColdTier) scanSegment(seg *coldSegment, p *Plan, st *QueryStats, ps *p
 	st.ColdSegmentsScanned++
 	st.ColdRowGroupsScanned += res.GroupsScanned - res.GroupsDictSkipped
 	st.ColdRowGroupsPruned += res.GroupsTotal - res.GroupsScanned + res.GroupsDictSkipped
+	st.ColdRowsDecoded += int64(res.RowsDecoded)
 
 	f := res.Frame
 	n := f.Len()
@@ -731,11 +734,16 @@ func (ct *ColdTier) scanSegment(seg *coldSegment, p *Plan, st *QueryStats, ps *p
 	// Restore per-stripe insertion order so folding reproduces the hot
 	// path's accumulation order exactly, then stage the rows as the
 	// (keys, cells) slice pair the kernel folds.
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].stripe != rows[j].stripe {
-			return rows[i].stripe < rows[j].stripe
+	// The row index breaks ties, so the order is total whatever the file
+	// holds and does not depend on the sort algorithm.
+	slices.SortFunc(rows, func(a, b coldRef) int {
+		if a.stripe != b.stripe {
+			return cmp.Compare(a.stripe, b.stripe)
 		}
-		return rows[i].seq < rows[j].seq
+		if a.seq != b.seq {
+			return cmp.Compare(a.seq, b.seq)
+		}
+		return cmp.Compare(a.row, b.row)
 	})
 	keys, cells := make([]Key, len(rows)), make([]Cell, len(rows))
 	for i := range rows {

@@ -10,6 +10,7 @@ import (
 
 	"odakit/internal/archive"
 	"odakit/internal/objstore"
+	"odakit/internal/obs"
 )
 
 // tierOptions gives short chunks so one hour of data spans six segments.
@@ -153,6 +154,8 @@ func TestColdPruningCounters(t *testing.T) {
 	if _, err := db.Offload(base.Add(2 * time.Hour)); err != nil {
 		t.Fatal(err)
 	}
+	reg := obs.NewRegistry()
+	db.Instrument(reg)
 	// Narrow time range: only one of six cold chunks overlaps.
 	_, st, err := db.RunWithStats(Query{
 		From: base.Add(2 * time.Minute), To: base.Add(4 * time.Minute), Agg: AggAvg,
@@ -163,6 +166,18 @@ func TestColdPruningCounters(t *testing.T) {
 	if st.ColdSegmentsScanned != 1 || st.ColdSegmentsPruned != 5 {
 		t.Fatalf("time pruning: scanned=%d pruned=%d, want 1/5",
 			st.ColdSegmentsScanned, st.ColdSegmentsPruned)
+	}
+	// Rows are inflated a whole row group at a time and folded one by
+	// one: every scanned group but the last holds 64, and only the rows
+	// inside the two minutes are folded.
+	if g := int64(st.ColdRowGroupsScanned); st.ColdCells == 0 || st.ColdRowsDecoded <= st.ColdCells ||
+		st.ColdRowsDecoded <= 64*(g-1) || st.ColdRowsDecoded > 64*g {
+		t.Fatalf("decoded %d rows of %d row groups, folded %d", st.ColdRowsDecoded, g, st.ColdCells)
+	}
+	if dec, fold, n := reg.Counter("oda_tsdb_cold_rows_decoded_total", "").Value(),
+		reg.Counter("oda_tsdb_cold_cells_folded_total", "").Value(),
+		reg.Histogram("oda_tsdb_cold_scan_seconds", "", nil).Count(); dec != st.ColdRowsDecoded || fold != st.ColdCells || n != 1 {
+		t.Fatalf("exported decoded=%d folded=%d cold scans=%d, stats say %d/%d/1", dec, fold, n, st.ColdRowsDecoded, st.ColdCells)
 	}
 	// A metric that exists nowhere: blooms prune every segment.
 	f, st, err := db.RunWithStats(Query{
