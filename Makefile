@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test bench-smoke loc-delta race chaos chaos-cluster bench bench-query bench-obs bench-federate bench-serve bench-cq bench-cluster fuzz-smoke verify clean
+.PHONY: all build vet test bench-smoke loc-delta one-reader race chaos chaos-cluster bench bench-query bench-obs bench-federate bench-serve bench-cq bench-cluster fuzz-smoke verify clean
 
 all: verify
 
@@ -31,9 +31,21 @@ loc-delta:
 	@git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' ':(exclude)benchmark' | \
 		awk '{a += $$1; d += $$2} END {printf "non-test .go lines vs $(BASE): +%d -%d (net %+d)\n", a, d, a - d}'
 
+# One stream reader: every consumer of the STREAM tier reads through
+# plane.Reader. A non-test .go file outside the planes themselves
+# (internal/plane, internal/stream, internal/cluster) and the benchmark
+# module that fetches from a topic by hand is a second reader loop with
+# its own trimmed / in-future / transient policy — fail the build, not a
+# review.
+one-reader:
+	@if grep -rnE 'FetchNoWait\(|Broker\.Fetch\(' --include='*.go' --exclude='*_test.go' \
+		--exclude-dir=benchmark --exclude-dir=plane --exclude-dir=stream --exclude-dir=cluster . ; then \
+		echo "one-reader: read STREAM topics through plane.Reader, not a hand-rolled fetch loop"; exit 1; fi
+
 # The concurrency-heavy packages get a dedicated race-detector pass: the
-# striped-lock LAKE store, the partitioned STREAM broker, the pipeline
-# that batches into both, the parallel read surfaces (log search
+# striped-lock LAKE store, the partitioned STREAM broker, the reader every
+# consumer drains it through (on both planes, under fetch faults), the
+# pipeline that batches into both, the parallel read surfaces (log search
 # fan-out, columnar row-group decode and the schema frame primitives it
 # gathers and appends with on its workers), the resilience substrate
 # (retry/breaker/supervisor, fault injector, streaming jobs), the
@@ -45,7 +57,7 @@ loc-delta:
 # and ascending multi-partition locking, failover, scatter-gather), and
 # the per-node WAL (concurrent appends/syncs against replay and close).
 race:
-	$(GO) test -race ./internal/schema ./internal/stream ./internal/tsdb ./internal/core ./internal/logsearch ./internal/columnar ./internal/faults ./internal/resilience ./internal/sproc ./internal/obs ./internal/objstore ./internal/archive ./internal/gateway ./internal/httpapi ./internal/cq ./internal/cluster ./internal/wal
+	$(GO) test -race ./internal/schema ./internal/stream ./internal/plane ./internal/tsdb ./internal/core ./internal/logsearch ./internal/columnar ./internal/faults ./internal/resilience ./internal/sproc ./internal/obs ./internal/objstore ./internal/archive ./internal/gateway ./internal/httpapi ./internal/cq ./internal/cluster ./internal/wal
 
 # Chaos pass: the full pipeline under deterministic fault injection with
 # the race detector on. ODA_CHAOS_SEED pins the injection schedule so a
@@ -144,7 +156,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzColumnarExt -fuzztime 30s ./internal/columnar
 	$(GO) test -run xxx -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal
 
-verify: vet build test bench-smoke race chaos chaos-cluster fuzz-smoke bench-federate bench-serve bench-cq
+verify: vet build one-reader test bench-smoke race chaos chaos-cluster fuzz-smoke bench-federate bench-serve bench-cq
 
 clean:
 	$(GO) clean ./...

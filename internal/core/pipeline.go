@@ -21,12 +21,16 @@ import (
 
 // ReplayBronzeToLake rebuilds the LAKE rollup store from the retained
 // bronze topic of a source — the recovery path after a LAKE restart, and
-// a consumer of the batched ingest hot path end to end: records are
-// fetched in pages and rolled up via InsertBatch. Undecodable or
-// non-conforming records do not abort the replay: they are quarantined
-// to the topic's DLQ with offset and error metadata and the replay keeps
-// going. Fetches and inserts retry transient faults. It returns how many
-// observations were replayed and how many were quarantined.
+// a consumer of the batched ingest hot path end to end: a plane.Reader
+// pages through the topic and each page is rolled up via InsertBatch.
+// The replay covers what was committed when it started (records ingest
+// commits meanwhile reach the LAKE through ingest itself) and, when
+// retention trims the head under it, carries on from the oldest record
+// still held. Undecodable or non-conforming records do not abort the
+// replay: they are quarantined to the topic's DLQ with offset and error
+// metadata and the replay keeps going. Fetches and inserts retry
+// transient faults. It returns how many observations were replayed and
+// how many were quarantined.
 func (f *Facility) ReplayBronzeToLake(ctx context.Context, src telemetry.Source) (replayed, quarantined int64, err error) {
 	topic := BronzeTopic(src)
 	ctx, sp := obs.StartSpan(ctx, "bronze.replay")
@@ -38,31 +42,45 @@ func (f *Facility) ReplayBronzeToLake(ctx context.Context, src telemetry.Source)
 			sp.Annotate("dlq", "%d poison records quarantined", quarantined)
 		}
 	}()
-	parts, err := f.stream.Partitions(topic)
+	r, err := plane.NewReader(f.stream, topic)
 	if err != nil {
 		return 0, 0, err
 	}
+	// next follows the reader's cursors page by page; the replay is done
+	// once each has reached the end it snapshots here.
+	next := r.Offsets()[topic]
+	ends := make([]int64, len(next))
+	for p := range ends {
+		if ends[p], err = f.stream.EndOffset(topic, p); err != nil {
+			return 0, 0, err
+		}
+	}
+	behind := func() bool {
+		for p := range next {
+			if next[p] < ends[p] {
+				return true
+			}
+		}
+		return false
+	}
 	batch := make([]schema.Observation, 0, f.Opts.IngestBatch)
-	for p := 0; p < parts; p++ {
-		off, err := f.stream.OldestOffset(topic, p)
+	for behind() {
+		pages, err := f.collectRetry(ctx, r, f.Opts.IngestBatch)
 		if err != nil {
 			return replayed, quarantined, err
 		}
-		end, err := f.stream.EndOffset(topic, p)
-		if err != nil {
-			return replayed, quarantined, err
+		if len(pages) == 0 {
+			break // nothing is held below the ends any more (trimmed or compacted away)
 		}
-		for off < end {
-			recs, err := f.fetchRetry(ctx, topic, p, off, f.Opts.IngestBatch)
-			if err != nil {
-				return replayed, quarantined, err
-			}
-			if len(recs) == 0 {
-				break
-			}
+		for _, pg := range pages {
+			p, recs := pg.Part, pg.Recs
+			next[p] = recs[len(recs)-1].Offset + 1
 			batch = batch[:0]
 			var dead []sproc.DeadRecord
 			for _, r := range recs {
+				if r.Offset >= ends[p] {
+					break
+				}
 				row, _, derr := schema.DecodeRow(r.Value)
 				if derr == nil {
 					derr = row.Conforms(schema.ObservationSchema)
@@ -88,7 +106,6 @@ func (f *Facility) ReplayBronzeToLake(ctx context.Context, src telemetry.Source)
 				return replayed, quarantined, err
 			}
 			replayed += int64(len(batch))
-			off = recs[len(recs)-1].Offset + 1
 		}
 	}
 	return replayed, quarantined, nil
@@ -100,8 +117,6 @@ func SilverObjectKey(src telemetry.Source) string { return string(src) + "/silve
 // SilverPipelineConfig tunes a streaming Silver pipeline.
 type SilverPipelineConfig struct {
 	Source telemetry.Source
-	// Group names the consumer group (defaults to "silver-<source>").
-	Group string
 	// CheckpointDir enables crash recovery.
 	CheckpointDir string
 	// Breaker, when non-nil, guards the OCEAN sink with a circuit
@@ -118,27 +133,18 @@ type SilverPipelineConfig struct {
 // job allocations, appended to the source's OCEAN Silver object. The job
 // dead-letters poison records, retries transient poll/sink faults under
 // the facility retry policy, and (when configured) guards its sink with
-// a circuit breaker. Silver jobs consume through a stream.Consumer group,
-// which only the facility's own Broker offers: on an attached plane the
-// job is refused rather than left draining an empty local topic.
+// a circuit breaker. It reads the bronze topic of whichever plane the
+// facility is attached to.
 func (f *Facility) NewSilverJob(cfg SilverPipelineConfig) (*sproc.Job, error) {
-	if f.stream != plane.Stream(f.Broker) {
-		return nil, fmt.Errorf("core: silver job %s: streaming Silver jobs consume the facility's local broker (stream.Consumer) and are not supported on an attached data plane (%T)",
-			cfg.Source, f.stream)
-	}
-	if cfg.Group == "" {
-		cfg.Group = "silver-" + string(cfg.Source)
-	}
 	retry := cfg.Retry
 	if retry == nil {
 		p := f.retryPolicy()
 		retry = &p
 	}
-	job, err := sproc.NewJob(f.Broker, sproc.JobConfig{
+	job, err := sproc.NewJob(f.stream, sproc.JobConfig{
 		Name: "silver-" + string(cfg.Source), Topic: BronzeTopic(cfg.Source),
-		Group: cfg.Group, InputSchema: schema.ObservationSchema,
-		CheckpointDir: cfg.CheckpointDir,
-		Retry:         retry, Breaker: cfg.Breaker, DeadLetter: true,
+		InputSchema: schema.ObservationSchema, CheckpointDir: cfg.CheckpointDir,
+		Retry: retry, Breaker: cfg.Breaker, DeadLetter: true,
 		Instr: f.silverInstr,
 	})
 	if err != nil {

@@ -9,8 +9,10 @@ import (
 
 	"odakit/internal/cluster"
 	"odakit/internal/faults"
+	"odakit/internal/jobsched"
 	"odakit/internal/plane"
 	"odakit/internal/resilience"
+	"odakit/internal/sproc"
 	"odakit/internal/telemetry"
 	"odakit/internal/tsdb"
 )
@@ -23,6 +25,11 @@ func clusterPlaneFacility(t *testing.T) (*Facility, *cluster.Cluster) {
 	t.Helper()
 	f := testFacility(t)
 	f.Opts.RetryPolicy = chaosRetry()
+	return f, attachCluster(t, f)
+}
+
+func attachCluster(t *testing.T, f *Facility) *cluster.Cluster {
+	t.Helper()
 	c, err := cluster.New([]string{"n1", "n2", "n3"}, cluster.Config{
 		RF: 2, LakeOptions: tsdb.Options{RollupInterval: f.Opts.SilverWindow},
 		Retry: resilience.NoRetry,
@@ -33,7 +40,7 @@ func clusterPlaneFacility(t *testing.T) (*Facility, *cluster.Cluster) {
 	if err := f.AttachPlane(c, c); err != nil {
 		t.Fatal(err)
 	}
-	return f, c
+	return c
 }
 
 // partitionValues reads a partition's whole retained log through the
@@ -133,30 +140,124 @@ func TestChaosIngestClusterPlaneExactlyOnce(t *testing.T) {
 	}
 }
 
-// TestSilverJobRefusesAttachedPlane: Silver jobs read through a
-// stream.Consumer on the facility's own broker, which stays empty once a
-// cluster is attached — building or draining one must say so instead of
-// silently consuming nothing.
-func TestSilverJobRefusesAttachedPlane(t *testing.T) {
-	f, _ := clusterPlaneFacility(t)
-	cfg := SilverPipelineConfig{Source: telemetry.SourcePowerTemp}
-	_, err := f.NewSilverJob(cfg)
-	if err == nil {
-		t.Fatal("NewSilverJob on a cluster plane succeeded")
-	}
-	for _, want := range []string{"silver", "local broker", "*cluster.Cluster"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not name %q", err, want)
-		}
-	}
-	if _, derr := f.DrainSilver(context.Background(), cfg); derr == nil || derr.Error() != err.Error() {
-		t.Fatalf("DrainSilver error = %v, want %v", derr, err)
-	}
-	// Back on its own plane the facility builds the job again.
-	if err := f.AttachPlane(f.Broker, f.Lake); err != nil {
+// silverRun ingests [t0, t0+window) of the power/temperature source into
+// f, drains the streaming Silver job and returns the OCEAN object it
+// wrote with the job's counters. midDrain, when set, runs once from the
+// job's goroutine as the n-th Silver window is about to be appended.
+func silverRun(t *testing.T, f *Facility, window time.Duration, midDrain map[int]func()) ([]byte, sproc.Metrics) {
+	t.Helper()
+	src := telemetry.SourcePowerTemp
+	if _, err := f.IngestWindow(t0, t0.Add(window), src); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.NewSilverJob(cfg); err != nil {
-		t.Fatalf("NewSilverJob on the local plane: %v", err)
+	appends := 0
+	f.Ocean.SetFaultHook(func(op, _ string) error {
+		if op == faults.OpStoreAppend {
+			appends++
+			if fn := midDrain[appends]; fn != nil {
+				fn()
+			}
+		}
+		return nil
+	})
+	m, err := f.DrainSilver(context.Background(), SilverPipelineConfig{Source: src})
+	if err != nil {
+		t.Fatalf("drain on %T: %v", f.stream, err)
 	}
+	f.Ocean.SetFaultHook(nil)
+	data, _, err := f.Ocean.Get(BucketSilver, SilverObjectKey(src))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data, m
+}
+
+func sameSilver(t *testing.T, what string, got []byte, gm sproc.Metrics, want []byte, wm sproc.Metrics) {
+	t.Helper()
+	if gm.RecordsIn != wm.RecordsIn || gm.WindowsEmitted != wm.WindowsEmitted || gm.RowsOut != wm.RowsOut || gm.RecordsLate != 0 {
+		t.Fatalf("%s: cluster-plane job counted %+v, local-plane job %+v", what, gm, wm)
+	}
+	if len(want) == 0 || !bytes.Equal(got, want) {
+		t.Fatalf("%s: cluster-plane Silver object (%d bytes) differs from the local plane's (%d bytes)", what, len(got), len(want))
+	}
+}
+
+// TestSilverOnClusterPlaneMatchesLocal: the streaming Bronze→Silver job
+// reads whichever plane the facility is attached to, so the same seeded
+// window refined on a 3-node RF=2 cluster and on the facility's own
+// broker must yield the same Silver object byte for byte and the same
+// job counters — also when a bronze partition leader dies mid-drain and
+// the reader carries on against the promoted follower.
+func TestSilverOnClusterPlaneMatchesLocal(t *testing.T) {
+	// EXPERIMENTS.md's Fig 4-b world: 2 minutes of a 16-node system
+	// contract from 19,017 bronze records to 128 contextualized rows.
+	t.Run("fig4b", func(t *testing.T) {
+		exhibit := func() *Facility {
+			sys := telemetry.FrontierLike(1).Scaled(16)
+			sys.LossRate = 0.01
+			f, err := NewFacility(Options{
+				System: sys,
+				Workload: &jobsched.WorkloadConfig{
+					Seed: 1, MeanInterarrival: 20 * time.Second,
+					MaxNodes: 6, MeanRuntime: 12 * time.Minute,
+				},
+				ScheduleFrom: t0.Add(-time.Hour), ScheduleTo: t0.Add(2 * time.Hour),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(f.Close)
+			return f
+		}
+		want, wm := silverRun(t, exhibit(), 2*time.Minute, nil)
+		f := exhibit()
+		attachCluster(t, f)
+		got, gm := silverRun(t, f, 2*time.Minute, nil)
+		sameSilver(t, "fig 4-b window", got, gm, want, wm)
+		if gm.RecordsIn != 19017 || gm.RowsOut != 128 {
+			t.Fatalf("cluster plane refined %d bronze records into %d silver rows, EXPERIMENTS.md says 19,017 into 128", gm.RecordsIn, gm.RowsOut)
+		}
+	})
+
+	// Ten minutes span several reader passes per partition, so windows are
+	// appended while bronze is still being fetched.
+	t.Run("leader killed mid-drain", func(t *testing.T) {
+		want, wm := silverRun(t, testFacility(t), 10*time.Minute, nil)
+		f, c := clusterPlaneFacility(t)
+		// Every cluster.fetch during the drain is the Silver reader's, so
+		// its targets are the bronze topic's partition leaders.
+		var leaders []string
+		c.Transport().SetFaultHook(func(op, target string) error {
+			if op == cluster.OpFetch {
+				leaders = append(leaders, target[strings.IndexByte(target, '>')+1:])
+			}
+			return nil
+		})
+		var victim string
+		failovers := c.Health().Failovers
+		got, gm := silverRun(t, f, 10*time.Minute, map[int]func(){
+			1: func() {
+				victim = leaders[0]
+				leaders = nil
+				if err := c.Kill(victim); err != nil {
+					t.Error(err)
+				}
+			},
+			8: func() {
+				if err := c.Restart(victim); err != nil {
+					t.Error(err)
+				}
+				if err := c.Repair(); err != nil {
+					t.Error(err)
+				}
+			},
+		})
+		sameSilver(t, "leader killed mid-drain", got, gm, want, wm)
+		if victim == "" || c.Health().Failovers == failovers || len(leaders) == 0 {
+			t.Fatalf("the drain never read past the failover (victim %q, %d fetches after it)", victim, len(leaders))
+		}
+		if h := c.Health(); h.Status != "ok" {
+			t.Fatalf("cluster after restart + repair: %+v", h)
+		}
+	})
 }

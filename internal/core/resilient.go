@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"odakit/internal/obs"
+	"odakit/internal/plane"
 	"odakit/internal/resilience"
 	"odakit/internal/schema"
 	"odakit/internal/sproc"
@@ -88,22 +89,18 @@ func (f *Facility) insertRetry(ctx context.Context, batch []schema.Observation) 
 	return err
 }
 
-// fetchRetry fetches retained records from a bronze topic without
-// blocking (callers read below EndOffset), retrying transients.
-func (f *Facility) fetchRetry(ctx context.Context, topic string, part int, off int64, max int) ([]stream.Record, error) {
+// collectRetry collects one reader pass (plane.Reader.Collect), retrying
+// transient fetch failures under the facility policy.
+func (f *Facility) collectRetry(ctx context.Context, r *plane.Reader, max int) ([]plane.Page, error) {
 	ctx, sp := obs.StartSpan(ctx, "stream.fetch")
 	defer sp.End()
-	sp.Annotate("at", "%s/%d@%d", topic, part, off)
-	var recs []stream.Record
-	err := f.retry(ctx, "fetch "+topic, func() error {
-		var ferr error
-		recs, ferr = f.stream.FetchNoWait(topic, part, off, max)
-		return ferr
+	pages, err := r.Collect(ctx, max, func(pass func() error) error {
+		return f.retry(ctx, "fetch", pass)
 	})
 	if err != nil {
 		sp.SetErr(err)
 	}
-	return recs, err
+	return pages, err
 }
 
 // oceanGet / oceanPut / oceanAppend wrap the OCEAN object store with the
@@ -142,14 +139,11 @@ func (f *Facility) oceanAppend(ctx context.Context, bucket, key string, data []b
 }
 
 // RunSilverSupervised runs the streaming Silver pipeline under a
-// supervisor: each incarnation rebuilds the job (re-subscribing and
-// restoring from its checkpoint), transient failures trigger damped
+// supervisor: each incarnation rebuilds the job (a fresh reader
+// restored from its checkpoint), transient failures trigger damped
 // backed-off restarts, and the pipeline registers itself with
 // f.Pipelines so /healthz and the dashboard can see it.
 func (f *Facility) RunSilverSupervised(ctx context.Context, cfg SilverPipelineConfig, scfg resilience.SupervisorConfig) error {
-	if cfg.Group == "" {
-		cfg.Group = "silver-" + string(cfg.Source)
-	}
 	p := sproc.NewPipeline("silver-"+string(cfg.Source), scfg, func() (*sproc.Job, error) {
 		return f.NewSilverJob(cfg)
 	})

@@ -2,10 +2,12 @@ package cq
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
 	"odakit/internal/obs"
+	"odakit/internal/resilience"
 	"odakit/internal/schema"
 	"odakit/internal/stream"
 	"odakit/internal/tsdb"
@@ -310,5 +312,65 @@ func TestViewIDStableAcrossFilterOrder(t *testing.T) {
 	c.Agg = tsdb.AggSum
 	if viewID(a) == viewID(c) {
 		t.Fatal("fingerprint ignores agg")
+	}
+}
+
+// outageStream is a broker whose partition `bad` fails every fetch with a
+// transient error until healAt, counting the fetches it refused.
+type outageStream struct {
+	*stream.Broker
+	bad     int
+	healAt  time.Time
+	refused int
+}
+
+func (s *outageStream) FetchNoWait(topic string, part int, off int64, max int) ([]stream.Record, error) {
+	if part == s.bad && time.Now().Before(s.healAt) {
+		s.refused++
+		return nil, resilience.MarkTransient(errors.New("leader election in progress"))
+	}
+	return s.Broker.FetchNoWait(topic, part, off, max)
+}
+
+// TestDrainIdlesThroughTransientOutage: while one partition is transiently
+// unreadable Drain has nothing to apply and is not caught up; it must
+// wait between polls (the reader's idle wait, 5 ms) instead of spinning,
+// and still apply every record exactly once when the partition heals.
+func TestDrainIdlesThroughTransientOutage(t *testing.T) {
+	const (
+		topic  = "bronze.alpha"
+		outage = 50 * time.Millisecond
+		idle   = 5 * time.Millisecond
+		n      = 400
+	)
+	b := stream.NewBroker()
+	defer b.Close()
+	if err := b.CreateTopic(topic, stream.TopicConfig{Partitions: 2}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		o := obsAt(unitT0.Add(time.Duration(i)*time.Second), "node01", "pow", float64(i))
+		if _, err := b.PublishTo(topic, i%2, nil, schema.EncodeRow(o.Row())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e := testEngine()
+	if _, err := e.Register(Spec{Window: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	src := &outageStream{Broker: b, bad: 1}
+	p, err := NewPumpSource(e, src, PumpConfig{Topics: []string{topic}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	src.healAt = time.Now().Add(outage)
+	if err := p.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if limit := int(outage/idle) + 5; src.refused == 0 || src.refused > limit {
+		t.Fatalf("%d fetches hit the partition during its %v outage, want 1..%d (one per idle wait)", src.refused, outage, limit)
+	}
+	if m := p.Metrics(); m.Polled != n || m.Applied != n || m.Bad != 0 {
+		t.Fatalf("after the outage the pump had polled %d and applied %d of %d records (%d bad)", m.Polled, m.Applied, n, m.Bad)
 	}
 }

@@ -87,8 +87,10 @@ func (w *propWorld) publishRound(n int) {
 }
 
 // referenceDB rebuilds a LAKE by partition-major replay — topics
-// ascending, each partition fully, offsets ascending — the exact order
-// core.ReplayBronzeToLake uses and the order the view's fold mirrors.
+// ascending, each partition fully, offsets ascending. The pump and
+// core.ReplayBronzeToLake visit the same partitions in the same order a
+// page at a time; every series lives in one partition, so per-partition
+// offset order is all the view's fold has to mirror.
 func (w *propWorld) referenceDB() *tsdb.DB {
 	db := tsdb.New(tsdb.Options{
 		RollupInterval: propRollup, SegmentDuration: propSegment, QueryCacheSize: -1,

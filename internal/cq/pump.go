@@ -7,8 +7,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"time"
 
 	"odakit/internal/atomicfile"
 	"odakit/internal/plane"
@@ -61,12 +59,8 @@ type PumpMetrics struct {
 // run two pumps against the same engine.
 type Pump struct {
 	engine *Engine
-	source plane.Stream
+	reader *plane.Reader
 	cfg    PumpConfig
-	topics []string // sorted
-	// offsets holds the next offset to fetch per topic partition — the
-	// same "next offset" semantics stream.Consumer.Position uses.
-	offsets map[string][]int64
 
 	// Decode scratch: one reused row and an interner for the dimension
 	// vocabulary, so the drain loop's per-record decode is allocation-
@@ -90,29 +84,11 @@ func NewPumpSource(engine *Engine, src plane.Stream, cfg PumpConfig) (*Pump, err
 	if len(cfg.Topics) == 0 {
 		return nil, fmt.Errorf("cq: pump needs at least one topic")
 	}
-	p := &Pump{
-		engine: engine, source: src, cfg: cfg,
-		topics:  append([]string(nil), cfg.Topics...),
-		offsets: make(map[string][]int64, len(cfg.Topics)),
-		intern:  schema.NewInterner(),
+	reader, err := plane.NewReader(src, cfg.Topics...)
+	if err != nil {
+		return nil, fmt.Errorf("cq: %w", err)
 	}
-	sort.Strings(p.topics)
-	for _, t := range p.topics {
-		parts, err := src.Partitions(t)
-		if err != nil {
-			return nil, fmt.Errorf("cq: partitions %s: %w", t, err)
-		}
-		offs := make([]int64, parts)
-		for i := range offs {
-			// Start earliest, like the consumer the pump replaced.
-			off, err := src.OldestOffset(t, i)
-			if err != nil {
-				return nil, fmt.Errorf("cq: oldest %s/%d: %w", t, i, err)
-			}
-			offs[i] = off
-		}
-		p.offsets[t] = offs
-	}
+	p := &Pump{engine: engine, reader: reader, cfg: cfg, intern: schema.NewInterner()}
 	if err := p.restore(); err != nil {
 		return nil, err
 	}
@@ -125,43 +101,17 @@ func (p *Pump) Metrics() PumpMetrics { return p.metrics }
 
 // step polls every topic partition once and applies what arrived,
 // preserving per-partition record order. Returns records applied.
-// Transient source errors (a fetch mid-failover, an injected fault) skip
-// the partition for this step — the cursor does not move, so the next
-// step resumes exactly where this one left off.
+// Transient source errors (a fetch mid-failover, an injected fault) are
+// tolerated: the reader skipped that partition without moving its
+// cursor, so the next step resumes exactly where this one left off.
 func (p *Pump) step(ctx context.Context) (int, error) {
-	total := 0
-	for _, t := range p.topics {
-		offs := p.offsets[t]
-		for part := range offs {
-			if err := ctx.Err(); err != nil {
-				return total, err
-			}
-			recs, err := p.source.FetchNoWait(t, part, offs[part], p.cfg.BatchSize)
-			switch {
-			case errors.Is(err, stream.ErrOffsetTrimmed):
-				// Retention ran ahead of the pump; resume at the oldest
-				// record still held.
-				oldest, oerr := p.source.OldestOffset(t, part)
-				if oerr != nil || oldest <= offs[part] {
-					continue
-				}
-				offs[part] = oldest
-				continue
-			case errors.Is(err, stream.ErrOffsetInFuture):
-				continue // nothing committed past the cursor yet
-			case resilience.IsTransient(err):
-				continue // retry this partition next step
-			case err != nil:
-				return total, fmt.Errorf("cq: poll %s/%d: %w", t, part, err)
-			}
-			if len(recs) == 0 {
-				continue
-			}
-			p.metrics.Polled += int64(len(recs))
-			total += len(recs)
-			p.applyRecords(t, recs)
-			offs[part] = recs[len(recs)-1].Offset + 1
-		}
+	total, err := p.reader.Poll(ctx, p.cfg.BatchSize, func(t string, _ int, recs []stream.Record) error {
+		p.metrics.Polled += int64(len(recs))
+		p.applyRecords(t, recs)
+		return nil
+	})
+	if err != nil && !resilience.IsTransient(err) {
+		return total, fmt.Errorf("cq: poll: %w", err)
 	}
 	if total > 0 {
 		p.sinceCkpt++
@@ -216,30 +166,23 @@ func (p *Pump) applyRecords(topic string, recs []stream.Record) {
 // quiet source costs no CPU.
 func (p *Pump) Run(ctx context.Context) error {
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		n, err := p.step(ctx)
 		if err != nil {
 			return err
 		}
 		if n == 0 {
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-time.After(5 * time.Millisecond):
+			if err := p.reader.Wait(ctx); err != nil {
+				return err
 			}
 		}
 	}
 }
 
 // Drain pumps until every topic's lag is zero, then checkpoints.
-// Tests and benchmarks use it to reach a known-synchronized state.
+// Tests and benchmarks use it to reach a known-synchronized state. While
+// a partition is transiently unreadable it idles between polls like Run.
 func (p *Pump) Drain(ctx context.Context) error {
 	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
 		n, err := p.step(ctx)
 		if err != nil {
 			return err
@@ -247,25 +190,15 @@ func (p *Pump) Drain(ctx context.Context) error {
 		if n > 0 {
 			continue
 		}
-		caughtUp := true
-		for _, t := range p.topics {
-			offs := p.offsets[t]
-			for part := range offs {
-				end, err := p.source.EndOffset(t, part)
-				if err != nil {
-					if resilience.IsTransient(err) {
-						caughtUp = false
-						continue
-					}
-					return fmt.Errorf("cq: lag %s/%d: %w", t, part, err)
-				}
-				if end > offs[part] {
-					caughtUp = false
-				}
-			}
+		lag, err := p.reader.Lag()
+		if err != nil && !resilience.IsTransient(err) {
+			return fmt.Errorf("cq: lag: %w", err)
 		}
-		if caughtUp {
+		if err == nil && lag == 0 {
 			return p.Checkpoint()
+		}
+		if err := p.reader.Wait(ctx); err != nil {
+			return err
 		}
 	}
 }
@@ -281,10 +214,7 @@ func (p *Pump) Checkpoint() error {
 	if p.cfg.CheckpointDir == "" {
 		return nil
 	}
-	ck := ckptFile{Name: p.cfg.Name, Offsets: make(map[string][]int64, len(p.topics))}
-	for _, t := range p.topics {
-		ck.Offsets[t] = append([]int64(nil), p.offsets[t]...)
-	}
+	ck := ckptFile{Name: p.cfg.Name, Offsets: p.reader.Offsets()}
 	for _, v := range p.engine.Views() {
 		ck.Views = append(ck.Views, v.snapshot())
 	}
@@ -338,17 +268,8 @@ func (p *Pump) restore() error {
 		}
 		v.bump()
 	}
-	for t, offs := range ck.Offsets {
-		cur := p.offsets[t]
-		if cur == nil {
-			continue // topic no longer pumped
-		}
-		for part, off := range offs {
-			if part >= len(cur) {
-				return fmt.Errorf("cq: checkpoint seek %s/%d: partition out of range", t, part)
-			}
-			cur[part] = off
-		}
+	if err := p.reader.Seek(ck.Offsets); err != nil {
+		return fmt.Errorf("cq: checkpoint seek: %w", err)
 	}
 	p.metrics.Recovered = true
 	return nil

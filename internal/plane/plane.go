@@ -7,7 +7,19 @@
 // there is no adapter type, so "cluster ≡ single node" is one code path
 // whose degenerate case is the single node.
 //
-// Declarations only: no logic lives here.
+// Beside the two declarations the package holds the one piece of logic
+// that is written against them rather than behind them: Reader, the
+// cursor every STREAM consumer reads through. A Reader delivers each
+// record of a topic's committed prefix (below EndOffset — the quorum
+// high watermark on a cluster) exactly once and in offset order per
+// partition, visits partitions in one fixed order, never moves a cursor
+// past a record its callback did not accept, resumes at the oldest
+// retained record when retention overtakes it, and lets one failing
+// partition neither block the others nor lose its place; a pass collected
+// for later processing (Collect) is handed over or the cursors go back.
+// Its progress is Offsets, which the owner checkpoints and Seeks back
+// to. Like the pump and the jobs that hold one, a Reader belongs to a
+// single goroutine.
 package plane
 
 import (

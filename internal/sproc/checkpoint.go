@@ -61,7 +61,7 @@ func (j *Job) checkpoint() error {
 	j.mu.Lock()
 	ck := ckptFile{
 		Name:    j.cfg.Name,
-		Offsets: j.consumer.Position(),
+		Offsets: j.reader.Offsets()[j.cfg.Topic],
 		PartWM:  make(map[string]int64, len(j.partWM)),
 		Emitted: j.emitted,
 	}
@@ -100,7 +100,7 @@ func (j *Job) checkpoint() error {
 	return nil
 }
 
-// restore loads the checkpoint if one exists, seeking the consumer to the
+// restore loads the checkpoint if one exists, seeking the reader to the
 // saved offsets and rebuilding open-window state. Torn writes from a
 // crash (*.tmp leftovers) are swept first; the rename-based protocol
 // guarantees the checkpoint file itself is always a complete version.
@@ -119,10 +119,8 @@ func (j *Job) restore() error {
 	if err := json.Unmarshal(data, &ck); err != nil {
 		return fmt.Errorf("sproc: checkpoint parse: %w", err)
 	}
-	for p, off := range ck.Offsets {
-		if err := j.consumer.Seek(p, off); err != nil {
-			return fmt.Errorf("sproc: checkpoint seek: %w", err)
-		}
+	if err := j.reader.Seek(map[string][]int64{j.cfg.Topic: ck.Offsets}); err != nil {
+		return fmt.Errorf("sproc: checkpoint seek: %w", err)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()

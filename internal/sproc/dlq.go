@@ -3,6 +3,7 @@ package sproc
 import (
 	"context"
 	"encoding/base64"
+	"errors"
 	"fmt"
 	"time"
 
@@ -16,8 +17,9 @@ import (
 // to wedge the pipeline. They are republished to a sibling topic named
 // "<topic>.dlq" with enough metadata (origin partition/offset, the decode
 // error, the raw payload) to diagnose and replay them once the producer
-// bug is fixed. DLQ topics are plain broker topics: bounded by retention,
-// inspectable with the normal consumer APIs or ReadDeadLetters.
+// bug is fixed. DLQ topics are plain STREAM topics on whichever plane the
+// job reads: bounded by retention, inspectable with a plane.Reader or
+// ReadDeadLetters.
 
 // DLQSuffix is appended to a topic's name to form its dead-letter topic.
 const DLQSuffix = ".dlq"
@@ -93,37 +95,36 @@ func DeadLetter(b plane.Stream, recs []DeadRecord) (int, error) {
 	return published, nil
 }
 
-// ReadDeadLetters drains a topic's DLQ and returns its records in offset
-// order — the forensics/replay read path. A topic with no DLQ (nothing
-// was ever quarantined) yields an empty slice.
-func ReadDeadLetters(ctx context.Context, b *stream.Broker, topic string) ([]DeadRecord, error) {
-	dlq := DLQTopic(topic)
-	parts, err := b.Partitions(dlq)
-	if err != nil {
+// ReadDeadLetters drains a topic's DLQ and returns the records it still
+// retains in offset order — the forensics/replay read path. A topic with
+// no DLQ (nothing was ever quarantined) yields an empty slice.
+func ReadDeadLetters(ctx context.Context, s plane.Stream, topic string) ([]DeadRecord, error) {
+	r, err := plane.NewReader(s, DLQTopic(topic))
+	if errors.Is(err, stream.ErrNoTopic) {
 		return nil, nil // no DLQ topic: nothing was quarantined
 	}
+	if err != nil {
+		return nil, fmt.Errorf("sproc: dlq: %w", err)
+	}
 	var out []DeadRecord
-	for p := 0; p < parts; p++ {
-		end, err := b.EndOffset(dlq, p)
-		if err != nil {
-			return nil, err
-		}
-		for off := int64(0); off < end; {
-			recs, err := b.Fetch(ctx, dlq, p, off, 1024)
-			if err != nil {
-				return nil, fmt.Errorf("sproc: dlq fetch: %w", err)
-			}
-			for _, r := range recs {
-				d, err := deadRecordFromRow(mustDecodeRow(r.Value))
+	for {
+		n, err := r.Poll(ctx, 1024, func(_ string, _ int, recs []stream.Record) error {
+			for _, rec := range recs {
+				d, err := deadRecordFromRow(mustDecodeRow(rec.Value))
 				if err != nil {
-					return nil, err
+					return err
 				}
 				out = append(out, d)
 			}
-			off = recs[len(recs)-1].Offset + 1
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("sproc: dlq fetch: %w", err)
+		}
+		if n == 0 {
+			return out, nil
 		}
 	}
-	return out, nil
 }
 
 // mustDecodeRow decodes row codec bytes, returning nil on failure (the

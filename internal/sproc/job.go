@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"odakit/internal/obs"
+	"odakit/internal/plane"
 	"odakit/internal/resilience"
 	"odakit/internal/schema"
 	"odakit/internal/stream"
@@ -18,14 +19,17 @@ import (
 type JobConfig struct {
 	// Name identifies the job; the checkpoint file is named after it.
 	Name string
-	// Topic and Group select the broker subscription.
+	// Topic is the topic the job reads, from its oldest retained record
+	// (or from its checkpoint).
 	Topic string
-	Group string
 	// InputSchema decodes record payloads (schema.EncodeRow bytes).
 	InputSchema *schema.Schema
-	// BatchSize caps records per micro-batch (default 4096).
+	// BatchSize caps the records a micro-batch takes from each partition
+	// (default 4096).
 	BatchSize int
-	// PollWait bounds how long a micro-batch waits for data (default 100ms).
+	// PollWait bounds how long a micro-batch waits for data before the
+	// job flushes what idle-partition exclusion has unblocked (default
+	// 100ms).
 	PollWait time.Duration
 	// CheckpointDir enables recovery when non-empty: offsets, watermark,
 	// and open-window state persist there after every sunk batch.
@@ -93,12 +97,12 @@ type Metrics struct {
 	BreakerOpen         bool
 }
 
-// Job is a micro-batch streaming pipeline: broker topic -> optional
+// Job is a micro-batch streaming pipeline: STREAM topic -> optional
 // filter -> optional windowed aggregation -> optional batch transforms ->
 // sink, with checkpoint-based recovery. Build it fluently, then Run or
 // Drain it. A Job is single-consumer; metrics reads are mutex-guarded.
 type Job struct {
-	broker *stream.Broker
+	stream plane.Stream
 	cfg    JobConfig
 
 	pred   func(schema.Row) bool
@@ -120,9 +124,9 @@ type Job struct {
 	partSeen map[int]time.Time // wall-clock last-data time per partition
 	emitted  int64             // latest emitted window start (nanos)
 
-	consumer *stream.Consumer
-	outSch   *schema.Schema
-	breaker  *resilience.Breaker
+	reader  *plane.Reader
+	outSch  *schema.Schema
+	breaker *resilience.Breaker
 }
 
 type winGroup struct {
@@ -130,8 +134,9 @@ type winGroup struct {
 	states []aggState
 }
 
-// NewJob returns a job reading the configured topic.
-func NewJob(b *stream.Broker, cfg JobConfig) (*Job, error) {
+// NewJob returns a job reading the configured topic of a data plane's
+// STREAM.
+func NewJob(s plane.Stream, cfg JobConfig) (*Job, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("%w: job needs a name", ErrPlan)
 	}
@@ -148,7 +153,7 @@ func NewJob(b *stream.Broker, cfg JobConfig) (*Job, error) {
 		cfg.PartitionIdleTimeout = 500 * time.Millisecond
 	}
 	j := &Job{
-		broker: b, cfg: cfg,
+		stream: s, cfg: cfg,
 		winState: make(map[int64]map[string]*winGroup),
 		partWM:   make(map[int]int64),
 		emitted:  -1 << 62,
@@ -270,14 +275,12 @@ func (j *Job) start() error {
 		}
 		j.outSch = sch
 	}
-	c, err := j.broker.Subscribe(j.cfg.Topic, j.cfg.Group, stream.StartEarliest)
+	r, err := plane.NewReader(j.stream, j.cfg.Topic)
 	if err != nil {
 		return err
 	}
-	j.consumer = c
-	if j.nparts, err = j.broker.Partitions(j.cfg.Topic); err != nil {
-		return err
-	}
+	j.reader = r
+	j.nparts = len(r.Offsets()[j.cfg.Topic])
 	j.partSeen = make(map[int]time.Time, j.nparts)
 	now := time.Now()
 	for p := 0; p < j.nparts; p++ {
@@ -315,15 +318,11 @@ func (j *Job) Drain(ctx context.Context) error {
 		return err
 	}
 	for {
-		lags, err := j.consumer.Lag()
+		lag, err := j.reader.Lag()
 		if err != nil {
 			return err
 		}
-		total := int64(0)
-		for _, l := range lags {
-			total += l
-		}
-		if total == 0 {
+		if lag == 0 {
 			break
 		}
 		if err := j.step(ctx); err != nil {
@@ -337,29 +336,43 @@ func (j *Job) Drain(ctx context.Context) error {
 	return j.checkpoint()
 }
 
-// step consumes one micro-batch.
+// step consumes one micro-batch: one reader pass over the topic's
+// partitions, waited for up to PollWait. Transient fetch failures are
+// retried under the job's policy; a retried pass re-reads only the
+// partitions that failed, the others move on to their next page. A pass
+// that ends in an error (retries exhausted, ctx cancelled mid-pass or
+// mid-backoff) hands the job nothing and leaves the cursors where they
+// were, so the checkpoint a graceful stop writes never covers a record
+// that was fetched but not processed.
 func (j *Job) step(ctx context.Context) error {
 	var recs []stream.Record
-	err := j.withRetry(ctx, func() error {
-		pollCtx, cancel := context.WithTimeout(ctx, j.cfg.PollWait)
-		var perr error
-		recs, perr = j.consumer.Poll(pollCtx, j.cfg.BatchSize)
-		cancel()
-		return perr
-	})
-	if err != nil {
-		if (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) && ctx.Err() == nil {
+	for idleSince := time.Now(); ; {
+		pages, err := j.reader.Collect(ctx, j.cfg.BatchSize, func(pass func() error) error {
+			return j.withRetry(ctx, pass)
+		})
+		if err != nil {
+			return err
+		}
+		for _, pg := range pages {
+			recs = append(recs, pg.Recs...)
+		}
+		if len(recs) > 0 {
+			break
+		}
+		if time.Since(idleSince) >= j.cfg.PollWait {
 			// Idle poll: no new data, but idle-partition exclusion may
 			// have just unblocked the watermark — try to flush.
-			if j.window != nil {
-				if ferr := j.flushWindows(ctx, false); ferr != nil {
-					return ferr
-				}
-				return j.checkpoint()
+			if j.window == nil {
+				return nil
 			}
-			return nil
+			if err := j.flushWindows(ctx, false); err != nil {
+				return err
+			}
+			return j.checkpoint()
 		}
-		return err
+		if err := j.reader.Wait(ctx); err != nil {
+			return err
+		}
 	}
 	// One micro-batch span (sampled roots only; a no-op otherwise). It
 	// parents the sink spans deliver opens below.
@@ -421,7 +434,7 @@ func (j *Job) step(ctx context.Context) error {
 		var n int
 		if derr := j.withRetry(ctx, func() error {
 			var e error
-			n, e = DeadLetter(j.broker, dead)
+			n, e = DeadLetter(j.stream, dead)
 			return e
 		}); derr != nil {
 			return derr

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"odakit/internal/resilience"
 	"odakit/internal/schema"
 	"odakit/internal/stream"
 )
@@ -64,7 +65,7 @@ func TestPassthroughJob(t *testing.T) {
 		publishObs(t, b, i, "node0", "power", float64(i))
 	}
 	var sink collectSink
-	j, err := NewJob(b, JobConfig{Name: "pass", Topic: "bronze", Group: "g", InputSchema: schema.ObservationSchema})
+	j, err := NewJob(b, JobConfig{Name: "pass", Topic: "bronze", InputSchema: schema.ObservationSchema})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestWhereFilterJob(t *testing.T) {
 	}
 	var sink collectSink
 	mi := schema.ObservationSchema.MustIndex("metric")
-	j, _ := NewJob(b, JobConfig{Name: "filt", Topic: "bronze", Group: "g", InputSchema: schema.ObservationSchema})
+	j, _ := NewJob(b, JobConfig{Name: "filt", Topic: "bronze", InputSchema: schema.ObservationSchema})
 	j.Where(func(r schema.Row) bool { return r[mi].StrVal() == "power" }).To(sink.sink)
 	if err := j.Drain(context.Background()); err != nil {
 		t.Fatal(err)
@@ -114,7 +115,7 @@ func TestMalformedRecordsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sink collectSink
-	j, _ := NewJob(b, JobConfig{Name: "mal", Topic: "bronze", Group: "g", InputSchema: schema.ObservationSchema})
+	j, _ := NewJob(b, JobConfig{Name: "mal", Topic: "bronze", InputSchema: schema.ObservationSchema})
 	j.To(sink.sink)
 	if err := j.Drain(context.Background()); err != nil {
 		t.Fatal(err)
@@ -127,7 +128,7 @@ func TestMalformedRecordsCounted(t *testing.T) {
 
 func windowJob(t testing.TB, b *stream.Broker, name, dir string, sink func(*schema.Frame) error) *Job {
 	j, err := NewJob(b, JobConfig{
-		Name: name, Topic: "bronze", Group: name,
+		Name: name, Topic: "bronze",
 		InputSchema: schema.ObservationSchema, CheckpointDir: dir,
 	})
 	if err != nil {
@@ -247,7 +248,7 @@ func TestMapBatchPivot(t *testing.T) {
 		publishObs(t, b, s, "node0", "temp", 40)
 	}
 	var sink collectSink
-	j, _ := NewJob(b, JobConfig{Name: "piv", Topic: "bronze", Group: "piv", InputSchema: schema.ObservationSchema})
+	j, _ := NewJob(b, JobConfig{Name: "piv", Topic: "bronze", InputSchema: schema.ObservationSchema})
 	j.Window(WindowSpec{
 		TimeCol: "ts", Window: 15 * time.Second,
 		Keys: []string{"component", "metric"},
@@ -334,7 +335,7 @@ func TestCheckpointPreservesOpenWindowState(t *testing.T) {
 		publishObs(t, b, s, "node0", "power", 100)
 	}
 	var sink1 collectSink
-	j1, _ := NewJob(b, JobConfig{Name: "open", Topic: "bronze", Group: "open", InputSchema: schema.ObservationSchema, CheckpointDir: dir})
+	j1, _ := NewJob(b, JobConfig{Name: "open", Topic: "bronze", InputSchema: schema.ObservationSchema, CheckpointDir: dir})
 	j1.Window(WindowSpec{TimeCol: "ts", Window: 15 * time.Second, Keys: []string{"component"}, Aggs: []Agg{{Col: "value", Kind: AggCount, As: "n"}}}).To(sink1.sink)
 	// Run briefly: absorb data without force flush, then stop.
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
@@ -352,7 +353,7 @@ func TestCheckpointPreservesOpenWindowState(t *testing.T) {
 		publishObs(t, b, s, "node0", "power", 100)
 	}
 	var sink2 collectSink
-	j2, _ := NewJob(b, JobConfig{Name: "open", Topic: "bronze", Group: "open", InputSchema: schema.ObservationSchema, CheckpointDir: dir})
+	j2, _ := NewJob(b, JobConfig{Name: "open", Topic: "bronze", InputSchema: schema.ObservationSchema, CheckpointDir: dir})
 	j2.Window(WindowSpec{TimeCol: "ts", Window: 15 * time.Second, Keys: []string{"component"}, Aggs: []Agg{{Col: "value", Kind: AggCount, As: "n"}}}).To(sink2.sink)
 	if err := j2.Drain(context.Background()); err != nil {
 		t.Fatal(err)
@@ -394,7 +395,7 @@ func TestSinkErrorPropagates(t *testing.T) {
 	b := newBrokerWithTopic(t)
 	publishObs(t, b, 0, "node0", "power", 1)
 	boom := errors.New("downstream full")
-	j, _ := NewJob(b, JobConfig{Name: "err", Topic: "bronze", Group: "err", InputSchema: schema.ObservationSchema})
+	j, _ := NewJob(b, JobConfig{Name: "err", Topic: "bronze", InputSchema: schema.ObservationSchema})
 	j.To(func(*schema.Frame) error { return boom })
 	if err := j.Drain(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want sink error", err)
@@ -419,7 +420,7 @@ func BenchmarkWindowedThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		j, _ := NewJob(bk, JobConfig{
-			Name: fmt.Sprintf("bench%d", i), Topic: "bronze", Group: fmt.Sprintf("bench%d", i),
+			Name: fmt.Sprintf("bench%d", i), Topic: "bronze",
 			InputSchema: schema.ObservationSchema, BatchSize: 8192,
 		})
 		j.Window(WindowSpec{
@@ -441,7 +442,7 @@ func TestSlidingWindows(t *testing.T) {
 		publishObs(t, b, s, "node0", "power", 100)
 	}
 	var sink collectSink
-	j, _ := NewJob(b, JobConfig{Name: "slide", Topic: "bronze", Group: "slide", InputSchema: schema.ObservationSchema})
+	j, _ := NewJob(b, JobConfig{Name: "slide", Topic: "bronze", InputSchema: schema.ObservationSchema})
 	j.Window(WindowSpec{
 		TimeCol: "ts", Window: 30 * time.Second, Slide: 15 * time.Second,
 		Keys: []string{"component"},
@@ -486,12 +487,81 @@ func TestSlidingWindows(t *testing.T) {
 
 func TestSlidingWindowValidation(t *testing.T) {
 	b := newBrokerWithTopic(t)
-	j, _ := NewJob(b, JobConfig{Name: "badslide", Topic: "bronze", Group: "bs", InputSchema: schema.ObservationSchema})
+	j, _ := NewJob(b, JobConfig{Name: "badslide", Topic: "bronze", InputSchema: schema.ObservationSchema})
 	j.Window(WindowSpec{
 		TimeCol: "ts", Window: 10 * time.Second, Slide: 20 * time.Second,
 		Aggs: []Agg{{Col: "value", Kind: AggAvg}},
 	}).To(func(*schema.Frame) error { return nil })
 	if err := j.Drain(context.Background()); !errors.Is(err, ErrPlan) {
 		t.Fatalf("slide > window accepted: %v", err)
+	}
+}
+
+// downPartition is a broker whose partition `bad` refuses every fetch
+// with a transient error while down is set.
+type downPartition struct {
+	*stream.Broker
+	bad  int
+	down bool
+}
+
+func (s *downPartition) FetchNoWait(topic string, part int, off int64, max int) ([]stream.Record, error) {
+	if s.down && part == s.bad {
+		return nil, resilience.MarkTransient(errors.New("leader election in progress"))
+	}
+	return s.Broker.FetchNoWait(topic, part, off, max)
+}
+
+// TestCancelMidPassLosesNothing: partition 0's page is already collected
+// when partition 1 fails transiently and the job is cancelled during the
+// retry backoff. The graceful-stop checkpoint must not cover the page the
+// job never processed: a restarted job sees every record exactly once.
+func TestCancelMidPassLosesNothing(t *testing.T) {
+	const n = 40
+	b := newBrokerWithTopic(t)
+	for i := 0; i < n; i++ {
+		o := schema.Observation{Ts: tbase.Add(time.Duration(i) * time.Second), System: "compass",
+			Source: "power_temp", Component: "node0", Metric: "power", Value: float64(i)}
+		if _, err := b.PublishTo("bronze", i%2, nil, schema.EncodeRow(o.Row())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := &downPartition{Broker: b, bad: 1, down: true}
+	dir := t.TempDir()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	cfg := JobConfig{Name: "stop", Topic: "bronze", InputSchema: schema.ObservationSchema, CheckpointDir: dir,
+		Retry: &resilience.Policy{BaseDelay: time.Minute, MaxDelay: time.Minute,
+			OnRetry: func(int, error, time.Duration) { cancel() }}}
+	var sink1, sink2 collectSink
+	j1, err := NewJob(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j1.To(sink1.sink).Run(ctx); err != nil {
+		t.Fatalf("cancelled run: %v", err)
+	}
+	if m := j1.Metrics(); m.Retries != 1 || m.RecordsIn != 0 {
+		t.Fatalf("first incarnation: %+v, want one retry and nothing processed", m)
+	}
+
+	src.down = false
+	cfg.Retry = nil
+	j2, err := NewJob(src, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.To(sink2.sink).Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[float64]int)
+	vIdx := schema.ObservationSchema.MustIndex("value")
+	for _, r := range append(sink1.rows(), sink2.rows()...) {
+		seen[r[vIdx].FloatVal()]++
+	}
+	for i := 0; i < n; i++ {
+		if seen[float64(i)] != 1 {
+			t.Fatalf("record %d sunk %d times across the stop and the restart, want exactly once", i, seen[float64(i)])
+		}
 	}
 }

@@ -9,7 +9,7 @@ import (
 )
 
 // Supervised pipelines: a Pipeline couples a restartable job with its
-// supervisor so each incarnation re-subscribes and restores from its
+// supervisor so each incarnation opens a fresh reader and restores from its
 // checkpoint, while restart damping keeps a persistently failing job
 // from hot-looping. A Registry makes every pipeline's health observable
 // to the HTTP API (/healthz, /api/v1/pipelines) and the dashboard.
@@ -39,7 +39,7 @@ func (p *Pipeline) Name() string { return p.name }
 
 // Run supervises the job until it stops cleanly, fails fatally, exhausts
 // the restart budget, or ctx is done. Each restart rebuilds the Job, so
-// it re-subscribes and restores from its checkpoint.
+// it opens a fresh reader and restores from its checkpoint.
 func (p *Pipeline) Run(ctx context.Context) error {
 	return p.sup.Run(ctx, func(ctx context.Context) error {
 		j, err := p.build()

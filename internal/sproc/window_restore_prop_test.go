@@ -26,7 +26,7 @@ import (
 func slidingJob(t testing.TB, b *stream.Broker, name, dir string, sink func(*schema.Frame) error) *Job {
 	t.Helper()
 	j, err := NewJob(b, JobConfig{
-		Name: name, Topic: "bronze", Group: name,
+		Name: name, Topic: "bronze",
 		InputSchema: schema.ObservationSchema, CheckpointDir: dir,
 		PollWait: 20 * time.Millisecond,
 	})

@@ -6,10 +6,10 @@
 // A Broker hosts named topics; each topic is split into partitions; each
 // partition is an append-only log addressed by monotonically increasing
 // offsets. Producers publish key/value records (keys route to partitions);
-// consumer groups track committed offsets per partition and support replay
-// by offset or timestamp. Retention trims old records by age or bytes,
-// which is how the STREAM tier keeps its bounded footprint while OCEAN and
-// GLACIER hold history.
+// consumers read by offset, each through its own plane.Reader, so every
+// one replays the retained log from its own position. Retention trims old
+// records by age or bytes, which is how the STREAM tier keeps its bounded
+// footprint while OCEAN and GLACIER hold history.
 package stream
 
 import (
@@ -67,12 +67,11 @@ func (c TopicConfig) withDefaults() TopicConfig {
 	return c
 }
 
-// Broker hosts topics and consumer-group state. It is safe for concurrent
-// use by any number of producers and consumers.
+// Broker hosts topics. It is safe for concurrent use by any number of
+// producers and consumers.
 type Broker struct {
 	mu     sync.RWMutex
 	topics map[string]*topic
-	groups map[string]*group
 	closed bool
 	// now is the clock; tests may swap it for determinism.
 	now func() time.Time
@@ -88,7 +87,6 @@ type Broker struct {
 func NewBroker() *Broker {
 	return &Broker{
 		topics: make(map[string]*topic),
-		groups: make(map[string]*group),
 		now:    time.Now,
 	}
 }

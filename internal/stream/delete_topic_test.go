@@ -1,20 +1,17 @@
 package stream_test
 
-// Regression tests for topic deletion racing in-flight readers: a
+// Regression test for topic deletion racing in-flight readers: a
 // consumer that resolved the topic before DeleteTopic won the race must
 // see ErrNoTopic — never leftover records from the deleted log and never
-// ErrBrokerClosed (the broker is still up). Runs under an injected fault
-// schedule so the group members are mid-retry when the topic vanishes,
-// which is exactly the in-flight-rebalance window the bug lived in.
+// ErrBrokerClosed (the broker is still up).
 
 import (
 	"context"
 	"errors"
-	"sync"
 	"testing"
 	"time"
 
-	"odakit/internal/faults"
+	"odakit/internal/plane"
 	"odakit/internal/stream"
 )
 
@@ -28,6 +25,11 @@ func TestFetchAfterDeleteTopicReturnsNoTopic(t *testing.T) {
 		if _, _, err := b.Publish("doomed", []byte{byte(i)}, []byte("v")); err != nil {
 			t.Fatal(err)
 		}
+	}
+
+	r, err := plane.NewReader(b, "doomed")
+	if err != nil {
+		t.Fatal(err)
 	}
 
 	// A fetcher blocked past the end of the log must wake with ErrNoTopic.
@@ -55,80 +57,10 @@ func TestFetchAfterDeleteTopicReturnsNoTopic(t *testing.T) {
 	if !errors.Is(err, stream.ErrNoTopic) {
 		t.Fatalf("FetchNoWait after DeleteTopic: got recs=%d err=%v, want ErrNoTopic", len(recs), err)
 	}
-}
-
-func TestGroupPollAfterDeleteTopicDuringRebalance(t *testing.T) {
-	b := stream.NewBroker()
-	defer b.Close()
-	inj := faults.New(20240601)
-	inj.InstallBroker(b)
-	// A low transient-fetch rate keeps members cycling through retries
-	// while the rebalance and the deletion land.
-	inj.Set("broker.fetch", faults.Rates{Transient: 0.2})
-
-	if err := b.CreateTopic("doomed", stream.TopicConfig{Partitions: 4}); err != nil {
-		t.Fatal(err)
+	// Nor may a reader positioned before the deletion: the pass ends with
+	// the topic-not-found error and delivers nothing.
+	n, err := r.Poll(context.Background(), 16, func(string, int, []stream.Record) error { return nil })
+	if n != 0 || !errors.Is(err, stream.ErrNoTopic) {
+		t.Fatalf("Reader.Poll after DeleteTopic: %d records, err %v, want ErrNoTopic", n, err)
 	}
-	for i := 0; i < 256; i++ {
-		if _, _, err := b.Publish("doomed", []byte{byte(i)}, []byte("v")); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	m1, err := b.JoinGroup("doomed", "g", stream.StartEarliest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Poll once so m1 holds a live assignment before the rebalance.
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	for {
-		if _, err := m1.Poll(ctx, 16); err == nil {
-			break
-		} else if !isInjected(err) {
-			t.Fatalf("warm-up poll: %v", err)
-		}
-	}
-
-	// Second member joins: the rebalance is now in flight for m1 (it has
-	// not synced the new generation yet) when the topic is deleted.
-	m2, err := b.JoinGroup("doomed", "g", stream.StartEarliest)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = m2
-	if err := b.DeleteTopic("doomed"); err != nil {
-		t.Fatal(err)
-	}
-
-	var wg sync.WaitGroup
-	for _, m := range []*stream.Member{m1, m2} {
-		wg.Add(1)
-		go func(m *stream.Member) {
-			defer wg.Done()
-			pctx, pcancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer pcancel()
-			for {
-				recs, err := m.Poll(pctx, 16)
-				switch {
-				case err == nil:
-					t.Errorf("Poll on deleted topic served %d stale records", len(recs))
-					return
-				case isInjected(err):
-					continue // injected fault; retry until deletion surfaces
-				case errors.Is(err, stream.ErrNoTopic):
-					return // the fix: topic-not-found, not stale data
-				default:
-					t.Errorf("Poll on deleted topic: got %v, want ErrNoTopic", err)
-					return
-				}
-			}
-		}(m)
-	}
-	wg.Wait()
-}
-
-func isInjected(err error) bool {
-	var ie *faults.InjectedError
-	return errors.As(err, &ie)
 }

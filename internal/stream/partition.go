@@ -44,7 +44,7 @@ type partition struct {
 	closed bool
 	// deleted marks a partition whose topic was removed via DeleteTopic,
 	// as opposed to a broker shutdown. Readers holding a stale *topic
-	// (an in-flight group rebalance, a blocked Fetch) must see the
+	// (a fetch that resolved it first, a blocked Fetch) must see the
 	// topic-not-found error, never leftover records or ErrBrokerClosed.
 	deleted bool
 	// notify is closed and replaced on every append so blocked fetchers
@@ -413,20 +413,6 @@ func (p *partition) fetchNoWait(offset int64, max int) ([]Record, error) {
 	out := p.copyRangeLocked(i, j)
 	p.fetchRecords.Add(int64(len(out)))
 	return out, nil
-}
-
-// offsetAtTime returns the first offset whose record timestamp is >= ts.
-// If every retained record is older, it returns the end offset.
-func (p *partition) offsetAtTime(ts time.Time) int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for i := 0; i < p.count; i++ {
-		r := p.recAt(i)
-		if !r.Ts.Before(ts) {
-			return r.Offset
-		}
-	}
-	return p.next
 }
 
 type partitionStats struct {
