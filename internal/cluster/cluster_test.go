@@ -36,7 +36,7 @@ func lakeOpts() tsdb.Options {
 
 // testCluster builds an n-node cluster (n1..nN) with the given RF and
 // the property-test lake geometry.
-func testCluster(t *testing.T, n, rf int) *Cluster {
+func testCluster(t testing.TB, n, rf int) *Cluster {
 	t.Helper()
 	ids := make([]string, n)
 	for i := range ids {

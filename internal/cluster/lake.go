@@ -9,6 +9,7 @@ import (
 
 	"odakit/internal/resilience"
 	"odakit/internal/schema"
+	"odakit/internal/stream"
 	"odakit/internal/tsdb"
 )
 
@@ -34,15 +35,21 @@ func (c *Cluster) InsertBatch(obs []schema.Observation) error {
 	if len(obs) == 0 {
 		return nil
 	}
-	var byStripe [tsdb.NumStripes][]schema.Observation
-	for _, o := range obs {
-		s := tsdb.StripeFor(o.Component, o.Metric)
-		byStripe[s] = append(byStripe[s], o)
-	}
+	// Pooled scratch (or obs itself when one stripe takes the whole
+	// batch): the lakes roll observations up and the WAL encodes them
+	// before either returns, so nothing holds a sub-batch past this call.
+	byStripe := stripeRegroups.Get().(*stream.Regroup[schema.Observation])
+	defer func() {
+		byStripe.Clear()
+		stripeRegroups.Put(byStripe)
+	}()
+	byStripe.Sort(obs, tsdb.NumStripes, func(o *schema.Observation) int {
+		return tsdb.StripeFor(o.Component, o.Metric)
+	})
 	var buf [tsdb.NumStripes]int
 	touched := buf[:0] // ascending: the stripe lock order
-	for s := range byStripe {
-		if len(byStripe[s]) > 0 {
+	for s := 0; s < tsdb.NumStripes; s++ {
+		if len(byStripe.Group(s)) > 0 {
 			touched = append(touched, s)
 		}
 	}
@@ -57,7 +64,7 @@ func (c *Cluster) InsertBatch(obs []schema.Observation) error {
 	var wave flushWave
 	var staged [tsdb.NumStripes]stripeInsert
 	for _, s := range touched {
-		staged[s] = c.stageStripeLocked(s, byStripe[s], &wave)
+		staged[s] = c.stageStripeLocked(s, byStripe.Group(s), &wave)
 	}
 	c.runWave(&wave)
 	var firstErr error
@@ -68,6 +75,8 @@ func (c *Cluster) InsertBatch(obs []schema.Observation) error {
 	}
 	return firstErr
 }
+
+var stripeRegroups = sync.Pool{New: func() any { return new(stream.Regroup[schema.Observation]) }}
 
 // stripeInsert is one stripe's insert between staging and the wave: the
 // sequence number it will commit under and the replicas that applied it.

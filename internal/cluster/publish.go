@@ -29,15 +29,6 @@ func fingerprintMsgs(msgs []stream.Message) uint64 {
 	return h
 }
 
-// route picks a message's partition the way a single broker does: the
-// shared keyed router, cluster-level round-robin when keyless.
-func (t *topicState) route(key []byte) int {
-	if len(key) == 0 {
-		return int(t.rr.Add(1) % uint64(len(t.parts)))
-	}
-	return stream.KeyPartition(key, len(t.parts))
-}
-
 // PublishBatch publishes a batch through the cluster: each message
 // routes to a partition (key hash, cluster-level round-robin when
 // keyless — identical placement to a single broker for keyed messages),
@@ -66,15 +57,15 @@ func (c *Cluster) PublishBatch(topicName string, msgs []stream.Message) (int, er
 	if err != nil {
 		return 0, err
 	}
-	byPart := make([][]stream.Message, len(t.parts))
-	for _, m := range msgs {
-		p := t.route(m.Key)
-		byPart[p] = append(byPart[p], m)
-	}
-	subs := make([]partBatch, 0, len(byPart))
-	for p, sub := range byPart {
-		if len(sub) > 0 {
-			subs = append(subs, partBatch{ps: t.parts[p], msgs: sub, fp: fingerprintMsgs(sub)})
+	// The sub-batches live in pooled scratch (or are msgs itself when one
+	// partition takes the whole batch): the logs copy what they append and
+	// Failed below is a fresh slice, so nothing holds it past this call.
+	byPart := stream.RouteBatch(&t.rr, msgs, len(t.parts))
+	defer stream.ReleaseBatch(byPart)
+	subs := make([]partBatch, 0, len(t.parts))
+	for p, ps := range t.parts {
+		if sub := byPart.Group(p); len(sub) > 0 {
+			subs = append(subs, partBatch{ps: ps, msgs: sub, fp: fingerprintMsgs(sub)})
 		}
 	}
 	c.publishParts(t, subs)
@@ -102,7 +93,7 @@ func (c *Cluster) Publish(topicName string, key, value []byte) (int, int64, erro
 	if err != nil {
 		return 0, 0, err
 	}
-	p := t.route(key)
+	p := stream.Route(&t.rr, key, len(t.parts))
 	msgs := []stream.Message{{Key: key, Value: value}}
 	subs := []partBatch{{ps: t.parts[p], msgs: msgs, fp: fingerprintMsgs(msgs)}}
 	c.publishParts(t, subs)

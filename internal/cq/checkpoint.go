@@ -154,9 +154,9 @@ func (v *View) snapshot() ckptView {
 				if ct == nil {
 					continue
 				}
-				ch := ckptChunk{Start: start, Cells: make([]ckptCell, 0, len(ct.Keys))}
-				for i := range ct.Keys {
-					k, c := &ct.Keys[i], &ct.Cells[i]
+				ch := ckptChunk{Start: start, Cells: make([]ckptCell, 0, ct.Len())}
+				for i := 0; i < ct.Len(); i++ {
+					k, c := ct.At(i)
 					ch.Cells = append(ch.Cells, ckptCell{
 						Ts: k.Ts, System: k.System, Source: k.Source, Comp: k.Component, Metric: k.Metric,
 						Count: c.Count, Sum: math.Float64bits(c.Sum),

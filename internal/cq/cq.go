@@ -35,8 +35,8 @@
 //   - A read is a feeder of tsdb's aggregation kernel
 //     (internal/tsdb/kernel.go) — alongside the hot shard scan, the cold
 //     tier's row groups and the cluster's remote stripe partials — not a
-//     copy of it: it hands each table's (Keys, Cells) slices to
-//     GroupTable.Fold in stripe order, then chunk order, then (topic,
+//     copy of it: it hands each table's pages of (keys, cells) slices
+//     to GroupTable.Fold in stripe order, then chunk order, then (topic,
 //     partition) order, then insertion order — exactly the first-touch
 //     enumeration a partition-major replay produces in tsdb's own
 //     segments — and merges stripe partials (GroupTable.Merge) and

@@ -322,8 +322,11 @@ func (v *View) foldRangeLocked(fromN, toN, granN int64) (total tsdb.GroupTable, 
 			}
 			for _, tp := range v.tps {
 				if ct := v.stripes[s][chunkN][tp]; ct != nil {
-					cellsScanned += int64(len(ct.Keys))
-					part.Fold(&p, ct.Keys, ct.Cells, contained)
+					cellsScanned += int64(ct.Len())
+					for pi := 0; pi < ct.Pages(); pi++ {
+						keys, cells := ct.Page(pi)
+						part.Fold(&p, keys, cells, contained)
+					}
 				}
 			}
 		}
@@ -362,7 +365,7 @@ func (v *View) Stats() ViewStats {
 	for s := range v.stripes {
 		for _, byTP := range v.stripes[s] {
 			for _, ct := range byTP {
-				st.Cells += int64(len(ct.Keys))
+				st.Cells += int64(ct.Len())
 			}
 		}
 	}

@@ -214,7 +214,7 @@ func (b *Broker) Publish(topicName string, key, value []byte) (partition int, of
 	if err := b.fault("broker.publish", topicName); err != nil {
 		return 0, 0, err
 	}
-	p := t.route(key)
+	p := Route(&t.rr, key, len(t.parts))
 	off, err := t.parts[p].append(b.nowFunc()(), key, value, t.cfg)
 	return p, off, err
 }
@@ -271,11 +271,8 @@ func (b *Broker) PublishBatch(topicName string, msgs []Message) (int, error) {
 		}
 		return len(msgs), nil
 	}
-	byPart := make([][]Message, len(t.parts))
-	for _, m := range msgs {
-		p := t.route(m.Key)
-		byPart[p] = append(byPart[p], m)
-	}
+	byPart := RouteBatch(&t.rr, msgs, len(t.parts))
+	defer ReleaseBatch(byPart)
 	// Stagger which partition each batch starts with: concurrent batches
 	// all visiting partitions 0..N in lockstep would convoy on the same
 	// mutexes.
@@ -283,9 +280,9 @@ func (b *Broker) PublishBatch(topicName string, msgs []Message) (int, error) {
 	published := 0
 	var failed []Message
 	var failErr error
-	for k := range byPart {
+	for k := range t.parts {
 		p := (start + k) % len(t.parts)
-		part := byPart[p]
+		part := byPart.Group(p)
 		if len(part) == 0 {
 			continue
 		}
@@ -490,13 +487,4 @@ func KeyPartition(key []byte, parts int) int {
 		h = (h ^ uint32(b)) * prime32
 	}
 	return int(h % uint32(parts))
-}
-
-// route picks a partition for a message: round-robin when keyless.
-func (t *topic) route(key []byte) int {
-	if len(key) == 0 {
-		n := t.rr.Add(1)
-		return int(n % uint64(len(t.parts)))
-	}
-	return KeyPartition(key, len(t.parts))
 }

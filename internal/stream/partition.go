@@ -47,8 +47,10 @@ type partition struct {
 	// (a fetch that resolved it first, a blocked Fetch) must see the
 	// topic-not-found error, never leftover records or ErrBrokerClosed.
 	deleted bool
-	// notify is closed and replaced on every append so blocked fetchers
-	// wake without a condition variable (select-able with ctx.Done()).
+	// notify wakes blocked fetchers without a condition variable
+	// (select-able with ctx.Done()): the first fetch that has to wait
+	// makes it, the next append or close closes it and sets it back to
+	// nil. With nobody waiting an append allocates and closes nothing.
 	notify chan struct{}
 
 	totalRecords atomic.Int64
@@ -58,7 +60,7 @@ type partition struct {
 }
 
 func newPartition(topic string, id int) *partition {
-	return &partition{topic: topic, id: id, notify: make(chan struct{})}
+	return &partition{topic: topic, id: id}
 }
 
 // recAt returns the record at logical index i (0 = oldest); the caller
@@ -106,7 +108,15 @@ func (p *partition) closeLocked() {
 		return
 	}
 	p.closed = true
-	close(p.notify)
+	p.wakeLocked()
+}
+
+// wakeLocked releases every fetcher blocked on the partition.
+func (p *partition) wakeLocked() {
+	if p.notify != nil {
+		close(p.notify)
+		p.notify = nil
+	}
 }
 
 // markDeleted closes the partition for topic deletion: the ring is
@@ -140,7 +150,7 @@ func (p *partition) append(ts time.Time, key, value []byte, cfg TopicConfig) (in
 }
 
 // appendBatch appends every message in order under one lock acquisition,
-// then runs compaction and retention once and arms the notify channel
+// then runs compaction and retention once and wakes blocked fetchers
 // once — the amortized hot path behind Broker.PublishBatch. It returns
 // the offset assigned to the first message of the batch.
 func (p *partition) appendBatch(ts time.Time, msgs []Message, cfg TopicConfig) (int64, error) {
@@ -202,10 +212,8 @@ func (p *partition) appendBatch(ts time.Time, msgs []Message, cfg TopicConfig) (
 		}
 	}
 	p.enforceRetentionLocked(ts, cfg)
-	ch := p.notify
-	p.notify = make(chan struct{})
+	p.wakeLocked()
 	p.mu.Unlock()
-	close(ch)
 	return first, nil
 }
 
@@ -263,10 +271,8 @@ func (p *partition) replicateBatch(recs []Record, cfg TopicConfig) error {
 	p.totalRecords.Add(int64(appended))
 	p.totalBytes.Add(added)
 	p.enforceRetentionLocked(lastTs, cfg)
-	ch := p.notify
-	p.notify = make(chan struct{})
+	p.wakeLocked()
 	p.mu.Unlock()
-	close(ch)
 	return nil
 }
 
@@ -375,6 +381,9 @@ func (p *partition) fetch(ctx context.Context, offset int64, max int) ([]Record,
 		if p.closed {
 			p.mu.Unlock()
 			return nil, ErrBrokerClosed
+		}
+		if p.notify == nil {
+			p.notify = make(chan struct{})
 		}
 		ch := p.notify
 		p.mu.Unlock()

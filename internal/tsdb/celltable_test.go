@@ -1,0 +1,251 @@
+package tsdb
+
+import (
+	"errors"
+	"fmt"
+	"math/rand"
+	"testing"
+	"time"
+
+	"odakit/internal/objstore"
+	"odakit/internal/schema"
+)
+
+// TestCellTableMatchesMapReference feeds one table well past three pages
+// of random keys with repeats and holds it to a map[Key]Cell: same cells,
+// At and Page both walk them in first-insertion order, and a *Cell taken
+// once its page can no longer move keeps aliasing the table's cell across
+// every later insert.
+func TestCellTableMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20240601))
+	const distinct, adds = 3*pageSize + pageSize/2 + 7, 6000
+	var ct CellTable
+	ref := make(map[Key]Cell)
+	var order []Key
+	type held struct {
+		at int
+		c  *Cell
+	}
+	var holds []held
+	for i := 0; i < adds; i++ {
+		n := rng.Intn(distinct)
+		k := Key{
+			Ts: int64(n/16) * int64(15*time.Second), System: "sys", Source: fmt.Sprintf("src%d", n%2),
+			Component: fmt.Sprintf("node%05d", n%16), Metric: "m",
+		}
+		v := rng.Float64()
+		ts := rng.Int63n(1 << 40)
+		c := ct.Cell(k.Hash(), k)
+		c.Add(ts, v)
+		r, seen := ref[k]
+		r.Add(ts, v)
+		ref[k] = r
+		if !seen {
+			order = append(order, k)
+			// Hold pointers from page 0 once it is full, from the first and
+			// last slot of later pages, and from a page still filling.
+			if n := ct.Len(); n >= pageSize && (n%pageSize <= 1 || n%97 == 0) {
+				holds = append(holds, held{n - 1, c})
+				if n == pageSize {
+					_, c0 := ct.At(3)
+					holds = append(holds, held{3, c0})
+				}
+			}
+		}
+	}
+	if ct.Len() != len(ref) || ct.Pages() < 4 {
+		t.Fatalf("table holds %d cells in %d pages, reference %d cells", ct.Len(), ct.Pages(), len(ref))
+	}
+	for i, want := range order {
+		k, c := ct.At(i)
+		if *k != want || *c != ref[want] {
+			t.Fatalf("At(%d) = %+v %+v, want %+v %+v", i, *k, *c, want, ref[want])
+		}
+	}
+	i := 0
+	for p := 0; p < ct.Pages(); p++ {
+		keys, cells := ct.Page(p)
+		if len(keys) != len(cells) || (p < ct.Pages()-1 && len(keys) != pageSize) {
+			t.Fatalf("page %d: %d keys, %d cells", p, len(keys), len(cells))
+		}
+		for j := range keys {
+			if keys[j] != order[i] || cells[j] != ref[order[i]] {
+				t.Fatalf("page %d slot %d is not insertion position %d", p, j, i)
+			}
+			i++
+		}
+	}
+	if i != len(order) {
+		t.Fatalf("pages hold %d cells, want %d", i, len(order))
+	}
+	if len(holds) < 8 {
+		t.Fatalf("only %d pointers held", len(holds))
+	}
+	for _, h := range holds {
+		if _, c := ct.At(h.at); c != h.c {
+			t.Fatalf("cell %d moved after its pointer was handed out", h.at)
+		}
+	}
+}
+
+// pagedObs is a batch dense enough that every (stripe, chunk) table of a
+// tierOptions store runs to a third page: 640 components × 2 metrics × 8
+// rollup buckets in each of two 10-minute chunks.
+func pagedObs() []schema.Observation {
+	var obs []schema.Observation
+	for _, chunk := range []int{0, 600} {
+		for s := 0; s < 120; s += 15 {
+			for c := 0; c < 640; c++ {
+				node := fmt.Sprintf("node%05d", c)
+				obs = append(obs,
+					ob(chunk+s, node, "node_power_w", 1000+float64((s+c)%97)),
+					ob(chunk+s+1, node, "cpu_temp_c", 40+float64((s*c)%13)))
+			}
+		}
+	}
+	return obs
+}
+
+func pagedDB(t *testing.T) *DB {
+	t.Helper()
+	db := New(tierOptions())
+	if err := db.InsertBatch(pagedObs()); err != nil {
+		t.Fatal(err)
+	}
+	for si := range db.shards {
+		for chunkN, seg := range db.shards[si].segments {
+			if n := seg.cells.Len(); n <= 2*pageSize || n%pageSize == 0 {
+				t.Fatalf("stripe %d chunk %d holds %d cells: does not straddle a page boundary", si, chunkN, n)
+			}
+		}
+	}
+	return db
+}
+
+func allStripes() []int {
+	all := make([]int, NumStripes)
+	for i := range all {
+		all[i] = i
+	}
+	return all
+}
+
+// TestPagedTablesExportRetainRoundTrip: the order-preserving stripe export
+// of multi-page tables rebuilds multi-page tables that export the same
+// frame again and answer byte-identically, and Retain drops exactly the
+// old chunk's pages.
+func TestPagedTablesExportRetainRoundTrip(t *testing.T) {
+	db := pagedDB(t)
+	frame, err := db.ExportStripes(allStripes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if int64(frame.Len()) != db.Stats().RollupCells {
+		t.Fatalf("export holds %d rows, store %d cells", frame.Len(), db.Stats().RollupCells)
+	}
+	re := New(tierOptions())
+	if err := re.ImportRollups(frame); err != nil {
+		t.Fatal(err)
+	}
+	again, err := re.ExportStripes(allStripes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !again.Equal(frame) {
+		t.Fatal("re-export of the rebuilt store differs: insertion order was not preserved across pages")
+	}
+	q := Query{From: base, To: base.Add(20 * time.Minute), GroupBy: []string{DimMetric}, Granularity: time.Minute, Agg: AggAvg}
+	want, err := db.RunSerial(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func(Query) (*schema.Frame, error){"hot": db.Run, "rebuilt": re.Run} {
+		if got, err := run(q); err != nil || !got.Equal(want) {
+			t.Fatalf("%s Run diverges from the serial reference (err %v)", name, err)
+		}
+	}
+	before := db.Stats().RollupCells
+	if n := db.Retain(base.Add(15 * time.Minute)); n != 1 {
+		t.Fatalf("Retain dropped %d chunks, want 1", n)
+	}
+	if after := db.Stats().RollupCells; after != before/2 {
+		t.Fatalf("Retain left %d of %d cells, want half", after, before)
+	}
+}
+
+// TestPagedOffloadRollback fails an offload of multi-page segments both
+// ways the rollback can go — put the extracted segment back, and merge it
+// cell by cell into a chunk a concurrent insert re-created — and requires
+// the hot tier to hold exactly the cells of an untouched twin.
+func TestPagedOffloadRollback(t *testing.T) {
+	db, twin := pagedDB(t), pagedDB(t)
+	store, err := objstore.New("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	attachTier(t, db, store, ColdTierConfig{Prefix: "lake/"})
+	late := ob(31, "node00007", "node_power_w", 7777) // newer than the cell it joins: no LastTs tie
+	insertLate := false
+	store.SetFaultHook(func(op, _ string) error {
+		if op != "store.put" {
+			return nil
+		}
+		if insertLate {
+			db.Insert(late) // lands in the chunk whose segments are extracted
+			insertLate = false
+		}
+		return errors.New("injected: store down")
+	})
+	sameCells := func(label string) {
+		t.Helper()
+		got, err := db.Export(base.Add(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := twin.Export(base.Add(time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Fatalf("%s: hot tier differs from the twin (%d vs %d cells)", label, got.Len(), want.Len())
+		}
+	}
+	if _, err := db.Offload(base.Add(15 * time.Minute)); err == nil {
+		t.Fatal("offload succeeded through a failing store")
+	}
+	sameCells("rollback by re-insert")
+	insertLate = true
+	if _, err := db.Offload(base.Add(15 * time.Minute)); err == nil {
+		t.Fatal("offload succeeded through a failing store")
+	}
+	twin.Insert(late)
+	sameCells("rollback by merge")
+}
+
+// BenchmarkCellTableGrow inserts 100k fresh keys into one table. B/op is
+// the figure to watch: the final 12 MB of keys and cells once, plus the
+// probe index's doublings (4 MB), where one dense array pair re-grown by
+// append allocated ~5x the final size.
+func BenchmarkCellTableGrow(b *testing.B) {
+	const n = 100_000
+	keys := make([]Key, n)
+	hashes := make([]uint32, n)
+	for i := range keys {
+		keys[i] = Key{
+			Ts: int64(i/1000) * int64(15*time.Second), System: "compass", Source: "power_temp",
+			Component: fmt.Sprintf("node%05d", i%1000), Metric: "node_power_w",
+		}
+		hashes[i] = keys[i].Hash()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var ct CellTable
+		for j := range keys {
+			ct.Cell(hashes[j], keys[j]).Count++
+		}
+		if ct.Len() != n {
+			b.Fatalf("table holds %d cells", ct.Len())
+		}
+	}
+}

@@ -135,21 +135,49 @@ func (c *Cell) Value(kind AggKind) float64 {
 // path: the probe hash is derived from the series hash already computed
 // for shard striping, and the stored hash makes misses cheap. Layout is
 // structure-of-arrays: a compact open-addressed index (8 bytes per
-// entry) resolves a key to a position in dense, insertion-ordered key
-// and cell arrays. Queries stream sequentially over the packed keys and
+// entry) resolves a key to a position in insertion-ordered, parallel key
+// and cell pages. Queries stream sequentially over the packed keys and
 // touch aggregation state only for cells that match — roughly halving
 // scan memory traffic versus keys and cells interleaved in 128-byte hash
 // slots, with no change to the ingest probe cost.
+//
+// Cells live in pages of pageSize entries that are never re-copied: a
+// table that keeps growing allocates each byte of cell storage once,
+// where one dense array re-grown 1.25x at a time zeroed ~5x and moved
+// ~4x its final size. Page 0 still grows by append, so the many tiny
+// tables (a CQ view keeps one per stripe, chunk and partition) pay for
+// the cells they hold, not for a page; every later page is allocated
+// full. The zero value is an empty table.
 type CellTable struct {
-	index []cellRef // open-addressed probe index
-	// Keys and Cells are the dense, parallel, insertion-ordered arrays —
-	// the slice pair GroupTable.Fold consumes. Insert through Cell only.
-	Keys  []Key
-	Cells []Cell
+	index []cellRef  // open-addressed probe index
+	first cellPage   // page 0, grown by append up to pageSize entries
+	rest  []cellPage // pages 1.., each allocated at full capacity
+	n     int
 }
 
-// cellRef is one index entry: the probe hash plus a 1-based position in
-// the dense arrays (0 marks an empty slot).
+// cellPage is one run of the table's parallel key and cell arrays — the
+// slice pair GroupTable.Fold consumes.
+type cellPage struct {
+	keys  []Key
+	cells []Cell
+}
+
+// pageSize is an RSS decision: every table that outgrew page 0 strands
+// part of its last page. Measured on the benchmark harness (medians of
+// 10 runs; 5 for 1024): history_scan, whose 160 hot tables hold ~1200
+// cells each, reads peak_rss_mb 94.9 with one dense array pair per
+// table, 88.9 with 256-entry pages (18 KB of keys + 12 KB of cells, both
+// exact malloc size classes) and 106 with 1024-entry pages (120 KB),
+// while ingest_replicated — +25 % records/s and -24 % RSS over the dense
+// layout at 256 — gains nothing further at 1024 (406-459 k records/s in
+// 3 runs against 468-505 k).
+const (
+	pageShift = 8
+	pageSize  = 1 << pageShift
+)
+
+// cellRef is one index entry: the probe hash plus a 1-based insertion
+// position (0 marks an empty slot).
 type cellRef struct {
 	hash uint32
 	idx  int32
@@ -189,10 +217,12 @@ func CellHash(seriesH uint32, bucketN int64) uint32 {
 func (k *Key) Hash() uint32 { return CellHash(SeriesHash(k.Component, k.Metric), k.Ts) }
 
 // Cell returns the cell for key (creating it if absent). h must be
-// CellHash of the key's series and bucket. The returned pointer is only
-// valid until the next Cell call — a later insert may grow the arrays.
+// CellHash of the key's series and bucket. A cell moves only while page 0
+// is still growing: once the table holds pageSize cells every pointer
+// handed out stays valid for the table's lifetime; below that, only until
+// the next Cell call that inserts.
 func (t *CellTable) Cell(h uint32, key Key) *Cell {
-	if len(t.Keys) >= len(t.index)*3/4 { // covers the empty table too
+	if t.n >= len(t.index)*3/4 { // covers the empty table too
 		t.grow()
 	}
 	mask := uint32(len(t.index) - 1)
@@ -200,16 +230,64 @@ func (t *CellTable) Cell(h uint32, key Key) *Cell {
 	for {
 		r := t.index[i]
 		if r.idx == 0 {
-			t.Keys = append(t.Keys, key)
-			t.Cells = append(t.Cells, Cell{})
-			t.index[i] = cellRef{hash: h, idx: int32(len(t.Keys))}
-			return &t.Cells[len(t.Cells)-1]
+			t.index[i] = cellRef{hash: h, idx: int32(t.n + 1)}
+			return t.push(key)
 		}
-		if r.hash == h && t.Keys[r.idx-1] == key {
-			return &t.Cells[r.idx-1]
+		if r.hash == h {
+			if k, c := t.At(int(r.idx - 1)); *k == key {
+				return c
+			}
 		}
 		i = (i + 1) & mask
 	}
+}
+
+// push appends key with an empty cell at position t.n.
+func (t *CellTable) push(key Key) *Cell {
+	p := &t.first
+	if t.n >= pageSize {
+		if t.n&(pageSize-1) == 0 {
+			t.rest = append(t.rest, cellPage{
+				keys: make([]Key, 0, pageSize), cells: make([]Cell, 0, pageSize),
+			})
+		}
+		p = &t.rest[len(t.rest)-1]
+	}
+	p.keys = append(p.keys, key)
+	p.cells = append(p.cells, Cell{})
+	t.n++
+	return &p.cells[len(p.cells)-1]
+}
+
+// Len returns the number of cells.
+func (t *CellTable) Len() int { return t.n }
+
+// At returns the i-th cell in insertion order, 0 <= i < Len.
+func (t *CellTable) At(i int) (*Key, *Cell) {
+	p := &t.first
+	if i >= pageSize {
+		p = &t.rest[i>>pageShift-1]
+		i &= pageSize - 1
+	}
+	return &p.keys[i], &p.cells[i]
+}
+
+// Pages returns the number of pages; Page(0..Pages-1) in order is the
+// whole table in insertion order.
+func (t *CellTable) Pages() int {
+	if t.n == 0 {
+		return 0
+	}
+	return 1 + len(t.rest)
+}
+
+// Page returns page i's parallel key and cell slices, for Fold.
+func (t *CellTable) Page(i int) ([]Key, []Cell) {
+	p := &t.first
+	if i > 0 {
+		p = &t.rest[i-1]
+	}
+	return p.keys, p.cells
 }
 
 func (t *CellTable) grow() {
@@ -454,7 +532,7 @@ func (t *GroupTable) grow() {
 }
 
 // Fold accumulates one insertion-ordered (keys, cells) slice pair — a
-// segment's CellTable arrays, a view chunk's, or a run of cold rows —
+// page of a segment's CellTable or of a view chunk's, or a run of cold rows —
 // into the table under p and returns how many cells matched. contained
 // skips the per-cell time check for a chunk wholly inside the range (see
 // Plan.Chunk). Per-group accumulation order is slice order, so feeding

@@ -121,9 +121,8 @@ func (db *DB) ExportStripes(stripes []int) (*schema.Frame, error) {
 		sh.mu.RLock()
 		for _, chunkN := range SortedChunks(sh.segments) {
 			seg := sh.segments[chunkN]
-			for i := range seg.cells.Keys {
-				k := &seg.cells.Keys[i]
-				c := &seg.cells.Cells[i]
+			for i := 0; i < seg.cells.Len(); i++ {
+				k, c := seg.cells.At(i)
 				row := schema.Row{
 					schema.TimeNanos(k.Ts), schema.Str(k.System), schema.Str(k.Source),
 					schema.Str(k.Component), schema.Str(k.Metric),

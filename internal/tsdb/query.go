@@ -222,9 +222,12 @@ func (db *DB) scanShard(si int, p *Plan, gt *GroupTable) StripeScanStats {
 			continue
 		}
 		ss.SegmentsScanned++
-		cells := &sh.segments[chunkN].cells
-		ss.CellsScanned += int64(len(cells.Keys))
-		ss.CellsMatched += gt.Fold(p, cells.Keys, cells.Cells, contained)
+		ct := &sh.segments[chunkN].cells
+		ss.CellsScanned += int64(ct.Len())
+		for pi := 0; pi < ct.Pages(); pi++ {
+			keys, cells := ct.Page(pi)
+			ss.CellsMatched += gt.Fold(p, keys, cells, contained)
+		}
 	}
 	return ss
 }
@@ -423,8 +426,9 @@ func (db *DB) RunSerial(q Query) (*schema.Frame, error) {
 			if !seg.start.Before(q.To) || !segEnd.After(q.From) {
 				continue // segment pruning by time chunk
 			}
-			for ci := range seg.cells.Keys {
-				key := seg.cells.Keys[ci]
+			for ci := 0; ci < seg.cells.Len(); ci++ {
+				kp, cell := seg.cells.At(ci)
+				key := *kp
 				ts := time.Unix(0, key.Ts).UTC()
 				if ts.Before(q.From) || !ts.Before(q.To) {
 					continue
@@ -444,7 +448,7 @@ func (db *DB) RunSerial(q Query) (*schema.Frame, error) {
 					g = &Cell{}
 					partial[gk] = g
 				}
-				g.Merge(seg.cells.Cells[ci])
+				g.Merge(*cell)
 			}
 		}
 		sh.mu.RUnlock()

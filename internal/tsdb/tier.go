@@ -327,11 +327,9 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 			continue
 		}
 		rawRows += seg.rows
-		for i := range seg.cells.Keys {
-			cells = append(cells, coldCell{
-				stripe: int32(si), seq: int32(i),
-				key: seg.cells.Keys[i], cell: seg.cells.Cells[i],
-			})
+		for i := 0; i < seg.cells.Len(); i++ {
+			k, c := seg.cells.At(i)
+			cells = append(cells, coldCell{stripe: int32(si), seq: int32(i), key: *k, cell: *c})
 		}
 	}
 	defer func() {
@@ -349,9 +347,9 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 			if cur, ok := sh.segments[chunkN]; ok {
 				// A concurrent insert re-created the chunk: merge the
 				// extracted cells into it rather than dropping either side.
-				for i := range seg.cells.Keys {
-					k := seg.cells.Keys[i]
-					cur.cells.Cell(k.Hash(), k).Merge(seg.cells.Cells[i])
+				for i := 0; i < seg.cells.Len(); i++ {
+					k, c := seg.cells.At(i)
+					cur.cells.Cell(k.Hash(), *k).Merge(*c)
 				}
 				cur.rows += seg.rows
 			} else {

@@ -377,8 +377,9 @@ func (db *DB) Export(cutoff time.Time) (*schema.Frame, error) {
 			if !seg.start.Add(db.opts.SegmentDuration).Before(cutoff) {
 				continue
 			}
-			for i := range seg.cells.Keys {
-				cells = append(cells, kv{seg.cells.Keys[i], seg.cells.Cells[i]})
+			for i := 0; i < seg.cells.Len(); i++ {
+				k, c := seg.cells.At(i)
+				cells = append(cells, kv{*k, *c})
 			}
 		}
 		sh.mu.RUnlock()
@@ -489,7 +490,7 @@ func (db *DB) Stats() Stats {
 		st.RawIngested += sh.ingested
 		for k, s := range sh.segments {
 			chunks[k] = struct{}{}
-			st.RollupCells += int64(len(s.cells.Keys))
+			st.RollupCells += int64(s.cells.Len())
 		}
 		sh.mu.RUnlock()
 	}
