@@ -1,0 +1,618 @@
+package tsdb
+
+import (
+	"cmp"
+	"encoding/json"
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"odakit/internal/columnar"
+	"odakit/internal/objstore"
+	"odakit/internal/schema"
+)
+
+// coldRef and sortedRefs are the comparison sort scanSegment used before
+// coldOrder: the reference every new path is held to. A null coordinate
+// reads as zero, as Column.Ints exposes it.
+type coldRef struct {
+	stripe, seq int64
+	row         int
+}
+
+func sortedRefs(stripe, seq []int64, rows []int32) []coldRef {
+	refs := make([]coldRef, len(rows))
+	for i, r := range rows {
+		refs[i] = coldRef{stripe: stripe[r], seq: seq[r], row: int(r)}
+	}
+	slices.SortFunc(refs, func(a, b coldRef) int {
+		if a.stripe != b.stripe {
+			return cmp.Compare(a.stripe, b.stripe)
+		}
+		if a.seq != b.seq {
+			return cmp.Compare(a.seq, b.seq)
+		}
+		return cmp.Compare(a.row, b.row)
+	})
+	return refs
+}
+
+// TestColdOrderMatchesSortReference: for random subsets of a segment the
+// restored order and the stripe runs equal the comparison-sort reference,
+// and whether the O(n) scatter ran is decided by the coordinates alone.
+func TestColdOrderMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	// segment builds a file-ordered (shuffled) segment: stripes tables of
+	// perStripe cells each, seq the insertion index.
+	segment := func(stripes, perStripe int) (stripe, seq []int64) {
+		for s := 0; s < stripes; s++ {
+			for q := 0; q < perStripe; q++ {
+				stripe, seq = append(stripe, int64(s)), append(seq, int64(q))
+			}
+		}
+		rng.Shuffle(len(stripe), func(i, j int) {
+			stripe[i], stripe[j] = stripe[j], stripe[i]
+			seq[i], seq[j] = seq[j], seq[i]
+		})
+		return stripe, seq
+	}
+	subset := func(n int, keep float64) (rows []int32) {
+		for r := 0; r < n; r++ {
+			if rng.Float64() < keep {
+				rows = append(rows, int32(r))
+			}
+		}
+		return rows
+	}
+	type input struct {
+		name        string
+		stripe, seq []int64
+		rows        []int32
+		scatter     bool
+	}
+	var inputs []input
+	for round := 0; round < 20; round++ {
+		stripe, seq := segment(shardCount, 1+rng.Intn(300))
+		inputs = append(inputs,
+			input{"dense", stripe, seq, subset(len(stripe), 2), true},
+			input{"gappy", stripe, seq, subset(len(stripe), rng.Float64()), true},
+			input{"sparse", stripe, seq, subset(len(stripe), 0.02), true},
+			input{"empty", stripe, seq, nil, true})
+		one, oneSeq := segment(1, 1+rng.Intn(2000))
+		for i := range one {
+			one[i] = int64(round % shardCount)
+		}
+		inputs = append(inputs, input{"single-stripe", one, oneSeq, subset(len(one), rng.Float64()), true})
+
+		// Coordinates Offload never writes: the comparison sort must take over.
+		dup, dupSeq := segment(4, 50)
+		i, j := rng.Intn(len(dup)), rng.Intn(len(dup)-1)
+		if j >= i {
+			j++
+		}
+		dup[j], dupSeq[j] = dup[i], dupSeq[i]
+		inputs = append(inputs, input{"duplicate", dup, dupSeq, subset(len(dup), 2), false})
+		neg, negSeq := segment(4, 50)
+		negSeq[rng.Intn(len(negSeq))] = -1 - rng.Int63n(1<<40)
+		inputs = append(inputs, input{"negative", neg, negSeq, subset(len(neg), 2), false})
+		wide, wideSeq := segment(4, 50)
+		wideSeq[rng.Intn(len(wideSeq))] = []int64{1 << 40, math.MaxInt64, 2*int64(len(wide)) + scatterSlack}[round%3]
+		inputs = append(inputs, input{"wide", wide, wideSeq, subset(len(wide), 2), false})
+	}
+	var o coldOrder // reused across inputs, as the pooled partialSet reuses it
+	for _, in := range inputs {
+		want := sortedRefs(in.stripe, in.seq, in.rows)
+		o.rows = append(o.rows[:0], in.rows...)
+		if got := o.scatter(in.stripe, in.seq); got != in.scatter {
+			t.Fatalf("%s (%d rows): scatter ran = %v, want %v", in.name, len(in.rows), got, in.scatter)
+		}
+		o.rows = append(o.rows[:0], in.rows...)
+		o.restore(in.stripe, in.seq)
+		if len(o.rows) != len(want) {
+			t.Fatalf("%s: %d rows out, %d in", in.name, len(o.rows), len(want))
+		}
+		for i, r := range o.rows {
+			if int(r) != want[i].row {
+				t.Fatalf("%s (%d rows): position %d holds row %d, reference %d", in.name, len(in.rows), i, r, want[i].row)
+			}
+		}
+		if o.off[0] != 0 || o.off[shardCount] != len(want) {
+			t.Fatalf("%s: runs span [%d, %d), want [0, %d)", in.name, o.off[0], o.off[shardCount], len(want))
+		}
+		for s := 0; s < shardCount; s++ {
+			for _, r := range o.rows[o.off[s]:o.off[s+1]] {
+				if in.stripe[r] != int64(s) {
+					t.Fatalf("%s: row %d of stripe %d in stripe %d's run", in.name, r, in.stripe[r], s)
+				}
+			}
+		}
+	}
+}
+
+// randomColumns fills every column of n cells; NaN-free so bit equality
+// is meaningful, magnitudes mixed so float sums depend on their order.
+func randomColumns(rng *rand.Rand, n int) Columns {
+	c := Columns{
+		Bucket: make([]int64, n), Count: make([]int64, n), LastTs: make([]int64, n),
+		Sum: make([]float64, n), Min: make([]float64, n), Max: make([]float64, n), Last: make([]float64, n),
+	}
+	for d := range c.Dims {
+		c.Dims[d] = make([]string, n)
+	}
+	for r := 0; r < n; r++ {
+		c.Bucket[r] = base.UnixNano() + int64(rng.Intn(240))*int64(15*time.Second)
+		for d := range c.Dims {
+			c.Dims[d][r] = fmt.Sprintf("%s-%d", dimNames[d], rng.Intn(3))
+		}
+		c.Count[r] = int64(rng.Intn(4)) // 0 = an empty cell Merge must skip
+		c.Sum[r] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(12)))
+		c.Min[r], c.Max[r], c.Last[r] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
+		c.LastTs[r] = c.Bucket[r] + int64(rng.Intn(15))*int64(time.Second)
+	}
+	return c
+}
+
+// project drops the columns coldPlan would not request for q.
+func project(c Columns, q Query) Columns {
+	grouped := map[string]bool{}
+	for _, d := range q.GroupBy {
+		grouped[d] = true
+	}
+	for d := range c.Dims {
+		if !grouped[dimNames[d]] {
+			c.Dims[d] = nil
+		}
+	}
+	sum, min, max, last := c.Sum, c.Min, c.Max, c.Last
+	c.Sum, c.Min, c.Max, c.Last = nil, nil, nil, nil
+	switch q.Agg {
+	case AggAvg, AggSum:
+		c.Sum = sum
+	case AggMin:
+		c.Min = min
+	case AggMax:
+		c.Max = max
+	case AggLast:
+		c.Last = last
+	}
+	if q.Agg != AggLast {
+		c.LastTs = nil
+	}
+	return c
+}
+
+// stage copies rows order[0], order[1], … out of c as the (keys, cells)
+// slice pair the cold tier handed Fold before FoldColumns existed.
+func stage(c *Columns, order []int32) ([]Key, []Cell) {
+	keys, cells := make([]Key, len(order)), make([]Cell, len(order))
+	for i, r := range order {
+		keys[i], cells[i] = c.key(r), c.cell(r)
+	}
+	return keys, cells
+}
+
+// sameGroups compares two tables' full aggregation state bit for bit.
+func sameGroups(a, b *GroupTable) error {
+	ga, gb := a.Sorted(), b.Sorted()
+	if len(ga) != len(gb) {
+		return fmt.Errorf("%d groups vs %d", len(ga), len(gb))
+	}
+	bits := math.Float64bits
+	for i := range ga {
+		x, y := ga[i], gb[i]
+		if x.Key != y.Key || x.Cell.Count != y.Cell.Count || x.Cell.LastTs != y.Cell.LastTs ||
+			bits(x.Cell.Sum) != bits(y.Cell.Sum) || bits(x.Cell.Min) != bits(y.Cell.Min) ||
+			bits(x.Cell.Max) != bits(y.Cell.Max) || bits(x.Cell.Last) != bits(y.Cell.Last) {
+			return fmt.Errorf("group %d: %+v vs %+v", i, x, y)
+		}
+	}
+	return nil
+}
+
+var allAggs = []AggKind{AggAvg, AggSum, AggMin, AggMax, AggCount, AggLast}
+
+// TestFoldColumnsMatchesFold: the column-fed entry over an order vector
+// and Fold over the staged slice pair leave identical tables, for every
+// aggregation and with the columns its projection omits nil.
+func TestFoldColumnsMatchesFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	full := randomColumns(rng, 3000)
+	order := make([]int32, 0, 2000)
+	for _, r := range rng.Perm(3000)[:2000] {
+		order = append(order, int32(r))
+	}
+	shapes := []Query{
+		{GroupBy: []string{DimMetric}, Granularity: 15 * time.Minute},
+		{GroupBy: []string{DimComponent, DimSystem}, Granularity: 0},
+		{Granularity: time.Minute},
+		{GroupBy: []string{DimSource, DimMetric, DimComponent, DimSystem}, Granularity: 45 * time.Second},
+	}
+	for _, agg := range allAggs {
+		for si, q := range shapes {
+			q.From, q.To, q.Agg = base, base.Add(time.Hour), agg
+			p := Compile(q)
+			cols := project(full, q)
+			var byCols, byPair GroupTable
+			byCols.FoldColumns(&p, &cols, order)
+			keys, cells := stage(&cols, order)
+			if got := byPair.Fold(&p, keys, cells, true); got != int64(len(order)) {
+				t.Fatalf("agg %d shape %d: Fold matched %d of %d", agg, si, got, len(order))
+			}
+			if err := sameGroups(&byCols, &byPair); err != nil {
+				t.Fatalf("agg %d shape %d: FoldColumns vs Fold: %v", agg, si, err)
+			}
+			// The projection must not matter to what the query reads.
+			var unprojected GroupTable
+			unprojected.FoldColumns(&p, &full, order)
+			fa, err := p.Frame(&byCols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fb, err := p.Frame(&unprojected)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !fa.Equal(fb) {
+				t.Fatalf("agg %d shape %d: projected and full columns answer differently", agg, si)
+			}
+		}
+	}
+}
+
+// coldRow is one row of a hand-written cold object; seqNull writes a null
+// seq instead.
+type coldRow struct {
+	stripe, seq int64
+	seqNull     bool
+	key         Key
+	cell        Cell
+}
+
+// forgedTier writes rows as one OCF object over ColdSchema, registers it
+// in a manifest with honest zone maps and blooms, and attaches a fresh,
+// uncached DB to it — what a query sees of an object Offload did not write.
+func forgedTier(t *testing.T, rows []coldRow) *DB {
+	t.Helper()
+	f := schema.NewFrame(ColdSchema)
+	meta := coldSegmentMeta{Chunk: base.UnixNano(), Key: "lake/segments/forged.ocf", Cells: int64(len(rows))}
+	var blooms [4]*columnar.Bloom
+	for d := range blooms {
+		blooms[d] = columnar.NewBloom(len(rows))
+	}
+	for i, r := range rows {
+		seq := schema.Int(r.seq)
+		if r.seqNull {
+			seq = schema.Null
+		}
+		if err := f.AppendRow(schema.Row{
+			schema.Int(r.stripe), seq, schema.TimeNanos(r.key.Ts),
+			schema.Str(r.key.System), schema.Str(r.key.Source), schema.Str(r.key.Component), schema.Str(r.key.Metric),
+			schema.Int(r.cell.Count), schema.Float(r.cell.Sum), schema.Float(r.cell.Min),
+			schema.Float(r.cell.Max), schema.Float(r.cell.Last), schema.TimeNanos(r.cell.LastTs),
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 || r.key.Ts < meta.MinTs {
+			meta.MinTs = r.key.Ts
+		}
+		if i == 0 || r.key.Ts > meta.MaxTs {
+			meta.MaxTs = r.key.Ts
+		}
+		for d := range blooms {
+			v := dimValueAt(&r.key, d)
+			blooms[d].Insert(columnar.BloomHash(v))
+			if i == 0 || v < meta.Dims[d].Min {
+				meta.Dims[d].Min = v
+			}
+			if i == 0 || v > meta.Dims[d].Max {
+				meta.Dims[d].Max = v
+			}
+		}
+	}
+	for d := range blooms {
+		meta.Dims[d].Bloom = columnar.EncodeBloom(blooms[d])
+	}
+	data, err := columnar.Encode(f, columnar.WriterOptions{RowGroupRows: 64, BloomColumns: dimNames})
+	if err != nil {
+		t.Fatal(err)
+	}
+	manifest, err := json.Marshal(coldManifest{Generation: 1, Segments: []coldSegmentMeta{meta}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := objstore.New("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := store.EnsureBucket("lake"); err != nil {
+		t.Fatal(err)
+	}
+	for key, body := range map[string][]byte{meta.Key: data, "lake/manifest": manifest} {
+		if _, err := store.Put("lake", key, body); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := tierOptions()
+	opts.QueryCacheSize = -1
+	db := New(opts)
+	attachTier(t, db, store, ColdTierConfig{Prefix: "lake/"})
+	return db
+}
+
+// referenceAnswer is the parent's cold fold over rows, end to end: admit
+// by time range and filters, comparison-sort by (stripe, seq, row), stage,
+// Fold each stripe's run, merge in stripe order, emit. inFileOrder skips
+// the sort — the answer a fold that forgot to restore order would give.
+func referenceAnswer(t *testing.T, rows []coldRow, q Query, inFileOrder bool) *schema.Frame {
+	t.Helper()
+	p := Compile(q)
+	stripe, seq := make([]int64, len(rows)), make([]int64, len(rows))
+	var admitted []int32
+	for i := range rows {
+		stripe[i] = rows[i].stripe
+		if !rows[i].seqNull {
+			seq[i] = rows[i].seq
+		}
+		if k := &rows[i].key; k.Ts >= p.fromN && k.Ts < p.toN && p.Match(k) {
+			admitted = append(admitted, int32(i))
+		}
+	}
+	refs := sortedRefs(stripe, seq, admitted)
+	if inFileOrder {
+		slices.SortFunc(refs, func(a, b coldRef) int {
+			if a.stripe != b.stripe {
+				return cmp.Compare(a.stripe, b.stripe)
+			}
+			return cmp.Compare(a.row, b.row)
+		})
+	}
+	var tables [shardCount]GroupTable
+	plain := p.Admitted()
+	for _, ref := range refs {
+		tables[ref.stripe].Fold(&plain, []Key{rows[ref.row].key}, []Cell{rows[ref.row].cell}, true)
+	}
+	for s := 1; s < shardCount; s++ {
+		tables[0].Merge(&tables[s])
+	}
+	out, err := p.Frame(&tables[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// forgedRows is a 4-stripe, 320-cell segment in Offload's file order
+// (clustered by dimensions, so file order is far from fold order), with
+// sums whose float accumulation depends on the order they are added in.
+func forgedRows(rng *rand.Rand) []coldRow {
+	var rows []coldRow
+	next := map[int64]int64{}
+	for b := 0; b < 20; b++ {
+		for n := 0; n < 8; n++ {
+			for m := 0; m < 2; m++ {
+				ts := base.Add(time.Duration(b) * 15 * time.Second).UnixNano()
+				v := (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(14)))
+				stripe := int64((n*2 + m) % 4)
+				rows = append(rows, coldRow{
+					stripe: stripe, seq: next[stripe],
+					key:  Key{Ts: ts, System: "compass", Source: "power_temp", Component: fmt.Sprintf("node%05d", n), Metric: []string{"node_power_w", "cpu_temp_c"}[m]},
+					cell: Cell{Count: 1 + int64(rng.Intn(3)), Sum: v, Min: v, Max: v, Last: v, LastTs: ts + int64(rng.Intn(15))*int64(time.Second)},
+				})
+				next[stripe]++
+			}
+		}
+	}
+	slices.SortStableFunc(rows, func(a, b coldRow) int {
+		if c := strings.Compare(a.key.Metric, b.key.Metric); c != 0 {
+			return c
+		}
+		return strings.Compare(a.key.Component, b.key.Component)
+	})
+	return rows
+}
+
+// forgedTargets returns a row every forgedQueries entry admits, and one
+// other row.
+func forgedTargets(rows []coldRow) (hit, other int) {
+	ts := base.Add(90 * time.Second).UnixNano()
+	for i := range rows {
+		if k := &rows[i].key; k.Ts == ts && k.Metric == "node_power_w" && k.Component == "node00002" {
+			return i, len(rows) - 1
+		}
+	}
+	panic("forgedRows lost its probe row")
+}
+
+var forgedQueries = []Query{
+	{From: base, To: base.Add(time.Hour), GroupBy: []string{DimMetric}, Granularity: time.Minute, Agg: AggSum},
+	{From: base, To: base.Add(time.Hour), Agg: AggAvg},
+	{From: base.Add(time.Minute), To: base.Add(3 * time.Minute), GroupBy: []string{DimComponent}, Agg: AggSum,
+		Filters: map[string][]string{DimMetric: {"node_power_w"}}},
+	{From: base, To: base.Add(time.Hour), GroupBy: []string{DimMetric}, Agg: AggLast,
+		Filters: map[string][]string{DimComponent: {"node00002", "node00005"}}},
+	{From: base, To: base.Add(time.Hour), GroupBy: []string{DimComponent}, Granularity: 2 * time.Minute, Agg: AggMin},
+}
+
+// TestForgedColdObjects feeds the cold fold coordinates Offload never
+// writes. Each case either fails with the error it always failed with or
+// answers exactly as the comparison-sort fold does; none may panic or let
+// a coordinate size an allocation.
+func TestForgedColdObjects(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		forge   func(rows []coldRow, hit, other int)
+		wantErr string
+	}{
+		{name: "as-offloaded", forge: func([]coldRow, int, int) {}},
+		{name: "stripe-negative", forge: func(rows []coldRow, hit, _ int) { rows[hit].stripe = -1 }, wantErr: "stripe -1 out of range"},
+		{name: "stripe-16", forge: func(rows []coldRow, hit, _ int) { rows[hit].stripe = shardCount }, wantErr: "stripe 16 out of range"},
+		{name: "seq-negative", forge: func(rows []coldRow, hit, other int) { rows[hit].seq, rows[other].seq = -3, math.MinInt64 }},
+		{name: "seq-huge", forge: func(rows []coldRow, hit, other int) { rows[hit].seq, rows[other].seq = 1<<40, math.MaxInt64 }},
+		{name: "seq-duplicated", forge: func(rows []coldRow, _, _ int) {
+			for i := range rows {
+				rows[i].seq /= 3 // every (stripe, seq) pair three times over
+			}
+		}},
+		{name: "seq-all-null", forge: func(rows []coldRow, _, _ int) {
+			for i := range rows {
+				rows[i].seqNull = true
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rows := forgedRows(rand.New(rand.NewSource(9)))
+			hit, other := forgedTargets(rows)
+			tc.forge(rows, hit, other)
+			db := forgedTier(t, rows)
+			orderMatters := false
+			for _, pruning := range []bool{true, false} {
+				db.ColdTier().SetPruning(pruning)
+				for qi, q := range forgedQueries {
+					var before, after runtime.MemStats
+					runtime.ReadMemStats(&before)
+					got, st, err := db.RunWithStats(q)
+					runtime.ReadMemStats(&after)
+					if grew := after.TotalAlloc - before.TotalAlloc; grew > 4<<20 {
+						t.Fatalf("pruning=%v query %d allocated %d bytes over a 320-row object", pruning, qi, grew)
+					}
+					if tc.wantErr != "" {
+						if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+							t.Fatalf("pruning=%v query %d: error %v, want %q", pruning, qi, err, tc.wantErr)
+						}
+						continue
+					}
+					if err != nil {
+						t.Fatalf("pruning=%v query %d: %v", pruning, qi, err)
+					}
+					want := referenceAnswer(t, rows, q, false)
+					if !got.Equal(want) {
+						t.Fatalf("pruning=%v query %d: answer diverges from the comparison-sort fold (%d vs %d rows)",
+							pruning, qi, got.Len(), want.Len())
+					}
+					if st.ColdCells == 0 {
+						t.Fatalf("pruning=%v query %d folded no cold cells", pruning, qi)
+					}
+					if !want.Equal(referenceAnswer(t, rows, q, true)) {
+						orderMatters = true
+					}
+				}
+			}
+			if tc.wantErr == "" && tc.name != "seq-all-null" && !orderMatters {
+				t.Fatal("no probe query's answer depends on the fold order: the case cannot detect a misordered fold")
+			}
+		})
+	}
+}
+
+// groupedFixture is the harness's history_scan shape in-process: hours
+// one-hour chunks of 8 nodes x 10 metrics at the 15 s rollup (19 200
+// cells a segment), all but the newest offloaded, result cache off; and
+// its grouped query, an unfiltered group-by-metric at 15 minutes over
+// everything.
+func groupedFixture(tb testing.TB, hours int) (*DB, Query) {
+	tb.Helper()
+	db := New(Options{SegmentDuration: time.Hour, RollupInterval: 15 * time.Second, QueryCacheSize: -1})
+	batch := make([]schema.Observation, 0, 80)
+	for s := 0; s < hours*3600; s += 15 {
+		batch = batch[:0]
+		for n := 0; n < 8; n++ {
+			for m := 0; m < 10; m++ {
+				batch = append(batch, schema.Observation{
+					Ts: base.Add(time.Duration(s) * time.Second), System: "compass", Source: "power_temp",
+					Component: fmt.Sprintf("node%05d", n), Metric: fmt.Sprintf("metric_%02d", m),
+					Value: 100*float64(m) + float64((s/15+n)%97)/7,
+				})
+			}
+		}
+		if err := db.InsertBatch(batch); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	attachTier(tb, db, nil, ColdTierConfig{Prefix: "lake/"})
+	off, err := db.Offload(base.Add(time.Duration(hours-1)*time.Hour + time.Second))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if off.Segments != hours-1 || off.Cells != int64(hours-1)*19200 {
+		tb.Fatalf("fixture offloaded %d segments, %d cells", off.Segments, off.Cells)
+	}
+	return db, Query{
+		From: base, To: base.Add(time.Duration(hours) * time.Hour),
+		GroupBy: []string{DimMetric}, Granularity: 15 * time.Minute, Agg: AggAvg,
+	}
+}
+
+// TestColdFoldAllocations guards the two ways heap staging could creep
+// back into the grouped cold fold. The fold stage — order the rows of one
+// decoded 19 200-row segment, fold them from the vectors — allocates
+// nothing on a partialSet that has seen the segment before: a per-segment
+// make([]Key, n) is one allocation too many. And a warm grouped federated
+// query end to end stays near the ~550 objects a segment's decode costs
+// (1 096 measured for two segments and the hot hour, ~1 300 under -race,
+// whose sync.Pool drops scratch at random), so nothing per row — a boxed
+// value, a string copy — can hide in it either.
+func TestColdFoldAllocations(t *testing.T) {
+	const hours = 3
+	db, q := groupedFixture(t, hours)
+	ct := db.ColdTier()
+	data, _, err := ct.cfg.Store.Get(ct.cfg.Bucket, ct.segs[0].meta.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := columnar.NewFileReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Compile(q)
+	names, preds := coldPlan(&p, false)
+	res, err := fr.ScanColumns(names, preds...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ps partialSet
+	fold := func() {
+		if n, err := ps.foldCold(res.Frame, &p, false); err != nil || n != 19200 {
+			t.Fatalf("folded %d cells: %v", n, err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, fold); allocs != 0 { // its warm-up run grows ps
+		t.Errorf("folding a decoded segment allocates %.0f objects, want 0", allocs)
+	}
+
+	query := func() {
+		_, st, err := db.RunWithStats(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.ColdCells != (hours-1)*19200 {
+			t.Fatalf("folded %d cold cells", st.ColdCells)
+		}
+	}
+	allocs := testing.AllocsPerRun(10, query)
+	t.Logf("%.0f allocations per warm grouped query", allocs)
+	if allocs > 1600 {
+		t.Errorf("%.0f allocations per warm grouped query, want <= 1600", allocs)
+	}
+}
+
+// BenchmarkColdFoldGrouped is the grouped class of history_scan without
+// the harness: 9 cold segments and one hot hour per query.
+func BenchmarkColdFoldGrouped(b *testing.B) {
+	db, q := groupedFixture(b, 10)
+	var cells int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_, st, err := db.RunWithStats(q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cells += st.ColdCells
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cold-cell")
+}

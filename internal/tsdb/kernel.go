@@ -12,7 +12,10 @@
 package tsdb
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 
 	"odakit/internal/schema"
 )
@@ -327,7 +330,7 @@ func SortedChunks[V any](m map[int64]V) []int64 {
 	for k := range m {
 		chunks = append(chunks, k)
 	}
-	sort.Slice(chunks, func(i, j int) bool { return chunks[i] < chunks[j] })
+	slices.Sort(chunks)
 	return chunks
 }
 
@@ -532,33 +535,106 @@ func (t *GroupTable) grow() {
 }
 
 // Fold accumulates one insertion-ordered (keys, cells) slice pair — a
-// page of a segment's CellTable or of a view chunk's, or a run of cold rows —
-// into the table under p and returns how many cells matched. contained
-// skips the per-cell time check for a chunk wholly inside the range (see
-// Plan.Chunk). Per-group accumulation order is slice order, so feeding
-// pairs in a fixed order makes float rounding deterministic.
+// page of a segment's CellTable or of a view chunk's — into the table
+// under p and returns how many cells matched. contained skips the per-cell
+// time check for a chunk wholly inside the range (see Plan.Chunk).
+// Per-group accumulation order is slice order, so feeding pairs in a fixed
+// order makes float rounding deterministic.
 func (t *GroupTable) Fold(p *Plan, keys []Key, cells []Cell, contained bool) (matched int64) {
 	noFilters := len(p.filters) == 0
 	for i := range keys {
 		key := &keys[i]
-		ts := key.Ts
-		if !contained && (ts < p.fromN || ts >= p.toN) {
+		if !contained && (key.Ts < p.fromN || key.Ts >= p.toN) {
 			continue
 		}
 		if !noFilters && !p.Match(key) {
 			continue
 		}
 		matched++
-		gk := GroupKey{Ts: p.collapsedTs}
-		if p.granN > 0 {
-			gk.Ts = ts - FloorMod(ts, p.granN)
-		}
-		for gi, d := range p.groupDims {
-			gk.Dims[gi] = dimValueAt(key, d)
-		}
-		t.cell(p.groupHash(gk.Ts, key), gk).Merge(cells[i])
+		t.accumulate(p, key, &cells[i])
 	}
 	return matched
+}
+
+// accumulate merges one admitted cell into its output group: bucket
+// floor, group key, group hash, Cell.Merge. It is the only copy of that
+// sequence — Fold and FoldColumns both end here, so the hot scan, the CQ
+// views, the cluster's stripe partials and the cold tier cannot drift.
+func (t *GroupTable) accumulate(p *Plan, key *Key, c *Cell) {
+	gk := GroupKey{Ts: p.collapsedTs}
+	if p.granN > 0 {
+		gk.Ts = key.Ts - FloorMod(key.Ts, p.granN)
+	}
+	for gi, d := range p.groupDims {
+		gk.Dims[gi] = dimValueAt(key, d)
+	}
+	t.cell(p.groupHash(gk.Ts, key), gk).Merge(*c)
+}
+
+// Columns is a set of rollup cells held column-wise — what a cold scan
+// projects out of an OCF object. A nil vector was not projected: its
+// field reads as zero, which neither the group key nor the requested agg
+// looks at (see coldPlan). Bucket and Count are always present.
+type Columns struct {
+	Bucket []int64
+	Dims   [4][]string // by dimension slot: system, source, component, metric
+	Count  []int64
+	Sum    []float64
+	Min    []float64
+	Max    []float64
+	Last   []float64
+	LastTs []int64
+}
+
+// key assembles row r's cell key.
+func (c *Columns) key(r int32) (k Key) {
+	k.Ts = c.Bucket[r]
+	if v := c.Dims[0]; v != nil {
+		k.System = v[r]
+	}
+	if v := c.Dims[1]; v != nil {
+		k.Source = v[r]
+	}
+	if v := c.Dims[2]; v != nil {
+		k.Component = v[r]
+	}
+	if v := c.Dims[3]; v != nil {
+		k.Metric = v[r]
+	}
+	return k
+}
+
+// cell assembles row r's aggregation state.
+func (c *Columns) cell(r int32) (x Cell) {
+	x.Count = c.Count[r]
+	if c.Sum != nil {
+		x.Sum = c.Sum[r]
+	}
+	if c.Min != nil {
+		x.Min = c.Min[r]
+	}
+	if c.Max != nil {
+		x.Max = c.Max[r]
+	}
+	if c.Last != nil {
+		x.Last = c.Last[r]
+	}
+	if c.LastTs != nil {
+		x.LastTs = c.LastTs[r]
+	}
+	return x
+}
+
+// FoldColumns is Fold fed from column vectors: it accumulates rows
+// order[0], order[1], … of cols, every one already admitted (time range
+// and filters applied by whoever built order), so p's filters are not
+// consulted. Each row goes vector → stack Key/Cell → group cell; nothing
+// is staged on the heap. Per-group accumulation order is order's.
+func (t *GroupTable) FoldColumns(p *Plan, cols *Columns, order []int32) {
+	for _, r := range order {
+		key, cell := cols.key(r), cols.cell(r)
+		t.accumulate(p, &key, &cell)
+	}
 }
 
 // Merge folds o's groups into t and leaves o's contents unspecified.
@@ -585,24 +661,29 @@ func (t *GroupTable) Merge(o *GroupTable) {
 // Sorted returns the table's groups ordered by (ts, dims) — the row
 // order of every result frame. Keys are unique, so the order is total.
 func (t *GroupTable) Sorted() []Group {
-	groups := make([]Group, 0, t.n)
+	// Sort pointers into the slots, then copy each 120-byte group out
+	// once, to its final position: a typed compare, 8-byte swaps.
+	refs := make([]*Group, 0, t.n)
 	for i := range t.slots {
 		if s := &t.slots[i]; s.used {
-			groups = append(groups, s.Group)
+			refs = append(refs, &s.Group)
 		}
 	}
-	sort.Slice(groups, func(i, j int) bool {
-		a, b := &groups[i].Key, &groups[j].Key
-		if a.Ts != b.Ts {
-			return a.Ts < b.Ts
+	slices.SortFunc(refs, func(a, b *Group) int {
+		if a.Key.Ts != b.Key.Ts {
+			return cmp.Compare(a.Key.Ts, b.Key.Ts)
 		}
-		for d := range a.Dims {
-			if a.Dims[d] != b.Dims[d] {
-				return a.Dims[d] < b.Dims[d]
+		for d := range a.Key.Dims {
+			if c := strings.Compare(a.Key.Dims[d], b.Key.Dims[d]); c != 0 {
+				return c
 			}
 		}
-		return false
+		return 0
 	})
+	groups := make([]Group, len(refs))
+	for i, g := range refs {
+		groups[i] = *g
+	}
 	return groups
 }
 

@@ -130,9 +130,11 @@ var (
 // partialSet is one query's per-shard partial-aggregation tables. Sets
 // are pooled per DB: a steady query load reuses grown slot arrays
 // instead of re-allocating ~megabytes of table per query, which keeps
-// the garbage collector out of the scan path.
+// the garbage collector out of the scan path. The cold fold's ordering
+// scratch rides in the same pooled object for the same reason.
 type partialSet struct {
 	tables [shardCount]GroupTable
+	order  coldOrder
 }
 
 func (db *DB) getPartials() *partialSet {

@@ -5,11 +5,17 @@
 // Offload extracts whole time chunks (all 16 stripes of a chunk at once)
 // into one OCF object sorted by dimensions for zone-map and bloom
 // clustering, plus explicit stripe and seq columns recording each cell's
-// stripe and insertion position. At query time matched cold rows are
-// re-sorted by (stripe, seq) and folded into the per-stripe partial
-// tables before the hot scan runs — chunk-ascending, insertion-ordered,
-// exactly the fold order of a store that never offloaded — so federated
-// float accumulation is byte-identical to the all-hot reference.
+// stripe and insertion position. At query time a segment's matched rows
+// are put back in (stripe, seq) order without being moved: seq is a dense
+// insertion index and there are 16 stripes, so one counting-sort scatter
+// of row indices into base[stripe]+seq slots does it (coldOrder; a file
+// whose coordinates are not such a scatter gets a comparison sort with
+// the same total order). The decoded column vectors are then folded
+// through that order vector (GroupTable.FoldColumns) into the per-stripe
+// partial tables before the hot scan runs — chunk-ascending,
+// insertion-ordered, exactly the fold order of a store that never
+// offloaded — so federated float accumulation is byte-identical to the
+// all-hot reference.
 //
 // Pruning happens in four layers before any chunk is inflated:
 // time range → per-segment zone maps + blooms (manifest, no object read)
@@ -22,8 +28,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -295,12 +303,14 @@ func (db *DB) Offload(cutoff time.Time) (OffloadStats, error) {
 	return st, nil
 }
 
-// coldCell is one cell extracted for offload.
+// coldCell is one cell extracted for offload: its fold coordinates and
+// its place in the extracted segment's table, which nothing else can
+// reach (or grow) while offloadChunk holds it.
 type coldCell struct {
 	stripe int32
 	seq    int32
-	key    Key
-	cell   Cell
+	key    *Key
+	cell   *Cell
 }
 
 // offloadChunk moves one time chunk into the tier; ct.mu must be held
@@ -311,8 +321,8 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 	// snapshot and drop and being lost; queries are blocked on ct.mu, and
 	// a failure below re-imports the extracted segments verbatim.
 	var extracted [shardCount]*segment
-	var cells []coldCell
 	var rawRows int64
+	nCells := 0
 	for si := range db.shards {
 		sh := &db.shards[si]
 		sh.mu.Lock()
@@ -327,10 +337,7 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 			continue
 		}
 		rawRows += seg.rows
-		for i := 0; i < seg.cells.Len(); i++ {
-			k, c := seg.cells.At(i)
-			cells = append(cells, coldCell{stripe: int32(si), seq: int32(i), key: *k, cell: *c})
-		}
+		nCells += seg.cells.Len()
 	}
 	defer func() {
 		if err == nil {
@@ -359,39 +366,54 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 			sh.mu.Unlock()
 		}
 	}()
-	if len(cells) == 0 {
+	if nCells == 0 {
 		return nil
+	}
+	cells := make([]coldCell, 0, nCells)
+	for si, seg := range extracted {
+		if seg == nil {
+			continue
+		}
+		for i := 0; i < seg.cells.Len(); i++ {
+			k, c := seg.cells.At(i)
+			cells = append(cells, coldCell{stripe: int32(si), seq: int32(i), key: k, cell: c})
+		}
 	}
 
 	// Sort by dimensions for zone-map/bloom clustering; (stripe, seq)
 	// ride along as columns so queries can restore fold order.
-	sort.Slice(cells, func(i, j int) bool {
-		a, b := &cells[i].key, &cells[j].key
-		if a.Metric != b.Metric {
-			return a.Metric < b.Metric
+	slices.SortFunc(cells, func(a, b coldCell) int {
+		if c := strings.Compare(a.key.Metric, b.key.Metric); c != 0 {
+			return c
 		}
-		if a.Component != b.Component {
-			return a.Component < b.Component
+		if c := strings.Compare(a.key.Component, b.key.Component); c != 0 {
+			return c
 		}
-		if a.System != b.System {
-			return a.System < b.System
+		if c := strings.Compare(a.key.System, b.key.System); c != 0 {
+			return c
 		}
-		if a.Source != b.Source {
-			return a.Source < b.Source
+		if c := strings.Compare(a.key.Source, b.key.Source); c != 0 {
+			return c
 		}
-		if a.Ts != b.Ts {
-			return a.Ts < b.Ts
+		if c := cmp.Compare(a.key.Ts, b.key.Ts); c != 0 {
+			return c
 		}
-		if cells[i].stripe != cells[j].stripe {
-			return cells[i].stripe < cells[j].stripe
+		if c := cmp.Compare(a.stripe, b.stripe); c != 0 {
+			return c
 		}
-		return cells[i].seq < cells[j].seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 
-	meta := coldSegmentMeta{Chunk: chunkN, Cells: int64(len(cells)), Rows: rawRows}
-	f := schema.NewFrame(ColdSchema)
+	// Build the object's columns directly, in ColdSchema order.
+	meta := coldSegmentMeta{Chunk: chunkN, Cells: int64(nCells), Rows: rawRows}
+	ints := func() []int64 { return make([]int64, nCells) }
+	floats := func() []float64 { return make([]float64, nCells) }
+	stripeV, seqV, bucketV, countV, lastTsV := ints(), ints(), ints(), ints(), ints()
+	sumV, minV, maxV, lastV := floats(), floats(), floats(), floats()
+	var dimV [4][]string
 	var distinct [4]map[string]struct{}
 	for d := range distinct {
+		dimV[d] = make([]string, nCells)
 		distinct[d] = make(map[string]struct{})
 	}
 	for i := range cells {
@@ -403,7 +425,8 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 			meta.MaxTs = c.key.Ts
 		}
 		for d := 0; d < 4; d++ {
-			v := dimValueAt(&c.key, d)
+			v := dimValueAt(c.key, d)
+			dimV[d][i] = v
 			distinct[d][v] = struct{}{}
 			if i == 0 || v < meta.Dims[d].Min {
 				meta.Dims[d].Min = v
@@ -412,18 +435,34 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 				meta.Dims[d].Max = v
 			}
 		}
-		row := schema.Row{
-			schema.Int(int64(c.stripe)), schema.Int(int64(c.seq)),
-			schema.TimeNanos(c.key.Ts), schema.Str(c.key.System),
-			schema.Str(c.key.Source), schema.Str(c.key.Component),
-			schema.Str(c.key.Metric), schema.Int(c.cell.Count),
-			schema.Float(c.cell.Sum), schema.Float(c.cell.Min),
-			schema.Float(c.cell.Max), schema.Float(c.cell.Last),
-			schema.TimeNanos(c.cell.LastTs),
+		stripeV[i], seqV[i], bucketV[i] = int64(c.stripe), int64(c.seq), c.key.Ts
+		countV[i], sumV[i], minV[i], maxV[i] = c.cell.Count, c.cell.Sum, c.cell.Min, c.cell.Max
+		lastV[i], lastTsV[i] = c.cell.Last, c.cell.LastTs
+	}
+	cols := make([]*schema.Column, 0, ColdSchema.Len())
+	add := func(c *schema.Column, cerr error) {
+		if err == nil {
+			err = cerr
 		}
-		if err := f.AppendRow(row); err != nil {
-			return err
-		}
+		cols = append(cols, c)
+	}
+	add(schema.IntColumn(schema.KindInt, stripeV, nil))
+	add(schema.IntColumn(schema.KindInt, seqV, nil))
+	add(schema.IntColumn(schema.KindTime, bucketV, nil))
+	for d := range dimV {
+		add(schema.StringColumn(dimV[d], nil))
+	}
+	add(schema.IntColumn(schema.KindInt, countV, nil))
+	for _, v := range [][]float64{sumV, minV, maxV, lastV} {
+		add(schema.FloatColumn(v, nil))
+	}
+	add(schema.IntColumn(schema.KindTime, lastTsV, nil))
+	if err != nil {
+		return err
+	}
+	f, err := schema.FrameOfColumns(ColdSchema, cols)
+	if err != nil {
+		return err
 	}
 	seg := &coldSegment{meta: meta}
 	for d := 0; d < 4; d++ {
@@ -610,15 +649,149 @@ func (ct *ColdTier) glacierFetch(key string, st *QueryStats) ([]byte, error) {
 	}
 }
 
-// coldRef is one matched cold row: its fold coordinates and its position
-// in the decoded frame.
-type coldRef struct {
-	stripe, seq int64
-	row         int
+// coldOrder restores the fold order of one segment's matched rows. It is
+// scratch owned by a partialSet, so a steady query load sorts in memory
+// sized by the largest segment it has seen: 4 bytes per matched row plus
+// 4 per scatter slot.
+type coldOrder struct {
+	// rows holds the matched row indices — ascending as admitted, in
+	// (stripe, seq, row) order after restore.
+	rows []int32
+	// off delimits the stripe runs after restore: stripe s's rows are
+	// rows[off[s]:off[s+1]].
+	off   [shardCount + 1]int
+	slots []int32 // scatter target: slot base[stripe]+seq holds row+1, 0 = empty
+}
+
+// scatterSlack is how many scatter slots beyond twice the matched rows a
+// segment may ask for. seq is a cell's insertion index in its (stripe,
+// chunk) table, so an unfiltered scan fills every slot, and a filter that
+// keeps 1 row in 40 of an 8-node segment still fits; a file whose seq
+// values are wild (or forged) falls back to the comparison sort instead
+// of sizing an allocation by them.
+const scatterSlack = 1 << 16
+
+// restore reorders rows by (stripe, seq, row index). stripe and seq are
+// the segment's coordinate vectors; every admitted row's stripe is already
+// range-checked. When the coordinates are what Offload writes — seq >= 0,
+// no (stripe, seq) pair twice, the seq range not much wider than the
+// matched rows — that is one counting-sort scatter and one sweep; on any
+// other input the same total order comes from a comparison sort, so which
+// path ran is never visible in a result.
+func (o *coldOrder) restore(stripe, seq []int64) {
+	if o.scatter(stripe, seq) {
+		return
+	}
+	slices.SortFunc(o.rows, func(a, b int32) int {
+		if c := cmp.Compare(stripe[a], stripe[b]); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(seq[a], seq[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	k := 0
+	for s := 0; s < shardCount; s++ {
+		o.off[s] = k
+		for k < len(o.rows) && stripe[o.rows[k]] == int64(s) {
+			k++
+		}
+	}
+	o.off[shardCount] = k
+}
+
+// scatter is restore's O(n) path; it reports false, with rows untouched,
+// when the coordinates do not allow it.
+func (o *coldOrder) scatter(stripe, seq []int64) bool {
+	var top [shardCount]int64 // the stripe's largest matched seq, -1 for none
+	for s := range top {
+		top[s] = -1
+	}
+	for _, r := range o.rows {
+		q := seq[r]
+		if q < 0 {
+			return false
+		}
+		if s := stripe[r]; q > top[s] {
+			top[s] = q
+		}
+	}
+	var base [shardCount + 1]int64 // stripe s scatters into slots[base[s]:base[s+1]]
+	limit := int64(2*len(o.rows) + scatterSlack)
+	for s, hi := range top {
+		if hi >= limit-base[s] {
+			return false
+		}
+		base[s+1] = base[s] + hi + 1
+	}
+	total := base[shardCount]
+	if int64(cap(o.slots)) < total {
+		o.slots = make([]int32, total)
+	}
+	slots := o.slots[:total]
+	clear(slots)
+	for _, r := range o.rows {
+		slot := &slots[base[stripe[r]]+seq[r]]
+		if *slot != 0 {
+			return false // a (stripe, seq) pair twice
+		}
+		*slot = r + 1
+	}
+	k := 0
+	for s := 0; s < shardCount; s++ {
+		o.off[s] = k
+		for _, v := range slots[base[s]:base[s+1]] {
+			if v != 0 {
+				o.rows[k] = v - 1
+				k++
+			}
+		}
+	}
+	o.off[shardCount] = k
+	return true
+}
+
+// coldColumns splits a scanned frame into the fold coordinates and the
+// kernel's column set; a column the projection left out stays nil.
+func coldColumns(f *schema.Frame) (cols Columns, stripe, seq []int64) {
+	sch := f.Schema()
+	for i := 0; i < sch.Len(); i++ {
+		c := f.Col(i)
+		switch sch.Field(i).Name {
+		case "stripe":
+			stripe = c.Ints()
+		case "seq":
+			seq = c.Ints()
+		case "bucket":
+			cols.Bucket = c.Ints()
+		case "system":
+			cols.Dims[0] = c.Strs()
+		case "source":
+			cols.Dims[1] = c.Strs()
+		case "component":
+			cols.Dims[2] = c.Strs()
+		case "metric":
+			cols.Dims[3] = c.Strs()
+		case "count":
+			cols.Count = c.Ints()
+		case "sum":
+			cols.Sum = c.Floats()
+		case "min":
+			cols.Min = c.Floats()
+		case "max":
+			cols.Max = c.Floats()
+		case "last":
+			cols.Last = c.Floats()
+		case "last_ts":
+			cols.LastTs = c.Ints()
+		}
+	}
+	return cols, stripe, seq
 }
 
 // scanSegment scans one segment object with predicate + projection
-// pushdown and folds the matches into ps in (stripe, seq) order.
+// pushdown and folds the matches into ps.
 func (ct *ColdTier) scanSegment(seg *coldSegment, p *Plan, st *QueryStats, ps *partialSet, noPrune bool) error {
 	data, err := ct.getObject(seg.meta.Key, st)
 	if err != nil {
@@ -641,126 +814,54 @@ func (ct *ColdTier) scanSegment(seg *coldSegment, p *Plan, st *QueryStats, ps *p
 	st.ColdRowGroupsScanned += res.GroupsScanned - res.GroupsDictSkipped
 	st.ColdRowGroupsPruned += res.GroupsTotal - res.GroupsScanned + res.GroupsDictSkipped
 	st.ColdRowsDecoded += int64(res.RowsDecoded)
+	folded, err := ps.foldCold(res.Frame, p, noPrune)
+	if err != nil {
+		return fmt.Errorf("tsdb: cold segment %s: %w", seg.meta.Key, err)
+	}
+	st.ColdCells += folded
+	return nil
+}
 
-	f := res.Frame
+// foldCold folds one segment's scanned frame into the per-stripe tables
+// in (stripe, seq) order, straight from the decoded column vectors, and
+// returns how many cells that was. It allocates nothing once the set's
+// ordering scratch has grown to the segment.
+func (ps *partialSet) foldCold(f *schema.Frame, p *Plan, noPrune bool) (int64, error) {
 	n := f.Len()
 	if n == 0 {
-		return nil
+		return 0, nil
 	}
-	sch := f.Schema()
-	col := func(name string) *schema.Column {
-		i, ok := sch.Index(name)
-		if !ok {
-			return nil
-		}
-		return f.Col(i)
+	cols, stripe, seq := coldColumns(f)
+	if n > math.MaxInt32 || len(stripe) != n || len(seq) != n || len(cols.Bucket) != n || len(cols.Count) != n {
+		return 0, fmt.Errorf("%d rows without int stripe, seq, bucket and count columns", n)
 	}
-	ints := func(name string) []int64 {
-		if c := col(name); c != nil {
-			return c.Ints()
-		}
-		return nil
-	}
-	floats := func(name string) []float64 {
-		if c := col(name); c != nil {
-			return c.Floats()
-		}
-		return nil
-	}
-	strs := func(name string) []string {
-		if c := col(name); c != nil {
-			return c.Strs()
-		}
-		return nil
-	}
-	stripeC, seqC, bucketC, countC := ints("stripe"), ints("seq"), ints("bucket"), ints("count")
-	sumC, minC, maxC, lastC := floats("sum"), floats("min"), floats("max"), floats("last")
-	lastTsC := ints("last_ts")
-	sysC, srcC, compC, metC := strs("system"), strs("source"), strs("component"), strs("metric")
-
-	// Projection pushdown leaves unneeded columns nil; their fields stay
-	// zero, which neither the group key nor the requested agg reads.
-	keyAt := func(r int) (k Key) {
-		k.Ts = bucketC[r]
-		if sysC != nil {
-			k.System = sysC[r]
-		}
-		if srcC != nil {
-			k.Source = srcC[r]
-		}
-		if compC != nil {
-			k.Component = compC[r]
-		}
-		if metC != nil {
-			k.Metric = metC[r]
-		}
-		return k
-	}
-	cellAt := func(r int) (c Cell) {
-		c.Count = countC[r]
-		if sumC != nil {
-			c.Sum = sumC[r]
-		}
-		if minC != nil {
-			c.Min = minC[r]
-		}
-		if maxC != nil {
-			c.Max = maxC[r]
-		}
-		if lastC != nil {
-			c.Last = lastC[r]
-		}
-		if lastTsC != nil {
-			c.LastTs = lastTsC[r]
-		}
-		return c
-	}
-	rows := make([]coldRef, 0, n)
-	for r := 0; r < n; r++ {
-		if stripeC[r] < 0 || stripeC[r] >= shardCount {
-			return fmt.Errorf("tsdb: cold segment %s: stripe %d out of range", seg.meta.Key, stripeC[r])
+	o := &ps.order
+	o.rows = slices.Grow(o.rows[:0], n)
+	for r := int32(0); r < int32(n); r++ {
+		if stripe[r] < 0 || stripe[r] >= shardCount {
+			return 0, fmt.Errorf("stripe %d out of range", stripe[r])
 		}
 		if noPrune {
 			// No pushdown happened: apply the time range and filters
 			// exactly, same as the hot scan loop.
-			if k := keyAt(r); k.Ts < p.fromN || k.Ts >= p.toN || !p.Match(&k) {
+			if k := cols.key(r); k.Ts < p.fromN || k.Ts >= p.toN || !p.Match(&k) {
 				continue
 			}
 		}
-		rows = append(rows, coldRef{stripe: stripeC[r], seq: seqC[r], row: r})
+		o.rows = append(o.rows, r)
 	}
 	// Restore per-stripe insertion order so folding reproduces the hot
-	// path's accumulation order exactly, then stage the rows as the
-	// (keys, cells) slice pair the kernel folds.
-	// The row index breaks ties, so the order is total whatever the file
-	// holds and does not depend on the sort algorithm.
-	slices.SortFunc(rows, func(a, b coldRef) int {
-		if a.stripe != b.stripe {
-			return cmp.Compare(a.stripe, b.stripe)
-		}
-		if a.seq != b.seq {
-			return cmp.Compare(a.seq, b.seq)
-		}
-		return cmp.Compare(a.row, b.row)
-	})
-	keys, cells := make([]Key, len(rows)), make([]Cell, len(rows))
-	for i := range rows {
-		keys[i], cells[i] = keyAt(rows[i].row), cellAt(rows[i].row)
-	}
-	// The rows were admitted above or by the pushdown, whose projection
-	// may not even carry the filtered dimensions: fold them unfiltered,
-	// one stripe's run at a time.
+	// path's accumulation order exactly. The rows were admitted above or
+	// by the pushdown, whose projection may not even carry the filtered
+	// dimensions: fold them unfiltered, one stripe's run at a time.
+	o.restore(stripe, seq)
 	admitted := p.Admitted()
-	for a := 0; a < len(rows); {
-		b := a + 1
-		for b < len(rows) && rows[b].stripe == rows[a].stripe {
-			b++
+	for s := 0; s < shardCount; s++ {
+		if run := o.rows[o.off[s]:o.off[s+1]]; len(run) > 0 {
+			ps.tables[s].FoldColumns(&admitted, &cols, run)
 		}
-		ps.tables[rows[a].stripe].Fold(&admitted, keys[a:b], cells[a:b], true)
-		a = b
 	}
-	st.ColdCells += int64(len(rows))
-	return nil
+	return int64(len(o.rows)), nil
 }
 
 // coldPlan computes the projection and pushdown predicates for one

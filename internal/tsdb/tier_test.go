@@ -1,6 +1,7 @@
 package tsdb
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"sync"
@@ -29,7 +30,7 @@ func seedTier(db *DB) {
 }
 
 // attachTier wires an in-memory store tier to db.
-func attachTier(t *testing.T, db *DB, store *objstore.Store, cfg ColdTierConfig) *ColdTier {
+func attachTier(t testing.TB, db *DB, store *objstore.Store, cfg ColdTierConfig) *ColdTier {
 	t.Helper()
 	if store == nil {
 		var err error
@@ -116,6 +117,36 @@ func TestOffloadPreservesResults(t *testing.T) {
 			}
 			expectFederatedMatch(t, db, twin, "offload")
 		})
+	}
+}
+
+// TestOffloadBytesUnchanged pins what Offload writes: the SHA-256 of the
+// first segment object (four 64-row groups, flate, blooms) and of the
+// manifest, computed before offloadChunk built its columns directly. A
+// change that moves either digest changed the on-store format or the
+// dimension-clustered row order, not just how the frame is assembled.
+func TestOffloadBytesUnchanged(t *testing.T) {
+	store, err := objstore.New("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := New(tierOptions())
+	seedTier(db)
+	attachTier(t, db, store, ColdTierConfig{Prefix: "lake/", RowGroupRows: 64})
+	if _, err := db.Offload(base.Add(2 * time.Hour)); err != nil {
+		t.Fatal(err)
+	}
+	for key, want := range map[string]string{
+		"lake/segments/01717200000000000000-000000.ocf": "3586c3320bd3084999bcbf60d3257e18cb77349fdde2d5697273e0f752c9ffeb",
+		"lake/manifest": "cd9d406b76b190cb517387c1296611d37a920f786cd2a9c74a3d91f5639f9ff0",
+	} {
+		data, _, err := store.Get("lake", key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
+			t.Errorf("%s: sha256 %s, want %s", key, got, want)
+		}
 	}
 }
 
