@@ -17,10 +17,12 @@ test:
 # module, so the root build, vet and test never compile it. This target
 # does: an internal/ signature change that breaks benchmark/sut.go fails
 # here instead of in the driver's run. The cold-scan and OCF-write
-# microbenchmarks, the cell-table growth one, the grouped cold fold and
-# the replicated ingest loop run once each so they cannot rot either.
+# microbenchmarks, the partition log's append + fetch, the cell-table
+# growth one, the grouped cold fold and the replicated ingest loop run
+# once each so they cannot rot either.
 bench-smoke:
 	(cd benchmark && $(GO) vet ./... && $(GO) test ./...)
+	$(GO) test -bench 'PartitionAppendFetch' -benchtime 1x -run xxx ./internal/stream
 	$(GO) test -bench 'ScanColumnsCold|WriteTelemetry' -benchtime 1x -run xxx ./internal/columnar
 	$(GO) test -bench 'CellTableGrow|ColdFoldGrouped' -benchtime 1x -run xxx ./internal/tsdb
 	$(GO) test -bench 'ClusterIngestBatch' -benchtime 1x -run xxx ./internal/cluster

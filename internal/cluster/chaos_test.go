@@ -400,6 +400,14 @@ func TestChaosClusterAsymmetricPartition(t *testing.T) {
 	}
 	// Committed prefix still serves; the staged batch is invisible.
 	assertExactSequences(t, c, topic, want, "during partition")
+	// The leader log now ends past the watermark: a page that is defaulted
+	// or far larger than the committed span stops at it all the same.
+	for _, tc := range []struct{ max, want int }{{0, 5}, {3, 3}, {1 << 20, 5}} {
+		recs, err := c.FetchNoWait(topic, 0, 11, tc.max)
+		if err != nil || len(recs) != tc.want {
+			t.Fatalf("fetch at 11 of 16 committed, max %d: %d records, %v; want %d", tc.max, len(recs), err, tc.want)
+		}
+	}
 	ps.mu.Lock()
 	sameLeader, sameEpoch := ps.leader == leader, ps.epoch == epoch
 	ps.mu.Unlock()

@@ -486,16 +486,23 @@ func (c *Cluster) FetchNoWait(topicName string, partition int, offset int64, max
 	if err := c.transport.call(OpFetch, routerID, ps.leader); err != nil {
 		return nil, err
 	}
+	// Ask only for the committed span: a replicated log's offsets are
+	// contiguous, so at most hw-offset records lie below the watermark.
+	if max <= 0 {
+		max = 1024 // the broker's default page
+	}
+	if committed := ps.hw - offset; int64(max) > committed {
+		max = int(committed)
+	}
 	ld := c.node(ps.leader)
 	recs, err := ld.Broker.FetchNoWait(t.name, ps.idx, offset, max)
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range recs {
-		if r.Offset >= ps.hw {
-			recs = recs[:i]
-			break
-		}
+	// Guard, not a code path: a log that adopted a retention gap has a
+	// hole, and a fetch that starts in one returns offsets past the count.
+	for n := len(recs); n > 0 && recs[n-1].Offset >= ps.hw; n-- {
+		recs = recs[:n-1]
 	}
 	return recs, nil
 }

@@ -408,9 +408,6 @@ func (b *Broker) Fetch(ctx context.Context, topicName string, partition int, off
 // nothing). Offset semantics match Fetch: below the retention horizon is
 // ErrOffsetTrimmed, beyond the end of the log is ErrOffsetInFuture.
 func (b *Broker) FetchNoWait(topicName string, partition int, offset int64, max int) ([]Record, error) {
-	if max <= 0 {
-		max = 1024
-	}
 	t, err := b.topic(topicName)
 	if err != nil {
 		return nil, err

@@ -3,6 +3,7 @@ package stream
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -20,14 +21,73 @@ type topic struct {
 	batchRR atomic.Uint64
 }
 
-// partition is one append-only log. Records are held in a ring buffer
-// ordered by offset: retention advances the head while appends advance
-// the tail, so once retention bounds the live set the ring recycles one
-// allocation forever — no per-append growth, tail copying, or GC churn.
-// Compaction may punch holes in the offset sequence, so readers locate
-// offsets by binary search rather than by index. horizon is the lowest
-// offset still addressable (reads below it fail with ErrOffsetTrimmed);
-// next is the offset the next append will take.
+// chunkMaxBytes bounds what one chunk accounts for, in the unit retention
+// counts in (key + value + 32 per record); a larger batch splits. It caps
+// what a partially trimmed head chunk can pin, keeps the arena far inside
+// the uint32 end index, and holds a chunk to 32 768 records. Only a
+// single record larger than the bound gets a larger chunk, of its own.
+const chunkMaxBytes = 1 << 20
+
+// chunk is one appended batch: the keys and values of its records back to
+// back in one arena, and the end of every key and value in one
+// pointer-free index, so record i has offset base+i and nothing per
+// message holds a pointer. Neither slice is written after the chunk is
+// queued, so fetched records alias data safely.
+type chunk struct {
+	base int64 // offset of record 0
+	ts   time.Time
+	data []byte
+	ends []uint32 // ends[2i], ends[2i+1]: where record i's key and value end in data
+	lo   int      // records retention trimmed from the front
+}
+
+func newChunk(base int64, ts time.Time, records, dataBytes int) chunk {
+	return chunk{base: base, ts: ts, data: make([]byte, 0, dataBytes), ends: make([]uint32, 0, 2*records)}
+}
+
+func (c *chunk) add(key, value []byte) {
+	c.data = append(c.data, key...)
+	c.ends = append(c.ends, uint32(len(c.data)))
+	c.data = append(c.data, value...)
+	c.ends = append(c.ends, uint32(len(c.data)))
+}
+
+// chunkFits reports whether a chunk of n records and data arena bytes stays
+// within chunkMaxBytes with one more record of m bytes; the first always
+// fits.
+func chunkFits(n, data, m int) bool {
+	return n == 0 || data+m+32*(n+1) <= chunkMaxBytes
+}
+
+// records counts every record the chunk was built with, trimmed or not.
+func (c *chunk) records() int { return len(c.ends) / 2 }
+
+// bounds returns where record i's key starts and ends and its value ends.
+func (c *chunk) bounds(i int) (ks, ke, ve uint32) {
+	if i > 0 {
+		ks = c.ends[2*i-1]
+	}
+	return ks, c.ends[2*i], c.ends[2*i+1]
+}
+
+// size is Record.size for record i.
+func (c *chunk) size(i int) int64 {
+	ks, _, ve := c.bounds(i)
+	return int64(ve-ks) + 32
+}
+
+// partition is one append-only log, held as a queue of chunks in offset
+// order. An append-only topic queues one chunk per appended batch, so a
+// log allocates each byte once — an arena and an index per batch — and
+// retention frees a batch's arena when its last record is trimmed (the
+// head chunk trims record by record through lo and pins at most its own
+// arena, chunkMaxBytes). A compacted topic queues one chunk per record:
+// compaction drops whole chunks, leaving holes in the offset sequence and
+// pinning nothing, and readers locate offsets by binary search on base.
+// The queue itself is a ring of chunk headers that stops growing once
+// retention bounds the live set. horizon is the lowest offset still
+// addressable (reads below it fail with ErrOffsetTrimmed); next is the
+// offset the next append will take.
 type partition struct {
 	topic string
 	id    int
@@ -35,11 +95,12 @@ type partition struct {
 	mu      sync.Mutex
 	horizon int64
 	next    int64
-	// Ring storage: the live records, ordered by offset, are
-	// buf[(head+i)%len(buf)] for logical index i in [0, count).
-	buf    []Record
+	// The live chunks are q[(head+i)&(len(q)-1)] for i in [0, nq); len(q)
+	// is zero or a power of two.
+	q      []chunk
 	head   int
-	count  int
+	nq     int
+	count  int // live records across the queue
 	bytes  int64
 	closed bool
 	// deleted marks a partition whose topic was removed via DeleteTopic,
@@ -63,38 +124,32 @@ func newPartition(topic string, id int) *partition {
 	return &partition{topic: topic, id: id}
 }
 
-// recAt returns the record at logical index i (0 = oldest); the caller
-// must hold p.mu and ensure 0 <= i < p.count.
-func (p *partition) recAt(i int) *Record {
-	return &p.buf[(p.head+i)%len(p.buf)]
+// chunkAt returns the i-th live chunk (0 = oldest); the caller must hold
+// p.mu and ensure 0 <= i < p.nq.
+func (p *partition) chunkAt(i int) *chunk {
+	return &p.q[(p.head+i)&(len(p.q)-1)]
 }
 
-// pushLocked appends one record at the tail, growing the ring only while
-// the live set is still growing.
-func (p *partition) pushLocked(rec Record) {
-	if p.count == len(p.buf) {
-		newCap := 2 * len(p.buf)
-		if newCap < 1024 {
-			newCap = 1024
+// queueLocked appends a finished chunk at the tail and accounts for its
+// records, growing the ring of headers only while the number of live
+// chunks is still growing.
+func (p *partition) queueLocked(c chunk) {
+	if p.nq == len(p.q) {
+		nq := make([]chunk, max(8, 2*len(p.q)))
+		for i := 0; i < p.nq; i++ {
+			nq[i] = *p.chunkAt(i)
 		}
-		nb := make([]Record, newCap)
-		for i := 0; i < p.count; i++ {
-			nb[i] = *p.recAt(i)
-		}
-		p.buf, p.head = nb, 0
+		p.q, p.head = nq, 0
 	}
-	p.buf[(p.head+p.count)%len(p.buf)] = rec
-	p.count++
-}
-
-// trimLocked drops the n oldest records, zeroing their slots so the ring
-// does not pin their key/value buffers.
-func (p *partition) trimLocked(n int) {
-	for i := 0; i < n; i++ {
-		*p.recAt(i) = Record{}
-	}
-	p.head = (p.head + n) % len(p.buf)
-	p.count -= n
+	n := c.records()
+	sz := int64(len(c.data)) + 32*int64(n)
+	p.nq++
+	*p.chunkAt(p.nq - 1) = c
+	p.next = c.base + int64(n)
+	p.count += n
+	p.bytes += sz
+	p.totalRecords.Add(int64(n))
+	p.totalBytes.Add(sz)
 }
 
 func (p *partition) close() {
@@ -119,7 +174,7 @@ func (p *partition) wakeLocked() {
 	}
 }
 
-// markDeleted closes the partition for topic deletion: the ring is
+// markDeleted closes the partition for topic deletion: the queue is
 // dropped so no stale record can be served to a reader that resolved the
 // topic before DeleteTopic won the race, and the deleted flag turns every
 // later read into ErrNoTopic.
@@ -127,7 +182,7 @@ func (p *partition) markDeleted() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.deleted = true
-	p.buf, p.head, p.count, p.bytes = nil, 0, 0, 0
+	p.q, p.head, p.nq, p.count, p.bytes = nil, 0, 0, 0, 0
 	p.horizon = p.next
 	p.closeLocked()
 }
@@ -152,10 +207,17 @@ func (p *partition) append(ts time.Time, key, value []byte, cfg TopicConfig) (in
 // appendBatch appends every message in order under one lock acquisition,
 // then runs compaction and retention once and wakes blocked fetchers
 // once — the amortized hot path behind Broker.PublishBatch. It returns
-// the offset assigned to the first message of the batch.
+// the offset assigned to the first message of the batch. Callers may
+// reuse their message buffers after it returns: keys and values are
+// copied, once, into the chunk's arena.
 func (p *partition) appendBatch(ts time.Time, msgs []Message, cfg TopicConfig) (int64, error) {
 	if len(msgs) == 0 {
 		return p.endOffset(), nil
+	}
+	for i := range msgs {
+		if n := uint64(len(msgs[i].Key)) + uint64(len(msgs[i].Value)); n > math.MaxUint32 {
+			return 0, fmt.Errorf("stream: %s/%d: %d-byte message exceeds the 4 GiB record limit", p.topic, p.id, n)
+		}
 	}
 	p.mu.Lock()
 	if p.closed {
@@ -163,45 +225,26 @@ func (p *partition) appendBatch(ts time.Time, msgs []Message, cfg TopicConfig) (
 		return 0, ErrBrokerClosed
 	}
 	first := p.next
-	// Callers may reuse their message buffers after we return, so keys and
-	// values are copied. For append-only topics the copies share one arena
-	// allocation per batch; compacted topics copy per record so compaction
-	// dropping a record doesn't pin the whole batch's arena in memory.
-	var arena []byte
-	if !cfg.Compacted {
-		total := 0
-		for i := range msgs {
-			total += len(msgs[i].Key) + len(msgs[i].Value)
+	for len(msgs) > 0 {
+		// One chunk takes as many messages as fit the bound — all of
+		// them, for any ordinary batch — and exactly one on a compacted
+		// topic, so compaction can drop a record without pinning a batch.
+		n, data := 0, 0
+		for n < len(msgs) {
+			m := len(msgs[n].Key) + len(msgs[n].Value)
+			if n > 0 && cfg.Compacted || !chunkFits(n, data, m) {
+				break
+			}
+			data += m
+			n++
 		}
-		arena = make([]byte, 0, total)
+		c := newChunk(p.next, ts, n, data)
+		for i := range msgs[:n] {
+			c.add(msgs[i].Key, msgs[i].Value)
+		}
+		p.queueLocked(c)
+		msgs = msgs[n:]
 	}
-	var added int64
-	for i := range msgs {
-		m := &msgs[i]
-		var key, value []byte
-		if cfg.Compacted {
-			key = append([]byte(nil), m.Key...)
-			value = append([]byte(nil), m.Value...)
-		} else {
-			off := len(arena)
-			arena = append(arena, m.Key...)
-			key = arena[off:len(arena):len(arena)]
-			off = len(arena)
-			arena = append(arena, m.Value...)
-			value = arena[off:len(arena):len(arena)]
-		}
-		rec := Record{
-			Topic: p.topic, Partition: p.id, Offset: p.next, Ts: ts,
-			Key: key, Value: value,
-		}
-		sz := rec.size()
-		p.next++
-		p.pushLocked(rec)
-		p.bytes += sz
-		added += sz
-	}
-	p.totalRecords.Add(int64(len(msgs)))
-	p.totalBytes.Add(added)
 	if cfg.Compacted {
 		every := cfg.CompactEvery
 		if every <= 0 {
@@ -222,7 +265,10 @@ func (p *partition) appendBatch(ts time.Time, msgs []Message, cfg TopicConfig) (
 // byte-identical prefix of the leader's. Records at offsets the follower
 // already holds are skipped (idempotent re-delivery), and an empty or
 // lagging follower may jump forward past a retention gap — offsets only
-// ever move monotonically. Replication is only defined for non-compacted
+// ever move monotonically. The source buffers belong to the transport, so
+// they are copied like appendBatch copies: one chunk per run of
+// consecutive offsets sharing a timestamp, which for a shipped leader
+// batch is one chunk. Replication is only defined for non-compacted
 // topics (the cluster rejects compacted configs), so no compaction pass
 // runs here.
 func (p *partition) replicateBatch(recs []Record, cfg TopicConfig) error {
@@ -238,149 +284,177 @@ func (p *partition) replicateBatch(recs []Record, cfg TopicConfig) error {
 		p.mu.Unlock()
 		return ErrBrokerClosed
 	}
-	appended := 0
-	var added int64
-	var lastTs time.Time
-	for i := range recs {
-		r := &recs[i]
-		if r.Offset < p.next {
-			continue // already replicated
+	end := p.next
+	for len(recs) > 0 {
+		r0 := &recs[0]
+		if r0.Offset < p.next {
+			recs = recs[1:] // already replicated
+			continue
 		}
 		if p.count == 0 {
 			// Nothing retained: adopt the leader's horizon at this record.
-			p.horizon = r.Offset
+			p.horizon = r0.Offset
 		}
-		// The source buffers belong to the transport; copy like appendBatch.
-		rec := Record{
-			Topic: p.topic, Partition: p.id, Offset: r.Offset, Ts: r.Ts,
-			Key:   append([]byte(nil), r.Key...),
-			Value: append([]byte(nil), r.Value...),
+		n, data := 0, 0
+		for n < len(recs) {
+			r := &recs[n]
+			m := len(r.Key) + len(r.Value)
+			if r.Offset != r0.Offset+int64(n) || r.Ts != r0.Ts || !chunkFits(n, data, m) {
+				break
+			}
+			data += m
+			n++
 		}
-		p.next = r.Offset + 1
-		p.pushLocked(rec)
-		sz := rec.size()
-		p.bytes += sz
-		added += sz
-		appended++
-		lastTs = r.Ts
+		c := newChunk(r0.Offset, r0.Ts, n, data)
+		for i := range recs[:n] {
+			c.add(recs[i].Key, recs[i].Value)
+		}
+		p.queueLocked(c)
+		recs = recs[n:]
 	}
-	if appended == 0 {
+	if p.next == end { // nothing new
 		p.mu.Unlock()
 		return nil
 	}
-	p.totalRecords.Add(int64(appended))
-	p.totalBytes.Add(added)
-	p.enforceRetentionLocked(lastTs, cfg)
+	p.enforceRetentionLocked(p.chunkAt(p.nq-1).ts, cfg)
 	p.wakeLocked()
 	p.mu.Unlock()
 	return nil
 }
 
 // compactLocked keeps only the newest record per key (keyless records are
-// always kept), preserving offsets — the log is left with holes. The
-// surviving records are slid down in ring order, so no allocation.
+// always kept), preserving offsets — the log is left with holes. Every
+// chunk of a compacted topic holds one record, so dropping a record drops
+// its chunk; the survivors are slid down in ring order, so no allocation.
 func (p *partition) compactLocked() {
-	latest := make(map[string]int64, p.count)
-	for i := 0; i < p.count; i++ {
-		r := p.recAt(i)
-		if len(r.Key) > 0 {
-			latest[string(r.Key)] = r.Offset
+	key := func(c *chunk) []byte { return c.data[:c.ends[0]] }
+	latest := make(map[string]int64, p.nq)
+	for i := 0; i < p.nq; i++ {
+		if c := p.chunkAt(i); len(key(c)) > 0 {
+			latest[string(key(c))] = c.base
 		}
 	}
 	w := 0
 	var bytes int64
-	for i := 0; i < p.count; i++ {
-		r := p.recAt(i)
-		if len(r.Key) == 0 || latest[string(r.Key)] == r.Offset {
+	for i := 0; i < p.nq; i++ {
+		c := p.chunkAt(i)
+		if len(key(c)) == 0 || latest[string(key(c))] == c.base {
+			bytes += c.size(0)
 			if w != i {
-				*p.recAt(w) = *r
+				*p.chunkAt(w) = *c
 			}
-			bytes += p.recAt(w).size()
 			w++
 		}
 	}
-	for i := w; i < p.count; i++ {
-		*p.recAt(i) = Record{}
+	for i := w; i < p.nq; i++ {
+		*p.chunkAt(i) = chunk{}
 	}
-	p.count = w
-	p.bytes = bytes
+	p.nq, p.count, p.bytes = w, w, bytes
 	p.compactions.Add(1)
 	// The horizon does not move: cursors pointing at compacted-away
 	// offsets simply skip forward to the next surviving record, exactly
 	// as readers of a compacted log expect.
 }
 
-// enforceRetentionLocked trims the head while limits are exceeded.
+// enforceRetentionLocked trims the head, record by record, while limits
+// are exceeded; a chunk whose last record goes is dequeued and its slot
+// zeroed, which is what frees its arena.
 func (p *partition) enforceRetentionLocked(now time.Time, cfg TopicConfig) {
-	trim := 0
-	for trim < p.count-1 { // always keep at least the newest record
-		r := p.recAt(trim)
+	trimmed := false
+	for p.count > 1 { // always keep at least the newest record
+		c := p.chunkAt(0)
 		overBytes := cfg.RetentionBytes > 0 && p.bytes > cfg.RetentionBytes
-		overAge := cfg.RetentionAge > 0 && now.Sub(r.Ts) > cfg.RetentionAge
+		overAge := cfg.RetentionAge > 0 && now.Sub(c.ts) > cfg.RetentionAge
 		if !overBytes && !overAge {
 			break
 		}
-		p.bytes -= r.size()
-		trim++
-	}
-	if trim > 0 {
-		p.trimLocked(trim)
-		if p.count > 0 {
-			p.horizon = p.recAt(0).Offset
-		} else {
-			p.horizon = p.next
+		p.bytes -= c.size(c.lo)
+		p.count--
+		trimmed = true
+		if c.lo++; c.lo == c.records() {
+			*c = chunk{}
+			p.head = (p.head + 1) & (len(p.q) - 1)
+			p.nq--
 		}
 	}
-}
-
-// searchLocked returns the logical index of the first record with
-// Offset >= off.
-func (p *partition) searchLocked(off int64) int {
-	return sort.Search(p.count, func(i int) bool { return p.recAt(i).Offset >= off })
-}
-
-// copyRangeLocked copies logical indices [i, j) out of the ring.
-func (p *partition) copyRangeLocked(i, j int) []Record {
-	out := make([]Record, j-i)
-	for k := range out {
-		out[k] = *p.recAt(i + k)
+	if trimmed {
+		c := p.chunkAt(0)
+		p.horizon = c.base + int64(c.lo)
 	}
+}
+
+// readLocked materialises up to max records starting at the first live
+// record with Offset >= off, nil when there is none. Keys and values
+// alias the chunk arenas, cap-limited so a caller's append cannot reach a
+// neighbour.
+func (p *partition) readLocked(off int64, max int) []Record {
+	ci := sort.Search(p.nq, func(i int) bool {
+		c := p.chunkAt(i)
+		return c.base+int64(c.records()) > off
+	})
+	if ci == p.nq {
+		return nil
+	}
+	// Only the head chunk has a trimmed front, and off is at or above the
+	// horizon, so the start inside the first chunk is never below its lo.
+	c := p.chunkAt(ci)
+	i := c.lo
+	if off > c.base {
+		i = int(off - c.base)
+	}
+	n := -i
+	for k := ci; k < p.nq && n < max; k++ {
+		n += p.chunkAt(k).records()
+	}
+	if n > max {
+		n = max
+	}
+	out := make([]Record, n)
+	for k := 0; k < n; ci, i = ci+1, 0 {
+		c = p.chunkAt(ci)
+		for ; i < c.records() && k < n; i, k = i+1, k+1 {
+			ks, ke, ve := c.bounds(i)
+			out[k] = Record{
+				Topic: p.topic, Partition: p.id, Offset: c.base + int64(i), Ts: c.ts,
+				Key: c.data[ks:ke:ke], Value: c.data[ke:ve:ve],
+			}
+		}
+	}
+	p.fetchRecords.Add(int64(n))
 	return out
+}
+
+// fetchLocked is one non-blocking read with the offset rules both fetch
+// flavours share: below the horizon is ErrOffsetTrimmed, beyond the end
+// of the log is ErrOffsetInFuture.
+func (p *partition) fetchLocked(offset int64, max int) ([]Record, error) {
+	if err := p.errIfDeletedLocked(); err != nil {
+		return nil, err
+	}
+	if max <= 0 {
+		max = 1024
+	}
+	if offset < p.horizon {
+		return nil, ErrOffsetTrimmed
+	}
+	if offset > p.next {
+		return nil, ErrOffsetInFuture
+	}
+	return p.readLocked(offset, max), nil
 }
 
 // fetch returns up to max records starting at offset, blocking until data
 // arrives, the partition closes, or ctx is done.
 func (p *partition) fetch(ctx context.Context, offset int64, max int) ([]Record, error) {
-	if max <= 0 {
-		max = 1024
-	}
 	for {
 		p.mu.Lock()
-		if err := p.errIfDeletedLocked(); err != nil {
-			p.mu.Unlock()
-			return nil, err
+		out, err := p.fetchLocked(offset, max)
+		if err == nil && len(out) == 0 && p.closed {
+			err = ErrBrokerClosed
 		}
-		if offset < p.horizon {
+		if err != nil || len(out) > 0 {
 			p.mu.Unlock()
-			return nil, ErrOffsetTrimmed
-		}
-		if offset > p.next {
-			p.mu.Unlock()
-			return nil, ErrOffsetInFuture
-		}
-		if i := p.searchLocked(offset); i < p.count {
-			j := i + max
-			if j > p.count {
-				j = p.count
-			}
-			out := p.copyRangeLocked(i, j)
-			p.fetchRecords.Add(int64(len(out)))
-			p.mu.Unlock()
-			return out, nil
-		}
-		if p.closed {
-			p.mu.Unlock()
-			return nil, ErrBrokerClosed
+			return out, err
 		}
 		if p.notify == nil {
 			p.notify = make(chan struct{})
@@ -396,32 +470,11 @@ func (p *partition) fetch(ctx context.Context, offset int64, max int) ([]Record,
 }
 
 // fetchNoWait returns immediately with whatever is available (possibly
-// nothing) at offset. It applies the same offset semantics as fetch:
-// below the horizon is ErrOffsetTrimmed, beyond the end of the log is
-// ErrOffsetInFuture.
+// nothing) at offset, under the same offset rules as fetch.
 func (p *partition) fetchNoWait(offset int64, max int) ([]Record, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if err := p.errIfDeletedLocked(); err != nil {
-		return nil, err
-	}
-	if offset < p.horizon {
-		return nil, ErrOffsetTrimmed
-	}
-	if offset > p.next {
-		return nil, ErrOffsetInFuture
-	}
-	i := p.searchLocked(offset)
-	if i >= p.count {
-		return nil, nil
-	}
-	j := i + max
-	if j > p.count {
-		j = p.count
-	}
-	out := p.copyRangeLocked(i, j)
-	p.fetchRecords.Add(int64(len(out)))
-	return out, nil
+	return p.fetchLocked(offset, max)
 }
 
 type partitionStats struct {
