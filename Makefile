@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test bench-smoke loc-delta one-reader race chaos chaos-cluster bench bench-query bench-obs bench-federate bench-serve bench-cq bench-cluster fuzz-smoke verify clean
+.PHONY: all build vet test bench-smoke loc-delta one-reader one-read-path race chaos chaos-cluster bench bench-query bench-obs bench-federate bench-serve bench-cq bench-cluster fuzz-smoke verify clean
 
 all: verify
 
@@ -27,14 +27,16 @@ bench-smoke:
 	$(GO) test -bench 'CellTableGrow|ColdFoldGrouped' -benchtime 1x -run xxx ./internal/tsdb
 	$(GO) test -bench 'ClusterIngestBatch' -benchtime 1x -run xxx ./internal/cluster
 
-# Net non-test Go line delta of the working tree versus BASE — the number
-# ROADMAP asks every PR to state. Counts added/deleted lines of .go files
-# that are neither tests nor under benchmark/; stage new files first
-# (git add -A) or they are not seen.
+# Net Go line delta of the working tree versus BASE — the numbers ROADMAP
+# asks every PR to state: non-test .go files outside benchmark/ on the
+# first line, *_test.go on the second. Stage new files first (git add -A)
+# or they are not seen.
 BASE ?= HEAD
 loc-delta:
 	@git diff --numstat $(BASE) -- '*.go' ':(exclude)*_test.go' ':(exclude)benchmark' | \
 		awk '{a += $$1; d += $$2} END {printf "non-test .go lines vs $(BASE): +%d -%d (net %+d)\n", a, d, a - d}'
+	@git diff --numstat $(BASE) -- '*_test.go' ':(exclude)benchmark' | \
+		awk '{a += $$1; d += $$2} END {printf "*_test.go lines vs $(BASE): +%d -%d (net %+d)\n", a, d, a - d}'
 
 # One stream reader: every consumer of the STREAM tier reads through
 # plane.Reader. A non-test .go file outside the planes themselves
@@ -46,6 +48,19 @@ one-reader:
 	@if grep -rnE 'FetchNoWait\(|Broker\.Fetch\(' --include='*.go' --exclude='*_test.go' \
 		--exclude-dir=benchmark --exclude-dir=plane --exclude-dir=stream --exclude-dir=cluster . ; then \
 		echo "one-reader: read STREAM topics through plane.Reader, not a hand-rolled fetch loop"; exit 1; fi
+
+# One LAKE read path: every HTTP read route answers through serveQuery,
+# the one place internal/httpapi calls the backend's engine (so shedding,
+# the cost headers and with them the gateway's scan debit reach a route by
+# construction), and top-N is a query shape (tsdb.TopN / TopNOf), not a
+# method some type answers beside RunWithStats.
+one-read-path:
+	@n=$$(grep -rn 'backend\.RunWithStats(' --include='*.go' --exclude='*_test.go' internal/httpapi | wc -l); \
+		if [ $$n -ne 1 ]; then \
+		grep -rn 'backend\.RunWithStats(' --include='*.go' --exclude='*_test.go' internal/httpapi; \
+		echo "one-read-path: internal/httpapi has $$n backend.RunWithStats( call sites, want 1 (serveQuery)"; exit 1; fi
+	@if grep -rnE '^func \([^)]*\) TopN\(' --include='*.go' --exclude='*_test.go' . ; then \
+		echo "one-read-path: top-N is tsdb.TopN over RunWithStats, not a method"; exit 1; fi
 
 # The concurrency-heavy packages get a dedicated race-detector pass: the
 # striped-lock LAKE store, the partitioned STREAM broker, the reader every
@@ -161,7 +176,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzColumnarExt -fuzztime 30s ./internal/columnar
 	$(GO) test -run xxx -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal
 
-verify: vet build one-reader test bench-smoke race chaos chaos-cluster fuzz-smoke bench-federate bench-serve bench-cq
+verify: vet build one-reader one-read-path test bench-smoke race chaos chaos-cluster fuzz-smoke bench-federate bench-serve bench-cq
 
 clean:
 	$(GO) clean ./...

@@ -57,7 +57,7 @@ func main() {
 	}
 
 	// Triage: which node is hottest right now?
-	top, err := f.Lake.TopN(tsdb.Query{
+	top, _, err := tsdb.TopN(f.Lake, tsdb.Query{
 		From: t0.Add(6 * time.Minute), To: t0.Add(8 * time.Minute),
 		Filters: map[string][]string{tsdb.DimMetric: {"gpu_temp_c"}},
 		Agg:     tsdb.AggMax,

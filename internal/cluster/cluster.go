@@ -72,9 +72,6 @@ type Config struct {
 	// before it commits and becomes readable (default RF). Lowering it
 	// trades durability for availability under partitions.
 	Quorum int
-	// VNodes is the consistent-hash ring's virtual nodes per member
-	// (default 64).
-	VNodes int
 	// LakeOptions configures every node's tsdb store. All nodes must
 	// share one geometry or re-replication would re-bucket cells.
 	LakeOptions tsdb.Options
@@ -105,9 +102,6 @@ func (c Config) withDefaults(nodes int) Config {
 	}
 	if c.Quorum <= 0 || c.Quorum > c.RF {
 		c.Quorum = c.RF
-	}
-	if c.VNodes <= 0 {
-		c.VNodes = 64
 	}
 	if c.Clock == nil {
 		c.Clock = time.Now
@@ -260,7 +254,7 @@ func New(nodeIDs []string, cfg Config) (*Cluster, error) {
 		cfg:       cfg,
 		transport: newTransport(),
 		nodes:     make(map[string]*Node, len(nodeIDs)),
-		ring:      NewRing(cfg.VNodes),
+		ring:      NewRing(),
 		topics:    make(map[string]*topicState),
 	}
 	for _, id := range nodeIDs {

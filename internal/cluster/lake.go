@@ -272,23 +272,6 @@ func (c *Cluster) scatter(q tsdb.Query) ([]*tsdb.StripePartial, int, error) {
 	return parts, len(byNode), nil
 }
 
-// TopN ranks a dimension's values across the cluster, byte-identical to
-// a single node's tsdb.TopN: the scatter-gather merge yields the same
-// per-value aggregates, and selection is the engine's own bounded heap,
-// whose ordering (value descending, dimension ascending on ties) is
-// total, so ranks cannot be perturbed by where stripes were scanned.
-func (c *Cluster) TopN(q tsdb.Query, dim string, n int) ([]tsdb.TopNEntry, error) {
-	q, err := tsdb.TopNQuery(q, dim)
-	if err != nil {
-		return nil, err
-	}
-	parts, _, err := c.scatter(q)
-	if err != nil {
-		return nil, err
-	}
-	return tsdb.TopNStripePartials(q, parts, n)
-}
-
 // Repair restores full replication after failures and membership
 // changes: every partition re-replicates its committed suffix out to a
 // refreshed follower set (and hands leadership back to ring owners),

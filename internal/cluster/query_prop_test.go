@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
@@ -147,11 +149,36 @@ func TestClusterQueryByteIdentityAcrossEpochs(t *testing.T) {
 	}
 }
 
-// TestClusterTopNMatchesSingleNode pins the router's top-N to the
-// engine's: same entries, same order, for every n including the edges
-// (n <= 0 selects nothing, n past the group count returns every group)
-// and with two components tied on value, where only the dimension
-// tie-break orders them.
+// serialTopN ranks the single node's serial reference scan by hand: full
+// group-by, sort by (value descending, dimension ascending), truncate.
+func serialTopN(t *testing.T, ref *tsdb.DB, q tsdb.Query, dim string, n int) []tsdb.TopNEntry {
+	t.Helper()
+	q, err := tsdb.TopNQuery(q, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := ref.RunSerial(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := make([]tsdb.TopNEntry, f.Len())
+	for i := range top {
+		top[i] = tsdb.TopNEntry{Dim: f.Row(i)[1].StrVal(), Value: f.Row(i)[2].FloatVal()}
+	}
+	sort.Slice(top, func(i, j int) bool {
+		if top[i].Value != top[j].Value {
+			return top[i].Value > top[j].Value
+		}
+		return top[i].Dim < top[j].Dim
+	})
+	return top[:max(0, min(n, len(top)))]
+}
+
+// TestClusterTopNMatchesSingleNode pins top-N through the router to the
+// single node's — both to the serial reference: same entries, same
+// order, for every n including the edges (n <= 0 selects nothing, n past
+// the group count returns every group) and with two components tied on
+// value, where only the dimension tie-break orders them.
 func TestClusterTopNMatchesSingleNode(t *testing.T) {
 	ref := tsdb.New(lakeOpts())
 	c := testCluster(t, 3, 2)
@@ -169,25 +196,26 @@ func TestClusterTopNMatchesSingleNode(t *testing.T) {
 	for _, agg := range []tsdb.AggKind{tsdb.AggAvg, tsdb.AggMax, tsdb.AggCount} {
 		q := tsdb.Query{From: base, To: base.Add(10 * time.Minute), Agg: agg}
 		for _, n := range []int{-1, 0, 1, 2, groups + 5} {
-			want, err := ref.TopN(q, tsdb.DimComponent, n)
+			want := serialTopN(t, ref, q, tsdb.DimComponent, n)
+			single, sst, err := tsdb.TopN(ref, q, tsdb.DimComponent, n)
 			if err != nil {
-				t.Fatalf("agg %d n %d: reference: %v", agg, n, err)
+				t.Fatalf("agg %d n %d: single node: %v", agg, n, err)
 			}
-			got, err := c.TopN(q, tsdb.DimComponent, n)
+			got, st, err := tsdb.TopN(c, q, tsdb.DimComponent, n)
 			if err != nil {
 				t.Fatalf("agg %d n %d: cluster: %v", agg, n, err)
 			}
-			if got == nil || len(got) != len(want) {
-				t.Fatalf("agg %d n %d: cluster returned %v, single node %v", agg, n, got, want)
+			if got == nil || single == nil || !slices.Equal(got, want) || !slices.Equal(single, want) {
+				t.Fatalf("agg %d n %d: cluster %v, single node %v, serial reference %v", agg, n, got, single, want)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("agg %d n %d: rank %d: cluster %v, single node %v", agg, n, i, got, want)
-				}
+			// The router's top-N is metered like its Run: the cells the
+			// single node scanned (when its result cache did not answer).
+			if st.CellsScanned == 0 || st.Groups != groups || (!sst.CacheHit && sst.CellsScanned != st.CellsScanned) {
+				t.Fatalf("agg %d n %d: cluster stats %+v, single node %+v", agg, n, st, sst)
 			}
 		}
 	}
-	if _, err := c.TopN(tsdb.Query{From: base, To: base.Add(time.Minute)}, "bogus", 3); !errors.Is(err, tsdb.ErrBadQuery) {
+	if _, _, err := tsdb.TopN(c, tsdb.Query{From: base, To: base.Add(time.Minute)}, "bogus", 3); !errors.Is(err, tsdb.ErrBadQuery) {
 		t.Fatalf("bogus dimension: err = %v, want ErrBadQuery", err)
 	}
 }

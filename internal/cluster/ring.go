@@ -30,19 +30,15 @@ type ringPoint struct {
 // join/leave rebalances touch a 1/N-ish slice of partitions, not all of
 // them.
 type Ring struct {
-	vnodes int
 	points []ringPoint // sorted by h
 	nodes  map[string]bool
 }
 
-// NewRing returns an empty ring with the given virtual-node count per
-// member (default 64).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = 64
-	}
-	return &Ring{vnodes: vnodes, nodes: make(map[string]bool)}
-}
+// ringVNodes is the ring's virtual-node count per member.
+const ringVNodes = 64
+
+// NewRing returns an empty ring.
+func NewRing() *Ring { return &Ring{nodes: make(map[string]bool)} }
 
 // fnv64 is FNV-1a, the same hash family the broker and lake stripe on.
 func fnv64(s string) uint64 {
@@ -63,7 +59,7 @@ func (r *Ring) Add(node string) {
 		return
 	}
 	r.nodes[node] = true
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < ringVNodes; i++ {
 		r.points = append(r.points, ringPoint{h: fnv64(fmt.Sprintf("%s#%d", node, i)), node: node})
 	}
 	sort.Slice(r.points, func(i, j int) bool { return r.points[i].h < r.points[j].h })

@@ -75,13 +75,6 @@ func (tr *Transport) HealLink(from, to string) {
 	delete(tr.blocked, from+">"+to)
 }
 
-// Heal unblocks every link.
-func (tr *Transport) Heal() {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	tr.blocked = make(map[string]bool)
-}
-
 // Stats returns total calls and drops (partitioned or faulted).
 func (tr *Transport) Stats() (calls, dropped int64) {
 	return tr.calls.Load(), tr.dropped.Load()

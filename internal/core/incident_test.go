@@ -47,7 +47,7 @@ func TestIncidentDetectionEndToEnd(t *testing.T) {
 	}
 
 	// 2. LAKE triage: hottest gpu_temp node over the window is node 7.
-	top, err := f.Lake.TopN(tsdb.Query{
+	top, _, err := tsdb.TopN(f.Lake, tsdb.Query{
 		From: t0.Add(6 * time.Minute), To: t0.Add(8 * time.Minute),
 		Filters: map[string][]string{tsdb.DimMetric: {"gpu_temp_c"}},
 		Agg:     tsdb.AggMax,

@@ -103,8 +103,8 @@ func (f *Facility) collectRetry(ctx context.Context, r *plane.Reader, max int) (
 	return pages, err
 }
 
-// oceanGet / oceanPut / oceanAppend wrap the OCEAN object store with the
-// same retry discipline.
+// oceanGet / oceanPut wrap the OCEAN object store with the same retry
+// discipline.
 func (f *Facility) oceanGet(ctx context.Context, bucket, key string) ([]byte, error) {
 	ctx, sp := obs.StartSpan(ctx, "ocean.get")
 	defer sp.End()
@@ -125,16 +125,6 @@ func (f *Facility) oceanPut(ctx context.Context, bucket, key string, data []byte
 	return f.retry(ctx, "ocean put", func() error {
 		_, perr := f.Ocean.Put(bucket, key, data)
 		return perr
-	})
-}
-
-func (f *Facility) oceanAppend(ctx context.Context, bucket, key string, data []byte) error {
-	ctx, sp := obs.StartSpan(ctx, "ocean.append")
-	defer sp.End()
-	sp.Annotate("object", "%s/%s", bucket, key)
-	return f.retry(ctx, "ocean append", func() error {
-		_, aerr := f.Ocean.Append(bucket, key, data)
-		return aerr
 	})
 }
 

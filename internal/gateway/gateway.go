@@ -73,6 +73,7 @@ type tenant struct {
 
 	mRequests  *obs.Counter
 	mThrottled *obs.Counter
+	mScanCells *obs.Counter
 }
 
 // Options configures a Gateway.
@@ -190,6 +191,8 @@ func (g *Gateway) RegisterTenant(cfg TenantConfig) error {
 			"Requests handled per tenant (any status).")
 		t.mThrottled = reg.Counter("oda_gateway_throttled_total"+obs.Labels("tenant", cfg.Name),
 			"Requests answered 429 per tenant (rate or scan quota).")
+		t.mScanCells = reg.Counter("oda_gateway_scan_cells_total"+obs.Labels("tenant", cfg.Name),
+			"LAKE cells scanned on a tenant's behalf and debited from its scan budget.")
 	}
 	g.tenants[cfg.Name] = t
 	for _, k := range cfg.APIKeys {
@@ -370,6 +373,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	g.next.ServeHTTP(qw, r)
 	if t.scan != nil && heavyPath(r.URL.Path) && qw.scanCells > 0 {
 		t.scan.debit(qw.scanCells)
+		t.mScanCells.Add(int64(qw.scanCells))
 	}
 }
 

@@ -67,6 +67,25 @@ func servePlane(t *testing.T, attach func(*core.Facility)) servedPlane {
 	return servedPlane{f: f, api: api, srv: srv, viewID: reg.ID}
 }
 
+// serveClusteredPlane is servePlane on a 3-node RF=2 cluster.
+func serveClusteredPlane(t *testing.T) (servedPlane, *cluster.Cluster) {
+	t.Helper()
+	var c *cluster.Cluster
+	p := servePlane(t, func(f *core.Facility) {
+		var err error
+		c, err = cluster.New([]string{"n1", "n2", "n3"}, cluster.Config{
+			RF: 2, LakeOptions: tsdb.Options{RollupInterval: f.Opts.SilverWindow},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.AttachPlane(c, c); err != nil {
+			t.Fatal(err)
+		}
+	})
+	return p, c
+}
+
 // urls are the plane-served reads that must not depend on the plane.
 func (p servedPlane) urls() map[string]string {
 	from, to := t0.Format(time.RFC3339), t0.Add(time.Minute).Format(time.RFC3339)
@@ -99,25 +118,13 @@ func httpBody(t *testing.T, url string) string {
 // cluster, and requires every plane-served read — lake query, top-N, the
 // CQ view — to be byte-identical over HTTP. The clustered facility's own
 // broker and lake must stay empty (telemetry lands once, in the plane)
-// and /healthz must list the serving plane's topics. Then a node dies:
+// and /healthz must list the serving plane's topics and omit the lake_*
+// fields only a single engine can report. Then a node dies:
 // /healthz degrades (not down) while the survivors keep answering with
 // the same bytes, and repair after restart returns the probe to ok.
 func TestClusterBackedServing(t *testing.T) {
 	local := servePlane(t, nil)
-
-	var c *cluster.Cluster
-	clustered := servePlane(t, func(f *core.Facility) {
-		var err error
-		c, err = cluster.New([]string{"n1", "n2", "n3"}, cluster.Config{
-			RF: 2, LakeOptions: tsdb.Options{RollupInterval: f.Opts.SilverWindow},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := f.AttachPlane(c, c); err != nil {
-			t.Fatal(err)
-		}
-	})
+	clustered, c := serveClusteredPlane(t)
 	clusterOnly := "probe.cluster-only"
 	if err := c.EnsureTopic(clusterOnly, stream.TopicConfig{Partitions: 1}); err != nil {
 		t.Fatal(err)
@@ -167,10 +174,27 @@ func TestClusterBackedServing(t *testing.T) {
 		}
 		return h
 	}
+	// Health is asked of the backend that answers: the facility's own
+	// engine reports its rows, the cluster (no one engine) reports no
+	// lake_* field at all — not the idle facility lake's zeros — and is
+	// not judged overloaded by it either.
+	var lh map[string]any
+	if code := getJSON(t, local.srv.URL+"/healthz", &lh); code != 200 || lh["lake_rows"].(float64) <= 0 || lh["lake_segments"].(float64) <= 0 {
+		t.Fatalf("local healthz = %v (code %d), want its lake's rows and segments", lh, code)
+	}
+	ch0 := health()
+	for _, k := range []string{"lake_rows", "lake_segments", "lake_scan_load"} {
+		if v, ok := ch0[k]; ok {
+			t.Fatalf("clustered healthz reports %s = %v: that is the facility's own empty lake", k, v)
+		}
+	}
+	if ch0["status"] != "ok" {
+		t.Fatalf("clustered healthz status = %v", ch0["status"])
+	}
 	// No cluster health merged yet: the probe still reports the serving
 	// plane's topics, including one the local broker never saw.
 	var topics []string
-	for _, v := range health()["topics"].([]any) {
+	for _, v := range ch0["topics"].([]any) {
 		topics = append(topics, v.(string))
 	}
 	if !reflect.DeepEqual(topics, c.Topics()) {

@@ -76,31 +76,15 @@ func viewInfo(v *cq.View) cqInfo {
 	return info
 }
 
-// parseCQSpec builds a cq.Spec from request params, reusing the lake
-// query's 400-contract helpers (conflicting duplicates, empty filter
-// lists, unknown aggs are all rejected here).
+// parseCQSpec builds a cq.Spec from request params: name, window, the
+// query shape under the lake query's own 400-contract (parseShape), then
+// the window kind and the alert thresholds.
 func parseCQSpec(r *http.Request) (cq.Spec, error) {
 	q := r.URL.Query()
-	spec := cq.Spec{Filters: map[string][]string{}}
+	var spec cq.Spec
 	var err error
 	if spec.Name, err = uniqueParam(q, "name"); err != nil {
 		return spec, err
-	}
-	for _, p := range []struct{ param, dim string }{
-		{"metric", tsdb.DimMetric}, {"component", tsdb.DimComponent},
-	} {
-		v, err := uniqueParam(q, p.param)
-		if err != nil {
-			return spec, err
-		}
-		if v == "" {
-			continue
-		}
-		vals, err := dimList(p.param, v)
-		if err != nil {
-			return spec, err
-		}
-		spec.Filters[p.dim] = vals
 	}
 	win, err := uniqueParam(q, "window")
 	if err != nil {
@@ -112,29 +96,11 @@ func parseCQSpec(r *http.Request) (cq.Spec, error) {
 	if spec.Window, err = time.ParseDuration(win); err != nil {
 		return spec, fmt.Errorf("bad window: %w", err)
 	}
-	if g, err := uniqueParam(q, "granularity"); err != nil {
+	sh, err := parseShape(q, spec.Window)
+	if err != nil {
 		return spec, err
-	} else if g != "" {
-		if spec.Granularity, err = time.ParseDuration(g); err != nil {
-			return spec, fmt.Errorf("bad granularity: %w", err)
-		}
 	}
-	if a, err := uniqueParam(q, "agg"); err != nil {
-		return spec, err
-	} else if a != "" {
-		kind, ok := aggNames[a]
-		if !ok {
-			return spec, fmt.Errorf("unknown agg %s", a)
-		}
-		spec.Agg = kind
-	}
-	if gb, err := uniqueParam(q, "groupby"); err != nil {
-		return spec, err
-	} else if gb != "" {
-		if spec.GroupBy, err = dimList("groupby", gb); err != nil {
-			return spec, err
-		}
-	}
+	spec.Filters, spec.GroupBy, spec.Granularity, spec.Agg = sh.Filters, sh.GroupBy, sh.Granularity, sh.Agg
 	switch k, err := uniqueParam(q, "kind"); {
 	case err != nil:
 		return spec, err
@@ -233,14 +199,18 @@ func writeCQHeaders(w http.ResponseWriter, info cq.WindowInfo) {
 	}
 }
 
-func (s *Server) cqRead(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.cqView(w, r)
-	if !ok {
-		return
-	}
+// writeCQWindow answers with the view's current window: read, position
+// headers, points — the tail of a plain read and of a long-poll.
+func writeCQWindow(w http.ResponseWriter, v *cq.View) {
 	frame, info := v.Read()
 	writeCQHeaders(w, info)
 	writeJSON(w, http.StatusOK, framePoints(frame, v.Spec.GroupBy))
+}
+
+func (s *Server) cqRead(w http.ResponseWriter, r *http.Request) {
+	if v, ok := s.cqView(w, r); ok {
+		writeCQWindow(w, v)
+	}
 }
 
 func (s *Server) cqAlerts(w http.ResponseWriter, r *http.Request) {
@@ -405,7 +375,5 @@ func (s *Server) cqLongPoll(w http.ResponseWriter, r *http.Request, v *cq.View) 
 		}
 	}
 answer:
-	frame, info := v.Read()
-	writeCQHeaders(w, info)
-	writeJSON(w, http.StatusOK, framePoints(frame, v.Spec.GroupBy))
+	writeCQWindow(w, v)
 }

@@ -35,8 +35,9 @@
 // Every error response carries X-ODA-Error with a machine-readable
 // category — "bad-request", "not-found", "overloaded", or (behind the
 // gateway) "quota" — and every 503 carries Retry-After. Query responses
-// carry the X-ODA-Query-* engine-cost headers and X-ODA-Stale marks a
-// degraded (stale-cache) answer. /metrics serves the facility registry
+// (lake/query, query?prep= and lake/topn alike — see serveQuery) carry
+// the X-ODA-Query-* engine-cost headers and X-ODA-Stale marks a degraded
+// (stale-cache) answer. /metrics serves the facility registry
 // in Prometheus text format; /api/v1/traces dumps recently sampled
 // pipeline trace trees.
 //
@@ -74,9 +75,9 @@ type Server struct {
 	f   *core.Facility
 	mux *http.ServeMux
 
-	// overloaded decides whether the LAKE is too busy for a fresh scan.
-	// Defaults to "all tsdb scan slots are in use"; tests override it to
-	// exercise the shed paths deterministically.
+	// overloaded, when set, replaces the overload predicate: tests force
+	// it to exercise the shed paths deterministically. Nil asks the
+	// backend that answers (see lakeEngine).
 	overloaded func() bool
 
 	// stream and backend are the facility's data plane as of New:
@@ -101,7 +102,6 @@ type Server struct {
 func New(f *core.Facility) *Server {
 	s := &Server{f: f, mux: http.NewServeMux(), prepared: newPreparedRegistry()}
 	s.stream, s.backend = f.Plane()
-	s.overloaded = func() bool { return f.Lake.ScanLoad() >= shedLoad }
 	s.shedStale = f.Obs.Counter("oda_http_shed_stale_total",
 		"Overloaded queries answered from the stale cache side.")
 	s.shedReject = f.Obs.Counter("oda_http_shed_rejected_total",
@@ -139,14 +139,36 @@ func (s *Server) handle(pattern, route string, h http.HandlerFunc) {
 }
 
 // SetOverloadCheck replaces the overload predicate (tests and custom
-// deployments).
+// deployments); nil goes back to asking the backend.
 func (s *Server) SetOverloadCheck(fn func() bool) { s.overloaded = fn }
 
 // SetQueryBackend routes the lake query endpoints through b instead of
-// the facility plane's LAKE. Overloaded requests are answered stale only
-// when b itself keeps a stale cache (see cachedStale); otherwise they
-// shed with 503.
+// the facility plane's LAKE. Overload, stale answers and the /healthz
+// lake_* fields are b's own when it is a lakeEngine, and absent otherwise.
 func (s *Server) SetQueryBackend(b plane.Lake) { s.backend = b }
+
+// lakeEngine is what a backend that is itself one query engine
+// (*tsdb.DB) can say about itself, asked of the backend that answers at
+// request time: scan-slot saturation, the stale side of its own result
+// cache, and its store counters. A backend without it (a cluster, whose
+// nodes each hold a part) is never "overloaded", has no stale answer —
+// serving one from any other cache could be another topology's data —
+// and reports no lake_* fields on /healthz rather than invented zeros.
+type lakeEngine interface {
+	ScanLoad() float64
+	CachedStale(tsdb.Query) (*schema.Frame, bool)
+	Stats() tsdb.Stats
+}
+
+// isOverloaded reports whether the backend is too busy for a fresh scan:
+// every scan slot of the answering engine is in use.
+func (s *Server) isOverloaded() bool {
+	if s.overloaded != nil {
+		return s.overloaded()
+	}
+	e, ok := s.backend.(lakeEngine)
+	return ok && e.ScanLoad() >= shedLoad
+}
 
 // SetClusterHealth merges cluster replication health into /healthz.
 // Pass the Cluster's Health method; nil disables the merge.
@@ -184,7 +206,6 @@ func (s *Server) badRequest(w http.ResponseWriter, msg string) {
 }
 
 func (s *Server) health(w http.ResponseWriter, r *http.Request) {
-	lake := s.f.Lake.Stats()
 	pipelines := s.f.Pipelines.Snapshot()
 	// The probe degrades instead of flipping straight to dead: a failed
 	// pipeline or a saturated LAKE is "degraded" (still 200 so pollers
@@ -196,18 +217,20 @@ func (s *Server) health(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	load := s.f.Lake.ScanLoad()
-	if status == "ok" && s.overloaded() {
+	if status == "ok" && s.isOverloaded() {
 		status = "degraded"
 	}
 	body := map[string]any{
-		"status":         status,
-		"lake_segments":  lake.Segments,
-		"lake_rows":      lake.RawIngested,
-		"lake_scan_load": load,
-		"log_docs":       s.f.Logs.Stats().Docs,
-		"topics":         s.stream.Topics(),
-		"pipelines":      pipelines,
+		"status":    status,
+		"log_docs":  s.f.Logs.Stats().Docs,
+		"topics":    s.stream.Topics(),
+		"pipelines": pipelines,
+	}
+	if e, ok := s.backend.(lakeEngine); ok {
+		lake := e.Stats()
+		body["lake_segments"] = lake.Segments
+		body["lake_rows"] = lake.RawIngested
+		body["lake_scan_load"] = e.ScanLoad()
 	}
 	if s.clusterHealth != nil {
 		ch := s.clusterHealth()
@@ -236,35 +259,34 @@ func (s *Server) pipelines(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.f.Pipelines.Snapshot())
 }
 
-// shed answers an overloaded query from the stale cache when a prior
-// result for the same query shape exists, and rejects with 503 +
-// Retry-After otherwise. Returns true when the request was handled.
-func (s *Server) shed(w http.ResponseWriter, query tsdb.Query, emit func(*schema.Frame)) bool {
-	if !s.overloaded() {
-		return false
+// serveQuery is how every LAKE read route answers, and the package's
+// only call into the backend's engine: under overload the query is
+// answered from the stale side of the backend's result cache when a prior
+// result for the same shape exists (X-ODA-Stale: true) and shed with 503 +
+// Retry-After otherwise; else it runs, the engine-cost headers go on, and
+// emit writes the body. Metering, shedding and caching reach a route by
+// its calling this, not by remembering to.
+func (s *Server) serveQuery(w http.ResponseWriter, query tsdb.Query, emit func(*schema.Frame)) {
+	if s.isOverloaded() {
+		if e, ok := s.backend.(lakeEngine); ok {
+			if fr, ok := e.CachedStale(query); ok {
+				w.Header().Set("X-ODA-Stale", "true")
+				s.shedStale.Inc()
+				emit(fr)
+				return
+			}
+		}
+		s.shedReject.Inc()
+		s.writeError(w, http.StatusServiceUnavailable, "overloaded", "lake overloaded, retry later")
+		return
 	}
-	if fr, ok := s.cachedStale(query); ok {
-		w.Header().Set("X-ODA-Stale", "true")
-		s.shedStale.Inc()
-		emit(fr)
-		return true
+	frame, stats, err := s.backend.RunWithStats(query)
+	if err != nil {
+		s.badRequest(w, err.Error())
+		return
 	}
-	s.shedReject.Inc()
-	s.writeError(w, http.StatusServiceUnavailable, "overloaded", "lake overloaded, retry later")
-	return true
-}
-
-// cachedStale asks the active backend for a stale answer. Only a
-// backend that keeps its own result cache (tsdb.DB) has one; answering
-// from any other cache could serve another topology's data.
-func (s *Server) cachedStale(query tsdb.Query) (*schema.Frame, bool) {
-	c, ok := s.backend.(interface {
-		CachedStale(tsdb.Query) (*schema.Frame, bool)
-	})
-	if !ok {
-		return nil, false
-	}
-	return c.CachedStale(query)
+	writeQueryStatHeaders(w, stats)
+	emit(frame)
 }
 
 // parseWindow reads from/to query params (RFC3339); a missing pair
@@ -360,74 +382,80 @@ type seriesPoint struct {
 	Value float64           `json:"value"`
 }
 
-// parseLakeQuery builds a tsdb.Query from lake-query request params,
-// applying the full 400-contract: inverted windows, empty filter values,
-// non-positive or window-exploding granularities, unknown aggregations,
-// and conflicting duplicate parameters are all rejected here.
-func (s *Server) parseLakeQuery(r *http.Request) (tsdb.Query, error) {
-	q := r.URL.Query()
-	from, to, err := s.parseWindow(r)
-	if err != nil {
-		return tsdb.Query{}, fmt.Errorf("bad from/to: %w", err)
-	}
-	query := tsdb.Query{From: from, To: to, Filters: map[string][]string{}}
+// parseShape reads what a lake query and a standing query have in common
+// — metric / component / groupby / granularity / agg, everything but the
+// time range — for a query over a window that long, applying the full
+// 400-contract once for the ad-hoc, prepared and continuous routes: empty
+// filter values, non-positive or window-exploding granularities, unknown
+// aggregations, and conflicting duplicate parameters are all rejected
+// here. From and To are left zero.
+func parseShape(q url.Values, window time.Duration) (tsdb.Query, error) {
+	query := tsdb.Query{Filters: map[string][]string{}}
 	for _, p := range []struct{ param, dim string }{
 		{"metric", tsdb.DimMetric}, {"component", tsdb.DimComponent},
 	} {
 		v, err := uniqueParam(q, p.param)
 		if err != nil {
-			return tsdb.Query{}, err
+			return query, err
 		}
 		if v == "" {
 			continue
 		}
-		vals, err := dimList(p.param, v)
-		if err != nil {
-			return tsdb.Query{}, err
+		if query.Filters[p.dim], err = dimList(p.param, v); err != nil {
+			return query, err
 		}
-		query.Filters[p.dim] = vals
 	}
 	g, err := uniqueParam(q, "granularity")
 	if err != nil {
-		return tsdb.Query{}, err
+		return query, err
 	}
 	if g != "" {
 		d, err := time.ParseDuration(g)
 		if err != nil {
-			return tsdb.Query{}, fmt.Errorf("bad granularity: %w", err)
+			return query, fmt.Errorf("bad granularity: %w", err)
 		}
 		if d <= 0 {
-			return tsdb.Query{}, fmt.Errorf("bad granularity: %s is not positive", d)
+			return query, fmt.Errorf("bad granularity: %s is not positive", d)
 		}
-		if buckets := to.Sub(from) / d; buckets > maxQueryBuckets {
-			return tsdb.Query{}, fmt.Errorf("bad granularity: %s cuts the window into %d buckets (max %d)",
+		if buckets := window / d; buckets > maxQueryBuckets {
+			return query, fmt.Errorf("bad granularity: %s cuts the window into %d buckets (max %d)",
 				d, buckets, maxQueryBuckets)
 		}
 		query.Granularity = d
 	}
 	a, err := uniqueParam(q, "agg")
 	if err != nil {
-		return tsdb.Query{}, err
+		return query, err
 	}
 	if a != "" {
 		kind, ok := aggNames[a]
 		if !ok {
-			return tsdb.Query{}, fmt.Errorf("unknown agg %s", a)
+			return query, fmt.Errorf("unknown agg %s", a)
 		}
 		query.Agg = kind
 	}
 	gb, err := uniqueParam(q, "groupby")
 	if err != nil {
-		return tsdb.Query{}, err
+		return query, err
 	}
 	if gb != "" {
-		dims, err := dimList("groupby", gb)
-		if err != nil {
-			return tsdb.Query{}, err
+		if query.GroupBy, err = dimList("groupby", gb); err != nil {
+			return query, err
 		}
-		query.GroupBy = dims
 	}
 	return query, nil
+}
+
+// parseLakeQuery builds a tsdb.Query from lake-query request params: the
+// window (inverted ones rejected) plus parseShape.
+func (s *Server) parseLakeQuery(r *http.Request) (tsdb.Query, error) {
+	from, to, err := s.parseWindow(r)
+	if err != nil {
+		return tsdb.Query{}, fmt.Errorf("bad from/to: %w", err)
+	}
+	query, err := parseShape(r.URL.Query(), to.Sub(from))
+	query.From, query.To = from, to
+	return query, err
 }
 
 // writeQueryStatHeaders attaches the engine-cost headers shared by the
@@ -468,18 +496,9 @@ func (s *Server) lakeQuery(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err.Error())
 		return
 	}
-	if s.shed(w, query, func(fr *schema.Frame) {
+	s.serveQuery(w, query, func(fr *schema.Frame) {
 		writeJSON(w, http.StatusOK, framePoints(fr, query.GroupBy))
-	}) {
-		return
-	}
-	frame, stats, err := s.backend.RunWithStats(query)
-	if err != nil {
-		s.badRequest(w, err.Error())
-		return
-	}
-	writeQueryStatHeaders(w, stats)
-	writeJSON(w, http.StatusOK, framePoints(frame, query.GroupBy))
+	})
 }
 
 // framePoints flattens a query result frame into the JSON series shape.
@@ -520,16 +539,18 @@ func (s *Server) lakeTopN(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	top, err := s.backend.TopN(tsdb.Query{
+	query, err := tsdb.TopNQuery(tsdb.Query{
 		From: from, To: to,
 		Filters: map[string][]string{tsdb.DimMetric: {metric}},
 		Agg:     tsdb.AggAvg,
-	}, tsdb.DimComponent, n)
+	}, tsdb.DimComponent)
 	if err != nil {
 		s.badRequest(w, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, top)
+	s.serveQuery(w, query, func(fr *schema.Frame) {
+		writeJSON(w, http.StatusOK, tsdb.TopNOf(fr, n))
+	})
 }
 
 type logHit struct {

@@ -141,18 +141,9 @@ func (s *Server) preparedRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	query.From, query.To = from, to
-	if s.shed(w, query, func(fr *schema.Frame) {
+	s.serveQuery(w, query, func(fr *schema.Frame) {
 		streamPoints(w, framePoints(fr, query.GroupBy))
-	}) {
-		return
-	}
-	frame, stats, err := s.backend.RunWithStats(query)
-	if err != nil {
-		s.badRequest(w, err.Error())
-		return
-	}
-	writeQueryStatHeaders(w, stats)
-	streamPoints(w, framePoints(frame, query.GroupBy))
+	})
 }
 
 // streamPoints writes the series as incrementally flushed JSON that is

@@ -56,7 +56,6 @@ type Stream interface {
 type Lake interface {
 	InsertBatch(obs []schema.Observation) error
 	RunWithStats(q tsdb.Query) (*schema.Frame, tsdb.QueryStats, error)
-	TopN(q tsdb.Query, dim string, n int) ([]tsdb.TopNEntry, error)
 }
 
 // The single-node plane. *cluster.Cluster asserts both interfaces next to

@@ -34,10 +34,6 @@ type JobConfig struct {
 	// CheckpointDir enables recovery when non-empty: offsets, watermark,
 	// and open-window state persist there after every sunk batch.
 	CheckpointDir string
-	// PartitionIdleTimeout excludes partitions that have produced no data
-	// for this long from the watermark minimum, so an idle partition
-	// cannot stall window emission forever (default 500ms).
-	PartitionIdleTimeout time.Duration
 	// Retry, when non-nil, retries transient poll, sink, and dead-letter
 	// failures under this policy (jittered exponential backoff, per-call
 	// budget). nil keeps the historical single-attempt behavior.
@@ -118,7 +114,7 @@ type Job struct {
 	// partWM tracks the max event time seen per broker partition; the
 	// effective watermark is the minimum across partitions, so a fast
 	// partition cannot close windows other partitions still feed. A
-	// partition idle longer than PartitionIdleTimeout is excluded.
+	// partition idle longer than partitionIdleTimeout is excluded.
 	partWM   map[int]int64
 	nparts   int
 	partSeen map[int]time.Time // wall-clock last-data time per partition
@@ -148,9 +144,6 @@ func NewJob(s plane.Stream, cfg JobConfig) (*Job, error) {
 	}
 	if cfg.PollWait <= 0 {
 		cfg.PollWait = 100 * time.Millisecond
-	}
-	if cfg.PartitionIdleTimeout <= 0 {
-		cfg.PartitionIdleTimeout = 500 * time.Millisecond
 	}
 	j := &Job{
 		stream: s, cfg: cfg,
@@ -536,10 +529,15 @@ func (j *Job) absorb(batch *schema.Frame) {
 	}
 }
 
+// partitionIdleTimeout is how long a partition may produce no data before
+// it is excluded from the watermark minimum, so an idle partition cannot
+// stall window emission forever.
+const partitionIdleTimeout = 500 * time.Millisecond
+
 // watermarkLocked returns the effective event-time watermark: the minimum
 // of the per-partition maxima. Until every partition has carried data the
 // watermark is withheld — unless no new data has arrived for
-// PartitionIdleTimeout, in which case idle partitions are excluded so
+// partitionIdleTimeout, in which case idle partitions are excluded so
 // they cannot stall the pipeline forever.
 func (j *Job) watermarkLocked() (int64, bool) {
 	now := time.Now()
@@ -548,7 +546,7 @@ func (j *Job) watermarkLocked() (int64, bool) {
 	for p := 0; p < j.nparts; p++ {
 		v, seen := j.partWM[p]
 		if !seen {
-			if now.Sub(j.partSeen[p]) < j.cfg.PartitionIdleTimeout {
+			if now.Sub(j.partSeen[p]) < partitionIdleTimeout {
 				// A partition with no data yet that is not idle long
 				// enough: withhold the watermark rather than risk
 				// closing windows it may still feed.

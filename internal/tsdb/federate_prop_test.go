@@ -3,6 +3,7 @@ package tsdb
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -98,12 +99,12 @@ func TestFederatedMatchesSerialReference(t *testing.T) {
 					t.Fatalf("query %d: cached federated result diverges", i)
 				}
 			}
-			// TopN must agree as well: same partials, same heap input.
+			// TopN must agree as well: it is the same query path.
 			for i := 0; i < 40; i++ {
 				q := randomQuery(rng)
 				dim := dimNames[rng.Intn(len(dimNames))]
 				n := rng.Intn(12)
-				got, err := db.TopN(q, dim, n)
+				got, _, err := TopN(db, q, dim, n)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -116,6 +117,19 @@ func TestFederatedMatchesSerialReference(t *testing.T) {
 						t.Fatalf("topn %d: entry %d = %+v, want %+v", i, j, got[j], want[j])
 					}
 				}
+			}
+			// And it is federated and metered like one: a top-N over the
+			// whole range reads every offloaded chunk and says so.
+			q := Query{From: base, To: base.Add(time.Hour), Agg: AggMax}
+			got, st, err := TopN(db, q, DimComponent, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := topNReference(t, twin, q, DimComponent, 3); !slices.Equal(got, want) {
+				t.Fatalf("full-range topn = %+v, want %+v", got, want)
+			}
+			if st.ColdSegmentsScanned != wantCold {
+				t.Fatalf("full-range topn scanned %d cold segments, want %d", st.ColdSegmentsScanned, wantCold)
 			}
 		})
 	}

@@ -4,7 +4,7 @@
 // chunks (internal/cq) and the cluster's remote stripe partials
 // (partial.go) — is a feeder of the same three GroupTable operations:
 // Fold an insertion-ordered (keys, cells) slice pair under a Plan, Merge
-// another table in stripe order, and emit (Plan.Frame, Plan.TopN). The
+// another table in stripe order, and emit (Plan.Frame). The
 // byte-identity the property suites check across those paths therefore
 // holds by construction: they share the float accumulation code, not a
 // mirror of it. RunSerial (query.go) stays outside on purpose, as the
@@ -14,7 +14,6 @@ package tsdb
 import (
 	"cmp"
 	"slices"
-	"sort"
 	"strings"
 
 	"odakit/internal/schema"
@@ -706,73 +705,4 @@ func (p *Plan) Frame(t *GroupTable) (*schema.Frame, error) {
 		}
 	}
 	return out, nil
-}
-
-// TopNEntry is one row of a top-N result.
-type TopNEntry struct {
-	Dim   string
-	Value float64
-}
-
-// topNWorse orders heap entries: a is worse than b when it aggregates
-// lower, or ties and sorts later alphabetically (value descending, then
-// dim ascending — a total order, so ranks do not depend on slot layout).
-func topNWorse(a, b TopNEntry) bool {
-	if a.Value != b.Value {
-		return a.Value < b.Value
-	}
-	return a.Dim > b.Dim
-}
-
-// TopN selects the n highest-aggregating groups of a table grouped by
-// one dimension (see TopNQuery), best first. A bounded min-heap keeps
-// selection O(groups·log n): top 10 over 10k dimension values never
-// materializes a 10k-row frame. n <= 0 selects nothing.
-func (p *Plan) TopN(t *GroupTable, n int) []TopNEntry {
-	if n <= 0 {
-		return []TopNEntry{}
-	}
-	// Min-heap of the n best entries seen; the root is the worst keeper.
-	heap := make([]TopNEntry, 0, n)
-	for i := range t.slots {
-		s := &t.slots[i]
-		if !s.used {
-			continue
-		}
-		e := TopNEntry{Dim: s.Key.Dims[0], Value: s.Cell.Value(p.agg)}
-		if len(heap) < n {
-			heap = append(heap, e)
-			// Sift up: a child worse than its parent moves toward the root.
-			for c := len(heap) - 1; c > 0; {
-				par := (c - 1) / 2
-				if !topNWorse(heap[c], heap[par]) {
-					break
-				}
-				heap[par], heap[c] = heap[c], heap[par]
-				c = par
-			}
-			continue
-		}
-		if !topNWorse(heap[0], e) {
-			continue // not better than the worst keeper
-		}
-		heap[0] = e
-		// Sift down: the replacement sinks below any worse child.
-		for par := 0; ; {
-			c := 2*par + 1
-			if c >= n {
-				break
-			}
-			if r := c + 1; r < n && topNWorse(heap[r], heap[c]) {
-				c = r
-			}
-			if !topNWorse(heap[c], heap[par]) {
-				break
-			}
-			heap[par], heap[c] = heap[c], heap[par]
-			par = c
-		}
-	}
-	sort.Slice(heap, func(i, j int) bool { return topNWorse(heap[j], heap[i]) })
-	return heap
 }

@@ -9,7 +9,7 @@
 // stripe-major, chunk-ascending, insertion order), and the merge is the
 // kernel's own (kernel.go): remote partials are fed to the GroupTable.Merge
 // Run's in-process merge calls, in the same fixed stripe order
-// 0..NumStripes-1, and emitted by the same Plan.Frame / Plan.TopN.
+// 0..NumStripes-1, and emitted by the same Plan.Frame.
 package tsdb
 
 import (
@@ -58,49 +58,30 @@ func (db *DB) StripePartial(q Query, stripe int) (*StripePartial, error) {
 	return sp, nil
 }
 
-// mergePartials folds stripe partials — which must be supplied in
-// ascending stripe order, Run's fixed fold order — into one group table,
-// consuming them (see GroupTable.Merge). Nil entries (stripes with no
-// live owner already reported as errors by the router) are rejected: a
-// silent gap would silently drop that stripe's groups.
-func mergePartials(q Query, parts []*StripePartial) (Plan, *GroupTable, error) {
+// MergeStripePartials folds stripe partials — which must be supplied in
+// ascending stripe order, Run's fixed fold order, and are consumed (see
+// GroupTable.Merge) — into the final result frame, sorted and emitted by
+// the same code as Run. Nil entries (stripes with no live owner already
+// reported as errors by the router) are rejected: a silent gap would
+// silently drop that stripe's groups.
+func MergeStripePartials(q Query, parts []*StripePartial) (*schema.Frame, error) {
 	if err := q.validate(); err != nil {
-		return Plan{}, nil, err
+		return nil, err
 	}
 	total := &GroupTable{}
 	prev := -1
 	for _, sp := range parts {
 		if sp == nil {
-			return Plan{}, nil, fmt.Errorf("%w: nil stripe partial", ErrBadQuery)
+			return nil, fmt.Errorf("%w: nil stripe partial", ErrBadQuery)
 		}
 		if sp.Stripe <= prev {
-			return Plan{}, nil, fmt.Errorf("%w: stripe partials out of order (%d after %d)", ErrBadQuery, sp.Stripe, prev)
+			return nil, fmt.Errorf("%w: stripe partials out of order (%d after %d)", ErrBadQuery, sp.Stripe, prev)
 		}
 		prev = sp.Stripe
 		total.Merge(&sp.groups)
 	}
-	return Compile(q), total, nil
-}
-
-// MergeStripePartials merges stripe partials — in ascending stripe
-// order, and consumed by the merge (see mergePartials) — into the final
-// result frame, sorted and emitted by the same code as Run.
-func MergeStripePartials(q Query, parts []*StripePartial) (*schema.Frame, error) {
-	plan, total, err := mergePartials(q, parts)
-	if err != nil {
-		return nil, err
-	}
+	plan := Compile(q)
 	return plan.Frame(total)
-}
-
-// TopNStripePartials merges the stripe partials of a TopNQuery and
-// selects the n best entries with the same bounded heap as DB.TopN.
-func TopNStripePartials(q Query, parts []*StripePartial, n int) ([]TopNEntry, error) {
-	plan, total, err := mergePartials(q, parts)
-	if err != nil {
-		return nil, err
-	}
-	return plan.TopN(total, n), nil
 }
 
 // ExportStripes serializes every cell of the given stripes as a

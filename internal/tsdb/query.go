@@ -14,10 +14,12 @@
 package tsdb
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -166,7 +168,7 @@ type QueryStats struct {
 	// those that survived the time range and compiled filters.
 	CellsScanned int64
 	CellsMatched int64
-	// Groups is the output row count before truncation (TopN).
+	// Groups is the output row count.
 	Groups int
 	// Cold-tier federation: segments are whole offloaded time chunks,
 	// row groups are the OCF groups inside the ones that survived.
@@ -248,7 +250,7 @@ func queryWorkers() int {
 	return w
 }
 
-// aggregate executes the scan + merge phases shared by Run and TopN:
+// aggregate executes the scan + merge phases of RunWithStats:
 // shard-parallel partials, merged in stripe order into one table.
 //
 // The calling goroutine always scans; extra helper goroutines are
@@ -524,28 +526,47 @@ func TopNQuery(q Query, dim string) (Query, error) {
 	return q, q.validate()
 }
 
+// TopNEntry is one row of a top-N result.
+type TopNEntry struct {
+	Dim   string
+	Value float64
+}
+
 // TopN returns the n highest-aggregating values of one dimension over a
 // time range — the Druid-style "which nodes drew the most power" query
-// behind user-assistance triage. Selection is Plan.TopN's bounded heap
-// over the merged partials; no frame is materialized.
-func (db *DB) TopN(q Query, dim string, n int) ([]TopNEntry, error) {
-	t0 := time.Now()
+// behind user-assistance triage. It is a query like any other: TopNQuery
+// goes through l's RunWithStats — result cache, cold tier, stats and all,
+// on either plane — and TopNOf ranks the frame.
+func TopN(l interface {
+	RunWithStats(Query) (*schema.Frame, QueryStats, error)
+}, q Query, dim string, n int) ([]TopNEntry, QueryStats, error) {
 	q, err := TopNQuery(q, dim)
 	if err != nil {
-		return nil, err
+		return nil, QueryStats{}, err
 	}
-	var st QueryStats
-	plan := Compile(q)
-	total, ps, err := db.aggregate(&plan, &st)
-	defer db.putPartials(ps)
+	f, st, err := l.RunWithStats(q)
 	if err != nil {
-		return nil, err
+		return nil, st, err
 	}
-	emitStart := time.Now()
-	top := plan.TopN(total, n)
-	st.EmitWall = time.Since(emitStart)
-	db.noteQuery(&st, t0)
-	return top, nil
+	return TopNOf(f, n), st, nil
+}
+
+// TopNOf ranks the rows of a TopNQuery result frame (ts, dimension,
+// value), best first: value descending, dimension ascending on ties — a
+// total order. The rows arrive dimension-ascending, so one stable sort on
+// the value does it. n <= 0 selects nothing; n beyond the group count
+// selects every group.
+func TopNOf(f *schema.Frame, n int) []TopNEntry {
+	if n <= 0 {
+		return []TopNEntry{}
+	}
+	dims, values := f.Col(1).Strs(), f.Col(2).Floats()
+	top := make([]TopNEntry, len(dims))
+	for i := range top {
+		top[i] = TopNEntry{Dim: dims[i], Value: values[i]}
+	}
+	slices.SortStableFunc(top, func(a, b TopNEntry) int { return cmp.Compare(b.Value, a.Value) })
+	return top[:min(n, len(top))]
 }
 
 // Fingerprint returns the query's canonical identity string: semantically

@@ -194,8 +194,18 @@ func TestQueryStatsCounters(t *testing.T) {
 	}
 }
 
-// topNReference computes top-n the pre-heap way: full group-by, full
-// sort by (value desc, dim asc), truncate.
+// topNWorse is the reference's rank order: a is worse than b when it
+// aggregates lower, or ties and sorts later alphabetically (value
+// descending, then dim ascending — a total order).
+func topNWorse(a, b TopNEntry) bool {
+	if a.Value != b.Value {
+		return a.Value < b.Value
+	}
+	return a.Dim > b.Dim
+}
+
+// topNReference computes top-n independently of the engine: RunSerial's
+// full group-by, an insertion sort by (value desc, dim asc), truncate.
 func topNReference(t *testing.T, db *DB, q Query, dim string, n int) []TopNEntry {
 	t.Helper()
 	q.GroupBy = []string{dim}
@@ -222,10 +232,10 @@ func topNReference(t *testing.T, db *DB, q Query, dim string, n int) []TopNEntry
 	return entries[:n]
 }
 
-// TestTopNHeapMatchesFullSort pits the bounded min-heap against the
-// full-sort reference, including value ties (resolved by dim ascending),
-// n beyond the cardinality, and non-positive n.
-func TestTopNHeapMatchesFullSort(t *testing.T) {
+// TestTopNMatchesFullSort pits TopN (the query path + TopNOf's stable
+// sort) against the full-sort reference, including value ties (resolved by
+// dim ascending), n beyond the cardinality, and non-positive n.
+func TestTopNMatchesFullSort(t *testing.T) {
 	forceParallel(t)
 	db := New(Options{})
 	// 40 components; values collide in pairs so ties are common.
@@ -234,7 +244,7 @@ func TestTopNHeapMatchesFullSort(t *testing.T) {
 	}
 	q := Query{From: base, To: base.Add(time.Hour), Agg: AggMax}
 	for _, n := range []int{0, -3, 1, 2, 5, 39, 40, 100} {
-		got, err := db.TopN(q, DimComponent, n)
+		got, _, err := TopN(db, q, DimComponent, n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,8 +260,8 @@ func TestTopNHeapMatchesFullSort(t *testing.T) {
 	}
 }
 
-// TestTopNRandomizedAgainstReference fuzzes heap selection across agg
-// kinds and random values where ties and negative values appear.
+// TestTopNRandomizedAgainstReference fuzzes the ranking across agg kinds
+// and random values where ties and negative values appear.
 func TestTopNRandomizedAgainstReference(t *testing.T) {
 	forceParallel(t)
 	rng := rand.New(rand.NewSource(5))
@@ -265,7 +275,7 @@ func TestTopNRandomizedAgainstReference(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		q.Agg = AggKind(rng.Intn(6))
 		n := rng.Intn(70)
-		got, err := db.TopN(q, DimComponent, n)
+		got, _, err := TopN(db, q, DimComponent, n)
 		if err != nil {
 			t.Fatal(err)
 		}

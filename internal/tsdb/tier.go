@@ -79,11 +79,6 @@ type ColdTierConfig struct {
 	// RowGroupRows is the OCF row-group size (default 4096). Smaller
 	// groups prune finer; larger groups compress better.
 	RowGroupRows int
-	// DisablePruning starts the tier with pruning off (every segment and
-	// row group decoded, filters applied row-exactly) — the baseline the
-	// federation bench measures speedups against. Toggle live with
-	// SetPruning.
-	DisablePruning bool
 	// Now is the clock used to compute recall waits (default time.Now);
 	// tests running simulated archive clocks set it to match.
 	Now func() time.Time
@@ -204,7 +199,6 @@ func (db *DB) AttachColdTier(cfg ColdTierConfig) (*ColdTier, error) {
 		cfg.RowGroupRows = 4096
 	}
 	ct := &ColdTier{cfg: cfg}
-	ct.noPrune.Store(cfg.DisablePruning)
 	data, _, err := cfg.Store.Get(cfg.Bucket, ct.manifestKey())
 	switch {
 	case errors.Is(err, objstore.ErrNoObject):

@@ -198,7 +198,7 @@ func TestTopN(t *testing.T) {
 	db := seededDB(t)
 	reg := obs.NewRegistry()
 	db.Instrument(reg)
-	top, err := db.TopN(Query{
+	top, st, err := TopN(db, Query{
 		From: base, To: base.Add(2 * time.Minute),
 		Filters: map[string][]string{DimMetric: {"node_power_w"}},
 		Agg:     AggAvg,
@@ -209,16 +209,19 @@ func TestTopN(t *testing.T) {
 	if len(top) != 1 || top[0].Dim != "node00001" {
 		t.Fatalf("top = %+v", top)
 	}
+	if st.CellsScanned == 0 || st.Groups != 2 {
+		t.Fatalf("top-n stats = %+v, want the scan's", st)
+	}
 	// A top-N is a query like any other to the operator's dashboards.
 	if q, cells := reg.Counter("oda_lake_queries_total", "").Value(),
 		reg.Counter("oda_lake_query_cells_scanned_total", "").Value(); q != 1 || cells == 0 {
 		t.Fatalf("after one TopN: oda_lake_queries_total = %d, cells scanned = %d", q, cells)
 	}
-	if _, err := db.TopN(Query{From: base, To: base.Add(time.Minute)}, "bogus", 3); !errors.Is(err, ErrBadQuery) {
+	if _, _, err := TopN(db, Query{From: base, To: base.Add(time.Minute)}, "bogus", 3); !errors.Is(err, ErrBadQuery) {
 		t.Fatalf("bad dim: %v", err)
 	}
 	// n larger than cardinality returns everything.
-	top, _ = db.TopN(Query{
+	top, _, _ = TopN(db, Query{
 		From: base, To: base.Add(2 * time.Minute),
 		Filters: map[string][]string{DimMetric: {"node_power_w"}},
 		Agg:     AggAvg,

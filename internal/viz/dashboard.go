@@ -141,7 +141,7 @@ func (d *UADashboard) BuildJobView(jobID string, maxEvents int) (*JobView, error
 	}
 
 	// Hottest nodes.
-	top, err := d.Lake.TopN(tsdb.Query{
+	top, tst, err := tsdb.TopN(d.Lake, tsdb.Query{
 		From: j.Start, To: j.End,
 		Filters: map[string][]string{tsdb.DimMetric: {"node_power_w"}, tsdb.DimComponent: nodeNames},
 		Agg:     tsdb.AggAvg,
@@ -150,6 +150,7 @@ func (d *UADashboard) BuildJobView(jobID string, maxEvents int) (*JobView, error
 		return nil, err
 	}
 	v.QueriesIssued++
+	v.noteStats(tst)
 	v.TopNodes = top
 
 	// Log events on the job's nodes during the run.

@@ -29,7 +29,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -166,18 +165,6 @@ func (w *NodeWAL) Log(name string) (*Log, error) {
 	}
 	w.logs[name] = l
 	return l, nil
-}
-
-// Names returns the sorted names of the currently open logs.
-func (w *NodeWAL) Names() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	out := make([]string, 0, len(w.logs))
-	for n := range w.logs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Remove deletes a log — handle, directory, and history. Used when an
