@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test bench-smoke loc-delta one-reader one-read-path race chaos chaos-cluster bench bench-query bench-obs bench-federate bench-serve bench-cq bench-cluster fuzz-smoke verify clean
+.PHONY: all build vet test bench-smoke loc-delta one-reader one-read-path one-cell-format race chaos chaos-cluster bench bench-query bench-obs bench-federate bench-serve bench-cq bench-cluster fuzz-smoke verify clean
 
 all: verify
 
@@ -61,6 +61,17 @@ one-read-path:
 		echo "one-read-path: internal/httpapi has $$n backend.RunWithStats( call sites, want 1 (serveQuery)"; exit 1; fi
 	@if grep -rnE '^func \([^)]*\) TopN\(' --include='*.go' --exclude='*_test.go' . ; then \
 		echo "one-read-path: top-N is tsdb.TopN over RunWithStats, not a method"; exit 1; fi
+
+# One serialized form for rollup cells: ColdSchema, written by the one
+# builder in internal/tsdb/tier.go (Offload and ExportStripes both feed
+# it) and read back through coldColumns (the cold fold and ImportStripes).
+# The pre-federation pair — RollupSchema, DB.Export, DB.ImportRollups —
+# stays deleted, and nobody else assembles a ColdSchema frame by hand.
+one-cell-format:
+	@if grep -rnE 'RollupSchema|ImportRollups|^func \(db \*DB\) Export\(' --include='*.go' --exclude='*_test.go' . ; then \
+		echo "one-cell-format: rollup cells serialize as ColdSchema (ExportStripes / ImportStripes / Offload)"; exit 1; fi
+	@if grep -rnF 'schema.FrameOfColumns(ColdSchema' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/tsdb/tier\.go:' ; then \
+		echo "one-cell-format: build ColdSchema frames with tsdb's cellColumns, not by hand"; exit 1; fi
 
 # The concurrency-heavy packages get a dedicated race-detector pass: the
 # striped-lock LAKE store, the partitioned STREAM broker, the reader every
@@ -176,7 +187,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzColumnarExt -fuzztime 30s ./internal/columnar
 	$(GO) test -run xxx -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal
 
-verify: vet build one-reader one-read-path test bench-smoke race chaos chaos-cluster fuzz-smoke bench-federate bench-serve bench-cq
+verify: vet build one-reader one-read-path one-cell-format test bench-smoke race chaos chaos-cluster fuzz-smoke bench-federate bench-serve bench-cq
 
 clean:
 	$(GO) clean ./...

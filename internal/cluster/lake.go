@@ -450,7 +450,7 @@ func (c *Cluster) resyncStripe(s int, src, tgt string) error {
 		if err := tn.Lake().DropStripes([]int{s}); err != nil {
 			return err
 		}
-		if err := tn.Lake().ImportRollups(frame); err != nil {
+		if err := tn.Lake().ImportStripes(frame); err != nil {
 			return err
 		}
 		if w := tn.WAL(); w != nil {

@@ -46,6 +46,9 @@ const (
 	BucketLake = "lake"
 )
 
+// TopicPartitions is how many partitions every bronze topic has.
+const TopicPartitions = 4
+
 // BronzeTopic returns the broker topic name for a source's raw stream.
 func BronzeTopic(src telemetry.Source) string { return "bronze." + string(src) }
 
@@ -67,8 +70,6 @@ type Options struct {
 	DataDir string
 	// SilverWindow is the Bronze→Silver aggregation interval (default 15s).
 	SilverWindow time.Duration
-	// TopicPartitions sets broker partitioning (default 4).
-	TopicPartitions int
 	// StreamRetentionBytes bounds the broker footprint per partition
 	// (default 64 MiB).
 	StreamRetentionBytes int64
@@ -90,9 +91,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.SilverWindow <= 0 {
 		o.SilverWindow = 15 * time.Second
-	}
-	if o.TopicPartitions <= 0 {
-		o.TopicPartitions = 4
 	}
 	if o.StreamRetentionBytes <= 0 {
 		o.StreamRetentionBytes = 64 << 20
@@ -248,7 +246,7 @@ func (f *Facility) Close() { f.Broker.Close() }
 // plane once, in generator order, and everything that reads bronze or
 // LAKE data (replay, the CQ pump, the portal, the dashboards) follows.
 func (f *Facility) AttachPlane(s plane.Stream, l plane.Lake) error {
-	cfg := stream.TopicConfig{Partitions: f.Opts.TopicPartitions, RetentionBytes: f.Opts.StreamRetentionBytes}
+	cfg := stream.TopicConfig{Partitions: TopicPartitions, RetentionBytes: f.Opts.StreamRetentionBytes}
 	for _, src := range telemetry.MetricSources {
 		if err := s.EnsureTopic(BronzeTopic(src), cfg); err != nil {
 			return err

@@ -149,7 +149,7 @@ func TestReplayBronzeWhileRetentionTrims(t *testing.T) {
 
 	f := build()
 	minute(f, 0)
-	ends := make([]int64, f.Opts.TopicPartitions)
+	ends := make([]int64, TopicPartitions)
 	for p := range ends {
 		ends[p], _ = f.Broker.EndOffset(topic, p)
 		if oldest, _ := f.Broker.OldestOffset(topic, p); oldest != 0 || ends[p] == 0 {

@@ -100,7 +100,7 @@ func TestChaosIngestClusterPlaneExactlyOnce(t *testing.T) {
 	for _, si := range stats.Sources {
 		topic := BronzeTopic(si.Source)
 		var committed int64
-		for p := 0; p < f.Opts.TopicPartitions; p++ {
+		for p := 0; p < TopicPartitions; p++ {
 			got := partitionValues(t, c, topic, p)
 			want := partitionValues(t, ref.Broker, topic, p)
 			committed += int64(len(got))

@@ -152,7 +152,7 @@ func TestClusterBackedServing(t *testing.T) {
 	// Ingest went straight into the cluster: nothing was stored twice.
 	topic := core.BronzeTopic(telemetry.SourcePowerTemp)
 	var committed int64
-	for p := 0; p < clustered.f.Opts.TopicPartitions; p++ {
+	for p := 0; p < core.TopicPartitions; p++ {
 		if end, err := clustered.f.Broker.EndOffset(topic, p); err != nil || end != 0 {
 			t.Fatalf("clustered facility's own broker holds %s/%d end=%d err=%v, want empty", topic, p, end, err)
 		}

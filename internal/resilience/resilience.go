@@ -70,19 +70,10 @@ type Policy struct {
 	BaseDelay time.Duration
 	// MaxDelay caps any single backoff delay (default 100ms).
 	MaxDelay time.Duration
-	// Multiplier grows the delay between attempts (default 2).
-	Multiplier float64
-	// Jitter is the fraction of each delay randomized away (default 0.5):
-	// the delay is drawn uniformly from [d·(1-Jitter), d], de-synchronizing
-	// retry storms from concurrent callers.
-	Jitter float64
 	// Budget caps the wall clock spent across all attempts; once
 	// exceeded, the last error is returned without further attempts
 	// (0 = no budget).
 	Budget time.Duration
-	// Classify decides whether an error is worth another attempt
-	// (default IsTransient).
-	Classify func(error) bool
 	// OnRetry, when non-nil, observes every retry: the attempt number
 	// just failed (1-based), its error, and the upcoming backoff delay.
 	OnRetry func(attempt int, err error, delay time.Duration)
@@ -101,15 +92,6 @@ func (p Policy) withDefaults() Policy {
 	if p.MaxDelay <= 0 {
 		p.MaxDelay = 100 * time.Millisecond
 	}
-	if p.Multiplier < 1 {
-		p.Multiplier = 2
-	}
-	if p.Jitter <= 0 || p.Jitter > 1 {
-		p.Jitter = 0.5
-	}
-	if p.Classify == nil {
-		p.Classify = IsTransient
-	}
 	return p
 }
 
@@ -121,19 +103,22 @@ var (
 	jitterRng = rand.New(rand.NewSource(1))
 )
 
-func jittered(d time.Duration, frac float64) time.Duration {
+// jittered draws a delay uniformly from [d/2, d], de-synchronizing retry
+// storms from concurrent callers.
+func jittered(d time.Duration) time.Duration {
 	if d <= 0 {
 		return 0
 	}
 	jitterMu.Lock()
 	f := jitterRng.Float64()
 	jitterMu.Unlock()
-	return d - time.Duration(f*frac*float64(d))
+	return d - time.Duration(f*0.5*float64(d))
 }
 
-// Retry runs fn until it succeeds, returns a non-retryable error, the
-// attempt/budget limits run out, or ctx is done. The returned error is
-// fn's last error (or ctx.Err() when cancelled while backing off).
+// Retry runs fn until it succeeds, returns an error IsTransient rejects,
+// the attempt/budget limits run out, or ctx is done, doubling the delay
+// between attempts up to MaxDelay. The returned error is fn's last error
+// (or ctx.Err() when cancelled while backing off).
 func Retry(ctx context.Context, p Policy, fn func() error) error {
 	p = p.withDefaults()
 	start := time.Now()
@@ -143,13 +128,13 @@ func Retry(ctx context.Context, p Policy, fn func() error) error {
 		if err = fn(); err == nil {
 			return nil
 		}
-		if attempt >= p.MaxAttempts || !p.Classify(err) {
+		if attempt >= p.MaxAttempts || !IsTransient(err) {
 			return err
 		}
 		if p.Budget > 0 && time.Since(start) >= p.Budget {
 			return err
 		}
-		d := jittered(delay, p.Jitter)
+		d := jittered(delay)
 		if p.OnRetry != nil {
 			p.OnRetry(attempt, err, d)
 		}
@@ -158,7 +143,7 @@ func Retry(ctx context.Context, p Policy, fn func() error) error {
 			return ctx.Err()
 		case <-time.After(d):
 		}
-		delay = time.Duration(float64(delay) * p.Multiplier)
+		delay *= 2
 		if delay > p.MaxDelay {
 			delay = p.MaxDelay
 		}

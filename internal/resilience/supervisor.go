@@ -27,9 +27,6 @@ type SupervisorConfig struct {
 	// Backoff shapes the delay between restarts (Policy delay fields
 	// only; its attempt limits are ignored — Window/MaxRestarts govern).
 	Backoff Policy
-	// Classify decides whether a failure is worth a restart
-	// (default IsTransient). Fatal errors surface immediately.
-	Classify func(error) bool
 	// OnRestart, when non-nil, observes every restart decision: the
 	// restart ordinal (1-based) and the error that caused it.
 	OnRestart func(restart int, err error)
@@ -47,9 +44,6 @@ func (c SupervisorConfig) withDefaults() SupervisorConfig {
 		c.Window = time.Minute
 	}
 	c.Backoff = c.Backoff.withDefaults()
-	if c.Classify == nil {
-		c.Classify = IsTransient
-	}
 	if c.Clock == nil {
 		c.Clock = time.Now
 	}
@@ -136,7 +130,7 @@ func (s *Supervisor) Run(ctx context.Context, start func(ctx context.Context) er
 			return err
 		}
 		s.noteErr(err)
-		if !s.cfg.Classify(err) {
+		if !IsTransient(err) {
 			s.finish(SupervisorFailed, err)
 			return err
 		}
@@ -166,9 +160,9 @@ func (s *Supervisor) Run(ctx context.Context, start func(ctx context.Context) er
 		case <-ctx.Done():
 			s.finish(SupervisorStopped, ctx.Err())
 			return ctx.Err()
-		case <-time.After(jittered(delay, s.cfg.Backoff.Jitter)):
+		case <-time.After(jittered(delay)):
 		}
-		delay = time.Duration(float64(delay) * s.cfg.Backoff.Multiplier)
+		delay *= 2
 		if delay > s.cfg.Backoff.MaxDelay {
 			delay = s.cfg.Backoff.MaxDelay
 		}

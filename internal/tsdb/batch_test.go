@@ -31,14 +31,8 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 	if s, b := single.Stats(), batched.Stats(); s != b {
 		t.Fatalf("stats diverge: single=%+v batched=%+v", s, b)
 	}
-	fs, err := single.Export(base.Add(48 * time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := batched.Export(base.Add(48 * time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
+	// Same cells, in the same per-stripe insertion order.
+	fs, fb := exportAll(t, single), exportAll(t, batched)
 	if fs.Len() != fb.Len() {
 		t.Fatalf("export rows: single=%d batched=%d", fs.Len(), fb.Len())
 	}
@@ -73,9 +67,9 @@ func TestExportIncludesLastState(t *testing.T) {
 	// Out of order: the later timestamp must win the exported last value.
 	db.Insert(ob(30, "n", "m", 999))
 	db.Insert(ob(10, "n", "m", 111))
-	f, err := db.Export(base.Add(3 * time.Hour))
-	if err != nil {
-		t.Fatal(err)
+	f := exportAll(t, db)
+	if !f.Schema().Equal(ColdSchema) {
+		t.Fatalf("schema = %s", f.Schema())
 	}
 	if f.Len() != 1 {
 		t.Fatalf("rows = %d, want 1", f.Len())
@@ -83,7 +77,7 @@ func TestExportIncludesLastState(t *testing.T) {
 	s := f.Schema()
 	for _, col := range []string{"last", "last_ts"} {
 		if !s.Has(col) {
-			t.Fatalf("RollupSchema missing %q column", col)
+			t.Fatalf("ColdSchema missing %q column", col)
 		}
 	}
 	r := f.Row(0)
@@ -96,19 +90,15 @@ func TestExportIncludesLastState(t *testing.T) {
 }
 
 // TestExportImportRoundTrip proves the full aggregation state — AggLast
-// included — survives the LAKE→OCEAN offload and rehydration.
+// included — survives serialization to a ColdSchema frame and back.
 func TestExportImportRoundTrip(t *testing.T) {
 	src := New(Options{SegmentDuration: time.Hour, RollupInterval: 15 * time.Second})
 	for s := 0; s < 120; s++ {
 		src.Insert(ob(s, "node00000", "node_power_w", 1000+float64(s)))
 		src.Insert(ob(s, "node00001", "node_power_w", 2000+float64(s)))
 	}
-	exported, err := src.Export(base.Add(48 * time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
 	dst := New(Options{SegmentDuration: time.Hour, RollupInterval: 15 * time.Second})
-	if err := dst.ImportRollups(exported); err != nil {
+	if err := dst.ImportStripes(exportAll(t, src)); err != nil {
 		t.Fatal(err)
 	}
 	q := Query{
@@ -135,51 +125,10 @@ func TestExportImportRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	// A malformed frame is rejected.
+	// A frame of another schema is rejected.
 	bad := schema.NewFrame(schema.ObservationSchema)
-	if err := dst.ImportRollups(bad); err == nil {
-		t.Fatal("import of non-rollup frame should fail")
-	}
-}
-
-// TestExportOrderDeterministic is the regression test for the sort
-// comparator ignoring system/source: rows identical in component and
-// metric must still order deterministically.
-func TestExportOrderDeterministic(t *testing.T) {
-	mk := func() *DB {
-		db := New(Options{SegmentDuration: time.Hour, RollupInterval: time.Minute})
-		for _, sys := range []string{"zeta", "alpha", "mid"} {
-			for _, srcName := range []string{"gpu", "power_temp"} {
-				db.Insert(schema.Observation{
-					Ts: base, System: sys, Source: srcName,
-					Component: "node0", Metric: "m", Value: 1,
-				})
-			}
-		}
-		return db
-	}
-	want := ""
-	for trial := 0; trial < 5; trial++ {
-		f, err := mk().Export(base.Add(3 * time.Hour))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := ""
-		for i := 0; i < f.Len(); i++ {
-			r := f.Row(i)
-			got += r[1].StrVal() + "/" + r[2].StrVal() + ";"
-		}
-		if trial == 0 {
-			want = got
-			exp := "alpha/gpu;alpha/power_temp;mid/gpu;mid/power_temp;zeta/gpu;zeta/power_temp;"
-			if got != exp {
-				t.Fatalf("order = %q, want %q", got, exp)
-			}
-			continue
-		}
-		if got != want {
-			t.Fatalf("trial %d order %q != trial 0 order %q", trial, got, want)
-		}
+	if err := dst.ImportStripes(bad); err == nil {
+		t.Fatal("import of a non-ColdSchema frame should fail")
 	}
 }
 
@@ -233,7 +182,8 @@ func TestGranularityAnchoredToEpoch(t *testing.T) {
 }
 
 // TestConcurrentBatchIngestQueryRetain is the tsdb half of the ingest
-// stress test: parallel InsertBatch / Run / Retain / Export under -race.
+// stress test: parallel InsertBatch / Run / Retain / ExportStripes under
+// -race.
 func TestConcurrentBatchIngestQueryRetain(t *testing.T) {
 	db := New(Options{SegmentDuration: time.Minute, RollupInterval: time.Second})
 	const writers = 8
@@ -273,7 +223,7 @@ func TestConcurrentBatchIngestQueryRetain(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < 30; i++ {
 			db.Retain(base.Add(time.Duration(i) * time.Second))
-			if _, err := db.Export(base.Add(time.Duration(i) * time.Second)); err != nil {
+			if _, err := db.ExportStripes(allStripes()); err != nil {
 				errc <- err
 				return
 			}

@@ -63,14 +63,10 @@ func TestQueryCacheInvalidation(t *testing.T) {
 				t.Fatal("retain dropped nothing")
 			}
 		},
-		"ImportRollups": func(db *DB) {
+		"ImportStripes": func(db *DB) {
 			src := New(Options{SegmentDuration: time.Hour, RollupInterval: 15 * time.Second})
 			src.Insert(ob(0, "node00009", "node_power_w", 7))
-			f, err := src.Export(base.Add(48 * time.Hour))
-			if err != nil || f.Len() == 0 {
-				t.Fatalf("export: %d rows, %v", f.Len(), err)
-			}
-			if err := db.ImportRollups(f); err != nil {
+			if err := db.ImportStripes(exportAll(t, src)); err != nil {
 				t.Fatal(err)
 			}
 		},
@@ -87,6 +83,33 @@ func TestQueryCacheInvalidation(t *testing.T) {
 				t.Fatalf("%s did not invalidate the cached result", name)
 			}
 		})
+	}
+}
+
+// TestImportStripesBumpsVersionOncePerStripe: a stripe copy is one
+// mutation per stripe it touches, however many cells it carries — a
+// resync must not invalidate the result cache once per row — and leaves
+// the others alone.
+func TestImportStripesBumpsVersionOncePerStripe(t *testing.T) {
+	src := pagedDB(t)
+	touched := []int{2, 3, 11}
+	frame, err := src.ExportStripes(touched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if frame.Len() < 3*2*pageSize {
+		t.Fatalf("frame holds only %d cells", frame.Len())
+	}
+	db := seededDB(t)
+	want := db.versionVector()
+	for _, s := range touched {
+		want[s]++
+	}
+	if err := db.ImportStripes(frame); err != nil {
+		t.Fatal(err)
+	}
+	if got := db.versionVector(); got != want {
+		t.Fatalf("version vector after import = %v, want %v", got, want)
 	}
 }
 

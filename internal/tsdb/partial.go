@@ -85,41 +85,78 @@ func MergeStripePartials(q Query, parts []*StripePartial) (*schema.Frame, error)
 }
 
 // ExportStripes serializes every cell of the given stripes as a
-// RollupSchema frame in stripe-major, chunk-ascending, insertion order —
-// the exact fold order of a stripe scan. Unlike Export (which sorts for
-// the OCEAN offload format), importing this frame into a fresh DB via
-// ImportRollups rebuilds each (stripe, chunk) cell table with identical
+// ColdSchema frame in stripe-major, chunk-ascending, insertion order —
+// the exact fold order of a stripe scan; seq is the cell's position in
+// its stripe's run. Importing the frame into an empty stripe via
+// ImportStripes rebuilds each (stripe, chunk) cell table with identical
 // insertion order, so a re-replicated replica answers StripePartial
 // byte-identically to the replica it was copied from. Both stores must
 // share SegmentDuration and RollupInterval.
 func (db *DB) ExportStripes(stripes []int) (*schema.Frame, error) {
-	out := schema.NewFrame(RollupSchema)
+	var b cellColumns
 	for _, si := range stripes {
 		if si < 0 || si >= NumStripes {
 			return nil, fmt.Errorf("tsdb: export stripe %d out of range", si)
 		}
 		sh := &db.shards[si]
 		sh.mu.RLock()
+		seq := 0
 		for _, chunkN := range SortedChunks(sh.segments) {
 			seg := sh.segments[chunkN]
 			for i := 0; i < seg.cells.Len(); i++ {
 				k, c := seg.cells.At(i)
-				row := schema.Row{
-					schema.TimeNanos(k.Ts), schema.Str(k.System), schema.Str(k.Source),
-					schema.Str(k.Component), schema.Str(k.Metric),
-					schema.Int(c.Count), schema.Float(c.Sum),
-					schema.Float(c.Min), schema.Float(c.Max),
-					schema.Float(c.Last), schema.TimeNanos(c.LastTs),
-				}
-				if err := out.AppendRow(row); err != nil {
-					sh.mu.RUnlock()
-					return nil, err
-				}
+				b.add(si, seq, k, c)
+				seq++
 			}
 		}
 		sh.mu.RUnlock()
 	}
-	return out, nil
+	return b.frame()
+}
+
+// ImportStripes merges a ColdSchema frame — a peer's ExportStripes — into
+// the store in frame order, which cells new to a table take as their
+// insertion order. The frame has crossed a transport: one that is not
+// ColdSchema, carries a null, or puts a row on a stripe other than its
+// series' own is rejected before any cell lands. Each run of one stripe
+// takes that stripe's lock, and bumps its version, once.
+func (db *DB) ImportStripes(f *schema.Frame) error {
+	if !f.Schema().Equal(ColdSchema) {
+		return fmt.Errorf("tsdb: import: frame schema %v does not conform to ColdSchema", f.Schema())
+	}
+	cols, stripe, _ := coldColumns(f)
+	for r, s := range stripe {
+		for i := 0; i < ColdSchema.Len(); i++ {
+			if f.Col(i).IsNull(r) {
+				return fmt.Errorf("tsdb: import: row %d: null %s", r, ColdSchema.Field(i).Name)
+			}
+		}
+		// Implies 0 <= s < NumStripes.
+		if own := StripeFor(cols.Dims[2][r], cols.Dims[3][r]); s != int64(own) {
+			return fmt.Errorf("tsdb: import: row %d: series %s/%s lives on stripe %d, not %d",
+				r, cols.Dims[2][r], cols.Dims[3][r], own, s)
+		}
+	}
+	chunkD := int64(db.opts.SegmentDuration)
+	for lo, n := 0, len(stripe); lo < n; {
+		hi := lo + 1
+		for hi < n && stripe[hi] == stripe[lo] {
+			hi++
+		}
+		sh := &db.shards[stripe[lo]]
+		sh.mu.Lock()
+		for r := int32(lo); r < int32(hi); r++ {
+			key, cell := cols.key(r), cols.cell(r)
+			seg := sh.segmentLocked(key.Ts - FloorMod(key.Ts, chunkD))
+			seg.cells.Cell(key.Hash(), key).Merge(cell)
+			seg.rows += cell.Count
+			sh.ingested += cell.Count
+		}
+		sh.version.Add(1)
+		sh.mu.Unlock()
+		lo = hi
+	}
+	return nil
 }
 
 // DropStripes discards every segment whose cells live on the given

@@ -47,16 +47,8 @@ func TestStripePartialMergeMatchesRun(t *testing.T) {
 // replica built this way cannot perturb the cluster's merged results.
 func TestExportStripesRoundTripPreservesScanOrder(t *testing.T) {
 	db := propDB(64)
-	all := make([]int, NumStripes)
-	for i := range all {
-		all[i] = i
-	}
-	frame, err := db.ExportStripes(all)
-	if err != nil {
-		t.Fatal(err)
-	}
 	re := New(Options{SegmentDuration: 10 * time.Minute, RollupInterval: 15 * time.Second})
-	if err := re.ImportRollups(frame); err != nil {
+	if err := re.ImportStripes(exportAll(t, db)); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(123))

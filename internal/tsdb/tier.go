@@ -25,6 +25,7 @@ package tsdb
 
 import (
 	"cmp"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -43,9 +44,11 @@ import (
 	"odakit/internal/schema"
 )
 
-// ColdSchema is the layout of one offloaded segment object: the full
-// rollup state of RollupSchema plus the (stripe, seq) fold coordinates
-// that make federated accumulation order reproducible.
+// ColdSchema is the one serialized form of rollup cells — an offloaded
+// segment object and a stripe in transit between replicas alike: the full
+// aggregation state (any AggKind re-aggregates without the raw data) plus
+// the (stripe, seq) fold coordinates that make accumulation order
+// reproducible.
 var ColdSchema = schema.New(
 	schema.Field{Name: "stripe", Kind: schema.KindInt},
 	schema.Field{Name: "seq", Kind: schema.KindInt},
@@ -237,19 +240,15 @@ func (db *DB) AttachColdTier(cfg ColdTierConfig) (*ColdTier, error) {
 // ColdTier returns the attached tier, or nil.
 func (db *DB) ColdTier() *ColdTier { return db.cold.Load() }
 
-// coldPutAttempts bounds retries of transient store faults on the
-// offload write path and the query read path.
-const coldPutAttempts = 4
+// coldRetry bounds retries of transient store faults on the offload
+// write path and the query read path: four attempts, backing off between.
+var coldRetry = resilience.Policy{MaxAttempts: 4}
 
-func retryPut(store *objstore.Store, bucket, key string, data []byte) (objstore.ObjectInfo, error) {
-	var info objstore.ObjectInfo
-	var err error
-	for attempt := 0; attempt < coldPutAttempts; attempt++ {
+func retryPut(store *objstore.Store, bucket, key string, data []byte) (info objstore.ObjectInfo, err error) {
+	err = resilience.Retry(context.Background(), coldRetry, func() error {
 		info, err = store.Put(bucket, key, data)
-		if err == nil || !resilience.IsTransient(err) {
-			return info, err
-		}
-	}
+		return err
+	})
 	return info, err
 }
 
@@ -295,6 +294,66 @@ func (db *DB) Offload(cutoff time.Time) (OffloadStats, error) {
 		}
 	}
 	return st, nil
+}
+
+// cellColumns builds a ColdSchema frame one cell at a time. It is the
+// only writer of that form: Offload feeds it a chunk's cells in
+// dimension-clustered order, ExportStripes a stripe's cells in fold order.
+type cellColumns struct {
+	stripe, seq, bucket, count, lastTs []int64
+	dims                               [4][]string // system, source, component, metric
+	sum, min, max, last                []float64
+}
+
+// grow reserves room for n more cells.
+func (b *cellColumns) grow(n int) {
+	for _, v := range []*[]int64{&b.stripe, &b.seq, &b.bucket, &b.count, &b.lastTs} {
+		*v = slices.Grow(*v, n)
+	}
+	for d := range b.dims {
+		b.dims[d] = slices.Grow(b.dims[d], n)
+	}
+	for _, v := range []*[]float64{&b.sum, &b.min, &b.max, &b.last} {
+		*v = slices.Grow(*v, n)
+	}
+}
+
+// add appends one cell at fold coordinates (stripe, seq).
+func (b *cellColumns) add(stripe, seq int, k *Key, c *Cell) {
+	b.stripe = append(b.stripe, int64(stripe))
+	b.seq = append(b.seq, int64(seq))
+	b.bucket = append(b.bucket, k.Ts)
+	for d := range b.dims {
+		b.dims[d] = append(b.dims[d], dimValueAt(k, d))
+	}
+	b.count = append(b.count, c.Count)
+	b.sum = append(b.sum, c.Sum)
+	b.min = append(b.min, c.Min)
+	b.max = append(b.max, c.Max)
+	b.last = append(b.last, c.Last)
+	b.lastTs = append(b.lastTs, c.LastTs)
+}
+
+// frame hands the columns over as a ColdSchema frame; b is spent.
+func (b *cellColumns) frame() (*schema.Frame, error) {
+	cols := make([]*schema.Column, 0, ColdSchema.Len())
+	var err error
+	add := func(c *schema.Column, cerr error) { cols, err = append(cols, c), errors.Join(err, cerr) }
+	add(schema.IntColumn(schema.KindInt, b.stripe, nil))
+	add(schema.IntColumn(schema.KindInt, b.seq, nil))
+	add(schema.IntColumn(schema.KindTime, b.bucket, nil))
+	for d := range b.dims {
+		add(schema.StringColumn(b.dims[d], nil))
+	}
+	add(schema.IntColumn(schema.KindInt, b.count, nil))
+	for _, v := range [][]float64{b.sum, b.min, b.max, b.last} {
+		add(schema.FloatColumn(v, nil))
+	}
+	add(schema.IntColumn(schema.KindTime, b.lastTs, nil))
+	if err != nil {
+		return nil, err
+	}
+	return schema.FrameOfColumns(ColdSchema, cols)
 }
 
 // coldCell is one cell extracted for offload: its fold coordinates and
@@ -398,18 +457,14 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 		return cmp.Compare(a.seq, b.seq)
 	})
 
-	// Build the object's columns directly, in ColdSchema order.
+	// Zone maps and bloom inputs, and the object's columns, in one pass.
 	meta := coldSegmentMeta{Chunk: chunkN, Cells: int64(nCells), Rows: rawRows}
-	ints := func() []int64 { return make([]int64, nCells) }
-	floats := func() []float64 { return make([]float64, nCells) }
-	stripeV, seqV, bucketV, countV, lastTsV := ints(), ints(), ints(), ints(), ints()
-	sumV, minV, maxV, lastV := floats(), floats(), floats(), floats()
-	var dimV [4][]string
 	var distinct [4]map[string]struct{}
 	for d := range distinct {
-		dimV[d] = make([]string, nCells)
 		distinct[d] = make(map[string]struct{})
 	}
+	var b cellColumns
+	b.grow(nCells)
 	for i := range cells {
 		c := &cells[i]
 		if i == 0 || c.key.Ts < meta.MinTs {
@@ -420,7 +475,6 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 		}
 		for d := 0; d < 4; d++ {
 			v := dimValueAt(c.key, d)
-			dimV[d][i] = v
 			distinct[d][v] = struct{}{}
 			if i == 0 || v < meta.Dims[d].Min {
 				meta.Dims[d].Min = v
@@ -429,32 +483,9 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 				meta.Dims[d].Max = v
 			}
 		}
-		stripeV[i], seqV[i], bucketV[i] = int64(c.stripe), int64(c.seq), c.key.Ts
-		countV[i], sumV[i], minV[i], maxV[i] = c.cell.Count, c.cell.Sum, c.cell.Min, c.cell.Max
-		lastV[i], lastTsV[i] = c.cell.Last, c.cell.LastTs
+		b.add(int(c.stripe), int(c.seq), c.key, c.cell)
 	}
-	cols := make([]*schema.Column, 0, ColdSchema.Len())
-	add := func(c *schema.Column, cerr error) {
-		if err == nil {
-			err = cerr
-		}
-		cols = append(cols, c)
-	}
-	add(schema.IntColumn(schema.KindInt, stripeV, nil))
-	add(schema.IntColumn(schema.KindInt, seqV, nil))
-	add(schema.IntColumn(schema.KindTime, bucketV, nil))
-	for d := range dimV {
-		add(schema.StringColumn(dimV[d], nil))
-	}
-	add(schema.IntColumn(schema.KindInt, countV, nil))
-	for _, v := range [][]float64{sumV, minV, maxV, lastV} {
-		add(schema.FloatColumn(v, nil))
-	}
-	add(schema.IntColumn(schema.KindTime, lastTsV, nil))
-	if err != nil {
-		return err
-	}
-	f, err := schema.FrameOfColumns(ColdSchema, cols)
+	f, err := b.frame()
 	if err != nil {
 		return err
 	}
@@ -590,22 +621,15 @@ func (ct *ColdTier) scanCold(p *Plan, st *QueryStats, ps *partialSet) error {
 // getObject fetches a segment object, retrying transient faults. A nil
 // data with nil error means the object has aged into GLACIER and is not
 // staged yet — the segment is skipped and the gap reported in st.
-func (ct *ColdTier) getObject(key string, st *QueryStats) ([]byte, error) {
-	var lastErr error
-	for attempt := 0; attempt < coldPutAttempts; attempt++ {
-		data, _, err := ct.cfg.Store.Get(ct.cfg.Bucket, key)
-		if err == nil {
-			return data, nil
-		}
-		lastErr = err
-		if !resilience.IsTransient(err) {
-			break
-		}
-	}
-	if errors.Is(lastErr, objstore.ErrNoObject) && ct.cfg.Glacier != nil {
+func (ct *ColdTier) getObject(key string, st *QueryStats) (data []byte, err error) {
+	err = resilience.Retry(context.Background(), coldRetry, func() error {
+		data, _, err = ct.cfg.Store.Get(ct.cfg.Bucket, key)
+		return err
+	})
+	if errors.Is(err, objstore.ErrNoObject) && ct.cfg.Glacier != nil {
 		return ct.glacierFetch(key, st)
 	}
-	return nil, lastErr
+	return data, err
 }
 
 // glacierFetch resolves a segment that lifecycle rules moved to the

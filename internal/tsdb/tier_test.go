@@ -12,6 +12,7 @@ import (
 	"odakit/internal/archive"
 	"odakit/internal/objstore"
 	"odakit/internal/obs"
+	"odakit/internal/resilience"
 )
 
 // tierOptions gives short chunks so one hour of data spans six segments.
@@ -397,6 +398,61 @@ func TestOffloadRollbackOnPutFailure(t *testing.T) {
 		t.Fatalf("retried offload moved %d chunks, want 6", off.Segments)
 	}
 	expectFederatedMatch(t, db, twin, "retried offload")
+}
+
+// TestColdStoreRetriesOutlastABriefOutage: the store goes away for 3 ms
+// of wall clock — a real transient, not a fault that clears after N calls —
+// first under an offload's put, then under a federated query's get. The
+// four attempts back off between calls, so both ride it out: the offload
+// commits instead of rolling back and the query answers instead of
+// erroring.
+func TestColdStoreRetriesOutlastABriefOutage(t *testing.T) {
+	db, twin := New(tierOptions()), New(tierOptions())
+	seedTier(db)
+	seedTier(twin)
+	store, err := objstore.New("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	attachTier(t, db, store, ColdTierConfig{Prefix: "lake/"})
+	var mu sync.Mutex
+	var outageOp string
+	var outageEnd time.Time // zero until the armed op is first called
+	faulted := 0
+	arm := func(op string) {
+		mu.Lock()
+		defer mu.Unlock()
+		outageOp, outageEnd = op, time.Time{}
+	}
+	store.SetFaultHook(func(op, _ string) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if op != outageOp {
+			return nil
+		}
+		if outageEnd.IsZero() {
+			outageEnd = time.Now().Add(3 * time.Millisecond)
+		}
+		if !time.Now().Before(outageEnd) {
+			return nil
+		}
+		faulted++
+		return resilience.MarkTransient(errors.New("injected: store briefly away"))
+	})
+	arm("store.put")
+	off, err := db.Offload(base.Add(2 * time.Hour))
+	if err != nil {
+		t.Fatalf("offload did not outlast a 3 ms outage: %v", err)
+	}
+	if off.Segments != 6 || faulted == 0 {
+		t.Fatalf("offload moved %d chunks through %d faulted puts", off.Segments, faulted)
+	}
+	faulted = 0
+	arm("store.get")
+	expectFederatedMatch(t, db, twin, "get outage")
+	if faulted == 0 {
+		t.Fatal("no get was faulted")
+	}
 }
 
 func TestLateDataReOffload(t *testing.T) {

@@ -7,8 +7,6 @@
 package tsdb
 
 import (
-	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -79,7 +77,7 @@ type dbShard struct {
 
 // DB is the time-series store. Safe for concurrent use: the cell space
 // is partitioned over shardCount lock stripes by series hash, and every
-// reader (Run, Export, Stats) visits the stripes one at a time.
+// reader (Run, ExportStripes, Stats) visits the stripes one at a time.
 type DB struct {
 	opts   Options
 	shards [shardCount]dbShard
@@ -339,114 +337,6 @@ func (db *DB) InsertRow(r schema.Row) error {
 		return err
 	}
 	db.Insert(schema.ObservationFromRow(r))
-	return nil
-}
-
-// RollupSchema is the export format of Export: one row per rollup cell
-// with the full aggregation state — count/sum/min/max plus the
-// last-value pair (last, last_ts) — so OCEAN-archived LAKE history can
-// be re-aggregated without the raw data, including AggLast.
-var RollupSchema = schema.New(
-	schema.Field{Name: "bucket", Kind: schema.KindTime},
-	schema.Field{Name: "system", Kind: schema.KindString},
-	schema.Field{Name: "source", Kind: schema.KindString},
-	schema.Field{Name: "component", Kind: schema.KindString},
-	schema.Field{Name: "metric", Kind: schema.KindString},
-	schema.Field{Name: "count", Kind: schema.KindInt},
-	schema.Field{Name: "sum", Kind: schema.KindFloat},
-	schema.Field{Name: "min", Kind: schema.KindFloat},
-	schema.Field{Name: "max", Kind: schema.KindFloat},
-	schema.Field{Name: "last", Kind: schema.KindFloat},
-	schema.Field{Name: "last_ts", Kind: schema.KindTime},
-)
-
-// Export serializes every segment whose chunk ended before cutoff into a
-// RollupSchema frame (sorted by bucket, then system, source, component,
-// metric) — the LAKE→OCEAN offload that runs just before Retain drops
-// those segments.
-func (db *DB) Export(cutoff time.Time) (*schema.Frame, error) {
-	type kv struct {
-		k Key
-		c Cell
-	}
-	var cells []kv
-	for si := range db.shards {
-		sh := &db.shards[si]
-		sh.mu.RLock()
-		for _, seg := range sh.segments {
-			if !seg.start.Add(db.opts.SegmentDuration).Before(cutoff) {
-				continue
-			}
-			for i := 0; i < seg.cells.Len(); i++ {
-				k, c := seg.cells.At(i)
-				cells = append(cells, kv{*k, *c})
-			}
-		}
-		sh.mu.RUnlock()
-	}
-	sort.Slice(cells, func(i, j int) bool {
-		a, b := cells[i].k, cells[j].k
-		if a.Ts != b.Ts {
-			return a.Ts < b.Ts
-		}
-		if a.System != b.System {
-			return a.System < b.System
-		}
-		if a.Source != b.Source {
-			return a.Source < b.Source
-		}
-		if a.Component != b.Component {
-			return a.Component < b.Component
-		}
-		return a.Metric < b.Metric
-	})
-	out := schema.NewFrame(RollupSchema)
-	for _, cell := range cells {
-		row := schema.Row{
-			schema.TimeNanos(cell.k.Ts), schema.Str(cell.k.System), schema.Str(cell.k.Source),
-			schema.Str(cell.k.Component), schema.Str(cell.k.Metric),
-			schema.Int(cell.c.Count), schema.Float(cell.c.Sum),
-			schema.Float(cell.c.Min), schema.Float(cell.c.Max),
-			schema.Float(cell.c.Last), schema.TimeNanos(cell.c.LastTs),
-		}
-		if err := out.AppendRow(row); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// ImportRollups merges a RollupSchema frame (as produced by Export) back
-// into the store — the OCEAN→LAKE rehydration path. Imported cells merge
-// with any live cells for the same series and bucket, so re-importing
-// offloaded history alongside fresh ingest is safe.
-func (db *DB) ImportRollups(f *schema.Frame) error {
-	if !f.Schema().Equal(RollupSchema) {
-		return fmt.Errorf("tsdb: import: frame schema %v does not conform to RollupSchema", f.Schema())
-	}
-	for i := 0; i < f.Len(); i++ {
-		r := f.Row(i)
-		bucket := r[0].TimeVal()
-		key := Key{
-			Ts: bucket.UnixNano(), System: r[1].StrVal(), Source: r[2].StrVal(),
-			Component: r[3].StrVal(), Metric: r[4].StrVal(),
-		}
-		cell := Cell{
-			Count: r[5].IntVal(), Sum: r[6].FloatVal(),
-			Min: r[7].FloatVal(), Max: r[8].FloatVal(),
-			Last: r[9].FloatVal(), LastTs: r[10].TimeVal().UnixNano(),
-		}
-		chunkN, _ := db.chunkAndBucket(bucket)
-		h := SeriesHash(key.Component, key.Metric)
-		sh := &db.shards[h%shardCount]
-		sh.mu.Lock()
-		seg := sh.segmentLocked(chunkN)
-		seg.cells.Cell(CellHash(h, key.Ts), key).Merge(cell)
-		seg.rows += cell.Count
-		sh.ingested += cell.Count
-		sh.version.Add(1)
-		sh.mu.Unlock()
-	}
 	return nil
 }
 

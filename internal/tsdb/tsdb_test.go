@@ -302,40 +302,3 @@ func BenchmarkGroupByQuery(b *testing.B) {
 		}
 	}
 }
-
-func TestExport(t *testing.T) {
-	db := New(Options{SegmentDuration: time.Hour, RollupInterval: 15 * time.Second})
-	db.Insert(ob(0, "node0", "power", 100))
-	db.Insert(ob(5, "node0", "power", 200))
-	db.Insert(ob(0, "node1", "temp", 40))
-	// A fresh segment 5 hours later must not export at a 3h cutoff.
-	db.Insert(schema.Observation{Ts: base.Add(5 * time.Hour), System: "compass", Source: "power_temp", Component: "node0", Metric: "power", Value: 1})
-
-	f, err := db.Export(base.Add(3 * time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Len() != 2 { // two rollup cells in the aged segment
-		t.Fatalf("exported rows = %d, want 2", f.Len())
-	}
-	if !f.Schema().Equal(RollupSchema) {
-		t.Fatalf("schema = %s", f.Schema())
-	}
-	// First row is node0/power with full aggregation state.
-	r := f.Row(0)
-	ci, mi := f.Schema().MustIndex("component"), f.Schema().MustIndex("metric")
-	if r[ci].StrVal() != "node0" || r[mi].StrVal() != "power" {
-		t.Fatalf("row0 = %v", r)
-	}
-	if r[f.Schema().MustIndex("count")].IntVal() != 2 ||
-		r[f.Schema().MustIndex("sum")].FloatVal() != 300 ||
-		r[f.Schema().MustIndex("min")].FloatVal() != 100 ||
-		r[f.Schema().MustIndex("max")].FloatVal() != 200 {
-		t.Fatalf("agg state = %v", r)
-	}
-	// Nothing aged: empty export.
-	empty, err := db.Export(base)
-	if err != nil || empty.Len() != 0 {
-		t.Fatalf("empty export = %d rows, %v", empty.Len(), err)
-	}
-}

@@ -257,8 +257,9 @@ func NewDebugHandler(f *Facility) http.Handler { return obs.NewDebugMux(f.Obs, f
 func MetricsPanel(reg *MetricsRegistry) string { return viz.MetricsPanel(reg) }
 
 // Tier-federation re-exports: the LAKE store's age-based offload into
-// OCEAN columnar segments and the transparent hot+cold+glacier query
-// path (Facility.Lake.Offload / AttachColdTier / ColdStats).
+// OCEAN columnar segments (tsdb.ColdSchema, also the form of a stripe in
+// transit between cluster replicas) and the transparent hot+cold+glacier
+// query path (Facility.Lake.Offload / AttachColdTier / ColdStats).
 type (
 	// ColdTierConfig wires a LAKE store to an OCEAN bucket (and
 	// optionally a GLACIER archive) for segment offload and federation.
