@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test bench-smoke loc-delta one-reader one-read-path one-cell-format race chaos chaos-cluster bench bench-query bench-obs bench-federate bench-serve bench-cq bench-cluster fuzz-smoke verify clean
+.PHONY: all build vet test bench-smoke loc-delta one-reader one-read-path one-cell-format one-grouping race chaos chaos-cluster bench bench-query bench-obs bench-federate bench-serve bench-cq bench-cluster fuzz-smoke verify clean
 
 all: verify
 
@@ -18,14 +18,16 @@ test:
 # does: an internal/ signature change that breaks benchmark/sut.go fails
 # here instead of in the driver's run. The cold-scan and OCF-write
 # microbenchmarks, the partition log's append + fetch, the cell-table
-# growth one, the grouped cold fold and the replicated ingest loop run
-# once each so they cannot rot either.
+# growth one, the grouped cold fold, the replicated ingest loop and the
+# Silver job's windowed fold + SQL query run once each so they cannot rot
+# either.
 bench-smoke:
 	(cd benchmark && $(GO) vet ./... && $(GO) test ./...)
 	$(GO) test -bench 'PartitionAppendFetch' -benchtime 1x -run xxx ./internal/stream
 	$(GO) test -bench 'ScanColumnsCold|WriteTelemetry' -benchtime 1x -run xxx ./internal/columnar
 	$(GO) test -bench 'CellTableGrow|ColdFoldGrouped' -benchtime 1x -run xxx ./internal/tsdb
 	$(GO) test -bench 'ClusterIngestBatch' -benchtime 1x -run xxx ./internal/cluster
+	$(GO) test -bench 'WindowedThroughput|SQLQuery' -benchtime 1x -run xxx ./internal/sproc
 
 # Net Go line delta of the working tree versus BASE — the numbers ROADMAP
 # asks every PR to state: non-test .go files outside benchmark/ on the
@@ -72,6 +74,23 @@ one-cell-format:
 		echo "one-cell-format: rollup cells serialize as ColdSchema (ExportStripes / ImportStripes / Offload)"; exit 1; fi
 	@if grep -rnF 'schema.FrameOfColumns(ColdSchema' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/tsdb/tier\.go:' ; then \
 		echo "one-cell-format: build ColdSchema frames with tsdb's cellColumns, not by hand"; exit 1; fi
+
+# One grouping loop in the stream processor: GROUP BY, PIVOT and a job's
+# windows find a row's group through sproc's groupTable (relational.go),
+# and the SQL executor orders rows in one place (a permutation sort, then
+# Frame.Gather). A second group struct, the job's old winGroup, or a second
+# sort call site in sql.go (Frame.SortBy for ascending beside a row-boxing
+# sort for DESC) is a copy of the loop coming back.
+one-grouping:
+	@if grep -n 'winGroup' internal/sproc/*.go | grep -v '_test\.go:' ; then \
+		echo "one-grouping: a job's windows are groupTables, not a winGroup map"; exit 1; fi
+	@n=$$(cat $$(ls internal/sproc/*.go | grep -v '_test\.go$$') | grep -c 'type group struct'); \
+		if [ $$n -ne 1 ]; then \
+		echo "one-grouping: non-test internal/sproc declares $$n 'type group struct', want 1 (relational.go)"; exit 1; fi
+	@n=$$(grep -cE 'SortBy\(|sortByTerms\(|Sort(Stable)?Func\(|sort\.[A-Z][A-Za-z]*\(' internal/sproc/sql.go); \
+		if [ $$n -ne 1 ]; then \
+		grep -nE 'SortBy\(|sortByTerms\(|Sort(Stable)?Func\(|sort\.[A-Z][A-Za-z]*\(' internal/sproc/sql.go; \
+		echo "one-grouping: sql.go sorts through $$n call sites, want 1 (ORDER BY: a permutation sort, then Gather)"; exit 1; fi
 
 # The concurrency-heavy packages get a dedicated race-detector pass: the
 # striped-lock LAKE store, the partitioned STREAM broker, the reader every
@@ -187,7 +206,10 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzColumnarExt -fuzztime 30s ./internal/columnar
 	$(GO) test -run xxx -fuzz FuzzWALReplay -fuzztime 30s ./internal/wal
 
-verify: vet build one-reader one-read-path one-cell-format test bench-smoke race chaos chaos-cluster fuzz-smoke bench-federate bench-serve bench-cq
+# verify rewrites no committed file: the bench-* targets that regenerate
+# BENCH_*.json with this machine's numbers are run by hand, so a green
+# verify leaves `git status` clean.
+verify: vet build one-reader one-read-path one-cell-format one-grouping test bench-smoke race chaos chaos-cluster fuzz-smoke
 
 clean:
 	$(GO) clean ./...

@@ -53,7 +53,7 @@ func main() {
 	}
 
 	g := gateway.New(httpapi.New(f), gateway.Options{
-		Platform: f.Apps, Registry: f.Obs, Slots: f.Lake.ScanSlotCap(),
+		Platform: f.Apps, Registry: f.Obs,
 	})
 	for _, tc := range []gateway.TenantConfig{
 		{Name: "dashboards", Priority: gateway.PriorityInteractive, RatePerSec: 5000, Burst: 20000},

@@ -154,7 +154,7 @@ func main() {
 	var handler http.Handler = api
 	if *withGW {
 		g := gateway.New(handler, gateway.Options{
-			Platform: f.Apps, Registry: f.Obs, Slots: f.Lake.ScanSlotCap(),
+			Platform: f.Apps, Registry: f.Obs,
 		})
 		// Demo tenant mix: interactive dashboards, a batch analytics
 		// project, and an urgent on-call lane. Keys double as docs.

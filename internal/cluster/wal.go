@@ -291,8 +291,7 @@ func (c *Cluster) recoverPartition(n *Node, w *wal.NodeWAL, t *topicState, ps *p
 			break
 		}
 		recs = append(recs, stream.Record{
-			Topic: t.name, Partition: ps.idx, Offset: off,
-			Ts: time.Unix(0, e.Ts).UTC(), Key: e.Key, Value: e.Value,
+			Offset: off, Ts: time.Unix(0, e.Ts).UTC(), Key: e.Key, Value: e.Value,
 		})
 	}
 	if len(recs) == 0 {

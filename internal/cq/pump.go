@@ -105,9 +105,9 @@ func (p *Pump) Metrics() PumpMetrics { return p.metrics }
 // tolerated: the reader skipped that partition without moving its
 // cursor, so the next step resumes exactly where this one left off.
 func (p *Pump) step(ctx context.Context) (int, error) {
-	total, err := p.reader.Poll(ctx, p.cfg.BatchSize, func(t string, _ int, recs []stream.Record) error {
+	total, err := p.reader.Poll(ctx, p.cfg.BatchSize, func(t string, part int, recs []stream.Record) error {
 		p.metrics.Polled += int64(len(recs))
-		p.applyRecords(t, recs)
+		p.applyRecords(t, part, recs)
 		return nil
 	})
 	if err != nil && !resilience.IsTransient(err) {
@@ -124,25 +124,12 @@ func (p *Pump) step(ctx context.Context) (int, error) {
 	return total, nil
 }
 
-// applyRecords splits a poll batch into per-partition runs (fetches are
-// per-partition and in offset order) and fans each run out to the
-// engine.
-func (p *Pump) applyRecords(topic string, recs []stream.Record) {
+// applyRecords decodes one partition's page (in offset order) and fans
+// it out to the engine.
+func (p *Pump) applyRecords(topic string, part int, recs []stream.Record) {
 	run := p.scratch[:0]
-	runPart := -1
-	flush := func() {
-		if len(run) > 0 {
-			p.engine.Apply(topic, runPart, run)
-			p.metrics.Applied += int64(len(run))
-			run = run[:0]
-		}
-	}
 	for i := range recs {
 		r := &recs[i]
-		if r.Partition != runPart {
-			flush()
-			runPart = r.Partition
-		}
 		// Alloc-free decode: the row scratch is reused record to record
 		// and dimension strings come interned, so draining a saturated
 		// broker does not generate GC pressure that would throttle the
@@ -158,7 +145,10 @@ func (p *Pump) applyRecords(topic string, recs []stream.Record) {
 		p.decRow = row[:0]
 		run = append(run, schema.ObservationFromRow(row))
 	}
-	flush()
+	if len(run) > 0 {
+		p.engine.Apply(topic, part, run)
+		p.metrics.Applied += int64(len(run))
+	}
 	p.scratch = run[:0]
 }
 

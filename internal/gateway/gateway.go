@@ -83,8 +83,8 @@ type Options struct {
 	Platform *platform.Platform
 	// Registry receives the oda_gateway_* metric families. Optional.
 	Registry *obs.Registry
-	// Slots bounds concurrently admitted heavy queries. Size it to the
-	// LAKE's scan-slot budget (tsdb.DB.ScanSlotCap); default 16.
+	// Slots bounds concurrently admitted heavy queries; default 16, the
+	// LAKE engine's own scan-slot budget (tsdb.DB.ScanSlotCap).
 	Slots int
 	// MaxQueue bounds admission waiters before shedding (default 4×Slots).
 	MaxQueue int

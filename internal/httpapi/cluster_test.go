@@ -2,16 +2,22 @@ package httpapi
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"odakit/internal/cluster"
 	"odakit/internal/core"
+	"odakit/internal/plane"
+	"odakit/internal/resilience"
+	"odakit/internal/schema"
 	"odakit/internal/stream"
 	"odakit/internal/telemetry"
 	"odakit/internal/tsdb"
@@ -240,4 +246,97 @@ func TestClusterBackedServing(t *testing.T) {
 		t.Fatalf("health after repair = %s", b)
 	}
 	requireIdentical("repaired")
+}
+
+// TestClusterStripeDownIsUnavailable: with two of three RF=2 nodes dead
+// some stripe has no live in-sync replica, so the scatter cannot answer.
+// That is the engine's failure, not the client's: every read route —
+// ad-hoc, top-N, prepared — must say 503 "unavailable" + Retry-After (a
+// dashboard backs off and retries) instead of 400 "bad-request", count it
+// under its category, and answer 200 again once the nodes are back and
+// repaired.
+func TestClusterStripeDownIsUnavailable(t *testing.T) {
+	clustered, c := serveClusteredPlane(t)
+	window := "from=" + url.QueryEscape(t0.Format(time.RFC3339)) + "&to=" + url.QueryEscape(t0.Add(time.Minute).Format(time.RFC3339))
+	shape := "metric=node_power_w&agg=max&granularity=30s&groupby=component&" + window
+	prep := postPrepare(t, clustered.srv.URL, shape)
+	routes := map[string]string{
+		"lake/query":  clustered.srv.URL + "/api/v1/lake/query?" + shape,
+		"lake/topn":   clustered.srv.URL + "/api/v1/lake/topn?metric=node_power_w&n=3&" + window,
+		"query?prep=": clustered.srv.URL + "/api/v1/query?prep=" + prep.Handle,
+	}
+	requireOK := func(when string) {
+		t.Helper()
+		for name, u := range routes {
+			if resp, body := getRaw(t, u); resp.StatusCode != 200 {
+				t.Fatalf("%s: %s = %d: %s", when, name, resp.StatusCode, body)
+			}
+		}
+	}
+	requireOK("full cluster")
+
+	for _, id := range []string{"n2", "n3"} {
+		if err := c.Kill(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, u := range routes {
+		resp, body := getRaw(t, u)
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("X-ODA-Error") != "unavailable" || resp.Header.Get("Retry-After") == "" {
+			t.Fatalf("%s with a stripe down = %d, X-ODA-Error %q, Retry-After %q, body %s; want 503 / unavailable / a Retry-After",
+				name, resp.StatusCode, resp.Header.Get("X-ODA-Error"), resp.Header.Get("Retry-After"), body)
+		}
+	}
+	if _, metrics := getRaw(t, clustered.srv.URL+"/metrics"); !strings.Contains(string(metrics), `oda_http_errors_total{category="unavailable"} 3`) {
+		t.Fatalf("/metrics does not count the three unavailable answers:\n%s", metrics)
+	}
+	for _, id := range []string{"n2", "n3"} {
+		if err := c.Restart(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Repair(); err != nil {
+		t.Fatal(err)
+	}
+	requireOK("repaired")
+	// A query the engine itself calls malformed is still the client's.
+	if resp, _ := getRaw(t, clustered.srv.URL+"/api/v1/lake/query?metric=node_power_w&groupby=nonsense&"+window); resp.StatusCode != http.StatusBadRequest || resp.Header.Get("X-ODA-Error") != "bad-request" {
+		t.Fatalf("unknown group-by dimension = %d / %q, want 400 / bad-request", resp.StatusCode, resp.Header.Get("X-ODA-Error"))
+	}
+}
+
+// failingLake is a query backend whose engine always fails with err.
+type failingLake struct {
+	plane.Lake
+	err error
+}
+
+func (l failingLake) RunWithStats(tsdb.Query) (*schema.Frame, tsdb.QueryStats, error) {
+	return nil, tsdb.QueryStats{}, l.err
+}
+
+// TestQueryErrorCategories pins serveQuery's split of engine failures:
+// malformed → 400, cannot answer right now → 503 + Retry-After, anything
+// else → 500.
+func TestQueryErrorCategories(t *testing.T) {
+	p := servePlane(t, nil)
+	u := p.urls()["lake/query"]
+	for _, tc := range []struct {
+		err      error
+		status   int
+		category string
+	}{
+		{fmt.Errorf("%w: empty time range", tsdb.ErrBadQuery), 400, "bad-request"},
+		{resilience.MarkTransient(errors.New("node n2: link down")), 503, "unavailable"},
+		{fmt.Errorf("%w: bronze/3", cluster.ErrPartitionDown), 503, "unavailable"},
+		{errors.New("objstore: get lake/seg-7: checksum mismatch"), 500, "internal"},
+	} {
+		p.api.SetQueryBackend(failingLake{err: tc.err})
+		resp, body := getRaw(t, u)
+		if resp.StatusCode != tc.status || resp.Header.Get("X-ODA-Error") != tc.category ||
+			(resp.Header.Get("Retry-After") != "") != (tc.status == 503) {
+			t.Fatalf("engine error %q = %d / %q / Retry-After %q (%s), want %d / %q", tc.err, resp.StatusCode,
+				resp.Header.Get("X-ODA-Error"), resp.Header.Get("Retry-After"), body, tc.status, tc.category)
+		}
+	}
 }

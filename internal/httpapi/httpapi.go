@@ -33,8 +33,9 @@
 // # Response headers
 //
 // Every error response carries X-ODA-Error with a machine-readable
-// category — "bad-request", "not-found", "overloaded", or (behind the
-// gateway) "quota" — and every 503 carries Retry-After. Query responses
+// category — "bad-request", "not-found", "overloaded", "unavailable",
+// "internal", or (behind the gateway) "quota" — and every 503 carries
+// Retry-After. Query responses
 // (lake/query, query?prep= and lake/topn alike — see serveQuery) carry
 // the X-ODA-Query-* engine-cost headers and X-ODA-Stale marks a degraded
 // (stale-cache) answer. /metrics serves the facility registry
@@ -50,6 +51,7 @@ package httpapi
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -62,6 +64,7 @@ import (
 	"odakit/internal/logsearch"
 	"odakit/internal/obs"
 	"odakit/internal/plane"
+	"odakit/internal/resilience"
 	"odakit/internal/schema"
 	"odakit/internal/tsdb"
 )
@@ -189,8 +192,8 @@ type apiError struct {
 
 // writeError writes a JSON error with the documented headers: X-ODA-Error
 // carries the machine-readable category ("bad-request", "not-found",
-// "overloaded"), and every 503 carries Retry-After so clients back off
-// instead of hammering a saturated lake.
+// "overloaded", "unavailable", "internal"), and every 503 carries
+// Retry-After so clients back off instead of hammering a saturated lake.
 func (s *Server) writeError(w http.ResponseWriter, status int, category, msg string) {
 	w.Header().Set("X-ODA-Error", category)
 	if status == http.StatusServiceUnavailable {
@@ -265,7 +268,11 @@ func (s *Server) pipelines(w http.ResponseWriter, r *http.Request) {
 // result for the same shape exists (X-ODA-Stale: true) and shed with 503 +
 // Retry-After otherwise; else it runs, the engine-cost headers go on, and
 // emit writes the body. Metering, shedding and caching reach a route by
-// its calling this, not by remembering to.
+// its calling this, not by remembering to. So does the error split: only
+// a query the engine calls malformed (tsdb.ErrBadQuery) is a 400; data the
+// engine cannot reach right now (a transient fault, a stripe or partition
+// with no live replica) is 503 "unavailable" + Retry-After — a retry may
+// succeed — and any other engine failure is 500 "internal".
 func (s *Server) serveQuery(w http.ResponseWriter, query tsdb.Query, emit func(*schema.Frame)) {
 	if s.isOverloaded() {
 		if e, ok := s.backend.(lakeEngine); ok {
@@ -282,7 +289,14 @@ func (s *Server) serveQuery(w http.ResponseWriter, query tsdb.Query, emit func(*
 	}
 	frame, stats, err := s.backend.RunWithStats(query)
 	if err != nil {
-		s.badRequest(w, err.Error())
+		status, category := http.StatusInternalServerError, "internal"
+		switch {
+		case errors.Is(err, tsdb.ErrBadQuery):
+			status, category = http.StatusBadRequest, "bad-request"
+		case resilience.IsTransient(err), errors.Is(err, cluster.ErrStripeDown), errors.Is(err, cluster.ErrPartitionDown):
+			status, category = http.StatusServiceUnavailable, "unavailable"
+		}
+		s.writeError(w, status, category, err.Error())
 		return
 	}
 	writeQueryStatHeaders(w, stats)

@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 
 	"odakit/internal/atomicfile"
 	"odakit/internal/schema"
@@ -22,13 +24,34 @@ import (
 // codebase (tsdb rollup, OCEAN object keyed by window) are idempotent.
 
 type ckptAggState struct {
-	Count  int64   `json:"c"`
-	Sum    float64 `json:"s"`
-	Min    float64 `json:"mn"`
-	Max    float64 `json:"mx"`
-	First  float64 `json:"f"`
-	Last   float64 `json:"l"`
-	HasVal bool    `json:"h"`
+	Count  int64     `json:"c"`
+	Sum    ckptFloat `json:"s"`
+	Min    ckptFloat `json:"mn"`
+	Max    ckptFloat `json:"mx"`
+	First  ckptFloat `json:"f"`
+	Last   ckptFloat `json:"l"`
+	HasVal bool      `json:"h"`
+}
+
+// ckptFloat is a float64 that survives JSON when it is not finite: one
+// ±Inf observation in an open window (or the NaN an Inf − Inf sum leaves)
+// must not make every later checkpoint fail to marshal. Finite values are
+// written exactly as a plain float64 is, so the file format did not move.
+type ckptFloat float64
+
+func (f ckptFloat) MarshalJSON() ([]byte, error) {
+	if v := float64(f); math.IsInf(v, 0) || math.IsNaN(v) {
+		return strconv.AppendQuote(nil, strconv.FormatFloat(v, 'g', -1, 64)), nil
+	}
+	return json.Marshal(float64(f))
+}
+
+// UnmarshalJSON reads either form: a JSON number is a float literal
+// ParseFloat accepts, and so are the three quoted names.
+func (f *ckptFloat) UnmarshalJSON(data []byte) error {
+	v, err := strconv.ParseFloat(strings.Trim(string(data), `"`), 64)
+	*f = ckptFloat(v)
+	return err
 }
 
 type ckptGroup struct {
@@ -68,14 +91,14 @@ func (j *Job) checkpoint() error {
 	for p, wm := range j.partWM {
 		ck.PartWM[strconv.Itoa(p)] = wm
 	}
-	for wStart, groups := range j.winState {
+	for wStart, t := range j.winState {
 		w := ckptWindow{Start: wStart}
-		for k, g := range groups {
-			cg := ckptGroup{Key: base64.StdEncoding.EncodeToString([]byte(k))}
+		for _, g := range t.order {
+			cg := ckptGroup{Key: base64.StdEncoding.EncodeToString([]byte(g.kb))}
 			for _, s := range g.states {
 				cg.States = append(cg.States, ckptAggState{
-					Count: s.count, Sum: s.sum, Min: s.min, Max: s.max,
-					First: s.first, Last: s.last, HasVal: s.hasVal,
+					Count: s.count, Sum: ckptFloat(s.sum), Min: ckptFloat(s.min), Max: ckptFloat(s.max),
+					First: ckptFloat(s.first), Last: ckptFloat(s.last), HasVal: s.hasVal,
 				})
 			}
 			w.Groups = append(w.Groups, cg)
@@ -133,9 +156,9 @@ func (j *Job) restore() error {
 		j.partWM[pi] = wm
 	}
 	j.emitted = ck.Emitted
-	j.winState = make(map[int64]map[string]*winGroup, len(ck.Windows))
+	j.winState = make(map[int64]*groupTable, len(ck.Windows))
 	for _, w := range ck.Windows {
-		groups := make(map[string]*winGroup, len(w.Groups))
+		t := newGroupTable(j.plan.keyIdx, len(j.plan.aggIdx))
 		for _, cg := range w.Groups {
 			kb, err := base64.StdEncoding.DecodeString(cg.Key)
 			if err != nil {
@@ -153,16 +176,16 @@ func (j *Job) restore() error {
 				key = append(key, row...)
 				rest = rest[n:]
 			}
-			g := &winGroup{key: key}
-			for _, s := range cg.States {
-				g.states = append(g.states, aggState{
-					count: s.Count, sum: s.Sum, min: s.Min, max: s.Max,
-					first: s.First, last: s.Last, hasVal: s.HasVal,
-				})
+			states := make([]aggState, len(cg.States))
+			for i, s := range cg.States {
+				states[i] = aggState{
+					count: s.Count, sum: float64(s.Sum), min: float64(s.Min), max: float64(s.Max),
+					first: float64(s.First), last: float64(s.Last), hasVal: s.HasVal,
+				}
 			}
-			groups[string(kb)] = g
+			t.insert(string(kb), key, states)
 		}
-		j.winState[w.Start] = groups
+		j.winState[w.Start] = t
 	}
 	j.metrics.Recovered = true
 	return nil

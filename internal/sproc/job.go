@@ -4,7 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -12,7 +12,6 @@ import (
 	"odakit/internal/plane"
 	"odakit/internal/resilience"
 	"odakit/internal/schema"
-	"odakit/internal/stream"
 )
 
 // JobConfig configures a streaming job.
@@ -109,8 +108,12 @@ type Job struct {
 	mu      sync.Mutex
 	metrics Metrics
 
-	// window state
-	winState map[int64]map[string]*winGroup // windowStart -> encodedKey -> group
+	// window state: windowStart -> the groups of that window. The column
+	// positions and the hop are resolved once, in start.
+	winState map[int64]*groupTable
+	plan     groupPlan
+	tIdx     int
+	slide    time.Duration
 	// partWM tracks the max event time seen per broker partition; the
 	// effective watermark is the minimum across partitions, so a fast
 	// partition cannot close windows other partitions still feed. A
@@ -123,11 +126,6 @@ type Job struct {
 	reader  *plane.Reader
 	outSch  *schema.Schema
 	breaker *resilience.Breaker
-}
-
-type winGroup struct {
-	key    schema.Row
-	states []aggState
 }
 
 // NewJob returns a job reading the configured topic of a data plane's
@@ -147,7 +145,7 @@ func NewJob(s plane.Stream, cfg JobConfig) (*Job, error) {
 	}
 	j := &Job{
 		stream: s, cfg: cfg,
-		winState: make(map[int64]map[string]*winGroup),
+		winState: make(map[int64]*groupTable),
 		partWM:   make(map[int]int64),
 		emitted:  -1 << 62,
 	}
@@ -228,24 +226,32 @@ func (j *Job) withRetry(ctx context.Context, fn func() error) error {
 	return resilience.Retry(ctx, p, fn)
 }
 
-// windowOutSchema is ts (window start), keys..., then agg columns.
-func (j *Job) windowOutSchema() (*schema.Schema, error) {
-	in := j.cfg.InputSchema
-	fields := []schema.Field{{Name: "window", Kind: schema.KindTime}}
-	for _, k := range j.window.Keys {
-		i, ok := in.Index(k)
-		if !ok {
-			return nil, fmt.Errorf("%w: window key %q not in input schema", ErrPlan, k)
-		}
-		fields = append(fields, schema.Field{Name: k, Kind: in.Field(i).Kind})
+// resolveWindow resolves the window spec against the input schema, once
+// per incarnation: the time column, the group-by plan every record is
+// folded by, and the output schema — window start, keys..., then agg
+// columns.
+func (j *Job) resolveWindow() error {
+	spec, in := j.window, j.cfg.InputSchema
+	if spec.TimeCol == "" || spec.Window <= 0 || len(spec.Aggs) == 0 {
+		return fmt.Errorf("%w: incomplete window spec", ErrPlan)
 	}
-	for _, a := range j.window.Aggs {
-		if !in.Has(a.Col) {
-			return nil, fmt.Errorf("%w: agg column %q not in input schema", ErrPlan, a.Col)
-		}
-		fields = append(fields, schema.Field{Name: a.outName(), Kind: a.outKind()})
+	if spec.Slide < 0 || spec.Slide > spec.Window {
+		return fmt.Errorf("%w: slide must be in (0, window]", ErrPlan)
 	}
-	return schema.New(fields...), nil
+	tIdx, ok := in.Index(spec.TimeCol)
+	if !ok {
+		return fmt.Errorf("%w: no time column %q", ErrPlan, spec.TimeCol)
+	}
+	plan, err := resolvePlan(in, spec.Keys, spec.Aggs)
+	if err != nil {
+		return err
+	}
+	j.tIdx, j.plan, j.slide = tIdx, plan, spec.Slide
+	if j.slide == 0 {
+		j.slide = spec.Window
+	}
+	j.outSch = schema.New(append([]schema.Field{{Name: "window", Kind: schema.KindTime}}, plan.fields...)...)
+	return nil
 }
 
 func (j *Job) start() error {
@@ -253,20 +259,9 @@ func (j *Job) start() error {
 		return fmt.Errorf("%w: job %s has no sink", ErrPlan, j.cfg.Name)
 	}
 	if j.window != nil {
-		if j.window.TimeCol == "" || j.window.Window <= 0 || len(j.window.Aggs) == 0 {
-			return fmt.Errorf("%w: incomplete window spec", ErrPlan)
-		}
-		if j.window.Slide < 0 || j.window.Slide > j.window.Window {
-			return fmt.Errorf("%w: slide must be in (0, window]", ErrPlan)
-		}
-		if _, ok := j.cfg.InputSchema.Index(j.window.TimeCol); !ok {
-			return fmt.Errorf("%w: no time column %q", ErrPlan, j.window.TimeCol)
-		}
-		sch, err := j.windowOutSchema()
-		if err != nil {
+		if err := j.resolveWindow(); err != nil {
 			return err
 		}
-		j.outSch = sch
 	}
 	r, err := plane.NewReader(j.stream, j.cfg.Topic)
 	if err != nil {
@@ -338,18 +333,16 @@ func (j *Job) Drain(ctx context.Context) error {
 // were, so the checkpoint a graceful stop writes never covers a record
 // that was fetched but not processed.
 func (j *Job) step(ctx context.Context) error {
-	var recs []stream.Record
+	var pages []plane.Page
 	for idleSince := time.Now(); ; {
-		pages, err := j.reader.Collect(ctx, j.cfg.BatchSize, func(pass func() error) error {
+		var err error
+		pages, err = j.reader.Collect(ctx, j.cfg.BatchSize, func(pass func() error) error {
 			return j.withRetry(ctx, pass)
 		})
 		if err != nil {
 			return err
 		}
-		for _, pg := range pages {
-			recs = append(recs, pg.Recs...)
-		}
-		if len(recs) > 0 {
+		if len(pages) > 0 {
 			break
 		}
 		if time.Since(idleSince) >= j.cfg.PollWait {
@@ -372,54 +365,61 @@ func (j *Job) step(ctx context.Context) error {
 	ctx, sp := obs.StartSpan(ctx, "silver.microbatch")
 	defer sp.End()
 	sp.Annotate("topic", "%s", j.cfg.Topic)
-	sp.Annotate("records", "%d", len(recs))
 
-	batch := schema.NewFrame(j.cfg.InputSchema)
-	var tIdx int
-	if j.window != nil {
-		tIdx = j.cfg.InputSchema.MustIndex(j.window.TimeCol)
+	// A windowed job folds each row into its windows where it is decoded;
+	// only an unwindowed job, whose batch is the deliverable, builds a frame.
+	var batch *schema.Frame
+	if j.window == nil {
+		batch = schema.NewFrame(j.cfg.InputSchema)
 	}
 	var dead []DeadRecord // poison records, quarantined outside j.mu
-	var invalid int64
 	j.mu.Lock()
-	for _, r := range recs {
-		j.metrics.RecordsIn++
-		row, _, derr := schema.DecodeRow(r.Value)
-		if derr == nil {
-			derr = row.Conforms(j.cfg.InputSchema)
-		}
-		if derr != nil {
-			j.metrics.RecordsInvalid++
-			invalid++
-			if j.cfg.DeadLetter {
-				dead = append(dead, DeadRecord{
-					Topic: r.Topic, Partition: r.Partition, Offset: r.Offset,
-					Ts: r.Ts, Reason: derr.Error(), Payload: r.Value,
-				})
+	before := j.metrics
+	for _, pg := range pages {
+		for i := range pg.Recs {
+			r := &pg.Recs[i]
+			j.metrics.RecordsIn++
+			row, _, derr := schema.DecodeRow(r.Value)
+			if derr == nil {
+				derr = row.Conforms(j.cfg.InputSchema)
 			}
-			continue
-		}
-		// Every valid record advances its partition's watermark, even if
-		// the filter later discards it.
-		if j.window != nil && !row[tIdx].IsNull() {
-			if ev := row[tIdx].UnixNanos(); ev > j.partWM[r.Partition] {
-				j.partWM[r.Partition] = ev
+			if derr != nil {
+				j.metrics.RecordsInvalid++
+				if j.cfg.DeadLetter {
+					dead = append(dead, DeadRecord{
+						Topic: pg.Topic, Partition: pg.Part, Offset: r.Offset,
+						Ts: r.Ts, Reason: derr.Error(), Payload: r.Value,
+					})
+				}
+				continue
 			}
-			j.partSeen[r.Partition] = time.Now()
-		}
-		if j.pred != nil && !j.pred(row) {
-			continue
-		}
-		if aerr := batch.AppendRow(row); aerr != nil {
-			j.mu.Unlock()
-			return aerr
+			// Every valid record advances its partition's watermark, even if
+			// the filter later discards it.
+			if j.window != nil && !row[j.tIdx].IsNull() {
+				if ev := row[j.tIdx].UnixNanos(); ev > j.partWM[pg.Part] {
+					j.partWM[pg.Part] = ev
+				}
+				j.partSeen[pg.Part] = time.Now()
+			}
+			if j.pred != nil && !j.pred(row) {
+				continue
+			}
+			if j.window != nil {
+				j.foldLocked(row)
+			} else if aerr := batch.AppendRow(row); aerr != nil {
+				j.mu.Unlock()
+				return aerr
+			}
 		}
 	}
 	j.metrics.Batches++
+	after := j.metrics
 	j.mu.Unlock()
+	sp.Annotate("records", "%d", after.RecordsIn-before.RecordsIn)
 	if ins := j.cfg.Instr; ins != nil {
-		ins.RecordsIn.Add(int64(len(recs)))
-		ins.RecordsInvalid.Add(invalid)
+		ins.RecordsIn.Add(after.RecordsIn - before.RecordsIn)
+		ins.RecordsInvalid.Add(after.RecordsInvalid - before.RecordsInvalid)
+		ins.RecordsLate.Add(after.RecordsLate - before.RecordsLate)
 		ins.Batches.Inc()
 	}
 
@@ -442,7 +442,6 @@ func (j *Job) step(ctx context.Context) error {
 	}
 
 	if j.window != nil {
-		j.absorb(batch)
 		if err := j.flushWindows(ctx, false); err != nil {
 			return err
 		}
@@ -454,78 +453,31 @@ func (j *Job) step(ctx context.Context) error {
 	return j.checkpoint()
 }
 
-// absorb folds a batch into window state and advances the watermark.
-func (j *Job) absorb(batch *schema.Frame) {
-	spec := j.window
-	in := j.cfg.InputSchema
-	tIdx := in.MustIndex(spec.TimeCol)
-	keyIdx := make([]int, len(spec.Keys))
-	for i, k := range spec.Keys {
-		keyIdx[i] = in.MustIndex(k)
+// foldLocked folds one decoded, filtered row into every window it belongs
+// to: those whose start lies in (ts - Window, ts], stepping by the slide —
+// exactly one for tumbling windows. The caller holds j.mu.
+func (j *Job) foldLocked(row schema.Row) {
+	ts := row[j.tIdx]
+	if ts.IsNull() {
+		j.metrics.RecordsInvalid++
+		return
 	}
-	aggIdx := make([]int, len(spec.Aggs))
-	for i, a := range spec.Aggs {
-		aggIdx[i] = in.MustIndex(a.Col)
+	latest := TumbleTime(ts.TimeVal(), j.slide).UnixNano()
+	if latest <= j.emitted {
+		j.metrics.RecordsLate++
+		return
 	}
-
-	slide := spec.Slide
-	if slide <= 0 {
-		slide = spec.Window
-	}
-	var late, nullTS int64
-	if ins := j.cfg.Instr; ins != nil {
-		defer func() {
-			ins.RecordsLate.Add(late)
-			ins.RecordsInvalid.Add(nullTS)
-		}()
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var kb []byte
-	for r := 0; r < batch.Len(); r++ {
-		row := batch.Row(r)
-		ts := row[tIdx]
-		if ts.IsNull() {
-			j.metrics.RecordsInvalid++
-			nullTS++
-			continue
+	oldest := ts.UnixNanos() - int64(j.window.Window)
+	for wStart := latest; wStart > oldest; wStart -= int64(j.slide) {
+		if wStart <= j.emitted {
+			break // older overlapping windows already closed
 		}
-		// The record belongs to every window whose start lies in
-		// (ts - Window, ts], stepping by slide. For tumbling windows this
-		// is exactly one window.
-		evNanos := ts.UnixNanos()
-		latest := TumbleTime(ts.TimeVal(), slide).UnixNano()
-		if latest <= j.emitted {
-			j.metrics.RecordsLate++
-			late++
-			continue
+		t, ok := j.winState[wStart]
+		if !ok {
+			t = newGroupTable(j.plan.keyIdx, len(j.plan.aggIdx))
+			j.winState[wStart] = t
 		}
-		kb = kb[:0]
-		for _, ki := range keyIdx {
-			kb = schema.AppendRow(kb, schema.Row{row[ki]})
-		}
-		for wStart := latest; wStart > evNanos-int64(spec.Window); wStart -= int64(slide) {
-			if wStart <= j.emitted {
-				break // older overlapping windows already closed
-			}
-			groups, ok := j.winState[wStart]
-			if !ok {
-				groups = make(map[string]*winGroup)
-				j.winState[wStart] = groups
-			}
-			g, ok := groups[string(kb)]
-			if !ok {
-				key := make(schema.Row, len(keyIdx))
-				for i, ki := range keyIdx {
-					key[i] = row[ki]
-				}
-				g = &winGroup{key: key, states: make([]aggState, len(spec.Aggs))}
-				groups[string(kb)] = g
-			}
-			for i, ai := range aggIdx {
-				g.states[i].add(row[ai])
-			}
-		}
+		t.at(row).fold(row, j.plan.aggIdx)
 	}
 }
 
@@ -581,27 +533,13 @@ func (j *Job) flushWindows(ctx context.Context, force bool) error {
 			due = append(due, wStart)
 		}
 	}
-	sort.Slice(due, func(i, k int) bool { return due[i] < due[k] })
+	slices.Sort(due)
 	frames := make([]*schema.Frame, 0, len(due))
 	for _, wStart := range due {
-		groups := j.winState[wStart]
-		keys := make([]string, 0, len(groups))
-		for k := range groups {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
 		f := schema.NewFrame(j.outSch)
-		for _, k := range keys {
-			g := groups[k]
-			row := schema.Row{schema.TimeNanos(wStart)}
-			row = append(row, g.key...)
-			for i, a := range spec.Aggs {
-				row = append(row, g.states[i].value(a.Kind))
-			}
-			if err := f.AppendRow(row); err != nil {
-				j.mu.Unlock()
-				return err
-			}
+		if err := emitGroups(f, j.winState[wStart].byKeyBytes(), j.plan.kinds, schema.TimeNanos(wStart)); err != nil {
+			j.mu.Unlock()
+			return err
 		}
 		frames = append(frames, f)
 		delete(j.winState, wStart)

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -170,6 +171,148 @@ func Where(f *schema.Frame, pred func(schema.Row) bool) *schema.Frame {
 	return f.Filter(pred)
 }
 
+// group is one grouping cell: the key column values its rows share and one
+// aggState per aggregate (per pivot position under Pivot).
+type group struct {
+	kb     string // codec bytes of the key columns: the table's map key
+	key    schema.Row
+	states []aggState
+}
+
+// fold feeds row's aggregate columns to the group's states, position by
+// position.
+func (g *group) fold(row schema.Row, aggIdx []int) {
+	for i, ai := range aggIdx {
+		g.states[i].add(row[ai])
+	}
+}
+
+// groupTable is how rows become groups — the one grouping loop behind
+// GroupBy, Pivot and a streaming job's windows. A row's group is found by
+// the codec bytes of its key columns (each encoded as a one-value row, the
+// form a job checkpoint stores).
+type groupTable struct {
+	keyIdx  []int
+	nstates int
+	groups  map[string]*group
+	order   []*group // insertion order
+	kb      []byte   // key encoding scratch
+}
+
+func newGroupTable(keyIdx []int, nstates int) *groupTable {
+	return &groupTable{keyIdx: keyIdx, nstates: nstates, groups: make(map[string]*group)}
+}
+
+// at finds or creates the group of row's key columns.
+func (t *groupTable) at(row schema.Row) *group {
+	t.kb = appendKey(t.kb[:0], row, t.keyIdx)
+	g, ok := t.groups[string(t.kb)]
+	if !ok {
+		key := make(schema.Row, len(t.keyIdx))
+		for i, ki := range t.keyIdx {
+			key[i] = row[ki]
+		}
+		g = t.insert(string(t.kb), key, make([]aggState, t.nstates))
+	}
+	return g
+}
+
+// appendKey appends the codec bytes of row's idx columns, each encoded as
+// a one-value row: what "equal keys" means to GROUP BY, PIVOT, the windows
+// (whose checkpoints store these bytes) and JOIN.
+func appendKey(buf []byte, row schema.Row, idx []int) []byte {
+	for _, i := range idx {
+		buf = schema.AppendRow(buf, schema.Row{row[i]})
+	}
+	return buf
+}
+
+func (t *groupTable) insert(kb string, key schema.Row, states []aggState) *group {
+	g := &group{kb: kb, key: key, states: states}
+	t.groups[kb] = g
+	t.order = append(t.order, g)
+	return g
+}
+
+// sorted returns the groups ordered by key values, first-seen first among
+// keys that compare equal.
+func (t *groupTable) sorted() []*group {
+	slices.SortStableFunc(t.order, func(a, b *group) int {
+		for c := range a.key {
+			if cmp := a.key[c].Compare(b.key[c]); cmp != 0 {
+				return cmp
+			}
+		}
+		return 0
+	})
+	return t.order
+}
+
+// byKeyBytes returns the groups in the byte order of their encoded keys —
+// the order a job's windows have always left in.
+func (t *groupTable) byKeyBytes() []*group {
+	slices.SortFunc(t.order, func(a, b *group) int { return strings.Compare(a.kb, b.kb) })
+	return t.order
+}
+
+// emitGroups appends one row per group to out: the lead values, the
+// group's key, then each state's value under the aggregation at its
+// position.
+func emitGroups(out *schema.Frame, gs []*group, kinds []AggKind, lead ...schema.Value) error {
+	var row schema.Row
+	for _, g := range gs {
+		row = append(append(row[:0], lead...), g.key...)
+		for i, k := range kinds {
+			row = append(row, g.states[i].value(k))
+		}
+		if err := out.AppendRow(row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// keyColumns resolves group-by key names to their positions in sch and the
+// output fields that carry them (original kinds).
+func keyColumns(sch *schema.Schema, keys []string) ([]int, []schema.Field, error) {
+	idx := make([]int, len(keys))
+	fields := make([]schema.Field, len(keys))
+	for i, k := range keys {
+		j, ok := sch.Index(k)
+		if !ok {
+			return nil, nil, fmt.Errorf("%w: no key column %q", ErrPlan, k)
+		}
+		idx[i], fields[i] = j, schema.Field{Name: k, Kind: sch.Field(j).Kind}
+	}
+	return idx, fields, nil
+}
+
+// groupPlan is a grouping resolved against an input schema: where the key
+// and aggregate columns sit, each aggregate's kind, and the output fields
+// — the keys in their original kinds, then one column per aggregate.
+type groupPlan struct {
+	keyIdx, aggIdx []int
+	kinds          []AggKind
+	fields         []schema.Field
+}
+
+func resolvePlan(sch *schema.Schema, keys []string, aggs []Agg) (groupPlan, error) {
+	keyIdx, fields, err := keyColumns(sch, keys)
+	if err != nil {
+		return groupPlan{}, err
+	}
+	p := groupPlan{keyIdx: keyIdx, fields: fields, aggIdx: make([]int, len(aggs)), kinds: make([]AggKind, len(aggs))}
+	for i, a := range aggs {
+		j, ok := sch.Index(a.Col)
+		if !ok {
+			return p, fmt.Errorf("%w: no aggregation column %q", ErrPlan, a.Col)
+		}
+		p.aggIdx[i], p.kinds[i] = j, a.Kind
+		p.fields = append(p.fields, schema.Field{Name: a.outName(), Kind: a.outKind()})
+	}
+	return p, nil
+}
+
 // GroupBy aggregates f by the key columns (SQL GROUP BY). Output schema is
 // the keys (original kinds) followed by one column per agg. Row order is
 // deterministic: sorted by key values.
@@ -177,93 +320,23 @@ func GroupBy(f *schema.Frame, keys []string, aggs []Agg) (*schema.Frame, error) 
 	if len(aggs) == 0 {
 		return nil, fmt.Errorf("%w: group-by needs at least one aggregation", ErrPlan)
 	}
-	sch := f.Schema()
-	keyIdx := make([]int, len(keys))
-	for i, k := range keys {
-		j, ok := sch.Index(k)
-		if !ok {
-			return nil, fmt.Errorf("%w: no key column %q", ErrPlan, k)
-		}
-		keyIdx[i] = j
+	p, err := resolvePlan(f.Schema(), keys, aggs)
+	if err != nil {
+		return nil, err
 	}
-	aggIdx := make([]int, len(aggs))
-	for i, a := range aggs {
-		j, ok := sch.Index(a.Col)
-		if !ok {
-			return nil, fmt.Errorf("%w: no aggregation column %q", ErrPlan, a.Col)
-		}
-		aggIdx[i] = j
-	}
-
-	type group struct {
-		key    schema.Row
-		states []aggState
-	}
-	groups := make(map[string]*group)
-	var order []string
-	var kb []byte
+	t := newGroupTable(p.keyIdx, len(aggs))
 	for r := 0; r < f.Len(); r++ {
 		row := f.Row(r)
-		kb = kb[:0]
-		for _, ki := range keyIdx {
-			kb = schema.AppendRow(kb, schema.Row{row[ki]})
-		}
-		ks := string(kb)
-		g, ok := groups[ks]
-		if !ok {
-			key := make(schema.Row, len(keyIdx))
-			for i, ki := range keyIdx {
-				key[i] = row[ki]
-			}
-			g = &group{key: key, states: make([]aggState, len(aggs))}
-			groups[ks] = g
-			order = append(order, ks)
-		}
-		for i, ai := range aggIdx {
-			g.states[i].add(row[ai])
-		}
+		t.at(row).fold(row, p.aggIdx)
 	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := groups[order[i]].key, groups[order[j]].key
-		for c := range a {
-			if cmp := a[c].Compare(b[c]); cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
-	})
-
-	fields := make([]schema.Field, 0, len(keys)+len(aggs))
-	for i, k := range keys {
-		fields = append(fields, schema.Field{Name: k, Kind: sch.Field(keyIdx[i]).Kind})
+	gs := t.sorted()
+	if len(keys) == 0 && len(gs) == 0 {
+		// SQL semantics: a global aggregate (no keys) over an empty input
+		// still yields one row — count 0, other aggregates null.
+		gs = []*group{{states: make([]aggState, len(aggs))}}
 	}
-	for _, a := range aggs {
-		fields = append(fields, schema.Field{Name: a.outName(), Kind: a.outKind()})
-	}
-	out := schema.NewFrame(schema.New(fields...))
-	for _, ks := range order {
-		g := groups[ks]
-		row := append(schema.Row(nil), g.key...)
-		for i, a := range aggs {
-			row = append(row, g.states[i].value(a.Kind))
-		}
-		if err := out.AppendRow(row); err != nil {
-			return nil, err
-		}
-	}
-	// SQL semantics: a global aggregate (no keys) over an empty input
-	// still yields one row — count 0, other aggregates null.
-	if len(keys) == 0 && len(order) == 0 {
-		row := make(schema.Row, 0, len(aggs))
-		var empty aggState
-		for _, a := range aggs {
-			row = append(row, empty.value(a.Kind))
-		}
-		if err := out.AppendRow(row); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	out := schema.NewFrame(schema.New(p.fields...))
+	return out, emitGroups(out, gs, p.kinds)
 }
 
 // Pivot turns long-format rows into wide format (the §V-A Bronze→Silver
@@ -283,96 +356,41 @@ func Pivot(f *schema.Frame, keys []string, pivotCol, valueCol string, agg AggKin
 	if !ok {
 		return nil, fmt.Errorf("%w: no value column %q", ErrPlan, valueCol)
 	}
-	keyIdx := make([]int, len(keys))
-	for i, k := range keys {
-		j, ok := sch.Index(k)
-		if !ok {
-			return nil, fmt.Errorf("%w: no key column %q", ErrPlan, k)
-		}
-		keyIdx[i] = j
+	keyIdx, fields, err := keyColumns(sch, keys)
+	if err != nil {
+		return nil, err
 	}
 
 	// Discover pivot values.
-	valSet := map[string]bool{}
-	for r := 0; r < f.Len(); r++ {
-		v := f.Col(pIdx).Value(r)
-		if !v.IsNull() {
-			valSet[v.StrVal()] = true
+	pivotPos := map[string]int{}
+	pcol := f.Col(pIdx)
+	for r, s := range pcol.Strs() {
+		if !pcol.IsNull(r) {
+			pivotPos[s] = 0
 		}
 	}
-	pivots := make([]string, 0, len(valSet))
-	for v := range valSet {
+	pivots := make([]string, 0, len(pivotPos))
+	for v := range pivotPos {
 		pivots = append(pivots, v)
 	}
 	sort.Strings(pivots)
-	pivotPos := make(map[string]int, len(pivots))
+	kinds := make([]AggKind, len(pivots))
 	for i, v := range pivots {
-		pivotPos[v] = i
+		pivotPos[v], kinds[i] = i, agg
+		fields = append(fields, schema.Field{Name: v, Kind: Agg{Kind: agg}.outKind()})
 	}
 
-	type group struct {
-		key    schema.Row
-		states []aggState
-	}
-	groups := make(map[string]*group)
-	var order []string
-	var kb []byte
+	// A group's states are indexed by pivot position.
+	t := newGroupTable(keyIdx, len(pivots))
 	for r := 0; r < f.Len(); r++ {
 		row := f.Row(r)
-		kb = kb[:0]
-		for _, ki := range keyIdx {
-			kb = schema.AppendRow(kb, schema.Row{row[ki]})
+		g := t.at(row)
+		if pv := row[pIdx]; !pv.IsNull() {
+			g.states[pivotPos[pv.StrVal()]].add(row[vIdx])
 		}
-		ks := string(kb)
-		g, ok := groups[ks]
-		if !ok {
-			key := make(schema.Row, len(keyIdx))
-			for i, ki := range keyIdx {
-				key[i] = row[ki]
-			}
-			g = &group{key: key, states: make([]aggState, len(pivots))}
-			groups[ks] = g
-			order = append(order, ks)
-		}
-		pv := row[pIdx]
-		if pv.IsNull() {
-			continue
-		}
-		g.states[pivotPos[pv.StrVal()]].add(row[vIdx])
-	}
-	sort.Slice(order, func(i, j int) bool {
-		a, b := groups[order[i]].key, groups[order[j]].key
-		for c := range a {
-			if cmp := a[c].Compare(b[c]); cmp != 0 {
-				return cmp < 0
-			}
-		}
-		return false
-	})
-
-	fields := make([]schema.Field, 0, len(keys)+len(pivots))
-	for i, k := range keys {
-		fields = append(fields, schema.Field{Name: k, Kind: sch.Field(keyIdx[i]).Kind})
-	}
-	for _, p := range pivots {
-		kind := schema.KindFloat
-		if agg == AggCount {
-			kind = schema.KindInt
-		}
-		fields = append(fields, schema.Field{Name: p, Kind: kind})
 	}
 	out := schema.NewFrame(schema.New(fields...))
-	for _, ks := range order {
-		g := groups[ks]
-		row := append(schema.Row(nil), g.key...)
-		for i := range pivots {
-			row = append(row, g.states[i].value(agg))
-		}
-		if err := out.AppendRow(row); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
+	return out, emitGroups(out, t.sorted(), kinds)
 }
 
 // JoinType selects join semantics.
@@ -436,20 +454,14 @@ func Join(left, right *schema.Frame, leftOn, rightOn []string, how JoinType, rig
 	var kb []byte
 	for r := 0; r < right.Len(); r++ {
 		row := right.Row(r)
-		kb = kb[:0]
-		for _, ri := range rIdx {
-			kb = schema.AppendRow(kb, schema.Row{row[ri]})
-		}
+		kb = appendKey(kb[:0], row, rIdx)
 		table[string(kb)] = append(table[string(kb)], row)
 	}
 
 	out := schema.NewFrame(outSchema)
 	for l := 0; l < left.Len(); l++ {
 		lrow := left.Row(l)
-		kb = kb[:0]
-		for _, li := range lIdx {
-			kb = schema.AppendRow(kb, schema.Row{lrow[li]})
-		}
+		kb = appendKey(kb[:0], lrow, lIdx)
 		matches := table[string(kb)]
 		if len(matches) == 0 {
 			if how == LeftJoin {

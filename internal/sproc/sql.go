@@ -2,7 +2,7 @@ package sproc
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -487,87 +487,58 @@ func Query(f *schema.Frame, sql string) (*schema.Frame, error) {
 			return nil, fmt.Errorf("%w: %v", ErrPlan, err)
 		}
 		if len(renames) > 0 {
+			// A rename is a new schema over the same columns.
 			fields := out.Schema().Fields()
+			cols := make([]*schema.Column, len(fields))
 			for i := range fields {
 				if as, ok := renames[fields[i].Name]; ok {
 					fields[i].Name = as
 				}
+				cols[i] = out.Col(i)
 			}
-			renamed := schema.NewFrame(schema.New(fields...))
-			for r := 0; r < out.Len(); r++ {
-				if err := renamed.AppendRow(out.Row(r)); err != nil {
-					return nil, err
-				}
+			if out, err = schema.FrameOfColumns(schema.New(fields...), cols); err != nil {
+				return nil, err
 			}
-			out = renamed
 		}
 		cur = out
 	}
 
-	// ORDER BY.
+	// ORDER BY: one stable permutation sort over the key columns, then one
+	// gather.
 	if len(st.orderBy) > 0 {
-		allAsc := true
-		cols := make([]string, 0, len(st.orderBy))
-		for _, ot := range st.orderBy {
-			if !cur.Schema().Has(ot.col) {
+		keys := make([]*schema.Column, len(st.orderBy))
+		for i, ot := range st.orderBy {
+			c, err := cur.ColByName(ot.col)
+			if err != nil {
 				return nil, fmt.Errorf("%w: ORDER BY references unknown column %q", ErrPlan, ot.col)
 			}
-			cols = append(cols, ot.col)
-			if ot.desc {
-				allAsc = false
-			}
+			keys[i] = c
 		}
-		if allAsc {
-			if err := cur.SortBy(cols...); err != nil {
-				return nil, err
-			}
-		} else {
-			if err := sortByTerms(cur, st.orderBy); err != nil {
-				return nil, err
-			}
+		perm := make([]int32, cur.Len())
+		for i := range perm {
+			perm[i] = int32(i)
 		}
+		slices.SortStableFunc(perm, func(a, b int32) int {
+			for i, c := range keys {
+				if cmp := c.Value(int(a)).Compare(c.Value(int(b))); cmp != 0 {
+					if st.orderBy[i].desc {
+						return -cmp
+					}
+					return cmp
+				}
+			}
+			return 0
+		})
+		cur = cur.Gather(perm)
 	}
 
 	// LIMIT.
 	if st.limit >= 0 && cur.Len() > st.limit {
 		limited := schema.NewFrame(cur.Schema())
-		for i := 0; i < st.limit; i++ {
-			if err := limited.AppendRow(cur.Row(i)); err != nil {
-				return nil, err
-			}
+		if err := limited.AppendRange(cur, 0, st.limit); err != nil {
+			return nil, err
 		}
 		cur = limited
 	}
 	return cur, nil
-}
-
-// sortByTerms sorts supporting per-column DESC.
-func sortByTerms(f *schema.Frame, terms []orderTerm) error {
-	idx := make([]int, len(terms))
-	for i, t := range terms {
-		idx[i] = f.Schema().MustIndex(t.col)
-	}
-	rows := f.Rows()
-	lessFn := func(a, b schema.Row) bool {
-		for i, t := range terms {
-			cmp := a[idx[i]].Compare(b[idx[i]])
-			if cmp == 0 {
-				continue
-			}
-			if t.desc {
-				return cmp > 0
-			}
-			return cmp < 0
-		}
-		return false
-	}
-	sort.SliceStable(rows, func(i, j int) bool { return lessFn(rows[i], rows[j]) })
-	out := schema.NewFrame(f.Schema())
-	for _, r := range rows {
-		if err := out.AppendRow(r); err != nil {
-			return err
-		}
-	}
-	*f = *out
-	return nil
 }

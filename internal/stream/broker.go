@@ -31,14 +31,14 @@ var (
 	ErrOffsetInFuture = errors.New("stream: offset beyond end of log")
 )
 
-// Record is one message in a partition log.
+// Record is one message in a partition log. It does not repeat which
+// topic and partition it came from: a fetch names both, and every reader
+// receives records a (topic, partition) page at a time.
 type Record struct {
-	Topic     string
-	Partition int
-	Offset    int64
-	Ts        time.Time
-	Key       []byte
-	Value     []byte
+	Offset int64
+	Ts     time.Time
+	Key    []byte
+	Value  []byte
 }
 
 func (r Record) size() int64 { return int64(len(r.Key) + len(r.Value) + 32) }

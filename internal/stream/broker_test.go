@@ -43,7 +43,7 @@ func TestPublishFetchRoundTrip(t *testing.T) {
 		if string(r.Value) != fmt.Sprintf("v%d", i) {
 			t.Fatalf("record %d value = %q", i, r.Value)
 		}
-		if r.Offset != int64(i) || r.Topic != "telemetry" || r.Partition != 0 {
+		if r.Offset != int64(i) || r.Ts.IsZero() || string(r.Key) != "k" {
 			t.Fatalf("record metadata wrong: %+v", r)
 		}
 	}

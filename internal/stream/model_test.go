@@ -33,7 +33,7 @@ func (m *modelLog) bytes() (n int64) {
 
 func (m *modelLog) push(off int64, ts time.Time, key, value []byte) {
 	m.recs = append(m.recs, Record{
-		Topic: m.topic, Partition: m.part, Offset: off, Ts: ts,
+		Offset: off, Ts: ts,
 		Key: bytes.Clone(key), Value: bytes.Clone(value),
 	})
 	m.next = off + 1
@@ -136,11 +136,10 @@ func sameRecords(got, want []Record) error {
 	}
 	for i, g := range got {
 		w := want[i]
-		if g.Topic != w.Topic || g.Partition != w.Partition || g.Offset != w.Offset || !g.Ts.Equal(w.Ts) ||
+		if g.Offset != w.Offset || !g.Ts.Equal(w.Ts) ||
 			!bytes.Equal(g.Key, w.Key) || !bytes.Equal(g.Value, w.Value) {
-			return fmt.Errorf("record %d = %s/%d@%d %s %q=%q, want %s/%d@%d %s %q=%q", i,
-				g.Topic, g.Partition, g.Offset, g.Ts, g.Key, g.Value,
-				w.Topic, w.Partition, w.Offset, w.Ts, w.Key, w.Value)
+			return fmt.Errorf("record %d = @%d %s %q=%q, want @%d %s %q=%q", i,
+				g.Offset, g.Ts, g.Key, g.Value, w.Offset, w.Ts, w.Key, w.Value)
 		}
 	}
 	return nil
@@ -297,13 +296,13 @@ func (r *modelRun) ship() {
 		// The leader appended in batches of 1-6 records sharing a timestamp.
 		ts := r.now.Add(time.Duration(len(r.leader)) * time.Millisecond)
 		for _, msg := range r.msgs(1+r.rng.Intn(6), 100) {
-			r.leader = append(r.leader, Record{Topic: name, Offset: int64(len(r.leader)), Ts: ts, Key: msg.Key, Value: msg.Value})
+			r.leader = append(r.leader, Record{Offset: int64(len(r.leader)), Ts: ts, Key: msg.Key, Value: msg.Value})
 		}
 	}
 	recs := make([]Record, end-start)
 	for i := range recs {
 		l := r.leader[start+int64(i)]
-		recs[i] = Record{Topic: name, Offset: l.Offset, Ts: l.Ts, Key: bytes.Clone(l.Key), Value: bytes.Clone(l.Value)}
+		recs[i] = Record{Offset: l.Offset, Ts: l.Ts, Key: bytes.Clone(l.Key), Value: bytes.Clone(l.Value)}
 	}
 	switch {
 	case start < m.next && end > m.next:
@@ -514,7 +513,7 @@ func (r *modelRun) checkFetch(where, name string, pi int, m *modelLog, off int64
 	if len(r.held) < 96 && r.rng.Intn(4000) == 0 {
 		for _, g := range got[:min(len(got), 3)] {
 			r.held = append(r.held, g)
-			r.heldCopy = append(r.heldCopy, Record{Topic: g.Topic, Partition: g.Partition, Offset: g.Offset, Ts: g.Ts,
+			r.heldCopy = append(r.heldCopy, Record{Offset: g.Offset, Ts: g.Ts,
 				Key: bytes.Clone(g.Key), Value: bytes.Clone(g.Value)})
 		}
 	}

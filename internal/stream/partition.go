@@ -415,7 +415,7 @@ func (p *partition) readLocked(off int64, max int) []Record {
 		for ; i < c.records() && k < n; i, k = i+1, k+1 {
 			ks, ke, ve := c.bounds(i)
 			out[k] = Record{
-				Topic: p.topic, Partition: p.id, Offset: c.base + int64(i), Ts: c.ts,
+				Offset: c.base + int64(i), Ts: c.ts,
 				Key: c.data[ks:ke:ke], Value: c.data[ke:ve:ve],
 			}
 		}

@@ -215,9 +215,15 @@ func TestCollectFailedPassKeepsItsPlace(t *testing.T) {
 		if pg.Topic != "telemetry" || (i > 0 && pg.Part <= pages[i-1].Part) {
 			t.Fatalf("page %d is %s/%d, want telemetry's partitions ascending", i, pg.Topic, pg.Part)
 		}
-		for _, rec := range pg.Recs {
-			if rec.Partition != pg.Part {
-				t.Fatalf("page of partition %d holds a record of partition %d", pg.Part, rec.Partition)
+		// A record no longer says where it came from; the page does, so
+		// the page must hold exactly what its partition's log holds there.
+		own, err := b.FetchNoWait("telemetry", pg.Part, pg.Recs[0].Offset, len(pg.Recs))
+		if err != nil || len(own) != len(pg.Recs) {
+			t.Fatalf("partition %d re-read: %d records, %v; the page has %d", pg.Part, len(own), err, len(pg.Recs))
+		}
+		for k, rec := range pg.Recs {
+			if rec.Offset != own[k].Offset || !rec.Ts.Equal(own[k].Ts) || string(rec.Value) != string(own[k].Value) {
+				t.Fatalf("page of partition %d holds %d@%q, its log holds %d@%q", pg.Part, rec.Offset, rec.Value, own[k].Offset, own[k].Value)
 			}
 			n++
 		}
