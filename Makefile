@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test bench-smoke loc-delta one-reader one-read-path one-cell-format one-grouping race chaos chaos-cluster bench bench-query bench-obs bench-federate bench-serve bench-cq bench-cluster fuzz-smoke verify clean
+.PHONY: all build vet test bench-smoke loc-delta one-reader one-read-path one-cell-format one-grouping one-log race chaos chaos-cluster bench bench-query bench-obs bench-federate bench-serve bench-cq bench-cluster fuzz-smoke verify clean
 
 all: verify
 
@@ -91,6 +91,20 @@ one-grouping:
 		if [ $$n -ne 1 ]; then \
 		grep -nE 'SortBy\(|sortByTerms\(|Sort(Stable)?Func\(|sort\.[A-Z][A-Za-z]*\(' internal/sproc/sql.go; \
 		echo "one-grouping: sql.go sorts through $$n call sites, want 1 (ORDER BY: a permutation sort, then Gather)"; exit 1; fi
+
+# One log: a STREAM partition is append-only, trimmed by bytes, and
+# written a batch at a time — one chunk per appended batch, one trim rule,
+# PublishBatch / PublishBatchTo as the publish paths on either plane (a
+# single record is a batch of one), records stamped with the wall clock.
+# A compacted topic, age retention, a swappable broker clock or a
+# single-record publish method coming back fails the build.
+one-log:
+	@if grep -rnE '^[[:space:]]+(Compacted|CompactEvery|RetentionAge)([[:space:],]|$$)' --include='*.go' --exclude='*_test.go' internal/stream ; then \
+		echo "one-log: stream.TopicConfig is {Partitions, RetentionBytes}"; exit 1; fi
+	@if grep -rnE '^func \([a-z]+ \*Broker\) (Publish|PublishTo|SetClock)\(' --include='*.go' --exclude='*_test.go' internal/stream ; then \
+		echo "one-log: publish through PublishBatch / PublishBatchTo (a record is a batch of one); records are stamped time.Now()"; exit 1; fi
+	@if grep -rnE '^func \([a-z]+ \*Cluster\) Publish\(' --include='*.go' --exclude='*_test.go' internal/cluster ; then \
+		echo "one-log: the cluster publishes through PublishBatch"; exit 1; fi
 
 # The concurrency-heavy packages get a dedicated race-detector pass: the
 # striped-lock LAKE store, the partitioned STREAM broker, the reader every
@@ -209,7 +223,7 @@ fuzz-smoke:
 # verify rewrites no committed file: the bench-* targets that regenerate
 # BENCH_*.json with this machine's numbers are run by hand, so a green
 # verify leaves `git status` clean.
-verify: vet build one-reader one-read-path one-cell-format one-grouping test bench-smoke race chaos chaos-cluster fuzz-smoke
+verify: vet build one-reader one-read-path one-cell-format one-grouping one-log test bench-smoke race chaos chaos-cluster fuzz-smoke
 
 clean:
 	$(GO) clean ./...

@@ -830,9 +830,9 @@ func BenchmarkTSDBInsertParallel(b *testing.B) {
 }
 
 // BenchmarkBrokerPublishBatch measures STREAM publish throughput across
-// producer counts and batch sizes. batch=1 drives the per-record path
-// (Publish); batch>1 drives PublishBatch. Retention is capped so the
-// resident log stays bounded while b.N grows.
+// producer counts and batch sizes; batch=1 is a single record published
+// as a batch of one. Retention is capped so the resident log stays bounded
+// while b.N grows.
 func BenchmarkBrokerPublishBatch(b *testing.B) {
 	for _, g := range []int{1, 4, 16} {
 		for _, batch := range []int{1, 64, 1024} {
@@ -869,15 +869,6 @@ func BenchmarkBrokerPublishBatch(b *testing.B) {
 						defer wg.Done()
 						pool := pools[w]
 						for done := 0; done < quota; {
-							if batch == 1 {
-								m := pool[done%len(pool)]
-								if _, _, err := br.Publish("bronze", m.Key, m.Value); err != nil {
-									b.Error(err)
-									return
-								}
-								done++
-								continue
-							}
 							start := done % (len(pool) - batch + 1)
 							if _, err := br.PublishBatch("bronze", pool[start:start+batch]); err != nil {
 								b.Error(err)

@@ -330,13 +330,8 @@ func (c *Cluster) stripePreference(s int) []string {
 }
 
 // CreateTopic creates a replicated topic on every node and assigns each
-// partition a leader and RF-1 followers from the ring. Compacted topics
-// are rejected: compaction is not deterministic across replicas, so a
-// compacted log could diverge from its followers.
+// partition a leader and RF-1 followers from the ring.
 func (c *Cluster) CreateTopic(name string, cfg stream.TopicConfig) error {
-	if cfg.Compacted {
-		return fmt.Errorf("cluster: compacted topics cannot be replicated: %s", name)
-	}
 	if cfg.Partitions <= 0 {
 		cfg.Partitions = 4
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"odakit/internal/plane"
 	"odakit/internal/schema"
 	"odakit/internal/stream"
 	"odakit/internal/tsdb"
@@ -116,7 +117,7 @@ func TestClusterPublishMatchesSingleBroker(t *testing.T) {
 			t.Fatalf("cluster publish %d: %v", b, err)
 		}
 		for _, m := range msgs { // per-message so partition order matches routing exactly
-			if _, _, err := ref.Publish("telemetry", m.Key, m.Value); err != nil {
+			if _, err := ref.PublishBatch("telemetry", []stream.Message{m}); err != nil {
 				t.Fatalf("ref publish: %v", err)
 			}
 		}
@@ -190,17 +191,6 @@ func TestClusterFollowersHoldIdenticalPrefix(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestClusterRejectsCompactedTopics pins the replication constraint:
-// compaction is not deterministic across replicas, so compacted topics
-// cannot be placed on the cluster.
-func TestClusterRejectsCompactedTopics(t *testing.T) {
-	c := testCluster(t, 3, 2)
-	err := c.CreateTopic("state", stream.TopicConfig{Partitions: 1, Compacted: true})
-	if err == nil {
-		t.Fatal("compacted topic accepted")
 	}
 }
 
@@ -299,23 +289,23 @@ func TestClusterIdenticalBatchRepublish(t *testing.T) {
 	if recs := fetchAll(t, c, topic, p); len(recs) != 4 {
 		t.Fatalf("identical republish deduped: %d records, want 4", len(recs))
 	}
-	// Publish must report each record's own committed offset even when
-	// the content repeats.
+	// A batch of one repeating the content is a new record too, committed
+	// at the next offset.
 	for i := 0; i < 2; i++ {
-		part, off, err := c.Publish(topic, []byte("hb"), []byte("alive"))
-		if err != nil {
+		if _, err := c.PublishBatch(topic, msgs[:1]); err != nil {
 			t.Fatal(err)
 		}
-		if part != p || off != int64(4+i) {
-			t.Fatalf("publish %d landed at %d/%d, want %d/%d", i, part, off, p, 4+i)
+		recs := fetchAll(t, c, topic, p)
+		if last := recs[len(recs)-1]; len(recs) != 5+i || last.Offset != int64(4+i) {
+			t.Fatalf("publish of one %d: %d records ending at %d, want %d ending at %d", i, len(recs), last.Offset, 5+i, 4+i)
 		}
 	}
 }
 
 // TestClusterRoutesKeysLikeBroker is the one-router property: for random
-// keys and partition counts, a single broker, the cluster's per-record
-// Publish and the cluster's PublishBatch all place a keyed message on the
-// partition stream.KeyPartition names.
+// keys and partition counts, a single broker and the cluster both place a
+// keyed message published alone on the partition stream.KeyPartition
+// names.
 func TestClusterRoutesKeysLikeBroker(t *testing.T) {
 	seed := chaosSeed(t)
 	rng := rand.New(rand.NewSource(seed))
@@ -334,28 +324,18 @@ func TestClusterRoutesKeysLikeBroker(t *testing.T) {
 			key := make([]byte, 1+rng.Intn(24))
 			rng.Read(key)
 			want := stream.KeyPartition(key, parts)
-			bp, _, err := b.Publish(topic, key, []byte("v"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			cp, _, err := c.Publish(topic, key, []byte("v"))
-			if err != nil {
-				t.Fatal(err)
-			}
-			before, err := c.EndOffset(topic, want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := c.PublishBatch(topic, []stream.Message{{Key: key, Value: []byte("v")}}); err != nil {
-				t.Fatal(err)
-			}
-			after, err := c.EndOffset(topic, want)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bp != want || cp != want || after != before+1 {
-				t.Fatalf("seed %d: key %x over %d partitions: broker→%d cluster→%d batch landed on %d=%v, want %d",
-					seed, key, parts, bp, cp, want, after == before+1, want)
+			for _, s := range []plane.Stream{b, c} {
+				before, err := s.EndOffset(topic, want)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.PublishBatch(topic, []stream.Message{{Key: key, Value: []byte("v")}}); err != nil {
+					t.Fatal(err)
+				}
+				if after, err := s.EndOffset(topic, want); err != nil || after != before+1 {
+					t.Fatalf("seed %d: key %x over %d partitions: %T did not land it on %d (end %d -> %d, %v)",
+						seed, key, parts, s, want, before, after, err)
+				}
 			}
 		}
 	}

@@ -85,7 +85,10 @@ func TestClusterPublishRegroupProperty(t *testing.T) {
 			}
 			byPart := make([][]stream.Message, parts)
 			for _, m := range msgs {
-				p := stream.Route(&rr, m.Key, parts)
+				p := stream.KeyPartition(m.Key, parts)
+				if len(m.Key) == 0 {
+					p = int(rr.Add(1) % uint64(parts))
+				}
 				byPart[p] = append(byPart[p], m)
 			}
 			if b%3 == 2 {

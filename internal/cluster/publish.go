@@ -86,33 +86,14 @@ func (c *Cluster) PublishBatch(topicName string, msgs []stream.Message) (int, er
 	return published, nil
 }
 
-// Publish publishes one record, returning its partition and committed
-// offset: the one-partition case of PublishBatch.
-func (c *Cluster) Publish(topicName string, key, value []byte) (int, int64, error) {
-	t, err := c.topic(topicName)
-	if err != nil {
-		return 0, 0, err
-	}
-	p := stream.Route(&t.rr, key, len(t.parts))
-	msgs := []stream.Message{{Key: key, Value: value}}
-	subs := []partBatch{{ps: t.parts[p], msgs: msgs, fp: fingerprintMsgs(msgs)}}
-	c.publishParts(t, subs)
-	if subs[0].err != nil {
-		return 0, 0, subs[0].err
-	}
-	return p, subs[0].first, nil
-}
-
 // partBatch is one partition's share of a publish: the sub-batch and its
-// fingerprint going in, its first committed offset or its error coming
-// out.
+// fingerprint going in, its error coming out.
 type partBatch struct {
 	ps   *partitionState
 	msgs []stream.Message
 	fp   uint64
 
 	pending *pendingCommit // staged, waiting for the wave; nil when nothing is
-	first   int64          // taken from the staged region while ps.mu is held
 	err     error
 }
 
@@ -144,7 +125,7 @@ func (c *Cluster) publishParts(t *topicState, subs []partBatch) {
 	var wave flushWave
 	for i := range subs {
 		sb := &subs[i]
-		sb.first, sb.pending, sb.err = c.stagePartLocked(t, sb, &wave)
+		sb.pending, sb.err = c.stagePartLocked(t, sb, &wave)
 	}
 	c.runWave(&wave)
 	ok := true
@@ -172,19 +153,19 @@ func (c *Cluster) publishParts(t *topicState, subs []partBatch) {
 
 // stagePartLocked stages one partition's sub-batch: on the leader log,
 // then out to the followers, noting every WAL log it dirtied in the
-// wave. It returns the batch's first offset and the commit the wave must
-// precede — nil when a retry finds the batch already committed.
-func (c *Cluster) stagePartLocked(t *topicState, sb *partBatch, w *flushWave) (int64, *pendingCommit, error) {
+// wave. It returns the commit the wave must precede — nil when a retry
+// finds the batch already committed.
+func (c *Cluster) stagePartLocked(t *topicState, sb *partBatch, w *flushWave) (*pendingCommit, error) {
 	ps := sb.ps
 	if err := c.ensureLeaderLocked(t, ps); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	if st := ps.inflight; st != nil && st.fp == sb.fp && st.n == len(sb.msgs) {
 		// The same batch, retried: it is already on the leader log (or
 		// partially, after a failover). Resume the commit, never
 		// re-append the whole batch.
 		if st.committed {
-			return st.first, nil, nil // a Repair pass finished the commit for us
+			return nil, nil // a Repair pass finished the commit for us
 		}
 		return c.stageCommitLocked(t, ps, sb.msgs, w)
 	}
@@ -194,13 +175,13 @@ func (c *Cluster) stagePartLocked(t *topicState, sb *partBatch, w *flushWave) (i
 		// leader log holds, in a wave of its own) so a single staged
 		// region remains.
 		if err := c.commitSuffixLocked(t, ps); err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 	}
 	ps.inflight = nil
 	first, err := c.stageOnLeaderLocked(t, ps, sb.msgs, w)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	ps.inflight = &staged{fp: sb.fp, n: len(sb.msgs), first: first}
 	return c.stageCommitLocked(t, ps, sb.msgs, w)
@@ -208,14 +189,14 @@ func (c *Cluster) stagePartLocked(t *topicState, sb *partBatch, w *flushWave) (i
 
 // stageCommitLocked brings the staged batch to the point where only the
 // flush is missing: it re-appends whatever suffix a failover lost, ships
-// the region to the followers, and returns the batch's first offset with
-// the pending commit. The new leader's end offset can only be inside
-// [hw, first+n]: below first+n when the promoted follower had not
-// replicated the whole staged batch, never above because the partition
-// lock admits no other publish while a batch is staged.
-func (c *Cluster) stageCommitLocked(t *topicState, ps *partitionState, msgs []stream.Message, w *flushWave) (int64, *pendingCommit, error) {
+// the region to the followers, and returns the pending commit. The new
+// leader's end offset can only be inside [hw, first+n]: below first+n
+// when the promoted follower had not replicated the whole staged batch,
+// never above because the partition lock admits no other publish while a
+// batch is staged.
+func (c *Cluster) stageCommitLocked(t *topicState, ps *partitionState, msgs []stream.Message, w *flushWave) (*pendingCommit, error) {
 	if err := c.ensureLeaderLocked(t, ps); err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	st := ps.inflight
 	if st == nil {
@@ -223,22 +204,22 @@ func (c *Cluster) stageCommitLocked(t *topicState, ps *partitionState, msgs []st
 		// the whole batch is gone from every surviving log. Re-stage it.
 		first, err := c.stageOnLeaderLocked(t, ps, msgs, w)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		st = &staged{fp: fingerprintMsgs(msgs), n: len(msgs), first: first}
 		ps.inflight = st
 	}
 	ld := c.node(ps.leader)
 	if ld == nil || !ld.Alive() {
-		return 0, nil, &nodeDownError{id: ps.leader}
+		return nil, &nodeDownError{id: ps.leader}
 	}
 	end, err := ld.Broker.EndOffset(t.name, ps.idx)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
 	want := st.first + int64(st.n)
 	if end > want {
-		return 0, nil, fmt.Errorf("cluster: %s/%d leader end %d beyond staged region end %d",
+		return nil, fmt.Errorf("cluster: %s/%d leader end %d beyond staged region end %d",
 			t.name, ps.idx, end, want)
 	}
 	if end < want {
@@ -250,10 +231,10 @@ func (c *Cluster) stageCommitLocked(t *topicState, ps *partitionState, msgs []st
 		}
 		first2, err := c.stageOnLeaderLocked(t, ps, missing, w)
 		if err != nil {
-			return 0, nil, err
+			return nil, err
 		}
 		if first2 != end {
-			return 0, nil, fmt.Errorf("cluster: %s/%d staged re-append landed at %d, want %d",
+			return nil, fmt.Errorf("cluster: %s/%d staged re-append landed at %d, want %d",
 				t.name, ps.idx, first2, end)
 		}
 		if end <= st.first {
@@ -262,9 +243,9 @@ func (c *Cluster) stageCommitLocked(t *topicState, ps *partitionState, msgs []st
 	}
 	pc, err := c.shipSuffixLocked(t, ps, w)
 	if err != nil {
-		return 0, nil, err
+		return nil, err
 	}
-	return st.first, pc, nil
+	return pc, nil
 }
 
 // pendingCommit is one partition's commit between its two halves: what

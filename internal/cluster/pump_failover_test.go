@@ -75,7 +75,7 @@ func TestChaosClusterPumpFailoverResume(t *testing.T) {
 		}
 		publishRetry(t, c, topic, msgs, 100)
 		for _, m := range msgs {
-			if _, _, err := ref.Publish(topic, m.Key, m.Value); err != nil {
+			if _, err := ref.PublishBatch(topic, []stream.Message{m}); err != nil {
 				t.Fatalf("ref publish: %v", err)
 			}
 		}

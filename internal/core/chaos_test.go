@@ -15,6 +15,7 @@ import (
 	"odakit/internal/resilience"
 	"odakit/internal/schema"
 	"odakit/internal/sproc"
+	"odakit/internal/stream"
 	"odakit/internal/telemetry"
 )
 
@@ -93,15 +94,15 @@ func runChaosPipeline(t *testing.T, inj *faults.Injector, poison [][]byte) (pipe
 	if _, err := f.IngestWindowContext(ctx, t0, t0.Add(2*time.Minute), src); err != nil {
 		t.Fatalf("ingest under faults: %v (seed %d)", err, chaosSeed())
 	}
-	// Poison the topic: undecodable and non-conforming payloads.
+	// Poison the topic: undecodable and non-conforming payloads, one per
+	// partition in ascending order (the order the DLQ is read back in).
 	var poisoned []poisonRecord
-	for _, p := range poison {
-		p := p
-		var part int
+	for i, p := range poison {
+		part := i % TopicPartitions
 		var off int64
 		err := resilience.Retry(context.Background(), *chaosRetry(), func() error {
 			var perr error
-			part, off, perr = f.Broker.Publish(BronzeTopic(src), nil, p)
+			off, perr = f.Broker.PublishBatchTo(BronzeTopic(src), part, []stream.Message{{Value: p}})
 			return perr
 		})
 		if err != nil {

@@ -9,6 +9,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -440,18 +441,25 @@ type RetentionStats struct {
 // segments older than lakeAge are offloaded into the lake bucket as
 // pruned columnar objects (federated queries keep answering over them),
 // log segments are dropped, and OCEAN objects past their lifecycle
-// freeze into GLACIER.
+// freeze into GLACIER. The LAKE step covers the facility's own store
+// only: on an attached plane (AttachPlane) it is an error naming that
+// lake, and the log and OCEAN steps still run.
 func (f *Facility) ApplyRetention(now time.Time, lakeAge time.Duration) (RetentionStats, error) {
 	var st RetentionStats
 	cutoff := now.Add(-lakeAge)
-	// Offload instead of dropping: history stays queryable through the
-	// federated planner, now with zone-map + bloom pruning metadata.
-	off, err := f.Lake.Offload(cutoff)
-	if err != nil {
-		return st, err
+	var lakeErr error
+	if f.lake == f.Lake {
+		// Offload instead of dropping: history stays queryable through the
+		// federated planner, now with zone-map + bloom pruning metadata.
+		off, err := f.Lake.Offload(cutoff)
+		if err != nil {
+			return st, err
+		}
+		st.LakeRowsOffloaded = int(off.Cells)
+		st.LakeSegmentsDropped = off.Segments + f.Lake.Retain(cutoff)
+	} else {
+		lakeErr = fmt.Errorf("core: retention: LAKE is the attached %T, not the facility's own store; offload and retain it there", f.lake)
 	}
-	st.LakeRowsOffloaded = int(off.Cells)
-	st.LakeSegmentsDropped = off.Segments + f.Lake.Retain(cutoff)
 	st.LogSegmentsDropped = f.Logs.Retain(cutoff)
 	expired, err := f.Ocean.ApplyLifecycle(func(info objstore.ObjectInfo, data []byte) error {
 		f.Glacier.Freeze(info.Bucket+"/"+info.Key, data)
@@ -459,5 +467,5 @@ func (f *Facility) ApplyRetention(now time.Time, lakeAge time.Duration) (Retenti
 		return nil
 	})
 	st.OceanExpired = expired
-	return st, err
+	return st, errors.Join(lakeErr, err)
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -233,6 +234,22 @@ func TestApplyRetention(t *testing.T) {
 	items := f.Glacier.List("")
 	if len(items) != 1 || items[0].Key != BucketBronze+"/perf/2024-05.ocf" {
 		t.Fatalf("glacier items = %+v", items)
+	}
+
+	// On a cluster plane the LAKE step is an error naming the attached
+	// lake, not a sweep of the idle local store reporting zero work; the
+	// log index is still retained.
+	fc := testFacility(t)
+	attachCluster(t, fc)
+	if _, err := fc.IngestWindow(t0, t0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
+		t.Fatal(err)
+	}
+	st, err = fc.ApplyRetention(t0.Add(7*24*time.Hour), 24*time.Hour)
+	if err == nil || !strings.Contains(err.Error(), "*cluster.Cluster") {
+		t.Fatalf("retention on a cluster plane: err = %v, want one naming the attached lake", err)
+	}
+	if st.LakeRowsOffloaded != 0 || st.LakeSegmentsDropped != 0 || st.LogSegmentsDropped == 0 {
+		t.Fatalf("retention on a cluster plane = %+v, want no LAKE work and the log index retained", st)
 	}
 }
 

@@ -203,7 +203,7 @@ func TestReplayBronzeWhileRetentionTrims(t *testing.T) {
 }
 
 // shortLog is a broker whose EndOffset claims more than a fetch returns —
-// what a log whose tail was compacted or trimmed away looks like to a
+// what a log whose tail was trimmed away looks like to a
 // reader that snapshotted the end first.
 type shortLog struct{ *stream.Broker }
 

@@ -70,7 +70,7 @@ func (f *Facility) ReplayBronzeToLake(ctx context.Context, src telemetry.Source)
 			return replayed, quarantined, err
 		}
 		if len(pages) == 0 {
-			break // nothing is held below the ends any more (trimmed or compacted away)
+			break // nothing is held below the ends any more (trimmed away)
 		}
 		for _, pg := range pages {
 			p, recs := pg.Part, pg.Recs

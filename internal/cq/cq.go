@@ -53,6 +53,7 @@ package cq
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -154,6 +155,11 @@ func (s Spec) validate() error {
 		return fmt.Errorf("cq: unknown window kind %d", s.Kind)
 	}
 	if a := s.Alert; a != nil {
+		for _, b := range []*float64{a.Above, a.Below, &a.MaxScore} {
+			if b != nil && (math.IsNaN(*b) || math.IsInf(*b, 0)) {
+				return fmt.Errorf("cq: alert bound %g is not finite: it could never fire", *b)
+			}
+		}
 		if a.MaxScore < 0 {
 			return fmt.Errorf("cq: negative alert score bound")
 		}

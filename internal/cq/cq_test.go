@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -28,6 +29,7 @@ var unitT0 = time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC)
 
 func TestSpecValidate(t *testing.T) {
 	base := Spec{Window: time.Minute}
+	ptr := func(f float64) *float64 { return &f }
 	cases := []struct {
 		name string
 		mut  func(*Spec)
@@ -45,6 +47,9 @@ func TestSpecValidate(t *testing.T) {
 		{"alert season one", func(s *Spec) { s.Alert = &AlertSpec{Season: 1} }, false},
 		{"alert negative score", func(s *Spec) { s.Alert = &AlertSpec{MaxScore: -1} }, false},
 		{"alert ok", func(s *Spec) { s.Alert = &AlertSpec{MaxScore: 3, Season: 4} }, true},
+		{"alert NaN above", func(s *Spec) { s.Alert = &AlertSpec{Above: ptr(math.NaN())} }, false},
+		{"alert Inf below", func(s *Spec) { s.Alert = &AlertSpec{Below: ptr(math.Inf(1))} }, false},
+		{"alert NaN score", func(s *Spec) { s.Alert = &AlertSpec{MaxScore: math.NaN()} }, false},
 	}
 	for _, tc := range cases {
 		s := base
@@ -283,10 +288,10 @@ func TestPumpSkipsBadRecords(t *testing.T) {
 	e := testEngine()
 	v, _ := e.Register(Spec{Window: time.Minute})
 	good := obsAt(unitT0, "n1", "cpu", 7)
-	if _, _, err := b.Publish("bronze.alpha", []byte("n1"), schema.EncodeRow(good.Row())); err != nil {
+	if _, err := b.PublishBatch("bronze.alpha", []stream.Message{{Key: []byte("n1"), Value: schema.EncodeRow(good.Row())}}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.Publish("bronze.alpha", []byte("n1"), []byte("not a row")); err != nil {
+	if _, err := b.PublishBatch("bronze.alpha", []stream.Message{{Key: []byte("n1"), Value: []byte("not a row")}}); err != nil {
 		t.Fatal(err)
 	}
 	p, err := NewPumpSource(e, b, PumpConfig{Topics: []string{"bronze.alpha"}})
@@ -353,7 +358,7 @@ func TestDrainIdlesThroughTransientOutage(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		o := obsAt(unitT0.Add(time.Duration(i)*time.Second), "node01", "pow", float64(i))
-		if _, err := b.PublishTo(topic, i%2, nil, schema.EncodeRow(o.Row())); err != nil {
+		if _, err := b.PublishBatchTo(topic, i%2, []stream.Message{{Value: schema.EncodeRow(o.Row())}}); err != nil {
 			t.Fatal(err)
 		}
 	}

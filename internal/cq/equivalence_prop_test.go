@@ -80,7 +80,7 @@ func (w *propWorld) publishRound(n int) {
 			Metric:    mets[w.rng.Intn(len(mets))],
 			Value:     w.rng.NormFloat64()*10 + 50,
 		}
-		if _, _, err := w.broker.Publish(topic, []byte(o.Component), schema.EncodeRow(o.Row())); err != nil {
+		if _, err := w.broker.PublishBatch(topic, []stream.Message{{Key: []byte(o.Component), Value: schema.EncodeRow(o.Row())}}); err != nil {
 			w.t.Fatalf("publish: %v", err)
 		}
 	}
@@ -321,7 +321,7 @@ func TestLargeWindowViewMatchesBatch(t *testing.T) {
 								Component: fmt.Sprintf("node%02d", c), Metric: m,
 								Value: rng.NormFloat64()*10 + 50,
 							}
-							if _, _, err := w.broker.Publish(topic, []byte(o.Component), schema.EncodeRow(o.Row())); err != nil {
+							if _, err := w.broker.PublishBatch(topic, []stream.Message{{Key: []byte(o.Component), Value: schema.EncodeRow(o.Row())}}); err != nil {
 								t.Fatalf("publish: %v", err)
 							}
 						}

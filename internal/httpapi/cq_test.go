@@ -154,6 +154,9 @@ func TestCQBadRequestsAndNotFound(t *testing.T) {
 		"dup window":     "window=1m&window=2m",
 		"bad above":      "window=1m&above=x",
 		"bad season":     "window=1m&season=1",
+		"NaN above":      "window=1m&above=NaN",
+		"Inf below":      "window=1m&below=Inf",
+		"NaN maxscore":   "window=1m&maxscore=NaN",
 	} {
 		resp, err := http.Post(srv.URL+"/api/v1/cq?"+q, "", nil)
 		if err != nil {

@@ -314,22 +314,25 @@ func (s *Server) parseWindow(r *http.Request) (time.Time, time.Time, error) {
 }
 
 // windowParams overlays from/to request params on the given defaults and
-// enforces the ordered-window contract. The prepared-query path reuses it
-// with the window bound at prepare time as the default.
+// enforces the ordered-window contract, conflicting duplicates included.
+// The prepared-query path reuses it with the window bound at prepare time
+// as the default.
 func windowParams(r *http.Request, from, to time.Time) (time.Time, time.Time, error) {
-	if v := r.URL.Query().Get("from"); v != "" {
-		t, err := time.Parse(time.RFC3339, v)
+	q := r.URL.Query()
+	for _, p := range []struct {
+		name string
+		dst  *time.Time
+	}{{"from", &from}, {"to", &to}} {
+		v, err := uniqueParam(q, p.name)
 		if err != nil {
 			return from, to, err
 		}
-		from = t
-	}
-	if v := r.URL.Query().Get("to"); v != "" {
-		t, err := time.Parse(time.RFC3339, v)
-		if err != nil {
+		if v == "" {
+			continue
+		}
+		if *p.dst, err = time.Parse(time.RFC3339, v); err != nil {
 			return from, to, err
 		}
-		to = t
 	}
 	if !to.After(from) {
 		return from, to, fmt.Errorf("bad window: from %s is not before to %s",
@@ -541,13 +544,27 @@ func (s *Server) lakeTopN(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "bad from/to: "+err.Error())
 		return
 	}
-	metric := q.Get("metric")
+	metric, err := uniqueParam(q, "metric")
+	if err != nil {
+		s.badRequest(w, err.Error())
+		return
+	}
 	if metric == "" {
 		s.badRequest(w, "metric is required")
 		return
 	}
+	metrics, err := dimList("metric", metric)
+	if err != nil {
+		s.badRequest(w, err.Error())
+		return
+	}
+	v, err := uniqueParam(q, "n")
+	if err != nil {
+		s.badRequest(w, err.Error())
+		return
+	}
 	n := 10
-	if v := q.Get("n"); v != "" {
+	if v != "" {
 		if n, err = strconv.Atoi(v); err != nil || n <= 0 || n > maxTopN {
 			s.badRequest(w, "bad n: want an integer in [1,"+strconv.Itoa(maxTopN)+"]")
 			return
@@ -555,7 +572,7 @@ func (s *Server) lakeTopN(w http.ResponseWriter, r *http.Request) {
 	}
 	query, err := tsdb.TopNQuery(tsdb.Query{
 		From: from, To: to,
-		Filters: map[string][]string{tsdb.DimMetric: {metric}},
+		Filters: map[string][]string{tsdb.DimMetric: metrics},
 		Agg:     tsdb.AggAvg,
 	}, tsdb.DimComponent)
 	if err != nil {

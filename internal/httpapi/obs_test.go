@@ -40,18 +40,26 @@ func TestErrorPathsCarryODAHeaders(t *testing.T) {
 		{"query conflicting agg", "/api/v1/lake/query?agg=avg&agg=sum", 400, "bad-request"},
 		{"query conflicting granularity", "/api/v1/lake/query?granularity=15s&granularity=30s", 400, "bad-request"},
 		{"query conflicting metric", "/api/v1/lake/query?metric=a&metric=b", 400, "bad-request"},
+		{"query conflicting from", "/api/v1/lake/query?from=2024-06-01T00:00:00Z&from=2024-06-01T00:01:00Z", 400, "bad-request"},
+		{"query conflicting to", "/api/v1/lake/query?to=2024-06-01T01:00:00Z&to=2024-06-01T02:00:00Z", 400, "bad-request"},
 		{"prepared missing handle", "/api/v1/query", 400, "bad-request"},
 		{"prepared unknown handle", "/api/v1/query?prep=p0000000000000000", 404, "not-found"},
 		{"topn bad window", "/api/v1/lake/topn?metric=m&from=bogus", 400, "bad-request"},
 		{"topn missing metric", "/api/v1/lake/topn", 400, "bad-request"},
 		{"topn bad n", "/api/v1/lake/topn?metric=m&n=-3", 400, "bad-request"},
 		{"topn huge n", "/api/v1/lake/topn?metric=m&n=100001", 400, "bad-request"},
+		{"topn conflicting metric", "/api/v1/lake/topn?metric=a&metric=b", 400, "bad-request"},
+		{"topn empty metric values", "/api/v1/lake/topn?metric=,,", 400, "bad-request"},
+		{"topn conflicting n", "/api/v1/lake/topn?metric=m&n=3&n=5", 400, "bad-request"},
+		{"topn conflicting from", "/api/v1/lake/topn?metric=m&from=2024-06-01T00:00:00Z&from=2024-06-01T00:01:00Z", 400, "bad-request"},
 		{"logs bad window", "/api/v1/logs/search?from=bogus", 400, "bad-request"},
 		{"logs inverted window", "/api/v1/logs/search?from=2024-06-01T01:00:00Z&to=2024-06-01T00:00:00Z", 400, "bad-request"},
 		{"logs bad limit", "/api/v1/logs/search?limit=zero", 400, "bad-request"},
 		{"logs huge limit", "/api/v1/logs/search?limit=100001", 400, "bad-request"},
+		{"logs conflicting to", "/api/v1/logs/search?to=2024-06-01T01:00:00Z&to=2024-06-01T02:00:00Z", 400, "bad-request"},
 		{"rats bad window", "/api/v1/rats/programs?from=bogus", 400, "bad-request"},
 		{"rats inverted window", "/api/v1/rats/programs?from=2024-06-01T01:00:00Z&to=2024-06-01T00:00:00Z", 400, "bad-request"},
+		{"rats conflicting from", "/api/v1/rats/programs?from=2024-06-01T00:00:00Z&from=2024-06-01T00:01:00Z", 400, "bad-request"},
 		{"job not found", "/api/v1/jobs/not-a-job", 404, "not-found"},
 	}
 	for _, tc := range cases {

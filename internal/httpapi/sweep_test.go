@@ -93,4 +93,18 @@ func TestFilterCommaArtifacts(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("doubled-comma list status = %d", resp.StatusCode)
 	}
+
+	// Top-N parses its metric list the same way: a trailing comma is the
+	// same query, answered from the entry the clean one stored.
+	cleanTop, cleanTopBody := get("/api/v1/lake/topn?metric=node_power_w&n=3&" + window)
+	commaTop, commaTopBody := get("/api/v1/lake/topn?metric=node_power_w,&n=3&" + window)
+	if cleanTop.StatusCode != 200 || commaTop.StatusCode != 200 {
+		t.Fatalf("top-n status clean %d, trailing comma %d", cleanTop.StatusCode, commaTop.StatusCode)
+	}
+	if cleanTopBody == "[]\n" || commaTopBody != cleanTopBody {
+		t.Fatalf("trailing comma changed the top-n answer:\n%s\nvs\n%s", commaTopBody, cleanTopBody)
+	}
+	if commaTop.Header.Get("X-ODA-Query-Cache") != "hit" {
+		t.Fatalf("trailing-comma top-n missed the cache (cache=%q)", commaTop.Header.Get("X-ODA-Query-Cache"))
+	}
 }

@@ -53,8 +53,9 @@ func NewReader(s Stream, topics ...string) (*Reader, error) {
 // Poll makes one pass over every partition — topics ascending, partitions
 // ascending — fetching up to max records from each without blocking and
 // handing each non-empty page to fn before the partition's cursor moves
-// past the last record delivered (logs have compaction holes, so
-// cursor+len would be wrong). It returns how many records fn accepted.
+// past the last record delivered (a log that adopted a replication gap
+// has a hole, so cursor+len would be wrong). It returns how many records
+// fn accepted.
 //
 // A transient fetch failure (a leader mid-failover, an injected fault)
 // skips that partition only: its cursor stays, the pass goes on, and the

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
+	"time"
 
 	"odakit/internal/cluster"
 	"odakit/internal/faults"
@@ -18,18 +19,22 @@ import (
 // what was published: per topic partition, the (key, value) at each
 // offset, offsets being positions in a slice. Seeded schedules interleave
 // publishes (whose byte retention trims heads the reader has not reached,
-// and on the broker compact a keyed topic), reader passes of random page
-// size under injected transient fetch faults, and checkpoint round trips
-// (a fresh Reader seeked to the old one's Offsets). Checked after every
-// pass: records arrive in offset order with the published bytes, none
-// twice; an offset the reader passed over is one the log no longer held
-// (below the retention horizon, or superseded by a newer record of its
-// key); the cursor sits right after the last record delivered; and
-// Lag()==0 exactly when the reference says nothing deliverable is left.
+// and on the broker ship a topic the way a cluster follower is written,
+// gaps adopted mid-log included), reader passes of random page size under
+// injected transient fetch faults, and checkpoint round trips (a fresh
+// Reader seeked to the old one's Offsets). Checked after every pass:
+// records arrive in offset order with the published bytes, none twice; an
+// offset the reader passed over is one the log no longer held (below the
+// retention horizon, or inside an adopted gap); the cursor sits right
+// after the last record delivered; and Lag()==0 exactly when the
+// reference says nothing deliverable is left.
 
 type refTopic struct {
 	cfg   stream.TopicConfig
 	parts [][]stream.Message // parts[p][offset]
+	// holes[p] holds the offsets of partition p a shipment jumped over;
+	// nil unless the topic is shipped.
+	holes []map[int64]bool
 }
 
 type world struct {
@@ -38,6 +43,8 @@ type world struct {
 	topics map[string]*refTopic
 	// delivered[topic][p] is the set of offsets handed to the callback.
 	delivered map[string][]map[int64]bool
+	// holesSkipped counts retained-log holes a pass stepped over.
+	holesSkipped int
 }
 
 func (w *world) publish(rng *rand.Rand, topic string) {
@@ -58,22 +65,39 @@ func (w *world) publish(rng *rand.Rand, topic string) {
 	}
 }
 
-// gone reports whether the log may legitimately no longer hold offset off
-// of a partition whose retention horizon is oldest.
-func (rt *refTopic) gone(p int, off, oldest int64) bool {
-	if off < oldest {
-		return true
-	}
-	if !rt.cfg.Compacted {
-		return false
-	}
-	log := rt.parts[p]
-	for _, later := range log[off+1:] {
-		if string(later.Key) == string(log[off].Key) {
-			return true
+// ship writes one partition of a shipped topic through ReplicateBatch with
+// leader-assigned offsets, as a cluster follower is written. One shipment
+// in four starts past the log's end, and the log adopts the gap — a hole
+// mid-log once it holds records, the one way a log gets one.
+func (w *world) ship(rng *rand.Rand, topic string) {
+	rt := w.topics[topic]
+	p := rng.Intn(len(rt.parts))
+	if rng.Intn(4) == 0 {
+		for n := 1 + rng.Intn(6); n > 0; n-- {
+			rt.holes[p][int64(len(rt.parts[p]))] = true
+			rt.parts[p] = append(rt.parts[p], stream.Message{})
 		}
 	}
-	return false
+	recs := make([]stream.Record, 1+rng.Intn(40))
+	ts := time.Now()
+	for i := range recs {
+		m := stream.Message{
+			Key:   []byte(fmt.Sprintf("k%02d", rng.Intn(24))),
+			Value: []byte(fmt.Sprintf("%s-%d", topic, rng.Int63())),
+		}
+		recs[i] = stream.Record{Offset: int64(len(rt.parts[p])), Ts: ts, Key: m.Key, Value: m.Value}
+		rt.parts[p] = append(rt.parts[p], m)
+	}
+	if err := w.s.(*stream.Broker).ReplicateBatch(topic, p, recs); err != nil {
+		w.t.Fatalf("ship %s/%d: %v", topic, p, err)
+	}
+}
+
+// gone reports whether the log may legitimately no longer hold offset off
+// of a partition whose retention horizon is oldest: it is below the
+// horizon or inside an adopted gap.
+func (rt *refTopic) gone(p int, off, oldest int64) bool {
+	return off < oldest || rt.holes != nil && rt.holes[p][off]
 }
 
 // pass makes one Reader pass and checks it against the reference.
@@ -135,6 +159,9 @@ func (w *world) pass(r *plane.Reader, max int) {
 				if !w.delivered[topic][p][off] && !rt.gone(p, off, oldest) {
 					t.Fatalf("%s/%d: cursor %d is past offset %d, which was retained (horizon %d) and never delivered", topic, p, cur, off, oldest)
 				}
+				if off >= oldest && rt.gone(p, off, oldest) {
+					w.holesSkipped++
+				}
 			}
 			for off := cur; off < int64(len(rt.parts[p])); off++ {
 				if !rt.gone(p, off, oldest) {
@@ -147,15 +174,19 @@ func (w *world) pass(r *plane.Reader, max int) {
 	if lerr != nil {
 		t.Fatal(lerr)
 	}
-	// Offsets at the very end of a log are never "gone" (retention and
-	// compaction both keep the newest record), so lag counts offsets and
-	// the reference counts records yet they reach zero together.
+	// Offsets at the very end of a log are never "gone" (retention keeps
+	// the newest record, and a gap is adopted only with the records after
+	// it), so lag counts offsets and the reference counts records yet they
+	// reach zero together.
 	if (lag == 0) == deliverable {
 		t.Fatalf("Lag() = %d but the reference says deliverable-left = %v", lag, deliverable)
 	}
 }
 
-func runReaderSchedule(t *testing.T, seed int64, s plane.Stream, cfgs map[string]stream.TopicConfig, inj *faults.Injector, fetchOp string) {
+// runReaderSchedule drives one seeded schedule over the topics cfgs names;
+// shipped, when not "", is a topic written by ship rather than published
+// (s must then be a *stream.Broker).
+func runReaderSchedule(t *testing.T, seed int64, s plane.Stream, cfgs map[string]stream.TopicConfig, shipped string, inj *faults.Injector, fetchOp string) {
 	rng := rand.New(rand.NewSource(seed))
 	w := &world{t: t, s: s, topics: map[string]*refTopic{}, delivered: map[string][]map[int64]bool{}}
 	names := make([]string, 0, len(cfgs))
@@ -168,7 +199,14 @@ func runReaderSchedule(t *testing.T, seed int64, s plane.Stream, cfgs map[string
 		if err := s.EnsureTopic(name, cfg); err != nil {
 			t.Fatal(err)
 		}
-		w.topics[name] = &refTopic{cfg: cfg, parts: make([][]stream.Message, cfg.Partitions)}
+		rt := &refTopic{cfg: cfg, parts: make([][]stream.Message, cfg.Partitions)}
+		if name == shipped {
+			rt.holes = make([]map[int64]bool, cfg.Partitions)
+			for p := range rt.holes {
+				rt.holes[p] = map[int64]bool{}
+			}
+		}
+		w.topics[name] = rt
 		w.delivered[name] = make([]map[int64]bool, cfg.Partitions)
 		for p := range w.delivered[name] {
 			w.delivered[name][p] = map[int64]bool{}
@@ -186,7 +224,11 @@ func runReaderSchedule(t *testing.T, seed int64, s plane.Stream, cfgs map[string
 	for step := 0; step < 400; step++ {
 		switch op := rng.Intn(10); {
 		case op < 5:
-			w.publish(rng, names[rng.Intn(len(names))])
+			if name := names[rng.Intn(len(names))]; name == shipped {
+				w.ship(rng, name)
+			} else {
+				w.publish(rng, name)
+			}
 		case op < 9:
 			w.pass(r, 1+rng.Intn(32))
 		default:
@@ -213,7 +255,10 @@ func runReaderSchedule(t *testing.T, seed int64, s plane.Stream, cfgs map[string
 		}
 	}
 	if lost == 0 {
-		t.Fatalf("seed %d: no record was lost to retention or compaction — the schedule never raced the reader against the horizon", seed)
+		t.Fatalf("seed %d: no record was lost to retention — the schedule never raced the reader against the horizon", seed)
+	}
+	if shipped != "" && w.holesSkipped == 0 {
+		t.Fatalf("seed %d: no pass stepped over a hole in a retained log — the schedule never adopted a gap mid-log", seed)
 	}
 }
 
@@ -228,8 +273,8 @@ func TestReaderMatchesReferenceOnBothPlanes(t *testing.T) {
 			inj.InstallBroker(b)
 			runReaderSchedule(t, seed, b, map[string]stream.TopicConfig{
 				"t.plain":   plain,
-				"t.compact": {Partitions: 2, Compacted: true, CompactEvery: 16},
-			}, inj, faults.OpBrokerFetch)
+				"t.shipped": {Partitions: 2, RetentionBytes: 4 << 10},
+			}, "t.shipped", inj, faults.OpBrokerFetch)
 		})
 		t.Run(fmt.Sprintf("cluster/seed%d", seed), func(t *testing.T) {
 			c, err := cluster.New([]string{"n1", "n2", "n3"}, cluster.Config{RF: 2})
@@ -241,7 +286,7 @@ func TestReaderMatchesReferenceOnBothPlanes(t *testing.T) {
 			runReaderSchedule(t, seed, c, map[string]stream.TopicConfig{
 				"t.plain": plain,
 				"t.other": {Partitions: 3, RetentionBytes: 4 << 10},
-			}, inj, cluster.OpFetch)
+			}, "", inj, cluster.OpFetch)
 		})
 	}
 }

@@ -29,7 +29,7 @@ func pr17World(t *testing.T, up int) *stream.Broker {
 			Ts: tbase.Add(time.Duration(s) * time.Second), System: "compass",
 			Source: "power_temp", Component: "node0", Metric: "power", Value: float64(s),
 		}
-		if _, err := b.PublishTo("bronze", spread[s%len(spread)], []byte("node0"), schema.EncodeRow(o.Row())); err != nil {
+		if _, err := b.PublishBatchTo("bronze", spread[s%len(spread)], []stream.Message{{Key: []byte("node0"), Value: schema.EncodeRow(o.Row())}}); err != nil {
 			t.Fatal(err)
 		}
 	}

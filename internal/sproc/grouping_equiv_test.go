@@ -114,7 +114,7 @@ func TestWindowMatchesGroupBy(t *testing.T) {
 					}
 					want.RecordsIn++
 					if rng.Intn(25) == 0 && !seeding {
-						if _, err := b.PublishTo("bronze", part, nil, []byte{0xff, 0x01}); err != nil {
+						if _, err := b.PublishBatchTo("bronze", part, []stream.Message{{Value: []byte{0xff, 0x01}}}); err != nil {
 							t.Fatal(err)
 						}
 						want.RecordsInvalid++
@@ -134,7 +134,7 @@ func TestWindowMatchesGroupBy(t *testing.T) {
 						ts, schema.Str("compass"), randomDim(rng, "power_temp", "drop"),
 						randomDim(rng, "node0", "node1", "node2"), randomDim(rng, "power", "temp"), randomMeasure(rng),
 					}
-					if _, err := b.PublishTo("bronze", part, nil, schema.EncodeRow(row)); err != nil {
+					if _, err := b.PublishBatchTo("bronze", part, []stream.Message{{Value: schema.EncodeRow(row)}}); err != nil {
 						t.Fatal(err)
 					}
 					if !ts.IsNull() && ts.UnixNanos() > partMax[part] {

@@ -31,7 +31,7 @@ func publishObs(t testing.TB, b *stream.Broker, sec int, node, metric string, v 
 		Ts: tbase.Add(time.Duration(sec) * time.Second), System: "compass",
 		Source: "power_temp", Component: node, Metric: metric, Value: v,
 	}
-	if _, _, err := b.Publish("bronze", []byte(node), schema.EncodeRow(o.Row())); err != nil {
+	if _, err := b.PublishBatch("bronze", []stream.Message{{Key: []byte(node), Value: schema.EncodeRow(o.Row())}}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -106,12 +106,12 @@ func TestWhereFilterJob(t *testing.T) {
 func TestMalformedRecordsCounted(t *testing.T) {
 	b := newBrokerWithTopic(t)
 	publishObs(t, b, 0, "node0", "power", 1)
-	if _, _, err := b.Publish("bronze", nil, []byte("garbage!!")); err != nil {
+	if _, err := b.PublishBatch("bronze", []stream.Message{{Value: []byte("garbage!!")}}); err != nil {
 		t.Fatal(err)
 	}
 	// Wrong schema (event instead of observation).
 	ev := schema.Event{Ts: tbase, System: "s", Source: "syslog", Host: "h", Severity: "info", Message: "m"}
-	if _, _, err := b.Publish("bronze", nil, schema.EncodeRow(ev.Row())); err != nil {
+	if _, err := b.PublishBatch("bronze", []stream.Message{{Value: schema.EncodeRow(ev.Row())}}); err != nil {
 		t.Fatal(err)
 	}
 	var sink collectSink
@@ -413,7 +413,7 @@ func BenchmarkWindowedThroughput(b *testing.B) {
 			Source: "power_temp", Component: fmt.Sprintf("node%03d", s%64),
 			Metric: "power", Value: float64(s),
 		}
-		if _, _, err := bk.Publish("bronze", []byte(o.Component), schema.EncodeRow(o.Row())); err != nil {
+		if _, err := bk.PublishBatch("bronze", []stream.Message{{Key: []byte(o.Component), Value: schema.EncodeRow(o.Row())}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -522,7 +522,7 @@ func TestCancelMidPassLosesNothing(t *testing.T) {
 	for i := 0; i < n; i++ {
 		o := schema.Observation{Ts: tbase.Add(time.Duration(i) * time.Second), System: "compass",
 			Source: "power_temp", Component: "node0", Metric: "power", Value: float64(i)}
-		if _, err := b.PublishTo("bronze", i%2, nil, schema.EncodeRow(o.Row())); err != nil {
+		if _, err := b.PublishBatchTo("bronze", i%2, []stream.Message{{Value: schema.EncodeRow(o.Row())}}); err != nil {
 			t.Fatal(err)
 		}
 	}

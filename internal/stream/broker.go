@@ -8,7 +8,7 @@
 // offsets. Producers publish key/value records (keys route to partitions);
 // consumers read by offset, each through its own plane.Reader, so every
 // one replays the retained log from its own position. Retention trims old
-// records by age or bytes, which is how the STREAM tier keeps its bounded
+// records by bytes, which is how the STREAM tier keeps its bounded
 // footprint while OCEAN and GLACIER hold history.
 package stream
 
@@ -49,15 +49,6 @@ type TopicConfig struct {
 	Partitions int
 	// RetentionBytes caps the byte footprint per partition; 0 = unlimited.
 	RetentionBytes int64
-	// RetentionAge drops records older than this; 0 = unlimited.
-	RetentionAge time.Duration
-	// Compacted keeps only the newest record per key (plus all keyless
-	// records): the reference-data pattern for slowly changing state like
-	// project/user registries. Compaction runs when a partition exceeds
-	// CompactEvery records (default 1024); offsets are preserved, so the
-	// log has holes that readers skip over.
-	Compacted    bool
-	CompactEvery int
 }
 
 func (c TopicConfig) withDefaults() TopicConfig {
@@ -73,8 +64,6 @@ type Broker struct {
 	mu     sync.RWMutex
 	topics map[string]*topic
 	closed bool
-	// now is the clock; tests may swap it for determinism.
-	now func() time.Time
 	// faultHook, when set, is consulted before fetch and publish
 	// operations ("broker.fetch" / "broker.publish" with the topic as
 	// target); a non-nil result aborts the operation before any state
@@ -85,17 +74,7 @@ type Broker struct {
 
 // NewBroker returns an empty broker.
 func NewBroker() *Broker {
-	return &Broker{
-		topics: make(map[string]*topic),
-		now:    time.Now,
-	}
-}
-
-// SetClock replaces the broker clock (for deterministic tests).
-func (b *Broker) SetClock(now func() time.Time) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.now = now
+	return &Broker{topics: make(map[string]*topic)}
 }
 
 // SetFaultHook installs (or, with nil, removes) the fault-injection
@@ -204,23 +183,8 @@ func (b *Broker) topic(name string) (*topic, error) {
 	return t, nil
 }
 
-// Publish appends a record to the topic, routing by key hash (round-robin
-// when the key is empty). It returns the partition and assigned offset.
-func (b *Broker) Publish(topicName string, key, value []byte) (partition int, offset int64, err error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return 0, 0, err
-	}
-	if err := b.fault("broker.publish", topicName); err != nil {
-		return 0, 0, err
-	}
-	p := Route(&t.rr, key, len(t.parts))
-	off, err := t.parts[p].append(b.nowFunc()(), key, value, t.cfg)
-	return p, off, err
-}
-
-// Message is one key/value pair to publish; keys route to partitions
-// exactly as in Publish.
+// Message is one key/value pair to publish: a keyed message goes to
+// KeyPartition of its key, a keyless one round-robin.
 type Message struct {
 	Key   []byte
 	Value []byte
@@ -246,13 +210,13 @@ func (e *PartialPublishError) Unwrap() error { return e.Err }
 
 // PublishBatch appends a batch of records to the topic, routing each by
 // key hash (round-robin when the key is empty). Records landing on the
-// same partition are appended under a single lock acquisition with one
-// compaction/retention pass and one consumer wake-up, so producers at
-// volume should prefer it over per-record Publish. Relative order of
-// messages sharing a partition is preserved. It returns the number of
-// records published; a failure affecting only some partitions (an
-// injected fault, a closed partition) surfaces as *PartialPublishError
-// carrying the unpublished remainder for retry.
+// same partition are appended under a single lock acquisition as one
+// chunk, with one retention pass and one consumer wake-up; a single record
+// is a batch of one. Relative order of messages sharing a partition is
+// preserved. It returns the number of records published; a failure
+// affecting only some partitions (an injected fault, a closed partition)
+// surfaces as *PartialPublishError carrying the unpublished remainder for
+// retry.
 func (b *Broker) PublishBatch(topicName string, msgs []Message) (int, error) {
 	if len(msgs) == 0 {
 		return 0, nil
@@ -261,7 +225,7 @@ func (b *Broker) PublishBatch(topicName string, msgs []Message) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	now := b.nowFunc()()
+	now := time.Now()
 	if len(t.parts) == 1 {
 		if err := b.fault("broker.publish", topicName); err != nil {
 			return 0, err
@@ -307,21 +271,6 @@ func (b *Broker) PublishBatch(topicName string, msgs []Message) (int, error) {
 	return published, nil
 }
 
-// PublishTo appends a record to an explicit partition.
-func (b *Broker) PublishTo(topicName string, partition int, key, value []byte) (int64, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return 0, err
-	}
-	if partition < 0 || partition >= len(t.parts) {
-		return 0, fmt.Errorf("%w: %s/%d", ErrNoPartition, topicName, partition)
-	}
-	if err := b.fault("broker.publish", topicName); err != nil {
-		return 0, err
-	}
-	return t.parts[partition].append(b.nowFunc()(), key, value, t.cfg)
-}
-
 // PublishBatchTo appends a batch of messages to one explicit partition
 // under a single lock acquisition, returning the offset assigned to the
 // first message. The cluster's partition leaders use it so a replicated
@@ -337,33 +286,23 @@ func (b *Broker) PublishBatchTo(topicName string, partition int, msgs []Message)
 	if err := b.fault("broker.publish", topicName); err != nil {
 		return 0, err
 	}
-	return t.parts[partition].appendBatch(b.nowFunc()(), msgs, t.cfg)
+	return t.parts[partition].appendBatch(time.Now(), msgs, t.cfg)
 }
 
 // ReplicateBatch appends records copied verbatim from a leader's log,
 // preserving their leader-assigned offsets and timestamps so this
 // broker's partition is a byte-identical prefix of the leader's.
 // Records the partition already holds are skipped, so re-delivery after
-// a failed replication session is idempotent. Only valid for
-// non-compacted topics.
+// a failed replication session is idempotent.
 func (b *Broker) ReplicateBatch(topicName string, partition int, recs []Record) error {
 	t, err := b.topic(topicName)
 	if err != nil {
 		return err
 	}
-	if t.cfg.Compacted {
-		return fmt.Errorf("stream: replicate into compacted topic %s", topicName)
-	}
 	if partition < 0 || partition >= len(t.parts) {
 		return fmt.Errorf("%w: %s/%d", ErrNoPartition, topicName, partition)
 	}
 	return t.parts[partition].replicateBatch(recs, t.cfg)
-}
-
-func (b *Broker) nowFunc() func() time.Time {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return b.now
 }
 
 // Partitions returns the partition count of a topic.
@@ -443,7 +382,6 @@ type TopicStats struct {
 	TotalRecords  int64 // records ever published
 	TotalBytes    int64 // bytes ever published
 	FetchRecords  int64 // records ever served to consumers
-	Compactions   int64 // compaction passes across partitions
 	OldestOffsets []int64
 	EndOffsets    []int64
 }
@@ -462,7 +400,6 @@ func (b *Broker) Stats(topicName string) (TopicStats, error) {
 		s.TotalRecords += ps.totalRecords
 		s.TotalBytes += ps.totalBytes
 		s.FetchRecords += ps.fetchRecords
-		s.Compactions += ps.compactions
 		s.OldestOffsets = append(s.OldestOffsets, ps.oldest)
 		s.EndOffsets = append(s.EndOffsets, ps.end)
 	}

@@ -21,10 +21,23 @@ func newTestBroker(t *testing.T, topicCfg TopicConfig) *Broker {
 	return b
 }
 
+// one is a batch of one message: how a single record is published.
+func one(key, value []byte) []Message { return []Message{{Key: key, Value: value}} }
+
+// endOffsets is every partition's end offset.
+func endOffsets(t *testing.T, b *Broker, topic string) []int64 {
+	t.Helper()
+	st, err := b.Stats(topic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.EndOffsets
+}
+
 func TestPublishFetchRoundTrip(t *testing.T) {
 	b := newTestBroker(t, TopicConfig{Partitions: 1})
 	for i := 0; i < 5; i++ {
-		_, off, err := b.Publish("telemetry", []byte("k"), []byte(fmt.Sprintf("v%d", i)))
+		off, err := b.PublishBatchTo("telemetry", 0, one([]byte("k"), []byte(fmt.Sprintf("v%d", i))))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,33 +64,34 @@ func TestPublishFetchRoundTrip(t *testing.T) {
 
 func TestKeyRoutingIsStable(t *testing.T) {
 	b := newTestBroker(t, TopicConfig{Partitions: 8})
-	p1, _, err := b.Publish("telemetry", []byte("node0042"), []byte("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 20; i++ {
-		p2, _, err := b.Publish("telemetry", []byte("node0042"), []byte("b"))
-		if err != nil {
+	for i := 0; i < 21; i++ {
+		if _, err := b.PublishBatch("telemetry", one([]byte("node0042"), []byte("b"))); err != nil {
 			t.Fatal(err)
 		}
-		if p2 != p1 {
-			t.Fatalf("same key routed to partitions %d and %d", p1, p2)
+	}
+	home := KeyPartition([]byte("node0042"), 8)
+	for p, end := range endOffsets(t, b, "telemetry") {
+		want := int64(0)
+		if p == home {
+			want = 21
+		}
+		if end != want {
+			t.Fatalf("partition %d holds %d of the key's 21 records, want all on %d", p, end, home)
 		}
 	}
 }
 
 func TestKeylessRoundRobinSpreads(t *testing.T) {
 	b := newTestBroker(t, TopicConfig{Partitions: 4})
-	seen := map[int]bool{}
 	for i := 0; i < 16; i++ {
-		p, _, err := b.Publish("telemetry", nil, []byte("x"))
-		if err != nil {
+		if _, err := b.PublishBatch("telemetry", one(nil, []byte("x"))); err != nil {
 			t.Fatal(err)
 		}
-		seen[p] = true
 	}
-	if len(seen) != 4 {
-		t.Fatalf("round robin touched %d partitions, want 4", len(seen))
+	for p, end := range endOffsets(t, b, "telemetry") {
+		if end != 4 {
+			t.Fatalf("round robin put %d of 16 records on partition %d, want 4", end, p)
+		}
 	}
 }
 
@@ -106,7 +120,7 @@ func TestTopicLifecycle(t *testing.T) {
 	if err := b.DeleteTopic("a"); !errors.Is(err, ErrNoTopic) {
 		t.Fatalf("delete missing err = %v", err)
 	}
-	if _, _, err := b.Publish("a", nil, nil); !errors.Is(err, ErrNoTopic) {
+	if _, err := b.PublishBatch("a", one(nil, nil)); !errors.Is(err, ErrNoTopic) {
 		t.Fatalf("publish to deleted err = %v", err)
 	}
 }
@@ -126,7 +140,7 @@ func TestFetchBlocksUntilPublish(t *testing.T) {
 		t.Fatal("fetch returned before publish")
 	case <-time.After(20 * time.Millisecond):
 	}
-	if _, _, err := b.Publish("telemetry", nil, []byte("late")); err != nil {
+	if _, err := b.PublishBatch("telemetry", one(nil, []byte("late"))); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -153,7 +167,7 @@ func TestRetentionByBytes(t *testing.T) {
 	b := newTestBroker(t, TopicConfig{Partitions: 1, RetentionBytes: 400})
 	payload := make([]byte, 64)
 	for i := 0; i < 20; i++ {
-		if _, _, err := b.Publish("telemetry", nil, payload); err != nil {
+		if _, err := b.PublishBatch("telemetry", one(nil, payload)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,33 +190,9 @@ func TestRetentionByBytes(t *testing.T) {
 	}
 }
 
-func TestRetentionByAge(t *testing.T) {
-	b := newTestBroker(t, TopicConfig{Partitions: 1, RetentionAge: time.Minute})
-	clock := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
-	b.SetClock(func() time.Time { return clock })
-	if _, _, err := b.Publish("telemetry", nil, []byte("old")); err != nil {
-		t.Fatal(err)
-	}
-	clock = clock.Add(2 * time.Minute)
-	if _, _, err := b.Publish("telemetry", nil, []byte("new")); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := b.Stats("telemetry")
-	if st.Records != 1 {
-		t.Fatalf("retained %d records, want 1 (old one aged out)", st.Records)
-	}
-	recs, err := b.Fetch(context.Background(), "telemetry", 0, st.OldestOffsets[0], 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(recs[0].Value) != "new" {
-		t.Fatalf("survivor = %q, want new", recs[0].Value)
-	}
-}
-
 func TestFetchBeyondEnd(t *testing.T) {
 	b := newTestBroker(t, TopicConfig{Partitions: 1})
-	_, _, _ = b.Publish("telemetry", nil, []byte("x"))
+	_, _ = b.PublishBatch("telemetry", one(nil, []byte("x")))
 	if _, err := b.Fetch(context.Background(), "telemetry", 0, 99, 1); !errors.Is(err, ErrOffsetInFuture) {
 		t.Fatalf("err = %v, want ErrOffsetInFuture", err)
 	}
@@ -228,7 +218,7 @@ func TestBrokerClose(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("blocked fetch did not wake on close")
 	}
-	if _, _, err := b.Publish("x", nil, nil); !errors.Is(err, ErrBrokerClosed) {
+	if _, err := b.PublishBatch("x", one(nil, nil)); !errors.Is(err, ErrBrokerClosed) {
 		t.Fatalf("publish after close err = %v", err)
 	}
 	b.Close() // idempotent
@@ -244,7 +234,7 @@ func TestConcurrentProducersOffsetsUnique(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < perProducer; i++ {
-				_, off, err := b.Publish("telemetry", nil, []byte("v"))
+				off, err := b.PublishBatchTo("telemetry", 0, one(nil, []byte("v")))
 				if err != nil {
 					t.Error(err)
 					return
@@ -287,99 +277,15 @@ func TestEndOffsetAndPartitions(t *testing.T) {
 	if _, err := b.EndOffset("telemetry", 9); !errors.Is(err, ErrNoPartition) {
 		t.Fatal("EndOffset should fail on bad partition")
 	}
-	if _, err := b.PublishTo("telemetry", 9, nil, nil); !errors.Is(err, ErrNoPartition) {
-		t.Fatal("PublishTo should fail on bad partition")
+	if _, err := b.PublishBatchTo("telemetry", 9, one(nil, nil)); !errors.Is(err, ErrNoPartition) {
+		t.Fatal("PublishBatchTo should fail on bad partition")
 	}
-	if _, err := b.PublishTo("telemetry", 2, nil, []byte("x")); err != nil {
+	if _, err := b.PublishBatchTo("telemetry", 2, one(nil, []byte("x"))); err != nil {
 		t.Fatal(err)
 	}
 	off, _ = b.EndOffset("telemetry", 2)
 	if off != 1 {
 		t.Fatalf("EndOffset after publish = %d, want 1", off)
-	}
-}
-
-func TestCompactedTopicKeepsLatestPerKey(t *testing.T) {
-	b := NewBroker()
-	defer b.Close()
-	if err := b.CreateTopic("crm", TopicConfig{Partitions: 1, Compacted: true, CompactEvery: 8}); err != nil {
-		t.Fatal(err)
-	}
-	// Write 5 versions of 4 keys: compaction should leave the newest of
-	// each once the threshold trips.
-	for v := 0; v < 5; v++ {
-		for k := 0; k < 4; k++ {
-			key := fmt.Sprintf("user%02d", k)
-			if _, _, err := b.Publish("crm", []byte(key), []byte(fmt.Sprintf("v%d", v))); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	st, _ := b.Stats("crm")
-	if st.Compactions == 0 {
-		t.Fatal("no compaction ran")
-	}
-	if st.Records > 8+1 {
-		t.Fatalf("retained %d records after compaction", st.Records)
-	}
-	// A fresh reader sees exactly one (the newest) value per key.
-	recs, err := b.FetchNoWait("crm", 0, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := map[string]string{}
-	for _, r := range recs {
-		seen[string(r.Key)] = string(r.Value)
-	}
-	if len(seen) != 4 {
-		t.Fatalf("keys = %d, want 4 (%v)", len(seen), seen)
-	}
-	for k, v := range seen {
-		if v != "v4" {
-			t.Fatalf("key %s = %s, want newest v4", k, v)
-		}
-	}
-}
-
-func TestCompactionPreservesOffsetsAndOrder(t *testing.T) {
-	b := NewBroker()
-	defer b.Close()
-	_ = b.CreateTopic("crm", TopicConfig{Partitions: 1, Compacted: true, CompactEvery: 4})
-	for i := 0; i < 10; i++ {
-		key := fmt.Sprintf("k%d", i%2)
-		if _, _, err := b.Publish("crm", []byte(key), []byte(fmt.Sprintf("v%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	recs, err := b.Fetch(context.Background(), "crm", 0, 0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 1; i < len(recs); i++ {
-		if recs[i].Offset <= recs[i-1].Offset {
-			t.Fatalf("offsets not monotonic: %d then %d", recs[i-1].Offset, recs[i].Offset)
-		}
-	}
-	// Fetching an offset inside a compaction hole skips to the next
-	// surviving record rather than erroring.
-	if len(recs) >= 2 && recs[1].Offset > recs[0].Offset+1 {
-		hole := recs[0].Offset + 1
-		got, err := b.Fetch(context.Background(), "crm", 0, hole, 1)
-		if err != nil || len(got) != 1 || got[0].Offset < hole {
-			t.Fatalf("hole fetch = %+v, %v", got, err)
-		}
-	}
-	// Keyless records survive compaction.
-	_ = b.DeleteTopic("crm")
-	_ = b.CreateTopic("crm", TopicConfig{Partitions: 1, Compacted: true, CompactEvery: 3})
-	for i := 0; i < 6; i++ {
-		if _, err := b.PublishTo("crm", 0, nil, []byte(fmt.Sprintf("e%d", i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	st, _ := b.Stats("crm")
-	if st.Records != 6 {
-		t.Fatalf("keyless records dropped by compaction: %d of 6", st.Records)
 	}
 }
 
@@ -398,7 +304,7 @@ func TestPublishFetchOrderProperty(t *testing.T) {
 		for i := 0; i < count; i++ {
 			part := rng.Intn(3)
 			val := fmt.Sprintf("p%d-v%d", part, i)
-			if _, err := b.PublishTo("t", part, nil, []byte(val)); err != nil {
+			if _, err := b.PublishBatchTo("t", part, one(nil, []byte(val))); err != nil {
 				return false
 			}
 			published[part] = append(published[part], val)

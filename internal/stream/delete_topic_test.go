@@ -22,7 +22,7 @@ func TestFetchAfterDeleteTopicReturnsNoTopic(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 32; i++ {
-		if _, _, err := b.Publish("doomed", []byte{byte(i)}, []byte("v")); err != nil {
+		if _, err := b.PublishBatch("doomed", []stream.Message{{Key: []byte{byte(i)}, Value: []byte("v")}}); err != nil {
 			t.Fatal(err)
 		}
 	}

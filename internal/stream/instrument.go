@@ -29,8 +29,6 @@ func (b *Broker) Instrument(reg *obs.Registry) {
 				Help: "Records currently retained per topic.", Value: float64(st.Records)})
 			emit(obs.Sample{Name: "oda_stream_retained_bytes" + l, Kind: obs.KindGauge,
 				Help: "Bytes currently retained per topic.", Value: float64(st.Bytes)})
-			emit(obs.Sample{Name: "oda_stream_compactions_total" + l, Kind: obs.KindCounter,
-				Help: "Compaction passes per topic.", Value: float64(st.Compactions)})
 		}
 	})
 }

@@ -14,14 +14,13 @@ import (
 // modelLog is the reference a partition is checked against: the live
 // records as a plain slice, every rule applied one record at a time.
 type modelLog struct {
-	topic       string
-	part        int
-	cfg         TopicConfig
-	recs        []Record
-	horizon     int64
-	next        int64
-	total       int64
-	compactions int64
+	topic   string
+	part    int
+	cfg     TopicConfig
+	recs    []Record
+	horizon int64
+	next    int64
+	total   int64
 }
 
 func (m *modelLog) bytes() (n int64) {
@@ -47,14 +46,7 @@ func (m *modelLog) append(ts time.Time, msgs []Message) {
 	for _, msg := range msgs {
 		m.push(m.next, ts, msg.Key, msg.Value)
 	}
-	every := m.cfg.CompactEvery
-	if every <= 0 {
-		every = 1024
-	}
-	if m.cfg.Compacted && len(m.recs) > every {
-		m.compact()
-	}
-	m.retain(ts)
+	m.retain()
 }
 
 func (m *modelLog) replicate(recs []Record) {
@@ -70,32 +62,12 @@ func (m *modelLog) replicate(recs []Record) {
 		appended = true
 	}
 	if appended {
-		m.retain(m.recs[len(m.recs)-1].Ts)
+		m.retain()
 	}
 }
 
-func (m *modelLog) compact() {
-	latest := map[string]int64{}
-	for _, r := range m.recs {
-		latest[string(r.Key)] = r.Offset
-	}
-	kept := m.recs[:0]
-	for _, r := range m.recs {
-		if len(r.Key) == 0 || latest[string(r.Key)] == r.Offset {
-			kept = append(kept, r)
-		}
-	}
-	m.recs = kept
-	m.compactions++
-}
-
-func (m *modelLog) retain(now time.Time) {
-	for len(m.recs) > 1 {
-		overBytes := m.cfg.RetentionBytes > 0 && m.bytes() > m.cfg.RetentionBytes
-		overAge := m.cfg.RetentionAge > 0 && now.Sub(m.recs[0].Ts) > m.cfg.RetentionAge
-		if !overBytes && !overAge {
-			return
-		}
+func (m *modelLog) retain() {
+	for len(m.recs) > 1 && m.cfg.RetentionBytes > 0 && m.bytes() > m.cfg.RetentionBytes {
 		m.recs = m.recs[1:]
 		m.horizon = m.recs[0].Offset
 	}
@@ -147,13 +119,15 @@ func sameRecords(got, want []Record) error {
 
 // modelRun drives one broker and its models through a seeded schedule.
 type modelRun struct {
-	t      *testing.T
-	rng    *rand.Rand
-	b      *Broker
-	now    time.Time
-	names  []string
-	logs   map[string][]*modelLog
-	leader []Record // the synthetic leader log the "repl" topic is shipped from
+	t     *testing.T
+	rng   *rand.Rand
+	b     *Broker
+	names []string
+	logs  map[string][]*modelLog
+	// leader is the synthetic leader log the "repl" topic is shipped from,
+	// stamped by its own clock leaderNow.
+	leader    []Record
+	leaderNow time.Time
 	// held are fetched records kept across later trims, with deep copies
 	// taken at fetch time.
 	held, heldCopy []Record
@@ -163,13 +137,10 @@ type modelRun struct {
 }
 
 var modelTopics = map[string]TopicConfig{
-	"plain":   {Partitions: 2},
-	"bytes":   {Partitions: 2, RetentionBytes: 3000},
-	"age":     {Partitions: 1, RetentionAge: 10 * time.Second},
-	"both":    {Partitions: 1, RetentionBytes: 6000, RetentionAge: 20 * time.Second},
-	"compact": {Partitions: 2, Compacted: true, CompactEvery: 8},
-	"ckeep":   {Partitions: 1, Compacted: true, CompactEvery: 5, RetentionBytes: 700},
-	"repl":    {Partitions: 1, RetentionBytes: 2500, RetentionAge: 40 * time.Second},
+	"plain": {Partitions: 2},
+	"bytes": {Partitions: 2, RetentionBytes: 3000},
+	"tight": {Partitions: 1, RetentionBytes: 700},
+	"repl":  {Partitions: 1, RetentionBytes: 2500},
 }
 
 func (r *modelRun) create(name string) {
@@ -190,6 +161,25 @@ func (r *modelRun) part(name string, p int) *partition {
 		r.t.Fatal(err)
 	}
 	return t.parts[p]
+}
+
+// stamped returns the timestamp the broker gave the batch it just appended
+// to name/p — its newest record's, which retention never trims — after
+// checking it is the wall clock of the publish call, taken between start
+// and now.
+func (r *modelRun) stamped(name string, p int, start time.Time) time.Time {
+	end, err := r.b.EndOffset(name, p)
+	if err != nil {
+		r.t.Fatal(err)
+	}
+	recs, err := r.b.FetchNoWait(name, p, end-1, 1)
+	if err != nil || len(recs) != 1 {
+		r.t.Fatalf("%s/%d: newest record: %d records, %v", name, p, len(recs), err)
+	}
+	if ts := recs[0].Ts; ts.Before(start) || ts.After(time.Now()) {
+		r.t.Fatalf("%s/%d: batch stamped %s, published after %s", name, p, ts, start)
+	}
+	return recs[0].Ts
 }
 
 // msgs builds n messages: keys from a small set (some empty), values of
@@ -229,24 +219,23 @@ func (r *modelRun) publish(name string) {
 	default:
 		msgs = r.msgs(0, 0)
 	}
-	before := r.part(name, p).nq
+	before, start := r.part(name, p).nq, time.Now()
 	var err error
-	switch {
-	case len(msgs) == 1 && r.rng.Intn(2) == 0:
-		_, err = r.b.PublishTo(name, p, msgs[0].Key, msgs[0].Value)
-	case len(logs) == 1:
+	if len(logs) == 1 {
 		_, err = r.b.PublishBatch(name, msgs)
-	default:
+	} else {
 		_, err = r.b.PublishBatchTo(name, p, msgs)
 	}
 	if err != nil {
 		r.t.Fatalf("publish %s/%d: %v", name, p, err)
 	}
-	logs[p].append(r.now, msgs)
+	if len(msgs) > 0 {
+		logs[p].append(r.stamped(name, p, start), msgs)
+	}
 	for _, m := range msgs {
 		scribble(m.Key, m.Value)
 	}
-	if !logs[p].cfg.Compacted && len(msgs) > 1 && r.part(name, p).nq > before+1 {
+	if len(msgs) > 1 && r.part(name, p).nq > before+1 {
 		r.t.Fatalf("%s/%d: a %d-message batch under the bound queued %d chunks", name, p, len(msgs), r.part(name, p).nq-before)
 	}
 }
@@ -260,11 +249,11 @@ func (r *modelRun) publishHuge() {
 		msgs[i].Value = bytes.Repeat([]byte{byte(i)}, 30<<10+r.rng.Intn(4<<10))
 	}
 	p := r.part(name, 0)
-	before := p.nq
+	before, start := p.nq, time.Now()
 	if _, err := r.b.PublishBatchTo(name, 0, msgs); err != nil {
 		r.t.Fatal(err)
 	}
-	r.logs[name][0].append(r.now, msgs)
+	r.logs[name][0].append(r.stamped(name, 0, start), msgs)
 	for _, m := range msgs {
 		scribble(m.Key, m.Value)
 	}
@@ -280,7 +269,8 @@ func (r *modelRun) publishHuge() {
 }
 
 // ship replicates a slice of the synthetic leader log into "repl": the
-// next records, a re-delivered prefix, or a jump past a retention gap.
+// next records, a re-delivered prefix, or a jump past a retention gap —
+// which, while the log holds records, leaves a hole in its offsets.
 func (r *modelRun) ship() {
 	const name = "repl"
 	m := r.logs[name][0]
@@ -294,7 +284,8 @@ func (r *modelRun) ship() {
 	end := start + int64(1+r.rng.Intn(20))
 	for int64(len(r.leader)) < end {
 		// The leader appended in batches of 1-6 records sharing a timestamp.
-		ts := r.now.Add(time.Duration(len(r.leader)) * time.Millisecond)
+		r.leaderNow = r.leaderNow.Add(time.Duration(1+r.rng.Intn(3000)) * time.Millisecond)
+		ts := r.leaderNow
 		for _, msg := range r.msgs(1+r.rng.Intn(6), 100) {
 			r.leader = append(r.leader, Record{Offset: int64(len(r.leader)), Ts: ts, Key: msg.Key, Value: msg.Value})
 		}
@@ -379,11 +370,11 @@ func (r *modelRun) wake(name string) {
 		done <- result{recs, err}
 	}()
 	waitParked(r.part(name, 0))
-	msgs := r.msgs(1+r.rng.Intn(5), 60)
+	msgs, start := r.msgs(1+r.rng.Intn(5), 60), time.Now()
 	if _, err := r.b.PublishBatchTo(name, 0, msgs); err != nil {
 		r.t.Fatal(err)
 	}
-	m.append(r.now, msgs)
+	m.append(r.stamped(name, 0, start), msgs)
 	got := <-done
 	want, werr := m.fetch(end, 3)
 	if !errors.Is(got.err, werr) {
@@ -400,7 +391,7 @@ func (r *modelRun) check(step string) {
 	t := r.t
 	for _, name := range r.names {
 		logs := r.logs[name]
-		var records, byts, total, compactions int64
+		var records, byts, total int64
 		for pi, m := range logs {
 			where := fmt.Sprintf("%s: %s/%d", step, name, pi)
 			if got, err := r.b.OldestOffset(name, pi); err != nil || got != m.horizon {
@@ -412,7 +403,6 @@ func (r *modelRun) check(step string) {
 			records += int64(len(m.recs))
 			byts += m.bytes()
 			total += m.total
-			compactions += m.compactions
 			for i, off := range r.offsets(name, pi, m) {
 				r.checkFetch(where, name, pi, m, off, 1)
 				r.checkFetch(where, name, pi, m, off, 3)
@@ -426,9 +416,9 @@ func (r *modelRun) check(step string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.Records != records || s.Bytes != byts || s.TotalRecords != total || s.Compactions != compactions {
-			t.Fatalf("%s: %s stats records %d bytes %d total %d compactions %d; model %d %d %d %d",
-				step, name, s.Records, s.Bytes, s.TotalRecords, s.Compactions, records, byts, total, compactions)
+		if s.Records != records || s.Bytes != byts || s.TotalRecords != total {
+			t.Fatalf("%s: %s stats records %d bytes %d total %d; model %d %d %d",
+				step, name, s.Records, s.Bytes, s.TotalRecords, records, byts, total)
 		}
 	}
 	for i, h := range r.held {
@@ -499,9 +489,10 @@ func (r *modelRun) checkFetch(where, name string, pi int, m *modelLog, off int64
 	}
 	switch first := want[0].Offset; {
 	case first > off:
-		if m.cfg.Compacted {
-			r.hits["fetch starting in a compaction hole"]++
+		if name != "repl" {
+			r.t.Fatalf("%s: a hole at %d in a log nothing was replicated into", where, off)
 		}
+		r.hits["fetch starting inside an adopted replication gap"]++
 	default:
 		p := r.part(name, pi)
 		for i := 0; i < p.nq; i++ {
@@ -520,27 +511,26 @@ func (r *modelRun) checkFetch(where, name string, pi int, m *modelLog, off int64
 }
 
 // TestPartitionMatchesModel drives seeded schedules of every way a log
-// is written — batches of mixed sizes including one over the chunk bound,
-// single publishes, replication with re-delivered prefixes, gaps and
-// mixed timestamps, byte and age retention, compaction, topic deletion, a
-// blocked fetch woken by an append — and after every step compares every
-// read of every partition with a []Record model.
+// is written — batches of mixed sizes from one record to one over the
+// chunk bound, replication with re-delivered prefixes, gaps and mixed
+// timestamps, byte retention, topic deletion, a blocked fetch woken by an
+// append — and after every step compares every read of every partition
+// with a []Record model, whose publish timestamps are the ones the broker
+// stamped.
 func TestPartitionMatchesModel(t *testing.T) {
 	hits := map[string]int{}
 	for seed := int64(1); seed <= 3; seed++ {
 		r := &modelRun{
 			t: t, rng: rand.New(rand.NewSource(seed)), b: NewBroker(),
-			now:   time.Unix(1_700_000_000, 0).UTC(),
-			names: []string{"plain", "bytes", "age", "both", "compact", "ckeep", "repl"},
-			logs:  map[string][]*modelLog{}, hits: hits,
+			names:     []string{"plain", "bytes", "tight", "repl"},
+			leaderNow: time.Unix(1_700_000_000, 0).UTC(),
+			logs:      map[string][]*modelLog{}, hits: hits,
 		}
-		r.b.SetClock(func() time.Time { return r.now })
 		names := r.names
 		for _, name := range names {
 			r.create(name)
 		}
 		for step := 0; step < 200; step++ {
-			r.now = r.now.Add(time.Duration(r.rng.Intn(3000)) * time.Millisecond)
 			name := names[r.rng.Intn(len(names)-1)] // "repl" is written by ship alone
 			what := "publish " + name
 			switch k := r.rng.Intn(20); {
@@ -578,7 +568,7 @@ func TestPartitionMatchesModel(t *testing.T) {
 		"batch split at the chunk bound",
 		"horizon inside a partially trimmed chunk",
 		"fetch starting inside a chunk",
-		"fetch starting in a compaction hole",
+		"fetch starting inside an adopted replication gap",
 		"replicate with a re-delivered prefix",
 		"replicate of nothing new",
 		"replicate across a retention gap",

@@ -77,13 +77,12 @@ func (c *chunk) size(i int) int64 {
 }
 
 // partition is one append-only log, held as a queue of chunks in offset
-// order. An append-only topic queues one chunk per appended batch, so a
-// log allocates each byte once — an arena and an index per batch — and
-// retention frees a batch's arena when its last record is trimmed (the
-// head chunk trims record by record through lo and pins at most its own
-// arena, chunkMaxBytes). A compacted topic queues one chunk per record:
-// compaction drops whole chunks, leaving holes in the offset sequence and
-// pinning nothing, and readers locate offsets by binary search on base.
+// order, one per appended batch, so a log allocates each byte once — an
+// arena and an index per batch — and retention frees a batch's arena when
+// its last record is trimmed (the head chunk trims record by record
+// through lo and pins at most its own arena, chunkMaxBytes). Readers
+// locate offsets by binary search on base, which also steps over the one
+// kind of hole a log can have: a replication gap ReplicateBatch adopted.
 // The queue itself is a ring of chunk headers that stops growing once
 // retention bounds the live set. horizon is the lowest offset still
 // addressable (reads below it fail with ErrOffsetTrimmed); next is the
@@ -117,7 +116,6 @@ type partition struct {
 	totalRecords atomic.Int64
 	totalBytes   atomic.Int64
 	fetchRecords atomic.Int64
-	compactions  atomic.Int64
 }
 
 func newPartition(topic string, id int) *partition {
@@ -200,16 +198,12 @@ func (p *partition) endOffset() int64 {
 	return p.next
 }
 
-func (p *partition) append(ts time.Time, key, value []byte, cfg TopicConfig) (int64, error) {
-	return p.appendBatch(ts, []Message{{Key: key, Value: value}}, cfg)
-}
-
 // appendBatch appends every message in order under one lock acquisition,
-// then runs compaction and retention once and wakes blocked fetchers
-// once — the amortized hot path behind Broker.PublishBatch. It returns
-// the offset assigned to the first message of the batch. Callers may
-// reuse their message buffers after it returns: keys and values are
-// copied, once, into the chunk's arena.
+// then runs retention once and wakes blocked fetchers once — the one
+// append behind PublishBatch and PublishBatchTo. It returns the offset
+// assigned to the first message of the batch. Callers may reuse their
+// message buffers after it returns: keys and values are copied, once,
+// into the chunk's arena.
 func (p *partition) appendBatch(ts time.Time, msgs []Message, cfg TopicConfig) (int64, error) {
 	if len(msgs) == 0 {
 		return p.endOffset(), nil
@@ -227,12 +221,11 @@ func (p *partition) appendBatch(ts time.Time, msgs []Message, cfg TopicConfig) (
 	first := p.next
 	for len(msgs) > 0 {
 		// One chunk takes as many messages as fit the bound — all of
-		// them, for any ordinary batch — and exactly one on a compacted
-		// topic, so compaction can drop a record without pinning a batch.
+		// them, for any ordinary batch.
 		n, data := 0, 0
 		for n < len(msgs) {
 			m := len(msgs[n].Key) + len(msgs[n].Value)
-			if n > 0 && cfg.Compacted || !chunkFits(n, data, m) {
+			if !chunkFits(n, data, m) {
 				break
 			}
 			data += m
@@ -245,16 +238,7 @@ func (p *partition) appendBatch(ts time.Time, msgs []Message, cfg TopicConfig) (
 		p.queueLocked(c)
 		msgs = msgs[n:]
 	}
-	if cfg.Compacted {
-		every := cfg.CompactEvery
-		if every <= 0 {
-			every = 1024
-		}
-		if p.count > every {
-			p.compactLocked()
-		}
-	}
-	p.enforceRetentionLocked(ts, cfg)
+	p.enforceRetentionLocked(cfg)
 	p.wakeLocked()
 	p.mu.Unlock()
 	return first, nil
@@ -268,9 +252,8 @@ func (p *partition) appendBatch(ts time.Time, msgs []Message, cfg TopicConfig) (
 // ever move monotonically. The source buffers belong to the transport, so
 // they are copied like appendBatch copies: one chunk per run of
 // consecutive offsets sharing a timestamp, which for a shipped leader
-// batch is one chunk. Replication is only defined for non-compacted
-// topics (the cluster rejects compacted configs), so no compaction pass
-// runs here.
+// batch is one chunk. A jump adopted while the log still holds records is
+// a hole in its offsets, which readers step over.
 func (p *partition) replicateBatch(recs []Record, cfg TopicConfig) error {
 	if len(recs) == 0 {
 		return nil
@@ -316,58 +299,20 @@ func (p *partition) replicateBatch(recs []Record, cfg TopicConfig) error {
 		p.mu.Unlock()
 		return nil
 	}
-	p.enforceRetentionLocked(p.chunkAt(p.nq-1).ts, cfg)
+	p.enforceRetentionLocked(cfg)
 	p.wakeLocked()
 	p.mu.Unlock()
 	return nil
 }
 
-// compactLocked keeps only the newest record per key (keyless records are
-// always kept), preserving offsets — the log is left with holes. Every
-// chunk of a compacted topic holds one record, so dropping a record drops
-// its chunk; the survivors are slid down in ring order, so no allocation.
-func (p *partition) compactLocked() {
-	key := func(c *chunk) []byte { return c.data[:c.ends[0]] }
-	latest := make(map[string]int64, p.nq)
-	for i := 0; i < p.nq; i++ {
-		if c := p.chunkAt(i); len(key(c)) > 0 {
-			latest[string(key(c))] = c.base
-		}
-	}
-	w := 0
-	var bytes int64
-	for i := 0; i < p.nq; i++ {
-		c := p.chunkAt(i)
-		if len(key(c)) == 0 || latest[string(key(c))] == c.base {
-			bytes += c.size(0)
-			if w != i {
-				*p.chunkAt(w) = *c
-			}
-			w++
-		}
-	}
-	for i := w; i < p.nq; i++ {
-		*p.chunkAt(i) = chunk{}
-	}
-	p.nq, p.count, p.bytes = w, w, bytes
-	p.compactions.Add(1)
-	// The horizon does not move: cursors pointing at compacted-away
-	// offsets simply skip forward to the next surviving record, exactly
-	// as readers of a compacted log expect.
-}
-
-// enforceRetentionLocked trims the head, record by record, while limits
-// are exceeded; a chunk whose last record goes is dequeued and its slot
-// zeroed, which is what frees its arena.
-func (p *partition) enforceRetentionLocked(now time.Time, cfg TopicConfig) {
+// enforceRetentionLocked trims the head, record by record, while the log
+// holds more than RetentionBytes; a chunk whose last record goes is
+// dequeued and its slot zeroed, which is what frees its arena.
+func (p *partition) enforceRetentionLocked(cfg TopicConfig) {
 	trimmed := false
-	for p.count > 1 { // always keep at least the newest record
+	// RetentionBytes 0 is unlimited, and the newest record always stays.
+	for cfg.RetentionBytes > 0 && p.bytes > cfg.RetentionBytes && p.count > 1 {
 		c := p.chunkAt(0)
-		overBytes := cfg.RetentionBytes > 0 && p.bytes > cfg.RetentionBytes
-		overAge := cfg.RetentionAge > 0 && now.Sub(c.ts) > cfg.RetentionAge
-		if !overBytes && !overAge {
-			break
-		}
 		p.bytes -= c.size(c.lo)
 		p.count--
 		trimmed = true
@@ -481,7 +426,6 @@ type partitionStats struct {
 	records, bytes            int64
 	totalRecords, totalBytes  int64
 	fetchRecords, oldest, end int64
-	compactions               int64
 }
 
 func (p *partition) stats() partitionStats {
@@ -495,6 +439,5 @@ func (p *partition) stats() partitionStats {
 		fetchRecords: p.fetchRecords.Load(),
 		oldest:       p.horizon,
 		end:          p.next,
-		compactions:  p.compactions.Load(),
 	}
 }

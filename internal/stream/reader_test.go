@@ -29,7 +29,7 @@ func newTelemetryBroker(t *testing.T, cfg stream.TopicConfig) *stream.Broker {
 func publishN(t *testing.T, b *stream.Broker, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		if _, _, err := b.Publish("telemetry", nil, []byte(fmt.Sprintf("v%d", i))); err != nil {
+		if _, err := b.PublishBatch("telemetry", []stream.Message{{Value: []byte(fmt.Sprintf("v%d", i))}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -143,7 +143,7 @@ func TestConsumerSkipsTrimmedOffsets(t *testing.T) {
 	r := newReader(t, b)
 	payload := make([]byte, 64)
 	for i := 0; i < 30; i++ {
-		if _, _, err := b.Publish("telemetry", nil, payload); err != nil {
+		if _, err := b.PublishBatch("telemetry", []stream.Message{{Value: payload}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -252,7 +252,7 @@ func TestPollWakesOnPublish(t *testing.T) {
 		}
 	}()
 	time.Sleep(10 * time.Millisecond)
-	if _, _, err := b.Publish("telemetry", []byte("k"), []byte("x")); err != nil {
+	if _, err := b.PublishBatch("telemetry", []stream.Message{{Key: []byte("k"), Value: []byte("x")}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {

@@ -71,9 +71,9 @@ func (r *Regroup[T]) Clear() {
 	r.items = nil
 }
 
-// Route picks a message's partition: KeyPartition when keyed, the topic's
+// route picks a message's partition: KeyPartition when keyed, the topic's
 // round-robin cursor rr when keyless.
-func Route(rr *atomic.Uint64, key []byte, parts int) int {
+func route(rr *atomic.Uint64, key []byte, parts int) int {
 	if len(key) == 0 {
 		return int(rr.Add(1) % uint64(parts))
 	}
@@ -82,12 +82,12 @@ func Route(rr *atomic.Uint64, key []byte, parts int) int {
 
 var batchRegroups = sync.Pool{New: func() any { return new(Regroup[Message]) }}
 
-// RouteBatch regroups msgs by partition exactly as message-at-a-time Route
-// calls would place them. Hand the result to ReleaseBatch once no
-// sub-batch is in use any more.
+// RouteBatch regroups msgs by partition, each message where route places
+// it, in batch order. Hand the result to ReleaseBatch once no sub-batch is
+// in use any more.
 func RouteBatch(rr *atomic.Uint64, msgs []Message, parts int) *Regroup[Message] {
 	r := batchRegroups.Get().(*Regroup[Message])
-	r.Sort(msgs, parts, func(m *Message) int { return Route(rr, m.Key, parts) })
+	r.Sort(msgs, parts, func(m *Message) int { return route(rr, m.Key, parts) })
 	return r
 }
 

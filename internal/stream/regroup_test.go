@@ -28,7 +28,7 @@ func mixedBatch(rng *rand.Rand, tag string, n, keys int) []Message {
 func appendRegroup(rr *atomic.Uint64, msgs []Message, parts int) [][]Message {
 	byPart := make([][]Message, parts)
 	for _, m := range msgs {
-		p := Route(rr, m.Key, parts)
+		p := route(rr, m.Key, parts)
 		byPart[p] = append(byPart[p], m)
 	}
 	return byPart
@@ -81,7 +81,7 @@ func TestRegroupClearDropsBatch(t *testing.T) {
 	var rr atomic.Uint64
 	var r Regroup[Message]
 	msgs := mixedBatch(rng, "x", 300, 32)
-	r.Sort(msgs, 4, func(m *Message) int { return Route(&rr, m.Key, 4) })
+	r.Sort(msgs, 4, func(m *Message) int { return route(&rr, m.Key, 4) })
 	r.Clear()
 	for i, m := range r.buf[:cap(r.buf)] {
 		if m.Key != nil || m.Value != nil {
@@ -166,13 +166,13 @@ func TestBrokerPublishBatchRegroupProperty(t *testing.T) {
 			t.Fatal(err)
 		}
 		// The reference takes the landed sub-batches one message at a time;
-		// PublishTo names the partition, so its own cursor never matters.
+		// PublishBatchTo names the partition, so its own cursor never matters.
 		for p := range byPart {
 			if p == failedPart {
 				continue
 			}
 			for _, m := range byPart[p] {
-				if _, err := ref.PublishTo(topic, p, m.Key, m.Value); err != nil {
+				if _, err := ref.PublishBatchTo(topic, p, one(m.Key, m.Value)); err != nil {
 					t.Fatal(err)
 				}
 			}
