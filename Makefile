@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test bench-smoke loc-delta one-reader one-read-path one-cell-format one-grouping one-log race chaos chaos-cluster bench bench-query bench-obs bench-federate bench-serve bench-cq bench-cluster fuzz-smoke verify clean
+.PHONY: all build vet test bench-smoke loc-delta race chaos chaos-cluster bench bench-query bench-obs bench-federate bench-serve bench-cq bench-cluster fuzz-smoke verify clean
 
 all: verify
 
@@ -10,6 +10,9 @@ build:
 vet:
 	$(GO) vet ./...
 
+# The tests include the repository's shape rules (shape_test.go: one
+# STREAM reader, one LAKE read path, one cell format, one grouping loop,
+# one log, one wait), checked over the parsed sources.
 test:
 	$(GO) test ./...
 
@@ -39,72 +42,6 @@ loc-delta:
 		awk '{a += $$1; d += $$2} END {printf "non-test .go lines vs $(BASE): +%d -%d (net %+d)\n", a, d, a - d}'
 	@git diff --numstat $(BASE) -- '*_test.go' ':(exclude)benchmark' | \
 		awk '{a += $$1; d += $$2} END {printf "*_test.go lines vs $(BASE): +%d -%d (net %+d)\n", a, d, a - d}'
-
-# One stream reader: every consumer of the STREAM tier reads through
-# plane.Reader. A non-test .go file outside the planes themselves
-# (internal/plane, internal/stream, internal/cluster) and the benchmark
-# module that fetches from a topic by hand is a second reader loop with
-# its own trimmed / in-future / transient policy — fail the build, not a
-# review.
-one-reader:
-	@if grep -rnE 'FetchNoWait\(|Broker\.Fetch\(' --include='*.go' --exclude='*_test.go' \
-		--exclude-dir=benchmark --exclude-dir=plane --exclude-dir=stream --exclude-dir=cluster . ; then \
-		echo "one-reader: read STREAM topics through plane.Reader, not a hand-rolled fetch loop"; exit 1; fi
-
-# One LAKE read path: every HTTP read route answers through serveQuery,
-# the one place internal/httpapi calls the backend's engine (so shedding,
-# the cost headers and with them the gateway's scan debit reach a route by
-# construction), and top-N is a query shape (tsdb.TopN / TopNOf), not a
-# method some type answers beside RunWithStats.
-one-read-path:
-	@n=$$(grep -rn 'backend\.RunWithStats(' --include='*.go' --exclude='*_test.go' internal/httpapi | wc -l); \
-		if [ $$n -ne 1 ]; then \
-		grep -rn 'backend\.RunWithStats(' --include='*.go' --exclude='*_test.go' internal/httpapi; \
-		echo "one-read-path: internal/httpapi has $$n backend.RunWithStats( call sites, want 1 (serveQuery)"; exit 1; fi
-	@if grep -rnE '^func \([^)]*\) TopN\(' --include='*.go' --exclude='*_test.go' . ; then \
-		echo "one-read-path: top-N is tsdb.TopN over RunWithStats, not a method"; exit 1; fi
-
-# One serialized form for rollup cells: ColdSchema, written by the one
-# builder in internal/tsdb/tier.go (Offload and ExportStripes both feed
-# it) and read back through coldColumns (the cold fold and ImportStripes).
-# The pre-federation pair — RollupSchema, DB.Export, DB.ImportRollups —
-# stays deleted, and nobody else assembles a ColdSchema frame by hand.
-one-cell-format:
-	@if grep -rnE 'RollupSchema|ImportRollups|^func \(db \*DB\) Export\(' --include='*.go' --exclude='*_test.go' . ; then \
-		echo "one-cell-format: rollup cells serialize as ColdSchema (ExportStripes / ImportStripes / Offload)"; exit 1; fi
-	@if grep -rnF 'schema.FrameOfColumns(ColdSchema' --include='*.go' --exclude='*_test.go' . | grep -v '^\./internal/tsdb/tier\.go:' ; then \
-		echo "one-cell-format: build ColdSchema frames with tsdb's cellColumns, not by hand"; exit 1; fi
-
-# One grouping loop in the stream processor: GROUP BY, PIVOT and a job's
-# windows find a row's group through sproc's groupTable (relational.go),
-# and the SQL executor orders rows in one place (a permutation sort, then
-# Frame.Gather). A second group struct, the job's old winGroup, or a second
-# sort call site in sql.go (Frame.SortBy for ascending beside a row-boxing
-# sort for DESC) is a copy of the loop coming back.
-one-grouping:
-	@if grep -n 'winGroup' internal/sproc/*.go | grep -v '_test\.go:' ; then \
-		echo "one-grouping: a job's windows are groupTables, not a winGroup map"; exit 1; fi
-	@n=$$(cat $$(ls internal/sproc/*.go | grep -v '_test\.go$$') | grep -c 'type group struct'); \
-		if [ $$n -ne 1 ]; then \
-		echo "one-grouping: non-test internal/sproc declares $$n 'type group struct', want 1 (relational.go)"; exit 1; fi
-	@n=$$(grep -cE 'SortBy\(|sortByTerms\(|Sort(Stable)?Func\(|sort\.[A-Z][A-Za-z]*\(' internal/sproc/sql.go); \
-		if [ $$n -ne 1 ]; then \
-		grep -nE 'SortBy\(|sortByTerms\(|Sort(Stable)?Func\(|sort\.[A-Z][A-Za-z]*\(' internal/sproc/sql.go; \
-		echo "one-grouping: sql.go sorts through $$n call sites, want 1 (ORDER BY: a permutation sort, then Gather)"; exit 1; fi
-
-# One log: a STREAM partition is append-only, trimmed by bytes, and
-# written a batch at a time — one chunk per appended batch, one trim rule,
-# PublishBatch / PublishBatchTo as the publish paths on either plane (a
-# single record is a batch of one), records stamped with the wall clock.
-# A compacted topic, age retention, a swappable broker clock or a
-# single-record publish method coming back fails the build.
-one-log:
-	@if grep -rnE '^[[:space:]]+(Compacted|CompactEvery|RetentionAge)([[:space:],]|$$)' --include='*.go' --exclude='*_test.go' internal/stream ; then \
-		echo "one-log: stream.TopicConfig is {Partitions, RetentionBytes}"; exit 1; fi
-	@if grep -rnE '^func \([a-z]+ \*Broker\) (Publish|PublishTo|SetClock)\(' --include='*.go' --exclude='*_test.go' internal/stream ; then \
-		echo "one-log: publish through PublishBatch / PublishBatchTo (a record is a batch of one); records are stamped time.Now()"; exit 1; fi
-	@if grep -rnE '^func \([a-z]+ \*Cluster\) Publish\(' --include='*.go' --exclude='*_test.go' internal/cluster ; then \
-		echo "one-log: the cluster publishes through PublishBatch"; exit 1; fi
 
 # The concurrency-heavy packages get a dedicated race-detector pass: the
 # striped-lock LAKE store, the partitioned STREAM broker, the reader every
@@ -223,7 +160,7 @@ fuzz-smoke:
 # verify rewrites no committed file: the bench-* targets that regenerate
 # BENCH_*.json with this machine's numbers are run by hand, so a green
 # verify leaves `git status` clean.
-verify: vet build one-reader one-read-path one-cell-format one-grouping one-log test bench-smoke race chaos chaos-cluster fuzz-smoke
+verify: vet build test bench-smoke race chaos chaos-cluster fuzz-smoke
 
 clean:
 	$(GO) clean ./...

@@ -155,6 +155,9 @@ type partitionState struct {
 	hw        int64            // high watermark: reads stop here
 	inflight  *staged
 	truncs    []hwTrunc // beyond-quorum hw truncations, for stale-WAL fencing
+	// notify wakes readers parked in Ready; it exists while one waits and
+	// is closed where hw rises.
+	notify chan struct{}
 }
 
 // hwTrunc records one beyond-quorum truncation: at epoch, the committed

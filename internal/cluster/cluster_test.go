@@ -340,3 +340,64 @@ func TestClusterRoutesKeysLikeBroker(t *testing.T) {
 		}
 	}
 }
+
+// TestClusterReadyWakesOnCommit: a reader parked on Ready wakes when the
+// high watermark rises, not when the leader log grows. A publish staged
+// without quorum leaves the channel open; the commit the restarted
+// follower and Repair complete closes it.
+func TestClusterReadyWakesOnCommit(t *testing.T) {
+	c := testCluster(t, 2, 2)
+	if err := c.CreateTopic("telemetry", stream.TopicConfig{Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	ch, err := c.Ready("telemetry", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tp, err := c.topic("telemetry")
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower := tp.parts[0].followers[0]
+	if err := c.Kill(follower); err != nil {
+		t.Fatal(err)
+	}
+	msgs := []stream.Message{{Key: []byte("k"), Value: []byte("staged")}}
+	if _, err := c.PublishBatch("telemetry", msgs); !errors.Is(err, ErrQuorumLost) {
+		t.Fatalf("publish with the follower dead: %v, want ErrQuorumLost", err)
+	}
+	if end, _ := c.node(tp.parts[0].leader).Broker.EndOffset("telemetry", 0); end != 1 {
+		t.Fatalf("the leader log ends at %d, want the staged record at 0", end)
+	}
+	if isClosed(ch) {
+		t.Fatal("a staged, unacked record woke the parked reader")
+	}
+	if again, err := c.Ready("telemetry", 0, 0); err != nil || isClosed(again) {
+		t.Fatalf("Ready at the high watermark over a staged suffix fired (%v)", err)
+	}
+	if err := c.Restart(follower); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Repair(); err != nil {
+		t.Fatal(err)
+	}
+	if !isClosed(ch) {
+		t.Fatal("the commit did not wake the parked reader")
+	}
+	if recs, err := c.FetchNoWait("telemetry", 0, 0, 10); err != nil || len(recs) != 1 || string(recs[0].Value) != "staged" {
+		t.Fatalf("fetch after the commit: %d records, %v", len(recs), err)
+	}
+	if ready, err := c.Ready("telemetry", 0, 0); err != nil || !isClosed(ready) {
+		t.Fatalf("Ready below the high watermark comes back open (%v)", err)
+	}
+}
+
+// isClosed reports whether a Ready channel has fired, without waiting.
+func isClosed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}

@@ -353,6 +353,10 @@ func (c *Cluster) finishCommitLocked(t *topicState, ps *partitionState, pc *pend
 	advanced := pc.lend > ps.hw
 	if advanced {
 		ps.hw = pc.lend
+		if ps.notify != nil {
+			close(ps.notify) // the one place hw rises: parked readers wake on commit
+			ps.notify = nil
+		}
 	}
 	// WAL commit barriers, on the replicas whose knowledge changed this
 	// pass: the leader when hw advanced, an acked follower when it also
@@ -441,18 +445,27 @@ func (c *Cluster) syncFollowerLocked(t *topicState, ps *partitionState, id strin
 	}
 }
 
+// part resolves one partition of a topic: the lookup every per-partition
+// method starts with.
+func (c *Cluster) part(topicName string, partition int) (*topicState, *partitionState, error) {
+	t, err := c.topic(topicName)
+	if err != nil {
+		return nil, nil, err
+	}
+	if partition < 0 || partition >= len(t.parts) {
+		return nil, nil, fmt.Errorf("%w: %s/%d", stream.ErrNoPartition, topicName, partition)
+	}
+	return t, t.parts[partition], nil
+}
+
 // FetchNoWait reads committed records from the partition leader,
 // capped at the high watermark — staged (unacked) records are never
 // visible, which is what makes failover exactly-once for readers.
 func (c *Cluster) FetchNoWait(topicName string, partition int, offset int64, max int) ([]stream.Record, error) {
-	t, err := c.topic(topicName)
+	t, ps, err := c.part(topicName, partition)
 	if err != nil {
 		return nil, err
 	}
-	if partition < 0 || partition >= len(t.parts) {
-		return nil, fmt.Errorf("%w: %s/%d", stream.ErrNoPartition, topicName, partition)
-	}
-	ps := t.parts[partition]
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	if err := c.ensureLeaderLocked(t, ps); err != nil {
@@ -491,29 +504,42 @@ func (c *Cluster) FetchNoWait(topicName string, partition int, offset int64, max
 // EndOffset returns the partition's high watermark: the end of the
 // committed, replicated prefix readers may consume.
 func (c *Cluster) EndOffset(topicName string, partition int) (int64, error) {
-	t, err := c.topic(topicName)
+	_, ps, err := c.part(topicName, partition)
 	if err != nil {
 		return 0, err
 	}
-	if partition < 0 || partition >= len(t.parts) {
-		return 0, fmt.Errorf("%w: %s/%d", stream.ErrNoPartition, topicName, partition)
-	}
-	ps := t.parts[partition]
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	return ps.hw, nil
 }
 
+// readyNow is what Ready hands out when its condition already holds.
+var readyNow = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
+
+// Ready returns a channel closed once the high watermark passes off: a
+// reader wakes on a quorum commit, never on a staged suffix.
+func (c *Cluster) Ready(topicName string, partition int, off int64) (<-chan struct{}, error) {
+	_, ps, err := c.part(topicName, partition)
+	if err != nil {
+		return nil, err
+	}
+	ps.mu.Lock()
+	defer ps.mu.Unlock()
+	if ps.hw > off {
+		return readyNow, nil
+	}
+	if ps.notify == nil {
+		ps.notify = make(chan struct{})
+	}
+	return ps.notify, nil
+}
+
 // OldestOffset returns the leader's oldest retained offset.
 func (c *Cluster) OldestOffset(topicName string, partition int) (int64, error) {
-	t, err := c.topic(topicName)
+	t, ps, err := c.part(topicName, partition)
 	if err != nil {
 		return 0, err
 	}
-	if partition < 0 || partition >= len(t.parts) {
-		return 0, fmt.Errorf("%w: %s/%d", stream.ErrNoPartition, topicName, partition)
-	}
-	ps := t.parts[partition]
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	if err := c.ensureLeaderLocked(t, ps); err != nil {

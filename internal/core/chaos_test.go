@@ -80,9 +80,9 @@ func runChaosPipeline(t *testing.T, inj *faults.Injector, poison [][]byte) (pipe
 	}
 	defer f.Close()
 	if inj != nil {
-		inj.InstallBroker(f.Broker)
-		inj.InstallStore(f.Ocean)
-		inj.InstallLake(f.Lake)
+		inj.Install(f.Broker)
+		inj.Install(f.Ocean)
+		inj.Install(f.Lake)
 	}
 
 	// The whole run is traced: the sampled root's span tree must cover
@@ -304,7 +304,7 @@ func TestChaosBreakerAndRestartDamping(t *testing.T) {
 	}
 	inj := faults.New(chaosSeed())
 	inj.Set(faults.OpStoreAppend, faults.Rates{Transient: 1}) // sink never heals
-	inj.InstallStore(f.Ocean)
+	inj.Install(f.Ocean)
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()

@@ -341,14 +341,15 @@ func (s *outageStream) FetchNoWait(topic string, part int, off int64, max int) (
 }
 
 // TestDrainIdlesThroughTransientOutage: while one partition is transiently
-// unreadable Drain has nothing to apply and is not caught up; it must
-// wait between polls (the reader's idle wait, 5 ms) instead of spinning,
-// and still apply every record exactly once when the partition heals.
+// unreadable Drain is not caught up, yet the reader would not park — the
+// partition's records are committed. It must back off between passes
+// instead of spinning, and still apply every record exactly once when the
+// partition heals.
 func TestDrainIdlesThroughTransientOutage(t *testing.T) {
 	const (
 		topic  = "bronze.alpha"
 		outage = 50 * time.Millisecond
-		idle   = 5 * time.Millisecond
+		idle   = 5 * time.Millisecond // the mean pass spacing allowed
 		n      = 400
 	)
 	b := stream.NewBroker()
@@ -376,7 +377,7 @@ func TestDrainIdlesThroughTransientOutage(t *testing.T) {
 		t.Fatal(err)
 	}
 	if limit := int(outage/idle) + 5; src.refused == 0 || src.refused > limit {
-		t.Fatalf("%d fetches hit the partition during its %v outage, want 1..%d (one per idle wait)", src.refused, outage, limit)
+		t.Fatalf("%d fetches hit the partition during its %v outage, want 1..%d (backed off, not spinning)", src.refused, outage, limit)
 	}
 	if m := p.Metrics(); m.Polled != n || m.Applied != n || m.Bad != 0 {
 		t.Fatalf("after the outage the pump had polled %d and applied %d of %d records (%d bad)", m.Polled, m.Applied, n, m.Bad)

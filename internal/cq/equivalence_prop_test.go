@@ -95,7 +95,6 @@ func (w *propWorld) referenceDB() *tsdb.DB {
 	db := tsdb.New(tsdb.Options{
 		RollupInterval: propRollup, SegmentDuration: propSegment, QueryCacheSize: -1,
 	})
-	ctx := context.Background()
 	for _, topic := range w.topics {
 		for p := 0; p < propParts; p++ {
 			end, err := w.broker.EndOffset(topic, p)
@@ -103,7 +102,7 @@ func (w *propWorld) referenceDB() *tsdb.DB {
 				w.t.Fatalf("end offset: %v", err)
 			}
 			for off := int64(0); off < end; {
-				recs, err := w.broker.Fetch(ctx, topic, p, off, 1024)
+				recs, err := w.broker.FetchNoWait(topic, p, off, 1024)
 				if err != nil {
 					w.t.Fatalf("fetch: %v", err)
 				}
@@ -249,7 +248,7 @@ func TestViewSurvivesCrashRestore(t *testing.T) {
 			// Publish more and step WITHOUT a final checkpoint, then
 			// "crash": everything since the last checkpoint is lost.
 			w.publishRound(60)
-			if _, err := pump.step(ctx); err != nil {
+			if err := pump.step(ctx); err != nil {
 				t.Fatalf("step: %v", err)
 			}
 

@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"time"
 
 	"odakit/internal/atomicfile"
 	"odakit/internal/plane"
@@ -100,28 +102,29 @@ func NewPumpSource(engine *Engine, src plane.Stream, cfg PumpConfig) (*Pump, err
 func (p *Pump) Metrics() PumpMetrics { return p.metrics }
 
 // step polls every topic partition once and applies what arrived,
-// preserving per-partition record order. Returns records applied.
-// Transient source errors (a fetch mid-failover, an injected fault) are
-// tolerated: the reader skipped that partition without moving its
-// cursor, so the next step resumes exactly where this one left off.
-func (p *Pump) step(ctx context.Context) (int, error) {
+// preserving per-partition record order, then checkpoints if it applied
+// anything. A transient source error (a fetch mid-failover, an injected
+// fault) comes back after the checkpoint: the reader skipped that
+// partition without moving its cursor, so the next pass resumes exactly
+// where this one left off.
+func (p *Pump) step(ctx context.Context) error {
 	total, err := p.reader.Poll(ctx, p.cfg.BatchSize, func(t string, part int, recs []stream.Record) error {
 		p.metrics.Polled += int64(len(recs))
 		p.applyRecords(t, part, recs)
 		return nil
 	})
 	if err != nil && !resilience.IsTransient(err) {
-		return total, fmt.Errorf("cq: poll: %w", err)
+		return fmt.Errorf("cq: poll: %w", err)
 	}
 	if total > 0 {
 		p.sinceCkpt++
 		if p.sinceCkpt >= p.cfg.CheckpointEvery {
-			if err := p.Checkpoint(); err != nil {
-				return total, err
+			if cerr := p.Checkpoint(); cerr != nil {
+				return cerr
 			}
 		}
 	}
-	return total, nil
+	return err
 }
 
 // applyRecords decodes one partition's page (in offset order) and fans
@@ -152,40 +155,33 @@ func (p *Pump) applyRecords(topic string, part int, recs []stream.Record) {
 	p.scratch = run[:0]
 }
 
-// Run pumps until ctx is done, idling briefly between empty polls so a
-// quiet source costs no CPU.
-func (p *Pump) Run(ctx context.Context) error {
-	for {
-		n, err := p.step(ctx)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			if err := p.reader.Wait(ctx); err != nil {
-				return err
-			}
-		}
-	}
-}
+// skipBackoff paces the passes a transiently unreadable partition forces.
+// Its committed records are what Wait waits for, so the pass is retried
+// rather than parked, with every other partition read on each attempt.
+var skipBackoff = resilience.Policy{MaxAttempts: math.MaxInt, MaxDelay: 10 * time.Millisecond}
 
-// Drain pumps until every topic's lag is zero, then checkpoints.
-// Tests and benchmarks use it to reach a known-synchronized state. While
-// a partition is transiently unreadable it idles between polls like Run.
-func (p *Pump) Drain(ctx context.Context) error {
+// Run pumps until ctx is done, parked between passes until a commit lands.
+func (p *Pump) Run(ctx context.Context) error { return p.run(ctx, false) }
+
+// Drain pumps until every topic's lag is zero, then checkpoints. Tests
+// and benchmarks use it to reach a known-synchronized state.
+func (p *Pump) Drain(ctx context.Context) error { return p.run(ctx, true) }
+
+// run is Run and Drain: a pass, then a park until the next commit — for
+// Drain, unless nothing is left to read.
+func (p *Pump) run(ctx context.Context, drain bool) error {
 	for {
-		n, err := p.step(ctx)
-		if err != nil {
+		if err := resilience.Retry(ctx, skipBackoff, func() error { return p.step(ctx) }); err != nil {
 			return err
 		}
-		if n > 0 {
-			continue
-		}
-		lag, err := p.reader.Lag()
-		if err != nil && !resilience.IsTransient(err) {
-			return fmt.Errorf("cq: lag: %w", err)
-		}
-		if err == nil && lag == 0 {
-			return p.Checkpoint()
+		if drain {
+			lag, err := p.reader.Lag()
+			if err != nil && !resilience.IsTransient(err) {
+				return fmt.Errorf("cq: lag: %w", err)
+			}
+			if err == nil && lag == 0 {
+				return p.Checkpoint()
+			}
 		}
 		if err := p.reader.Wait(ctx); err != nil {
 			return err

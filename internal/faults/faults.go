@@ -4,12 +4,13 @@
 // runs on. A deterministic, seed-driven Injector produces transient
 // errors, added latency, partial batch failures, and crash-at-point
 // (permanent) faults at configurable per-operation rates, and installs
-// onto the three infrastructure surfaces through their fault hooks:
+// (Install) onto any infrastructure surface with a fault hook:
 //
-//	stream.Broker  — "broker.fetch", "broker.publish"
-//	objstore.Store — "store.put", "store.append", "store.get"
-//	tsdb.DB        — "lake.insert"
-//	wal.NodeWAL    — "wal.open", "wal.append", "wal.fsync", "wal.replay"
+//	stream.Broker     — "broker.fetch", "broker.publish"
+//	objstore.Store    — "store.put", "store.append", "store.get"
+//	tsdb.DB           — "lake.insert"
+//	wal.NodeWAL       — "wal.open", "wal.append", "wal.fsync", "wal.replay"
+//	cluster.Transport — the cluster.* operations
 //
 // Hooks fire *before* the guarded operation mutates anything, so a
 // caller that retries an injected failure re-executes exactly once —
@@ -32,9 +33,6 @@ import (
 	"sync"
 	"time"
 
-	"odakit/internal/objstore"
-	"odakit/internal/stream"
-	"odakit/internal/tsdb"
 	"odakit/internal/wal"
 )
 
@@ -105,9 +103,8 @@ type opRule struct {
 }
 
 // Injector is a deterministic fault source. Configure per-operation
-// Rates with Set, then install it on the infrastructure with
-// InstallBroker / InstallStore / InstallLake (or pass Before as a hook
-// directly). Safe for concurrent use.
+// Rates with Set, then install it on the infrastructure with Install (or
+// pass Before as a hook directly). Safe for concurrent use.
 type Injector struct {
 	mu    sync.Mutex
 	rng   *rand.Rand
@@ -194,27 +191,8 @@ func (inj *Injector) String() string {
 	return b.String()
 }
 
-// InstallBroker points the broker's fault hook at this injector, arming
-// the broker.fetch and broker.publish operations.
-func (inj *Injector) InstallBroker(b *stream.Broker) { b.SetFaultHook(inj.Before) }
-
-// InstallStore points the object store's fault hook at this injector,
-// arming the store.put, store.append, and store.get operations.
-func (inj *Injector) InstallStore(s *objstore.Store) { s.SetFaultHook(inj.Before) }
-
-// InstallLake points the LAKE store's fault hook at this injector,
-// arming the lake.insert operation.
-func (inj *Injector) InstallLake(db *tsdb.DB) { db.SetFaultHook(inj.Before) }
-
-// InstallWAL points a node WAL's fault hook at this injector, arming
-// the wal.open, wal.append, wal.fsync, and wal.replay operations —
-// the durability boundaries crash-point suites kill at.
-func (inj *Injector) InstallWAL(w *wal.NodeWAL) { w.SetFaultHook(inj.Before) }
-
-// Install points any component exposing SetFaultHook at this injector.
-// The interface keeps faults decoupled from consumers it does not need
-// to know concretely — the cluster's inter-node transport arms its
-// cluster.* operations this way.
+// Install points any component exposing SetFaultHook at this injector,
+// arming the operations it guards.
 func (inj *Injector) Install(f interface {
 	SetFaultHook(func(op, target string) error)
 }) {

@@ -18,8 +18,9 @@
 // partition neither block the others nor lose its place; a pass collected
 // for later processing (Collect) is handed over or the cursors go back.
 // Its progress is Offsets, which the owner checkpoints and Seeks back
-// to. Like the pump and the jobs that hold one, a Reader belongs to a
-// single goroutine.
+// to. Between passes it parks on Stream.Ready until a commit lands behind
+// one of its cursors: nothing in the package runs on a clock. Like the
+// pump and the jobs that hold one, a Reader belongs to a single goroutine.
 package plane
 
 import (
@@ -47,6 +48,13 @@ type Stream interface {
 	// cluster the quorum-committed high watermark, so a reader only ever
 	// sees records that survive any single-node failover.
 	EndOffset(topic string, partition int) (int64, error)
+	// Ready returns a channel that is closed once EndOffset passes off,
+	// or once the topic is deleted or the plane closed (the next fetch
+	// says which); it comes back closed when that already holds. It is
+	// the one wait: driven by the commit, so a staged, unacked suffix
+	// wakes no one. A channel rather than a blocking call, so a reader
+	// selects over all of its partitions and its ctx at once.
+	Ready(topic string, partition int, off int64) (<-chan struct{}, error)
 	OldestOffset(topic string, partition int) (int64, error)
 	Topics() []string
 }

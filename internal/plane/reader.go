@@ -4,18 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"sort"
-	"time"
 
 	"odakit/internal/resilience"
 	"odakit/internal/stream"
 )
-
-// idleWait is how long a stream reader that found nothing waits before
-// it looks again — the one such constant. Waking readers on commit
-// instead (Broker.Fetch and partition.notify are the hook) changes
-// Reader.Wait and nothing else.
-const idleWait = 5 * time.Millisecond
 
 // Reader is a committed-prefix cursor over some of a Stream's topics:
 // every consumer of the STREAM tier — the CQ pump, Silver jobs, bronze
@@ -155,16 +149,34 @@ func (r *Reader) fetch(t string, next []int64, p, max int) ([]stream.Record, err
 	return recs, err
 }
 
-// Wait is the idle wait between passes that found nothing.
+// Wait parks the reader between passes until a commit lands behind one of
+// its cursors or ctx ends. It returns at once when a cursor already has
+// committed records after it (a pass stopped at its page size, a partition
+// a transient failure skipped), and a deleted topic or a closed plane
+// wakes it too, for the next pass to report.
 func (r *Reader) Wait(ctx context.Context) error {
-	t := time.NewTimer(idleWait)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-t.C:
-		return nil
+	if err := ctx.Err(); err != nil {
+		return err
 	}
+	cases := []reflect.SelectCase{{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(ctx.Done())}}
+	for _, t := range r.topics {
+		for p, off := range r.next[t] {
+			ch, err := r.s.Ready(t, p, off)
+			if err != nil {
+				return fmt.Errorf("plane: ready %s/%d@%d: %w", t, p, off, err)
+			}
+			select {
+			case <-ch:
+				return nil
+			default:
+			}
+			cases = append(cases, reflect.SelectCase{Dir: reflect.SelectRecv, Chan: reflect.ValueOf(ch)})
+		}
+	}
+	if i, _, _ := reflect.Select(cases); i == 0 {
+		return ctx.Err()
+	}
+	return nil
 }
 
 // Lag is the number of offsets between the cursors and EndOffset, summed

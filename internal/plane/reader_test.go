@@ -21,8 +21,10 @@ import (
 // publishes (whose byte retention trims heads the reader has not reached,
 // and on the broker ship a topic the way a cluster follower is written,
 // gaps adopted mid-log included), reader passes of random page size under
-// injected transient fetch faults, and checkpoint round trips (a fresh
-// Reader seeked to the old one's Offsets). Checked after every pass:
+// injected transient fetch faults, checkpoint round trips (a fresh
+// Reader seeked to the old one's Offsets), and Waits — returning at once
+// while anything committed is undelivered, else parked on every partition
+// until the next write commits. Checked after every pass:
 // records arrive in offset order with the published bytes, none twice; an
 // offset the reader passed over is one the log no longer held (below the
 // retention horizon, or inside an adopted gap); the cursor sits right
@@ -45,6 +47,8 @@ type world struct {
 	delivered map[string][]map[int64]bool
 	// holesSkipped counts retained-log holes a pass stepped over.
 	holesSkipped int
+	// parks counts Waits that parked on every partition until a write.
+	parks int
 }
 
 func (w *world) publish(rng *rand.Rand, topic string) {
@@ -91,6 +95,52 @@ func (w *world) ship(rng *rand.Rand, topic string) {
 	if err := w.s.(*stream.Broker).ReplicateBatch(topic, p, recs); err != nil {
 		w.t.Fatalf("ship %s/%d: %v", topic, p, err)
 	}
+}
+
+// parkSignal is the reader's view of the plane: while parked is set, each
+// Ready call reports its partition once the channel it hands out is known,
+// so a test knows when the reader has parked.
+type parkSignal struct {
+	plane.Stream
+	parked chan int
+}
+
+func (s *parkSignal) Ready(topic string, p int, off int64) (<-chan struct{}, error) {
+	ch, err := s.Stream.Ready(topic, p, off)
+	if s.parked != nil {
+		s.parked <- p
+	}
+	return ch, err
+}
+
+// park checks Reader.Wait: with committed records behind a cursor it
+// returns at once; with none it parks on every partition until write
+// commits one.
+func (w *world) park(r *plane.Reader, sig *parkSignal, write func()) {
+	lag, err := r.Lag()
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	if lag > 0 {
+		if err := r.Wait(context.Background()); err != nil {
+			w.t.Fatalf("Wait with lag %d: %v", lag, err)
+		}
+		return
+	}
+	sig.parked = make(chan int)
+	woke := make(chan error, 1)
+	go func() { woke <- r.Wait(context.Background()) }()
+	for _, rt := range w.topics {
+		for range rt.parts {
+			<-sig.parked
+		}
+	}
+	write()
+	if err := <-woke; err != nil {
+		w.t.Fatalf("parked Wait: %v", err)
+	}
+	sig.parked = nil
+	w.parks++
 }
 
 // gone reports whether the log may legitimately no longer hold offset off
@@ -212,25 +262,31 @@ func runReaderSchedule(t *testing.T, seed int64, s plane.Stream, cfgs map[string
 			w.delivered[name][p] = map[int64]bool{}
 		}
 	}
+	sig := &parkSignal{Stream: s}
 	newReader := func() *plane.Reader {
-		r, err := plane.NewReader(s, names...)
+		r, err := plane.NewReader(sig, names...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
+	write := func() {
+		if name := names[rng.Intn(len(names))]; name == shipped {
+			w.ship(rng, name)
+		} else {
+			w.publish(rng, name)
+		}
+	}
 	r := newReader()
 	inj.Set(fetchOp, faults.Rates{Transient: 0.15})
 	for step := 0; step < 400; step++ {
-		switch op := rng.Intn(10); {
+		switch op := rng.Intn(11); {
 		case op < 5:
-			if name := names[rng.Intn(len(names))]; name == shipped {
-				w.ship(rng, name)
-			} else {
-				w.publish(rng, name)
-			}
+			write()
 		case op < 9:
 			w.pass(r, 1+rng.Intn(32))
+		case op == 9:
+			w.park(r, sig, write)
 		default:
 			// Checkpoint and restart: a new reader takes over at Offsets.
 			offs := r.Offsets()
@@ -260,6 +316,9 @@ func runReaderSchedule(t *testing.T, seed int64, s plane.Stream, cfgs map[string
 	if shipped != "" && w.holesSkipped == 0 {
 		t.Fatalf("seed %d: no pass stepped over a hole in a retained log — the schedule never adopted a gap mid-log", seed)
 	}
+	if w.parks == 0 {
+		t.Fatalf("seed %d: no Wait parked — the schedule never caught the reader up before a park step", seed)
+	}
 }
 
 func TestReaderMatchesReferenceOnBothPlanes(t *testing.T) {
@@ -270,7 +329,7 @@ func TestReaderMatchesReferenceOnBothPlanes(t *testing.T) {
 			b := stream.NewBroker()
 			defer b.Close()
 			inj := faults.New(seed)
-			inj.InstallBroker(b)
+			inj.Install(b)
 			runReaderSchedule(t, seed, b, map[string]stream.TopicConfig{
 				"t.plain":   plain,
 				"t.shipped": {Partitions: 2, RetentionBytes: 4 << 10},

@@ -120,6 +120,9 @@ func (j *Job) checkpoint() error {
 	if err := atomicfile.WriteFile(j.checkpointPath(), data, 0o644); err != nil {
 		return fmt.Errorf("sproc: checkpoint write: %w", err)
 	}
+	j.mu.Lock()
+	j.metrics.Checkpoints++
+	j.mu.Unlock()
 	return nil
 }
 

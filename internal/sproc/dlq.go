@@ -18,11 +18,16 @@ import (
 // "<topic>.dlq" with enough metadata (origin partition/offset, the decode
 // error, the raw payload) to diagnose and replay them once the producer
 // bug is fixed. DLQ topics are plain STREAM topics on whichever plane the
-// job reads: bounded by retention, inspectable with a plane.Reader or
-// ReadDeadLetters.
+// job reads: bounded by DLQRetentionBytes, inspectable with a plane.Reader
+// or ReadDeadLetters.
 
 // DLQSuffix is appended to a topic's name to form its dead-letter topic.
 const DLQSuffix = ".dlq"
+
+// DLQRetentionBytes caps a dead-letter topic the way the facility's
+// default caps a bronze partition (64 MiB): a flood of poison records
+// trims the oldest quarantined ones instead of growing without bound.
+const DLQRetentionBytes = 64 << 20
 
 // DLQTopic returns the dead-letter topic for a source topic.
 func DLQTopic(topic string) string { return topic + DLQSuffix }
@@ -74,7 +79,8 @@ func deadRecordFromRow(r schema.Row) (DeadRecord, error) {
 
 // DeadLetter publishes quarantined records to their topics' DLQ topics,
 // creating those topics (single partition — DLQ volume is tiny and order
-// aids forensics) as needed. It returns how many records were published.
+// aids forensics — under DLQRetentionBytes) as needed. It returns how many
+// records were published.
 func DeadLetter(b plane.Stream, recs []DeadRecord) (int, error) {
 	byTopic := make(map[string][]stream.Message)
 	for _, d := range recs {
@@ -83,7 +89,7 @@ func DeadLetter(b plane.Stream, recs []DeadRecord) (int, error) {
 	}
 	published := 0
 	for dlq, msgs := range byTopic {
-		if err := b.EnsureTopic(dlq, stream.TopicConfig{Partitions: 1}); err != nil {
+		if err := b.EnsureTopic(dlq, stream.TopicConfig{Partitions: 1, RetentionBytes: DLQRetentionBytes}); err != nil {
 			return published, fmt.Errorf("sproc: dlq topic: %w", err)
 		}
 		n, err := b.PublishBatch(dlq, msgs)

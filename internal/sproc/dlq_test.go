@@ -1,6 +1,7 @@
 package sproc_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"testing"
@@ -71,5 +72,52 @@ func TestReadDeadLettersOnTrimmedDLQ(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestDeadLetterTopicIsBounded: DeadLetter creates a DLQ under
+// DLQRetentionBytes, so a flood of poison records past the cap trims the
+// oldest instead of growing the topic, and the read returns the newest
+// records in order.
+func TestDeadLetterTopicIsBounded(t *testing.T) {
+	const (
+		topic   = "bronze"
+		payload = 768 << 10 // 1 MiB once base64-encoded into the DLQ row
+		total   = 72        // ~72 MiB dead-lettered against a 64 MiB cap
+	)
+	b := stream.NewBroker()
+	defer b.Close()
+	for k := 0; k < total; k += 8 {
+		var dead []sproc.DeadRecord
+		for i := k; i < k+8; i++ {
+			dead = append(dead, sproc.DeadRecord{
+				Topic: topic, Offset: int64(i), Ts: time.Unix(int64(i), 0).UTC(),
+				Reason: "poison", Payload: bytes.Repeat([]byte{byte(i)}, payload),
+			})
+		}
+		if n, err := sproc.DeadLetter(b, dead); err != nil || n != len(dead) {
+			t.Fatalf("dead-letter: %d, %v", n, err)
+		}
+	}
+	st, err := b.Stats(sproc.DLQTopic(topic))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Bytes > sproc.DLQRetentionBytes || st.OldestOffsets[0] == 0 {
+		t.Fatalf("the DLQ holds %d bytes from offset %d after %d MiB of dead letters, want at most %d and a trimmed head",
+			st.Bytes, st.OldestOffsets[0], st.TotalBytes>>20, sproc.DLQRetentionBytes)
+	}
+	got, err := sproc.ReadDeadLetters(context.Background(), b, topic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oldest := st.OldestOffsets[0]
+	if len(got) != total-int(oldest) {
+		t.Fatalf("read %d dead letters, the DLQ retains %d", len(got), total-int(oldest))
+	}
+	for i, d := range got {
+		if want := oldest + int64(i); d.Offset != want || len(d.Payload) != payload || d.Payload[0] != byte(want) {
+			t.Fatalf("dead letter %d is origin offset %d, want %d (the newest, in order)", i, d.Offset, want)
+		}
 	}
 }

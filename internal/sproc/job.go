@@ -26,10 +26,6 @@ type JobConfig struct {
 	// BatchSize caps the records a micro-batch takes from each partition
 	// (default 4096).
 	BatchSize int
-	// PollWait bounds how long a micro-batch waits for data before the
-	// job flushes what idle-partition exclusion has unblocked (default
-	// 100ms).
-	PollWait time.Duration
 	// CheckpointDir enables recovery when non-empty: offsets, watermark,
 	// and open-window state persist there after every sunk batch.
 	CheckpointDir string
@@ -81,6 +77,7 @@ type Metrics struct {
 	Batches        int64
 	WindowsEmitted int64
 	RowsOut        int64
+	Checkpoints    int64
 	Recovered      bool
 	// Resilience counters: poison records quarantined to the DLQ, retry
 	// attempts consumed masking transient faults, supervisor restarts
@@ -117,11 +114,14 @@ type Job struct {
 	// partWM tracks the max event time seen per broker partition; the
 	// effective watermark is the minimum across partitions, so a fast
 	// partition cannot close windows other partitions still feed. A
-	// partition idle longer than partitionIdleTimeout is excluded.
-	partWM   map[int]int64
-	nparts   int
-	partSeen map[int]time.Time // wall-clock last-data time per partition
-	emitted  int64             // latest emitted window start (nanos)
+	// partition that never carried data is excluded from idleAt on.
+	partWM map[int]int64
+	nparts int
+	// idleAt is partitionIdleTimeout after start: the one instant the
+	// watermark can move without data. Zero once a flush at or after it
+	// has run.
+	idleAt  time.Time
+	emitted int64 // latest emitted window start (nanos)
 
 	reader  *plane.Reader
 	outSch  *schema.Schema
@@ -139,9 +139,6 @@ func NewJob(s plane.Stream, cfg JobConfig) (*Job, error) {
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 4096
-	}
-	if cfg.PollWait <= 0 {
-		cfg.PollWait = 100 * time.Millisecond
 	}
 	j := &Job{
 		stream: s, cfg: cfg,
@@ -269,10 +266,8 @@ func (j *Job) start() error {
 	}
 	j.reader = r
 	j.nparts = len(r.Offsets()[j.cfg.Topic])
-	j.partSeen = make(map[int]time.Time, j.nparts)
-	now := time.Now()
-	for p := 0; p < j.nparts; p++ {
-		j.partSeen[p] = now
+	if j.window != nil {
+		j.idleAt = time.Now().Add(partitionIdleTimeout)
 	}
 	if j.cfg.CheckpointDir != "" {
 		if err := j.restore(); err != nil {
@@ -324,39 +319,32 @@ func (j *Job) Drain(ctx context.Context) error {
 	return j.checkpoint()
 }
 
-// step consumes one micro-batch: one reader pass over the topic's
-// partitions, waited for up to PollWait. Transient fetch failures are
-// retried under the job's policy; a retried pass re-reads only the
-// partitions that failed, the others move on to their next page. A pass
-// that ends in an error (retries exhausted, ctx cancelled mid-pass or
-// mid-backoff) hands the job nothing and leaves the cursors where they
-// were, so the checkpoint a graceful stop writes never covers a record
-// that was fetched but not processed.
+// step consumes one micro-batch: it parks until a commit lands behind a
+// cursor, then makes one reader pass over the topic's partitions.
+// Transient fetch failures are retried under the job's policy; a retried
+// pass re-reads only the partitions that failed, the others move on to
+// their next page. A pass that ends in an error (retries exhausted, ctx
+// cancelled mid-pass or mid-backoff) hands the job nothing and leaves the
+// cursors where they were, so the checkpoint a graceful stop writes never
+// covers a record that was fetched but not processed. A windowed job that
+// reaches its idle deadline parked flushes what that unblocked instead.
 func (j *Job) step(ctx context.Context) error {
 	var pages []plane.Page
-	for idleSince := time.Now(); ; {
-		var err error
-		pages, err = j.reader.Collect(ctx, j.cfg.BatchSize, func(pass func() error) error {
-			return j.withRetry(ctx, pass)
-		})
+	for len(pages) == 0 {
+		idle, err := j.park(ctx)
 		if err != nil {
 			return err
 		}
-		if len(pages) > 0 {
-			break
-		}
-		if time.Since(idleSince) >= j.cfg.PollWait {
-			// Idle poll: no new data, but idle-partition exclusion may
-			// have just unblocked the watermark — try to flush.
-			if j.window == nil {
-				return nil
-			}
+		if idle {
 			if err := j.flushWindows(ctx, false); err != nil {
 				return err
 			}
 			return j.checkpoint()
 		}
-		if err := j.reader.Wait(ctx); err != nil {
+		pages, err = j.reader.Collect(ctx, j.cfg.BatchSize, func(pass func() error) error {
+			return j.withRetry(ctx, pass)
+		})
+		if err != nil {
 			return err
 		}
 	}
@@ -399,7 +387,6 @@ func (j *Job) step(ctx context.Context) error {
 				if ev := row[j.tIdx].UnixNanos(); ev > j.partWM[pg.Part] {
 					j.partWM[pg.Part] = ev
 				}
-				j.partSeen[pg.Part] = time.Now()
 			}
 			if j.pred != nil && !j.pred(row) {
 				continue
@@ -453,6 +440,22 @@ func (j *Job) step(ctx context.Context) error {
 	return j.checkpoint()
 }
 
+// park waits for a commit behind a cursor — returning at once when one
+// is already there — or, while the idle deadline is ahead, for that
+// deadline, reporting idle.
+func (j *Job) park(ctx context.Context) (idle bool, err error) {
+	if j.idleAt.IsZero() {
+		return false, j.reader.Wait(ctx)
+	}
+	wctx, cancel := context.WithDeadline(ctx, j.idleAt)
+	defer cancel()
+	err = j.reader.Wait(wctx)
+	if ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
+		return true, nil
+	}
+	return false, err
+}
+
 // foldLocked folds one decoded, filtered row into every window it belongs
 // to: those whose start lies in (ts - Window, ts], stepping by the slide —
 // exactly one for tumbling windows. The caller holds j.mu.
@@ -481,27 +484,27 @@ func (j *Job) foldLocked(row schema.Row) {
 	}
 }
 
-// partitionIdleTimeout is how long a partition may produce no data before
-// it is excluded from the watermark minimum, so an idle partition cannot
-// stall window emission forever.
+// partitionIdleTimeout is how long after start a partition may carry no
+// data before it is excluded from the watermark minimum, so a partition
+// nothing is published to cannot stall window emission forever.
 const partitionIdleTimeout = 500 * time.Millisecond
 
 // watermarkLocked returns the effective event-time watermark: the minimum
 // of the per-partition maxima. Until every partition has carried data the
-// watermark is withheld — unless no new data has arrived for
-// partitionIdleTimeout, in which case idle partitions are excluded so
-// they cannot stall the pipeline forever.
+// watermark is withheld — until idleAt, from which on the partitions that
+// never carried any are excluded.
 func (j *Job) watermarkLocked() (int64, bool) {
-	now := time.Now()
+	if !j.idleAt.IsZero() && !time.Now().Before(j.idleAt) {
+		j.idleAt = time.Time{}
+	}
 	first := true
 	var wm int64
 	for p := 0; p < j.nparts; p++ {
 		v, seen := j.partWM[p]
 		if !seen {
-			if now.Sub(j.partSeen[p]) < partitionIdleTimeout {
-				// A partition with no data yet that is not idle long
-				// enough: withhold the watermark rather than risk
-				// closing windows it may still feed.
+			if !j.idleAt.IsZero() {
+				// Withhold the watermark rather than risk closing
+				// windows this partition may still feed.
 				return 0, false
 			}
 			continue // idle-excluded

@@ -2,6 +2,7 @@ package sproc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -28,7 +29,6 @@ func slidingJob(t testing.TB, b *stream.Broker, name, dir string, sink func(*sch
 	j, err := NewJob(b, JobConfig{
 		Name: name, Topic: "bronze",
 		InputSchema: schema.ObservationSchema, CheckpointDir: dir,
-		PollWait: 20 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -133,14 +133,22 @@ func TestSlidingWindowCrashRestoreEmitsIdentically(t *testing.T) {
 						t.Fatalf("final drain: %v", err)
 					}
 				} else {
-					// Absorb at least one micro-batch (so a checkpoint
-					// always exists for the next incarnation), then die.
+					// Absorb the chunk in one micro-batch (so a checkpoint
+					// always exists for the next incarnation), park for up
+					// to two more under a deadline well inside the idle
+					// deadline, then die.
 					if err := j.start(); err != nil {
 						t.Fatalf("start: %v", err)
 					}
-					for s := 0; s < 1+rng.Intn(3); s++ {
-						if err := j.step(ctx); err != nil {
-							t.Fatalf("step: %v", err)
+					if err := j.step(ctx); err != nil {
+						t.Fatalf("step: %v", err)
+					}
+					for s := rng.Intn(3); s > 0; s-- {
+						sctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
+						err := j.step(sctx)
+						cancel()
+						if !errors.Is(err, context.DeadlineExceeded) {
+							t.Fatalf("parked step: %v, want its deadline", err)
 						}
 					}
 				}

@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -19,7 +18,7 @@ func TestPublishBatchRoundTrip(t *testing.T) {
 	if err != nil || n != 7 {
 		t.Fatalf("published = %d, %v", n, err)
 	}
-	recs, err := b.Fetch(context.Background(), "telemetry", 0, 0, 100)
+	recs, err := b.FetchNoWait("telemetry", 0, 0, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +77,7 @@ func TestPublishBatchMatchesPublishRouting(t *testing.T) {
 		if end == 0 {
 			continue // empty partition
 		}
-		recs, err := batched.Fetch(context.Background(), "telemetry", p, 0, 1000)
+		recs, err := batched.FetchNoWait("telemetry", p, 0, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -125,35 +124,26 @@ func TestPublishBatchRetention(t *testing.T) {
 }
 
 // TestPublishBatchWakesConsumer: one notify per batch still wakes a
-// blocked fetcher.
+// parked reader, which then fetches the whole batch.
 func TestPublishBatchWakesConsumer(t *testing.T) {
 	b := newTestBroker(t, TopicConfig{Partitions: 1})
-	done := make(chan []Record, 1)
-	go func() {
-		recs, err := b.Fetch(context.Background(), "telemetry", 0, 0, 10)
-		if err != nil {
-			done <- nil
-			return
-		}
-		done <- recs
-	}()
-	time.Sleep(10 * time.Millisecond)
+	ch, err := b.Ready("telemetry", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := b.PublishBatch("telemetry", []Message{{Value: []byte("a")}, {Value: []byte("b")}}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case recs := <-done:
-		if len(recs) != 2 {
-			t.Fatalf("woken fetch got %d records", len(recs))
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("fetch never woke after PublishBatch")
+	if !isClosed(ch) {
+		t.Fatal("Ready never fired after PublishBatch")
+	}
+	if recs, err := b.FetchNoWait("telemetry", 0, 0, 10); err != nil || len(recs) != 2 {
+		t.Fatalf("woken fetch got %d records, %v", len(recs), err)
 	}
 }
 
-// TestFetchNoWaitFutureOffset is the regression test for the
-// fetch/fetchNoWait inconsistency: both must report ErrOffsetInFuture
-// for offsets beyond the end of the log.
+// TestFetchNoWaitFutureOffset: an offset beyond the end of the log is
+// ErrOffsetInFuture, the end itself an empty page.
 func TestFetchNoWaitFutureOffset(t *testing.T) {
 	p := newPartition("t", 0)
 	cfg := TopicConfig{}.withDefaults()
@@ -167,11 +157,9 @@ func TestFetchNoWaitFutureOffset(t *testing.T) {
 	if _, err := p.fetchNoWait(2, 10); !errors.Is(err, ErrOffsetInFuture) {
 		t.Fatalf("fetchNoWait(future) err = %v, want ErrOffsetInFuture", err)
 	}
-	// Same semantics as the blocking fetch.
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	if _, err := p.fetch(ctx, 2, 10); !errors.Is(err, ErrOffsetInFuture) {
-		t.Fatalf("fetch(future) err = %v, want ErrOffsetInFuture", err)
+	// Ready agrees: the log ends past 0, not past 1.
+	if !isClosed(p.ready(0)) || isClosed(p.ready(1)) {
+		t.Fatal("ready disagrees with the end of the log")
 	}
 }
 
@@ -189,7 +177,7 @@ func TestDeleteTopicOnClosedBroker(t *testing.T) {
 }
 
 // TestConcurrentPublishBatchFetchDelete is the stream half of the ingest
-// stress test: parallel PublishBatch / Fetch / DeleteTopic under -race.
+// stress test: parallel PublishBatch / FetchNoWait / DeleteTopic under -race.
 func TestConcurrentPublishBatchFetchDelete(t *testing.T) {
 	b := NewBroker()
 	t.Cleanup(b.Close)
@@ -225,8 +213,6 @@ func TestConcurrentPublishBatchFetchDelete(t *testing.T) {
 		}(w)
 	}
 	// Concurrent readers poll whatever is retained.
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
@@ -237,9 +223,8 @@ func TestConcurrentPublishBatchFetchDelete(t *testing.T) {
 					return // topic may be gone later in the churn test
 				}
 				for p := 0; p < st.Partitions; p++ {
-					_, err := b.Fetch(ctx, "hot", p, st.OldestOffsets[p], 64)
-					if err != nil && !errors.Is(err, ErrOffsetTrimmed) &&
-						!errors.Is(err, ErrOffsetInFuture) && !errors.Is(err, context.DeadlineExceeded) {
+					_, err := b.FetchNoWait("hot", p, st.OldestOffsets[p], 64)
+					if err != nil && !errors.Is(err, ErrOffsetTrimmed) && !errors.Is(err, ErrOffsetInFuture) {
 						t.Errorf("fetch: %v", err)
 						return
 					}

@@ -13,7 +13,6 @@
 package stream
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sort"
@@ -155,7 +154,8 @@ func (b *Broker) DeleteTopic(name string) error {
 	return nil
 }
 
-// Close shuts the broker down, waking any blocked consumers with an error.
+// Close shuts the broker down, waking every parked reader; their next
+// fetch fails with ErrBrokerClosed.
 func (b *Broker) Close() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -276,17 +276,14 @@ func (b *Broker) PublishBatch(topicName string, msgs []Message) (int, error) {
 // first message. The cluster's partition leaders use it so a replicated
 // publish is one contiguous offset range on the leader log.
 func (b *Broker) PublishBatchTo(topicName string, partition int, msgs []Message) (int64, error) {
-	t, err := b.topic(topicName)
+	t, p, err := b.part(topicName, partition)
 	if err != nil {
 		return 0, err
-	}
-	if partition < 0 || partition >= len(t.parts) {
-		return 0, fmt.Errorf("%w: %s/%d", ErrNoPartition, topicName, partition)
 	}
 	if err := b.fault("broker.publish", topicName); err != nil {
 		return 0, err
 	}
-	return t.parts[partition].appendBatch(time.Now(), msgs, t.cfg)
+	return p.appendBatch(time.Now(), msgs, t.cfg)
 }
 
 // ReplicateBatch appends records copied verbatim from a leader's log,
@@ -295,14 +292,11 @@ func (b *Broker) PublishBatchTo(topicName string, partition int, msgs []Message)
 // Records the partition already holds are skipped, so re-delivery after
 // a failed replication session is idempotent.
 func (b *Broker) ReplicateBatch(topicName string, partition int, recs []Record) error {
-	t, err := b.topic(topicName)
+	t, p, err := b.part(topicName, partition)
 	if err != nil {
 		return err
 	}
-	if partition < 0 || partition >= len(t.parts) {
-		return fmt.Errorf("%w: %s/%d", ErrNoPartition, topicName, partition)
-	}
-	return t.parts[partition].replicateBatch(recs, t.cfg)
+	return p.replicateBatch(recs, t.cfg)
 }
 
 // Partitions returns the partition count of a topic.
@@ -314,63 +308,63 @@ func (b *Broker) Partitions(topicName string) (int, error) {
 	return len(t.parts), nil
 }
 
+// part resolves one partition of a topic: the lookup every per-partition
+// method starts with.
+func (b *Broker) part(topicName string, partition int) (*topic, *partition, error) {
+	t, err := b.topic(topicName)
+	if err != nil {
+		return nil, nil, err
+	}
+	if partition < 0 || partition >= len(t.parts) {
+		return nil, nil, fmt.Errorf("%w: %s/%d", ErrNoPartition, topicName, partition)
+	}
+	return t, t.parts[partition], nil
+}
+
 // EndOffset returns the next offset that will be assigned in a partition.
 func (b *Broker) EndOffset(topicName string, partition int) (int64, error) {
-	t, err := b.topic(topicName)
+	_, p, err := b.part(topicName, partition)
 	if err != nil {
 		return 0, err
 	}
-	if partition < 0 || partition >= len(t.parts) {
-		return 0, fmt.Errorf("%w: %s/%d", ErrNoPartition, topicName, partition)
-	}
-	return t.parts[partition].endOffset(), nil
-}
-
-// Fetch reads up to max records from a partition starting at offset,
-// blocking until at least one record is available or ctx is done.
-func (b *Broker) Fetch(ctx context.Context, topicName string, partition int, offset int64, max int) ([]Record, error) {
-	t, err := b.topic(topicName)
-	if err != nil {
-		return nil, err
-	}
-	if partition < 0 || partition >= len(t.parts) {
-		return nil, fmt.Errorf("%w: %s/%d", ErrNoPartition, topicName, partition)
-	}
-	if err := b.fault("broker.fetch", topicName); err != nil {
-		return nil, err
-	}
-	return t.parts[partition].fetch(ctx, offset, max)
+	return p.endOffset(), nil
 }
 
 // FetchNoWait reads up to max records from a partition starting at
 // offset, returning immediately with whatever is available (possibly
-// nothing). Offset semantics match Fetch: below the retention horizon is
-// ErrOffsetTrimmed, beyond the end of the log is ErrOffsetInFuture.
+// nothing): below the retention horizon is ErrOffsetTrimmed, beyond the
+// end of the log is ErrOffsetInFuture. A reader that found nothing parks
+// on Ready.
 func (b *Broker) FetchNoWait(topicName string, partition int, offset int64, max int) ([]Record, error) {
-	t, err := b.topic(topicName)
+	_, p, err := b.part(topicName, partition)
 	if err != nil {
 		return nil, err
-	}
-	if partition < 0 || partition >= len(t.parts) {
-		return nil, fmt.Errorf("%w: %s/%d", ErrNoPartition, topicName, partition)
 	}
 	if err := b.fault("broker.fetch", topicName); err != nil {
 		return nil, err
 	}
-	return t.parts[partition].fetchNoWait(offset, max)
+	return p.fetchNoWait(offset, max)
+}
+
+// Ready returns a channel that is closed once the partition's EndOffset
+// passes off, or once the topic is deleted or the broker closed (the next
+// fetch says which); it comes back closed when that already holds.
+func (b *Broker) Ready(topicName string, partition int, off int64) (<-chan struct{}, error) {
+	_, p, err := b.part(topicName, partition)
+	if err != nil {
+		return nil, err
+	}
+	return p.ready(off), nil
 }
 
 // OldestOffset returns the lowest offset still addressable in a
 // partition (the retention horizon).
 func (b *Broker) OldestOffset(topicName string, partition int) (int64, error) {
-	t, err := b.topic(topicName)
+	_, p, err := b.part(topicName, partition)
 	if err != nil {
 		return 0, err
 	}
-	if partition < 0 || partition >= len(t.parts) {
-		return 0, fmt.Errorf("%w: %s/%d", ErrNoPartition, topicName, partition)
-	}
-	return t.parts[partition].stats().oldest, nil
+	return p.stats().oldest, nil
 }
 
 // TopicStats aggregates counters across a topic's partitions.

@@ -45,7 +45,7 @@ func TestPublishFetchRoundTrip(t *testing.T) {
 			t.Fatalf("offset = %d, want %d", off, i)
 		}
 	}
-	recs, err := b.Fetch(context.Background(), "telemetry", 0, 0, 10)
+	recs, err := b.FetchNoWait("telemetry", 0, 0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,41 +125,59 @@ func TestTopicLifecycle(t *testing.T) {
 	}
 }
 
+// isClosed reports whether a Ready channel has fired, without waiting.
+func isClosed(ch <-chan struct{}) bool {
+	select {
+	case <-ch:
+		return true
+	default:
+		return false
+	}
+}
+
+// TestFetchBlocksUntilPublish: a reader parked past the end of the log is
+// released by the next publish, and the fetch it then makes sees it.
 func TestFetchBlocksUntilPublish(t *testing.T) {
 	b := newTestBroker(t, TopicConfig{Partitions: 1})
-	done := make(chan []Record, 1)
-	go func() {
-		recs, err := b.Fetch(context.Background(), "telemetry", 0, 0, 10)
-		if err != nil {
-			t.Error(err)
-		}
-		done <- recs
-	}()
-	select {
-	case <-done:
-		t.Fatal("fetch returned before publish")
-	case <-time.After(20 * time.Millisecond):
+	ch, err := b.Ready("telemetry", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if isClosed(ch) {
+		t.Fatal("Ready fired on an empty log")
 	}
 	if _, err := b.PublishBatch("telemetry", one(nil, []byte("late"))); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case recs := <-done:
-		if len(recs) != 1 || string(recs[0].Value) != "late" {
-			t.Fatalf("got %v", recs)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("fetch did not wake after publish")
+	if !isClosed(ch) {
+		t.Fatal("Ready did not fire on publish")
+	}
+	recs, err := b.FetchNoWait("telemetry", 0, 0, 10)
+	if err != nil || len(recs) != 1 || string(recs[0].Value) != "late" {
+		t.Fatalf("fetch after the wake: %v, %v", recs, err)
+	}
+	if ch, err := b.Ready("telemetry", 0, 0); err != nil || !isClosed(ch) {
+		t.Fatalf("Ready below the end comes back open (%v)", err)
+	}
+	if _, err := b.Ready("telemetry", 1, 0); !errors.Is(err, ErrNoPartition) {
+		t.Fatalf("Ready on a missing partition: %v", err)
 	}
 }
 
+// TestFetchContextCancel: with nothing published a parked reader's ctx is
+// what ends its wait.
 func TestFetchContextCancel(t *testing.T) {
 	b := newTestBroker(t, TopicConfig{Partitions: 1})
+	ch, err := b.Ready("telemetry", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	_, err := b.Fetch(ctx, "telemetry", 0, 0, 10)
-	if !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("err = %v, want deadline exceeded", err)
+	select {
+	case <-ch:
+		t.Fatal("Ready fired with nothing published")
+	case <-ctx.Done():
 	}
 }
 
@@ -185,7 +203,7 @@ func TestRetentionByBytes(t *testing.T) {
 		t.Fatal("head should have been trimmed")
 	}
 	// Reading a trimmed offset fails explicitly.
-	if _, err := b.Fetch(context.Background(), "telemetry", 0, 0, 1); !errors.Is(err, ErrOffsetTrimmed) {
+	if _, err := b.FetchNoWait("telemetry", 0, 0, 1); !errors.Is(err, ErrOffsetTrimmed) {
 		t.Fatalf("err = %v, want ErrOffsetTrimmed", err)
 	}
 }
@@ -193,7 +211,7 @@ func TestRetentionByBytes(t *testing.T) {
 func TestFetchBeyondEnd(t *testing.T) {
 	b := newTestBroker(t, TopicConfig{Partitions: 1})
 	_, _ = b.PublishBatch("telemetry", one(nil, []byte("x")))
-	if _, err := b.Fetch(context.Background(), "telemetry", 0, 99, 1); !errors.Is(err, ErrOffsetInFuture) {
+	if _, err := b.FetchNoWait("telemetry", 0, 99, 1); !errors.Is(err, ErrOffsetInFuture) {
 		t.Fatalf("err = %v, want ErrOffsetInFuture", err)
 	}
 }
@@ -203,20 +221,19 @@ func TestBrokerClose(t *testing.T) {
 	if err := b.CreateTopic("x", TopicConfig{Partitions: 1}); err != nil {
 		t.Fatal(err)
 	}
-	errc := make(chan error, 1)
-	go func() {
-		_, err := b.Fetch(context.Background(), "x", 0, 0, 1)
-		errc <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
+	ch, err := b.Ready("x", 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	b.Close()
-	select {
-	case err := <-errc:
-		if !errors.Is(err, ErrBrokerClosed) {
-			t.Fatalf("err = %v, want ErrBrokerClosed", err)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("blocked fetch did not wake on close")
+	if !isClosed(ch) {
+		t.Fatal("a parked reader did not wake on close")
+	}
+	if _, err := b.FetchNoWait("x", 0, 0, 1); !errors.Is(err, ErrBrokerClosed) {
+		t.Fatalf("fetch after close err = %v, want ErrBrokerClosed", err)
+	}
+	if _, err := b.Ready("x", 0, 0); !errors.Is(err, ErrBrokerClosed) {
+		t.Fatalf("Ready after close err = %v, want ErrBrokerClosed", err)
 	}
 	if _, err := b.PublishBatch("x", one(nil, nil)); !errors.Is(err, ErrBrokerClosed) {
 		t.Fatalf("publish after close err = %v", err)
@@ -313,7 +330,7 @@ func TestPublishFetchOrderProperty(t *testing.T) {
 			if len(published[part]) == 0 {
 				continue
 			}
-			recs, err := b.Fetch(context.Background(), "t", part, 0, count+1)
+			recs, err := b.FetchNoWait("t", part, 0, count+1)
 			if err != nil {
 				return false
 			}

@@ -9,11 +9,23 @@ import (
 	"context"
 	"errors"
 	"testing"
-	"time"
 
 	"odakit/internal/plane"
 	"odakit/internal/stream"
 )
+
+// parkSignal is a broker that reports each Ready call once the channel it
+// hands out is known, so a test knows when a reader has parked.
+type parkSignal struct {
+	*stream.Broker
+	parked chan int // the partition of each Ready call
+}
+
+func (s *parkSignal) Ready(topic string, p int, off int64) (<-chan struct{}, error) {
+	ch, err := s.Broker.Ready(topic, p, off)
+	s.parked <- p
+	return ch, err
+}
 
 func TestFetchAfterDeleteTopicReturnsNoTopic(t *testing.T) {
 	b := stream.NewBroker()
@@ -27,29 +39,27 @@ func TestFetchAfterDeleteTopicReturnsNoTopic(t *testing.T) {
 		}
 	}
 
-	r, err := plane.NewReader(b, "doomed")
+	src := &parkSignal{Broker: b, parked: make(chan int)}
+	r, err := plane.NewReader(src, "doomed")
 	if err != nil {
 		t.Fatal(err)
 	}
+	if n, err := r.Poll(context.Background(), 64, func(string, int, []stream.Record) error { return nil }); n != 32 || err != nil {
+		t.Fatalf("reading the log before the delete: %d records, %v", n, err)
+	}
 
-	// A fetcher blocked past the end of the log must wake with ErrNoTopic.
-	errc := make(chan error, 1)
-	go func() {
-		end, _ := b.EndOffset("doomed", 0)
-		_, err := b.Fetch(context.Background(), "doomed", 0, end, 16)
-		errc <- err
-	}()
-	time.Sleep(10 * time.Millisecond)
+	// A reader parked past the end of every partition must be woken by
+	// the delete.
+	woke := make(chan error, 1)
+	go func() { woke <- r.Wait(context.Background()) }()
+	for p := 0; p < 2; p++ {
+		<-src.parked
+	}
 	if err := b.DeleteTopic("doomed"); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case err := <-errc:
-		if !errors.Is(err, stream.ErrNoTopic) {
-			t.Fatalf("blocked Fetch after DeleteTopic: got %v, want ErrNoTopic", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("blocked Fetch did not wake after DeleteTopic")
+	if err := <-woke; err != nil {
+		t.Fatalf("a reader parked across DeleteTopic woke with %v", err)
 	}
 
 	// A fetch at a retained offset must not serve the deleted log's records.
@@ -57,8 +67,8 @@ func TestFetchAfterDeleteTopicReturnsNoTopic(t *testing.T) {
 	if !errors.Is(err, stream.ErrNoTopic) {
 		t.Fatalf("FetchNoWait after DeleteTopic: got recs=%d err=%v, want ErrNoTopic", len(recs), err)
 	}
-	// Nor may a reader positioned before the deletion: the pass ends with
-	// the topic-not-found error and delivers nothing.
+	// Nor may the woken reader: its next pass ends with the
+	// topic-not-found error and delivers nothing.
 	n, err := r.Poll(context.Background(), 16, func(string, int, []stream.Record) error { return nil })
 	if n != 0 || !errors.Is(err, stream.ErrNoTopic) {
 		t.Fatalf("Reader.Poll after DeleteTopic: %d records, err %v, want ErrNoTopic", n, err)

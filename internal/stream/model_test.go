@@ -2,11 +2,9 @@ package stream
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"testing"
 	"time"
 )
@@ -315,75 +313,71 @@ func (r *modelRun) ship() {
 	}
 }
 
-// deleteAndRecreate drops a topic under a blocked fetcher, which must see
-// ErrNoTopic, and brings it back empty.
+// readyAt parks on name/p past off and reports whether the channel is
+// already closed.
+func (r *modelRun) readyAt(name string, p int, off int64) (<-chan struct{}, bool) {
+	ch, err := r.b.Ready(name, p, off)
+	if err != nil {
+		r.t.Fatalf("Ready(%s/%d, %d): %v", name, p, off, err)
+	}
+	return ch, isClosed(ch)
+}
+
+// deleteAndRecreate drops a topic under a parked reader, whose next fetch
+// must see ErrNoTopic, and brings it back empty.
 func (r *modelRun) deleteAndRecreate(name string) {
 	p := r.part(name, 0)
 	end := r.logs[name][0].next
-	done := make(chan error, 1)
-	go func() {
-		_, err := r.b.Fetch(context.Background(), name, 0, end, 4)
-		done <- err
-	}()
-	waitParked(p)
+	ch, fired := r.readyAt(name, 0, end)
+	if fired {
+		r.t.Fatalf("%s: Ready at the end of the log fired before DeleteTopic", name)
+	}
 	if err := r.b.DeleteTopic(name); err != nil {
 		r.t.Fatal(err)
 	}
-	if err := <-done; !errors.Is(err, ErrNoTopic) {
-		r.t.Fatalf("fetch blocked across DeleteTopic(%s) = %v, want ErrNoTopic", name, err)
+	if !isClosed(ch) {
+		r.t.Fatalf("%s: a reader parked across DeleteTopic was not woken", name)
 	}
+	r.hits["parked Ready woken by DeleteTopic"]++
 	if _, err := p.fetchNoWait(0, 1); !errors.Is(err, ErrNoTopic) {
 		r.t.Fatalf("fetch on a deleted partition = %v, want ErrNoTopic", err)
 	}
-	if _, err := r.b.FetchNoWait(name, 0, 0, 1); !errors.Is(err, ErrNoTopic) {
+	if _, err := r.b.FetchNoWait(name, 0, end, 4); !errors.Is(err, ErrNoTopic) {
 		r.t.Fatalf("fetch on a deleted topic = %v, want ErrNoTopic", err)
+	}
+	if _, err := r.b.Ready(name, 0, end); !errors.Is(err, ErrNoTopic) {
+		r.t.Fatalf("Ready on a deleted topic = %v, want ErrNoTopic", err)
 	}
 	r.create(name)
 	r.hits["topic deleted and recreated"]++
 }
 
-// waitParked returns once a fetcher is blocked on p.
-func waitParked(p *partition) {
-	for {
-		p.mu.Lock()
-		parked := p.notify != nil
-		p.mu.Unlock()
-		if parked {
-			return
-		}
-		runtime.Gosched()
-	}
-}
-
-// wake blocks a Fetch at the end of a log and checks what an append
-// hands it.
+// wake parks at the end of a log and checks that an append releases it and
+// what the fetch after the wake hands back.
 func (r *modelRun) wake(name string) {
 	m := r.logs[name][0]
 	end := m.next
-	type result struct {
-		recs []Record
-		err  error
+	ch, fired := r.readyAt(name, 0, end)
+	if fired {
+		r.t.Fatalf("%s: Ready at the end of the log fired before the append", name)
 	}
-	done := make(chan result, 1)
-	go func() {
-		recs, err := r.b.Fetch(context.Background(), name, 0, end, 3)
-		done <- result{recs, err}
-	}()
-	waitParked(r.part(name, 0))
 	msgs, start := r.msgs(1+r.rng.Intn(5), 60), time.Now()
 	if _, err := r.b.PublishBatchTo(name, 0, msgs); err != nil {
 		r.t.Fatal(err)
 	}
 	m.append(r.stamped(name, 0, start), msgs)
-	got := <-done
-	want, werr := m.fetch(end, 3)
-	if !errors.Is(got.err, werr) {
-		r.t.Fatalf("%s: woken fetch at %d: %v, model %v", name, end, got.err, werr)
+	if !isClosed(ch) {
+		r.t.Fatalf("%s: a %d-message append did not wake the reader parked at %d", name, len(msgs), end)
 	}
-	if err := sameRecords(got.recs, want); err != nil {
+	got, err := r.b.FetchNoWait(name, 0, end, 3)
+	want, werr := m.fetch(end, 3)
+	if !errors.Is(err, werr) {
+		r.t.Fatalf("%s: woken fetch at %d: %v, model %v", name, end, err, werr)
+	}
+	if err := sameRecords(got, want); err != nil {
 		r.t.Fatalf("%s: woken fetch at %d: %v", name, end, err)
 	}
-	r.hits["blocked fetch woken by an append"]++
+	r.hits["parked Ready woken by an append"]++
 }
 
 // check compares every observable of every partition with its model.
@@ -468,15 +462,9 @@ func (r *modelRun) checkFetch(where, name string, pi int, m *modelLog, off int64
 	if err := sameRecords(got, want); err != nil {
 		r.t.Fatalf("%s: FetchNoWait(%d, %d): %v", where, off, max, err)
 	}
-	if werr != nil || len(want) > 0 {
-		// Fetch only blocks on an empty, error-free read.
-		got, err := r.b.Fetch(context.Background(), name, pi, off, max)
-		if !errors.Is(err, werr) {
-			r.t.Fatalf("%s: Fetch(%d, %d) = %v, model %v", where, off, max, err, werr)
-		}
-		if err := sameRecords(got, want); err != nil {
-			r.t.Fatalf("%s: Fetch(%d, %d): %v", where, off, max, err)
-		}
+	// A reader parked at off is released exactly when the log ends past it.
+	if _, fired := r.readyAt(name, pi, off); fired != (m.next > off) {
+		r.t.Fatalf("%s: Ready(%d) fired = %v with the log ending at %d", where, off, fired, m.next)
 	}
 	if len(want) == 0 {
 		return
@@ -513,8 +501,8 @@ func (r *modelRun) checkFetch(where, name string, pi int, m *modelLog, off int64
 // TestPartitionMatchesModel drives seeded schedules of every way a log
 // is written — batches of mixed sizes from one record to one over the
 // chunk bound, replication with re-delivered prefixes, gaps and mixed
-// timestamps, byte retention, topic deletion, a blocked fetch woken by an
-// append — and after every step compares every read of every partition
+// timestamps, byte retention, topic deletion and an append each waking a
+// reader parked on Ready — and after every step compares every read of every partition
 // with a []Record model, whose publish timestamps are the ones the broker
 // stamped.
 func TestPartitionMatchesModel(t *testing.T) {
@@ -573,7 +561,8 @@ func TestPartitionMatchesModel(t *testing.T) {
 		"replicate of nothing new",
 		"replicate across a retention gap",
 		"replicate with mixed timestamps",
-		"blocked fetch woken by an append",
+		"parked Ready woken by an append",
+		"parked Ready woken by DeleteTopic",
 		"topic deleted and recreated",
 	} {
 		if hits[want] == 0 {

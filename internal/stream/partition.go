@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"sort"
@@ -104,13 +103,13 @@ type partition struct {
 	closed bool
 	// deleted marks a partition whose topic was removed via DeleteTopic,
 	// as opposed to a broker shutdown. Readers holding a stale *topic
-	// (a fetch that resolved it first, a blocked Fetch) must see the
+	// (a fetch that resolved it first, a parked reader) must see the
 	// topic-not-found error, never leftover records or ErrBrokerClosed.
 	deleted bool
-	// notify wakes blocked fetchers without a condition variable
-	// (select-able with ctx.Done()): the first fetch that has to wait
+	// notify wakes parked readers (a channel, so a reader selects over
+	// many partitions and its ctx): the first ready call that has to wait
 	// makes it, the next append or close closes it and sets it back to
-	// nil. With nobody waiting an append allocates and closes nothing.
+	// nil. With nobody parked an append allocates and closes nothing.
 	notify chan struct{}
 
 	totalRecords atomic.Int64
@@ -164,7 +163,7 @@ func (p *partition) closeLocked() {
 	p.wakeLocked()
 }
 
-// wakeLocked releases every fetcher blocked on the partition.
+// wakeLocked releases every reader parked on the partition.
 func (p *partition) wakeLocked() {
 	if p.notify != nil {
 		close(p.notify)
@@ -199,7 +198,7 @@ func (p *partition) endOffset() int64 {
 }
 
 // appendBatch appends every message in order under one lock acquisition,
-// then runs retention once and wakes blocked fetchers once — the one
+// then runs retention once and wakes parked readers once — the one
 // append behind PublishBatch and PublishBatchTo. It returns the offset
 // assigned to the first message of the batch. Callers may reuse their
 // message buffers after it returns: keys and values are copied, once,
@@ -369,10 +368,12 @@ func (p *partition) readLocked(off int64, max int) []Record {
 	return out
 }
 
-// fetchLocked is one non-blocking read with the offset rules both fetch
-// flavours share: below the horizon is ErrOffsetTrimmed, beyond the end
-// of the log is ErrOffsetInFuture.
-func (p *partition) fetchLocked(offset int64, max int) ([]Record, error) {
+// fetchNoWait returns immediately with up to max records at offset
+// (possibly none): below the horizon is ErrOffsetTrimmed, beyond the end of
+// the log is ErrOffsetInFuture.
+func (p *partition) fetchNoWait(offset int64, max int) ([]Record, error) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
 	if err := p.errIfDeletedLocked(); err != nil {
 		return nil, err
 	}
@@ -388,38 +389,21 @@ func (p *partition) fetchLocked(offset int64, max int) ([]Record, error) {
 	return p.readLocked(offset, max), nil
 }
 
-// fetch returns up to max records starting at offset, blocking until data
-// arrives, the partition closes, or ctx is done.
-func (p *partition) fetch(ctx context.Context, offset int64, max int) ([]Record, error) {
-	for {
-		p.mu.Lock()
-		out, err := p.fetchLocked(offset, max)
-		if err == nil && len(out) == 0 && p.closed {
-			err = ErrBrokerClosed
-		}
-		if err != nil || len(out) > 0 {
-			p.mu.Unlock()
-			return out, err
-		}
-		if p.notify == nil {
-			p.notify = make(chan struct{})
-		}
-		ch := p.notify
-		p.mu.Unlock()
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-ch:
-		}
-	}
-}
+// readyNow is what ready hands out when its condition already holds.
+var readyNow = func() chan struct{} { c := make(chan struct{}); close(c); return c }()
 
-// fetchNoWait returns immediately with whatever is available (possibly
-// nothing) at offset, under the same offset rules as fetch.
-func (p *partition) fetchNoWait(offset int64, max int) ([]Record, error) {
+// ready returns a channel closed once the log ends past off or the
+// partition closes (a deleted partition is closed too).
+func (p *partition) ready(off int64) <-chan struct{} {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.fetchLocked(offset, max)
+	if p.next > off || p.closed {
+		return readyNow
+	}
+	if p.notify == nil {
+		p.notify = make(chan struct{})
+	}
+	return p.notify
 }
 
 type partitionStats struct {

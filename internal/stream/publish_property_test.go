@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -110,7 +109,7 @@ func resumeTrial(t *testing.T, seed int64) (injected, partials int) {
 				t.Fatal(err)
 			}
 			for off := int64(0); off < end; {
-				recs, err := b.Fetch(context.Background(), topic, p, off, 1024)
+				recs, err := b.FetchNoWait(topic, p, off, 1024)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -222,8 +222,8 @@ type (
 	DeadRecord = sproc.DeadRecord
 )
 
-// NewFaultInjector returns a seed-driven chaos injector; install it with
-// InstallBroker / InstallStore / InstallLake on a facility's tiers.
+// NewFaultInjector returns a seed-driven chaos injector; Install it on a
+// facility's tiers (f.Broker, f.Ocean, f.Lake).
 func NewFaultInjector(seed int64) *FaultInjector { return faults.New(seed) }
 
 // MarkTransient marks an error retryable; IsTransient reports whether an

@@ -1,0 +1,375 @@
+package oda_test
+
+// The repository's shape rules: one STREAM reader, one LAKE read path, one
+// serialized form for rollup cells, one grouping loop, one log and one
+// wait. Each is a structural fact a later change could quietly undo, so
+// each is checked over the parsed non-test sources on every `go test
+// ./...`, and each is shown to fire on a synthetic source that breaks it.
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// srcFile is one parsed non-test Go file; path is slash-separated and
+// relative to the repository root.
+type srcFile struct {
+	path string
+	f    *ast.File
+}
+
+func anyFile(srcFile) bool { return true }
+
+func isFile(path string) func(srcFile) bool {
+	return func(s srcFile) bool { return s.path == path }
+}
+
+func within(dirs ...string) func(srcFile) bool {
+	return func(s srcFile) bool {
+		for _, d := range dirs {
+			if strings.HasPrefix(s.path, d+"/") {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// lastName is the final identifier of x, y.x, z.y.x or *x; "" otherwise.
+func lastName(e ast.Expr) string {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return e.Name
+	case *ast.SelectorExpr:
+		return e.Sel.Name
+	case *ast.StarExpr:
+		return lastName(e.X)
+	}
+	return ""
+}
+
+// inspect walks every file for which keep holds.
+func inspect(files []srcFile, keep func(srcFile) bool, fn func(s srcFile, n ast.Node)) {
+	for _, s := range files {
+		if keep(s) {
+			ast.Inspect(s.f, func(n ast.Node) bool { fn(s, n); return true })
+		}
+	}
+}
+
+// calls visits every call with its final name (f for f(), x.f(), x.y.f()).
+func calls(files []srcFile, keep func(srcFile) bool, fn func(s srcFile, c *ast.CallExpr, name string)) {
+	inspect(files, keep, func(s srcFile, n ast.Node) {
+		if c, ok := n.(*ast.CallExpr); ok {
+			fn(s, c, lastName(c.Fun))
+		}
+	})
+}
+
+// decls lists what the files declare: "func Recv.Method" for a method,
+// "type T" for a struct type and "T.Field" for each of its fields.
+func decls(files []srcFile, keep func(srcFile) bool) (out []string) {
+	inspect(files, keep, func(_ srcFile, n ast.Node) {
+		switch n := n.(type) {
+		case *ast.FuncDecl:
+			if n.Recv != nil && len(n.Recv.List) == 1 {
+				out = append(out, "func "+lastName(n.Recv.List[0].Type)+"."+n.Name.Name)
+			}
+		case *ast.TypeSpec:
+			if st, ok := n.Type.(*ast.StructType); ok {
+				out = append(out, "type "+n.Name.Name)
+				for _, fl := range st.Fields.List {
+					for _, name := range fl.Names {
+						out = append(out, n.Name.Name+"."+name.Name)
+					}
+				}
+			}
+		}
+	})
+	return out
+}
+
+// idents lists every identifier the files use.
+func idents(files []srcFile, keep func(srcFile) bool) (out []string) {
+	inspect(files, keep, func(_ srcFile, n ast.Node) {
+		if id, ok := n.(*ast.Ident); ok {
+			out = append(out, id.Name)
+		}
+	})
+	return out
+}
+
+// pkgRef returns name when e is name qualified by the file's import of
+// path, under whatever local name the file gives it.
+func pkgRef(f *ast.File, e ast.Expr, path string) (string, bool) {
+	sel, ok := e.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	id, ok := sel.X.(*ast.Ident)
+	if !ok {
+		return "", false
+	}
+	for _, imp := range f.Imports {
+		p, _ := strconv.Unquote(imp.Path.Value)
+		local := p[strings.LastIndex(p, "/")+1:]
+		if imp.Name != nil {
+			local = imp.Name.Name
+		}
+		if p == path && local == id.Name {
+			return sel.Sel.Name, true
+		}
+	}
+	return "", false
+}
+
+// forbid reports each of got that is banned, with why.
+func forbid(got []string, why string, banned ...string) (out []string) {
+	for _, g := range got {
+		for _, b := range banned {
+			if g == b {
+				out = append(out, g+": "+why)
+			}
+		}
+	}
+	return out
+}
+
+// count reports a violation unless exactly one of got is want.
+func count(got []string, want, what string) []string {
+	n := 0
+	for _, g := range got {
+		if g == want {
+			n++
+		}
+	}
+	if n != 1 {
+		return []string{fmt.Sprintf("%d %s, want 1", n, what)}
+	}
+	return nil
+}
+
+// A shapeRule is one structural fact: check lists its violations in the
+// non-test sources, breaks is a synthetic source tree (path → source)
+// that it must reject.
+type shapeRule struct {
+	name   string
+	check  func(files []srcFile) []string
+	breaks map[string]string
+}
+
+var shapeRules = []shapeRule{
+	{
+		name: "one reader: STREAM is read through plane.Reader",
+		check: func(files []srcFile) (out []string) {
+			planes := within("internal/plane", "internal/stream", "internal/cluster", "benchmark")
+			calls(files, func(s srcFile) bool { return !planes(s) }, func(s srcFile, _ *ast.CallExpr, name string) {
+				if name == "FetchNoWait" {
+					out = append(out, s.path+": a hand-rolled fetch loop; read through plane.Reader")
+				}
+			})
+			return out
+		},
+		breaks: map[string]string{"internal/core/replay.go": `package core
+func replay(s S) { s.FetchNoWait("bronze", 0, 0, 64) }`},
+	},
+	{
+		name: "one read path: internal/httpapi runs the backend in serveQuery alone",
+		check: func(files []srcFile) []string {
+			var sites []string
+			calls(files, within("internal/httpapi"), func(_ srcFile, c *ast.CallExpr, name string) {
+				if sel, ok := c.Fun.(*ast.SelectorExpr); ok && name == "RunWithStats" {
+					sites = append(sites, lastName(sel.X))
+				}
+			})
+			return count(sites, "backend", "backend.RunWithStats call sites in internal/httpapi (serveQuery)")
+		},
+		breaks: map[string]string{"internal/httpapi/httpapi.go": `package httpapi
+func (s *Server) serveQuery() { s.backend.RunWithStats(q) }
+func (s *Server) topN() { s.backend.RunWithStats(q) }`},
+	},
+	{
+		name: "one read path: top-N is a query, not a method",
+		check: func(files []srcFile) (out []string) {
+			for _, d := range decls(files, anyFile) {
+				if strings.HasPrefix(d, "func ") && strings.HasSuffix(d, ".TopN") {
+					out = append(out, d+": top-N is tsdb.TopN over RunWithStats")
+				}
+			}
+			return out
+		},
+		breaks: map[string]string{"internal/cluster/lake.go": "package cluster\nfunc (c *Cluster) TopN() {}"},
+	},
+	{
+		name: "one cell format: RollupSchema, ImportRollups and DB.Export stay deleted",
+		check: func(files []srcFile) []string {
+			out := forbid(idents(files, anyFile), "rollup cells serialize as ColdSchema", "RollupSchema", "ImportRollups")
+			return append(out, forbid(decls(files, within("internal/tsdb")), "use ExportStripes", "func DB.Export")...)
+		},
+		breaks: map[string]string{"internal/tsdb/export.go": "package tsdb\nfunc (db *DB) Export() {}"},
+	},
+	{
+		name: "one cell format: only tsdb's cellColumns builds a ColdSchema frame",
+		check: func(files []srcFile) (out []string) {
+			calls(files, anyFile, func(s srcFile, c *ast.CallExpr, name string) {
+				if name == "FrameOfColumns" && len(c.Args) > 0 && lastName(c.Args[0]) == "ColdSchema" && s.path != "internal/tsdb/tier.go" {
+					out = append(out, s.path+": build ColdSchema frames with tsdb's cellColumns")
+				}
+			})
+			return out
+		},
+		breaks: map[string]string{"internal/tsdb/stripe.go": "package tsdb\nfunc frame() { schema.FrameOfColumns(ColdSchema, cols) }"},
+	},
+	{
+		name: "one grouping loop: sproc declares one group struct",
+		check: func(files []srcFile) []string {
+			return count(decls(files, within("internal/sproc")), "type group", "'type group struct' in internal/sproc (relational.go)")
+		},
+		breaks: map[string]string{
+			"internal/sproc/relational.go": "package sproc\ntype group struct{}",
+			"internal/sproc/job.go":        "package sproc\ntype group struct{}",
+		},
+	},
+	{
+		name: "one grouping loop: a job's windows are groupTables",
+		check: func(files []srcFile) []string {
+			return forbid(idents(files, within("internal/sproc")), "a job's windows are groupTables", "winGroup")
+		},
+		breaks: map[string]string{"internal/sproc/job.go": "package sproc\ntype winGroup struct{}"},
+	},
+	{
+		name: "one grouping loop: sql.go orders rows through one sort call",
+		check: func(files []srcFile) []string {
+			var sorts []string
+			calls(files, isFile("internal/sproc/sql.go"), func(s srcFile, c *ast.CallExpr, name string) {
+				fn, fromSort := pkgRef(s.f, c.Fun, "sort")
+				switch {
+				case fromSort && ast.IsExported(fn), name == "SortBy", name == "sortByTerms", name == "SortFunc", name == "SortStableFunc":
+					sorts = append(sorts, "sort")
+				}
+			})
+			return count(sorts, "sort", "sort call sites in sql.go (a permutation sort, then Gather)")
+		},
+		breaks: map[string]string{"internal/sproc/sql.go": `package sproc
+import "sort"
+func order() { slices.SortStableFunc(perm, less); sort.Strings(names) }`},
+	},
+	{
+		name: "one log: stream.TopicConfig is {Partitions, RetentionBytes}",
+		check: func(files []srcFile) []string {
+			return forbid(decls(files, within("internal/stream")), "a log is append-only and trimmed by bytes",
+				"TopicConfig.Compacted", "TopicConfig.CompactEvery", "TopicConfig.RetentionAge")
+		},
+		breaks: map[string]string{"internal/stream/broker.go": "package stream\ntype TopicConfig struct{ Partitions int; Compacted bool }"},
+	},
+	{
+		name: "one log: a record is a PublishBatch of one",
+		check: func(files []srcFile) []string {
+			out := forbid(decls(files, within("internal/stream")), "publish through PublishBatch / PublishBatchTo",
+				"func Broker.Publish", "func Broker.PublishTo", "func Broker.SetClock")
+			return append(out, forbid(decls(files, within("internal/cluster")), "the cluster publishes through PublishBatch",
+				"func Cluster.Publish")...)
+		},
+		breaks: map[string]string{"internal/cluster/publish.go": "package cluster\nfunc (c *Cluster) Publish() {}"},
+	},
+	{
+		name: "one wait: internal/plane runs on no clock",
+		check: func(files []srcFile) (out []string) {
+			inspect(files, within("internal/plane"), func(s srcFile, n ast.Node) {
+				if e, ok := n.(ast.Expr); ok {
+					switch name, _ := pkgRef(s.f, e, "time"); name {
+					case "NewTimer", "After", "Sleep", "NewTicker":
+						out = append(out, s.path+": time."+name+": a reader parks on Stream.Ready")
+					}
+				}
+			})
+			return out
+		},
+		breaks: map[string]string{"internal/plane/reader.go": `package plane
+import clock "time"
+func (r *Reader) Wait() { <-clock.After(idle) }`},
+	},
+	{
+		name: "one wait: a broker read is FetchNoWait, its wait Ready",
+		check: func(files []srcFile) []string {
+			return forbid(decls(files, within("internal/stream")), "read with FetchNoWait, park on Ready",
+				"func Broker.Fetch", "func partition.fetch")
+		},
+		breaks: map[string]string{"internal/stream/partition.go": "package stream\nfunc (p *partition) fetch() {}"},
+	},
+	{
+		name: "one wait: a Silver job parks on commits, not on a poll timer",
+		check: func(files []srcFile) []string {
+			return forbid(decls(files, within("internal/sproc")), "the job waits on Stream.Ready", "JobConfig.PollWait")
+		},
+		breaks: map[string]string{"internal/sproc/job.go": "package sproc\ntype JobConfig struct{ PollWait Duration }"},
+	},
+}
+
+// repoSources parses every non-test Go file of the repository, the
+// separate benchmark module included.
+func repoSources(t *testing.T) []srcFile {
+	t.Helper()
+	fset := token.NewFileSet()
+	var files []srcFile
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		files = append(files, srcFile{path: filepath.ToSlash(path), f: f})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+func TestRepositoryShape(t *testing.T) {
+	files := repoSources(t)
+	if len(files) < 100 {
+		t.Fatalf("parsed %d Go files; run from the repository root", len(files))
+	}
+	for _, r := range shapeRules {
+		for _, v := range r.check(files) {
+			t.Errorf("%s: %s", r.name, v)
+		}
+	}
+}
+
+func TestShapeRulesFire(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, r := range shapeRules {
+		var files []srcFile
+		for path, src := range r.breaks {
+			f, err := parser.ParseFile(fset, path, src, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatalf("%s: synthetic %s: %v", r.name, path, err)
+			}
+			files = append(files, srcFile{path: path, f: f})
+		}
+		if len(r.check(files)) == 0 {
+			t.Errorf("%s: passes a synthetic source that breaks it", r.name)
+		}
+	}
+}
