@@ -12,7 +12,8 @@ vet:
 
 # The tests include the repository's shape rules (shape_test.go: one
 # STREAM reader, one LAKE read path, one cell format, one grouping loop,
-# one log, one wait), checked over the parsed sources.
+# one sort, one log, one wait, one entry point per operation), checked
+# over the parsed sources.
 test:
 	$(GO) test ./...
 

@@ -12,6 +12,7 @@ package oda
 // unloaded baseline (the isolation acceptance bar is 2x).
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"net/url"
@@ -48,7 +49,7 @@ func servePortalHandler(b *testing.B) http.Handler {
 			serveErr = err
 			return
 		}
-		if _, err := f.IngestWindow(benchT0, benchT0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
+		if _, err := f.IngestWindow(context.Background(), benchT0, benchT0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
 			serveErr = err
 			return
 		}

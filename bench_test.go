@@ -80,7 +80,7 @@ func sharedWorld(b *testing.B) *world {
 			worldErr = err
 			return
 		}
-		if _, err := f.IngestWindow(benchT0, benchT0.Add(10*time.Minute), SourcePowerTemp, SourceGPU); err != nil {
+		if _, err := f.IngestWindow(context.Background(), benchT0, benchT0.Add(10*time.Minute), SourcePowerTemp, SourceGPU); err != nil {
 			worldErr = err
 			return
 		}
@@ -88,7 +88,7 @@ func sharedWorld(b *testing.B) *world {
 			worldErr = err
 			return
 		}
-		gold, err := f.BuildGold(SourcePowerTemp, "node_power_w", 32)
+		gold, err := f.BuildGold(context.Background(), SourcePowerTemp, "node_power_w", 32)
 		if err != nil {
 			worldErr = err
 			return
@@ -242,7 +242,7 @@ func BenchmarkFig4a_IngestRate(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		from := benchT0.Add(time.Duration(i) * window)
-		stats, err = f.IngestWindow(from, from.Add(window))
+		stats, err = f.IngestWindow(context.Background(), from, from.Add(window))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -353,7 +353,7 @@ func BenchmarkFig4c_ControlLoopTimescales(b *testing.B) {
 			return err
 		}},
 		{core.ControlLoops[2], func() error { // energy analytics: silver scan
-			_, err := w.f.ReadSilver(SourcePowerTemp, benchT0, benchT0.Add(5*time.Minute))
+			_, err := w.f.ReadSilver(context.Background(), SourcePowerTemp, nil, benchT0, benchT0.Add(5*time.Minute))
 			return err
 		}},
 		{core.ControlLoops[3], func() error { // usage reporting: RATS
@@ -405,7 +405,7 @@ func BenchmarkFig5_TieredServices(b *testing.B) {
 	var ret core.RetentionStats
 	for i := 0; i < b.N; i++ {
 		from := benchT0.Add(time.Duration(i) * 30 * time.Second)
-		if _, err := f.IngestWindow(from, from.Add(30*time.Second), SourcePowerTemp); err != nil {
+		if _, err := f.IngestWindow(context.Background(), from, from.Add(30*time.Second), SourcePowerTemp); err != nil {
 			b.Fatal(err)
 		}
 		// Age a bronze object into GLACIER via lifecycle.
@@ -785,8 +785,8 @@ func ingestObs(producer, n int) []schema.Observation {
 }
 
 // BenchmarkTSDBInsertParallel measures LAKE ingest throughput across
-// producer counts and batch sizes. batch=1 drives the per-record path
-// (Insert); batch>1 drives InsertBatch. One op = one observation, so
+// producer counts and batch sizes through InsertBatch; batch=1 is the
+// per-record cost, an InsertBatch of one. One op = one observation, so
 // ns/op is directly comparable across the grid.
 func BenchmarkTSDBInsertParallel(b *testing.B) {
 	for _, g := range []int{1, 4, 16} {
@@ -810,11 +810,6 @@ func BenchmarkTSDBInsertParallel(b *testing.B) {
 						defer wg.Done()
 						pool := pools[w]
 						for done := 0; done < quota; {
-							if batch == 1 {
-								db.Insert(pool[done%len(pool)])
-								done++
-								continue
-							}
 							start := done % (len(pool) - batch + 1)
 							db.InsertBatch(pool[start : start+batch])
 							done += batch
@@ -1276,7 +1271,7 @@ func BenchmarkAblation_StreamVsBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := time.Now()
-		if _, err := w.f.ReadSilver(SourcePowerTemp, benchT0.Add(2*time.Minute), benchT0.Add(4*time.Minute)); err != nil {
+		if _, err := w.f.ReadSilver(context.Background(), SourcePowerTemp, nil, benchT0.Add(2*time.Minute), benchT0.Add(4*time.Minute)); err != nil {
 			b.Fatal(err)
 		}
 		pre = time.Since(s)

@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -48,7 +49,7 @@ func main() {
 	defer f.Close()
 	from := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
 	to := from.Add(time.Duration(*minutes) * time.Minute)
-	if _, err := f.IngestWindow(from, to, oda.SourcePowerTemp); err != nil {
+	if _, err := f.IngestWindow(context.Background(), from, to, oda.SourcePowerTemp); err != nil {
 		log.Fatal(err)
 	}
 

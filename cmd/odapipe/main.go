@@ -48,8 +48,9 @@ func main() {
 		srcs = append(srcs, telemetry.Source(strings.TrimSpace(s)))
 	}
 
+	ctx := context.Background()
 	start := time.Now()
-	stats, err := f.IngestWindow(from, to, srcs...)
+	stats, err := f.IngestWindow(ctx, from, to, srcs...)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func main() {
 	}
 
 	start = time.Now()
-	m, err := f.DrainSilver(context.Background(), oda.SilverPipelineConfig{Source: srcs[0]})
+	m, err := f.DrainSilver(ctx, oda.SilverPipelineConfig{Source: srcs[0]})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func main() {
 		time.Since(start).Round(time.Millisecond))
 
 	start = time.Now()
-	gold, err := f.BuildGold(srcs[0], "node_power_w", 32)
+	gold, err := f.BuildGold(ctx, srcs[0], "node_power_w", 32)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -115,7 +115,7 @@ func fig4a(nodes int, seed int64) {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	stats, err := f.IngestWindow(t0, t0.Add(30*time.Second))
+	stats, err := f.IngestWindow(context.Background(), t0, t0.Add(30*time.Second))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -147,13 +147,14 @@ func fig5(nodes int, seed int64) {
 		log.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := f.IngestWindow(t0, t0.Add(2*time.Minute), oda.SourcePowerTemp); err != nil {
+	ctx := context.Background()
+	if _, err := f.IngestWindow(ctx, t0, t0.Add(2*time.Minute), oda.SourcePowerTemp); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := f.DrainSilver(context.Background(), oda.SilverPipelineConfig{Source: oda.SourcePowerTemp}); err != nil {
+	if _, err := f.DrainSilver(ctx, oda.SilverPipelineConfig{Source: oda.SourcePowerTemp}); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := f.BuildGold(oda.SourcePowerTemp, "node_power_w", 16); err != nil {
+	if _, err := f.BuildGold(ctx, oda.SourcePowerTemp, "node_power_w", 16); err != nil {
 		log.Fatal(err)
 	}
 	bs, _ := f.Broker.Stats("bronze." + string(telemetry.SourcePowerTemp))

@@ -100,7 +100,7 @@ func main() {
 	log.Printf("ingesting %d minutes of telemetry at %d nodes...", *minutes, *nodes)
 	// Trace the startup ingest so /api/v1/traces has a journey to show.
 	ctx, root := f.Tracer.StartRoot(context.Background(), "startup.ingest")
-	stats, err := f.IngestWindowContext(ctx, from, to, oda.SourcePowerTemp, oda.SourceGPU)
+	stats, err := f.IngestWindow(ctx, from, to, oda.SourcePowerTemp, oda.SourceGPU)
 	root.End()
 	if err != nil {
 		log.Fatal(err)
@@ -127,7 +127,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		go pump.Run(context.Background())
+		go func() {
+			if err := pump.Run(context.Background()); err != nil && err != context.Canceled {
+				log.Printf("cq pump: %v", err)
+			}
+		}()
 		fmt.Printf("continuous query %s registered; try:\n", v.ID)
 		fmt.Printf("  curl localhost%s/api/v1/cq/%s\n", *addr, v.ID)
 		fmt.Printf("  curl -N -H 'Accept: text/event-stream' 'localhost%s/api/v1/cq/%s/watch?count=3'\n", *addr, v.ID)

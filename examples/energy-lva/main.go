@@ -34,13 +34,14 @@ func main() {
 	from := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
 	to := from.Add(30 * time.Minute)
 	fmt.Println("ingesting 30 minutes of power telemetry...")
-	if _, err := f.IngestWindow(from, to, oda.SourcePowerTemp); err != nil {
+	ctx := context.Background()
+	if _, err := f.IngestWindow(ctx, from, to, oda.SourcePowerTemp); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := f.DrainSilver(context.Background(), oda.SilverPipelineConfig{Source: oda.SourcePowerTemp}); err != nil {
+	if _, err := f.DrainSilver(ctx, oda.SilverPipelineConfig{Source: oda.SourcePowerTemp}); err != nil {
 		log.Fatal(err)
 	}
-	gold, err := f.BuildGold(oda.SourcePowerTemp, "node_power_w", 32)
+	gold, err := f.BuildGold(ctx, oda.SourcePowerTemp, "node_power_w", 32)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -24,13 +24,14 @@ func main() {
 
 	// Produce the dataset the collaborator wants: contextualized Silver.
 	from := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
-	if _, err := f.IngestWindow(from, from.Add(5*time.Minute), oda.SourcePowerTemp); err != nil {
+	ctx := context.Background()
+	if _, err := f.IngestWindow(ctx, from, from.Add(5*time.Minute), oda.SourcePowerTemp); err != nil {
 		log.Fatal(err)
 	}
-	if _, err := f.DrainSilver(context.Background(), oda.SilverPipelineConfig{Source: oda.SourcePowerTemp}); err != nil {
+	if _, err := f.DrainSilver(ctx, oda.SilverPipelineConfig{Source: oda.SourcePowerTemp}); err != nil {
 		log.Fatal(err)
 	}
-	silver, err := f.ReadSilver(oda.SourcePowerTemp, time.Time{}, time.Time{})
+	silver, err := f.ReadSilver(ctx, oda.SourcePowerTemp, nil, time.Time{}, time.Time{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -33,7 +34,7 @@ func main() {
 	defer f.Close()
 
 	fmt.Println("injected incidents: gpu_failure_burst on node00005, thermal_runaway on node00007")
-	if _, err := f.IngestWindow(t0, t0.Add(10*time.Minute), oda.SourcePowerTemp); err != nil {
+	if _, err := f.IngestWindow(context.Background(), t0, t0.Add(10*time.Minute), oda.SourcePowerTemp); err != nil {
 		log.Fatal(err)
 	}
 

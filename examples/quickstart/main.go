@@ -26,10 +26,11 @@ func main() {
 
 	from := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
 	to := from.Add(5 * time.Minute)
+	ctx := context.Background()
 
 	// 1. Collection: raw telemetry lands in the STREAM broker and the
 	// LAKE rollup store.
-	stats, err := f.IngestWindow(from, to, oda.SourcePowerTemp, oda.SourceGPU)
+	stats, err := f.IngestWindow(ctx, from, to, oda.SourcePowerTemp, oda.SourceGPU)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -41,7 +42,7 @@ func main() {
 
 	// 2. Engineering: the streaming Bronze→Silver pipeline (15 s windowed
 	// averages, pivoted wide, contextualized with job allocations).
-	m, err := f.DrainSilver(context.Background(), oda.SilverPipelineConfig{Source: oda.SourcePowerTemp})
+	m, err := f.DrainSilver(ctx, oda.SilverPipelineConfig{Source: oda.SourcePowerTemp})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func main() {
 
 	// 3. Discovery: Gold artifacts — per-job power profiles and the
 	// system power series.
-	gold, err := f.BuildGold(oda.SourcePowerTemp, "node_power_w", 32)
+	gold, err := f.BuildGold(ctx, oda.SourcePowerTemp, "node_power_w", 32)
 	if err != nil {
 		log.Fatal(err)
 	}

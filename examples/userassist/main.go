@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -24,7 +25,7 @@ func main() {
 
 	from := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
 	to := from.Add(20 * time.Minute)
-	if _, err := f.IngestWindow(from, to, oda.SourcePowerTemp, oda.SourceGPU); err != nil {
+	if _, err := f.IngestWindow(context.Background(), from, to, oda.SourcePowerTemp, oda.SourceGPU); err != nil {
 		log.Fatal(err)
 	}
 

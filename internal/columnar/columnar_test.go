@@ -146,7 +146,7 @@ func TestStatsAndPushdown(t *testing.T) {
 		t.Fatal(err)
 	}
 	tsIdx := fr.Schema().MustIndex("ts")
-	st := fr.GroupStats(0)[tsIdx]
+	st := fr.groups[0].Stats[tsIdx]
 	if st.Count != 100 || st.NullCount != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
@@ -245,7 +245,7 @@ func TestNullHandling(t *testing.T) {
 		t.Fatalf("null round trip failed:\n%v\nvs\n%v", got.Rows(), f.Rows())
 	}
 	fr, _ := NewFileReader(data)
-	st := fr.GroupStats(0)[0]
+	st := fr.groups[0].Stats[0]
 	if st.NullCount != 1 || st.Count != 3 {
 		t.Fatalf("stats = %+v", st)
 	}

@@ -289,9 +289,6 @@ func (fr *FileReader) Schema() *schema.Schema { return fr.sch }
 // NumRowGroups returns the number of row groups.
 func (fr *FileReader) NumRowGroups() int { return len(fr.groups) }
 
-// GroupStats returns the statistics of row group i.
-func (fr *FileReader) GroupStats(i int) []ColStats { return fr.groups[i].Stats }
-
 // maxChunkRawLen caps a chunk's declared decompressed size (1 GiB). The
 // declared length is attacker-controlled in a hostile stream; without a
 // cap it becomes an arbitrary allocation in decodeChunk.

@@ -21,7 +21,9 @@ func ev(min int, host, sev, msg string) schema.Event {
 func engineWith(t *testing.T, events []schema.Event, rules ...Rule) *Engine {
 	t.Helper()
 	logs := logsearch.New()
-	logs.AddAll(events)
+	for i := range events {
+		logs.Add(events[i])
+	}
 	e := NewEngine(logs)
 	for _, r := range rules {
 		if err := e.AddRule(r); err != nil {

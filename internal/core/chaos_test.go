@@ -91,7 +91,7 @@ func runChaosPipeline(t *testing.T, inj *faults.Injector, poison [][]byte) (pipe
 	ctx, root := f.Tracer.StartRoot(context.Background(), "pipeline")
 
 	src := telemetry.SourcePowerTemp
-	if _, err := f.IngestWindowContext(ctx, t0, t0.Add(2*time.Minute), src); err != nil {
+	if _, err := f.IngestWindow(ctx, t0, t0.Add(2*time.Minute), src); err != nil {
 		t.Fatalf("ingest under faults: %v (seed %d)", err, chaosSeed())
 	}
 	// Poison the topic: undecodable and non-conforming payloads, one per
@@ -115,7 +115,7 @@ func runChaosPipeline(t *testing.T, inj *faults.Injector, poison [][]byte) (pipe
 	if err != nil {
 		t.Fatalf("drain under faults: %v (seed %d)", err, chaosSeed())
 	}
-	ga, err := f.BuildGoldContext(ctx, src, "node_power_w", 16)
+	ga, err := f.BuildGold(ctx, src, "node_power_w", 16)
 	if err != nil {
 		t.Fatalf("gold build under faults: %v (seed %d)", err, chaosSeed())
 	}
@@ -299,7 +299,7 @@ func TestChaosByteIdenticalPipeline(t *testing.T) {
 func TestChaosBreakerAndRestartDamping(t *testing.T) {
 	f := testFacility(t)
 	src := telemetry.SourcePowerTemp
-	if _, err := f.IngestWindow(t0, t0.Add(time.Minute), src); err != nil {
+	if _, err := f.IngestWindow(context.Background(), t0, t0.Add(time.Minute), src); err != nil {
 		t.Fatal(err)
 	}
 	inj := faults.New(chaosSeed())

@@ -300,15 +300,12 @@ type IngestStats struct {
 // syslog topic. Records are accumulated into Options.IngestBatch-sized
 // batches and flushed via the plane's PublishBatch + InsertBatch, so
 // ingest never serializes on per-record broker or lake locks. It
-// returns per-source volumes.
-func (f *Facility) IngestWindow(from, to time.Time, sources ...telemetry.Source) (IngestStats, error) {
-	return f.IngestWindowContext(context.Background(), from, to, sources...)
-}
-
-// IngestWindowContext is IngestWindow with a caller context: when ctx
-// carries a sampled trace root, each source's ingest becomes a child
-// span with per-flush publish and insert spans under it.
-func (f *Facility) IngestWindowContext(ctx context.Context, from, to time.Time, sources ...telemetry.Source) (IngestStats, error) {
+// returns per-source volumes. When ctx carries a sampled trace root,
+// each source's ingest becomes a child span with per-flush publish and
+// insert spans under it. A cancelled ctx stops the ingest before its
+// next flush: the batches already flushed are in STREAM and LAKE alike,
+// and no later one reaches either.
+func (f *Facility) IngestWindow(ctx context.Context, from, to time.Time, sources ...telemetry.Source) (IngestStats, error) {
 	if len(sources) == 0 {
 		sources = telemetry.MetricSources
 	}
@@ -324,6 +321,9 @@ func (f *Facility) IngestWindowContext(ctx context.Context, from, to time.Time, 
 		flush := func() error {
 			if len(msgs) == 0 {
 				return nil
+			}
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 			// Retried flushes: a partial publish resumes with only the
 			// unpublished remainder, and the lake insert is all-or-nothing,
@@ -369,6 +369,9 @@ func (f *Facility) IngestWindowContext(ctx context.Context, from, to time.Time, 
 	flushEvents := func() error {
 		if len(msgs) == 0 {
 			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			return err
 		}
 		if err := f.publishRetry(ctx, BronzeTopic(telemetry.SourceSyslog), msgs); err != nil {
 			return err

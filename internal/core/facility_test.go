@@ -1,13 +1,17 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
+	"odakit/internal/columnar"
 	"odakit/internal/governance"
 	"odakit/internal/medallion"
+	"odakit/internal/schema"
 	"odakit/internal/telemetry"
 )
 
@@ -57,7 +61,7 @@ func TestFacilityWiring(t *testing.T) {
 
 func TestIngestWindow(t *testing.T) {
 	f := testFacility(t)
-	stats, err := f.IngestWindow(t0, t0.Add(time.Minute), telemetry.SourcePowerTemp, telemetry.SourceGPU)
+	stats, err := f.IngestWindow(context.Background(), t0, t0.Add(time.Minute), telemetry.SourcePowerTemp, telemetry.SourceGPU)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +92,7 @@ func TestIngestWindow(t *testing.T) {
 
 func TestExtrapolateDaily(t *testing.T) {
 	f := testFacility(t)
-	stats, err := f.IngestWindow(t0, t0.Add(30*time.Second), telemetry.SourcePowerTemp)
+	stats, err := f.IngestWindow(context.Background(), t0, t0.Add(30*time.Second), telemetry.SourcePowerTemp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +106,7 @@ func TestExtrapolateDaily(t *testing.T) {
 
 func TestSilverPipelineEndToEnd(t *testing.T) {
 	f := testFacility(t)
-	if _, err := f.IngestWindow(t0, t0.Add(2*time.Minute), telemetry.SourcePowerTemp); err != nil {
+	if _, err := f.IngestWindow(context.Background(), t0, t0.Add(2*time.Minute), telemetry.SourcePowerTemp); err != nil {
 		t.Fatal(err)
 	}
 	m, err := f.DrainSilver(context.Background(), SilverPipelineConfig{Source: telemetry.SourcePowerTemp})
@@ -112,7 +116,7 @@ func TestSilverPipelineEndToEnd(t *testing.T) {
 	if m.RecordsIn != 14400 || m.RowsOut == 0 {
 		t.Fatalf("metrics = %+v", m)
 	}
-	silver, err := f.ReadSilver(telemetry.SourcePowerTemp, time.Time{}, time.Time{})
+	silver, err := f.ReadSilver(context.Background(), telemetry.SourcePowerTemp, nil, time.Time{}, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +131,7 @@ func TestSilverPipelineEndToEnd(t *testing.T) {
 		}
 	}
 	// Ranged read with pushdown.
-	ranged, err := f.ReadSilver(telemetry.SourcePowerTemp, t0.Add(time.Minute), t0.Add(2*time.Minute))
+	ranged, err := f.ReadSilver(context.Background(), telemetry.SourcePowerTemp, nil, t0.Add(time.Minute), t0.Add(2*time.Minute))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,13 +147,13 @@ func TestSilverPipelineEndToEnd(t *testing.T) {
 
 func TestBatchMatchesStreaming(t *testing.T) {
 	f := testFacility(t)
-	if _, err := f.IngestWindow(t0, t0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
+	if _, err := f.IngestWindow(context.Background(), t0, t0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.DrainSilver(context.Background(), SilverPipelineConfig{Source: telemetry.SourcePowerTemp}); err != nil {
 		t.Fatal(err)
 	}
-	streamed, err := f.ReadSilver(telemetry.SourcePowerTemp, time.Time{}, time.Time{})
+	streamed, err := f.ReadSilver(context.Background(), telemetry.SourcePowerTemp, nil, time.Time{}, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,8 +164,13 @@ func TestBatchMatchesStreaming(t *testing.T) {
 	if streamed.Len() != batch.Len() {
 		t.Fatalf("streamed %d rows vs batch %d", streamed.Len(), batch.Len())
 	}
-	_ = streamed.SortBy("window", "component")
-	_ = batch.SortBy("window", "component")
+	byWindow := []schema.SortKey{{Col: "window"}, {Col: "component"}}
+	if streamed, err = streamed.SortBy(byWindow...); err != nil {
+		t.Fatal(err)
+	}
+	if batch, err = batch.SortBy(byWindow...); err != nil {
+		t.Fatal(err)
+	}
 	bs := batch.Schema()
 	ss := streamed.Schema()
 	pi, pj := bs.MustIndex("node_power_w"), ss.MustIndex("node_power_w")
@@ -175,13 +184,13 @@ func TestBatchMatchesStreaming(t *testing.T) {
 
 func TestBuildGold(t *testing.T) {
 	f := testFacility(t)
-	if _, err := f.IngestWindow(t0, t0.Add(10*time.Minute), telemetry.SourcePowerTemp); err != nil {
+	if _, err := f.IngestWindow(context.Background(), t0, t0.Add(10*time.Minute), telemetry.SourcePowerTemp); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.DrainSilver(context.Background(), SilverPipelineConfig{Source: telemetry.SourcePowerTemp}); err != nil {
 		t.Fatal(err)
 	}
-	gold, err := f.BuildGold(telemetry.SourcePowerTemp, "node_power_w", 16)
+	gold, err := f.BuildGold(context.Background(), telemetry.SourcePowerTemp, "node_power_w", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,14 +208,14 @@ func TestBuildGold(t *testing.T) {
 		t.Fatalf("series object: %v", err)
 	}
 	// Gold without silver fails cleanly.
-	if _, err := f.BuildGold(telemetry.SourceGPU, "gpu_util_pct", 16); err == nil {
+	if _, err := f.BuildGold(context.Background(), telemetry.SourceGPU, "gpu_util_pct", 16); err == nil {
 		t.Fatal("gold from missing silver accepted")
 	}
 }
 
 func TestApplyRetention(t *testing.T) {
 	f := testFacility(t)
-	if _, err := f.IngestWindow(t0, t0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
+	if _, err := f.IngestWindow(context.Background(), t0, t0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
 		t.Fatal(err)
 	}
 	// Stage an aged bronze object with a lifecycle rule.
@@ -241,7 +250,7 @@ func TestApplyRetention(t *testing.T) {
 	// log index is still retained.
 	fc := testFacility(t)
 	attachCluster(t, fc)
-	if _, err := fc.IngestWindow(t0, t0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
+	if _, err := fc.IngestWindow(context.Background(), t0, t0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
 		t.Fatal(err)
 	}
 	st, err = fc.ApplyRetention(t0.Add(7*24*time.Hour), 24*time.Hour)
@@ -285,6 +294,20 @@ func TestRunLifeCycle(t *testing.T) {
 	_ = governance.StageManagement
 }
 
+// TestRunLifeCycleCancelled: a cancelled ctx stops the loop in its first
+// stage, before any telemetry reaches the LAKE.
+func TestRunLifeCycleCancelled(t *testing.T) {
+	f := testFacility(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := f.RunLifeCycle(ctx, t0, t0.Add(10*time.Minute)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled life cycle returned %v, want context.Canceled", err)
+	}
+	if rows := f.Lake.Stats().RawIngested; rows != 0 {
+		t.Fatalf("cancelled life cycle landed %d LAKE rows, want 0", rows)
+	}
+}
+
 func TestControlLoopsRegistry(t *testing.T) {
 	if len(ControlLoops) != 5 {
 		t.Fatalf("control loops = %d, want 5", len(ControlLoops))
@@ -314,13 +337,13 @@ func TestLifeCycleStageStrings(t *testing.T) {
 
 func TestReadSilverColumns(t *testing.T) {
 	f := testFacility(t)
-	if _, err := f.IngestWindow(t0, t0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
+	if _, err := f.IngestWindow(context.Background(), t0, t0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.DrainSilver(context.Background(), SilverPipelineConfig{Source: telemetry.SourcePowerTemp}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := f.ReadSilverColumns(telemetry.SourcePowerTemp,
+	got, err := f.ReadSilver(context.Background(), telemetry.SourcePowerTemp,
 		[]string{"window", "component", "node_power_w"}, t0, t0.Add(30*time.Second))
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +355,7 @@ func TestReadSilverColumns(t *testing.T) {
 	if got.Len() != 36 {
 		t.Fatalf("rows = %d, want 36", got.Len())
 	}
-	full, err := f.ReadSilver(telemetry.SourcePowerTemp, t0, t0.Add(30*time.Second))
+	full, err := f.ReadSilver(context.Background(), telemetry.SourcePowerTemp, nil, t0, t0.Add(30*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,10 +366,58 @@ func TestReadSilverColumns(t *testing.T) {
 	if !got.Equal(sel) {
 		t.Fatal("projected read differs from full read projection")
 	}
-	if _, err := f.ReadSilverColumns(telemetry.SourcePowerTemp, []string{"ghost"}, t0, t0.Add(time.Minute)); err == nil {
+	if _, err := f.ReadSilver(context.Background(), telemetry.SourcePowerTemp, []string{"ghost"}, t0, t0.Add(time.Minute)); err == nil {
 		t.Fatal("ghost column accepted")
 	}
-	if _, err := f.ReadSilverColumns(telemetry.SourceGPU, []string{"window"}, t0, t0.Add(time.Minute)); err == nil {
+	if _, err := f.ReadSilver(context.Background(), telemetry.SourceGPU, []string{"window"}, t0, t0.Add(time.Minute)); err == nil {
 		t.Fatal("missing silver object accepted")
+	}
+}
+
+// TestReadSilverMatchesReadAll: unranged and unprojected, the one scan
+// returns the appended Silver object exactly as columnar.ReadAll decodes
+// it, and a projected read is that read's projection.
+func TestReadSilverMatchesReadAll(t *testing.T) {
+	ctx := context.Background()
+	f := testFacility(t)
+	if _, err := f.IngestWindow(ctx, t0, t0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.DrainSilver(ctx, SilverPipelineConfig{Source: telemetry.SourcePowerTemp}); err != nil {
+		t.Fatal(err)
+	}
+	data, _, err := f.Ocean.Get(BucketSilver, SilverObjectKey(telemetry.SourcePowerTemp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fr, err := columnar.NewFileReader(data); err != nil || fr.NumRowGroups() < 2 {
+		t.Fatalf("silver object: %v, want at least two appended windows", err)
+	}
+	want, err := columnar.ReadAll(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := f.ReadSilver(ctx, telemetry.SourcePowerTemp, nil, time.Time{}, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotBytes, err := columnar.Encode(got, columnar.WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBytes, err := columnar.Encode(want, columnar.WriterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) || !bytes.Equal(gotBytes, wantBytes) {
+		t.Fatalf("ReadSilver: %d rows of %s, ReadAll: %d rows of %s", got.Len(), got.Schema(), want.Len(), want.Schema())
+	}
+	cols := []string{"node_power_w", "component", "window"}
+	projected, err := f.ReadSilver(ctx, telemetry.SourcePowerTemp, cols, time.Time{}, time.Time{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sel, err := got.Select(cols...); err != nil || !projected.Equal(sel) {
+		t.Fatalf("projected read differs from the full read's projection (%v)", err)
 	}
 }

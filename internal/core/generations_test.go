@@ -34,7 +34,7 @@ func TestBothGenerationsEndToEnd(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer f.Close()
-			if _, err := f.IngestWindow(t0, t0.Add(2*time.Minute), telemetry.SourcePowerTemp); err != nil {
+			if _, err := f.IngestWindow(context.Background(), t0, t0.Add(2*time.Minute), telemetry.SourcePowerTemp); err != nil {
 				t.Fatal(err)
 			}
 			m, err := f.DrainSilver(context.Background(), SilverPipelineConfig{Source: telemetry.SourcePowerTemp})
@@ -44,7 +44,7 @@ func TestBothGenerationsEndToEnd(t *testing.T) {
 			if m.RowsOut == 0 {
 				t.Fatal("no silver rows")
 			}
-			silver, err := f.ReadSilver(telemetry.SourcePowerTemp, time.Time{}, time.Time{})
+			silver, err := f.ReadSilver(context.Background(), telemetry.SourcePowerTemp, nil, time.Time{}, time.Time{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -61,7 +61,7 @@ func TestBothGenerationsEndToEnd(t *testing.T) {
 			if silver.Len() != 8*cfg.Nodes {
 				t.Fatalf("%s silver rows = %d, want %d", cfg.Name, silver.Len(), 8*cfg.Nodes)
 			}
-			if _, err := f.BuildGold(telemetry.SourcePowerTemp, "node_power_w", 16); err != nil {
+			if _, err := f.BuildGold(context.Background(), telemetry.SourcePowerTemp, "node_power_w", 16); err != nil {
 				t.Fatal(err)
 			}
 		})

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -29,7 +30,7 @@ func TestIncidentDetectionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer f.Close()
-	if _, err := f.IngestWindow(t0, t0.Add(10*time.Minute), telemetry.SourcePowerTemp); err != nil {
+	if _, err := f.IngestWindow(context.Background(), t0, t0.Add(10*time.Minute), telemetry.SourcePowerTemp); err != nil {
 		t.Fatal(err)
 	}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -35,11 +36,11 @@ func testFacilityBatch(t testing.TB, batch int) *Facility {
 func TestIngestBatchSizeInvariant(t *testing.T) {
 	perRecord := testFacilityBatch(t, 1)
 	batched := testFacilityBatch(t, 1024)
-	s1, err := perRecord.IngestWindow(t0, t0.Add(time.Minute), telemetry.SourcePowerTemp)
+	s1, err := perRecord.IngestWindow(context.Background(), t0, t0.Add(time.Minute), telemetry.SourcePowerTemp)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := batched.IngestWindow(t0, t0.Add(time.Minute), telemetry.SourcePowerTemp)
+	s2, err := batched.IngestWindow(context.Background(), t0, t0.Add(time.Minute), telemetry.SourcePowerTemp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestIngestBatchSizeInvariant(t *testing.T) {
 // log answers queries identically to the original.
 func TestReplayBronzeToLake(t *testing.T) {
 	f := testFacility(t)
-	if _, err := f.IngestWindow(t0, t0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
+	if _, err := f.IngestWindow(context.Background(), t0, t0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
 		t.Fatal(err)
 	}
 	q := tsdb.Query{
@@ -139,7 +140,7 @@ func TestReplayBronzeWhileRetentionTrims(t *testing.T) {
 	}
 	minute := func(f *Facility, m int) {
 		t.Helper()
-		if _, err := f.IngestWindow(t0.Add(time.Duration(m)*time.Minute), t0.Add(time.Duration(m+1)*time.Minute), src); err != nil {
+		if _, err := f.IngestWindow(context.Background(), t0.Add(time.Duration(m)*time.Minute), t0.Add(time.Duration(m+1)*time.Minute), src); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,7 +219,7 @@ func (s shortLog) EndOffset(topic string, part int) (int64, error) {
 func TestReplayEndsWhenNothingIsHeldBelowTheEnd(t *testing.T) {
 	f := testFacilityBatch(t, 256)
 	src := telemetry.SourcePowerTemp
-	if _, err := f.IngestWindow(t0, t0.Add(time.Minute), src); err != nil {
+	if _, err := f.IngestWindow(context.Background(), t0, t0.Add(time.Minute), src); err != nil {
 		t.Fatal(err)
 	}
 	bs, err := f.Broker.Stats(BronzeTopic(src))
@@ -234,5 +235,47 @@ func TestReplayEndsWhenNothingIsHeldBelowTheEnd(t *testing.T) {
 	n, _, err := f.ReplayBronzeToLake(ctx, src)
 	if err != nil || n != bs.TotalRecords {
 		t.Fatalf("replay = %d observations, %v; want the %d the topic holds and no error", n, err, bs.TotalRecords)
+	}
+}
+
+// cancelOnPublish is a STREAM whose every PublishBatch lands and then
+// cancels the ingest's ctx.
+type cancelOnPublish struct {
+	*stream.Broker
+	cancel context.CancelFunc
+}
+
+func (c cancelOnPublish) PublishBatch(topic string, msgs []stream.Message) (int, error) {
+	n, err := c.Broker.PublishBatch(topic, msgs)
+	c.cancel()
+	return n, err
+}
+
+// TestCancelledIngestStopsAtABatchBoundary: a ctx cancelled while the
+// first batch is being published ends the ingest before the next flush.
+// That batch is in STREAM and LAKE alike and nothing after it is in
+// either, the syslog topic included.
+func TestCancelledIngestStopsAtABatchBoundary(t *testing.T) {
+	const batch = 256
+	f := testFacilityBatch(t, batch)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := f.AttachPlane(cancelOnPublish{f.Broker, cancel}, f.Lake); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.IngestWindow(ctx, t0, t0.Add(time.Minute), telemetry.SourcePowerTemp); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled ingest returned %v, want context.Canceled", err)
+	}
+	bronze, err := f.Broker.Stats(BronzeTopic(telemetry.SourcePowerTemp))
+	if err != nil {
+		t.Fatal(err)
+	}
+	syslog, err := f.Broker.Stats(BronzeTopic(telemetry.SourceSyslog))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := f.Lake.Stats().RawIngested; rows != bronze.TotalRecords || bronze.TotalRecords != batch || syslog.TotalRecords != 0 {
+		t.Fatalf("after a cancel in the first publish: LAKE %d rows, STREAM %d bronze + %d syslog records; want %d, %d and 0",
+			rows, bronze.TotalRecords, syslog.TotalRecords, batch, batch)
 	}
 }

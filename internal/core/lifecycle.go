@@ -105,10 +105,8 @@ func (f *Facility) RunLifeCycle(ctx context.Context, from, to time.Time) (*LifeC
 	}
 
 	// 1. Collection: land raw streams.
-	var ingest IngestStats
 	if err := step(StageCollection, "telemetry into STREAM + LAKE", func() error {
-		var err error
-		ingest, err = f.IngestWindow(from, to, telemetry.SourcePowerTemp, telemetry.SourceGPU)
+		_, err := f.IngestWindow(ctx, from, to, telemetry.SourcePowerTemp, telemetry.SourceGPU)
 		return err
 	}); err != nil {
 		return nil, err
@@ -126,7 +124,7 @@ func (f *Facility) RunLifeCycle(ctx context.Context, from, to time.Time) (*LifeC
 	var gold *GoldArtifacts
 	if err := step(StageDiscovery, "gold job profiles + system series", func() error {
 		var err error
-		gold, err = f.BuildGold(telemetry.SourcePowerTemp, "node_power_w", 32)
+		gold, err = f.BuildGold(ctx, telemetry.SourcePowerTemp, "node_power_w", 32)
 		return err
 	}); err != nil {
 		return nil, err
@@ -201,7 +199,6 @@ func (f *Facility) RunLifeCycle(ctx context.Context, from, to time.Time) (*LifeC
 		return nil, err
 	}
 
-	_ = ingest
 	rep.Total = time.Since(start)
 	return rep, nil
 }

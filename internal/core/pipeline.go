@@ -197,43 +197,14 @@ func (f *Facility) DrainSilver(ctx context.Context, cfg SilverPipelineConfig) (s
 	return m, nil
 }
 
-// ReadSilver loads a source's Silver frame back from OCEAN, optionally
-// restricted to a time range via columnar predicate pushdown.
-func (f *Facility) ReadSilver(src telemetry.Source, from, to time.Time) (*schema.Frame, error) {
-	return f.readSilver(context.Background(), src, from, to)
-}
-
-func (f *Facility) readSilver(ctx context.Context, src telemetry.Source, from, to time.Time) (*schema.Frame, error) {
+// ReadSilver loads a source's Silver frame back from OCEAN. columns
+// projects the read (nil reads every column) and a non-zero from / to
+// bounds the windows it returns; both are pushed down into one columnar
+// scan, so only the named columns (plus the window predicate column) of
+// the row groups that overlap the range are decoded — the access path
+// interactive views use on wide Silver objects.
+func (f *Facility) ReadSilver(ctx context.Context, src telemetry.Source, columns []string, from, to time.Time) (*schema.Frame, error) {
 	data, err := f.oceanGet(ctx, BucketSilver, SilverObjectKey(src))
-	if err != nil {
-		return nil, err
-	}
-	fr, err := columnar.NewFileReader(data)
-	if err != nil {
-		return nil, err
-	}
-	if from.IsZero() && to.IsZero() {
-		return columnar.ReadAll(data)
-	}
-	pred := columnar.Predicate{Col: "window"}
-	if !from.IsZero() {
-		pred.Min = schema.Time(from)
-	}
-	if !to.IsZero() {
-		pred.Max = schema.Time(to)
-	}
-	res, err := fr.Scan(pred)
-	if err != nil {
-		return nil, err
-	}
-	return res.Frame, nil
-}
-
-// ReadSilverColumns is ReadSilver with projection pushdown: only the
-// named columns (plus the window predicate column) are decoded — the
-// access path interactive views use on wide Silver objects.
-func (f *Facility) ReadSilverColumns(src telemetry.Source, columns []string, from, to time.Time) (*schema.Frame, error) {
-	data, err := f.oceanGet(context.Background(), BucketSilver, SilverObjectKey(src))
 	if err != nil {
 		return nil, err
 	}
@@ -252,7 +223,12 @@ func (f *Facility) ReadSilverColumns(src telemetry.Source, columns []string, fro
 		}
 		preds = append(preds, pred)
 	}
-	res, err := fr.ScanColumns(columns, preds...)
+	var res *columnar.ScanResult
+	if columns == nil {
+		res, err = fr.Scan(preds...)
+	} else {
+		res, err = fr.ScanColumns(columns, preds...)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -290,19 +266,14 @@ type GoldArtifacts struct {
 
 // BuildGold distills Gold artifacts from a source's Silver data: job
 // power profiles (the Fig 10 features) and the system power series (the
-// Fig 8 left panel), both persisted to the gold bucket.
-func (f *Facility) BuildGold(src telemetry.Source, powerCol string, dim int) (*GoldArtifacts, error) {
-	return f.BuildGoldContext(context.Background(), src, powerCol, dim)
-}
-
-// BuildGoldContext is BuildGold with a caller context, so a sampled
-// trace covers the Gold distillation (silver read, profile extraction,
-// gold writes) as child spans.
-func (f *Facility) BuildGoldContext(ctx context.Context, src telemetry.Source, powerCol string, dim int) (*GoldArtifacts, error) {
+// Fig 8 left panel), both persisted to the gold bucket. A sampled trace
+// in ctx covers the distillation (silver read, profile extraction, gold
+// writes) as child spans.
+func (f *Facility) BuildGold(ctx context.Context, src telemetry.Source, powerCol string, dim int) (*GoldArtifacts, error) {
 	ctx, sp := obs.StartSpan(ctx, "gold.build")
 	defer sp.End()
 	sp.Annotate("source", "%s", src)
-	silver, err := f.readSilver(ctx, src, time.Time{}, time.Time{})
+	silver, err := f.ReadSilver(ctx, src, nil, time.Time{}, time.Time{})
 	if err != nil {
 		sp.SetErr(err)
 		return nil, fmt.Errorf("core: gold build needs silver data: %w", err)

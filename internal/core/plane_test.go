@@ -79,7 +79,7 @@ func TestChaosIngestClusterPlaneExactlyOnce(t *testing.T) {
 	seed := chaosSeed()
 	sources := []telemetry.Source{telemetry.SourcePowerTemp, telemetry.SourceGPU}
 	ref := testFacility(t)
-	if _, err := ref.IngestWindow(t0, t0.Add(time.Minute), sources...); err != nil {
+	if _, err := ref.IngestWindow(context.Background(), t0, t0.Add(time.Minute), sources...); err != nil {
 		t.Fatal(err)
 	}
 
@@ -88,7 +88,7 @@ func TestChaosIngestClusterPlaneExactlyOnce(t *testing.T) {
 	inj.Set(cluster.OpPublish, faults.Rates{Transient: 0.08})
 	inj.Set(cluster.OpReplicate, faults.Rates{Transient: 0.08})
 	inj.Install(c.Transport())
-	stats, err := f.IngestWindow(t0, t0.Add(time.Minute), sources...)
+	stats, err := f.IngestWindow(context.Background(), t0, t0.Add(time.Minute), sources...)
 	if err != nil {
 		t.Fatalf("seed %d: ingest under transport faults: %v\n%s", seed, err, inj)
 	}
@@ -147,7 +147,7 @@ func TestChaosIngestClusterPlaneExactlyOnce(t *testing.T) {
 func silverRun(t *testing.T, f *Facility, window time.Duration, midDrain map[int]func()) ([]byte, sproc.Metrics) {
 	t.Helper()
 	src := telemetry.SourcePowerTemp
-	if _, err := f.IngestWindow(t0, t0.Add(window), src); err != nil {
+	if _, err := f.IngestWindow(context.Background(), t0, t0.Add(window), src); err != nil {
 		t.Fatal(err)
 	}
 	appends := 0

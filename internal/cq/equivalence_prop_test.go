@@ -86,15 +86,14 @@ func (w *propWorld) publishRound(n int) {
 	}
 }
 
-// referenceDB rebuilds a LAKE by partition-major replay — topics
-// ascending, each partition fully, offsets ascending. The pump and
+// referenceDB rebuilds a LAKE from one InsertBatch of the partition-major
+// sequence — topics ascending, each partition fully, offsets ascending.
+// The pump and
 // core.ReplayBronzeToLake visit the same partitions in the same order a
 // page at a time; every series lives in one partition, so per-partition
 // offset order is all the view's fold has to mirror.
 func (w *propWorld) referenceDB() *tsdb.DB {
-	db := tsdb.New(tsdb.Options{
-		RollupInterval: propRollup, SegmentDuration: propSegment, QueryCacheSize: -1,
-	})
+	var seq []schema.Observation
 	for _, topic := range w.topics {
 		for p := 0; p < propParts; p++ {
 			end, err := w.broker.EndOffset(topic, p)
@@ -111,11 +110,17 @@ func (w *propWorld) referenceDB() *tsdb.DB {
 					if derr != nil {
 						w.t.Fatalf("decode: %v", derr)
 					}
-					db.Insert(schema.ObservationFromRow(row))
+					seq = append(seq, schema.ObservationFromRow(row))
 				}
 				off = recs[len(recs)-1].Offset + 1
 			}
 		}
+	}
+	db := tsdb.New(tsdb.Options{
+		RollupInterval: propRollup, SegmentDuration: propSegment, QueryCacheSize: -1,
+	})
+	if err := db.InsertBatch(seq); err != nil {
+		w.t.Fatalf("insert: %v", err)
 	}
 	return db
 }

@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -66,7 +67,7 @@ func servePlane(t *testing.T, attach func(*core.Facility)) servedPlane {
 	if err != nil || reg.ID == "" {
 		t.Fatalf("cq register: status %d id %q err %v", resp.StatusCode, reg.ID, err)
 	}
-	if _, err := f.IngestWindow(t0, t0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
+	if _, err := f.IngestWindow(context.Background(), t0, t0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
 		t.Fatal(err)
 	}
 	cqDrain(t, f)

@@ -78,11 +78,6 @@ type Server struct {
 	f   *core.Facility
 	mux *http.ServeMux
 
-	// overloaded, when set, replaces the overload predicate: tests force
-	// it to exercise the shed paths deterministically. Nil asks the
-	// backend that answers (see lakeEngine).
-	overloaded func() bool
-
 	// stream and backend are the facility's data plane as of New:
 	// /healthz lists stream's topics, backend serves the lake query
 	// routes (SetQueryBackend swaps it).
@@ -141,10 +136,6 @@ func (s *Server) handle(pattern, route string, h http.HandlerFunc) {
 	})
 }
 
-// SetOverloadCheck replaces the overload predicate (tests and custom
-// deployments); nil goes back to asking the backend.
-func (s *Server) SetOverloadCheck(fn func() bool) { s.overloaded = fn }
-
 // SetQueryBackend routes the lake query endpoints through b instead of
 // the facility plane's LAKE. Overload, stale answers and the /healthz
 // lake_* fields are b's own when it is a lakeEngine, and absent otherwise.
@@ -166,9 +157,6 @@ type lakeEngine interface {
 // isOverloaded reports whether the backend is too busy for a fresh scan:
 // every scan slot of the answering engine is in use.
 func (s *Server) isOverloaded() bool {
-	if s.overloaded != nil {
-		return s.overloaded()
-	}
 	e, ok := s.backend.(lakeEngine)
 	return ok && e.ScanLoad() >= shedLoad
 }

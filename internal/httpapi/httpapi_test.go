@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -26,7 +27,7 @@ func testServer(t *testing.T) (*httptest.Server, *core.Facility) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.IngestWindow(t0, t0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
+	if _, err := f.IngestWindow(context.Background(), t0, t0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(New(f))

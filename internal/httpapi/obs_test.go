@@ -84,7 +84,7 @@ func TestErrorPathsCarryODAHeaders(t *testing.T) {
 	// The overload path: a saturated lake with no cached result sheds
 	// with 503 + Retry-After + the overloaded category.
 	s := New(f)
-	s.SetOverloadCheck(func() bool { return true })
+	s.SetQueryBackend(overloaded{f.Lake})
 	shedSrv := httptest.NewServer(s)
 	defer shedSrv.Close()
 	resp, err := http.Get(shedSrv.URL + "/api/v1/lake/query?metric=never_queried_before")
@@ -189,7 +189,7 @@ func TestMetricsGolden(t *testing.T) {
 func TestTracesEndpoint(t *testing.T) {
 	srv, f := testServer(t)
 	ctx, root := f.Tracer.StartRoot(t.Context(), "pipeline")
-	if _, err := f.IngestWindowContext(ctx, t0.Add(time.Minute), t0.Add(2*time.Minute)); err != nil {
+	if _, err := f.IngestWindow(ctx, t0.Add(time.Minute), t0.Add(2*time.Minute)); err != nil {
 		t.Fatal(err)
 	}
 	root.End()

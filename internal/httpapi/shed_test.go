@@ -13,12 +13,26 @@ import (
 	"odakit/internal/core"
 	"odakit/internal/plane"
 	"odakit/internal/resilience"
+	"odakit/internal/schema"
 	"odakit/internal/sproc"
 	"odakit/internal/telemetry"
+	"odakit/internal/tsdb"
 )
 
-// shedServer is testServer but keeps a handle on the *Server so the
-// overload predicate can be forced.
+// overloaded is a LAKE engine with every scan slot taken. Served through
+// SetQueryBackend it makes the server shed, answering from the wrapped
+// store's result cache where that holds the query's shape.
+type overloaded struct{ *tsdb.DB }
+
+func (overloaded) ScanLoad() float64 { return 1 }
+
+// noStale is overloaded with nothing on the stale side of its cache.
+type noStale struct{ overloaded }
+
+func (noStale) CachedStale(tsdb.Query) (*schema.Frame, bool) { return nil, false }
+
+// shedServer is testServer but keeps a handle on the *Server so its
+// query backend can be swapped for an overloaded one.
 func shedServer(t *testing.T) (*httptest.Server, *Server, *core.Facility) {
 	t.Helper()
 	sys := telemetry.FrontierLike(17).Scaled(8)
@@ -30,7 +44,7 @@ func shedServer(t *testing.T) (*httptest.Server, *Server, *core.Facility) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.IngestWindow(t0, t0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
+	if _, err := f.IngestWindow(context.Background(), t0, t0.Add(time.Minute), telemetry.SourcePowerTemp); err != nil {
 		t.Fatal(err)
 	}
 	s := New(f)
@@ -62,7 +76,7 @@ func TestLoadShedStaleAndReject(t *testing.T) {
 	}
 
 	// Saturate: the same query shape is now answered from the stale cache.
-	s.SetOverloadCheck(func() bool { return true })
+	s.SetQueryBackend(overloaded{f.Lake})
 	resp, err = http.Get(url)
 	if err != nil {
 		t.Fatal(err)
@@ -82,13 +96,13 @@ func TestLoadShedStaleAndReject(t *testing.T) {
 		t.Fatalf("stale points = %d, want %d", len(stale), len(fresh))
 	}
 
-	// Stale answers come from the backend's own result cache: a backend
-	// without one (a cluster) sheds the warm shape with 503, and handing
-	// the engine back restores the stale side.
+	// Stale answers come from the backend's own result cache: one with
+	// nothing there sheds the warm shape with 503, and handing the cache
+	// back restores the stale side.
 	for _, tc := range []struct {
 		backend plane.Lake
 		status  int
-	}{{struct{ plane.Lake }{f.Lake}, http.StatusServiceUnavailable}, {f.Lake, http.StatusOK}} {
+	}{{noStale{overloaded{f.Lake}}, http.StatusServiceUnavailable}, {overloaded{f.Lake}, http.StatusOK}} {
 		s.SetQueryBackend(tc.backend)
 		resp, err = http.Get(url)
 		if err != nil {
@@ -117,7 +131,7 @@ func TestLoadShedStaleAndReject(t *testing.T) {
 	}
 
 	// Back under the load line, the cold query runs fresh again.
-	s.SetOverloadCheck(func() bool { return false })
+	s.SetQueryBackend(f.Lake)
 	resp, err = http.Get(coldURL)
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +143,7 @@ func TestLoadShedStaleAndReject(t *testing.T) {
 }
 
 func TestHealthzDegradedUnderLoad(t *testing.T) {
-	srv, s, _ := shedServer(t)
+	srv, s, f := shedServer(t)
 	var h map[string]any
 	if code := getJSON(t, srv.URL+"/healthz", &h); code != 200 || h["status"] != "ok" {
 		t.Fatalf("baseline health = %v (code %d)", h, code)
@@ -137,7 +151,7 @@ func TestHealthzDegradedUnderLoad(t *testing.T) {
 	if _, ok := h["lake_scan_load"]; !ok {
 		t.Fatal("healthz missing lake_scan_load")
 	}
-	s.SetOverloadCheck(func() bool { return true })
+	s.SetQueryBackend(overloaded{f.Lake})
 	if code := getJSON(t, srv.URL+"/healthz", &h); code != 200 || h["status"] != "degraded" {
 		t.Fatalf("overloaded health = %v (code %d)", h, code)
 	}

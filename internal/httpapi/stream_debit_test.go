@@ -1,6 +1,7 @@
 package httpapi
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -35,7 +36,7 @@ func TestPreparedStreamOver256PointsDebits(t *testing.T) {
 	defer f.Close()
 	// 10 minutes of 1 Hz power/temp over 8 nodes, grouped by component at
 	// 15 s granularity: 40 buckets x 8 nodes = 320 points > 256.
-	if _, err := f.IngestWindow(t0, t0.Add(10*time.Minute), telemetry.SourcePowerTemp); err != nil {
+	if _, err := f.IngestWindow(context.Background(), t0, t0.Add(10*time.Minute), telemetry.SourcePowerTemp); err != nil {
 		t.Fatal(err)
 	}
 	const burst = 1e9

@@ -19,9 +19,9 @@ const topNBody = `[{"Dim":"node00006","Value":2448.3699236098446},{"Dim":"node00
 // TestTopNIsAQuery holds /api/v1/lake/topn to everything a LAKE read
 // route gets from serveQuery, on both planes and through a real gateway:
 // the engine-cost headers, a scan-budget debit (and per-tenant counter) of
-// exactly the cells the header reports, the result cache, and the shed
-// path — stale when the answering backend keeps a result cache, 503 +
-// Retry-After otherwise — with the body unmoved.
+// exactly the cells the header reports, the result cache, and, on the
+// facility's engine, the shed path — stale for a warm shape, 503 +
+// Retry-After for a cold one — with the body unmoved.
 func TestTopNIsAQuery(t *testing.T) {
 	clustered, _ := serveClusteredPlane(t)
 	for _, tc := range []struct {
@@ -99,17 +99,17 @@ func TestTopNIsAQuery(t *testing.T) {
 				t.Fatalf("after the repeat the budget is down %v (first scan: %d cells)", spent, cells)
 			}
 
-			// Overloaded: the warm shape is answered stale by a backend with
-			// a result cache and shed without one; a cold shape is always shed.
-			tc.p.api.SetOverloadCheck(func() bool { return true })
-			defer tc.p.api.SetOverloadCheck(nil)
+			// Overloaded: the warm shape is answered stale from the engine's
+			// result cache and a cold shape is shed. A cluster is no single
+			// engine, so it reports no scan load and is never overloaded.
+			if !tc.cached {
+				return
+			}
+			tc.p.api.SetQueryBackend(overloaded{tc.p.f.Lake})
+			defer tc.p.api.SetQueryBackend(tc.p.f.Lake)
 			rec = get(url)
-			if tc.cached {
-				if rec.Code != 200 || rec.Header().Get("X-ODA-Stale") != "true" || rec.Body.String() != topNBody {
-					t.Fatalf("overloaded warm: status %d stale %q body %s", rec.Code, rec.Header().Get("X-ODA-Stale"), rec.Body)
-				}
-			} else if rec.Code != http.StatusServiceUnavailable {
-				t.Fatalf("overloaded warm on a cacheless backend: status %d, want 503", rec.Code)
+			if rec.Code != 200 || rec.Header().Get("X-ODA-Stale") != "true" || rec.Body.String() != topNBody {
+				t.Fatalf("overloaded warm: status %d stale %q body %s", rec.Code, rec.Header().Get("X-ODA-Stale"), rec.Body)
 			}
 			cold := tc.p.srv.URL + "/api/v1/lake/topn?metric=node_temp_c&n=5&from=" + t0.Format(time.RFC3339) + "&to=" + t0.Add(30*time.Second).Format(time.RFC3339)
 			rec = get(cold)

@@ -34,7 +34,9 @@ func bigIndex() *Index {
 		events = append(events, ev(m, h, sevs[rng.Intn(3)],
 			fmt.Sprintf("gpu xid error code=%d pid=%d", rng.Intn(100), m)))
 	}
-	ix.AddAll(events)
+	for _, e := range events {
+		ix.Add(e)
+	}
 	return ix
 }
 

@@ -88,13 +88,6 @@ func (ix *Index) Add(e schema.Event) {
 	ix.mu.Unlock()
 }
 
-// AddAll indexes a batch of events.
-func (ix *Index) AddAll(events []schema.Event) {
-	for _, e := range events {
-		ix.Add(e)
-	}
-}
-
 // Query describes a log search.
 type Query struct {
 	// Terms must all appear in the event (message or fields), after

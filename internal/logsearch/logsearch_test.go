@@ -20,13 +20,15 @@ func ev(min int, host, sev, msg string) schema.Event {
 
 func seeded() *Index {
 	ix := New()
-	ix.AddAll([]schema.Event{
+	for _, e := range []schema.Event{
 		ev(0, "node00001", "error", "gpu xid error code=31 pid=4242"),
 		ev(1, "node00001", "warn", "thermal throttle engaged, gpu temp 92 C"),
 		ev(2, "node00002", "error", "link flap on port 3, retraining"),
 		ev(3, "login01", "info", "session opened for user07"),
 		ev(125, "node00002", "error", "gpu xid error code=43 pid=777"),
-	})
+	} {
+		ix.Add(e)
+	}
 	return ix
 }
 

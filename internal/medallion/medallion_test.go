@@ -143,10 +143,11 @@ func TestSilverizeWindowStagesMatchBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := batch.SortBy("window", "component"); err != nil {
+	byWindow := []schema.SortKey{{Col: "window"}, {Col: "component"}}
+	if batch, err = batch.SortBy(byWindow...); err != nil {
 		t.Fatal(err)
 	}
-	if err := streamed.SortBy("window", "component"); err != nil {
+	if streamed, err = streamed.SortBy(byWindow...); err != nil {
 		t.Fatal(err)
 	}
 	if batch.Len() != streamed.Len() {

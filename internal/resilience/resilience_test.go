@@ -305,8 +305,8 @@ func TestSupervisorClockFastForward(t *testing.T) {
 	s2 := NewSupervisor(SupervisorConfig{
 		Name: "frozen", MaxRestarts: 2, Window: time.Hour,
 		Backoff: Policy{BaseDelay: 50 * time.Microsecond, MaxDelay: 100 * time.Microsecond},
+		Clock:   clock,
 	})
-	s2.SetClock(clock)
 	calls = 0
 	err = s2.Run(context.Background(), func(ctx context.Context) error {
 		calls++

@@ -97,24 +97,6 @@ func NewSupervisor(cfg SupervisorConfig) *Supervisor {
 	return &Supervisor{cfg: cfg.withDefaults()}
 }
 
-// SetClock replaces the damping-window clock (for deterministic tests),
-// mirroring Breaker.SetClock. Safe to call while Run is live.
-func (s *Supervisor) SetClock(now func() time.Time) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if now == nil {
-		now = time.Now
-	}
-	s.cfg.Clock = now
-}
-
-// clock snapshots the damping clock under the state lock.
-func (s *Supervisor) clock() func() time.Time {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cfg.Clock
-}
-
 // Run invokes start, restarting it on transient failure until it
 // returns nil, fails fatally, exhausts the damping budget, or ctx is
 // done. start is called once per incarnation with the same ctx, so a
@@ -136,7 +118,7 @@ func (s *Supervisor) Run(ctx context.Context, start func(ctx context.Context) er
 		}
 		// Damping: drop restart instants that aged out of the window; if
 		// the window is still full, this is a restart storm.
-		now := s.clock()()
+		now := s.cfg.Clock()
 		keep := recent[:0]
 		for _, t := range recent {
 			if now.Sub(t) < s.cfg.Window {

@@ -221,17 +221,6 @@ func NewFrame(s *Schema) *Frame {
 	return &Frame{schema: s, cols: cols}
 }
 
-// FrameOf builds a frame from rows, validating each against the schema.
-func FrameOf(s *Schema, rows ...Row) (*Frame, error) {
-	f := NewFrame(s)
-	for _, r := range rows {
-		if err := f.AppendRow(r); err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
-}
-
 // FrameOfColumns assembles a frame from whole columns, which it adopts
 // without copying: one per schema field, of that field's kind, all of
 // equal length.
@@ -373,31 +362,41 @@ func (f *Frame) Select(names ...string) (*Frame, error) {
 	return out, nil
 }
 
-// SortBy sorts rows in place ordering by the named columns ascending.
-// The sort is stable.
-func (f *Frame) SortBy(names ...string) error {
-	keys := make([]*Column, len(names))
-	for i, n := range names {
-		j, ok := f.schema.Index(n)
+// SortKey orders rows by one column: ascending in Value.Compare's order,
+// or descending when Desc.
+type SortKey struct {
+	Col  string
+	Desc bool
+}
+
+// SortBy returns a new frame holding f's rows ordered by keys, the first
+// key most significant. The sort is stable, one permutation sort over the
+// key columns and then one Gather; f itself is not reordered.
+func (f *Frame) SortBy(keys ...SortKey) (*Frame, error) {
+	cols := make([]*Column, len(keys))
+	for i, k := range keys {
+		j, ok := f.schema.Index(k.Col)
 		if !ok {
-			return fmt.Errorf("schema: sort: no column %q", n)
+			return nil, fmt.Errorf("schema: sort: no column %q", k.Col)
 		}
-		keys[i] = f.cols[j]
+		cols[i] = f.cols[j]
 	}
 	perm := make([]int32, f.Len())
 	for i := range perm {
 		perm[i] = int32(i)
 	}
 	slices.SortStableFunc(perm, func(a, b int32) int {
-		for _, c := range keys {
+		for i, c := range cols {
 			if cmp := c.Value(int(a)).Compare(c.Value(int(b))); cmp != 0 {
+				if keys[i].Desc {
+					return -cmp
+				}
 				return cmp
 			}
 		}
 		return 0
 	})
-	f.cols = f.Gather(perm).cols
-	return nil
+	return f.Gather(perm), nil
 }
 
 // Equal reports whether two frames hold identical schemas and rows.

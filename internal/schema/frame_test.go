@@ -165,15 +165,23 @@ func TestFrameSortBy(t *testing.T) {
 	for i := 9; i >= 0; i-- {
 		_ = f.AppendRow(sampleRow(i))
 	}
-	if err := f.SortBy("count"); err != nil {
+	asc, err := f.SortBy(SortKey{Col: "count"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	desc, err := f.SortBy(SortKey{Col: "count", Desc: true})
+	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 10; i++ {
-		if f.Row(i)[3].IntVal() != int64(i) {
-			t.Fatalf("sort order wrong at %d: %v", i, f.Row(i))
+		if asc.Row(i)[3].IntVal() != int64(i) || desc.Row(i)[3].IntVal() != int64(9-i) {
+			t.Fatalf("sort order wrong at %d: asc %v desc %v", i, asc.Row(i), desc.Row(i))
+		}
+		if f.Row(i)[3].IntVal() != int64(9-i) {
+			t.Fatalf("SortBy reordered its receiver at %d: %v", i, f.Row(i))
 		}
 	}
-	if err := f.SortBy("nope"); err == nil {
+	if _, err := f.SortBy(SortKey{Col: "nope"}); err == nil {
 		t.Fatal("SortBy should fail on missing column")
 	}
 }
@@ -184,12 +192,15 @@ func TestFrameSortByStable(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		_ = f.AppendRow(Row{Str("same"), Int(int64(i))})
 	}
-	if err := f.SortBy("k"); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if f.Row(i)[1].IntVal() != int64(i) {
-			t.Fatal("stable sort violated")
+	for _, desc := range []bool{false, true} {
+		sorted, err := f.SortBy(SortKey{Col: "k", Desc: desc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 6; i++ {
+			if sorted.Row(i)[1].IntVal() != int64(i) {
+				t.Fatalf("stable sort violated (desc=%v)", desc)
+			}
 		}
 	}
 }

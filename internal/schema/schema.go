@@ -132,9 +132,6 @@ func (s *Schema) String() string {
 // Schema. Rows are plain slices so pipelines can reuse backing arrays.
 type Row []Value
 
-// Clone returns a deep copy of the row.
-func (r Row) Clone() Row { return append(Row(nil), r...) }
-
 // Conforms reports whether every non-null value matches the schema kind.
 func (r Row) Conforms(s *Schema) error {
 	if len(r) != s.Len() {

@@ -67,26 +67,36 @@ func rowwiseSelect(f *Frame, names ...string) *Frame {
 	return out
 }
 
-func rowwiseSortBy(f *Frame, names ...string) *Frame {
+func rowwiseSortBy(f *Frame, keys ...SortKey) *Frame {
 	rows := f.Rows()
 	sort.SliceStable(rows, func(a, b int) bool {
-		for _, n := range names {
-			c := f.schema.MustIndex(n)
+		for _, k := range keys {
+			c := f.schema.MustIndex(k.Col)
 			if cmp := rows[a][c].Compare(rows[b][c]); cmp != 0 {
-				return cmp < 0
+				return (cmp < 0) != k.Desc
 			}
 		}
 		return false
 	})
-	out, _ := FrameOf(f.schema, rows...)
-	return out
+	return rowsFrame(f.schema, rows...)
+}
+
+// rowsFrame builds a frame row by row.
+func rowsFrame(s *Schema, rows ...Row) *Frame {
+	f := NewFrame(s)
+	for _, r := range rows {
+		if err := f.AppendRow(r); err != nil {
+			panic(err)
+		}
+	}
+	return f
 }
 
 func TestFrameColumnwiseMatchesRowwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for iter := 0; iter < 200; iter++ {
 		f := randomFrame(rng, rng.Intn(60))
-		orig, _ := FrameOf(f.schema, f.Rows()...)
+		orig := rowsFrame(f.schema, f.Rows()...)
 
 		mod, rem := 1+rng.Intn(4), rng.Intn(2)
 		keep := func(r Row) bool { return !r[1].IsNull() && int(r[1].IntVal()+2)%mod == rem%mod }
@@ -96,8 +106,10 @@ func TestFrameColumnwiseMatchesRowwise(t *testing.T) {
 
 		perm := rng.Perm(allKinds.Len())[:1+rng.Intn(allKinds.Len())]
 		names := make([]string, len(perm))
+		keys := make([]SortKey, len(perm))
 		for i, c := range perm {
 			names[i] = allKinds.Field(c).Name
+			keys[i] = SortKey{Col: names[i], Desc: rng.Intn(2) == 0}
 		}
 		got, err := f.Select(names...)
 		if err != nil {
@@ -111,16 +123,16 @@ func TestFrameColumnwiseMatchesRowwise(t *testing.T) {
 		if err := both.AppendFrame(f); err != nil {
 			t.Fatal(err)
 		}
-		if want, _ := FrameOf(f.schema, append(f.Rows(), f.Rows()...)...); !both.Equal(want) {
+		if want := rowsFrame(f.schema, append(f.Rows(), f.Rows()...)...); !both.Equal(want) {
 			t.Fatalf("iter %d: AppendFrame differs from row-wise", iter)
 		}
 
-		sorted := rowwiseFilter(f, func(Row) bool { return true })
-		if err := sorted.SortBy(names...); err != nil {
+		sorted, err := f.SortBy(keys...)
+		if err != nil {
 			t.Fatal(err)
 		}
-		if want := rowwiseSortBy(f, names...); !sorted.Equal(want) {
-			t.Fatalf("iter %d: SortBy %v differs from the stable row-wise sort", iter, names)
+		if want := rowwiseSortBy(f, keys...); !sorted.Equal(want) {
+			t.Fatalf("iter %d: SortBy %v differs from the stable row-wise sort", iter, keys)
 		}
 		if !f.Equal(orig) {
 			t.Fatalf("iter %d: a derived frame wrote into its source", iter)
@@ -133,7 +145,7 @@ func TestFrameColumnwiseMatchesRowwise(t *testing.T) {
 // share storage with its source.
 func TestAppendFrameSelf(t *testing.T) {
 	f := randomFrame(rand.New(rand.NewSource(9)), 33)
-	want, _ := FrameOf(f.schema, append(f.Rows(), f.Rows()...)...)
+	want := rowsFrame(f.schema, append(f.Rows(), f.Rows()...)...)
 	if err := f.AppendFrame(f); err != nil {
 		t.Fatal(err)
 	}
@@ -192,14 +204,11 @@ func TestAdoptedColumnsEqualAppended(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := FrameOf(s,
+	want := rowsFrame(s,
 		Row{Int(4), TimeNanos(4), Bool(true), Float(1.5), Str("a")},
 		Row{Null, TimeNanos(99), Null, Null, Null},
 		Row{Int(-1), TimeNanos(-1), Bool(false), Float(math.Inf(1)), Str("")},
 	)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if !got.Equal(want) {
 		t.Fatalf("adopted frame = %v, want %v", got.Rows(), want.Rows())
 	}

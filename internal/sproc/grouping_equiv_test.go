@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"time"
@@ -153,7 +154,7 @@ func TestWindowMatchesGroupBy(t *testing.T) {
 						continue
 					}
 					for w := latest; w > ts.UnixNanos()-int64(tc.window) && w > emitted; w -= int64(slide) {
-						if err := oracle.AppendRow(append(row.Clone(), schema.TimeNanos(w))); err != nil {
+						if err := oracle.AppendRow(append(slices.Clone(row), schema.TimeNanos(w))); err != nil {
 							t.Fatal(err)
 						}
 						openWindows[w] = true
@@ -202,11 +203,15 @@ func TestWindowMatchesGroupBy(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if err := got.SortBy(append([]string{"window"}, keys...)...); err != nil {
+			order := []schema.SortKey{{Col: "window"}}
+			for _, k := range keys {
+				order = append(order, schema.SortKey{Col: k})
+			}
+			if got, err = got.SortBy(order...); err != nil {
 				t.Fatal(err)
 			}
 			if !got.Equal(wantFrame) {
-				t.Fatalf("windowed job and GroupBy over the same rows differ:\njob:\n%s\nGroupBy:\n%s", Describe(got, 0), Describe(wantFrame, 0))
+				t.Fatalf("windowed job and GroupBy over the same rows differ:\njob:\n%v\nGroupBy:\n%v", got.Rows(), wantFrame.Rows())
 			}
 			m := j.Metrics()
 			want.Batches = m.Batches
@@ -269,14 +274,16 @@ func TestPivotMatchesGroupBy(t *testing.T) {
 			}
 			flush()
 			if !got.Equal(want) {
-				t.Fatalf("seed %d, %v: Pivot differs from GroupBy spread by the pivot:\nPivot:\n%s\nGroupBy:\n%s", seed, agg, Describe(got, 0), Describe(want, 0))
+				t.Fatalf("seed %d, %v: Pivot differs from GroupBy spread by the pivot:\nPivot:\n%v\nGroupBy:\n%v", seed, agg, got.Rows(), want.Rows())
 			}
 		}
 	}
 }
 
-func TestOrderByOnePath(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
+// orderFrame is 400 rows of a string, a nullable int and a float column
+// whose values tie often, plus a unique id that makes tie order visible.
+func orderFrame(t *testing.T, rng *rand.Rand) *schema.Frame {
+	t.Helper()
 	f := schema.NewFrame(schema.New(
 		schema.Field{Name: "a", Kind: schema.KindString},
 		schema.Field{Name: "b", Kind: schema.KindInt},
@@ -292,6 +299,11 @@ func TestOrderByOnePath(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	return f
+}
+
+func TestOrderByOnePath(t *testing.T) {
+	f := orderFrame(t, rand.New(rand.NewSource(11)))
 	for _, tc := range []struct {
 		clause string
 		cols   []int
@@ -325,6 +337,30 @@ func TestOrderByOnePath(t *testing.T) {
 		}
 		if got.Len() != len(want) {
 			t.Fatalf("ORDER BY %s: %d rows, want %d", tc.clause, got.Len(), len(want))
+		}
+	}
+}
+
+// TestOrderByLeavesInputUntouched: ORDER BY returns sorted rows and the
+// frame the query ran against keeps its own row order, whichever way each
+// key runs.
+func TestOrderByLeavesInputUntouched(t *testing.T) {
+	f := orderFrame(t, rand.New(rand.NewSource(12)))
+	before := f.Rows()
+	got, err := Query(f, "SELECT id, a, b, c FROM t ORDER BY a DESC, b ASC, c DESC")
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := false
+	for i := 0; i < got.Len(); i++ {
+		moved = moved || !got.Row(i)[0].Equal(before[i][3])
+	}
+	if got.Len() != len(before) || !moved {
+		t.Fatalf("ORDER BY returned %d of %d rows, reordered: %v", got.Len(), len(before), moved)
+	}
+	for i, r := range f.Rows() {
+		if !r.Equal(before[i]) {
+			t.Fatalf("input row %d = %v after ORDER BY, was %v", i, r, before[i])
 		}
 	}
 }

@@ -504,50 +504,6 @@ func WithColumn(f *schema.Frame, name string, kind schema.Kind, fn func(schema.R
 	return out, nil
 }
 
-// Describe renders a frame as an aligned text table (head rows), the
-// debugging helper behind the CLI tools.
-func Describe(f *schema.Frame, maxRows int) string {
-	var b strings.Builder
-	sch := f.Schema()
-	widths := make([]int, sch.Len())
-	for i := 0; i < sch.Len(); i++ {
-		widths[i] = len(sch.Field(i).Name)
-	}
-	n := f.Len()
-	if maxRows > 0 && n > maxRows {
-		n = maxRows
-	}
-	cells := make([][]string, n)
-	for r := 0; r < n; r++ {
-		row := f.Row(r)
-		cells[r] = make([]string, len(row))
-		for c, v := range row {
-			s := v.String()
-			if len(s) > 32 {
-				s = s[:29] + "..."
-			}
-			cells[r][c] = s
-			if len(s) > widths[c] {
-				widths[c] = len(s)
-			}
-		}
-	}
-	for i := 0; i < sch.Len(); i++ {
-		fmt.Fprintf(&b, "%-*s  ", widths[i], sch.Field(i).Name)
-	}
-	b.WriteByte('\n')
-	for r := 0; r < n; r++ {
-		for c := range cells[r] {
-			fmt.Fprintf(&b, "%-*s  ", widths[c], cells[r][c])
-		}
-		b.WriteByte('\n')
-	}
-	if f.Len() > n {
-		fmt.Fprintf(&b, "... (%d more rows)\n", f.Len()-n)
-	}
-	return b.String()
-}
-
 // TumbleTime truncates ts to the start of its tumbling window.
 func TumbleTime(ts time.Time, window time.Duration) time.Time {
 	return ts.Truncate(window)

@@ -3,7 +3,6 @@ package sproc
 import (
 	"errors"
 	"math"
-	"strings"
 	"testing"
 	"time"
 
@@ -296,18 +295,6 @@ func TestWithColumn(t *testing.T) {
 	}
 	if _, err := WithColumn(f, "value", schema.KindFloat, nil); err == nil {
 		t.Fatal("duplicate column accepted")
-	}
-}
-
-func TestDescribe(t *testing.T) {
-	f := longFrame(t)
-	s := Describe(f, 3)
-	if !strings.Contains(s, "component") || !strings.Contains(s, "more rows") {
-		t.Fatalf("describe output:\n%s", s)
-	}
-	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
-	if len(lines) != 5 { // header + 3 rows + more-rows note
-		t.Fatalf("describe lines = %d:\n%s", len(lines), s)
 	}
 }
 

@@ -2,7 +2,6 @@ package sproc
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -147,16 +146,11 @@ type whereCond struct {
 	str bool // literal was quoted
 }
 
-type orderTerm struct {
-	col  string
-	desc bool
-}
-
 type selectStmt struct {
 	items   []selectItem
 	wheres  []whereCond
 	groupBy []string
-	orderBy []orderTerm
+	orderBy []schema.SortKey
 	limit   int // -1 = none
 }
 
@@ -227,13 +221,11 @@ func parseSelect(sql string) (*selectStmt, error) {
 			if t.kind != tokIdent {
 				return nil, fmt.Errorf("%w: expected order-by column, got %q", ErrPlan, t.text)
 			}
-			ot := orderTerm{col: t.text}
-			if p.acceptKeyword("desc") {
-				ot.desc = true
-			} else {
+			key := schema.SortKey{Col: t.text, Desc: p.acceptKeyword("desc")}
+			if !key.Desc {
 				p.acceptKeyword("asc")
 			}
-			st.orderBy = append(st.orderBy, ot)
+			st.orderBy = append(st.orderBy, key)
 			if !p.acceptSymbol(",") {
 				break
 			}
@@ -503,33 +495,13 @@ func Query(f *schema.Frame, sql string) (*schema.Frame, error) {
 		cur = out
 	}
 
-	// ORDER BY: one stable permutation sort over the key columns, then one
-	// gather.
+	// ORDER BY is the frame sort, a stable one over the key columns.
 	if len(st.orderBy) > 0 {
-		keys := make([]*schema.Column, len(st.orderBy))
-		for i, ot := range st.orderBy {
-			c, err := cur.ColByName(ot.col)
-			if err != nil {
-				return nil, fmt.Errorf("%w: ORDER BY references unknown column %q", ErrPlan, ot.col)
-			}
-			keys[i] = c
+		sorted, err := cur.SortBy(st.orderBy...)
+		if err != nil {
+			return nil, fmt.Errorf("%w: ORDER BY: %v", ErrPlan, err)
 		}
-		perm := make([]int32, cur.Len())
-		for i := range perm {
-			perm[i] = int32(i)
-		}
-		slices.SortStableFunc(perm, func(a, b int32) int {
-			for i, c := range keys {
-				if cmp := c.Value(int(a)).Compare(c.Value(int(b))); cmp != 0 {
-					if st.orderBy[i].desc {
-						return -cmp
-					}
-					return cmp
-				}
-			}
-			return 0
-		})
-		cur = cur.Gather(perm)
+		cur = sorted
 	}
 
 	// LIMIT.

@@ -10,8 +10,8 @@ import (
 	"odakit/internal/schema"
 )
 
-// TestInsertBatchMatchesInsert proves the batched path produces exactly
-// the state of the per-record path.
+// TestInsertBatchMatchesInsert proves one batch produces exactly the state
+// of the same records written per record, as batches of one.
 func TestInsertBatchMatchesInsert(t *testing.T) {
 	var batch []schema.Observation
 	for s := 0; s < 120; s++ {
@@ -22,9 +22,7 @@ func TestInsertBatchMatchesInsert(t *testing.T) {
 		)
 	}
 	single := New(Options{SegmentDuration: time.Hour, RollupInterval: 15 * time.Second})
-	for _, o := range batch {
-		single.Insert(o)
-	}
+	insert(single, batch...)
 	batched := New(Options{SegmentDuration: time.Hour, RollupInterval: 15 * time.Second})
 	batched.InsertBatch(batch)
 
@@ -65,8 +63,8 @@ func TestInsertBatchEmptyAndLarge(t *testing.T) {
 func TestExportIncludesLastState(t *testing.T) {
 	db := New(Options{SegmentDuration: time.Hour, RollupInterval: time.Minute})
 	// Out of order: the later timestamp must win the exported last value.
-	db.Insert(ob(30, "n", "m", 999))
-	db.Insert(ob(10, "n", "m", 111))
+	insert(db, ob(30, "n", "m", 999))
+	insert(db, ob(10, "n", "m", 111))
 	f := exportAll(t, db)
 	if !f.Schema().Equal(ColdSchema) {
 		t.Fatalf("schema = %s", f.Schema())
@@ -94,8 +92,8 @@ func TestExportIncludesLastState(t *testing.T) {
 func TestExportImportRoundTrip(t *testing.T) {
 	src := New(Options{SegmentDuration: time.Hour, RollupInterval: 15 * time.Second})
 	for s := 0; s < 120; s++ {
-		src.Insert(ob(s, "node00000", "node_power_w", 1000+float64(s)))
-		src.Insert(ob(s, "node00001", "node_power_w", 2000+float64(s)))
+		insert(src, ob(s, "node00000", "node_power_w", 1000+float64(s)))
+		insert(src, ob(s, "node00001", "node_power_w", 2000+float64(s)))
 	}
 	dst := New(Options{SegmentDuration: time.Hour, RollupInterval: 15 * time.Second})
 	if err := dst.ImportStripes(exportAll(t, src)); err != nil {
@@ -137,7 +135,7 @@ func TestExportImportRoundTrip(t *testing.T) {
 func TestGranularityAnchoredToEpoch(t *testing.T) {
 	db := New(Options{RollupInterval: time.Second})
 	for s := 0; s < 120; s++ {
-		db.Insert(ob(s, "n", "m", float64(s)))
+		insert(db, ob(s, "n", "m", float64(s)))
 	}
 	run := func(from time.Time) map[int64]float64 {
 		f, err := db.Run(Query{

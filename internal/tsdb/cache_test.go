@@ -48,13 +48,13 @@ func TestQueryCacheHitThenMiss(t *testing.T) {
 // version, so a cached entry stops matching the moment the store changes.
 func TestQueryCacheInvalidation(t *testing.T) {
 	mutations := map[string]func(db *DB){
-		"Insert": func(db *DB) { db.Insert(ob(30, "node00000", "node_power_w", 1)) },
+		"Insert": func(db *DB) { insert(db, ob(30, "node00000", "node_power_w", 1)) },
 		"InsertBatch": func(db *DB) {
 			db.InsertBatch([]schema.Observation{ob(31, "node00001", "node_power_w", 2)})
 		},
 		"Retain": func(db *DB) {
 			// Age a second segment in, then drop it: membership changed.
-			db.Insert(schema.Observation{Ts: base.Add(-5 * time.Hour), System: "compass",
+			insert(db, schema.Observation{Ts: base.Add(-5 * time.Hour), System: "compass",
 				Source: "power_temp", Component: "node00000", Metric: "node_power_w", Value: 3})
 			if _, st, err := db.RunWithStats(cacheQ); err != nil || st.CacheHit {
 				t.Fatalf("pre-retain warm run: hit=%v err=%v", st.CacheHit, err)
@@ -65,7 +65,7 @@ func TestQueryCacheInvalidation(t *testing.T) {
 		},
 		"ImportStripes": func(db *DB) {
 			src := New(Options{SegmentDuration: time.Hour, RollupInterval: 15 * time.Second})
-			src.Insert(ob(0, "node00009", "node_power_w", 7))
+			insert(src, ob(0, "node00009", "node_power_w", 7))
 			if err := db.ImportStripes(exportAll(t, src)); err != nil {
 				t.Fatal(err)
 			}
@@ -158,7 +158,7 @@ func TestCachedStaleCountsMisses(t *testing.T) {
 
 func TestQueryCacheDisabled(t *testing.T) {
 	db := New(Options{QueryCacheSize: -1})
-	db.Insert(ob(0, "n", "m", 1))
+	insert(db, ob(0, "n", "m", 1))
 	for i := 0; i < 2; i++ {
 		if _, st, err := db.RunWithStats(Query{From: base, To: base.Add(time.Minute)}); err != nil || st.CacheHit {
 			t.Fatalf("run %d: hit=%v err=%v with caching disabled", i, st.CacheHit, err)
@@ -171,7 +171,7 @@ func TestQueryCacheDisabled(t *testing.T) {
 
 func TestQueryCacheLRUEviction(t *testing.T) {
 	db := New(Options{QueryCacheSize: 2})
-	db.Insert(ob(0, "n", "m", 1))
+	insert(db, ob(0, "n", "m", 1))
 	queries := []Query{
 		{From: base, To: base.Add(time.Minute)},
 		{From: base, To: base.Add(2 * time.Minute)},

@@ -211,7 +211,7 @@ func TestPagedOffloadRollback(t *testing.T) {
 			return nil
 		}
 		if insertLate {
-			db.Insert(late) // lands in the chunk whose segments are extracted
+			insert(db, late) // lands in the chunk whose segments are extracted
 			insertLate = false
 		}
 		return errors.New("injected: store down")
@@ -220,8 +220,9 @@ func TestPagedOffloadRollback(t *testing.T) {
 	// the two stores hold the same cells in different insertion orders:
 	// compare by key, with seq (the order itself) left out.
 	byKey := func(db *DB) *schema.Frame {
-		f := withoutSeq(t, exportAll(t, db))
-		if err := f.SortBy("bucket", "system", "source", "component", "metric"); err != nil {
+		f, err := withoutSeq(t, exportAll(t, db)).SortBy(schema.SortKey{Col: "bucket"}, schema.SortKey{Col: "system"},
+			schema.SortKey{Col: "source"}, schema.SortKey{Col: "component"}, schema.SortKey{Col: "metric"})
+		if err != nil {
 			t.Fatal(err)
 		}
 		return f
@@ -244,7 +245,7 @@ func TestPagedOffloadRollback(t *testing.T) {
 	if _, err := db.Offload(base.Add(15 * time.Minute)); err == nil {
 		t.Fatal("offload succeeded through a failing store")
 	}
-	twin.Insert(late)
+	insert(twin, late)
 	sameCells("rollback by merge")
 }
 

@@ -240,7 +240,7 @@ func TestTopNMatchesFullSort(t *testing.T) {
 	db := New(Options{})
 	// 40 components; values collide in pairs so ties are common.
 	for c := 0; c < 40; c++ {
-		db.Insert(ob(c, fmt.Sprintf("node%05d", c), "m", float64(c/2)))
+		insert(db, ob(c, fmt.Sprintf("node%05d", c), "m", float64(c/2)))
 	}
 	q := Query{From: base, To: base.Add(time.Hour), Agg: AggMax}
 	for _, n := range []int{0, -3, 1, 2, 5, 39, 40, 100} {
@@ -268,7 +268,7 @@ func TestTopNRandomizedAgainstReference(t *testing.T) {
 	db := New(Options{})
 	for c := 0; c < 64; c++ {
 		for s := 0; s < 8; s++ {
-			db.Insert(ob(s*15, fmt.Sprintf("node%05d", c), "m", float64(rng.Intn(21)-10)))
+			insert(db, ob(s*15, fmt.Sprintf("node%05d", c), "m", float64(rng.Intn(21)-10)))
 		}
 	}
 	q := Query{From: base, To: base.Add(time.Hour)}

@@ -263,7 +263,7 @@ func TestImportStripesRejectsBadFrames(t *testing.T) {
 	} {
 		t.Run(name, func(t *testing.T) {
 			db := New(Options{SegmentDuration: time.Hour, RollupInterval: 15 * time.Second})
-			db.Insert(ob(0, "node00000", "node_power_w", 1))
+			insert(db, ob(0, "node00000", "node_power_w", 1))
 			before, vv := frameBytes(exportAll(t, db)), db.versionVector()
 			if err := db.ImportStripes(bad); err == nil {
 				t.Fatal("import accepted the frame")

@@ -25,8 +25,8 @@ func tierOptions() Options {
 func seedTier(db *DB) {
 	for s := 0; s < 3600; s += 5 {
 		node := fmt.Sprintf("node%05d", s%16)
-		db.Insert(ob(s, node, "node_power_w", 1000+float64(s%97)))
-		db.Insert(ob(s, node, "cpu_temp_c", 40+float64(s%13)))
+		insert(db, ob(s, node, "node_power_w", 1000+float64(s%97)))
+		insert(db, ob(s, node, "cpu_temp_c", 40+float64(s%13)))
 	}
 }
 
@@ -468,7 +468,7 @@ func TestLateDataReOffload(t *testing.T) {
 	// segment, and a second offload writes a second object for the chunk.
 	late := func(d *DB) {
 		for s := 0; s < 300; s += 15 {
-			d.Insert(ob(s, "node99999", "node_power_w", 9000+float64(s)))
+			insert(d, ob(s, "node99999", "node_power_w", 9000+float64(s)))
 		}
 	}
 	late(db)

@@ -199,33 +199,13 @@ func (sh *dbShard) segmentLocked(chunkN int64) *segment {
 	return seg
 }
 
-// chunkAndBucket returns the epoch-anchored segment chunk and rollup
-// bucket (unix nanos) for a timestamp. Epoch anchoring matches the
-// bucket semantics of Run and is cheaper than time.Time.Truncate on the
-// ingest hot path.
-func (db *DB) chunkAndBucket(ts time.Time) (chunkN, bucketN int64) {
-	tsn := ts.UnixNano()
-	chunkN = tsn - FloorMod(tsn, int64(db.opts.SegmentDuration))
-	bucketN = tsn - FloorMod(tsn, int64(db.opts.RollupInterval))
-	return chunkN, bucketN
-}
-
-// Insert rolls one observation into its segment.
-func (db *DB) Insert(o schema.Observation) {
-	chunkN, bucketN := db.chunkAndBucket(o.Ts)
-	h := SeriesHash(o.Component, o.Metric)
-	sh := &db.shards[h%shardCount]
-	sh.mu.Lock()
-	insertLocked(sh, sh.segmentLocked(chunkN), h, bucketN, &o)
-	sh.version.Add(1)
-	sh.mu.Unlock()
-}
-
 // InsertBatch rolls a batch of observations into their segments, taking
-// each shard lock at most once for the whole batch — the contention-free
-// ingest path producers should prefer at volume. A non-nil error means
-// the fault hook rejected the batch before any observation landed, so
-// the caller may retry the whole batch without double-counting.
+// each shard lock at most once for the whole batch. It is the store's one
+// write path: a single observation is an InsertBatch of one, so every
+// write passes the lake.insert fault hook and the insert counters. A
+// non-nil error means the fault hook rejected the batch before any
+// observation landed, so the caller may retry the whole batch without
+// double-counting.
 func (db *DB) InsertBatch(obs []schema.Observation) error {
 	n := len(obs)
 	if n == 0 {
@@ -330,15 +310,6 @@ func (db *DB) ScanLoad() float64 {
 // window from this, so the number of admitted queries tracks what the
 // engine can actually fan out instead of an unrelated constant.
 func (db *DB) ScanSlotCap() int { return cap(db.scanSlots) }
-
-// InsertRow inserts a row conforming to schema.ObservationSchema.
-func (db *DB) InsertRow(r schema.Row) error {
-	if err := r.Conforms(schema.ObservationSchema); err != nil {
-		return err
-	}
-	db.Insert(schema.ObservationFromRow(r))
-	return nil
-}
 
 // Retain drops segments whose chunk ended before cutoff and returns how
 // many time chunks were dropped — the LAKE tier's bounded retention.

@@ -21,13 +21,23 @@ func ob(sec int, component, metric string, v float64) schema.Observation {
 	}
 }
 
+// insert writes each observation as an InsertBatch of one, the per-record
+// write; the tests that call it install no fault hook.
+func insert(db *DB, obs ...schema.Observation) {
+	for i := range obs {
+		if err := db.InsertBatch(obs[i : i+1]); err != nil {
+			panic(err)
+		}
+	}
+}
+
 func seededDB(t testing.TB) *DB {
 	db := New(Options{SegmentDuration: time.Hour, RollupInterval: 15 * time.Second})
 	// Two nodes, two metrics, 2 minutes of 1 Hz data.
 	for s := 0; s < 120; s++ {
-		db.Insert(ob(s, "node00000", "node_power_w", 1000+float64(s)))
-		db.Insert(ob(s, "node00001", "node_power_w", 2000+float64(s)))
-		db.Insert(ob(s, "node00000", "cpu_temp_c", 40))
+		insert(db, ob(s, "node00000", "node_power_w", 1000+float64(s)))
+		insert(db, ob(s, "node00001", "node_power_w", 2000+float64(s)))
+		insert(db, ob(s, "node00000", "cpu_temp_c", 40))
 	}
 	return db
 }
@@ -95,7 +105,7 @@ func TestGranularityBuckets(t *testing.T) {
 func TestAggregations(t *testing.T) {
 	db := New(Options{})
 	for i, v := range []float64{5, 1, 3} {
-		db.Insert(ob(i, "n", "m", v))
+		insert(db, ob(i, "n", "m", v))
 	}
 	q := Query{From: base, To: base.Add(time.Minute)}
 	cases := map[AggKind]float64{
@@ -116,8 +126,8 @@ func TestAggregations(t *testing.T) {
 func TestLastUsesLatestTimestamp(t *testing.T) {
 	db := New(Options{RollupInterval: time.Minute})
 	// Insert out of order: the later timestamp must win AggLast.
-	db.Insert(ob(30, "n", "m", 999))
-	db.Insert(ob(10, "n", "m", 111))
+	insert(db, ob(30, "n", "m", 999))
+	insert(db, ob(10, "n", "m", 111))
 	f, err := db.Run(Query{From: base, To: base.Add(time.Hour), Agg: AggLast})
 	if err != nil {
 		t.Fatal(err)
@@ -176,8 +186,8 @@ func TestBadQueries(t *testing.T) {
 
 func TestRetention(t *testing.T) {
 	db := New(Options{SegmentDuration: time.Hour})
-	db.Insert(ob(0, "n", "m", 1))
-	db.Insert(schema.Observation{Ts: base.Add(5 * time.Hour), System: "s", Source: "x", Component: "n", Metric: "m", Value: 2})
+	insert(db, ob(0, "n", "m", 1))
+	insert(db, schema.Observation{Ts: base.Add(5 * time.Hour), System: "s", Source: "x", Component: "n", Metric: "m", Value: 2})
 	if db.Stats().Segments != 2 {
 		t.Fatalf("segments = %d", db.Stats().Segments)
 	}
@@ -231,19 +241,6 @@ func TestTopN(t *testing.T) {
 	}
 }
 
-func TestInsertRow(t *testing.T) {
-	db := New(Options{})
-	if err := db.InsertRow(ob(0, "n", "m", 5).Row()); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.InsertRow(schema.Row{schema.Int(1)}); err == nil {
-		t.Fatal("malformed row should be rejected")
-	}
-	if db.Stats().RawIngested != 1 {
-		t.Fatal("row not ingested")
-	}
-}
-
 func TestConcurrentInsertAndQuery(t *testing.T) {
 	db := New(Options{})
 	var wg sync.WaitGroup
@@ -252,7 +249,7 @@ func TestConcurrentInsertAndQuery(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				db.Insert(ob(i%120, fmt.Sprintf("node%d", w), "m", float64(i)))
+				insert(db, ob(i%120, fmt.Sprintf("node%d", w), "m", float64(i)))
 			}
 		}(w)
 	}
@@ -280,7 +277,7 @@ func BenchmarkInsert(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		o.Ts = base.Add(time.Duration(i) * time.Millisecond)
-		db.Insert(o)
+		insert(db, o)
 	}
 }
 
@@ -288,7 +285,7 @@ func BenchmarkGroupByQuery(b *testing.B) {
 	db := New(Options{})
 	for s := 0; s < 3600; s += 5 {
 		for n := 0; n < 32; n++ {
-			db.Insert(ob(s, fmt.Sprintf("node%05d", n), "node_power_w", float64(1000+n)))
+			insert(db, ob(s, fmt.Sprintf("node%05d", n), "node_power_w", float64(1000+n)))
 		}
 	}
 	q := Query{

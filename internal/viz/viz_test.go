@@ -113,14 +113,12 @@ func buildStack(t *testing.T) (*UADashboard, *jobsched.Job) {
 
 	lake := tsdb.New(tsdb.Options{})
 	if err := gen.EmitSource(telemetry.SourcePowerTemp, t0, t0.Add(30*time.Minute), func(o schema.Observation) error {
-		lake.Insert(o)
-		return nil
+		return lake.InsertBatch([]schema.Observation{o})
 	}); err != nil {
 		t.Fatal(err)
 	}
 	if err := gen.EmitSource(telemetry.SourceGPU, t0, t0.Add(30*time.Minute), func(o schema.Observation) error {
-		lake.Insert(o)
-		return nil
+		return lake.InsertBatch([]schema.Observation{o})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +127,9 @@ func buildStack(t *testing.T) (*UADashboard, *jobsched.Job) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	logs.AddAll(events)
+	for _, e := range events {
+		logs.Add(e)
+	}
 
 	// Pick a job overlapping the telemetry window.
 	var target *jobsched.Job

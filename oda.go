@@ -12,9 +12,9 @@
 //
 //	f, err := oda.NewFacility(oda.Options{})
 //	...
-//	stats, err := f.IngestWindow(from, to, oda.SourcePowerTemp)
+//	stats, err := f.IngestWindow(ctx, from, to, oda.SourcePowerTemp)
 //	m, err := f.DrainSilver(ctx, oda.SilverPipelineConfig{Source: oda.SourcePowerTemp})
-//	gold, err := f.BuildGold(oda.SourcePowerTemp, "node_power_w", 32)
+//	gold, err := f.BuildGold(ctx, oda.SourcePowerTemp, "node_power_w", 32)
 //
 // Subsystems are exposed as facility fields (f.Lake, f.Logs, f.Ocean,
 // f.Glacier, f.Broker, ...) and through re-exported constructors below.

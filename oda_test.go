@@ -34,7 +34,7 @@ func apiFacility(t testing.TB) *oda.Facility {
 
 func TestPublicAPIEndToEnd(t *testing.T) {
 	f := apiFacility(t)
-	stats, err := f.IngestWindow(apiT0, apiT0.Add(2*time.Minute), oda.SourcePowerTemp)
+	stats, err := f.IngestWindow(context.Background(), apiT0, apiT0.Add(2*time.Minute), oda.SourcePowerTemp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	if m.RowsOut == 0 {
 		t.Fatal("no silver rows through the public API")
 	}
-	gold, err := f.BuildGold(oda.SourcePowerTemp, "node_power_w", 16)
+	gold, err := f.BuildGold(context.Background(), oda.SourcePowerTemp, "node_power_w", 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,13 +69,13 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 
 func TestPublicAPISQLOverSilver(t *testing.T) {
 	f := apiFacility(t)
-	if _, err := f.IngestWindow(apiT0, apiT0.Add(time.Minute), oda.SourcePowerTemp); err != nil {
+	if _, err := f.IngestWindow(context.Background(), apiT0, apiT0.Add(time.Minute), oda.SourcePowerTemp); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := f.DrainSilver(context.Background(), oda.SilverPipelineConfig{Source: oda.SourcePowerTemp}); err != nil {
 		t.Fatal(err)
 	}
-	silver, err := f.ReadSilver(oda.SourcePowerTemp, time.Time{}, time.Time{})
+	silver, err := f.ReadSilver(context.Background(), oda.SourcePowerTemp, nil, time.Time{}, time.Time{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func ExampleNewFacility() {
 	defer f.Close()
 
 	from := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
-	stats, err := f.IngestWindow(from, from.Add(30*time.Second), oda.SourcePowerTemp)
+	stats, err := f.IngestWindow(context.Background(), from, from.Add(30*time.Second), oda.SourcePowerTemp)
 	if err != nil {
 		panic(err)
 	}
@@ -155,7 +155,7 @@ func ExampleNewFacility() {
 	if _, err := f.DrainSilver(context.Background(), oda.SilverPipelineConfig{Source: oda.SourcePowerTemp}); err != nil {
 		panic(err)
 	}
-	silver, err := f.ReadSilver(oda.SourcePowerTemp, time.Time{}, time.Time{})
+	silver, err := f.ReadSilver(context.Background(), oda.SourcePowerTemp, nil, time.Time{}, time.Time{})
 	if err != nil {
 		panic(err)
 	}
@@ -173,7 +173,7 @@ func ExampleSparkline() {
 
 func TestPublicAPIHTTPHandler(t *testing.T) {
 	f := apiFacility(t)
-	if _, err := f.IngestWindow(apiT0, apiT0.Add(30*time.Second), oda.SourcePowerTemp); err != nil {
+	if _, err := f.IngestWindow(context.Background(), apiT0, apiT0.Add(30*time.Second), oda.SourcePowerTemp); err != nil {
 		t.Fatal(err)
 	}
 	srv := httptest.NewServer(oda.NewHTTPHandler(f))

@@ -1,8 +1,8 @@
 package oda_test
 
 // The repository's shape rules: one STREAM reader, one LAKE read path, one
-// serialized form for rollup cells, one grouping loop, one log and one
-// wait. Each is a structural fact a later change could quietly undo, so
+// serialized form for rollup cells, one grouping loop, one sort, one log,
+// one wait and one entry point per operation. Each is a structural fact a later change could quietly undo, so
 // each is checked over the parsed non-test sources on every `go test
 // ./...`, and each is shown to fire on a synthetic source that breaks it.
 
@@ -245,21 +245,25 @@ func (s *Server) topN() { s.backend.RunWithStats(q) }`},
 		breaks: map[string]string{"internal/sproc/job.go": "package sproc\ntype winGroup struct{}"},
 	},
 	{
-		name: "one grouping loop: sql.go orders rows through one sort call",
+		name: "one sort: sql.go's ORDER BY is Frame.SortBy",
 		check: func(files []srcFile) []string {
 			var sorts []string
 			calls(files, isFile("internal/sproc/sql.go"), func(s srcFile, c *ast.CallExpr, name string) {
 				fn, fromSort := pkgRef(s.f, c.Fun, "sort")
 				switch {
-				case fromSort && ast.IsExported(fn), name == "SortBy", name == "sortByTerms", name == "SortFunc", name == "SortStableFunc":
-					sorts = append(sorts, "sort")
+				case fromSort && ast.IsExported(fn):
+					sorts = append(sorts, "sort."+fn)
+				case name == "SortBy", name == "sortByTerms", name == "SortFunc", name == "SortStableFunc":
+					sorts = append(sorts, name)
 				}
 			})
-			return count(sorts, "sort", "sort call sites in sql.go (a permutation sort, then Gather)")
+			if len(sorts) != 1 || sorts[0] != "SortBy" {
+				return []string{fmt.Sprintf("sort calls in sql.go %v, want the one SortBy", sorts)}
+			}
+			return nil
 		},
 		breaks: map[string]string{"internal/sproc/sql.go": `package sproc
-import "sort"
-func order() { slices.SortStableFunc(perm, less); sort.Strings(names) }`},
+func order() { slices.SortStableFunc(perm, less) }`},
 	},
 	{
 		name: "one log: stream.TopicConfig is {Partitions, RetentionBytes}",
@@ -310,6 +314,35 @@ func (r *Reader) Wait() { <-clock.After(idle) }`},
 			return forbid(decls(files, within("internal/sproc")), "the job waits on Stream.Ready", "JobConfig.PollWait")
 		},
 		breaks: map[string]string{"internal/sproc/job.go": "package sproc\ntype JobConfig struct{ PollWait Duration }"},
+	},
+	{
+		name: "one entry point: the LAKE is written through InsertBatch",
+		check: func(files []srcFile) []string {
+			return forbid(decls(files, within("internal/tsdb")), "an observation is an InsertBatch of one",
+				"func DB.Insert", "func DB.InsertRow")
+		},
+		breaks: map[string]string{"internal/tsdb/tsdb.go": "package tsdb\nfunc (db *DB) Insert(o schema.Observation) {}"},
+	},
+	{
+		name: "one entry point: a facility operation takes the caller's ctx",
+		check: func(files []srcFile) []string {
+			return forbid(decls(files, within("internal/core")), "call IngestWindow / BuildGold / ReadSilver with a ctx",
+				"func Facility.IngestWindowContext", "func Facility.BuildGoldContext", "func Facility.ReadSilverColumns", "func Facility.readSilver")
+		},
+		breaks: map[string]string{"internal/core/pipeline.go": "package core\nfunc (f *Facility) ReadSilverColumns() {}"},
+	},
+	{
+		name: "one entry point: one seam per decision",
+		check: func(files []srcFile) []string {
+			out := forbid(decls(files, within("internal/httpapi")), "overload is the backend's ScanLoad; swap it with SetQueryBackend",
+				"func Server.SetOverloadCheck")
+			return append(out, forbid(decls(files, within("internal/resilience")), "the clock is SupervisorConfig.Clock",
+				"func Supervisor.SetClock")...)
+		},
+		breaks: map[string]string{
+			"internal/httpapi/httpapi.go":       "package httpapi\nfunc (s *Server) SetOverloadCheck() {}",
+			"internal/resilience/supervisor.go": "package resilience\nfunc (s *Supervisor) SetClock() {}",
+		},
 	},
 }
 
