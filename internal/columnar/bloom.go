@@ -11,6 +11,7 @@ package columnar
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // bloomBlockWords is the block width: 8 × uint32 = 256 bits.
@@ -104,27 +105,28 @@ func appendBloom(buf []byte, b *Bloom) []byte {
 	return buf
 }
 
-// decodeBloom parses a serialized filter, returning bytes consumed. The
+// appendBloomWords parses a serialized filter, appending its words to
+// dst, and returns the bytes consumed; no words is the nil filter. The
 // word count is validated against block alignment, the hard cap, and the
 // remaining buffer (divide, don't multiply: 4*n overflows for hostile n).
-func decodeBloom(buf []byte) (*Bloom, int, error) {
+func appendBloomWords(dst []uint32, buf []byte) ([]uint32, int, error) {
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 {
 		return nil, 0, fmt.Errorf("columnar: bad bloom word count")
 	}
 	if n == 0 {
-		return nil, sz, nil
+		return dst, sz, nil
 	}
 	if n%bloomBlockWords != 0 || n > maxBloomWords || n > uint64(len(buf)-sz)/4 {
 		return nil, 0, fmt.Errorf("columnar: bad bloom size %d", n)
 	}
 	off := sz
-	words := make([]uint32, n)
-	for i := range words {
-		words[i] = binary.LittleEndian.Uint32(buf[off:])
+	dst = slices.Grow(dst, int(n))
+	for i := uint64(0); i < n; i++ {
+		dst = append(dst, binary.LittleEndian.Uint32(buf[off:]))
 		off += 4
 	}
-	return &Bloom{words: words}, off, nil
+	return dst, off, nil
 }
 
 // EncodeBloom serializes a filter into a standalone buffer — the form
@@ -133,12 +135,15 @@ func EncodeBloom(b *Bloom) []byte { return appendBloom(nil, b) }
 
 // DecodeBloom parses a standalone EncodeBloom buffer.
 func DecodeBloom(buf []byte) (*Bloom, error) {
-	b, n, err := decodeBloom(buf)
+	words, n, err := appendBloomWords(nil, buf)
 	if err != nil {
 		return nil, err
 	}
 	if n != len(buf) {
 		return nil, fmt.Errorf("columnar: %d trailing bytes after bloom", len(buf)-n)
 	}
-	return b, nil
+	if words == nil {
+		return nil, nil
+	}
+	return &Bloom{words: words}, nil
 }

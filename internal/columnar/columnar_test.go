@@ -2,8 +2,11 @@ package columnar
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -332,7 +335,7 @@ func TestDictionaryVsPlainStrings(t *testing.T) {
 	}
 	for _, vals := range [][]string{repetitive, unique, nil, {"solo"}} {
 		enc := appendStringBlock(nil, vals)
-		dec, n, err := decodeStringBlock(enc)
+		dec, n, err := decodeStringBlock(nil, enc, &decodeScratch{})
 		if err != nil || n != len(enc) || len(dec) != len(vals) {
 			t.Fatalf("string block round trip: err=%v n=%d len=%d", err, n, len(dec))
 		}
@@ -344,6 +347,83 @@ func TestDictionaryVsPlainStrings(t *testing.T) {
 	}
 }
 
+// varintIntBlock is decodeIntBlock as it was before its one-byte fast
+// path: one binary.Varint call per value. The reference the fast path is
+// held to.
+func varintIntBlock(buf []byte) ([]int64, int, error) {
+	n, sz := binary.Uvarint(buf)
+	if sz <= 0 || n > uint64(len(buf)-sz) {
+		return nil, 0, fmt.Errorf("columnar: bad int block count")
+	}
+	off := sz
+	vals := make([]int64, n)
+	prev := int64(0)
+	for i := range vals {
+		d, sz := binary.Varint(buf[off:])
+		if sz <= 0 {
+			return nil, 0, fmt.Errorf("columnar: truncated int block at %d", i)
+		}
+		off += sz
+		prev += d
+		vals[i] = prev
+	}
+	return vals, off, nil
+}
+
+// TestIntBlockMatchesVarintReference: on random blocks mixing one-byte
+// and multi-byte deltas, jumps to and from MinInt64 / MaxInt64, bytes no
+// encoder writes, and every truncation of each, decodeIntBlock returns
+// the reference's values, consumed count and error, and appends after
+// whatever dst already held.
+func TestIntBlockMatchesVarintReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	extremes := []int64{math.MinInt64, math.MaxInt64, 0, -1, 63, -64, 64, -65}
+	var blocks [][]byte
+	for iter := 0; iter < 300; iter++ {
+		vals := make([]int64, rng.Intn(40))
+		prev := int64(0)
+		for i := range vals {
+			switch rng.Intn(4) {
+			case 0, 1: // a one-byte delta
+				prev += int64(rng.Intn(128)) - 64
+			case 2:
+				prev += rng.Int63n(1<<40) - 1<<39
+			default:
+				prev = extremes[rng.Intn(len(extremes))]
+			}
+			vals[i] = prev
+		}
+		blocks = append(blocks, appendIntBlock(nil, vals))
+		garbage := binary.AppendUvarint(nil, uint64(rng.Intn(20)))
+		for i := rng.Intn(30); i > 0; i-- {
+			garbage = append(garbage, byte(rng.Intn(256)))
+		}
+		blocks = append(blocks, garbage)
+	}
+	// Ten continuation bytes overflow a varint.
+	blocks = append(blocks, append([]byte{2, 5}, bytes.Repeat([]byte{0xff}, 10)...))
+	prefix := []int64{7, 8}
+	cases := 0
+	for _, block := range blocks {
+		for cut := 0; cut <= len(block); cut++ {
+			buf := block[:cut]
+			want, wantN, wantErr := varintIntBlock(buf)
+			got, gotN, gotErr := decodeIntBlock(slices.Clip(prefix), buf)
+			if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) || gotN != wantN {
+				t.Fatalf("% x: got (%d, %v), reference (%d, %v)", buf, gotN, gotErr, wantN, wantErr)
+			}
+			cases++
+			if wantErr != nil {
+				continue
+			}
+			if !slices.Equal(got[:len(prefix)], prefix) || !slices.Equal(got[len(prefix):], want) {
+				t.Fatalf("% x: values %v, reference %v after %v", buf, got, want, prefix)
+			}
+		}
+	}
+	t.Logf("%d blocks and truncations", cases)
+}
+
 func TestIntBlockRoundTripProperty(t *testing.T) {
 	f := func(seed int64, n uint8) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -352,7 +432,7 @@ func TestIntBlockRoundTripProperty(t *testing.T) {
 			vals[i] = r.Int63() - r.Int63()
 		}
 		enc := appendIntBlock(nil, vals)
-		dec, consumed, err := decodeIntBlock(enc)
+		dec, consumed, err := decodeIntBlock(nil, enc)
 		if err != nil || consumed != len(enc) || len(dec) != len(vals) {
 			return false
 		}

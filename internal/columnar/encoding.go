@@ -20,6 +20,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"odakit/internal/schema"
 )
@@ -45,7 +46,12 @@ func appendIntBlock(buf []byte, vals []int64) []byte {
 	return buf
 }
 
-func decodeIntBlock(buf []byte) ([]int64, int, error) {
+// decodeIntBlock appends the values of one zigzag-varint delta block to
+// dst and returns the bytes it consumed. A delta that fits one byte — the
+// telemetry case: stripes, seqs and counts climb by small steps — is
+// decoded inline; any other goes through binary.Varint, so errors and
+// consumed counts are exactly a binary.Varint loop's.
+func decodeIntBlock(dst []int64, buf []byte) ([]int64, int, error) {
 	n, sz := binary.Uvarint(buf)
 	// Each value costs at least one varint byte, so a count past the
 	// remaining buffer is corrupt — reject before trusting it as a cap.
@@ -53,18 +59,25 @@ func decodeIntBlock(buf []byte) ([]int64, int, error) {
 		return nil, 0, fmt.Errorf("columnar: bad int block count")
 	}
 	off := sz
-	vals := make([]int64, n)
+	dst = slices.Grow(dst, int(n))
+	vals := dst[len(dst) : len(dst)+int(n)]
 	prev := int64(0)
 	for i := range vals {
-		d, sz := binary.Varint(buf[off:])
-		if sz <= 0 {
-			return nil, 0, fmt.Errorf("columnar: truncated int block at %d", i)
+		if off < len(buf) && buf[off] < 0x80 {
+			u := int64(buf[off])
+			prev += u>>1 ^ -(u & 1)
+			off++
+		} else {
+			d, sz := binary.Varint(buf[off:])
+			if sz <= 0 {
+				return nil, 0, fmt.Errorf("columnar: truncated int block at %d", i)
+			}
+			off += sz
+			prev += d
 		}
-		off += sz
-		prev += d
 		vals[i] = prev
 	}
-	return vals, off, nil
+	return dst[:len(dst)+int(n)], off, nil
 }
 
 // float block ----------------------------------------------------------------
@@ -77,7 +90,8 @@ func appendFloatBlock(buf []byte, vals []float64) []byte {
 	return buf
 }
 
-func decodeFloatBlock(buf []byte) ([]float64, int, error) {
+// decodeFloatBlock appends the values of one float block to dst.
+func decodeFloatBlock(dst []float64, buf []byte) ([]float64, int, error) {
 	n, sz := binary.Uvarint(buf)
 	if sz <= 0 {
 		return nil, 0, fmt.Errorf("columnar: bad float block count")
@@ -87,12 +101,12 @@ func decodeFloatBlock(buf []byte) ([]float64, int, error) {
 	if n > uint64(len(buf)-off)/8 {
 		return nil, 0, fmt.Errorf("columnar: truncated float block")
 	}
-	vals := make([]float64, n)
-	for i := range vals {
-		vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[off:]))
+	dst = slices.Grow(dst, int(n))
+	for i := uint64(0); i < n; i++ {
+		dst = append(dst, math.Float64frombits(binary.LittleEndian.Uint64(buf[off:])))
 		off += 8
 	}
-	return vals, off, nil
+	return dst, off, nil
 }
 
 // string block ---------------------------------------------------------------
@@ -135,23 +149,50 @@ func appendStringBlock(buf []byte, vals []string) []byte {
 	return buf
 }
 
-func decodeStringBlock(buf []byte) ([]string, int, error) {
+// decodeScratch is what decoding a string block reuses from one chunk to
+// the next: the dictionary's entries, and the interned strings they are
+// drawn from, so a dictionary seen before costs no allocation.
+type decodeScratch struct {
+	dict     []string
+	interned map[string]string
+}
+
+// maxInterned bounds decodeScratch.interned; a high-cardinality stream
+// restarts the table instead of pinning every string it ever saw.
+const maxInterned = 1 << 12
+
+// intern returns b as a string, shared with every earlier equal entry.
+func (ds *decodeScratch) intern(b []byte) string {
+	if s, ok := ds.interned[string(b)]; ok {
+		return s
+	}
+	if ds.interned == nil || len(ds.interned) >= maxInterned {
+		ds.interned = make(map[string]string)
+	}
+	s := string(b)
+	ds.interned[s] = s
+	return s
+}
+
+// decodeStringBlock appends the values of one string block to dst.
+// Dictionary entries are interned through ds; plain values are copied.
+func decodeStringBlock(dst []string, buf []byte, ds *decodeScratch) ([]string, int, error) {
 	if len(buf) == 0 {
 		return nil, 0, fmt.Errorf("columnar: empty string block")
 	}
 	mode := buf[0]
 	off := 1
-	readStr := func() (string, error) {
+	readStr := func() ([]byte, error) {
 		l, sz := binary.Uvarint(buf[off:])
 		// The standalone l check stops uint64(off+sz)+l wrapping around
 		// for lengths near 2^64 and slicing with a negative int(l).
 		if sz <= 0 || l > uint64(len(buf)) || uint64(off+sz)+l > uint64(len(buf)) {
-			return "", fmt.Errorf("columnar: truncated string")
+			return nil, fmt.Errorf("columnar: truncated string")
 		}
 		off += sz
-		s := string(buf[off : off+int(l)])
+		b := buf[off : off+int(l)]
 		off += int(l)
-		return s, nil
+		return b, nil
 	}
 	switch mode {
 	case strDict:
@@ -160,44 +201,45 @@ func decodeStringBlock(buf []byte) ([]string, int, error) {
 			return nil, 0, fmt.Errorf("columnar: bad dict size")
 		}
 		off += sz
-		dict := make([]string, dn)
-		for i := range dict {
-			s, err := readStr()
+		dict := ds.dict[:0]
+		for i := uint64(0); i < dn; i++ {
+			b, err := readStr()
 			if err != nil {
 				return nil, 0, err
 			}
-			dict[i] = s
+			dict = append(dict, ds.intern(b))
 		}
+		ds.dict = dict
 		n, sz := binary.Uvarint(buf[off:])
 		if sz <= 0 || n > uint64(len(buf)-off-sz) {
 			return nil, 0, fmt.Errorf("columnar: bad dict value count")
 		}
 		off += sz
-		vals := make([]string, n)
-		for i := range vals {
+		dst = slices.Grow(dst, int(n))
+		for i := uint64(0); i < n; i++ {
 			idx, sz := binary.Uvarint(buf[off:])
 			if sz <= 0 || idx >= dn {
 				return nil, 0, fmt.Errorf("columnar: bad dict index")
 			}
 			off += sz
-			vals[i] = dict[idx]
+			dst = append(dst, dict[idx])
 		}
-		return vals, off, nil
+		return dst, off, nil
 	case strPlain:
 		n, sz := binary.Uvarint(buf[off:])
 		if sz <= 0 || n > uint64(len(buf)-off-sz) {
 			return nil, 0, fmt.Errorf("columnar: bad string count")
 		}
 		off += sz
-		vals := make([]string, n)
-		for i := range vals {
-			s, err := readStr()
+		dst = slices.Grow(dst, int(n))
+		for i := uint64(0); i < n; i++ {
+			b, err := readStr()
 			if err != nil {
 				return nil, 0, err
 			}
-			vals[i] = s
+			dst = append(dst, string(b))
 		}
-		return vals, off, nil
+		return dst, off, nil
 	default:
 		return nil, 0, fmt.Errorf("columnar: unknown string encoding %d", mode)
 	}
@@ -237,85 +279,87 @@ func encodeColumn(col *schema.Column) []byte {
 	return buf
 }
 
-// decodeColumn rebuilds a column from its serialized form. The column
-// keeps no reference to buf.
-func decodeColumn(buf []byte) (*schema.Column, int, error) {
+// decodeColumn decodes one serialized column chunk of want rows and
+// kind v.Kind, appending its payload to v's slice of that kind and its
+// null mask to v.Nulls. Payload under a null reads zero, as a column
+// built by Append holds it. v keeps no reference to buf.
+func decodeColumn(buf []byte, want int, v *Vector, ds *decodeScratch) error {
 	if len(buf) < 2 {
-		return nil, 0, fmt.Errorf("columnar: short column chunk")
+		return fmt.Errorf("columnar: short column chunk")
 	}
-	kind := schema.Kind(buf[0])
+	if kind := schema.Kind(buf[0]); kind != v.Kind {
+		return fmt.Errorf("columnar: chunk is %v, schema says %v", kind, v.Kind)
+	}
 	off := 1
 	n64, sz := binary.Uvarint(buf[off:])
 	// The null mask alone needs n/8 bytes, so anything past 8*len(buf)
 	// is corrupt; the bound also keeps int(n64) from going negative.
 	if sz <= 0 || n64 > uint64(len(buf))*8 {
-		return nil, 0, fmt.Errorf("columnar: bad column length")
+		return fmt.Errorf("columnar: bad column length")
+	}
+	if n64 != uint64(want) {
+		return fmt.Errorf("columnar: chunk has %d rows, group has %d", n64, want)
 	}
 	off += sz
 	n := int(n64)
 	mb := bitmapBytes(n)
 	if off+mb > len(buf) {
-		return nil, 0, fmt.Errorf("columnar: truncated null mask")
+		return fmt.Errorf("columnar: truncated null mask")
 	}
 	mask := buf[off : off+mb]
 	off += mb
 
-	// The decoded block goes to the column as is: the schema constructor
-	// adopts the slice and zeroes whatever payload sits under a null bit.
-	nulls := make([]bool, n)
+	base := len(v.Nulls)
+	v.Nulls = slices.Grow(v.Nulls, n)[:base+n]
+	nulls := v.Nulls[base:]
+	clear(nulls)
+	hasNull := false
 	for i, b := range mask {
 		for j := i * 8; b != 0; j, b = j+1, b>>1 {
 			// Set bits past n in the last mask byte are padding, not rows.
 			if b&1 != 0 && j < n {
 				nulls[j] = true
+				hasNull = true
 			}
 		}
 	}
-	switch kind {
+	var got int
+	switch v.Kind {
 	case schema.KindInt, schema.KindTime:
-		vals, consumed, err := decodeIntBlock(buf[off:])
+		vals, _, err := decodeIntBlock(v.Ints, buf[off:])
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
-		if len(vals) != n {
-			return nil, 0, fmt.Errorf("columnar: int block has %d values, want %d", len(vals), n)
-		}
-		col, err := schema.IntColumn(kind, vals, nulls)
-		return col, off + consumed, err
+		v.Ints, got = vals, len(vals)-base
 	case schema.KindBool:
 		if off+mb > len(buf) {
-			return nil, 0, fmt.Errorf("columnar: truncated bool bitmap")
+			return fmt.Errorf("columnar: truncated bool bitmap")
 		}
 		bm := buf[off : off+mb]
-		vals := make([]int64, n)
-		for i := range vals {
-			if bitmapGet(bm, i) {
-				vals[i] = 1
-			}
+		for i := 0; i < n; i++ {
+			v.Ints = append(v.Ints, int64(bm[i/8]>>(i%8)&1))
 		}
-		col, err := schema.IntColumn(kind, vals, nulls)
-		return col, off + mb, err
+		got = n
 	case schema.KindFloat:
-		vals, consumed, err := decodeFloatBlock(buf[off:])
+		vals, _, err := decodeFloatBlock(v.Floats, buf[off:])
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
-		if len(vals) != n {
-			return nil, 0, fmt.Errorf("columnar: float block has %d values, want %d", len(vals), n)
-		}
-		col, err := schema.FloatColumn(vals, nulls)
-		return col, off + consumed, err
+		v.Floats, got = vals, len(vals)-base
 	case schema.KindString:
-		vals, consumed, err := decodeStringBlock(buf[off:])
+		vals, _, err := decodeStringBlock(v.Strs, buf[off:], ds)
 		if err != nil {
-			return nil, 0, err
+			return err
 		}
-		if len(vals) != n {
-			return nil, 0, fmt.Errorf("columnar: string block has %d values, want %d", len(vals), n)
-		}
-		col, err := schema.StringColumn(vals, nulls)
-		return col, off + consumed, err
+		v.Strs, got = vals, len(vals)-base
 	default:
-		return nil, 0, fmt.Errorf("columnar: unknown column kind %d", kind)
+		return fmt.Errorf("columnar: unknown column kind %d", v.Kind)
 	}
+	if got != n {
+		return fmt.Errorf("columnar: %v block has %d values, want %d", v.Kind, got, n)
+	}
+	if hasNull {
+		v.zeroNulls(base)
+	}
+	return nil
 }

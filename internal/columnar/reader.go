@@ -77,7 +77,9 @@ func appendStats(buf []byte, s ColStats) []byte {
 	return schema.AppendRow(buf, schema.Row{s.Min, s.Max})
 }
 
-func decodeStats(buf []byte) (ColStats, int, error) {
+// decodeStats parses one column's statistics; row is scratch for the
+// min/max pair and in interns their strings, both shared across a footer.
+func decodeStats(buf []byte, row *schema.Row, in *schema.Interner) (ColStats, int, error) {
 	var s ColStats
 	c, sz := binary.Uvarint(buf)
 	if sz <= 0 {
@@ -89,12 +91,13 @@ func decodeStats(buf []byte) (ColStats, int, error) {
 		return s, 0, fmt.Errorf("columnar: bad stats null count")
 	}
 	off += sz
-	row, n, err := schema.DecodeRow(buf[off:])
-	if err != nil || len(row) != 2 {
+	r, n, err := schema.DecodeRowTo(*row, buf[off:], in)
+	if err != nil || len(r) != 2 {
 		return s, 0, fmt.Errorf("columnar: bad stats min/max: %v", err)
 	}
+	*row = r
 	off += n
-	s.Count, s.NullCount, s.Min, s.Max = int(c), int(nc), row[0], row[1]
+	s.Count, s.NullCount, s.Min, s.Max = int(c), int(nc), r[0], r[1]
 	return s, off, nil
 }
 
@@ -107,7 +110,7 @@ type RowGroup struct {
 	sch    *schema.Schema
 	// blooms are per-column split-block bloom filters from the group-ext
 	// block, aligned with the schema; nil when the writer emitted none.
-	blooms []*Bloom
+	blooms []Bloom
 }
 
 type chunkRef struct {
@@ -118,15 +121,28 @@ type chunkRef struct {
 
 // FileReader provides random access over an in-memory OCF stream: schema,
 // row-group statistics, and per-group decode, with predicate pushdown.
+// Parsing a footer costs a handful of allocations per file, not per row
+// group: every group's statistics, chunk references and bloom filters
+// are cut from slabs the file shares.
 type FileReader struct {
 	sch    *schema.Schema
-	groups []*RowGroup
+	groups []RowGroup
+	stats  []ColStats
+	chunks []chunkRef
+	blooms []Bloom
+	words  []uint32 // the bloom filters' words
 }
+
+// since returns slab[from:] with no room to grow into, so a later append
+// to the slab never writes through it.
+func since[T any](slab []T, from int) []T { return slab[from:len(slab):len(slab)] }
 
 // NewFileReader parses the structure of an OCF stream without decoding
 // column payloads. Concatenated streams with equal schemas are accepted.
 func NewFileReader(data []byte) (*FileReader, error) {
 	fr := &FileReader{}
+	var row schema.Row
+	in := schema.NewInterner()
 	off := 0
 	for off < len(data) {
 		if bytes.HasPrefix(data[off:], Magic) {
@@ -158,7 +174,7 @@ func NewFileReader(data []byte) (*FileReader, error) {
 			return nil, fmt.Errorf("columnar: unknown block marker 0x%02x at offset %d", data[off], off)
 		}
 		off++
-		g := &RowGroup{sch: fr.sch}
+		g := RowGroup{sch: fr.sch}
 		rows, sz := binary.Uvarint(data[off:])
 		// A row needs at least one null-mask bit per column; 8*len(data)
 		// bounds any physically representable count and keeps int() positive.
@@ -172,13 +188,14 @@ func NewFileReader(data []byte) (*FileReader, error) {
 			return nil, fmt.Errorf("columnar: row group has %d columns, schema has %d", ncols, fr.sch.Len())
 		}
 		off += sz
+		stats, chunks := len(fr.stats), len(fr.chunks)
 		for c := 0; c < int(ncols); c++ {
-			st, n, err := decodeStats(data[off:])
+			st, n, err := decodeStats(data[off:], &row, in)
 			if err != nil {
 				return nil, err
 			}
 			off += n
-			g.Stats = append(g.Stats, st)
+			fr.stats = append(fr.stats, st)
 			if off >= len(data) {
 				return nil, fmt.Errorf("columnar: truncated chunk header")
 			}
@@ -196,11 +213,12 @@ func NewFileReader(data []byte) (*FileReader, error) {
 				return nil, fmt.Errorf("columnar: bad compressed length")
 			}
 			off += sz
-			g.chunks = append(g.chunks, chunkRef{
+			fr.chunks = append(fr.chunks, chunkRef{
 				comp: comp, rawLen: int(rawLen), payload: data[off : off+int(compLen)],
 			})
 			off += int(compLen)
 		}
+		g.Stats, g.chunks = since(fr.stats, stats), since(fr.chunks, chunks)
 		fr.groups = append(fr.groups, g)
 	}
 	if fr.sch == nil {
@@ -250,7 +268,7 @@ func (fr *FileReader) parseGroupExt(buf []byte) (int, error) {
 	if len(fr.groups) == 0 {
 		return 0, fmt.Errorf("columnar: group-ext block before any row group")
 	}
-	g := fr.groups[len(fr.groups)-1]
+	g := &fr.groups[len(fr.groups)-1]
 	if g.blooms != nil {
 		return 0, fmt.Errorf("columnar: duplicate group-ext block")
 	}
@@ -259,27 +277,31 @@ func (fr *FileReader) parseGroupExt(buf []byte) (int, error) {
 		return 0, fmt.Errorf("columnar: group-ext has %d columns, schema has %d", ncols, fr.sch.Len())
 	}
 	off := sz
-	blooms := make([]*Bloom, ncols)
-	for c := range blooms {
+	blooms := len(fr.blooms)
+	for c := uint64(0); c < ncols; c++ {
 		if off >= len(buf) {
 			return 0, fmt.Errorf("columnar: truncated group-ext block")
 		}
 		flag := buf[off]
 		off++
+		var b Bloom
 		switch flag {
 		case extNone:
 		case extBloom:
-			b, n, err := decodeBloom(buf[off:])
-			if err != nil {
+			words := len(fr.words)
+			var n int
+			var err error
+			if fr.words, n, err = appendBloomWords(fr.words, buf[off:]); err != nil {
 				return 0, err
 			}
 			off += n
-			blooms[c] = b
+			b.words = since(fr.words, words)
 		default:
 			return 0, fmt.Errorf("columnar: unknown group-ext flag 0x%02x", flag)
 		}
+		fr.blooms = append(fr.blooms, b)
 	}
-	g.blooms = blooms
+	g.blooms = since(fr.blooms, blooms)
 	return off, nil
 }
 
@@ -294,91 +316,80 @@ func (fr *FileReader) NumRowGroups() int { return len(fr.groups) }
 // cap it becomes an arbitrary allocation in decodeChunk.
 const maxChunkRawLen = 1 << 30
 
-// chunkReader is the pooled state for reading one column chunk: an
-// inflater reused through flate.Resetter instead of built per chunk, the
-// buffered reader the streaming dictionary pre-pass parses through, and
-// the scratch both paths fill. Nothing decoded keeps a reference to the
-// scratch, so it goes back to the pool with the reader.
+// chunkReader is the reusable state for reading column chunks: an
+// inflater reset per chunk instead of built per chunk, the buffered
+// reader the streaming dictionary pre-pass parses through, and the
+// scratch both paths fill. Nothing decoded keeps a reference to the
+// scratch. A scan keeps one per decoding goroutine in its Batch.
 type chunkReader struct {
 	src bytes.Reader
-	zr  io.ReadCloser    // flate reader over &src
-	lim io.LimitedReader // the chunk's raw bytes, see openChunk
-	br  *bufio.Reader    // over &lim
+	zr  io.ReadCloser    // flate reader over &src, made on first use
+	lim io.LimitedReader // the chunk's raw bytes, see open
+	br  *bufio.Reader    // over &lim, made on first use
 	raw bytes.Buffer     // a whole inflated chunk (decodeChunk)
 	str []byte           // one string (stringEqKeep)
+	ds  decodeScratch
 }
 
-// maxPooledScratch is the largest scratch buffer a pooled chunkReader
-// keeps; one oversized chunk must not pin its buffer for the process.
-const maxPooledScratch = 1 << 20
+// maxKeptScratch is the largest scratch buffer a chunkReader keeps past
+// a chunk; one oversized chunk must not pin its buffer in a reused Batch.
+const maxKeptScratch = 1 << 20
 
-var chunkReaders = sync.Pool{New: func() any {
-	cr := &chunkReader{}
-	cr.zr = flate.NewReader(&cr.src)
-	cr.br = bufio.NewReader(&cr.lim)
-	return cr
-}}
-
-// openChunk returns a pooled reader with lim positioned at the start of
-// the chunk's raw bytes. lim ends one byte past the declared raw length:
-// enough to tell a chunk that inflates past its declaration, and the stop
-// for decompression bombs.
-func openChunk(ch chunkRef) *chunkReader {
-	cr := chunkReaders.Get().(*chunkReader)
+// open positions lim at the start of the chunk's raw bytes. lim ends one
+// byte past the declared raw length: enough to tell a chunk that inflates
+// past its declaration, and the stop for decompression bombs.
+func (cr *chunkReader) open(ch chunkRef) {
 	cr.src.Reset(ch.payload)
 	cr.lim.R = &cr.src
 	if ch.comp == CompressFlate {
-		// Reset only fails on a bad dictionary; there is none.
-		_ = cr.zr.(flate.Resetter).Reset(&cr.src, nil)
+		if cr.zr == nil {
+			cr.zr = flate.NewReader(&cr.src)
+		} else {
+			// Reset only fails on a bad dictionary; there is none.
+			_ = cr.zr.(flate.Resetter).Reset(&cr.src, nil)
+		}
 		cr.lim.R = cr.zr
 	}
 	cr.lim.N = int64(ch.rawLen) + 1
-	return cr
 }
 
-func (cr *chunkReader) release() {
-	cr.src.Reset(nil) // drop the object's bytes
-	if cr.raw.Cap() > maxPooledScratch {
+// close drops the object's bytes and any oversized scratch.
+func (cr *chunkReader) close() {
+	cr.src.Reset(nil)
+	if cr.raw.Cap() > maxKeptScratch {
 		cr.raw = bytes.Buffer{}
 	}
-	if cap(cr.str) > maxPooledScratch {
+	if cap(cr.str) > maxKeptScratch {
 		cr.str = nil
 	}
-	chunkReaders.Put(cr)
 }
 
-// decodeChunk inflates and decodes one column chunk of a group.
-func (fr *FileReader) decodeChunk(g *RowGroup, c int) (*schema.Column, error) {
+// decodeChunk inflates column chunk c of g and decodes it onto v, whose
+// kind must be the schema's for c (see decodeColumn).
+func (fr *FileReader) decodeChunk(g *RowGroup, c int, v *Vector, cr *chunkReader) error {
 	ch := g.chunks[c]
 	raw := ch.payload
 	if ch.comp == CompressFlate {
-		cr := openChunk(ch)
-		defer cr.release()
+		cr.open(ch)
+		defer cr.close()
 		cr.raw.Reset()
 		// The declared raw length is only an allocation hint, capped so a
 		// corrupt header cannot force a huge up-front make. MinRead spare
 		// lets ReadFrom see EOF without regrowing an exactly-sized buffer.
-		cr.raw.Grow(min(ch.rawLen, maxPooledScratch) + bytes.MinRead)
+		cr.raw.Grow(min(ch.rawLen, maxKeptScratch) + bytes.MinRead)
 		n, err := cr.raw.ReadFrom(&cr.lim)
 		if err != nil {
-			return nil, fmt.Errorf("columnar: inflate: %w", err)
+			return fmt.Errorf("columnar: inflate: %w", err)
 		}
 		if n > int64(ch.rawLen) {
-			return nil, fmt.Errorf("columnar: chunk inflates past declared %d bytes", ch.rawLen)
+			return fmt.Errorf("columnar: chunk inflates past declared %d bytes", ch.rawLen)
 		}
 		raw = cr.raw.Bytes()
 	}
-	col, _, err := decodeColumn(raw)
-	if err != nil {
-		return nil, fmt.Errorf("columnar: column %d: %w", c, err)
+	if err := decodeColumn(raw, g.Rows, v, &cr.ds); err != nil {
+		return fmt.Errorf("columnar: column %d: %w", c, err)
 	}
-	if want := fr.sch.Field(c).Kind; col.Kind() != want {
-		return nil, fmt.Errorf("columnar: column %d is %v, schema says %v", c, col.Kind(), want)
-	}
-	if col.Len() != g.Rows {
-		return nil, fmt.Errorf("columnar: column %d has %d rows, group has %d", c, col.Len(), g.Rows)
-	}
-	return col, nil
+	return nil
 }
 
 // ReadGroup decodes row group i into a frame.
@@ -386,10 +397,15 @@ func (fr *FileReader) ReadGroup(i int) (*schema.Frame, error) {
 	if i < 0 || i >= len(fr.groups) {
 		return nil, fmt.Errorf("columnar: row group %d out of range", i)
 	}
-	g := fr.groups[i]
+	g := &fr.groups[i]
 	cols := make([]*schema.Column, len(g.chunks))
+	var cr chunkReader
 	for c := range g.chunks {
-		col, err := fr.decodeChunk(g, c)
+		v := Vector{Kind: fr.sch.Field(c).Kind}
+		if err := fr.decodeChunk(g, c, &v, &cr); err != nil {
+			return nil, err
+		}
+		col, err := v.column()
 		if err != nil {
 			return nil, err
 		}
@@ -437,7 +453,7 @@ func (p Predicate) matches(sch *schema.Schema, g *RowGroup) bool {
 	}
 	var bl *Bloom
 	if i < len(g.blooms) {
-		bl = g.blooms[i]
+		bl = &g.blooms[i]
 	}
 	for _, v := range p.In {
 		if v.IsNull() {
@@ -479,15 +495,15 @@ func (p Predicate) rowMatches(v schema.Value) bool {
 	return true
 }
 
-// filter narrows sel, ascending row indices into col, in place to the
+// filter narrows sel, ascending row indices into v, in place to the
 // rows whose value satisfies the predicate. A pure range whose bounds are
 // unbounded or of the column's kind compares the typed payload of int,
 // time, bool and float columns directly (cmp.Compare orders floats as
 // Value.Compare does, NaN first); every other shape — candidate lists,
 // bounds of another kind, strings — goes through rowMatches.
-func (p Predicate) filter(col *schema.Column, sel []int32) []int32 {
+func (p Predicate) filter(v *Vector, sel []int32) []int32 {
 	out := sel[:0]
-	kind := col.Kind()
+	kind := v.Kind
 	hasMin, hasMax := !p.Min.IsNull(), !p.Max.IsNull()
 	typed := len(p.In) == 0 && (!hasMin || p.Min.Kind() == kind) && (!hasMax || p.Max.Kind() == kind)
 	switch {
@@ -499,23 +515,21 @@ func (p Predicate) filter(col *schema.Column, sel []int32) []int32 {
 		if hasMax {
 			hi = p.Max.IntVal()
 		}
-		vals := col.Ints()
 		for _, r := range sel {
-			if v := vals[r]; v >= lo && v <= hi && !col.IsNull(int(r)) {
+			if x := v.Ints[r]; x >= lo && x <= hi && !v.Nulls[r] {
 				out = append(out, r)
 			}
 		}
 	case typed && kind == schema.KindFloat:
 		lo, hi := p.Min.FloatVal(), p.Max.FloatVal()
-		vals := col.Floats()
 		for _, r := range sel {
-			if v := vals[r]; (!hasMin || cmp.Compare(v, lo) >= 0) && (!hasMax || cmp.Compare(v, hi) <= 0) && !col.IsNull(int(r)) {
+			if x := v.Floats[r]; (!hasMin || cmp.Compare(x, lo) >= 0) && (!hasMax || cmp.Compare(x, hi) <= 0) && !v.Nulls[r] {
 				out = append(out, r)
 			}
 		}
 	default:
 		for _, r := range sel {
-			if p.rowMatches(col.Value(int(r))) {
+			if p.rowMatches(v.value(int(r))) {
 				out = append(out, r)
 			}
 		}
@@ -523,9 +537,21 @@ func (p Predicate) filter(col *schema.Column, sel []int32) []int32 {
 	return out
 }
 
-// ScanResult reports pushdown effectiveness alongside the data.
-type ScanResult struct {
-	Frame         *schema.Frame
+// wantSet is a candidate list as the set of strings the dictionary
+// pre-pass tests entries against.
+func wantSet(in []schema.Value) map[string]bool {
+	want := make(map[string]bool, len(in))
+	for _, v := range in {
+		if !v.IsNull() && v.Kind() == schema.KindString {
+			want[v.StrVal()] = true
+		}
+	}
+	return want
+}
+
+// ScanStats reports what one scan did: how far pushdown pruned it and how
+// much it decoded.
+type ScanStats struct {
 	GroupsTotal   int
 	GroupsScanned int
 	// GroupsDictSkipped counts groups that survived zone-map + bloom
@@ -538,9 +564,207 @@ type ScanResult struct {
 	ColumnsDecoded int
 	ColumnsTotal   int
 	// RowsDecoded counts the rows of every row group that had a chunk
-	// inflated (scanned and not dictionary-skipped); Frame.Len() of them
-	// survived the predicates.
+	// inflated (scanned and not dictionary-skipped); len(Batch.Sel) of
+	// them survived the predicates.
 	RowsDecoded int
+	// Workers is how many goroutines decoded row groups, the caller's
+	// included.
+	Workers int
+}
+
+// ScanResult is ScanColumns' answer: the surviving rows as a frame, and
+// the scan's counters.
+type ScanResult struct {
+	Frame *schema.Frame
+	ScanStats
+}
+
+// Vector is one decoded column: the payload slice of its kind (int, time
+// and bool share Ints; a null position holds zero) and its null mask.
+type Vector struct {
+	Kind   schema.Kind
+	Ints   []int64
+	Floats []float64
+	Strs   []string
+	Nulls  []bool
+}
+
+// value boxes row r.
+func (v *Vector) value(r int) schema.Value {
+	if v.Nulls[r] {
+		return schema.Null
+	}
+	switch v.Kind {
+	case schema.KindBool:
+		return schema.Bool(v.Ints[r] != 0)
+	case schema.KindInt:
+		return schema.Int(v.Ints[r])
+	case schema.KindTime:
+		return schema.TimeNanos(v.Ints[r])
+	case schema.KindFloat:
+		return schema.Float(v.Floats[r])
+	case schema.KindString:
+		return schema.Str(v.Strs[r])
+	}
+	return schema.Null
+}
+
+// reset empties v for a column of kind, keeping every slice's storage.
+func (v *Vector) reset(kind schema.Kind) {
+	*v = Vector{Kind: kind, Ints: v.Ints[:0], Floats: v.Floats[:0], Strs: v.Strs[:0], Nulls: v.Nulls[:0]}
+}
+
+// slice returns v with rows [lo:hi] of its kind's payload and of its
+// mask, capacity max.
+func (v *Vector) slice(lo, hi, max int) Vector {
+	out := *v
+	out.Nulls = cut(v.Nulls, lo, hi, max)
+	switch v.Kind {
+	case schema.KindInt, schema.KindTime, schema.KindBool:
+		out.Ints = cut(v.Ints, lo, hi, max)
+	case schema.KindFloat:
+		out.Floats = cut(v.Floats, lo, hi, max)
+	case schema.KindString:
+		out.Strs = cut(v.Strs, lo, hi, max)
+	}
+	return out
+}
+
+func cut[T any](s []T, lo, hi, max int) []T { return s[lo:hi:max] }
+
+// zeroNulls zeroes the payload under every null from row lo on.
+func (v *Vector) zeroNulls(lo int) {
+	for r := lo; r < len(v.Nulls); r++ {
+		if v.Nulls[r] {
+			switch v.Kind {
+			case schema.KindInt, schema.KindTime, schema.KindBool:
+				v.Ints[r] = 0
+			case schema.KindFloat:
+				v.Floats[r] = 0
+			case schema.KindString:
+				v.Strs[r] = ""
+			}
+		}
+	}
+}
+
+// grow extends v to n rows, keeping its storage where it is large enough;
+// the new rows' contents are unspecified.
+func (v *Vector) grow(n int) {
+	v.Nulls = resized(v.Nulls, n)
+	switch v.Kind {
+	case schema.KindInt, schema.KindTime, schema.KindBool:
+		v.Ints = resized(v.Ints, n)
+	case schema.KindFloat:
+		v.Floats = resized(v.Floats, n)
+	case schema.KindString:
+		v.Strs = resized(v.Strs, n)
+	}
+}
+
+// resized returns s with length n, reusing its storage if it can.
+func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
+
+// column adopts v as a schema column; v must not be used afterwards.
+func (v *Vector) column() (*schema.Column, error) {
+	switch v.Kind {
+	case schema.KindInt, schema.KindTime, schema.KindBool:
+		return schema.IntColumn(v.Kind, v.Ints, v.Nulls)
+	case schema.KindFloat:
+		return schema.FloatColumn(v.Floats, v.Nulls)
+	case schema.KindString:
+		return schema.StringColumn(v.Strs, v.Nulls)
+	}
+	// No chunk of this kind decodes, so the scan that got here is empty.
+	return schema.NewColumn(v.Kind), nil
+}
+
+// compact moves rows sel[0], sel[1], … of v to its front and cuts it
+// there. sel ascends, so no row is overwritten before it has moved.
+func (v *Vector) compact(sel []int32) {
+	v.Nulls = compact(v.Nulls, sel)
+	switch v.Kind {
+	case schema.KindInt, schema.KindTime, schema.KindBool:
+		v.Ints = compact(v.Ints, sel)
+	case schema.KindFloat:
+		v.Floats = compact(v.Floats, sel)
+	case schema.KindString:
+		v.Strs = compact(v.Strs, sel)
+	}
+}
+
+func compact[T any](s []T, sel []int32) []T {
+	for k, r := range sel {
+		s[k] = s[r]
+	}
+	return s[:len(sel):len(sel)]
+}
+
+// Batch is the caller-owned target of ScanInto: the projected columns of
+// the row groups a scan decoded, back to back in file order, and the rows
+// of them that satisfy every predicate. A scan overwrites the Batch but
+// keeps its storage, so a Batch reused across scans — a pooled one per
+// query — stops allocating per row group once its vectors have grown to
+// the largest object it reads.
+type Batch struct {
+	// Cols are the projected columns, in the order ScanInto was given
+	// them. Only the rows Sel names are defined.
+	Cols []Vector
+	// Sel lists the rows of Cols that satisfy every predicate, ascending.
+	Sel []int32
+	// Slots, when set, is the semaphore extra decode goroutines are won
+	// from, one slot each, by try-acquire: with none free every row group
+	// is decoded on the caller's goroutine. Nil allows up to
+	// min(GOMAXPROCS, 8) goroutines unconditionally.
+	Slots chan struct{}
+
+	spans   []groupSpan
+	scratch []*groupScratch // one per decoding goroutine
+}
+
+// groupSpan is one row group a scan decodes: its rows occupy
+// [base, base+g.Rows) of the batch's vectors.
+type groupSpan struct {
+	g       *RowGroup
+	base    int
+	sel     int  // surviving rows
+	decoded int  // chunks inflated
+	skipped bool // eliminated by the dictionary pre-pass
+	err     error
+}
+
+// groupScratch is one decoding goroutine's reusable state.
+type groupScratch struct {
+	cr      chunkReader
+	sel     []int32  // the group's surviving rows, group-relative
+	masks   [][]byte // dictionary pre-pass keep bitmaps, one per predicate it answered
+	handled []bool   // by predicate: answered by the pre-pass
+	nulls   []byte   // the pre-pass's null bitmap
+	accept  []bool   // the pre-pass's dictionary-id table
+	local   []Vector // by file column: the group's columns only a predicate reads
+}
+
+// worker returns the scratch of decoding goroutine w.
+func (b *Batch) worker(w int) *groupScratch {
+	for len(b.scratch) <= w {
+		b.scratch = append(b.scratch, new(groupScratch))
+	}
+	return b.scratch[w]
+}
+
+// helpers wins up to want extra decode goroutines.
+func (b *Batch) helpers(want int) int {
+	if b.Slots == nil {
+		return want
+	}
+	for n := 0; n < want; n++ {
+		select {
+		case b.Slots <- struct{}{}:
+		default:
+			return n
+		}
+	}
+	return want
 }
 
 // scanWorkerCap bounds the row-group decode pool; inflate is CPU-bound,
@@ -549,52 +773,60 @@ const scanWorkerCap = 8
 
 // scanWorkers picks the decode fan-out for n selected row groups.
 func scanWorkers(n int) int {
-	w := runtime.GOMAXPROCS(0)
-	if w > scanWorkerCap {
-		w = scanWorkerCap
-	}
-	if w > n {
-		w = n
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+	return max(1, min(runtime.GOMAXPROCS(0), scanWorkerCap, n))
 }
 
-// scanCtx is the per-ScanColumns plan shared by every row group: the
-// output projection, the columns that must be decoded, and the predicate
-// column mapping.
-type scanCtx struct {
-	outSchema *schema.Schema
-	need      []int  // projection ∪ predicate columns, ascending
-	proj      []bool // by column index: part of the projection
-	outIdx    []int
-	predIdx   []int
-	preds     []Predicate
+// scanPlan is what every row group of one scan shares: where the
+// projection and the predicates sit in the file's schema.
+type scanPlan struct {
+	outIdx  []int // by projected column: its file column
+	predIdx []int // by predicate: its file column, -1 for none
+	preds   []Predicate
+	// wants holds, by predicate, the candidates the dictionary pre-pass
+	// tests a string column's entries against; nil where it does not
+	// apply.
+	wants []map[string]bool
+	// proj maps a file column to its projected position, -1 for a column
+	// only predicates read.
+	proj []int
+	// need lists the projected and predicate columns, ascending: the
+	// order a group's chunks decode in, so the first corrupt one is the
+	// one reported.
+	need []int
+}
+
+// answered reports whether the dictionary pre-pass answered every
+// predicate on file column c.
+func (pl *scanPlan) answered(c int, handled []bool) bool {
+	for i, pc := range pl.predIdx {
+		if pc == c && !handled[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // scanGroup evaluates one row group: a dictionary-id pre-pass handles
 // string-equality predicates against the encoded chunk (possibly skipping
-// the whole group), the surviving needed chunks are decoded in ascending
-// column order, the remaining predicates narrow a selection vector of row
-// indices, and each projected column is gathered through it once. Returns
-// the surviving rows, how many column chunks were inflated, and whether
-// the dictionary pre-pass eliminated the group. Row groups are
-// independent, so this is the unit of parallelism in ScanColumns.
-func (fr *FileReader) scanGroup(g *RowGroup, sc *scanCtx) (*schema.Frame, int, bool, error) {
-	if g.Rows > math.MaxInt32 {
-		return nil, 0, false, fmt.Errorf("columnar: row group of %d rows is too large to scan", g.Rows)
-	}
-	var masks [][]byte
-	handled := make([]bool, len(sc.preds))
-	for i, p := range sc.preds {
-		c := sc.predIdx[i]
-		if c < 0 || len(p.In) == 0 || !p.Min.IsNull() || !p.Max.IsNull() ||
-			g.sch.Field(c).Kind != schema.KindString {
+// the whole group), every projected chunk is decoded onto cols at
+// sp.base, a predicate-only chunk into sc unless the pre-pass answered
+// every predicate on it, and the remaining predicates narrow sc.sel, the
+// group's selection vector. cols are presized and the group fills its
+// span in place, so groups decode concurrently.
+func (fr *FileReader) scanGroup(sp *groupSpan, pl *scanPlan, cols []Vector, sc *groupScratch) {
+	g := sp.g
+	sc.masks = sc.masks[:0]
+	sc.handled = resized(sc.handled, len(pl.preds))
+	clear(sc.handled)
+	for i, want := range pl.wants {
+		if want == nil {
 			continue
 		}
-		mask, matched, err := fr.stringEqKeep(g, c, p.In)
+		var buf []byte
+		if n := len(sc.masks); n < cap(sc.masks) {
+			buf = sc.masks[:n+1][n]
+		}
+		mask, matched, err := fr.stringEqKeep(g, pl.predIdx[i], want, buf, sc)
 		if err != nil || mask == nil {
 			// Not evaluable this way (corrupt chunk, unexpected layout):
 			// fall back to exact row evaluation below, which surfaces any
@@ -602,59 +834,186 @@ func (fr *FileReader) scanGroup(g *RowGroup, sc *scanCtx) (*schema.Frame, int, b
 			continue
 		}
 		if matched == 0 {
-			return nil, 0, true, nil
+			sp.skipped = true
+			return
 		}
-		masks = append(masks, mask)
-		handled[i] = true
+		sc.masks = append(sc.masks, mask)
+		sc.handled[i] = true
 	}
-	// A predicate-only column the pre-pass fully answered is not inflated.
-	answered := func(c int) bool {
-		for i, pc := range sc.predIdx {
-			if pc == c && !handled[i] {
-				return false
-			}
-		}
-		return true
-	}
-	decoded := make([]*schema.Column, fr.sch.Len())
-	decodedN := 0
-	for _, c := range sc.need {
-		if !sc.proj[c] && answered(c) {
+	end := sp.base + g.Rows
+	sc.local = resized(sc.local, fr.sch.Len())
+	for _, c := range pl.need {
+		j := pl.proj[c]
+		if j < 0 && pl.answered(c, sc.handled) {
 			continue
 		}
-		col, err := fr.decodeChunk(g, c)
-		if err != nil {
-			return nil, decodedN, false, err
+		v := &sc.local[c]
+		if j >= 0 {
+			w := cols[j].slice(0, sp.base, end)
+			v = &w
+		} else {
+			v.reset(fr.sch.Field(c).Kind)
 		}
-		decoded[c] = col
-		decodedN++
+		if sp.err = fr.decodeChunk(g, c, v, &sc.cr); sp.err != nil {
+			return
+		}
+		sp.decoded++
 	}
 	// The selection vector stays ascending through every narrowing step,
 	// so surviving rows keep their file order.
-	sel := make([]int32, 0, g.Rows)
+	sel := sc.sel[:0]
 rows:
 	for r := 0; r < g.Rows; r++ {
-		for _, m := range masks {
+		for _, m := range sc.masks {
 			if !bitmapGet(m, r) {
 				continue rows
 			}
 		}
 		sel = append(sel, int32(r))
 	}
-	for i, p := range sc.preds {
-		if !handled[i] && sc.predIdx[i] >= 0 {
-			sel = p.filter(decoded[sc.predIdx[i]], sel)
+	for i, p := range pl.preds {
+		c := pl.predIdx[i]
+		if sc.handled[i] || c < 0 {
+			continue
+		}
+		v := &sc.local[c]
+		if j := pl.proj[c]; j >= 0 {
+			span := cols[j].slice(sp.base, end, end)
+			v = &span
+		}
+		sel = p.filter(v, sel)
+	}
+	sc.sel = sel
+	sp.sel = len(sel)
+}
+
+// ScanInto is the one row-group scan: it selects the row groups whose
+// statistics may satisfy every predicate (conjunctive), decodes the named
+// columns of each — plus any predicate-only column the dictionary
+// pre-pass could not answer — onto b.Cols in file order, and leaves the
+// rows that satisfy every predicate in b.Sel. Nothing is gathered or
+// concatenated: a caller reads the selected rows through b.Sel. Row
+// groups are decoded on the calling goroutine, concurrently on helpers
+// b.Slots lends (see Batch).
+func (fr *FileReader) ScanInto(b *Batch, columns []string, preds ...Predicate) (ScanStats, error) {
+	st := ScanStats{GroupsTotal: len(fr.groups)}
+	pl := scanPlan{
+		outIdx:  make([]int, len(columns)),
+		predIdx: make([]int, len(preds)),
+		preds:   preds,
+		wants:   make([]map[string]bool, len(preds)),
+		proj:    make([]int, fr.sch.Len()),
+	}
+	for c := range pl.proj {
+		pl.proj[c] = -1
+	}
+	for j, name := range columns {
+		c, ok := fr.sch.Index(name)
+		if !ok {
+			return st, fmt.Errorf("columnar: scan: no column named %q", name)
+		}
+		if pl.proj[c] >= 0 {
+			return st, fmt.Errorf("columnar: scan: column %q named twice", name)
+		}
+		pl.outIdx[j], pl.proj[c] = c, j
+	}
+	for i, p := range preds {
+		c, ok := fr.sch.Index(p.Col)
+		if !ok {
+			pl.predIdx[i] = -1
+			continue
+		}
+		pl.predIdx[i] = c
+		if len(p.In) > 0 && p.Min.IsNull() && p.Max.IsNull() && fr.sch.Field(c).Kind == schema.KindString {
+			pl.wants[i] = wantSet(p.In)
 		}
 	}
-	cols := make([]*schema.Column, len(sc.outIdx))
-	for i, c := range sc.outIdx {
-		cols[i] = decoded[c]
-		if len(sel) < g.Rows {
-			cols[i] = decoded[c].Gather(sel)
+	for c := range pl.proj {
+		if pl.proj[c] >= 0 || slices.Contains(pl.predIdx, c) {
+			pl.need = append(pl.need, c)
 		}
 	}
-	f, err := schema.FrameOfColumns(sc.outSchema, cols)
-	return f, decodedN, false, err
+
+	b.Cols = resized(b.Cols, len(columns))
+	for j, c := range pl.outIdx {
+		b.Cols[j].reset(fr.sch.Field(c).Kind)
+	}
+	b.Sel = b.Sel[:0]
+	b.spans = b.spans[:0]
+	total := 0
+groups:
+	for i := range fr.groups {
+		g := &fr.groups[i]
+		st.ColumnsTotal += len(g.chunks)
+		for _, p := range preds {
+			if !p.matches(fr.sch, g) {
+				continue groups
+			}
+		}
+		b.spans = append(b.spans, groupSpan{g: g, base: total})
+		total += g.Rows
+	}
+	st.GroupsScanned = len(b.spans)
+	// Sel indexes the spans' rows as int32.
+	if total > math.MaxInt32 {
+		return st, fmt.Errorf("columnar: %d rows are too many to scan at once", total)
+	}
+
+	// Every span gets its rows presized, whether or not the pre-pass then
+	// skips it, so groups fill disjoint spans, concurrently when helpers
+	// are won; each group's selection lands at its span's start.
+	for j := range b.Cols {
+		b.Cols[j].grow(total)
+	}
+	b.Sel = resized(b.Sel, total)
+	helpers := b.helpers(scanWorkers(len(b.spans)) - 1)
+	st.Workers = helpers + 1
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	work := func(sc *groupScratch) {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= len(b.spans) {
+				return
+			}
+			sp := &b.spans[i]
+			fr.scanGroup(sp, &pl, b.Cols, sc)
+			for k, r := range sc.sel[:sp.sel] {
+				b.Sel[sp.base+k] = int32(sp.base) + r
+			}
+		}
+	}
+	wg.Add(helpers)
+	for w := 1; w <= helpers; w++ {
+		go func(sc *groupScratch) {
+			defer wg.Done()
+			if b.Slots != nil {
+				defer func() { <-b.Slots }()
+			}
+			work(sc)
+		}(b.worker(w))
+	}
+	work(b.worker(0))
+	wg.Wait()
+	n := 0
+	for i := range b.spans {
+		sp := &b.spans[i]
+		if sp.err != nil {
+			return st, sp.err
+		}
+		n += copy(b.Sel[n:], b.Sel[sp.base:sp.base+sp.sel])
+	}
+	b.Sel = b.Sel[:n]
+	for i := range b.spans {
+		sp := &b.spans[i]
+		st.ColumnsDecoded += sp.decoded
+		if sp.skipped {
+			st.GroupsDictSkipped++
+		} else {
+			st.RowsDecoded += sp.g.Rows
+		}
+	}
+	return st, nil
 }
 
 // stringEqKeep evaluates a string-equality candidate set against column
@@ -663,11 +1022,16 @@ rows:
 // rejects the whole group after inflating only the dictionary prefix; a
 // hit streams the ids into a keep bitmap. Plain mode streams the strings.
 // A nil mask with a nil error means the chunk isn't evaluable this way
-// and the caller must fall back to exact evaluation.
-func (fr *FileReader) stringEqKeep(g *RowGroup, c int, in []schema.Value) ([]byte, int, error) {
+// and the caller must fall back to exact evaluation. The mask is built in
+// mask's storage and the null bitmap and id table in sc's.
+func (fr *FileReader) stringEqKeep(g *RowGroup, c int, want map[string]bool, mask []byte, sc *groupScratch) ([]byte, int, error) {
 	ch := g.chunks[c]
-	cr := openChunk(ch)
-	defer cr.release()
+	cr := &sc.cr
+	cr.open(ch)
+	defer cr.close()
+	if cr.br == nil {
+		cr.br = bufio.NewReader(&cr.lim)
+	}
 	br := cr.br
 	br.Reset(&cr.lim)
 	kind, err := br.ReadByte()
@@ -678,15 +1042,10 @@ func (fr *FileReader) stringEqKeep(g *RowGroup, c int, in []schema.Value) ([]byt
 	if err != nil || n != uint64(g.Rows) {
 		return nil, 0, err
 	}
-	nulls := make([]byte, bitmapBytes(g.Rows))
+	nulls := resized(sc.nulls, bitmapBytes(g.Rows))
+	sc.nulls = nulls
 	if _, err := io.ReadFull(br, nulls); err != nil {
 		return nil, 0, err
-	}
-	want := make(map[string]bool, len(in))
-	for _, v := range in {
-		if !v.IsNull() && v.Kind() == schema.KindString {
-			want[v.StrVal()] = true
-		}
 	}
 	// wanted reads the next string into the reader's scratch and reports
 	// whether it is a candidate; the map lookup does not copy the bytes.
@@ -708,7 +1067,8 @@ func (fr *FileReader) stringEqKeep(g *RowGroup, c int, in []schema.Value) ([]byt
 	if err != nil {
 		return nil, 0, err
 	}
-	mask := make([]byte, bitmapBytes(g.Rows))
+	mask = resized(mask, bitmapBytes(g.Rows))
+	clear(mask)
 	matched := 0
 	switch mode {
 	case strDict:
@@ -718,7 +1078,8 @@ func (fr *FileReader) stringEqKeep(g *RowGroup, c int, in []schema.Value) ([]byt
 		}
 		// accept[id] says dictionary entry id is a candidate. It grows
 		// with the entries actually read, not with the declared dn.
-		var accept []bool
+		accept := sc.accept[:0]
+		defer func() { sc.accept = accept }()
 		hit := false
 		for i := uint64(0); i < dn; i++ {
 			ok, err := wanted()
@@ -768,120 +1129,32 @@ func (fr *FileReader) stringEqKeep(g *RowGroup, c int, in []schema.Value) ([]byt
 	return mask, matched, nil
 }
 
-// ScanColumns is Scan with projection pushdown: only the named columns
-// (plus any columns the predicates reference) are decoded, and the result
-// frame contains exactly the named columns in the given order. On wide
-// Silver frames this skips most of the inflate work. Row groups that
-// survive predicate pushdown are decoded concurrently by a bounded worker
-// pool; output row order is preserved (groups are appended in file order).
+// ScanColumns is ScanInto materialised: the selected rows of the named
+// columns as a frame, in that column order. Only the named columns (plus
+// any columns the predicates reference) are decoded, so on wide Silver
+// frames this skips most of the inflate work.
 func (fr *FileReader) ScanColumns(columns []string, preds ...Predicate) (*ScanResult, error) {
 	outSchema, err := fr.sch.Project(columns...)
 	if err != nil {
 		return nil, err
 	}
-	// Columns that must be decoded: projection plus predicate columns.
-	sc := &scanCtx{
-		outSchema: outSchema,
-		proj:      make([]bool, fr.sch.Len()),
-		outIdx:    make([]int, len(columns)),
-		predIdx:   make([]int, len(preds)),
-		preds:     preds,
+	var b Batch
+	st, err := fr.ScanInto(&b, columns, preds...)
+	if err != nil {
+		return nil, err
 	}
-	need := make([]bool, fr.sch.Len())
-	for i, c := range columns {
-		j := fr.sch.MustIndex(c)
-		sc.outIdx[i] = j
-		need[j] = true
-		sc.proj[j] = true
-	}
-	for i, p := range preds {
-		j, ok := fr.sch.Index(p.Col)
-		if !ok {
-			sc.predIdx[i] = -1
-			continue
-		}
-		sc.predIdx[i] = j
-		need[j] = true
-	}
-	for c, n := range need {
-		if n {
-			sc.need = append(sc.need, c)
-		}
-	}
-
-	res := &ScanResult{Frame: schema.NewFrame(outSchema), GroupsTotal: len(fr.groups)}
-	selected := make([]*RowGroup, 0, len(fr.groups))
-	for _, g := range fr.groups {
-		res.ColumnsTotal += len(g.chunks)
-		skip := false
-		for _, p := range preds {
-			if !p.matches(fr.sch, g) {
-				skip = true
-				break
-			}
-		}
-		if skip {
-			continue
-		}
-		selected = append(selected, g)
-	}
-	res.GroupsScanned = len(selected)
-
-	frames := make([]*schema.Frame, len(selected))
-	decodedN := make([]int, len(selected))
-	dictSkip := make([]bool, len(selected))
-	errs := make([]error, len(selected))
-	workers := scanWorkers(len(selected))
-	if workers <= 1 {
-		for i, g := range selected {
-			frames[i], decodedN[i], dictSkip[i], errs[i] = fr.scanGroup(g, sc)
-		}
-	} else {
-		var next atomic.Int32
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(selected) {
-						return
-					}
-					frames[i], decodedN[i], dictSkip[i], errs[i] = fr.scanGroup(selected[i], sc)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-	var parts []*schema.Frame
-	rows := 0
-	for i := range selected {
-		if errs[i] != nil {
-			return nil, errs[i]
-		}
-		res.ColumnsDecoded += decodedN[i]
-		if dictSkip[i] {
-			res.GroupsDictSkipped++
-			continue
-		}
-		res.RowsDecoded += selected[i].Rows
-		if n := frames[i].Len(); n > 0 {
-			parts = append(parts, frames[i])
-			rows += n
-		}
-	}
-	if len(parts) == 1 {
-		res.Frame = parts[0] // nothing to concatenate: hand the group through
-		return res, nil
-	}
-	res.Frame.Grow(rows)
-	for _, f := range parts {
-		if err := res.Frame.AppendFrame(f); err != nil {
+	cols := make([]*schema.Column, len(b.Cols))
+	for j := range b.Cols {
+		b.Cols[j].compact(b.Sel)
+		if cols[j], err = b.Cols[j].column(); err != nil {
 			return nil, err
 		}
 	}
-	return res, nil
+	f, err := schema.FrameOfColumns(outSchema, cols)
+	if err != nil {
+		return nil, err
+	}
+	return &ScanResult{Frame: f, ScanStats: st}, nil
 }
 
 // Scan is ScanColumns over every column: it decodes all row groups that

@@ -130,9 +130,10 @@ func refScanColumns(fr *FileReader, columns []string, preds ...Predicate) (*Scan
 		predIdx[i] = j
 		need[j] = true
 	}
-	res := &ScanResult{Frame: schema.NewFrame(outSchema), GroupsTotal: len(fr.groups)}
+	res := &ScanResult{Frame: schema.NewFrame(outSchema), ScanStats: ScanStats{GroupsTotal: len(fr.groups)}}
 groups:
-	for _, g := range fr.groups {
+	for gi := range fr.groups {
+		g := &fr.groups[gi]
 		res.ColumnsTotal += len(g.chunks)
 		for _, p := range preds {
 			if !p.matches(fr.sch, g) {
@@ -149,7 +150,7 @@ groups:
 				g.sch.Field(c).Kind != schema.KindString {
 				continue
 			}
-			mask, matched, err := fr.stringEqKeep(g, c, p.In)
+			mask, matched, err := fr.stringEqKeep(g, c, wantSet(p.In), nil, new(groupScratch))
 			if err != nil || mask == nil {
 				continue
 			}
@@ -172,7 +173,11 @@ groups:
 			if !need[c] || skip {
 				continue
 			}
-			col, err := fr.decodeChunk(g, c)
+			v := Vector{Kind: fr.sch.Field(c).Kind}
+			if err := fr.decodeChunk(g, c, &v, new(chunkReader)); err != nil {
+				return nil, err
+			}
+			col, err := v.column()
 			if err != nil {
 				return nil, err
 			}
@@ -262,7 +267,8 @@ func TestScanColumnsMatchesRowReference(t *testing.T) {
 				t.Fatalf("iter %d: cols %v preds %+v: %d rows, reference has %d",
 					iter, cols, preds, got.Frame.Len(), want.Frame.Len())
 			}
-			got.Frame, want.Frame = nil, nil
+			// The reference decodes on one goroutine; the pool may not.
+			got.Frame, want.Frame, got.Workers = nil, nil, 0
 			if *got != *want {
 				t.Fatalf("iter %d: cols %v preds %+v: counters %+v, reference %+v", iter, cols, preds, *got, *want)
 			}

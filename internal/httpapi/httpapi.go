@@ -478,8 +478,9 @@ func writeQueryStatHeaders(w http.ResponseWriter, stats tsdb.QueryStats) {
 	w.Header().Set("X-ODA-Query-Segments-Pruned", strconv.Itoa(stats.SegmentsPruned))
 	w.Header().Set("X-ODA-Query-Workers", strconv.Itoa(stats.Workers))
 	w.Header().Set("X-ODA-Query-Micros", strconv.FormatInt(stats.TotalWall.Microseconds(), 10))
-	// Tier federation: which storage tiers answered, and how much cold
-	// data the pruning metadata let the engine skip without decoding.
+	// Tier federation: which storage tiers answered, how much cold data
+	// the pruning metadata let the engine skip without decoding, and how
+	// many cold rows it decoded per cold cell it folded.
 	tier := "hot"
 	if stats.ColdSegmentsScanned+stats.ColdSegmentsPruned > 0 {
 		tier = "hot+cold"
@@ -491,6 +492,8 @@ func writeQueryStatHeaders(w http.ResponseWriter, stats tsdb.QueryStats) {
 	w.Header().Set("X-ODA-Query-Cold-Segments-Scanned", strconv.Itoa(stats.ColdSegmentsScanned))
 	w.Header().Set("X-ODA-Query-Cold-Segments-Pruned", strconv.Itoa(stats.ColdSegmentsPruned))
 	w.Header().Set("X-ODA-Query-RowGroups-Pruned", strconv.Itoa(stats.ColdRowGroupsPruned))
+	w.Header().Set("X-ODA-Query-Cold-Rows-Decoded", strconv.FormatInt(stats.ColdRowsDecoded, 10))
+	w.Header().Set("X-ODA-Query-Cold-Cells", strconv.FormatInt(stats.ColdCells, 10))
 	w.Header().Set("X-ODA-Query-Glacier-Pending", strconv.Itoa(stats.GlacierPending))
 	w.Header().Set("X-ODA-Query-Recall-Wait-Ms", strconv.FormatInt(stats.RecallWait.Milliseconds(), 10))
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 
@@ -123,6 +124,10 @@ func TestLakeQueryTierHeaders(t *testing.T) {
 	if h.Get("X-ODA-Query-Cold-Segments-Scanned") != "0" {
 		t.Fatalf("cold scans before offload = %q", h.Get("X-ODA-Query-Cold-Segments-Scanned"))
 	}
+	if h.Get("X-ODA-Query-Cold-Rows-Decoded") != "0" || h.Get("X-ODA-Query-Cold-Cells") != "0" {
+		t.Fatalf("cold decode before offload: rows=%q cells=%q",
+			h.Get("X-ODA-Query-Cold-Rows-Decoded"), h.Get("X-ODA-Query-Cold-Cells"))
+	}
 
 	off, err := f.Lake.Offload(t0.Add(2 * time.Hour))
 	if err != nil {
@@ -137,6 +142,15 @@ func TestLakeQueryTierHeaders(t *testing.T) {
 	}
 	if h.Get("X-ODA-Query-Cold-Segments-Scanned") == "0" {
 		t.Fatal("no cold segments scanned after full offload")
+	}
+	// The decode amplification is readable over the wire: every folded
+	// cold cell was decoded, and the filtered query decodes more rows of
+	// its row groups than it folds.
+	decoded, derr := strconv.ParseInt(h.Get("X-ODA-Query-Cold-Rows-Decoded"), 10, 64)
+	cells, cerr := strconv.ParseInt(h.Get("X-ODA-Query-Cold-Cells"), 10, 64)
+	if derr != nil || cerr != nil || cells == 0 || decoded <= cells {
+		t.Fatalf("cold rows decoded %q, cold cells %q: want decoded > cells > 0",
+			h.Get("X-ODA-Query-Cold-Rows-Decoded"), h.Get("X-ODA-Query-Cold-Cells"))
 	}
 	if h.Get("X-ODA-Query-Glacier-Pending") != "0" || h.Get("X-ODA-Query-Recall-Wait-Ms") != "0" {
 		t.Fatalf("unexpected glacier involvement: pending=%q wait=%q",

@@ -511,10 +511,16 @@ func TestForgedColdObjects(t *testing.T) {
 
 // groupedFixture is the harness's history_scan shape in-process: hours
 // one-hour chunks of 8 nodes x 10 metrics at the 15 s rollup (19 200
-// cells a segment), all but the newest offloaded, result cache off; and
-// its grouped query, an unfiltered group-by-metric at 15 minutes over
-// everything.
+// cells a segment), all but the newest offloaded at the tier's default
+// row-group size, result cache off; and its grouped query, an unfiltered
+// group-by-metric at 15 minutes over everything.
 func groupedFixture(tb testing.TB, hours int) (*DB, Query) {
+	return groupedFixtureRows(tb, hours, 0)
+}
+
+// groupedFixtureRows is groupedFixture offloaded at rowGroupRows rows a
+// row group (0 for the default).
+func groupedFixtureRows(tb testing.TB, hours, rowGroupRows int) (*DB, Query) {
 	tb.Helper()
 	db := New(Options{SegmentDuration: time.Hour, RollupInterval: 15 * time.Second, QueryCacheSize: -1})
 	batch := make([]schema.Observation, 0, 80)
@@ -533,7 +539,7 @@ func groupedFixture(tb testing.TB, hours int) (*DB, Query) {
 			tb.Fatal(err)
 		}
 	}
-	attachTier(tb, db, nil, ColdTierConfig{Prefix: "lake/"})
+	attachTier(tb, db, nil, ColdTierConfig{Prefix: "lake/", RowGroupRows: rowGroupRows})
 	off, err := db.Offload(base.Add(time.Duration(hours-1)*time.Hour + time.Second))
 	if err != nil {
 		tb.Fatal(err)
@@ -547,15 +553,37 @@ func groupedFixture(tb testing.TB, hours int) (*DB, Query) {
 	}
 }
 
-// TestColdFoldAllocations guards the two ways heap staging could creep
-// back into the grouped cold fold. The fold stage — order the rows of one
-// decoded 19 200-row segment, fold them from the vectors — allocates
-// nothing on a partialSet that has seen the segment before: a per-segment
-// make([]Key, n) is one allocation too many. And a warm grouped federated
-// query end to end stays near the ~550 objects a segment's decode costs
-// (1 096 measured for two segments and the hot hour, ~1 300 under -race,
-// whose sync.Pool drops scratch at random), so nothing per row — a boxed
-// value, a string copy — can hide in it either.
+// warmQueryAllocs is the allocations of one warm run of q on db, which
+// must fold want cold cells: the least of three averages, since under
+// -race sync.Pool drops the pooled partialSet at random.
+func warmQueryAllocs(t *testing.T, db *DB, q Query, want int64) float64 {
+	t.Helper()
+	least := math.Inf(1)
+	for i := 0; i < 3; i++ {
+		least = min(least, testing.AllocsPerRun(10, func() {
+			_, st, err := db.RunWithStats(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.ColdCells != want {
+				t.Fatalf("folded %d cold cells, want %d", st.ColdCells, want)
+			}
+		}))
+	}
+	return least
+}
+
+// TestColdFoldAllocations guards the ways heap staging could creep back
+// into the grouped cold fold. The fold stage — order the selected rows of
+// one decoded 19 200-row segment, fold them from the batch's vectors —
+// allocates nothing on a partialSet that has seen the segment before: a
+// per-segment make([]Key, n) is one allocation too many. A warm grouped
+// federated query end to end stays near what reading its two segments'
+// objects costs (~350 objects measured at 1 024-row groups, the hot hour
+// included),
+// so nothing per row — a boxed value, a string copy — can hide in it
+// either. And the decode itself allocates nothing per row group: the
+// same query over 4 096-row groups, a quarter as many, costs within 10 %.
 func TestColdFoldAllocations(t *testing.T) {
 	const hours = 3
 	db, q := groupedFixture(t, hours)
@@ -570,13 +598,12 @@ func TestColdFoldAllocations(t *testing.T) {
 	}
 	p := Compile(q)
 	names, preds := coldPlan(&p, false)
-	res, err := fr.ScanColumns(names, preds...)
-	if err != nil {
+	var ps partialSet
+	if _, err := fr.ScanInto(&ps.cold, names, preds...); err != nil {
 		t.Fatal(err)
 	}
-	var ps partialSet
 	fold := func() {
-		if n, err := ps.foldCold(res.Frame, &p, false); err != nil || n != 19200 {
+		if n, err := ps.foldCold(names, &p, false); err != nil || n != 19200 {
 			t.Fatalf("folded %d cells: %v", n, err)
 		}
 	}
@@ -584,19 +611,42 @@ func TestColdFoldAllocations(t *testing.T) {
 		t.Errorf("folding a decoded segment allocates %.0f objects, want 0", allocs)
 	}
 
-	query := func() {
-		_, st, err := db.RunWithStats(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.ColdCells != (hours-1)*19200 {
-			t.Fatalf("folded %d cold cells", st.ColdCells)
-		}
-	}
-	allocs := testing.AllocsPerRun(10, query)
+	allocs := warmQueryAllocs(t, db, q, (hours-1)*19200)
 	t.Logf("%.0f allocations per warm grouped query", allocs)
 	if allocs > 1600 {
 		t.Errorf("%.0f allocations per warm grouped query, want <= 1600", allocs)
+	}
+	coarse, q := groupedFixtureRows(t, hours, 4096)
+	wide := warmQueryAllocs(t, coarse, q, (hours-1)*19200)
+	t.Logf("%.0f allocations at 4096-row groups", wide)
+	if allocs > 1.1*wide {
+		t.Errorf("%.0f allocations at 1024-row groups, %.0f at 4096: the decode allocates per row group", allocs, wide)
+	}
+}
+
+// TestColdFoldEmptyScanOnFreshSet: a first scan whose predicates prune
+// every row group leaves a fresh partialSet's vectors unallocated, and
+// folding it is zero cells, not an error.
+func TestColdFoldEmptyScanOnFreshSet(t *testing.T) {
+	db, q := groupedFixture(t, 2)
+	ct := db.ColdTier()
+	data, _, err := ct.cfg.Store.Get(ct.cfg.Bucket, ct.segs[0].meta.Key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := columnar.NewFileReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Compile(q)
+	names, _ := coldPlan(&p, false)
+	var ps partialSet
+	ss, err := fr.ScanInto(&ps.cold, names, columnar.Predicate{Col: "stripe", Min: schema.Int(shardCount)})
+	if err != nil || ss.GroupsScanned != 0 {
+		t.Fatalf("scanned %d row groups: %v", ss.GroupsScanned, err)
+	}
+	if n, err := ps.foldCold(names, &p, false); err != nil || n != 0 {
+		t.Fatalf("folded %d cells: %v", n, err)
 	}
 }
 

@@ -26,6 +26,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"odakit/internal/columnar"
 	"odakit/internal/schema"
 )
 
@@ -132,10 +133,12 @@ var (
 // partialSet is one query's per-shard partial-aggregation tables. Sets
 // are pooled per DB: a steady query load reuses grown slot arrays
 // instead of re-allocating ~megabytes of table per query, which keeps
-// the garbage collector out of the scan path. The cold fold's ordering
-// scratch rides in the same pooled object for the same reason.
+// the garbage collector out of the scan path. The cold fold's decode
+// vectors and ordering scratch ride in the same pooled object for the
+// same reason.
 type partialSet struct {
 	tables [shardCount]GroupTable
+	cold   columnar.Batch
 	order  coldOrder
 }
 
@@ -147,7 +150,8 @@ func (db *DB) getPartials() *partialSet {
 		}
 		return ps
 	}
-	return &partialSet{}
+	// Cold decode helpers are scan helpers: they come from the same slots.
+	return &partialSet{cold: columnar.Batch{Slots: db.scanSlots}}
 }
 
 func (db *DB) putPartials(ps *partialSet) { db.partials.Put(ps) }
@@ -184,6 +188,9 @@ type QueryStats struct {
 	// row groups would have to improve.
 	ColdRowsDecoded int64
 	ColdCells       int64
+	// ColdWorkers is the most goroutines that decoded one cold segment,
+	// the query's own included; extra ones are won from the scan slots.
+	ColdWorkers int
 	// GlacierSegments counts cold segments whose object had aged into
 	// the archive; GlacierPending how many were unreadable this pass
 	// (recall not complete — the answer excludes them), GlacierRecalls

@@ -25,9 +25,12 @@ func forceParallel(t *testing.T) {
 // 2 sources × 8 components × 2 metrics over 30 minutes. Small enough
 // that 1k queries stay fast under -race, rich enough that group-by and
 // filter combinations produce non-trivial shapes.
-func propDB(cacheSize int) *DB {
+func propDB(cacheSize int) *DB { return propDBChunks(cacheSize, 10*time.Minute) }
+
+// propDBChunks is propDB's data in time chunks of seg.
+func propDBChunks(cacheSize int, seg time.Duration) *DB {
 	db := New(Options{
-		SegmentDuration: 10 * time.Minute, RollupInterval: 15 * time.Second,
+		SegmentDuration: seg, RollupInterval: 15 * time.Second,
 		QueryCacheSize: cacheSize,
 	})
 	rng := rand.New(rand.NewSource(7))

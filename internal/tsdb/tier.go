@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -79,8 +78,9 @@ type ColdTierConfig struct {
 	// everything else triggers a non-blocking recall and the query
 	// reports the gap via QueryStats.GlacierPending / RecallWait.
 	Glacier *archive.Archive
-	// RowGroupRows is the OCF row-group size (default 4096). Smaller
-	// groups prune finer; larger groups compress better.
+	// RowGroupRows is the OCF row-group size (default 1024). Smaller
+	// groups prune finer; larger groups compress better. Objects written
+	// at another size stay readable.
 	RowGroupRows int
 	// Now is the clock used to compute recall waits (default time.Now);
 	// tests running simulated archive clocks set it to match.
@@ -199,7 +199,7 @@ func (db *DB) AttachColdTier(cfg ColdTierConfig) (*ColdTier, error) {
 		return nil, fmt.Errorf("tsdb: cold tier needs a store and bucket")
 	}
 	if cfg.RowGroupRows <= 0 {
-		cfg.RowGroupRows = 4096
+		cfg.RowGroupRows = 1024
 	}
 	ct := &ColdTier{cfg: cfg}
 	data, _, err := cfg.Store.Get(cfg.Bucket, ct.manifestKey())
@@ -770,46 +770,52 @@ func (o *coldOrder) scatter(stripe, seq []int64) bool {
 	return true
 }
 
-// coldColumns splits a scanned frame into the fold coordinates and the
-// kernel's column set; a column the projection left out stays nil.
+// coldColumn points the kernel's column set, or a fold coordinate, at
+// the vector of ColdSchema column name; an unknown name is ignored.
+func coldColumn(cols *Columns, stripe, seq *[]int64, name string, ints []int64, floats []float64, strs []string) {
+	switch name {
+	case "stripe":
+		*stripe = ints
+	case "seq":
+		*seq = ints
+	case "bucket":
+		cols.Bucket = ints
+	case "system":
+		cols.Dims[0] = strs
+	case "source":
+		cols.Dims[1] = strs
+	case "component":
+		cols.Dims[2] = strs
+	case "metric":
+		cols.Dims[3] = strs
+	case "count":
+		cols.Count = ints
+	case "sum":
+		cols.Sum = floats
+	case "min":
+		cols.Min = floats
+	case "max":
+		cols.Max = floats
+	case "last":
+		cols.Last = floats
+	case "last_ts":
+		cols.LastTs = ints
+	}
+}
+
+// coldColumns splits a ColdSchema frame into the fold coordinates and the
+// kernel's column set.
 func coldColumns(f *schema.Frame) (cols Columns, stripe, seq []int64) {
 	sch := f.Schema()
 	for i := 0; i < sch.Len(); i++ {
 		c := f.Col(i)
-		switch sch.Field(i).Name {
-		case "stripe":
-			stripe = c.Ints()
-		case "seq":
-			seq = c.Ints()
-		case "bucket":
-			cols.Bucket = c.Ints()
-		case "system":
-			cols.Dims[0] = c.Strs()
-		case "source":
-			cols.Dims[1] = c.Strs()
-		case "component":
-			cols.Dims[2] = c.Strs()
-		case "metric":
-			cols.Dims[3] = c.Strs()
-		case "count":
-			cols.Count = c.Ints()
-		case "sum":
-			cols.Sum = c.Floats()
-		case "min":
-			cols.Min = c.Floats()
-		case "max":
-			cols.Max = c.Floats()
-		case "last":
-			cols.Last = c.Floats()
-		case "last_ts":
-			cols.LastTs = c.Ints()
-		}
+		coldColumn(&cols, &stripe, &seq, sch.Field(i).Name, c.Ints(), c.Floats(), c.Strs())
 	}
 	return cols, stripe, seq
 }
 
 // scanSegment scans one segment object with predicate + projection
-// pushdown and folds the matches into ps.
+// pushdown into the set's batch and folds the matches into its tables.
 func (ct *ColdTier) scanSegment(seg *coldSegment, p *Plan, st *QueryStats, ps *partialSet, noPrune bool) error {
 	data, err := ct.getObject(seg.meta.Key, st)
 	if err != nil {
@@ -823,16 +829,17 @@ func (ct *ColdTier) scanSegment(seg *coldSegment, p *Plan, st *QueryStats, ps *p
 		return fmt.Errorf("tsdb: cold segment %s: %w", seg.meta.Key, err)
 	}
 
-	cols, preds := coldPlan(p, noPrune)
-	res, err := fr.ScanColumns(cols, preds...)
+	names, preds := coldPlan(p, noPrune)
+	ss, err := fr.ScanInto(&ps.cold, names, preds...)
 	if err != nil {
 		return fmt.Errorf("tsdb: cold segment %s: %w", seg.meta.Key, err)
 	}
 	st.ColdSegmentsScanned++
-	st.ColdRowGroupsScanned += res.GroupsScanned - res.GroupsDictSkipped
-	st.ColdRowGroupsPruned += res.GroupsTotal - res.GroupsScanned + res.GroupsDictSkipped
-	st.ColdRowsDecoded += int64(res.RowsDecoded)
-	folded, err := ps.foldCold(res.Frame, p, noPrune)
+	st.ColdRowGroupsScanned += ss.GroupsScanned - ss.GroupsDictSkipped
+	st.ColdRowGroupsPruned += ss.GroupsTotal - ss.GroupsScanned + ss.GroupsDictSkipped
+	st.ColdRowsDecoded += int64(ss.RowsDecoded)
+	st.ColdWorkers = max(st.ColdWorkers, ss.Workers)
+	folded, err := ps.foldCold(names, p, noPrune)
 	if err != nil {
 		return fmt.Errorf("tsdb: cold segment %s: %w", seg.meta.Key, err)
 	}
@@ -840,22 +847,33 @@ func (ct *ColdTier) scanSegment(seg *coldSegment, p *Plan, st *QueryStats, ps *p
 	return nil
 }
 
-// foldCold folds one segment's scanned frame into the per-stripe tables
-// in (stripe, seq) order, straight from the decoded column vectors, and
-// returns how many cells that was. It allocates nothing once the set's
-// ordering scratch has grown to the segment.
-func (ps *partialSet) foldCold(f *schema.Frame, p *Plan, noPrune bool) (int64, error) {
-	n := f.Len()
-	if n == 0 {
+// foldCold folds the selected rows of the set's batch — one segment's
+// scan of the ColdSchema columns names — into the per-stripe tables in
+// (stripe, seq) order, straight from the decoded vectors, and returns how
+// many cells that was. It allocates nothing once the set's ordering
+// scratch has grown to the segment.
+func (ps *partialSet) foldCold(names []string, p *Plan, noPrune bool) (int64, error) {
+	b := &ps.cold
+	if len(b.Sel) == 0 {
+		// Nothing survived; a fresh batch's vectors may not even exist.
 		return 0, nil
 	}
-	cols, stripe, seq := coldColumns(f)
-	if n > math.MaxInt32 || len(stripe) != n || len(seq) != n || len(cols.Bucket) != n || len(cols.Count) != n {
-		return 0, fmt.Errorf("%d rows without int stripe, seq, bucket and count columns", n)
+	var cols Columns
+	var stripe, seq []int64
+	for j, name := range names {
+		v := &b.Cols[j]
+		i, _ := ColdSchema.Index(name)
+		if want := ColdSchema.Field(i).Kind; v.Kind != want {
+			return 0, fmt.Errorf("column %s is %v, want %v", name, v.Kind, want)
+		}
+		coldColumn(&cols, &stripe, &seq, name, v.Ints, v.Floats, v.Strs)
+	}
+	if stripe == nil || seq == nil || cols.Bucket == nil || cols.Count == nil {
+		return 0, fmt.Errorf("scan without stripe, seq, bucket and count columns")
 	}
 	o := &ps.order
-	o.rows = slices.Grow(o.rows[:0], n)
-	for r := int32(0); r < int32(n); r++ {
+	o.rows = o.rows[:0]
+	for _, r := range b.Sel {
 		if stripe[r] < 0 || stripe[r] >= shardCount {
 			return 0, fmt.Errorf("stripe %d out of range", stripe[r])
 		}
@@ -867,6 +885,9 @@ func (ps *partialSet) foldCold(f *schema.Frame, p *Plan, noPrune bool) (int64, e
 			}
 		}
 		o.rows = append(o.rows, r)
+	}
+	if len(o.rows) == 0 {
+		return 0, nil
 	}
 	// Restore per-stripe insertion order so folding reproduces the hot
 	// path's accumulation order exactly. The rows were admitted above or

@@ -2,7 +2,8 @@ package oda_test
 
 // The repository's shape rules: one STREAM reader, one LAKE read path, one
 // serialized form for rollup cells, one grouping loop, one sort, one log,
-// one wait and one entry point per operation. Each is a structural fact a later change could quietly undo, so
+// one wait, one entry point per operation and one cold scan. Each is a
+// structural fact a later change could quietly undo, so
 // each is checked over the parsed non-test sources on every `go test
 // ./...`, and each is shown to fire on a synthetic source that breaks it.
 
@@ -13,6 +14,7 @@ import (
 	"go/token"
 	"io/fs"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -71,6 +73,34 @@ func calls(files []srcFile, keep func(srcFile) bool, fn func(s srcFile, c *ast.C
 			fn(s, c, lastName(c.Fun))
 		}
 	})
+}
+
+// callsIn lists, by declaring function ("Recv.Method" or "Func"), the
+// final names of the calls its body makes.
+func callsIn(files []srcFile, keep func(srcFile) bool) map[string][]string {
+	out := map[string][]string{}
+	for _, s := range files {
+		if !keep(s) {
+			continue
+		}
+		for _, d := range s.f.Decls {
+			fd, ok := d.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			name := fd.Name.Name
+			if fd.Recv != nil && len(fd.Recv.List) == 1 {
+				name = lastName(fd.Recv.List[0].Type) + "." + name
+			}
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if c, ok := n.(*ast.CallExpr); ok {
+					out[name] = append(out[name], lastName(c.Fun))
+				}
+				return true
+			})
+		}
+	}
+	return out
 }
 
 // decls lists what the files declare: "func Recv.Method" for a method,
@@ -343,6 +373,42 @@ func (r *Reader) Wait() { <-clock.After(idle) }`},
 			"internal/httpapi/httpapi.go":       "package httpapi\nfunc (s *Server) SetOverloadCheck() {}",
 			"internal/resilience/supervisor.go": "package resilience\nfunc (s *Supervisor) SetClock() {}",
 		},
+	},
+	{
+		name: "one cold scan: tsdb folds cold rows from the scan's vectors",
+		check: func(files []srcFile) (out []string) {
+			calls(files, within("internal/tsdb"), func(s srcFile, _ *ast.CallExpr, name string) {
+				switch name {
+				case "ScanColumns", "Gather", "AppendFrame":
+					out = append(out, s.path+": "+name+": scan into a columnar.Batch and fold through its selection")
+				}
+			})
+			return out
+		},
+		breaks: map[string]string{"internal/tsdb/tier.go": "package tsdb\nfunc scan() { fr.ScanColumns(cols) }"},
+	},
+	{
+		name: "one cold scan: internal/columnar has one row-group loop, FileReader.ScanInto",
+		check: func(files []srcFile) (out []string) {
+			byFunc := callsIn(files, within("internal/columnar"))
+			var loops []string
+			for fn, names := range byFunc {
+				if slices.Contains(names, "matches") {
+					loops = append(loops, fn)
+				}
+			}
+			slices.Sort(loops)
+			if !slices.Equal(loops, []string{"FileReader.ScanInto"}) {
+				out = append(out, fmt.Sprintf("row groups are selected (Predicate.matches) in %v, want FileReader.ScanInto alone", loops))
+			}
+			if !slices.Contains(byFunc["FileReader.ScanColumns"], "ScanInto") {
+				out = append(out, "FileReader.ScanColumns does not call ScanInto")
+			}
+			return out
+		},
+		breaks: map[string]string{"internal/columnar/reader.go": `package columnar
+func (fr *FileReader) ScanInto(b *Batch) { for _, g := range fr.groups { p.matches(fr.sch, g) } }
+func (fr *FileReader) ScanColumns() { for _, g := range fr.groups { p.matches(fr.sch, g) } }`},
 	},
 }
 
