@@ -12,7 +12,8 @@ vet:
 
 # The tests include the repository's shape rules (shape_test.go: one
 # STREAM reader, one LAKE read path, one cell format, one grouping loop,
-# one sort, one log, one wait, one entry point per operation), checked
+# one sort, one log, one wait, one entry point per operation, one cold
+# scan, one chunk decoder, one interner, one parameter reader), checked
 # over the parsed sources.
 test:
 	$(GO) test ./...

@@ -133,10 +133,10 @@ func TestBloomPruningSkipsGroups(t *testing.T) {
 		if res.Frame.Len() != 8 {
 			t.Fatalf("comp %d: got %d rows, want 8", comp, res.Frame.Len())
 		}
-		pruned := res.GroupsTotal - res.GroupsScanned + res.GroupsDictSkipped
+		pruned := res.GroupsTotal - res.GroupsScanned + res.GroupsEmptied
 		if pruned < 7 {
-			t.Fatalf("comp %d: pruned %d groups (scanned=%d dictskip=%d), want >= 7",
-				comp, pruned, res.GroupsScanned, res.GroupsDictSkipped)
+			t.Fatalf("comp %d: pruned %d groups (scanned=%d emptied=%d), want >= 7",
+				comp, pruned, res.GroupsScanned, res.GroupsEmptied)
 		}
 		// A value that exists nowhere prunes everything.
 		res, err = fr.ScanColumns([]string{"ts"}, Predicate{
@@ -148,7 +148,7 @@ func TestBloomPruningSkipsGroups(t *testing.T) {
 		if res.Frame.Len() != 0 {
 			t.Fatalf("comp %d: ghost value matched %d rows", comp, res.Frame.Len())
 		}
-		if res.GroupsScanned-res.GroupsDictSkipped > 0 && res.GroupsScanned == res.GroupsTotal {
+		if res.GroupsScanned-res.GroupsEmptied > 0 && res.GroupsScanned == res.GroupsTotal {
 			t.Fatalf("comp %d: no pruning for absent value", comp)
 		}
 	}
@@ -191,10 +191,15 @@ func TestInPredicateMatchesExactFilter(t *testing.T) {
 	}
 }
 
+// TestDictSkipAvoidsDecode: a group its predicates empty decodes no
+// projection-only chunk, whichever predicate emptied it — a candidate
+// list inside every group's zone map that matches no row, a range inside
+// one group's zone map that falls between two rows (the shape of a
+// bucket range over a cold segment), or the second of two predicates.
 func TestDictSkipAvoidsDecode(t *testing.T) {
-	f := extFrame(t, 4, 64)
-	// No bloom filters: pruning absent values must fall to the dictionary
-	// pre-pass, which reads only the dictionary prefix of the node chunk.
+	const groups = 4
+	f := extFrame(t, groups, 64)
+	// No bloom filters: only the decoded predicate columns can tell.
 	data, err := Encode(f, WriterOptions{RowGroupRows: 64})
 	if err != nil {
 		t.Fatal(err)
@@ -203,21 +208,36 @@ func TestDictSkipAvoidsDecode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := fr.ScanColumns([]string{"value"}, Predicate{
-		Col: "node", In: []schema.Value{schema.Str("nosuchnode")},
-	})
-	if err != nil {
-		t.Fatal(err)
+	var ghosts []schema.Value
+	for g := 0; g < groups; g++ {
+		ghosts = append(ghosts, schema.Str(fmt.Sprintf("node%05dx", g*8+3)))
 	}
-	if res.Frame.Len() != 0 {
-		t.Fatalf("ghost value matched %d rows", res.Frame.Len())
-	}
-	if res.GroupsDictSkipped != res.GroupsScanned {
-		t.Fatalf("dict pre-pass skipped %d of %d selected groups, want all",
-			res.GroupsDictSkipped, res.GroupsScanned)
-	}
-	if res.ColumnsDecoded != 0 {
-		t.Fatalf("decoded %d chunks despite dictionary misses", res.ColumnsDecoded)
+	t0 := time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
+	between := Predicate{Col: "ts", Min: schema.Time(t0.Add(100*time.Second + 1)), Max: schema.Time(t0.Add(101*time.Second - 1))}
+	for _, tc := range []struct {
+		name  string
+		preds []Predicate
+		cols  int // predicate columns an emptied group decodes
+	}{
+		{"candidates", []Predicate{{Col: "node", In: ghosts}}, 1},
+		{"range", []Predicate{between}, 1},
+		{"second predicate", []Predicate{{Col: "node", In: ghosts}, {Col: "ts", Min: schema.Time(t0)}}, 2},
+	} {
+		res, err := fr.ScanColumns([]string{"value"}, tc.preds...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Frame.Len() != 0 || res.GroupsScanned == 0 {
+			t.Fatalf("%s: %d rows from %d groups, want 0 rows from > 0 groups", tc.name, res.Frame.Len(), res.GroupsScanned)
+		}
+		if res.GroupsEmptied != res.GroupsScanned || res.RowsDecoded != 0 {
+			t.Fatalf("%s: emptied %d of %d scanned groups, %d rows decoded; want all, 0",
+				tc.name, res.GroupsEmptied, res.GroupsScanned, res.RowsDecoded)
+		}
+		if res.ColumnsDecoded != tc.cols*res.GroupsScanned {
+			t.Fatalf("%s: decoded %d chunks over %d emptied groups, want their predicate columns alone",
+				tc.name, res.ColumnsDecoded, res.GroupsScanned)
+		}
 	}
 }
 

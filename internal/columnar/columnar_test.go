@@ -162,7 +162,7 @@ func TestStatsAndPushdown(t *testing.T) {
 	}
 
 	// A time-range predicate covering only the middle group scans 1 of 3.
-	res, err := fr.Scan(Predicate{
+	res, err := fr.ScanColumns(nil, Predicate{
 		Col: "ts",
 		Min: schema.Time(base.Add(120 * time.Second)),
 		Max: schema.Time(base.Add(150 * time.Second)),
@@ -191,7 +191,7 @@ func TestScanStringPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := fr.Scan(Predicate{Col: "metric", Min: schema.Str("node_power_w"), Max: schema.Str("node_power_w")})
+	res, err := fr.ScanColumns(nil, Predicate{Col: "metric", Min: schema.Str("node_power_w"), Max: schema.Str("node_power_w")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +208,7 @@ func TestScanUnknownColumnPredicate(t *testing.T) {
 	f := obsFrame(t, 10)
 	data, _ := Encode(f, WriterOptions{})
 	fr, _ := NewFileReader(data)
-	res, err := fr.Scan(Predicate{Col: "ghost", Min: schema.Int(1), Max: schema.Int(2)})
+	res, err := fr.ScanColumns(nil, Predicate{Col: "ghost", Min: schema.Int(1), Max: schema.Int(2)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func TestAllNullChunkPushdown(t *testing.T) {
 	}
 	data, _ := Encode(f, WriterOptions{})
 	fr, _ := NewFileReader(data)
-	res, err := fr.Scan(Predicate{Col: "v", Min: schema.Float(0), Max: schema.Float(1)})
+	res, err := fr.ScanColumns(nil, Predicate{Col: "v", Min: schema.Float(0), Max: schema.Float(1)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +506,7 @@ func BenchmarkScanWithPushdown(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := fr.Scan(pred); err != nil {
+		if _, err := fr.ScanColumns(nil, pred); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -547,7 +547,7 @@ func TestScanColumnsProjectionPushdown(t *testing.T) {
 		t.Fatalf("columns decoded = %d of %d, want 3 of 18", res.ColumnsDecoded, res.ColumnsTotal)
 	}
 	// Values must match the full-scan path.
-	full, err := fr.Scan(pred)
+	full, err := fr.ScanColumns(nil, pred)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -575,7 +575,7 @@ func BenchmarkScanColumnsVsFull(b *testing.B) {
 	fr, _ := NewFileReader(data)
 	b.Run("full", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := fr.Scan(); err != nil {
+			if _, err := fr.ScanColumns(nil); err != nil {
 				b.Fatal(err)
 			}
 		}

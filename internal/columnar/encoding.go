@@ -14,6 +14,12 @@
 // payload. Integers and times are delta+zigzag-varint encoded; strings are
 // dictionary-encoded when the dictionary pays for itself; floats are fixed
 // 8-byte little-endian; bools and null masks are bitmaps.
+//
+// A scan (FileReader.ScanInto) skips row groups by their statistics and
+// blooms, then decodes each surviving group's predicate columns first and
+// filters what they decoded; a group they leave no row in decodes nothing
+// more. decodeColumn is the only reader of a chunk, and a scan inflates
+// each chunk it needs at most once.
 package columnar
 
 import (
@@ -30,8 +36,6 @@ import (
 func bitmapBytes(n int) int { return (n + 7) / 8 }
 
 func bitmapSet(b []byte, i int) { b[i/8] |= 1 << (i % 8) }
-
-func bitmapGet(b []byte, i int) bool { return b[i/8]&(1<<(i%8)) != 0 }
 
 // int block ------------------------------------------------------------------
 
@@ -150,33 +154,24 @@ func appendStringBlock(buf []byte, vals []string) []byte {
 }
 
 // decodeScratch is what decoding a string block reuses from one chunk to
-// the next: the dictionary's entries, and the interned strings they are
-// drawn from, so a dictionary seen before costs no allocation.
+// the next: the interner dictionary entries are drawn from, so a
+// dictionary seen before costs no allocation, and the last block's
+// dictionary and per-value ids, which predicates test entry by entry.
 type decodeScratch struct {
-	dict     []string
-	interned map[string]string
-}
-
-// maxInterned bounds decodeScratch.interned; a high-cardinality stream
-// restarts the table instead of pinning every string it ever saw.
-const maxInterned = 1 << 12
-
-// intern returns b as a string, shared with every earlier equal entry.
-func (ds *decodeScratch) intern(b []byte) string {
-	if s, ok := ds.interned[string(b)]; ok {
-		return s
-	}
-	if ds.interned == nil || len(ds.interned) >= maxInterned {
-		ds.interned = make(map[string]string)
-	}
-	s := string(b)
-	ds.interned[s] = s
-	return s
+	in   *schema.Interner // made on first use
+	dict []string
+	// ids holds, after a dictionary-mode block, each value's index into
+	// dict; it is empty after a plain block.
+	ids []uint32
+	// accept is Predicate.filter's table over dict: whether each entry
+	// satisfies the predicate.
+	accept []bool
 }
 
 // decodeStringBlock appends the values of one string block to dst.
 // Dictionary entries are interned through ds; plain values are copied.
 func decodeStringBlock(dst []string, buf []byte, ds *decodeScratch) ([]string, int, error) {
+	ds.ids = ds.ids[:0]
 	if len(buf) == 0 {
 		return nil, 0, fmt.Errorf("columnar: empty string block")
 	}
@@ -201,13 +196,16 @@ func decodeStringBlock(dst []string, buf []byte, ds *decodeScratch) ([]string, i
 			return nil, 0, fmt.Errorf("columnar: bad dict size")
 		}
 		off += sz
+		if ds.in == nil {
+			ds.in = schema.NewInterner()
+		}
 		dict := ds.dict[:0]
 		for i := uint64(0); i < dn; i++ {
 			b, err := readStr()
 			if err != nil {
 				return nil, 0, err
 			}
-			dict = append(dict, ds.intern(b))
+			dict = append(dict, ds.in.Bytes(b))
 		}
 		ds.dict = dict
 		n, sz := binary.Uvarint(buf[off:])
@@ -216,6 +214,7 @@ func decodeStringBlock(dst []string, buf []byte, ds *decodeScratch) ([]string, i
 		}
 		off += sz
 		dst = slices.Grow(dst, int(n))
+		ids := slices.Grow(ds.ids, int(n))
 		for i := uint64(0); i < n; i++ {
 			idx, sz := binary.Uvarint(buf[off:])
 			if sz <= 0 || idx >= dn {
@@ -223,7 +222,9 @@ func decodeStringBlock(dst []string, buf []byte, ds *decodeScratch) ([]string, i
 			}
 			off += sz
 			dst = append(dst, dict[idx])
+			ids = append(ids, uint32(idx))
 		}
+		ds.ids = ids
 		return dst, off, nil
 	case strPlain:
 		n, sz := binary.Uvarint(buf[off:])

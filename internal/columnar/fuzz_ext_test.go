@@ -51,8 +51,8 @@ func fuzzExtSeeds(tb testing.TB) [][]byte {
 }
 
 // FuzzColumnarExt fuzzes the group-ext footer path: bloom decoding,
-// ext-block parsing, and the pruning scan (zone map + bloom + dictionary
-// pre-pass). Two properties: arbitrary bytes never panic any entry
+// ext-block parsing, and the pruning scan (zone map + bloom + dictionary-id
+// candidate test). Two properties: arbitrary bytes never panic any entry
 // point, and for any frame the fuzzer manages to smuggle through the
 // decoder, a fresh writer-produced encoding of it must answer equality
 // filters exactly. (The original mutated bytes are NOT held to that

@@ -108,7 +108,7 @@ func FuzzFileReader(f *testing.F) {
 				}
 			}
 		}
-		res, err := fr.Scan()
+		res, err := fr.ScanColumns(nil)
 		if err != nil {
 			t.Fatalf("groups decoded but Scan failed: %v", err)
 		}

@@ -1,7 +1,6 @@
 package columnar
 
 import (
-	"bufio"
 	"bytes"
 	"cmp"
 	"compress/flate"
@@ -317,17 +316,14 @@ func (fr *FileReader) NumRowGroups() int { return len(fr.groups) }
 const maxChunkRawLen = 1 << 30
 
 // chunkReader is the reusable state for reading column chunks: an
-// inflater reset per chunk instead of built per chunk, the buffered
-// reader the streaming dictionary pre-pass parses through, and the
-// scratch both paths fill. Nothing decoded keeps a reference to the
-// scratch. A scan keeps one per decoding goroutine in its Batch.
+// inflater reset per chunk instead of built per chunk, and the scratch it
+// inflates into and decodes with. Nothing decoded keeps a reference to
+// the scratch. A scan keeps one per decoding goroutine in its Batch.
 type chunkReader struct {
 	src bytes.Reader
 	zr  io.ReadCloser    // flate reader over &src, made on first use
 	lim io.LimitedReader // the chunk's raw bytes, see open
-	br  *bufio.Reader    // over &lim, made on first use
-	raw bytes.Buffer     // a whole inflated chunk (decodeChunk)
-	str []byte           // one string (stringEqKeep)
+	raw bytes.Buffer     // a whole inflated chunk
 	ds  decodeScratch
 }
 
@@ -358,9 +354,6 @@ func (cr *chunkReader) close() {
 	cr.src.Reset(nil)
 	if cr.raw.Cap() > maxKeptScratch {
 		cr.raw = bytes.Buffer{}
-	}
-	if cap(cr.str) > maxKeptScratch {
-		cr.str = nil
 	}
 }
 
@@ -424,8 +417,9 @@ type Predicate struct {
 	Max schema.Value
 	// In, when non-empty, additionally requires the value to equal one of
 	// the listed candidates. Equality is what the per-group bloom filters
-	// and the dictionary-id pre-pass accelerate: candidate sets that miss
-	// a group's filter or dictionary skip the group without inflating it.
+	// accelerate — candidate sets that miss a group's filter skip the group
+	// without inflating it — and, on a dictionary-encoded string chunk, a
+	// candidate list is tested once per dictionary entry, not per row.
 	In []schema.Value
 }
 
@@ -496,17 +490,32 @@ func (p Predicate) rowMatches(v schema.Value) bool {
 }
 
 // filter narrows sel, ascending row indices into v, in place to the
-// rows whose value satisfies the predicate. A pure range whose bounds are
-// unbounded or of the column's kind compares the typed payload of int,
-// time, bool and float columns directly (cmp.Compare orders floats as
-// Value.Compare does, NaN first); every other shape — candidate lists,
-// bounds of another kind, strings — goes through rowMatches.
-func (p Predicate) filter(v *Vector, sel []int32) []int32 {
+// rows whose value satisfies the predicate; ds is the scratch v's chunk
+// was just decoded with. A candidate list without bounds on a
+// dictionary-mode string chunk is answered from the chunk's dictionary
+// ids: rowMatches once per entry, then one table lookup per row. A pure
+// range whose bounds are unbounded or of the column's kind compares the
+// typed payload of int, time, bool and float columns directly
+// (cmp.Compare orders floats as Value.Compare does, NaN first); every
+// other shape — bounds of another kind, string ranges, plain strings —
+// goes through rowMatches.
+func (p Predicate) filter(v *Vector, sel []int32, ds *decodeScratch) []int32 {
 	out := sel[:0]
 	kind := v.Kind
 	hasMin, hasMax := !p.Min.IsNull(), !p.Max.IsNull()
 	typed := len(p.In) == 0 && (!hasMin || p.Min.Kind() == kind) && (!hasMax || p.Max.Kind() == kind)
 	switch {
+	case len(p.In) > 0 && !hasMin && !hasMax && kind == schema.KindString && len(ds.ids) == len(v.Strs):
+		accept := ds.accept[:0]
+		for _, s := range ds.dict {
+			accept = append(accept, p.rowMatches(schema.Str(s)))
+		}
+		ds.accept = accept
+		for _, r := range sel {
+			if accept[ds.ids[r]] && !v.Nulls[r] {
+				out = append(out, r)
+			}
+		}
 	case typed && (kind == schema.KindInt || kind == schema.KindTime || kind == schema.KindBool):
 		lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
 		if hasMin {
@@ -537,35 +546,21 @@ func (p Predicate) filter(v *Vector, sel []int32) []int32 {
 	return out
 }
 
-// wantSet is a candidate list as the set of strings the dictionary
-// pre-pass tests entries against.
-func wantSet(in []schema.Value) map[string]bool {
-	want := make(map[string]bool, len(in))
-	for _, v := range in {
-		if !v.IsNull() && v.Kind() == schema.KindString {
-			want[v.StrVal()] = true
-		}
-	}
-	return want
-}
-
 // ScanStats reports what one scan did: how far pushdown pruned it and how
 // much it decoded.
 type ScanStats struct {
 	GroupsTotal   int
 	GroupsScanned int
-	// GroupsDictSkipped counts groups that survived zone-map + bloom
-	// selection but were then eliminated by the dictionary-id pre-pass —
-	// the equality candidates missed the group's string dictionary, so
-	// nothing past the dictionary was inflated.
-	GroupsDictSkipped int
+	// GroupsEmptied counts groups that zone maps and blooms admitted but
+	// whose predicate columns, decoded first, left no row: none of their
+	// projection-only chunks was inflated.
+	GroupsEmptied int
 	// ColumnsDecoded / ColumnsTotal report projection pushdown: how many
 	// column chunks were actually inflated vs what a full scan decodes.
 	ColumnsDecoded int
 	ColumnsTotal   int
-	// RowsDecoded counts the rows of every row group that had a chunk
-	// inflated (scanned and not dictionary-skipped); len(Batch.Sel) of
-	// them survived the predicates.
+	// RowsDecoded counts the rows of every scanned group that was not
+	// emptied; len(Batch.Sel) of them survived the predicates.
 	RowsDecoded int
 	// Workers is how many goroutines decoded row groups, the caller's
 	// included.
@@ -729,19 +724,15 @@ type groupSpan struct {
 	base    int
 	sel     int  // surviving rows
 	decoded int  // chunks inflated
-	skipped bool // eliminated by the dictionary pre-pass
+	emptied bool // its predicate columns left no row
 	err     error
 }
 
 // groupScratch is one decoding goroutine's reusable state.
 type groupScratch struct {
-	cr      chunkReader
-	sel     []int32  // the group's surviving rows, group-relative
-	masks   [][]byte // dictionary pre-pass keep bitmaps, one per predicate it answered
-	handled []bool   // by predicate: answered by the pre-pass
-	nulls   []byte   // the pre-pass's null bitmap
-	accept  []bool   // the pre-pass's dictionary-id table
-	local   []Vector // by file column: the group's columns only a predicate reads
+	cr    chunkReader
+	sel   []int32  // the group's surviving rows, group-relative
+	local []Vector // by file column: the group's columns only a predicate reads
 }
 
 // worker returns the scratch of decoding goroutine w.
@@ -782,74 +773,38 @@ type scanPlan struct {
 	outIdx  []int // by projected column: its file column
 	predIdx []int // by predicate: its file column, -1 for none
 	preds   []Predicate
-	// wants holds, by predicate, the candidates the dictionary pre-pass
-	// tests a string column's entries against; nil where it does not
-	// apply.
-	wants []map[string]bool
 	// proj maps a file column to its projected position, -1 for a column
 	// only predicates read.
 	proj []int
-	// need lists the projected and predicate columns, ascending: the
-	// order a group's chunks decode in, so the first corrupt one is the
-	// one reported.
-	need []int
+	// order lists the columns a group decodes, in decode order: the
+	// predicate columns, then the projection-only ones, each ascending, so
+	// the first corrupt chunk in that order is the one reported. The first
+	// npred are the predicate columns.
+	order []int
+	npred int
 }
 
-// answered reports whether the dictionary pre-pass answered every
-// predicate on file column c.
-func (pl *scanPlan) answered(c int, handled []bool) bool {
-	for i, pc := range pl.predIdx {
-		if pc == c && !handled[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// scanGroup evaluates one row group: a dictionary-id pre-pass handles
-// string-equality predicates against the encoded chunk (possibly skipping
-// the whole group), every projected chunk is decoded onto cols at
-// sp.base, a predicate-only chunk into sc unless the pre-pass answered
-// every predicate on it, and the remaining predicates narrow sc.sel, the
-// group's selection vector. cols are presized and the group fills its
-// span in place, so groups decode concurrently.
+// scanGroup evaluates one row group. Its predicate columns decode first,
+// each column's predicates narrowing sc.sel, the group's selection
+// vector, as soon as it lands; once the selection is empty the group
+// stops there. Then the projection-only columns decode. A projected chunk
+// decodes onto cols at sp.base, a predicate-only one into sc; cols are
+// presized and the group fills its span in place, so groups decode
+// concurrently. Each chunk is inflated at most once.
 func (fr *FileReader) scanGroup(sp *groupSpan, pl *scanPlan, cols []Vector, sc *groupScratch) {
 	g := sp.g
-	sc.masks = sc.masks[:0]
-	sc.handled = resized(sc.handled, len(pl.preds))
-	clear(sc.handled)
-	for i, want := range pl.wants {
-		if want == nil {
-			continue
-		}
-		var buf []byte
-		if n := len(sc.masks); n < cap(sc.masks) {
-			buf = sc.masks[:n+1][n]
-		}
-		mask, matched, err := fr.stringEqKeep(g, pl.predIdx[i], want, buf, sc)
-		if err != nil || mask == nil {
-			// Not evaluable this way (corrupt chunk, unexpected layout):
-			// fall back to exact row evaluation below, which surfaces any
-			// real decode error.
-			continue
-		}
-		if matched == 0 {
-			sp.skipped = true
-			return
-		}
-		sc.masks = append(sc.masks, mask)
-		sc.handled[i] = true
-	}
-	end := sp.base + g.Rows
 	sc.local = resized(sc.local, fr.sch.Len())
-	for _, c := range pl.need {
-		j := pl.proj[c]
-		if j < 0 && pl.answered(c, sc.handled) {
-			continue
-		}
+	// The selection vector narrows in place and stays ascending, so
+	// surviving rows keep their file order; sp.sel says how many survive.
+	sel := resized(sc.sel, g.Rows)
+	sc.sel = sel
+	for r := range sel {
+		sel[r] = int32(r)
+	}
+	for k, c := range pl.order {
 		v := &sc.local[c]
-		if j >= 0 {
-			w := cols[j].slice(0, sp.base, end)
+		if j := pl.proj[c]; j >= 0 {
+			w := cols[j].slice(sp.base, sp.base, sp.base+g.Rows)
 			v = &w
 		} else {
 			v.reset(fr.sch.Field(c).Kind)
@@ -858,39 +813,26 @@ func (fr *FileReader) scanGroup(sp *groupSpan, pl *scanPlan, cols []Vector, sc *
 			return
 		}
 		sp.decoded++
-	}
-	// The selection vector stays ascending through every narrowing step,
-	// so surviving rows keep their file order.
-	sel := sc.sel[:0]
-rows:
-	for r := 0; r < g.Rows; r++ {
-		for _, m := range sc.masks {
-			if !bitmapGet(m, r) {
-				continue rows
-			}
-		}
-		sel = append(sel, int32(r))
-	}
-	for i, p := range pl.preds {
-		c := pl.predIdx[i]
-		if sc.handled[i] || c < 0 {
+		if k >= pl.npred {
 			continue
 		}
-		v := &sc.local[c]
-		if j := pl.proj[c]; j >= 0 {
-			span := cols[j].slice(sp.base, end, end)
-			v = &span
+		for i, p := range pl.preds {
+			if pl.predIdx[i] == c {
+				sel = p.filter(v, sel, &sc.cr.ds)
+			}
 		}
-		sel = p.filter(v, sel)
+		if len(sel) == 0 {
+			sp.emptied = true
+			return
+		}
 	}
-	sc.sel = sel
 	sp.sel = len(sel)
 }
 
 // ScanInto is the one row-group scan: it selects the row groups whose
-// statistics may satisfy every predicate (conjunctive), decodes the named
-// columns of each — plus any predicate-only column the dictionary
-// pre-pass could not answer — onto b.Cols in file order, and leaves the
+// statistics may satisfy every predicate (conjunctive), decodes the
+// predicate columns of each, then — unless they left no row — the named
+// columns, onto b.Cols in file order (see scanGroup), and leaves the
 // rows that satisfy every predicate in b.Sel. Nothing is gathered or
 // concatenated: a caller reads the selected rows through b.Sel. Row
 // groups are decoded on the calling goroutine, concurrently on helpers
@@ -901,7 +843,6 @@ func (fr *FileReader) ScanInto(b *Batch, columns []string, preds ...Predicate) (
 		outIdx:  make([]int, len(columns)),
 		predIdx: make([]int, len(preds)),
 		preds:   preds,
-		wants:   make([]map[string]bool, len(preds)),
 		proj:    make([]int, fr.sch.Len()),
 	}
 	for c := range pl.proj {
@@ -924,13 +865,16 @@ func (fr *FileReader) ScanInto(b *Batch, columns []string, preds ...Predicate) (
 			continue
 		}
 		pl.predIdx[i] = c
-		if len(p.In) > 0 && p.Min.IsNull() && p.Max.IsNull() && fr.sch.Field(c).Kind == schema.KindString {
-			pl.wants[i] = wantSet(p.In)
-		}
 	}
 	for c := range pl.proj {
-		if pl.proj[c] >= 0 || slices.Contains(pl.predIdx, c) {
-			pl.need = append(pl.need, c)
+		if slices.Contains(pl.predIdx, c) {
+			pl.order = append(pl.order, c)
+		}
+	}
+	pl.npred = len(pl.order)
+	for c := range pl.proj {
+		if pl.proj[c] >= 0 && !slices.Contains(pl.predIdx, c) {
+			pl.order = append(pl.order, c)
 		}
 	}
 
@@ -959,9 +903,9 @@ groups:
 		return st, fmt.Errorf("columnar: %d rows are too many to scan at once", total)
 	}
 
-	// Every span gets its rows presized, whether or not the pre-pass then
-	// skips it, so groups fill disjoint spans, concurrently when helpers
-	// are won; each group's selection lands at its span's start.
+	// Every span gets its rows presized, whether or not its predicates
+	// then empty it, so groups fill disjoint spans, concurrently when
+	// helpers are won; each group's selection lands at its span's start.
 	for j := range b.Cols {
 		b.Cols[j].grow(total)
 	}
@@ -1007,8 +951,8 @@ groups:
 	for i := range b.spans {
 		sp := &b.spans[i]
 		st.ColumnsDecoded += sp.decoded
-		if sp.skipped {
-			st.GroupsDictSkipped++
+		if sp.emptied {
+			st.GroupsEmptied++
 		} else {
 			st.RowsDecoded += sp.g.Rows
 		}
@@ -1016,124 +960,16 @@ groups:
 	return st, nil
 }
 
-// stringEqKeep evaluates a string-equality candidate set against column
-// c's encoded chunk without materializing it. In dictionary mode the
-// candidates are resolved to dictionary ids first, so a dictionary miss
-// rejects the whole group after inflating only the dictionary prefix; a
-// hit streams the ids into a keep bitmap. Plain mode streams the strings.
-// A nil mask with a nil error means the chunk isn't evaluable this way
-// and the caller must fall back to exact evaluation. The mask is built in
-// mask's storage and the null bitmap and id table in sc's.
-func (fr *FileReader) stringEqKeep(g *RowGroup, c int, want map[string]bool, mask []byte, sc *groupScratch) ([]byte, int, error) {
-	ch := g.chunks[c]
-	cr := &sc.cr
-	cr.open(ch)
-	defer cr.close()
-	if cr.br == nil {
-		cr.br = bufio.NewReader(&cr.lim)
-	}
-	br := cr.br
-	br.Reset(&cr.lim)
-	kind, err := br.ReadByte()
-	if err != nil || schema.Kind(kind) != schema.KindString {
-		return nil, 0, err
-	}
-	n, err := binary.ReadUvarint(br)
-	if err != nil || n != uint64(g.Rows) {
-		return nil, 0, err
-	}
-	nulls := resized(sc.nulls, bitmapBytes(g.Rows))
-	sc.nulls = nulls
-	if _, err := io.ReadFull(br, nulls); err != nil {
-		return nil, 0, err
-	}
-	// wanted reads the next string into the reader's scratch and reports
-	// whether it is a candidate; the map lookup does not copy the bytes.
-	wanted := func() (bool, error) {
-		l, err := binary.ReadUvarint(br)
-		if err != nil {
-			return false, err
-		}
-		if l > uint64(ch.rawLen) {
-			return false, fmt.Errorf("columnar: oversized string in chunk")
-		}
-		cr.str = slices.Grow(cr.str[:0], int(l))[:l]
-		if _, err := io.ReadFull(br, cr.str); err != nil {
-			return false, err
-		}
-		return want[string(cr.str)], nil
-	}
-	mode, err := br.ReadByte()
-	if err != nil {
-		return nil, 0, err
-	}
-	mask = resized(mask, bitmapBytes(g.Rows))
-	clear(mask)
-	matched := 0
-	switch mode {
-	case strDict:
-		dn, err := binary.ReadUvarint(br)
-		if err != nil || dn > uint64(ch.rawLen) {
-			return nil, 0, err
-		}
-		// accept[id] says dictionary entry id is a candidate. It grows
-		// with the entries actually read, not with the declared dn.
-		accept := sc.accept[:0]
-		defer func() { sc.accept = accept }()
-		hit := false
-		for i := uint64(0); i < dn; i++ {
-			ok, err := wanted()
-			if err != nil {
-				return nil, 0, err
-			}
-			accept = append(accept, ok)
-			hit = hit || ok
-		}
-		if !hit {
-			// Dictionary miss: the group cannot contain any candidate.
-			// The id section is never inflated.
-			return mask, 0, nil
-		}
-		cnt, err := binary.ReadUvarint(br)
-		if err != nil || cnt != uint64(g.Rows) {
-			return nil, 0, err
-		}
-		for i := 0; i < g.Rows; i++ {
-			id, err := binary.ReadUvarint(br)
-			if err != nil || id >= dn {
-				return nil, 0, err
-			}
-			if accept[id] && !bitmapGet(nulls, i) {
-				bitmapSet(mask, i)
-				matched++
-			}
-		}
-	case strPlain:
-		cnt, err := binary.ReadUvarint(br)
-		if err != nil || cnt != uint64(g.Rows) {
-			return nil, 0, err
-		}
-		for i := 0; i < g.Rows; i++ {
-			ok, err := wanted()
-			if err != nil {
-				return nil, 0, err
-			}
-			if ok && !bitmapGet(nulls, i) {
-				bitmapSet(mask, i)
-				matched++
-			}
-		}
-	default:
-		return nil, 0, nil
-	}
-	return mask, matched, nil
-}
-
 // ScanColumns is ScanInto materialised: the selected rows of the named
-// columns as a frame, in that column order. Only the named columns (plus
-// any columns the predicates reference) are decoded, so on wide Silver
-// frames this skips most of the inflate work.
+// columns as a frame, in that column order; nil names every column. Only
+// the named columns (plus any columns the predicates reference) are
+// decoded, so on wide Silver frames this skips most of the inflate work.
 func (fr *FileReader) ScanColumns(columns []string, preds ...Predicate) (*ScanResult, error) {
+	if columns == nil {
+		for _, f := range fr.sch.Fields() {
+			columns = append(columns, f.Name)
+		}
+	}
 	outSchema, err := fr.sch.Project(columns...)
 	if err != nil {
 		return nil, err
@@ -1155,17 +991,6 @@ func (fr *FileReader) ScanColumns(columns []string, preds ...Predicate) (*ScanRe
 		return nil, err
 	}
 	return &ScanResult{Frame: f, ScanStats: st}, nil
-}
-
-// Scan is ScanColumns over every column: it decodes all row groups that
-// survive every predicate, filters the decoded rows exactly, and returns
-// the matching rows plus pushdown counters. Predicates are conjunctive.
-func (fr *FileReader) Scan(preds ...Predicate) (*ScanResult, error) {
-	cols := make([]string, fr.sch.Len())
-	for i := range cols {
-		cols[i] = fr.sch.Field(i).Name
-	}
-	return fr.ScanColumns(cols, preds...)
 }
 
 // ReadAll decodes the entire stream into one frame.

@@ -70,7 +70,7 @@ func vectorFrame(t testing.TB, rng *rand.Rand, rows int) *schema.Frame {
 
 // vectorPredicate draws a predicate: a range, a candidate list or both,
 // over a real column or an unknown one, with bounds that may be null, of
-// another kind, or NaN.
+// another kind, NaN, or the empty string a null string row stores.
 func vectorPredicate(rng *rand.Rand) Predicate {
 	if rng.Intn(10) == 0 {
 		return Predicate{Col: "nope", Min: schema.Int(3)}
@@ -83,6 +83,8 @@ func vectorPredicate(rng *rand.Rand) Predicate {
 			return schema.Int(int64(rng.Intn(10))) // often not the column's kind
 		case 1:
 			return schema.Float(math.NaN())
+		case 2:
+			return schema.Str("") // what a null string row stores
 		}
 		return vectorValue(rng, c) // null one time in eight: unbounded
 	}
@@ -101,25 +103,29 @@ func vectorPredicate(rng *rand.Rand) Predicate {
 	return p
 }
 
-// refScanColumns is the row-at-a-time ScanColumns this package shipped
-// before the typed-vector pipeline, kept as the reference the vectorized
-// scan must equal: per-row rowMatches on boxed values, one AppendRow per
-// surviving row, groups visited serially. It shares group selection
-// (Predicate.matches), the dictionary pre-pass (stringEqKeep) and chunk
-// decode with the real scan — those are not what changed. One repair: a
-// predicate-only column is skipped only when the pre-pass answered every
-// predicate on it (the old loop skipped it after any, then dereferenced
-// the missing column).
+// refScanColumns is the reference the scan is held to. It shares group
+// selection (Predicate.matches) and chunk decode with ScanColumns and
+// nothing else: groups are visited serially, every needed chunk is
+// decoded into a column of its own in the scan's order — the predicate
+// columns ascending, each filtering the group's rows by boxed rowMatches
+// as soon as it lands, then the projection-only columns ascending — a
+// group left with no row stops after the predicate column that emptied
+// it, and each surviving row is one AppendRow.
 func refScanColumns(fr *FileReader, columns []string, preds ...Predicate) (*ScanResult, error) {
+	if columns == nil {
+		for _, f := range fr.sch.Fields() {
+			columns = append(columns, f.Name)
+		}
+	}
 	outSchema, err := fr.sch.Project(columns...)
 	if err != nil {
 		return nil, err
 	}
-	need, proj := map[int]bool{}, map[int]bool{}
+	isPred, isProj := map[int]bool{}, map[int]bool{}
 	outIdx, predIdx := make([]int, len(columns)), make([]int, len(preds))
 	for i, c := range columns {
 		outIdx[i] = fr.sch.MustIndex(c)
-		need[outIdx[i]], proj[outIdx[i]] = true, true
+		isProj[outIdx[i]] = true
 	}
 	for i, p := range preds {
 		j, ok := fr.sch.Index(p.Col)
@@ -128,7 +134,19 @@ func refScanColumns(fr *FileReader, columns []string, preds ...Predicate) (*Scan
 			continue
 		}
 		predIdx[i] = j
-		need[j] = true
+		isPred[j] = true
+	}
+	var order []int
+	for c := 0; c < fr.sch.Len(); c++ {
+		if isPred[c] {
+			order = append(order, c)
+		}
+	}
+	npred := len(order)
+	for c := 0; c < fr.sch.Len(); c++ {
+		if isProj[c] && !isPred[c] {
+			order = append(order, c)
+		}
 	}
 	res := &ScanResult{Frame: schema.NewFrame(outSchema), ScanStats: ScanStats{GroupsTotal: len(fr.groups)}}
 groups:
@@ -141,38 +159,12 @@ groups:
 			}
 		}
 		res.GroupsScanned++
-
-		var masks [][]byte
-		handled := make([]bool, len(preds))
-		for i, p := range preds {
-			c := predIdx[i]
-			if c < 0 || len(p.In) == 0 || !p.Min.IsNull() || !p.Max.IsNull() ||
-				g.sch.Field(c).Kind != schema.KindString {
-				continue
-			}
-			mask, matched, err := fr.stringEqKeep(g, c, wantSet(p.In), nil, new(groupScratch))
-			if err != nil || mask == nil {
-				continue
-			}
-			if matched == 0 {
-				res.GroupsDictSkipped++
-				continue groups
-			}
-			masks = append(masks, mask)
-			handled[i] = true
+		keep := make([]bool, g.Rows)
+		for r := range keep {
+			keep[r] = true
 		}
-		res.RowsDecoded += g.Rows
 		decoded := map[int]*schema.Column{}
-		for c := 0; c < fr.sch.Len(); c++ {
-			skip := !proj[c]
-			for i := range preds {
-				if predIdx[i] == c && !handled[i] {
-					skip = false
-				}
-			}
-			if !need[c] || skip {
-				continue
-			}
+		for k, c := range order {
 			v := Vector{Kind: fr.sch.Field(c).Kind}
 			if err := fr.decodeChunk(g, c, &v, new(chunkReader)); err != nil {
 				return nil, err
@@ -183,28 +175,27 @@ groups:
 			}
 			decoded[c] = col
 			res.ColumnsDecoded++
-		}
-		row := make(schema.Row, len(outIdx))
-		for r := 0; r < g.Rows; r++ {
-			keep := true
-			for _, m := range masks {
-				if !bitmapGet(m, r) {
-					keep = false
-					break
-				}
+			if k >= npred {
+				continue
 			}
-			if keep {
+			left := false
+			for r := range keep {
 				for i, p := range preds {
-					if handled[i] || predIdx[i] < 0 {
-						continue
-					}
-					if !p.rowMatches(decoded[predIdx[i]].Value(r)) {
-						keep = false
-						break
+					if predIdx[i] == c && keep[r] && !p.rowMatches(col.Value(r)) {
+						keep[r] = false
 					}
 				}
+				left = left || keep[r]
 			}
-			if !keep {
+			if !left {
+				res.GroupsEmptied++
+				continue groups
+			}
+		}
+		res.RowsDecoded += g.Rows
+		row := make(schema.Row, len(outIdx))
+		for r, ok := range keep {
+			if !ok {
 				continue
 			}
 			for i, c := range outIdx {
@@ -221,9 +212,9 @@ groups:
 // TestScanColumnsMatchesRowReference is the property behind the
 // vectorized scan: over random frames (every kind, nulls, NaN, 1–5 row
 // groups, dictionary and plain strings, both codecs, with and without
-// blooms), random projections and random predicates, ScanColumns returns
-// the frame and every counter of the row-at-a-time reference — serially
-// and with the parallel row-group pool.
+// blooms), random projections (nil, every column, included) and random
+// predicates, ScanColumns returns the frame and every counter of the
+// row-at-a-time reference — serially and with the parallel row-group pool.
 func TestScanColumnsMatchesRowReference(t *testing.T) {
 	forceParallel(t)
 	rng := rand.New(rand.NewSource(17))
@@ -251,6 +242,9 @@ func TestScanColumnsMatchesRowReference(t *testing.T) {
 			for i, c := range perm {
 				cols[i] = vectorSchema.Field(c).Name
 			}
+			if rng.Intn(8) == 0 {
+				cols = nil
+			}
 			preds := make([]Predicate, rng.Intn(4))
 			for i := range preds {
 				preds[i] = vectorPredicate(rng)
@@ -276,9 +270,9 @@ func TestScanColumnsMatchesRowReference(t *testing.T) {
 	}
 }
 
-// TestScanTwoPredicatesOneColumn: a candidate list the dictionary
-// pre-pass answers and a range it cannot, both on one unprojected string
-// column. The column must still be decoded for the range.
+// TestScanTwoPredicatesOneColumn: a candidate list the dictionary ids
+// answer and a range they do not, both on one unprojected string column,
+// narrow the selection from the column's one decode.
 func TestScanTwoPredicatesOneColumn(t *testing.T) {
 	f := vectorFrame(t, rand.New(rand.NewSource(19)), 128)
 	data, err := Encode(f, WriterOptions{RowGroupRows: 64})
@@ -303,6 +297,51 @@ func TestScanTwoPredicatesOneColumn(t *testing.T) {
 	}
 	if want.Frame.Len() == 0 || !got.Frame.Equal(want.Frame) {
 		t.Fatalf("rows = %d, reference %d (want > 0)", got.Frame.Len(), want.Frame.Len())
+	}
+	if got.GroupsEmptied != 0 || got.ColumnsDecoded != 2*got.GroupsScanned {
+		t.Fatalf("decoded %d chunks over %d groups (%d emptied), want dict and i once a group",
+			got.ColumnsDecoded, got.GroupsScanned, got.GroupsEmptied)
+	}
+}
+
+// TestScanInflatesEachChunkOnce: a candidate list on a projected
+// dictionary string column, with blooms and without, both codecs. Every
+// group the predicate leaves rows in decodes each needed chunk once —
+// the predicate column straight into the batch, not into scratch and
+// then again — and a group it empties decodes the predicate column alone.
+func TestScanInflatesEachChunkOnce(t *testing.T) {
+	f := extFrame(t, 8, 64)
+	// node00003 lives in group 0, node00019 in group 2; each "x" candidate
+	// sits inside its group's zone map and matches no row.
+	in := []schema.Value{schema.Str("node00003"), schema.Str("node00019")}
+	for g := 0; g < 8; g++ {
+		in = append(in, schema.Str(fmt.Sprintf("node%05dx", g*8+2)))
+	}
+	for _, blooms := range [][]string{nil, {"node"}} {
+		for _, comp := range []Compression{CompressNone, CompressFlate} {
+			data, err := Encode(f, WriterOptions{RowGroupRows: 64, Compression: comp, BloomColumns: blooms})
+			if err != nil {
+				t.Fatal(err)
+			}
+			fr, err := NewFileReader(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := fr.ScanColumns([]string{"node", "value"}, Predicate{Col: "node", In: in})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Frame.Len() != 16 {
+				t.Fatalf("blooms %v comp %d: %d rows, want 16", blooms, comp, res.Frame.Len())
+			}
+			kept := res.GroupsScanned - res.GroupsEmptied
+			if kept != 2 || (blooms == nil && res.GroupsEmptied != 6) {
+				t.Fatalf("blooms %v comp %d: %d groups scanned, %d emptied", blooms, comp, res.GroupsScanned, res.GroupsEmptied)
+			}
+			if want := 2*kept + res.GroupsEmptied; res.ColumnsDecoded != want {
+				t.Fatalf("blooms %v comp %d: %d chunks decoded, want %d", blooms, comp, res.ColumnsDecoded, want)
+			}
+		}
 	}
 }
 
@@ -400,9 +439,10 @@ func TestChunkKindMustMatchSchema(t *testing.T) {
 	}
 }
 
-// TestScanErrorIsLowestCorruptColumn: with two corrupt chunks in one row
-// group, every call reports the lower column index — chunks decode in
-// ascending column order, not map order.
+// TestScanErrorIsLowestCorruptColumn: with corrupt chunks in one row
+// group, every call reports the first in decode order — the predicate
+// columns ascending, then the projection-only ones ascending — not map
+// order, and not the lowest column when that one is projection-only.
 func TestScanErrorIsLowestCorruptColumn(t *testing.T) {
 	fields := make([]schema.Field, 6)
 	chunks := make([][]byte, len(fields))
@@ -410,16 +450,27 @@ func TestScanErrorIsLowestCorruptColumn(t *testing.T) {
 		fields[c] = schema.Field{Name: fmt.Sprintf("c%d", c), Kind: schema.KindInt}
 		chunks[c] = rawChunk(schema.KindInt, 0, 1, 2)
 	}
-	chunks[2] = chunks[2][:len(chunks[2])-1] // truncated int block
-	chunks[4] = chunks[4][:len(chunks[4])-1]
+	for _, c := range []int{1, 2, 4} {
+		chunks[c] = chunks[c][:len(chunks[c])-1] // truncated int block
+	}
 	fr, err := NewFileReader(append(rawHeader(fields...), rawGroup(2, 1, 2, chunks...)...))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 50; i++ {
-		_, err := fr.ScanColumns([]string{"c5", "c4", "c0"}, Predicate{Col: "c2", Min: schema.Int(0)})
-		if err == nil || !bytes.Contains([]byte(err.Error()), []byte("column 2:")) {
-			t.Fatalf("call %d: error %v, want column 2's", i, err)
+	for _, tc := range []struct {
+		cols []string
+		pred string
+		want string
+	}{
+		{[]string{"c5", "c4", "c0"}, "c2", "column 2:"},
+		{[]string{"c5", "c1", "c0"}, "c2", "column 2:"}, // predicate column first
+		{[]string{"c4", "c1"}, "c5", "column 1:"},       // then projection ascending
+	} {
+		for i := 0; i < 50; i++ {
+			_, err := fr.ScanColumns(tc.cols, Predicate{Col: tc.pred, Min: schema.Int(0)})
+			if err == nil || !bytes.Contains([]byte(err.Error()), []byte(tc.want)) {
+				t.Fatalf("cols %v pred %s, call %d: error %v, want %q", tc.cols, tc.pred, i, err, tc.want)
+			}
 		}
 	}
 }

@@ -223,12 +223,7 @@ func (f *Facility) ReadSilver(ctx context.Context, src telemetry.Source, columns
 		}
 		preds = append(preds, pred)
 	}
-	var res *columnar.ScanResult
-	if columns == nil {
-		res, err = fr.Scan(preds...)
-	} else {
-		res, err = fr.ScanColumns(columns, preds...)
-	}
+	res, err := fr.ScanColumns(columns, preds...)
 	if err != nil {
 		return nil, err
 	}

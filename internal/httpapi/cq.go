@@ -280,7 +280,12 @@ func (s *Server) cqWatch(w http.ResponseWriter, r *http.Request) {
 // latest state, so a slow consumer sees fresh data, not a backlog.
 func (s *Server) cqWatchSSE(w http.ResponseWriter, r *http.Request, v *cq.View) {
 	count := 0
-	if c := r.URL.Query().Get("count"); c != "" {
+	c, err := uniqueParam(r.URL.Query(), "count")
+	if err != nil {
+		s.badRequest(w, err.Error())
+		return
+	}
+	if c != "" {
 		n, err := strconv.Atoi(c)
 		if err != nil || n <= 0 {
 			s.badRequest(w, "bad count: want a positive integer")
@@ -337,8 +342,18 @@ func (s *Server) cqWatchSSE(w http.ResponseWriter, r *http.Request, v *cq.View) 
 // loops: read, then long-poll with the last gen it saw.
 func (s *Server) cqLongPoll(w http.ResponseWriter, r *http.Request, v *cq.View) {
 	q := r.URL.Query()
+	g, err := uniqueParam(q, "gen")
+	if err != nil {
+		s.badRequest(w, err.Error())
+		return
+	}
+	ws, err := uniqueParam(q, "wait")
+	if err != nil {
+		s.badRequest(w, err.Error())
+		return
+	}
 	var since uint64
-	if g := q.Get("gen"); g != "" {
+	if g != "" {
 		n, err := strconv.ParseUint(g, 10, 64)
 		if err != nil {
 			s.badRequest(w, "bad gen: want an unsigned integer")
@@ -347,7 +362,7 @@ func (s *Server) cqLongPoll(w http.ResponseWriter, r *http.Request, v *cq.View) 
 		since = n
 	}
 	wait := cqLongPollDefault
-	if ws := q.Get("wait"); ws != "" {
+	if ws != "" {
 		d, err := time.ParseDuration(ws)
 		if err != nil || d <= 0 {
 			s.badRequest(w, "bad wait: want a positive duration")
@@ -358,7 +373,7 @@ func (s *Server) cqLongPoll(w http.ResponseWriter, r *http.Request, v *cq.View) 
 		}
 		wait = d
 	}
-	if q.Get("gen") != "" && v.Gen() == since {
+	if g != "" && v.Gen() == since {
 		ch, cancel := v.Subscribe()
 		defer cancel()
 		timer := time.NewTimer(wait)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"strings"
@@ -175,6 +176,48 @@ func TestCQBadRequestsAndNotFound(t *testing.T) {
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusNotFound || resp.Header.Get("X-ODA-Error") != "not-found" {
 			t.Errorf("%s: status %d X-ODA-Error %q", path, resp.StatusCode, resp.Header.Get("X-ODA-Error"))
+		}
+	}
+	// The watch route's parameters: a conflicting duplicate is a 400, a
+	// repeated equal value is the value.
+	resp, err := http.Post(srv.URL+"/api/v1/cq?window=1m", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reg struct {
+		ID string `json:"id"`
+	}
+	_ = json.NewDecoder(resp.Body).Decode(&reg)
+	resp.Body.Close()
+	for _, tc := range []struct {
+		name, query string
+		sse         bool
+		status      int
+	}{
+		{"conflicting gen", "gen=0&gen=1&wait=1ms", false, http.StatusBadRequest},
+		{"conflicting wait", "wait=1ms&wait=2ms", false, http.StatusBadRequest},
+		{"conflicting count", "count=1&count=2", true, http.StatusBadRequest},
+		{"repeated wait", "wait=1ms&wait=1ms", false, http.StatusOK},
+		{"repeated count", "count=1&count=1", true, http.StatusOK},
+	} {
+		req, err := http.NewRequest(http.MethodGet, srv.URL+"/api/v1/cq/"+reg.ID+"/watch?"+tc.query, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.sse {
+			req.Header.Set("Accept", "text/event-stream")
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("watch %s: status %d, want %d", tc.name, resp.StatusCode, tc.status)
+		}
+		if tc.status == http.StatusBadRequest && resp.Header.Get("X-ODA-Error") != "bad-request" {
+			t.Errorf("watch %s: X-ODA-Error %q", tc.name, resp.Header.Get("X-ODA-Error"))
 		}
 	}
 }

@@ -589,12 +589,22 @@ func (s *Server) logsSearch(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, "bad from/to: "+err.Error())
 		return
 	}
-	lq := logsearch.Query{Severity: q.Get("severity"), Host: q.Get("host"), From: from, To: to}
-	if terms := q.Get("q"); terms != "" {
+	lq := logsearch.Query{From: from, To: to}
+	var terms, limit string
+	for _, p := range []struct {
+		name string
+		dst  *string
+	}{{"severity", &lq.Severity}, {"host", &lq.Host}, {"q", &terms}, {"limit", &limit}} {
+		if *p.dst, err = uniqueParam(q, p.name); err != nil {
+			s.badRequest(w, err.Error())
+			return
+		}
+	}
+	if terms != "" {
 		lq.Terms = strings.Fields(terms)
 	}
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
+	if limit != "" {
+		n, err := strconv.Atoi(limit)
 		if err != nil || n <= 0 || n > maxLogLimit {
 			s.badRequest(w, "bad limit: want an integer in [1,"+strconv.Itoa(maxLogLimit)+"]")
 			return

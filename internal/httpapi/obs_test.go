@@ -44,6 +44,7 @@ func TestErrorPathsCarryODAHeaders(t *testing.T) {
 		{"query conflicting to", "/api/v1/lake/query?to=2024-06-01T01:00:00Z&to=2024-06-01T02:00:00Z", 400, "bad-request"},
 		{"prepared missing handle", "/api/v1/query", 400, "bad-request"},
 		{"prepared unknown handle", "/api/v1/query?prep=p0000000000000000", 404, "not-found"},
+		{"prepared conflicting handle", "/api/v1/query?prep=p0000000000000000&prep=p0000000000000001", 400, "bad-request"},
 		{"topn bad window", "/api/v1/lake/topn?metric=m&from=bogus", 400, "bad-request"},
 		{"topn missing metric", "/api/v1/lake/topn", 400, "bad-request"},
 		{"topn bad n", "/api/v1/lake/topn?metric=m&n=-3", 400, "bad-request"},
@@ -57,6 +58,11 @@ func TestErrorPathsCarryODAHeaders(t *testing.T) {
 		{"logs bad limit", "/api/v1/logs/search?limit=zero", 400, "bad-request"},
 		{"logs huge limit", "/api/v1/logs/search?limit=100001", 400, "bad-request"},
 		{"logs conflicting to", "/api/v1/logs/search?to=2024-06-01T01:00:00Z&to=2024-06-01T02:00:00Z", 400, "bad-request"},
+		{"logs conflicting limit", "/api/v1/logs/search?limit=5&limit=7", 400, "bad-request"},
+		{"logs conflicting q", "/api/v1/logs/search?q=ecc&q=thermal", 400, "bad-request"},
+		{"logs conflicting severity", "/api/v1/logs/search?severity=error&severity=warn", 400, "bad-request"},
+		{"logs conflicting host", "/api/v1/logs/search?host=a&host=b", 400, "bad-request"},
+		{"logs repeated limit", "/api/v1/logs/search?limit=5&limit=5", 200, ""},
 		{"rats bad window", "/api/v1/rats/programs?from=bogus", 400, "bad-request"},
 		{"rats inverted window", "/api/v1/rats/programs?from=2024-06-01T01:00:00Z&to=2024-06-01T00:00:00Z", 400, "bad-request"},
 		{"rats conflicting from", "/api/v1/rats/programs?from=2024-06-01T00:00:00Z&from=2024-06-01T00:01:00Z", 400, "bad-request"},

@@ -124,7 +124,11 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request) {
 // validated at prepare time, so the per-execution parse cost is two
 // timestamps and a map lookup.
 func (s *Server) preparedRun(w http.ResponseWriter, r *http.Request) {
-	handle := r.URL.Query().Get("prep")
+	handle, err := uniqueParam(r.URL.Query(), "prep")
+	if err != nil {
+		s.badRequest(w, err.Error())
+		return
+	}
 	if handle == "" {
 		s.badRequest(w, "prep is required")
 		return

@@ -17,10 +17,11 @@
 // offloaded — so federated float accumulation is byte-identical to the
 // all-hot reference.
 //
-// Pruning happens in four layers before any chunk is inflated:
-// time range → per-segment zone maps + blooms (manifest, no object read)
-// → per-row-group zone maps + blooms (file footer) → dictionary-id
-// evaluation inside the columnar reader.
+// Pruning happens in three layers before any chunk is inflated — time
+// range → per-segment zone maps + blooms (manifest, no object read) →
+// per-row-group zone maps + blooms (file footer) — and a fourth inside
+// the columnar reader: a row group's predicate columns decode first, and
+// a group they leave no row in decodes nothing more.
 package tsdb
 
 import (
@@ -835,8 +836,8 @@ func (ct *ColdTier) scanSegment(seg *coldSegment, p *Plan, st *QueryStats, ps *p
 		return fmt.Errorf("tsdb: cold segment %s: %w", seg.meta.Key, err)
 	}
 	st.ColdSegmentsScanned++
-	st.ColdRowGroupsScanned += ss.GroupsScanned - ss.GroupsDictSkipped
-	st.ColdRowGroupsPruned += ss.GroupsTotal - ss.GroupsScanned + ss.GroupsDictSkipped
+	st.ColdRowGroupsScanned += ss.GroupsScanned - ss.GroupsEmptied
+	st.ColdRowGroupsPruned += ss.GroupsTotal - ss.GroupsScanned + ss.GroupsEmptied
 	st.ColdRowsDecoded += int64(ss.RowsDecoded)
 	st.ColdWorkers = max(st.ColdWorkers, ss.Workers)
 	folded, err := ps.foldCold(names, p, noPrune)

@@ -2,7 +2,8 @@ package oda_test
 
 // The repository's shape rules: one STREAM reader, one LAKE read path, one
 // serialized form for rollup cells, one grouping loop, one sort, one log,
-// one wait, one entry point per operation and one cold scan. Each is a
+// one wait, one entry point per operation, one cold scan, one chunk
+// decoder, one interner and one parameter reader. Each is a
 // structural fact a later change could quietly undo, so
 // each is checked over the parsed non-test sources on every `go test
 // ./...`, and each is shown to fire on a synthetic source that breaks it.
@@ -79,39 +80,48 @@ func calls(files []srcFile, keep func(srcFile) bool, fn func(s srcFile, c *ast.C
 // final names of the calls its body makes.
 func callsIn(files []srcFile, keep func(srcFile) bool) map[string][]string {
 	out := map[string][]string{}
+	funcs(files, keep, func(_ srcFile, name string, fd *ast.FuncDecl) {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if c, ok := n.(*ast.CallExpr); ok {
+				out[name] = append(out[name], lastName(c.Fun))
+			}
+			return true
+		})
+	})
+	return out
+}
+
+// funcName is "Recv.Method" for a method, the name for a function.
+func funcName(fd *ast.FuncDecl) string {
+	if fd.Recv != nil && len(fd.Recv.List) == 1 {
+		return lastName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+	}
+	return fd.Name.Name
+}
+
+// funcs visits every function the files declare with a body, with its
+// funcName.
+func funcs(files []srcFile, keep func(srcFile) bool, fn func(s srcFile, name string, fd *ast.FuncDecl)) {
 	for _, s := range files {
 		if !keep(s) {
 			continue
 		}
 		for _, d := range s.f.Decls {
-			fd, ok := d.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+			if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
+				fn(s, funcName(fd), fd)
 			}
-			name := fd.Name.Name
-			if fd.Recv != nil && len(fd.Recv.List) == 1 {
-				name = lastName(fd.Recv.List[0].Type) + "." + name
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if c, ok := n.(*ast.CallExpr); ok {
-					out[name] = append(out[name], lastName(c.Fun))
-				}
-				return true
-			})
 		}
 	}
-	return out
 }
 
 // decls lists what the files declare: "func Recv.Method" for a method,
-// "type T" for a struct type and "T.Field" for each of its fields.
+// "func F" for a function, "type T" for a struct type and "T.Field" for
+// each of its fields.
 func decls(files []srcFile, keep func(srcFile) bool) (out []string) {
 	inspect(files, keep, func(_ srcFile, n ast.Node) {
 		switch n := n.(type) {
 		case *ast.FuncDecl:
-			if n.Recv != nil && len(n.Recv.List) == 1 {
-				out = append(out, "func "+lastName(n.Recv.List[0].Type)+"."+n.Name.Name)
-			}
+			out = append(out, "func "+funcName(n))
 		case *ast.TypeSpec:
 			if st, ok := n.Type.(*ast.StructType); ok {
 				out = append(out, "type "+n.Name.Name)
@@ -409,6 +419,100 @@ func (r *Reader) Wait() { <-clock.After(idle) }`},
 		breaks: map[string]string{"internal/columnar/reader.go": `package columnar
 func (fr *FileReader) ScanInto(b *Batch) { for _, g := range fr.groups { p.matches(fr.sch, g) } }
 func (fr *FileReader) ScanColumns() { for _, g := range fr.groups { p.matches(fr.sch, g) } }`},
+	},
+	{
+		name: "one chunk decoder: decodeStringBlock is the only parser of a string chunk",
+		check: func(files []srcFile) (out []string) {
+			columnar := within("internal/columnar")
+			for _, s := range files {
+				for _, imp := range s.f.Imports {
+					if columnar(s) && imp.Path.Value == `"bufio"` {
+						out = append(out, s.path+": imports bufio: a chunk is read whole, by decodeColumn")
+					}
+				}
+			}
+			out = append(out, forbid(decls(files, columnar), "predicates filter decodeColumn's vectors",
+				"func FileReader.stringEqKeep", "func wantSet")...)
+			funcs(files, columnar, func(s srcFile, name string, fd *ast.FuncDecl) {
+				if name == "appendStringBlock" || name == "decodeStringBlock" {
+					return
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if id, ok := n.(*ast.Ident); ok && (id.Name == "strDict" || id.Name == "strPlain") {
+						out = append(out, s.path+": "+name+" reads the string block layout ("+id.Name+")")
+					}
+					return true
+				})
+			})
+			return out
+		},
+		breaks: map[string]string{"internal/columnar/reader.go": `package columnar
+import "bufio"
+func (fr *FileReader) stringEqKeep(br *bufio.Reader) { if mode == strDict {} }`},
+	},
+	{
+		name: "one interner: internal/columnar interns through schema.Interner",
+		check: func(files []srcFile) (out []string) {
+			inspect(files, within("internal/columnar"), func(s srcFile, n ast.Node) {
+				if m, ok := n.(*ast.MapType); ok && lastName(m.Key) == "string" && lastName(m.Value) == "string" {
+					out = append(out, s.path+": map[string]string: intern with schema.Interner")
+				}
+			})
+			return out
+		},
+		breaks: map[string]string{"internal/columnar/encoding.go": "package columnar\ntype decodeScratch struct{ interned map[string]string }"},
+	},
+	{
+		name: "one parameter reader: internal/httpapi reads query parameters through uniqueParam",
+		check: func(files []srcFile) (out []string) {
+			funcs(files, within("internal/httpapi"), func(s srcFile, name string, fd *ast.FuncDecl) {
+				// The names this function binds to a url.Values: r.URL.Query()
+				// results and url.Values parameters.
+				values := map[string]bool{}
+				isQuery := func(e ast.Expr) bool {
+					c, ok := e.(*ast.CallExpr)
+					return ok && lastName(c.Fun) == "Query" && len(c.Args) == 0
+				}
+				for _, p := range fd.Type.Params.List {
+					if typ, ok := pkgRef(s.f, p.Type, "net/url"); ok && typ == "Values" {
+						for _, id := range p.Names {
+							values[id.Name] = true
+						}
+					}
+				}
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					if a, ok := n.(*ast.AssignStmt); ok && len(a.Lhs) == len(a.Rhs) {
+						for i, r := range a.Rhs {
+							if id, ok := a.Lhs[i].(*ast.Ident); ok && isQuery(r) {
+								values[id.Name] = true
+							}
+						}
+					}
+					return true
+				})
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					c, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					if sel, ok := c.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Get" {
+						if id, ok := sel.X.(*ast.Ident); isQuery(sel.X) || ok && values[id.Name] {
+							out = append(out, s.path+": "+name+": url.Values.Get takes the first of conflicting duplicates; use uniqueParam")
+						}
+					}
+					return true
+				})
+			})
+			return out
+		},
+		breaks: map[string]string{
+			"internal/httpapi/prepared.go": `package httpapi
+func (s *Server) preparedRun(r *http.Request) { _ = r.URL.Query().Get("prep") }`,
+			"internal/httpapi/cq.go": `package httpapi
+import "net/url"
+func (s *Server) cqLongPoll(r *http.Request) { q := r.URL.Query(); _ = q.Get("gen") }
+func wait(q url.Values) string { return q.Get("wait") }`,
+		},
 	},
 }
 
