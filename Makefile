@@ -13,8 +13,8 @@ vet:
 # The tests include the repository's shape rules (shape_test.go: one
 # STREAM reader, one LAKE read path, one cell format, one grouping loop,
 # one sort, one log, one wait, one entry point per operation, one cold
-# scan, one chunk decoder, one interner, one parameter reader), checked
-# over the parsed sources.
+# scan, one chunk decoder, one interner, one parameter reader, a series
+# is an integer), checked over the parsed sources.
 test:
 	$(GO) test ./...
 
@@ -22,15 +22,15 @@ test:
 # module, so the root build, vet and test never compile it. This target
 # does: an internal/ signature change that breaks benchmark/sut.go fails
 # here instead of in the driver's run. The cold-scan and OCF-write
-# microbenchmarks, the partition log's append + fetch, the cell-table
-# growth one, the grouped cold fold, the replicated ingest loop and the
+# microbenchmarks, the partition log's append + fetch, the LAKE insert
+# and cell-table growth ones, the grouped cold fold, the replicated ingest loop and the
 # Silver job's windowed fold + SQL query run once each so they cannot rot
 # either.
 bench-smoke:
 	(cd benchmark && $(GO) vet ./... && $(GO) test ./...)
 	$(GO) test -bench 'PartitionAppendFetch' -benchtime 1x -run xxx ./internal/stream
 	$(GO) test -bench 'ScanColumnsCold|WriteTelemetry' -benchtime 1x -run xxx ./internal/columnar
-	$(GO) test -bench 'CellTableGrow|ColdFoldGrouped' -benchtime 1x -run xxx ./internal/tsdb
+	$(GO) test -bench 'Insert$$|CellTableGrow|ColdFoldGrouped' -benchtime 1x -run xxx ./internal/tsdb
 	$(GO) test -bench 'ClusterIngestBatch' -benchtime 1x -run xxx ./internal/cluster
 	$(GO) test -bench 'WindowedThroughput|SQLQuery' -benchtime 1x -run xxx ./internal/sproc
 

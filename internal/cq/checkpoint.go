@@ -157,8 +157,9 @@ func (v *View) snapshot() ckptView {
 				ch := ckptChunk{Start: start, Cells: make([]ckptCell, 0, ct.Len())}
 				for i := 0; i < ct.Len(); i++ {
 					k, c := ct.At(i)
+					sr := ct.Series(k.Series)
 					ch.Cells = append(ch.Cells, ckptCell{
-						Ts: k.Ts, System: k.System, Source: k.Source, Comp: k.Component, Metric: k.Metric,
+						Ts: k.Ts, System: sr.System, Source: sr.Source, Comp: sr.Component, Metric: sr.Metric,
 						Count: c.Count, Sum: math.Float64bits(c.Sum),
 						Min: math.Float64bits(c.Min), Max: math.Float64bits(c.Max),
 						LastTs: c.LastTs, Last: math.Float64bits(c.Last),
@@ -206,35 +207,72 @@ func (a *alertState) snapshot() *ckptAlerts {
 
 // restoreInto rebuilds the view's state from a snapshot. The view must
 // be freshly registered (empty); cells are re-inserted in checkpointed
-// insertion order so the restored fold is byte-identical.
+// insertion order so the restored fold is byte-identical. The snapshot
+// came off disk, so every cell is checked before it lands: its part on
+// the stripe its series hashes to, its chunk on the segment grid, its
+// bucket on the rollup grid inside the chunk, and no (bucket, series)
+// twice in one (stripe, chunk, topic-partition) table. A violation is an
+// error naming the view and the stripe, and leaves the view empty: the
+// cells restored before it are dropped and no counter is taken over.
 func (v *View) restoreInto(cv ckptView) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.applied != 0 {
 		return fmt.Errorf("cq: restore into non-empty view %s", v.ID)
 	}
+	if err := v.restoreCellsLocked(cv.Parts); err != nil {
+		for s := range v.stripes {
+			v.stripes[s] = make(map[int64]map[topicPart]*tsdb.CellTable)
+		}
+		v.tps = nil
+		return err
+	}
 	v.watermark = cv.Watermark
 	v.evictedBefore = cv.EvictedBefore
 	v.applied, v.late = cv.Applied, cv.Late
-	for _, cp := range cv.Parts {
+	if cv.Alerts != nil && v.alerts != nil {
+		v.alerts.restore(cv.Alerts)
+	}
+	return nil
+}
+
+// restoreCellsLocked re-inserts checkpointed parts into the view's empty
+// tables, checking each cell before it lands.
+func (v *View) restoreCellsLocked(parts []ckptPart) error {
+	for _, cp := range parts {
+		bad := func(format string, args ...any) error {
+			return fmt.Errorf("cq: checkpoint of view %s, stripe %d: "+format, append([]any{v.ID, cp.Stripe}, args...)...)
+		}
 		if cp.Stripe < 0 || cp.Stripe >= tsdb.NumStripes {
-			return fmt.Errorf("cq: checkpoint stripe %d out of range", cp.Stripe)
+			return bad("out of range")
 		}
 		tp := topicPart{topic: cp.Topic, part: cp.Part}
 		for _, ch := range cp.Chunks {
+			if tsdb.FloorMod(ch.Start, v.segN) != 0 {
+				return bad("chunk %d is off the %v segment grid", ch.Start, time.Duration(v.segN))
+			}
 			ct := v.tableLocked(cp.Stripe, ch.Start, tp)
 			for _, c := range ch.Cells {
-				key := tsdb.Key{Ts: c.Ts, System: c.System, Source: c.Source, Component: c.Comp, Metric: c.Metric}
-				*ct.Cell(key.Hash(), key) = tsdb.Cell{
+				if c.Ts < ch.Start || uint64(c.Ts-ch.Start) >= uint64(v.segN) || tsdb.FloorMod(c.Ts, v.rollupN) != 0 {
+					return bad("cell bucket %d is off the %v rollup grid of chunk %d", c.Ts, time.Duration(v.rollupN), ch.Start)
+				}
+				h := tsdb.SeriesHash(c.Comp, c.Metric)
+				if own := int(h % tsdb.NumStripes); own != cp.Stripe {
+					return bad("series %s/%s lives on stripe %d", c.Comp, c.Metric, own)
+				}
+				n := ct.Len()
+				series := tsdb.Series{System: c.System, Source: c.Source, Component: c.Comp, Metric: c.Metric}
+				*ct.Cell(h, c.Ts, &series) = tsdb.Cell{
 					Count: c.Count, Sum: math.Float64frombits(c.Sum),
 					Min: math.Float64frombits(c.Min), Max: math.Float64frombits(c.Max),
 					LastTs: c.LastTs, Last: math.Float64frombits(c.Last),
 				}
+				if ct.Len() == n {
+					return bad("cell %s/%s/%s/%s at %d listed twice in chunk %d of %s/%d",
+						c.System, c.Source, c.Comp, c.Metric, c.Ts, ch.Start, cp.Topic, cp.Part)
+				}
 			}
 		}
-	}
-	if cv.Alerts != nil && v.alerts != nil {
-		v.alerts.restore(cv.Alerts)
 	}
 	return nil
 }

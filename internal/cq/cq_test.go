@@ -2,11 +2,13 @@ package cq
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -432,5 +434,78 @@ func TestCheckpointRoundTripAcrossPages(t *testing.T) {
 	want, _ := v.Read()
 	if got, _ := v2.Read(); got.Len() == 0 || !got.Equal(want) {
 		t.Fatalf("restored view reads %d rows, original %d, or they differ", got.Len(), want.Len())
+	}
+}
+
+// TestRestoreRejectsCorruptCheckpoint corrupts a valid snapshot one way
+// per row and requires restoreInto to refuse it with an error naming the
+// view and the stripe, leaving the view exactly as empty as a fresh one.
+func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
+	spec := Spec{Name: "corrupt", GroupBy: []string{tsdb.DimComponent}, Agg: tsdb.AggSum, Window: 10 * time.Minute}
+	register := func() *View {
+		v, err := testEngine().Register(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return v
+	}
+	src := register()
+	var obs []schema.Observation
+	for i := 0; i < 60; i++ {
+		obs = append(obs, obsAt(unitT0.Add(time.Duration(i)*4*time.Second), fmt.Sprintf("node%02d", i%3), "pow", float64(i)))
+	}
+	src.engine.Apply("bronze.alpha", 0, obs)
+	good := src.snapshot()
+	if len(good.Parts) == 0 || len(good.Parts[0].Chunks[0].Cells) < 2 {
+		t.Fatalf("fixture snapshot too small: %+v", good.Parts)
+	}
+	if err := register().restoreInto(good); err != nil {
+		t.Fatalf("the uncorrupted snapshot: %v", err)
+	}
+	empty := register().snapshot()
+	const rollup, segment = int64(15 * time.Second), int64(time.Minute)
+	for _, tc := range []struct {
+		name    string
+		corrupt func(cv *ckptView)
+	}{
+		{"cell listed twice", func(cv *ckptView) {
+			ch := &cv.Parts[0].Chunks[0]
+			ch.Cells = append(ch.Cells, ch.Cells[0])
+		}},
+		{"chunk listed twice", func(cv *ckptView) {
+			cv.Parts[0].Chunks = append(cv.Parts[0].Chunks, cv.Parts[0].Chunks[0])
+		}},
+		{"part on a foreign stripe", func(cv *ckptView) {
+			cv.Parts[0].Stripe = (cv.Parts[0].Stripe + 1) % tsdb.NumStripes
+		}},
+		{"cell off the rollup grid", func(cv *ckptView) { cv.Parts[0].Chunks[0].Cells[1].Ts += int64(time.Second) }},
+		{"cell outside its chunk", func(cv *ckptView) {
+			ch := &cv.Parts[0].Chunks[0]
+			ch.Cells[1].Ts = ch.Start + segment
+		}},
+		{"chunk off the segment grid", func(cv *ckptView) { cv.Parts[0].Chunks[0].Start += rollup }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var cv ckptView
+			data, err := json.Marshal(good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := json.Unmarshal(data, &cv); err != nil {
+				t.Fatal(err)
+			}
+			tc.corrupt(&cv)
+			v := register()
+			err = v.restoreInto(cv)
+			if err == nil {
+				t.Fatal("corrupt snapshot restored without an error")
+			}
+			if stripe := fmt.Sprintf("stripe %d", cv.Parts[0].Stripe); !strings.Contains(err.Error(), v.ID) || !strings.Contains(err.Error(), stripe) {
+				t.Fatalf("error %q names neither view %s nor %s", err, v.ID, stripe)
+			}
+			if got := v.snapshot(); !reflect.DeepEqual(got, empty) {
+				t.Fatalf("a refused restore left state behind: %+v", got)
+			}
+		})
 	}
 }

@@ -124,11 +124,8 @@ func (v *View) apply(topic string, part int, obs []schema.Observation) (appliedN
 		if tsn > v.watermark {
 			v.watermark = tsn
 		}
-		key := tsdb.Key{
-			Ts:     tsn - tsdb.FloorMod(tsn, v.rollupN),
-			System: o.System, Source: o.Source, Component: o.Component, Metric: o.Metric,
-		}
-		if !v.plan.Match(&key) {
+		series := tsdb.Series{System: o.System, Source: o.Source, Component: o.Component, Metric: o.Metric}
+		if !v.plan.Match(&series) {
 			continue
 		}
 		chunkN := tsn - tsdb.FloorMod(tsn, v.segN)
@@ -139,10 +136,11 @@ func (v *View) apply(topic string, part int, obs []schema.Observation) (appliedN
 			v.late++
 			continue
 		}
-		// One series hash picks the stripe and seeds the cell probe,
+		// One series hash picks the stripe and seeds the table's probes,
 		// exactly as the LAKE's ingest does.
 		h := tsdb.SeriesHash(o.Component, o.Metric)
-		v.tableLocked(int(h%tsdb.NumStripes), chunkN, tp).Cell(tsdb.CellHash(h, key.Ts), key).Add(tsn, o.Value)
+		ct := v.tableLocked(int(h%tsdb.NumStripes), chunkN, tp)
+		ct.Cell(h, tsn-tsdb.FloorMod(tsn, v.rollupN), &series).Add(tsn, o.Value)
 		v.applied++
 	}
 	v.evictLocked()
@@ -325,7 +323,7 @@ func (v *View) foldRangeLocked(fromN, toN, granN int64) (total tsdb.GroupTable, 
 					cellsScanned += int64(ct.Len())
 					for pi := 0; pi < ct.Pages(); pi++ {
 						keys, cells := ct.Page(pi)
-						part.Fold(&p, keys, cells, contained)
+						part.Fold(&p, ct.Dict(), keys, cells, contained)
 					}
 				}
 			}

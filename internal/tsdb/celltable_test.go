@@ -11,17 +11,52 @@ import (
 	"odakit/internal/schema"
 )
 
+// collidingComponents returns two component names whose series under
+// metric share a SeriesHash: a birthday search over generated names,
+// deterministic because the names are.
+func collidingComponents(t *testing.T, metric string) (string, string) {
+	t.Helper()
+	seen := make(map[uint32]string, 1<<17)
+	for i := 0; i < 1<<20; i++ {
+		c := fmt.Sprintf("rack%07d", i)
+		h := SeriesHash(c, metric)
+		if prev, ok := seen[h]; ok {
+			return prev, c
+		}
+		seen[h] = c
+	}
+	t.Fatal("no SeriesHash collision among 2^20 component names")
+	return "", ""
+}
+
 // TestCellTableMatchesMapReference feeds one table well past three pages
-// of random keys with repeats and holds it to a map[Key]Cell: same cells,
-// At and Page both walk them in first-insertion order, and a *Cell taken
-// once its page can no longer move keeps aliasing the table's cell across
-// every later insert.
+// of random (series, bucket) keys with repeats and holds it to a map:
+// same cells, At and Page both walk them in first-insertion order, and a
+// *Cell taken once its page can no longer move keeps aliasing the table's
+// cell across every later insert. The series share SeriesHash values on
+// purpose — they differ only in system or source, or are a forged FNV-1a
+// collision on (component, metric) — and each must keep its own cells
+// and its own id, whose dimensions Series returns unchanged. Re-inserting
+// the same series in fresh buckets grows the cells, never the dictionary.
 func TestCellTableMatchesMapReference(t *testing.T) {
+	collA, collB := collidingComponents(t, "m")
+	var pool []Series
+	for _, comp := range []string{"node00000", "node00001", "node00002", "node00003", "node00004", collA, collB} {
+		for _, sys := range []string{"sys", "sysB"} {
+			for _, src := range []string{"src0", "src1"} {
+				pool = append(pool, Series{System: sys, Source: src, Component: comp, Metric: "m"})
+			}
+		}
+	}
+	type refKey struct {
+		ts int64
+		s  Series
+	}
 	rng := rand.New(rand.NewSource(20240601))
 	const distinct, adds = 3*pageSize + pageSize/2 + 7, 6000
 	var ct CellTable
-	ref := make(map[Key]Cell)
-	var order []Key
+	ref := make(map[refKey]Cell)
+	var order []refKey
 	type held struct {
 		at int
 		c  *Cell
@@ -29,13 +64,10 @@ func TestCellTableMatchesMapReference(t *testing.T) {
 	var holds []held
 	for i := 0; i < adds; i++ {
 		n := rng.Intn(distinct)
-		k := Key{
-			Ts: int64(n/16) * int64(15*time.Second), System: "sys", Source: fmt.Sprintf("src%d", n%2),
-			Component: fmt.Sprintf("node%05d", n%16), Metric: "m",
-		}
+		k := refKey{ts: int64(n/len(pool)) * int64(15*time.Second), s: pool[n%len(pool)]}
 		v := rng.Float64()
 		ts := rng.Int63n(1 << 40)
-		c := ct.Cell(k.Hash(), k)
+		c := ct.Cell(SeriesHash(k.s.Component, k.s.Metric), k.ts, &k.s)
 		c.Add(ts, v)
 		r, seen := ref[k]
 		r.Add(ts, v)
@@ -56,11 +88,27 @@ func TestCellTableMatchesMapReference(t *testing.T) {
 	if ct.Len() != len(ref) || ct.Pages() < 4 {
 		t.Fatalf("table holds %d cells in %d pages, reference %d cells", ct.Len(), ct.Pages(), len(ref))
 	}
+	ids := map[Series]uint32{}
 	for i, want := range order {
 		k, c := ct.At(i)
-		if *k != want || *c != ref[want] {
-			t.Fatalf("At(%d) = %+v %+v, want %+v %+v", i, *k, *c, want, ref[want])
+		if k.Ts != want.ts || *ct.Series(k.Series) != want.s || *c != ref[want] {
+			t.Fatalf("At(%d) = %+v %+v %+v, want %+v %+v", i, *k, *ct.Series(k.Series), *c, want, ref[want])
 		}
+		if id, ok := ids[want.s]; ok && id != k.Series {
+			t.Fatalf("series %+v has ids %d and %d", want.s, id, k.Series)
+		}
+		ids[want.s] = k.Series
+	}
+	if len(ids) != len(pool) || len(ct.Dict()) != len(pool) {
+		t.Fatalf("%d series reached the table, its dictionary holds %d, want %d", len(ids), len(ct.Dict()), len(pool))
+	}
+	for s, id := range ids {
+		if ct.Dict()[id] != s {
+			t.Fatalf("Dict()[%d] = %+v, want %+v", id, ct.Dict()[id], s)
+		}
+	}
+	if SeriesHash(collA, "m") != SeriesHash(collB, "m") || collA == collB {
+		t.Fatalf("%q and %q do not collide", collA, collB)
 	}
 	i := 0
 	for p := 0; p < ct.Pages(); p++ {
@@ -69,7 +117,7 @@ func TestCellTableMatchesMapReference(t *testing.T) {
 			t.Fatalf("page %d: %d keys, %d cells", p, len(keys), len(cells))
 		}
 		for j := range keys {
-			if keys[j] != order[i] || cells[j] != ref[order[i]] {
+			if want := order[i]; keys[j].Ts != want.ts || ct.Dict()[keys[j].Series] != want.s || cells[j] != ref[want] {
 				t.Fatalf("page %d slot %d is not insertion position %d", p, j, i)
 			}
 			i++
@@ -85,6 +133,17 @@ func TestCellTableMatchesMapReference(t *testing.T) {
 		if _, c := ct.At(h.at); c != h.c {
 			t.Fatalf("cell %d moved after its pointer was handed out", h.at)
 		}
+	}
+	const buckets = 40
+	before := ct.Len()
+	for b := 0; b < buckets; b++ {
+		for _, s := range pool {
+			ct.Cell(SeriesHash(s.Component, s.Metric), int64(1000+b)*int64(15*time.Second), &s).Count++
+		}
+	}
+	if ct.Len() != before+buckets*len(pool) || len(ct.Dict()) != len(pool) {
+		t.Fatalf("re-inserting %d series in %d fresh buckets: %d → %d cells, dictionary %d, want +%d cells, dictionary %d",
+			len(pool), buckets, before, ct.Len(), len(ct.Dict()), buckets*len(pool), len(pool))
 	}
 }
 
@@ -249,27 +308,30 @@ func TestPagedOffloadRollback(t *testing.T) {
 	sameCells("rollback by merge")
 }
 
-// BenchmarkCellTableGrow inserts 100k fresh keys into one table. B/op is
-// the figure to watch: the final 12 MB of keys and cells once, plus the
-// probe index's doublings (4 MB), where one dense array pair re-grown by
+// BenchmarkCellTableGrow inserts 100k fresh cells of 1 000 series into
+// one table. B/op is the figure to watch: the final 6.4 MB of keys and
+// cells once (64 bytes a cell), plus the probe index's doublings (4 MB)
+// and the series dictionary, where one dense array pair re-grown by
 // append allocated ~5x the final size.
 func BenchmarkCellTableGrow(b *testing.B) {
 	const n = 100_000
-	keys := make([]Key, n)
+	series := make([]Series, n)
+	ts := make([]int64, n)
 	hashes := make([]uint32, n)
-	for i := range keys {
-		keys[i] = Key{
-			Ts: int64(i/1000) * int64(15*time.Second), System: "compass", Source: "power_temp",
+	for i := range series {
+		series[i] = Series{
+			System: "compass", Source: "power_temp",
 			Component: fmt.Sprintf("node%05d", i%1000), Metric: "node_power_w",
 		}
-		hashes[i] = keys[i].Hash()
+		ts[i] = int64(i/1000) * int64(15*time.Second)
+		hashes[i] = SeriesHash(series[i].Component, series[i].Metric)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		var ct CellTable
-		for j := range keys {
-			ct.Cell(hashes[j], keys[j]).Count++
+		for j := range series {
+			ct.Cell(hashes[j], ts[j], &series[j]).Count++
 		}
 		if ct.Len() != n {
 			b.Fatalf("table holds %d cells", ct.Len())

@@ -187,13 +187,14 @@ func project(c Columns, q Query) Columns {
 }
 
 // stage copies rows order[0], order[1], … out of c as the (keys, cells)
-// slice pair the cold tier handed Fold before FoldColumns existed.
-func stage(c *Columns, order []int32) ([]Key, []Cell) {
-	keys, cells := make([]Key, len(order)), make([]Cell, len(order))
+// slice pair the cold tier handed Fold before FoldColumns existed, with a
+// dictionary holding each row's series under its own id.
+func stage(c *Columns, order []int32) ([]Series, []Key, []Cell) {
+	dict, keys, cells := make([]Series, len(order)), make([]Key, len(order)), make([]Cell, len(order))
 	for i, r := range order {
-		keys[i], cells[i] = c.key(r), c.cell(r)
+		dict[i], keys[i], cells[i] = c.series(r), Key{Ts: c.Bucket[r], Series: uint32(i)}, c.cell(r)
 	}
-	return keys, cells
+	return dict, keys, cells
 }
 
 // sameGroups compares two tables' full aggregation state bit for bit.
@@ -239,8 +240,8 @@ func TestFoldColumnsMatchesFold(t *testing.T) {
 			cols := project(full, q)
 			var byCols, byPair GroupTable
 			byCols.FoldColumns(&p, &cols, order)
-			keys, cells := stage(&cols, order)
-			if got := byPair.Fold(&p, keys, cells, true); got != int64(len(order)) {
+			dict, keys, cells := stage(&cols, order)
+			if got := byPair.Fold(&p, dict, keys, cells, true); got != int64(len(order)) {
 				t.Fatalf("agg %d shape %d: Fold matched %d of %d", agg, si, got, len(order))
 			}
 			if err := sameGroups(&byCols, &byPair); err != nil {
@@ -269,7 +270,8 @@ func TestFoldColumnsMatchesFold(t *testing.T) {
 type coldRow struct {
 	stripe, seq int64
 	seqNull     bool
-	key         Key
+	ts          int64
+	series      Series
 	cell        Cell
 }
 
@@ -290,21 +292,21 @@ func forgedTier(t *testing.T, rows []coldRow) *DB {
 			seq = schema.Null
 		}
 		if err := f.AppendRow(schema.Row{
-			schema.Int(r.stripe), seq, schema.TimeNanos(r.key.Ts),
-			schema.Str(r.key.System), schema.Str(r.key.Source), schema.Str(r.key.Component), schema.Str(r.key.Metric),
+			schema.Int(r.stripe), seq, schema.TimeNanos(r.ts),
+			schema.Str(r.series.System), schema.Str(r.series.Source), schema.Str(r.series.Component), schema.Str(r.series.Metric),
 			schema.Int(r.cell.Count), schema.Float(r.cell.Sum), schema.Float(r.cell.Min),
 			schema.Float(r.cell.Max), schema.Float(r.cell.Last), schema.TimeNanos(r.cell.LastTs),
 		}); err != nil {
 			t.Fatal(err)
 		}
-		if i == 0 || r.key.Ts < meta.MinTs {
-			meta.MinTs = r.key.Ts
+		if i == 0 || r.ts < meta.MinTs {
+			meta.MinTs = r.ts
 		}
-		if i == 0 || r.key.Ts > meta.MaxTs {
-			meta.MaxTs = r.key.Ts
+		if i == 0 || r.ts > meta.MaxTs {
+			meta.MaxTs = r.ts
 		}
 		for d := range blooms {
-			v := dimValueAt(&r.key, d)
+			v := r.series.at(d)
 			blooms[d].Insert(columnar.BloomHash(v))
 			if i == 0 || v < meta.Dims[d].Min {
 				meta.Dims[d].Min = v
@@ -358,7 +360,7 @@ func referenceAnswer(t *testing.T, rows []coldRow, q Query, inFileOrder bool) *s
 		if !rows[i].seqNull {
 			seq[i] = rows[i].seq
 		}
-		if k := &rows[i].key; k.Ts >= p.fromN && k.Ts < p.toN && p.Match(k) {
+		if r := &rows[i]; r.ts >= p.fromN && r.ts < p.toN && p.Match(&r.series) {
 			admitted = append(admitted, int32(i))
 		}
 	}
@@ -374,7 +376,8 @@ func referenceAnswer(t *testing.T, rows []coldRow, q Query, inFileOrder bool) *s
 	var tables [shardCount]GroupTable
 	plain := p.Admitted()
 	for _, ref := range refs {
-		tables[ref.stripe].Fold(&plain, []Key{rows[ref.row].key}, []Cell{rows[ref.row].cell}, true)
+		r := &rows[ref.row]
+		tables[ref.stripe].Fold(&plain, []Series{r.series}, []Key{{Ts: r.ts}}, []Cell{r.cell}, true)
 	}
 	for s := 1; s < shardCount; s++ {
 		tables[0].Merge(&tables[s])
@@ -400,18 +403,19 @@ func forgedRows(rng *rand.Rand) []coldRow {
 				stripe := int64((n*2 + m) % 4)
 				rows = append(rows, coldRow{
 					stripe: stripe, seq: next[stripe],
-					key:  Key{Ts: ts, System: "compass", Source: "power_temp", Component: fmt.Sprintf("node%05d", n), Metric: []string{"node_power_w", "cpu_temp_c"}[m]},
-					cell: Cell{Count: 1 + int64(rng.Intn(3)), Sum: v, Min: v, Max: v, Last: v, LastTs: ts + int64(rng.Intn(15))*int64(time.Second)},
+					ts:     ts,
+					series: Series{System: "compass", Source: "power_temp", Component: fmt.Sprintf("node%05d", n), Metric: []string{"node_power_w", "cpu_temp_c"}[m]},
+					cell:   Cell{Count: 1 + int64(rng.Intn(3)), Sum: v, Min: v, Max: v, Last: v, LastTs: ts + int64(rng.Intn(15))*int64(time.Second)},
 				})
 				next[stripe]++
 			}
 		}
 	}
 	slices.SortStableFunc(rows, func(a, b coldRow) int {
-		if c := strings.Compare(a.key.Metric, b.key.Metric); c != 0 {
+		if c := strings.Compare(a.series.Metric, b.series.Metric); c != 0 {
 			return c
 		}
-		return strings.Compare(a.key.Component, b.key.Component)
+		return strings.Compare(a.series.Component, b.series.Component)
 	})
 	return rows
 }
@@ -421,7 +425,7 @@ func forgedRows(rng *rand.Rand) []coldRow {
 func forgedTargets(rows []coldRow) (hit, other int) {
 	ts := base.Add(90 * time.Second).UnixNano()
 	for i := range rows {
-		if k := &rows[i].key; k.Ts == ts && k.Metric == "node_power_w" && k.Component == "node00002" {
+		if r := &rows[i]; r.ts == ts && r.series.Metric == "node_power_w" && r.series.Component == "node00002" {
 			return i, len(rows) - 1
 		}
 	}

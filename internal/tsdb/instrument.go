@@ -99,6 +99,8 @@ func (db *DB) Instrument(reg *obs.Registry) {
 			Help: "Raw observations ingested into the LAKE store.", Value: float64(st.RawIngested)})
 		emit(obs.Sample{Name: "oda_lake_rollup_cells", Kind: obs.KindGauge,
 			Help: "Live rollup cells across all LAKE segments.", Value: float64(st.RollupCells)})
+		emit(obs.Sample{Name: "oda_lake_series", Kind: obs.KindGauge,
+			Help: "Series dictionary entries across all LAKE segments' cell tables.", Value: float64(st.Series)})
 		emit(obs.Sample{Name: "oda_lake_segments", Kind: obs.KindGauge,
 			Help: "Live LAKE time-chunk segments.", Value: float64(st.Segments)})
 		emit(obs.Sample{Name: "oda_lake_scan_load", Kind: obs.KindGauge,

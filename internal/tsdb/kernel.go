@@ -32,39 +32,34 @@ const (
 	AggLast
 )
 
-// Key identifies one rollup cell: a series in one rollup bucket.
-type Key struct {
-	Ts                                int64 // rollup bucket start, unix nanos
+// Series names one time series: the four dimensions every rollup cell of
+// it shares. A CellTable interns each series it holds once, in its own
+// dictionary, and its cells' keys carry the series' id there.
+type Series struct {
 	System, Source, Component, Metric string
 }
 
-func (k Key) dim(name string) string {
-	switch name {
-	case DimSystem:
-		return k.System
-	case DimSource:
-		return k.Source
-	case DimComponent:
-		return k.Component
-	case DimMetric:
-		return k.Metric
+// at returns the series' value for a dimension slot (see dimIndex).
+func (s *Series) at(d int) string {
+	switch d {
+	case 0:
+		return s.System
+	case 1:
+		return s.Source
+	case 2:
+		return s.Component
 	default:
-		return ""
+		return s.Metric
 	}
 }
 
-// dimValueAt returns a key's value for a dimension slot (see dimIndex).
-func dimValueAt(k *Key, idx int) string {
-	switch idx {
-	case 0:
-		return k.System
-	case 1:
-		return k.Source
-	case 2:
-		return k.Component
-	default:
-		return k.Metric
-	}
+// Key identifies one rollup cell: a series in one rollup bucket. The
+// series is an id into the dictionary of the CellTable that holds the
+// cell; it means nothing outside that table. A Key holds no pointer, so
+// key pages are noscan and a push writes no pointer.
+type Key struct {
+	Ts     int64  // rollup bucket start, unix nanos
+	Series uint32 // the owning table's series id
 }
 
 // Cell is one rolled-up cell: enough state for every supported
@@ -133,15 +128,21 @@ func (c *Cell) Value(kind AggKind) float64 {
 	}
 }
 
-// CellTable maps Key to Cell. It replaces a Go map on the ingest hot
-// path: the probe hash is derived from the series hash already computed
-// for shard striping, and the stored hash makes misses cheap. Layout is
-// structure-of-arrays: a compact open-addressed index (8 bytes per
-// entry) resolves a key to a position in insertion-ordered, parallel key
-// and cell pages. Queries stream sequentially over the packed keys and
-// touch aggregation state only for cells that match — roughly halving
-// scan memory traffic versus keys and cells interleaved in 128-byte hash
-// slots, with no change to the ingest probe cost.
+// CellTable maps (series, bucket) to Cell. It replaces a Go map on the
+// ingest hot path: the probe hash is derived from the series hash already
+// computed for shard striping, and the stored hash makes misses cheap.
+// Layout is structure-of-arrays: a compact open-addressed index (8 bytes
+// per entry) resolves a key to a position in insertion-ordered, parallel
+// key and cell pages. Queries stream sequentially over the packed keys and
+// touch aggregation state only for cells that match.
+//
+// Each table interns its series in a dictionary of its own, in
+// first-insertion order: a cell's Key is its bucket plus the series' id
+// there, 16 pointer-free bytes, and whatever reads dimensions reads them
+// back through the table (Series, Dict). The dictionary lives and dies
+// with the table — a LAKE segment or a view chunk — so retention bounds
+// it, and ids never leave the table: everything a table writes out
+// (ColdSchema frames, checkpoints, stripe partials) carries the strings.
 //
 // Cells live in pages of pageSize entries that are never re-copied: a
 // table that keeps growing allocates each byte of cell storage once,
@@ -151,10 +152,12 @@ func (c *Cell) Value(kind AggKind) float64 {
 // the cells they hold, not for a page; every later page is allocated
 // full. The zero value is an empty table.
 type CellTable struct {
-	index []cellRef  // open-addressed probe index
-	first cellPage   // page 0, grown by append up to pageSize entries
-	rest  []cellPage // pages 1.., each allocated at full capacity
-	n     int
+	index  []cellRef  // cell probe index, by CellHash
+	first  cellPage   // page 0, grown by append up to pageSize entries
+	rest   []cellPage // pages 1.., each allocated at full capacity
+	n      int
+	series []Series  // the dictionary: series id → dimensions
+	byHash []cellRef // series probe index, by SeriesHash
 }
 
 // cellPage is one run of the table's parallel key and cell arrays — the
@@ -165,14 +168,15 @@ type cellPage struct {
 }
 
 // pageSize is an RSS decision: every table that outgrew page 0 strands
-// part of its last page. Measured on the benchmark harness (medians of
-// 10 runs; 5 for 1024): history_scan, whose 160 hot tables hold ~1200
-// cells each, reads peak_rss_mb 94.9 with one dense array pair per
-// table, 88.9 with 256-entry pages (18 KB of keys + 12 KB of cells, both
-// exact malloc size classes) and 106 with 1024-entry pages (120 KB),
-// while ingest_replicated — +25 % records/s and -24 % RSS over the dense
-// layout at 256 — gains nothing further at 1024 (406-459 k records/s in
-// 3 runs against 468-505 k).
+// part of its last page. A full page is 4 KB of keys plus 12 KB of cells,
+// both exact malloc size classes. Measured on the benchmark harness with
+// the 72-byte string keys of the time (medians of 10 runs; 5 for 1024):
+// history_scan, whose 160 hot tables hold ~1200 cells each, read
+// peak_rss_mb 94.9 with one dense array pair per table, 88.9 with
+// 256-entry pages and 106 with 1024-entry pages, while ingest_replicated
+// — +25 % records/s and -24 % RSS over the dense layout at 256 — gained
+// nothing further at 1024 (406-459 k records/s in 3 runs against
+// 468-505 k).
 const (
 	pageShift = 8
 	pageSize  = 1 << pageShift
@@ -187,10 +191,10 @@ type cellRef struct {
 
 // SeriesHash is FNV-1a over component and metric — the dimensions that
 // actually vary across concurrent producers. It is computed once per
-// record and reused for both the lock stripe (modulo NumStripes) and the
-// cell-table probe; series differing only in system or source share a
-// stripe and a probe chain, which costs a little clustering, never
-// correctness.
+// record and reused for the lock stripe (modulo NumStripes), the series
+// dictionary probe and the cell probe; series differing only in system or
+// source share a stripe and a probe chain, which costs a little
+// clustering, never correctness.
 func SeriesHash(component, metric string) uint32 {
 	const (
 		offset32 = 2166136261
@@ -207,29 +211,27 @@ func SeriesHash(component, metric string) uint32 {
 	return h
 }
 
-// CellHash mixes the rollup bucket into the series hash. bucketN is in
+// cellHash mixes the rollup bucket into the series hash. bucketN is in
 // nanos so consecutive buckets differ only in high bits; the shift brings
 // them down and the odd multiplier spreads them.
-func CellHash(seriesH uint32, bucketN int64) uint32 {
+func cellHash(seriesH uint32, bucketN int64) uint32 {
 	return (seriesH ^ uint32(uint64(bucketN)>>30)) * 2654435761
 }
 
-// Hash is the key's CellTable probe hash, for callers with no series
-// hash at hand.
-func (k *Key) Hash() uint32 { return CellHash(SeriesHash(k.Component, k.Metric), k.Ts) }
-
-// Cell returns the cell for key (creating it if absent). h must be
-// CellHash of the key's series and bucket. A cell moves only while page 0
-// is still growing: once the table holds pageSize cells every pointer
-// handed out stays valid for the table's lifetime; below that, only until
-// the next Cell call that inserts.
-func (t *CellTable) Cell(h uint32, key Key) *Cell {
+// Cell returns series s's cell in the bucket starting at ts (creating the
+// series' dictionary entry and the cell if absent). seriesH must be
+// SeriesHash(s.Component, s.Metric). A cell moves only while page 0 is
+// still growing: once the table holds pageSize cells every pointer handed
+// out stays valid for the table's lifetime; below that, only until the
+// next Cell call that inserts.
+func (t *CellTable) Cell(seriesH uint32, ts int64, s *Series) *Cell {
+	key := Key{Ts: ts, Series: t.intern(seriesH, s)}
 	if t.n >= len(t.index)*3/4 { // covers the empty table too
-		t.grow()
+		t.index = grown(t.index, 64)
 	}
+	h := cellHash(seriesH, ts)
 	mask := uint32(len(t.index) - 1)
-	i := h & mask
-	for {
+	for i := h & mask; ; i = (i + 1) & mask {
 		r := t.index[i]
 		if r.idx == 0 {
 			t.index[i] = cellRef{hash: h, idx: int32(t.n + 1)}
@@ -240,7 +242,27 @@ func (t *CellTable) Cell(h uint32, key Key) *Cell {
 				return c
 			}
 		}
-		i = (i + 1) & mask
+	}
+}
+
+// intern returns s's series id, adding s to the dictionary if it is new.
+// h is s's SeriesHash; the probe compares all four dimensions, so series
+// that share a hash keep their own ids.
+func (t *CellTable) intern(h uint32, s *Series) uint32 {
+	if len(t.series) >= len(t.byHash)*3/4 {
+		t.byHash = grown(t.byHash, 16)
+	}
+	mask := uint32(len(t.byHash) - 1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		r := t.byHash[i]
+		if r.idx == 0 {
+			t.byHash[i] = cellRef{hash: h, idx: int32(len(t.series) + 1)}
+			t.series = append(t.series, *s)
+			return uint32(len(t.series) - 1)
+		}
+		if r.hash == h && t.series[r.idx-1] == *s {
+			return uint32(r.idx - 1)
+		}
 	}
 }
 
@@ -274,6 +296,14 @@ func (t *CellTable) At(i int) (*Key, *Cell) {
 	return &p.keys[i], &p.cells[i]
 }
 
+// Series returns the dimensions of the table's series id. Treat them as
+// read-only.
+func (t *CellTable) Series(id uint32) *Series { return &t.series[id] }
+
+// Dict returns the table's series dictionary, indexed by series id — what
+// Fold resolves a page's keys through. Treat it as read-only.
+func (t *CellTable) Dict() []Series { return t.series }
+
 // Pages returns the number of pages; Page(0..Pages-1) in order is the
 // whole table in insertion order.
 func (t *CellTable) Pages() int {
@@ -292,24 +322,26 @@ func (t *CellTable) Page(i int) ([]Key, []Cell) {
 	return p.keys, p.cells
 }
 
-func (t *CellTable) grow() {
-	newCap := 2 * len(t.index)
+// grown returns an open-addressed index rehashed into twice its slots, or
+// into first slots when it is empty.
+func grown(old []cellRef, first int) []cellRef {
+	newCap := 2 * len(old)
 	if newCap == 0 {
-		newCap = 64
+		newCap = first
 	}
-	old := t.index
-	t.index = make([]cellRef, newCap)
+	index := make([]cellRef, newCap)
 	mask := uint32(newCap - 1)
 	for _, r := range old {
 		if r.idx == 0 {
 			continue
 		}
 		i := r.hash & mask
-		for t.index[i].idx != 0 {
+		for index[i].idx != 0 {
 			i = (i + 1) & mask
 		}
-		t.index[i] = r
+		index[i] = r
 	}
+	return index
 }
 
 // FloorMod returns x mod m with the sign of m (m > 0), so bucket
@@ -405,11 +437,11 @@ func (p Plan) Admitted() Plan {
 	return p
 }
 
-// Match reports whether a cell's key passes every compiled filter.
-func (p *Plan) Match(k *Key) bool {
+// Match reports whether a series passes every compiled filter.
+func (p *Plan) Match(s *Series) bool {
 	for i := range p.filters {
 		f := &p.filters[i]
-		v := dimValueAt(k, f.dim)
+		v := s.at(f.dim)
 		if f.set == nil {
 			if v != f.single {
 				return false
@@ -434,13 +466,13 @@ func (p *Plan) Chunk(chunkN, segDur int64) (overlaps, contained bool) {
 // groupHash hashes the output group (bucket ts + grouped dims) for the
 // group table. Only the dimensions the query groups by are hashed — a Go
 // map over GroupKey would hash all four plus padding.
-func (p *Plan) groupHash(ts int64, k *Key) uint32 {
+func (p *Plan) groupHash(ts int64, s *Series) uint32 {
 	const prime32 = 16777619
 	h := uint32(2166136261)
 	for _, d := range p.groupDims {
-		s := dimValueAt(k, d)
-		for j := 0; j < len(s); j++ {
-			h = (h ^ uint32(s[j])) * prime32
+		v := s.at(d)
+		for j := 0; j < len(v); j++ {
+			h = (h ^ uint32(v[j])) * prime32
 		}
 		h = (h ^ 0xff) * prime32
 	}
@@ -535,22 +567,24 @@ func (t *GroupTable) grow() {
 
 // Fold accumulates one insertion-ordered (keys, cells) slice pair — a
 // page of a segment's CellTable or of a view chunk's — into the table
-// under p and returns how many cells matched. contained skips the per-cell
-// time check for a chunk wholly inside the range (see Plan.Chunk).
-// Per-group accumulation order is slice order, so feeding pairs in a fixed
-// order makes float rounding deterministic.
-func (t *GroupTable) Fold(p *Plan, keys []Key, cells []Cell, contained bool) (matched int64) {
+// under p and returns how many cells matched. dict is the series
+// dictionary the keys' ids index (the owning table's Dict). contained
+// skips the per-cell time check for a chunk wholly inside the range (see
+// Plan.Chunk). Per-group accumulation order is slice order, so feeding
+// pairs in a fixed order makes float rounding deterministic.
+func (t *GroupTable) Fold(p *Plan, dict []Series, keys []Key, cells []Cell, contained bool) (matched int64) {
 	noFilters := len(p.filters) == 0
 	for i := range keys {
 		key := &keys[i]
 		if !contained && (key.Ts < p.fromN || key.Ts >= p.toN) {
 			continue
 		}
-		if !noFilters && !p.Match(key) {
+		s := &dict[key.Series]
+		if !noFilters && !p.Match(s) {
 			continue
 		}
 		matched++
-		t.accumulate(p, key, &cells[i])
+		t.accumulate(p, key.Ts, s, &cells[i])
 	}
 	return matched
 }
@@ -559,15 +593,15 @@ func (t *GroupTable) Fold(p *Plan, keys []Key, cells []Cell, contained bool) (ma
 // floor, group key, group hash, Cell.Merge. It is the only copy of that
 // sequence — Fold and FoldColumns both end here, so the hot scan, the CQ
 // views, the cluster's stripe partials and the cold tier cannot drift.
-func (t *GroupTable) accumulate(p *Plan, key *Key, c *Cell) {
+func (t *GroupTable) accumulate(p *Plan, ts int64, s *Series, c *Cell) {
 	gk := GroupKey{Ts: p.collapsedTs}
 	if p.granN > 0 {
-		gk.Ts = key.Ts - FloorMod(key.Ts, p.granN)
+		gk.Ts = ts - FloorMod(ts, p.granN)
 	}
 	for gi, d := range p.groupDims {
-		gk.Dims[gi] = dimValueAt(key, d)
+		gk.Dims[gi] = s.at(d)
 	}
-	t.cell(p.groupHash(gk.Ts, key), gk).Merge(*c)
+	t.cell(p.groupHash(gk.Ts, s), gk).Merge(*c)
 }
 
 // Columns is a set of rollup cells held column-wise — what a cold scan
@@ -585,22 +619,21 @@ type Columns struct {
 	LastTs []int64
 }
 
-// key assembles row r's cell key.
-func (c *Columns) key(r int32) (k Key) {
-	k.Ts = c.Bucket[r]
+// series assembles row r's series.
+func (c *Columns) series(r int32) (s Series) {
 	if v := c.Dims[0]; v != nil {
-		k.System = v[r]
+		s.System = v[r]
 	}
 	if v := c.Dims[1]; v != nil {
-		k.Source = v[r]
+		s.Source = v[r]
 	}
 	if v := c.Dims[2]; v != nil {
-		k.Component = v[r]
+		s.Component = v[r]
 	}
 	if v := c.Dims[3]; v != nil {
-		k.Metric = v[r]
+		s.Metric = v[r]
 	}
-	return k
+	return s
 }
 
 // cell assembles row r's aggregation state.
@@ -627,12 +660,12 @@ func (c *Columns) cell(r int32) (x Cell) {
 // FoldColumns is Fold fed from column vectors: it accumulates rows
 // order[0], order[1], … of cols, every one already admitted (time range
 // and filters applied by whoever built order), so p's filters are not
-// consulted. Each row goes vector → stack Key/Cell → group cell; nothing
-// is staged on the heap. Per-group accumulation order is order's.
+// consulted. Each row goes vector → stack Series/Cell → group cell;
+// nothing is staged on the heap. Per-group accumulation order is order's.
 func (t *GroupTable) FoldColumns(p *Plan, cols *Columns, order []int32) {
 	for _, r := range order {
-		key, cell := cols.key(r), cols.cell(r)
-		t.accumulate(p, &key, &cell)
+		s, cell := cols.series(r), cols.cell(r)
+		t.accumulate(p, cols.Bucket[r], &s, &cell)
 	}
 }
 

@@ -105,7 +105,7 @@ func (db *DB) ExportStripes(stripes []int) (*schema.Frame, error) {
 			seg := sh.segments[chunkN]
 			for i := 0; i < seg.cells.Len(); i++ {
 				k, c := seg.cells.At(i)
-				b.add(si, seq, k, c)
+				b.add(si, seq, k.Ts, seg.cells.Series(k.Series), c)
 				seq++
 			}
 		}
@@ -146,9 +146,9 @@ func (db *DB) ImportStripes(f *schema.Frame) error {
 		sh := &db.shards[stripe[lo]]
 		sh.mu.Lock()
 		for r := int32(lo); r < int32(hi); r++ {
-			key, cell := cols.key(r), cols.cell(r)
-			seg := sh.segmentLocked(key.Ts - FloorMod(key.Ts, chunkD))
-			seg.cells.Cell(key.Hash(), key).Merge(cell)
+			ts, s, cell := cols.Bucket[r], cols.series(r), cols.cell(r)
+			seg := sh.segmentLocked(ts - FloorMod(ts, chunkD))
+			seg.cells.Cell(SeriesHash(s.Component, s.Metric), ts, &s).Merge(cell)
 			seg.rows += cell.Count
 			sh.ingested += cell.Count
 		}

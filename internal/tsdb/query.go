@@ -237,7 +237,7 @@ func (db *DB) scanShard(si int, p *Plan, gt *GroupTable) StripeScanStats {
 		ss.CellsScanned += int64(ct.Len())
 		for pi := 0; pi < ct.Pages(); pi++ {
 			keys, cells := ct.Page(pi)
-			ss.CellsMatched += gt.Fold(p, keys, cells, contained)
+			ss.CellsMatched += gt.Fold(p, ct.Dict(), keys, cells, contained)
 		}
 	}
 	return ss
@@ -438,13 +438,13 @@ func (db *DB) RunSerial(q Query) (*schema.Frame, error) {
 				continue // segment pruning by time chunk
 			}
 			for ci := 0; ci < seg.cells.Len(); ci++ {
-				kp, cell := seg.cells.At(ci)
-				key := *kp
+				key, cell := seg.cells.At(ci)
+				series := seg.cells.Series(key.Series)
 				ts := time.Unix(0, key.Ts).UTC()
 				if ts.Before(q.From) || !ts.Before(q.To) {
 					continue
 				}
-				if !matchFilters(key, q.Filters) {
+				if !matchFilters(series, q.Filters) {
 					continue
 				}
 				gk := GroupKey{Ts: q.From.UnixNano()}
@@ -452,7 +452,7 @@ func (db *DB) RunSerial(q Query) (*schema.Frame, error) {
 					gk.Ts = key.Ts - FloorMod(key.Ts, granNanos)
 				}
 				for i, d := range q.GroupBy {
-					gk.Dims[i] = key.dim(d)
+					gk.Dims[i] = series.at(dimIndex(d))
 				}
 				g, ok := partial[gk]
 				if !ok {
@@ -505,9 +505,9 @@ func (db *DB) RunSerial(q Query) (*schema.Frame, error) {
 }
 
 // matchFilters is the uncompiled filter check used by RunSerial.
-func matchFilters(key Key, filters map[string][]string) bool {
+func matchFilters(s *Series, filters map[string][]string) bool {
 	for dim, accepted := range filters {
-		v := key.dim(dim)
+		v := s.at(dimIndex(dim))
 		ok := false
 		for _, a := range accepted {
 			if v == a {

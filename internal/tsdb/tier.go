@@ -319,13 +319,14 @@ func (b *cellColumns) grow(n int) {
 	}
 }
 
-// add appends one cell at fold coordinates (stripe, seq).
-func (b *cellColumns) add(stripe, seq int, k *Key, c *Cell) {
+// add appends series s's cell in bucket ts at fold coordinates (stripe,
+// seq).
+func (b *cellColumns) add(stripe, seq int, ts int64, s *Series, c *Cell) {
 	b.stripe = append(b.stripe, int64(stripe))
 	b.seq = append(b.seq, int64(seq))
-	b.bucket = append(b.bucket, k.Ts)
+	b.bucket = append(b.bucket, ts)
 	for d := range b.dims {
-		b.dims[d] = append(b.dims[d], dimValueAt(k, d))
+		b.dims[d] = append(b.dims[d], s.at(d))
 	}
 	b.count = append(b.count, c.Count)
 	b.sum = append(b.sum, c.Sum)
@@ -363,7 +364,8 @@ func (b *cellColumns) frame() (*schema.Frame, error) {
 type coldCell struct {
 	stripe int32
 	seq    int32
-	key    *Key
+	ts     int64
+	series *Series
 	cell   *Cell
 }
 
@@ -410,7 +412,8 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 				// extracted cells into it rather than dropping either side.
 				for i := 0; i < seg.cells.Len(); i++ {
 					k, c := seg.cells.At(i)
-					cur.cells.Cell(k.Hash(), *k).Merge(*c)
+					s := seg.cells.Series(k.Series)
+					cur.cells.Cell(SeriesHash(s.Component, s.Metric), k.Ts, s).Merge(*c)
 				}
 				cur.rows += seg.rows
 			} else {
@@ -430,26 +433,26 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 		}
 		for i := 0; i < seg.cells.Len(); i++ {
 			k, c := seg.cells.At(i)
-			cells = append(cells, coldCell{stripe: int32(si), seq: int32(i), key: k, cell: c})
+			cells = append(cells, coldCell{stripe: int32(si), seq: int32(i), ts: k.Ts, series: seg.cells.Series(k.Series), cell: c})
 		}
 	}
 
 	// Sort by dimensions for zone-map/bloom clustering; (stripe, seq)
 	// ride along as columns so queries can restore fold order.
 	slices.SortFunc(cells, func(a, b coldCell) int {
-		if c := strings.Compare(a.key.Metric, b.key.Metric); c != 0 {
+		if c := strings.Compare(a.series.Metric, b.series.Metric); c != 0 {
 			return c
 		}
-		if c := strings.Compare(a.key.Component, b.key.Component); c != 0 {
+		if c := strings.Compare(a.series.Component, b.series.Component); c != 0 {
 			return c
 		}
-		if c := strings.Compare(a.key.System, b.key.System); c != 0 {
+		if c := strings.Compare(a.series.System, b.series.System); c != 0 {
 			return c
 		}
-		if c := strings.Compare(a.key.Source, b.key.Source); c != 0 {
+		if c := strings.Compare(a.series.Source, b.series.Source); c != 0 {
 			return c
 		}
-		if c := cmp.Compare(a.key.Ts, b.key.Ts); c != 0 {
+		if c := cmp.Compare(a.ts, b.ts); c != 0 {
 			return c
 		}
 		if c := cmp.Compare(a.stripe, b.stripe); c != 0 {
@@ -468,14 +471,14 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 	b.grow(nCells)
 	for i := range cells {
 		c := &cells[i]
-		if i == 0 || c.key.Ts < meta.MinTs {
-			meta.MinTs = c.key.Ts
+		if i == 0 || c.ts < meta.MinTs {
+			meta.MinTs = c.ts
 		}
-		if i == 0 || c.key.Ts > meta.MaxTs {
-			meta.MaxTs = c.key.Ts
+		if i == 0 || c.ts > meta.MaxTs {
+			meta.MaxTs = c.ts
 		}
 		for d := 0; d < 4; d++ {
-			v := dimValueAt(c.key, d)
+			v := c.series.at(d)
 			distinct[d][v] = struct{}{}
 			if i == 0 || v < meta.Dims[d].Min {
 				meta.Dims[d].Min = v
@@ -484,7 +487,7 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 				meta.Dims[d].Max = v
 			}
 		}
-		b.add(int(c.stripe), int(c.seq), c.key, c.cell)
+		b.add(int(c.stripe), int(c.seq), c.ts, c.series, c.cell)
 	}
 	f, err := b.frame()
 	if err != nil {
@@ -881,7 +884,10 @@ func (ps *partialSet) foldCold(names []string, p *Plan, noPrune bool) (int64, er
 		if noPrune {
 			// No pushdown happened: apply the time range and filters
 			// exactly, same as the hot scan loop.
-			if k := cols.key(r); k.Ts < p.fromN || k.Ts >= p.toN || !p.Match(&k) {
+			if ts := cols.Bucket[r]; ts < p.fromN || ts >= p.toN {
+				continue
+			}
+			if s := cols.series(r); !p.Match(&s) {
 				continue
 			}
 		}

@@ -179,11 +179,8 @@ func StripeFor(component, metric string) int {
 // must be held. h is the record's SeriesHash and bucketN its
 // epoch-anchored rollup bucket in nanos.
 func insertLocked(sh *dbShard, seg *segment, h uint32, bucketN int64, o *schema.Observation) {
-	key := Key{
-		Ts: bucketN, System: o.System, Source: o.Source,
-		Component: o.Component, Metric: o.Metric,
-	}
-	seg.cells.Cell(CellHash(h, bucketN), key).Add(o.Ts.UnixNano(), o.Value)
+	s := Series{System: o.System, Source: o.Source, Component: o.Component, Metric: o.Metric}
+	seg.cells.Cell(h, bucketN, &s).Add(o.Ts.UnixNano(), o.Value)
 	seg.rows++
 	sh.ingested++
 }
@@ -337,6 +334,10 @@ func (db *DB) Retain(cutoff time.Time) int {
 type Stats struct {
 	Segments    int
 	RollupCells int64
+	// Series counts series dictionary entries across the live cell
+	// tables: a series is counted once per (stripe, chunk) table it has
+	// cells in, so retention bounds it the way it bounds RollupCells.
+	Series      int64
 	RawIngested int64
 }
 
@@ -352,6 +353,7 @@ func (db *DB) Stats() Stats {
 		for k, s := range sh.segments {
 			chunks[k] = struct{}{}
 			st.RollupCells += int64(s.cells.Len())
+			st.Series += int64(len(s.cells.Dict()))
 		}
 		sh.mu.RUnlock()
 	}

@@ -3,7 +3,8 @@ package oda_test
 // The repository's shape rules: one STREAM reader, one LAKE read path, one
 // serialized form for rollup cells, one grouping loop, one sort, one log,
 // one wait, one entry point per operation, one cold scan, one chunk
-// decoder, one interner and one parameter reader. Each is a
+// decoder, one interner, one parameter reader, and a series that is an
+// integer. Each is a
 // structural fact a later change could quietly undo, so
 // each is checked over the parsed non-test sources on every `go test
 // ./...`, and each is shown to fire on a synthetic source that breaks it.
@@ -12,6 +13,7 @@ import (
 	"fmt"
 	"go/ast"
 	"go/parser"
+	"go/printer"
 	"go/token"
 	"io/fs"
 	"path/filepath"
@@ -514,6 +516,87 @@ func (s *Server) cqLongPoll(r *http.Request) { q := r.URL.Query(); _ = q.Get("ge
 func wait(q url.Values) string { return q.Get("wait") }`,
 		},
 	},
+	{
+		name: "a series is an integer: tsdb.Key holds integers only",
+		check: func(files []srcFile) (out []string) {
+			found := false
+			inspect(files, within("internal/tsdb"), func(s srcFile, n ast.Node) {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok || ts.Name.Name != "Key" {
+					return
+				}
+				found = true
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					out = append(out, s.path+": tsdb.Key is not a struct of integers")
+					return
+				}
+				for _, fl := range st.Fields.List {
+					if id, ok := fl.Type.(*ast.Ident); !ok || !integerTypes[id.Name] {
+						out = append(out, fmt.Sprintf("%s: tsdb.Key field %v is %s: a key is a bucket and a series id, no string, slice, map or pointer",
+							s.path, fl.Names, exprString(fl.Type)))
+					}
+				}
+			})
+			if !found {
+				out = append(out, "no type Key in internal/tsdb")
+			}
+			return out
+		},
+		breaks: map[string]string{"internal/tsdb/kernel.go": `package tsdb
+type Key struct {
+	Ts                                int64
+	System, Source, Component, Metric string
+	Tags                              map[string]string
+}`},
+	},
+	{
+		name: "a series is an integer: no Key is built from dimension strings",
+		check: func(files []srcFile) (out []string) {
+			inspect(files, anyFile, func(s srcFile, n ast.Node) {
+				lit, ok := n.(*ast.CompositeLit)
+				if !ok {
+					return
+				}
+				if name, ok := pkgRef(s.f, lit.Type, "odakit/internal/tsdb"); !ok || name != "Key" {
+					if id, ok := lit.Type.(*ast.Ident); !ok || id.Name != "Key" || !within("internal/tsdb")(s) {
+						return
+					}
+				}
+				for _, e := range lit.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						switch lastName(kv.Key) {
+						case "System", "Source", "Component", "Metric":
+							out = append(out, s.path+": a Key literal with "+lastName(kv.Key)+": intern the series through CellTable.Cell")
+						}
+					}
+				}
+			})
+			return out
+		},
+		breaks: map[string]string{
+			"internal/cq/view.go": `package cq
+import "odakit/internal/tsdb"
+func apply(o *Obs) { _ = tsdb.Key{Ts: o.Ts, Component: o.Component, Metric: o.Metric} }`,
+			"internal/tsdb/tsdb.go": `package tsdb
+func insert(o *Obs) { _ = Key{Ts: o.Ts, System: o.System} }`,
+		},
+	},
+}
+
+// integerTypes are the field types a pointer-free, fixed-width key may use.
+var integerTypes = map[string]bool{
+	"int8": true, "int16": true, "int32": true, "int64": true,
+	"uint8": true, "uint16": true, "uint32": true, "uint64": true,
+}
+
+// exprString renders a type expression for a violation message.
+func exprString(e ast.Expr) string {
+	var b strings.Builder
+	if err := printer.Fprint(&b, token.NewFileSet(), e); err != nil {
+		return fmt.Sprintf("%T", e)
+	}
+	return b.String()
 }
 
 // repoSources parses every non-test Go file of the repository, the
