@@ -12,9 +12,9 @@ vet:
 
 # The tests include the repository's shape rules (shape_test.go: one
 # STREAM reader, one LAKE read path, one cell format, one grouping loop,
-# one sort, one log, one wait, one entry point per operation, one cold
-# scan, one chunk decoder, one interner, one parameter reader, a series
-# is an integer), checked over the parsed sources.
+# one sort, one log, one wait, one consumer loop, one entry point per
+# operation, one cold scan, one chunk decoder, one interner, one parameter
+# reader, a series is an integer), checked over the parsed sources.
 test:
 	$(GO) test ./...
 

@@ -12,6 +12,7 @@ import (
 	"odakit/internal/resilience"
 	"odakit/internal/schema"
 	"odakit/internal/sproc"
+	"odakit/internal/stream"
 	"odakit/internal/telemetry"
 )
 
@@ -22,13 +23,14 @@ import (
 // ReplayBronzeToLake rebuilds the LAKE rollup store from the retained
 // bronze topic of a source — the recovery path after a LAKE restart, and
 // a consumer of the batched ingest hot path end to end: a plane.Reader
-// pages through the topic and each page is rolled up via InsertBatch.
-// The replay covers what was committed when it started (records ingest
-// commits meanwhile reach the LAKE through ingest itself) and, when
-// retention trims the head under it, carries on from the oldest record
-// still held. Undecodable or non-conforming records do not abort the
-// replay: they are quarantined to the topic's DLQ with offset and error
-// metadata and the replay keeps going. Fetches and inserts retry
+// pages through the topic and each page, run through the decode-or-
+// quarantine step every consumer shares (plane.Decoder), is rolled up via
+// InsertBatch. The replay covers what was committed when it started
+// (records ingest commits meanwhile reach the LAKE through ingest itself)
+// and, when retention trims the head under it, carries on from the oldest
+// record still held. Undecodable or non-conforming records do not abort
+// the replay: they are quarantined to the topic's DLQ with offset and
+// error metadata and the replay keeps going. Fetches and inserts retry
 // transient faults. It returns how many observations were replayed and
 // how many were quarantined.
 func (f *Facility) ReplayBronzeToLake(ctx context.Context, src telemetry.Source) (replayed, quarantined int64, err error) {
@@ -36,76 +38,61 @@ func (f *Facility) ReplayBronzeToLake(ctx context.Context, src telemetry.Source)
 	ctx, sp := obs.StartSpan(ctx, "bronze.replay")
 	defer sp.End()
 	sp.Annotate("topic", "%s", topic)
-	defer func() {
-		sp.Annotate("replayed", "%d", replayed)
-		if quarantined > 0 {
-			sp.Annotate("dlq", "%d poison records quarantined", quarantined)
-		}
-	}()
+	defer func() { sp.Annotate("replayed", "%d", replayed) }()
 	r, err := plane.NewReader(f.stream, topic)
 	if err != nil {
 		return 0, 0, err
 	}
-	// next follows the reader's cursors page by page; the replay is done
-	// once each has reached the end it snapshots here.
-	next := r.Offsets()[topic]
-	ends := make([]int64, len(next))
+	dec := plane.NewDecoder(f.stream, "core replay", schema.ObservationSchema, func(ctx context.Context, fn func() error) error {
+		return f.retry(ctx, "dead-letter", fn)
+	})
+	ends := r.Offsets()[topic] // the end of each partition when the replay starts
 	for p := range ends {
 		if ends[p], err = f.stream.EndOffset(topic, p); err != nil {
 			return 0, 0, err
 		}
 	}
 	behind := func() bool {
-		for p := range next {
-			if next[p] < ends[p] {
+		for p, next := range r.Offsets()[topic] {
+			if next < ends[p] {
 				return true
 			}
 		}
 		return false
 	}
 	batch := make([]schema.Observation, 0, f.Opts.IngestBatch)
-	for behind() {
-		pages, err := f.collectRetry(ctx, r, f.Opts.IngestBatch)
+	// A pass that reads nothing while a cursor is short of its end means
+	// nothing is held below the ends any more (trimmed away).
+	for read := 1; read > 0 && behind(); {
+		read = 0
+		err := f.retry(ctx, "fetch", func() error {
+			n, err := r.Poll(ctx, f.Opts.IngestBatch, func(_ string, p int, recs []stream.Record) error {
+				for i := range recs {
+					if recs[i].Offset >= ends[p] {
+						recs = recs[:i]
+						break
+					}
+				}
+				rows, bad, err := dec.Decode(ctx, topic, p, recs)
+				if err != nil {
+					return err
+				}
+				quarantined += int64(bad)
+				batch = batch[:0]
+				for _, row := range rows {
+					batch = append(batch, schema.ObservationFromRow(row))
+				}
+				if err := f.insertRetry(ctx, batch); err != nil {
+					return err
+				}
+				replayed += int64(len(batch))
+				return nil
+			})
+			read += n
+			return err
+		})
 		if err != nil {
 			return replayed, quarantined, err
-		}
-		if len(pages) == 0 {
-			break // nothing is held below the ends any more (trimmed away)
-		}
-		for _, pg := range pages {
-			p, recs := pg.Part, pg.Recs
-			next[p] = recs[len(recs)-1].Offset + 1
-			batch = batch[:0]
-			var dead []sproc.DeadRecord
-			for _, r := range recs {
-				if r.Offset >= ends[p] {
-					break
-				}
-				row, _, derr := schema.DecodeRow(r.Value)
-				if derr == nil {
-					derr = row.Conforms(schema.ObservationSchema)
-				}
-				if derr != nil {
-					dead = append(dead, sproc.DeadRecord{
-						Topic: topic, Partition: p, Offset: r.Offset, Ts: r.Ts,
-						Reason:  fmt.Sprintf("core: replay %s/%d@%d: %v", topic, p, r.Offset, derr),
-						Payload: r.Value,
-					})
-					continue
-				}
-				batch = append(batch, schema.ObservationFromRow(row))
-			}
-			if len(dead) > 0 {
-				n, derr := sproc.DeadLetter(f.stream, dead)
-				quarantined += int64(n)
-				if derr != nil {
-					return replayed, quarantined, derr
-				}
-			}
-			if err := f.insertRetry(ctx, batch); err != nil {
-				return replayed, quarantined, err
-			}
-			replayed += int64(len(batch))
 		}
 	}
 	return replayed, quarantined, nil
@@ -144,7 +131,7 @@ func (f *Facility) NewSilverJob(cfg SilverPipelineConfig) (*sproc.Job, error) {
 	job, err := sproc.NewJob(f.stream, sproc.JobConfig{
 		Name: "silver-" + string(cfg.Source), Topic: BronzeTopic(cfg.Source),
 		InputSchema: schema.ObservationSchema, CheckpointDir: cfg.CheckpointDir,
-		Retry: retry, Breaker: cfg.Breaker, DeadLetter: true,
+		Retry: retry, Breaker: cfg.Breaker,
 		Instr: f.silverInstr,
 	})
 	if err != nil {
@@ -191,9 +178,6 @@ func (f *Facility) DrainSilver(ctx context.Context, cfg SilverPipelineConfig) (s
 	}
 	m := job.Metrics()
 	sp.Annotate("windows", "%d", m.WindowsEmitted)
-	if m.RecordsDeadLettered > 0 {
-		sp.Annotate("dlq", "%d poison records quarantined", m.RecordsDeadLettered)
-	}
 	return m, nil
 }
 

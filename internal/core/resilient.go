@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"odakit/internal/obs"
-	"odakit/internal/plane"
 	"odakit/internal/resilience"
 	"odakit/internal/schema"
 	"odakit/internal/sproc"
@@ -87,20 +86,6 @@ func (f *Facility) insertRetry(ctx context.Context, batch []schema.Observation) 
 		sp.SetErr(err)
 	}
 	return err
-}
-
-// collectRetry collects one reader pass (plane.Reader.Collect), retrying
-// transient fetch failures under the facility policy.
-func (f *Facility) collectRetry(ctx context.Context, r *plane.Reader, max int) ([]plane.Page, error) {
-	ctx, sp := obs.StartSpan(ctx, "stream.fetch")
-	defer sp.End()
-	pages, err := r.Collect(ctx, max, func(pass func() error) error {
-		return f.retry(ctx, "fetch", pass)
-	})
-	if err != nil {
-		sp.SetErr(err)
-	}
-	return pages, err
 }
 
 // oceanGet / oceanPut wrap the OCEAN object store with the same retry

@@ -10,9 +10,9 @@ import (
 	"odakit/internal/tsdb"
 )
 
-// Checkpoint layer: the pump persists consumer offsets and full view
-// state in ONE atomic file, and applies records strictly before
-// checkpointing. A crash between apply and checkpoint restores the
+// Checkpoint layer: the pump's loop persists consumer offsets and full
+// view state (Pump.Snapshot) in ONE atomic file, and applies records
+// strictly before checkpointing. A crash between apply and checkpoint restores the
 // pre-suffix state and replays the suffix into it — exactly-once, the
 // stronger sibling of sproc's at-least-once (sproc can afford replays
 // because its sinks are idempotent; a view cell's add() is not).

@@ -8,9 +8,10 @@
 // A caller registers a Spec — the same shape tsdb.Query has (group-by
 // dims, agg, granularity, filters) plus a sliding or tumbling window —
 // and the engine keeps an in-memory materialized view up to date as a
-// Pump drains the bronze topics. Reads are served from the view at
-// memory speed; watchers are pushed updates over SSE or long-poll via
-// the portal (internal/httpapi).
+// Pump drains the bronze topics: the engine is an operator on plane.Loop,
+// the one checkpointed consumer, exactly-once across a crash. Reads are
+// served from the view at memory speed; watchers are pushed updates over
+// SSE or long-poll via the portal (internal/httpapi).
 //
 // # Equivalence guarantee
 //

@@ -312,6 +312,50 @@ func TestPumpSkipsBadRecords(t *testing.T) {
 	}
 }
 
+// TestPumpMetricsWhileRunning reads Metrics from another goroutine while
+// Run applies records, as /healthz-style callers do; under -race a
+// counter the loop writes unsynchronized is a failure.
+func TestPumpMetricsWhileRunning(t *testing.T) {
+	const topic, n = "bronze.alpha", 200
+	b := stream.NewBroker()
+	defer b.Close()
+	if err := b.CreateTopic(topic, stream.TopicConfig{Partitions: 2}); err != nil {
+		t.Fatal(err)
+	}
+	e := testEngine()
+	if _, err := e.Register(Spec{Window: time.Hour}); err != nil {
+		t.Fatal(err)
+	}
+	p, err := NewPumpSource(e, b, PumpConfig{Topics: []string{topic}, BatchSize: 16, CheckpointDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	ran := make(chan error, 1)
+	go func() { ran <- p.Run(ctx) }()
+	for i := 0; i < n; i++ {
+		o := obsAt(unitT0.Add(time.Duration(i)*time.Second), "n1", "cpu", float64(i))
+		if _, err := b.PublishBatchTo(topic, i%2, []stream.Message{{Value: schema.EncodeRow(o.Row())}}); err != nil {
+			t.Fatal(err)
+		}
+		_ = p.Metrics()
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for m := p.Metrics(); m.Applied < n; m = p.Metrics() {
+		if time.Now().After(deadline) {
+			t.Fatalf("the running pump applied %d of %d records", m.Applied, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	if err := <-ran; !errors.Is(err, context.Canceled) {
+		t.Fatalf("Run ended with %v, want context.Canceled", err)
+	}
+	if m := p.Metrics(); m.Polled != n || m.Applied != n || m.Checkpoints == 0 {
+		t.Fatalf("after Run: %+v, want %d polled and applied, and checkpoints", m, n)
+	}
+}
+
 func TestViewIDStableAcrossFilterOrder(t *testing.T) {
 	a := Spec{Window: time.Minute, Filters: map[string][]string{"metric": {"cpu", "mem"}, "component": {"n1"}}}
 	b := Spec{Window: time.Minute, Filters: map[string][]string{"component": {"n1"}, "metric": {"mem", "cpu"}}}

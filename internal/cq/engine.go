@@ -47,6 +47,7 @@ type Engine struct {
 	mLate        *obs.Counter // observations dropped below eviction horizon
 	mAlerts      *obs.Counter // alerts fired
 	mCheckpoints *obs.Counter // pump checkpoints written
+	mDeadLetters *obs.Counter // poison records the pump quarantined
 }
 
 // NewEngine builds an engine and registers its metrics.
@@ -60,6 +61,7 @@ func NewEngine(cfg Config) *Engine {
 		e.mLate = r.Counter("oda_cq_late_dropped_total", "Late observations dropped below the eviction horizon.")
 		e.mAlerts = r.Counter("oda_cq_alerts_total", "CQ threshold/anomaly alerts fired.")
 		e.mCheckpoints = r.Counter("oda_cq_checkpoints_total", "CQ pump checkpoints written.")
+		e.mDeadLetters = r.Counter("oda_cq_dead_letters_total", "Poison records the CQ pump quarantined to DLQs.")
 		r.RegisterCollector(func(emit func(obs.Sample)) {
 			e.mu.RLock()
 			views := int64(len(e.views))

@@ -218,6 +218,9 @@ func TestViewMatchesBatchAtEveryEpoch(t *testing.T) {
 // batches past the last checkpoint are lost with the process — then
 // rebuilds engine and pump from the checkpoint dir and proves the
 // restored+replayed view still matches batch at every subsequent epoch.
+// The pump checkpoints after every pass, so the crash is staged by putting
+// back a checkpoint file saved earlier in the run: the passes since are
+// the un-checkpointed suffix it destroys.
 func TestViewSurvivesCrashRestore(t *testing.T) {
 	for seed := int64(11); seed <= 14; seed++ {
 		seed := seed
@@ -227,6 +230,7 @@ func TestViewSurvivesCrashRestore(t *testing.T) {
 			w := newPropWorld(t, rng)
 			defer w.broker.Close()
 			dir := t.TempDir()
+			ckpt := filepath.Join(dir, "cq.ckpt.json")
 
 			eng := NewEngine(Config{RollupInterval: propRollup, SegmentDuration: propSegment})
 			spec := randomSpec(rng)
@@ -234,27 +238,35 @@ func TestViewSurvivesCrashRestore(t *testing.T) {
 			if err != nil {
 				t.Fatalf("register: %v", err)
 			}
-			// CheckpointEvery 3: most steps leave an un-checkpointed
-			// suffix for the crash to destroy.
-			pcfg := PumpConfig{Topics: w.topics, CheckpointDir: dir, CheckpointEvery: 3}
+			pcfg := PumpConfig{Topics: w.topics, CheckpointDir: dir}
 			pump, err := NewPumpSource(eng, w.broker, pcfg)
 			if err != nil {
 				t.Fatalf("pump: %v", err)
 			}
 			ctx := context.Background()
+			saveAt := rng.Intn(3)
+			var saved []byte
 			for epoch := 0; epoch < 3; epoch++ {
 				w.publishRound(30 + rng.Intn(80))
 				if err := pump.Drain(ctx); err != nil {
 					t.Fatalf("drain: %v", err)
 				}
 				checkEpoch(t, w, v, epoch)
+				if epoch == saveAt {
+					if saved, err = os.ReadFile(ckpt); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 
-			// Publish more and step WITHOUT a final checkpoint, then
-			// "crash": everything since the last checkpoint is lost.
+			// Publish and apply more, then "crash": everything since the
+			// saved checkpoint is lost.
 			w.publishRound(60)
-			if err := pump.step(ctx); err != nil {
-				t.Fatalf("step: %v", err)
+			if err := pump.Drain(ctx); err != nil {
+				t.Fatalf("drain: %v", err)
+			}
+			if err := os.WriteFile(ckpt, saved, 0o644); err != nil {
+				t.Fatal(err)
 			}
 
 			eng2 := NewEngine(Config{RollupInterval: propRollup, SegmentDuration: propSegment})

@@ -7,20 +7,22 @@
 // there is no adapter type, so "cluster ≡ single node" is one code path
 // whose degenerate case is the single node.
 //
-// Beside the two declarations the package holds the one piece of logic
-// that is written against them rather than behind them: Reader, the
-// cursor every STREAM consumer reads through. A Reader delivers each
-// record of a topic's committed prefix (below EndOffset — the quorum
-// high watermark on a cluster) exactly once and in offset order per
-// partition, visits partitions in one fixed order, never moves a cursor
-// past a record its callback did not accept, resumes at the oldest
-// retained record when retention overtakes it, and lets one failing
-// partition neither block the others nor lose its place; a pass collected
-// for later processing (Collect) is handed over or the cursors go back.
-// Its progress is Offsets, which the owner checkpoints and Seeks back
-// to. Between passes it parks on Stream.Ready until a commit lands behind
-// one of its cursors: nothing in the package runs on a clock. Like the
-// pump and the jobs that hold one, a Reader belongs to a single goroutine.
+// Beside the two declarations the package holds the logic that is written
+// against them rather than behind them. Reader is the cursor every STREAM
+// consumer reads through. It delivers each record of a topic's committed
+// prefix (below EndOffset — the quorum high watermark on a cluster)
+// exactly once and in offset order per partition, visits partitions in
+// one fixed order, never moves a cursor past a record its callback did
+// not accept, resumes at the oldest retained record when retention
+// overtakes it, and lets one failing partition neither block the others
+// nor lose its place. Between passes it parks on Stream.Ready until a
+// commit lands behind one of its cursors: nothing in the package runs on
+// a clock. Loop is the one checkpointed consumer built on it: it decodes
+// each page, quarantines poison records to "<topic>.dlq" (Decoder, also
+// used by the bronze replay), retries transient faults under one policy,
+// writes the checkpoint and parks, while an Operator — the CQ view
+// engine, a streaming job — applies the rows and serializes its state.
+// Like the Loop that holds one, a Reader belongs to a single goroutine.
 package plane
 
 import (

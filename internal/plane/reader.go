@@ -12,8 +12,8 @@ import (
 )
 
 // Reader is a committed-prefix cursor over some of a Stream's topics:
-// every consumer of the STREAM tier — the CQ pump, Silver jobs, bronze
-// replay, the dead-letter read — is one Reader, on either plane.
+// every consumer of the STREAM tier — a Loop (the CQ pump, Silver jobs),
+// bronze replay, the dead-letter read — is one Reader, on either plane.
 // Independent consumers replaying from their own positions are one
 // Reader each; a Reader's progress lives nowhere but in the Reader until
 // its owner persists Offsets.
@@ -88,39 +88,6 @@ func (r *Reader) Poll(ctx context.Context, max int, fn func(topic string, part i
 		}
 	}
 	return n, skipped
-}
-
-// Page is one partition's share of a collected pass.
-type Page struct {
-	Topic string
-	Part  int
-	Recs  []stream.Record
-}
-
-// Collect is Poll for a caller that processes a pass after it ends
-// rather than page by page: it runs passes under retry — the caller's
-// policy, handed the pass to call until it returns nil or the policy
-// gives up — and returns their non-empty pages in the order read. A
-// retried pass re-reads only the partitions that failed, the others add
-// their next page. Pages are returned or the cursors go back to where
-// they were: an error (retries exhausted, ctx done between two
-// partitions or during a backoff) leaves no cursor past a record the
-// caller was never given.
-func (r *Reader) Collect(ctx context.Context, max int, retry func(pass func() error) error) ([]Page, error) {
-	before := r.Offsets()
-	var pages []Page
-	err := retry(func() error {
-		_, perr := r.Poll(ctx, max, func(t string, p int, recs []stream.Record) error {
-			pages = append(pages, Page{Topic: t, Part: p, Recs: recs})
-			return nil
-		})
-		return perr
-	})
-	if err != nil {
-		r.next = before
-		return nil, err
-	}
-	return pages, nil
 }
 
 // fetch reads one page at next[p], topic t's cursor for partition p. A

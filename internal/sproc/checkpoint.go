@@ -3,21 +3,17 @@ package sproc
 import (
 	"encoding/base64"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
-	"os"
-	"path/filepath"
 	"strconv"
 	"strings"
 
-	"odakit/internal/atomicfile"
 	"odakit/internal/schema"
 )
 
-// Checkpoint layer: after every sunk micro-batch the job persists its
-// consumer offsets, watermark, emitted horizon, and open-window state.
-// On restart the job resumes from the checkpoint — the "advanced failure
+// Checkpoint layer: after every sunk micro-batch the job's loop persists
+// its consumer offsets with the job's watermark, emitted horizon, and
+// open-window state. On restart the job resumes from the checkpoint — the "advanced failure
 // and recovery mechanisms that can be difficult to re-engineer from
 // scratch" the paper adopts stream processing for (§V-B). Semantics are
 // at-least-once across the sink/checkpoint boundary; sinks in this
@@ -72,19 +68,12 @@ type ckptFile struct {
 	Windows []ckptWindow     `json:"windows"`
 }
 
-func (j *Job) checkpointPath() string {
-	return filepath.Join(j.cfg.CheckpointDir, j.cfg.Name+".ckpt.json")
-}
-
-// checkpoint persists job state; a no-op without a checkpoint dir.
-func (j *Job) checkpoint() error {
-	if j.cfg.CheckpointDir == "" {
-		return nil
-	}
+// Snapshot serializes the job's state at offsets (plane.Operator).
+func (j *Job) Snapshot(offsets map[string][]int64) ([]byte, error) {
 	j.mu.Lock()
 	ck := ckptFile{
 		Name:    j.cfg.Name,
-		Offsets: j.reader.Offsets()[j.cfg.Topic],
+		Offsets: offsets[j.cfg.Topic],
 		PartWM:  make(map[string]int64, len(j.partWM)),
 		Emitted: j.emitted,
 	}
@@ -106,47 +95,15 @@ func (j *Job) checkpoint() error {
 		ck.Windows = append(ck.Windows, w)
 	}
 	j.mu.Unlock()
-
-	data, err := json.Marshal(ck)
-	if err != nil {
-		return fmt.Errorf("sproc: checkpoint marshal: %w", err)
-	}
-	if err := os.MkdirAll(j.cfg.CheckpointDir, 0o755); err != nil {
-		return fmt.Errorf("sproc: checkpoint dir: %w", err)
-	}
-	// Atomic write-fsync-rename so a crash mid-write never corrupts the
-	// checkpoint (a rename without fsync can survive while its data does
-	// not).
-	if err := atomicfile.WriteFile(j.checkpointPath(), data, 0o644); err != nil {
-		return fmt.Errorf("sproc: checkpoint write: %w", err)
-	}
-	j.mu.Lock()
-	j.metrics.Checkpoints++
-	j.mu.Unlock()
-	return nil
+	return json.Marshal(ck)
 }
 
-// restore loads the checkpoint if one exists, seeking the reader to the
-// saved offsets and rebuilding open-window state. Torn writes from a
-// crash (*.tmp leftovers) are swept first; the rename-based protocol
-// guarantees the checkpoint file itself is always a complete version.
-func (j *Job) restore() error {
-	if _, err := atomicfile.CleanTemps(j.cfg.CheckpointDir); err != nil && !os.IsNotExist(errors.Unwrap(err)) {
-		return err
-	}
-	data, err := os.ReadFile(j.checkpointPath())
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("sproc: checkpoint read: %w", err)
-	}
+// Restore rebuilds the watermarks, the emitted horizon and the open
+// windows a Snapshot wrote, and returns its offsets (plane.Operator).
+func (j *Job) Restore(data []byte) (map[string][]int64, error) {
 	var ck ckptFile
 	if err := json.Unmarshal(data, &ck); err != nil {
-		return fmt.Errorf("sproc: checkpoint parse: %w", err)
-	}
-	if err := j.reader.Seek(map[string][]int64{j.cfg.Topic: ck.Offsets}); err != nil {
-		return fmt.Errorf("sproc: checkpoint seek: %w", err)
+		return nil, fmt.Errorf("sproc: checkpoint parse: %w", err)
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -154,7 +111,7 @@ func (j *Job) restore() error {
 	for p, wm := range ck.PartWM {
 		pi, err := strconv.Atoi(p)
 		if err != nil {
-			return fmt.Errorf("sproc: checkpoint partition key: %w", err)
+			return nil, fmt.Errorf("sproc: checkpoint partition key: %w", err)
 		}
 		j.partWM[pi] = wm
 	}
@@ -165,7 +122,7 @@ func (j *Job) restore() error {
 		for _, cg := range w.Groups {
 			kb, err := base64.StdEncoding.DecodeString(cg.Key)
 			if err != nil {
-				return fmt.Errorf("sproc: checkpoint key decode: %w", err)
+				return nil, fmt.Errorf("sproc: checkpoint key decode: %w", err)
 			}
 			// Rebuild the key row from its codec bytes (one value per
 			// encoded row segment).
@@ -174,7 +131,7 @@ func (j *Job) restore() error {
 			for len(rest) > 0 {
 				row, n, err := schema.DecodeRow(rest)
 				if err != nil {
-					return fmt.Errorf("sproc: checkpoint key row: %w", err)
+					return nil, fmt.Errorf("sproc: checkpoint key row: %w", err)
 				}
 				key = append(key, row...)
 				rest = rest[n:]
@@ -190,6 +147,5 @@ func (j *Job) restore() error {
 		}
 		j.winState[w.Start] = t
 	}
-	j.metrics.Recovered = true
-	return nil
+	return map[string][]int64{j.cfg.Topic: ck.Offsets}, nil
 }

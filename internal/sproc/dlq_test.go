@@ -39,23 +39,23 @@ func TestReadDeadLettersOnTrimmedDLQ(t *testing.T) {
 			if got, err := sproc.ReadDeadLetters(context.Background(), s, topic); err != nil || len(got) != 0 {
 				t.Fatalf("no DLQ yet: %d records, err %v", len(got), err)
 			}
-			if err := s.EnsureTopic(sproc.DLQTopic(topic), stream.TopicConfig{Partitions: 1, RetentionBytes: 4 << 10}); err != nil {
+			if err := s.EnsureTopic(plane.DLQTopic(topic), stream.TopicConfig{Partitions: 1, RetentionBytes: 4 << 10}); err != nil {
 				t.Fatal(err)
 			}
 			const total = 200
 			for i := 0; i < total; i += 20 {
-				var dead []sproc.DeadRecord
+				var dead []plane.DeadRecord
 				for k := i; k < i+20; k++ {
-					dead = append(dead, sproc.DeadRecord{
+					dead = append(dead, plane.DeadRecord{
 						Topic: topic, Partition: k % 4, Offset: int64(k), Ts: time.Unix(int64(k), 0).UTC(),
 						Reason: "poison", Payload: []byte(fmt.Sprintf("payload-%03d", k)),
 					})
 				}
-				if n, err := sproc.DeadLetter(s, dead); err != nil || n != len(dead) {
-					t.Fatalf("dead-letter: %d, %v", n, err)
+				if err := plane.DeadLetter(s, topic, dead); err != nil {
+					t.Fatalf("dead-letter: %v", err)
 				}
 			}
-			oldest, err := s.OldestOffset(sproc.DLQTopic(topic), 0)
+			oldest, err := s.OldestOffset(plane.DLQTopic(topic), 0)
 			if err != nil || oldest == 0 {
 				t.Fatalf("retention did not trim the DLQ head (oldest %d, err %v)", oldest, err)
 			}
@@ -88,24 +88,24 @@ func TestDeadLetterTopicIsBounded(t *testing.T) {
 	b := stream.NewBroker()
 	defer b.Close()
 	for k := 0; k < total; k += 8 {
-		var dead []sproc.DeadRecord
+		var dead []plane.DeadRecord
 		for i := k; i < k+8; i++ {
-			dead = append(dead, sproc.DeadRecord{
+			dead = append(dead, plane.DeadRecord{
 				Topic: topic, Offset: int64(i), Ts: time.Unix(int64(i), 0).UTC(),
 				Reason: "poison", Payload: bytes.Repeat([]byte{byte(i)}, payload),
 			})
 		}
-		if n, err := sproc.DeadLetter(b, dead); err != nil || n != len(dead) {
-			t.Fatalf("dead-letter: %d, %v", n, err)
+		if err := plane.DeadLetter(b, topic, dead); err != nil {
+			t.Fatalf("dead-letter: %v", err)
 		}
 	}
-	st, err := b.Stats(sproc.DLQTopic(topic))
+	st, err := b.Stats(plane.DLQTopic(topic))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Bytes > sproc.DLQRetentionBytes || st.OldestOffsets[0] == 0 {
+	if st.Bytes > plane.DLQRetentionBytes || st.OldestOffsets[0] == 0 {
 		t.Fatalf("the DLQ holds %d bytes from offset %d after %d MiB of dead letters, want at most %d and a trimmed head",
-			st.Bytes, st.OldestOffsets[0], st.TotalBytes>>20, sproc.DLQRetentionBytes)
+			st.Bytes, st.OldestOffsets[0], st.TotalBytes>>20, plane.DLQRetentionBytes)
 	}
 	got, err := sproc.ReadDeadLetters(context.Background(), b, topic)
 	if err != nil {

@@ -119,6 +119,7 @@ func TestWindowMatchesGroupBy(t *testing.T) {
 							t.Fatal(err)
 						}
 						want.RecordsInvalid++
+						want.RecordsDeadLettered++
 						continue
 					}
 					// Mostly the phase's own minute, sometimes far enough

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"slices"
 	"sync"
 	"time"
@@ -37,10 +38,6 @@ type JobConfig struct {
 	// persistently failing sink trips it, and subsequent batches fail
 	// fast with a transient error instead of hammering the sink.
 	Breaker *resilience.BreakerConfig
-	// DeadLetter routes undecodable or non-conforming records to the
-	// topic's DLQ ("<Topic>.dlq") with offset and error metadata instead
-	// of only counting them in RecordsInvalid.
-	DeadLetter bool
 	// Instr, when non-nil, mirrors the per-job Metrics deltas into
 	// shared registry-backed instruments (one add per micro-batch, never
 	// per record). Jobs across a facility share one set so /metrics
@@ -79,9 +76,11 @@ type Metrics struct {
 	RowsOut        int64
 	Checkpoints    int64
 	Recovered      bool
-	// Resilience counters: poison records quarantined to the DLQ, retry
-	// attempts consumed masking transient faults, supervisor restarts
-	// (filled by Pipeline for supervised jobs), and circuit-breaker state.
+	// Resilience counters: poison records quarantined to the topic's DLQ
+	// ("<Topic>.dlq", with offset and error metadata; each is also in
+	// RecordsInvalid), retry attempts consumed masking transient faults,
+	// supervisor restarts (filled by Pipeline for supervised jobs), and
+	// circuit-breaker state.
 	RecordsDeadLettered int64
 	Retries             int64
 	Restarts            int64
@@ -92,7 +91,9 @@ type Metrics struct {
 // Job is a micro-batch streaming pipeline: STREAM topic -> optional
 // filter -> optional windowed aggregation -> optional batch transforms ->
 // sink, with checkpoint-based recovery. Build it fluently, then Run or
-// Drain it. A Job is single-consumer; metrics reads are mutex-guarded.
+// Drain it. The job is the plane.Operator of one plane.Loop, which reads,
+// quarantines poison records, checkpoints and parks; a micro-batch is one
+// pass of it. A Job is single-consumer; metrics reads are safe.
 type Job struct {
 	stream plane.Stream
 	cfg    JobConfig
@@ -123,9 +124,10 @@ type Job struct {
 	idleAt  time.Time
 	emitted int64 // latest emitted window start (nanos)
 
-	reader  *plane.Reader
-	outSch  *schema.Schema
-	breaker *resilience.Breaker
+	loop     *plane.Loop // built by start; guarded by mu for Metrics
+	mirrored Metrics     // what Instr has been given so far
+	outSch   *schema.Schema
+	breaker  *resilience.Breaker
 }
 
 // NewJob returns a job reading the configured topic of a data plane's
@@ -139,6 +141,13 @@ func NewJob(s plane.Stream, cfg JobConfig) (*Job, error) {
 	}
 	if cfg.BatchSize <= 0 {
 		cfg.BatchSize = 4096
+	}
+	if cfg.Retry == nil {
+		once := resilience.NoRetry
+		cfg.Retry = &once
+	}
+	if cfg.Instr == nil {
+		cfg.Instr = NewInstruments(nil) // every instrument nil: each add a no-op
 	}
 	j := &Job{
 		stream: s, cfg: cfg,
@@ -183,11 +192,19 @@ func (j *Job) To(sink func(*schema.Frame) error) *Job {
 	return j
 }
 
-// Metrics returns a snapshot of the processing counters.
+// Metrics returns a snapshot of the processing counters: the loop's
+// (records read and quarantined, passes, retries, checkpoints) and the
+// job's own.
 func (j *Job) Metrics() Metrics {
 	j.mu.Lock()
-	m := j.metrics
+	m, l := j.metrics, j.loop
 	j.mu.Unlock()
+	if l != nil {
+		st := l.Stats()
+		m.RecordsIn, m.Batches, m.Retries, m.Checkpoints, m.Recovered = st.Polled, st.Passes, st.Retries, st.Checkpoints, st.Recovered
+		m.RecordsDeadLettered = st.Bad
+		m.RecordsInvalid += st.Bad
+	}
 	if j.breaker != nil {
 		st := j.breaker.Stats()
 		m.BreakerOpens = st.Opens
@@ -196,32 +213,15 @@ func (j *Job) Metrics() Metrics {
 	return m
 }
 
+// ReadDeadLetters returns the poison records a job reading topic has
+// quarantined and the topic's DLQ still retains (plane.ReadDeadLetters).
+func ReadDeadLetters(ctx context.Context, s plane.Stream, topic string) ([]plane.DeadRecord, error) {
+	return plane.ReadDeadLetters(ctx, s, topic)
+}
+
 // Breaker returns the job's sink circuit breaker, or nil when none is
 // configured.
 func (j *Job) Breaker() *resilience.Breaker { return j.breaker }
-
-// withRetry runs fn under the job's retry policy (a single attempt when
-// none is configured), counting consumed retries in the job metrics.
-func (j *Job) withRetry(ctx context.Context, fn func() error) error {
-	if j.cfg.Retry == nil {
-		return fn()
-	}
-	p := *j.cfg.Retry
-	user := p.OnRetry
-	p.OnRetry = func(attempt int, err error, delay time.Duration) {
-		j.mu.Lock()
-		j.metrics.Retries++
-		j.mu.Unlock()
-		if ins := j.cfg.Instr; ins != nil {
-			ins.Retries.Inc()
-		}
-		obs.SpanFromContext(ctx).Annotate("retry", "attempt %d: %v", attempt, err)
-		if user != nil {
-			user(attempt, err, delay)
-		}
-	}
-	return resilience.Retry(ctx, p, fn)
-}
 
 // resolveWindow resolves the window spec against the input schema, once
 // per incarnation: the time column, the group-by plan every record is
@@ -251,7 +251,12 @@ func (j *Job) resolveWindow() error {
 	return nil
 }
 
+// start resolves the plan and builds the job's loop, restoring from the
+// checkpoint when there is one; a started job is not started again.
 func (j *Job) start() error {
+	if j.loop != nil {
+		return nil
+	}
 	if j.sink == nil {
 		return fmt.Errorf("%w: job %s has no sink", ErrPlan, j.cfg.Name)
 	}
@@ -259,38 +264,41 @@ func (j *Job) start() error {
 		if err := j.resolveWindow(); err != nil {
 			return err
 		}
+		j.idleAt = time.Now().Add(partitionIdleTimeout)
 	}
-	r, err := plane.NewReader(j.stream, j.cfg.Topic)
+	cfg := plane.LoopConfig{
+		Consumer: "sproc job " + j.cfg.Name, Topics: []string{j.cfg.Topic}, Schema: j.cfg.InputSchema,
+		BatchSize: j.cfg.BatchSize, Retry: *j.cfg.Retry, Deadline: func() time.Time { return j.idleAt },
+		DeadLetters: j.cfg.Instr.DeadLettered, Retries: j.cfg.Instr.Retries,
+	}
+	if j.cfg.CheckpointDir != "" {
+		cfg.Checkpoint = filepath.Join(j.cfg.CheckpointDir, j.cfg.Name+".ckpt.json")
+	}
+	l, err := plane.NewLoop(j.stream, j, cfg)
 	if err != nil {
 		return err
 	}
-	j.reader = r
-	j.nparts = len(r.Offsets()[j.cfg.Topic])
-	if j.window != nil {
-		j.idleAt = time.Now().Add(partitionIdleTimeout)
+	if j.nparts, err = j.stream.Partitions(j.cfg.Topic); err != nil {
+		return err
 	}
-	if j.cfg.CheckpointDir != "" {
-		if err := j.restore(); err != nil {
-			return err
-		}
-	}
+	j.mu.Lock()
+	j.loop = l
+	j.mu.Unlock()
 	return nil
 }
 
 // Run processes micro-batches until ctx is cancelled. A cancelled context
-// returns nil after a final checkpoint (graceful stop).
+// returns nil after a final checkpoint (graceful stop): every cursor is at
+// a page the job applied, so it covers nothing the job did not process.
 func (j *Job) Run(ctx context.Context) error {
 	if err := j.start(); err != nil {
 		return err
 	}
-	for {
-		if err := j.step(ctx); err != nil {
-			if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-				return j.checkpoint()
-			}
-			return err
-		}
+	err := j.loop.Run(ctx)
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		return j.checkpoint()
 	}
+	return err
 }
 
 // Drain processes until the topic is fully consumed, then force-closes
@@ -300,160 +308,71 @@ func (j *Job) Drain(ctx context.Context) error {
 	if err := j.start(); err != nil {
 		return err
 	}
-	for {
-		lag, err := j.reader.Lag()
-		if err != nil {
-			return err
-		}
-		if lag == 0 {
-			break
-		}
-		if err := j.step(ctx); err != nil {
-			return err
-		}
-	}
-	// Force-flush all remaining windows.
-	if err := j.flushWindows(ctx, true); err != nil {
-		return err
-	}
-	return j.checkpoint()
+	return j.loop.Drain(ctx)
 }
 
 // step consumes one micro-batch: it parks until a commit lands behind a
-// cursor, then makes one reader pass over the topic's partitions.
-// Transient fetch failures are retried under the job's policy; a retried
-// pass re-reads only the partitions that failed, the others move on to
-// their next page. A pass that ends in an error (retries exhausted, ctx
-// cancelled mid-pass or mid-backoff) hands the job nothing and leaves the
-// cursors where they were, so the checkpoint a graceful stop writes never
-// covers a record that was fetched but not processed. A windowed job that
-// reaches its idle deadline parked flushes what that unblocked instead.
-func (j *Job) step(ctx context.Context) error {
-	var pages []plane.Page
-	for len(pages) == 0 {
-		idle, err := j.park(ctx)
-		if err != nil {
-			return err
-		}
-		if idle {
-			if err := j.flushWindows(ctx, false); err != nil {
+// cursor, then makes one pass over the topic's partitions. A windowed job
+// that reaches its idle deadline parked flushes what that unblocked
+// instead.
+func (j *Job) step(ctx context.Context) error { return j.loop.Step(ctx) }
+
+// checkpoint persists job state; a no-op without a checkpoint dir.
+func (j *Job) checkpoint() error { return j.loop.Checkpoint() }
+
+// Apply takes one partition's page (plane.Operator): a windowed job folds
+// each row into its windows, an unwindowed one delivers the page.
+func (j *Job) Apply(ctx context.Context, _ string, part int, rows []schema.Row) error {
+	if j.window == nil {
+		batch := schema.NewFrame(j.cfg.InputSchema)
+		for _, row := range rows {
+			if j.pred != nil && !j.pred(row) {
+				continue
+			}
+			if err := batch.AppendRow(row); err != nil {
 				return err
 			}
-			return j.checkpoint()
 		}
-		pages, err = j.reader.Collect(ctx, j.cfg.BatchSize, func(pass func() error) error {
-			return j.withRetry(ctx, pass)
-		})
-		if err != nil {
-			return err
+		if batch.Len() == 0 {
+			return nil
+		}
+		return j.deliver(ctx, batch)
+	}
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	for _, row := range rows {
+		// Every valid record advances its partition's watermark, even if
+		// the filter later discards it.
+		if !row[j.tIdx].IsNull() {
+			if ev := row[j.tIdx].UnixNanos(); ev > j.partWM[part] {
+				j.partWM[part] = ev
+			}
+		}
+		if j.pred == nil || j.pred(row) {
+			j.foldLocked(row)
 		}
 	}
+	return nil
+}
+
+// Flush ends a micro-batch (plane.Operator): it mirrors the counters into
+// the shared instruments (one add each per micro-batch, never per record)
+// and emits the windows the watermark closed — every open window when
+// final.
+func (j *Job) Flush(ctx context.Context, final bool) error {
 	// One micro-batch span (sampled roots only; a no-op otherwise). It
 	// parents the sink spans deliver opens below.
 	ctx, sp := obs.StartSpan(ctx, "silver.microbatch")
 	defer sp.End()
 	sp.Annotate("topic", "%s", j.cfg.Topic)
-
-	// A windowed job folds each row into its windows where it is decoded;
-	// only an unwindowed job, whose batch is the deliverable, builds a frame.
-	var batch *schema.Frame
-	if j.window == nil {
-		batch = schema.NewFrame(j.cfg.InputSchema)
-	}
-	var dead []DeadRecord // poison records, quarantined outside j.mu
-	j.mu.Lock()
-	before := j.metrics
-	for _, pg := range pages {
-		for i := range pg.Recs {
-			r := &pg.Recs[i]
-			j.metrics.RecordsIn++
-			row, _, derr := schema.DecodeRow(r.Value)
-			if derr == nil {
-				derr = row.Conforms(j.cfg.InputSchema)
-			}
-			if derr != nil {
-				j.metrics.RecordsInvalid++
-				if j.cfg.DeadLetter {
-					dead = append(dead, DeadRecord{
-						Topic: pg.Topic, Partition: pg.Part, Offset: r.Offset,
-						Ts: r.Ts, Reason: derr.Error(), Payload: r.Value,
-					})
-				}
-				continue
-			}
-			// Every valid record advances its partition's watermark, even if
-			// the filter later discards it.
-			if j.window != nil && !row[j.tIdx].IsNull() {
-				if ev := row[j.tIdx].UnixNanos(); ev > j.partWM[pg.Part] {
-					j.partWM[pg.Part] = ev
-				}
-			}
-			if j.pred != nil && !j.pred(row) {
-				continue
-			}
-			if j.window != nil {
-				j.foldLocked(row)
-			} else if aerr := batch.AppendRow(row); aerr != nil {
-				j.mu.Unlock()
-				return aerr
-			}
-		}
-	}
-	j.metrics.Batches++
-	after := j.metrics
-	j.mu.Unlock()
-	sp.Annotate("records", "%d", after.RecordsIn-before.RecordsIn)
-	if ins := j.cfg.Instr; ins != nil {
-		ins.RecordsIn.Add(after.RecordsIn - before.RecordsIn)
-		ins.RecordsInvalid.Add(after.RecordsInvalid - before.RecordsInvalid)
-		ins.RecordsLate.Add(after.RecordsLate - before.RecordsLate)
-		ins.Batches.Inc()
-	}
-
-	if len(dead) > 0 {
-		var n int
-		if derr := j.withRetry(ctx, func() error {
-			var e error
-			n, e = DeadLetter(j.stream, dead)
-			return e
-		}); derr != nil {
-			return derr
-		}
-		j.mu.Lock()
-		j.metrics.RecordsDeadLettered += int64(n)
-		j.mu.Unlock()
-		if ins := j.cfg.Instr; ins != nil {
-			ins.DeadLettered.Add(int64(n))
-		}
-		sp.Annotate("dlq", "%d poison records quarantined", n)
-	}
-
-	if j.window != nil {
-		if err := j.flushWindows(ctx, false); err != nil {
-			return err
-		}
-	} else if batch.Len() > 0 {
-		if err := j.deliver(ctx, batch); err != nil {
-			return err
-		}
-	}
-	return j.checkpoint()
-}
-
-// park waits for a commit behind a cursor — returning at once when one
-// is already there — or, while the idle deadline is ahead, for that
-// deadline, reporting idle.
-func (j *Job) park(ctx context.Context) (idle bool, err error) {
-	if j.idleAt.IsZero() {
-		return false, j.reader.Wait(ctx)
-	}
-	wctx, cancel := context.WithDeadline(ctx, j.idleAt)
-	defer cancel()
-	err = j.reader.Wait(wctx)
-	if ctx.Err() == nil && errors.Is(err, context.DeadlineExceeded) {
-		return true, nil
-	}
-	return false, err
+	m, ins := j.Metrics(), j.cfg.Instr
+	sp.Annotate("records", "%d", m.RecordsIn-j.mirrored.RecordsIn)
+	ins.RecordsIn.Add(m.RecordsIn - j.mirrored.RecordsIn)
+	ins.RecordsInvalid.Add(m.RecordsInvalid - j.mirrored.RecordsInvalid)
+	ins.RecordsLate.Add(m.RecordsLate - j.mirrored.RecordsLate)
+	ins.Batches.Add(m.Batches - j.mirrored.Batches)
+	j.mirrored = m
+	return j.flushWindows(ctx, final)
 }
 
 // foldLocked folds one decoded, filtered row into every window it belongs
@@ -552,9 +471,7 @@ func (j *Job) flushWindows(ctx context.Context, force bool) error {
 		j.metrics.WindowsEmitted++
 	}
 	j.mu.Unlock()
-	if ins := j.cfg.Instr; ins != nil {
-		ins.WindowsEmitted.Add(int64(len(due)))
-	}
+	j.cfg.Instr.WindowsEmitted.Add(int64(len(due)))
 
 	for _, f := range frames {
 		if err := j.deliver(ctx, f); err != nil {
@@ -582,26 +499,20 @@ func (j *Job) deliver(ctx context.Context, f *schema.Frame) error {
 	ctx, sp := obs.StartSpan(ctx, "silver.sink")
 	defer sp.End()
 	sp.Annotate("rows", "%d", f.Len())
-	ins := j.cfg.Instr
-	var t0 time.Time
-	if ins != nil {
-		t0 = time.Now() // sink calls copy whole frames; one clock read is noise here
-	}
+	t0 := time.Now() // sink calls copy whole frames; one clock read is noise here
 	sink := func() error { return j.sink(f) }
 	if j.breaker != nil {
 		inner := sink
 		sink = func() error { return j.breaker.Do(inner) }
 	}
-	if err := j.withRetry(ctx, sink); err != nil {
+	if err := j.loop.Retry(ctx, sink); err != nil {
 		sp.SetErr(err)
 		return fmt.Errorf("sproc: job %s sink: %w", j.cfg.Name, err)
 	}
 	j.mu.Lock()
 	j.metrics.RowsOut += int64(f.Len())
 	j.mu.Unlock()
-	if ins != nil {
-		ins.SinkLatency.Observe(time.Since(t0).Seconds())
-		ins.RowsOut.Add(int64(f.Len()))
-	}
+	j.cfg.Instr.SinkLatency.Observe(time.Since(t0).Seconds())
+	j.cfg.Instr.RowsOut.Add(int64(f.Len()))
 	return nil
 }

@@ -512,10 +512,10 @@ func (s *downPartition) FetchNoWait(topic string, part int, off int64, max int) 
 	return s.Broker.FetchNoWait(topic, part, off, max)
 }
 
-// TestCancelMidPassLosesNothing: partition 0's page is already collected
+// TestCancelMidPassLosesNothing: partition 0's page is already applied
 // when partition 1 fails transiently and the job is cancelled during the
-// retry backoff. The graceful-stop checkpoint must not cover the page the
-// job never processed: a restarted job sees every record exactly once.
+// retry backoff. The graceful-stop checkpoint covers exactly the page the
+// job processed: a restarted job sees every record exactly once.
 func TestCancelMidPassLosesNothing(t *testing.T) {
 	const n = 40
 	b := newBrokerWithTopic(t)
@@ -541,8 +541,8 @@ func TestCancelMidPassLosesNothing(t *testing.T) {
 	if err := j1.To(sink1.sink).Run(ctx); err != nil {
 		t.Fatalf("cancelled run: %v", err)
 	}
-	if m := j1.Metrics(); m.Retries != 1 || m.RecordsIn != 0 {
-		t.Fatalf("first incarnation: %+v, want one retry and nothing processed", m)
+	if m := j1.Metrics(); m.Retries != 1 || m.RecordsIn != n/2 {
+		t.Fatalf("first incarnation: %+v, want one retry and partition 0's page processed", m)
 	}
 
 	src.down = false

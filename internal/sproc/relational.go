@@ -5,9 +5,11 @@
 //
 //   - Relational operators over schema.Frame (filter, group-by, pivot,
 //     join): the SQL clauses of the paper's pipeline anatomy (Fig 4-b).
-//   - A micro-batch streaming Job that consumes a broker topic, applies
-//     event-time windowed aggregation with watermarks, and recovers
-//     exactly from checkpoints after a crash.
+//   - A micro-batch streaming Job that consumes a topic, applies
+//     event-time windowed aggregation with watermarks, and recovers from
+//     checkpoints after a crash, at-least-once into idempotent sinks. The
+//     job is an operator on plane.Loop, the one checkpointed consumer,
+//     which also reads, quarantines poison records and writes the file.
 package sproc
 
 import (

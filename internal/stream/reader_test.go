@@ -184,55 +184,6 @@ func TestPollContextCancel(t *testing.T) {
 	}
 }
 
-// TestCollectFailedPassKeepsItsPlace: a collected pass that ends in an
-// error — here the retry wrapper giving up after a pass that did read —
-// returns no pages and puts the cursors back, so the next Collect
-// returns every record once.
-func TestCollectFailedPassKeepsItsPlace(t *testing.T) {
-	b := newTelemetryBroker(t, stream.TopicConfig{Partitions: 3})
-	publishN(t, b, 9)
-	r := newReader(t, b)
-	once := func(pass func() error) error { return pass() }
-	gaveUp := errors.New("retries exhausted")
-	pages, err := r.Collect(context.Background(), 10, func(pass func() error) error {
-		if err := pass(); err != nil {
-			return err
-		}
-		return gaveUp
-	})
-	if len(pages) != 0 || !errors.Is(err, gaveUp) {
-		t.Fatalf("failed Collect = %d pages, %v", len(pages), err)
-	}
-	if lag, _ := r.Lag(); lag != 9 {
-		t.Fatalf("lag after the failed pass = %d, want 9 (cursors back where they were)", lag)
-	}
-	pages, err = r.Collect(context.Background(), 10, once)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 0
-	for i, pg := range pages {
-		if pg.Topic != "telemetry" || (i > 0 && pg.Part <= pages[i-1].Part) {
-			t.Fatalf("page %d is %s/%d, want telemetry's partitions ascending", i, pg.Topic, pg.Part)
-		}
-		// A record no longer says where it came from; the page does, so
-		// the page must hold exactly what its partition's log holds there.
-		own, err := b.FetchNoWait("telemetry", pg.Part, pg.Recs[0].Offset, len(pg.Recs))
-		if err != nil || len(own) != len(pg.Recs) {
-			t.Fatalf("partition %d re-read: %d records, %v; the page has %d", pg.Part, len(own), err, len(pg.Recs))
-		}
-		for k, rec := range pg.Recs {
-			if rec.Offset != own[k].Offset || !rec.Ts.Equal(own[k].Ts) || string(rec.Value) != string(own[k].Value) {
-				t.Fatalf("page of partition %d holds %d@%q, its log holds %d@%q", pg.Part, rec.Offset, rec.Value, own[k].Offset, own[k].Value)
-			}
-			n++
-		}
-	}
-	if lag, _ := r.Lag(); n != 9 || lag != 0 {
-		t.Fatalf("second Collect returned %d records with lag %d left, want 9 and 0", n, lag)
-	}
-}
-
 func TestPollWakesOnPublish(t *testing.T) {
 	b := newTelemetryBroker(t, stream.TopicConfig{Partitions: 3})
 	r := newReader(t, b)

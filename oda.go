@@ -219,7 +219,7 @@ type (
 	// FaultRates configures injection for one operation.
 	FaultRates = faults.Rates
 	// DeadRecord is one quarantined poison record with its provenance.
-	DeadRecord = sproc.DeadRecord
+	DeadRecord = plane.DeadRecord
 )
 
 // NewFaultInjector returns a seed-driven chaos injector; Install it on a

@@ -2,9 +2,9 @@ package oda_test
 
 // The repository's shape rules: one STREAM reader, one LAKE read path, one
 // serialized form for rollup cells, one grouping loop, one sort, one log,
-// one wait, one entry point per operation, one cold scan, one chunk
-// decoder, one interner, one parameter reader, and a series that is an
-// integer. Each is a
+// one wait, one consumer loop, one entry point per operation, one cold
+// scan, one chunk decoder, one interner, one parameter reader, and a
+// series that is an integer. Each is a
 // structural fact a later change could quietly undo, so
 // each is checked over the parsed non-test sources on every `go test
 // ./...`, and each is shown to fire on a synthetic source that breaks it.
@@ -356,6 +356,40 @@ func (r *Reader) Wait() { <-clock.After(idle) }`},
 			return forbid(decls(files, within("internal/sproc")), "the job waits on Stream.Ready", "JobConfig.PollWait")
 		},
 		breaks: map[string]string{"internal/sproc/job.go": "package sproc\ntype JobConfig struct{ PollWait Duration }"},
+	},
+	{
+		name: "one consumer loop: only internal/plane parks a Reader",
+		check: func(files []srcFile) (out []string) {
+			calls(files, func(s srcFile) bool { return !within("internal/plane")(s) }, func(s srcFile, c *ast.CallExpr, name string) {
+				if name == "Wait" && len(c.Args) > 0 { // Reader.Wait(ctx); sync's Waits take no argument
+					out = append(out, s.path+": Reader.Wait: a consumer parks through plane.Loop")
+				}
+			})
+			return out
+		},
+		breaks: map[string]string{"internal/cq/pump.go": `package cq
+func (p *Pump) run(ctx context.Context) error { return p.reader.Wait(ctx) }`},
+	},
+	{
+		name: "one consumer loop: cq and sproc leave the checkpoint file to plane.Loop",
+		check: func(files []srcFile) (out []string) {
+			calls(files, within("internal/cq", "internal/sproc"), func(s srcFile, c *ast.CallExpr, _ string) {
+				if fn, ok := pkgRef(s.f, c.Fun, "odakit/internal/atomicfile"); ok {
+					out = append(out, s.path+": atomicfile."+fn+": an operator returns its snapshot, the loop writes it")
+				}
+			})
+			return out
+		},
+		breaks: map[string]string{"internal/sproc/checkpoint.go": `package sproc
+import af "odakit/internal/atomicfile"
+func (j *Job) checkpoint() error { return af.WriteFile(path, data, 0o644) }`},
+	},
+	{
+		name: "one consumer loop: a pass is applied page by page, not collected",
+		check: func(files []srcFile) []string {
+			return forbid(decls(files, anyFile), "an operator applies each page as Reader.Poll delivers it", "func Reader.Collect")
+		},
+		breaks: map[string]string{"internal/plane/reader.go": "package plane\nfunc (r *Reader) Collect() {}"},
 	},
 	{
 		name: "one entry point: the LAKE is written through InsertBatch",
