@@ -11,7 +11,9 @@ vet:
 	$(GO) vet ./...
 
 # The tests include the repository's shape rules (shape_test.go: one
-# STREAM reader, one LAKE read path, one cell format, one grouping loop,
+# STREAM reader, one LAKE read path, one cell format — a CQ checkpoint's
+# cells included: internal/cq declares no cell-serialization type and
+# never walks a CellTable cell by cell — one grouping loop,
 # one sort, one log, one wait, one consumer loop, one entry point per
 # operation, one cold scan, one chunk decoder, one interner, one parameter
 # reader, a series is an integer), checked over the parsed sources.
@@ -23,7 +25,8 @@ test:
 # does: an internal/ signature change that breaks benchmark/sut.go fails
 # here instead of in the driver's run. The cold-scan and OCF-write
 # microbenchmarks, the partition log's append + fetch, the LAKE insert
-# and cell-table growth ones, the grouped cold fold, the replicated ingest loop and the
+# and cell-table growth ones, the grouped cold fold, the replicated ingest loop, the
+# CQ pump's checkpoint of a 61 440-cell view (B/ckpt) and the
 # Silver job's windowed fold + SQL query run once each so they cannot rot
 # either.
 bench-smoke:
@@ -32,6 +35,7 @@ bench-smoke:
 	$(GO) test -bench 'ScanColumnsCold|WriteTelemetry' -benchtime 1x -run xxx ./internal/columnar
 	$(GO) test -bench 'Insert$$|CellTableGrow|ColdFoldGrouped' -benchtime 1x -run xxx ./internal/tsdb
 	$(GO) test -bench 'ClusterIngestBatch' -benchtime 1x -run xxx ./internal/cluster
+	$(GO) test -bench 'PumpCheckpoint' -benchtime 1x -run xxx ./internal/cq
 	$(GO) test -bench 'WindowedThroughput|SQLQuery' -benchtime 1x -run xxx ./internal/sproc
 
 # Net Go line delta of the working tree versus BASE — the numbers ROADMAP

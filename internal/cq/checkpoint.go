@@ -3,9 +3,9 @@ package cq
 import (
 	"fmt"
 	"math"
-	"sort"
-	"time"
+	"slices"
 
+	"odakit/internal/columnar"
 	"odakit/internal/telemetry"
 	"odakit/internal/tsdb"
 )
@@ -17,35 +17,25 @@ import (
 // stronger sibling of sproc's at-least-once (sproc can afford replays
 // because its sinks are idempotent; a view cell's add() is not).
 //
-// All data-derived floats are serialized as IEEE-754 bit patterns
-// (uint64): json.Marshal rejects NaN/Inf outright, and bits round-trip
-// exactly where decimal formatting of a float might not, which the
-// byte-identical equivalence guarantee cannot tolerate.
+// A view's cells are stored in the one serialized form of rollup cells:
+// each (topic, partition) slice is one ColdSchema OCF blob
+// (tsdb.CellExport, columnar.Encode) in fold order, and a restore lands it
+// through tsdb.LoadCells, which checks every row. The JSON envelope
+// carries the format version, the spec, offsets, watermark, counters and
+// alert state. A registered spec's floats are finite (Spec.validate), so
+// JSON round-trips them exactly; float bits (uint64) remain only for the
+// data-derived alert state, which may be NaN or ±Inf — json.Marshal
+// rejects those outright.
 
-type ckptCell struct {
-	Ts     int64  `json:"t"`
-	System string `json:"sy"`
-	Source string `json:"so"`
-	Comp   string `json:"c"`
-	Metric string `json:"m"`
-	Count  int64  `json:"n"`
-	Sum    uint64 `json:"s"`
-	Min    uint64 `json:"mn"`
-	Max    uint64 `json:"mx"`
-	LastTs int64  `json:"lt"`
-	Last   uint64 `json:"l"`
-}
+// ckptFormat is the checkpoint format this build writes and reads. The
+// format before it (no version field) stored cells as JSON.
+const ckptFormat = 2
 
-type ckptChunk struct {
-	Start int64      `json:"start"`
-	Cells []ckptCell `json:"cells"` // insertion order — the fold depends on it
-}
-
-type ckptPart struct {
-	Stripe int         `json:"stripe"`
-	Topic  string      `json:"topic"`
-	Part   int         `json:"part"`
-	Chunks []ckptChunk `json:"chunks"`
+// ckptSlice is one (topic, partition) slice of a view's cells.
+type ckptSlice struct {
+	Topic string `json:"topic"`
+	Part  int    `json:"part"`
+	Cells []byte `json:"cells"` // ColdSchema OCF, fold order
 }
 
 type ckptGroupScore struct {
@@ -61,77 +51,22 @@ type ckptAlerts struct {
 	Total  int64            `json:"total"`
 }
 
-type ckptSpec struct {
-	Name        string              `json:"name,omitempty"`
-	Filters     map[string][]string `json:"filters,omitempty"`
-	GroupBy     []string            `json:"group_by,omitempty"`
-	Granularity int64               `json:"granularity"`
-	Agg         int                 `json:"agg"`
-	Window      int64               `json:"window"`
-	Kind        int                 `json:"kind"`
-	Above       *uint64             `json:"above,omitempty"` // float bits
-	Below       *uint64             `json:"below,omitempty"`
-	MaxScore    uint64              `json:"max_score,omitempty"`
-	Season      int                 `json:"season,omitempty"`
-}
-
 type ckptView struct {
 	ID            string      `json:"id"`
-	Spec          ckptSpec    `json:"spec"`
+	Spec          Spec        `json:"spec"`
 	Watermark     int64       `json:"watermark"`
 	EvictedBefore int64       `json:"evicted_before"`
 	Applied       int64       `json:"applied"`
 	Late          int64       `json:"late"`
-	Parts         []ckptPart  `json:"parts,omitempty"`
+	Slices        []ckptSlice `json:"slices,omitempty"`
 	Alerts        *ckptAlerts `json:"alerts,omitempty"`
 }
 
 type ckptFile struct {
+	Format  int                `json:"format"`
 	Name    string             `json:"name"`
 	Offsets map[string][]int64 `json:"offsets"` // topic -> per-partition cursors
 	Views   []ckptView         `json:"views"`
-}
-
-func specToCkpt(s Spec) ckptSpec {
-	cs := ckptSpec{
-		Name: s.Name, Filters: s.Filters, GroupBy: s.GroupBy,
-		Granularity: int64(s.Granularity), Agg: int(s.Agg),
-		Window: int64(s.Window), Kind: int(s.Kind),
-	}
-	if a := s.Alert; a != nil {
-		if a.Above != nil {
-			b := math.Float64bits(*a.Above)
-			cs.Above = &b
-		}
-		if a.Below != nil {
-			b := math.Float64bits(*a.Below)
-			cs.Below = &b
-		}
-		cs.MaxScore = math.Float64bits(a.MaxScore)
-		cs.Season = a.Season
-	}
-	return cs
-}
-
-func (cs ckptSpec) spec() Spec {
-	s := Spec{
-		Name: cs.Name, Filters: cs.Filters, GroupBy: cs.GroupBy,
-		Granularity: time.Duration(cs.Granularity), Agg: tsdb.AggKind(cs.Agg),
-		Window: time.Duration(cs.Window), Kind: WindowKind(cs.Kind),
-	}
-	if cs.Above != nil || cs.Below != nil || cs.MaxScore != 0 || cs.Season != 0 {
-		a := &AlertSpec{MaxScore: math.Float64frombits(cs.MaxScore), Season: cs.Season}
-		if cs.Above != nil {
-			f := math.Float64frombits(*cs.Above)
-			a.Above = &f
-		}
-		if cs.Below != nil {
-			f := math.Float64frombits(*cs.Below)
-			a.Below = &f
-		}
-		s.Alert = a
-	}
-	return s
 }
 
 // snapshot captures the view's full state under its lock.
@@ -139,37 +74,42 @@ func (v *View) snapshot() ckptView {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	cv := ckptView{
-		ID: v.ID, Spec: specToCkpt(v.Spec),
+		ID: v.ID, Spec: v.Spec,
 		Watermark: v.watermark, EvictedBefore: v.evictedBefore,
 		Applied: v.applied, Late: v.late,
 	}
-	// Deterministic file bytes: parts in (stripe, topic, part) order —
-	// v.tps is kept sorted — chunks ascending, cells in insertion order.
-	for s := range v.stripes {
-		starts := tsdb.SortedChunks(v.stripes[s])
-		for _, tp := range v.tps {
-			cp := ckptPart{Stripe: s, Topic: tp.topic, Part: tp.part}
-			for _, start := range starts {
-				ct := v.stripes[s][start][tp]
-				if ct == nil {
-					continue
+	type stripeTable struct {
+		stripe int
+		ct     *tsdb.CellTable
+	}
+	// Deterministic file bytes: slices in (topic, partition) order — v.tps
+	// is kept sorted — each in fold order, sized before it is written.
+	for _, tp := range v.tps {
+		var tables []stripeTable
+		n := 0
+		for s := range v.stripes {
+			for _, start := range tsdb.SortedChunks(v.stripes[s]) {
+				if ct := v.stripes[s][start][tp]; ct != nil {
+					tables = append(tables, stripeTable{s, ct})
+					n += ct.Len()
 				}
-				ch := ckptChunk{Start: start, Cells: make([]ckptCell, 0, ct.Len())}
-				for i := 0; i < ct.Len(); i++ {
-					k, c := ct.At(i)
-					sr := ct.Series(k.Series)
-					ch.Cells = append(ch.Cells, ckptCell{
-						Ts: k.Ts, System: sr.System, Source: sr.Source, Comp: sr.Component, Metric: sr.Metric,
-						Count: c.Count, Sum: math.Float64bits(c.Sum),
-						Min: math.Float64bits(c.Min), Max: math.Float64bits(c.Max),
-						LastTs: c.LastTs, Last: math.Float64bits(c.Last),
-					})
-				}
-				cp.Chunks = append(cp.Chunks, ch)
 			}
-			if len(cp.Chunks) > 0 {
-				cv.Parts = append(cv.Parts, cp)
-			}
+		}
+		var e tsdb.CellExport
+		e.Grow(n)
+		for _, t := range tables {
+			e.Add(t.stripe, t.ct)
+		}
+		f, err := e.Frame()
+		var data []byte
+		if err == nil && f.Len() > 0 {
+			data, err = columnar.Encode(f, columnar.WriterOptions{})
+		}
+		if err != nil {
+			panic(err) // ColdSchema's own columns, encoded into memory: unreachable
+		}
+		if data != nil {
+			cv.Slices = append(cv.Slices, ckptSlice{Topic: tp.topic, Part: tp.part, Cells: data})
 		}
 	}
 	if v.alerts != nil {
@@ -186,14 +126,7 @@ func (a *alertState) snapshot() *ckptAlerts {
 	for d := range a.groups {
 		dimKeys = append(dimKeys, d)
 	}
-	sort.Slice(dimKeys, func(i, j int) bool {
-		for k := 0; k < 4; k++ {
-			if dimKeys[i][k] != dimKeys[j][k] {
-				return dimKeys[i][k] < dimKeys[j][k]
-			}
-		}
-		return false
-	})
+	slices.SortFunc(dimKeys, func(x, y [4]string) int { return slices.Compare(x[:], y[:]) })
 	for _, d := range dimKeys {
 		gs := a.groups[d]
 		cg := ckptGroupScore{Dims: d[:], Det: gs.det.State()}
@@ -206,26 +139,28 @@ func (a *alertState) snapshot() *ckptAlerts {
 }
 
 // restoreInto rebuilds the view's state from a snapshot. The view must
-// be freshly registered (empty); cells are re-inserted in checkpointed
-// insertion order so the restored fold is byte-identical. The snapshot
-// came off disk, so every cell is checked before it lands: its part on
-// the stripe its series hashes to, its chunk on the segment grid, its
-// bucket on the rollup grid inside the chunk, and no (bucket, series)
-// twice in one (stripe, chunk, topic-partition) table. A violation is an
-// error naming the view and the stripe, and leaves the view empty: the
-// cells restored before it are dropped and no counter is taken over.
+// be freshly registered (empty). Each slice lands through
+// tsdb.LoadCells into fresh tables, in its checkpointed fold order, so
+// the restored fold is byte-identical; a slice it refuses is an error
+// naming the view and the partition, and leaves the view empty.
 func (v *View) restoreInto(cv ckptView) error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	if v.applied != 0 {
 		return fmt.Errorf("cq: restore into non-empty view %s", v.ID)
 	}
-	if err := v.restoreCellsLocked(cv.Parts); err != nil {
-		for s := range v.stripes {
-			v.stripes[s] = make(map[int64]map[topicPart]*tsdb.CellTable)
+	for _, sl := range cv.Slices {
+		tp := topicPart{topic: sl.Topic, part: sl.Part}
+		f, err := columnar.ReadAll(sl.Cells)
+		if err == nil {
+			err = tsdb.LoadCells(f, v.rollupN, true, func(stripe int, bucket, _ int64) *tsdb.CellTable {
+				return v.tableLocked(stripe, bucket-tsdb.FloorMod(bucket, v.segN), tp)
+			})
 		}
-		v.tps = nil
-		return err
+		if err != nil {
+			v.resetLocked()
+			return fmt.Errorf("cq: checkpoint of view %s, partition %s/%d: %w", v.ID, sl.Topic, sl.Part, err)
+		}
 	}
 	v.watermark = cv.Watermark
 	v.evictedBefore = cv.EvictedBefore
@@ -236,45 +171,12 @@ func (v *View) restoreInto(cv ckptView) error {
 	return nil
 }
 
-// restoreCellsLocked re-inserts checkpointed parts into the view's empty
-// tables, checking each cell before it lands.
-func (v *View) restoreCellsLocked(parts []ckptPart) error {
-	for _, cp := range parts {
-		bad := func(format string, args ...any) error {
-			return fmt.Errorf("cq: checkpoint of view %s, stripe %d: "+format, append([]any{v.ID, cp.Stripe}, args...)...)
-		}
-		if cp.Stripe < 0 || cp.Stripe >= tsdb.NumStripes {
-			return bad("out of range")
-		}
-		tp := topicPart{topic: cp.Topic, part: cp.Part}
-		for _, ch := range cp.Chunks {
-			if tsdb.FloorMod(ch.Start, v.segN) != 0 {
-				return bad("chunk %d is off the %v segment grid", ch.Start, time.Duration(v.segN))
-			}
-			ct := v.tableLocked(cp.Stripe, ch.Start, tp)
-			for _, c := range ch.Cells {
-				if c.Ts < ch.Start || uint64(c.Ts-ch.Start) >= uint64(v.segN) || tsdb.FloorMod(c.Ts, v.rollupN) != 0 {
-					return bad("cell bucket %d is off the %v rollup grid of chunk %d", c.Ts, time.Duration(v.rollupN), ch.Start)
-				}
-				h := tsdb.SeriesHash(c.Comp, c.Metric)
-				if own := int(h % tsdb.NumStripes); own != cp.Stripe {
-					return bad("series %s/%s lives on stripe %d", c.Comp, c.Metric, own)
-				}
-				n := ct.Len()
-				series := tsdb.Series{System: c.System, Source: c.Source, Component: c.Comp, Metric: c.Metric}
-				*ct.Cell(h, c.Ts, &series) = tsdb.Cell{
-					Count: c.Count, Sum: math.Float64frombits(c.Sum),
-					Min: math.Float64frombits(c.Min), Max: math.Float64frombits(c.Max),
-					LastTs: c.LastTs, Last: math.Float64frombits(c.Last),
-				}
-				if ct.Len() == n {
-					return bad("cell %s/%s/%s/%s at %d listed twice in chunk %d of %s/%d",
-						c.System, c.Source, c.Comp, c.Metric, c.Ts, ch.Start, cp.Topic, cp.Part)
-				}
-			}
-		}
-	}
-	return nil
+// reset empties the view, as a refused restore leaves it.
+func (v *View) reset() {
+	v.mu.Lock()
+	v.resetLocked()
+	v.mu.Unlock()
+	v.bump()
 }
 
 // restore rebuilds scoring state. The detector restores exactly; a
@@ -286,6 +188,7 @@ func (a *alertState) restore(ca *ckptAlerts) {
 	defer a.mu.Unlock()
 	a.scored, a.total = ca.Scored, ca.Total
 	a.ring = append(a.ring[:0], ca.Ring...)
+	clear(a.groups)
 	for _, cg := range ca.Groups {
 		var d [4]string
 		copy(d[:], cg.Dims)

@@ -2,7 +2,6 @@ package cq
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
@@ -12,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"odakit/internal/columnar"
 	"odakit/internal/obs"
 	"odakit/internal/resilience"
 	"odakit/internal/schema"
@@ -481,9 +481,10 @@ func TestCheckpointRoundTripAcrossPages(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsCorruptCheckpoint corrupts a valid snapshot one way
-// per row and requires restoreInto to refuse it with an error naming the
-// view and the stripe, leaving the view exactly as empty as a fresh one.
+// TestRestoreRejectsCorruptCheckpoint corrupts a valid snapshot's cells
+// one way per row and requires restoreInto to refuse it with an error
+// naming the view and, where the bad row names one, the stripe, leaving
+// the view exactly as empty as a fresh one.
 func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	spec := Spec{Name: "corrupt", GroupBy: []string{tsdb.DimComponent}, Agg: tsdb.AggSum, Window: 10 * time.Minute}
 	register := func() *View {
@@ -500,52 +501,75 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	}
 	src.engine.Apply("bronze.alpha", 0, obs)
 	good := src.snapshot()
-	if len(good.Parts) == 0 || len(good.Parts[0].Chunks[0].Cells) < 2 {
-		t.Fatalf("fixture snapshot too small: %+v", good.Parts)
+	if len(good.Slices) != 1 {
+		t.Fatalf("fixture snapshot has %d slices, want 1", len(good.Slices))
 	}
 	if err := register().restoreInto(good); err != nil {
 		t.Fatalf("the uncorrupted snapshot: %v", err)
 	}
 	empty := register().snapshot()
-	const rollup, segment = int64(15 * time.Second), int64(time.Minute)
+	cells, err := columnar.ReadAll(good.Slices[0].Cells)
+	if err != nil || cells.Len() < 2 {
+		t.Fatalf("fixture slice: %v (%d cells)", err, cells.Len())
+	}
+	idx := tsdb.ColdSchema.MustIndex
+	stripe := func(r int) int64 { return cells.Row(r)[idx("stripe")].IntVal() }
+	encode := func(f *schema.Frame) []byte {
+		data, err := columnar.Encode(f, columnar.WriterOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	// rewrite returns the slice with row r's field set to val, then the
+	// rows extra appended.
+	rewrite := func(r int, name string, val schema.Value, extra ...int) []byte {
+		f := schema.NewFrame(tsdb.ColdSchema)
+		for i := 0; i < cells.Len(); i++ {
+			row := cells.Row(i)
+			if i == r {
+				row[idx(name)] = val
+			}
+			if err := f.AppendRow(row); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, i := range extra {
+			if err := f.AppendRow(cells.Row(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return encode(f)
+	}
+	foreign := (stripe(1) + 1) % tsdb.NumStripes
+	offGrid := cells.Row(1)[idx("bucket")].UnixNanos() + int64(time.Second)
+	blob := good.Slices[0].Cells
 	for _, tc := range []struct {
-		name    string
-		corrupt func(cv *ckptView)
+		name   string
+		cells  []byte
+		stripe int64 // the stripe the error names; -1 when none is known
 	}{
-		{"cell listed twice", func(cv *ckptView) {
-			ch := &cv.Parts[0].Chunks[0]
-			ch.Cells = append(ch.Cells, ch.Cells[0])
-		}},
-		{"chunk listed twice", func(cv *ckptView) {
-			cv.Parts[0].Chunks = append(cv.Parts[0].Chunks, cv.Parts[0].Chunks[0])
-		}},
-		{"part on a foreign stripe", func(cv *ckptView) {
-			cv.Parts[0].Stripe = (cv.Parts[0].Stripe + 1) % tsdb.NumStripes
-		}},
-		{"cell off the rollup grid", func(cv *ckptView) { cv.Parts[0].Chunks[0].Cells[1].Ts += int64(time.Second) }},
-		{"cell outside its chunk", func(cv *ckptView) {
-			ch := &cv.Parts[0].Chunks[0]
-			ch.Cells[1].Ts = ch.Start + segment
-		}},
-		{"chunk off the segment grid", func(cv *ckptView) { cv.Parts[0].Chunks[0].Start += rollup }},
+		{"cell listed twice", rewrite(-1, "", schema.Null, 0), stripe(0)},
+		{"part on a foreign stripe", rewrite(1, "stripe", schema.Int(foreign)), foreign},
+		{"cell off the rollup grid", rewrite(1, "bucket", schema.TimeNanos(offGrid)), stripe(1)},
+		{"a blob that is not ColdSchema", encode(schema.NewFrame(schema.ObservationSchema)), -1},
+		{"a null cell", rewrite(1, "sum", schema.Null), stripe(1)},
+		{"truncated OCF bytes", blob[:len(blob)/2], -1},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			var cv ckptView
-			data, err := json.Marshal(good)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := json.Unmarshal(data, &cv); err != nil {
-				t.Fatal(err)
-			}
-			tc.corrupt(&cv)
+			cv := good
+			cv.Slices = []ckptSlice{{Topic: good.Slices[0].Topic, Part: good.Slices[0].Part, Cells: tc.cells}}
 			v := register()
-			err = v.restoreInto(cv)
+			err := v.restoreInto(cv)
 			if err == nil {
 				t.Fatal("corrupt snapshot restored without an error")
 			}
-			if stripe := fmt.Sprintf("stripe %d", cv.Parts[0].Stripe); !strings.Contains(err.Error(), v.ID) || !strings.Contains(err.Error(), stripe) {
-				t.Fatalf("error %q names neither view %s nor %s", err, v.ID, stripe)
+			t.Log(err)
+			if !strings.Contains(err.Error(), v.ID) {
+				t.Fatalf("error %q does not name view %s", err, v.ID)
+			}
+			if s := fmt.Sprintf("stripe %d", tc.stripe); tc.stripe >= 0 && !strings.Contains(err.Error(), s) {
+				t.Fatalf("error %q does not name %s", err, s)
 			}
 			if got := v.snapshot(); !reflect.DeepEqual(got, empty) {
 				t.Fatalf("a refused restore left state behind: %+v", got)

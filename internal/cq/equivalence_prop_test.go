@@ -1,8 +1,8 @@
 package cq
 
 import (
-	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -361,19 +361,20 @@ func TestLargeWindowViewMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestRestoreFromPR12FormatCheckpoint restores a checkpoint file written
-// before view state moved onto tsdb's cell tables (testdata, generated
-// by the code at PR 12 from the seeded world rebuilt below), proving the
-// on-disk format did not move with it: the restored view re-serializes
-// to the file's exact bytes, and after replaying the un-checkpointed
-// suffix it answers byte-identically to batch.
+// TestRestoreFromPR12FormatCheckpoint starts a pump on a checkpoint file
+// written before view cells were stored as ColdSchema (testdata, in the
+// format-less JSON-cell form, from the seeded world rebuilt below).
+// The file is refused with an error that names it and says deleting it
+// rebuilds the views, nothing is registered, and once it is deleted the
+// fixture's view rebuilt from the stream answers byte-identically to batch.
 func TestRestoreFromPR12FormatCheckpoint(t *testing.T) {
 	fixture, err := os.ReadFile(filepath.Join("testdata", "pr12_format.ckpt.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "cq.ckpt.json"), fixture, 0o644); err != nil {
+	path := filepath.Join(dir, "cq.ckpt.json")
+	if err := os.WriteFile(path, fixture, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(31))
@@ -383,24 +384,135 @@ func TestRestoreFromPR12FormatCheckpoint(t *testing.T) {
 		w.publishRound(100) // the rounds the fixture's offsets cover
 	}
 	eng := NewEngine(Config{RollupInterval: propRollup, SegmentDuration: propSegment})
-	pump, err := NewPumpSource(eng, w.broker, PumpConfig{Topics: w.topics, CheckpointDir: dir})
+	cfg := PumpConfig{Topics: w.topics, CheckpointDir: dir}
+	_, err = NewPumpSource(eng, w.broker, cfg)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "delete it to rebuild the views from the stream") {
+		t.Fatalf("the JSON-cell checkpoint was not refused by name: %v", err)
+	}
+	if n := len(eng.Views()); n != 0 {
+		t.Fatalf("a refused checkpoint registered %d views", n)
+	}
+
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	above := 65.0
+	v, err := eng.Register(Spec{
+		Name: "fixture", Filters: map[string][]string{tsdb.DimMetric: {"cpu", "pow"}},
+		GroupBy: []string{tsdb.DimMetric, tsdb.DimSource}, Granularity: 30 * time.Second,
+		Agg: tsdb.AggAvg, Window: 3 * time.Minute, Alert: &AlertSpec{Above: &above, MaxScore: 3},
+	})
+	if err != nil || v.ID != "cqd58b53925be29378" {
+		t.Fatalf("the fixture's spec registers as %v (%v)", v, err)
+	}
+	pump, err := NewPumpSource(eng, w.broker, cfg)
 	if err != nil {
 		t.Fatalf("pump: %v", err)
 	}
-	if !pump.Metrics().Recovered || len(eng.Views()) != 1 {
-		t.Fatalf("recovered = %v with %d views, want the fixture's one view", pump.Metrics().Recovered, len(eng.Views()))
-	}
-	if err := pump.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-	if again, err := os.ReadFile(filepath.Join(dir, "cq.ckpt.json")); err != nil || !bytes.Equal(again, fixture) {
-		t.Fatalf("re-serialized checkpoint differs from the PR 12 file (err %v, %d vs %d bytes)", err, len(again), len(fixture))
-	}
-	v := eng.Views()[0]
-	checkEpoch(t, w, v, 0)
-	w.publishRound(100)
 	if err := pump.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	checkEpoch(t, w, v, 1)
+	checkEpoch(t, w, v, 0)
+}
+
+// TestRefusedCheckpointRestoresNothing corrupts the second of two views
+// in a checkpoint and starts a pump on it: the refusal unregisters the
+// views the restore registered, leaves a view registered before it
+// registered and empty, and a pump rebuilt without the checkpoint still
+// matches batch rather than replaying the stream into restored state.
+func TestRefusedCheckpointRestoresNothing(t *testing.T) {
+	specs := []Spec{
+		{Name: "by-component", GroupBy: []string{tsdb.DimComponent}, Agg: tsdb.AggSum, Window: 10 * time.Minute},
+		{Name: "by-metric", GroupBy: []string{tsdb.DimMetric}, Agg: tsdb.AggCount, Window: 10 * time.Minute},
+	}
+	newEngine := func() *Engine { return NewEngine(Config{RollupInterval: propRollup, SegmentDuration: propSegment}) }
+	w := newPropWorld(t, rand.New(rand.NewSource(41)))
+	defer w.broker.Close()
+	w.publishRound(120)
+	dir := t.TempDir()
+	path := filepath.Join(dir, "cq.ckpt.json")
+	eng := newEngine()
+	for _, s := range specs {
+		if _, err := eng.Register(s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pump, err := NewPumpSource(eng, w.broker, PumpConfig{Topics: w.topics, CheckpointDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := pump.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The file's views, in order: the first restores, the second is refused.
+	first, second := eng.Views()[0], eng.Views()[1]
+
+	for _, corrupt := range []struct {
+		name, want string
+		edit       func(view map[string]any)
+	}{
+		{"view id", "re-registered", func(view map[string]any) { view["id"] = "cq-not-this-spec" }},
+		{"view cells", "columnar", func(view map[string]any) {
+			sl := view["slices"].([]any)[0].(map[string]any)
+			b64 := sl["cells"].(string)
+			sl["cells"] = b64[:len(b64)/8*4] // half the OCF bytes, still base64
+		}},
+	} {
+		var doc map[string]any
+		if err := json.Unmarshal(good, &doc); err != nil {
+			t.Fatal(err)
+		}
+		corrupt.edit(doc["views"].([]any)[1].(map[string]any))
+		bad, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, preRegistered := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/pre-registered=%v", corrupt.name, preRegistered), func(t *testing.T) {
+				if err := os.WriteFile(path, bad, 0o644); err != nil {
+					t.Fatal(err)
+				}
+				eng := newEngine()
+				if preRegistered {
+					if _, err := eng.Register(first.Spec); err != nil {
+						t.Fatal(err)
+					}
+				}
+				_, err := NewPumpSource(eng, w.broker, PumpConfig{Topics: w.topics, CheckpointDir: dir})
+				if err == nil || !strings.Contains(err.Error(), corrupt.want) {
+					t.Fatalf("the corrupt checkpoint: %v, want a %q error", err, corrupt.want)
+				}
+				if _, ok := eng.Get(second.ID); ok {
+					t.Fatalf("the refused view %s stayed registered", second.ID)
+				}
+				v, ok := eng.Get(first.ID)
+				if ok != preRegistered {
+					t.Fatalf("view %s registered = %v after the refusal, want %v", first.ID, ok, preRegistered)
+				}
+				if !ok {
+					if v, err = eng.Register(first.Spec); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if st := v.Stats(); st.Applied != 0 || st.Cells != 0 {
+					t.Fatalf("view %s kept %d applied records in %d cells", v.ID, st.Applied, st.Cells)
+				}
+				if err := os.Remove(path); err != nil {
+					t.Fatal(err)
+				}
+				pump, err := NewPumpSource(eng, w.broker, PumpConfig{Topics: w.topics, CheckpointDir: dir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := pump.Drain(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+				checkEpoch(t, w, v, 0)
+			})
+		}
+	}
 }

@@ -52,6 +52,7 @@ type Pump struct {
 	*plane.Loop
 	engine  *Engine
 	name    string
+	path    string // the checkpoint file; "" without one
 	scratch []schema.Observation
 }
 
@@ -79,6 +80,7 @@ func NewPumpSource(engine *Engine, src plane.Stream, cfg PumpConfig) (*Pump, err
 	}
 	if cfg.CheckpointDir != "" {
 		lcfg.Checkpoint = filepath.Join(cfg.CheckpointDir, cfg.Name+".ckpt.json")
+		p.path = lcfg.Checkpoint
 	}
 	var err error
 	if p.Loop, err = plane.NewLoop(src, p, lcfg); err != nil {
@@ -108,7 +110,7 @@ func (p *Pump) Flush(context.Context, bool) error { return nil }
 
 // Snapshot serializes the offsets and every view's state (plane.Operator).
 func (p *Pump) Snapshot(offsets map[string][]int64) ([]byte, error) {
-	ck := ckptFile{Name: p.name, Offsets: offsets}
+	ck := ckptFile{Format: ckptFormat, Name: p.name, Offsets: offsets}
 	for _, v := range p.engine.Views() {
 		ck.Views = append(ck.Views, v.snapshot())
 	}
@@ -116,23 +118,46 @@ func (p *Pump) Snapshot(offsets map[string][]int64) ([]byte, error) {
 }
 
 // Restore re-registers the checkpointed specs and rebuilds each view's
-// cells in insertion order (plane.Operator).
+// cells in insertion order (plane.Operator). It is all-or-nothing: when a
+// view is refused, the views it registered are unregistered again and a
+// view registered before it stays registered, empty.
 func (p *Pump) Restore(data []byte) (map[string][]int64, error) {
 	var ck ckptFile
 	if err := json.Unmarshal(data, &ck); err != nil {
-		return nil, fmt.Errorf("cq: checkpoint parse: %w", err)
+		return nil, fmt.Errorf("cq: checkpoint %s: parse: %w", p.path, err)
+	}
+	if ck.Format != ckptFormat {
+		return nil, fmt.Errorf("cq: checkpoint %s is format %d, this build reads format %d: delete it to rebuild the views from the stream",
+			p.path, ck.Format, ckptFormat)
+	}
+	had := make(map[string]bool)
+	for _, v := range p.engine.Views() {
+		had[v.ID] = true
+	}
+	var restored []*View
+	undo := func(err error) (map[string][]int64, error) {
+		for _, v := range restored {
+			v.reset()
+		}
+		for _, v := range p.engine.Views() {
+			if !had[v.ID] {
+				p.engine.Unregister(v.ID)
+			}
+		}
+		return nil, err
 	}
 	for _, cv := range ck.Views {
-		v, err := p.engine.Register(cv.Spec.spec())
+		v, err := p.engine.Register(cv.Spec)
 		if err != nil {
-			return nil, fmt.Errorf("cq: checkpoint spec %s: %w", cv.ID, err)
+			return undo(fmt.Errorf("cq: checkpoint spec %s: %w", cv.ID, err))
 		}
 		if v.ID != cv.ID {
-			return nil, fmt.Errorf("cq: checkpoint view %s re-registered as %s", cv.ID, v.ID)
+			return undo(fmt.Errorf("cq: checkpoint view %s re-registered as %s", cv.ID, v.ID))
 		}
 		if err := v.restoreInto(cv); err != nil {
-			return nil, err
+			return undo(err)
 		}
+		restored = append(restored, v)
 		v.bump()
 	}
 	return ck.Offsets, nil

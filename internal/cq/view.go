@@ -80,20 +80,29 @@ func newView(e *Engine, spec Spec) *View {
 			Filters: spec.Filters, GroupBy: spec.GroupBy,
 			Granularity: spec.Granularity, Agg: spec.Agg,
 		}),
-		subs: make(map[int]chan struct{}),
-
-		watermark:     minWatermark,
-		evictedBefore: minWatermark,
-		engine:        e,
+		subs:   make(map[int]chan struct{}),
+		engine: e,
 	}
 	v.windowN = ceilMul(int64(spec.Window), v.rollupN)
-	for i := range v.stripes {
-		v.stripes[i] = make(map[int64]map[topicPart]*tsdb.CellTable)
-	}
 	if spec.Alert != nil {
 		v.alerts = newAlertState(spec, v.rollupN)
 	}
+	v.resetLocked()
 	return v
+}
+
+// resetLocked empties the view's state: no cells, no watermark, no
+// counters, no scoring history.
+func (v *View) resetLocked() {
+	for s := range v.stripes {
+		v.stripes[s] = make(map[int64]map[topicPart]*tsdb.CellTable)
+	}
+	v.tps = nil
+	v.watermark, v.evictedBefore = minWatermark, minWatermark
+	v.applied, v.late = 0, 0
+	if v.alerts != nil {
+		v.alerts.restore(&ckptAlerts{Scored: minWatermark})
+	}
 }
 
 // windowBounds computes the live window for a watermark: the half-open

@@ -43,9 +43,6 @@ type BreakerConfig struct {
 	// Cooldown is how long an open circuit rejects calls before allowing
 	// a half-open probe (default 1s).
 	Cooldown time.Duration
-	// ProbeSuccesses is how many consecutive half-open successes close
-	// the circuit again (default 1).
-	ProbeSuccesses int
 }
 
 func (c BreakerConfig) withDefaults() BreakerConfig {
@@ -55,29 +52,25 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 	if c.Cooldown <= 0 {
 		c.Cooldown = time.Second
 	}
-	if c.ProbeSuccesses <= 0 {
-		c.ProbeSuccesses = 1
-	}
 	return c
 }
 
 // Breaker is a consecutive-failure circuit breaker: after
 // FailureThreshold failures in a row it rejects calls with
 // ErrBreakerOpen (failing fast instead of hammering a dead sink), and
-// after Cooldown it lets probes through until ProbeSuccesses in a row
-// close it again. Safe for concurrent use.
+// after Cooldown it lets a probe through, whose success closes it again.
+// Safe for concurrent use.
 type Breaker struct {
 	cfg BreakerConfig
 	now func() time.Time
 
-	mu        sync.Mutex
-	state     BreakerState
-	failures  int       // consecutive failures while closed
-	successes int       // consecutive successes while half-open
-	openedAt  time.Time // when the circuit last opened
-	opens     int64     // times the circuit has opened
-	rejected  int64     // calls rejected while open
-	lastErr   error
+	mu       sync.Mutex
+	state    BreakerState
+	failures int       // consecutive failures while closed
+	openedAt time.Time // when the circuit last opened
+	opens    int64     // times the circuit has opened
+	rejected int64     // calls rejected while open
+	lastErr  error
 }
 
 // NewBreaker returns a closed breaker.
@@ -104,7 +97,6 @@ func (b *Breaker) Do(fn func() error) error {
 			return MarkTransient(ErrBreakerOpen)
 		}
 		b.state = BreakerHalfOpen
-		b.successes = 0
 	}
 	b.mu.Unlock()
 
@@ -113,16 +105,8 @@ func (b *Breaker) Do(fn func() error) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if err == nil {
-		switch b.state {
-		case BreakerHalfOpen:
-			b.successes++
-			if b.successes >= b.cfg.ProbeSuccesses {
-				b.state = BreakerClosed
-				b.failures = 0
-			}
-		default:
-			b.failures = 0
-		}
+		b.state = BreakerClosed
+		b.failures = 0
 		return nil
 	}
 	b.lastErr = err

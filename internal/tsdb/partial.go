@@ -14,6 +14,7 @@ package tsdb
 
 import (
 	"fmt"
+	"time"
 
 	"odakit/internal/schema"
 )
@@ -84,6 +85,84 @@ func MergeStripePartials(q Query, parts []*StripePartial) (*schema.Frame, error)
 	return plan.Frame(total)
 }
 
+// CellExport writes cell tables as one ColdSchema frame in fold order:
+// each stripe's tables go in chunk-ascending order, and a cell's seq is
+// its position in its stripe's run. ExportStripes and a CQ checkpoint
+// both write through it; LoadCells reads what it writes.
+type CellExport struct {
+	b   cellColumns
+	seq [NumStripes]int
+}
+
+// Grow reserves room for n more cells.
+func (e *CellExport) Grow(n int) { e.b.grow(n) }
+
+// Add appends t's cells, in insertion order, to stripe's run.
+func (e *CellExport) Add(stripe int, t *CellTable) {
+	dict := t.Dict()
+	for pi := 0; pi < t.Pages(); pi++ {
+		keys, cells := t.Page(pi)
+		for i := range keys {
+			e.b.add(stripe, e.seq[stripe], keys[i].Ts, &dict[keys[i].Series], &cells[i])
+			e.seq[stripe]++
+		}
+	}
+}
+
+// Frame hands the cells over as a ColdSchema frame; e is spent.
+func (e *CellExport) Frame() (*schema.Frame, error) { return e.b.frame() }
+
+// LoadCells is the one loader of ColdSchema cells that crossed a
+// transport or came off disk. A frame that is not ColdSchema, carries a
+// null, or puts a row on a stripe other than its series' own or a bucket
+// off the rollupN grid is refused before any cell lands. The rows then
+// land in frame order, which cells new to a table take as their insertion
+// order: row r goes to the table that table(stripe, bucket, count)
+// returns, count being the raw observations the row rolls up. Into
+// existing tables a row merges; into fresh ones (fresh) it is copied
+// exactly, and a (bucket, series) the table already holds is an error.
+func LoadCells(f *schema.Frame, rollupN int64, fresh bool, table func(stripe int, bucket, count int64) *CellTable) error {
+	if !f.Schema().Equal(ColdSchema) {
+		return fmt.Errorf("tsdb: cells: frame schema %v does not conform to ColdSchema", f.Schema())
+	}
+	cols, stripe, _ := coldColumns(f)
+	bad := func(r int, format string, args ...any) error {
+		return fmt.Errorf("tsdb: cells: stripe %d, row %d: "+format, append([]any{stripe[r], r}, args...)...)
+	}
+	for r, s := range stripe {
+		if f.Col(0).IsNull(r) { // ColdSchema's first column is the stripe
+			return fmt.Errorf("tsdb: cells: row %d: null stripe", r)
+		}
+		for i := 1; i < ColdSchema.Len(); i++ {
+			if f.Col(i).IsNull(r) {
+				return bad(r, "null %s", ColdSchema.Field(i).Name)
+			}
+		}
+		// Implies 0 <= s < NumStripes.
+		if own := StripeFor(cols.Dims[2][r], cols.Dims[3][r]); s != int64(own) {
+			return bad(r, "series %s/%s lives on stripe %d", cols.Dims[2][r], cols.Dims[3][r], own)
+		}
+		if FloorMod(cols.Bucket[r], rollupN) != 0 {
+			return bad(r, "bucket %d is off the %v rollup grid", cols.Bucket[r], time.Duration(rollupN))
+		}
+	}
+	for r := range stripe {
+		ts, s, cell := cols.Bucket[r], cols.series(int32(r)), cols.cell(int32(r))
+		ct := table(int(stripe[r]), ts, cell.Count)
+		n := ct.Len()
+		c := ct.Cell(SeriesHash(s.Component, s.Metric), ts, &s)
+		switch {
+		case !fresh:
+			c.Merge(cell)
+		case ct.Len() == n:
+			return bad(r, "cell %s/%s/%s/%s at %d listed twice", s.System, s.Source, s.Component, s.Metric, ts)
+		default:
+			*c = cell
+		}
+	}
+	return nil
+}
+
 // ExportStripes serializes every cell of the given stripes as a
 // ColdSchema frame in stripe-major, chunk-ascending, insertion order —
 // the exact fold order of a stripe scan; seq is the cell's position in
@@ -93,70 +172,46 @@ func MergeStripePartials(q Query, parts []*StripePartial) (*schema.Frame, error)
 // byte-identically to the replica it was copied from. Both stores must
 // share SegmentDuration and RollupInterval.
 func (db *DB) ExportStripes(stripes []int) (*schema.Frame, error) {
-	var b cellColumns
+	var e CellExport
 	for _, si := range stripes {
 		if si < 0 || si >= NumStripes {
 			return nil, fmt.Errorf("tsdb: export stripe %d out of range", si)
 		}
 		sh := &db.shards[si]
 		sh.mu.RLock()
-		seq := 0
 		for _, chunkN := range SortedChunks(sh.segments) {
-			seg := sh.segments[chunkN]
-			for i := 0; i < seg.cells.Len(); i++ {
-				k, c := seg.cells.At(i)
-				b.add(si, seq, k.Ts, seg.cells.Series(k.Series), c)
-				seq++
-			}
+			e.Add(si, &sh.segments[chunkN].cells)
 		}
 		sh.mu.RUnlock()
 	}
-	return b.frame()
+	return e.Frame()
 }
 
 // ImportStripes merges a ColdSchema frame — a peer's ExportStripes — into
-// the store in frame order, which cells new to a table take as their
-// insertion order. The frame has crossed a transport: one that is not
-// ColdSchema, carries a null, or puts a row on a stripe other than its
-// series' own is rejected before any cell lands. Each run of one stripe
-// takes that stripe's lock, and bumps its version, once.
+// the store through LoadCells, so a frame it refuses lands no cell. Each
+// run of one stripe takes that stripe's lock, and bumps its version, once.
 func (db *DB) ImportStripes(f *schema.Frame) error {
-	if !f.Schema().Equal(ColdSchema) {
-		return fmt.Errorf("tsdb: import: frame schema %v does not conform to ColdSchema", f.Schema())
-	}
-	cols, stripe, _ := coldColumns(f)
-	for r, s := range stripe {
-		for i := 0; i < ColdSchema.Len(); i++ {
-			if f.Col(i).IsNull(r) {
-				return fmt.Errorf("tsdb: import: row %d: null %s", r, ColdSchema.Field(i).Name)
-			}
-		}
-		// Implies 0 <= s < NumStripes.
-		if own := StripeFor(cols.Dims[2][r], cols.Dims[3][r]); s != int64(own) {
-			return fmt.Errorf("tsdb: import: row %d: series %s/%s lives on stripe %d, not %d",
-				r, cols.Dims[2][r], cols.Dims[3][r], own, s)
-		}
-	}
 	chunkD := int64(db.opts.SegmentDuration)
-	for lo, n := 0, len(stripe); lo < n; {
-		hi := lo + 1
-		for hi < n && stripe[hi] == stripe[lo] {
-			hi++
+	var held *dbShard
+	release := func() {
+		if held != nil {
+			held.version.Add(1)
+			held.mu.Unlock()
 		}
-		sh := &db.shards[stripe[lo]]
-		sh.mu.Lock()
-		for r := int32(lo); r < int32(hi); r++ {
-			ts, s, cell := cols.Bucket[r], cols.series(r), cols.cell(r)
-			seg := sh.segmentLocked(ts - FloorMod(ts, chunkD))
-			seg.cells.Cell(SeriesHash(s.Component, s.Metric), ts, &s).Merge(cell)
-			seg.rows += cell.Count
-			sh.ingested += cell.Count
-		}
-		sh.version.Add(1)
-		sh.mu.Unlock()
-		lo = hi
 	}
-	return nil
+	err := LoadCells(f, int64(db.opts.RollupInterval), false, func(stripe int, bucket, count int64) *CellTable {
+		if sh := &db.shards[stripe]; sh != held {
+			release()
+			held = sh
+			sh.mu.Lock()
+		}
+		seg := held.segmentLocked(bucket - FloorMod(bucket, chunkD))
+		seg.rows += count
+		held.ingested += count
+		return &seg.cells
+	})
+	release()
+	return err
 }
 
 // DropStripes discards every segment whose cells live on the given

@@ -246,20 +246,22 @@ func TestImportStripesRejectsBadFrames(t *testing.T) {
 	}
 	last := good.Len() - 1
 	stripe, metric := good.Row(last)[idx("stripe")].IntVal(), good.Row(last)[idx("metric")].StrVal()
+	bucket := good.Row(last)[idx("bucket")].UnixNanos()
 	elsewhere := "" // a component that puts the last row's metric on another stripe
 	for i := 0; elsewhere == "" || StripeFor(elsewhere, metric) == int(stripe); i++ {
 		elsewhere = fmt.Sprintf("node9%04d", i)
 	}
 	for name, bad := range map[string]*schema.Frame{
-		"another schema":          schema.NewFrame(schema.ObservationSchema),
-		"a ColdSchema projection": withoutSeq(t, good),
-		"null float":              edit(last, "sum", schema.Null),
-		"null dimension":          edit(last, "component", schema.Null),
-		"null stripe":             edit(0, "stripe", schema.Null),
-		"stripe past the end":     edit(last, "stripe", schema.Int(NumStripes)),
-		"negative stripe":         edit(last, "stripe", schema.Int(-1)),
-		"another series' stripe":  edit(last, "stripe", schema.Int((stripe+1)%NumStripes)),
-		"renamed series":          edit(last, "component", schema.Str(elsewhere)),
+		"another schema":             schema.NewFrame(schema.ObservationSchema),
+		"a ColdSchema projection":    withoutSeq(t, good),
+		"null float":                 edit(last, "sum", schema.Null),
+		"null dimension":             edit(last, "component", schema.Null),
+		"null stripe":                edit(0, "stripe", schema.Null),
+		"stripe past the end":        edit(last, "stripe", schema.Int(NumStripes)),
+		"negative stripe":            edit(last, "stripe", schema.Int(-1)),
+		"another series' stripe":     edit(last, "stripe", schema.Int((stripe+1)%NumStripes)),
+		"renamed series":             edit(last, "component", schema.Str(elsewhere)),
+		"bucket off the rollup grid": edit(last, "bucket", schema.TimeNanos(bucket+int64(time.Second))),
 	} {
 		t.Run(name, func(t *testing.T) {
 			db := New(Options{SegmentDuration: time.Hour, RollupInterval: 15 * time.Second})

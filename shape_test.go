@@ -1,7 +1,7 @@
 package oda_test
 
 // The repository's shape rules: one STREAM reader, one LAKE read path, one
-// serialized form for rollup cells, one grouping loop, one sort, one log,
+// serialized form for rollup cells (a CQ checkpoint's included), one grouping loop, one sort, one log,
 // one wait, one consumer loop, one entry point per operation, one cold
 // scan, one chunk decoder, one interner, one parameter reader, and a
 // series that is an integer. Each is a
@@ -268,6 +268,29 @@ func (s *Server) topN() { s.backend.RunWithStats(q) }`},
 			return out
 		},
 		breaks: map[string]string{"internal/tsdb/stripe.go": "package tsdb\nfunc frame() { schema.FrameOfColumns(ColdSchema, cols) }"},
+	},
+	{
+		name: "one cell format: a CQ checkpoint stores its cells through tsdb",
+		check: func(files []srcFile) (out []string) {
+			for _, d := range decls(files, within("internal/cq")) {
+				if strings.HasPrefix(d, "func ") || strings.HasPrefix(d, "type ") {
+					continue
+				}
+				switch field := d[strings.Index(d, ".")+1:]; field {
+				case "Count", "Sum", "Min", "Max", "Last", "LastTs":
+					out = append(out, d+": a cell serializes as ColdSchema, through tsdb.CellExport")
+				}
+			}
+			calls(files, within("internal/cq"), func(s srcFile, _ *ast.CallExpr, name string) {
+				if name == "At" {
+					out = append(out, s.path+": At: a view's tables are exported whole by tsdb.CellExport, not walked cell by cell")
+				}
+			})
+			return out
+		},
+		breaks: map[string]string{"internal/cq/checkpoint.go": `package cq
+type ckptCell struct{ Ts int64; Sum, Min, Max uint64 }
+func snapshot(ct *tsdb.CellTable) { k, c := ct.At(0) }`},
 	},
 	{
 		name: "one grouping loop: sproc declares one group struct",
