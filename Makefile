@@ -15,8 +15,12 @@ vet:
 # cells included: internal/cq declares no cell-serialization type and
 # never walks a CellTable cell by cell — one grouping loop,
 # one sort, one log, one wait, one consumer loop, one entry point per
-# operation, one cold scan, one chunk decoder, one interner, one parameter
-# reader, a series is an integer), checked over the parsed sources.
+# operation, one cold scan, one parse per segment object — internal/tsdb
+# never calls columnar.NewFileReader, it binds a segment's kept index —
+# one filter test per series — GroupTable.Fold never calls Match, it
+# folds through an admit vector — one chunk decoder, one interner, one
+# parameter reader, a series is an integer), checked over the parsed
+# sources.
 test:
 	$(GO) test ./...
 
@@ -25,7 +29,7 @@ test:
 # does: an internal/ signature change that breaks benchmark/sut.go fails
 # here instead of in the driver's run. The cold-scan and OCF-write
 # microbenchmarks, the partition log's append + fetch, the LAKE insert
-# and cell-table growth ones, the grouped cold fold, the replicated ingest loop, the
+# and cell-table growth ones, the grouped and filtered cold folds, the replicated ingest loop, the
 # CQ pump's checkpoint of a 61 440-cell view (B/ckpt) and the
 # Silver job's windowed fold + SQL query run once each so they cannot rot
 # either.
@@ -33,7 +37,7 @@ bench-smoke:
 	(cd benchmark && $(GO) vet ./... && $(GO) test ./...)
 	$(GO) test -bench 'PartitionAppendFetch' -benchtime 1x -run xxx ./internal/stream
 	$(GO) test -bench 'ScanColumnsCold|WriteTelemetry' -benchtime 1x -run xxx ./internal/columnar
-	$(GO) test -bench 'Insert$$|CellTableGrow|ColdFoldGrouped' -benchtime 1x -run xxx ./internal/tsdb
+	$(GO) test -bench 'Insert$$|CellTableGrow|ColdFoldGrouped|ColdFoldFiltered' -benchtime 1x -run xxx ./internal/tsdb
 	$(GO) test -bench 'ClusterIngestBatch' -benchtime 1x -run xxx ./internal/cluster
 	$(GO) test -bench 'PumpCheckpoint' -benchtime 1x -run xxx ./internal/cq
 	$(GO) test -bench 'WindowedThroughput|SQLQuery' -benchtime 1x -run xxx ./internal/sproc

@@ -68,6 +68,7 @@ func FuzzFileReader(f *testing.F) {
 	f.Add([]byte("OCF1"))
 	f.Add([]byte{})
 	f.Add(hostileNullStream())
+	f.Add(wrongKindZoneMapStream())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 1<<16 {

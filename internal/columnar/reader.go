@@ -12,6 +12,7 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"odakit/internal/schema"
 )
@@ -76,9 +77,11 @@ func appendStats(buf []byte, s ColStats) []byte {
 	return schema.AppendRow(buf, schema.Row{s.Min, s.Max})
 }
 
-// decodeStats parses one column's statistics; row is scratch for the
-// min/max pair and in interns their strings, both shared across a footer.
-func decodeStats(buf []byte, row *schema.Row, in *schema.Interner) (ColStats, int, error) {
+// decodeStats parses the statistics of one column of kind kind; row is
+// scratch for the min/max pair and in interns their strings, both shared
+// across a footer. A non-null min or max of another kind is corrupt: the
+// zone-map checks compare within a kind.
+func decodeStats(buf []byte, kind schema.Kind, row *schema.Row, in *schema.Interner) (ColStats, int, error) {
 	var s ColStats
 	c, sz := binary.Uvarint(buf)
 	if sz <= 0 {
@@ -91,8 +94,16 @@ func decodeStats(buf []byte, row *schema.Row, in *schema.Interner) (ColStats, in
 	}
 	off += sz
 	r, n, err := schema.DecodeRowTo(*row, buf[off:], in)
-	if err != nil || len(r) != 2 {
-		return s, 0, fmt.Errorf("columnar: bad stats min/max: %v", err)
+	if err != nil {
+		return s, 0, fmt.Errorf("columnar: bad stats min/max: %w", err)
+	}
+	if len(r) != 2 {
+		return s, 0, fmt.Errorf("columnar: bad stats min/max: %d values, want 2", len(r))
+	}
+	for _, v := range r {
+		if !v.IsNull() && v.Kind() != kind {
+			return s, 0, fmt.Errorf("columnar: %v zone map on a %v column", v.Kind(), kind)
+		}
 	}
 	*row = r
 	off += n
@@ -104,42 +115,67 @@ func decodeStats(buf []byte, row *schema.Row, in *schema.Interner) (ColStats, in
 type RowGroup struct {
 	Rows  int
 	Stats []ColStats // aligned with the schema fields
-	// chunk payload slices (compression flag, raw length, payload)
+	// chunks locate the group's column chunks in the stream
 	chunks []chunkRef
-	sch    *schema.Schema
 	// blooms are per-column split-block bloom filters from the group-ext
 	// block, aligned with the schema; nil when the writer emitted none.
 	blooms []Bloom
 }
 
+// chunkRef is where one column chunk sits in its stream: the payload is
+// data[off:off+n], compressed with comp from rawLen bytes.
 type chunkRef struct {
-	comp    Compression
-	rawLen  int
-	payload []byte
+	comp   Compression
+	rawLen int
+	off, n int
 }
 
-// FileReader provides random access over an in-memory OCF stream: schema,
-// row-group statistics, and per-group decode, with predicate pushdown.
-// Parsing a footer costs a handful of allocations per file, not per row
-// group: every group's statistics, chunk references and bloom filters
-// are cut from slabs the file shares.
-type FileReader struct {
+// Index is the parsed, validated structure of an OCF stream: the schema
+// and, per row group, the row count, zone maps, bloom filters and each
+// chunk's codec, raw length and place. It holds no reference to the
+// stream's bytes, so one parse serves every later read of them (Bind).
+// Every group's statistics, chunks and blooms are cut from shared slabs.
+type Index struct {
 	sch    *schema.Schema
 	groups []RowGroup
 	stats  []ColStats
 	chunks []chunkRef
 	blooms []Bloom
 	words  []uint32 // the bloom filters' words
+	size   int      // the parsed stream's length
 }
 
-// since returns slab[from:] with no room to grow into, so a later append
-// to the slab never writes through it.
-func since[T any](slab []T, from int) []T { return slab[from:len(slab):len(slab)] }
+// FileReader provides random access over an in-memory OCF stream: its
+// Index bound to its bytes, for per-group decode with predicate pushdown.
+type FileReader struct {
+	*Index
+	data []byte
+}
 
 // NewFileReader parses the structure of an OCF stream without decoding
-// column payloads. Concatenated streams with equal schemas are accepted.
+// column payloads and binds it to the stream. Concatenated streams with
+// equal schemas are accepted.
 func NewFileReader(data []byte) (*FileReader, error) {
-	fr := &FileReader{}
+	ix, err := ParseIndex(data)
+	if err != nil {
+		return nil, err
+	}
+	return ix.Bind(data)
+}
+
+// Bind joins the index to data, the bytes it was parsed from (or a copy of
+// them); a stream of another length is refused.
+func (ix *Index) Bind(data []byte) (*FileReader, error) {
+	if len(data) != ix.size {
+		return nil, fmt.Errorf("columnar: index of a %d-byte stream bound to %d bytes", ix.size, len(data))
+	}
+	return &FileReader{Index: ix, data: data}, nil
+}
+
+// ParseIndex parses and validates the structure of an OCF stream without
+// decoding column payloads.
+func ParseIndex(data []byte) (*Index, error) {
+	ix := &Index{size: len(data)}
 	var row schema.Row
 	in := schema.NewInterner()
 	off := 0
@@ -151,18 +187,18 @@ func NewFileReader(data []byte) (*FileReader, error) {
 				return nil, err
 			}
 			off += n
-			if fr.sch == nil {
-				fr.sch = sch
-			} else if !fr.sch.Equal(sch) {
-				return nil, fmt.Errorf("columnar: concatenated stream schema mismatch: %s vs %s", fr.sch, sch)
+			if ix.sch == nil {
+				ix.sch = sch
+			} else if !ix.sch.Equal(sch) {
+				return nil, fmt.Errorf("columnar: concatenated stream schema mismatch: %s vs %s", ix.sch, sch)
 			}
 			continue
 		}
-		if fr.sch == nil {
+		if ix.sch == nil {
 			return nil, fmt.Errorf("columnar: missing magic header")
 		}
 		if data[off] == markerGroupExt {
-			n, err := fr.parseGroupExt(data[off+1:])
+			n, err := ix.parseGroupExt(data[off+1:])
 			if err != nil {
 				return nil, err
 			}
@@ -173,7 +209,6 @@ func NewFileReader(data []byte) (*FileReader, error) {
 			return nil, fmt.Errorf("columnar: unknown block marker 0x%02x at offset %d", data[off], off)
 		}
 		off++
-		g := RowGroup{sch: fr.sch}
 		rows, sz := binary.Uvarint(data[off:])
 		// A row needs at least one null-mask bit per column; 8*len(data)
 		// bounds any physically representable count and keeps int() positive.
@@ -181,20 +216,19 @@ func NewFileReader(data []byte) (*FileReader, error) {
 			return nil, fmt.Errorf("columnar: bad row count")
 		}
 		off += sz
-		g.Rows = int(rows)
+		ix.groups = append(ix.groups, RowGroup{Rows: int(rows)}) // settle cuts its stats and chunks
 		ncols, sz := binary.Uvarint(data[off:])
-		if sz <= 0 || int(ncols) != fr.sch.Len() {
-			return nil, fmt.Errorf("columnar: row group has %d columns, schema has %d", ncols, fr.sch.Len())
+		if sz <= 0 || int(ncols) != ix.sch.Len() {
+			return nil, fmt.Errorf("columnar: row group has %d columns, schema has %d", ncols, ix.sch.Len())
 		}
 		off += sz
-		stats, chunks := len(fr.stats), len(fr.chunks)
 		for c := 0; c < int(ncols); c++ {
-			st, n, err := decodeStats(data[off:], &row, in)
+			st, n, err := decodeStats(data[off:], ix.sch.Field(c).Kind, &row, in)
 			if err != nil {
 				return nil, err
 			}
 			off += n
-			fr.stats = append(fr.stats, st)
+			ix.stats = append(ix.stats, st)
 			if off >= len(data) {
 				return nil, fmt.Errorf("columnar: truncated chunk header")
 			}
@@ -212,18 +246,50 @@ func NewFileReader(data []byte) (*FileReader, error) {
 				return nil, fmt.Errorf("columnar: bad compressed length")
 			}
 			off += sz
-			fr.chunks = append(fr.chunks, chunkRef{
-				comp: comp, rawLen: int(rawLen), payload: data[off : off+int(compLen)],
-			})
+			ix.chunks = append(ix.chunks, chunkRef{comp: comp, rawLen: int(rawLen), off: off, n: int(compLen)})
 			off += int(compLen)
 		}
-		g.Stats, g.chunks = since(fr.stats, stats), since(fr.chunks, chunks)
-		fr.groups = append(fr.groups, g)
 	}
-	if fr.sch == nil {
+	if ix.sch == nil {
 		return nil, fmt.Errorf("columnar: empty stream")
 	}
-	return fr, nil
+	ix.settle()
+	return ix, nil
+}
+
+// settle cuts every group's statistics and chunks, and re-cuts its
+// blooms and their words, from the final slabs, so the arrays appends
+// outgrew while parsing are garbage: the index outlives the parse, and
+// Bytes counts each slab once.
+func (ix *Index) settle() {
+	w := 0
+	for i := range ix.blooms {
+		n := len(ix.blooms[i].words)
+		ix.blooms[i].words = ix.words[w : w+n : w+n]
+		w += n
+	}
+	ncols, b := ix.sch.Len(), 0
+	for i := range ix.groups {
+		g := &ix.groups[i]
+		lo, hi := i*ncols, (i+1)*ncols
+		g.Stats, g.chunks = ix.stats[lo:hi:hi], ix.chunks[lo:hi:hi]
+		if g.blooms != nil {
+			g.blooms = ix.blooms[b : b+ncols : b+ncols]
+			b += ncols
+		}
+	}
+}
+
+// Bytes is the index's resident size: its slabs at capacity, plus the
+// zone-map strings counted once per use (interning shares some).
+func (ix *Index) Bytes() int {
+	n := cap(ix.groups)*int(unsafe.Sizeof(RowGroup{})) + cap(ix.stats)*int(unsafe.Sizeof(ColStats{})) +
+		cap(ix.chunks)*int(unsafe.Sizeof(chunkRef{})) + cap(ix.blooms)*int(unsafe.Sizeof(Bloom{})) +
+		cap(ix.words)*4
+	for i := range ix.stats {
+		n += len(ix.stats[i].Min.StrVal()) + len(ix.stats[i].Max.StrVal())
+	}
+	return n
 }
 
 func decodeSchema(buf []byte) (*schema.Schema, int, error) {
@@ -263,20 +329,20 @@ func decodeSchema(buf []byte) (*schema.Schema, int, error) {
 
 // parseGroupExt parses a group-ext block body (bloom filters for the row
 // group that precedes it) and returns the bytes consumed.
-func (fr *FileReader) parseGroupExt(buf []byte) (int, error) {
-	if len(fr.groups) == 0 {
+func (ix *Index) parseGroupExt(buf []byte) (int, error) {
+	if len(ix.groups) == 0 {
 		return 0, fmt.Errorf("columnar: group-ext block before any row group")
 	}
-	g := &fr.groups[len(fr.groups)-1]
+	g := &ix.groups[len(ix.groups)-1]
 	if g.blooms != nil {
 		return 0, fmt.Errorf("columnar: duplicate group-ext block")
 	}
 	ncols, sz := binary.Uvarint(buf)
-	if sz <= 0 || int(ncols) != fr.sch.Len() {
-		return 0, fmt.Errorf("columnar: group-ext has %d columns, schema has %d", ncols, fr.sch.Len())
+	if sz <= 0 || int(ncols) != ix.sch.Len() {
+		return 0, fmt.Errorf("columnar: group-ext has %d columns, schema has %d", ncols, ix.sch.Len())
 	}
 	off := sz
-	blooms := len(fr.blooms)
+	blooms := len(ix.blooms)
 	for c := uint64(0); c < ncols; c++ {
 		if off >= len(buf) {
 			return 0, fmt.Errorf("columnar: truncated group-ext block")
@@ -287,28 +353,28 @@ func (fr *FileReader) parseGroupExt(buf []byte) (int, error) {
 		switch flag {
 		case extNone:
 		case extBloom:
-			words := len(fr.words)
+			words := len(ix.words)
 			var n int
 			var err error
-			if fr.words, n, err = appendBloomWords(fr.words, buf[off:]); err != nil {
+			if ix.words, n, err = appendBloomWords(ix.words, buf[off:]); err != nil {
 				return 0, err
 			}
 			off += n
-			b.words = since(fr.words, words)
+			b.words = ix.words[words:] // settle re-cuts it
 		default:
 			return 0, fmt.Errorf("columnar: unknown group-ext flag 0x%02x", flag)
 		}
-		fr.blooms = append(fr.blooms, b)
+		ix.blooms = append(ix.blooms, b)
 	}
-	g.blooms = since(fr.blooms, blooms)
+	g.blooms = ix.blooms[blooms:] // settle re-cuts it
 	return off, nil
 }
 
 // Schema returns the stream's schema.
-func (fr *FileReader) Schema() *schema.Schema { return fr.sch }
+func (ix *Index) Schema() *schema.Schema { return ix.sch }
 
 // NumRowGroups returns the number of row groups.
-func (fr *FileReader) NumRowGroups() int { return len(fr.groups) }
+func (ix *Index) NumRowGroups() int { return len(ix.groups) }
 
 // maxChunkRawLen caps a chunk's declared decompressed size (1 GiB). The
 // declared length is attacker-controlled in a hostile stream; without a
@@ -334,8 +400,8 @@ const maxKeptScratch = 1 << 20
 // open positions lim at the start of the chunk's raw bytes. lim ends one
 // byte past the declared raw length: enough to tell a chunk that inflates
 // past its declaration, and the stop for decompression bombs.
-func (cr *chunkReader) open(ch chunkRef) {
-	cr.src.Reset(ch.payload)
+func (cr *chunkReader) open(ch chunkRef, payload []byte) {
+	cr.src.Reset(payload)
 	cr.lim.R = &cr.src
 	if ch.comp == CompressFlate {
 		if cr.zr == nil {
@@ -361,9 +427,9 @@ func (cr *chunkReader) close() {
 // kind must be the schema's for c (see decodeColumn).
 func (fr *FileReader) decodeChunk(g *RowGroup, c int, v *Vector, cr *chunkReader) error {
 	ch := g.chunks[c]
-	raw := ch.payload
+	raw := fr.data[ch.off : ch.off+ch.n]
 	if ch.comp == CompressFlate {
-		cr.open(ch)
+		cr.open(ch, raw)
 		defer cr.close()
 		cr.raw.Reset()
 		// The declared raw length is only an allocation hint, capped so a

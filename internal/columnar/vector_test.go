@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -436,6 +437,39 @@ func TestChunkKindMustMatchSchema(t *testing.T) {
 		rawGroup(2, 0, 0, rawChunk(schema.KindTime, 0b11, 0, 0))...)
 	if _, err := ReadAll(data); err == nil {
 		t.Fatal("time chunk under an int field accepted")
+	}
+}
+
+// wrongKindZoneMapStream is a stream no Writer emits: the time column of
+// its one row carries a string zone map. The same bytes sit in the
+// FuzzFileReader corpus.
+func wrongKindZoneMapStream() []byte {
+	b := append(rawHeader(schema.Field{Name: "time", Kind: schema.KindTime}), markerRowGroup, 1, 1)
+	b = appendStats(b, ColStats{Count: 1, Min: schema.Str("a"), Max: schema.Str("z")})
+	ch := rawChunk(schema.KindTime, 0, 5)
+	b = append(b, byte(CompressNone))
+	b = binary.AppendUvarint(b, uint64(len(ch)))
+	b = binary.AppendUvarint(b, uint64(len(ch)))
+	return append(b, ch...)
+}
+
+// TestZoneMapKindMustMatchSchema: a non-null zone-map bound of another
+// kind than its column is corrupt. Accepted, it let a range predicate
+// that covers the row prune it, since Compare orders mixed kinds by kind
+// alone. A stats row of the wrong width is refused with its width, not
+// with a nil error.
+func TestZoneMapKindMustMatchSchema(t *testing.T) {
+	data := wrongKindZoneMapStream()
+	if _, err := NewFileReader(data); err == nil || !strings.Contains(err.Error(), "zone map") {
+		t.Fatalf("string zone map on a time column: %v, want it refused", err)
+	}
+	if _, err := ReadAll(data); err == nil {
+		t.Fatal("ReadAll accepted the string zone map")
+	}
+	b := append(rawHeader(schema.Field{Name: "v", Kind: schema.KindInt}), markerRowGroup, 1, 1, 1, 0)
+	b = schema.AppendRow(b, schema.Row{schema.Int(5)})
+	if _, err := NewFileReader(b); err == nil || strings.Contains(err.Error(), "<nil>") {
+		t.Fatalf("one-value stats row: %v, want an error naming the width", err)
 	}
 }
 

@@ -332,7 +332,7 @@ func (v *View) foldRangeLocked(fromN, toN, granN int64) (total tsdb.GroupTable, 
 					cellsScanned += int64(ct.Len())
 					for pi := 0; pi < ct.Pages(); pi++ {
 						keys, cells := ct.Page(pi)
-						part.Fold(&p, ct.Dict(), keys, cells, contained)
+						part.Fold(&p, ct.Dict(), nil, keys, cells, contained)
 					}
 				}
 			}

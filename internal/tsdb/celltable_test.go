@@ -338,3 +338,58 @@ func BenchmarkCellTableGrow(b *testing.B) {
 		}
 	}
 }
+
+// TestFoldAdmitMatchesMatch: Fold through a table's admit vector leaves
+// the same groups and match count as the per-cell Match reference, for
+// filters on every dimension, over a dictionary whose series differ only
+// in system or source, or collide on SeriesHash.
+func TestFoldAdmitMatchesMatch(t *testing.T) {
+	collA, collB := collidingComponents(t, "m")
+	comps := []string{"node00000", "node00001", collA, collB}
+	rng := rand.New(rand.NewSource(34))
+	var ct CellTable
+	for i := 0; i < 3000; i++ {
+		s := Series{
+			System: []string{"sys", "sysB"}[rng.Intn(2)], Source: []string{"src0", "src1"}[rng.Intn(2)],
+			Component: comps[rng.Intn(len(comps))], Metric: "m",
+		}
+		ts := base.UnixNano() + int64(rng.Intn(40))*int64(15*time.Second)
+		ct.Cell(SeriesHash(s.Component, s.Metric), ts, &s).Add(int64(i), rng.Float64())
+	}
+	for fi, filters := range []map[string][]string{
+		nil,
+		{DimSystem: {"sysB"}},
+		{DimSource: {"src0"}, DimSystem: {"sys"}},
+		{DimComponent: {collA}},
+		{DimComponent: {collB, "node00001"}, DimSource: {"src1"}},
+		{DimMetric: {"m"}, DimComponent: {"absent"}},
+	} {
+		p := Compile(Query{
+			From: base, To: base.Add(5 * time.Minute), Filters: filters, Granularity: time.Minute,
+			GroupBy: []string{DimSystem, DimSource, DimComponent},
+		})
+		admit := p.admit(ct.Dict(), nil)
+		if (admit == nil) != (filters == nil) {
+			t.Fatalf("filters %d: admit vector %v", fi, admit)
+		}
+		var got, want GroupTable
+		var matched, wantMatched int64
+		for pi := 0; pi < ct.Pages(); pi++ {
+			keys, cells := ct.Page(pi)
+			matched += got.Fold(&p, ct.Dict(), admit, keys, cells, false)
+		}
+		for i := 0; i < ct.Len(); i++ {
+			k, c := ct.At(i)
+			if s := ct.Series(k.Series); k.Ts >= p.fromN && k.Ts < p.toN && p.Match(s) {
+				wantMatched++
+				want.accumulate(&p, k.Ts, s, c)
+			}
+		}
+		if matched != wantMatched || (fi > 0 && fi < 5 && matched == 0) {
+			t.Fatalf("filters %d: Fold matched %d cells, Match %d", fi, matched, wantMatched)
+		}
+		if err := sameGroups(&got, &want); err != nil {
+			t.Fatalf("filters %d: %v", fi, err)
+		}
+	}
+}

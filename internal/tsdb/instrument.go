@@ -105,6 +105,8 @@ func (db *DB) Instrument(reg *obs.Registry) {
 			Help: "Live LAKE time-chunk segments.", Value: float64(st.Segments)})
 		emit(obs.Sample{Name: "oda_lake_scan_load", Kind: obs.KindGauge,
 			Help: "Scan-slot saturation in [0,1]; 1 sheds queries.", Value: db.ScanLoad()})
+		emit(obs.Sample{Name: "oda_tsdb_cold_index_bytes", Kind: obs.KindGauge,
+			Help: "Resident bytes of the parsed cold segment indexes queries keep.", Value: float64(db.ColdStats().IndexBytes)})
 		cs := db.CacheStats()
 		emit(obs.Sample{Name: "oda_lake_query_cache_hits_total", Kind: obs.KindCounter,
 			Help: "LAKE query-result cache hits.", Value: float64(cs.Hits)})

@@ -453,6 +453,20 @@ func (p *Plan) Match(s *Series) bool {
 	return true
 }
 
+// admit tests p's filters once per series of a table's dictionary and
+// returns the answers by series id in buf's storage: Fold's admit vector,
+// nil (admit all) when p has no filters.
+func (p *Plan) admit(dict []Series, buf []bool) []bool {
+	if len(p.filters) == 0 {
+		return nil
+	}
+	buf = buf[:0]
+	for i := range dict {
+		buf = append(buf, p.Match(&dict[i]))
+	}
+	return buf
+}
+
 // Chunk classifies the time chunk [chunkN, chunkN+segDur) against the
 // plan's range: whether it overlaps at all (else prune it), and whether
 // it lies wholly inside, in which case Fold needs no per-cell time check.
@@ -568,23 +582,23 @@ func (t *GroupTable) grow() {
 // Fold accumulates one insertion-ordered (keys, cells) slice pair — a
 // page of a segment's CellTable or of a view chunk's — into the table
 // under p and returns how many cells matched. dict is the series
-// dictionary the keys' ids index (the owning table's Dict). contained
+// dictionary the keys' ids index (the owning table's Dict), and admit
+// says by series id which series pass p's filters (Plan.admit over dict);
+// nil admits every series, and p's filters are not consulted. contained
 // skips the per-cell time check for a chunk wholly inside the range (see
 // Plan.Chunk). Per-group accumulation order is slice order, so feeding
 // pairs in a fixed order makes float rounding deterministic.
-func (t *GroupTable) Fold(p *Plan, dict []Series, keys []Key, cells []Cell, contained bool) (matched int64) {
-	noFilters := len(p.filters) == 0
+func (t *GroupTable) Fold(p *Plan, dict []Series, admit []bool, keys []Key, cells []Cell, contained bool) (matched int64) {
 	for i := range keys {
 		key := &keys[i]
 		if !contained && (key.Ts < p.fromN || key.Ts >= p.toN) {
 			continue
 		}
-		s := &dict[key.Series]
-		if !noFilters && !p.Match(s) {
+		if admit != nil && !admit[key.Series] {
 			continue
 		}
 		matched++
-		t.accumulate(p, key.Ts, s, &cells[i])
+		t.accumulate(p, key.Ts, &dict[key.Series], &cells[i])
 	}
 	return matched
 }

@@ -220,8 +220,10 @@ func (st *QueryStats) AddStripe(ss StripeScanStats) {
 // scanShard folds one stripe's cells into gt, the shard's private
 // partial-aggregation table. Segments are visited in chunk order so
 // accumulation order — and therefore float rounding — is deterministic.
+// buf holds each table's admit vector unless it has more series than fit.
 func (db *DB) scanShard(si int, p *Plan, gt *GroupTable) StripeScanStats {
 	var ss StripeScanStats
+	var buf [256]bool
 	sh := &db.shards[si]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -235,9 +237,10 @@ func (db *DB) scanShard(si int, p *Plan, gt *GroupTable) StripeScanStats {
 		ss.SegmentsScanned++
 		ct := &sh.segments[chunkN].cells
 		ss.CellsScanned += int64(ct.Len())
+		admit := p.admit(ct.Dict(), buf[:0])
 		for pi := 0; pi < ct.Pages(); pi++ {
 			keys, cells := ct.Page(pi)
-			ss.CellsMatched += gt.Fold(p, ct.Dict(), keys, cells, contained)
+			ss.CellsMatched += gt.Fold(p, ct.Dict(), admit, keys, cells, contained)
 		}
 	}
 	return ss

@@ -117,10 +117,38 @@ type coldManifest struct {
 	Segments   []coldSegmentMeta `json:"segments"`
 }
 
-// coldSegment is one manifest entry with its blooms decoded.
+// coldSegment is one manifest entry with its blooms decoded, and the
+// parsed index of its object from the first scan that read it.
 type coldSegment struct {
 	meta   coldSegmentMeta
 	blooms [4]*columnar.Bloom
+	index  atomic.Pointer[segmentIndex]
+}
+
+// segmentIndex is a segment object's parsed index and the object version
+// and size it was parsed from; versions are immutable.
+type segmentIndex struct {
+	*columnar.Index
+	version, size int64
+}
+
+// reader binds the segment's index to data, the object as info describes
+// it, when the index was parsed from that version; otherwise it parses
+// data and keeps the index for the next scan. A read staged from GLACIER
+// (a zero info) is parsed and not kept.
+func (ct *ColdTier) reader(seg *coldSegment, data []byte, info objstore.ObjectInfo) (*columnar.FileReader, error) {
+	if ix := seg.index.Load(); ix != nil && ix.version == info.Version && ix.size == info.Size {
+		return ix.Bind(data)
+	}
+	ix, err := columnar.ParseIndex(data)
+	if err != nil {
+		return nil, err
+	}
+	ct.parses.Add(1)
+	if info.Version != 0 {
+		seg.index.Store(&segmentIndex{Index: ix, version: info.Version, size: info.Size})
+	}
+	return ix.Bind(data)
 }
 
 // ColdTier is a DB's attached OCEAN/GLACIER storage. mu serializes
@@ -133,6 +161,7 @@ type ColdTier struct {
 	segs    []*coldSegment // chunk-ascending, manifest order within a chunk
 	gen     atomic.Uint64
 	noPrune atomic.Bool
+	parses  atomic.Int64 // segment indexes parsed
 }
 
 // manifestKey returns the tier's manifest object key.
@@ -172,6 +201,7 @@ type ColdStats struct {
 	Rows       int64
 	Bytes      int64
 	Generation uint64
+	IndexBytes int64 // resident size of the segment indexes scans keep
 }
 
 // ColdStats returns tier totals (zero value when no tier is attached).
@@ -187,6 +217,9 @@ func (db *DB) ColdStats() ColdStats {
 		st.Cells += s.meta.Cells
 		st.Rows += s.meta.Rows
 		st.Bytes += s.meta.Bytes
+		if ix := s.index.Load(); ix != nil {
+			st.IndexBytes += int64(ix.Bytes())
+		}
 	}
 	return st
 }
@@ -624,16 +657,17 @@ func (ct *ColdTier) scanCold(p *Plan, st *QueryStats, ps *partialSet) error {
 
 // getObject fetches a segment object, retrying transient faults. A nil
 // data with nil error means the object has aged into GLACIER and is not
-// staged yet — the segment is skipped and the gap reported in st.
-func (ct *ColdTier) getObject(key string, st *QueryStats) (data []byte, err error) {
+// staged yet — the segment is skipped and the gap reported in st. Data
+// read back from GLACIER comes with a zero info.
+func (ct *ColdTier) getObject(key string, st *QueryStats) (data []byte, info objstore.ObjectInfo, err error) {
 	err = resilience.Retry(context.Background(), coldRetry, func() error {
-		data, _, err = ct.cfg.Store.Get(ct.cfg.Bucket, key)
+		data, info, err = ct.cfg.Store.Get(ct.cfg.Bucket, key)
 		return err
 	})
 	if errors.Is(err, objstore.ErrNoObject) && ct.cfg.Glacier != nil {
-		return ct.glacierFetch(key, st)
+		data, err = ct.glacierFetch(key, st) // info stays zero: the store had no object
 	}
-	return data, err
+	return data, info, err
 }
 
 // glacierFetch resolves a segment that lifecycle rules moved to the
@@ -821,14 +855,14 @@ func coldColumns(f *schema.Frame) (cols Columns, stripe, seq []int64) {
 // scanSegment scans one segment object with predicate + projection
 // pushdown into the set's batch and folds the matches into its tables.
 func (ct *ColdTier) scanSegment(seg *coldSegment, p *Plan, st *QueryStats, ps *partialSet, noPrune bool) error {
-	data, err := ct.getObject(seg.meta.Key, st)
+	data, info, err := ct.getObject(seg.meta.Key, st)
 	if err != nil {
 		return fmt.Errorf("tsdb: cold segment %s: %w", seg.meta.Key, err)
 	}
 	if data == nil {
 		return nil // awaiting GLACIER recall; reported in st
 	}
-	fr, err := columnar.NewFileReader(data)
+	fr, err := ct.reader(seg, data, info)
 	if err != nil {
 		return fmt.Errorf("tsdb: cold segment %s: %w", seg.meta.Key, err)
 	}

@@ -3,7 +3,7 @@ package oda_test
 // The repository's shape rules: one STREAM reader, one LAKE read path, one
 // serialized form for rollup cells (a CQ checkpoint's included), one grouping loop, one sort, one log,
 // one wait, one consumer loop, one entry point per operation, one cold
-// scan, one chunk decoder, one interner, one parameter reader, and a
+// scan, one parse per segment object, one filter test per series, one chunk decoder, one interner, one parameter reader, and a
 // series that is an integer. Each is a
 // structural fact a later change could quietly undo, so
 // each is checked over the parsed non-test sources on every `go test
@@ -478,6 +478,28 @@ func (j *Job) checkpoint() error { return af.WriteFile(path, data, 0o644) }`},
 		breaks: map[string]string{"internal/columnar/reader.go": `package columnar
 func (fr *FileReader) ScanInto(b *Batch) { for _, g := range fr.groups { p.matches(fr.sch, g) } }
 func (fr *FileReader) ScanColumns() { for _, g := range fr.groups { p.matches(fr.sch, g) } }`},
+	},
+	{
+		name: "one parse per segment: internal/tsdb binds a kept columnar.Index",
+		check: func(files []srcFile) (out []string) {
+			calls(files, within("internal/tsdb"), func(s srcFile, _ *ast.CallExpr, name string) {
+				if name == "NewFileReader" {
+					out = append(out, s.path+": NewFileReader re-parses a segment object per query: bind the segment's kept index")
+				}
+			})
+			return out
+		},
+		breaks: map[string]string{"internal/tsdb/tier.go": "package tsdb\nfunc open(data []byte) { columnar.NewFileReader(data) }"},
+	},
+	{
+		name: "one filter test per series: GroupTable.Fold folds through an admit vector",
+		check: func(files []srcFile) (out []string) {
+			if slices.Contains(callsIn(files, within("internal/tsdb"))["GroupTable.Fold"], "Match") {
+				out = append(out, "GroupTable.Fold calls Match per cell: test the filters once per series with Plan.admit")
+			}
+			return out
+		},
+		breaks: map[string]string{"internal/tsdb/kernel.go": "package tsdb\nfunc (t *GroupTable) Fold(p *Plan, s *Series) { p.Match(s) }"},
 	},
 	{
 		name: "one chunk decoder: decodeStringBlock is the only parser of a string chunk",
