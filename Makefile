@@ -14,7 +14,9 @@ vet:
 # STREAM reader, one LAKE read path, one cell format — a CQ checkpoint's
 # cells included: internal/cq declares no cell-serialization type and
 # never walks a CellTable cell by cell — one grouping loop,
-# one sort, one log, one wait, one consumer loop, one entry point per
+# one sort, one log, one failure contract — internal/cluster keeps no
+# staged-batch fingerprint: a replica cuts what no quorum committed, so a
+# retry of Failed is just a publish — one wait, one consumer loop, one entry point per
 # operation, one cold scan, one parse per segment object — internal/tsdb
 # never calls columnar.NewFileReader, it binds a segment's kept index —
 # one filter test per series — GroupTable.Fold never calls Match, it
@@ -83,8 +85,11 @@ chaos:
 # append/fsync boundary, restart it from disk, require a byte-identical
 # committed prefix), the flush-wave fault cases (one follower / leader /
 # stripe log failing mid-wave; a replica killed after its flush still
-# acks), a lock-order stress with a deadline, and restart-from-disk
-# under a partial transport partition — all under the race detector
+# acks), a lock-order stress with a deadline, restart-from-disk
+# under a partial transport partition, and retries of a failed publish's
+# Failed messages (identical content republished after a partial
+# failure, a second producer in between, keyless after Repair, a
+# follower that took the failed sub-batch) — all under the race detector
 # with a pinned fault schedule. Each scenario asserts exactly-once
 # committed data and degraded-not-down serving at every step.
 # ODA_CHAOS_SEED drives both the fault schedules and the crash-point

@@ -13,18 +13,31 @@ import (
 )
 
 // publishRetry drives a publish batch to commit the way a durable
-// producer would: retry the same batch on transient errors. Keyed
-// batches are exactly-once across retries, so the committed log holds
-// each message exactly once no matter how many attempts it took.
+// producer would, through retryFailed, and fails the test if it cannot.
 func publishRetry(t *testing.T, c *Cluster, topic string, msgs []stream.Message, attempts int) {
 	t.Helper()
+	if err := retryFailed(c, topic, msgs, attempts); err != nil {
+		t.Fatalf("publish did not commit after %d attempts: %v", attempts, err)
+	}
+}
+
+// retryFailed publishes msgs and, after each failure, publishes again
+// exactly the Failed remainder — the plane contract core.publishRetry
+// follows — up to attempts times, returning the last error. A failed
+// message is not in the log, so the committed log holds each message
+// exactly once no matter how many attempts it took.
+func retryFailed(c *Cluster, topic string, msgs []stream.Message, attempts int) error {
 	var err error
 	for a := 0; a < attempts; a++ {
 		if _, err = c.PublishBatch(topic, msgs); err == nil {
-			return
+			return nil
+		}
+		var pp *stream.PartialPublishError
+		if errors.As(err, &pp) {
+			msgs = pp.Failed
 		}
 	}
-	t.Fatalf("publish did not commit after %d attempts: %v", attempts, err)
+	return err
 }
 
 // assertExactSequences fetches every partition through the cluster read
@@ -109,10 +122,10 @@ func TestChaosClusterKillNode(t *testing.T) {
 // TestChaosClusterKillLeaderMidPublish crashes a partition leader in the
 // middle of a publish — after the batch is staged on the leader log but
 // before replication completes — via a transport hook that marks the
-// leader dead on its next replication attempt. The producer's retry must
-// converge on exactly one copy of every message: the staged-batch
-// fingerprint dedupes the retry, and the failover re-appends only the
-// suffix the promoted follower was missing.
+// leader dead on its next replication attempt. The producer's retry of
+// its Failed messages must converge on exactly one copy of every
+// message: the promoted follower cuts whatever part of the failed
+// sub-batch it took before the retry appends.
 func TestChaosClusterKillLeaderMidPublish(t *testing.T) {
 	seed := chaosSeed(t)
 	rng := rand.New(rand.NewSource(seed))
@@ -228,10 +241,10 @@ func armKillLeaderOnNthReplicate(c *Cluster, n int64) (arm func(), killed *atomi
 
 // TestChaosClusterKillLeaderAfterFollowerSync crashes the leader
 // mid-commit AFTER one follower has fully replicated the staged batch
-// (RF=3, Quorum=3): the promoted follower's log retains the staged
-// region, so the producer's retry must fingerprint-resume that region —
-// never stage a second copy after the surviving one — and the batch
-// must commit exactly once when the third replica returns.
+// (RF=3, Quorum=3): the promoted follower's log holds the failed batch
+// past the high watermark, so the producer's retry must cut it — never
+// append a second copy after it — and the batch must commit exactly once
+// when the third replica returns.
 func TestChaosClusterKillLeaderAfterFollowerSync(t *testing.T) {
 	rng := rand.New(rand.NewSource(chaosSeed(t)))
 	c, err := New([]string{"n1", "n2", "n3"}, Config{RF: 3, Quorum: 3, LakeOptions: lakeOpts()})
@@ -272,9 +285,7 @@ func TestChaosClusterKillLeaderAfterFollowerSync(t *testing.T) {
 		t.Fatalf("cluster down after leader crash, want degraded (%+v)", h)
 	}
 	// Quorum 3 of 3 is unreachable with a node dead: the retry must keep
-	// failing without growing the staged region — the old failover path
-	// wiped the fingerprint here and re-appended the whole batch after
-	// the surviving copy.
+	// failing, each attempt cutting the one before.
 	if _, err := c.PublishBatch(topic, batch); !errors.Is(err, ErrQuorumLost) {
 		t.Fatalf("degraded retry = %v, want ErrQuorumLost", err)
 	}
@@ -296,9 +307,9 @@ func TestChaosClusterKillLeaderAfterFollowerSync(t *testing.T) {
 
 // TestChaosClusterKillLeaderMidChunkedSync crashes the leader between
 // replication chunks of one large batch (RF=2): the follower is
-// promoted holding a strict prefix of the staged region, so the retry
-// must re-append exactly the missing suffix — the surviving prefix must
-// not be duplicated and the lost tail must not be dropped.
+// promoted holding a strict prefix of the failed batch, so the retry
+// must cut that prefix and append the whole batch once — the surviving
+// prefix must not be duplicated and the lost tail must not be dropped.
 func TestChaosClusterKillLeaderMidChunkedSync(t *testing.T) {
 	rng := rand.New(rand.NewSource(chaosSeed(t)))
 	c := testCluster(t, 3, 2)
@@ -335,8 +346,7 @@ func TestChaosClusterKillLeaderMidChunkedSync(t *testing.T) {
 	}
 
 	// RF=2 on a 3-node cluster: the promoted follower recruits the third
-	// node, so the retry commits while the victim is still down — after
-	// re-appending only the records chunk two never shipped.
+	// node, so the retry commits while the victim is still down.
 	publishRetry(t, c, topic, batch, 10)
 	record(batch)
 	assertExactSequences(t, c, topic, want, "after resumed commit")
@@ -358,7 +368,7 @@ func TestChaosClusterKillLeaderMidChunkedSync(t *testing.T) {
 // must refuse to commit (ErrQuorumLost) rather than diverge, committed
 // data must stay readable, failover must NOT trigger (the node is alive;
 // promoting would risk split-brain), and healing the link must let the
-// same batch commit exactly once.
+// failed batch, published again, commit exactly once.
 func TestChaosClusterAsymmetricPartition(t *testing.T) {
 	seed := chaosSeed(t)
 	rng := rand.New(rand.NewSource(seed))
@@ -419,7 +429,7 @@ func TestChaosClusterAsymmetricPartition(t *testing.T) {
 	}
 
 	c.Transport().HealLink(leader, follower)
-	publishRetry(t, c, topic, blocked, 10) // same batch: dedupe must apply
+	publishRetry(t, c, topic, blocked, 10)
 	record(blocked)
 	assertExactSequences(t, c, topic, want, "after heal")
 	if h := c.Health(); h.Status != "ok" {

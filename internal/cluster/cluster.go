@@ -25,10 +25,10 @@ var (
 	// the cluster keeps serving everything else (degraded), but this
 	// partition's data is unavailable until a replica returns.
 	ErrPartitionDown = errors.New("cluster: no live replica for partition")
-	// ErrQuorumLost reports a publish that appended on the leader but
-	// could not gather Quorum replica acks. The batch is staged, not
-	// committed (invisible to readers); retrying the same batch resumes
-	// the commit without duplicating records.
+	// ErrQuorumLost reports a publish that could not gather Quorum
+	// replica acks. Its messages are not committed and never will be:
+	// they stay invisible past the high watermark until the partition's
+	// next append cuts them, so publishing them again lands them once.
 	ErrQuorumLost = errors.New("cluster: publish could not reach quorum")
 	// ErrStripeDown reports a LAKE stripe with no live in-sync replica.
 	ErrStripeDown = errors.New("cluster: no live in-sync replica for stripe")
@@ -121,28 +121,12 @@ func (c Config) nodeWAL(id string) wal.Config {
 	return wal.Config{Dir: filepath.Join(c.WALDir, url.PathEscape(id)), SegmentBytes: c.WALSegmentBytes}
 }
 
-// staged is a leader-appended, not-yet-committed publish: the one
-// uncommitted region a partition may carry. The fingerprint makes a
-// retry of the same batch resume this commit instead of re-appending —
-// the exactly-once half of the publish path. committed flips when some
-// other path (a Repair pass, or an earlier partition of the same
-// partial-failed batch) finished the commit, so the retry dedupes
-// without touching the log; the state is dropped only once the
-// publisher observes success for its whole batch (ackCommitted), so a
-// later batch that happens to carry identical content appends as a new
-// publish instead of being silently deduped.
-type staged struct {
-	fp        uint64
-	n         int
-	first     int64
-	committed bool
-}
-
 // partitionState is the cluster-side replication state of one topic
 // partition. Its mutex serializes publishes, fetches, failover, and
-// repair for the partition; the invariant it protects is that offsets
-// in [0, hw) are quorum-replicated and immutable, and at most the
-// staged region [hw, leaderEnd) is uncommitted.
+// repair for the partition; the invariants it protects are that offsets
+// in [0, hw) are quorum-replicated and immutable, and that a replica's
+// log is trusted only up to its acked end: anything past it (a publish
+// that missed its quorum) is cut before the replica takes an append.
 type partitionState struct {
 	topic string
 	idx   int
@@ -151,10 +135,9 @@ type partitionState struct {
 	epoch     int64
 	leader    string
 	followers []string
-	acked     map[string]int64 // replica → replicated end offset (as of last sync)
+	acked     map[string]int64 // replica → end of its trusted prefix, never past hw
 	hw        int64            // high watermark: reads stop here
-	inflight  *staged
-	truncs    []hwTrunc // beyond-quorum hw truncations, for stale-WAL fencing
+	truncs    []hwTrunc        // beyond-quorum hw truncations, for stale-WAL fencing
 	// notify wakes readers parked in Ready; it exists while one waits and
 	// is closed where hw rises.
 	notify chan struct{}
@@ -581,10 +564,11 @@ func (c *Cluster) ensureLeaderLocked(t *topicState, ps *partitionState) error {
 	return c.failoverLocked(t, ps)
 }
 
-// failoverLocked promotes the most-caught-up live replica: ground truth
-// is each candidate broker's actual end offset, not the stale ack map —
-// ties break to the smallest ID for determinism. The epoch bumps so
-// observers can order leadership changes. ps.mu held.
+// failoverLocked promotes the live replica with the longest trusted
+// prefix: min(actual log end, acked end), since past its acked end a
+// replica may hold a suffix no quorum committed — ties break to the
+// smallest ID for determinism. The epoch bumps so observers can order
+// leadership changes. ps.mu held.
 func (c *Cluster) failoverLocked(t *topicState, ps *partitionState) error {
 	cands := make([]string, 0, 1+len(ps.followers))
 	cands = append(cands, ps.leader)
@@ -600,7 +584,7 @@ func (c *Cluster) failoverLocked(t *topicState, ps *partitionState) error {
 		if err != nil {
 			continue
 		}
-		if end > bestEnd {
+		if end = min(end, ps.acked[id]); end > bestEnd {
 			best, bestEnd = id, end
 		}
 	}
@@ -615,28 +599,13 @@ func (c *Cluster) failoverLocked(t *topicState, ps *partitionState) error {
 		// beyond the survivor's log are gone. Record the truncation
 		// honestly instead of serving offsets no replica holds, and keep
 		// the fence so a dead replica's WAL — written before this epoch —
-		// cannot replay the superseded region back into the cluster.
+		// cannot replay the superseded region back into the cluster. No
+		// replica's trusted prefix reaches past the new watermark.
 		c.truncatedHW.Add(ps.hw - bestEnd)
 		ps.hw = bestEnd
 		ps.truncs = append(ps.truncs, hwTrunc{epoch: ps.epoch, off: bestEnd})
-	}
-	if st := ps.inflight; st != nil {
-		// Followers may already hold part or all of the staged region
-		// (syncFollowerLocked ships chunks before the quorum check), so
-		// the promoted log can retain it. Keep the fingerprint whenever a
-		// survivor holds any of it, so the producer's retry resumes that
-		// region — re-appending only the missing suffix — instead of
-		// staging a second copy after the surviving one.
-		switch {
-		case bestEnd <= st.first:
-			// No survivor holds any of the staged region; the retry
-			// re-stages the whole batch on the new leader.
-			ps.inflight = nil
-		case bestEnd < st.first+int64(st.n):
-			// A strict prefix survived. The region is incomplete again no
-			// matter who committed it before, so the retry must re-append
-			// the lost suffix rather than dedupe against it.
-			st.committed = false
+		for id, a := range ps.acked {
+			ps.acked[id] = min(a, bestEnd)
 		}
 	}
 	c.refreshFollowersLocked(ps)

@@ -302,6 +302,52 @@ func TestClusterIdenticalBatchRepublish(t *testing.T) {
 	}
 }
 
+// TestClusterRepairAcksCommittedPrefix: a follower Repair brings up to
+// the high watermark holds only committed records, so it is acked even
+// when the pass cannot reach a quorum (RF=3, Quorum=3, one node down),
+// and a failover onto it keeps every committed record instead of
+// truncating to the ack it had before.
+func TestClusterRepairAcksCommittedPrefix(t *testing.T) {
+	c, err := New([]string{"n1", "n2", "n3"}, Config{RF: 3, Quorum: 3, LakeOptions: lakeOpts()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const topic = "telemetry"
+	if err := c.CreateTopic(topic, stream.TopicConfig{Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	msgs := keyedMsgs(rand.New(rand.NewSource(chaosSeed(t))), 0, 16)
+	publishRetry(t, c, topic, msgs, 1)
+	want := map[int][]string{}
+	recordWant(want, msgs, 1)
+	tp, err := c.topic(topic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ps := tp.parts[0]
+	leader, f1, f2 := ps.leader, ps.followers[0], ps.followers[1]
+	// f2 stays down; f1 comes back empty (no WAL) for Repair to refill.
+	if err := c.Kill(f2); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Kill(f1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Restart(f1); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Repair(); !errors.Is(err, ErrQuorumLost) {
+		t.Fatalf("repair with 2 of 3 replicas alive = %v, want ErrQuorumLost", err)
+	}
+	if err := c.Kill(leader); err != nil {
+		t.Fatal(err)
+	}
+	assertExactSequences(t, c, topic, want, "after failover onto the repaired follower")
+	if got := c.truncatedHW.Load(); got != 0 {
+		t.Fatalf("failover truncated %d committed records", got)
+	}
+}
+
 // TestClusterRoutesKeysLikeBroker is the one-router property: for random
 // keys and partition counts, a single broker and the cluster both place a
 // keyed message published alone on the partition stream.KeyPartition
@@ -343,8 +389,10 @@ func TestClusterRoutesKeysLikeBroker(t *testing.T) {
 
 // TestClusterReadyWakesOnCommit: a reader parked on Ready wakes when the
 // high watermark rises, not when the leader log grows. A publish staged
-// without quorum leaves the channel open; the commit the restarted
-// follower and Repair complete closes it.
+// without quorum leaves the channel open, and so does Repair, which
+// commits nothing no publisher was told succeeded; publishing the failed
+// record again once the follower is back commits it and closes the
+// channel.
 func TestClusterReadyWakesOnCommit(t *testing.T) {
 	c := testCluster(t, 2, 2)
 	if err := c.CreateTopic("telemetry", stream.TopicConfig{Partitions: 1}); err != nil {
@@ -379,6 +427,12 @@ func TestClusterReadyWakesOnCommit(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := c.Repair(); err != nil {
+		t.Fatal(err)
+	}
+	if isClosed(ch) {
+		t.Fatal("Repair committed a publish that failed")
+	}
+	if _, err := c.PublishBatch("telemetry", msgs); err != nil {
 		t.Fatal(err)
 	}
 	if !isClosed(ch) {

@@ -306,7 +306,7 @@ func (c *Cluster) repairPartition(t *topicState, ps *partitionState) error {
 		return err
 	}
 	c.refreshFollowersLocked(ps)
-	if err := c.commitSuffixLocked(t, ps); err != nil {
+	if err := c.syncToHWLocked(t, ps); err != nil {
 		return err
 	}
 	pref := c.preference(partitionKey(ps.topic, ps.idx))
@@ -324,9 +324,9 @@ func (c *Cluster) repairPartition(t *topicState, ps *partitionState) error {
 		return nil
 	}
 	// The primary is among the freshly-synced followers (refresh puts
-	// live preference holders first), so after a successful commit pass
-	// its log holds the full committed prefix: transfer is safe.
-	if end, err := c.node(primary).Broker.EndOffset(t.name, ps.idx); err == nil && end >= ps.hw {
+	// live preference holders first): once it is acked to hw its log
+	// holds the full committed prefix, and transfer is safe.
+	if ps.acked[primary] >= ps.hw {
 		ps.leader = primary
 		ps.epoch++
 		c.refreshFollowersLocked(ps)

@@ -199,6 +199,13 @@ func (c *Cluster) stageOnLeaderLocked(t *topicState, ps *partitionState, msgs []
 	if err := c.transport.call(OpPublish, routerID, ps.leader); err != nil {
 		return 0, err
 	}
+	// Past hw the leader log holds only what no quorum committed — a
+	// failed publish, or a dead leader's suffix this replica took — and
+	// no publisher was told it succeeded: cut it, so the batch lands
+	// right after the committed prefix.
+	if err := ld.Broker.TruncateTo(t.name, ps.idx, ps.hw); err != nil {
+		return 0, err
+	}
 	first, err := ld.Broker.PublishBatchTo(t.name, ps.idx, msgs)
 	if err != nil {
 		return 0, err
@@ -239,8 +246,9 @@ func (c *Cluster) recoverNode(n *Node, w *wal.NodeWAL) bool {
 }
 
 // recoverPartition rebuilds one partition replica from the node's WAL:
-// replay every frame (later appends at an offset win, mirroring a
-// failover's staged-suffix rewrite), trust records only up to the last
+// replay every frame (later appends at an offset win, mirroring the cut
+// of an uncommitted suffix and the appends that replaced it on this
+// replica), trust records only up to the last
 // commit barrier, fence below any truncation performed at an epoch the
 // barrier never saw, and require the surviving prefix to be contiguous
 // from offset zero. The rebuilt prefix enters the node's broker with

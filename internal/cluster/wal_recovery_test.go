@@ -348,16 +348,8 @@ func TestClusterRestartDuringPublish(t *testing.T) {
 								Value: []byte(fmt.Sprintf("g%d-i%d-j%d", g, i, j)),
 							}
 						}
-						var perr error
-						committed := false
-						for a := 0; a < 500; a++ {
-							if _, perr = c.PublishBatch(topic, msgs); perr == nil {
-								committed = true
-								break
-							}
-						}
-						if !committed {
-							errs <- fmt.Errorf("publisher %d gave up: %w", g, perr)
+						if err := retryFailed(c, topic, msgs, 500); err != nil {
+							errs <- fmt.Errorf("publisher %d gave up: %w", g, err)
 							return
 						}
 						mu.Lock()

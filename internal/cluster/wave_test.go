@@ -125,7 +125,7 @@ func assertOnlyDead(t *testing.T, c *Cluster, victim string) {
 // quorum of its replicas flushed, only the faulted node dies, only that
 // replica's ack is dropped (the victim's OTHER logs in the same wave
 // flushed, and their partitions commit), a leader fault surfaces as the
-// transient node-down error whose retry resumes the staged batch, and
+// transient node-down error whose Failed messages a retry commits, and
 // after Restart + Repair every acked record is present exactly once and
 // queries match the single-node reference.
 func TestChaosClusterFlushWaveFault(t *testing.T) {
@@ -189,6 +189,7 @@ func TestChaosClusterFlushWaveFault(t *testing.T) {
 
 			fired := failMidWave(t, c, victim, partitionLog(topic, p), 4*tc.rf)
 			n, err := c.PublishBatch(topic, batch)
+			var pe *stream.PartialPublishError
 			clearWALHooks(c)
 			if !fired() {
 				t.Fatal("the armed fsync fault never fired")
@@ -204,7 +205,6 @@ func TestChaosClusterFlushWaveFault(t *testing.T) {
 					t.Fatalf("quorum failures = %d, want 0", got)
 				}
 			} else {
-				var pe *stream.PartialPublishError
 				if !errors.As(err, &pe) || !errors.Is(err, tc.wantErr) || !resilience.IsTransient(pe.Err) {
 					t.Fatalf("publish error = %v, want a transient %v on partition %d", err, tc.wantErr, p)
 				}
@@ -226,11 +226,11 @@ func TestChaosClusterFlushWaveFault(t *testing.T) {
 				}
 			}
 
-			// The producer's retry commits the failed partition exactly once
-			// (a leader fault resumes the staged batch on the promoted
-			// follower; the committed partitions dedupe by fingerprint).
+			// The producer's retry of the Failed messages commits the failed
+			// partition exactly once (a leader fault retries on the promoted
+			// follower, which cuts the uncommitted suffix it took first).
 			if tc.wantErr != nil {
-				publishRetry(t, c, topic, batch, 5)
+				publishRetry(t, c, topic, pe.Failed, 5)
 			}
 			recordWant(want, batch, 4)
 			assertExactSequences(t, c, topic, want, "after retry")
@@ -301,9 +301,8 @@ func TestChaosClusterFlushWaveFaultStripe(t *testing.T) {
 // replica's own flush, not the node's liveness when acks are counted. A
 // follower that dies AFTER its log's Sync returned holds the records
 // durably, so at RF=2/Quorum=2 the batch commits on the first attempt.
-// (Dropping acks on "node not alive after the wave" would leave the
-// batch staged on a partition whose follower set is about to change, and
-// the producer's retry can then commit it twice.)
+// (Dropping acks on "node not alive after the wave" would fail a batch
+// that a quorum holds durably.)
 func TestChaosClusterKillAfterFlushStillAcks(t *testing.T) {
 	seed := chaosSeed(t)
 	rng := rand.New(rand.NewSource(seed))
@@ -408,10 +407,9 @@ func TestChaosClusterWALBoundaryCountsRepeat(t *testing.T) {
 // a time: four publishers whose batches span overlapping partitions, two
 // inserters, a FetchNoWait reader and a Kill/Restart/Repair loop run
 // together on a WAL-backed cluster and must all finish before the
-// deadline (a hang dumps every goroutine). Committed records must never
-// be lost. Duplicates are not asserted: overlapping publishers retrying
-// through kills is the one-in-flight-publisher-per-partition condition
-// PublishBatch documents.
+// deadline (a hang dumps every goroutine). Every committed record must
+// be in the log exactly once: overlapping publishers that retry their
+// Failed messages through kills neither lose nor duplicate one.
 func TestChaosClusterLockOrderStress(t *testing.T) {
 	seed := chaosSeed(t)
 	c := testClusterWAL(t, 3, 2)
@@ -452,13 +450,8 @@ func TestChaosClusterLockOrderStress(t *testing.T) {
 						Value: []byte(fmt.Sprintf("g%d-i%d-j%d", g, i, j)),
 					}
 				}
-				committed := false
-				for a := 0; a < 2000 && !committed; a++ {
-					_, err := c.PublishBatch(topic, msgs)
-					committed = err == nil
-				}
-				if !committed {
-					t.Errorf("publisher %d could not commit batch %d", g, i)
+				if err := retryFailed(c, topic, msgs, 2000); err != nil {
+					t.Errorf("publisher %d could not commit batch %d: %v", g, i, err)
 					return
 				}
 				mu.Lock()
@@ -515,11 +508,18 @@ func TestChaosClusterLockOrderStress(t *testing.T) {
 	defer mu.Unlock()
 	for p := 0; p < parts; p++ {
 		seen := map[string]bool{}
-		for i, r := range fetchAll(t, c, topic, p) {
+		recs := fetchAll(t, c, topic, p)
+		for i, r := range recs {
 			if r.Offset != int64(i) {
 				t.Fatalf("partition %d has a gap at offset %d (record %d)", p, r.Offset, i)
 			}
+			if seen[string(r.Value)] {
+				t.Fatalf("partition %d duplicates %q", p, r.Value)
+			}
 			seen[string(r.Value)] = true
+		}
+		if len(recs) != len(want[p]) {
+			t.Fatalf("partition %d holds %d records, want %d", p, len(recs), len(want[p]))
 		}
 		for _, v := range want[p] {
 			if !seen[v] {

@@ -71,8 +71,8 @@ func partitionValues(t *testing.T, s plane.Stream, topic string, p int) [][]byte
 // TestChaosIngestClusterPlaneExactlyOnce drives IngestWindow into a
 // cluster plane while the inter-node transport drops leader appends and
 // replication hops: flushes fail partially (some partitions miss quorum
-// with their sub-batch staged), publishRetry resumes with only the
-// failed remainder, and every bronze record must end up committed
+// and their replicas cut the sub-batch), publishRetry resumes with only
+// the failed remainder, and every bronze record must end up committed
 // exactly once, in the order a fault-free single-node facility holds it.
 // ODA_CHAOS_SEED replays the schedule.
 func TestChaosIngestClusterPlaneExactlyOnce(t *testing.T) {

@@ -50,9 +50,10 @@ func (f *Facility) retry(ctx context.Context, op string, fn func() error) error 
 
 // publishRetry publishes a batch, retrying transient failures. A partial
 // publish (some partitions faulted, or missed quorum) resumes with only
-// the unpublished remainder, so retries never duplicate records: a broker
-// left nothing behind for the failed partitions, and a cluster partition
-// recognises its staged sub-batch by fingerprint and resumes the commit.
+// the Failed remainder, so retries never duplicate records: on either
+// plane a failed message is not in the log — a broker never appended it,
+// and a cluster replica cuts what no quorum committed before its next
+// append.
 func (f *Facility) publishRetry(ctx context.Context, topic string, msgs []stream.Message) error {
 	ctx, sp := obs.StartSpan(ctx, "stream.publish")
 	defer sp.End()

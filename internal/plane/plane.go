@@ -38,8 +38,10 @@ type Stream interface {
 	EnsureTopic(name string, cfg stream.TopicConfig) error
 	// PublishBatch appends a batch, routing each message by key
 	// (stream.KeyPartition). A failure affecting only some partitions is
-	// a *stream.PartialPublishError whose Failed remainder can be retried
-	// without duplicating the published part.
+	// a *stream.PartialPublishError: its Failed messages are not in the
+	// log and never will be unless published again, so retrying exactly
+	// Failed duplicates nothing — keyed or keyless, with any number of
+	// publishers.
 	PublishBatch(topic string, msgs []stream.Message) (int, error)
 	Partitions(topic string) (int, error)
 	// FetchNoWait reads up to max records at offset without blocking:

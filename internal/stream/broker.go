@@ -299,6 +299,18 @@ func (b *Broker) ReplicateBatch(topicName string, partition int, recs []Record) 
 	return p.replicateBatch(recs, t.cfg)
 }
 
+// TruncateTo cuts a partition back so its next record takes offset off,
+// dropping every record at or past it — a replica discarding a suffix no
+// quorum committed. Records already fetched stay valid, and a cut at or
+// past the end is a no-op.
+func (b *Broker) TruncateTo(topicName string, partition int, off int64) error {
+	_, p, err := b.part(topicName, partition)
+	if err != nil {
+		return err
+	}
+	return p.truncate(off)
+}
+
 // Partitions returns the partition count of a topic.
 func (b *Broker) Partitions(topicName string) (int, error) {
 	t, err := b.topic(topicName)

@@ -64,6 +64,18 @@ func (m *modelLog) replicate(recs []Record) {
 	}
 }
 
+// truncate drops every record at or past off, newest first.
+func (m *modelLog) truncate(off int64) {
+	if off >= m.next {
+		return
+	}
+	for len(m.recs) > 0 && m.recs[len(m.recs)-1].Offset >= off {
+		m.recs = m.recs[:len(m.recs)-1]
+	}
+	m.next = off
+	m.horizon = min(m.horizon, off)
+}
+
 func (m *modelLog) retain() {
 	for len(m.recs) > 1 && m.cfg.RetentionBytes > 0 && m.bytes() > m.cfg.RetentionBytes {
 		m.recs = m.recs[1:]
@@ -313,6 +325,50 @@ func (r *modelRun) ship() {
 	}
 }
 
+// truncate cuts a random partition of name back to a random offset: most
+// often among its live records, sometimes at its end or below its
+// horizon. "repl"'s synthetic leader is cut with it, so the next ship
+// carries new content at the offsets the cut freed.
+func (r *modelRun) truncate(name string) {
+	logs := r.logs[name]
+	pi := r.rng.Intn(len(logs))
+	m, p := logs[pi], r.part(name, pi)
+	var off int64
+	switch k := r.rng.Intn(10); {
+	case k == 0:
+		off = max(0, m.horizon-1-r.rng.Int63n(3))
+	case k == 1:
+		off = m.next
+	default:
+		off = m.horizon + r.rng.Int63n(m.next-m.horizon+1)
+	}
+	for i := 0; i < p.nq; i++ {
+		if c := p.chunkAt(i); off > c.base+int64(c.lo) && off < c.base+int64(c.records()) {
+			r.hits["truncate inside a chunk"]++
+			if i == 0 && c.lo > 0 {
+				r.hits["truncate inside a head chunk with a trimmed front"]++
+			}
+		}
+	}
+	for o := max(off, m.horizon); o < m.next; o++ {
+		if !m.has(o) {
+			r.hits["truncate across a replication hole"]++
+			break
+		}
+	}
+	before := p.nq
+	if err := r.b.TruncateTo(name, pi, off); err != nil {
+		r.t.Fatalf("truncate %s/%d at %d: %v", name, pi, off, err)
+	}
+	m.truncate(off)
+	if p.nq < before {
+		r.hits["truncate dropping whole chunks"]++
+	}
+	if name == "repl" && int64(len(r.leader)) > off {
+		r.leader = r.leader[:off]
+	}
+}
+
 // readyAt parks on name/p past off and reports whether the channel is
 // already closed.
 func (r *modelRun) readyAt(name string, p int, off int64) (<-chan struct{}, bool) {
@@ -501,10 +557,10 @@ func (r *modelRun) checkFetch(where, name string, pi int, m *modelLog, off int64
 // TestPartitionMatchesModel drives seeded schedules of every way a log
 // is written — batches of mixed sizes from one record to one over the
 // chunk bound, replication with re-delivered prefixes, gaps and mixed
-// timestamps, byte retention, topic deletion and an append each waking a
-// reader parked on Ready — and after every step compares every read of every partition
-// with a []Record model, whose publish timestamps are the ones the broker
-// stamped.
+// timestamps, byte retention, truncation of a suffix, topic deletion and
+// an append each waking a reader parked on Ready — and after every step
+// compares every read of every partition with a []Record model, whose
+// publish timestamps are the ones the broker stamped.
 func TestPartitionMatchesModel(t *testing.T) {
 	hits := map[string]int{}
 	for seed := int64(1); seed <= 3; seed++ {
@@ -534,6 +590,12 @@ func TestPartitionMatchesModel(t *testing.T) {
 			case k == 6 && step%4 == 0:
 				what = "delete " + name
 				r.deleteAndRecreate(name)
+			case k == 7 || k == 8:
+				if k == 8 {
+					name = "repl" // the one log with replication holes
+				}
+				what = "truncate " + name
+				r.truncate(name)
 			default:
 				r.publish(name)
 			}
@@ -564,6 +626,10 @@ func TestPartitionMatchesModel(t *testing.T) {
 		"parked Ready woken by an append",
 		"parked Ready woken by DeleteTopic",
 		"topic deleted and recreated",
+		"truncate inside a chunk",
+		"truncate inside a head chunk with a trimmed front",
+		"truncate dropping whole chunks",
+		"truncate across a replication hole",
 	} {
 		if hits[want] == 0 {
 			t.Errorf("the schedules never reached: %s", want)

@@ -304,6 +304,48 @@ func (p *partition) replicateBatch(recs []Record, cfg TopicConfig) error {
 	return nil
 }
 
+// truncate cuts the log back so that its next record takes offset off:
+// every record at or past off goes — whole chunks popped off the tail,
+// the chunk the cut lands in shortened through its index. No arena byte
+// is written, so records a reader already fetched stay valid; the
+// retained count and bytes drop by exactly the records cut. A cut below
+// the horizon empties the log and moves the horizon down to off.
+func (p *partition) truncate(off int64) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.errIfDeletedLocked(); err != nil {
+		return err
+	}
+	if p.closed {
+		return ErrBrokerClosed
+	}
+	if off >= p.next {
+		return nil
+	}
+	for p.nq > 0 {
+		c := p.chunkAt(p.nq - 1)
+		n := c.records()
+		keep := c.lo
+		if off > c.base+int64(c.lo) {
+			keep = int(min(off-c.base, int64(n)))
+		}
+		for i := keep; i < n; i++ {
+			p.bytes -= c.size(i)
+		}
+		p.count -= n - keep
+		if keep > c.lo {
+			c.ends = c.ends[:2*keep]
+			c.data = c.data[:c.ends[2*keep-1]]
+			break
+		}
+		*c = chunk{}
+		p.nq--
+	}
+	p.next = off
+	p.horizon = min(p.horizon, off)
+	return nil
+}
+
 // enforceRetentionLocked trims the head, record by record, while the log
 // holds more than RetentionBytes; a chunk whose last record goes is
 // dequeued and its slot zeroed, which is what frees its arena.

@@ -2,7 +2,7 @@ package oda_test
 
 // The repository's shape rules: one STREAM reader, one LAKE read path, one
 // serialized form for rollup cells (a CQ checkpoint's included), one grouping loop, one sort, one log,
-// one wait, one consumer loop, one entry point per operation, one cold
+// one failure contract, one wait, one consumer loop, one entry point per operation, one cold
 // scan, one parse per segment object, one filter test per series, one chunk decoder, one interner, one parameter reader, and a
 // series that is an integer. Each is a
 // structural fact a later change could quietly undo, so
@@ -347,6 +347,17 @@ func order() { slices.SortStableFunc(perm, less) }`},
 				"func Cluster.Publish")...)
 		},
 		breaks: map[string]string{"internal/cluster/publish.go": "package cluster\nfunc (c *Cluster) Publish() {}"},
+	},
+	{
+		name: "one failure contract: a failed publish leaves nothing for a retry to match",
+		check: func(files []srcFile) []string {
+			return forbid(decls(files, within("internal/cluster")),
+				"replicas cut what no quorum committed, so a retry of Failed is just a publish",
+				"type staged", "partitionState.inflight", "partBatch.fp", "func fingerprintMsgs")
+		},
+		breaks: map[string]string{"internal/cluster/publish.go": `package cluster
+type partBatch struct{ fp uint64 }
+func fingerprintMsgs(msgs []Message) uint64 { return 0 }`},
 	},
 	{
 		name: "one wait: internal/plane runs on no clock",
