@@ -92,11 +92,11 @@ func main() {
 	}
 	fmt.Printf("scenario %s: %d clients x %d reqs in %.0f ms\n",
 		res.Scenario, res.Clients, *requests, res.WallMs)
-	fmt.Printf("  ok=%d 429=%d (%.1f%%) 503=%d (%.1f%%) other=%d\n",
-		res.OK, res.Throttled, 100*res.ThrottleRate(), res.Shed, 100*res.ShedRate(), res.Other)
+	fmt.Printf("  ok=%d stale=%d (%.1f%%) 429=%d (%.1f%%) 503=%d (%.1f%%) other=%d\n", res.OK, res.Stale, 100*res.StaleRate(),
+		res.Throttled, 100*res.ThrottleRate(), res.Shed, 100*res.ShedRate(), res.Other)
 	fmt.Printf("  latency p50=%.2fms p95=%.2fms p99=%.2fms\n", res.P50Ms, res.P95Ms, res.P99Ms)
 	for name, tl := range res.Tenants {
-		fmt.Printf("  tenant %-16s ok=%-6d 429=%-6d 503=%-5d p99=%.2fms\n",
-			name, tl.OK, tl.Throttled, tl.Shed, tl.P99Ms)
+		fmt.Printf("  tenant %-16s ok=%-6d stale=%-6d 429=%-6d 503=%-5d p99=%.2fms\n",
+			name, tl.OK, tl.Stale, tl.Throttled, tl.Shed, tl.P99Ms)
 	}
 }

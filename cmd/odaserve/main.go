@@ -10,6 +10,11 @@
 //	curl localhost:8080/metrics
 //	curl localhost:8080/api/v1/traces
 //
+// The portal is always behind the multi-tenant gateway, whose admission
+// queue is the one overload decision. -gateway registers its demo
+// tenants; without it the only tenant is the anonymous one, which a
+// request carrying no credentials resolves to.
+//
 // With -debug-addr a second listener serves the operator surface:
 // /metrics, /api/v1/traces, and net/http/pprof profiles kept off the
 // public portal.
@@ -60,7 +65,7 @@ func main() {
 		nodes     = flag.Int("nodes", 16, "machine scale in nodes")
 		minutes   = flag.Int("minutes", 5, "telemetry window to ingest at startup")
 		seed      = flag.Int64("seed", 1, "seed")
-		withGW    = flag.Bool("gateway", false, "front the portal with the multi-tenant gateway (demo tenants)")
+		withGW    = flag.Bool("gateway", false, "register the gateway's demo tenants instead of the anonymous one")
 		withCQ    = flag.Bool("cq", false, "register a demo continuous query and pump the bronze topics into it")
 		cqDir     = flag.String("cq-checkpoint-dir", "", "CQ pump checkpoint directory (crash-consistent restore); empty disables")
 		cnodes    = flag.Int("cluster-nodes", 0, "run the facility on an N-node replicated cluster; 0 keeps the single-node plane")
@@ -155,31 +160,31 @@ func main() {
 		api.SetClusterHealth(c.Health)
 		fmt.Printf("portal served by the %d-node cluster; /healthz carries replication state\n", *cnodes)
 	}
-	var handler http.Handler = api
+	opts := gateway.Options{Registry: f.Obs}
+	tenants := []gateway.TenantConfig{{Name: gateway.Anonymous, Priority: gateway.PriorityInteractive, RatePerSec: 1e6}}
 	if *withGW {
-		g := gateway.New(handler, gateway.Options{
-			Platform: f.Apps, Registry: f.Obs,
-		})
+		opts.Platform = f.Apps
 		// Demo tenant mix: interactive dashboards, a batch analytics
 		// project, and an urgent on-call lane. Keys double as docs.
-		for _, tc := range []gateway.TenantConfig{
+		tenants = []gateway.TenantConfig{
 			{Name: "dashboards", Priority: gateway.PriorityInteractive,
 				RatePerSec: 200, ScanCellsPerSec: 2e6, APIKeys: []string{"demo-dash"}},
 			{Name: "batch-analytics", Priority: gateway.PriorityBatch,
 				RatePerSec: 50, ScanCellsPerSec: 5e6, APIKeys: []string{"demo-batch"}},
 			{Name: "oncall", Priority: gateway.PriorityUrgent,
 				RatePerSec: 100, ScanCellsPerSec: 2e6, APIKeys: []string{"demo-oncall"}},
-		} {
-			if err := g.RegisterTenant(tc); err != nil {
-				log.Fatal(err)
-			}
 		}
-		handler = g
-		fmt.Println("gateway enabled; send X-ODA-Tenant: dashboards (or Bearer demo-dash)")
+		fmt.Println("gateway tenants enabled; send X-ODA-Tenant: dashboards (or Bearer demo-dash)")
+	}
+	g := gateway.New(api, opts)
+	for _, tc := range tenants {
+		if err := g.RegisterTenant(tc); err != nil {
+			log.Fatal(err)
+		}
 	}
 	srv := &http.Server{
 		Addr:              *addr,
-		Handler:           handler,
+		Handler:           g,
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	fmt.Printf("serving the ODA data portal on %s\n", *addr)

@@ -34,7 +34,8 @@ func (p Priority) String() string {
 }
 
 // ErrSaturated is returned when the admission wait queue is full — the
-// gateway sheds instead of buffering unbounded waiters.
+// gateway passes the request on shed instead of buffering unbounded
+// waiters.
 var ErrSaturated = errors.New("gateway: admission queue saturated")
 
 // agingEvery is the anti-starvation cadence: every agingEvery-th grant
@@ -52,11 +53,12 @@ type waiter struct {
 }
 
 // admitter meters concurrent query execution with priority-ordered
-// wait queues, layered over the tsdb scan-slot semaphore: the store's
-// semaphore bounds scan parallelism once a query runs; the admitter
-// decides who gets to run next, so high-priority tenants queue ahead of
-// batch instead of racing them for raw slots. Waiters are cancellable
-// via request context (a disconnected client releases its place).
+// wait queues, and is the one admission decision in front of the LAKE:
+// it decides who runs next, so high-priority tenants queue ahead of
+// batch, and its full queue is what "overloaded" means. The store's
+// scan-helper slots only bound how far a running query fans out; they
+// never refuse one. Waiters are cancellable via request context (a
+// disconnected client releases its place).
 type admitter struct {
 	mu     sync.Mutex
 	free   int // slots not currently held

@@ -5,15 +5,18 @@
 //
 //   - Tenancy: requests resolve to a registered tenant via API key
 //     (Authorization: Bearer or X-ODA-Key) or the X-ODA-Tenant header;
-//     unknown callers get 401.
+//     a request with no credentials at all resolves to the Anonymous
+//     tenant when one is registered. Unknown callers get 401.
 //   - Quotas: per-tenant token buckets on request rate and on scan cost
 //     (debited post-paid with the X-ODA-Query-Cells-Scanned the engine
 //     reports). Exhausted tenants get 429 + Retry-After, and every
 //     response carries X-ODA-Quota-* balance headers.
 //   - Admission: heavy query routes pass a priority-ordered admission
-//     gate sized to the LAKE's scan-slot budget, so urgent tenants
-//     queue ahead of batch and a saturated gate sheds with 503 instead
-//     of queueing unboundedly. Waiters cancel with the request context.
+//     gate, so urgent tenants queue ahead of batch. The gate's full
+//     queue is the one overload decision: the request is not queued but
+//     passed on holding no slot and marked shed (see Shed), and the
+//     wrapped handler answers it without a fresh scan. Waiters cancel
+//     with the request context.
 //
 // Tenant registrations are backed by platform allocations: registering
 // a tenant deploys a "portal" service against the tenant's project
@@ -22,11 +25,13 @@
 package gateway
 
 import (
+	"context"
 	"errors"
 	"math"
 	"net/http"
 	"sort"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -83,8 +88,9 @@ type Options struct {
 	Platform *platform.Platform
 	// Registry receives the oda_gateway_* metric families. Optional.
 	Registry *obs.Registry
-	// Slots bounds concurrently admitted heavy queries; default 16, the
-	// LAKE engine's own scan-slot budget (tsdb.DB.ScanSlotCap).
+	// Slots bounds concurrently admitted heavy queries; default 16.
+	// Sizing it to tsdb.DB.ScanSlotCap matches admitted queries to the
+	// engine's fan-out budget.
 	Slots int
 	// MaxQueue bounds admission waiters before shedding (default 4×Slots).
 	MaxQueue int
@@ -126,7 +132,7 @@ func New(next http.Handler, opts Options) *Gateway {
 		g.mUnauthorized = reg.Counter("oda_gateway_unauthorized_total",
 			"Requests rejected for missing or unknown tenant credentials.")
 		g.mShed = reg.Counter("oda_gateway_shed_total",
-			"Requests shed with 503 because the admission queue was saturated.")
+			"Heavy requests passed on shed, holding no slot, because the admission queue was full.")
 		g.mWait = reg.Histogram("oda_gateway_admission_wait_seconds",
 			"Time heavy queries spent queued at the admission gate.", obs.LatencySeconds())
 		reg.RegisterCollector(func(emit func(obs.Sample)) {
@@ -211,25 +217,42 @@ func (g *Gateway) TenantCount() int {
 	return len(g.tenants)
 }
 
+// Anonymous is the tenant a request carrying no credentials at all
+// resolves to, when it is registered. A request with an unknown key or
+// tenant name is refused, never demoted to Anonymous.
+const Anonymous = "anonymous"
+
+// shedKey marks a request's context as shed; only ServeHTTP sets it.
+type shedKey struct{}
+
+// Shed reports whether the gateway passed this request on shed (its
+// admission queue was full): it holds no slot, and the handler must
+// answer it without a fresh scan — stale, or 503 + Retry-After.
+func Shed(ctx context.Context) bool {
+	shed, _ := ctx.Value(shedKey{}).(bool)
+	return shed
+}
+
 // resolve maps a request onto a tenant: bearer/X-ODA-Key API keys win,
-// then the X-ODA-Tenant name header.
+// then the X-ODA-Tenant name header; no credentials at all is Anonymous.
 func (g *Gateway) resolve(r *http.Request) *tenant {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	if auth := r.Header.Get("Authorization"); len(auth) > 7 && auth[:7] == "Bearer " {
+	auth, key, name := r.Header.Get("Authorization"), r.Header.Get("X-ODA-Key"), r.Header.Get("X-ODA-Tenant")
+	if auth == "" && key == "" && name == "" {
+		return g.tenants[Anonymous]
+	}
+	if len(auth) > 7 && auth[:7] == "Bearer " {
 		if t := g.byKey[auth[7:]]; t != nil {
 			return t
 		}
 	}
-	if k := r.Header.Get("X-ODA-Key"); k != "" {
-		if t := g.byKey[k]; t != nil {
+	if key != "" {
+		if t := g.byKey[key]; t != nil {
 			return t
 		}
 	}
-	if name := r.Header.Get("X-ODA-Tenant"); name != "" {
-		return g.tenants[name]
-	}
-	return nil
+	return g.tenants[name]
 }
 
 // heavyPath reports whether a route passes the admission gate and is
@@ -240,26 +263,14 @@ func (g *Gateway) resolve(r *http.Request) *tenant {
 // scan-slot admission and scan-budget refusal entirely, and stays fast
 // even for tenants whose batch-query budget is exhausted.
 func heavyPath(p string) bool {
-	switch {
-	case len(p) >= 13 && p[:13] == "/api/v1/lake/":
-		return true
-	case p == "/api/v1/query":
-		return true
-	case p == "/api/v1/logs/search":
-		return true
-	}
-	return false
+	return strings.HasPrefix(p, "/api/v1/lake/") || p == "/api/v1/query" || p == "/api/v1/logs/search"
 }
 
 // quotaError answers with the httpapi error envelope plus quota headers.
 func quotaError(w http.ResponseWriter, status int, category, msg string, retry time.Duration) {
 	w.Header().Set("X-ODA-Error", category)
 	if retry > 0 {
-		secs := int(math.Ceil(retry.Seconds()))
-		if secs < 1 {
-			secs = 1
-		}
-		w.Header().Set("Retry-After", strconv.Itoa(secs))
+		w.Header().Set("Retry-After", strconv.Itoa(int(math.Ceil(retry.Seconds()))))
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -333,26 +344,17 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	t.requests.Add(1)
 	t.mRequests.Inc()
 	if !t.reqs.take(1) {
-		t.throttled.Add(1)
-		t.mThrottled.Inc()
-		retry := t.reqs.retryAfter(1)
-		setQuotaHeaders(w.Header(), t)
-		quotaError(w, http.StatusTooManyRequests, "quota",
-			"tenant "+t.cfg.Name+" over request rate", retry)
+		throttle(w, t, t.reqs, "request rate")
 		return
 	}
-	if t.scan != nil && heavyPath(r.URL.Path) && t.scan.level() <= 0 {
+	heavy := heavyPath(r.URL.Path)
+	if t.scan != nil && heavy && t.scan.level() <= 0 {
 		// Post-paid overdraft from earlier expensive scans: refuse heavy
 		// work until refill pays the debt down past zero.
-		t.throttled.Add(1)
-		t.mThrottled.Inc()
-		retry := t.scan.retryAfter(1)
-		setQuotaHeaders(w.Header(), t)
-		quotaError(w, http.StatusTooManyRequests, "quota",
-			"tenant "+t.cfg.Name+" over scan budget", retry)
+		throttle(w, t, t.scan, "scan budget")
 		return
 	}
-	if heavyPath(r.URL.Path) {
+	if heavy {
 		start := g.opts.Now()
 		err := g.admit.Acquire(r.Context(), t.cfg.Priority)
 		g.mWait.Observe(g.opts.Now().Sub(start).Seconds())
@@ -361,9 +363,7 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			defer g.admit.Release()
 		case ErrSaturated:
 			g.mShed.Inc()
-			quotaError(w, http.StatusServiceUnavailable, "overloaded",
-				"admission queue saturated, retry later", time.Second)
-			return
+			r = r.WithContext(context.WithValue(r.Context(), shedKey{}, true))
 		default:
 			// Client went away while queued; nothing to answer.
 			return
@@ -371,10 +371,18 @@ func (g *Gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 	qw := &quotaWriter{ResponseWriter: w, t: t}
 	g.next.ServeHTTP(qw, r)
-	if t.scan != nil && heavyPath(r.URL.Path) && qw.scanCells > 0 {
+	if t.scan != nil && heavy && qw.scanCells > 0 {
 		t.scan.debit(qw.scanCells)
 		t.mScanCells.Add(int64(qw.scanCells))
 	}
+}
+
+// throttle answers 429 to a tenant that is over one of its buckets.
+func throttle(w http.ResponseWriter, t *tenant, b *bucket, what string) {
+	t.throttled.Add(1)
+	t.mThrottled.Inc()
+	setQuotaHeaders(w.Header(), t)
+	quotaError(w, http.StatusTooManyRequests, "quota", "tenant "+t.cfg.Name+" over "+what, b.retryAfter(1))
 }
 
 // TenantSnapshot is one tenant's live serving state.
@@ -394,23 +402,11 @@ type Snapshot struct {
 	Queued  int              `json:"queued"`
 }
 
-// Stats returns a point-in-time snapshot.
+// Stats returns a point-in-time snapshot, tenants by name.
 func (g *Gateway) Stats() Snapshot {
-	g.mu.RLock()
-	names := make([]string, 0, len(g.tenants))
-	for n := range g.tenants {
-		names = append(names, n)
-	}
-	g.mu.RUnlock()
-	sort.Strings(names)
 	snap := Snapshot{Queued: g.admit.Queued()}
-	for _, n := range names {
-		g.mu.RLock()
-		t := g.tenants[n]
-		g.mu.RUnlock()
-		if t == nil {
-			continue
-		}
+	g.mu.RLock()
+	for n, t := range g.tenants {
 		ts := TenantSnapshot{
 			Name: n, Priority: t.cfg.Priority.String(),
 			Requests: t.requests.Load(), Throttled: t.throttled.Load(),
@@ -421,5 +417,7 @@ func (g *Gateway) Stats() Snapshot {
 		}
 		snap.Tenants = append(snap.Tenants, ts)
 	}
+	g.mu.RUnlock()
+	sort.Slice(snap.Tenants, func(i, j int) bool { return snap.Tenants[i].Name < snap.Tenants[j].Name })
 	return snap
 }

@@ -231,3 +231,110 @@ func TestGatewayConcurrentQuota(t *testing.T) {
 		t.Fatalf("accounted %d of %d requests", ok.Load()+throttled.Load(), 16*20)
 	}
 }
+
+// TestAnonymousTenant: a request with no credentials at all resolves to
+// Anonymous only when that tenant is registered; an unknown key or
+// tenant name is refused and never falls through to Anonymous.
+func TestAnonymousTenant(t *testing.T) {
+	g := New(stubHandler(0), Options{})
+	if rec := get(t, g, "/healthz", nil); rec.Code != http.StatusUnauthorized {
+		t.Fatalf("no credentials, no Anonymous tenant: status = %d, want 401", rec.Code)
+	}
+	if err := g.RegisterTenant(TenantConfig{Name: Anonymous, RatePerSec: 100}); err != nil {
+		t.Fatal(err)
+	}
+	if rec := get(t, g, "/healthz", nil); rec.Code != http.StatusOK {
+		t.Fatalf("no credentials: status = %d, want 200 as Anonymous", rec.Code)
+	}
+	for name, hdr := range map[string]map[string]string{
+		"unknown name":     {"X-ODA-Tenant": "ghost"},
+		"unknown key":      {"X-ODA-Key": "nope"},
+		"unknown bearer":   {"Authorization": "Bearer nope"},
+		"non-bearer auth":  {"Authorization": "Basic Zm9vOmJhcg=="},
+		"empty bearer key": {"Authorization": "Bearer "},
+	} {
+		if rec := get(t, g, "/healthz", hdr); rec.Code != http.StatusUnauthorized {
+			t.Fatalf("%s with Anonymous registered: status = %d, want 401", name, rec.Code)
+		}
+	}
+	if snap := g.Stats(); snap.Tenants[0].Requests != 1 {
+		t.Fatalf("Anonymous served %d requests, want 1", snap.Tenants[0].Requests)
+	}
+}
+
+// TestSaturatedRequestPassesOnShed: with the admission queue full the
+// gateway writes no 503 of its own. The request reaches the handler
+// marked shed, holding no slot, through the quota-header path; the
+// handler's answer is what the client sees, and the shed is counted.
+func TestSaturatedRequestPassesOnShed(t *testing.T) {
+	reg := obs.NewRegistry()
+	hold := make(chan struct{})
+	var shedSeen atomic.Int64
+	g := New(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case Shed(r.Context()):
+			shedSeen.Add(1)
+			w.Header().Set("X-ODA-Stale", "true")
+		case r.URL.Path == "/api/v1/lake/hold":
+			<-hold
+		}
+		w.WriteHeader(http.StatusOK)
+	}), Options{Registry: reg, Slots: 1, MaxQueue: 1})
+	if err := g.RegisterTenant(TenantConfig{Name: "proj-s", RatePerSec: 100}); err != nil {
+		t.Fatal(err)
+	}
+	hdr := map[string]string{"X-ODA-Tenant": "proj-s"}
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() { defer wg.Done(); get(t, g, "/api/v1/lake/hold", hdr) }()
+	}
+	for g.Stats().Queued < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	rec := get(t, g, "/api/v1/lake/query", hdr)
+	if rec.Code != http.StatusOK || rec.Header().Get("X-ODA-Stale") != "true" || rec.Header().Get("X-ODA-Quota-Limit") == "" {
+		t.Fatalf("shed request: status %d, stale %q, quota limit %q; want the handler's stale 200 with quota headers",
+			rec.Code, rec.Header().Get("X-ODA-Stale"), rec.Header().Get("X-ODA-Quota-Limit"))
+	}
+	// Cheap routes are never shed.
+	if rec := get(t, g, "/healthz", hdr); rec.Code != http.StatusOK || shedSeen.Load() != 1 {
+		t.Fatalf("cheap route: status %d, shed requests seen %d", rec.Code, shedSeen.Load())
+	}
+	if g.Stats().Queued != 1 {
+		t.Fatal("a shed request took a place in the queue")
+	}
+	close(hold)
+	wg.Wait()
+	if n := reg.Counter("oda_gateway_shed_total", "").Value(); n != 1 {
+		t.Fatalf("oda_gateway_shed_total = %d, want 1", n)
+	}
+}
+
+// TestRunLoadCountsStale: a 200 marked X-ODA-Stale is counted as stale,
+// not as a fresh OK, in the run and per tenant.
+func TestRunLoadCountsStale(t *testing.T) {
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch r.URL.Query().Get("seq") {
+		case "0":
+			w.Header().Set("X-ODA-Stale", "true")
+		case "1":
+			w.WriteHeader(http.StatusServiceUnavailable)
+			return
+		}
+		_, _ = w.Write([]byte(`[]`))
+	})
+	res := RunLoad(h, Scenario{
+		Clients: 4, RequestsPerClient: 4,
+		Mix:  []TenantShare{{Tenant: "a", Weight: 1}, {Tenant: "b", Weight: 1}},
+		Path: func(_, seq int) string { return "/api/v1/lake/query?seq=" + strconv.Itoa(seq) },
+	})
+	if res.OK != 8 || res.Stale != 4 || res.Shed != 4 || res.StaleRate() != 0.25 {
+		t.Fatalf("ok %d stale %d shed %d stale rate %v; want 8 / 4 / 4 / 0.25", res.OK, res.Stale, res.Shed, res.StaleRate())
+	}
+	for name, tl := range res.Tenants {
+		if tl.OK != 4 || tl.Stale != 2 || tl.Shed != 2 {
+			t.Fatalf("tenant %s: %+v, want 4 ok, 2 stale, 2 shed", name, tl)
+		}
+	}
+}

@@ -38,10 +38,13 @@ type Scenario struct {
 	ArrivalInterval time.Duration
 }
 
-// TenantLoad aggregates one tenant's outcomes within a run.
+// TenantLoad aggregates one tenant's outcomes within a run. OK counts
+// fresh 200s; Stale counts 200s marked X-ODA-Stale (a shed request
+// answered from the stale cache).
 type TenantLoad struct {
 	Requests  int     `json:"requests"`
 	OK        int     `json:"ok"`
+	Stale     int     `json:"stale"`
 	Throttled int     `json:"throttled_429"`
 	Shed      int     `json:"shed_503"`
 	P50Ms     float64 `json:"p50_ms"`
@@ -49,12 +52,14 @@ type TenantLoad struct {
 	P99Ms     float64 `json:"p99_ms"`
 }
 
-// Result is one scenario's aggregate outcome.
+// Result is one scenario's aggregate outcome; OK and Stale split the
+// 200s as TenantLoad's do.
 type Result struct {
 	Scenario  string                 `json:"scenario"`
 	Clients   int                    `json:"clients"`
 	Requests  int                    `json:"requests"`
 	OK        int                    `json:"ok"`
+	Stale     int                    `json:"stale"`
 	Throttled int                    `json:"throttled_429"`
 	Shed      int                    `json:"shed_503"`
 	Other     int                    `json:"other"`
@@ -65,41 +70,35 @@ type Result struct {
 	Tenants   map[string]*TenantLoad `json:"tenants"`
 }
 
-// ThrottleRate is the fraction of requests answered 429.
-func (r Result) ThrottleRate() float64 {
-	if r.Requests == 0 {
-		return 0
-	}
-	return float64(r.Throttled) / float64(r.Requests)
-}
+// ThrottleRate, StaleRate and ShedRate are the fractions of requests
+// answered 429, 200 from the stale cache, and 503.
+func (r Result) ThrottleRate() float64 { return r.rate(r.Throttled) }
+func (r Result) StaleRate() float64    { return r.rate(r.Stale) }
+func (r Result) ShedRate() float64     { return r.rate(r.Shed) }
 
-// ShedRate is the fraction of requests answered 503.
-func (r Result) ShedRate() float64 {
+func (r Result) rate(n int) float64 {
 	if r.Requests == 0 {
 		return 0
 	}
-	return float64(r.Shed) / float64(r.Requests)
+	return float64(n) / float64(r.Requests)
 }
 
 // sample is one completed request.
 type sample struct {
 	tenant  int
 	status  int
+	stale   bool
 	latency time.Duration
 }
 
-// nullWriter discards bodies; the harness only needs status codes.
+// nullWriter discards bodies; the harness only needs status codes and
+// the X-ODA-Stale mark.
 type nullWriter struct {
 	h      http.Header
 	status int
 }
 
-func (n *nullWriter) Header() http.Header {
-	if n.h == nil {
-		n.h = make(http.Header)
-	}
-	return n.h
-}
+func (n *nullWriter) Header() http.Header { return n.h }
 func (n *nullWriter) Write(b []byte) (int, error) {
 	if n.status == 0 {
 		n.status = http.StatusOK
@@ -170,11 +169,12 @@ func RunLoad(h http.Handler, sc Scenario) Result {
 					if tenantName != "" {
 						req.Header.Set("X-ODA-Tenant", tenantName)
 					}
-					w := &nullWriter{}
+					w := &nullWriter{h: http.Header{}}
 					t0 := time.Now()
 					h.ServeHTTP(w, req)
 					samples[c*sc.RequestsPerClient+seq] = sample{
 						tenant: ti, status: w.status, latency: time.Since(t0),
+						stale: w.h.Get("X-ODA-Stale") == "true",
 					}
 				}
 				if sc.OpenLoop {
@@ -208,14 +208,17 @@ func RunLoad(h http.Handler, sc Scenario) Result {
 			res.Tenants[name] = tl
 		}
 		tl.Requests++
-		switch s.status {
-		case http.StatusOK:
+		switch {
+		case s.status == http.StatusOK && s.stale:
+			res.Stale++
+			tl.Stale++
+		case s.status == http.StatusOK:
 			res.OK++
 			tl.OK++
-		case http.StatusTooManyRequests:
+		case s.status == http.StatusTooManyRequests:
 			res.Throttled++
 			tl.Throttled++
-		case http.StatusServiceUnavailable:
+		case s.status == http.StatusServiceUnavailable:
 			res.Shed++
 			tl.Shed++
 		default:

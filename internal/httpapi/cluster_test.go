@@ -190,7 +190,7 @@ func TestClusterBackedServing(t *testing.T) {
 		t.Fatalf("local healthz = %v (code %d), want its lake's rows and segments", lh, code)
 	}
 	ch0 := health()
-	for _, k := range []string{"lake_rows", "lake_segments", "lake_scan_load"} {
+	for _, k := range []string{"lake_rows", "lake_segments"} {
 		if v, ok := ch0[k]; ok {
 			t.Fatalf("clustered healthz reports %s = %v: that is the facility's own empty lake", k, v)
 		}
@@ -247,6 +247,22 @@ func TestClusterBackedServing(t *testing.T) {
 		t.Fatalf("health after repair = %s", b)
 	}
 	requireIdentical("repaired")
+}
+
+// TestClusterShedIsRejected: a clustered backend keeps no result cache
+// of its own, so a query the gateway sheds has no stale answer even for
+// a shape the cluster just served: 503 + Retry-After + overloaded.
+func TestClusterShedIsRejected(t *testing.T) {
+	clustered, _ := serveClusteredPlane(t)
+	query := clustered.urls()["lake/query"]
+	httpBody(t, query)
+	gw := anonymousGateway(t, clustered.api, clustered.f.Obs)
+	resp, err := http.Get(gw.URL + strings.TrimPrefix(query, clustered.srv.URL))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	requireOverloaded(t, "shed query on the cluster", resp)
 }
 
 // TestClusterStripeDownIsUnavailable: with two of three RF=2 nodes dead

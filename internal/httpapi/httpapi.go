@@ -24,11 +24,12 @@
 //	GET /metrics
 //	GET /api/v1/traces
 //
-// Under load the query endpoints degrade gracefully rather than pile
-// onto a saturated LAKE: when every concurrent scan slot is busy, a
-// query is answered from the stale side of the result cache (marked
-// X-ODA-Stale: true) when possible, and shed with 503 + Retry-After
-// otherwise.
+// Overload is decided once, by the gateway in front (internal/gateway):
+// this package reads no engine load. A request the gateway passes on
+// shed — its admission queue was full — runs no fresh scan: a LAKE query
+// is answered from the stale side of the backend's result cache (marked
+// X-ODA-Stale: true) when it holds the query's shape, and every other
+// shed request gets 503 + Retry-After + X-ODA-Error: overloaded.
 //
 // # Response headers
 //
@@ -46,7 +47,9 @@
 // response additionally carries the per-tenant quota headers
 // X-ODA-Quota-Limit, X-ODA-Quota-Remaining, and X-ODA-Quota-Scan-Budget,
 // and exhausted tenants receive 429 + Retry-After + X-ODA-Error: quota
-// instead of reaching these handlers at all.
+// instead of reaching these handlers at all. A handler mounted behind
+// the gateway must honour its shed mark (gateway.Shed), as serveQuery
+// and logsSearch do.
 package httpapi
 
 import (
@@ -61,6 +64,7 @@ import (
 
 	"odakit/internal/cluster"
 	"odakit/internal/core"
+	"odakit/internal/gateway"
 	"odakit/internal/logsearch"
 	"odakit/internal/obs"
 	"odakit/internal/plane"
@@ -68,10 +72,6 @@ import (
 	"odakit/internal/schema"
 	"odakit/internal/tsdb"
 )
-
-// shedLoad is the scan-slot utilization at or above which query
-// endpoints start shedding (1.0 = every slot busy).
-const shedLoad = 1.0
 
 // Server wraps a facility with HTTP handlers.
 type Server struct {
@@ -101,9 +101,9 @@ func New(f *core.Facility) *Server {
 	s := &Server{f: f, mux: http.NewServeMux(), prepared: newPreparedRegistry()}
 	s.stream, s.backend = f.Plane()
 	s.shedStale = f.Obs.Counter("oda_http_shed_stale_total",
-		"Overloaded queries answered from the stale cache side.")
+		"Gateway-shed queries answered from the stale cache side.")
 	s.shedReject = f.Obs.Counter("oda_http_shed_rejected_total",
-		"Overloaded queries rejected with 503 + Retry-After.")
+		"Gateway-shed requests rejected with 503 + Retry-After.")
 	s.handle("GET /healthz", "healthz", s.health)
 	s.handle("GET /api/v1/lake/query", "lake_query", s.lakeQuery)
 	s.handle("POST /api/v1/prepare", "prepare", s.prepare)
@@ -137,28 +137,20 @@ func (s *Server) handle(pattern, route string, h http.HandlerFunc) {
 }
 
 // SetQueryBackend routes the lake query endpoints through b instead of
-// the facility plane's LAKE. Overload, stale answers and the /healthz
-// lake_* fields are b's own when it is a lakeEngine, and absent otherwise.
+// the facility plane's LAKE. Stale answers and the /healthz lake_* fields
+// are b's own when it is a lakeEngine, and absent otherwise.
 func (s *Server) SetQueryBackend(b plane.Lake) { s.backend = b }
 
 // lakeEngine is what a backend that is itself one query engine
 // (*tsdb.DB) can say about itself, asked of the backend that answers at
-// request time: scan-slot saturation, the stale side of its own result
-// cache, and its store counters. A backend without it (a cluster, whose
-// nodes each hold a part) is never "overloaded", has no stale answer —
-// serving one from any other cache could be another topology's data —
-// and reports no lake_* fields on /healthz rather than invented zeros.
+// request time: the stale side of its own result cache, and its store
+// counters. A backend without it (a cluster, whose nodes each hold a
+// part) has no stale answer — serving one from any other cache could be
+// another topology's data — so a shed query on it gets 503, and it
+// reports no lake_* fields on /healthz rather than invented zeros.
 type lakeEngine interface {
-	ScanLoad() float64
 	CachedStale(tsdb.Query) (*schema.Frame, bool)
 	Stats() tsdb.Stats
-}
-
-// isOverloaded reports whether the backend is too busy for a fresh scan:
-// every scan slot of the answering engine is in use.
-func (s *Server) isOverloaded() bool {
-	e, ok := s.backend.(lakeEngine)
-	return ok && e.ScanLoad() >= shedLoad
 }
 
 // SetClusterHealth merges cluster replication health into /healthz.
@@ -199,17 +191,14 @@ func (s *Server) badRequest(w http.ResponseWriter, msg string) {
 func (s *Server) health(w http.ResponseWriter, r *http.Request) {
 	pipelines := s.f.Pipelines.Snapshot()
 	// The probe degrades instead of flipping straight to dead: a failed
-	// pipeline or a saturated LAKE is "degraded" (still 200 so pollers
-	// keep scraping the detail), not "ok".
+	// pipeline is "degraded" (still 200 so pollers keep scraping the
+	// detail), not "ok".
 	status := "ok"
 	for _, ps := range pipelines {
 		if !ps.Healthy() {
 			status = "degraded"
 			break
 		}
-	}
-	if status == "ok" && s.isOverloaded() {
-		status = "degraded"
 	}
 	body := map[string]any{
 		"status":    status,
@@ -221,7 +210,6 @@ func (s *Server) health(w http.ResponseWriter, r *http.Request) {
 		lake := e.Stats()
 		body["lake_segments"] = lake.Segments
 		body["lake_rows"] = lake.RawIngested
-		body["lake_scan_load"] = e.ScanLoad()
 	}
 	if s.clusterHealth != nil {
 		ch := s.clusterHealth()
@@ -251,18 +239,18 @@ func (s *Server) pipelines(w http.ResponseWriter, r *http.Request) {
 }
 
 // serveQuery is how every LAKE read route answers, and the package's
-// only call into the backend's engine: under overload the query is
+// only call into the backend's engine: a request the gateway shed is
 // answered from the stale side of the backend's result cache when a prior
-// result for the same shape exists (X-ODA-Stale: true) and shed with 503 +
-// Retry-After otherwise; else it runs, the engine-cost headers go on, and
-// emit writes the body. Metering, shedding and caching reach a route by
+// result for the same shape exists (X-ODA-Stale: true) and rejected with
+// 503 + Retry-After otherwise; else it runs, the engine-cost headers go
+// on, and emit writes the body. Metering, shedding and caching reach a route by
 // its calling this, not by remembering to. So does the error split: only
 // a query the engine calls malformed (tsdb.ErrBadQuery) is a 400; data the
 // engine cannot reach right now (a transient fault, a stripe or partition
 // with no live replica) is 503 "unavailable" + Retry-After — a retry may
 // succeed — and any other engine failure is 500 "internal".
-func (s *Server) serveQuery(w http.ResponseWriter, query tsdb.Query, emit func(*schema.Frame)) {
-	if s.isOverloaded() {
+func (s *Server) serveQuery(w http.ResponseWriter, r *http.Request, query tsdb.Query, emit func(*schema.Frame)) {
+	if gateway.Shed(r.Context()) {
 		if e, ok := s.backend.(lakeEngine); ok {
 			if fr, ok := e.CachedStale(query); ok {
 				w.Header().Set("X-ODA-Stale", "true")
@@ -271,8 +259,7 @@ func (s *Server) serveQuery(w http.ResponseWriter, query tsdb.Query, emit func(*
 				return
 			}
 		}
-		s.shedReject.Inc()
-		s.writeError(w, http.StatusServiceUnavailable, "overloaded", "lake overloaded, retry later")
+		s.rejectShed(w)
 		return
 	}
 	frame, stats, err := s.backend.RunWithStats(query)
@@ -289,6 +276,12 @@ func (s *Server) serveQuery(w http.ResponseWriter, query tsdb.Query, emit func(*
 	}
 	writeQueryStatHeaders(w, stats)
 	emit(frame)
+}
+
+// rejectShed answers a shed request that has no stale answer.
+func (s *Server) rejectShed(w http.ResponseWriter) {
+	s.shedReject.Inc()
+	s.writeError(w, http.StatusServiceUnavailable, "overloaded", "overloaded, retry later")
 }
 
 // parseWindow reads from/to query params (RFC3339); a missing pair
@@ -504,7 +497,7 @@ func (s *Server) lakeQuery(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err.Error())
 		return
 	}
-	s.serveQuery(w, query, func(fr *schema.Frame) {
+	s.serveQuery(w, r, query, func(fr *schema.Frame) {
 		writeJSON(w, http.StatusOK, framePoints(fr, query.GroupBy))
 	})
 }
@@ -570,7 +563,7 @@ func (s *Server) lakeTopN(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err.Error())
 		return
 	}
-	s.serveQuery(w, query, func(fr *schema.Frame) {
+	s.serveQuery(w, r, query, func(fr *schema.Frame) {
 		writeJSON(w, http.StatusOK, tsdb.TopNOf(fr, n))
 	})
 }
@@ -610,6 +603,10 @@ func (s *Server) logsSearch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		lq.Limit = n
+	}
+	if gateway.Shed(r.Context()) {
+		s.rejectShed(w)
+		return
 	}
 	hits := s.f.Logs.Search(lq)
 	out := make([]logHit, 0, len(hits))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -87,26 +86,16 @@ func TestErrorPathsCarryODAHeaders(t *testing.T) {
 		})
 	}
 
-	// The overload path: a saturated lake with no cached result sheds
-	// with 503 + Retry-After + the overloaded category.
-	s := New(f)
-	s.SetQueryBackend(overloaded{f.Lake})
-	shedSrv := httptest.NewServer(s)
-	defer shedSrv.Close()
+	// The overload path: a query shed by a gateway whose queue is full,
+	// with no cached result, gets 503 + Retry-After + the overloaded
+	// category.
+	shedSrv := anonymousGateway(t, New(f), f.Obs)
 	resp, err := http.Get(shedSrv.URL + "/api/v1/lake/query?metric=never_queried_before")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("overloaded status = %d, want 503", resp.StatusCode)
-	}
-	if resp.Header.Get("X-ODA-Error") != "overloaded" {
-		t.Fatalf("X-ODA-Error = %q, want overloaded", resp.Header.Get("X-ODA-Error"))
-	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("503 without Retry-After")
-	}
+	requireOverloaded(t, "shed query", resp)
 
 	// The error categories surfaced as labeled counters.
 	var buf strings.Builder

@@ -145,7 +145,7 @@ func (s *Server) preparedRun(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	query.From, query.To = from, to
-	s.serveQuery(w, query, func(fr *schema.Frame) {
+	s.serveQuery(w, r, query, func(fr *schema.Frame) {
 		streamPoints(w, framePoints(fr, query.GroupBy))
 	})
 }

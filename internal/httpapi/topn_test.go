@@ -99,25 +99,34 @@ func TestTopNIsAQuery(t *testing.T) {
 				t.Fatalf("after the repeat the budget is down %v (first scan: %d cells)", spent, cells)
 			}
 
-			// Overloaded: the warm shape is answered stale from the engine's
-			// result cache and a cold shape is shed. A cluster is no single
-			// engine, so it reports no scan load and is never overloaded.
+			// Shed by a gateway whose queue is full: the warm shape is
+			// answered stale from the engine's result cache and a cold shape
+			// is rejected; neither is debited. A cluster is no single engine
+			// and keeps no result cache (TestClusterShedIsRejected).
 			if !tc.cached {
 				return
 			}
-			tc.p.api.SetQueryBackend(overloaded{tc.p.f.Lake})
-			defer tc.p.api.SetQueryBackend(tc.p.f.Lake)
-			rec = get(url)
+			full := fullGateway(t, tc.p.api, tc.p.f.Obs, gateway.TenantConfig{
+				Name: "proj-t", RatePerSec: 1000, ScanCellsPerSec: 1, ScanBurst: burst,
+			})
+			shed := func(url string) *httptest.ResponseRecorder {
+				req := httptest.NewRequest(http.MethodGet, url, nil)
+				req.Header.Set("X-ODA-Tenant", "proj-t")
+				rec := httptest.NewRecorder()
+				full.ServeHTTP(rec, req)
+				return rec
+			}
+			rec = shed(url)
 			if rec.Code != 200 || rec.Header().Get("X-ODA-Stale") != "true" || rec.Body.String() != topNBody {
-				t.Fatalf("overloaded warm: status %d stale %q body %s", rec.Code, rec.Header().Get("X-ODA-Stale"), rec.Body)
+				t.Fatalf("shed warm: status %d stale %q body %s", rec.Code, rec.Header().Get("X-ODA-Stale"), rec.Body)
 			}
 			cold := tc.p.srv.URL + "/api/v1/lake/topn?metric=node_temp_c&n=5&from=" + t0.Format(time.RFC3339) + "&to=" + t0.Add(30*time.Second).Format(time.RFC3339)
-			rec = get(cold)
+			rec = shed(cold)
 			if rec.Code != http.StatusServiceUnavailable || rec.Header().Get("Retry-After") == "" || rec.Header().Get("X-ODA-Error") != "overloaded" {
-				t.Fatalf("overloaded cold: status %d Retry-After %q X-ODA-Error %q", rec.Code, rec.Header().Get("Retry-After"), rec.Header().Get("X-ODA-Error"))
+				t.Fatalf("shed cold: status %d Retry-After %q X-ODA-Error %q", rec.Code, rec.Header().Get("Retry-After"), rec.Header().Get("X-ODA-Error"))
 			}
-			if got := burst - budget(); got != spent {
-				t.Fatalf("shed requests were debited: budget down %v, was %v", got, spent)
+			if snap := full.Stats(); snap.Tenants[0].ScanBudget != burst {
+				t.Fatalf("shed requests were debited: scan budget %v, want %v", snap.Tenants[0].ScanBudget, float64(burst))
 			}
 		})
 	}

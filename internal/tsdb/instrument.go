@@ -104,7 +104,8 @@ func (db *DB) Instrument(reg *obs.Registry) {
 		emit(obs.Sample{Name: "oda_lake_segments", Kind: obs.KindGauge,
 			Help: "Live LAKE time-chunk segments.", Value: float64(st.Segments)})
 		emit(obs.Sample{Name: "oda_lake_scan_load", Kind: obs.KindGauge,
-			Help: "Scan-slot saturation in [0,1]; 1 sheds queries.", Value: db.ScanLoad()})
+			Help:  "Scan-helper slot occupancy in [0,1]: a bound on query fan-out, not admission.",
+			Value: float64(len(db.scanSlots)) / float64(cap(db.scanSlots))})
 		emit(obs.Sample{Name: "oda_tsdb_cold_index_bytes", Kind: obs.KindGauge,
 			Help: "Resident bytes of the parsed cold segment indexes queries keep.", Value: float64(db.ColdStats().IndexBytes)})
 		cs := db.CacheStats()

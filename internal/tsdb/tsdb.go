@@ -86,7 +86,7 @@ type DB struct {
 	batchCursor atomic.Uint32
 	// cache is the LRU query-result cache; nil when disabled.
 	cache *queryCache
-	// scanSlots admission-controls query fan-out: each in-flight scan
+	// scanSlots bounds query fan-out, never admission: each in-flight scan
 	// helper goroutine holds one slot, bounding the DB-wide total to
 	// shardCount no matter how many queries run concurrently. A query
 	// that finds the slots taken scans inline on its own goroutine —
@@ -293,19 +293,12 @@ func (db *DB) InsertBatch(obs []schema.Observation) error {
 	return nil
 }
 
-// ScanLoad reports query-engine saturation as the fraction of scan-slot
-// helpers currently in flight, in [0,1]. 1.0 means every helper slot is
-// taken and new queries are degrading toward serial scans — the signal
-// the HTTP API's load shedder watches.
-func (db *DB) ScanLoad() float64 {
-	return float64(len(db.scanSlots)) / float64(cap(db.scanSlots))
-}
-
 // ScanSlotCap reports the DB-wide scan-slot budget — the maximum number
-// of helper goroutines the query engine will ever run at once. The
-// serving gateway's priority admission control sizes its concurrency
-// window from this, so the number of admitted queries tracks what the
-// engine can actually fan out instead of an unrelated constant.
+// of helper goroutines the query engine will ever run at once. It bounds
+// fan-out, not admission: a query that finds every slot taken scans
+// inline on its own goroutine, never refused. The serving gateway may
+// size its admission window from it, so admitted queries track what the
+// engine can fan out instead of an unrelated constant.
 func (db *DB) ScanSlotCap() int { return cap(db.scanSlots) }
 
 // Retain drops segments whose chunk ended before cutoff and returns how

@@ -2,7 +2,7 @@ package oda_test
 
 // The repository's shape rules: one STREAM reader, one LAKE read path, one
 // serialized form for rollup cells (a CQ checkpoint's included), one grouping loop, one sort, one log,
-// one failure contract, one wait, one consumer loop, one entry point per operation, one cold
+// one failure contract, one wait, one consumer loop, one entry point per operation, one admission decision, one cold
 // scan, one parse per segment object, one filter test per series, one chunk decoder, one interner, one parameter reader, and a
 // series that is an integer. Each is a
 // structural fact a later change could quietly undo, so
@@ -444,15 +444,22 @@ func (j *Job) checkpoint() error { return af.WriteFile(path, data, 0o644) }`},
 	{
 		name: "one entry point: one seam per decision",
 		check: func(files []srcFile) []string {
-			out := forbid(decls(files, within("internal/httpapi")), "overload is the backend's ScanLoad; swap it with SetQueryBackend",
-				"func Server.SetOverloadCheck")
-			return append(out, forbid(decls(files, within("internal/resilience")), "the clock is SupervisorConfig.Clock",
-				"func Supervisor.SetClock")...)
+			return forbid(decls(files, within("internal/resilience")), "the clock is SupervisorConfig.Clock",
+				"func Supervisor.SetClock")
 		},
-		breaks: map[string]string{
-			"internal/httpapi/httpapi.go":       "package httpapi\nfunc (s *Server) SetOverloadCheck() {}",
-			"internal/resilience/supervisor.go": "package resilience\nfunc (s *Supervisor) SetClock() {}",
+		breaks: map[string]string{"internal/resilience/supervisor.go": "package resilience\nfunc (s *Supervisor) SetClock() {}"},
+	},
+	{
+		name: "one admission decision: httpapi reads no engine load",
+		check: func(files []srcFile) []string {
+			httpapi := within("internal/httpapi")
+			why := "overload is the gateway's full queue; httpapi answers what it marks shed (gateway.Shed)"
+			return append(forbid(idents(files, httpapi), why, "ScanLoad", "ScanSlotCap"),
+				forbid(decls(files, httpapi), why, "func Server.SetOverloadCheck")...)
 		},
+		breaks: map[string]string{"internal/httpapi/httpapi.go": `package httpapi
+type lakeEngine interface{ ScanLoad() float64 }
+func (s *Server) overloaded() bool { return s.f.Lake.ScanSlotCap() == 0 }`},
 	},
 	{
 		name: "one cold scan: tsdb folds cold rows from the scan's vectors",
