@@ -17,7 +17,8 @@ vet:
 # one sort, one log, one failure contract — internal/cluster keeps no
 # staged-batch fingerprint: a replica cuts what no quorum committed, so a
 # retry of Failed is just a publish — one wait, one consumer loop, one entry point per
-# operation, one cold scan, one parse per segment object — internal/tsdb
+# operation, one retry convention — no *resilience.Policy field in internal/ —
+# no knob nobody turns — the removed config fields stay deleted — one cold scan, one parse per segment object — internal/tsdb
 # never calls columnar.NewFileReader, it binds a segment's kept index —
 # one filter test per series — GroupTable.Fold never calls Match, it
 # folds through an admit vector — one chunk decoder, one interner, one

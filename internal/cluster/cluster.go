@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"odakit/internal/obs"
 	"odakit/internal/plane"
@@ -78,9 +77,6 @@ type Config struct {
 	// Retry shapes the replication/insert/query retry loops
 	// (resilience.Policy defaults apply).
 	Retry resilience.Policy
-	// Clock supplies timestamps for failover timing metrics (default
-	// time.Now); chaos tests inject a fake.
-	Clock func() time.Time
 	// WALDir, when non-empty, gives every node a persistent write-ahead
 	// log under WALDir/<node id>: leaders and followers append+fsync
 	// replicated records before acking, and Restart replays the local
@@ -102,9 +98,6 @@ func (c Config) withDefaults(nodes int) Config {
 	}
 	if c.Quorum <= 0 || c.Quorum > c.RF {
 		c.Quorum = c.RF
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
 	}
 	if c.WALSegmentBytes <= 0 {
 		c.WALSegmentBytes = wal.DefaultSegmentBytes

@@ -467,16 +467,12 @@ func (c *Cluster) resyncStripe(s int, src, tgt string) error {
 
 // RepairLoop runs Repair on a cadence under a resilience supervisor
 // until ctx ends — the background re-replication daemon. The supervisor
-// restarts the loop if a repair pass panics; its damping window uses the
-// cluster clock, so failover tests can fast-forward instead of sleeping.
+// restarts the loop if a repair pass panics.
 func (c *Cluster) RepairLoop(ctx context.Context, every time.Duration) error {
 	if every <= 0 {
 		every = time.Second
 	}
-	sup := resilience.NewSupervisor(resilience.SupervisorConfig{
-		Name:  "cluster-repair",
-		Clock: c.cfg.Clock,
-	})
+	sup := resilience.NewSupervisor(resilience.SupervisorConfig{Name: "cluster-repair"})
 	return sup.Run(ctx, func(ctx context.Context) error {
 		tick := time.NewTicker(every)
 		defer tick.Stop()

@@ -536,7 +536,7 @@ func TestWriteFrameMatchesWriteRowBytes(t *testing.T) {
 		{RowGroupRows: 64, Compression: CompressFlate, BloomColumns: []string{"dict", "plain"}},
 		{RowGroupRows: 50},
 		{RowGroupRows: 257, Compression: CompressFlate},
-		{RowGroupRows: 1, Compression: CompressFlate, FlateLevel: 1},
+		{RowGroupRows: 1, Compression: CompressFlate},
 		{},
 	} {
 		want := writeRows(t, f, opts)

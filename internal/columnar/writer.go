@@ -43,11 +43,9 @@ type WriterOptions struct {
 	// RowGroupRows flushes a row group after this many buffered rows.
 	// Defaults to 8192.
 	RowGroupRows int
-	// Compression is the column-chunk codec; defaults to CompressFlate.
+	// Compression is the column-chunk codec; the zero value is
+	// CompressNone. CompressFlate deflates at flate.DefaultCompression.
 	Compression Compression
-	// FlateLevel is the flate level when Compression is CompressFlate;
-	// defaults to flate.DefaultCompression.
-	FlateLevel int
 	// BloomColumns lists string columns that get a split-block bloom
 	// filter over their distinct non-null values in each row group,
 	// emitted as a group-ext block. Equality predicates on these columns
@@ -59,9 +57,6 @@ type WriterOptions struct {
 func (o WriterOptions) withDefaults() WriterOptions {
 	if o.RowGroupRows <= 0 {
 		o.RowGroupRows = 8192
-	}
-	if o.Compression == CompressFlate && o.FlateLevel == 0 {
-		o.FlateLevel = flate.DefaultCompression
 	}
 	return o
 }
@@ -189,7 +184,7 @@ func (w *Writer) flushLocked() error {
 		if comp == CompressFlate {
 			w.zb.Reset()
 			if w.zw == nil {
-				zw, err := flate.NewWriter(&w.zb, w.opts.FlateLevel)
+				zw, err := flate.NewWriter(&w.zb, flate.DefaultCompression)
 				if err != nil {
 					return fmt.Errorf("columnar: flate: %w", err)
 				}

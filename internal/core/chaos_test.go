@@ -12,6 +12,7 @@ import (
 
 	"odakit/internal/faults"
 	"odakit/internal/obs"
+	"odakit/internal/plane"
 	"odakit/internal/resilience"
 	"odakit/internal/schema"
 	"odakit/internal/sproc"
@@ -37,8 +38,8 @@ func chaosSeed() int64 {
 
 // chaosRetry is aggressive enough to mask long runs of bad luck at the
 // configured fault rates while keeping backoff in the microsecond range.
-func chaosRetry() *resilience.Policy {
-	return &resilience.Policy{
+func chaosRetry() resilience.Policy {
+	return resilience.Policy{
 		MaxAttempts: 15, BaseDelay: 100 * time.Microsecond, MaxDelay: 2 * time.Millisecond,
 	}
 }
@@ -100,7 +101,7 @@ func runChaosPipeline(t *testing.T, inj *faults.Injector, poison [][]byte) (pipe
 	for i, p := range poison {
 		part := i % TopicPartitions
 		var off int64
-		err := resilience.Retry(context.Background(), *chaosRetry(), func() error {
+		err := resilience.Retry(context.Background(), chaosRetry(), func() error {
 			var perr error
 			off, perr = f.Broker.PublishBatchTo(BronzeTopic(src), part, []stream.Message{{Value: p}})
 			return perr
@@ -146,7 +147,7 @@ func runChaosPipeline(t *testing.T, inj *faults.Injector, poison [][]byte) (pipe
 
 	// DLQ contents, read back for the caller to verify.
 	if len(poison) > 0 {
-		deads, err := sproc.ReadDeadLetters(context.Background(), f.Broker, BronzeTopic(src))
+		deads, err := plane.ReadDeadLetters(context.Background(), f.Broker, BronzeTopic(src))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -309,9 +310,9 @@ func TestChaosBreakerAndRestartDamping(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	start := time.Now()
+	f.Opts.RetryPolicy = resilience.Policy{MaxAttempts: 4, BaseDelay: 100 * time.Microsecond, MaxDelay: time.Millisecond}
 	err := f.RunSilverSupervised(ctx, SilverPipelineConfig{
 		Source: src,
-		Retry:  &resilience.Policy{MaxAttempts: 4, BaseDelay: 100 * time.Microsecond, MaxDelay: time.Millisecond},
 		Breaker: &resilience.BreakerConfig{
 			FailureThreshold: 2, Cooldown: time.Hour, // stays open for the test's lifetime
 		},

@@ -78,12 +78,13 @@ type Options struct {
 	// flushing to the STREAM and LAKE tiers in one batched call
 	// (default 512). 1 degenerates to per-record ingest.
 	IngestBatch int
-	// RetryPolicy shapes how facility pipelines retry transient
-	// infrastructure faults (publish, insert, fetch, ocean I/O). nil
-	// applies the resilience package defaults (5 attempts, jittered
-	// exponential backoff); without fault injection no error classifies
-	// transient, so this changes nothing on the happy path.
-	RetryPolicy *resilience.Policy
+	// RetryPolicy shapes how facility pipelines — the Silver job
+	// included — retry transient infrastructure faults (publish, insert,
+	// fetch, ocean I/O). The zero value applies the resilience defaults
+	// (5 attempts, jittered exponential backoff); without fault injection
+	// no error classifies transient, so this changes nothing on the happy
+	// path.
+	RetryPolicy resilience.Policy
 }
 
 func (o Options) withDefaults() Options {

@@ -110,9 +110,6 @@ type SilverPipelineConfig struct {
 	// breaker: a persistently failing append trips it instead of being
 	// re-hammered on every window.
 	Breaker *resilience.BreakerConfig
-	// Retry overrides the facility retry policy for this job's poll and
-	// sink calls.
-	Retry *resilience.Policy
 }
 
 // NewSilverJob builds (without running) the streaming Bronze→Silver job
@@ -123,15 +120,10 @@ type SilverPipelineConfig struct {
 // a circuit breaker. It reads the bronze topic of whichever plane the
 // facility is attached to.
 func (f *Facility) NewSilverJob(cfg SilverPipelineConfig) (*sproc.Job, error) {
-	retry := cfg.Retry
-	if retry == nil {
-		p := f.retryPolicy()
-		retry = &p
-	}
 	job, err := sproc.NewJob(f.stream, sproc.JobConfig{
 		Name: "silver-" + string(cfg.Source), Topic: BronzeTopic(cfg.Source),
 		InputSchema: schema.ObservationSchema, CheckpointDir: cfg.CheckpointDir,
-		Retry: retry, Breaker: cfg.Breaker,
+		Retry: f.Opts.RetryPolicy, Breaker: cfg.Breaker,
 		Instr: f.silverInstr,
 	})
 	if err != nil {

@@ -23,19 +23,10 @@ import (
 // sampled trace, and annotates it with every retry consumed — the
 // per-stage latency and retry story a dumped trace tells.
 
-// retryPolicy resolves the facility's retry policy (Options.RetryPolicy,
-// or the resilience defaults).
-func (f *Facility) retryPolicy() resilience.Policy {
-	if f.Opts.RetryPolicy != nil {
-		return *f.Opts.RetryPolicy
-	}
-	return resilience.Policy{}
-}
-
 // retry runs fn under the facility retry policy, counting consumed
 // retries in the facility registry and annotating any sampled span.
 func (f *Facility) retry(ctx context.Context, op string, fn func() error) error {
-	p := f.retryPolicy()
+	p := f.Opts.RetryPolicy
 	user := p.OnRetry
 	sp := obs.SpanFromContext(ctx)
 	p.OnRetry = func(attempt int, err error, delay time.Duration) {

@@ -24,12 +24,14 @@ import (
 // carries the format version, the spec, offsets, watermark, counters and
 // alert state. A registered spec's floats are finite (Spec.validate), so
 // JSON round-trips them exactly; float bits (uint64) remain only for the
-// data-derived alert state, which may be NaN or ±Inf — json.Marshal
+// data-derived alert state — detector state, history and each retained
+// alert's value and score — which may be NaN or ±Inf: json.Marshal
 // rejects those outright.
 
-// ckptFormat is the checkpoint format this build writes and reads. The
-// format before it (no version field) stored cells as JSON.
-const ckptFormat = 2
+// ckptFormat is the checkpoint format this build writes and reads. Format
+// 2 stored a retained alert's value and score as JSON numbers; the format
+// before it (no version field) stored cells as JSON.
+const ckptFormat = 3
 
 // ckptSlice is one (topic, partition) slice of a view's cells.
 type ckptSlice struct {
@@ -44,10 +46,18 @@ type ckptGroupScore struct {
 	Hist []uint64                `json:"hist,omitempty"` // float bits
 }
 
+// ckptAlert is one retained alert with its value and score as float
+// bits; they shadow the embedded Alert's fields of the same JSON name.
+type ckptAlert struct {
+	Alert
+	Value uint64 `json:"value"`
+	Score uint64 `json:"score"`
+}
+
 type ckptAlerts struct {
 	Scored int64            `json:"scored"`
 	Groups []ckptGroupScore `json:"groups,omitempty"`
-	Ring   []Alert          `json:"ring,omitempty"`
+	Ring   []ckptAlert      `json:"ring,omitempty"`
 	Total  int64            `json:"total"`
 }
 
@@ -64,7 +74,6 @@ type ckptView struct {
 
 type ckptFile struct {
 	Format  int                `json:"format"`
-	Name    string             `json:"name"`
 	Offsets map[string][]int64 `json:"offsets"` // topic -> per-partition cursors
 	Views   []ckptView         `json:"views"`
 }
@@ -121,7 +130,10 @@ func (v *View) snapshot() ckptView {
 func (a *alertState) snapshot() *ckptAlerts {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	ca := &ckptAlerts{Scored: a.scored, Total: a.total, Ring: append([]Alert(nil), a.ring...)}
+	ca := &ckptAlerts{Scored: a.scored, Total: a.total}
+	for _, al := range a.ring {
+		ca.Ring = append(ca.Ring, ckptAlert{Alert: al, Value: math.Float64bits(al.Value), Score: math.Float64bits(al.Score)})
+	}
 	dimKeys := make([][4]string, 0, len(a.groups))
 	for d := range a.groups {
 		dimKeys = append(dimKeys, d)
@@ -187,7 +199,12 @@ func (a *alertState) restore(ca *ckptAlerts) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.scored, a.total = ca.Scored, ca.Total
-	a.ring = append(a.ring[:0], ca.Ring...)
+	a.ring = a.ring[:0]
+	for _, c := range ca.Ring {
+		al := c.Alert
+		al.Value, al.Score = math.Float64frombits(c.Value), math.Float64frombits(c.Score)
+		a.ring = append(a.ring, al)
+	}
 	clear(a.groups)
 	for _, cg := range ca.Groups {
 		var d [4]string

@@ -2,6 +2,8 @@ package cq
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"testing"
 	"time"
 
@@ -53,4 +55,54 @@ func BenchmarkPumpCheckpoint(b *testing.B) {
 		size = len(data)
 	}
 	b.ReportMetric(float64(size), "B/ckpt")
+}
+
+// TestNonFiniteAlertCheckpoints: a closed bucket whose value is +Inf
+// fires an Above alert, and a checkpoint that retains it still encodes,
+// and restores the alert with its value exactly.
+func TestNonFiniteAlertCheckpoints(t *testing.T) {
+	broker := stream.NewBroker()
+	defer broker.Close()
+	if err := broker.CreateTopic("bronze.alpha", stream.TopicConfig{Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	above := 100.0
+	spec := Spec{Window: 2 * time.Minute, GroupBy: []string{tsdb.DimComponent}, Alert: &AlertSpec{Above: &above}}
+	eng := testEngine()
+	v, err := eng.Register(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.Apply("bronze.alpha", 0, []schema.Observation{
+		obsAt(unitT0, "n1", "cpu", math.Inf(1)),
+		obsAt(unitT0.Add(time.Minute), "n1", "cpu", 50), // the watermark passes the +Inf bucket
+	})
+	want := v.Alerts()
+	if len(want) != 1 || !math.IsInf(want[0].Value, 1) {
+		t.Fatalf("alerts %+v, want the one +Inf alert", want)
+	}
+	cfg := PumpConfig{Topics: []string{"bronze.alpha"}}
+	pump, err := NewPumpSource(eng, broker, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := pump.Snapshot(map[string][]int64{"bronze.alpha": {0}})
+	if err != nil {
+		t.Fatalf("checkpoint retaining a +Inf alert: %v", err)
+	}
+	eng2 := testEngine()
+	pump2, err := NewPumpSource(eng2, broker, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pump2.Restore(data); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	v2, ok := eng2.Get(v.ID)
+	if !ok {
+		t.Fatal("restore did not register the view")
+	}
+	if got := v2.Alerts(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored alerts %+v, want %+v", got, want)
+	}
 }

@@ -15,22 +15,17 @@ import (
 
 // PumpConfig wires a Pump to its source.
 type PumpConfig struct {
-	// Name names the checkpoint file (default "cq").
-	Name string
 	// Topics are the bronze topics to drain. Fold order is topic-name
 	// ascending, matching ReplayBronzeToLake's replay order.
 	Topics []string
 	// BatchSize caps records per poll (default 512).
 	BatchSize int
 	// CheckpointDir enables crash consistency; "" disables it. The pump
-	// checkpoints after every pass that read records.
+	// checkpoints to cq.ckpt.json there after every pass that read records.
 	CheckpointDir string
 }
 
 func (c PumpConfig) withDefaults() PumpConfig {
-	if c.Name == "" {
-		c.Name = "cq"
-	}
 	if c.BatchSize <= 0 {
 		c.BatchSize = 512
 	}
@@ -51,7 +46,6 @@ type PumpMetrics = plane.LoopStats
 type Pump struct {
 	*plane.Loop
 	engine  *Engine
-	name    string
 	path    string // the checkpoint file; "" without one
 	scratch []schema.Observation
 }
@@ -72,14 +66,14 @@ func NewPumpSource(engine *Engine, src plane.Stream, cfg PumpConfig) (*Pump, err
 	if len(cfg.Topics) == 0 {
 		return nil, fmt.Errorf("cq: pump needs at least one topic")
 	}
-	p := &Pump{engine: engine, name: cfg.Name}
+	p := &Pump{engine: engine}
 	lcfg := plane.LoopConfig{
-		Consumer: "cq pump " + cfg.Name, Topics: cfg.Topics, Schema: schema.ObservationSchema,
+		Consumer: "cq pump cq", Topics: cfg.Topics, Schema: schema.ObservationSchema,
 		BatchSize: cfg.BatchSize, Retry: skipBackoff,
 		DeadLetters: engine.mDeadLetters, Checkpoints: engine.mCheckpoints,
 	}
 	if cfg.CheckpointDir != "" {
-		lcfg.Checkpoint = filepath.Join(cfg.CheckpointDir, cfg.Name+".ckpt.json")
+		lcfg.Checkpoint = filepath.Join(cfg.CheckpointDir, "cq.ckpt.json")
 		p.path = lcfg.Checkpoint
 	}
 	var err error
@@ -110,7 +104,7 @@ func (p *Pump) Flush(context.Context, bool) error { return nil }
 
 // Snapshot serializes the offsets and every view's state (plane.Operator).
 func (p *Pump) Snapshot(offsets map[string][]int64) ([]byte, error) {
-	ck := ckptFile{Format: ckptFormat, Name: p.name, Offsets: offsets}
+	ck := ckptFile{Format: ckptFormat, Offsets: offsets}
 	for _, v := range p.engine.Views() {
 		ck.Views = append(ck.Views, v.snapshot())
 	}

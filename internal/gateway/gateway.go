@@ -48,10 +48,9 @@ type TenantConfig struct {
 	// (default: RatePerSec rounded up, minimum 1).
 	RatePerSec float64
 	Burst      float64
-	// ScanCellsPerSec sustains the scan-cost budget; ScanBurst caps it
-	// (default: 10 seconds of budget). Zero disables scan metering.
+	// ScanCellsPerSec sustains the scan-cost budget, which holds at
+	// most 10 seconds of it. Zero disables scan metering.
 	ScanCellsPerSec float64
-	ScanBurst       float64
 	// APIKeys are bearer credentials resolving to this tenant. The
 	// tenant name itself works via the X-ODA-Tenant header.
 	APIKeys []string
@@ -60,9 +59,6 @@ type TenantConfig struct {
 func (c TenantConfig) withDefaults() TenantConfig {
 	if c.Burst <= 0 {
 		c.Burst = math.Max(1, math.Ceil(c.RatePerSec))
-	}
-	if c.ScanBurst <= 0 {
-		c.ScanBurst = 10 * c.ScanCellsPerSec
 	}
 	return c
 }
@@ -190,7 +186,7 @@ func (g *Gateway) RegisterTenant(cfg TenantConfig) error {
 		reqs: newBucket(cfg.RatePerSec, cfg.Burst, g.opts.Now),
 	}
 	if cfg.ScanCellsPerSec > 0 {
-		t.scan = newBucket(cfg.ScanCellsPerSec, cfg.ScanBurst, g.opts.Now)
+		t.scan = newBucket(cfg.ScanCellsPerSec, 10*cfg.ScanCellsPerSec, g.opts.Now)
 	}
 	if reg := g.opts.Registry; reg != nil {
 		t.mRequests = reg.Counter("oda_gateway_requests_total"+obs.Labels("tenant", cfg.Name),

@@ -112,7 +112,7 @@ func TestScanBudgetDebit(t *testing.T) {
 	clk := newFakeClock()
 	g := New(stubHandler(5000), Options{Now: clk.now})
 	err := g.RegisterTenant(TenantConfig{
-		Name: "proj-b", RatePerSec: 100, ScanCellsPerSec: 100, ScanBurst: 1000,
+		Name: "proj-b", RatePerSec: 100, ScanCellsPerSec: 100,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -58,9 +58,9 @@ func TestStreamingDebitUsesCommittedHeader(t *testing.T) {
 		{"header after first flush is lost, not debited", false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			g := New(flushingHandler(tc.setEarly, 5000), Options{})
+			g := New(flushingHandler(tc.setEarly, 5000), Options{Now: newFakeClock().now}) // no refill
 			if err := g.RegisterTenant(TenantConfig{
-				Name: "proj-s", RatePerSec: 100, ScanCellsPerSec: 1, ScanBurst: burst,
+				Name: "proj-s", RatePerSec: 100, ScanCellsPerSec: burst / 10,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -91,7 +91,7 @@ func TestCQReadsBypassScanBudget(t *testing.T) {
 	}))
 	g := New(mux, Options{})
 	if err := g.RegisterTenant(TenantConfig{
-		Name: "proj-c", RatePerSec: 100, ScanCellsPerSec: 1, ScanBurst: 100,
+		Name: "proj-c", RatePerSec: 100, ScanCellsPerSec: 10,
 	}); err != nil {
 		t.Fatal(err)
 	}

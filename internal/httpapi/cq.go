@@ -163,11 +163,11 @@ func (s *Server) cqRegister(w http.ResponseWriter, r *http.Request) {
 		s.badRequest(w, err.Error())
 		return
 	}
-	writeJSON(w, http.StatusOK, viewInfo(v))
+	s.writeJSON(w, http.StatusOK, viewInfo(v))
 }
 
 func (s *Server) cqList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.f.CQ.Stats())
+	s.writeJSON(w, http.StatusOK, s.f.CQ.Stats())
 }
 
 // cqView resolves {id} or answers 404.
@@ -201,15 +201,15 @@ func writeCQHeaders(w http.ResponseWriter, info cq.WindowInfo) {
 
 // writeCQWindow answers with the view's current window: read, position
 // headers, points — the tail of a plain read and of a long-poll.
-func writeCQWindow(w http.ResponseWriter, v *cq.View) {
+func (s *Server) writeCQWindow(w http.ResponseWriter, v *cq.View) {
 	frame, info := v.Read()
 	writeCQHeaders(w, info)
-	writeJSON(w, http.StatusOK, framePoints(frame, v.Spec.GroupBy))
+	s.writeJSON(w, http.StatusOK, framePoints(frame, v.Spec.GroupBy))
 }
 
 func (s *Server) cqRead(w http.ResponseWriter, r *http.Request) {
 	if v, ok := s.cqView(w, r); ok {
-		writeCQWindow(w, v)
+		s.writeCQWindow(w, v)
 	}
 }
 
@@ -222,7 +222,7 @@ func (s *Server) cqAlerts(w http.ResponseWriter, r *http.Request) {
 	if alerts == nil {
 		alerts = []cq.Alert{}
 	}
-	writeJSON(w, http.StatusOK, alerts)
+	s.writeJSON(w, http.StatusOK, alerts)
 }
 
 func (s *Server) cqUnregister(w http.ResponseWriter, r *http.Request) {
@@ -231,7 +231,7 @@ func (s *Server) cqUnregister(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusNotFound, "not-found", "no such continuous query "+id)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"deleted": true})
+	s.writeJSON(w, http.StatusOK, map[string]bool{"deleted": true})
 }
 
 // cqUpdate is one watch notification: the view position plus the full
@@ -390,5 +390,5 @@ func (s *Server) cqLongPoll(w http.ResponseWriter, r *http.Request, v *cq.View) 
 		}
 	}
 answer:
-	writeCQWindow(w, v)
+	s.writeCQWindow(w, v)
 }

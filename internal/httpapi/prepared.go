@@ -114,7 +114,7 @@ func (s *Server) prepare(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	handle := s.prepared.put(query)
-	writeJSON(w, http.StatusOK, preparedInfo{
+	s.writeJSON(w, http.StatusOK, preparedInfo{
 		Handle: handle, DefaultFrom: query.From, DefaultTo: query.To,
 	})
 }

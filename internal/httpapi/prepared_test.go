@@ -148,7 +148,8 @@ func TestPrepareValidates(t *testing.T) {
 func TestStreamPointsFlushes(t *testing.T) {
 	points := make([]seriesPoint, streamFlushEvery*2+7)
 	for i := range points {
-		points[i] = seriesPoint{Ts: t0.Add(time.Duration(i) * time.Second), Value: float64(i) / 3}
+		v := float64(i) / 3
+		points[i] = seriesPoint{Ts: t0.Add(time.Duration(i) * time.Second), Value: &v}
 	}
 	rec := httptest.NewRecorder()
 	streamPoints(rec, points)

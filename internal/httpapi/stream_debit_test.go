@@ -40,9 +40,10 @@ func TestPreparedStreamOver256PointsDebits(t *testing.T) {
 		t.Fatal(err)
 	}
 	const burst = 1e9
-	g := gateway.New(New(f), gateway.Options{Registry: f.Obs})
+	frozen := time.Now() // no refill: the budget moves by debits only
+	g := gateway.New(New(f), gateway.Options{Registry: f.Obs, Now: func() time.Time { return frozen }})
 	if err := g.RegisterTenant(gateway.TenantConfig{
-		Name: "proj-s", RatePerSec: 100, ScanCellsPerSec: 1, ScanBurst: burst,
+		Name: "proj-s", RatePerSec: 100, ScanCellsPerSec: burst / 10,
 	}); err != nil {
 		t.Fatal(err)
 	}

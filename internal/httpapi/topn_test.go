@@ -37,7 +37,7 @@ func TestTopNIsAQuery(t *testing.T) {
 			frozen := time.Now() // no refill: the budget moves by debits only
 			g := gateway.New(tc.p.api, gateway.Options{Registry: tc.p.f.Obs, Now: func() time.Time { return frozen }})
 			if err := g.RegisterTenant(gateway.TenantConfig{
-				Name: "proj-t", RatePerSec: 1000, ScanCellsPerSec: 1, ScanBurst: burst,
+				Name: "proj-t", RatePerSec: 1000, ScanCellsPerSec: burst / 10,
 			}); err != nil {
 				t.Fatal(err)
 			}
@@ -107,7 +107,7 @@ func TestTopNIsAQuery(t *testing.T) {
 				return
 			}
 			full := fullGateway(t, tc.p.api, tc.p.f.Obs, gateway.TenantConfig{
-				Name: "proj-t", RatePerSec: 1000, ScanCellsPerSec: 1, ScanBurst: burst,
+				Name: "proj-t", RatePerSec: 1000, ScanCellsPerSec: burst / 10,
 			})
 			shed := func(url string) *httptest.ResponseRecorder {
 				req := httptest.NewRequest(http.MethodGet, url, nil)

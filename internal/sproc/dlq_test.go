@@ -9,7 +9,6 @@ import (
 
 	"odakit/internal/cluster"
 	"odakit/internal/plane"
-	"odakit/internal/sproc"
 	"odakit/internal/stream"
 )
 
@@ -36,7 +35,7 @@ func TestReadDeadLettersOnTrimmedDLQ(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			s := open(t)
 			const topic = "bronze"
-			if got, err := sproc.ReadDeadLetters(context.Background(), s, topic); err != nil || len(got) != 0 {
+			if got, err := plane.ReadDeadLetters(context.Background(), s, topic); err != nil || len(got) != 0 {
 				t.Fatalf("no DLQ yet: %d records, err %v", len(got), err)
 			}
 			if err := s.EnsureTopic(plane.DLQTopic(topic), stream.TopicConfig{Partitions: 1, RetentionBytes: 4 << 10}); err != nil {
@@ -59,7 +58,7 @@ func TestReadDeadLettersOnTrimmedDLQ(t *testing.T) {
 			if err != nil || oldest == 0 {
 				t.Fatalf("retention did not trim the DLQ head (oldest %d, err %v)", oldest, err)
 			}
-			got, err := sproc.ReadDeadLetters(context.Background(), s, topic)
+			got, err := plane.ReadDeadLetters(context.Background(), s, topic)
 			if err != nil {
 				t.Fatalf("read of a trimmed DLQ: %v", err)
 			}
@@ -107,7 +106,7 @@ func TestDeadLetterTopicIsBounded(t *testing.T) {
 		t.Fatalf("the DLQ holds %d bytes from offset %d after %d MiB of dead letters, want at most %d and a trimmed head",
 			st.Bytes, st.OldestOffsets[0], st.TotalBytes>>20, plane.DLQRetentionBytes)
 	}
-	got, err := sproc.ReadDeadLetters(context.Background(), b, topic)
+	got, err := plane.ReadDeadLetters(context.Background(), b, topic)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,16 +24,13 @@ type JobConfig struct {
 	Topic string
 	// InputSchema decodes record payloads (schema.EncodeRow bytes).
 	InputSchema *schema.Schema
-	// BatchSize caps the records a micro-batch takes from each partition
-	// (default 4096).
-	BatchSize int
 	// CheckpointDir enables recovery when non-empty: offsets, watermark,
 	// and open-window state persist there after every sunk batch.
 	CheckpointDir string
-	// Retry, when non-nil, retries transient poll, sink, and dead-letter
-	// failures under this policy (jittered exponential backoff, per-call
-	// budget). nil keeps the historical single-attempt behavior.
-	Retry *resilience.Policy
+	// Retry retries transient poll, sink, and dead-letter failures
+	// (jittered exponential backoff, per-call budget); the zero value
+	// applies the resilience defaults, resilience.NoRetry makes one attempt.
+	Retry resilience.Policy
 	// Breaker, when non-nil, runs the sink through a circuit breaker: a
 	// persistently failing sink trips it, and subsequent batches fail
 	// fast with a transient error instead of hammering the sink.
@@ -139,13 +136,6 @@ func NewJob(s plane.Stream, cfg JobConfig) (*Job, error) {
 	if cfg.InputSchema == nil {
 		return nil, fmt.Errorf("%w: job needs an input schema", ErrPlan)
 	}
-	if cfg.BatchSize <= 0 {
-		cfg.BatchSize = 4096
-	}
-	if cfg.Retry == nil {
-		once := resilience.NoRetry
-		cfg.Retry = &once
-	}
 	if cfg.Instr == nil {
 		cfg.Instr = NewInstruments(nil) // every instrument nil: each add a no-op
 	}
@@ -213,12 +203,6 @@ func (j *Job) Metrics() Metrics {
 	return m
 }
 
-// ReadDeadLetters returns the poison records a job reading topic has
-// quarantined and the topic's DLQ still retains (plane.ReadDeadLetters).
-func ReadDeadLetters(ctx context.Context, s plane.Stream, topic string) ([]plane.DeadRecord, error) {
-	return plane.ReadDeadLetters(ctx, s, topic)
-}
-
 // Breaker returns the job's sink circuit breaker, or nil when none is
 // configured.
 func (j *Job) Breaker() *resilience.Breaker { return j.breaker }
@@ -268,7 +252,7 @@ func (j *Job) start() error {
 	}
 	cfg := plane.LoopConfig{
 		Consumer: "sproc job " + j.cfg.Name, Topics: []string{j.cfg.Topic}, Schema: j.cfg.InputSchema,
-		BatchSize: j.cfg.BatchSize, Retry: *j.cfg.Retry, Deadline: func() time.Time { return j.idleAt },
+		BatchSize: jobBatchSize, Retry: j.cfg.Retry, Deadline: func() time.Time { return j.idleAt },
 		DeadLetters: j.cfg.Instr.DeadLettered, Retries: j.cfg.Instr.Retries,
 	}
 	if j.cfg.CheckpointDir != "" {
@@ -402,6 +386,9 @@ func (j *Job) foldLocked(row schema.Row) {
 		t.at(row).fold(row, j.plan.aggIdx)
 	}
 }
+
+// jobBatchSize caps the records a micro-batch takes from each partition.
+const jobBatchSize = 4096
 
 // partitionIdleTimeout is how long after start a partition may carry no
 // data before it is excluded from the watermark minimum, so a partition

@@ -421,7 +421,7 @@ func BenchmarkWindowedThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		j, _ := NewJob(bk, JobConfig{
 			Name: fmt.Sprintf("bench%d", i), Topic: "bronze",
-			InputSchema: schema.ObservationSchema, BatchSize: 8192,
+			InputSchema: schema.ObservationSchema,
 		})
 		j.Window(WindowSpec{
 			TimeCol: "ts", Window: 15 * time.Second,
@@ -531,7 +531,7 @@ func TestCancelMidPassLosesNothing(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	cfg := JobConfig{Name: "stop", Topic: "bronze", InputSchema: schema.ObservationSchema, CheckpointDir: dir,
-		Retry: &resilience.Policy{BaseDelay: time.Minute, MaxDelay: time.Minute,
+		Retry: resilience.Policy{BaseDelay: time.Minute, MaxDelay: time.Minute,
 			OnRetry: func(int, error, time.Duration) { cancel() }}}
 	var sink1, sink2 collectSink
 	j1, err := NewJob(src, cfg)
@@ -546,7 +546,7 @@ func TestCancelMidPassLosesNothing(t *testing.T) {
 	}
 
 	src.down = false
-	cfg.Retry = nil
+	cfg.Retry = resilience.NoRetry
 	j2, err := NewJob(src, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -299,7 +299,7 @@ func TestGlacierRecallFlow(t *testing.T) {
 	twin := New(tierOptions())
 	seedTier(db)
 	seedTier(twin)
-	attachTier(t, db, store, ColdTierConfig{Prefix: "lake/", Glacier: glacier, Now: clock})
+	attachTier(t, db, store, ColdTierConfig{Prefix: "lake/", Glacier: glacier})
 	if _, err := db.Offload(base.Add(time.Hour)); err != nil {
 		t.Fatal(err)
 	}
@@ -326,8 +326,8 @@ func TestGlacierRecallFlow(t *testing.T) {
 	if st.GlacierSegments != 1 || st.GlacierRecalls != 1 || st.GlacierPending != 1 {
 		t.Fatalf("first touch: %+v, want one pending recall", st)
 	}
-	if st.RecallWait <= 0 {
-		t.Fatalf("recall wait not surfaced: %v", st.RecallWait)
+	if st.RecallWait != glacier.RecallLatency {
+		t.Fatalf("recall wait %v, want the archive's %v", st.RecallWait, glacier.RecallLatency)
 	}
 	full, err := twin.RunSerial(q)
 	if err != nil {
@@ -336,7 +336,9 @@ func TestGlacierRecallFlow(t *testing.T) {
 	if partial.Equal(full) {
 		t.Fatal("answer with a glacier-pending segment should be partial")
 	}
-	// Mid-recall: observed, not re-issued, never cached.
+	// Mid-recall: observed, not re-issued, never cached; the wait is
+	// counted on the archive's clock.
+	advance(time.Hour)
 	_, st, err = db.RunWithStats(q)
 	if err != nil {
 		t.Fatal(err)
@@ -344,8 +346,8 @@ func TestGlacierRecallFlow(t *testing.T) {
 	if st.CacheHit {
 		t.Fatal("partial (glacier-pending) answer was cached")
 	}
-	if st.GlacierRecalls != 0 || st.GlacierPending != 1 {
-		t.Fatalf("mid-recall: %+v, want pending without a new recall", st)
+	if st.GlacierRecalls != 0 || st.GlacierPending != 1 || st.RecallWait != glacier.RecallLatency-time.Hour {
+		t.Fatalf("mid-recall: %+v, want pending without a new recall, %v to wait", st, glacier.RecallLatency-time.Hour)
 	}
 	// Recall completes: the same query is whole again.
 	advance(glacier.RecallLatency + time.Minute)

@@ -203,7 +203,8 @@ func NewHTTPHandler(f *Facility) http.Handler { return httpapi.New(f) }
 // breakers, supervised pipelines, and the deterministic fault injector.
 type (
 	// RetryPolicy shapes retries of transient infrastructure faults
-	// (Options.RetryPolicy, SilverPipelineConfig.Retry).
+	// (Options.RetryPolicy, the one policy of every facility pipeline;
+	// the zero value applies the defaults).
 	RetryPolicy = resilience.Policy
 	// BreakerConfig tunes a sink circuit breaker
 	// (SilverPipelineConfig.Breaker).

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"os/exec"
 	"testing"
 	"time"
 
@@ -192,5 +194,17 @@ func TestPublicAPIHTTPHandler(t *testing.T) {
 	}
 	if h["status"] != "ok" {
 		t.Fatalf("health = %v", h)
+	}
+}
+
+// TestBenchmarkModuleBuilds vets the benchmark module, which the root
+// `go build/vet/test ./...` never compile: an internal API it calls that
+// changes under it fails here, not in the benchmark's own run.
+func TestBenchmarkModuleBuilds(t *testing.T) {
+	cmd := exec.Command("go", "vet", "./...")
+	cmd.Dir = "benchmark"
+	cmd.Env = append(os.Environ(), "GOPROXY=off")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("go vet ./... in benchmark/: %v\n%s", err, out)
 	}
 }

@@ -1,13 +1,15 @@
 package oda_test
 
 // The repository's shape rules: one STREAM reader, one LAKE read path, one
-// serialized form for rollup cells (a CQ checkpoint's included), one grouping loop, one sort, one log,
-// one failure contract, one wait, one consumer loop, one entry point per operation, one admission decision, one cold
-// scan, one parse per segment object, one filter test per series, one chunk decoder, one interner, one parameter reader, and a
-// series that is an integer. Each is a
-// structural fact a later change could quietly undo, so
-// each is checked over the parsed non-test sources on every `go test
-// ./...`, and each is shown to fire on a synthetic source that breaks it.
+// serialized form for rollup cells (a CQ checkpoint's included), one
+// grouping loop, one sort, one log, one failure contract, one wait, one
+// consumer loop, one entry point per operation, one retry convention, no
+// knob nobody turns, one admission decision, one cold scan, one parse per
+// segment object, one filter test per series, one chunk decoder, one
+// interner, one parameter reader, and a series that is an integer. Each
+// is a structural fact a later change could quietly undo, so each is
+// checked over the parsed non-test sources on every `go test ./...`, and
+// each is shown to fire on a synthetic source that breaks it.
 
 import (
 	"fmt"
@@ -450,6 +452,53 @@ func (j *Job) checkpoint() error { return af.WriteFile(path, data, 0o644) }`},
 		breaks: map[string]string{"internal/resilience/supervisor.go": "package resilience\nfunc (s *Supervisor) SetClock() {}"},
 	},
 	{
+		name: "one retry convention: no *resilience.Policy field in internal/",
+		check: func(files []srcFile) (out []string) {
+			inspect(files, within("internal"), func(s srcFile, n ast.Node) {
+				st, ok := n.(*ast.StructType)
+				if !ok {
+					return
+				}
+				for _, fl := range st.Fields.List {
+					star, ok := fl.Type.(*ast.StarExpr)
+					if !ok {
+						continue
+					}
+					name, ok := pkgRef(s.f, star.X, "odakit/internal/resilience")
+					if !ok && within("internal/resilience")(s) {
+						name = lastName(star.X)
+					}
+					if name == "Policy" {
+						out = append(out, fmt.Sprintf("%s: field %v is a *resilience.Policy: hold a Policy value, the zero value means the defaults",
+							s.path, fl.Names))
+					}
+				}
+			})
+			return out
+		},
+		breaks: map[string]string{"internal/sproc/job.go": `package sproc
+import "odakit/internal/resilience"
+type JobConfig struct{ Retry *resilience.Policy }`},
+	},
+	{
+		name: "no knob nobody turns: the removed config fields stay deleted",
+		check: func(files []srcFile) (out []string) {
+			for _, k := range removedKnobs {
+				out = append(out, forbid(decls(files, within(k[0])), "nothing set it, or it took one value", k[1])...)
+			}
+			return out
+		},
+		breaks: map[string]string{
+			"internal/cluster/cluster.go": "package cluster\ntype Config struct{ Clock func() time.Time }",
+			"internal/cq/pump.go":         "package cq\ntype PumpConfig struct{ Name string }",
+			"internal/columnar/writer.go": "package columnar\ntype WriterOptions struct{ FlateLevel int }",
+			"internal/sproc/job.go":       "package sproc\ntype JobConfig struct{ BatchSize int }",
+			"internal/gateway/gateway.go": "package gateway\ntype TenantConfig struct{ ScanBurst float64 }",
+			"internal/core/pipeline.go":   "package core\ntype SilverPipelineConfig struct{ Retry *resilience.Policy }",
+			"internal/tsdb/tier.go":       "package tsdb\ntype ColdTierConfig struct{ Now func() time.Time }",
+		},
+	},
+	{
 		name: "one admission decision: httpapi reads no engine load",
 		check: func(files []srcFile) []string {
 			httpapi := within("internal/httpapi")
@@ -679,6 +728,18 @@ func apply(o *Obs) { _ = tsdb.Key{Ts: o.Ts, Component: o.Component, Metric: o.Me
 func insert(o *Obs) { _ = Key{Ts: o.Ts, System: o.System} }`,
 		},
 	},
+}
+
+// removedKnobs are config fields, by package directory, that nothing set
+// or that only ever took one value.
+var removedKnobs = [][2]string{
+	{"internal/cluster", "Config.Clock"},
+	{"internal/cq", "PumpConfig.Name"},
+	{"internal/columnar", "WriterOptions.FlateLevel"},
+	{"internal/sproc", "JobConfig.BatchSize"},
+	{"internal/gateway", "TenantConfig.ScanBurst"},
+	{"internal/core", "SilverPipelineConfig.Retry"},
+	{"internal/tsdb", "ColdTierConfig.Now"},
 }
 
 // integerTypes are the field types a pointer-free, fixed-width key may use.
