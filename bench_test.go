@@ -1309,12 +1309,12 @@ func BenchmarkAblation_TierPlacement(b *testing.B) {
 		hot = time.Since(s)
 	}
 	b.StopTimer()
-	ready, err := glacier.Recall("bronze/cold.ocf")
+	rs, err := glacier.Recall("bronze/cold.ocf")
 	if err != nil {
 		b.Fatal(err)
 	}
-	coldLatency := ready.Sub(clock)
-	clock = ready
+	coldLatency := rs.Wait
+	clock = clock.Add(rs.Wait)
 	if _, err := glacier.Read("bronze/cold.ocf"); err != nil {
 		b.Fatal(err)
 	}

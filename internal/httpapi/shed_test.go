@@ -46,17 +46,20 @@ func shedServer(t *testing.T) (*httptest.Server, *Server, *core.Facility) {
 // fullGateway fronts h with a gateway whose admission queue is held full
 // until the test ends: one slot, one waiter, a request of tenant's parked
 // in the handler holding the slot and a second queued behind it. Every
-// heavy request it serves is shed. The gateway's metrics land in reg.
+// heavy request it serves is shed. Its clock is frozen, so no token
+// bucket refills and a debit stays visible. The gateway's metrics land
+// in reg.
 func fullGateway(t *testing.T, h http.Handler, reg *obs.Registry, tenant gateway.TenantConfig) *gateway.Gateway {
 	t.Helper()
 	hold := make(chan struct{})
+	frozen := time.Now()
 	g := gateway.New(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/api/v1/lake/hold" && !gateway.Shed(r.Context()) {
 			<-hold
 			return
 		}
 		h.ServeHTTP(w, r)
-	}), gateway.Options{Registry: reg, Slots: 1, MaxQueue: 1})
+	}), gateway.Options{Registry: reg, Slots: 1, MaxQueue: 1, Now: func() time.Time { return frozen }})
 	if err := g.RegisterTenant(tenant); err != nil {
 		t.Fatal(err)
 	}
