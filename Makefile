@@ -18,6 +18,7 @@ vet:
 # staged-batch fingerprint: a replica cuts what no quorum committed, so a
 # retry of Failed is just a publish — one wait, one consumer loop, one entry point per
 # operation, one retry convention — no *resilience.Policy field in internal/ —
+# one fault seam — a surface holds a faults.Hook and fires it with a faults op —
 # no knob nobody turns — the removed config fields stay deleted — one cold scan, one parse per segment object — internal/tsdb
 # never calls columnar.NewFileReader, it binds a segment's kept index —
 # one filter test per series — GroupTable.Fold never calls Match, it

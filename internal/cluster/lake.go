@@ -95,6 +95,7 @@ func (c *Cluster) stageStripeLocked(s int, sub []schema.Observation, w *flushWav
 		return stripeInsert{err: fmt.Errorf("%w: %d", ErrStripeDown, s)}
 	}
 	si := stripeInsert{seq: c.stripeSeqs[s].Load() + 1, applied: make([]*Node, 0, len(targets))}
+	var cause error // a replica's failure, named when none applied the batch
 	for _, id := range targets {
 		n := c.node(id)
 		if n == nil || !n.Alive() {
@@ -116,6 +117,7 @@ func (c *Cluster) stageStripeLocked(s int, sub []schema.Observation, w *flushWav
 			// WAL suffix catch-up can never resume from it.
 			n.stripeSeq[s].Store(-1)
 			c.markStripeUnsynced(s, id)
+			cause = err
 			continue
 		}
 		if err := c.walAppendInsert(n, s, si.seq, sub, w); err != nil {
@@ -123,9 +125,14 @@ func (c *Cluster) stageStripeLocked(s int, sub []schema.Observation, w *flushWav
 			// but nothing durable says so, which is exactly the state a
 			// crash after apply would leave — drop it from serving.
 			c.markStripeUnsynced(s, id)
+			cause = err
 			continue
 		}
 		si.applied = append(si.applied, n)
+	}
+	if len(si.applied) == 0 && cause != nil {
+		// %v, not %w: a down stripe is not retried, whatever the cause.
+		si.err = fmt.Errorf("%w: %d (all replicas failed the insert: %v)", ErrStripeDown, s, cause)
 	}
 	return si
 }

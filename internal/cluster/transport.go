@@ -5,18 +5,19 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"odakit/internal/faults"
 )
 
-// Transport operation names, consulted by the fault hook exactly like
-// the broker's "broker.publish"/"broker.fetch" ops. Targets are the
+// Transport operation names, as faults names them. Targets are the
 // directed link "from>to", so faults.Rates.Exclude can exempt links.
 const (
-	OpReplicate = "cluster.replicate" // leader → follower log shipping
-	OpFetch     = "cluster.fetch"     // router → leader reads
-	OpPublish   = "cluster.publish"   // router → leader appends
-	OpInsert    = "cluster.insert"    // router → lake replica inserts
-	OpQuery     = "cluster.query"     // router → lake replica stripe scans
-	OpResync    = "cluster.resync"    // replica → replica stripe copies
+	OpReplicate = faults.OpClusterReplicate
+	OpFetch     = faults.OpClusterFetch
+	OpPublish   = faults.OpClusterPublish
+	OpInsert    = faults.OpClusterInsert
+	OpQuery     = faults.OpClusterQuery
+	OpResync    = faults.OpClusterResync
 )
 
 // ErrLinkDown reports a message dropped by an administratively
@@ -41,8 +42,8 @@ func (e *linkError) Transient() bool { return true }
 // fault hook (faults.Injector.Before) injects probabilistic faults.
 type Transport struct {
 	mu      sync.RWMutex
-	hook    func(op, target string) error
 	blocked map[string]bool // directed "from>to" links
+	faults  faults.Hook     // fired before every call a partition lets through
 
 	calls   atomic.Int64
 	dropped atomic.Int64
@@ -52,13 +53,8 @@ func newTransport() *Transport {
 	return &Transport{blocked: make(map[string]bool)}
 }
 
-// SetFaultHook installs (or removes, with nil) the fault-injection hook
-// consulted before every inter-node call.
-func (tr *Transport) SetFaultHook(h func(op, target string) error) {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	tr.hook = h
-}
+// SetFaultHook installs (or, with nil, removes) the fault-injection hook.
+func (tr *Transport) SetFaultHook(h func(op, target string) error) { tr.faults.SetFaultHook(h) }
 
 // PartitionLink blocks the directed link from→to. Block both directions
 // for a symmetric partition; one for an asymmetric one.
@@ -87,17 +83,14 @@ func (tr *Transport) call(op, from, to string) error {
 	link := from + ">" + to
 	tr.mu.RLock()
 	blocked := tr.blocked[link]
-	hook := tr.hook
 	tr.mu.RUnlock()
 	if blocked {
 		tr.dropped.Add(1)
 		return &linkError{from: from, to: to}
 	}
-	if hook != nil {
-		if err := hook(op, link); err != nil {
-			tr.dropped.Add(1)
-			return err
-		}
+	if err := tr.faults.Fire(op, link); err != nil {
+		tr.dropped.Add(1)
+		return err
 	}
 	return nil
 }

@@ -3,19 +3,21 @@
 // *data*, faults injects failures into the *infrastructure* the pipeline
 // runs on. A deterministic, seed-driven Injector produces transient
 // errors, added latency, partial batch failures, and crash-at-point
-// (permanent) faults at configurable per-operation rates, and installs
-// (Install) onto any infrastructure surface with a fault hook:
+// (permanent) faults at configurable per-operation rates.
 //
-//	stream.Broker     — "broker.fetch", "broker.publish"
-//	objstore.Store    — "store.put", "store.append", "store.get"
-//	tsdb.DB           — "lake.insert"
-//	wal.NodeWAL       — "wal.open", "wal.append", "wal.fsync", "wal.replay"
-//	cluster.Transport — the cluster.* operations
+// The seam: every infrastructure surface holds one Hook and fires it,
+// with one of the Op constants below, before each guarded step:
 //
-// Hooks fire *before* the guarded operation mutates anything, so a
-// caller that retries an injected failure re-executes exactly once —
-// the property the chaos integration test leans on when it asserts
-// byte-identical pipeline output under ≥5% fault rates.
+//	stream.Broker     — OpBrokerFetch, OpBrokerPublish (target: the topic)
+//	objstore.Store    — OpStorePut, OpStoreAppend, OpStoreGet ("bucket/key")
+//	tsdb.DB           — OpLakeInsert (the batch's source)
+//	wal.NodeWAL       — OpWALOpen, OpWALAppend, OpWALFsync, OpWALReplay (the log name)
+//	cluster.Transport — OpClusterReplicate … OpClusterResync (the link "from>to")
+//
+// Each surface's SetFaultHook forwards to its Hook, so Install arms any
+// of them. The one contract: a hook fires before the guarded step
+// mutates anything, so a caller that retries an injected failure
+// re-executes exactly once, and installing or removing a hook is atomic.
 //
 // Determinism: one seeded PRNG drives every injection decision, guarded
 // by a mutex. A single-goroutine workload replays identically for a
@@ -31,25 +33,47 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
-
-	"odakit/internal/wal"
 )
 
-// Operation names the injector recognizes (the infrastructure packages
-// pass these to their fault hooks).
+// Operation names: the op every surface fires its Hook with.
 const (
-	OpBrokerFetch   = "broker.fetch"
-	OpBrokerPublish = "broker.publish"
-	OpStorePut      = "store.put"
-	OpStoreAppend   = "store.append"
-	OpStoreGet      = "store.get"
-	OpLakeInsert    = "lake.insert"
-	OpWALOpen       = wal.OpOpen
-	OpWALAppend     = wal.OpAppend
-	OpWALFsync      = wal.OpFsync
-	OpWALReplay     = wal.OpReplay
+	OpBrokerFetch      = "broker.fetch"
+	OpBrokerPublish    = "broker.publish"
+	OpStorePut         = "store.put"
+	OpStoreAppend      = "store.append"
+	OpStoreGet         = "store.get"
+	OpLakeInsert       = "lake.insert"
+	OpWALOpen          = "wal.open"
+	OpWALAppend        = "wal.append"
+	OpWALFsync         = "wal.fsync"
+	OpWALReplay        = "wal.replay"
+	OpClusterReplicate = "cluster.replicate" // leader → follower log shipping
+	OpClusterFetch     = "cluster.fetch"     // router → leader reads
+	OpClusterPublish   = "cluster.publish"   // router → leader appends
+	OpClusterInsert    = "cluster.insert"    // router → lake replica inserts
+	OpClusterQuery     = "cluster.query"     // router → lake replica stripe scans
+	OpClusterResync    = "cluster.resync"    // replica → replica stripe copies
 )
+
+// Hook is one surface's fault seam: the installed hook, swapped
+// atomically. The zero value fires nothing.
+type Hook struct {
+	fn atomic.Pointer[func(op, target string) error]
+}
+
+// SetFaultHook installs fn, or with nil removes the installed hook.
+func (h *Hook) SetFaultHook(fn func(op, target string) error) { h.fn.Store(&fn) }
+
+// Fire runs the installed hook for op on target: its error, or nil when
+// none is installed or it lets the operation proceed.
+func (h *Hook) Fire(op, target string) error {
+	if fn := h.fn.Load(); fn != nil && *fn != nil {
+		return (*fn)(op, target)
+	}
+	return nil
+}
 
 // InjectedError is the error an Injector produces. Transient faults
 // implement resilience's Transient() contract; crash-at-point faults

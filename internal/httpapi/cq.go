@@ -219,10 +219,19 @@ func (s *Server) cqAlerts(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	alerts := v.Alerts()
-	if alerts == nil {
-		alerts = []cq.Alert{}
+	out := make([]alertEntry, len(alerts))
+	for i := range alerts {
+		a := &alerts[i]
+		out[i] = alertEntry{Alert: *a, Value: finiteOrNil(&a.Value), Score: finiteOrNil(&a.Score)}
 	}
-	s.writeJSON(w, http.StatusOK, alerts)
+	s.writeJSON(w, http.StatusOK, out)
+}
+
+// alertEntry is cq.Alert on the wire, a non-finite value or score null.
+type alertEntry struct {
+	cq.Alert
+	Value *float64 `json:"value"`
+	Score *float64 `json:"score"`
 }
 
 func (s *Server) cqUnregister(w http.ResponseWriter, r *http.Request) {

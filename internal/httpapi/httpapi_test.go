@@ -347,7 +347,7 @@ func TestNonFiniteValuesEncodeAsNull(t *testing.T) {
 	if err := f.Lake.InsertBatch([]schema.Observation{inf}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(srv.URL+"/api/v1/cq?window=5m&metric=inf_metric&agg=max", "", nil)
+	resp, err := http.Post(srv.URL+"/api/v1/cq?window=5m&metric=inf_metric&agg=max&above=0", "", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,6 +359,10 @@ func TestNonFiniteValuesEncodeAsNull(t *testing.T) {
 	}
 	resp.Body.Close()
 	f.CQ.Apply("bronze.power_temp", 0, []schema.Observation{inf})
+	// A later record of another metric closes the infinite bucket: it alerts.
+	later := inf
+	later.Ts, later.Metric, later.Value = t0.Add(time.Minute), "other_metric", 1
+	f.CQ.Apply("bronze.power_temp", 0, []schema.Observation{later})
 
 	span := "&from=" + t0.Format(time.RFC3339) + "&to=" + t0.Add(time.Minute).Format(time.RFC3339)
 	window := "metric=inf_metric&agg=max" + span
@@ -373,6 +377,7 @@ func TestNonFiniteValuesEncodeAsNull(t *testing.T) {
 		{"cq read", "/api/v1/cq/" + reg.ID, `"value":null`, false},
 		{"cq watch", "/api/v1/cq/" + reg.ID + "/watch", `"value":null`, false},
 		{"cq watch sse", "/api/v1/cq/" + reg.ID + "/watch?count=1", `"value":null`, true},
+		{"cq alerts", "/api/v1/cq/" + reg.ID + "/alerts", `"value":null`, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			req, _ := http.NewRequest(http.MethodGet, srv.URL+tc.path, nil)

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"odakit/internal/atomicfile"
+	"odakit/internal/faults"
 )
 
 // Errors returned by the store.
@@ -69,33 +70,14 @@ type Store struct {
 	// MaxVersions bounds retained versions per object (default 4).
 	MaxVersions int
 
-	// faultHook, when set, is consulted before Put/Append/Get operations
-	// ("store.put" / "store.append" / "store.get" with bucket/key as
-	// target); a non-nil result aborts before any state changes, so a
-	// caller retrying an aborted write cannot duplicate data. The chaos
-	// injector (internal/faults) installs here.
-	faultHook func(op, target string) error
+	faults faults.Hook // fired before Put, Append and Get take the store lock
 	// instr holds the live obs counters (see instrument.go); nil — the
 	// default — costs one branch per op.
 	instr *instruments
 }
 
-// SetFaultHook installs (or, with nil, removes) the fault-injection hook
-// consulted before put, append, and get operations.
-func (s *Store) SetFaultHook(h func(op, target string) error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.faultHook = h
-}
-
-// faultLocked consults the injection hook; s.mu must be held (read or
-// write) by the caller.
-func (s *Store) faultLocked(op, bucketName, key string) error {
-	if s.faultHook == nil {
-		return nil
-	}
-	return s.faultHook(op, bucketName+"/"+key)
-}
+// SetFaultHook installs (or, with nil, removes) the fault-injection hook.
+func (s *Store) SetFaultHook(h func(op, target string) error) { s.faults.SetFaultHook(h) }
 
 // New returns a store. If dir is non-empty, current object versions are
 // persisted under it and reloaded by Open.
@@ -238,11 +220,11 @@ func (s *Store) Buckets() []string {
 
 // Put stores data as a new version of the object and returns its info.
 func (s *Store) Put(bucketName, key string, data []byte) (ObjectInfo, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.faultLocked("store.put", bucketName, key); err != nil {
+	if err := s.faults.Fire(faults.OpStorePut, bucketName+"/"+key); err != nil {
 		return ObjectInfo{}, err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.instr != nil {
 		s.instr.puts.Inc()
 		s.instr.putBytes.Add(int64(len(data)))
@@ -281,11 +263,11 @@ func (s *Store) putLocked(bucketName, key string, data []byte) (ObjectInfo, erro
 // if absent. This is the OCEAN ever-appended write path: appending OCF
 // bytes to an OCF object yields a valid OCF object.
 func (s *Store) Append(bucketName, key string, data []byte) (ObjectInfo, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.faultLocked("store.append", bucketName, key); err != nil {
+	if err := s.faults.Fire(faults.OpStoreAppend, bucketName+"/"+key); err != nil {
 		return ObjectInfo{}, err
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.instr != nil {
 		s.instr.appends.Inc()
 		s.instr.putBytes.Add(int64(len(data)))
@@ -306,11 +288,11 @@ func (s *Store) Append(bucketName, key string, data []byte) (ObjectInfo, error) 
 
 // Get returns the current version of an object.
 func (s *Store) Get(bucketName, key string) ([]byte, ObjectInfo, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if err := s.faultLocked("store.get", bucketName, key); err != nil {
+	if err := s.faults.Fire(faults.OpStoreGet, bucketName+"/"+key); err != nil {
 		return nil, ObjectInfo{}, err
 	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
 	b, ok := s.buckets[bucketName]
 	if !ok {
 		return nil, ObjectInfo{}, fmt.Errorf("%w: %s", ErrNoBucket, bucketName)

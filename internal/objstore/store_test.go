@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"odakit/internal/faults"
 )
 
 func memStore(t *testing.T) *Store {
@@ -305,5 +307,49 @@ func TestKeyEncoding(t *testing.T) {
 		if err != nil || got != k {
 			t.Fatalf("key %q round trip: %q, %v", k, got, err)
 		}
+	}
+}
+
+// TestParkedPutHookStallsNoGet: the fault hook fires before Put takes the
+// store lock, so a put parked in its hook (an injected latency) leaves a
+// Get of another object free to return.
+func TestParkedPutHookStallsNoGet(t *testing.T) {
+	s := memStore(t)
+	if err := s.CreateBucket("ocean"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put("ocean", "lake/seg-0.ocf", []byte("cold segment")); err != nil {
+		t.Fatal(err)
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	s.SetFaultHook(func(op, target string) error {
+		if op == faults.OpStorePut && target == "ocean/lake/seg-1.ocf" {
+			close(parked)
+			<-release
+		}
+		return nil
+	})
+	put := make(chan error, 1)
+	go func() {
+		_, err := s.Put("ocean", "lake/seg-1.ocf", []byte("offload"))
+		put <- err
+	}()
+	<-parked
+	get := make(chan error, 1)
+	go func() {
+		_, _, err := s.Get("ocean", "lake/seg-0.ocf")
+		get <- err
+	}()
+	select {
+	case err := <-get:
+		if err != nil {
+			t.Error(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Error("a Get of another object waited on a put parked in its fault hook")
+	}
+	close(release)
+	if err := <-put; err != nil {
+		t.Fatal(err)
 	}
 }

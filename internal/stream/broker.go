@@ -18,6 +18,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"odakit/internal/faults"
 )
 
 // Common errors returned by the broker.
@@ -63,12 +65,7 @@ type Broker struct {
 	mu     sync.RWMutex
 	topics map[string]*topic
 	closed bool
-	// faultHook, when set, is consulted before fetch and publish
-	// operations ("broker.fetch" / "broker.publish" with the topic as
-	// target); a non-nil result aborts the operation before any state
-	// changes, so callers can retry without duplicating records. The
-	// chaos injector (internal/faults) installs here.
-	faultHook func(op, target string) error
+	faults faults.Hook // fired before each fetch and each publish sub-batch
 }
 
 // NewBroker returns an empty broker.
@@ -76,25 +73,8 @@ func NewBroker() *Broker {
 	return &Broker{topics: make(map[string]*topic)}
 }
 
-// SetFaultHook installs (or, with nil, removes) the fault-injection
-// hook consulted before fetch and publish operations.
-func (b *Broker) SetFaultHook(h func(op, target string) error) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.faultHook = h
-}
-
-// fault consults the injection hook for one operation; nil when no hook
-// is installed or the hook lets the operation proceed.
-func (b *Broker) fault(op, target string) error {
-	b.mu.RLock()
-	h := b.faultHook
-	b.mu.RUnlock()
-	if h == nil {
-		return nil
-	}
-	return h(op, target)
-}
+// SetFaultHook installs (or, with nil, removes) the fault-injection hook.
+func (b *Broker) SetFaultHook(h func(op, target string) error) { b.faults.SetFaultHook(h) }
 
 // CreateTopic creates a topic. It fails if the topic already exists.
 func (b *Broker) CreateTopic(name string, cfg TopicConfig) error {
@@ -227,7 +207,7 @@ func (b *Broker) PublishBatch(topicName string, msgs []Message) (int, error) {
 	}
 	now := time.Now()
 	if len(t.parts) == 1 {
-		if err := b.fault("broker.publish", topicName); err != nil {
+		if err := b.faults.Fire(faults.OpBrokerPublish, topicName); err != nil {
 			return 0, err
 		}
 		if _, err := t.parts[0].appendBatch(now, msgs, t.cfg); err != nil {
@@ -254,7 +234,7 @@ func (b *Broker) PublishBatch(topicName string, msgs []Message) (int, error) {
 		// append mutates anything — an injected failure therefore loses a
 		// whole sub-batch or nothing, and the remainder is reported back
 		// for exactly-once retry.
-		err := b.fault("broker.publish", topicName)
+		err := b.faults.Fire(faults.OpBrokerPublish, topicName)
 		if err == nil {
 			_, err = t.parts[p].appendBatch(now, part, t.cfg)
 		}
@@ -280,7 +260,7 @@ func (b *Broker) PublishBatchTo(topicName string, partition int, msgs []Message)
 	if err != nil {
 		return 0, err
 	}
-	if err := b.fault("broker.publish", topicName); err != nil {
+	if err := b.faults.Fire(faults.OpBrokerPublish, topicName); err != nil {
 		return 0, err
 	}
 	return p.appendBatch(time.Now(), msgs, t.cfg)
@@ -352,7 +332,7 @@ func (b *Broker) FetchNoWait(topicName string, partition int, offset int64, max 
 	if err != nil {
 		return nil, err
 	}
-	if err := b.fault("broker.fetch", topicName); err != nil {
+	if err := b.faults.Fire(faults.OpBrokerFetch, topicName); err != nil {
 		return nil, err
 	}
 	return p.fetchNoWait(offset, max)

@@ -11,6 +11,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"odakit/internal/faults"
 	"odakit/internal/schema"
 )
 
@@ -96,15 +97,8 @@ type DB struct {
 	// partials pools per-query partial-aggregation tables (see
 	// partialSet) so steady query traffic reuses grown slot arrays.
 	partials sync.Pool
-	// hookMu guards faultHook; a separate lock because the DB itself is
-	// striped and has no global mutex.
-	hookMu sync.RWMutex
-	// faultHook, when set, is consulted before batch inserts
-	// ("lake.insert" with the batch's source as target); a non-nil result
-	// aborts before any stripe is touched, so a retried batch cannot
-	// double-count observations. The chaos injector (internal/faults)
-	// installs here.
-	faultHook func(op, target string) error
+	// faults fires lake.insert before InsertBatch touches any stripe.
+	faults faults.Hook
 	// instr holds the live obs instruments (see instrument.go); nil —
 	// the default — keeps the hot path at a single load+branch.
 	instr atomic.Pointer[instruments]
@@ -113,24 +107,8 @@ type DB struct {
 	cold atomic.Pointer[ColdTier]
 }
 
-// SetFaultHook installs (or, with nil, removes) the fault-injection hook
-// consulted before InsertBatch.
-func (db *DB) SetFaultHook(h func(op, target string) error) {
-	db.hookMu.Lock()
-	defer db.hookMu.Unlock()
-	db.faultHook = h
-}
-
-// fault consults the injection hook for one operation.
-func (db *DB) fault(op, target string) error {
-	db.hookMu.RLock()
-	h := db.faultHook
-	db.hookMu.RUnlock()
-	if h == nil {
-		return nil
-	}
-	return h(op, target)
-}
+// SetFaultHook installs (or, with nil, removes) the fault-injection hook.
+func (db *DB) SetFaultHook(h func(op, target string) error) { db.faults.SetFaultHook(h) }
 
 // New returns an empty store.
 func New(opts Options) *DB {
@@ -208,7 +186,7 @@ func (db *DB) InsertBatch(obs []schema.Observation) error {
 	if n == 0 {
 		return nil
 	}
-	if err := db.fault("lake.insert", obs[0].Source); err != nil {
+	if err := db.faults.Fire(faults.OpLakeInsert, obs[0].Source); err != nil {
 		return err
 	}
 	// Counting-sort the batch indices by stripe so each stripe visit walks

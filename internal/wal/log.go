@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"odakit/internal/atomicfile"
+	"odakit/internal/faults"
 )
 
 const (
@@ -62,7 +63,7 @@ type Log struct {
 // openLog opens (or creates) a log directory, recovering the torn tail.
 // Called with the NodeWAL's mutex held.
 func openLog(w *NodeWAL, name, dir string) (*Log, error) {
-	if err := w.fault(OpOpen, name); err != nil {
+	if err := w.faults.Fire(faults.OpWALOpen, name); err != nil {
 		return nil, err
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -227,7 +228,7 @@ func (l *Log) Append(entries ...Entry) error {
 	if l.closed {
 		return ErrClosed
 	}
-	if err := l.w.fault(OpAppend, l.name); err != nil {
+	if err := l.w.faults.Fire(faults.OpWALAppend, l.name); err != nil {
 		return err
 	}
 	for _, e := range entries {
@@ -250,7 +251,7 @@ func (l *Log) Sync() error {
 	if l.closed {
 		return ErrClosed
 	}
-	if err := l.w.fault(OpFsync, l.name); err != nil {
+	if err := l.w.faults.Fire(faults.OpWALFsync, l.name); err != nil {
 		return err
 	}
 	return l.syncLocked()
@@ -310,7 +311,7 @@ func (l *Log) Replay(fn func(Entry) error) (int, error) {
 	if l.closed {
 		return 0, ErrClosed
 	}
-	if err := l.w.fault(OpReplay, l.name); err != nil {
+	if err := l.w.faults.Fire(faults.OpWALReplay, l.name); err != nil {
 		return 0, err
 	}
 	total := 0

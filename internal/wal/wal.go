@@ -18,10 +18,8 @@
 // their own and become durable with the next wave that flushes their
 // log.
 //
-// Fault injection: SetFaultHook arms the wal.open, wal.append,
-// wal.fsync, and wal.replay operations (see the Op constants), firing
-// before the guarded step mutates anything — the hook surface
-// faults.Injector installs on to drive crash-point chaos suites.
+// Fault injection: the NodeWAL's faults.Hook fires wal.open, wal.append,
+// wal.fsync and wal.replay before the guarded step mutates anything.
 package wal
 
 import (
@@ -32,14 +30,16 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"odakit/internal/faults"
 )
 
-// Operation names passed to the fault hook.
+// Operation names the fault hook fires with, as faults names them.
 const (
-	OpOpen   = "wal.open"
-	OpAppend = "wal.append"
-	OpFsync  = "wal.fsync"
-	OpReplay = "wal.replay"
+	OpOpen   = faults.OpWALOpen
+	OpAppend = faults.OpWALAppend
+	OpFsync  = faults.OpWALFsync
+	OpReplay = faults.OpWALReplay
 )
 
 // ErrClosed reports an operation against a closed (or abandoned) log —
@@ -93,8 +93,7 @@ type NodeWAL struct {
 	logs   map[string]*Log
 	closed bool
 
-	hookMu sync.RWMutex
-	hook   func(op, target string) error
+	faults faults.Hook // fired before every open, append, fsync and replay
 
 	appends, appendedBytes, fsyncs, rotations atomic.Int64
 	replayedEntries, replayedBytes            atomic.Int64
@@ -119,24 +118,8 @@ func Open(cfg Config) (*NodeWAL, error) {
 // Dir returns the WAL's root directory.
 func (w *NodeWAL) Dir() string { return w.cfg.Dir }
 
-// SetFaultHook arms fault injection: the hook fires before every open,
-// append, fsync, and replay, and a non-nil return aborts the operation
-// before it mutates anything.
-func (w *NodeWAL) SetFaultHook(h func(op, target string) error) {
-	w.hookMu.Lock()
-	w.hook = h
-	w.hookMu.Unlock()
-}
-
-func (w *NodeWAL) fault(op, target string) error {
-	w.hookMu.RLock()
-	h := w.hook
-	w.hookMu.RUnlock()
-	if h == nil {
-		return nil
-	}
-	return h(op, target)
-}
+// SetFaultHook installs (or, with nil, removes) the fault-injection hook.
+func (w *NodeWAL) SetFaultHook(h func(op, target string) error) { w.faults.SetFaultHook(h) }
 
 func validName(name string) error {
 	if name == "" || strings.HasPrefix(name, "/") || strings.Contains(name, "..") {

@@ -3,13 +3,13 @@ package oda_test
 // The repository's shape rules: one STREAM reader, one LAKE read path, one
 // serialized form for rollup cells (a CQ checkpoint's included), one
 // grouping loop, one sort, one log, one failure contract, one wait, one
-// consumer loop, one entry point per operation, one retry convention, no
-// knob nobody turns, one admission decision, one cold scan, one parse per
-// segment object, one filter test per series, one chunk decoder, one
-// interner, one parameter reader, and a series that is an integer. Each
-// is a structural fact a later change could quietly undo, so each is
-// checked over the parsed non-test sources on every `go test ./...`, and
-// each is shown to fire on a synthetic source that breaks it.
+// consumer loop, one entry point per operation, one retry convention, one
+// fault seam, no knob nobody turns, one admission decision, one cold scan,
+// one parse per segment object, one filter test per series, one chunk
+// decoder, one interner, one parameter reader, and a series that is an
+// integer. Each is a structural fact a later change could quietly undo, so
+// each is checked over the parsed non-test sources on every `go test
+// ./...`, and each is shown to fire on a synthetic source that breaks it.
 
 import (
 	"fmt"
@@ -481,6 +481,52 @@ import "odakit/internal/resilience"
 type JobConfig struct{ Retry *resilience.Policy }`},
 	},
 	{
+		name: "one fault seam: a surface holds a faults.Hook and fires it with a faults op",
+		check: func(files []srcFile) (out []string) {
+			seam := func(s srcFile) bool { return within("internal")(s) && !within("internal/faults")(s) }
+			why := "hold a faults.Hook, fire it with an op constant from internal/faults"
+			inspect(files, seam, func(s srcFile, n ast.Node) {
+				switch n := n.(type) {
+				case *ast.StructType:
+					for _, fl := range n.Fields.List {
+						if isHookFunc(fl.Type) {
+							out = append(out, fmt.Sprintf("%s: field %v is a func(op, target string) error: %s", s.path, fl.Names, why))
+						}
+					}
+				case *ast.ValueSpec:
+					if n.Type != nil && isHookFunc(n.Type) {
+						out = append(out, fmt.Sprintf("%s: var %v is a func(op, target string) error: %s", s.path, n.Names, why))
+					}
+				case *ast.CallExpr:
+					if lastName(n.Fun) != "Fire" || len(n.Args) == 0 {
+						return
+					}
+					if lit, ok := n.Args[0].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+						out = append(out, s.path+": Fire("+lit.Value+"): "+why)
+					}
+				}
+			})
+			funcs(files, seam, func(s srcFile, name string, fd *ast.FuncDecl) {
+				if fd.Recv != nil && (fd.Name.Name == "fault" || fd.Name.Name == "faultLocked") {
+					out = append(out, s.path+": func "+name+": "+why)
+				}
+			})
+			return out
+		},
+		breaks: map[string]string{"internal/objstore/store.go": `package objstore
+type Store struct {
+	mu        sync.RWMutex
+	faultHook func(op, target string) error
+}
+func (s *Store) faultLocked(op, bucketName, key string) error {
+	if s.faultHook == nil {
+		return nil
+	}
+	return s.faultHook(op, bucketName+"/"+key)
+}
+func (s *Store) Get(bucketName, key string) error { return s.faults.Fire("store.get", bucketName+"/"+key) }`},
+	},
+	{
 		name: "no knob nobody turns: the removed config fields stay deleted",
 		check: func(files []srcFile) (out []string) {
 			for _, k := range removedKnobs {
@@ -740,6 +786,23 @@ var removedKnobs = [][2]string{
 	{"internal/gateway", "TenantConfig.ScanBurst"},
 	{"internal/core", "SilverPipelineConfig.Retry"},
 	{"internal/tsdb", "ColdTierConfig.Now"},
+}
+
+// isHookFunc reports whether e is the fault hook's type,
+// func(string, string) error.
+func isHookFunc(e ast.Expr) bool {
+	ft, ok := e.(*ast.FuncType)
+	if !ok || ft.Results == nil || len(ft.Results.List) != 1 || lastName(ft.Results.List[0].Type) != "error" {
+		return false
+	}
+	n := 0
+	for _, p := range ft.Params.List {
+		if lastName(p.Type) != "string" {
+			return false
+		}
+		n += max(1, len(p.Names))
+	}
+	return n == 2
 }
 
 // integerTypes are the field types a pointer-free, fixed-width key may use.
