@@ -5,11 +5,12 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"slices"
+	"sort"
 	"strconv"
 	"testing"
 	"time"
 
-	"odakit/internal/plane"
 	"odakit/internal/schema"
 	"odakit/internal/stream"
 	"odakit/internal/tsdb"
@@ -35,23 +36,7 @@ func lakeOpts() tsdb.Options {
 	return tsdb.Options{SegmentDuration: 10 * time.Minute, RollupInterval: 15 * time.Second}
 }
 
-// testCluster builds an n-node cluster (n1..nN) with the given RF and
-// the property-test lake geometry.
-func testCluster(t testing.TB, n, rf int) *Cluster {
-	t.Helper()
-	ids := make([]string, n)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("n%d", i+1)
-	}
-	c, err := New(ids, Config{RF: rf, LakeOptions: lakeOpts()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return c
-}
-
-// keyedMsgs builds a deterministic batch of keyed messages; keys make
-// the publish path exactly-once under retry.
+// keyedMsgs builds a deterministic batch of keyed messages.
 func keyedMsgs(rng *rand.Rand, batch, n int) []stream.Message {
 	msgs := make([]stream.Message, n)
 	for i := range msgs {
@@ -63,328 +48,131 @@ func keyedMsgs(rng *rand.Rand, batch, n int) []stream.Message {
 	return msgs
 }
 
-// seedObs builds one deterministic observation in the propDB shape.
-func seedObs(rng *rand.Rand, i int) schema.Observation {
-	c := i % 8
-	return schema.Observation{
-		Ts:        base.Add(time.Duration(i%1800) * time.Second),
-		System:    fmt.Sprintf("sys%d", c%2),
-		Source:    fmt.Sprintf("src%d", (c/2)%2),
-		Component: fmt.Sprintf("node%05d", c),
-		Metric:    []string{"node_power_w", "cpu_temp_c"}[i%2],
-		Value:     float64(rng.Intn(2000)) / 3.0,
+// seedObsBatch builds n deterministic observations over 8 components,
+// 2 metrics, 2 systems and 2 sources in a 30-minute window.
+func seedObsBatch(rng *rand.Rand, n int) []schema.Observation {
+	obs := make([]schema.Observation, n)
+	for j := range obs {
+		i := rng.Intn(1 << 20)
+		c := i % 8
+		obs[j] = schema.Observation{
+			Ts:        base.Add(time.Duration(i%1800) * time.Second),
+			System:    fmt.Sprintf("sys%d", c%2),
+			Source:    fmt.Sprintf("src%d", (c/2)%2),
+			Component: fmt.Sprintf("node%05d", c),
+			Metric:    []string{"node_power_w", "cpu_temp_c"}[i%2],
+			Value:     float64(rng.Intn(2000)) / 3.0,
+		}
+	}
+	return obs
+}
+
+// retryFailed publishes msgs and, after each failure, publishes again
+// exactly the Failed remainder — the plane contract core.publishRetry
+// follows — up to attempts times, returning the last error.
+func retryFailed(c *Cluster, topic string, msgs []stream.Message, attempts int) error {
+	var err error
+	for a := 0; a < attempts; a++ {
+		if _, err = c.PublishBatch(topic, msgs); err == nil {
+			return nil
+		}
+		var pp *stream.PartialPublishError
+		if errors.As(err, &pp) {
+			msgs = pp.Failed
+		}
+	}
+	return err
+}
+
+// assertValues reads every partition of topic through the cluster and
+// requires exactly want's values — in order, or, for publishers whose
+// interleaving no one order describes, as a multiset (sorted).
+func assertValues(t *testing.T, c *Cluster, topic string, want map[int][]string, sorted bool) {
+	t.Helper()
+	parts, err := c.Partitions(topic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := 0; p < parts; p++ {
+		fetch := func(off int64, max int) ([]stream.Record, error) { return c.FetchNoWait(topic, p, off, max) }
+		recs, err := readLog(fetch, 1<<62, 512)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([]string, len(recs))
+		for i, r := range recs {
+			got[i] = string(r.Value)
+		}
+		w := slices.Clone(want[p])
+		if sorted {
+			slices.Sort(got)
+			slices.Sort(w)
+		}
+		if !slices.Equal(got, w) {
+			t.Fatalf("%s/%d holds %d records, want %d: committed records lost, duplicated or reordered", topic, p, len(got), len(w))
+		}
 	}
 }
 
-// fetchAll drains one partition's committed records through the
-// cluster's read path.
-func fetchAll(t *testing.T, c *Cluster, topic string, part int) []stream.Record {
-	t.Helper()
+// readLog drains a log from offset 0 to end in pages of up to max.
+func readLog(fetch func(off int64, max int) ([]stream.Record, error), end int64, max int) ([]stream.Record, error) {
 	var out []stream.Record
-	off := int64(0)
-	for {
-		recs, err := c.FetchNoWait(topic, part, off, 512)
-		if err != nil {
-			t.Fatalf("fetch %s/%d@%d: %v", topic, part, off, err)
-		}
-		if len(recs) == 0 {
-			return out
+	for off := int64(0); off < end; {
+		recs, err := fetch(off, int(min(int64(max), end-off)))
+		if err != nil || len(recs) == 0 {
+			return out, err
 		}
 		out = append(out, recs...)
 		off = recs[len(recs)-1].Offset + 1
 	}
+	return out, nil
 }
 
-// TestClusterPublishMatchesSingleBroker drives identical keyed batches
-// through a 3-node RF=2 cluster and a plain single broker: keyed routing
-// must place every message on the same partition, and each partition's
-// committed key/value sequence must be identical — the replicated STREAM
-// is transparent to producers and consumers.
-func TestClusterPublishMatchesSingleBroker(t *testing.T) {
-	c := testCluster(t, 3, 2)
-	ref := stream.NewBroker()
-	cfg := stream.TopicConfig{Partitions: 4}
-	if err := c.CreateTopic("telemetry", cfg); err != nil {
-		t.Fatal(err)
+var dimNames = []string{tsdb.DimSystem, tsdb.DimSource, tsdb.DimComponent, tsdb.DimMetric}
+
+// randomQuery mirrors the tsdb property-test generator: random window,
+// granularity, aggregation, group-by subset, and filters mixing known,
+// unknown, and empty value lists.
+func randomQuery(rng *rand.Rand) tsdb.Query {
+	from := base.Add(time.Duration(rng.Intn(40)-5) * time.Minute)
+	q := tsdb.Query{
+		From: from,
+		To:   from.Add(time.Duration(1+rng.Intn(40*60)) * time.Second),
+		Agg:  tsdb.AggKind(rng.Intn(6)),
 	}
-	if err := ref.CreateTopic("telemetry", cfg); err != nil {
-		t.Fatal(err)
+	q.Granularity = []time.Duration{0, 15 * time.Second, time.Minute, 7 * time.Minute}[rng.Intn(4)]
+	dims := append([]string(nil), dimNames...)
+	rng.Shuffle(len(dims), func(i, j int) { dims[i], dims[j] = dims[j], dims[i] })
+	q.GroupBy = dims[:rng.Intn(len(dims)+1)]
+	q.Filters = map[string][]string{}
+	known := map[string][]string{
+		tsdb.DimSystem:    {"sys0", "sys1"},
+		tsdb.DimSource:    {"src0", "src1"},
+		tsdb.DimComponent: {"node00000", "node00003", "node00007"},
+		tsdb.DimMetric:    {"node_power_w", "cpu_temp_c"},
 	}
-	rng := rand.New(rand.NewSource(chaosSeed(t)))
-	for b := 0; b < 20; b++ {
-		msgs := keyedMsgs(rng, b, 16)
-		if _, err := c.PublishBatch("telemetry", msgs); err != nil {
-			t.Fatalf("cluster publish %d: %v", b, err)
-		}
-		for _, m := range msgs { // per-message so partition order matches routing exactly
-			if _, err := ref.PublishBatch("telemetry", []stream.Message{m}); err != nil {
-				t.Fatalf("ref publish: %v", err)
+	for _, d := range dimNames {
+		switch rng.Intn(5) {
+		case 0:
+			vals := known[d]
+			q.Filters[d] = []string{vals[rng.Intn(len(vals))]}
+		case 1:
+			vals := append([]string(nil), known[d]...)
+			if rng.Intn(2) == 0 {
+				vals = append(vals, "ghost")
+			}
+			rng.Shuffle(len(vals), func(i, j int) { vals[i], vals[j] = vals[j], vals[i] })
+			q.Filters[d] = vals[:1+rng.Intn(len(vals))]
+		case 2:
+			if rng.Intn(4) == 0 {
+				q.Filters[d] = []string{}
 			}
 		}
 	}
-	for p := 0; p < 4; p++ {
-		got := fetchAll(t, c, "telemetry", p)
-		end, err := ref.EndOffset("telemetry", p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ref.FetchNoWait("telemetry", p, 0, int(end)+1)
-		if err != nil && end > 0 {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("partition %d: %d records, reference has %d", p, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].Offset != want[i].Offset || string(got[i].Key) != string(want[i].Key) ||
-				string(got[i].Value) != string(want[i].Value) {
-				t.Fatalf("partition %d record %d diverges: %+v vs %+v", p, i, got[i], want[i])
-			}
-		}
+	if len(q.Filters) == 0 {
+		q.Filters = nil
 	}
-}
-
-// TestClusterFollowersHoldIdenticalPrefix checks the replication
-// invariant directly: after committed publishes, every follower's log is
-// a byte-identical prefix of its leader's, ending at the high watermark.
-func TestClusterFollowersHoldIdenticalPrefix(t *testing.T) {
-	c := testCluster(t, 3, 2)
-	if err := c.CreateTopic("telemetry", stream.TopicConfig{Partitions: 4}); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(chaosSeed(t)))
-	for b := 0; b < 10; b++ {
-		if _, err := c.PublishBatch("telemetry", keyedMsgs(rng, b, 32)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tp, err := c.topic("telemetry")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, ps := range tp.parts {
-		ps.mu.Lock()
-		leader, followers, hw := ps.leader, append([]string(nil), ps.followers...), ps.hw
-		ps.mu.Unlock()
-		if hw == 0 {
-			continue
-		}
-		lrecs, err := c.node(leader).Broker.FetchNoWait("telemetry", ps.idx, 0, int(hw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, f := range followers {
-			frecs, err := c.node(f).Broker.FetchNoWait("telemetry", ps.idx, 0, int(hw))
-			if err != nil {
-				t.Fatalf("follower %s part %d: %v", f, ps.idx, err)
-			}
-			if len(frecs) != len(lrecs) {
-				t.Fatalf("part %d: follower %s holds %d records below hw %d, leader %s holds %d",
-					ps.idx, f, len(frecs), hw, leader, len(lrecs))
-			}
-			for i := range frecs {
-				if frecs[i].Offset != lrecs[i].Offset ||
-					string(frecs[i].Key) != string(lrecs[i].Key) ||
-					string(frecs[i].Value) != string(lrecs[i].Value) ||
-					!frecs[i].Ts.Equal(lrecs[i].Ts) {
-					t.Fatalf("part %d offset %d: replica %s diverges from leader", ps.idx, frecs[i].Offset, f)
-				}
-			}
-		}
-	}
-}
-
-// TestClusterFetchAfterHWIsInFuture pins read semantics: the high
-// watermark bounds reads even though the leader log may hold staged
-// records beyond it.
-func TestClusterFetchAfterHWIsInFuture(t *testing.T) {
-	c := testCluster(t, 3, 2)
-	if err := c.CreateTopic("telemetry", stream.TopicConfig{Partitions: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.PublishBatch("telemetry", []stream.Message{{Key: []byte("k"), Value: []byte("v")}}); err != nil {
-		t.Fatal(err)
-	}
-	end, err := c.EndOffset("telemetry", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if end != 1 {
-		t.Fatalf("hw = %d, want 1", end)
-	}
-	if _, err := c.FetchNoWait("telemetry", 0, end+1, 10); !errors.Is(err, stream.ErrOffsetInFuture) {
-		t.Fatalf("fetch past hw: %v, want ErrOffsetInFuture", err)
-	}
-	if recs, err := c.FetchNoWait("telemetry", 0, end, 10); err != nil || len(recs) != 0 {
-		t.Fatalf("fetch at hw: %v records, err %v", len(recs), err)
-	}
-}
-
-// TestClusterHealthTransitions walks a node through kill → repair →
-// restart → repair and pins the /healthz contract: degraded while
-// under-replicated, never down, ok again once re-replication completes.
-func TestClusterHealthTransitions(t *testing.T) {
-	c := testCluster(t, 3, 2)
-	if err := c.CreateTopic("telemetry", stream.TopicConfig{Partitions: 4}); err != nil {
-		t.Fatal(err)
-	}
-	// A never-published topic (a bronze source the deployment does not
-	// ingest) is fully replicated: there is nothing to replicate.
-	if err := c.CreateTopic("idle", stream.TopicConfig{Partitions: 2}); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(chaosSeed(t)))
-	if _, err := c.PublishBatch("telemetry", keyedMsgs(rng, 0, 64)); err != nil {
-		t.Fatal(err)
-	}
-	if h := c.Health(); h.Status != "ok" {
-		t.Fatalf("initial health = %s (%+v)", h.Status, h)
-	}
-	if err := c.Kill("n2"); err != nil {
-		t.Fatal(err)
-	}
-	h := c.Health()
-	if h.Status != "degraded" {
-		t.Fatalf("health after kill = %s, want degraded (%+v)", h.Status, h)
-	}
-	if err := c.Repair(); err != nil {
-		t.Fatalf("repair with node down: %v", err)
-	}
-	// Still degraded: a member is dead even though data is re-replicated.
-	if h := c.Health(); h.Status == "down" {
-		t.Fatalf("health after repair = down (%+v)", h)
-	}
-	if err := c.Restart("n2"); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Repair(); err != nil {
-		t.Fatalf("repair after restart: %v", err)
-	}
-	if h := c.Health(); h.Status != "ok" {
-		t.Fatalf("health after restart+repair = %s (%+v)", h.Status, h)
-	}
-}
-
-// TestClusterIdenticalBatchRepublish publishes the same content twice,
-// each publish observed successful: the second is a new publish, not a
-// retry, so it must append — content-identical batches (heartbeats,
-// repeated measurements, constant-valued events) must never be silently
-// deduped against an earlier committed batch.
-func TestClusterIdenticalBatchRepublish(t *testing.T) {
-	c := testCluster(t, 3, 2)
-	const topic = "telemetry"
-	if err := c.CreateTopic(topic, stream.TopicConfig{Partitions: 2}); err != nil {
-		t.Fatal(err)
-	}
-	msgs := []stream.Message{
-		{Key: []byte("hb"), Value: []byte("alive")},
-		{Key: []byte("hb"), Value: []byte("alive")},
-	}
-	for i := 0; i < 2; i++ {
-		if n, err := c.PublishBatch(topic, msgs); err != nil || n != len(msgs) {
-			t.Fatalf("publish %d = (%d, %v), want (%d, nil)", i, n, err, len(msgs))
-		}
-	}
-	p := stream.KeyPartition([]byte("hb"), 2)
-	if recs := fetchAll(t, c, topic, p); len(recs) != 4 {
-		t.Fatalf("identical republish deduped: %d records, want 4", len(recs))
-	}
-	// A batch of one repeating the content is a new record too, committed
-	// at the next offset.
-	for i := 0; i < 2; i++ {
-		if _, err := c.PublishBatch(topic, msgs[:1]); err != nil {
-			t.Fatal(err)
-		}
-		recs := fetchAll(t, c, topic, p)
-		if last := recs[len(recs)-1]; len(recs) != 5+i || last.Offset != int64(4+i) {
-			t.Fatalf("publish of one %d: %d records ending at %d, want %d ending at %d", i, len(recs), last.Offset, 5+i, 4+i)
-		}
-	}
-}
-
-// TestClusterRepairAcksCommittedPrefix: a follower Repair brings up to
-// the high watermark holds only committed records, so it is acked even
-// when the pass cannot reach a quorum (RF=3, Quorum=3, one node down),
-// and a failover onto it keeps every committed record instead of
-// truncating to the ack it had before.
-func TestClusterRepairAcksCommittedPrefix(t *testing.T) {
-	c, err := New([]string{"n1", "n2", "n3"}, Config{RF: 3, Quorum: 3, LakeOptions: lakeOpts()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	const topic = "telemetry"
-	if err := c.CreateTopic(topic, stream.TopicConfig{Partitions: 1}); err != nil {
-		t.Fatal(err)
-	}
-	msgs := keyedMsgs(rand.New(rand.NewSource(chaosSeed(t))), 0, 16)
-	publishRetry(t, c, topic, msgs, 1)
-	want := map[int][]string{}
-	recordWant(want, msgs, 1)
-	tp, err := c.topic(topic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ps := tp.parts[0]
-	leader, f1, f2 := ps.leader, ps.followers[0], ps.followers[1]
-	// f2 stays down; f1 comes back empty (no WAL) for Repair to refill.
-	if err := c.Kill(f2); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Kill(f1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Restart(f1); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Repair(); !errors.Is(err, ErrQuorumLost) {
-		t.Fatalf("repair with 2 of 3 replicas alive = %v, want ErrQuorumLost", err)
-	}
-	if err := c.Kill(leader); err != nil {
-		t.Fatal(err)
-	}
-	assertExactSequences(t, c, topic, want, "after failover onto the repaired follower")
-	if got := c.truncatedHW.Load(); got != 0 {
-		t.Fatalf("failover truncated %d committed records", got)
-	}
-}
-
-// TestClusterRoutesKeysLikeBroker is the one-router property: for random
-// keys and partition counts, a single broker and the cluster both place a
-// keyed message published alone on the partition stream.KeyPartition
-// names.
-func TestClusterRoutesKeysLikeBroker(t *testing.T) {
-	seed := chaosSeed(t)
-	rng := rand.New(rand.NewSource(seed))
-	b := stream.NewBroker()
-	defer b.Close()
-	c := testCluster(t, 3, 2)
-	for _, parts := range []int{1, 2, 3, 4, 7, 16} {
-		topic := fmt.Sprintf("route-%d", parts)
-		if err := b.CreateTopic(topic, stream.TopicConfig{Partitions: parts}); err != nil {
-			t.Fatal(err)
-		}
-		if err := c.CreateTopic(topic, stream.TopicConfig{Partitions: parts}); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 64; i++ {
-			key := make([]byte, 1+rng.Intn(24))
-			rng.Read(key)
-			want := stream.KeyPartition(key, parts)
-			for _, s := range []plane.Stream{b, c} {
-				before, err := s.EndOffset(topic, want)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := s.PublishBatch(topic, []stream.Message{{Key: key, Value: []byte("v")}}); err != nil {
-					t.Fatal(err)
-				}
-				if after, err := s.EndOffset(topic, want); err != nil || after != before+1 {
-					t.Fatalf("seed %d: key %x over %d partitions: %T did not land it on %d (end %d -> %d, %v)",
-						seed, key, parts, s, want, before, after, err)
-				}
-			}
-		}
-	}
+	return q
 }
 
 // TestClusterReadyWakesOnCommit: a reader parked on Ready wakes when the
@@ -394,7 +182,7 @@ func TestClusterRoutesKeysLikeBroker(t *testing.T) {
 // record again once the follower is back commits it and closes the
 // channel.
 func TestClusterReadyWakesOnCommit(t *testing.T) {
-	c := testCluster(t, 2, 2)
+	c := build(t, 2, Config{RF: 2})
 	if err := c.CreateTopic("telemetry", stream.TopicConfig{Partitions: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -453,5 +241,81 @@ func isClosed(ch <-chan struct{}) bool {
 		return true
 	default:
 		return false
+	}
+}
+
+// serialTopN ranks the single node's serial reference scan by hand: full
+// group-by, sort by (value descending, dimension ascending), truncate.
+func serialTopN(t *testing.T, ref *tsdb.DB, q tsdb.Query, dim string, n int) []tsdb.TopNEntry {
+	t.Helper()
+	q, err := tsdb.TopNQuery(q, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := ref.RunSerial(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := make([]tsdb.TopNEntry, f.Len())
+	for i := range top {
+		top[i] = tsdb.TopNEntry{Dim: f.Row(i)[1].StrVal(), Value: f.Row(i)[2].FloatVal()}
+	}
+	sort.Slice(top, func(i, j int) bool {
+		if top[i].Value != top[j].Value {
+			return top[i].Value > top[j].Value
+		}
+		return top[i].Dim < top[j].Dim
+	})
+	return top[:max(0, min(n, len(top)))]
+}
+
+// TestClusterTopNMatchesSingleNode pins top-N through the router to the
+// single node's — both to the serial reference: same entries, same
+// order, for every n including the edges (n <= 0 selects nothing, n past
+// the group count returns every group) and with two components tied on
+// value, where only the dimension tie-break orders them.
+func TestClusterTopNMatchesSingleNode(t *testing.T) {
+	ref := tsdb.New(lakeOpts())
+	c := build(t, 3, Config{RF: 2})
+	var batch []schema.Observation
+	for comp, v := range []float64{40, 70, 70, 10, 55} { // node00001 ties node00002
+		for i := 0; i < 6; i++ {
+			batch = append(batch, schema.Observation{
+				Ts: base.Add(time.Duration(i) * 20 * time.Second), System: "sys0", Source: "src0",
+				Component: fmt.Sprintf("node%05d", comp), Metric: "node_power_w", Value: v,
+			})
+		}
+	}
+	if err := ref.InsertBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.InsertBatch(batch); err != nil {
+		t.Fatal(err)
+	}
+	const groups = 5
+	for _, agg := range []tsdb.AggKind{tsdb.AggAvg, tsdb.AggMax, tsdb.AggCount} {
+		q := tsdb.Query{From: base, To: base.Add(10 * time.Minute), Agg: agg}
+		for _, n := range []int{-1, 0, 1, 2, groups + 5} {
+			want := serialTopN(t, ref, q, tsdb.DimComponent, n)
+			single, sst, err := tsdb.TopN(ref, q, tsdb.DimComponent, n)
+			if err != nil {
+				t.Fatalf("agg %d n %d: single node: %v", agg, n, err)
+			}
+			got, st, err := tsdb.TopN(c, q, tsdb.DimComponent, n)
+			if err != nil {
+				t.Fatalf("agg %d n %d: cluster: %v", agg, n, err)
+			}
+			if got == nil || single == nil || !slices.Equal(got, want) || !slices.Equal(single, want) {
+				t.Fatalf("agg %d n %d: cluster %v, single node %v, serial reference %v", agg, n, got, single, want)
+			}
+			// The router's top-N is metered like its Run: the cells the
+			// single node scanned (when its result cache did not answer).
+			if st.CellsScanned == 0 || st.Groups != groups || (!sst.CacheHit && sst.CellsScanned != st.CellsScanned) {
+				t.Fatalf("agg %d n %d: cluster stats %+v, single node %+v", agg, n, st, sst)
+			}
+		}
+	}
+	if _, _, err := tsdb.TopN(c, tsdb.Query{From: base, To: base.Add(time.Minute)}, "bogus", 3); !errors.Is(err, tsdb.ErrBadQuery) {
+		t.Fatalf("bogus dimension: err = %v, want ErrBadQuery", err)
 	}
 }

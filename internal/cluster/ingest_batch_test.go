@@ -1,13 +1,10 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -55,21 +52,15 @@ func mixedMsgs(rng *rand.Rand, tag string, n int) []stream.Message {
 
 // TestClusterPublishRegroupProperty: the cluster's counting-sort regroup
 // leaves every partition's committed log holding what message-at-a-time
-// routing puts there — keyed by stream.KeyPartition, keyless by the same
-// round-robin walk, batch order inside a partition — through one-partition
-// topics, batches that land on one partition, and a fault on one
-// partition's leader hop, whose sub-batch (and only it) comes back in
-// Failed as a slice later batches never touch.
+// routing puts there — the model's routing: keyed by stream.KeyPartition,
+// keyless by the same round-robin walk, batch order inside a partition —
+// through one-partition topics, batches that land on one partition, and a
+// fault on one partition's leader hop, whose sub-batch (and only it)
+// comes back in Failed as a slice later batches never touch.
 func TestClusterPublishRegroupProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(chaosSeed(t)))
 	for _, parts := range []int{1, 4, 7} {
-		c := testCluster(t, 3, 2)
-		topic := fmt.Sprintf("regroup-%d", parts)
-		if err := c.CreateTopic(topic, stream.TopicConfig{Partitions: parts}); err != nil {
-			t.Fatal(err)
-		}
-		var rr atomic.Uint64 // the reference walk of the topic's keyless cursor
-		want := map[int][]string{}
+		s := newSim(t, simShape{nodes: 3, rf: 2, quorum: 2, parts: parts})
 		type kept struct {
 			failed []stream.Message
 			was    string
@@ -83,60 +74,29 @@ func TestClusterPublishRegroupProperty(t *testing.T) {
 					msgs[i].Key = key
 				}
 			}
-			byPart := make([][]stream.Message, parts)
-			for _, m := range msgs {
-				p := stream.KeyPartition(m.Key, parts)
-				if len(m.Key) == 0 {
-					p = int(rr.Add(1) % uint64(parts))
-				}
-				byPart[p] = append(byPart[p], m)
-			}
 			if b%3 == 2 {
 				// Drop the k-th router→leader publish hop of this batch:
 				// sub-batches stage in partition order, so that is the k-th
 				// touched partition.
 				k, calls := rng.Intn(2), 0
-				c.Transport().SetFaultHook(func(op, target string) error {
+				s.c.Transport().SetFaultHook(func(op, target string) error {
 					if op != OpPublish {
 						return nil
 					}
-					calls++
-					if calls-1 == k {
+					if calls++; calls-1 == k {
 						return &faults.InjectedError{Op: op, Target: target}
 					}
 					return nil
 				})
 			}
-			n, err := c.PublishBatch(topic, msgs)
-			c.Transport().SetFaultHook(nil)
-			failedPart := -1
-			var ppe *stream.PartialPublishError
-			if errors.As(err, &ppe) {
-				for p := range byPart {
-					if reflect.DeepEqual(byPart[p], ppe.Failed) {
-						failedPart = p
-					}
-				}
-				if failedPart < 0 || n != len(msgs)-len(ppe.Failed) {
-					t.Fatalf("parts=%d batch %d: Failed (%d msgs, %d published) is no partition's sub-batch", parts, b, len(ppe.Failed), n)
-				}
-				keptFailed = append(keptFailed, kept{ppe.Failed, fmt.Sprint(ppe.Failed)})
-			} else if err != nil {
+			if _, err := s.step(op{kind: "pub", msgs: msgs}); err != nil {
 				t.Fatalf("parts=%d batch %d: %v", parts, b, err)
 			}
-			for p := range byPart {
-				if p == failedPart {
-					continue
-				}
-				for _, m := range byPart[p] {
-					if len(m.Key) > 0 && p != stream.KeyPartition(m.Key, parts) {
-						t.Fatalf("reference routed key %q to %d", m.Key, p)
-					}
-					want[p] = append(want[p], string(m.Value))
-				}
+			s.c.Transport().SetFaultHook(s.transportFault)
+			if len(s.failed) > 0 {
+				keptFailed = append(keptFailed, kept{s.failed, fmt.Sprint(s.failed)})
 			}
 		}
-		assertExactSequences(t, c, topic, want, fmt.Sprintf("parts=%d", parts))
 		if len(keptFailed) == 0 {
 			t.Fatalf("parts=%d: no partial publish occurred", parts)
 		}
@@ -155,7 +115,7 @@ func TestClusterPublishRegroupProperty(t *testing.T) {
 // byte-identical to the single node's.
 func TestClusterInsertRegroupKeepsStripeOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(chaosSeed(t)))
-	c := testCluster(t, 3, 2)
+	c := build(t, 3, Config{RF: 2})
 	ref := tsdb.New(lakeOpts())
 	for b := 0; b < 40; b++ {
 		obs := seedObsBatch(rng, 1+rng.Intn(300))
@@ -165,7 +125,12 @@ func TestClusterInsertRegroupKeepsStripeOrder(t *testing.T) {
 				obs[i].Component, obs[i].Metric = one.Component, one.Metric
 			}
 		}
-		insertBoth(t, ref, c, obs)
+		if err := ref.InsertBatch(obs); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.InsertBatch(obs); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for s := 0; s < tsdb.NumStripes; s++ {
 		want, err := ref.ExportStripes([]int{s})
@@ -194,7 +159,7 @@ func TestClusterInsertRegroupKeepsStripeOrder(t *testing.T) {
 // under -race, which also flags a scratch handed to two batches at once.
 func TestClusterConcurrentIngestScratchIsolation(t *testing.T) {
 	const feeds, batches, size, parts = 4, 25, 96, 4
-	c := testCluster(t, 3, 2)
+	c := build(t, 3, Config{RF: 2})
 	ref := tsdb.New(lakeOpts())
 	var wg sync.WaitGroup
 	for g := 0; g < feeds; g++ {
@@ -225,25 +190,24 @@ func TestClusterConcurrentIngestScratchIsolation(t *testing.T) {
 		want := map[int][]string{}
 		for k := 0; k < batches; k++ {
 			obs, msgs := ingestBatch(fmt.Sprintf("f%d-", g), k, size)
-			recordWant(want, msgs, parts)
+			for _, m := range msgs {
+				p := stream.KeyPartition(m.Key, parts)
+				want[p] = append(want[p], string(m.Value))
+			}
 			if err := ref.InsertBatch(obs); err != nil {
 				t.Fatal(err)
 			}
 		}
-		assertExactSequences(t, c, fmt.Sprintf("feed%d", g), want, fmt.Sprintf("feed %d", g))
+		assertValues(t, c, fmt.Sprintf("feed%d", g), want, false)
 	}
 	// One rollup cell per group, so the answer does not depend on how the
 	// feeds interleaved — only on every cell having received its own
 	// samples, all of them, in its feed's order.
-	q := tsdb.Query{
-		From: base, To: base.Add(time.Hour), Granularity: 15 * time.Second, Agg: tsdb.AggSum,
-		GroupBy: []string{tsdb.DimComponent, tsdb.DimMetric},
-	}
-	want, err := ref.Run(q)
+	want, err := ref.Run(wholeLake)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := c.Run(q); err != nil || got.Len() == 0 || !got.Equal(want) {
+	if got, _, err := c.RunWithStats(wholeLake); err != nil || got.Len() == 0 || !got.Equal(want) {
 		t.Fatalf("cluster lake differs from the reference fed one feed at a time (err %v)", err)
 	}
 }
@@ -266,7 +230,7 @@ func ingestFeed(n int) []feedBatch {
 // ingestCluster is the benchmark harness's ingest_replicated plane: three
 // nodes, RF=2, memory-only, one four-partition topic.
 func ingestCluster(t testing.TB) *Cluster {
-	c := testCluster(t, 3, 2)
+	c := build(t, 3, Config{RF: 2})
 	if err := c.CreateTopic("bronze.power_temp", stream.TopicConfig{Partitions: 4}); err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@ import (
 // cluster state — against a golden file. Regenerate with
 // ODA_UPDATE_GOLDEN=1 go test.
 func TestClusterMetricsGolden(t *testing.T) {
-	c := testCluster(t, 3, 2)
+	c := build(t, 3, Config{RF: 2})
 	if err := c.CreateTopic("telemetry", stream.TopicConfig{Partitions: 2}); err != nil {
 		t.Fatal(err)
 	}

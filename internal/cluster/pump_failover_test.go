@@ -26,7 +26,7 @@ func TestChaosClusterPumpFailoverResume(t *testing.T) {
 	const topic = "bronze.alpha"
 	cfgTopic := stream.TopicConfig{Partitions: 4}
 
-	c := testCluster(t, 3, 2)
+	c := build(t, 3, Config{RF: 2})
 	if err := c.CreateTopic(topic, cfgTopic); err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,9 @@ func TestChaosClusterPumpFailoverResume(t *testing.T) {
 			}
 			msgs[i] = stream.Message{Key: []byte(o.Component), Value: schema.EncodeRow(o.Row())}
 		}
-		publishRetry(t, c, topic, msgs, 100)
+		if err := retryFailed(c, topic, msgs, 100); err != nil {
+			t.Fatal(err)
+		}
 		for _, m := range msgs {
 			if _, err := ref.PublishBatch(topic, []stream.Message{m}); err != nil {
 				t.Fatalf("ref publish: %v", err)

@@ -1,63 +1,20 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"odakit/internal/faults"
-	"odakit/internal/resilience"
-	"odakit/internal/schema"
 	"odakit/internal/stream"
 	"odakit/internal/tsdb"
 	"odakit/internal/wal"
 )
-
-// waveCluster builds a 3-node WAL-backed cluster with one 4-partition
-// topic, warmed with a few fault-free batches and lake inserts mirrored
-// into the returned single-node reference.
-func waveCluster(t *testing.T, rng *rand.Rand, rf, quorum int, topic string) (*Cluster, *tsdb.DB, map[int][]string) {
-	t.Helper()
-	c, err := New([]string{"n1", "n2", "n3"}, Config{
-		RF: rf, Quorum: quorum, LakeOptions: lakeOpts(),
-		WALDir: t.TempDir(), WALSegmentBytes: 4 << 10,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.CreateTopic(topic, stream.TopicConfig{Partitions: 4}); err != nil {
-		t.Fatal(err)
-	}
-	ref := tsdb.New(lakeOpts())
-	want := map[int][]string{}
-	for b := 0; b < 3; b++ {
-		msgs := keyedMsgs(rng, b, 32)
-		publishRetry(t, c, topic, msgs, 1)
-		recordWant(want, msgs, 4)
-		insertBoth(t, ref, c, seedObsBatch(rng, 48))
-	}
-	return c, ref, want
-}
-
-func recordWant(want map[int][]string, msgs []stream.Message, parts int) {
-	for _, m := range msgs {
-		p := stream.KeyPartition(m.Key, parts)
-		want[p] = append(want[p], string(m.Value))
-	}
-}
-
-func seedObsBatch(rng *rand.Rand, n int) []schema.Observation {
-	obs := make([]schema.Observation, n)
-	for j := range obs {
-		obs[j] = seedObs(rng, rng.Intn(1<<20))
-	}
-	return obs
-}
 
 // failMidWave arms one fsync fault on victim's named log and returns a
 // function reporting whether it fired. The fault fires mid-wave: the
@@ -71,7 +28,6 @@ func failMidWave(t *testing.T, c *Cluster, victim, log string, waveLogs int) (fi
 	var entered atomic.Int64
 	var hit atomic.Bool
 	for _, id := range c.Nodes() {
-		id := id
 		c.NodeWAL(id).SetFaultHook(func(op, target string) error {
 			if op != wal.OpFsync {
 				return nil
@@ -118,183 +74,86 @@ func assertOnlyDead(t *testing.T, c *Cluster, victim string) {
 	}
 }
 
-// TestChaosClusterFlushWaveFault fails one log's fsync in the middle of
-// a publish wave — a follower's log with the quorum lost (RF=2), a
-// follower's log with the quorum intact (RF=3, Quorum=2), and a leader's
-// log — and requires the wave's ack rule: the partition commits iff a
-// quorum of its replicas flushed, only the faulted node dies, only that
-// replica's ack is dropped (the victim's OTHER logs in the same wave
-// flushed, and their partitions commit), a leader fault surfaces as the
-// transient node-down error whose Failed messages a retry commits, and
-// after Restart + Repair every acked record is present exactly once and
-// queries match the single-node reference.
+// TestChaosClusterFlushWaveFault fails partition 0's log fsync on one
+// replica in the middle of a publish wave over four partitions — a
+// follower's log with the quorum lost (RF=2), a follower's log with the
+// quorum intact (RF=3, Quorum=2), and the leader's log — and requires the
+// wave's ack rule: partition 0 commits iff a quorum of its replicas
+// flushed, only the faulted node dies, only that replica's ack is dropped
+// (the victim's other logs in the same wave flushed, and their partitions
+// commit), and a leader fault surfaces as the node-down error whose
+// Failed messages a retry commits. The model checks every step, through
+// the restart and repair after.
 func TestChaosClusterFlushWaveFault(t *testing.T) {
-	seed := chaosSeed(t)
-	const topic = "telemetry"
 	for _, tc := range []struct {
 		name       string
 		rf, quorum int
-		leader     bool  // fault the leader's log (else the first follower's)
-		wantErr    error // first attempt's error on the faulted partition; nil = commits
+		victim     string // partition 0's leader is n3, its first follower n2
+		want       string // the faulted publish's outcome
 	}{
-		{name: "follower-quorum-lost", rf: 2, quorum: 2, wantErr: ErrQuorumLost},
-		{name: "follower-quorum-holds", rf: 3, quorum: 2},
-		{name: "leader", rf: 2, quorum: 2, leader: true, wantErr: ErrNodeDown},
+		{name: "follower-quorum-lost", rf: 2, quorum: 2, victim: "n2", want: "published 36, failed 12: publish could not reach quorum"},
+		{name: "follower-quorum-holds", rf: 3, quorum: 2, victim: "n2", want: "published 48"},
+		{name: "leader", rf: 2, quorum: 2, victim: "n3", want: "published 36, failed 12: node down"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(seed))
-			c, ref, want := waveCluster(t, rng, tc.rf, tc.quorum, topic)
-			tp, err := c.topic(topic)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch := keyedMsgs(rng, 99, 48)
-			byPart := map[int][]stream.Message{}
-			for _, m := range batch {
-				p := stream.KeyPartition(m.Key, 4)
-				byPart[p] = append(byPart[p], m)
-			}
-			if len(byPart) != 4 {
-				t.Fatalf("batch touches %d partitions, want all 4", len(byPart))
-			}
-			// Fault a (partition, victim) whose victim also replicates
-			// another partition, so "only that replica's ack" is observable.
-			role := func(ps *partitionState) string {
-				if tc.leader {
-					return ps.leader
-				}
-				return ps.followers[0]
-			}
-			replicas := map[string]int{}
-			for _, ps := range tp.parts {
-				replicas[ps.leader]++
-				for _, f := range ps.followers {
-					replicas[f]++
-				}
-			}
-			p, victim := -1, ""
-			for _, ps := range tp.parts {
-				if id := role(ps); replicas[id] > 1 {
-					p, victim = ps.idx, id
-					break
-				}
-			}
-			if p < 0 {
-				t.Fatal("no replica serves two partitions")
-			}
-			hwBefore := make([]int64, 4)
-			for i, ps := range tp.parts {
-				hwBefore[i] = ps.hw
-			}
-
-			fired := failMidWave(t, c, victim, partitionLog(topic, p), 4*tc.rf)
-			n, err := c.PublishBatch(topic, batch)
-			var pe *stream.PartialPublishError
-			clearWALHooks(c)
+			s := newSim(t, simShape{nodes: 3, rf: tc.rf, quorum: tc.quorum, parts: 4, wal: true})
+			s.run(t, "pub 0 a=x*8 b=y*8 c=z*8 d=x*8\ninsert 48 1\npub 0 a=y*8 b=z*8 c=x*8 d=y*8\ninsert 48 2")
+			fired := failMidWave(t, s.c, tc.victim, partitionLog(simTopic, 0), 4*tc.rf)
+			obs := s.run(t, "pub 1 a=z*12 b=x*12 c=y*12 d=z*12")
+			clearWALHooks(s.c)
 			if !fired() {
 				t.Fatal("the armed fsync fault never fired")
 			}
-			assertOnlyDead(t, c, victim)
-
-			if tc.wantErr == nil {
-				if err != nil || n != len(batch) {
-					t.Fatalf("publish = (%d, %v); a %d/%d quorum survives one follower's flush fault",
-						n, err, tc.quorum, tc.rf)
-				}
-				if got := c.quorumFailures.Load(); got != 0 {
-					t.Fatalf("quorum failures = %d, want 0", got)
-				}
-			} else {
-				if !errors.As(err, &pe) || !errors.Is(err, tc.wantErr) || !resilience.IsTransient(pe.Err) {
-					t.Fatalf("publish error = %v, want a transient %v on partition %d", err, tc.wantErr, p)
-				}
-				if n != len(batch)-len(byPart[p]) || len(pe.Failed) != len(byPart[p]) {
-					t.Fatalf("published %d, failed %d; want exactly partition %d's %d messages to fail",
-						n, len(pe.Failed), p, len(byPart[p]))
-				}
-				for i, m := range pe.Failed {
-					if string(m.Value) != string(byPart[p][i].Value) {
-						t.Fatalf("failed[%d] = %q, want partition %d's %q", i, m.Value, p, byPart[p][i].Value)
-					}
-				}
+			if !strings.HasPrefix(obs, tc.want+";") {
+				t.Fatalf("the faulted publish observed %q, want %q", obs, tc.want)
 			}
-			// hw moved on exactly the partitions that kept their quorum.
-			for i, ps := range tp.parts {
-				advanced := ps.hw > hwBefore[i]
-				if wantAdv := tc.wantErr == nil || i != p; advanced != wantAdv {
-					t.Fatalf("partition %d hw %d → %d, advanced=%v want %v", i, hwBefore[i], ps.hw, advanced, wantAdv)
-				}
+			assertOnlyDead(t, s.c, tc.victim)
+			s.run(t, "retry 1\nrestart "+tc.victim+"\nrepair\nrepair\nquery 1\nquery 2")
+			if h := s.c.Health(); h.Status != "ok" {
+				t.Fatalf("health after restart + repair = %+v", h)
 			}
-
-			// The producer's retry of the Failed messages commits the failed
-			// partition exactly once (a leader fault retries on the promoted
-			// follower, which cuts the uncommitted suffix it took first).
-			if tc.wantErr != nil {
-				publishRetry(t, c, topic, pe.Failed, 5)
-			}
-			recordWant(want, batch, 4)
-			assertExactSequences(t, c, topic, want, "after retry")
-
-			if err := c.Restart(victim); err != nil {
-				t.Fatal(err)
-			}
-			repairUntilOK(t, c)
-			assertExactSequences(t, c, topic, want, "after restart + repair")
-			assertQueriesMatch(t, ref, c, rng, 4, tc.name)
 		})
 	}
 }
 
 // TestChaosClusterFlushWaveFaultStripe is the lake half: one replica's
-// stripe-log fsync fails mid-wave. The insert still succeeds on the
-// other replica, only the faulted node dies, the victim leaves that
-// stripe's serving set at its OLD sequence, and after Restart + Repair
-// the cluster answers like the single-node reference.
+// stripe-log fsync fails mid-wave. The insert still commits on the other
+// replica, only the faulted node dies, the victim leaves that stripe's
+// serving set at its OLD sequence, and the lake answers like the model
+// while degraded and after Restart + Repair.
 func TestChaosClusterFlushWaveFaultStripe(t *testing.T) {
-	seed := chaosSeed(t)
-	rng := rand.New(rand.NewSource(seed))
-	c, ref, _ := waveCluster(t, rng, 2, 2, "telemetry")
-
-	obs := seedObsBatch(rng, 64)
+	s := newSim(t, simShape{nodes: 3, rf: 2, quorum: 2, parts: 1, wal: true})
+	c := s.c
+	s.run(t, "insert 48 1\ninsert 48 2")
 	touched := map[int]bool{}
-	for _, o := range obs {
+	st := tsdb.NumStripes
+	for _, o := range seedObsBatch(rand.New(rand.NewSource(3)), 64) { // what "insert 64 3" inserts
 		touched[tsdb.StripeFor(o.Component, o.Metric)] = true
+		st = min(st, tsdb.StripeFor(o.Component, o.Metric))
 	}
-	s := -1
-	for st := range touched {
-		if s < 0 || st < s {
-			s = st
-		}
-	}
-	victim := c.stripeServers(s, true)[0]
+	victim := c.stripeServers(st, true)[0]
 	vn := c.node(victim)
-	seqBefore, victimSeqBefore := c.stripeSeqs[s].Load(), vn.stripeSeq[s].Load()
+	seqBefore, victimSeqBefore := c.stripeSeqs[st].Load(), vn.stripeSeq[st].Load()
 
-	fired := failMidWave(t, c, victim, stripeLog(s), 2*len(touched))
-	insertBoth(t, ref, c, obs)
+	fired := failMidWave(t, c, victim, stripeLog(st), 2*len(touched))
+	obs := s.run(t, "insert 64 3")
 	clearWALHooks(c)
 	if !fired() {
 		t.Fatal("the armed fsync fault never fired")
 	}
+	if !strings.HasPrefix(obs, "ok, 64 of 64 committed;") {
+		t.Fatalf("the faulted insert observed %q; the surviving replica's ack commits it", obs)
+	}
 	assertOnlyDead(t, c, victim)
-	if got := c.stripeSeqs[s].Load(); got != seqBefore+1 {
-		t.Fatalf("stripe %d sequence = %d, want %d: the surviving replica's ack commits the batch", s, got, seqBefore+1)
+	if got := vn.stripeSeq[st].Load(); got != victimSeqBefore || c.stripeSeqs[st].Load() != seqBefore+1 {
+		t.Fatalf("stripe %d: victim's sequence %d → %d, the cluster's %d → %d", st, victimSeqBefore, got, seqBefore, c.stripeSeqs[st].Load())
 	}
-	if got := vn.stripeSeq[s].Load(); got != victimSeqBefore {
-		t.Fatalf("victim's stripe %d sequence moved %d → %d on a failed flush", s, victimSeqBefore, got)
-	}
-	for _, id := range c.stripeServers(s, false) {
+	for _, id := range c.stripeServers(st, false) {
 		if id == victim {
-			t.Fatalf("victim %s still in stripe %d's serving set", victim, s)
+			t.Fatalf("victim %s still in stripe %d's serving set", victim, st)
 		}
 	}
-	assertQueriesMatch(t, ref, c, rng, 3, "degraded")
-
-	if err := c.Restart(victim); err != nil {
-		t.Fatal(err)
-	}
-	repairUntilOK(t, c)
-	assertQueriesMatch(t, ref, c, rng, 4, "after restart + repair")
+	s.run(t, "query 1\nrestart "+victim+"\nrepair\nrepair\nquery 2")
 }
 
 // TestChaosClusterKillAfterFlushStillAcks pins what an ack rides on: the
@@ -304,23 +163,10 @@ func TestChaosClusterFlushWaveFaultStripe(t *testing.T) {
 // (Dropping acks on "node not alive after the wave" would fail a batch
 // that a quorum holds durably.)
 func TestChaosClusterKillAfterFlushStillAcks(t *testing.T) {
-	seed := chaosSeed(t)
-	rng := rand.New(rand.NewSource(seed))
-	c := testClusterWAL(t, 3, 2)
-	const topic = "telemetry"
-	if err := c.CreateTopic(topic, stream.TopicConfig{Partitions: 1}); err != nil {
-		t.Fatal(err)
-	}
-	want := map[int][]string{}
-	warm := keyedMsgs(rng, 0, 8)
-	publishRetry(t, c, topic, warm, 1)
-	recordWant(want, warm, 1)
-
-	tp, err := c.topic(topic)
-	if err != nil {
-		t.Fatal(err)
-	}
-	leader, follower := tp.parts[0].leader, tp.parts[0].followers[0]
+	s := newSim(t, simShape{nodes: 3, rf: 2, quorum: 2, parts: 1, wal: true})
+	c := s.c
+	s.run(t, "pub 0 a=x*8")
+	const leader, follower = "n3", "n2"
 	fn := c.node(follower)
 	flushed := c.NodeWAL(follower).Stats().Fsyncs
 	// The wave holds two logs. The leader's Sync waits for the follower's
@@ -342,63 +188,51 @@ func TestChaosClusterKillAfterFlushStillAcks(t *testing.T) {
 		fn.alive.Store(false)
 		return nil
 	})
-	batch := keyedMsgs(rng, 1, 8)
-	n, err := c.PublishBatch(topic, batch)
+	obs := s.run(t, "pub 0 a=y*8")
 	clearWALHooks(c)
 	if fn.Alive() {
 		t.Fatal("hook never killed the follower")
 	}
-	if err != nil || n != len(batch) {
-		t.Fatalf("publish = (%d, %v); a follower killed after its flush returned still acks", n, err)
+	if !strings.HasPrefix(obs, "published 8;") {
+		t.Fatalf("publish observed %q; a follower killed after its flush returned still acks", obs)
 	}
-	recordWant(want, batch, 1)
-	assertExactSequences(t, c, topic, want, "after kill-after-flush")
-
-	if err := c.Restart(follower); err != nil {
-		t.Fatal(err)
-	}
-	assertDiskPrefix(t, c, follower, topic, want, "restarted follower")
-	repairUntilOK(t, c)
-	assertExactSequences(t, c, topic, want, "after restart + repair")
+	s.run(t, "restart n2\nrepair\nrepair")
 }
 
-// TestChaosClusterWALBoundaryCountsRepeat keeps the crash-point sweep's
-// calibration exact: two identical fault-free runs of its workload cross
-// the same number of wal.append and wal.fsync boundaries on every node.
-// Inside a wave the ORDER in which a node's logs reach fsync depends on
-// the scheduler; the counts may not.
-func TestChaosClusterWALBoundaryCountsRepeat(t *testing.T) {
-	seed := chaosSeed(t)
-	run := func() map[string]int64 {
-		c, ref := newCrashPointCluster(t)
-		var mu sync.Mutex
-		counts := map[string]int64{}
-		for _, id := range c.Nodes() {
-			id := id
-			c.NodeWAL(id).SetFaultHook(func(op, _ string) error {
+// publishers runs n goroutines that each publish 12-message batches to
+// topic — keys over 32 values, values unique — and retry their Failed
+// messages until stop closes, recording what committed in want.
+func publishers(t *testing.T, c *Cluster, n int, seed int64, stop chan struct{}, wg *sync.WaitGroup) (want map[int][]string, mu *sync.Mutex) {
+	want, mu = map[int][]string{}, &sync.Mutex{}
+	for g := 0; g < n; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed + int64(g)))
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				msgs := make([]stream.Message, 12)
+				for j := range msgs {
+					msgs[j] = stream.Message{Key: fmt.Appendf(nil, "k%d", rng.Intn(32)), Value: fmt.Appendf(nil, "g%d-i%d-j%d", g, i, j)}
+				}
+				if err := retryFailed(c, simTopic, msgs, 2000); err != nil {
+					t.Errorf("publisher %d could not commit batch %d: %v", g, i, err)
+					return
+				}
 				mu.Lock()
-				counts[id+" "+op]++
+				for _, m := range msgs {
+					p := stream.KeyPartition(m.Key, 4)
+					want[p] = append(want[p], string(m.Value))
+				}
 				mu.Unlock()
-				return nil
-			})
-		}
-		crashPointWorkload(t, c, ref, seed, "telemetry")
-		mu.Lock()
-		defer mu.Unlock()
-		return counts
+			}
+		}(g)
 	}
-	a, b := run(), run()
-	if len(a) == 0 {
-		t.Fatal("workload crossed no WAL boundary")
-	}
-	for k, v := range a {
-		if b[k] != v {
-			t.Errorf("%s: %d boundaries in run 1, %d in run 2 (seed %d)", k, v, b[k], seed)
-		}
-	}
-	if len(a) != len(b) {
-		t.Errorf("runs crossed different boundary kinds: %v vs %v", a, b)
-	}
+	return want, mu
 }
 
 // TestChaosClusterLockOrderStress proves the ascending multi-lock of
@@ -412,17 +246,13 @@ func TestChaosClusterWALBoundaryCountsRepeat(t *testing.T) {
 // Failed messages through kills neither lose nor duplicate one.
 func TestChaosClusterLockOrderStress(t *testing.T) {
 	seed := chaosSeed(t)
-	c := testClusterWAL(t, 3, 2)
-	const topic = "telemetry"
-	const parts = 4
-	if err := c.CreateTopic(topic, stream.TopicConfig{Partitions: parts}); err != nil {
+	c := build(t, 3, Config{RF: 2, WALDir: t.TempDir()})
+	if err := c.CreateTopic(simTopic, stream.TopicConfig{Partitions: 4}); err != nil {
 		t.Fatal(err)
 	}
-
-	var mu sync.Mutex
-	want := map[int][]string{}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
+	want, mu := publishers(t, c, 4, seed, stop, &wg)
 	spawn := func(fn func()) {
 		wg.Add(1)
 		go func() {
@@ -438,30 +268,7 @@ func TestChaosClusterLockOrderStress(t *testing.T) {
 			return false
 		}
 	}
-	for g := 0; g < 4; g++ {
-		g := g
-		spawn(func() {
-			rng := rand.New(rand.NewSource(seed + int64(g)))
-			for i := 0; !stopped(); i++ {
-				msgs := make([]stream.Message, 12)
-				for j := range msgs {
-					msgs[j] = stream.Message{
-						Key:   []byte(fmt.Sprintf("k%d", rng.Intn(32))),
-						Value: []byte(fmt.Sprintf("g%d-i%d-j%d", g, i, j)),
-					}
-				}
-				if err := retryFailed(c, topic, msgs, 2000); err != nil {
-					t.Errorf("publisher %d could not commit batch %d: %v", g, i, err)
-					return
-				}
-				mu.Lock()
-				recordWant(want, msgs, parts)
-				mu.Unlock()
-			}
-		})
-	}
 	for g := 0; g < 2; g++ {
-		g := g
 		spawn(func() {
 			rng := rand.New(rand.NewSource(seed + 100 + int64(g)))
 			for !stopped() {
@@ -470,8 +277,8 @@ func TestChaosClusterLockOrderStress(t *testing.T) {
 		})
 	}
 	spawn(func() {
-		for p := 0; !stopped(); p = (p + 1) % parts {
-			_, _ = c.FetchNoWait(topic, p, 0, 64)
+		for p := 0; !stopped(); p = (p + 1) % 4 {
+			_, _ = c.FetchNoWait(simTopic, p, 0, 64)
 		}
 	})
 	spawn(func() {
@@ -502,29 +309,69 @@ func TestChaosClusterLockOrderStress(t *testing.T) {
 		buf := make([]byte, 1<<20)
 		t.Fatalf("lock-order stress did not finish (deadlock?):\n%s", buf[:runtime.Stack(buf, true)])
 	}
-
 	repairUntilOK(t, c)
 	mu.Lock()
 	defer mu.Unlock()
-	for p := 0; p < parts; p++ {
-		seen := map[string]bool{}
-		recs := fetchAll(t, c, topic, p)
-		for i, r := range recs {
-			if r.Offset != int64(i) {
-				t.Fatalf("partition %d has a gap at offset %d (record %d)", p, r.Offset, i)
-			}
-			if seen[string(r.Value)] {
-				t.Fatalf("partition %d duplicates %q", p, r.Value)
-			}
-			seen[string(r.Value)] = true
-		}
-		if len(recs) != len(want[p]) {
-			t.Fatalf("partition %d holds %d records, want %d", p, len(recs), len(want[p]))
-		}
-		for _, v := range want[p] {
-			if !seen[v] {
-				t.Fatalf("partition %d lost committed record %q", p, v)
+	assertValues(t, c, simTopic, want, true)
+}
+
+// repairUntilOK restarts dead nodes and repairs until health reports ok.
+func repairUntilOK(t *testing.T, c *Cluster) {
+	t.Helper()
+	for i := 0; i < 10; i++ {
+		for _, id := range c.Nodes() {
+			if err := c.Restart(id); err != nil {
+				t.Fatal(err)
 			}
 		}
+		if c.Repair() == nil && c.Health().Status == "ok" {
+			return
+		}
+	}
+	t.Fatalf("cluster never converged to ok: %+v", c.Health())
+}
+
+// TestClusterRestartDuringPublish races Restart against in-flight
+// quorum publishes on the restarted node's partitions: the recovery
+// replay takes each partition's lock, so it serializes with staging and
+// follower syncs, and a writer holding the pre-restart WAL handle gets
+// ErrClosed (treated as a crash) rather than acking into a swapped-out
+// log. Run under -race; both the memory-only and WAL-backed paths must
+// end with every committed record exactly once.
+func TestClusterRestartDuringPublish(t *testing.T) {
+	for _, walled := range []bool{false, true} {
+		t.Run(map[bool]string{false: "memory", true: "wal"}[walled], func(t *testing.T) {
+			cfg := Config{RF: 2}
+			if walled {
+				cfg.WALDir = t.TempDir()
+			}
+			c := build(t, 3, cfg)
+			if err := c.CreateTopic(simTopic, stream.TopicConfig{Partitions: 4}); err != nil {
+				t.Fatal(err)
+			}
+			stop := make(chan struct{})
+			var wg sync.WaitGroup
+			want, mu := publishers(t, c, 4, chaosSeed(t), stop, &wg)
+			for cycle := 0; cycle < 4; cycle++ {
+				if err := c.Kill("n2"); err != nil {
+					t.Error(err)
+					break
+				}
+				if err := c.Restart("n2"); err != nil {
+					t.Error(err)
+					break
+				}
+				_ = c.Repair() // concurrent churn may leave transient degradation
+			}
+			close(stop)
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+			repairUntilOK(t, c)
+			mu.Lock()
+			defer mu.Unlock()
+			assertValues(t, c, simTopic, want, true)
+		})
 	}
 }

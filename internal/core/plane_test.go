@@ -131,7 +131,7 @@ func TestChaosIngestClusterPlaneExactlyOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Run(q)
+	got, _, err := c.RunWithStats(q)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,10 @@
 // seed; concurrent workloads see the same aggregate fault rates with a
 // schedule-dependent interleaving, which is exactly the reproducibility
 // contract chaos tests need (retries must mask transients no matter
-// *which* operations fail).
+// *which* operations fail). A hook that keys its decisions by (target,
+// per-target count) — fail the k-th fsync of this log — is deterministic
+// even under concurrent waves: the cluster simulator in internal/cluster's
+// tests arms its WAL crash points that way.
 package faults
 
 import (

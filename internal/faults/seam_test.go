@@ -132,7 +132,7 @@ func newCluster(t *testing.T) (*cluster.Cluster, []stream.Message) {
 }
 
 // lakeRows is how many rows the lake query answers, or its error.
-func lakeRows(f *schema.Frame, err error) string {
+func lakeRows(f *schema.Frame, _ tsdb.QueryStats, err error) string {
 	if err != nil {
 		return err.Error()
 	}
@@ -149,12 +149,12 @@ func clusterRig(t *testing.T) rig {
 		faults.OpClusterReplicate: func() error { _, err := c.PublishBatch("t", msg); return err },
 		faults.OpClusterFetch:     func() error { _, err := c.FetchNoWait("t", 0, 0, 10); return err },
 		faults.OpClusterInsert:    func() error { return c.InsertBatch(obs("n1")) },
-		faults.OpClusterQuery:     func() error { _, err := c.Run(lakeQuery); return err },
+		faults.OpClusterQuery:     func() error { _, _, err := c.RunWithStats(lakeQuery); return err },
 	}, state: func() string {
 		rerr := c.Repair()
 		end, err := c.EndOffset("t", 0)
 		recs, ferr := c.FetchNoWait("t", 0, 0, 10)
-		return fmt.Sprint(rerr, end, err, len(recs), ferr, lakeRows(c.Run(lakeQuery)))
+		return fmt.Sprint(rerr, end, err, len(recs), ferr, lakeRows(c.RunWithStats(lakeQuery)))
 	}}
 }
 
@@ -174,7 +174,7 @@ func resyncRig(t *testing.T) rig {
 		faults.OpClusterResync: c.Repair,
 	}, state: func() string {
 		h := c.Health()
-		return fmt.Sprintf("%s; stripes: %d under-replicated, %d down", lakeRows(c.Run(lakeQuery)),
+		return fmt.Sprintf("%s; stripes: %d under-replicated, %d down", lakeRows(c.RunWithStats(lakeQuery)),
 			h.UnderReplicatedStripes, h.DownStripes)
 	}}
 }

@@ -6,10 +6,12 @@ package oda_test
 // consumer loop, one entry point per operation, one retry convention, one
 // fault seam, no knob nobody turns, one admission decision, one cold scan,
 // one parse per segment object, one filter test per series, one chunk
-// decoder, one interner, one parameter reader, and a series that is an
-// integer. Each is a structural fact a later change could quietly undo, so
-// each is checked over the parsed non-test sources on every `go test
-// ./...`, and each is shown to fire on a synthetic source that breaks it.
+// decoder, one interner, one parameter reader, a series that is an
+// integer, and one cluster harness. Each is a structural fact a later
+// change could quietly undo, so each is checked over the parsed sources —
+// the non-test ones, or for a test-shape rule the tests — on every `go
+// test ./...`, and each is shown to fire on a synthetic source that
+// breaks it.
 
 import (
 	"fmt"
@@ -201,10 +203,11 @@ func count(got []string, want, what string) []string {
 }
 
 // A shapeRule is one structural fact: check lists its violations in the
-// non-test sources, breaks is a synthetic source tree (path → source)
-// that it must reject.
+// non-test sources (the _test.go sources when tests is set), breaks is a
+// synthetic source tree (path → source) that it must reject.
 type shapeRule struct {
 	name   string
+	tests  bool
 	check  func(files []srcFile) []string
 	breaks map[string]string
 }
@@ -774,6 +777,33 @@ func apply(o *Obs) { _ = tsdb.Key{Ts: o.Ts, Component: o.Component, Metric: o.Me
 func insert(o *Obs) { _ = Key{Ts: o.Ts, System: o.System} }`,
 		},
 	},
+	{
+		name:  "one cluster harness: internal/cluster's tests make a cluster only in build",
+		tests: true,
+		check: func(files []srcFile) (out []string) {
+			for _, s := range files {
+				if !within("internal/cluster")(s) {
+					continue
+				}
+				for _, d := range s.f.Decls {
+					if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil && fd.Name.Name == "build" {
+						continue
+					}
+					ast.Inspect(d, func(n ast.Node) bool {
+						if c, ok := n.(*ast.CallExpr); ok {
+							if id, ok := c.Fun.(*ast.Ident); ok && id.Name == "New" {
+								out = append(out, s.path+": a New call outside build: build the cluster through the one harness")
+							}
+						}
+						return true
+					})
+				}
+			}
+			return out
+		},
+		breaks: map[string]string{"internal/cluster/wal_test.go": `package cluster
+func testClusterWAL(t *testing.T) *Cluster { c, _ := New(ids, Config{WALDir: t.TempDir()}); return c }`},
+	},
 }
 
 // removedKnobs are config fields, by package directory, that nothing set
@@ -821,8 +851,9 @@ func exprString(e ast.Expr) string {
 }
 
 // repoSources parses every non-test Go file of the repository, the
-// separate benchmark module included.
-func repoSources(t *testing.T) []srcFile {
+// separate benchmark module included — or, with tests, every _test.go
+// file.
+func repoSources(t *testing.T, tests bool) []srcFile {
 	t.Helper()
 	fset := token.NewFileSet()
 	var files []srcFile
@@ -836,7 +867,7 @@ func repoSources(t *testing.T) []srcFile {
 			}
 			return nil
 		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") != tests {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
@@ -853,12 +884,16 @@ func repoSources(t *testing.T) []srcFile {
 }
 
 func TestRepositoryShape(t *testing.T) {
-	files := repoSources(t)
-	if len(files) < 100 {
-		t.Fatalf("parsed %d Go files; run from the repository root", len(files))
+	files, tests := repoSources(t, false), repoSources(t, true)
+	if len(files) < 100 || len(tests) < 100 {
+		t.Fatalf("parsed %d Go files and %d tests; run from the repository root", len(files), len(tests))
 	}
 	for _, r := range shapeRules {
-		for _, v := range r.check(files) {
+		src := files
+		if r.tests {
+			src = tests
+		}
+		for _, v := range r.check(src) {
 			t.Errorf("%s: %s", r.name, v)
 		}
 	}
