@@ -43,6 +43,8 @@ func (c *Cluster) Instrument(reg *obs.Registry) {
 			Help: "Records shipped leader to follower.", Value: float64(c.replicated.Load())})
 		emit(obs.Sample{Name: "oda_cluster_truncated_records_total", Kind: obs.KindCounter,
 			Help: "Committed records lost to beyond-quorum failures.", Value: float64(h.TruncatedHW)})
+		emit(obs.Sample{Name: "oda_cluster_lost_insert_batches_total", Kind: obs.KindCounter,
+			Help: "Committed lake insert batches lost with every replica of their stripe.", Value: float64(h.LostInserts)})
 		emit(obs.Sample{Name: "oda_cluster_under_replicated_partitions", Kind: obs.KindGauge,
 			Help: "Partitions below full replication (still serving).", Value: float64(h.UnderReplicatedPartitions)})
 		emit(obs.Sample{Name: "oda_cluster_leaderless_partitions", Kind: obs.KindGauge,
@@ -65,12 +67,8 @@ func (c *Cluster) Instrument(reg *obs.Registry) {
 				hw := ps.hw
 				lag := int64(0)
 				for _, f := range ps.followers {
-					n := c.node(f)
-					if n == nil || !n.Alive() {
-						continue
-					}
-					if d := hw - ps.acked[f]; d > lag {
-						lag = d
+					if n := c.node(f); n != nil && n.Alive() {
+						lag = max(lag, hw-ps.acked[f])
 					}
 				}
 				idx := ps.idx

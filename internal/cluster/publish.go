@@ -171,12 +171,9 @@ func (c *Cluster) shipLocked(t *topicState, ps *partitionState, lend int64, w *f
 	// live members) changes durability for exactly one commit — the
 	// replacement is caught up inline below before it acks.
 	refresh := len(ps.followers) < c.cfg.RF-1
-	if !refresh {
-		for _, r := range ps.followers {
-			if n := c.node(r); n == nil || !n.Alive() {
-				refresh = true
-				break
-			}
+	for _, r := range ps.followers {
+		if n := c.node(r); n == nil || !n.Alive() {
+			refresh = true
 		}
 	}
 	if refresh {
@@ -375,9 +372,7 @@ func (c *Cluster) FetchNoWait(topicName string, partition int, offset int64, max
 	if max <= 0 {
 		max = 1024 // the broker's default page
 	}
-	if committed := ps.hw - offset; int64(max) > committed {
-		max = int(committed)
-	}
+	max = int(min(int64(max), ps.hw-offset))
 	ld := c.node(ps.leader)
 	recs, err := ld.Broker.FetchNoWait(t.name, ps.idx, offset, max)
 	if err != nil {

@@ -96,9 +96,7 @@ func (r *Ring) Owners(key string, rf int) []string {
 	if len(r.points) == 0 || rf <= 0 {
 		return nil
 	}
-	if rf > len(r.nodes) {
-		rf = len(r.nodes)
-	}
+	rf = min(rf, len(r.nodes))
 	h := fnv64(key)
 	start := sort.Search(len(r.points), func(i int) bool { return r.points[i].h >= h })
 	out := make([]string, 0, rf)

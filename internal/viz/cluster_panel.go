@@ -46,5 +46,6 @@ func ClusterPanel(h cluster.Health) string {
 	fmt.Fprintf(&b, "  %-28s %d\n", "lake resyncs", h.LakeResyncs)
 	fmt.Fprintf(&b, "  %-28s %d\n", "quorum failures", h.QuorumFailures)
 	fmt.Fprintf(&b, "  %-28s %d\n", "truncated records", h.TruncatedHW)
+	fmt.Fprintf(&b, "  %-28s %d\n", "lost insert batches", h.LostInserts)
 	return b.String()
 }

@@ -150,6 +150,13 @@ func (w *NodeWAL) Log(name string) (*Log, error) {
 	return l, nil
 }
 
+// Has reports whether the named log exists on disk (an open one does),
+// without creating it as Log would.
+func (w *NodeWAL) Has(name string) bool {
+	_, err := os.Stat(filepath.Join(w.cfg.Dir, filepath.FromSlash(name)))
+	return err == nil
+}
+
 // Remove deletes a log — handle, directory, and history. Used when an
 // out-of-band copy (a wholesale stripe resync) makes the on-disk
 // history no longer describe the state it was a log of.

@@ -371,3 +371,30 @@ func TestWALRejectsBadNames(t *testing.T) {
 		}
 	}
 }
+
+// TestWALHas: Has names the logs on disk — one Log opened, in this
+// process or an earlier one — and creates none itself.
+func TestWALHas(t *testing.T) {
+	dir := t.TempDir()
+	w, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if w.Has("t/x/0") || w.Has("t/x/0") {
+		t.Fatal("Has reports a log nothing opened, or created it on the first ask")
+	}
+	if _, err := w.Log("t/x/0"); err != nil {
+		t.Fatal(err)
+	}
+	w.Abandon()
+	w2, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !w2.Has("t/x/0") {
+		t.Fatal("a reopened WAL does not have the log an earlier one opened")
+	}
+	if err := w2.Remove("t/x/0"); err != nil || w2.Has("t/x/0") {
+		t.Fatalf("a removed log is still there (%v)", err)
+	}
+}
