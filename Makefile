@@ -22,8 +22,9 @@ vet:
 # no knob nobody turns — the removed config fields stay deleted — one cold scan, one parse per segment object — internal/tsdb
 # never calls columnar.NewFileReader, it binds a segment's kept index —
 # one filter test per series — GroupTable.Fold never calls Match, it
-# folds through an admit vector — one chunk decoder, one interner, one
-# parameter reader, a series is an integer — and one cluster harness:
+# memoizes each series' admission and group — one chunk decoder, one interner,
+# one parameter reader, a series is an integer, a group is an integer —
+# its slot holds no string, FoldColumns builds no Series — and one cluster harness:
 # internal/cluster's tests make a cluster only in build), checked over
 # the parsed sources.
 test:

@@ -161,7 +161,7 @@ type decodeScratch struct {
 	in   *schema.Interner // made on first use
 	dict []string
 	// ids holds, after a dictionary-mode block, each value's index into
-	// dict; it is empty after a plain block.
+	// dict; it is empty after a plain block or a chunk with a null.
 	ids []uint32
 	// accept is Predicate.filter's table over dict: whether each entry
 	// satisfies the predicate.
@@ -361,6 +361,9 @@ func decodeColumn(buf []byte, want int, v *Vector, ds *decodeScratch) error {
 	}
 	if hasNull {
 		v.zeroNulls(base)
+		// A null reads "" whatever entry it was written under: its row no
+		// longer holds its entry's value.
+		ds.ids = ds.ids[:0]
 	}
 	return nil
 }

@@ -679,3 +679,57 @@ func BenchmarkScanColumnsCold(b *testing.B) {
 	}
 	b.ReportMetric(float64(rows)/b.Elapsed().Seconds(), "rows/s")
 }
+
+// TestScanCodesNameEqualValues: rows a scan gives one code hold one value,
+// across row groups whose dictionaries code values afresh, in plain
+// chunks, and through a null that a hostile dictionary chunk writes over
+// an entry other rows share; a dictionary chunk's rows do share codes.
+func TestScanCodesNameEqualValues(t *testing.T) {
+	check := func(name string, data []byte, col string, wantShared bool) {
+		t.Helper()
+		fr, err := NewFileReader(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b Batch
+		if _, err := fr.ScanInto(&b, []string{col}); err != nil {
+			t.Fatal(err)
+		}
+		v := &b.Cols[0]
+		valueOf := map[uint32]string{}
+		for _, r := range b.Sel {
+			c := v.Codes[r]
+			if int(c) >= len(v.Strs) {
+				t.Fatalf("%s: row %d has code %d of %d rows", name, r, c, len(v.Strs))
+			}
+			if s, ok := valueOf[c]; ok && s != v.Strs[r] {
+				t.Fatalf("%s: code %d names %q and %q", name, c, s, v.Strs[r])
+			}
+			valueOf[c] = v.Strs[r]
+		}
+		if shared := len(valueOf) < len(b.Sel); shared != wantShared {
+			t.Fatalf("%s: %d codes over %d rows, want shared codes %v", name, len(valueOf), len(b.Sel), wantShared)
+		}
+	}
+	rng := rand.New(rand.NewSource(40))
+	f := schema.NewFrame(schema.New(schema.Field{Name: "dict", Kind: schema.KindString}, schema.Field{Name: "plain", Kind: schema.KindString}))
+	for r := 0; r < 700; r++ {
+		if err := f.AppendRow(schema.Row{schema.Str(fmt.Sprintf("m%d", rng.Intn(4))), schema.Str(fmt.Sprintf("p%d", rng.Intn(1000)))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data := writeRows(t, f, WriterOptions{RowGroupRows: 64, Compression: CompressFlate})
+	check("dict", data, "dict", true)
+	check("plain", data, "plain", false)
+	// A null in a chunk costs its rows their shared codes, not their values.
+	check("dict with nulls", writeRows(t, vectorFrame(t, rng, 700), WriterOptions{RowGroupRows: 64}), "dict", false)
+
+	// Row 1 is null over "m1", an entry rows 0, 3, 5 and 7 read as "m1".
+	vals := []string{"m1", "m1", "m2", "m1", "m2", "m1", "m2", "m1"}
+	chunk := binary.AppendUvarint([]byte{byte(schema.KindString)}, uint64(len(vals)))
+	chunk = appendStringBlock(append(chunk, 0b10), vals)
+	hostile := append(rawHeader(schema.Field{Name: "s", Kind: schema.KindString}), markerRowGroup, byte(len(vals)), 1)
+	hostile = appendStats(hostile, ColStats{Count: len(vals), NullCount: 1, Min: schema.Str("m1"), Max: schema.Str("m2")})
+	hostile = append(hostile, byte(CompressNone), byte(len(chunk)), byte(len(chunk)))
+	check("null over a shared entry", append(hostile, chunk...), "s", false)
+}

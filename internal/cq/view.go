@@ -330,10 +330,7 @@ func (v *View) foldRangeLocked(fromN, toN, granN int64) (total tsdb.GroupTable, 
 			for _, tp := range v.tps {
 				if ct := v.stripes[s][chunkN][tp]; ct != nil {
 					cellsScanned += int64(ct.Len())
-					for pi := 0; pi < ct.Pages(); pi++ {
-						keys, cells := ct.Page(pi)
-						part.Fold(&p, ct.Dict(), nil, keys, cells, contained)
-					}
+					part.Fold(&p, ct, contained)
 				}
 			}
 		}

@@ -339,8 +339,8 @@ func BenchmarkCellTableGrow(b *testing.B) {
 	}
 }
 
-// TestFoldAdmitMatchesMatch: Fold through a table's admit vector leaves
-// the same groups and match count as the per-cell Match reference, for
+// TestFoldAdmitMatchesMatch: Fold through its per-series group memo
+// leaves the same groups and match count as the per-cell Match reference, for
 // filters on every dimension, over a dictionary whose series differ only
 // in system or source, or collide on SeriesHash.
 func TestFoldAdmitMatchesMatch(t *testing.T) {
@@ -368,21 +368,15 @@ func TestFoldAdmitMatchesMatch(t *testing.T) {
 			From: base, To: base.Add(5 * time.Minute), Filters: filters, Granularity: time.Minute,
 			GroupBy: []string{DimSystem, DimSource, DimComponent},
 		})
-		admit := p.admit(ct.Dict(), nil)
-		if (admit == nil) != (filters == nil) {
-			t.Fatalf("filters %d: admit vector %v", fi, admit)
-		}
 		var got, want GroupTable
-		var matched, wantMatched int64
-		for pi := 0; pi < ct.Pages(); pi++ {
-			keys, cells := ct.Page(pi)
-			matched += got.Fold(&p, ct.Dict(), admit, keys, cells, false)
-		}
+		var wantMatched int64
+		matched := got.Fold(&p, &ct, false)
 		for i := 0; i < ct.Len(); i++ {
 			k, c := ct.At(i)
 			if s := ct.Series(k.Series); k.Ts >= p.fromN && k.Ts < p.toN && p.Match(s) {
 				wantMatched++
-				want.accumulate(&p, k.Ts, s, c)
+				tuple := p.tuple(s)
+				want.accumulate(&p, k.Ts, want.group(&tuple), c)
 			}
 		}
 		if matched != wantMatched || (fi > 0 && fi < 5 && matched == 0) {

@@ -9,11 +9,14 @@
 // stripe-major, chunk-ascending, insertion order), and the merge is the
 // kernel's own (kernel.go): remote partials are fed to the GroupTable.Merge
 // Run's in-process merge calls, in the same fixed stripe order
-// 0..NumStripes-1, and emitted by the same Plan.Frame.
+// 0..NumStripes-1, and emitted by the same Plan.Frame. A partial's group
+// ids index its own dictionary, so each merge remaps them into the
+// total's; the strings leave the tables only at emit.
 package tsdb
 
 import (
 	"fmt"
+	"sync"
 	"time"
 
 	"odakit/internal/schema"
@@ -36,11 +39,22 @@ type StripeScanStats struct {
 type StripePartial struct {
 	Stripe int
 	Stats  StripeScanStats
-	groups GroupTable
+	groups *GroupTable // nil once merged
 }
 
-// Groups returns how many output groups the partial carries.
-func (sp *StripePartial) Groups() int { return sp.groups.Len() }
+// Groups returns how many output groups the partial carries; 0 once
+// merged.
+func (sp *StripePartial) Groups() int {
+	if sp.groups == nil {
+		return 0
+	}
+	return sp.groups.Len()
+}
+
+// partialTables recycles the tables of stripe partials: MergeStripePartials
+// hands back every table it consumed, so a scatter-gather regrows no
+// slots, group dictionary or scratch per query. A table is Reset on Put.
+var partialTables = sync.Pool{New: func() any { return new(GroupTable) }}
 
 // StripePartial executes q against a single lock stripe of the hot tier
 // and returns that stripe's partial aggregation. The cold tier is not
@@ -54,32 +68,39 @@ func (db *DB) StripePartial(q Query, stripe int) (*StripePartial, error) {
 		return nil, fmt.Errorf("%w: stripe %d out of range", ErrBadQuery, stripe)
 	}
 	plan := Compile(q)
-	sp := &StripePartial{Stripe: stripe}
-	sp.Stats = db.scanShard(stripe, &plan, &sp.groups)
+	sp := &StripePartial{Stripe: stripe, groups: partialTables.Get().(*GroupTable)}
+	sp.Stats = db.scanShard(stripe, &plan, sp.groups)
 	return sp, nil
 }
 
 // MergeStripePartials folds stripe partials — which must be supplied in
-// ascending stripe order, Run's fixed fold order, and are consumed (see
-// GroupTable.Merge) — into the final result frame, sorted and emitted by
-// the same code as Run. Nil entries (stripes with no live owner already
-// reported as errors by the router) are rejected: a silent gap would
-// silently drop that stripe's groups.
+// ascending stripe order, Run's fixed fold order, and are consumed: each
+// one's table goes back to partialTables — into the final result frame,
+// sorted and emitted by the same code as Run. Nil entries (stripes with
+// no live owner already reported as errors by the router) are rejected:
+// a silent gap would silently drop that stripe's groups.
 func MergeStripePartials(q Query, parts []*StripePartial) (*schema.Frame, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
-	total := &GroupTable{}
+	total := partialTables.Get().(*GroupTable)
+	defer func() { total.Reset(); partialTables.Put(total) }()
 	prev := -1
 	for _, sp := range parts {
 		if sp == nil {
 			return nil, fmt.Errorf("%w: nil stripe partial", ErrBadQuery)
 		}
+		if sp.groups == nil {
+			return nil, fmt.Errorf("%w: stripe %d partial merged twice", ErrBadQuery, sp.Stripe)
+		}
 		if sp.Stripe <= prev {
 			return nil, fmt.Errorf("%w: stripe partials out of order (%d after %d)", ErrBadQuery, sp.Stripe, prev)
 		}
 		prev = sp.Stripe
-		total.Merge(&sp.groups)
+		total.Merge(sp.groups)
+		sp.groups.Reset()
+		partialTables.Put(sp.groups)
+		sp.groups = nil
 	}
 	plan := Compile(q)
 	return plan.Frame(total)
@@ -147,7 +168,8 @@ func LoadCells(f *schema.Frame, rollupN int64, fresh bool, table func(stripe int
 		}
 	}
 	for r := range stripe {
-		ts, s, cell := cols.Bucket[r], cols.series(int32(r)), cols.cell(int32(r))
+		ts, cell := cols.Bucket[r], cols.cell(int32(r))
+		s := Series{System: cols.Dims[0][r], Source: cols.Dims[1][r], Component: cols.Dims[2][r], Metric: cols.Dims[3][r]}
 		ct := table(int(stripe[r]), ts, cell.Count)
 		n := ct.Len()
 		c := ct.Cell(SeriesHash(s.Component, s.Metric), ts, &s)
