@@ -23,6 +23,7 @@ vet:
 # never calls columnar.NewFileReader, it binds a segment's kept index —
 # one filter test per series — GroupTable.Fold never calls Match, it
 # memoizes each series' admission and group — one chunk decoder, one interner,
+# one series encoder — httpapi appends series points, it reflects none —
 # one parameter reader, a series is an integer, a group is an integer —
 # its slot holds no string, FoldColumns builds no Series — and one cluster harness:
 # internal/cluster's tests make a cluster only in build), checked over
@@ -35,7 +36,8 @@ test:
 # does: an internal/ signature change that breaks benchmark/sut.go fails
 # here instead of in the driver's run. The cold-scan and OCF-write
 # microbenchmarks, the partition log's append + fetch, the LAKE insert
-# and cell-table growth ones, the grouped and filtered cold folds, the replicated ingest loop, the
+# and cell-table growth ones, the grouped and filtered cold folds (on the
+# harness's shape and on unlapped telemetry), the replicated ingest loop, the
 # CQ pump's checkpoint of a 61 440-cell view (B/ckpt) and the
 # Silver job's windowed fold + SQL query run once each so they cannot rot
 # either.
@@ -43,7 +45,7 @@ bench-smoke:
 	(cd benchmark && $(GO) vet ./... && $(GO) test ./...)
 	$(GO) test -bench 'PartitionAppendFetch' -benchtime 1x -run xxx ./internal/stream
 	$(GO) test -bench 'ScanColumnsCold|WriteTelemetry' -benchtime 1x -run xxx ./internal/columnar
-	$(GO) test -bench 'Insert$$|CellTableGrow|ColdFoldGrouped|ColdFoldFiltered' -benchtime 1x -run xxx ./internal/tsdb
+	$(GO) test -bench 'Insert$$|CellTableGrow|ColdFoldGrouped|ColdFoldFiltered|ColdFoldTelemetry' -benchtime 1x -run xxx ./internal/tsdb
 	$(GO) test -bench 'ClusterIngestBatch' -benchtime 1x -run xxx ./internal/cluster
 	$(GO) test -bench 'PumpCheckpoint' -benchtime 1x -run xxx ./internal/cq
 	$(GO) test -bench 'WindowedThroughput|SQLQuery' -benchtime 1x -run xxx ./internal/sproc

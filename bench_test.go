@@ -1260,7 +1260,7 @@ func BenchmarkAblation_CompressionCodecs(b *testing.B) {
 	ratio := float64(naiveLen) / float64(flateLen)
 	b.ReportMetric(ratio, "compression_x")
 	printOnce("Ablation: columnar compression ('compression made a huge difference')", fmt.Sprintf(
-		"  bronze frame (%d rows):\n    row-oriented wire bytes %d\n    columnar (dict+delta)   %d\n    columnar + flate        %d  => %.1fx smaller than wire",
+		"  bronze frame (%d rows):\n    row-oriented wire bytes %d\n    columnar, plain or light %d\n    columnar + flate         %d  => %.1fx smaller than wire",
 		bronze.Len(), naiveLen, rawLen, flateLen, ratio))
 }
 

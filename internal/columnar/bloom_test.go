@@ -3,6 +3,7 @@ package columnar
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -291,5 +292,62 @@ func TestGroupExtHostile(t *testing.T) {
 	// Truncations anywhere must error or parse, never panic.
 	for cut := 0; cut < len(data); cut++ {
 		_, _ = NewFileReader(data[:cut])
+	}
+}
+
+// TestBloomIsOverDistinctNonNullValues: a group's filter is exactly the
+// one built from the distinct non-null values of its column — a non-null
+// "" included, the "" a null row holds not — however the writer numbers
+// them, and an equality scan for "" finds the rows that hold it.
+func TestBloomIsOverDistinctNonNullValues(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	sch := schema.New(schema.Field{Name: "s", Kind: schema.KindString})
+	f := schema.NewFrame(sch)
+	empties := 0
+	for r := 0; r < 900; r++ {
+		v := schema.Str(fmt.Sprintf("v%d", rng.Intn(1+r/30)))
+		switch rng.Intn(6) {
+		case 0:
+			v = schema.Null
+		case 1:
+			if r < 600 { // the last groups hold "" only under nulls
+				v = schema.Str("")
+				empties++
+			}
+		}
+		if err := f.AppendRow(schema.Row{v}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	data, err := Encode(f, WriterOptions{RowGroupRows: 100, BloomColumns: []string{"s"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fr, err := NewFileReader(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for gi := range fr.groups {
+		part, err := fr.ReadGroup(gi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		distinct := map[string]bool{}
+		for r := 0; r < part.Len(); r++ {
+			if !part.Col(0).IsNull(r) {
+				distinct[part.Col(0).Strs()[r]] = true
+			}
+		}
+		want := NewBloom(len(distinct))
+		for s := range distinct {
+			want.Insert(BloomHash(s))
+		}
+		if !slices.Equal(fr.groups[gi].blooms[0].words, want.words) {
+			t.Fatalf("group %d: bloom differs from the one over its %d distinct non-null values", gi, len(distinct))
+		}
+	}
+	res, err := fr.ScanColumns(nil, Predicate{Col: "s", In: []schema.Value{schema.Str("")}})
+	if err != nil || res.Frame.Len() != empties {
+		t.Fatalf("scan for \"\": %d rows, want %d (%v)", res.Frame.Len(), empties, err)
 	}
 }

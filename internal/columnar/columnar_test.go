@@ -325,8 +325,8 @@ func TestDictionaryVsPlainStrings(t *testing.T) {
 	for i := range unique {
 		unique[i] = strings.Repeat("u", 3) + string(rune('a'+i%26)) + string(rune('a'+(i/26)%26)) + string(rune('a'+i%7)) + string(rune('0'+i%10))
 	}
-	encRep := appendStringBlock(nil, repetitive)
-	encUniq := appendStringBlock(nil, unique)
+	encRep := stringBlock(repetitive, false)
+	encUniq := stringBlock(unique, false)
 	if encRep[0] != strDict {
 		t.Fatal("repetitive strings should use dictionary encoding")
 	}
@@ -334,8 +334,8 @@ func TestDictionaryVsPlainStrings(t *testing.T) {
 		t.Fatalf("dict block %d B not much smaller than plain-ish %d B", len(encRep), len(encUniq))
 	}
 	for _, vals := range [][]string{repetitive, unique, nil, {"solo"}} {
-		enc := appendStringBlock(nil, vals)
-		dec, n, err := decodeStringBlock(nil, enc, &decodeScratch{})
+		enc := stringBlock(vals, false)
+		dec, n, err := decodeStringBlock(nil, enc, len(vals), &decodeScratch{})
 		if err != nil || n != len(enc) || len(dec) != len(vals) {
 			t.Fatalf("string block round trip: err=%v n=%d len=%d", err, n, len(dec))
 		}
@@ -345,6 +345,18 @@ func TestDictionaryVsPlainStrings(t *testing.T) {
 			}
 		}
 	}
+}
+
+// stringBlock is the string block of vals, none of them null, in the
+// plain form or the light one.
+func stringBlock(vals []string, light bool) []byte {
+	col, err := schema.StringColumn(slices.Clone(vals), nil)
+	if err != nil {
+		panic(err)
+	}
+	var d stringDict
+	d.build(col)
+	return appendStringBlock(nil, &d, light)
 }
 
 // varintIntBlock is decodeIntBlock as it was before its one-byte fast

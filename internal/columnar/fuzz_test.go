@@ -8,8 +8,9 @@ import (
 )
 
 // fuzzSeedStreams builds a spread of well-formed OCF streams covering
-// every column kind, both codecs, nulls, dictionary and plain strings,
-// and stream concatenation — the shapes the mutator starts from.
+// every column kind, every chunk form (plain, flate and light), nulls,
+// dictionary and plain strings, and stream concatenation — the shapes the
+// mutator starts from.
 func fuzzSeedStreams(f *testing.F) [][]byte {
 	f.Helper()
 	sch := schema.New(
@@ -46,7 +47,42 @@ func fuzzSeedStreams(f *testing.F) [][]byte {
 	}
 	// Concatenated streams with equal schemas are a valid stream.
 	streams = append(streams, append(append([]byte{}, streams[0]...), streams[1]...))
-	return streams
+
+	// Every column of this frame is stored in its light form, floats with
+	// nulls and without: runs of deltas, runs of ids, split floats, a
+	// bitmap with no null mask.
+	light := schema.NewFrame(sch)
+	for i := 0; i < 48; i++ {
+		row := schema.Row{
+			schema.Time(t0.Add(time.Duration(i) * 15 * time.Second)),
+			schema.Str([]string{"node-1", "node-2"}[i/24]),
+			schema.Float(700 + float64(i)*0.25),
+			schema.Int(int64(i) * 3),
+			schema.Bool(i%2 == 0),
+		}
+		if i >= 32 && i%5 == 0 {
+			row[2] = schema.Null
+		}
+		if err := light.AppendRow(row); err != nil {
+			f.Fatal(err)
+		}
+	}
+	b, err := Encode(light, WriterOptions{RowGroupRows: 16})
+	if err != nil {
+		f.Fatal(err)
+	}
+	ix, err := ParseIndex(b)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for c := 0; c < sch.Len(); c++ {
+		for _, g := range ix.groups {
+			if g.chunks[c].comp != codecLight {
+				f.Fatalf("seed column %s is not stored light (codec %d)", sch.Field(c).Name, g.chunks[c].comp)
+			}
+		}
+	}
+	return append(streams, b)
 }
 
 // FuzzFileReader fuzzes the OCF row-group reader end to end: structural

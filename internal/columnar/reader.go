@@ -233,6 +233,9 @@ func ParseIndex(data []byte) (*Index, error) {
 				return nil, fmt.Errorf("columnar: truncated chunk header")
 			}
 			comp := Compression(data[off])
+			if comp != CompressNone && comp != CompressFlate && comp != codecLight {
+				return nil, fmt.Errorf("columnar: unknown chunk codec %d at offset %d", comp, off)
+			}
 			off++
 			rawLen, sz := binary.Uvarint(data[off:])
 			if sz <= 0 || rawLen > maxChunkRawLen {
@@ -257,11 +260,14 @@ func ParseIndex(data []byte) (*Index, error) {
 	return ix, nil
 }
 
-// settle cuts every group's statistics and chunks, and re-cuts its
-// blooms and their words, from the final slabs, so the arrays appends
-// outgrew while parsing are garbage: the index outlives the parse, and
+// settle moves every slab into an array of exactly its length and cuts
+// every group's statistics, chunks and blooms, and the blooms' words,
+// from those, so neither the arrays appends outgrew while parsing nor
+// their spare capacity stays resident: the index outlives the parse, and
 // Bytes counts each slab once.
 func (ix *Index) settle() {
+	ix.groups, ix.stats, ix.chunks = exact(ix.groups), exact(ix.stats), exact(ix.chunks)
+	ix.blooms, ix.words = exact(ix.blooms), exact(ix.words)
 	w := 0
 	for i := range ix.blooms {
 		n := len(ix.blooms[i].words)
@@ -278,6 +284,16 @@ func (ix *Index) settle() {
 			b += ncols
 		}
 	}
+}
+
+// exact is a copy of s in an array of its length; nil when s is empty.
+func exact[T any](s []T) []T {
+	if len(s) == 0 {
+		return nil
+	}
+	out := make([]T, len(s))
+	copy(out, s)
+	return out
 }
 
 // Bytes is the index's resident size: its slabs at capacity, plus the
@@ -423,8 +439,8 @@ func (cr *chunkReader) close() {
 	}
 }
 
-// decodeChunk inflates column chunk c of g and decodes it onto v, whose
-// kind must be the schema's for c (see decodeColumn).
+// decodeChunk inflates column chunk c of g if it is deflated and decodes
+// it onto v, whose kind must be the schema's for c (see decodeColumn).
 func (fr *FileReader) decodeChunk(g *RowGroup, c int, v *Vector, cr *chunkReader) error {
 	ch := g.chunks[c]
 	raw := fr.data[ch.off : ch.off+ch.n]
@@ -445,7 +461,7 @@ func (fr *FileReader) decodeChunk(g *RowGroup, c int, v *Vector, cr *chunkReader
 		}
 		raw = cr.raw.Bytes()
 	}
-	if err := decodeColumn(raw, g.Rows, v, &cr.ds); err != nil {
+	if err := decodeColumn(raw, g.Rows, ch.comp == codecLight, v, &cr.ds); err != nil {
 		return fmt.Errorf("columnar: column %d: %w", c, err)
 	}
 	return nil

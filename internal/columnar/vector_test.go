@@ -358,12 +358,18 @@ func rawChunk(kind schema.Kind, mask byte, vals ...int64) []byte {
 // rawGroup wraps uncompressed chunks into a row-group block whose every
 // column claims the zone map [lo, hi].
 func rawGroup(rows int, lo, hi int64, chunks ...[]byte) []byte {
+	return codecGroup(CompressNone, rows, schema.Int(lo), schema.Int(hi), chunks...)
+}
+
+// codecGroup is rawGroup with every chunk marked by codec comp and the
+// zone map [lo, hi] of any kind (null for none).
+func codecGroup(comp Compression, rows int, lo, hi schema.Value, chunks ...[]byte) []byte {
 	b := []byte{markerRowGroup}
 	b = binary.AppendUvarint(b, uint64(rows))
 	b = binary.AppendUvarint(b, uint64(len(chunks)))
 	for _, ch := range chunks {
-		b = appendStats(b, ColStats{Count: rows, Min: schema.Int(lo), Max: schema.Int(hi)})
-		b = append(b, byte(CompressNone))
+		b = appendStats(b, ColStats{Count: rows, Min: lo, Max: hi})
+		b = append(b, byte(comp))
 		b = binary.AppendUvarint(b, uint64(len(ch)))
 		b = binary.AppendUvarint(b, uint64(len(ch)))
 		b = append(b, ch...)
@@ -727,7 +733,7 @@ func TestScanCodesNameEqualValues(t *testing.T) {
 	// Row 1 is null over "m1", an entry rows 0, 3, 5 and 7 read as "m1".
 	vals := []string{"m1", "m1", "m2", "m1", "m2", "m1", "m2", "m1"}
 	chunk := binary.AppendUvarint([]byte{byte(schema.KindString)}, uint64(len(vals)))
-	chunk = appendStringBlock(append(chunk, 0b10), vals)
+	chunk = append(append(chunk, 0b10), stringBlock(vals, false)...)
 	hostile := append(rawHeader(schema.Field{Name: "s", Kind: schema.KindString}), markerRowGroup, byte(len(vals)), 1)
 	hostile = appendStats(hostile, ColStats{Count: len(vals), NullCount: 1, Min: schema.Str("m1"), Max: schema.Str("m2")})
 	hostile = append(hostile, byte(CompressNone), byte(len(chunk)), byte(len(chunk)))

@@ -36,6 +36,10 @@ type Compression byte
 const (
 	CompressNone  Compression = 0
 	CompressFlate Compression = 1
+	// codecLight marks a chunk stored in its light form, uncompressed; the
+	// writer picks it per chunk when it is the smallest, whatever the
+	// option.
+	codecLight Compression = 2
 )
 
 // WriterOptions tunes the writer.
@@ -45,6 +49,7 @@ type WriterOptions struct {
 	RowGroupRows int
 	// Compression is the column-chunk codec; the zero value is
 	// CompressNone. CompressFlate deflates at flate.DefaultCompression.
+	// Under either, a chunk whose light form is no larger is stored light.
 	Compression Compression
 	// BloomColumns lists string columns that get a split-block bloom
 	// filter over their distinct non-null values in each row group,
@@ -73,8 +78,13 @@ type Writer struct {
 	closed bool
 	// zw deflates every chunk into zb, Reset between chunks: building a
 	// flate.Writer allocates hundreds of KB of state.
-	zw *flate.Writer
-	zb bytes.Buffer
+	zw  *flate.Writer
+	zb  bytes.Buffer
+	enc chunkEncoder
+	// bloomed marks the string columns BloomColumns names; blooms holds
+	// the filters of the row group being flushed.
+	bloomed []bool
+	blooms  []*Bloom
 
 	// RawBytes and CompressedBytes count column-chunk payload sizes, the
 	// numbers behind the compression ablation bench.
@@ -84,7 +94,16 @@ type Writer struct {
 
 // NewWriter returns a writer that emits an OCF stream for the schema.
 func NewWriter(w io.Writer, s *schema.Schema, opts WriterOptions) *Writer {
-	return &Writer{w: w, sch: s, opts: opts.withDefaults(), buf: schema.NewFrame(s)}
+	wr := &Writer{w: w, sch: s, opts: opts.withDefaults(), buf: schema.NewFrame(s)}
+	for _, name := range opts.BloomColumns {
+		if i, ok := s.Index(name); ok && s.Field(i).Kind == schema.KindString {
+			if wr.bloomed == nil {
+				wr.bloomed, wr.blooms = make([]bool, s.Len()), make([]*Bloom, s.Len())
+			}
+			wr.bloomed[i] = true
+		}
+	}
+	return wr
 }
 
 // WriteRow buffers one row, flushing a row group when full.
@@ -177,32 +196,25 @@ func (w *Writer) flushLocked() error {
 		stats := computeStats(col)
 		out = appendStats(out, stats)
 
-		raw := encodeColumn(col)
+		w.enc.encode(col)
+		if w.bloomed != nil && w.bloomed[c] {
+			w.blooms[c] = w.enc.dict.bloom()
+		}
+		raw := w.enc.plain
 		w.RawBytes += int64(len(raw))
-		payload := raw
-		comp := w.opts.Compression
-		if comp == CompressFlate {
-			w.zb.Reset()
-			if w.zw == nil {
-				zw, err := flate.NewWriter(&w.zb, flate.DefaultCompression)
-				if err != nil {
-					return fmt.Errorf("columnar: flate: %w", err)
-				}
-				w.zw = zw
-			} else {
-				w.zw.Reset(&w.zb)
+		payload, comp := raw, CompressNone
+		if w.opts.Compression == CompressFlate {
+			z, err := w.deflate(raw)
+			if err != nil {
+				return err
 			}
-			if _, err := w.zw.Write(raw); err != nil {
-				return fmt.Errorf("columnar: flate write: %w", err)
+			if len(z) < len(raw) {
+				payload, comp = z, CompressFlate // copied into out below, before the next Reset
 			}
-			if err := w.zw.Close(); err != nil {
-				return fmt.Errorf("columnar: flate close: %w", err)
-			}
-			if w.zb.Len() < len(raw) {
-				payload = w.zb.Bytes() // copied into out below, before the next Reset
-			} else {
-				comp = CompressNone // incompressible chunk: store raw
-			}
+		}
+		// The light form wins ties: it decodes without inflating.
+		if light := w.enc.light; len(light) > 0 && len(light) <= len(payload) {
+			payload, comp, raw = light, codecLight, light
 		}
 		w.CompressedBytes += int64(len(payload))
 		out = append(out, byte(comp))
@@ -210,46 +222,48 @@ func (w *Writer) flushLocked() error {
 		out = binary.AppendUvarint(out, uint64(len(payload)))
 		out = append(out, payload...)
 	}
-	out = w.appendGroupExt(out, f)
+	out = w.appendGroupExt(out)
 	_, err := w.w.Write(out)
 	return err
 }
 
+// deflate compresses raw into w.zb and returns its bytes, valid until the
+// next call.
+func (w *Writer) deflate(raw []byte) ([]byte, error) {
+	w.zb.Reset()
+	if w.zw == nil {
+		zw, err := flate.NewWriter(&w.zb, flate.DefaultCompression)
+		if err != nil {
+			return nil, fmt.Errorf("columnar: flate: %w", err)
+		}
+		w.zw = zw
+	} else {
+		w.zw.Reset(&w.zb)
+	}
+	if _, err := w.zw.Write(raw); err != nil {
+		return nil, fmt.Errorf("columnar: flate write: %w", err)
+	}
+	if err := w.zw.Close(); err != nil {
+		return nil, fmt.Errorf("columnar: flate close: %w", err)
+	}
+	return w.zb.Bytes(), nil
+}
+
 // appendGroupExt emits the bloom-filter ext block for the row group just
 // encoded, when any BloomColumns resolve to string fields.
-func (w *Writer) appendGroupExt(out []byte, f *schema.Frame) []byte {
-	if len(w.opts.BloomColumns) == 0 {
-		return out
-	}
-	want := make(map[int]bool, len(w.opts.BloomColumns))
-	for _, name := range w.opts.BloomColumns {
-		if i, ok := w.sch.Index(name); ok && w.sch.Field(i).Kind == schema.KindString {
-			want[i] = true
-		}
-	}
-	if len(want) == 0 {
+func (w *Writer) appendGroupExt(out []byte) []byte {
+	if w.bloomed == nil {
 		return out
 	}
 	out = append(out, markerGroupExt)
 	out = binary.AppendUvarint(out, uint64(w.sch.Len()))
 	for c := 0; c < w.sch.Len(); c++ {
-		if !want[c] {
+		if !w.bloomed[c] {
 			out = append(out, extNone)
 			continue
 		}
-		col := f.Col(c)
-		distinct := make(map[string]struct{}, 16)
-		for i := 0; i < col.Len(); i++ {
-			if !col.IsNull(i) {
-				distinct[col.Strs()[i]] = struct{}{}
-			}
-		}
-		bl := NewBloom(len(distinct))
-		for s := range distinct {
-			bl.Insert(BloomHash(s))
-		}
 		out = append(out, extBloom)
-		out = appendBloom(out, bl)
+		out = appendBloom(out, w.blooms[c])
 	}
 	return out
 }

@@ -23,7 +23,6 @@ package httpapi
 // X-ODA-CQ-Window-From/-To, X-ODA-CQ-Cells, and X-ODA-CQ-Cache.
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -204,7 +203,7 @@ func writeCQHeaders(w http.ResponseWriter, info cq.WindowInfo) {
 func (s *Server) writeCQWindow(w http.ResponseWriter, v *cq.View) {
 	frame, info := v.Read()
 	writeCQHeaders(w, info)
-	s.writeJSON(w, http.StatusOK, framePoints(frame, v.Spec.GroupBy))
+	s.writeSeries(w, frame, v.Spec.GroupBy)
 }
 
 func (s *Server) cqRead(w http.ResponseWriter, r *http.Request) {
@@ -241,31 +240,6 @@ func (s *Server) cqUnregister(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.writeJSON(w, http.StatusOK, map[string]bool{"deleted": true})
-}
-
-// cqUpdate is one watch notification: the view position plus the full
-// current window (CQ windows are small by construction — O(window/
-// granularity × groups) — so shipping the whole frame beats a diff
-// protocol for every consumer this portal serves).
-type cqUpdate struct {
-	ID        string        `json:"id"`
-	Gen       uint64        `json:"gen"`
-	Watermark time.Time     `json:"watermark,omitempty"`
-	From      time.Time     `json:"window_from,omitempty"`
-	To        time.Time     `json:"window_to,omitempty"`
-	Alerts    int64         `json:"alerts"`
-	Points    []seriesPoint `json:"points"`
-}
-
-func (s *Server) cqSnapshot(v *cq.View) (cqUpdate, cq.WindowInfo) {
-	frame, info := v.Read()
-	u := cqUpdate{
-		ID: v.ID, Gen: info.Gen, Watermark: info.Watermark,
-		From: info.From, To: info.To,
-		Alerts: v.Stats().Alerts,
-		Points: framePoints(frame, v.Spec.GroupBy),
-	}
-	return u, info
 }
 
 // cqWatch pushes view updates: Server-Sent Events when the client
@@ -313,16 +287,16 @@ func (s *Server) cqWatchSSE(w http.ResponseWriter, r *http.Request, v *cq.View) 
 	sent := 0
 	var lastGen uint64
 	emit := func() bool {
-		u, _ := s.cqSnapshot(v)
-		if sent > 0 && u.Gen == lastGen {
+		frame, info := v.Read()
+		if sent > 0 && info.Gen == lastGen {
 			return true // coalesced wakeup, nothing new
 		}
-		lastGen = u.Gen
-		data, err := json.Marshal(u)
+		lastGen = info.Gen
+		data, err := appendUpdate(seriesBuffer(frame.Len()), v.ID, info, v.Stats().Alerts, frame, v.Spec.GroupBy)
 		if err != nil {
 			return false
 		}
-		if _, err := fmt.Fprintf(w, "event: update\nid: %d\ndata: %s\n\n", u.Gen, data); err != nil {
+		if _, err := fmt.Fprintf(w, "event: update\nid: %d\ndata: %s\n\n", info.Gen, data); err != nil {
 			return false
 		}
 		if fl != nil {

@@ -384,14 +384,6 @@ var aggNames = map[string]tsdb.AggKind{
 	"max": tsdb.AggMax, "count": tsdb.AggCount, "last": tsdb.AggLast,
 }
 
-// seriesPoint is one output row of a lake query. JSON has no number for
-// NaN or ±Inf, so a non-finite value is nil and encodes as null.
-type seriesPoint struct {
-	Ts    time.Time         `json:"ts"`
-	Dims  map[string]string `json:"dims,omitempty"`
-	Value *float64          `json:"value"`
-}
-
 // parseShape reads what a lake query and a standing query have in common
 // — metric / component / groupby / granularity / agg, everything but the
 // time range — for a query over a window that long, applying the full
@@ -510,29 +502,8 @@ func (s *Server) lakeQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.serveQuery(w, r, query, func(fr *schema.Frame) {
-		s.writeJSON(w, http.StatusOK, framePoints(fr, query.GroupBy))
+		s.writeSeries(w, fr, query.GroupBy)
 	})
-}
-
-// framePoints flattens a query result frame into the JSON series shape.
-func framePoints(frame *schema.Frame, groupBy []string) []seriesPoint {
-	out := make([]seriesPoint, 0, frame.Len())
-	values := make([]float64, frame.Len())
-	sch := frame.Schema()
-	vi := sch.MustIndex("value")
-	for i := 0; i < frame.Len(); i++ {
-		row := frame.Row(i)
-		values[i] = row[vi].FloatVal()
-		p := seriesPoint{Ts: row[0].TimeVal(), Value: finiteOrNil(&values[i])}
-		if len(groupBy) > 0 {
-			p.Dims = map[string]string{}
-			for _, d := range groupBy {
-				p.Dims[d] = row[sch.MustIndex(d)].StrVal()
-			}
-		}
-		out = append(out, p)
-	}
-	return out
 }
 
 // finiteOrNil returns v, or nil — JSON null — when *v is NaN or ±Inf.

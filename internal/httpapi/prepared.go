@@ -17,7 +17,6 @@ package httpapi
 
 import (
 	"container/list"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"net/http"
@@ -146,34 +145,6 @@ func (s *Server) preparedRun(w http.ResponseWriter, r *http.Request) {
 	}
 	query.From, query.To = from, to
 	s.serveQuery(w, r, query, func(fr *schema.Frame) {
-		streamPoints(w, framePoints(fr, query.GroupBy))
+		streamSeries(w, fr, query.GroupBy)
 	})
-}
-
-// streamPoints writes the series as incrementally flushed JSON that is
-// byte-identical to writeJSON's single json.Encoder pass: "[", compact
-// element marshals joined by ",", then "]\n". A client behind a flushing
-// proxy sees the first chunk while the tail is still encoding.
-func streamPoints(w http.ResponseWriter, points []seriesPoint) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	fl, _ := w.(http.Flusher)
-	_, _ = w.Write([]byte{'['})
-	for i := range points {
-		if i > 0 {
-			_, _ = w.Write([]byte{','})
-		}
-		b, err := json.Marshal(points[i])
-		if err != nil {
-			return // headers are gone; nothing recoverable mid-stream
-		}
-		_, _ = w.Write(b)
-		if fl != nil && (i+1)%streamFlushEvery == 0 {
-			fl.Flush()
-		}
-	}
-	_, _ = w.Write([]byte("]\n"))
-	if fl != nil {
-		fl.Flush()
-	}
 }

@@ -8,6 +8,8 @@ import (
 	"net/url"
 	"testing"
 	"time"
+
+	"odakit/internal/schema"
 )
 
 func postPrepare(t *testing.T, base, params string) preparedInfo {
@@ -146,14 +148,15 @@ func TestPrepareValidates(t *testing.T) {
 // bytes must match one-shot encoding exactly, and bodies larger than the
 // flush interval must flush mid-stream so clients see early chunks.
 func TestStreamPointsFlushes(t *testing.T) {
-	points := make([]seriesPoint, streamFlushEvery*2+7)
-	for i := range points {
-		v := float64(i) / 3
-		points[i] = seriesPoint{Ts: t0.Add(time.Duration(i) * time.Second), Value: &v}
+	f := schema.NewFrame(schema.New(schema.Field{Name: "ts", Kind: schema.KindTime}, schema.Field{Name: "value", Kind: schema.KindFloat}))
+	for i := 0; i < streamFlushEvery*2+7; i++ {
+		if err := f.AppendRow(schema.Row{schema.Time(t0.Add(time.Duration(i) * time.Second)), schema.Float(float64(i) / 3)}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	rec := httptest.NewRecorder()
-	streamPoints(rec, points)
-	want, err := json.Marshal(points)
+	streamSeries(rec, f, nil)
+	want, err := json.Marshal(refPoints(f, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +169,7 @@ func TestStreamPointsFlushes(t *testing.T) {
 	}
 
 	rec = httptest.NewRecorder()
-	streamPoints(rec, nil)
+	streamSeries(rec, schema.NewFrame(f.Schema()), nil)
 	if rec.Body.String() != "[]\n" {
 		t.Fatalf("empty stream = %q, want []\\n", rec.Body.String())
 	}

@@ -127,7 +127,7 @@ func TestLoadShedStaleAndReject(t *testing.T) {
 	cold := "/api/v1/lake/query?metric=node_power_w&agg=max&granularity=30s" + window
 
 	// Warm the query cache with a fresh run straight at the portal.
-	var fresh []seriesPoint
+	var fresh []refPoint
 	resp, err := http.Get(srv.URL + warm)
 	if err != nil {
 		t.Fatal(err)
@@ -146,7 +146,7 @@ func TestLoadShedStaleAndReject(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stale []seriesPoint
+	var stale []refPoint
 	if err := json.NewDecoder(resp.Body).Decode(&stale); err != nil {
 		t.Fatal(err)
 	}

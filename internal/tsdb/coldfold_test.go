@@ -15,6 +15,7 @@ import (
 	"odakit/internal/columnar"
 	"odakit/internal/objstore"
 	"odakit/internal/schema"
+	"odakit/internal/telemetry"
 )
 
 // coldRef and sortedRefs are the comparison sort scanSegment used before
@@ -706,4 +707,71 @@ func BenchmarkColdFoldFiltered(b *testing.B) {
 		cells += st.ColdCells
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cold-cell")
+}
+
+// telemetryFixture is history_scan's plane without its lap: hours hours
+// of power_temp generated at scale 8 as one stream, not a 5-minute pool
+// replayed (whose floats repeat every 20 buckets and so deflate well),
+// inserted at the facility's geometry, all but the newest hour
+// offloaded at the tier's defaults. It returns the cold objects' bytes.
+func telemetryFixture(tb testing.TB, hours int) (*DB, int64) {
+	tb.Helper()
+	db := New(Options{QueryCacheSize: -1})
+	g := telemetry.NewGenerator(telemetry.FrontierLike(1).Scaled(8), nil)
+	batch := make([]schema.Observation, 0, 4096)
+	flush := func() error {
+		err := db.InsertBatch(batch)
+		batch = batch[:0]
+		return err
+	}
+	err := g.EmitSource(telemetry.SourcePowerTemp, base, base.Add(time.Duration(hours)*time.Hour), func(o schema.Observation) error {
+		if batch = append(batch, o); len(batch) == cap(batch) {
+			return flush()
+		}
+		return nil
+	})
+	if err == nil {
+		err = flush()
+	}
+	if err != nil {
+		tb.Fatal(err)
+	}
+	attachTier(tb, db, nil, ColdTierConfig{Prefix: "lake/"})
+	off, err := db.Offload(base.Add(time.Duration(hours-1)*time.Hour + time.Second))
+	if err != nil || off.Segments != hours-1 {
+		tb.Fatalf("fixture offloaded %d segments: %v", off.Segments, err)
+	}
+	return db, off.Bytes
+}
+
+// BenchmarkColdFoldTelemetry is history_scan's grouped and filtered
+// classes over 9 cold hours of unlapped power_temp and one hot hour: the
+// judge of the float chunk form, which the lapped harness data does not
+// reach. It reports ns/cold-cell and the bytes of one cold segment.
+func BenchmarkColdFoldTelemetry(b *testing.B) {
+	const hours = 10
+	db, coldBytes := telemetryFixture(b, hours)
+	grouped := Query{From: base, To: base.Add(hours * time.Hour), GroupBy: []string{DimMetric},
+		Granularity: 15 * time.Minute, Agg: AggAvg}
+	filtered := grouped
+	filtered.Filters = map[string][]string{DimMetric: {"node_power_w"}, DimComponent: {"node00002", "node00005"}}
+	filtered.GroupBy, filtered.Granularity = []string{DimComponent}, 5*time.Minute
+	for _, tc := range []struct {
+		name string
+		q    Query
+	}{{"grouped", grouped}, {"filtered", filtered}} {
+		b.Run(tc.name, func(b *testing.B) {
+			var cells int64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				_, st, err := db.RunWithStats(tc.q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				cells += st.ColdCells
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cold-cell")
+			b.ReportMetric(float64(coldBytes)/(hours-1), "B/segment")
+		})
+	}
 }

@@ -4,12 +4,14 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"odakit/internal/archive"
+	"odakit/internal/columnar"
 	"odakit/internal/objstore"
 	"odakit/internal/obs"
 	"odakit/internal/resilience"
@@ -123,9 +125,12 @@ func TestOffloadPreservesResults(t *testing.T) {
 
 // TestOffloadBytesUnchanged pins what Offload writes: the SHA-256 of the
 // first segment object (four 64-row groups, flate, blooms) and of the
-// manifest, computed before offloadChunk built its columns directly. A
-// change that moves either digest changed the on-store format or the
-// dimension-clustered row order, not just how the frame is assembled.
+// manifest, computed when the writer first kept each chunk's light form
+// where it was the smallest. A change that moves either digest changed
+// the on-store format or the dimension-clustered row order, not just how
+// the frame is assembled. testdata/segment-flate.ocf is the same object
+// as the writer wrote it before the light forms (digest 3586c332…),
+// every chunk plain or deflated: it still decodes, to the same cells.
 func TestOffloadBytesUnchanged(t *testing.T) {
 	store, err := objstore.New("")
 	if err != nil {
@@ -137,9 +142,10 @@ func TestOffloadBytesUnchanged(t *testing.T) {
 	if _, err := db.Offload(base.Add(2 * time.Hour)); err != nil {
 		t.Fatal(err)
 	}
+	const segment = "lake/segments/01717200000000000000-000000.ocf"
 	for key, want := range map[string]string{
-		"lake/segments/01717200000000000000-000000.ocf": "3586c3320bd3084999bcbf60d3257e18cb77349fdde2d5697273e0f752c9ffeb",
-		"lake/manifest": "cd9d406b76b190cb517387c1296611d37a920f786cd2a9c74a3d91f5639f9ff0",
+		segment:         "025efd8d32381f239dbf455f24c2e4dd7fe5db62d7d1c7b5a65b3ee2fbe17fe6",
+		"lake/manifest": "48433d21ce6f41297e2797e934294910bbbaa532ecadce6f035b0c7df8b74d6b",
 	} {
 		data, _, err := store.Get("lake", key)
 		if err != nil {
@@ -148,6 +154,26 @@ func TestOffloadBytesUnchanged(t *testing.T) {
 		if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != want {
 			t.Errorf("%s: sha256 %s, want %s", key, got, want)
 		}
+	}
+	data, _, err := store.Get("lake", segment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile("testdata/segment-flate.ocf")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := columnar.ReadAll(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := columnar.ReadAll(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(want) || len(data) >= len(old) {
+		t.Fatalf("light-form object: %d rows in %d bytes; flate-only object: %d rows in %d bytes, want the same cells in fewer bytes",
+			got.Len(), len(data), want.Len(), len(old))
 	}
 }
 

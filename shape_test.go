@@ -6,12 +6,12 @@ package oda_test
 // consumer loop, one entry point per operation, one retry convention, one
 // fault seam, no knob nobody turns, one admission decision, one cold scan,
 // one parse per segment object, one filter test per series, one chunk
-// decoder, one interner, one parameter reader, a series and a group that
-// are integers, and one cluster harness. Each is a structural fact a later
-// change could quietly undo, so each is checked over the parsed sources —
-// the non-test ones, or for a test-shape rule the tests — on every `go
-// test ./...`, and each is shown to fire on a synthetic source that
-// breaks it.
+// decoder, one interner, one series encoder, one parameter reader, a
+// series and a group that are integers, and one cluster harness. Each is
+// a structural fact a later change could quietly undo, so each is checked
+// over the parsed sources — the non-test ones, or for a test-shape rule
+// the tests — on every `go test ./...`, and each is shown to fire on a
+// synthetic source that breaks it.
 
 import (
 	"fmt"
@@ -670,7 +670,7 @@ func (t *GroupTable) fold(p *Plan, dict []Series, gids []uint32, keys []Key) {
 					return
 				}
 				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok && (id.Name == "strDict" || id.Name == "strPlain") {
+					if id, ok := n.(*ast.Ident); ok && (id.Name == "strDict" || id.Name == "strPlain" || id.Name == "strRuns") {
 						out = append(out, s.path+": "+name+" reads the string block layout ("+id.Name+")")
 					}
 					return true
@@ -681,6 +681,16 @@ func (t *GroupTable) fold(p *Plan, dict []Series, gids []uint32, keys []Key) {
 		breaks: map[string]string{"internal/columnar/reader.go": `package columnar
 import "bufio"
 func (fr *FileReader) stringEqKeep(br *bufio.Reader) { if mode == strDict {} }`},
+	},
+	{
+		name: "one series encoder: internal/httpapi appends series points, it reflects none",
+		check: func(files []srcFile) (out []string) {
+			return forbid(decls(files, within("internal/httpapi")), "encode a series through seriesEncoder",
+				"type seriesPoint", "func framePoints")
+		},
+		breaks: map[string]string{"internal/httpapi/httpapi.go": `package httpapi
+type seriesPoint struct{ Value *float64 }
+func framePoints(frame *schema.Frame) []seriesPoint { return nil }`},
 	},
 	{
 		name: "one interner: internal/columnar interns through schema.Interner",
