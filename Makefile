@@ -43,6 +43,7 @@ test:
 # either.
 bench-smoke:
 	(cd benchmark && $(GO) vet ./... && $(GO) test ./...)
+	$(GO) test -bench 'EncodeObservationRow|DecodeObservationRow' -benchtime 1x -run xxx ./internal/schema
 	$(GO) test -bench 'PartitionAppendFetch' -benchtime 1x -run xxx ./internal/stream
 	$(GO) test -bench 'ScanColumnsCold|WriteTelemetry' -benchtime 1x -run xxx ./internal/columnar
 	$(GO) test -bench 'Insert$$|CellTableGrow|ColdFoldGrouped|ColdFoldFiltered|ColdFoldTelemetry' -benchtime 1x -run xxx ./internal/tsdb

@@ -80,15 +80,19 @@ func (tr *Transport) Stats() (calls, dropped int64) {
 // inject, or nil to let the operation proceed.
 func (tr *Transport) call(op, from, to string) error {
 	tr.calls.Add(1)
-	link := from + ">" + to
 	tr.mu.RLock()
-	blocked := tr.blocked[link]
+	blocked := tr.blocked[from+">"+to]
 	tr.mu.RUnlock()
 	if blocked {
 		tr.dropped.Add(1)
 		return &linkError{from: from, to: to}
 	}
-	if err := tr.faults.Fire(op, link); err != nil {
+	// A hook may keep its target, which puts the link string on the heap:
+	// build it only when a hook is installed.
+	if !tr.faults.Armed() {
+		return nil
+	}
+	if err := tr.faults.Fire(op, from+">"+to); err != nil {
 		tr.dropped.Add(1)
 		return err
 	}

@@ -85,11 +85,6 @@ type Writer struct {
 	// the filters of the row group being flushed.
 	bloomed []bool
 	blooms  []*Bloom
-
-	// RawBytes and CompressedBytes count column-chunk payload sizes, the
-	// numbers behind the compression ablation bench.
-	RawBytes        int64
-	CompressedBytes int64
 }
 
 // NewWriter returns a writer that emits an OCF stream for the schema.
@@ -201,7 +196,6 @@ func (w *Writer) flushLocked() error {
 			w.blooms[c] = w.enc.dict.bloom()
 		}
 		raw := w.enc.plain
-		w.RawBytes += int64(len(raw))
 		payload, comp := raw, CompressNone
 		if w.opts.Compression == CompressFlate {
 			z, err := w.deflate(raw)
@@ -216,7 +210,6 @@ func (w *Writer) flushLocked() error {
 		if light := w.enc.light; len(light) > 0 && len(light) <= len(payload) {
 			payload, comp, raw = light, codecLight, light
 		}
-		w.CompressedBytes += int64(len(payload))
 		out = append(out, byte(comp))
 		out = binary.AppendUvarint(out, uint64(len(raw)))
 		out = binary.AppendUvarint(out, uint64(len(payload)))

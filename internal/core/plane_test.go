@@ -53,7 +53,7 @@ func partitionValues(t *testing.T, s plane.Stream, topic string, p int) [][]byte
 	}
 	var vals [][]byte
 	for off := int64(0); off < end; {
-		recs, err := s.FetchNoWait(topic, p, off, 1024)
+		recs, err := s.AppendRecords(nil, topic, p, off, 1024)
 		if err != nil || len(recs) == 0 {
 			t.Fatalf("fetch %s/%d@%d (end %d): %d records, err %v", topic, p, off, end, len(recs), err)
 		}

@@ -378,12 +378,12 @@ type outageStream struct {
 	refused int
 }
 
-func (s *outageStream) FetchNoWait(topic string, part int, off int64, max int) ([]stream.Record, error) {
+func (s *outageStream) AppendRecords(dst []stream.Record, topic string, part int, off int64, max int) ([]stream.Record, error) {
 	if part == s.bad && time.Now().Before(s.healAt) {
 		s.refused++
-		return nil, resilience.MarkTransient(errors.New("leader election in progress"))
+		return dst, resilience.MarkTransient(errors.New("leader election in progress"))
 	}
-	return s.Broker.FetchNoWait(topic, part, off, max)
+	return s.Broker.AppendRecords(dst, topic, part, off, max)
 }
 
 // TestDrainIdlesThroughTransientOutage: while one partition is transiently

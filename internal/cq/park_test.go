@@ -12,7 +12,7 @@ import (
 	"odakit/internal/stream"
 )
 
-// parkCounter is a plane that counts FetchNoWait calls and reports every
+// parkCounter is a plane that counts AppendRecords calls and reports every
 // Ready call — its partition and whether the channel it hands out is still
 // open — so a test sees its reader park without sleeping.
 type parkCounter struct {
@@ -31,9 +31,9 @@ func newParkCounter(s plane.Stream) *parkCounter {
 	return &parkCounter{Stream: s, readies: make(chan readyCall), done: make(chan struct{})}
 }
 
-func (s *parkCounter) FetchNoWait(topic string, p int, off int64, max int) ([]stream.Record, error) {
+func (s *parkCounter) AppendRecords(dst []stream.Record, topic string, p int, off int64, max int) ([]stream.Record, error) {
 	s.fetches.Add(1)
-	return s.Stream.FetchNoWait(topic, p, off, max)
+	return s.Stream.AppendRecords(dst, topic, p, off, max)
 }
 
 func (s *parkCounter) Ready(topic string, p int, off int64) (<-chan struct{}, error) {

@@ -69,6 +69,13 @@ type Hook struct {
 // SetFaultHook installs fn, or with nil removes the installed hook.
 func (h *Hook) SetFaultHook(fn func(op, target string) error) { h.fn.Store(&fn) }
 
+// Armed reports whether a hook is installed, for a surface whose target
+// costs something to build: it builds it only for an armed hook.
+func (h *Hook) Armed() bool {
+	fn := h.fn.Load()
+	return fn != nil && *fn != nil
+}
+
 // Fire runs the installed hook for op on target: its error, or nil when
 // none is installed or it lets the operation proceed.
 func (h *Hook) Fire(op, target string) error {

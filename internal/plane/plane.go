@@ -44,10 +44,12 @@ type Stream interface {
 	// publishers.
 	PublishBatch(topic string, msgs []stream.Message) (int, error)
 	Partitions(topic string) (int, error)
-	// FetchNoWait reads up to max records at offset without blocking:
-	// below the retention horizon is stream.ErrOffsetTrimmed, beyond
-	// EndOffset is stream.ErrOffsetInFuture.
-	FetchNoWait(topic string, partition int, offset int64, max int) ([]stream.Record, error)
+	// AppendRecords appends up to max records at offset to dst without
+	// blocking and returns the extended slice: below the retention
+	// horizon is stream.ErrOffsetTrimmed, beyond EndOffset is
+	// stream.ErrOffsetInFuture. Keys and values alias the log's immutable
+	// storage, so a reader reuses one page of record headers.
+	AppendRecords(dst []stream.Record, topic string, partition int, offset int64, max int) ([]stream.Record, error)
 	// EndOffset is the end of the prefix readers may consume — on a
 	// cluster the quorum-committed high watermark, so a reader only ever
 	// sees records that survive any single-node failover.

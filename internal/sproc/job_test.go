@@ -505,11 +505,11 @@ type downPartition struct {
 	down bool
 }
 
-func (s *downPartition) FetchNoWait(topic string, part int, off int64, max int) ([]stream.Record, error) {
+func (s *downPartition) AppendRecords(dst []stream.Record, topic string, part int, off int64, max int) ([]stream.Record, error) {
 	if s.down && part == s.bad {
-		return nil, resilience.MarkTransient(errors.New("leader election in progress"))
+		return dst, resilience.MarkTransient(errors.New("leader election in progress"))
 	}
-	return s.Broker.FetchNoWait(topic, part, off, max)
+	return s.Broker.AppendRecords(dst, topic, part, off, max)
 }
 
 // TestCancelMidPassLosesNothing: partition 0's page is already applied

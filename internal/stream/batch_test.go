@@ -151,11 +151,11 @@ func TestFetchNoWaitFutureOffset(t *testing.T) {
 		t.Fatal(err)
 	}
 	// next == 1: offset 1 is valid-but-empty, offset 2 is in the future.
-	if recs, err := p.fetchNoWait(1, 10); err != nil || len(recs) != 0 {
-		t.Fatalf("fetchNoWait(end) = %v, %v", recs, err)
+	if recs, err := p.appendNoWait(nil, 1, 10); err != nil || len(recs) != 0 {
+		t.Fatalf("appendNoWait(end) = %v, %v", recs, err)
 	}
-	if _, err := p.fetchNoWait(2, 10); !errors.Is(err, ErrOffsetInFuture) {
-		t.Fatalf("fetchNoWait(future) err = %v, want ErrOffsetInFuture", err)
+	if _, err := p.appendNoWait(nil, 2, 10); !errors.Is(err, ErrOffsetInFuture) {
+		t.Fatalf("appendNoWait(future) err = %v, want ErrOffsetInFuture", err)
 	}
 	// Ready agrees: the log ends past 0, not past 1.
 	if !isClosed(p.ready(0)) || isClosed(p.ready(1)) {

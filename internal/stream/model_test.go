@@ -395,7 +395,7 @@ func (r *modelRun) deleteAndRecreate(name string) {
 		r.t.Fatalf("%s: a reader parked across DeleteTopic was not woken", name)
 	}
 	r.hits["parked Ready woken by DeleteTopic"]++
-	if _, err := p.fetchNoWait(0, 1); !errors.Is(err, ErrNoTopic) {
+	if _, err := p.appendNoWait(nil, 0, 1); !errors.Is(err, ErrNoTopic) {
 		r.t.Fatalf("fetch on a deleted partition = %v, want ErrNoTopic", err)
 	}
 	if _, err := r.b.FetchNoWait(name, 0, end, 4); !errors.Is(err, ErrNoTopic) {

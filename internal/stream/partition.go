@@ -369,17 +369,19 @@ func (p *partition) enforceRetentionLocked(cfg TopicConfig) {
 	}
 }
 
-// readLocked materialises up to max records starting at the first live
-// record with Offset >= off, nil when there is none. Keys and values
-// alias the chunk arenas, cap-limited so a caller's append cannot reach a
-// neighbour.
-func (p *partition) readLocked(off int64, max int) []Record {
+// readLocked appends up to max records, starting at the first live record
+// with Offset >= off, to dst and returns the extended slice (dst itself
+// when there is none). Keys and values alias the chunk arenas,
+// cap-limited so a caller's append cannot reach a neighbour; only the
+// record headers are written into dst, so a reader that passes the same
+// page back each time allocates nothing once the page has grown.
+func (p *partition) readLocked(dst []Record, off int64, max int) []Record {
 	ci := sort.Search(p.nq, func(i int) bool {
 		c := p.chunkAt(i)
 		return c.base+int64(c.records()) > off
 	})
 	if ci == p.nq {
-		return nil
+		return dst
 	}
 	// Only the head chunk has a trimmed front, and off is at or above the
 	// horizon, so the start inside the first chunk is never below its lo.
@@ -395,40 +397,42 @@ func (p *partition) readLocked(off int64, max int) []Record {
 	if n > max {
 		n = max
 	}
-	out := make([]Record, n)
+	if cap(dst)-len(dst) < n {
+		dst = append(make([]Record, 0, len(dst)+n), dst...)
+	}
+	out := dst[len(dst) : len(dst)+n]
 	for k := 0; k < n; ci, i = ci+1, 0 {
 		c = p.chunkAt(ci)
 		for ; i < c.records() && k < n; i, k = i+1, k+1 {
 			ks, ke, ve := c.bounds(i)
-			out[k] = Record{
-				Offset: c.base + int64(i), Ts: c.ts,
-				Key: c.data[ks:ke:ke], Value: c.data[ke:ve:ve],
-			}
+			r := &out[k] // field by field: no temporary Record to copy
+			r.Offset, r.Ts = c.base+int64(i), c.ts
+			r.Key, r.Value = c.data[ks:ke:ke], c.data[ke:ve:ve]
 		}
 	}
 	p.fetchRecords.Add(int64(n))
-	return out
+	return dst[:len(dst)+n]
 }
 
-// fetchNoWait returns immediately with up to max records at offset
-// (possibly none): below the horizon is ErrOffsetTrimmed, beyond the end of
-// the log is ErrOffsetInFuture.
-func (p *partition) fetchNoWait(offset int64, max int) ([]Record, error) {
+// appendNoWait appends up to max records at offset to dst and returns at
+// once, with none when there are none yet: below the horizon is
+// ErrOffsetTrimmed, beyond the end of the log is ErrOffsetInFuture.
+func (p *partition) appendNoWait(dst []Record, offset int64, max int) ([]Record, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if err := p.errIfDeletedLocked(); err != nil {
-		return nil, err
+		return dst, err
 	}
 	if max <= 0 {
 		max = 1024
 	}
 	if offset < p.horizon {
-		return nil, ErrOffsetTrimmed
+		return dst, ErrOffsetTrimmed
 	}
 	if offset > p.next {
-		return nil, ErrOffsetInFuture
+		return dst, ErrOffsetInFuture
 	}
-	return p.readLocked(offset, max), nil
+	return p.readLocked(dst, offset, max), nil
 }
 
 // readyNow is what ready hands out when its condition already holds.

@@ -163,6 +163,18 @@ type CellTable struct {
 	rest   []cellPage // pages 1.., each allocated at full capacity
 	n      int
 	series dict[Series] // series id → dimensions, probed by SeriesHash
+	// cursor is each series' latest bucket and its cell, by series id, so
+	// the run of records a series sends into its current bucket finds the
+	// cell without the index probe. It holds a position, not a pointer:
+	// page 0 moves while it grows.
+	cursor []seriesCursor
+}
+
+// seriesCursor is a series' latest bucket start and the 1-based position
+// of its cell there (0: none yet).
+type seriesCursor struct {
+	ts  int64
+	idx int32
 }
 
 // cellPage is one run of the table's parallel key and cell arrays — the
@@ -230,21 +242,40 @@ func cellHash(seriesH uint32, bucketN int64) uint32 {
 // out stays valid for the table's lifetime; below that, only until the
 // next Cell call that inserts.
 func (t *CellTable) Cell(seriesH uint32, ts int64, s *Series) *Cell {
-	key := Key{Ts: ts, Series: t.series.intern(seriesH, s)}
+	id := t.series.intern(seriesH, s)
+	if int(id) == len(t.cursor) {
+		t.cursor = append(t.cursor, seriesCursor{})
+	}
+	cur := &t.cursor[id]
+	if cur.idx != 0 && cur.ts == ts {
+		_, c := t.At(int(cur.idx - 1))
+		return c
+	}
+	idx, c := t.probe(seriesH, Key{Ts: ts, Series: id})
+	if cur.idx == 0 || ts > cur.ts {
+		cur.ts, cur.idx = ts, idx
+	}
+	return c
+}
+
+// probe finds key's cell through the index, adding it if absent, and
+// returns its 1-based position with it.
+func (t *CellTable) probe(seriesH uint32, key Key) (int32, *Cell) {
 	if t.n >= len(t.index)*3/4 { // covers the empty table too
 		t.index = grown(t.index, 64)
 	}
-	h := cellHash(seriesH, ts)
+	h := cellHash(seriesH, key.Ts)
 	mask := uint32(len(t.index) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		r := t.index[i]
 		if r.idx == 0 {
-			t.index[i] = cellRef{hash: h, idx: int32(t.n + 1)}
-			return t.push(key)
+			idx := int32(t.n + 1)
+			t.index[i] = cellRef{hash: h, idx: idx}
+			return idx, t.push(key)
 		}
 		if r.hash == h {
 			if k, c := t.At(int(r.idx - 1)); *k == key {
-				return c
+				return r.idx, c
 			}
 		}
 	}

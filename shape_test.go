@@ -218,7 +218,7 @@ var shapeRules = []shapeRule{
 		check: func(files []srcFile) (out []string) {
 			planes := within("internal/plane", "internal/stream", "internal/cluster", "benchmark")
 			calls(files, func(s srcFile) bool { return !planes(s) }, func(s srcFile, _ *ast.CallExpr, name string) {
-				if name == "FetchNoWait" {
+				if name == "FetchNoWait" || name == "AppendRecords" {
 					out = append(out, s.path+": a hand-rolled fetch loop; read through plane.Reader")
 				}
 			})
