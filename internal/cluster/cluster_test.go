@@ -94,7 +94,7 @@ func assertValues(t *testing.T, c *Cluster, topic string, want map[int][]string,
 		t.Fatal(err)
 	}
 	for p := 0; p < parts; p++ {
-		fetch := func(off int64, max int) ([]stream.Record, error) { return c.FetchNoWait(topic, p, off, max) }
+		fetch := func(off int64, max int) ([]stream.Record, error) { return c.AppendRecords(nil, topic, p, off, max) }
 		recs, err := readLog(fetch, 1<<62, 512)
 		if err != nil {
 			t.Fatal(err)
@@ -226,7 +226,7 @@ func TestClusterReadyWakesOnCommit(t *testing.T) {
 	if !isClosed(ch) {
 		t.Fatal("the commit did not wake the parked reader")
 	}
-	if recs, err := c.FetchNoWait("telemetry", 0, 0, 10); err != nil || len(recs) != 1 || string(recs[0].Value) != "staged" {
+	if recs, err := c.AppendRecords(nil, "telemetry", 0, 0, 10); err != nil || len(recs) != 1 || string(recs[0].Value) != "staged" {
 		t.Fatalf("fetch after the commit: %d records, %v", len(recs), err)
 	}
 	if ready, err := c.Ready("telemetry", 0, 0); err != nil || !isClosed(ready) {

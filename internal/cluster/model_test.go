@@ -75,7 +75,7 @@ func (s *sim) check(add [][]stream.Record) error {
 	}
 	var dropped int64
 	for p, ps := range tp.parts {
-		fetch := func(off int64, max int) ([]stream.Record, error) { return c.FetchNoWait(simTopic, p, off, max) }
+		fetch := func(off int64, max int) ([]stream.Record, error) { return c.AppendRecords(nil, simTopic, p, off, max) }
 		got, err := readLog(fetch, math.MaxInt64, 1<<20)
 		if err != nil && !errors.Is(err, ErrPartitionDown) {
 			return fmt.Errorf("partition %d: %v", p, err)
@@ -98,10 +98,10 @@ func (s *sim) check(add [][]stream.Record) error {
 		if err := sameLog(fmt.Sprintf("partition %d", p), got, want, hw); err != nil {
 			return err
 		}
-		if page, err := c.FetchNoWait(simTopic, p, 0, 0); err != nil || len(page) != min(len(got), 1024) {
+		if page, err := c.AppendRecords(nil, simTopic, p, 0, 0); err != nil || len(page) != min(len(got), 1024) {
 			return fmt.Errorf("partition %d: a default page holds %d of %d records (%v)", p, len(page), len(got), err)
 		}
-		if _, err := c.FetchNoWait(simTopic, p, hw+1, 1); !errors.Is(err, stream.ErrOffsetInFuture) {
+		if _, err := c.AppendRecords(nil, simTopic, p, hw+1, 1); !errors.Is(err, stream.ErrOffsetInFuture) {
 			return fmt.Errorf("partition %d: a fetch past hw %d returned %v", p, hw, err)
 		}
 		if err := s.checkReplicas(ps, want); err != nil {

@@ -239,7 +239,7 @@ func publishers(t *testing.T, c *Cluster, n int, seed int64, stop chan struct{},
 // publishParts (several ps.mu) and InsertBatch (several stripeMu) cannot
 // deadlock against each other or against the paths that take one lock at
 // a time: four publishers whose batches span overlapping partitions, two
-// inserters, a FetchNoWait reader and a Kill/Restart/Repair loop run
+// inserters, an AppendRecords reader and a Kill/Restart/Repair loop run
 // together on a WAL-backed cluster and must all finish before the
 // deadline (a hang dumps every goroutine). Every committed record must
 // be in the log exactly once: overlapping publishers that retry their
@@ -278,7 +278,7 @@ func TestChaosClusterLockOrderStress(t *testing.T) {
 	}
 	spawn(func() {
 		for p := 0; !stopped(); p = (p + 1) % 4 {
-			_, _ = c.FetchNoWait(simTopic, p, 0, 64)
+			_, _ = c.AppendRecords(nil, simTopic, p, 0, 64)
 		}
 	})
 	spawn(func() {

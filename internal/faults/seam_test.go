@@ -147,13 +147,13 @@ func clusterRig(t *testing.T) rig {
 	return rig{surface: c.Transport(), calls: map[string]func() error{
 		faults.OpClusterPublish:   func() error { _, err := c.PublishBatch("t", msg); return err },
 		faults.OpClusterReplicate: func() error { _, err := c.PublishBatch("t", msg); return err },
-		faults.OpClusterFetch:     func() error { _, err := c.FetchNoWait("t", 0, 0, 10); return err },
+		faults.OpClusterFetch:     func() error { _, err := c.AppendRecords(nil, "t", 0, 0, 10); return err },
 		faults.OpClusterInsert:    func() error { return c.InsertBatch(obs("n1")) },
 		faults.OpClusterQuery:     func() error { _, _, err := c.RunWithStats(lakeQuery); return err },
 	}, state: func() string {
 		rerr := c.Repair()
 		end, err := c.EndOffset("t", 0)
-		recs, ferr := c.FetchNoWait("t", 0, 0, 10)
+		recs, ferr := c.AppendRecords(nil, "t", 0, 0, 10)
 		return fmt.Sprint(rerr, end, err, len(recs), ferr, lakeRows(c.RunWithStats(lakeQuery)))
 	}}
 }
