@@ -57,7 +57,7 @@ func cqServeWorld(b *testing.B) *cq.View {
 		runs := make([][]schema.Observation, parts)
 		flush := func(p int) {
 			if len(runs[p]) > 0 {
-				e.Apply("bronze.power_temp", p, runs[p])
+				e.Apply("bronze.power_temp", p, obsRows(runs[p]...))
 				runs[p] = runs[p][:0]
 			}
 		}
@@ -305,4 +305,13 @@ func BenchmarkCQServe(b *testing.B) {
 			"overhead_pct":             overhead,
 		})
 	})
+}
+
+// obsRows returns the observations as the rows a pump hands the engine.
+func obsRows(obs ...schema.Observation) []schema.Row {
+	rows := make([]schema.Row, len(obs))
+	for i := range obs {
+		rows[i] = obs[i].Row()
+	}
+	return rows
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"os"
@@ -169,6 +171,32 @@ func runChaosPipeline(t *testing.T, inj *faults.Injector, poison [][]byte) (pipe
 		}
 	}
 	return out, poisoned
+}
+
+// TestPipelineOutputDigests pins the bytes of the fault-free pipeline's
+// Silver object and Gold artifacts. TestChaosByteIdenticalPipeline holds
+// a run under faults to a clean run of the same code; this holds the
+// clean run to the bytes the pipeline has always written, so a change to
+// how Silver is computed cannot move them unnoticed.
+func TestPipelineOutputDigests(t *testing.T) {
+	out, _ := runChaosPipeline(t, nil, nil)
+	if len(out.silver) != 15072 {
+		t.Errorf("silver object is %d bytes, want 15072", len(out.silver))
+	}
+	for _, c := range []struct {
+		what string
+		data []byte
+		want string
+	}{
+		{"silver object", out.silver, "3742c31ef83ebc4ff6bd5871343e6cc223294c14e573d6775feeec3814c2dbb3"},
+		{"gold profiles", out.profiles, "7efab17e6c3303a5ac49cd420ab0bf439aa25ba196e340e32987f1a1e2855575"},
+		{"gold series", out.series, "dc8d743f15bc83aff4683983748f459d27782f79064aac2eba702fb8dbbce199"},
+	} {
+		sum := sha256.Sum256(c.data)
+		if got := hex.EncodeToString(sum[:]); got != c.want {
+			t.Errorf("%s sha256 = %s, want %s", c.what, got, c.want)
+		}
+	}
 }
 
 func TestChaosByteIdenticalPipeline(t *testing.T) {

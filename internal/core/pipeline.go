@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"odakit/internal/columnar"
+	"odakit/internal/cq"
 	"odakit/internal/medallion"
 	"odakit/internal/obs"
 	"odakit/internal/plane"
@@ -17,8 +18,8 @@ import (
 )
 
 // The Bronze→Silver→Gold pipelines of Fig 4-b, in both the streaming form
-// (a sproc job with windowed aggregation, pivot, and contextualization)
-// and the batch/backfill form (§VI-B).
+// (a sproc job folding into a tumbling CQ view, then pivot and
+// contextualization) and the batch/backfill form (§VI-B).
 
 // ReplayBronzeToLake rebuilds the LAKE rollup store from the retained
 // bronze topic of a source — the recovery path after a LAKE restart, and
@@ -114,26 +115,32 @@ type SilverPipelineConfig struct {
 
 // NewSilverJob builds (without running) the streaming Bronze→Silver job
 // for a source: 15 s windowed averages, pivoted wide, contextualized with
-// job allocations, appended to the source's OCEAN Silver object. The job
+// job allocations, appended to the source's OCEAN Silver object. The
+// windows are a tumbling view on an engine of the job's own (never
+// f.CQ, whose pump would fold the topic into it a second time). The job
 // dead-letters poison records, retries transient poll/sink faults under
 // the facility retry policy, and (when configured) guards its sink with
 // a circuit breaker. It reads the bronze topic of whichever plane the
 // facility is attached to.
 func (f *Facility) NewSilverJob(cfg SilverPipelineConfig) (*sproc.Job, error) {
+	w := f.Opts.SilverWindow
+	spec, lateness, pivot := medallion.SilverizeConfig{Window: w}.WindowStages()
+	view, err := cq.NewEngine(cq.Config{RollupInterval: w, SegmentDuration: w}).Register(spec)
+	if err != nil {
+		return nil, err
+	}
 	job, err := sproc.NewJob(f.stream, sproc.JobConfig{
 		Name: "silver-" + string(cfg.Source), Topic: BronzeTopic(cfg.Source),
-		InputSchema: schema.ObservationSchema, CheckpointDir: cfg.CheckpointDir,
+		View: view, Lateness: lateness, CheckpointDir: cfg.CheckpointDir,
 		Retry: f.Opts.RetryPolicy, Breaker: cfg.Breaker,
 		Instr: f.silverInstr,
 	})
 	if err != nil {
 		return nil, err
 	}
-	spec, pivot := medallion.SilverizeConfig{Window: f.Opts.SilverWindow}.WindowStages()
 	dataset := string(cfg.Source) + "_silver"
 	f.Datasets.Register(dataset, medallion.Silver, nil)
-	job.Window(spec).
-		MapBatch(pivot).
+	job.MapBatch(pivot).
 		MapBatch(func(fr *schema.Frame) (*schema.Frame, error) {
 			return medallion.Contextualize(fr, f.Sched)
 		}).

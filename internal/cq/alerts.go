@@ -24,14 +24,6 @@ type Alert struct {
 // alertRingCap bounds retained alert history per view.
 const alertRingCap = 256
 
-// closedBucket is one (bucket, group) whose value became final — the
-// watermark passed its end — and is due for scoring.
-type closedBucket struct {
-	ts    int64
-	dims  [4]string
-	value float64
-}
-
 // groupScore is one group's online scoring state: the guarded z-score
 // detector plus, when a season is configured, a Holt-Winters forecaster
 // whose residuals are scored instead of raw values (a value that is
@@ -73,70 +65,51 @@ func newAlertState(spec Spec, rollupN int64) *alertState {
 }
 
 // closeBuckets folds the buckets the watermark has newly passed.
-// Called with v.mu held; returns buckets in (ts, dims) order so each
+// Called with v.mu held; returns them in (ts, dims) order so each
 // group's scorer is fed chronologically.
-func (a *alertState) closeBuckets(v *View) []closedBucket {
-	if v.watermark == minWatermark {
-		return nil
-	}
+func (a *alertState) closeBuckets(v *View) []tsdb.Group {
 	// Buckets with end <= watermark are final. A watermark exactly on
 	// a boundary leaves [closedEnd, +granN) open: it holds the record
 	// at its own start.
-	closedEnd := v.watermark - tsdb.FloorMod(v.watermark, a.granN)
 	fromN, _, ok := v.windowBounds(v.watermark)
 	if !ok {
 		return nil
 	}
 	a.mu.Lock()
-	start := a.scored
+	if a.scored != minWatermark && a.scored >= fromN {
+		fromN = a.scored + a.granN
+	}
 	a.mu.Unlock()
-	if start == minWatermark || start < fromN {
-		start = fromN - tsdb.FloorMod(fromN, a.granN)
-		if start < fromN {
-			start += a.granN
-		}
-	} else {
-		start += a.granN
+	groups, closedEnd, ok := v.closeBucketsLocked(fromN, v.watermark, a.granN)
+	if ok {
+		a.mu.Lock()
+		a.scored = closedEnd - a.granN
+		a.mu.Unlock()
 	}
-	if start >= closedEnd {
-		return nil
-	}
-	total, _ := v.foldRangeLocked(start, closedEnd, a.granN)
-	groups := total.Sorted()
-	out := make([]closedBucket, 0, len(groups))
-	for i := range groups {
-		out = append(out, closedBucket{
-			ts:    groups[i].Key.Ts,
-			dims:  groups[i].Key.Dims,
-			value: groups[i].Cell.Value(v.Spec.Agg),
-		})
-	}
-	a.mu.Lock()
-	a.scored = closedEnd - a.granN
-	a.mu.Unlock()
-	return out
+	return groups
 }
 
 // scoreAndAlert feeds closed buckets through each group's scorer and
 // fires threshold/anomaly alerts, returning how many fired. Runs
 // outside the view lock.
-func (a *alertState) scoreAndAlert(v *View, closed []closedBucket) int64 {
+func (a *alertState) scoreAndAlert(v *View, closed []tsdb.Group) int64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var fired int64
-	for _, cb := range closed {
-		gs := a.groups[cb.dims]
+	for i := range closed {
+		dims, value := closed[i].Key.Dims, closed[i].Cell.Value(v.Spec.Agg)
+		gs := a.groups[dims]
 		if gs == nil {
 			gs = &groupScore{det: &telemetry.Detector{}}
-			a.groups[cb.dims] = gs
+			a.groups[dims] = gs
 		}
-		score := gs.score(a.spec, cb.value)
+		score := gs.score(a.spec, value)
 		var reason string
 		switch {
-		case a.spec.Above != nil && cb.value > *a.spec.Above:
-			reason = fmt.Sprintf("value %.4g above %.4g", cb.value, *a.spec.Above)
-		case a.spec.Below != nil && cb.value < *a.spec.Below:
-			reason = fmt.Sprintf("value %.4g below %.4g", cb.value, *a.spec.Below)
+		case a.spec.Above != nil && value > *a.spec.Above:
+			reason = fmt.Sprintf("value %.4g above %.4g", value, *a.spec.Above)
+		case a.spec.Below != nil && value < *a.spec.Below:
+			reason = fmt.Sprintf("value %.4g below %.4g", value, *a.spec.Below)
 		case a.spec.MaxScore > 0 && score >= a.spec.MaxScore:
 			reason = fmt.Sprintf("anomaly score %.2f >= %.2f", score, a.spec.MaxScore)
 		}
@@ -144,13 +117,13 @@ func (a *alertState) scoreAndAlert(v *View, closed []closedBucket) int64 {
 			continue
 		}
 		al := Alert{
-			View: v.ID, Name: v.Spec.Name, At: time.Unix(0, cb.ts).UTC(),
-			Value: cb.value, Score: score, Reason: reason,
+			View: v.ID, Name: v.Spec.Name, At: time.Unix(0, closed[i].Key.Ts).UTC(),
+			Value: value, Score: score, Reason: reason,
 		}
 		if n := len(v.Spec.GroupBy); n > 0 {
 			al.Dims = make(map[string]string, n)
-			for i, d := range v.Spec.GroupBy {
-				al.Dims[d] = cb.dims[i]
+			for k, d := range v.Spec.GroupBy {
+				al.Dims[d] = dims[k]
 			}
 		}
 		if len(a.ring) >= alertRingCap {

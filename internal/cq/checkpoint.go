@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -215,4 +216,23 @@ func (a *alertState) restore(ca *ckptAlerts) {
 		}
 		a.groups[d] = gs
 	}
+}
+
+// Checkpoint returns the view's state in the form a Pump checkpoints each
+// of its views in: the cells as ColdSchema blobs, the watermark, the
+// eviction mark and the counters. An operator that owns a view keeps it
+// in its own checkpoint this way.
+func (v *View) Checkpoint() ([]byte, error) { return json.Marshal(v.snapshot()) }
+
+// Restore rebuilds the view, which must be empty, from what Checkpoint
+// returned for a view of the same spec.
+func (v *View) Restore(data []byte) error {
+	var cv ckptView
+	if err := json.Unmarshal(data, &cv); err != nil {
+		return fmt.Errorf("cq: checkpoint of view %s: parse: %w", v.ID, err)
+	}
+	if cv.ID != v.ID {
+		return fmt.Errorf("cq: checkpoint of view %s cannot restore view %s", cv.ID, v.ID)
+	}
+	return v.restoreInto(cv)
 }

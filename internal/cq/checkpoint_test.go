@@ -38,7 +38,7 @@ func BenchmarkPumpCheckpoint(b *testing.B) {
 			for c := p; c < comps; c += parts {
 				obs = append(obs, obsAt(at.Add(time.Duration(c)*time.Millisecond), fmt.Sprintf("node%05d", c), "node_power_w", float64(c+k)))
 			}
-			eng.Apply("bronze.alpha", p, obs)
+			eng.Apply("bronze.alpha", p, obsRows(obs...))
 		}
 	}
 	if st := v.Stats(); st.Cells != comps*buckets {
@@ -73,10 +73,10 @@ func TestNonFiniteAlertCheckpoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.Apply("bronze.alpha", 0, []schema.Observation{
+	eng.Apply("bronze.alpha", 0, obsRows(
 		obsAt(unitT0, "n1", "cpu", math.Inf(1)),
 		obsAt(unitT0.Add(time.Minute), "n1", "cpu", 50), // the watermark passes the +Inf bucket
-	})
+	))
 	want := v.Alerts()
 	if len(want) != 1 || !math.IsInf(want[0].Value, 1) {
 		t.Fatalf("alerts %+v, want the one +Inf alert", want)

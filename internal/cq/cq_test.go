@@ -27,6 +27,15 @@ func obsAt(ts time.Time, comp, metric string, v float64) schema.Observation {
 	return schema.Observation{Ts: ts, System: "sys", Source: "alpha", Component: comp, Metric: metric, Value: v}
 }
 
+// obsRows returns the observations as the rows a pump hands the engine.
+func obsRows(obs ...schema.Observation) []schema.Row {
+	rows := make([]schema.Row, len(obs))
+	for i := range obs {
+		rows[i] = obs[i].Row()
+	}
+	return rows
+}
+
 var unitT0 = time.Date(2026, 2, 1, 0, 0, 0, 0, time.UTC)
 
 func TestSpecValidate(t *testing.T) {
@@ -129,9 +138,8 @@ func TestEvictionAndLateDrops(t *testing.T) {
 	v, _ := e.Register(Spec{Window: time.Minute}) // segment 1m, window 1m
 	// Fill three segments; the window end moves to 00:03:00-ish.
 	for i := 0; i < 12; i++ {
-		e.Apply("bronze.alpha", 0, []schema.Observation{
-			obsAt(unitT0.Add(time.Duration(i)*15*time.Second), "n1", "cpu", float64(i)),
-		})
+		e.Apply("bronze.alpha", 0, obsRows(
+			obsAt(unitT0.Add(time.Duration(i)*15*time.Second), "n1", "cpu", float64(i))))
 	}
 	st := v.Stats()
 	if st.Applied != 12 || st.Late != 0 {
@@ -142,7 +150,7 @@ func TestEvictionAndLateDrops(t *testing.T) {
 		t.Fatalf("no eviction: %d cells live", st.Cells)
 	}
 	// A record below the eviction horizon is dropped and counted late.
-	e.Apply("bronze.alpha", 0, []schema.Observation{obsAt(unitT0, "n1", "cpu", 1)})
+	e.Apply("bronze.alpha", 0, obsRows(obsAt(unitT0, "n1", "cpu", 1)))
 	if st = v.Stats(); st.Late != 1 {
 		t.Fatalf("late=%d, want 1", st.Late)
 	}
@@ -151,7 +159,7 @@ func TestEvictionAndLateDrops(t *testing.T) {
 func TestReadGenerationCache(t *testing.T) {
 	e := testEngine()
 	v, _ := e.Register(Spec{Window: time.Minute})
-	e.Apply("bronze.alpha", 0, []schema.Observation{obsAt(unitT0, "n1", "cpu", 42)})
+	e.Apply("bronze.alpha", 0, obsRows(obsAt(unitT0, "n1", "cpu", 42)))
 	f1, info1 := v.Read()
 	if info1.CacheHit {
 		t.Fatal("first read cannot hit")
@@ -160,7 +168,7 @@ func TestReadGenerationCache(t *testing.T) {
 	if !info2.CacheHit || f1 != f2 {
 		t.Fatal("second read at same gen must return the cached frame")
 	}
-	e.Apply("bronze.alpha", 0, []schema.Observation{obsAt(unitT0.Add(time.Second), "n1", "cpu", 43)})
+	e.Apply("bronze.alpha", 0, obsRows(obsAt(unitT0.Add(time.Second), "n1", "cpu", 43)))
 	_, info3 := v.Read()
 	if info3.CacheHit {
 		t.Fatal("read after update must re-fold")
@@ -181,7 +189,7 @@ func TestSubscribeNotifies(t *testing.T) {
 		t.Fatal("watcher not counted")
 	}
 	gen := v.Gen()
-	e.Apply("bronze.alpha", 0, []schema.Observation{obsAt(unitT0, "n1", "cpu", 1)})
+	e.Apply("bronze.alpha", 0, obsRows(obsAt(unitT0, "n1", "cpu", 1)))
 	select {
 	case <-ch:
 	case <-time.After(time.Second):
@@ -203,10 +211,10 @@ func TestFiltersLimitState(t *testing.T) {
 		Filters: map[string][]string{"metric": {"cpu"}},
 		GroupBy: []string{"component"},
 	})
-	e.Apply("bronze.alpha", 0, []schema.Observation{
+	e.Apply("bronze.alpha", 0, obsRows(
 		obsAt(unitT0, "n1", "cpu", 1),
 		obsAt(unitT0, "n1", "mem", 2), // filtered: never stored
-	})
+	))
 	if st := v.Stats(); st.Cells != 1 {
 		t.Fatalf("filtered record was stored: %d cells", st.Cells)
 	}
@@ -231,9 +239,8 @@ func TestThresholdAndAnomalyAlerts(t *testing.T) {
 		if i == 8 {
 			val = 500 // crosses Above AND is a z-score outlier
 		}
-		e.Apply("bronze.alpha", 0, []schema.Observation{
-			obsAt(unitT0.Add(time.Duration(i)*15*time.Second), "n1", "cpu", val),
-		})
+		e.Apply("bronze.alpha", 0, obsRows(
+			obsAt(unitT0.Add(time.Duration(i)*15*time.Second), "n1", "cpu", val)))
 	}
 	alerts := v.Alerts()
 	if len(alerts) == 0 {
@@ -260,7 +267,7 @@ func TestEngineMetrics(t *testing.T) {
 	reg := obs.NewRegistry()
 	e := NewEngine(Config{RollupInterval: 15 * time.Second, SegmentDuration: time.Minute, Registry: reg})
 	v, _ := e.Register(Spec{Window: time.Minute})
-	e.Apply("bronze.alpha", 0, []schema.Observation{obsAt(unitT0, "n1", "cpu", 1)})
+	e.Apply("bronze.alpha", 0, obsRows(obsAt(unitT0, "n1", "cpu", 1)))
 	v.Read()
 	v.Read()
 	want := map[string]float64{
@@ -453,7 +460,7 @@ func TestCheckpointRoundTripAcrossPages(t *testing.T) {
 			at := unitT0.Add(time.Duration(tick)*15*time.Second + time.Duration(rng.Intn(15000))*time.Millisecond)
 			obs = append(obs, obsAt(at, fmt.Sprintf("node%05d", c), []string{"pow", "temp"}[c%2], rng.NormFloat64()))
 		}
-		eng.Apply("bronze.alpha", 0, obs)
+		eng.Apply("bronze.alpha", 0, obsRows(obs...))
 	}
 	for s := range v.stripes {
 		for _, byTP := range v.stripes[s] {
@@ -499,7 +506,7 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		obs = append(obs, obsAt(unitT0.Add(time.Duration(i)*4*time.Second), fmt.Sprintf("node%02d", i%3), "pow", float64(i)))
 	}
-	src.engine.Apply("bronze.alpha", 0, obs)
+	src.engine.Apply("bronze.alpha", 0, obsRows(obs...))
 	good := src.snapshot()
 	if len(good.Slices) != 1 {
 		t.Fatalf("fixture snapshot has %d slices, want 1", len(good.Slices))

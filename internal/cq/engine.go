@@ -130,22 +130,17 @@ func (e *Engine) Views() []*View {
 	return out
 }
 
-// Apply folds one partition-ordered run of observations into every
-// registered view. The caller (a Pump, or core's ingest tap) must
-// preserve per-partition record order across calls; order between
-// partitions is free.
-func (e *Engine) Apply(topic string, part int, obs []schema.Observation) {
-	if len(obs) == 0 {
+// Apply folds one partition's page of observation rows into every
+// registered view. The caller, a Pump, must preserve per-partition
+// record order across calls; order between partitions is free.
+func (e *Engine) Apply(topic string, part int, rows []schema.Row) {
+	if len(rows) == 0 {
 		return
 	}
 	e.mu.RLock()
-	views := make([]*View, 0, len(e.views))
+	defer e.mu.RUnlock()
 	for _, v := range e.views {
-		views = append(views, v)
-	}
-	e.mu.RUnlock()
-	for _, v := range views {
-		appliedN, lateN := v.apply(topic, part, obs)
+		appliedN, lateN := v.apply(topic, part, rows)
 		e.mApplied.Add(appliedN)
 		e.mLate.Add(lateN)
 	}

@@ -45,9 +45,8 @@ type PumpMetrics = plane.LoopStats
 // pumps against the same engine.
 type Pump struct {
 	*plane.Loop
-	engine  *Engine
-	path    string // the checkpoint file; "" without one
-	scratch []schema.Observation
+	engine *Engine
+	path   string // the checkpoint file; "" without one
 }
 
 // skipBackoff paces the passes a transiently unreadable partition forces.
@@ -87,15 +86,11 @@ func NewPumpSource(engine *Engine, src plane.Stream, cfg PumpConfig) (*Pump, err
 func (p *Pump) Metrics() PumpMetrics { return p.Stats() }
 
 // Apply fans one partition's page out to the engine (plane.Operator).
-// The rows' strings come interned and the scratch is reused, so draining
-// a saturated broker makes no GC pressure that would throttle producers.
+// The views fold the decoded rows themselves, their strings interned by
+// the decoder, so draining a saturated broker makes no GC pressure that
+// would throttle producers.
 func (p *Pump) Apply(_ context.Context, topic string, part int, rows []schema.Row) error {
-	run := p.scratch[:0]
-	for _, row := range rows {
-		run = append(run, schema.ObservationFromRow(row))
-	}
-	p.engine.Apply(topic, part, run)
-	p.scratch = run[:0]
+	p.engine.Apply(topic, part, rows)
 	return nil
 }
 

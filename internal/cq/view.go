@@ -119,45 +119,19 @@ func (v *View) windowBounds(wm int64) (fromN, toN int64, ok bool) {
 	return toN - v.windowN, toN, true
 }
 
-// apply folds one partition-ordered run of observations into the view
-// and reports how many were applied and how many dropped late. Caller
-// is the engine, which fans a poll batch out per (topic, partition) run
-// so per-partition order is preserved.
-func (v *View) apply(topic string, part int, obs []schema.Observation) (appliedN, lateN int64) {
+// apply folds one partition's page of observation rows into the view and
+// moves its window on: the chunks it has passed are evicted and alerts
+// score the buckets that closed. It reports how many rows were applied
+// and how many dropped late. Caller is the engine, which fans each page
+// out to every view, so per-partition order is preserved.
+func (v *View) apply(topic string, part int, rows []schema.Row) (appliedN, lateN int64) {
 	v.mu.Lock()
-	applied0, late0 := v.applied, v.late
-	tp := topicPart{topic: topic, part: part}
-	for i := range obs {
-		o := &obs[i]
-		tsn := o.Ts.UnixNano()
-		if tsn > v.watermark {
-			v.watermark = tsn
-		}
-		series := tsdb.Series{System: o.System, Source: o.Source, Component: o.Component, Metric: o.Metric}
-		if !v.plan.Match(&series) {
-			continue
-		}
-		chunkN := tsn - tsdb.FloorMod(tsn, v.segN)
-		if chunkN+v.segN <= v.evictedBefore {
-			// Late record below the eviction horizon: its chunk is gone
-			// and the window can never include it again. The batch
-			// reference excludes it the same way (bucket ts < from).
-			v.late++
-			continue
-		}
-		// One series hash picks the stripe and seeds the table's probes,
-		// exactly as the LAKE's ingest does.
-		h := tsdb.SeriesHash(o.Component, o.Metric)
-		ct := v.tableLocked(int(h%tsdb.NumStripes), chunkN, tp)
-		ct.Cell(h, tsn-tsdb.FloorMod(tsn, v.rollupN), &series).Add(tsn, o.Value)
-		v.applied++
-	}
+	appliedN, lateN = v.addLocked(topic, part, rows)
 	v.evictLocked()
-	var closed []closedBucket
+	var closed []tsdb.Group
 	if v.alerts != nil {
 		closed = v.alerts.closeBuckets(v)
 	}
-	appliedN, lateN = v.applied-applied0, v.late-late0
 	v.mu.Unlock()
 	v.bump()
 	if len(closed) > 0 {
@@ -166,6 +140,103 @@ func (v *View) apply(topic string, part int, obs []schema.Observation) (appliedN
 		}
 	}
 	return appliedN, lateN
+}
+
+// Fold folds one partition's page of observation rows into the view and
+// reports how many were applied and how many dropped late. Unlike the
+// engine's Apply it moves no window: nothing is evicted and no alert is
+// scored, so every bucket stays until Close hands it on. Feed a view one
+// way or the other, not both.
+func (v *View) Fold(topic string, part int, rows []schema.Row) (applied, late int64) {
+	v.mu.Lock()
+	applied, late = v.addLocked(topic, part, rows)
+	v.mu.Unlock()
+	v.bump()
+	return applied, late
+}
+
+// addLocked folds rows, which conform to schema.ObservationSchema, into
+// their cells. A row without a timestamp belongs to no bucket and is
+// skipped. Each stripe's last table is kept for the page: rows in time
+// order find it without the two map lookups.
+func (v *View) addLocked(topic string, part int, rows []schema.Row) (appliedN, lateN int64) {
+	tp := topicPart{topic: topic, part: part}
+	var last [tsdb.NumStripes]struct {
+		chunkN int64
+		ct     *tsdb.CellTable
+	}
+	for _, row := range rows {
+		// ObservationSchema: ts, system, source, component, metric, value.
+		if row[0].IsNull() {
+			continue
+		}
+		tsn := row[0].UnixNanos()
+		if tsn > v.watermark {
+			v.watermark = tsn
+		}
+		series := tsdb.Series{System: row[1].StrVal(), Source: row[2].StrVal(), Component: row[3].StrVal(), Metric: row[4].StrVal()}
+		if !v.plan.Match(&series) {
+			continue
+		}
+		chunkN := tsn - tsdb.FloorMod(tsn, v.segN)
+		if chunkN+v.segN <= v.evictedBefore {
+			// Late record below the eviction horizon: its chunk is gone
+			// and the window can never include it again. The batch
+			// reference excludes it the same way (bucket ts < from).
+			lateN++
+			continue
+		}
+		// One series hash picks the stripe and seeds the table's probes,
+		// exactly as the LAKE's ingest does.
+		h := tsdb.SeriesHash(series.Component, series.Metric)
+		m := &last[h%tsdb.NumStripes]
+		if m.ct == nil || m.chunkN != chunkN {
+			m.chunkN, m.ct = chunkN, v.tableLocked(int(h%tsdb.NumStripes), chunkN, tp)
+		}
+		m.ct.Cell(h, tsn-tsdb.FloorMod(tsn, v.rollupN), &series).Add(tsn, row[5].FloatVal())
+		appliedN++
+	}
+	v.applied += appliedN
+	v.late += lateN
+	return appliedN, lateN
+}
+
+// Close hands on the chunks that end at or before endN and were not
+// handed on before: it returns their groups, each chunk folded as one
+// bucket, ordered by (bucket, dims), and evicts them, so a record that
+// lands in one later is dropped late. It is how a view fed through Fold
+// is emptied.
+func (v *View) Close(endN int64) []tsdb.Group {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	groups, closedEnd, ok := v.closeBucketsLocked(v.evictedBefore, endN, v.segN)
+	if !ok {
+		return nil
+	}
+	v.dropChunksLocked(closedEnd)
+	if n := len(groups); n > 0 {
+		v.evictedBefore = max(v.evictedBefore, groups[n-1].Key.Ts+v.segN)
+	}
+	return groups
+}
+
+// closeBucketsLocked folds the granN-wide buckets from fromN (rounded up
+// to a bucket start) to endN (rounded down): the buckets that end at or
+// before endN. It returns their groups ordered by (bucket, dims) and the
+// rounded end; ok is false when no bucket lies in between. The buckets
+// alerts score and those Close hands on are this fold.
+func (v *View) closeBucketsLocked(fromN, endN, granN int64) (groups []tsdb.Group, closedEnd int64, ok bool) {
+	closedEnd = endN - tsdb.FloorMod(endN, granN)
+	if r := tsdb.FloorMod(fromN, granN); r != 0 {
+		fromN += granN - r
+	}
+	if fromN >= closedEnd {
+		return nil, closedEnd, false
+	}
+	total := foldTables.Get().(*tsdb.GroupTable)
+	defer foldTables.Put(total)
+	v.foldRangeLocked(total, fromN, closedEnd, granN)
+	return total.Sorted(), closedEnd, true
 }
 
 // tableLocked returns (creating if needed) the cell table of one
@@ -210,15 +281,20 @@ func (v *View) evictLocked() {
 	if !ok {
 		return
 	}
+	v.dropChunksLocked(fromN)
+	if fromN > v.evictedBefore {
+		v.evictedBefore = fromN
+	}
+}
+
+// dropChunksLocked deletes every chunk that ends at or before endN.
+func (v *View) dropChunksLocked(endN int64) {
 	for s := range v.stripes {
 		for chunkN := range v.stripes[s] {
-			if chunkN+v.segN <= fromN {
+			if chunkN+v.segN <= endN {
 				delete(v.stripes[s], chunkN)
 			}
 		}
-	}
-	if fromN > v.evictedBefore {
-		v.evictedBefore = fromN
 	}
 }
 
@@ -295,14 +371,15 @@ func (v *View) Read() (*schema.Frame, WindowInfo) {
 func (v *View) foldLocked() (*schema.Frame, WindowInfo) {
 	fromN, toN, ok := v.windowBounds(v.watermark)
 	info := WindowInfo{}
-	var total tsdb.GroupTable
+	total := foldTables.Get().(*tsdb.GroupTable)
+	defer foldTables.Put(total)
 	if ok {
 		info.From = time.Unix(0, fromN).UTC()
 		info.To = time.Unix(0, toN).UTC()
 		info.Watermark = time.Unix(0, v.watermark).UTC()
-		total, info.Cells = v.foldRangeLocked(fromN, toN, int64(v.Spec.Granularity))
+		info.Cells = v.foldRangeLocked(total, fromN, toN, int64(v.Spec.Granularity))
 	}
-	out, err := v.plan.Frame(&total)
+	out, err := v.plan.Frame(total)
 	if err != nil {
 		// Rows are built from the frame's own schema; unreachable.
 		panic(err)
@@ -315,11 +392,14 @@ func (v *View) foldLocked() (*schema.Frame, WindowInfo) {
 // chunk asc → (topic, partition) asc → insertion order, each stripe's
 // partial merged into the total in stripe order — Run's exact float
 // accumulation order over a partition-major-replayed store. granN 0
-// collapses the range into one bucket at fromN.
-func (v *View) foldRangeLocked(fromN, toN, granN int64) (total tsdb.GroupTable, cellsScanned int64) {
+// collapses the range into one bucket at fromN. total is reset first;
+// both it and the stripe partial come from foldTables.
+func (v *View) foldRangeLocked(total *tsdb.GroupTable, fromN, toN, granN int64) (cellsScanned int64) {
 	// Every resident cell passed the spec's filters at apply time.
 	p := v.plan.Admitted().Over(fromN, toN, granN)
-	var part tsdb.GroupTable
+	part := foldTables.Get().(*tsdb.GroupTable)
+	defer foldTables.Put(part)
+	total.Reset()
 	for s := range v.stripes {
 		part.Reset()
 		for _, chunkN := range tsdb.SortedChunks(v.stripes[s]) {
@@ -334,10 +414,14 @@ func (v *View) foldRangeLocked(fromN, toN, granN int64) (total tsdb.GroupTable, 
 				}
 			}
 		}
-		total.Merge(&part)
+		total.Merge(part)
 	}
-	return total, cellsScanned
+	return cellsScanned
 }
+
+// foldTables recycles the group tables a fold builds, so a read or a
+// close grows none it has grown before.
+var foldTables = sync.Pool{New: func() any { return new(tsdb.GroupTable) }}
 
 // ViewStats is a view's live state summary.
 type ViewStats struct {

@@ -263,10 +263,10 @@ func TestCQAlertsEndpoint(t *testing.T) {
 	resp.Body.Close()
 	// Positive power values with above=0: every closed bucket alerts.
 	for i := 0; i < 8; i++ {
-		f.CQ.Apply("bronze.power_temp", 0, []schema.Observation{{
+		f.CQ.Apply("bronze.power_temp", 0, obsRows(schema.Observation{
 			Ts: t0.Add(time.Duration(i) * 15 * time.Second), System: "sys",
 			Source: "power_temp", Component: "n1", Metric: "node_power_w", Value: 100,
-		}})
+		}))
 	}
 	var alerts []struct {
 		Value  float64 `json:"value"`
@@ -296,10 +296,10 @@ func TestCQWatchSSE(t *testing.T) {
 	resp.Body.Close()
 
 	apply := func(sec int, val float64) {
-		f.CQ.Apply("bronze.power_temp", 0, []schema.Observation{{
+		f.CQ.Apply("bronze.power_temp", 0, obsRows(schema.Observation{
 			Ts: t0.Add(time.Duration(sec) * time.Second), System: "sys",
 			Source: "power_temp", Component: "n1", Metric: "node_power_w", Value: val,
-		}})
+		}))
 	}
 	apply(0, 100)
 
@@ -444,10 +444,10 @@ func TestCQLongPoll(t *testing.T) {
 		got <- pollResult{gen: resp.Header.Get("X-ODA-CQ-Gen"), code: resp.StatusCode}
 	}()
 	time.Sleep(50 * time.Millisecond)
-	f.CQ.Apply("bronze.power_temp", 0, []schema.Observation{{
+	f.CQ.Apply("bronze.power_temp", 0, obsRows(schema.Observation{
 		Ts: t0, System: "sys", Source: "power_temp",
 		Component: "n1", Metric: "node_power_w", Value: 1,
-	}})
+	}))
 	select {
 	case r := <-got:
 		if r.code != 200 || r.gen == gen || r.gen == "" {
@@ -456,4 +456,13 @@ func TestCQLongPoll(t *testing.T) {
 	case <-time.After(3 * time.Second):
 		t.Fatal("long poll not released by update")
 	}
+}
+
+// obsRows returns the observations as the rows a pump hands the engine.
+func obsRows(obs ...schema.Observation) []schema.Row {
+	rows := make([]schema.Row, len(obs))
+	for i := range obs {
+		rows[i] = obs[i].Row()
+	}
+	return rows
 }

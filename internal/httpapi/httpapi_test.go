@@ -358,11 +358,11 @@ func TestNonFiniteValuesEncodeAsNull(t *testing.T) {
 		t.Fatalf("register: id %q, %v", reg.ID, err)
 	}
 	resp.Body.Close()
-	f.CQ.Apply("bronze.power_temp", 0, []schema.Observation{inf})
+	f.CQ.Apply("bronze.power_temp", 0, obsRows(inf))
 	// A later record of another metric closes the infinite bucket: it alerts.
 	later := inf
 	later.Ts, later.Metric, later.Value = t0.Add(time.Minute), "other_metric", 1
-	f.CQ.Apply("bronze.power_temp", 0, []schema.Observation{later})
+	f.CQ.Apply("bronze.power_temp", 0, obsRows(later))
 
 	span := "&from=" + t0.Format(time.RFC3339) + "&to=" + t0.Add(time.Minute).Format(time.RFC3339)
 	window := "metric=inf_metric&agg=max" + span

@@ -14,9 +14,11 @@ import (
 	"sync"
 	"time"
 
+	"odakit/internal/cq"
 	"odakit/internal/jobsched"
 	"odakit/internal/schema"
 	"odakit/internal/sproc"
+	"odakit/internal/tsdb"
 )
 
 // Stage is a medallion refinement state.
@@ -156,22 +158,25 @@ func (c SilverizeConfig) withDefaults() SilverizeConfig {
 	return c
 }
 
-// WindowStages returns the sproc window spec and pivot stage implementing
-// Bronze→Silver for a streaming job: aggregate observations per
-// (component, metric) over the window, then pivot metrics into columns.
-// The result rows are (window, system, component, metric columns...) and
+// WindowStages returns the stages implementing Bronze→Silver for a
+// streaming job: the tumbling CQ view that averages observations per
+// (system, component, metric) over the window, the lateness a window
+// waits for before it closes, and the pivot of metrics into columns. The
+// view's engine takes the window as its rollup interval and segment
+// duration, so each window is one cell per series and one chunk. The
+// result rows are (window, system, component, metric columns...) and
 // still need Contextualize for job columns.
-func (c SilverizeConfig) WindowStages() (sproc.WindowSpec, func(*schema.Frame) (*schema.Frame, error)) {
+func (c SilverizeConfig) WindowStages() (cq.Spec, time.Duration, func(*schema.Frame) (*schema.Frame, error)) {
 	c = c.withDefaults()
-	spec := sproc.WindowSpec{
-		TimeCol: "ts", Window: c.Window, Lateness: c.Window / 3,
-		Keys: []string{"system", "component", "metric"},
-		Aggs: []sproc.Agg{{Col: "value", Kind: sproc.AggAvg, As: "v"}},
+	spec := cq.Spec{
+		Name:    "silver",
+		GroupBy: []string{tsdb.DimSystem, tsdb.DimComponent, tsdb.DimMetric},
+		Agg:     tsdb.AggAvg, Granularity: c.Window, Window: c.Window, Kind: cq.WindowTumbling,
 	}
 	pivot := func(f *schema.Frame) (*schema.Frame, error) {
 		return sproc.Pivot(f, []string{"window", "system", "component"}, "metric", "v", sproc.AggAvg)
 	}
-	return spec, pivot
+	return spec, c.Window / 3, pivot
 }
 
 // SilverizeBatch applies the Bronze→Silver transform to a batch of
@@ -183,10 +188,12 @@ func SilverizeBatch(bronze *schema.Frame, cfg SilverizeConfig) (*schema.Frame, e
 	if err := conformsObservation(bronze); err != nil {
 		return nil, err
 	}
-	// Bucket timestamps onto window starts.
-	tsIdx := bronze.Schema().MustIndex("ts")
+	// Bucket timestamps onto window starts, on the grid the streaming
+	// job's view buckets on.
+	tsIdx, w := bronze.Schema().MustIndex("ts"), int64(cfg.Window)
 	bucketed, err := sproc.WithColumn(bronze, "window", schema.KindTime, func(r schema.Row) schema.Value {
-		return schema.Time(sproc.TumbleTime(r[tsIdx].TimeVal(), cfg.Window))
+		n := r[tsIdx].UnixNanos()
+		return schema.TimeNanos(n - tsdb.FloorMod(n, w))
 	})
 	if err != nil {
 		return nil, err

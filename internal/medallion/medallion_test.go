@@ -10,6 +10,7 @@ import (
 	"odakit/internal/schema"
 	"odakit/internal/sproc"
 	"odakit/internal/telemetry"
+	"odakit/internal/tsdb"
 )
 
 var t0 = time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
@@ -125,12 +126,13 @@ func TestSilverizeWindowStagesMatchBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	spec, pivot := SilverizeConfig{}.WindowStages()
+	spec, _, pivot := SilverizeConfig{}.WindowStages()
 	// Simulate the streaming job inline: group rows by window using the
 	// spec, then pivot — equivalent to what sproc.Job does per window.
 	tsIdx := bronze.Schema().MustIndex("ts")
 	wf, err := sproc.WithColumn(bronze, "window", schema.KindTime, func(r schema.Row) schema.Value {
-		return schema.Time(sproc.TumbleTime(r[tsIdx].TimeVal(), spec.Window))
+		n := r[tsIdx].UnixNanos()
+		return schema.TimeNanos(n - tsdb.FloorMod(n, int64(spec.Window)))
 	})
 	if err != nil {
 		t.Fatal(err)

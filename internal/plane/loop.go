@@ -80,7 +80,7 @@ type Loop struct {
 }
 
 // NewLoop opens a reader over the topics and, when the checkpoint file
-// exists, sweeps torn temp files, restores the operator and seeks.
+// exists, sweeps its own torn temp file, restores the operator and seeks.
 func NewLoop(s Stream, op Operator, cfg LoopConfig) (*Loop, error) {
 	r, err := NewReader(s, cfg.Topics...)
 	if err != nil {
@@ -91,7 +91,9 @@ func NewLoop(s Stream, op Operator, cfg LoopConfig) (*Loop, error) {
 	if cfg.Checkpoint == "" {
 		return l, nil
 	}
-	if _, err := atomicfile.CleanTemps(filepath.Dir(cfg.Checkpoint)); err != nil && !os.IsNotExist(errors.Unwrap(err)) {
+	// Only this loop's own torn write is swept: the directory may hold
+	// other consumers' checkpoints, and one of them may be mid-write.
+	if err := os.Remove(cfg.Checkpoint + atomicfile.TempSuffix); err != nil && !os.IsNotExist(err) {
 		return nil, err
 	}
 	data, err := os.ReadFile(cfg.Checkpoint)

@@ -2,7 +2,6 @@ package sproc
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -12,11 +11,13 @@ import (
 
 	"odakit/internal/schema"
 	"odakit/internal/stream"
+	"odakit/internal/tsdb"
 )
 
-// GroupBy, Pivot and a job's windows share one grouping table. These
-// tests hold the three to one another over random inputs, so "shared" is
-// an equality the suite checks.
+// A job's windows are a CQ view's chunks, and GroupBy and Pivot fold into
+// the same tsdb cell the view keeps. These tests hold the three to one
+// another over random inputs, so "one kernel" is an equality the suite
+// checks.
 
 // randomDim draws a dimension value, null now and then.
 func randomDim(rng *rand.Rand, vals ...string) schema.Value {
@@ -42,184 +43,194 @@ func randomMeasure(rng *rand.Rand) schema.Value {
 	return schema.Float(float64(rng.Intn(4000)-2000) / 4)
 }
 
+// TestWindowMatchesGroupBy runs a job through phases of records, some
+// late, some poison, some without a timestamp, steps it after each and
+// drains it, then holds what it sank to GroupBy over the rows each window
+// should have accepted, and its counters to those counted from the rows.
 func TestWindowMatchesGroupBy(t *testing.T) {
-	const sec = int64(time.Second)
-	keys := []string{"component", "metric"}
-	orderFree := []Agg{
-		{Col: "value", Kind: AggAvg}, {Col: "value", Kind: AggSum}, {Col: "value", Kind: AggMin},
-		{Col: "value", Kind: AggMax}, {Col: "value", Kind: AggCount}, {Col: "source", Kind: AggCount},
-	}
-	// First and last depend on arrival order, which only one partition defines.
-	ordered := append(orderFree[:len(orderFree):len(orderFree)], Agg{Col: "value", Kind: AggFirst}, Agg{Col: "value", Kind: AggLast})
+	// Sum, avg and count are exact in any fold order over these values:
+	// quarters, and NaN and ±Inf poison a sum in any order alike. Min and
+	// max keep a NaN only when it comes first, so they hold only where
+	// one partition defines the order.
+	orderFree := []tsdb.AggKind{tsdb.AggAvg, tsdb.AggSum, tsdb.AggCount}
+	ordered := append(orderFree[:len(orderFree):len(orderFree)], tsdb.AggMin, tsdb.AggMax)
+	// The names keep the hop these cases were written with beside sliding
+	// ones: a slide of 0 or of the window itself, both tumbling.
 	for _, tc := range []struct {
-		parts                   int
-		window, slide, lateness time.Duration
-		aggs                    []Agg
-		filter                  bool
+		name             string
+		parts            int
+		window, lateness time.Duration
+		aggs             []tsdb.AggKind
+		filter           bool
 	}{
-		{1, 15 * time.Second, 0, 5 * time.Second, ordered, false},
-		{1, 20 * time.Second, 5 * time.Second, 0, ordered, true},
-		{2, 15 * time.Second, 0, 0, orderFree, true},
-		{3, 30 * time.Second, 10 * time.Second, 10 * time.Second, orderFree, false},
-		{4, 10 * time.Second, 10 * time.Second, 3 * time.Second, orderFree, false},
-		{4, 12 * time.Second, 4 * time.Second, 0, orderFree, true},
+		{"parts=1/window=15s/slide=0s", 1, 15 * time.Second, 5 * time.Second, ordered, false},
+		{"parts=2/window=15s/slide=0s", 2, 15 * time.Second, 0, orderFree, true},
+		{"parts=4/window=10s/slide=10s", 4, 10 * time.Second, 3 * time.Second, orderFree, false},
 	} {
 		tc := tc
-		t.Run(fmt.Sprintf("parts=%d/window=%s/slide=%s", tc.parts, tc.window, tc.slide), func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			rng := rand.New(rand.NewSource(int64(tc.parts)*1000 + int64(tc.window/time.Second)))
-			b := stream.NewBroker()
-			t.Cleanup(b.Close)
-			if err := b.CreateTopic("bronze", stream.TopicConfig{Partitions: tc.parts}); err != nil {
-				t.Fatal(err)
-			}
-			var sink collectSink
-			j, err := NewJob(b, JobConfig{Name: "w", Topic: "bronze", InputSchema: schema.ObservationSchema})
-			if err != nil {
-				t.Fatal(err)
-			}
-			j.Window(WindowSpec{TimeCol: "ts", Window: tc.window, Slide: tc.slide, Lateness: tc.lateness, Keys: keys, Aggs: tc.aggs}).To(sink.sink)
-			srcIdx := schema.ObservationSchema.MustIndex("source")
-			if tc.filter {
-				j.Where(func(r schema.Row) bool { return r[srcIdx].StrVal() != "drop" })
-			}
-			if err := j.start(); err != nil {
-				t.Fatal(err)
-			}
-
-			// The oracle: every (row, window) membership the job should
-			// accept, as one frame with the window beside the row, and the
-			// counters, each worked out from the published rows alone.
-			oracleSchema, err := schema.ObservationSchema.Extend(schema.Field{Name: "window", Kind: schema.KindTime})
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracle := schema.NewFrame(oracleSchema)
-			slide := tc.slide
-			if slide == 0 {
-				slide = tc.window
-			}
-			var want Metrics
-			partMax := make([]int64, tc.parts) // per-partition watermark
-			emitted := int64(math.MinInt64)
-			openWindows := map[int64]bool{}
-			clock := 0 // seconds: each phase moves event time on
-			for phase := 0; phase < 4; phase++ {
-				n := 120 + rng.Intn(80)
-				for i := 0; i < n; i++ {
-					// The first rows give every partition a timestamp, so the
-					// watermark never waits on a wall clock.
-					part, seeding := rng.Intn(tc.parts), phase == 0 && i < tc.parts
-					if seeding {
-						part = i
-					}
-					want.RecordsIn++
-					if rng.Intn(25) == 0 && !seeding {
-						if _, err := b.PublishBatchTo("bronze", part, []stream.Message{{Value: []byte{0xff, 0x01}}}); err != nil {
-							t.Fatal(err)
-						}
-						want.RecordsInvalid++
-						want.RecordsDeadLettered++
-						continue
-					}
-					// Mostly the phase's own minute, sometimes far enough
-					// back to find its windows closed.
-					at := clock + rng.Intn(60)
-					if rng.Intn(6) == 0 {
-						at -= rng.Intn(90)
-					}
-					ts := schema.Time(tbase.Add(time.Duration(at) * time.Second))
-					if rng.Intn(15) == 0 && !seeding {
-						ts = schema.Null
-					}
-					row := schema.Row{
-						ts, schema.Str("compass"), randomDim(rng, "power_temp", "drop"),
-						randomDim(rng, "node0", "node1", "node2"), randomDim(rng, "power", "temp"), randomMeasure(rng),
-					}
-					if _, err := b.PublishBatchTo("bronze", part, []stream.Message{{Value: schema.EncodeRow(row)}}); err != nil {
-						t.Fatal(err)
-					}
-					if !ts.IsNull() && ts.UnixNanos() > partMax[part] {
-						partMax[part] = ts.UnixNanos()
-					}
-					if tc.filter && row[srcIdx].StrVal() == "drop" {
-						continue
-					}
-					if ts.IsNull() {
-						want.RecordsInvalid++
-						continue
-					}
-					latest := TumbleTime(ts.TimeVal(), slide).UnixNano()
-					if latest <= emitted {
-						want.RecordsLate++
-						continue
-					}
-					for w := latest; w > ts.UnixNanos()-int64(tc.window) && w > emitted; w -= int64(slide) {
-						if err := oracle.AppendRow(append(slices.Clone(row), schema.TimeNanos(w))); err != nil {
-							t.Fatal(err)
-						}
-						openWindows[w] = true
-					}
-				}
-				clock += 60
-				// One micro-batch takes the whole phase (BatchSize 4096 a
-				// partition), then closes what the watermark has passed.
-				if err := j.step(context.Background()); err != nil {
-					t.Fatal(err)
-				}
-				wm := partMax[0]
-				for _, m := range partMax {
-					wm = min(wm, m)
-				}
-				for w := range openWindows {
-					if w+int64(tc.window) <= wm-int64(tc.lateness) {
-						delete(openWindows, w)
-						want.WindowsEmitted++
-						emitted = max(emitted, w)
-					}
-				}
-			}
-			if want.RecordsLate == 0 || want.WindowsEmitted == 0 || len(openWindows) == 0 {
-				t.Fatalf("degenerate schedule: %d late rows, %d windows closed by the watermark, %d left open", want.RecordsLate, want.WindowsEmitted, len(openWindows))
-			}
-			if err := j.flushWindows(context.Background(), true); err != nil {
-				t.Fatal(err)
-			}
-			want.WindowsEmitted += int64(len(openWindows))
-
-			wantFrame, err := GroupBy(oracle, append([]string{"window"}, keys...), tc.aggs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			want.RowsOut = int64(wantFrame.Len())
-			got := schema.NewFrame(wantFrame.Schema())
-			lastWindow := int64(math.MinInt64)
-			for _, f := range sink.frames {
-				if w := f.Col(0).Ints()[0]; w <= lastWindow {
-					t.Fatalf("window %d emitted after window %d", w/sec, lastWindow/sec)
-				} else {
-					lastWindow = w
-				}
-				if err := got.AppendFrame(f); err != nil {
-					t.Fatal(err)
-				}
-			}
-			order := []schema.SortKey{{Col: "window"}}
-			for _, k := range keys {
-				order = append(order, schema.SortKey{Col: k})
-			}
-			if got, err = got.SortBy(order...); err != nil {
-				t.Fatal(err)
-			}
-			if !got.Equal(wantFrame) {
-				t.Fatalf("windowed job and GroupBy over the same rows differ:\njob:\n%v\nGroupBy:\n%v", got.Rows(), wantFrame.Rows())
-			}
-			m := j.Metrics()
-			want.Batches = m.Batches
-			if m != want {
-				t.Fatalf("metrics = %+v\nwant counted from the rows = %+v", m, want)
+			for _, agg := range tc.aggs {
+				windowsMatchGroupBy(t, tc.parts, tc.window, tc.lateness, agg, tc.filter)
 			}
 		})
+	}
+}
+
+func windowsMatchGroupBy(t *testing.T, parts int, window, lateness time.Duration, agg tsdb.AggKind, filter bool) {
+	const sec = int64(time.Second)
+	keys := []string{tsdb.DimSource, tsdb.DimComponent, tsdb.DimMetric}
+	rng := rand.New(rand.NewSource(int64(parts)*1000 + int64(window/time.Second)))
+	b := stream.NewBroker()
+	t.Cleanup(b.Close)
+	if err := b.CreateTopic("bronze", stream.TopicConfig{Partitions: parts}); err != nil {
+		t.Fatal(err)
+	}
+	var filters map[string][]string
+	if filter {
+		filters = map[string][]string{tsdb.DimSource: {"power_temp", ""}} // "" is a null source
+	}
+	var sink collectSink
+	j := viewJob(t, b, JobConfig{Name: "w", Topic: "bronze", Lateness: lateness}, tumblingView(t, window, agg, filters, keys...), sink.sink)
+	if err := j.start(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The oracle: every row the job should accept, as one frame with its
+	// window beside it and its dimensions and value as a cell sees them (a
+	// null dimension is "", a null value NaN), and the counters, each
+	// worked out from the published rows alone.
+	oracleSchema, err := schema.ObservationSchema.Extend(schema.Field{Name: "window", Kind: schema.KindTime})
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := schema.NewFrame(oracleSchema)
+	srcIdx := schema.ObservationSchema.MustIndex("source")
+	var want Metrics
+	partMax := make([]int64, parts) // per-partition watermark
+	emitted := int64(math.MinInt64)
+	openWindows := map[int64]bool{}
+	clock := 0 // seconds: each phase moves event time on
+	for phase := 0; phase < 4; phase++ {
+		n := 120 + rng.Intn(80)
+		for i := 0; i < n; i++ {
+			// The first rows give every partition a timestamp, so the
+			// watermark never waits on a wall clock.
+			part, seeding := rng.Intn(parts), phase == 0 && i < parts
+			if seeding {
+				part = i
+			}
+			want.RecordsIn++
+			if rng.Intn(25) == 0 && !seeding {
+				if _, err := b.PublishBatchTo("bronze", part, []stream.Message{{Value: []byte{0xff, 0x01}}}); err != nil {
+					t.Fatal(err)
+				}
+				want.RecordsInvalid++
+				want.RecordsDeadLettered++
+				continue
+			}
+			// Mostly the phase's own minute, sometimes far enough
+			// back to find its windows closed.
+			at := clock + rng.Intn(60)
+			if rng.Intn(6) == 0 {
+				at -= rng.Intn(90)
+			}
+			ts := schema.Time(tbase.Add(time.Duration(at) * time.Second))
+			if rng.Intn(15) == 0 && !seeding {
+				ts = schema.Null
+			}
+			row := schema.Row{
+				ts, schema.Str("compass"), randomDim(rng, "power_temp", "drop"),
+				randomDim(rng, "node0", "node1", "node2"), randomDim(rng, "power", "temp"), randomMeasure(rng),
+			}
+			if _, err := b.PublishBatchTo("bronze", part, []stream.Message{{Value: schema.EncodeRow(row)}}); err != nil {
+				t.Fatal(err)
+			}
+			if ts.IsNull() {
+				want.RecordsInvalid++
+				continue
+			}
+			if ts.UnixNanos() > partMax[part] {
+				partMax[part] = ts.UnixNanos()
+			}
+			if filter && row[srcIdx].StrVal() == "drop" {
+				continue
+			}
+			w := ts.UnixNanos() - tsdb.FloorMod(ts.UnixNanos(), int64(window))
+			if w <= emitted {
+				want.RecordsLate++
+				continue
+			}
+			for c := 1; c < len(row)-1; c++ {
+				if row[c].IsNull() {
+					row[c] = schema.Str("")
+				}
+			}
+			if row[len(row)-1].IsNull() {
+				row[len(row)-1] = schema.Float(math.NaN())
+			}
+			if err := oracle.AppendRow(append(slices.Clone(row), schema.TimeNanos(w))); err != nil {
+				t.Fatal(err)
+			}
+			openWindows[w] = true
+		}
+		clock += 60
+		// One micro-batch takes the whole phase (BatchSize 4096 a
+		// partition), then closes what the watermark has passed.
+		if err := j.step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		wm := slices.Min(partMax)
+		for w := range openWindows {
+			if w+int64(window) <= wm-int64(lateness) {
+				delete(openWindows, w)
+				want.WindowsEmitted++
+				emitted = max(emitted, w)
+			}
+		}
+	}
+	if want.RecordsLate == 0 || want.WindowsEmitted == 0 || len(openWindows) == 0 {
+		t.Fatalf("degenerate schedule: %d late rows, %d windows closed by the watermark, %d left open", want.RecordsLate, want.WindowsEmitted, len(openWindows))
+	}
+	if err := j.closeWindows(context.Background(), true); err != nil {
+		t.Fatal(err)
+	}
+	want.WindowsEmitted += int64(len(openWindows))
+
+	kind := map[tsdb.AggKind]AggKind{tsdb.AggAvg: AggAvg, tsdb.AggSum: AggSum, tsdb.AggCount: AggCount, tsdb.AggMin: AggMin, tsdb.AggMax: AggMax}[agg]
+	long, err := GroupBy(oracle, append([]string{"window"}, keys...), []Agg{{Col: "value", Kind: kind, As: "v"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantFrame := schema.NewFrame(j.outSch)
+	for _, r := range long.Rows() {
+		if v := r[len(r)-1]; v.Kind() == schema.KindInt {
+			r[len(r)-1] = schema.Float(float64(v.IntVal()))
+		}
+		if err := wantFrame.AppendRow(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want.RowsOut = int64(wantFrame.Len())
+	got := schema.NewFrame(j.outSch)
+	lastWindow := int64(math.MinInt64)
+	for _, f := range sink.frames {
+		if w := f.Col(0).Ints()[0]; w <= lastWindow {
+			t.Fatalf("window %d emitted after window %d", w/sec, lastWindow/sec)
+		} else {
+			lastWindow = w
+		}
+		if err := got.AppendFrame(f); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !got.Equal(wantFrame) {
+		t.Fatalf("%v: windowed job and GroupBy over the same rows differ:\njob:\n%v\nGroupBy:\n%v", agg, got.Rows(), wantFrame.Rows())
+	}
+	m := j.Metrics()
+	want.Batches = m.Batches
+	if m != want {
+		t.Fatalf("%v: metrics = %+v\nwant counted from the rows = %+v", agg, m, want)
 	}
 }
 
@@ -250,7 +261,7 @@ func TestPivotMatchesGroupBy(t *testing.T) {
 			// Spread the long result by pivot value: one row per key tuple
 			// (long is sorted by keys, then pivot), absent cells empty. A
 			// null pivot feeds no cell but its key tuple still has a row.
-			var empty aggState
+			var empty tsdb.Cell
 			fields := []schema.Field{got.Schema().Field(0), got.Schema().Field(1)}
 			for _, p := range pivots {
 				fields = append(fields, schema.Field{Name: p, Kind: Agg{Kind: agg}.outKind()})
@@ -267,7 +278,8 @@ func TestPivotMatchesGroupBy(t *testing.T) {
 			for _, r := range long.Rows() {
 				if wide == nil || !wide[:2].Equal(r[:2]) {
 					flush()
-					wide = schema.Row{r[0], r[1], empty.value(agg), empty.value(agg), empty.value(agg)}
+					null := value(&empty, agg, true)
+					wide = schema.Row{r[0], r[1], null, null, null}
 				}
 				if !r[2].IsNull() {
 					wide[2+sort.SearchStrings(pivots, r[2].StrVal())] = r[3]

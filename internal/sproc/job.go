@@ -4,11 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"path/filepath"
-	"slices"
 	"sync"
 	"time"
 
+	"odakit/internal/cq"
 	"odakit/internal/obs"
 	"odakit/internal/plane"
 	"odakit/internal/resilience"
@@ -19,13 +20,20 @@ import (
 type JobConfig struct {
 	// Name identifies the job; the checkpoint file is named after it.
 	Name string
-	// Topic is the topic the job reads, from its oldest retained record
-	// (or from its checkpoint).
+	// Topic is the observation topic the job reads, from its oldest
+	// retained record (or from its checkpoint).
 	Topic string
-	// InputSchema decodes record payloads (schema.EncodeRow bytes).
-	InputSchema *schema.Schema
-	// CheckpointDir enables recovery when non-empty: offsets, watermark,
-	// and open-window state persist there after every sunk batch.
+	// View is the CQ view the job folds the topic into: fed by View.Fold
+	// and emptied by View.Close, each of its chunks a window. Its
+	// engine's SegmentDuration is the window width; a tumbling spec of
+	// that granularity makes a window one output row per group.
+	View *cq.View
+	// Lateness delays closing: a window closes when the watermark passes
+	// its end by Lateness. A record whose window already closed is
+	// dropped and counted late.
+	Lateness time.Duration
+	// CheckpointDir enables recovery when non-empty: offsets, watermarks
+	// and the view's open windows persist there after every sunk batch.
 	CheckpointDir string
 	// Retry retries transient poll, sink, and dead-letter failures
 	// (jittered exponential backoff, per-call budget); the zero value
@@ -40,27 +48,6 @@ type JobConfig struct {
 	// per record). Jobs across a facility share one set so /metrics
 	// shows facility-wide totals even across job restarts.
 	Instr *Instruments
-}
-
-// WindowSpec declares event-time windowed aggregation: tumbling by
-// default, sliding when Slide is set below Window.
-type WindowSpec struct {
-	// TimeCol is the event-time column (KindTime).
-	TimeCol string
-	// Window is the window width (e.g. 15s — the paper's Silver rollup).
-	Window time.Duration
-	// Slide is the hop between window starts; 0 (or == Window) gives
-	// tumbling windows, smaller values give overlapping sliding windows
-	// (each record lands in Window/Slide windows).
-	Slide time.Duration
-	// Lateness delays the watermark: a window closes only when the max
-	// observed event time passes window end + Lateness. Records older
-	// than an already-closed window are dropped and counted.
-	Lateness time.Duration
-	// Keys are the group-by dimensions (string columns).
-	Keys []string
-	// Aggs are the aggregations computed per (window, key group).
-	Aggs []Agg
 }
 
 // Metrics are the job's processing counters.
@@ -85,30 +72,23 @@ type Metrics struct {
 	BreakerOpen         bool
 }
 
-// Job is a micro-batch streaming pipeline: STREAM topic -> optional
-// filter -> optional windowed aggregation -> optional batch transforms ->
-// sink, with checkpoint-based recovery. Build it fluently, then Run or
-// Drain it. The job is the plane.Operator of one plane.Loop, which reads,
-// quarantines poison records, checkpoints and parks; a micro-batch is one
-// pass of it. A Job is single-consumer; metrics reads are safe.
+// Job is a micro-batch streaming pipeline: STREAM topic -> event-time
+// windows folded in a CQ view -> batch transforms -> sink, with
+// checkpoint-based recovery. Build it fluently, then Run or Drain it. The
+// job is the plane.Operator of one plane.Loop, which reads, quarantines
+// poison records, checkpoints and parks; a micro-batch is one pass of it.
+// A Job is single-consumer; metrics reads are safe.
 type Job struct {
 	stream plane.Stream
 	cfg    JobConfig
+	path   string // the checkpoint file; "" without one
 
-	pred   func(schema.Row) bool
-	window *WindowSpec
-	maps   []func(*schema.Frame) (*schema.Frame, error)
-	sink   func(*schema.Frame) error
+	maps []func(*schema.Frame) (*schema.Frame, error)
+	sink func(*schema.Frame) error
 
 	mu      sync.Mutex
 	metrics Metrics
 
-	// window state: windowStart -> the groups of that window. The column
-	// positions and the hop are resolved once, in start.
-	winState map[int64]*groupTable
-	plan     groupPlan
-	tIdx     int
-	slide    time.Duration
 	// partWM tracks the max event time seen per broker partition; the
 	// effective watermark is the minimum across partitions, so a fast
 	// partition cannot close windows other partitions still feed. A
@@ -118,8 +98,7 @@ type Job struct {
 	// idleAt is partitionIdleTimeout after start: the one instant the
 	// watermark can move without data. Zero once a flush at or after it
 	// has run.
-	idleAt  time.Time
-	emitted int64 // latest emitted window start (nanos)
+	idleAt time.Time
 
 	loop     *plane.Loop // built by start; guarded by mu for Metrics
 	mirrored Metrics     // what Instr has been given so far
@@ -128,22 +107,29 @@ type Job struct {
 }
 
 // NewJob returns a job reading the configured topic of a data plane's
-// STREAM.
+// STREAM into its view.
 func NewJob(s plane.Stream, cfg JobConfig) (*Job, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("%w: job needs a name", ErrPlan)
 	}
-	if cfg.InputSchema == nil {
-		return nil, fmt.Errorf("%w: job needs an input schema", ErrPlan)
+	if cfg.View == nil {
+		return nil, fmt.Errorf("%w: job %s needs a view", ErrPlan, cfg.Name)
 	}
 	if cfg.Instr == nil {
 		cfg.Instr = NewInstruments(nil) // every instrument nil: each add a no-op
 	}
+	// A window is the window start, the view's groups, then its value.
+	fields := []schema.Field{{Name: "window", Kind: schema.KindTime}}
+	for _, d := range cfg.View.Spec.GroupBy {
+		fields = append(fields, schema.Field{Name: d, Kind: schema.KindString})
+	}
 	j := &Job{
 		stream: s, cfg: cfg,
-		winState: make(map[int64]*groupTable),
-		partWM:   make(map[int]int64),
-		emitted:  -1 << 62,
+		partWM: make(map[int]int64),
+		outSch: schema.New(append(fields, schema.Field{Name: "v", Kind: schema.KindFloat})...),
+	}
+	if cfg.CheckpointDir != "" {
+		j.path = filepath.Join(cfg.CheckpointDir, cfg.Name+".ckpt.json")
 	}
 	if cfg.Breaker != nil {
 		bc := *cfg.Breaker
@@ -155,20 +141,8 @@ func NewJob(s plane.Stream, cfg JobConfig) (*Job, error) {
 	return j, nil
 }
 
-// Where installs a row filter applied before windowing.
-func (j *Job) Where(pred func(schema.Row) bool) *Job {
-	j.pred = pred
-	return j
-}
-
-// Window installs tumbling-window aggregation.
-func (j *Job) Window(spec WindowSpec) *Job {
-	j.window = &spec
-	return j
-}
-
-// MapBatch appends a whole-batch transform applied after windowing (e.g.
-// a pivot into wide format).
+// MapBatch appends a transform applied to each closed window's frame
+// (e.g. a pivot into wide format).
 func (j *Job) MapBatch(fn func(*schema.Frame) (*schema.Frame, error)) *Job {
 	j.maps = append(j.maps, fn)
 	return j
@@ -207,36 +181,8 @@ func (j *Job) Metrics() Metrics {
 // configured.
 func (j *Job) Breaker() *resilience.Breaker { return j.breaker }
 
-// resolveWindow resolves the window spec against the input schema, once
-// per incarnation: the time column, the group-by plan every record is
-// folded by, and the output schema — window start, keys..., then agg
-// columns.
-func (j *Job) resolveWindow() error {
-	spec, in := j.window, j.cfg.InputSchema
-	if spec.TimeCol == "" || spec.Window <= 0 || len(spec.Aggs) == 0 {
-		return fmt.Errorf("%w: incomplete window spec", ErrPlan)
-	}
-	if spec.Slide < 0 || spec.Slide > spec.Window {
-		return fmt.Errorf("%w: slide must be in (0, window]", ErrPlan)
-	}
-	tIdx, ok := in.Index(spec.TimeCol)
-	if !ok {
-		return fmt.Errorf("%w: no time column %q", ErrPlan, spec.TimeCol)
-	}
-	plan, err := resolvePlan(in, spec.Keys, spec.Aggs)
-	if err != nil {
-		return err
-	}
-	j.tIdx, j.plan, j.slide = tIdx, plan, spec.Slide
-	if j.slide == 0 {
-		j.slide = spec.Window
-	}
-	j.outSch = schema.New(append([]schema.Field{{Name: "window", Kind: schema.KindTime}}, plan.fields...)...)
-	return nil
-}
-
-// start resolves the plan and builds the job's loop, restoring from the
-// checkpoint when there is one; a started job is not started again.
+// start builds the job's loop, restoring from the checkpoint when there
+// is one; a started job is not started again.
 func (j *Job) start() error {
 	if j.loop != nil {
 		return nil
@@ -244,19 +190,11 @@ func (j *Job) start() error {
 	if j.sink == nil {
 		return fmt.Errorf("%w: job %s has no sink", ErrPlan, j.cfg.Name)
 	}
-	if j.window != nil {
-		if err := j.resolveWindow(); err != nil {
-			return err
-		}
-		j.idleAt = time.Now().Add(partitionIdleTimeout)
-	}
+	j.idleAt = time.Now().Add(partitionIdleTimeout)
 	cfg := plane.LoopConfig{
-		Consumer: "sproc job " + j.cfg.Name, Topics: []string{j.cfg.Topic}, Schema: j.cfg.InputSchema,
+		Consumer: "sproc job " + j.cfg.Name, Topics: []string{j.cfg.Topic}, Schema: schema.ObservationSchema,
 		BatchSize: jobBatchSize, Retry: j.cfg.Retry, Deadline: func() time.Time { return j.idleAt },
-		DeadLetters: j.cfg.Instr.DeadLettered, Retries: j.cfg.Instr.Retries,
-	}
-	if j.cfg.CheckpointDir != "" {
-		cfg.Checkpoint = filepath.Join(j.cfg.CheckpointDir, j.cfg.Name+".ckpt.json")
+		DeadLetters: j.cfg.Instr.DeadLettered, Retries: j.cfg.Instr.Retries, Checkpoint: j.path,
 	}
 	l, err := plane.NewLoop(j.stream, j, cfg)
 	if err != nil {
@@ -280,7 +218,7 @@ func (j *Job) Run(ctx context.Context) error {
 	}
 	err := j.loop.Run(ctx)
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-		return j.checkpoint()
+		return j.loop.Checkpoint()
 	}
 	return err
 }
@@ -296,44 +234,23 @@ func (j *Job) Drain(ctx context.Context) error {
 }
 
 // step consumes one micro-batch: it parks until a commit lands behind a
-// cursor, then makes one pass over the topic's partitions. A windowed job
-// that reaches its idle deadline parked flushes what that unblocked
-// instead.
+// cursor, then makes one pass over the topic's partitions. A job that
+// reaches its idle deadline parked flushes what that unblocked instead.
 func (j *Job) step(ctx context.Context) error { return j.loop.Step(ctx) }
 
-// checkpoint persists job state; a no-op without a checkpoint dir.
-func (j *Job) checkpoint() error { return j.loop.Checkpoint() }
-
-// Apply takes one partition's page (plane.Operator): a windowed job folds
-// each row into its windows, an unwindowed one delivers the page.
-func (j *Job) Apply(ctx context.Context, _ string, part int, rows []schema.Row) error {
-	if j.window == nil {
-		batch := schema.NewFrame(j.cfg.InputSchema)
-		for _, row := range rows {
-			if j.pred != nil && !j.pred(row) {
-				continue
-			}
-			if err := batch.AppendRow(row); err != nil {
-				return err
-			}
-		}
-		if batch.Len() == 0 {
-			return nil
-		}
-		return j.deliver(ctx, batch)
-	}
+// Apply folds one partition's page into the view (plane.Operator). Every
+// record with a timestamp advances its partition's watermark.
+func (j *Job) Apply(_ context.Context, topic string, part int, rows []schema.Row) error {
+	_, late := j.cfg.View.Fold(topic, part, rows)
 	j.mu.Lock()
 	defer j.mu.Unlock()
+	j.metrics.RecordsLate += late
 	for _, row := range rows {
-		// Every valid record advances its partition's watermark, even if
-		// the filter later discards it.
-		if !row[j.tIdx].IsNull() {
-			if ev := row[j.tIdx].UnixNanos(); ev > j.partWM[part] {
-				j.partWM[part] = ev
-			}
-		}
-		if j.pred == nil || j.pred(row) {
-			j.foldLocked(row)
+		ts := row[0] // ObservationSchema's ts
+		if ts.IsNull() {
+			j.metrics.RecordsInvalid++
+		} else if ev := ts.UnixNanos(); ev > j.partWM[part] {
+			j.partWM[part] = ev
 		}
 	}
 	return nil
@@ -341,7 +258,7 @@ func (j *Job) Apply(ctx context.Context, _ string, part int, rows []schema.Row) 
 
 // Flush ends a micro-batch (plane.Operator): it mirrors the counters into
 // the shared instruments (one add each per micro-batch, never per record)
-// and emits the windows the watermark closed — every open window when
+// and sinks the windows the watermark closed — every open window when
 // final.
 func (j *Job) Flush(ctx context.Context, final bool) error {
 	// One micro-batch span (sampled roots only; a no-op otherwise). It
@@ -356,35 +273,7 @@ func (j *Job) Flush(ctx context.Context, final bool) error {
 	ins.RecordsLate.Add(m.RecordsLate - j.mirrored.RecordsLate)
 	ins.Batches.Add(m.Batches - j.mirrored.Batches)
 	j.mirrored = m
-	return j.flushWindows(ctx, final)
-}
-
-// foldLocked folds one decoded, filtered row into every window it belongs
-// to: those whose start lies in (ts - Window, ts], stepping by the slide —
-// exactly one for tumbling windows. The caller holds j.mu.
-func (j *Job) foldLocked(row schema.Row) {
-	ts := row[j.tIdx]
-	if ts.IsNull() {
-		j.metrics.RecordsInvalid++
-		return
-	}
-	latest := TumbleTime(ts.TimeVal(), j.slide).UnixNano()
-	if latest <= j.emitted {
-		j.metrics.RecordsLate++
-		return
-	}
-	oldest := ts.UnixNanos() - int64(j.window.Window)
-	for wStart := latest; wStart > oldest; wStart -= int64(j.slide) {
-		if wStart <= j.emitted {
-			break // older overlapping windows already closed
-		}
-		t, ok := j.winState[wStart]
-		if !ok {
-			t = newGroupTable(j.plan.keyIdx, len(j.plan.aggIdx))
-			j.winState[wStart] = t
-		}
-		t.at(row).fold(row, j.plan.aggIdx)
-	}
+	return j.closeWindows(ctx, final)
 }
 
 // jobBatchSize caps the records a micro-batch takes from each partition.
@@ -399,66 +288,57 @@ const partitionIdleTimeout = 500 * time.Millisecond
 // of the per-partition maxima. Until every partition has carried data the
 // watermark is withheld — until idleAt, from which on the partitions that
 // never carried any are excluded.
-func (j *Job) watermarkLocked() (int64, bool) {
+func (j *Job) watermarkLocked() (wm int64, ok bool) {
 	if !j.idleAt.IsZero() && !time.Now().Before(j.idleAt) {
 		j.idleAt = time.Time{}
 	}
-	first := true
-	var wm int64
 	for p := 0; p < j.nparts; p++ {
-		v, seen := j.partWM[p]
-		if !seen {
-			if !j.idleAt.IsZero() {
-				// Withhold the watermark rather than risk closing
-				// windows this partition may still feed.
-				return 0, false
-			}
-			continue // idle-excluded
-		}
-		if first || v < wm {
-			wm = v
-			first = false
+		switch v, seen := j.partWM[p]; {
+		case !seen && !j.idleAt.IsZero():
+			// Withhold the watermark rather than risk closing windows
+			// this partition may still feed.
+			return 0, false
+		case seen && (!ok || v < wm):
+			wm, ok = v, true
 		}
 	}
-	if first {
-		return 0, false
-	}
-	return wm, true
+	return wm, ok
 }
 
-// flushWindows emits closed windows (or all when force), oldest first.
-func (j *Job) flushWindows(ctx context.Context, force bool) error {
-	if j.window == nil {
-		return nil
-	}
-	spec := j.window
-	j.mu.Lock()
-	wm, haveWM := j.watermarkLocked()
-	horizon := wm - int64(spec.Lateness)
-	var due []int64
-	for wStart := range j.winState {
-		wEnd := wStart + int64(spec.Window)
-		if force || (haveWM && wEnd <= horizon) {
-			due = append(due, wStart)
+// closeWindows hands the windows the watermark closed (every open one
+// when final) from the view to the sink, oldest first, one frame each.
+func (j *Job) closeWindows(ctx context.Context, final bool) error {
+	end := int64(math.MaxInt64)
+	if !final {
+		j.mu.Lock()
+		wm, ok := j.watermarkLocked()
+		j.mu.Unlock()
+		if !ok {
+			return nil
 		}
+		end = wm - int64(j.cfg.Lateness)
 	}
-	slices.Sort(due)
-	frames := make([]*schema.Frame, 0, len(due))
-	for _, wStart := range due {
-		f := schema.NewFrame(j.outSch)
-		if err := emitGroups(f, j.winState[wStart].byKeyBytes(), j.plan.kinds, schema.TimeNanos(wStart)); err != nil {
-			j.mu.Unlock()
+	groups := j.cfg.View.Close(end)
+	var frames []*schema.Frame
+	row := make(schema.Row, 0, j.outSch.Len())
+	for i := range groups {
+		g := &groups[i]
+		if i == 0 || g.Key.Ts != groups[i-1].Key.Ts {
+			frames = append(frames, schema.NewFrame(j.outSch))
+		}
+		row = append(row[:0], schema.TimeNanos(g.Key.Ts))
+		for _, d := range g.Key.Dims[:j.outSch.Len()-2] {
+			row = append(row, schema.Str(d))
+		}
+		row = append(row, schema.Float(g.Cell.Value(j.cfg.View.Spec.Agg)))
+		if err := frames[len(frames)-1].AppendRow(row); err != nil {
 			return err
 		}
-		frames = append(frames, f)
-		delete(j.winState, wStart)
-		if wStart > j.emitted {
-			j.emitted = wStart
-		}
-		j.metrics.WindowsEmitted++
 	}
+	j.mu.Lock()
+	j.metrics.WindowsEmitted += int64(len(frames))
 	j.mu.Unlock()
-	j.cfg.Instr.WindowsEmitted.Add(int64(len(due)))
+	j.cfg.Instr.WindowsEmitted.Add(int64(len(frames)))
 
 	for _, f := range frames {
 		if err := j.deliver(ctx, f); err != nil {

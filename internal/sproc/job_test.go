@@ -4,13 +4,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"sync"
 	"testing"
 	"time"
 
+	"odakit/internal/cq"
+	"odakit/internal/plane"
 	"odakit/internal/resilience"
 	"odakit/internal/schema"
 	"odakit/internal/stream"
+	"odakit/internal/tsdb"
 )
 
 func newBrokerWithTopic(t testing.TB) *stream.Broker {
@@ -59,29 +63,54 @@ func (c *collectSink) rows() []schema.Row {
 	return out
 }
 
+// tumblingView registers, on an engine of its own, a tumbling view of agg
+// over groupBy whose chunks, and so the windows a job closes, are window
+// wide.
+func tumblingView(t testing.TB, window time.Duration, agg tsdb.AggKind, filters map[string][]string, groupBy ...string) *cq.View {
+	t.Helper()
+	v, err := cq.NewEngine(cq.Config{RollupInterval: window, SegmentDuration: window}).Register(cq.Spec{
+		Filters: filters, GroupBy: groupBy, Agg: agg, Granularity: window, Window: window, Kind: cq.WindowTumbling,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// viewJob builds a job over a fresh view; cfg names the job and its topic.
+func viewJob(t testing.TB, s plane.Stream, cfg JobConfig, v *cq.View, sink func(*schema.Frame) error) *Job {
+	t.Helper()
+	cfg.View = v
+	j, err := NewJob(s, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return j.To(sink)
+}
+
+// TestPassthroughJob: every record reaches the sink, counted in its
+// window.
 func TestPassthroughJob(t *testing.T) {
 	b := newBrokerWithTopic(t)
 	for i := 0; i < 10; i++ {
 		publishObs(t, b, i, "node0", "power", float64(i))
 	}
 	var sink collectSink
-	j, err := NewJob(b, JobConfig{Name: "pass", Topic: "bronze", InputSchema: schema.ObservationSchema})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.To(sink.sink)
+	j := viewJob(t, b, JobConfig{Name: "pass", Topic: "bronze"}, tumblingView(t, 15*time.Second, tsdb.AggCount, nil, tsdb.DimComponent), sink.sink)
 	if err := j.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(sink.rows()); got != 10 {
-		t.Fatalf("sunk %d rows, want 10", got)
+	if rows := sink.rows(); len(rows) != 1 || rows[0][2].FloatVal() != 10 {
+		t.Fatalf("sunk %v, want one window counting 10 records", rows)
 	}
 	m := j.Metrics()
-	if m.RecordsIn != 10 || m.RowsOut != 10 || m.RecordsInvalid != 0 {
+	if m.RecordsIn != 10 || m.RowsOut != 1 || m.RecordsInvalid != 0 || m.WindowsEmitted != 1 {
 		t.Fatalf("metrics = %+v", m)
 	}
 }
 
+// TestWhereFilterJob: the view's filters decide which records a window
+// holds.
 func TestWhereFilterJob(t *testing.T) {
 	b := newBrokerWithTopic(t)
 	for i := 0; i < 10; i++ {
@@ -92,14 +121,12 @@ func TestWhereFilterJob(t *testing.T) {
 		publishObs(t, b, i, "node0", metric, float64(i))
 	}
 	var sink collectSink
-	mi := schema.ObservationSchema.MustIndex("metric")
-	j, _ := NewJob(b, JobConfig{Name: "filt", Topic: "bronze", InputSchema: schema.ObservationSchema})
-	j.Where(func(r schema.Row) bool { return r[mi].StrVal() == "power" }).To(sink.sink)
-	if err := j.Drain(context.Background()); err != nil {
+	v := tumblingView(t, 15*time.Second, tsdb.AggCount, map[string][]string{tsdb.DimMetric: {"power"}}, tsdb.DimComponent, tsdb.DimMetric)
+	if err := viewJob(t, b, JobConfig{Name: "filt", Topic: "bronze"}, v, sink.sink).Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(sink.rows()); got != 5 {
-		t.Fatalf("filtered rows = %d, want 5", got)
+	if rows := sink.rows(); len(rows) != 1 || rows[0][2].StrVal() != "power" || rows[0][3].FloatVal() != 5 {
+		t.Fatalf("filtered rows = %v, want one window of the 5 power records", rows)
 	}
 }
 
@@ -115,8 +142,7 @@ func TestMalformedRecordsCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	var sink collectSink
-	j, _ := NewJob(b, JobConfig{Name: "mal", Topic: "bronze", InputSchema: schema.ObservationSchema})
-	j.To(sink.sink)
+	j := viewJob(t, b, JobConfig{Name: "mal", Topic: "bronze"}, tumblingView(t, 15*time.Second, tsdb.AggCount, nil, tsdb.DimComponent), sink.sink)
 	if err := j.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -126,20 +152,11 @@ func TestMalformedRecordsCounted(t *testing.T) {
 	}
 }
 
+// windowJob averages power per (component, metric) over 15 s windows that
+// wait 5 s for late records.
 func windowJob(t testing.TB, b *stream.Broker, name, dir string, sink func(*schema.Frame) error) *Job {
-	j, err := NewJob(b, JobConfig{
-		Name: name, Topic: "bronze",
-		InputSchema: schema.ObservationSchema, CheckpointDir: dir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Window(WindowSpec{
-		TimeCol: "ts", Window: 15 * time.Second, Lateness: 5 * time.Second,
-		Keys: []string{"component", "metric"},
-		Aggs: []Agg{{Col: "value", Kind: AggAvg, As: "avg"}, {Col: "value", Kind: AggCount, As: "n"}},
-	}).To(sink)
-	return j
+	v := tumblingView(t, 15*time.Second, tsdb.AggAvg, nil, tsdb.DimComponent, tsdb.DimMetric)
+	return viewJob(t, b, JobConfig{Name: name, Topic: "bronze", CheckpointDir: dir, Lateness: 5 * time.Second}, v, sink)
 }
 
 func TestWindowedAggregation(t *testing.T) {
@@ -147,7 +164,7 @@ func TestWindowedAggregation(t *testing.T) {
 	// 60 seconds of 1 Hz data for two nodes: 4 windows of 15 samples each.
 	for s := 0; s < 60; s++ {
 		publishObs(t, b, s, "node0", "power", 100)
-		publishObs(t, b, s, "node1", "power", 200)
+		publishObs(t, b, s, "node1", "power", 200+float64(s%15))
 	}
 	var sink collectSink
 	j := windowJob(t, b, "win", "", sink.sink)
@@ -159,13 +176,13 @@ func TestWindowedAggregation(t *testing.T) {
 		t.Fatalf("window rows = %d, want 8", len(rows))
 	}
 	for _, r := range rows {
-		// window, component, metric, avg, n
-		if r[2].StrVal() != "power" || r[4].IntVal() != 15 {
+		// window, component, metric, avg
+		if r[2].StrVal() != "power" {
 			t.Fatalf("row = %v", r)
 		}
 		want := 100.0
 		if r[1].StrVal() == "node1" {
-			want = 200
+			want = 207 // the mean of 200..214
 		}
 		if r[3].FloatVal() != want {
 			t.Fatalf("avg = %v, want %v", r[3], want)
@@ -173,6 +190,9 @@ func TestWindowedAggregation(t *testing.T) {
 		if ws := r[0].TimeVal(); ws.Second()%15 != 0 {
 			t.Fatalf("window start not aligned: %v", ws)
 		}
+	}
+	if m := j.Metrics(); m.WindowsEmitted != 4 || m.RowsOut != 8 {
+		t.Fatalf("metrics = %+v, want 4 windows of 2 rows", m)
 	}
 }
 
@@ -248,14 +268,11 @@ func TestMapBatchPivot(t *testing.T) {
 		publishObs(t, b, s, "node0", "temp", 40)
 	}
 	var sink collectSink
-	j, _ := NewJob(b, JobConfig{Name: "piv", Topic: "bronze", InputSchema: schema.ObservationSchema})
-	j.Window(WindowSpec{
-		TimeCol: "ts", Window: 15 * time.Second,
-		Keys: []string{"component", "metric"},
-		Aggs: []Agg{{Col: "value", Kind: AggAvg, As: "v"}},
-	}).MapBatch(func(f *schema.Frame) (*schema.Frame, error) {
+	v := tumblingView(t, 15*time.Second, tsdb.AggAvg, nil, tsdb.DimComponent, tsdb.DimMetric)
+	j := viewJob(t, b, JobConfig{Name: "piv", Topic: "bronze"}, v, sink.sink)
+	j.MapBatch(func(f *schema.Frame) (*schema.Frame, error) {
 		return Pivot(f, []string{"window", "component"}, "metric", "v", AggAvg)
-	}).To(sink.sink)
+	})
 	if err := j.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -334,9 +351,12 @@ func TestCheckpointPreservesOpenWindowState(t *testing.T) {
 	for s := 0; s < 7; s++ {
 		publishObs(t, b, s, "node0", "power", 100)
 	}
+	countJob := func(sink func(*schema.Frame) error) *Job {
+		v := tumblingView(t, 15*time.Second, tsdb.AggCount, nil, tsdb.DimComponent)
+		return viewJob(t, b, JobConfig{Name: "open", Topic: "bronze", CheckpointDir: dir}, v, sink)
+	}
 	var sink1 collectSink
-	j1, _ := NewJob(b, JobConfig{Name: "open", Topic: "bronze", InputSchema: schema.ObservationSchema, CheckpointDir: dir})
-	j1.Window(WindowSpec{TimeCol: "ts", Window: 15 * time.Second, Keys: []string{"component"}, Aggs: []Agg{{Col: "value", Kind: AggCount, As: "n"}}}).To(sink1.sink)
+	j1 := countJob(sink1.sink)
 	// Run briefly: absorb data without force flush, then stop.
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
@@ -353,38 +373,32 @@ func TestCheckpointPreservesOpenWindowState(t *testing.T) {
 		publishObs(t, b, s, "node0", "power", 100)
 	}
 	var sink2 collectSink
-	j2, _ := NewJob(b, JobConfig{Name: "open", Topic: "bronze", InputSchema: schema.ObservationSchema, CheckpointDir: dir})
-	j2.Window(WindowSpec{TimeCol: "ts", Window: 15 * time.Second, Keys: []string{"component"}, Aggs: []Agg{{Col: "value", Kind: AggCount, As: "n"}}}).To(sink2.sink)
-	if err := j2.Drain(context.Background()); err != nil {
+	if err := countJob(sink2.sink).Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	rows := sink2.rows()
 	if len(rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(rows))
 	}
-	if rows[0][2].IntVal() != 15 {
+	if rows[0][2].FloatVal() != 15 {
 		t.Fatalf("recovered window count = %v, want 15 (7 pre-crash + 8 post)", rows[0][2])
 	}
 }
 
 func TestJobConfigValidation(t *testing.T) {
 	b := newBrokerWithTopic(t)
-	if _, err := NewJob(b, JobConfig{Topic: "bronze", InputSchema: schema.ObservationSchema}); !errors.Is(err, ErrPlan) {
+	v := tumblingView(t, 15*time.Second, tsdb.AggAvg, nil)
+	if _, err := NewJob(b, JobConfig{Topic: "bronze", View: v}); !errors.Is(err, ErrPlan) {
 		t.Fatal("missing name accepted")
 	}
 	if _, err := NewJob(b, JobConfig{Name: "x", Topic: "bronze"}); !errors.Is(err, ErrPlan) {
-		t.Fatal("missing schema accepted")
+		t.Fatal("missing view accepted")
 	}
-	j, _ := NewJob(b, JobConfig{Name: "x", Topic: "bronze", InputSchema: schema.ObservationSchema})
+	j, _ := NewJob(b, JobConfig{Name: "x", Topic: "bronze", View: v})
 	if err := j.Drain(context.Background()); !errors.Is(err, ErrPlan) {
 		t.Fatal("missing sink accepted")
 	}
-	j2, _ := NewJob(b, JobConfig{Name: "y", Topic: "bronze", InputSchema: schema.ObservationSchema})
-	j2.Window(WindowSpec{TimeCol: "ghost", Window: time.Second, Aggs: []Agg{{Col: "value", Kind: AggAvg}}}).To(func(*schema.Frame) error { return nil })
-	if err := j2.Drain(context.Background()); !errors.Is(err, ErrPlan) {
-		t.Fatal("bad time column accepted")
-	}
-	j3, _ := NewJob(b, JobConfig{Name: "z", Topic: "ghost", InputSchema: schema.ObservationSchema})
+	j3, _ := NewJob(b, JobConfig{Name: "z", Topic: "ghost", View: v})
 	j3.To(func(*schema.Frame) error { return nil })
 	if err := j3.Drain(context.Background()); !errors.Is(err, stream.ErrNoTopic) {
 		t.Fatalf("missing topic: %v", err)
@@ -395,13 +409,14 @@ func TestSinkErrorPropagates(t *testing.T) {
 	b := newBrokerWithTopic(t)
 	publishObs(t, b, 0, "node0", "power", 1)
 	boom := errors.New("downstream full")
-	j, _ := NewJob(b, JobConfig{Name: "err", Topic: "bronze", InputSchema: schema.ObservationSchema})
-	j.To(func(*schema.Frame) error { return boom })
+	j := viewJob(t, b, JobConfig{Name: "err", Topic: "bronze"}, tumblingView(t, 15*time.Second, tsdb.AggAvg, nil), func(*schema.Frame) error { return boom })
 	if err := j.Drain(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want sink error", err)
 	}
 }
 
+// BenchmarkWindowedThroughput drains 20 000 records over 4 partitions and
+// 64 components through a job averaging each component over 15 s windows.
 func BenchmarkWindowedThroughput(b *testing.B) {
 	bk := stream.NewBroker()
 	defer bk.Close()
@@ -419,82 +434,13 @@ func BenchmarkWindowedThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		j, _ := NewJob(bk, JobConfig{
-			Name: fmt.Sprintf("bench%d", i), Topic: "bronze",
-			InputSchema: schema.ObservationSchema,
-		})
-		j.Window(WindowSpec{
-			TimeCol: "ts", Window: 15 * time.Second,
-			Keys: []string{"component"},
-			Aggs: []Agg{{Col: "value", Kind: AggAvg}},
-		}).To(func(*schema.Frame) error { return nil })
+		v := tumblingView(b, 15*time.Second, tsdb.AggAvg, nil, tsdb.DimComponent)
+		j := viewJob(b, bk, JobConfig{Name: fmt.Sprintf("bench%d", i), Topic: "bronze"}, v, func(*schema.Frame) error { return nil })
 		if err := j.Drain(context.Background()); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(records), "records/op")
-}
-
-func TestSlidingWindows(t *testing.T) {
-	b := newBrokerWithTopic(t)
-	// 60 seconds of 1 Hz data, one node, constant value.
-	for s := 0; s < 60; s++ {
-		publishObs(t, b, s, "node0", "power", 100)
-	}
-	var sink collectSink
-	j, _ := NewJob(b, JobConfig{Name: "slide", Topic: "bronze", InputSchema: schema.ObservationSchema})
-	j.Window(WindowSpec{
-		TimeCol: "ts", Window: 30 * time.Second, Slide: 15 * time.Second,
-		Keys: []string{"component"},
-		Aggs: []Agg{{Col: "value", Kind: AggCount, As: "n"}, {Col: "value", Kind: AggAvg, As: "avg"}},
-	}).To(sink.sink)
-	if err := j.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	rows := sink.rows()
-	// Window starts at -15? Starts: 0,15,30,45 cover data fully; also the
-	// window starting at 45 covers 45..59, and start -15 is clamped out by
-	// the (ts-Window, ts] rule only producing starts >= ...: starts are
-	// 0,15,30,45 plus the partial first window start -15 is impossible
-	// (negative unix-aligned start exists: tick 0..14 also lands in the
-	// window starting at -15s). Expect 5 windows.
-	if len(rows) != 5 {
-		t.Fatalf("sliding windows = %d rows: %v", len(rows), rows)
-	}
-	// Full windows (starts 0,15,30) hold 30 samples; edge windows fewer.
-	counts := map[int64]int64{}
-	for _, r := range rows {
-		// window, component, n, avg
-		counts[r[0].UnixNanos()] = r[2].IntVal()
-		if r[3].FloatVal() != 100 {
-			t.Fatalf("avg = %v", r[3])
-		}
-	}
-	base := tbase.UnixNano()
-	want := map[int64]int64{
-		base - int64(15*time.Second): 15, // covers 0..14
-		base:                         30,
-		base + int64(15*time.Second): 30,
-		base + int64(30*time.Second): 30,
-		base + int64(45*time.Second): 15, // covers 45..59
-	}
-	for ws, n := range want {
-		if counts[ws] != n {
-			t.Fatalf("window %d count = %d, want %d (all %v)", (ws-base)/1e9, counts[ws], n, counts)
-		}
-	}
-}
-
-func TestSlidingWindowValidation(t *testing.T) {
-	b := newBrokerWithTopic(t)
-	j, _ := NewJob(b, JobConfig{Name: "badslide", Topic: "bronze", InputSchema: schema.ObservationSchema})
-	j.Window(WindowSpec{
-		TimeCol: "ts", Window: 10 * time.Second, Slide: 20 * time.Second,
-		Aggs: []Agg{{Col: "value", Kind: AggAvg}},
-	}).To(func(*schema.Frame) error { return nil })
-	if err := j.Drain(context.Background()); !errors.Is(err, ErrPlan) {
-		t.Fatalf("slide > window accepted: %v", err)
-	}
 }
 
 // downPartition is a broker whose partition `bad` refuses every fetch
@@ -530,15 +476,13 @@ func TestCancelMidPassLosesNothing(t *testing.T) {
 	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg := JobConfig{Name: "stop", Topic: "bronze", InputSchema: schema.ObservationSchema, CheckpointDir: dir,
+	// One-second windows: each record is the one record of its window.
+	cfg := JobConfig{Name: "stop", Topic: "bronze", CheckpointDir: dir,
 		Retry: resilience.Policy{BaseDelay: time.Minute, MaxDelay: time.Minute,
 			OnRetry: func(int, error, time.Duration) { cancel() }}}
 	var sink1, sink2 collectSink
-	j1, err := NewJob(src, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j1.To(sink1.sink).Run(ctx); err != nil {
+	j1 := viewJob(t, src, cfg, tumblingView(t, time.Second, tsdb.AggCount, nil), sink1.sink)
+	if err := j1.Run(ctx); err != nil {
 		t.Fatalf("cancelled run: %v", err)
 	}
 	if m := j1.Metrics(); m.Retries != 1 || m.RecordsIn != n/2 {
@@ -547,21 +491,134 @@ func TestCancelMidPassLosesNothing(t *testing.T) {
 
 	src.down = false
 	cfg.Retry = resilience.NoRetry
-	j2, err := NewJob(src, cfg)
-	if err != nil {
+	if err := viewJob(t, src, cfg, tumblingView(t, time.Second, tsdb.AggCount, nil), sink2.sink).Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if err := j2.To(sink2.sink).Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[float64]int)
-	vIdx := schema.ObservationSchema.MustIndex("value")
+	seen := make(map[int64]float64)
 	for _, r := range append(sink1.rows(), sink2.rows()...) {
-		seen[r[vIdx].FloatVal()]++
+		seen[r[0].UnixNanos()] += r[1].FloatVal()
 	}
 	for i := 0; i < n; i++ {
-		if seen[float64(i)] != 1 {
-			t.Fatalf("record %d sunk %d times across the stop and the restart, want exactly once", i, seen[float64(i)])
+		if c := seen[tbase.Add(time.Duration(i)*time.Second).UnixNano()]; c != 1 {
+			t.Fatalf("record %d sunk %v times across the stop and the restart, want exactly once", i, c)
 		}
+	}
+}
+
+// TestLaggingPartitionHoldsWindowsOpen: fetch faults hold partition 1
+// back while partition 0 reads on, far past the lateness. The watermark
+// is the minimum over partitions, so no window partition 1 still feeds
+// closes, and the drain sinks every record once, none of them late.
+func TestLaggingPartitionHoldsWindowsOpen(t *testing.T) {
+	const lateness = 5 * time.Second
+	b := newBrokerWithTopic(t)
+	n := 0
+	publish := func(part int, from, to int) {
+		for i := from; i < to; i++ {
+			// One record every 100 ms: a page of jobBatchSize spans ~410 s.
+			o := schema.Observation{Ts: tbase.Add(time.Duration(i) * 100 * time.Millisecond), System: "compass",
+				Source: "power_temp", Component: fmt.Sprintf("node%d", part), Metric: "power", Value: 1}
+			if _, err := b.PublishBatchTo("bronze", part, []stream.Message{{Value: schema.EncodeRow(o.Row())}}); err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+	}
+	publish(0, 0, 10)
+	publish(1, 0, 10)
+	src := &downPartition{Broker: b, bad: 1}
+	retries := 0
+	cfg := JobConfig{Name: "lag", Topic: "bronze", Lateness: lateness,
+		Retry: resilience.Policy{MaxAttempts: 10, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond,
+			OnRetry: func(int, error, time.Duration) {
+				if retries++; retries == 3 {
+					src.down = false
+				}
+			}}}
+	var (
+		sink   collectSink
+		j      *Job
+		maxLag time.Duration
+	)
+	j = viewJob(t, src, cfg, tumblingView(t, 15*time.Second, tsdb.AggCount, nil, tsdb.DimComponent), func(f *schema.Frame) error {
+		j.mu.Lock()
+		maxLag = max(maxLag, time.Duration(j.partWM[0]-j.partWM[1]))
+		j.mu.Unlock()
+		return sink.sink(f)
+	})
+	ctx := context.Background()
+	if err := j.start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.step(ctx); err != nil { // both partitions carry data
+		t.Fatal(err)
+	}
+	publish(0, 10, 10+3*jobBatchSize)
+	publish(1, 10, 10+3*jobBatchSize)
+	src.down = true
+	if err := j.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if retries < 3 || maxLag <= lateness {
+		t.Fatalf("%d retries, partition 0 at most %v ahead of partition 1 when a window closed: no lag past the lateness", retries, maxLag)
+	}
+	type window struct {
+		start     int64
+		component string
+	}
+	sunk := map[window]bool{}
+	total := 0.0
+	for _, r := range sink.rows() { // window, component, count
+		key := window{r[0].UnixNanos(), r[1].StrVal()}
+		if sunk[key] {
+			t.Fatalf("window %v sunk twice", r)
+		}
+		sunk[key] = true
+		total += r[2].FloatVal()
+	}
+	if m := j.Metrics(); int(total) != n || m.RecordsLate != 0 {
+		t.Fatalf("sank %v of %d records, %d late", total, n, m.RecordsLate)
+	}
+}
+
+// TestViewResidencyBoundedByOpenWindows: draining an hour of 15 s windows
+// keeps in the view, and in its checkpoint, only the windows still open —
+// its chunks are the windows, and a closed one leaves — not the hour a
+// default SegmentDuration spans.
+func TestViewResidencyBoundedByOpenWindows(t *testing.T) {
+	const comps = 16
+	b := newBrokerWithTopic(t)
+	v := tumblingView(t, 15*time.Second, tsdb.AggAvg, nil, tsdb.DimComponent)
+	var sink collectSink
+	j := viewJob(t, b, JobConfig{Name: "resident", Topic: "bronze", CheckpointDir: t.TempDir(), Lateness: 5 * time.Second}, v, sink.sink)
+	if err := j.start(); err != nil {
+		t.Fatal(err)
+	}
+	var maxCells int64
+	var firstCkpt, maxCkpt int64
+	for sec := 0; sec < 3600; sec += 30 {
+		for s := sec; s < sec+30; s++ {
+			for c := 0; c < comps; c++ {
+				publishObs(t, b, s, fmt.Sprintf("node%02d", c), "power", float64(s))
+			}
+		}
+		if err := j.step(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		maxCells = max(maxCells, v.Stats().Cells)
+		st, err := os.Stat(j.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if firstCkpt == 0 {
+			firstCkpt = st.Size()
+		}
+		maxCkpt = max(maxCkpt, st.Size())
+	}
+	// After a step the watermark sits at the end of a 30 s chunk: the
+	// window holding it and the one it waits on for lateness stay open.
+	if m := j.Metrics(); m.WindowsEmitted < 230 || maxCells > 2*comps || maxCkpt > 2*firstCkpt {
+		t.Fatalf("%d windows sunk; at most %d cells resident (want <= %d) and a %d-byte checkpoint (first %d)",
+			m.WindowsEmitted, maxCells, 2*comps, maxCkpt, firstCkpt)
 	}
 }

@@ -8,8 +8,8 @@ import (
 	"time"
 
 	"odakit/internal/plane"
-	"odakit/internal/schema"
 	"odakit/internal/stream"
+	"odakit/internal/tsdb"
 )
 
 // parkCounter is a plane that counts AppendRecords calls and reports every
@@ -68,7 +68,7 @@ func (s *parkCounter) nextPark(t *testing.T, parts int) {
 	}
 }
 
-// TestQuiescentJobParks: a windowed job past its idle deadline, with
+// TestQuiescentJobParks: a job past its idle deadline, with
 // nothing to read, is parked — no fetches, no checkpoints. Between two
 // parks with one commit between them it makes at most one pass (one fetch
 // per partition) and writes one checkpoint.
@@ -82,14 +82,8 @@ func TestQuiescentJobParks(t *testing.T) {
 	publishObs(t, b, 0, "node0", "power", 0)
 	src := &parkCounter{Stream: b, readies: make(chan readyCall), done: make(chan struct{})}
 	var sink collectSink
-	j, err := NewJob(src, JobConfig{Name: "quiet", Topic: "bronze", InputSchema: schema.ObservationSchema, CheckpointDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	j.Window(WindowSpec{
-		TimeCol: "ts", Window: 15 * time.Second,
-		Keys: []string{"component"}, Aggs: []Agg{{Col: "value", Kind: AggCount, As: "n"}},
-	}).To(sink.sink)
+	j := viewJob(t, src, JobConfig{Name: "quiet", Topic: "bronze", CheckpointDir: t.TempDir()},
+		tumblingView(t, 15*time.Second, tsdb.AggCount, nil, tsdb.DimComponent), sink.sink)
 	if err := j.start(); err != nil {
 		t.Fatal(err)
 	}

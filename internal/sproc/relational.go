@@ -5,11 +5,16 @@
 //
 //   - Relational operators over schema.Frame (filter, group-by, pivot,
 //     join): the SQL clauses of the paper's pipeline anatomy (Fig 4-b).
-//   - A micro-batch streaming Job that consumes a topic, applies
-//     event-time windowed aggregation with watermarks, and recovers from
-//     checkpoints after a crash, at-least-once into idempotent sinks. The
-//     job is an operator on plane.Loop, the one checkpointed consumer,
-//     which also reads, quarantines poison records and writes the file.
+//   - A micro-batch streaming Job that consumes a topic, folds it into
+//     the event-time windows of a CQ view under per-partition watermarks,
+//     sinks each closed window, and recovers from checkpoints after a
+//     crash, at-least-once into idempotent sinks. The job is an operator
+//     on plane.Loop, the one checkpointed consumer, which also reads,
+//     quarantines poison records and writes the file.
+//
+// Every aggregate here folds into tsdb's rollup cell, the one
+// aggregation state of the system: GroupBy, Pivot and SQL rows fold a
+// value exactly as the LAKE and the CQ views do.
 package sproc
 
 import (
@@ -18,10 +23,9 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
-	"time"
 
 	"odakit/internal/schema"
+	"odakit/internal/tsdb"
 )
 
 // ErrPlan reports an invalid operator plan (bad column, empty spec, ...).
@@ -84,87 +88,43 @@ func (a Agg) outKind() schema.Kind {
 	return schema.KindFloat
 }
 
-// aggState accumulates one aggregation cell.
-type aggState struct {
-	count       int64
-	sum         float64
-	min, max    float64
-	first, last float64
-	hasVal      bool
+// numeric reports whether a column of kind k folds as numbers. Any other
+// column answers count alone: SQL's count(col) counts its non-null values.
+func numeric(k schema.Kind) bool {
+	return k == schema.KindFloat || k == schema.KindInt || k == schema.KindBool
 }
 
-func (s *aggState) add(v schema.Value) {
+// add folds v, the seq-th row of its column, into c under kind. Nulls are
+// skipped. First is the last value in reverse row order.
+func add(c *tsdb.Cell, kind AggKind, seq int, v schema.Value) {
 	if v.IsNull() {
 		return
 	}
-	f := v.FloatVal()
-	if math.IsNaN(f) {
-		if v.Kind() != schema.KindFloat {
-			// Non-numeric non-null values (strings, times) are countable
-			// even though they fold into no numeric statistic — this is
-			// what makes count(col) and count(*) behave like SQL.
-			s.count++
-		}
-		return
+	ts := int64(seq)
+	if kind == AggFirst {
+		ts = math.MaxInt64 - ts
 	}
-	if !s.hasVal {
-		s.min, s.max, s.first = f, f, f
-		s.hasVal = true
-	} else {
-		if f < s.min {
-			s.min = f
-		}
-		if f > s.max {
-			s.max = f
-		}
-	}
-	s.last = f
-	s.count++
-	s.sum += f
+	c.Add(ts, v.FloatVal())
 }
 
-func (s *aggState) merge(o aggState) {
-	if !o.hasVal {
-		s.count += o.count // count-only contributions (non-numeric values)
-		return
-	}
-	if !s.hasVal {
-		prior := s.count
-		*s = o
-		s.count += prior
-		return
-	}
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.count += o.count
-	s.sum += o.sum
-	s.last = o.last
-}
-
-func (s *aggState) value(kind AggKind) schema.Value {
-	if kind == AggCount {
-		return schema.Int(s.count)
-	}
-	if !s.hasVal {
+// value finalizes c under kind: null for a value of no row, or of a
+// column that is not numeric (isNum false).
+func value(c *tsdb.Cell, kind AggKind, isNum bool) schema.Value {
+	switch {
+	case kind == AggCount:
+		return schema.Int(c.Count)
+	case c.Count == 0 || !isNum:
 		return schema.Null
-	}
-	switch kind {
-	case AggSum:
-		return schema.Float(s.sum)
-	case AggMin:
-		return schema.Float(s.min)
-	case AggMax:
-		return schema.Float(s.max)
-	case AggFirst:
-		return schema.Float(s.first)
-	case AggLast:
-		return schema.Float(s.last)
+	case kind == AggSum:
+		return schema.Float(c.Sum)
+	case kind == AggMin:
+		return schema.Float(c.Min)
+	case kind == AggMax:
+		return schema.Float(c.Max)
+	case kind == AggFirst, kind == AggLast:
+		return schema.Float(c.Last)
 	default:
-		return schema.Float(s.sum / float64(s.count))
+		return schema.Float(c.Sum / float64(c.Count))
 	}
 }
 
@@ -174,35 +134,33 @@ func Where(f *schema.Frame, pred func(schema.Row) bool) *schema.Frame {
 }
 
 // group is one grouping cell: the key column values its rows share and one
-// aggState per aggregate (per pivot position under Pivot).
+// cell per aggregate (per pivot position under Pivot).
 type group struct {
-	kb     string // codec bytes of the key columns: the table's map key
-	key    schema.Row
-	states []aggState
+	key   schema.Row
+	cells []tsdb.Cell
 }
 
-// fold feeds row's aggregate columns to the group's states, position by
-// position.
-func (g *group) fold(row schema.Row, aggIdx []int) {
-	for i, ai := range aggIdx {
-		g.states[i].add(row[ai])
+// fold feeds row, the seq-th, to the group's cells, aggregate by
+// aggregate.
+func (g *group) fold(seq int, row schema.Row, p *groupPlan) {
+	for i, ai := range p.aggIdx {
+		add(&g.cells[i], p.kinds[i], seq, row[ai])
 	}
 }
 
 // groupTable is how rows become groups — the one grouping loop behind
-// GroupBy, Pivot and a streaming job's windows. A row's group is found by
-// the codec bytes of its key columns (each encoded as a one-value row, the
-// form a job checkpoint stores).
+// GroupBy and Pivot. A row's group is found by the codec bytes of its key
+// columns (each encoded as a one-value row).
 type groupTable struct {
-	keyIdx  []int
-	nstates int
-	groups  map[string]*group
-	order   []*group // insertion order
-	kb      []byte   // key encoding scratch
+	keyIdx []int
+	ncells int
+	groups map[string]*group
+	order  []*group // insertion order
+	kb     []byte   // key encoding scratch
 }
 
-func newGroupTable(keyIdx []int, nstates int) *groupTable {
-	return &groupTable{keyIdx: keyIdx, nstates: nstates, groups: make(map[string]*group)}
+func newGroupTable(keyIdx []int, ncells int) *groupTable {
+	return &groupTable{keyIdx: keyIdx, ncells: ncells, groups: make(map[string]*group)}
 }
 
 // at finds or creates the group of row's key columns.
@@ -214,26 +172,20 @@ func (t *groupTable) at(row schema.Row) *group {
 		for i, ki := range t.keyIdx {
 			key[i] = row[ki]
 		}
-		g = t.insert(string(t.kb), key, make([]aggState, t.nstates))
+		g = &group{key: key, cells: make([]tsdb.Cell, t.ncells)}
+		t.groups[string(t.kb)] = g
+		t.order = append(t.order, g)
 	}
 	return g
 }
 
 // appendKey appends the codec bytes of row's idx columns, each encoded as
-// a one-value row: what "equal keys" means to GROUP BY, PIVOT, the windows
-// (whose checkpoints store these bytes) and JOIN.
+// a one-value row: what "equal keys" means to GROUP BY, PIVOT and JOIN.
 func appendKey(buf []byte, row schema.Row, idx []int) []byte {
 	for _, i := range idx {
 		buf = schema.AppendRow(buf, schema.Row{row[i]})
 	}
 	return buf
-}
-
-func (t *groupTable) insert(kb string, key schema.Row, states []aggState) *group {
-	g := &group{kb: kb, key: key, states: states}
-	t.groups[kb] = g
-	t.order = append(t.order, g)
-	return g
 }
 
 // sorted returns the groups ordered by key values, first-seen first among
@@ -250,22 +202,15 @@ func (t *groupTable) sorted() []*group {
 	return t.order
 }
 
-// byKeyBytes returns the groups in the byte order of their encoded keys —
-// the order a job's windows have always left in.
-func (t *groupTable) byKeyBytes() []*group {
-	slices.SortFunc(t.order, func(a, b *group) int { return strings.Compare(a.kb, b.kb) })
-	return t.order
-}
-
-// emitGroups appends one row per group to out: the lead values, the
-// group's key, then each state's value under the aggregation at its
-// position.
-func emitGroups(out *schema.Frame, gs []*group, kinds []AggKind, lead ...schema.Value) error {
+// emitGroups appends one row per group to out: the group's key, then
+// each cell's value under the aggregation at its position, over a column
+// that is numeric or not.
+func emitGroups(out *schema.Frame, gs []*group, kinds []AggKind, isNum []bool) error {
 	var row schema.Row
 	for _, g := range gs {
-		row = append(append(row[:0], lead...), g.key...)
+		row = append(row[:0], g.key...)
 		for i, k := range kinds {
-			row = append(row, g.states[i].value(k))
+			row = append(row, value(&g.cells[i], k, isNum[i]))
 		}
 		if err := out.AppendRow(row); err != nil {
 			return err
@@ -290,11 +235,13 @@ func keyColumns(sch *schema.Schema, keys []string) ([]int, []schema.Field, error
 }
 
 // groupPlan is a grouping resolved against an input schema: where the key
-// and aggregate columns sit, each aggregate's kind, and the output fields
-// — the keys in their original kinds, then one column per aggregate.
+// and aggregate columns sit, each aggregate's kind, whether its column is
+// numeric, and the output fields — the keys in their original kinds, then
+// one column per aggregate.
 type groupPlan struct {
 	keyIdx, aggIdx []int
 	kinds          []AggKind
+	numeric        []bool
 	fields         []schema.Field
 }
 
@@ -303,13 +250,13 @@ func resolvePlan(sch *schema.Schema, keys []string, aggs []Agg) (groupPlan, erro
 	if err != nil {
 		return groupPlan{}, err
 	}
-	p := groupPlan{keyIdx: keyIdx, fields: fields, aggIdx: make([]int, len(aggs)), kinds: make([]AggKind, len(aggs))}
+	p := groupPlan{keyIdx: keyIdx, fields: fields, aggIdx: make([]int, len(aggs)), kinds: make([]AggKind, len(aggs)), numeric: make([]bool, len(aggs))}
 	for i, a := range aggs {
 		j, ok := sch.Index(a.Col)
 		if !ok {
 			return p, fmt.Errorf("%w: no aggregation column %q", ErrPlan, a.Col)
 		}
-		p.aggIdx[i], p.kinds[i] = j, a.Kind
+		p.aggIdx[i], p.kinds[i], p.numeric[i] = j, a.Kind, numeric(sch.Field(j).Kind)
 		p.fields = append(p.fields, schema.Field{Name: a.outName(), Kind: a.outKind()})
 	}
 	return p, nil
@@ -329,16 +276,16 @@ func GroupBy(f *schema.Frame, keys []string, aggs []Agg) (*schema.Frame, error) 
 	t := newGroupTable(p.keyIdx, len(aggs))
 	for r := 0; r < f.Len(); r++ {
 		row := f.Row(r)
-		t.at(row).fold(row, p.aggIdx)
+		t.at(row).fold(r, row, &p)
 	}
 	gs := t.sorted()
 	if len(keys) == 0 && len(gs) == 0 {
 		// SQL semantics: a global aggregate (no keys) over an empty input
 		// still yields one row — count 0, other aggregates null.
-		gs = []*group{{states: make([]aggState, len(aggs))}}
+		gs = []*group{{cells: make([]tsdb.Cell, len(aggs))}}
 	}
 	out := schema.NewFrame(schema.New(p.fields...))
-	return out, emitGroups(out, gs, p.kinds)
+	return out, emitGroups(out, gs, p.kinds, p.numeric)
 }
 
 // Pivot turns long-format rows into wide format (the §V-A Bronze→Silver
@@ -376,23 +323,23 @@ func Pivot(f *schema.Frame, keys []string, pivotCol, valueCol string, agg AggKin
 		pivots = append(pivots, v)
 	}
 	sort.Strings(pivots)
-	kinds := make([]AggKind, len(pivots))
+	kinds, isNum := make([]AggKind, len(pivots)), make([]bool, len(pivots))
 	for i, v := range pivots {
-		pivotPos[v], kinds[i] = i, agg
+		pivotPos[v], kinds[i], isNum[i] = i, agg, numeric(sch.Field(vIdx).Kind)
 		fields = append(fields, schema.Field{Name: v, Kind: Agg{Kind: agg}.outKind()})
 	}
 
-	// A group's states are indexed by pivot position.
+	// A group's cells are indexed by pivot position.
 	t := newGroupTable(keyIdx, len(pivots))
 	for r := 0; r < f.Len(); r++ {
 		row := f.Row(r)
 		g := t.at(row)
 		if pv := row[pIdx]; !pv.IsNull() {
-			g.states[pivotPos[pv.StrVal()]].add(row[vIdx])
+			add(&g.cells[pivotPos[pv.StrVal()]], agg, r, row[vIdx])
 		}
 	}
 	out := schema.NewFrame(schema.New(fields...))
-	return out, emitGroups(out, t.sorted(), kinds)
+	return out, emitGroups(out, t.sorted(), kinds, isNum)
 }
 
 // JoinType selects join semantics.
@@ -504,9 +451,4 @@ func WithColumn(f *schema.Frame, name string, kind schema.Kind, fn func(schema.R
 		}
 	}
 	return out, nil
-}
-
-// TumbleTime truncates ts to the start of its tumbling window.
-func TumbleTime(ts time.Time, window time.Duration) time.Time {
-	return ts.Truncate(window)
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"odakit/internal/schema"
+	"odakit/internal/tsdb"
 )
 
 var tbase = time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
@@ -298,24 +299,23 @@ func TestWithColumn(t *testing.T) {
 	}
 }
 
+// TestAggStateMergeAssociative: a cell folded in two parts and merged
+// answers every aggregation as the cell folded whole does.
 func TestAggStateMergeAssociative(t *testing.T) {
 	vals := []float64{3, 1, 4, 1, 5, 9, 2, 6}
-	var all aggState
-	for _, v := range vals {
-		all.add(schema.Float(v))
-	}
-	var a, b aggState
-	for i, v := range vals {
-		if i < 3 {
-			a.add(schema.Float(v))
-		} else {
-			b.add(schema.Float(v))
-		}
-	}
-	a.merge(b)
 	for _, kind := range []AggKind{AggAvg, AggSum, AggMin, AggMax, AggCount, AggFirst, AggLast} {
-		if !all.value(kind).Equal(a.value(kind)) {
-			t.Fatalf("merge mismatch for %v: %v vs %v", kind, all.value(kind), a.value(kind))
+		var all, a, b tsdb.Cell
+		for i, v := range vals {
+			add(&all, kind, i, schema.Float(v))
+			if i < 3 {
+				add(&a, kind, i, schema.Float(v))
+			} else {
+				add(&b, kind, i, schema.Float(v))
+			}
+		}
+		a.Merge(b)
+		if !value(&all, kind, true).Equal(value(&a, kind, true)) {
+			t.Fatalf("merge mismatch for %v: %v vs %v", kind, value(&all, kind, true), value(&a, kind, true))
 		}
 	}
 }

@@ -16,11 +16,7 @@ func MetricsPanel(reg *obs.Registry) string {
 	var b strings.Builder
 	b.WriteString("== Facility metrics ==\n")
 	// Histogram families fold into one line from their _sum/_count pair.
-	type histAgg struct {
-		sum   float64
-		count float64
-	}
-	hists := map[string]*histAgg{}
+	sums, counts := map[string]float64{}, map[string]float64{}
 	var lines []string
 	for _, s := range samples {
 		if s.Kind == obs.KindHistogram {
@@ -28,17 +24,15 @@ func MetricsPanel(reg *obs.Registry) string {
 			if fam == "" {
 				fam = s.Name
 			}
-			h := hists[fam]
-			if h == nil {
-				h = &histAgg{}
-				hists[fam] = h
+			if _, seen := sums[fam]; !seen {
+				sums[fam] = 0
 				lines = append(lines, "\x00"+fam) // placeholder, ordered
 			}
 			switch {
 			case strings.HasPrefix(s.Name, fam+"_sum"):
-				h.sum += s.Value
+				sums[fam] += s.Value
 			case strings.HasPrefix(s.Name, fam+"_count"):
-				h.count += s.Value
+				counts[fam] += s.Value
 			}
 			continue
 		}
@@ -46,12 +40,11 @@ func MetricsPanel(reg *obs.Registry) string {
 	}
 	for _, l := range lines {
 		if fam, ok := strings.CutPrefix(l, "\x00"); ok {
-			h := hists[fam]
 			mean := 0.0
-			if h.count > 0 {
-				mean = h.sum / h.count
+			if counts[fam] > 0 {
+				mean = sums[fam] / counts[fam]
 			}
-			fmt.Fprintf(&b, "  %-48s count=%v mean=%.6fs\n", fam, trimFloat(h.count), mean)
+			fmt.Fprintf(&b, "  %-48s count=%v mean=%.6fs\n", fam, trimFloat(counts[fam]), mean)
 			continue
 		}
 		b.WriteString(l + "\n")

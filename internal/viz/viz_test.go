@@ -219,10 +219,10 @@ func TestUADashboardCQPanel(t *testing.T) {
 	if _, err := e.Register(cq.Spec{Name: "power", Window: 5 * time.Minute, GroupBy: []string{"component"}}); err != nil {
 		t.Fatal(err)
 	}
-	e.Apply("bronze.power_temp", 0, []schema.Observation{{
+	e.Apply("bronze.power_temp", 0, obsRows(schema.Observation{
 		Ts: t0, System: "sys", Source: "power_temp",
 		Component: "n1", Metric: "node_power_w", Value: 100,
-	}})
+	}))
 	d.CQ = e
 	v, err := d.BuildJobView(job.ID, 5)
 	if err != nil {
@@ -318,4 +318,13 @@ func TestLVAValidation(t *testing.T) {
 	if err != nil || l == nil {
 		t.Fatal("nil series should be acceptable")
 	}
+}
+
+// obsRows returns the observations as the rows a pump hands the engine.
+func obsRows(obs ...schema.Observation) []schema.Row {
+	rows := make([]schema.Row, len(obs))
+	for i := range obs {
+		rows[i] = obs[i].Row()
+	}
+	return rows
 }

@@ -2,7 +2,7 @@ package oda_test
 
 // The repository's shape rules: one STREAM reader, one LAKE read path, one
 // serialized form for rollup cells (a CQ checkpoint's included), one
-// grouping loop, one sort, one log, one failure contract, one wait, one
+// grouping loop, one windowed fold, one sort, one log, one failure contract, one wait, one
 // consumer loop, one entry point per operation, one retry convention, one
 // fault seam, no knob nobody turns, one admission decision, one cold scan,
 // one parse per segment object, one filter test per series, one chunk
@@ -308,11 +308,30 @@ func snapshot(ct *tsdb.CellTable) { k, c := ct.At(0) }`},
 		},
 	},
 	{
-		name: "one grouping loop: a job's windows are groupTables",
-		check: func(files []srcFile) []string {
-			return forbid(idents(files, within("internal/sproc")), "a job's windows are groupTables", "winGroup")
+		name: "one windowed fold: tsdb declares the one aggregation state",
+		check: func(files []srcFile) (out []string) {
+			// An aggregation state is a struct that accumulates a count and
+			// a sum, as tsdb.Cell does.
+			fields := map[string]map[string]bool{}
+			for _, d := range decls(files, func(s srcFile) bool { return !within("internal/tsdb")(s) }) {
+				if typ, field, ok := strings.Cut(d, "."); ok && !strings.HasPrefix(d, "func ") {
+					if fields[typ] == nil {
+						fields[typ] = map[string]bool{}
+					}
+					fields[typ][strings.ToLower(field)] = true
+				}
+			}
+			for typ, fs := range fields {
+				if fs["count"] && fs["sum"] {
+					out = append(out, typ+": an aggregation state outside internal/tsdb; fold into tsdb.Cell")
+				}
+			}
+			return append(out, forbid(idents(files, within("internal/sproc")), "a job's windows are a CQ view's chunks", "WindowSpec", "winState")...)
 		},
-		breaks: map[string]string{"internal/sproc/job.go": "package sproc\ntype winGroup struct{}"},
+		breaks: map[string]string{
+			"internal/sproc/relational.go": "package sproc\ntype aggState struct{ count int64; sum, min, max float64 }",
+			"internal/sproc/job.go":        "package sproc\ntype WindowSpec struct{}\ntype Job struct{ winState map[int64]int }",
+		},
 	},
 	{
 		name: "one sort: sql.go's ORDER BY is Frame.SortBy",
