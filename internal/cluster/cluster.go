@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/url"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -170,12 +171,12 @@ type Cluster struct {
 	ring   *Ring
 	topics map[string]*topicState
 
-	// Lake placement: servers[s] is stripe s's in-sync replica set;
+	// Lake placement: servers[s] is stripe s's in-sync replica set, sorted;
 	// stripeMu[s] serializes stripe s's writes (and resyncs) so every
 	// replica applies them in the same order — per-stripe insertion
 	// order is what makes replica scans byte-identical.
 	lmu      sync.Mutex
-	servers  [tsdb.NumStripes]map[string]bool
+	servers  [tsdb.NumStripes][]string
 	stripeMu [tsdb.NumStripes]sync.Mutex
 	// stripeSeqs[s] counts stripe s's committed insert batches (guarded
 	// by stripeMu[s]); replica WALs record each batch under its sequence
@@ -250,10 +251,8 @@ func New(nodeIDs []string, cfg Config) (*Cluster, error) {
 		c.ring.Add(id)
 	}
 	for s := range c.servers {
-		c.servers[s] = make(map[string]bool, cfg.RF)
-		for _, id := range c.ring.Owners(stripeKey(s), cfg.RF) {
-			c.servers[s][id] = true
-		}
+		c.servers[s] = slices.Clone(c.ring.Owners(stripeKey(s), cfg.RF))
+		slices.Sort(c.servers[s])
 	}
 	return c, nil
 }
@@ -425,11 +424,9 @@ func (c *Cluster) Restart(id string) error {
 	for s := range n.stripeSeq {
 		n.stripeSeq[s].Store(0)
 	}
-	c.lmu.Lock()
 	for s := range c.servers {
-		delete(c.servers[s], id)
+		c.markStripeUnsynced(s, id)
 	}
-	c.lmu.Unlock()
 	for _, t := range c.topicList() {
 		for _, ps := range t.parts {
 			ps.mu.Lock()
@@ -507,11 +504,9 @@ func (c *Cluster) RemoveNode(id string) error {
 		return err
 	}
 	// Nothing references the node anymore; drop it.
-	c.lmu.Lock()
 	for s := range c.servers {
-		delete(c.servers[s], id)
+		c.markStripeUnsynced(s, id)
 	}
-	c.lmu.Unlock()
 	for _, t := range c.topicList() {
 		for _, ps := range t.parts {
 			ps.mu.Lock()

@@ -67,8 +67,9 @@ func (c *Cluster) Health() Health {
 		}
 	}
 	h.Stripes = tsdb.NumStripes
+	var buf [8]string
 	for s := 0; s < tsdb.NumStripes; s++ {
-		live := len(c.stripeServers(s, true))
+		live := len(c.stripeServers(s, true, buf[:0]))
 		switch {
 		case live == 0:
 			h.DownStripes++

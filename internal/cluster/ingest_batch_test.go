@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -137,7 +138,7 @@ func TestClusterInsertRegroupKeepsStripeOrder(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		servers := c.stripeServers(s, true)
+		servers := c.stripeServers(s, true, nil)
 		if len(servers) != 2 {
 			t.Fatalf("stripe %d served by %v, want RF=2 replicas", s, servers)
 		}
@@ -235,6 +236,35 @@ func ingestCluster(t testing.TB) *Cluster {
 		t.Fatal(err)
 	}
 	return c
+}
+
+// TestStripeServersSortedWithoutAllocating: a stripe's in-sync set stays
+// sorted through unsync and resync in any order, and reading it into a
+// caller's stack buffer allocates nothing.
+func TestStripeServersSortedWithoutAllocating(t *testing.T) {
+	c := build(t, 5, Config{RF: 3})
+	for s := 0; s < tsdb.NumStripes; s++ {
+		owners := c.stripeServers(s, false, nil)
+		other := c.Nodes()[slices.IndexFunc(c.Nodes(), func(id string) bool { return !slices.Contains(owners, id) })]
+		for _, id := range []string{owners[1], owners[0], owners[2]} {
+			c.markStripeUnsynced(s, id)
+			c.markStripeUnsynced(s, id) // twice: a no-op
+		}
+		for _, id := range []string{owners[2], other, owners[0], owners[1], owners[0]} {
+			c.markStripeSynced(s, id)
+		}
+		want := append(slices.Clone(owners), other)
+		slices.Sort(want)
+		if got := c.stripeServers(s, false, nil); !slices.Equal(got, want) {
+			t.Fatalf("stripe %d: in-sync set %v after unsync and resync, want %v", s, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		var buf [8]string
+		_ = c.stripeServers(3, true, buf[:0])
+	}); allocs != 0 {
+		t.Fatalf("stripeServers into a stack buffer allocated %.0f times", allocs)
+	}
 }
 
 // TestClusterIngestBatchAllocs bounds what one steady-state 512-record

@@ -3,7 +3,7 @@ package cluster
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -90,7 +90,8 @@ type stripeInsert struct {
 // replica under the next cluster-wide stripe sequence number and stages
 // it on each replica's WAL. stripeMu[s] held.
 func (c *Cluster) stageStripeLocked(s int, sub []schema.Observation, w *flushWave) stripeInsert {
-	targets := c.stripeServers(s, true)
+	var buf [8]string
+	targets := c.stripeServers(s, true, buf[:0])
 	if len(targets) == 0 {
 		return stripeInsert{err: fmt.Errorf("%w: %d", ErrStripeDown, s)}
 	}
@@ -163,16 +164,13 @@ func (c *Cluster) finishStripeLocked(s int, si stripeInsert, w *flushWave) error
 	return nil
 }
 
-// stripeServers returns stripe s's in-sync replica set, sorted;
-// aliveOnly filters to live nodes.
-func (c *Cluster) stripeServers(s int, aliveOnly bool) []string {
+// stripeServers appends stripe s's in-sync replica set, sorted, to buf
+// (a caller's stack buffer) and returns it; aliveOnly filters to live
+// nodes.
+func (c *Cluster) stripeServers(s int, aliveOnly bool, buf []string) []string {
 	c.lmu.Lock()
-	ids := make([]string, 0, len(c.servers[s]))
-	for id := range c.servers[s] {
-		ids = append(ids, id)
-	}
+	ids := append(buf, c.servers[s]...)
 	c.lmu.Unlock()
-	sort.Strings(ids)
 	if !aliveOnly {
 		return ids
 	}
@@ -187,13 +185,17 @@ func (c *Cluster) stripeServers(s int, aliveOnly bool) []string {
 
 func (c *Cluster) markStripeUnsynced(s int, id string) {
 	c.lmu.Lock()
-	delete(c.servers[s], id)
+	if i, ok := slices.BinarySearch(c.servers[s], id); ok {
+		c.servers[s] = slices.Delete(c.servers[s], i, i+1)
+	}
 	c.lmu.Unlock()
 }
 
 func (c *Cluster) markStripeSynced(s int, id string) {
 	c.lmu.Lock()
-	c.servers[s][id] = true
+	if i, ok := slices.BinarySearch(c.servers[s], id); !ok {
+		c.servers[s] = slices.Insert(c.servers[s], i, id)
+	}
 	c.lmu.Unlock()
 }
 
@@ -230,8 +232,9 @@ func (c *Cluster) scatter(q tsdb.Query) ([]*tsdb.StripePartial, int, error) {
 	// Pick each stripe's scan owner: the smallest live in-sync replica,
 	// deterministic so repeated queries hit warm nodes.
 	byNode := make(map[string][]int)
+	var buf [8]string
 	for s := 0; s < tsdb.NumStripes; s++ {
-		live := c.stripeServers(s, true)
+		live := c.stripeServers(s, true, buf[:0])
 		if len(live) == 0 {
 			return nil, 0, fmt.Errorf("%w: %d", ErrStripeDown, s)
 		}
@@ -359,7 +362,8 @@ func (c *Cluster) repairLake() error {
 func (c *Cluster) repairStripe(s int) error {
 	c.stripeMu[s].Lock()
 	defer c.stripeMu[s].Unlock()
-	live := c.stripeServers(s, true)
+	var buf, all [8]string
+	live := c.stripeServers(s, true, buf[:0])
 	desired := make([]string, 0, c.cfg.RF)
 	for _, id := range c.stripePreference(s) {
 		if len(desired) >= c.cfg.RF {
@@ -376,7 +380,7 @@ func (c *Cluster) repairStripe(s int) error {
 		// them, fence them out of recovery, and restart the stripe empty on
 		// the desired owners.
 		seq := c.stripeSeqs[s].Load()
-		if len(c.stripeServers(s, false)) == 0 && !c.ackedOnDisk(s, seq) {
+		if len(c.stripeServers(s, false, all[:0])) == 0 && !c.ackedOnDisk(s, seq) {
 			c.lostInserts.Add(seq - c.lostUpTo[s])
 			c.lostUpTo[s] = seq
 			for _, id := range desired {
@@ -387,40 +391,28 @@ func (c *Cluster) repairStripe(s int) error {
 		}
 		return fmt.Errorf("%w: %d", ErrStripeDown, s)
 	}
-	src := live[0]
-	have := make(map[string]bool, len(live))
-	for _, id := range live {
-		have[id] = true
-	}
 	for _, id := range desired {
-		if have[id] {
+		if slices.Contains(live, id) {
 			continue
 		}
 		// Cheap path first: replay only the missing suffix out of a live
 		// peer's WAL. Falls back to the wholesale copy when the target's
 		// position is unknown or the peer's log cannot reach back to it.
-		if c.catchupStripeFromWAL(s, src, id) {
-			have[id] = true
+		if c.catchupStripeFromWAL(s, live[0], id) {
 			continue
 		}
-		if err := c.resyncStripe(s, src, id); err != nil {
+		if err := c.resyncStripe(s, live[0], id); err != nil {
 			return err
 		}
-		have[id] = true
 	}
 	// Trim replicas outside the desired set once it is full, so leave/
 	// join rebalances converge instead of accumulating copies.
 	if len(desired) >= c.cfg.RF {
-		want := make(map[string]bool, len(desired))
-		for _, id := range desired {
-			want[id] = true
-		}
-		for _, id := range c.stripeServers(s, false) {
-			if want[id] {
-				continue
+		for _, id := range c.stripeServers(s, false, all[:0]) {
+			if !slices.Contains(desired, id) {
+				c.markStripeUnsynced(s, id)
+				c.clearStripe(s, id)
 			}
-			c.markStripeUnsynced(s, id)
-			c.clearStripe(s, id)
 		}
 	}
 	return nil

@@ -137,8 +137,9 @@ func (c *Cluster) Instrument(reg *obs.Registry) {
 		// Stripe replica population, summarized to one gauge per count so
 		// the exposition stays O(RF) not O(stripes).
 		counts := make(map[int]int)
+		var buf [8]string
 		for s := 0; s < tsdb.NumStripes; s++ {
-			counts[len(c.stripeServers(s, true))]++
+			counts[len(c.stripeServers(s, true, buf[:0]))]++
 		}
 		for replicas := 0; replicas <= c.cfg.RF; replicas++ {
 			n, ok := counts[replicas]

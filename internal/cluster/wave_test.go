@@ -131,7 +131,7 @@ func TestChaosClusterFlushWaveFaultStripe(t *testing.T) {
 		touched[tsdb.StripeFor(o.Component, o.Metric)] = true
 		st = min(st, tsdb.StripeFor(o.Component, o.Metric))
 	}
-	victim := c.stripeServers(st, true)[0]
+	victim := c.stripeServers(st, true, nil)[0]
 	vn := c.node(victim)
 	seqBefore, victimSeqBefore := c.stripeSeqs[st].Load(), vn.stripeSeq[st].Load()
 
@@ -148,7 +148,7 @@ func TestChaosClusterFlushWaveFaultStripe(t *testing.T) {
 	if got := vn.stripeSeq[st].Load(); got != victimSeqBefore || c.stripeSeqs[st].Load() != seqBefore+1 {
 		t.Fatalf("stripe %d: victim's sequence %d → %d, the cluster's %d → %d", st, victimSeqBefore, got, seqBefore, c.stripeSeqs[st].Load())
 	}
-	for _, id := range c.stripeServers(st, false) {
+	for _, id := range c.stripeServers(st, false, nil) {
 		if id == victim {
 			t.Fatalf("victim %s still in stripe %d's serving set", victim, st)
 		}

@@ -313,44 +313,54 @@ func (f *Facility) IngestWindow(ctx context.Context, from, to time.Time, sources
 	batchSize := f.Opts.IngestBatch
 	stats := IngestStats{From: from, To: to}
 	msgs := make([]stream.Message, 0, batchSize)
+	// A flush's keys and payloads, back to back: a publish keeps no
+	// reference to them (plane.Stream.PublishBatch), so flushes reuse it.
+	var arena []byte
+	message := func(key string, row schema.Row) stream.Message {
+		start, mid := len(arena), len(arena)+len(key)
+		arena = schema.AppendRow(append(arena, key...), row)
+		return stream.Message{Key: arena[start:mid:mid], Value: arena[mid:len(arena):len(arena)]}
+	}
 	obsBatch := make([]schema.Observation, 0, batchSize)
+	// flush publishes the batch to topic and inserts its observations, if
+	// it has any, under sctx. Retried flushes: a partial publish resumes
+	// with only the unpublished remainder, and the lake insert is
+	// all-or-nothing, so transient faults cost retries — never duplicates.
+	flush := func(sctx context.Context, topic string) error {
+		if len(msgs) == 0 {
+			return nil
+		}
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := f.publishRetry(sctx, topic, msgs); err != nil {
+			return err
+		}
+		if len(obsBatch) > 0 {
+			if err := f.insertRetry(sctx, obsBatch); err != nil {
+				return err
+			}
+		}
+		msgs, obsBatch, arena = msgs[:0], obsBatch[:0], arena[:0]
+		return nil
+	}
 	for _, src := range sources {
 		si := SourceIngest{Source: src}
 		topic := BronzeTopic(src)
 		sctx, ssp := obs.StartSpan(ctx, "bronze.ingest")
 		ssp.Annotate("source", "%s", src)
-		flush := func() error {
-			if len(msgs) == 0 {
-				return nil
-			}
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			// Retried flushes: a partial publish resumes with only the
-			// unpublished remainder, and the lake insert is all-or-nothing,
-			// so transient faults cost retries — never duplicates.
-			if err := f.publishRetry(sctx, topic, msgs); err != nil {
-				return err
-			}
-			if err := f.insertRetry(sctx, obsBatch); err != nil {
-				return err
-			}
-			msgs, obsBatch = msgs[:0], obsBatch[:0]
-			return nil
-		}
 		err := f.Gen.EmitSource(src, from, to, func(o schema.Observation) error {
-			payload := schema.EncodeRow(o.Row())
-			msgs = append(msgs, stream.Message{Key: []byte(o.Component), Value: payload})
+			msgs = append(msgs, message(o.Component, o.Row()))
 			obsBatch = append(obsBatch, o)
 			si.Records++
-			si.Bytes += int64(len(payload))
+			si.Bytes += int64(len(msgs[len(msgs)-1].Value))
 			if len(msgs) >= batchSize {
-				return flush()
+				return flush(sctx, topic)
 			}
 			return nil
 		})
 		if err == nil {
-			err = flush()
+			err = flush(sctx, topic)
 		}
 		ssp.Annotate("records", "%d", si.Records)
 		if err != nil {
@@ -367,32 +377,19 @@ func (f *Facility) IngestWindow(ctx context.Context, from, to time.Time, sources
 	}
 	// Syslog events: the log index is updated inline, the syslog topic in
 	// batches.
-	flushEvents := func() error {
-		if len(msgs) == 0 {
-			return nil
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if err := f.publishRetry(ctx, BronzeTopic(telemetry.SourceSyslog), msgs); err != nil {
-			return err
-		}
-		msgs = msgs[:0]
-		return nil
-	}
+	syslog := BronzeTopic(telemetry.SourceSyslog)
 	err := f.Gen.EmitEvents(from, to, func(e schema.Event) error {
 		f.Logs.Add(e)
-		payload := schema.EncodeRow(e.Row())
-		msgs = append(msgs, stream.Message{Key: []byte(e.Host), Value: payload})
+		msgs = append(msgs, message(e.Host, e.Row()))
 		stats.Events++
-		stats.TotalByte += int64(len(payload))
+		stats.TotalByte += int64(len(msgs[len(msgs)-1].Value))
 		if len(msgs) >= batchSize {
-			return flushEvents()
+			return flush(ctx, syslog)
 		}
 		return nil
 	})
 	if err == nil {
-		err = flushEvents()
+		err = flush(ctx, syslog)
 	}
 	if err != nil {
 		return stats, fmt.Errorf("core: ingest events: %w", err)

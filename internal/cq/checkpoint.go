@@ -166,8 +166,8 @@ func (v *View) restoreInto(cv ckptView) error {
 		tp := topicPart{topic: sl.Topic, part: sl.Part}
 		f, err := columnar.ReadAll(sl.Cells)
 		if err == nil {
-			err = tsdb.LoadCells(f, v.rollupN, true, func(stripe int, bucket, _ int64) *tsdb.CellTable {
-				return v.tableLocked(stripe, bucket-tsdb.FloorMod(bucket, v.segN), tp)
+			err = tsdb.LoadCells(f, v.segN, v.rollupN, true, func(stripe int, chunkN, _ int64) *tsdb.CellTable {
+				return v.tableLocked(stripe, chunkN, tp)
 			})
 		}
 		if err != nil {

@@ -23,11 +23,12 @@
 // this takes a structural argument, not just matching math:
 //
 //   - View state is the LAKE's own cell type in the LAKE's geometry:
-//     one tsdb.CellTable of rollup cells (keyed by bucket ts and the
-//     series, interned in the table's own dictionary) per time chunk of
-//     SegmentDuration and (topic, partition), striped across
-//     tsdb.NumStripes by the tsdb.SeriesHash that also seeds the table's
-//     probes. Cells are appended in arrival order per (topic, partition).
+//     one tsdb.CellTable of rollup cells (keyed by the bucket's ordinal
+//     on the chunk's grid and the series, interned in the table's own
+//     dictionary) per time chunk of SegmentDuration and (topic,
+//     partition), striped across tsdb.NumStripes by the tsdb.SeriesHash
+//     that also probes the table's dictionary. Cells are appended in
+//     arrival order per (topic, partition).
 //   - Producers key records by component, so every series lives in
 //     exactly one partition of one topic ("per-series partition
 //     affinity") and the broker preserves per-partition order. Each

@@ -550,6 +550,7 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	}
 	foreign := (stripe(1) + 1) % tsdb.NumStripes
 	offGrid := cells.Row(1)[idx("bucket")].UnixNanos() + int64(time.Second)
+	noChunk := int64(math.MaxInt64) - math.MaxInt64%src.rollupN // its chunk ends past the int64 range
 	blob := good.Slices[0].Cells
 	for _, tc := range []struct {
 		name   string
@@ -559,6 +560,7 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 		{"cell listed twice", rewrite(-1, "", schema.Null, 0), stripe(0)},
 		{"part on a foreign stripe", rewrite(1, "stripe", schema.Int(foreign)), foreign},
 		{"cell off the rollup grid", rewrite(1, "bucket", schema.TimeNanos(offGrid)), stripe(1)},
+		{"cell in no chunk", rewrite(1, "bucket", schema.TimeNanos(noChunk)), stripe(1)},
 		{"a blob that is not ColdSchema", encode(schema.NewFrame(schema.ObservationSchema)), -1},
 		{"a null cell", rewrite(1, "sum", schema.Null), stripe(1)},
 		{"truncated OCF bytes", blob[:len(blob)/2], -1},

@@ -178,22 +178,23 @@ func (v *View) addLocked(topic string, part int, rows []schema.Row) (appliedN, l
 		if !v.plan.Match(&series) {
 			continue
 		}
-		chunkN := tsn - tsdb.FloorMod(tsn, v.segN)
-		if chunkN+v.segN <= v.evictedBefore {
-			// Late record below the eviction horizon: its chunk is gone
-			// and the window can never include it again. The batch
-			// reference excludes it the same way (bucket ts < from).
-			lateN++
-			continue
-		}
-		// One series hash picks the stripe and seeds the table's probes,
-		// exactly as the LAKE's ingest does.
+		// One series hash picks the stripe and probes the table's
+		// dictionary, exactly as the LAKE's ingest does.
 		h := tsdb.SeriesHash(series.Component, series.Metric)
 		m := &last[h%tsdb.NumStripes]
-		if m.ct == nil || m.chunkN != chunkN {
+		if m.ct == nil || uint64(tsn-m.chunkN) >= uint64(v.segN) {
+			chunkN := tsn - tsdb.FloorMod(tsn, v.segN)
+			if chunkN+v.segN <= v.evictedBefore || chunkN > tsn {
+				// Late record below the eviction horizon (or one within a
+				// chunk of the int64 range's ends): its chunk is gone and
+				// the window can never include it again. The batch
+				// reference excludes it the same way (bucket ts < from).
+				lateN++
+				continue
+			}
 			m.chunkN, m.ct = chunkN, v.tableLocked(int(h%tsdb.NumStripes), chunkN, tp)
 		}
-		m.ct.Cell(h, tsn-tsdb.FloorMod(tsn, v.rollupN), &series).Add(tsn, row[5].FloatVal())
+		m.ct.Cell(h, tsn, &series).Add(tsn, row[5].FloatVal())
 		appliedN++
 	}
 	v.applied += appliedN
@@ -249,7 +250,7 @@ func (v *View) tableLocked(stripe int, chunkN int64, tp topicPart) *tsdb.CellTab
 	}
 	ct := byTP[tp]
 	if ct == nil {
-		ct = &tsdb.CellTable{}
+		ct = tsdb.NewCellTable(chunkN, v.segN, v.rollupN)
 		byTP[tp] = ct
 		v.noteTPLocked(tp)
 	}

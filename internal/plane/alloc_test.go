@@ -2,11 +2,14 @@ package plane_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
 	"odakit/internal/cluster"
+	"odakit/internal/faults"
 	"odakit/internal/plane"
 	"odakit/internal/schema"
 	"odakit/internal/stream"
@@ -163,5 +166,93 @@ func TestReaderPageHoldsNoRecordWhenIdle(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPublishKeepsNoMessageBytes holds PublishBatch's promise on a
+// broker, a memory cluster and a cluster staging through WALs: once a
+// publish returns, the caller may overwrite its messages' bytes — here
+// one arena, refilled for the next batch as core.IngestWindow does —
+// and the log still reads back what was published. A partial failure's
+// Failed remainder aliases the caller's bytes until it is retried.
+func TestPublishKeepsNoMessageBytes(t *testing.T) {
+	b := stream.NewBroker()
+	defer b.Close()
+	mem, err := cluster.New([]string{"n1", "n2", "n3"}, cluster.Config{RF: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	walled, err := cluster.New([]string{"n1", "n2", "n3"}, cluster.Config{RF: 2, WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, s := range map[string]plane.Stream{"broker": b, "cluster": mem, "cluster+wal": walled} {
+		t.Run(name, func(t *testing.T) {
+			if err := s.EnsureTopic("t", stream.TopicConfig{Partitions: 2}); err != nil {
+				t.Fatal(err)
+			}
+			want := map[int][]string{}
+			var arena []byte
+			for batch := 0; batch < 3; batch++ {
+				arena = arena[:0]
+				var msgs []stream.Message
+				for _, m := range observationMessages(64) {
+					start := len(arena)
+					arena = append(append(append(arena, m.Key...), m.Value...), byte(batch)) // each batch's bytes differ
+					mid := start + len(m.Key)
+					msgs = append(msgs, stream.Message{Key: arena[start:mid:mid], Value: arena[mid:len(arena):len(arena)]})
+					p := stream.KeyPartition(m.Key, 2)
+					want[p] = append(want[p], fmt.Sprintf("%s=%x", m.Key, msgs[len(msgs)-1].Value))
+				}
+				if _, err := s.PublishBatch("t", msgs); err != nil {
+					t.Fatal(err)
+				}
+				for i := range arena {
+					arena[i] = 0xff
+				}
+			}
+			for p := 0; p < 2; p++ {
+				recs, err := s.AppendRecords(nil, "t", p, 0, 1000)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(recs) != len(want[p]) {
+					t.Fatalf("partition %d holds %d records, want %d", p, len(recs), len(want[p]))
+				}
+				for i, r := range recs {
+					if got := fmt.Sprintf("%s=%x", r.Key, r.Value); got != want[p][i] {
+						t.Fatalf("partition %d record %d reads %s after its bytes were overwritten, want %s", p, i, got, want[p][i])
+					}
+				}
+			}
+		})
+	}
+
+	// One partition's sub-batch fails: Failed is the caller's own bytes,
+	// and publishing it again lands them.
+	if err := b.EnsureTopic("partial", stream.TopicConfig{Partitions: 2}); err != nil {
+		t.Fatal(err)
+	}
+	msgs := observationMessages(8)
+	fail := true
+	b.SetFaultHook(func(op, _ string) error {
+		if op == faults.OpBrokerPublish && fail {
+			fail = false
+			return errors.New("injected")
+		}
+		return nil
+	})
+	_, err = b.PublishBatch("partial", msgs)
+	var pp *stream.PartialPublishError
+	if !errors.As(err, &pp) || len(pp.Failed) != 4 {
+		t.Fatalf("publish with one failing partition: %v", err)
+	}
+	for _, m := range pp.Failed {
+		if !slices.ContainsFunc(msgs, func(o stream.Message) bool { return &o.Value[0] == &m.Value[0] }) {
+			t.Fatal("a Failed message does not alias the caller's bytes")
+		}
+	}
+	if n, err := b.PublishBatch("partial", pp.Failed); err != nil || n != 4 {
+		t.Fatalf("retrying Failed published %d: %v", n, err)
 	}
 }

@@ -41,7 +41,9 @@ type Stream interface {
 	// a *stream.PartialPublishError: its Failed messages are not in the
 	// log and never will be unless published again, so retrying exactly
 	// Failed duplicates nothing — keyed or keyless, with any number of
-	// publishers.
+	// publishers. A publish keeps no reference to a message's bytes after
+	// it returns, except a PartialPublishError's Failed remainder, which
+	// stays valid until the caller retries or drops it.
 	PublishBatch(topic string, msgs []stream.Message) (int, error)
 	Partitions(topic string) (int, error)
 	// AppendRecords appends up to max records at offset to dst without

@@ -3,7 +3,9 @@ package tsdb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,121 +31,234 @@ func collidingComponents(t *testing.T, metric string) (string, string) {
 	return "", ""
 }
 
-// TestCellTableMatchesMapReference feeds one table well past three pages
-// of random (series, bucket) keys with repeats and holds it to a map:
-// same cells, At and Page both walk them in first-insertion order, and a
-// *Cell taken once its page can no longer move keeps aliasing the table's
-// cell across every later insert. The series share SeriesHash values on
-// purpose — they differ only in system or source, or are a forged FNV-1a
-// collision on (component, metric) — and each must keep its own cells
-// and its own id, whose dimensions Series returns unchanged. Re-inserting
-// the same series in fresh buckets grows the cells, never the dictionary.
-func TestCellTableMatchesMapReference(t *testing.T) {
-	collA, collB := collidingComponents(t, "m")
-	var pool []Series
-	for _, comp := range []string{"node00000", "node00001", "node00002", "node00003", "node00004", collA, collB} {
-		for _, sys := range []string{"sys", "sysB"} {
-			for _, src := range []string{"src0", "src1"} {
-				pool = append(pool, Series{System: sys, Source: src, Component: comp, Metric: "m"})
+// gridStream draws one table's worth of samples for the chunk
+// [chunkN, chunkN+segN) on its grid g: most series follow a clock that
+// sweeps the grid while samples arrive up to skew buckets behind it,
+// every fifth series lands only in sparse buckets (multiples of 3), the
+// series after each of those alternate across the start of the clock's
+// bucket, one nanosecond either side, and the last few series stay
+// silent until the clock is two thirds through and then start in the
+// grid's last bucket and wander back, so they open runs after other
+// series' later buckets and widen them at the front.
+func gridStream(rng *rand.Rand, g grid, chunkN, segN int64, pool []Series) (series []int, ts []int64) {
+	late := 1 + rng.Intn(3)
+	skew := rng.Intn(4)
+	n := 3000 + rng.Intn(3000)
+	started := make([]bool, len(pool))
+	for i := 0; i < n; i++ {
+		clock := int(g.span) * i / n
+		s := rng.Intn(len(pool))
+		var b int
+		switch boundary := g.origin + int64(clock)*g.width; {
+		case s >= len(pool)-late:
+			if clock < 2*int(g.span)/3 {
+				continue
 			}
+			b = rng.Intn(int(g.span))
+			if !started[s] {
+				b, started[s] = int(g.span)-1, true
+			}
+		case s%5 == 0:
+			b = 3 * rng.Intn((int(g.span)+2)/3)
+		case s%5 == 1 && boundary > chunkN:
+			series, ts = append(series, s), append(ts, boundary-1+int64(i%2))
+			continue
+		default:
+			b = max(0, clock-rng.Intn(skew+1))
 		}
+		lo := max(g.origin+int64(b)*g.width, chunkN)
+		hi := min(g.origin+int64(b+1)*g.width, chunkN+segN)
+		series, ts = append(series, s), append(ts, lo+rng.Int63n(hi-lo))
+	}
+	return series, ts
+}
+
+// TestCellTableMatchesMapReference holds the grid table to a map from
+// (bucket start, series) to cell over seeded streams (gridStream) on two
+// geometries: an hour of 15 s buckets, and 100 s chunks, which hold no
+// whole number of buckets, so most start inside a bucket that straddles
+// their start. The series share SeriesHash values on purpose — they
+// differ only in system or source, or are a forged FNV-1a collision on
+// (component, metric). After every record Cell returned the cell the map
+// put first at that key's insertion position, and a *Cell taken once
+// page 0 is full keeps aliasing it; at the end At, Page and Dict list the
+// map's keys, cells and series in first-insertion order. The same
+// records through a DB of that geometry answer Run exactly as RunSerial
+// does.
+func TestCellTableMatchesMapReference(t *testing.T) {
+	const rollup = int64(15 * time.Second)
+	collA, collB := collidingComponents(t, "m")
+	if SeriesHash(collA, "m") != SeriesHash(collB, "m") || collA == collB {
+		t.Fatalf("%q and %q do not collide", collA, collB)
 	}
 	type refKey struct {
 		ts int64
 		s  Series
 	}
-	rng := rand.New(rand.NewSource(20240601))
-	const distinct, adds = 3*pageSize + pageSize/2 + 7, 6000
-	var ct CellTable
-	ref := make(map[refKey]Cell)
-	var order []refKey
-	type held struct {
-		at int
-		c  *Cell
-	}
-	var holds []held
-	for i := 0; i < adds; i++ {
-		n := rng.Intn(distinct)
-		k := refKey{ts: int64(n/len(pool)) * int64(15*time.Second), s: pool[n%len(pool)]}
-		v := rng.Float64()
-		ts := rng.Int63n(1 << 40)
-		c := ct.Cell(SeriesHash(k.s.Component, k.s.Metric), k.ts, &k.s)
-		c.Add(ts, v)
-		r, seen := ref[k]
-		r.Add(ts, v)
-		ref[k] = r
-		if !seen {
-			order = append(order, k)
-			// Hold pointers from page 0 once it is full, from the first and
-			// last slot of later pages, and from a page still filling.
-			if n := ct.Len(); n >= pageSize && (n%pageSize <= 1 || n%97 == 0) {
-				holds = append(holds, held{n - 1, c})
-				if n == pageSize {
-					_, c0 := ct.At(3)
-					holds = append(holds, held{3, c0})
+	straddled := 0
+	for seed := int64(1); seed <= 24; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		segN := []int64{int64(time.Hour), int64(100 * time.Second)}[seed%2]
+		chunkN := base.UnixNano() + seed*segN
+		ct := NewCellTable(chunkN, segN, rollup)
+		g := ct.grid
+		if g.origin < chunkN {
+			straddled++
+		}
+		comps := []string{collA, collB}
+		for len(comps) < 4+int(1300/g.span) {
+			comps = append(comps, fmt.Sprintf("node%05d", len(comps)))
+		}
+		var pool []Series
+		for i, comp := range comps {
+			pool = append(pool, Series{System: "sys", Source: "src", Component: comp, Metric: "m"})
+			if i < 4 {
+				pool = append(pool, Series{System: "sysB", Source: "src", Component: comp, Metric: "m"},
+					Series{System: "sys", Source: "src1", Component: comp, Metric: "m"})
+			}
+		}
+		series, samples := gridStream(rng, g, chunkN, segN, pool)
+		ref := make(map[refKey]Cell)
+		pos := make(map[refKey]int)
+		var order []refKey
+		var obs []schema.Observation
+		type held struct {
+			at int
+			c  *Cell
+		}
+		var holds []held
+		for i, si := range series {
+			s := pool[si]
+			tsn := samples[i]
+			k := refKey{ts: tsn - FloorMod(tsn, rollup), s: s}
+			v := float64(rng.Intn(1000)) / 7
+			c := ct.Cell(SeriesHash(s.Component, s.Metric), tsn, &s)
+			if _, seen := pos[k]; !seen {
+				pos[k] = len(order)
+				order = append(order, k)
+				if n := ct.Len(); n >= pageSize && n%97 == 0 {
+					holds = append(holds, held{n - 1, c})
+				}
+			}
+			if _, want := ct.At(pos[k]); c != want {
+				t.Fatalf("seed %d record %d: Cell returned a cell other than insertion position %d", seed, i, pos[k])
+			}
+			c.Add(tsn, v)
+			r := ref[k]
+			r.Add(tsn, v)
+			ref[k] = r
+			obs = append(obs, schema.Observation{Ts: time.Unix(0, tsn).UTC(), System: s.System, Source: s.Source, Component: s.Component, Metric: s.Metric, Value: v})
+		}
+		if ct.Len() != len(ref) || ct.Pages() < 3 || len(holds) < 4 {
+			t.Fatalf("seed %d: %d cells in %d pages, %d pointers held; reference %d cells (want over two pages)", seed, ct.Len(), ct.Pages(), len(holds), len(ref))
+		}
+		ids := map[Series]uint32{}
+		i := 0
+		for p := 0; p < ct.Pages(); p++ {
+			keys, cells := ct.Page(p)
+			if len(keys) != len(cells) || (p < ct.Pages()-1 && len(keys) != pageSize) {
+				t.Fatalf("seed %d page %d: %d keys, %d cells", seed, p, len(keys), len(cells))
+			}
+			for j := range keys {
+				want := order[i]
+				k, c := ct.At(i)
+				if *k != keys[j] || c != &cells[j] || ct.BucketStart(k.Bucket) != want.ts || ct.Dict()[k.Series] != want.s || *c != ref[want] {
+					t.Fatalf("seed %d: cell %d is %+v %+v, want %+v %+v", seed, i, *k, *c, want, ref[want])
+				}
+				if id, ok := ids[want.s]; ok && id != k.Series {
+					t.Fatalf("seed %d: series %+v has ids %d and %d", seed, want.s, id, k.Series)
+				}
+				ids[want.s] = k.Series
+				i++
+			}
+		}
+		if i != len(order) || len(ct.Dict()) != len(ids) {
+			t.Fatalf("seed %d: pages hold %d cells, want %d; dictionary %d series, want %d", seed, i, len(order), len(ct.Dict()), len(ids))
+		}
+		for _, h := range holds {
+			if _, c := ct.At(h.at); c != h.c {
+				t.Fatalf("seed %d: cell %d moved after its pointer was handed out", seed, h.at)
+			}
+		}
+
+		db := New(Options{SegmentDuration: time.Duration(segN), RollupInterval: time.Duration(rollup), QueryCacheSize: -1})
+		for rest := obs; len(rest) > 0; {
+			k := min(len(rest), 1+rng.Intn(700))
+			if err := db.InsertBatch(rest[:k]); err != nil {
+				t.Fatal(err)
+			}
+			rest = rest[k:]
+		}
+		from := time.Unix(0, chunkN-segN).UTC()
+		for _, gb := range [][]string{nil, {DimComponent}, {DimSystem, DimSource, DimComponent}} {
+			for _, gran := range []time.Duration{15 * time.Second, 45 * time.Second} {
+				for agg := AggAvg; agg <= AggLast; agg++ {
+					q := Query{From: from, To: from.Add(3 * time.Duration(segN)), GroupBy: gb, Granularity: gran, Agg: agg}
+					want, err := db.RunSerial(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, err := db.Run(q); err != nil || !got.Equal(want) || want.Len() == 0 {
+						t.Fatalf("seed %d %s: Run diverges from RunSerial or is empty (err %v)", seed, q.Fingerprint(), err)
+					}
 				}
 			}
 		}
 	}
-	if ct.Len() != len(ref) || ct.Pages() < 4 {
-		t.Fatalf("table holds %d cells in %d pages, reference %d cells", ct.Len(), ct.Pages(), len(ref))
+	if straddled == 0 {
+		t.Fatal("no table's grid started before its chunk")
 	}
-	ids := map[Series]uint32{}
-	for i, want := range order {
-		k, c := ct.At(i)
-		if k.Ts != want.ts || *ct.Series(k.Series) != want.s || *c != ref[want] {
-			t.Fatalf("At(%d) = %+v %+v %+v, want %+v %+v", i, *k, *ct.Series(k.Series), *c, want, ref[want])
+}
+
+// TestLoadCellsRefusesOffGridBuckets: a ColdSchema frame whose bucket
+// has no representable chunk — within a chunk of either end of the
+// int64 range — is refused before any cell lands, and a table handed
+// back for another chunk is an error, never a wrapped ordinal. An
+// observation there is dropped by InsertBatch, beside one that lands.
+func TestLoadCellsRefusesOffGridBuckets(t *testing.T) {
+	const segN, rollup = int64(time.Hour), int64(15 * time.Second)
+	s := Series{System: "sys", Source: "src", Component: "node00001", Metric: "m"}
+	frame := func(buckets ...int64) *schema.Frame {
+		var b cellColumns
+		b.grow(len(buckets))
+		for i, ts := range buckets {
+			b.add(StripeFor(s.Component, s.Metric), i, ts, &s, &Cell{Count: 1, Sum: 1, Min: 1, Max: 1, LastTs: ts, Last: 1})
 		}
-		if id, ok := ids[want.s]; ok && id != k.Series {
-			t.Fatalf("series %+v has ids %d and %d", want.s, id, k.Series)
+		f, err := b.frame()
+		if err != nil {
+			t.Fatal(err)
 		}
-		ids[want.s] = k.Series
+		return f
 	}
-	if len(ids) != len(pool) || len(ct.Dict()) != len(pool) {
-		t.Fatalf("%d series reached the table, its dictionary holds %d, want %d", len(ids), len(ct.Dict()), len(pool))
-	}
-	for s, id := range ids {
-		if ct.Dict()[id] != s {
-			t.Fatalf("Dict()[%d] = %+v, want %+v", id, ct.Dict()[id], s)
-		}
-	}
-	if SeriesHash(collA, "m") != SeriesHash(collB, "m") || collA == collB {
-		t.Fatalf("%q and %q do not collide", collA, collB)
-	}
-	i := 0
-	for p := 0; p < ct.Pages(); p++ {
-		keys, cells := ct.Page(p)
-		if len(keys) != len(cells) || (p < ct.Pages()-1 && len(keys) != pageSize) {
-			t.Fatalf("page %d: %d keys, %d cells", p, len(keys), len(cells))
-		}
-		for j := range keys {
-			if want := order[i]; keys[j].Ts != want.ts || ct.Dict()[keys[j].Series] != want.s || cells[j] != ref[want] {
-				t.Fatalf("page %d slot %d is not insertion position %d", p, j, i)
-			}
-			i++
-		}
-	}
-	if i != len(order) {
-		t.Fatalf("pages hold %d cells, want %d", i, len(order))
-	}
-	if len(holds) < 8 {
-		t.Fatalf("only %d pointers held", len(holds))
-	}
-	for _, h := range holds {
-		if _, c := ct.At(h.at); c != h.c {
-			t.Fatalf("cell %d moved after its pointer was handed out", h.at)
+	good := base.UnixNano()
+	for _, bucket := range []int64{
+		math.MinInt64 - math.MinInt64%rollup + rollup, // floors past MinInt64 to its chunk
+		math.MaxInt64 - math.MaxInt64%rollup,          // its chunk ends past MaxInt64
+	} {
+		landed := 0
+		err := LoadCells(frame(good, bucket), segN, rollup, true, func(_ int, chunkN, _ int64) *CellTable {
+			landed++
+			return NewCellTable(chunkN, segN, rollup)
+		})
+		if err == nil || !strings.Contains(err.Error(), "no 1h0m0s chunk") || landed != 0 {
+			t.Fatalf("bucket %d: err %v after %d rows landed, want a chunk error before any", bucket, err, landed)
 		}
 	}
-	const buckets = 40
-	before := ct.Len()
-	for b := 0; b < buckets; b++ {
-		for _, s := range pool {
-			ct.Cell(SeriesHash(s.Component, s.Metric), int64(1000+b)*int64(15*time.Second), &s).Count++
-		}
+	db := New(Options{SegmentDuration: time.Duration(segN), RollupInterval: time.Duration(rollup)})
+	if err := db.InsertBatch([]schema.Observation{
+		{Ts: time.Unix(0, math.MinInt64+1), System: s.System, Source: s.Source, Component: s.Component, Metric: s.Metric, Value: 1},
+		{Ts: base, System: s.System, Source: s.Source, Component: s.Component, Metric: s.Metric, Value: 2},
+		{Ts: time.Unix(0, math.MaxInt64-1), System: s.System, Source: s.Source, Component: s.Component, Metric: s.Metric, Value: 3},
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if ct.Len() != before+buckets*len(pool) || len(ct.Dict()) != len(pool) {
-		t.Fatalf("re-inserting %d series in %d fresh buckets: %d → %d cells, dictionary %d, want +%d cells, dictionary %d",
-			len(pool), buckets, before, ct.Len(), len(ct.Dict()), buckets*len(pool), len(pool))
+	if st := db.Stats(); st.RollupCells != 1 || st.RawIngested != 1 {
+		t.Fatalf("InsertBatch at both ends of the int64 range and at %v: %+v, want the one cell at %v", base, st, base)
+	}
+	other := NewCellTable(good-segN, segN, rollup)
+	err := LoadCells(frame(good), segN, rollup, false, func(int, int64, int64) *CellTable { return other })
+	if err == nil || !strings.Contains(err.Error(), "outside its table's grid") || other.Len() != 0 {
+		t.Fatalf("a table of the previous chunk: err %v, %d cells landed", err, other.Len())
 	}
 }
 
@@ -309,10 +424,10 @@ func TestPagedOffloadRollback(t *testing.T) {
 }
 
 // BenchmarkCellTableGrow inserts 100k fresh cells of 1 000 series into
-// one table. B/op is the figure to watch: the final 6.4 MB of keys and
-// cells once (64 bytes a cell), plus the probe index's doublings (4 MB)
-// and the series dictionary, where one dense array pair re-grown by
-// append allocated ~5x the final size.
+// one table. B/op is the figure to watch: the final 5.6 MB of keys and
+// cells once (56 bytes a cell), plus the series' runs (about 0.5 MB live,
+// and the arenas they outgrew) and the series dictionary, where one dense
+// array pair re-grown by append allocated ~5x the final size.
 func BenchmarkCellTableGrow(b *testing.B) {
 	const n = 100_000
 	series := make([]Series, n)
@@ -329,7 +444,7 @@ func BenchmarkCellTableGrow(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var ct CellTable
+		ct := NewCellTable(0, int64(time.Hour), int64(15*time.Second))
 		for j := range series {
 			ct.Cell(hashes[j], ts[j], &series[j]).Count++
 		}
@@ -347,7 +462,7 @@ func TestFoldAdmitMatchesMatch(t *testing.T) {
 	collA, collB := collidingComponents(t, "m")
 	comps := []string{"node00000", "node00001", collA, collB}
 	rng := rand.New(rand.NewSource(34))
-	var ct CellTable
+	ct := NewCellTable(base.UnixNano(), int64(time.Hour), int64(15*time.Second))
 	for i := 0; i < 3000; i++ {
 		s := Series{
 			System: []string{"sys", "sysB"}[rng.Intn(2)], Source: []string{"src0", "src1"}[rng.Intn(2)],
@@ -370,13 +485,13 @@ func TestFoldAdmitMatchesMatch(t *testing.T) {
 		})
 		var got, want GroupTable
 		var wantMatched int64
-		matched := got.Fold(&p, &ct, false)
+		matched := got.Fold(&p, ct, false)
 		for i := 0; i < ct.Len(); i++ {
 			k, c := ct.At(i)
-			if s := ct.Series(k.Series); k.Ts >= p.fromN && k.Ts < p.toN && p.Match(s) {
+			if s, ts := ct.Series(k.Series), ct.BucketStart(k.Bucket); ts >= p.fromN && ts < p.toN && p.Match(s) {
 				wantMatched++
 				tuple := p.tuple(s)
-				want.accumulate(&p, k.Ts, want.group(&tuple), c)
+				want.accumulate(&p, ts, want.group(&tuple), c)
 			}
 		}
 		if matched != wantMatched || (fi > 0 && fi < 5 && matched == 0) {

@@ -195,7 +195,7 @@ func project(c Columns, q Query) Columns {
 // the cold tier fed Fold before FoldColumns existed: the reference a
 // column-fed fold is held to.
 func foldRow(t *GroupTable, p *Plan, s Series, ts int64, c Cell) int64 {
-	return t.fold(p, []Series{s}, []uint32{0}, []Key{{Ts: ts}}, []Cell{c}, true)
+	return t.fold(p, &grid{origin: ts, width: 1, span: 1}, []Series{s}, []uint32{0}, []Key{{}}, []Cell{c}, true)
 }
 
 // rowSeries is row r's series; a dimension cols lacks reads "".

@@ -19,8 +19,12 @@ package tsdb
 
 import (
 	"cmp"
+	"fmt"
+	"math"
+	"math/bits"
 	"slices"
 	"strings"
+	"time"
 
 	"odakit/internal/schema"
 )
@@ -59,12 +63,13 @@ func (s *Series) at(d int) string {
 	}
 }
 
-// Key identifies one rollup cell: a series in one rollup bucket. The
-// series is an id into the dictionary of the CellTable that holds the
-// cell; it means nothing outside that table. A Key holds no pointer, so
-// key pages are noscan and a push writes no pointer.
+// Key identifies one rollup cell: a series in one rollup bucket. Both
+// are integers that mean nothing outside the CellTable holding the cell:
+// the bucket's ordinal on the table's grid (CellTable.BucketStart) and
+// an id into the table's dictionary. A Key holds no pointer, so key
+// pages are noscan and a push writes no pointer.
 type Key struct {
-	Ts     int64  // rollup bucket start, unix nanos
+	Bucket uint32 // ordinal on the owning table's bucket grid
 	Series uint32 // the owning table's series id
 }
 
@@ -134,21 +139,31 @@ func (c *Cell) Value(kind AggKind) float64 {
 	}
 }
 
-// CellTable maps (series, bucket) to Cell. It replaces a Go map on the
-// ingest hot path: the probe hash is derived from the series hash already
-// computed for shard striping, and the stored hash makes misses cheap.
-// Layout is structure-of-arrays: a compact open-addressed index (8 bytes
-// per entry) resolves a key to a position in insertion-ordered, parallel
-// key and cell pages. Queries stream sequentially over the packed keys and
-// touch aggregation state only for cells that match.
+// CellTable maps (series, bucket) to Cell for one time chunk of a LAKE
+// segment or a CQ view. Layout is structure-of-arrays: insertion-ordered,
+// parallel key and cell pages, which queries stream over sequentially,
+// touching aggregation state only for cells that match.
+//
+// The owner gives the table its bucket grid (NewCellTable), so a cell is
+// found by arithmetic: each series keeps a run of 1-based cell positions
+// over the bucket ordinals it touched, the runs back to back in one
+// arena. A record in its series' latest bucket — most records, since
+// telemetry samples faster than the rollup — costs a compare and a load;
+// any other costs a division and, in a bucket new to the series, a
+// widened run. A run costs the buckets its series touched, rounded up to
+// a power of two, never the chunk's width. Per cell that is an 8-byte
+// Key, the 48-byte Cell and a 4-byte run slot (~60–64 bytes with run
+// rounding and dead slots), where a 16-byte Key holding the bucket's
+// timestamp plus an open-addressed probe index (8 bytes a cell at up to
+// 3/4 load) cost 75–85; per series, a 12-byte run replaces a 16-byte
+// cursor.
 //
 // Each table interns its series in a dictionary of its own, in
-// first-insertion order: a cell's Key is its bucket plus the series' id
-// there, 16 pointer-free bytes, and whatever reads dimensions reads them
-// back through the table (Series, Dict). The dictionary lives and dies
-// with the table — a LAKE segment or a view chunk — so retention bounds
-// it, and ids never leave the table: everything a table writes out
-// (ColdSchema frames, checkpoints, stripe partials) carries the strings.
+// first-insertion order, and whatever reads dimensions reads them back
+// through the table (Series, Dict). The dictionary lives and dies with
+// the table, so retention bounds it, and ids never leave the table:
+// everything a table writes out (ColdSchema frames, checkpoints, stripe
+// partials) carries the strings and the bucket's timestamp.
 //
 // Cells live in pages of pageSize entries that are never re-copied: a
 // table that keeps growing allocates each byte of cell storage once,
@@ -156,26 +171,46 @@ func (c *Cell) Value(kind AggKind) float64 {
 // ~4x its final size. Page 0 still grows by append, so the many tiny
 // tables (a CQ view keeps one per stripe, chunk and partition) pay for
 // the cells they hold, not for a page; every later page is allocated
-// full. The zero value is an empty table.
+// full.
 type CellTable struct {
-	index  []cellRef  // cell probe index, by CellHash
 	first  cellPage   // page 0, grown by append up to pageSize entries
 	rest   []cellPage // pages 1.., each allocated at full capacity
 	n      int
 	series dict[Series] // series id → dimensions, probed by SeriesHash
-	// cursor is each series' latest bucket and its cell, by series id, so
-	// the run of records a series sends into its current bucket finds the
-	// cell without the index probe. It holds a position, not a pointer:
-	// page 0 moves while it grows.
-	cursor []seriesCursor
+	grid   grid
+	runs   []seriesRun // by series id
+	// slots holds the runs' cell positions, 0 for a bucket the series
+	// has no cell in. A run that outgrows its capacity moves to the end,
+	// leaving its old slots dead until the arena is next reallocated.
+	slots []int32
 }
 
-// seriesCursor is a series' latest bucket start and the 1-based position
-// of its cell there (0: none yet).
-type seriesCursor struct {
-	ts  int64
-	idx int32
+// grid is a table's buckets: bucket b < span starts at origin + b×width.
+type grid struct {
+	origin, width int64
+	span          uint32
 }
+
+// seriesRun is one series' run: the slots from off hold its cells'
+// positions in buckets lo..lo+n-1, so its latest bucket is lo+n-1; n is 0
+// until the series has a cell. Its capacity is runCap(n).
+type seriesRun struct{ lo, n, off uint32 }
+
+// NewCellTable returns an empty table for the chunk [chunkN, chunkN+segN)
+// of rollupN-wide buckets. Its grid starts at chunkN floored to rollupN,
+// so a bucket that straddles the chunk's start is on it.
+func NewCellTable(chunkN, segN, rollupN int64) *CellTable {
+	origin := chunkN - FloorMod(chunkN, rollupN)
+	span := (chunkN + segN - origin + rollupN - 1) / rollupN
+	if span > math.MaxUint32 {
+		panic(fmt.Sprintf("tsdb: a %v chunk holds %d buckets of %v", time.Duration(segN), span, time.Duration(rollupN)))
+	}
+	return &CellTable{grid: grid{origin: origin, width: rollupN, span: uint32(span)}}
+}
+
+// BucketStart returns the start, in unix nanos, of the bucket a Key's
+// Bucket names on t's grid.
+func (t *CellTable) BucketStart(b uint32) int64 { return t.grid.origin + int64(b)*t.grid.width }
 
 // cellPage is one run of the table's parallel key and cell arrays — the
 // slice pair GroupTable.Fold consumes.
@@ -185,7 +220,7 @@ type cellPage struct {
 }
 
 // pageSize is an RSS decision: every table that outgrew page 0 strands
-// part of its last page. A full page is 4 KB of keys plus 12 KB of cells,
+// part of its last page. A full page is 2 KB of keys plus 12 KB of cells,
 // both exact malloc size classes. Measured on the benchmark harness with
 // the 72-byte string keys of the time (medians of 10 runs; 5 for 1024):
 // history_scan, whose 160 hot tables hold ~1200 cells each, read
@@ -199,19 +234,19 @@ const (
 	pageSize  = 1 << pageShift
 )
 
-// cellRef is one index entry: the probe hash plus a 1-based insertion
-// position (0 marks an empty slot).
-type cellRef struct {
+// dictRef is one dictionary index entry: the probe hash plus a 1-based
+// insertion position (0 marks an empty slot).
+type dictRef struct {
 	hash uint32
 	idx  int32
 }
 
 // SeriesHash is FNV-1a over component and metric — the dimensions that
 // actually vary across concurrent producers. It is computed once per
-// record and reused for the lock stripe (modulo NumStripes), the series
-// dictionary probe and the cell probe; series differing only in system or
-// source share a stripe and a probe chain, which costs a little
-// clustering, never correctness.
+// record and reused for the lock stripe (modulo NumStripes) and the
+// series dictionary probe; series differing only in system or source
+// share a stripe and a probe chain, which costs a little clustering,
+// never correctness.
 func SeriesHash(component, metric string) uint32 {
 	const (
 		offset32 = 2166136261
@@ -228,57 +263,93 @@ func SeriesHash(component, metric string) uint32 {
 	return h
 }
 
-// cellHash mixes the rollup bucket into the series hash. bucketN is in
-// nanos so consecutive buckets differ only in high bits; the shift brings
-// them down and the odd multiplier spreads them.
-func cellHash(seriesH uint32, bucketN int64) uint32 {
-	return (seriesH ^ uint32(uint64(bucketN)>>30)) * 2654435761
-}
-
-// Cell returns series s's cell in the bucket starting at ts (creating the
+// Cell returns series s's cell in the bucket holding ts (creating the
 // series' dictionary entry and the cell if absent). seriesH must be
-// SeriesHash(s.Component, s.Metric). A cell moves only while page 0 is
-// still growing: once the table holds pageSize cells every pointer handed
-// out stays valid for the table's lifetime; below that, only until the
-// next Cell call that inserts.
+// SeriesHash(s.Component, s.Metric) and ts inside the table's grid. A
+// cell moves only while page 0 is still growing: once the table holds
+// pageSize cells every pointer handed out stays valid for the table's
+// lifetime; below that, only until the next Cell call that inserts.
 func (t *CellTable) Cell(seriesH uint32, ts int64, s *Series) *Cell {
 	id := t.series.intern(seriesH, s)
-	if int(id) == len(t.cursor) {
-		t.cursor = append(t.cursor, seriesCursor{})
+	if int(id) == len(t.runs) {
+		t.runs = append(t.runs, seriesRun{})
 	}
-	cur := &t.cursor[id]
-	if cur.idx != 0 && cur.ts == ts {
-		_, c := t.At(int(cur.idx - 1))
+	r := &t.runs[id]
+	if r.n != 0 && uint64(ts-t.BucketStart(r.lo+r.n-1)) < uint64(t.grid.width) {
+		_, c := t.At(int(t.slots[r.off+r.n-1] - 1))
 		return c
 	}
-	idx, c := t.probe(seriesH, Key{Ts: ts, Series: id})
-	if cur.idx == 0 || ts > cur.ts {
-		cur.ts, cur.idx = ts, idx
-	}
-	return c
+	return t.cell(r, id, uint32((ts-t.grid.origin)/t.grid.width))
 }
 
-// probe finds key's cell through the index, adding it if absent, and
-// returns its 1-based position with it.
-func (t *CellTable) probe(seriesH uint32, key Key) (int32, *Cell) {
-	if t.n >= len(t.index)*3/4 { // covers the empty table too
-		t.index = grown(t.index, 64)
-	}
-	h := cellHash(seriesH, key.Ts)
-	mask := uint32(len(t.index) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		r := t.index[i]
-		if r.idx == 0 {
-			idx := int32(t.n + 1)
-			t.index[i] = cellRef{hash: h, idx: idx}
-			return idx, t.push(key)
+// cell finds series id's cell in bucket b through the series' run r,
+// adding the cell, and widening the run to cover b, if absent.
+func (t *CellTable) cell(r *seriesRun, id, b uint32) *Cell {
+	switch {
+	case r.n == 0:
+		r.lo, r.n, r.off = b, 1, t.reserve(1)
+	case b < r.lo:
+		t.widen(r, b, r.lo+r.n-b)
+	case b >= r.lo+r.n:
+		t.widen(r, r.lo, b-r.lo+1)
+	default:
+		if pos := t.slots[r.off+b-r.lo]; pos != 0 {
+			_, c := t.At(int(pos - 1))
+			return c
 		}
-		if r.hash == h {
-			if k, c := t.At(int(r.idx - 1)); *k == key {
-				return r.idx, c
+	}
+	t.slots[r.off+b-r.lo] = int32(t.n + 1)
+	return t.push(Key{Bucket: b, Series: id})
+}
+
+// runCap is the capacity of a run covering n buckets: n rounded up to a
+// power of two, at most the grid's span.
+func (t *CellTable) runCap(n uint32) uint32 {
+	return min(1<<bits.Len32(n-1), t.grid.span)
+}
+
+// widen makes run r cover the n buckets from lo, which include its own,
+// keeping its positions. A run that outgrows its capacity moves to the
+// arena's end.
+func (t *CellTable) widen(r *seriesRun, lo, n uint32) {
+	shift := r.lo - lo
+	old := t.slots[r.off : r.off+r.n]
+	if n <= t.runCap(r.n) {
+		run := t.slots[r.off : r.off+n]
+		copy(run[shift:], old)
+		clear(run[:shift])
+	} else {
+		r.n = 0 // reserve must not keep the old slots: they are copied here
+		r.off = t.reserve(t.runCap(n))
+		copy(t.slots[r.off+shift:], old)
+	}
+	r.lo, r.n = lo, n
+}
+
+// reserve returns the offset of c zeroed slots at the arena's end. An
+// arena without room is replaced by one half again the size of the live
+// runs, which it copies; the dead slots of moved runs stay behind.
+func (t *CellTable) reserve(c uint32) uint32 {
+	if len(t.slots)+int(c) > cap(t.slots) {
+		live := int(c)
+		for _, r := range t.runs {
+			if r.n != 0 {
+				live += int(t.runCap(r.n))
 			}
 		}
+		arena := make([]int32, 0, max(live+live/2, 16))
+		for i := range t.runs {
+			if r := &t.runs[i]; r.n != 0 {
+				off := len(arena)
+				arena = append(arena, t.slots[r.off:r.off+t.runCap(r.n)]...)
+				r.off = uint32(off)
+			}
+		}
+		t.slots = arena
 	}
+	off := len(t.slots)
+	t.slots = t.slots[:off+int(c)]
+	return uint32(off)
 }
 
 // dict interns values in first-insertion order, id i naming vals[i]: a
@@ -287,19 +358,19 @@ func (t *CellTable) probe(seriesH uint32, key Key) (int32, *Cell) {
 // keep their own ids.
 type dict[T comparable] struct {
 	vals   []T
-	byHash []cellRef // probe index, by the hash callers pass
+	byHash []dictRef // probe index, by the hash callers pass
 }
 
 // intern returns v's id, adding v if it is new; h is v's hash.
 func (d *dict[T]) intern(h uint32, v *T) uint32 {
 	if len(d.vals) >= len(d.byHash)*3/4 {
-		d.byHash = grown(d.byHash, 16)
+		d.byHash = grown(d.byHash)
 	}
 	mask := uint32(len(d.byHash) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
 		r := d.byHash[i]
 		if r.idx == 0 {
-			d.byHash[i] = cellRef{hash: h, idx: int32(len(d.vals) + 1)}
+			d.byHash[i] = dictRef{hash: h, idx: int32(len(d.vals) + 1)}
 			d.vals = append(d.vals, *v)
 			return uint32(len(d.vals) - 1)
 		}
@@ -371,14 +442,11 @@ func (t *CellTable) Page(i int) ([]Key, []Cell) {
 	return p.keys, p.cells
 }
 
-// grown returns an open-addressed index rehashed into twice its slots, or
-// into first slots when it is empty.
-func grown(old []cellRef, first int) []cellRef {
-	newCap := 2 * len(old)
-	if newCap == 0 {
-		newCap = first
-	}
-	index := make([]cellRef, newCap)
+// grown returns a dictionary index rehashed into twice its slots, or
+// into 16 when it is empty.
+func grown(old []dictRef) []dictRef {
+	newCap := max(2*len(old), 16)
+	index := make([]dictRef, newCap)
 	mask := uint32(newCap - 1)
 	for _, r := range old {
 		if r.idx == 0 {
@@ -651,7 +719,7 @@ func (t *GroupTable) Fold(p *Plan, ct *CellTable, contained bool) (matched int64
 	t.ids = gids
 	for pi := 0; pi < ct.Pages(); pi++ {
 		keys, cells := ct.Page(pi)
-		matched += t.fold(p, dict, gids, keys, cells, contained)
+		matched += t.fold(p, &ct.grid, dict, gids, keys, cells, contained)
 	}
 	return matched
 }
@@ -661,27 +729,29 @@ func (t *GroupTable) group(tuple *[4]string) uint32 {
 	return t.groups.intern(tupleHash(tuple), tuple)
 }
 
-// fold accumulates one (keys, cells) page of a table whose series
-// dictionary is dict. gids memoizes by series id 1 + the series' group
-// id, noGroup for a series p does not admit, 0 for one not met yet.
-func (t *GroupTable) fold(p *Plan, dict []Series, gids []uint32, keys []Key, cells []Cell, contained bool) (matched int64) {
+// fold accumulates one (keys, cells) page of a table whose bucket grid
+// is g and whose series dictionary is dict. gids memoizes by series id
+// 1 + the series' group id, noGroup for a series p does not admit, 0 for
+// one not met yet.
+func (t *GroupTable) fold(p *Plan, g *grid, dict []Series, gids []uint32, keys []Key, cells []Cell, contained bool) (matched int64) {
 	for i := range keys {
 		key := &keys[i]
-		if !contained && (key.Ts < p.fromN || key.Ts >= p.toN) {
+		ts := g.origin + int64(key.Bucket)*g.width
+		if !contained && (ts < p.fromN || ts >= p.toN) {
 			continue
 		}
-		g := gids[key.Series]
-		if g == 0 {
-			g = noGroup
+		gid := gids[key.Series]
+		if gid == 0 {
+			gid = noGroup
 			if s := &dict[key.Series]; p.Match(s) {
 				tuple := p.tuple(s)
-				g = 1 + t.group(&tuple)
+				gid = 1 + t.group(&tuple)
 			}
-			gids[key.Series] = g
+			gids[key.Series] = gid
 		}
-		if g != noGroup {
+		if gid != noGroup {
 			matched++
-			t.accumulate(p, key.Ts, g-1, &cells[i])
+			t.accumulate(p, ts, gid-1, &cells[i])
 		}
 	}
 	return matched

@@ -16,6 +16,7 @@ package tsdb
 
 import (
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
@@ -124,7 +125,7 @@ func (e *CellExport) Add(stripe int, t *CellTable) {
 	for pi := 0; pi < t.Pages(); pi++ {
 		keys, cells := t.Page(pi)
 		for i := range keys {
-			e.b.add(stripe, e.seq[stripe], keys[i].Ts, &dict[keys[i].Series], &cells[i])
+			e.b.add(stripe, e.seq[stripe], t.BucketStart(keys[i].Bucket), &dict[keys[i].Series], &cells[i])
 			e.seq[stripe]++
 		}
 	}
@@ -134,15 +135,18 @@ func (e *CellExport) Add(stripe int, t *CellTable) {
 func (e *CellExport) Frame() (*schema.Frame, error) { return e.b.frame() }
 
 // LoadCells is the one loader of ColdSchema cells that crossed a
-// transport or came off disk. A frame that is not ColdSchema, carries a
-// null, or puts a row on a stripe other than its series' own or a bucket
-// off the rollupN grid is refused before any cell lands. The rows then
-// land in frame order, which cells new to a table take as their insertion
-// order: row r goes to the table that table(stripe, bucket, count)
-// returns, count being the raw observations the row rolls up. Into
-// existing tables a row merges; into fresh ones (fresh) it is copied
-// exactly, and a (bucket, series) the table already holds is an error.
-func LoadCells(f *schema.Frame, rollupN int64, fresh bool, table func(stripe int, bucket, count int64) *CellTable) error {
+// transport or came off disk, into tables of segN-wide chunks of
+// rollupN-wide buckets. A frame that is not ColdSchema, carries a null,
+// or puts a row on a stripe other than its series' own, a bucket off the
+// rollupN grid or one whose chunk is not representable is refused before
+// any cell lands. The rows then land in frame order, which cells new to
+// a table take as their insertion order: row r goes to the table that
+// table(stripe, chunk, count) returns for its bucket's chunk, count
+// being the raw observations the row rolls up; a table whose grid does
+// not hold the bucket is an error. Into existing tables a row merges;
+// into fresh ones (fresh) it is copied exactly, and a (bucket, series)
+// the table already holds is an error.
+func LoadCells(f *schema.Frame, segN, rollupN int64, fresh bool, table func(stripe int, chunkN, count int64) *CellTable) error {
 	if !f.Schema().Equal(ColdSchema) {
 		return fmt.Errorf("tsdb: cells: frame schema %v does not conform to ColdSchema", f.Schema())
 	}
@@ -163,14 +167,22 @@ func LoadCells(f *schema.Frame, rollupN int64, fresh bool, table func(stripe int
 		if own := StripeFor(cols.Dims[2][r], cols.Dims[3][r]); s != int64(own) {
 			return bad(r, "series %s/%s lives on stripe %d", cols.Dims[2][r], cols.Dims[3][r], own)
 		}
-		if FloorMod(cols.Bucket[r], rollupN) != 0 {
-			return bad(r, "bucket %d is off the %v rollup grid", cols.Bucket[r], time.Duration(rollupN))
+		b := cols.Bucket[r]
+		if FloorMod(b, rollupN) != 0 {
+			return bad(r, "bucket %d is off the %v rollup grid", b, time.Duration(rollupN))
+		}
+		// Flooring wraps within a chunk of either end of the int64 range.
+		if c := b - FloorMod(b, segN); c > b || c-FloorMod(c, rollupN) > c || c > math.MaxInt64-segN {
+			return bad(r, "bucket %d has no %v chunk", b, time.Duration(segN))
 		}
 	}
 	for r := range stripe {
 		ts, cell := cols.Bucket[r], cols.cell(int32(r))
 		s := Series{System: cols.Dims[0][r], Source: cols.Dims[1][r], Component: cols.Dims[2][r], Metric: cols.Dims[3][r]}
-		ct := table(int(stripe[r]), ts, cell.Count)
+		ct := table(int(stripe[r]), ts-FloorMod(ts, segN), cell.Count)
+		if uint64(ts-ct.grid.origin)/uint64(ct.grid.width) >= uint64(ct.grid.span) {
+			return bad(r, "bucket %d is outside its table's grid", ts)
+		}
 		n := ct.Len()
 		c := ct.Cell(SeriesHash(s.Component, s.Metric), ts, &s)
 		switch {
@@ -202,7 +214,7 @@ func (db *DB) ExportStripes(stripes []int) (*schema.Frame, error) {
 		sh := &db.shards[si]
 		sh.mu.RLock()
 		for _, chunkN := range SortedChunks(sh.segments) {
-			e.Add(si, &sh.segments[chunkN].cells)
+			e.Add(si, sh.segments[chunkN].cells)
 		}
 		sh.mu.RUnlock()
 	}
@@ -213,7 +225,6 @@ func (db *DB) ExportStripes(stripes []int) (*schema.Frame, error) {
 // the store through LoadCells, so a frame it refuses lands no cell. Each
 // run of one stripe takes that stripe's lock, and bumps its version, once.
 func (db *DB) ImportStripes(f *schema.Frame) error {
-	chunkD := int64(db.opts.SegmentDuration)
 	var held *dbShard
 	release := func() {
 		if held != nil {
@@ -221,16 +232,16 @@ func (db *DB) ImportStripes(f *schema.Frame) error {
 			held.mu.Unlock()
 		}
 	}
-	err := LoadCells(f, int64(db.opts.RollupInterval), false, func(stripe int, bucket, count int64) *CellTable {
+	err := LoadCells(f, int64(db.opts.SegmentDuration), int64(db.opts.RollupInterval), false, func(stripe int, chunkN, count int64) *CellTable {
 		if sh := &db.shards[stripe]; sh != held {
 			release()
 			held = sh
 			sh.mu.Lock()
 		}
-		seg := held.segmentLocked(bucket - FloorMod(bucket, chunkD))
+		seg := db.segmentLocked(held, chunkN)
 		seg.rows += count
 		held.ingested += count
-		return &seg.cells
+		return seg.cells
 	})
 	release()
 	return err

@@ -235,7 +235,7 @@ func (db *DB) scanShard(si int, p *Plan, gt *GroupTable) StripeScanStats {
 			continue
 		}
 		ss.SegmentsScanned++
-		ct := &sh.segments[chunkN].cells
+		ct := sh.segments[chunkN].cells
 		ss.CellsScanned += int64(ct.Len())
 		ss.CellsMatched += gt.Fold(p, ct, contained)
 	}
@@ -424,22 +424,18 @@ func (db *DB) RunSerial(q Query) (*schema.Frame, error) {
 	for si := range db.shards {
 		sh := &db.shards[si]
 		sh.mu.RLock()
-		chunks := make([]int64, 0, len(sh.segments))
-		for k := range sh.segments {
-			chunks = append(chunks, k)
-		}
-		sort.Slice(chunks, func(i, j int) bool { return chunks[i] < chunks[j] })
 		partial := make(map[GroupKey]*Cell)
-		for _, chunkN := range chunks {
+		for _, chunkN := range SortedChunks(sh.segments) {
 			seg := sh.segments[chunkN]
-			segEnd := seg.start.Add(db.opts.SegmentDuration)
-			if !seg.start.Before(q.To) || !segEnd.After(q.From) {
+			segStart := time.Unix(0, chunkN)
+			if !segStart.Before(q.To) || !segStart.Add(db.opts.SegmentDuration).After(q.From) {
 				continue // segment pruning by time chunk
 			}
 			for ci := 0; ci < seg.cells.Len(); ci++ {
 				key, cell := seg.cells.At(ci)
 				series := seg.cells.Series(key.Series)
-				ts := time.Unix(0, key.Ts).UTC()
+				bucketN := seg.cells.BucketStart(key.Bucket)
+				ts := time.Unix(0, bucketN).UTC()
 				if ts.Before(q.From) || !ts.Before(q.To) {
 					continue
 				}
@@ -448,7 +444,7 @@ func (db *DB) RunSerial(q Query) (*schema.Frame, error) {
 				}
 				gk := GroupKey{Ts: q.From.UnixNano()}
 				if granNanos > 0 {
-					gk.Ts = key.Ts - FloorMod(key.Ts, granNanos)
+					gk.Ts = bucketN - FloorMod(bucketN, granNanos)
 				}
 				for i, d := range q.GroupBy {
 					gk.Dims[i] = series.at(dimIndex(d))

@@ -305,8 +305,8 @@ func (db *DB) Offload(cutoff time.Time) (OffloadStats, error) {
 	for si := range db.shards {
 		sh := &db.shards[si]
 		sh.mu.RLock()
-		for k, seg := range sh.segments {
-			if seg.start.Add(db.opts.SegmentDuration).Before(cutoff) {
+		for k := range sh.segments {
+			if time.Unix(0, k).Add(db.opts.SegmentDuration).Before(cutoff) {
 				chunkSet[k] = struct{}{}
 			}
 		}
@@ -436,7 +436,7 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 				for i := 0; i < seg.cells.Len(); i++ {
 					k, c := seg.cells.At(i)
 					s := seg.cells.Series(k.Series)
-					cur.cells.Cell(SeriesHash(s.Component, s.Metric), k.Ts, s).Merge(*c)
+					cur.cells.Cell(SeriesHash(s.Component, s.Metric), seg.cells.BucketStart(k.Bucket), s).Merge(*c)
 				}
 				cur.rows += seg.rows
 			} else {
@@ -456,7 +456,7 @@ func (db *DB) offloadChunk(ct *ColdTier, chunkN int64, st *OffloadStats) (err er
 		}
 		for i := 0; i < seg.cells.Len(); i++ {
 			k, c := seg.cells.At(i)
-			cells = append(cells, coldCell{stripe: int32(si), seq: int32(i), ts: k.Ts, series: seg.cells.Series(k.Series), cell: c})
+			cells = append(cells, coldCell{stripe: int32(si), seq: int32(i), ts: seg.cells.BucketStart(k.Bucket), series: seg.cells.Series(k.Series), cell: c})
 		}
 	}
 

@@ -7,6 +7,7 @@
 package tsdb
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -30,7 +31,8 @@ type Options struct {
 	// SegmentDuration is the time-chunk width (default 1h).
 	SegmentDuration time.Duration
 	// RollupInterval is the ingest-time aggregation bucket (default 15s),
-	// reconciling differing sample rates and clock skew.
+	// reconciling differing sample rates and clock skew. A segment holds
+	// at most 2^32-1 buckets (NewCellTable).
 	RollupInterval time.Duration
 	// QueryCacheSize bounds the query-result cache (entries). 0 selects
 	// the default (64); negative disables result caching.
@@ -51,8 +53,7 @@ func (o Options) withDefaults() Options {
 }
 
 type segment struct {
-	start time.Time
-	cells CellTable
+	cells *CellTable
 	rows  int64 // raw observations ingested
 }
 
@@ -153,22 +154,21 @@ func StripeFor(component, metric string) int {
 	return int(shardIndex(component, metric))
 }
 
-// insertLocked rolls one observation into seg; the owning shard's mu
-// must be held. h is the record's SeriesHash and bucketN its
-// epoch-anchored rollup bucket in nanos.
-func insertLocked(sh *dbShard, seg *segment, h uint32, bucketN int64, o *schema.Observation) {
+// insertLocked rolls one observation, which lies in seg's chunk, into
+// seg; the owning shard's mu must be held. h is the record's SeriesHash.
+func insertLocked(sh *dbShard, seg *segment, h uint32, tsn int64, o *schema.Observation) {
 	s := Series{System: o.System, Source: o.Source, Component: o.Component, Metric: o.Metric}
-	seg.cells.Cell(h, bucketN, &s).Add(o.Ts.UnixNano(), o.Value)
+	seg.cells.Cell(h, tsn, &s).Add(tsn, o.Value)
 	seg.rows++
 	sh.ingested++
 }
 
-// segmentLocked returns (creating if needed) the shard's segment for the
-// chunk starting at chunkN nanos; the shard's mu must be held.
-func (sh *dbShard) segmentLocked(chunkN int64) *segment {
+// segmentLocked returns (creating if needed) sh's segment for the chunk
+// starting at chunkN nanos; sh.mu must be held.
+func (db *DB) segmentLocked(sh *dbShard, chunkN int64) *segment {
 	seg, ok := sh.segments[chunkN]
 	if !ok {
-		seg = &segment{start: time.Unix(0, chunkN).UTC()}
+		seg = &segment{cells: NewCellTable(chunkN, int64(db.opts.SegmentDuration), int64(db.opts.RollupInterval))}
 		sh.segments[chunkN] = seg
 	}
 	return seg
@@ -180,7 +180,8 @@ func (sh *dbShard) segmentLocked(chunkN int64) *segment {
 // write passes the lake.insert fault hook and the insert counters. A
 // non-nil error means the fault hook rejected the batch before any
 // observation landed, so the caller may retry the whole batch without
-// double-counting.
+// double-counting. An observation within a segment of either end of the
+// int64 nanosecond range has no representable chunk and is dropped.
 func (db *DB) InsertBatch(obs []schema.Observation) error {
 	n := len(obs)
 	if n == 0 {
@@ -221,7 +222,7 @@ func (db *DB) InsertBatch(obs []schema.Observation) error {
 	// Stagger which stripe each batch starts with: concurrent batches all
 	// walking stripes 0..N in lockstep would convoy on the same mutexes.
 	start := int(db.batchCursor.Add(1)) % shardCount
-	chunkD, bucketD := int64(db.opts.SegmentDuration), int64(db.opts.RollupInterval)
+	chunkD := int64(db.opts.SegmentDuration)
 	for k := 0; k < shardCount; k++ {
 		s := (start + k) % shardCount
 		if counts[s] == 0 {
@@ -229,35 +230,23 @@ func (db *DB) InsertBatch(obs []schema.Observation) error {
 		}
 		sh := &db.shards[s]
 		sh.mu.Lock()
-		// Batch timestamps are overwhelmingly near-monotonic: cache the
-		// current rollup bucket and time chunk (avoiding two int64
-		// divisions per record) and the segment lookup across the run.
-		// The reuse window [winLo, winHi) is the intersection of the
-		// bucket and its chunk, so a bucket straddling a chunk boundary
-		// can never smuggle a record into the wrong segment.
+		// Batch timestamps are overwhelmingly near-monotonic: keep the
+		// current chunk's segment across the run, so a record finds it
+		// without a division or a map lookup, and its cell table finds
+		// the bucket by itself.
 		var seg *segment
-		var chunkN, bucketN int64
-		winLo, winHi := int64(0), int64(-1<<62) // empty: first record computes
-		segChunk := int64(-1 << 62)
+		chunkN := int64(0)
 		for _, oi := range order[pos[s]-counts[s] : pos[s]] {
 			o := &obs[oi]
 			tsn := o.Ts.UnixNano()
-			if tsn < winLo || tsn >= winHi {
-				chunkN = tsn - FloorMod(tsn, chunkD)
-				bucketN = tsn - FloorMod(tsn, bucketD)
-				winLo, winHi = bucketN, bucketN+bucketD
-				if chunkN > winLo {
-					winLo = chunkN
+			if seg == nil || uint64(tsn-chunkN) >= uint64(chunkD) {
+				if chunkN = tsn - FloorMod(tsn, chunkD); chunkN > tsn || chunkN > math.MaxInt64-chunkD {
+					seg = nil
+					continue
 				}
-				if chunkN+chunkD < winHi {
-					winHi = chunkN + chunkD
-				}
+				seg = db.segmentLocked(sh, chunkN)
 			}
-			if seg == nil || chunkN != segChunk {
-				seg = sh.segmentLocked(chunkN)
-				segChunk = chunkN
-			}
-			insertLocked(sh, seg, hashes[oi], bucketN, o)
+			insertLocked(sh, seg, hashes[oi], tsn, o)
 		}
 		sh.version.Add(1)
 		sh.mu.Unlock()
@@ -287,8 +276,8 @@ func (db *DB) Retain(cutoff time.Time) int {
 		sh := &db.shards[si]
 		sh.mu.Lock()
 		before := len(sh.segments)
-		for k, seg := range sh.segments {
-			if seg.start.Add(db.opts.SegmentDuration).Before(cutoff) {
+		for k := range sh.segments {
+			if time.Unix(0, k).Add(db.opts.SegmentDuration).Before(cutoff) {
 				delete(sh.segments, k)
 				dropped[k] = struct{}{}
 			}

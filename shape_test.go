@@ -660,13 +660,13 @@ func (fr *FileReader) ScanColumns() { for _, g := range fr.groups { p.matches(fr
 			return out
 		},
 		breaks: map[string]string{"internal/tsdb/kernel.go": `package tsdb
-func (t *GroupTable) fold(p *Plan, dict []Series, gids []uint32, keys []Key) {
+func (t *GroupTable) fold(p *Plan, g *grid, dict []Series, gids []uint32, keys []Key) {
 	for i := range keys {
 		if g := gids[keys[i].Series]; g == 0 {
 			gids[keys[i].Series] = 1
 		}
 		if p.Match(&dict[keys[i].Series]) {
-			t.accumulate(p, keys[i].Ts, gids[keys[i].Series], nil)
+			t.accumulate(p, g.origin+int64(keys[i].Bucket)*g.width, gids[keys[i].Series], nil)
 		}
 	}
 }`},
@@ -776,7 +776,7 @@ func wait(q url.Values) string { return q.Get("wait") }`,
 		},
 	},
 	{
-		name: "a series is an integer: tsdb.Key holds integers only",
+		name: "a series is an integer: tsdb.Key is two 32-bit integers",
 		check: func(files []srcFile) (out []string) {
 			found := false
 			inspect(files, within("internal/tsdb"), func(s srcFile, n ast.Node) {
@@ -786,13 +786,13 @@ func wait(q url.Values) string { return q.Get("wait") }`,
 				}
 				found = true
 				st, ok := ts.Type.(*ast.StructType)
-				if !ok {
-					out = append(out, s.path+": tsdb.Key is not a struct of integers")
+				if !ok || st.Fields.NumFields() != 2 {
+					out = append(out, s.path+": tsdb.Key is not a struct of two fields: a key is a bucket ordinal and a series id")
 					return
 				}
 				for _, fl := range st.Fields.List {
-					if id, ok := fl.Type.(*ast.Ident); !ok || !integerTypes[id.Name] {
-						out = append(out, fmt.Sprintf("%s: tsdb.Key field %v is %s: a key is a bucket and a series id, no string, slice, map or pointer",
+					if id, ok := fl.Type.(*ast.Ident); !ok || id.Name != "uint32" && id.Name != "int32" {
+						out = append(out, fmt.Sprintf("%s: tsdb.Key field %v is %s: a key is two 32-bit integers — the bucket's ordinal on its table's grid and a series id",
 							s.path, fl.Names, exprString(fl.Type)))
 					}
 				}
@@ -804,10 +804,53 @@ func wait(q url.Values) string { return q.Get("wait") }`,
 		},
 		breaks: map[string]string{"internal/tsdb/kernel.go": `package tsdb
 type Key struct {
-	Ts                                int64
-	System, Source, Component, Metric string
-	Tags                              map[string]string
+	Ts     int64
+	Series uint32
 }`},
+	},
+	{
+		name: "a cell is found by arithmetic: CellTable keeps no cell probe index",
+		check: func(files []srcFile) (out []string) {
+			tsdb := within("internal/tsdb")
+			out = forbid(decls(files, tsdb), "a cell's place is its bucket's ordinal on the table's grid, through its series' run",
+				"func cellHash", "func CellTable.probe", "CellTable.index")
+			// An open-addressed index is a slice of entries carrying a hash.
+			hashed := map[string]bool{}
+			inspect(files, tsdb, func(_ srcFile, n ast.Node) {
+				if ts, ok := n.(*ast.TypeSpec); ok {
+					if st, ok := ts.Type.(*ast.StructType); ok {
+						for _, fl := range st.Fields.List {
+							for _, name := range fl.Names {
+								hashed[ts.Name.Name] = hashed[ts.Name.Name] || name.Name == "hash"
+							}
+						}
+					}
+				}
+			})
+			inspect(files, tsdb, func(s srcFile, n ast.Node) {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok || ts.Name.Name != "CellTable" {
+					return
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					return
+				}
+				for _, fl := range st.Fields.List {
+					if at, ok := fl.Type.(*ast.ArrayType); ok && hashed[lastName(at.Elt)] {
+						out = append(out, fmt.Sprintf("%s: CellTable field %v is a probe index (%s)", s.path, fl.Names, exprString(fl.Type)))
+					}
+				}
+			})
+			return out
+		},
+		breaks: map[string]string{"internal/tsdb/kernel.go": `package tsdb
+type slot struct{ hash uint32; idx int32 }
+type CellTable struct {
+	cells []slot
+	n     int
+}
+func cellHash(seriesH uint32, bucketN int64) uint32 { return seriesH }`},
 	},
 	{
 		name: "a series is an integer: no Key is built from dimension strings",
