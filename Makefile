@@ -39,10 +39,11 @@ test:
 # and cell-table growth ones, the grouped and filtered cold folds (on the
 # harness's shape and on unlapped telemetry), the replicated ingest loop, the
 # CQ pump's checkpoint of a 61 440-cell view (B/ckpt) and the
-# Silver job's windowed fold + SQL query run once each so they cannot rot
-# either.
+# Silver job's windowed fold + SQL query, and the generator's cost per
+# record on each source, run once each so they cannot rot either.
 bench-smoke:
 	(cd benchmark && $(GO) vet ./... && $(GO) test ./...)
+	$(GO) test -bench 'EmitSource' -benchtime 1x -run xxx ./internal/telemetry
 	$(GO) test -bench 'EncodeObservationRow|DecodeObservationRow' -benchtime 1x -run xxx ./internal/schema
 	$(GO) test -bench 'PartitionAppendFetch' -benchtime 1x -run xxx ./internal/stream
 	$(GO) test -bench 'ScanColumnsCold|WriteTelemetry' -benchtime 1x -run xxx ./internal/columnar
@@ -74,10 +75,11 @@ loc-delta:
 # httpapi handlers + prepared-query registry), and the continuous-query
 # engine (concurrent Apply/Read/Subscribe/checkpoint under a live pump),
 # the replicated cluster (quorum publish with its concurrent flush wave
-# and ascending multi-partition locking, failover, scatter-gather), and
-# the per-node WAL (concurrent appends/syncs against replay and close).
+# and ascending multi-partition locking, failover, scatter-gather),
+# the per-node WAL (concurrent appends/syncs against replay and close),
+# and the telemetry generator (one Generator emitting on many goroutines).
 race:
-	$(GO) test -race ./internal/schema ./internal/stream ./internal/plane ./internal/tsdb ./internal/core ./internal/logsearch ./internal/columnar ./internal/faults ./internal/resilience ./internal/sproc ./internal/obs ./internal/objstore ./internal/archive ./internal/gateway ./internal/httpapi ./internal/cq ./internal/cluster ./internal/wal
+	$(GO) test -race ./internal/telemetry ./internal/schema ./internal/stream ./internal/plane ./internal/tsdb ./internal/core ./internal/logsearch ./internal/columnar ./internal/faults ./internal/resilience ./internal/sproc ./internal/obs ./internal/objstore ./internal/archive ./internal/gateway ./internal/httpapi ./internal/cq ./internal/cluster ./internal/wal
 
 # Chaos pass: the full pipeline under deterministic fault injection with
 # the race detector on. ODA_CHAOS_SEED pins the injection schedule so a

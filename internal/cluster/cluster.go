@@ -73,7 +73,9 @@ type Config struct {
 	// trades durability for availability under partitions.
 	Quorum int
 	// LakeOptions configures every node's tsdb store. All nodes must
-	// share one geometry or re-replication would re-bucket cells.
+	// share one geometry or re-replication would re-bucket cells, and New
+	// refuses a geometry whose stripes a resync cannot rebuild
+	// (tsdb.Options.CheckResync).
 	LakeOptions tsdb.Options
 	// Retry shapes the replication/insert/query retry loops
 	// (resilience.Policy defaults apply).
@@ -235,6 +237,9 @@ func New(nodeIDs []string, cfg Config) (*Cluster, error) {
 		seen[id] = true
 	}
 	cfg = cfg.withDefaults(len(nodeIDs))
+	if err := cfg.LakeOptions.CheckResync(); err != nil {
+		return nil, fmt.Errorf("cluster: %w", err)
+	}
 	c := &Cluster{
 		cfg:       cfg,
 		transport: newTransport(),

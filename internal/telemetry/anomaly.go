@@ -73,7 +73,7 @@ func (a Anomaly) progress(t time.Time) float64 {
 }
 
 // applyAnomalies post-processes a power_temp reading for active incidents.
-// Called from sample(); returns the possibly modified value.
+// Called from EmitSource; returns the possibly modified value.
 func (g *Generator) applyAnomalies(node int, metric string, tick time.Time, v float64) float64 {
 	for _, a := range g.cfg.Anomalies {
 		if !a.active(node, tick) {
@@ -125,7 +125,8 @@ func metricIndexPowerTemp(name string) int {
 
 // sampleClean computes a reading without anomaly post-processing.
 func (g *Generator) sampleClean(src Source, comp, m int, tick time.Time) float64 {
-	_, v := g.sampleBase(src, comp, m, tick, 0)
+	k := sampleKey{g.componentStreams(hashStr(string(src)), comp), uint64(m), uint64(tick.UnixNano())}
+	_, v := g.sampleBase(src, comp, m, k, g.componentLoad(src, comp, tick), 0)
 	return v
 }
 

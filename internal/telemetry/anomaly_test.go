@@ -19,7 +19,7 @@ func anomalyConfig(seed int64, a ...Anomaly) SystemConfig {
 func metricSeries(t *testing.T, g *Generator, node int, metric string, from, to time.Time) []float64 {
 	t.Helper()
 	var out []float64
-	comp := g.componentName(SourcePowerTemp, node)
+	comp := g.components(SourcePowerTemp, node+1)[node].name
 	err := g.EmitSource(SourcePowerTemp, from, to, func(o schema.Observation) error {
 		if o.Component == comp && o.Metric == metric {
 			out = append(out, o.Value)

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 	"time"
 
 	"odakit/internal/jobsched"
@@ -64,95 +66,160 @@ func (g *Generator) TotalPower(t time.Time) float64 {
 	return sum
 }
 
+// streams are a component's per-sample hash streams, sample loss and the
+// two noise draws, each a hash64 state already folded over (system, seed,
+// stream tag, source hash, component).
+type streams struct{ loss, noise1, noise2 uint64 }
+
+func (g *Generator) componentStreams(srcH uint64, comp int) streams {
+	pre := func(tag uint64) uint64 { return hash64(g.sys, uint64(g.cfg.Seed), tag, srcH, uint64(comp)) }
+	return streams{loss: pre(0x1055), noise1: pre(0xa0), noise2: pre(0xb1)}
+}
+
+// sampleKey names one reading: its component's streams, its metric and
+// its tick.
+type sampleKey struct {
+	streams
+	m, ts uint64
+}
+
+// draw finishes a stream with the reading's metric and tick: the hash64
+// of the stream's five values and these two.
+func (k sampleKey) draw(stream uint64) uint64 { return mix(mix(stream, k.m), k.ts) }
+
 // noise applies multiplicative Gaussian sensor noise keyed by identity.
-func (g *Generator) noise(v float64, key ...uint64) float64 {
+func (g *Generator) noise(v float64, k sampleKey) float64 {
 	if g.cfg.NoiseFrac <= 0 {
 		return v
 	}
-	h1 := hash64(append([]uint64{g.sys, uint64(g.cfg.Seed), 0xa0}, key...)...)
-	h2 := hash64(append([]uint64{g.sys, uint64(g.cfg.Seed), 0xb1}, key...)...)
-	return v * (1 + g.cfg.NoiseFrac*gauss(h1, h2))
+	return v * (1 + g.cfg.NoiseFrac*gauss(k.draw(k.noise1), k.draw(k.noise2)))
 }
 
 // lost reports whether this sample is dropped by the loss model.
-func (g *Generator) lost(key ...uint64) bool {
+func (g *Generator) lost(k sampleKey) bool {
 	if g.cfg.LossRate <= 0 {
 		return false
 	}
-	h := hash64(append([]uint64{g.sys, uint64(g.cfg.Seed), 0x1055}, key...)...)
-	return unit(h) < g.cfg.LossRate
+	return unit(k.draw(k.loss)) < g.cfg.LossRate
 }
 
-// skew returns the fixed clock offset of a component within a source.
-func (g *Generator) skew(src Source, component int) time.Duration {
+// skew returns the fixed clock offset of a component within the source
+// whose name hashes to srcH.
+func (g *Generator) skew(srcH uint64, component int) time.Duration {
 	if g.cfg.SkewMax <= 0 {
 		return 0
 	}
-	h := hash64(g.sys, uint64(g.cfg.Seed), hashStr(string(src)), uint64(component), 0x5be3)
+	h := hash64(g.sys, uint64(g.cfg.Seed), srcH, uint64(component), 0x5be3)
 	return time.Duration(unit(h) * float64(g.cfg.SkewMax))
 }
 
 // Sink receives generated observations. Returning an error aborts emission.
 type Sink func(schema.Observation) error
 
+// firstTick is the first multiple of interval at or after from.
+func firstTick(from time.Time, interval time.Duration) time.Time {
+	tick := from.Truncate(interval)
+	if tick.Before(from) {
+		tick = tick.Add(interval)
+	}
+	return tick
+}
+
 // EmitSource generates all observations of one source whose nominal tick
 // falls in [from, to), invoking sink for each surviving (non-lost) sample
 // in deterministic order: tick-major, then component, then metric.
+//
+// What readings share is computed once: the source's components per call,
+// the machine's power per tick, a component's load per tick. A record
+// allocates nothing.
 func (g *Generator) EmitSource(src Source, from, to time.Time, sink Sink) error {
 	spec, ok := g.cfg.Spec(src)
 	if !ok {
 		return fmt.Errorf("telemetry: unknown source %q", src)
 	}
-	for tick := from.Truncate(spec.Interval); tick.Before(to); tick = tick.Add(spec.Interval) {
-		if tick.Before(from) {
-			continue
+	comps := g.components(src, spec.Components)
+	for tick := firstTick(from, spec.Interval); tick.Before(to); tick = tick.Add(spec.Interval) {
+		var totalPower float64
+		if src == SourceFacility {
+			totalPower = g.TotalPower(tick)
 		}
-		if err := g.emitTick(src, spec, tick, sink); err != nil {
-			return err
+		ts := uint64(tick.UnixNano())
+		for c := range comps {
+			comp := &comps[c]
+			sampleTs := tick.Add(comp.skew)
+			ld := g.componentLoad(src, c, tick)
+			for m := 0; m < spec.Metrics; m++ {
+				k := sampleKey{comp.streams, uint64(m), ts}
+				if g.lost(k) {
+					continue
+				}
+				name, value := g.sampleBase(src, c, m, k, ld, totalPower)
+				if src == SourcePowerTemp && len(g.cfg.Anomalies) > 0 {
+					value = g.applyAnomalies(c, name, tick, value)
+				}
+				obs := schema.Observation{
+					Ts: sampleTs, System: g.cfg.Name, Source: string(src),
+					Component: comp.name, Metric: name, Value: value,
+				}
+				if err := sink(obs); err != nil {
+					return err
+				}
+			}
 		}
 	}
 	return nil
 }
 
-func (g *Generator) emitTick(src Source, spec SourceSpec, tick time.Time, sink Sink) error {
-	var totalPower float64
-	if src == SourceFacility {
-		totalPower = g.TotalPower(tick) // memoized per tick by computing once here
-	}
-	ts := uint64(tick.UnixNano())
+// component is what one component of a source keeps across the ticks of
+// an EmitSource call.
+type component struct {
+	name string
+	skew time.Duration
+	streams
+}
+
+// components builds a source's n components. Their names are written into
+// one string that all of them share, so the table costs two allocations
+// however many components there are.
+func (g *Generator) components(src Source, n int) []component {
 	srcH := hashStr(string(src))
-	for comp := 0; comp < spec.Components; comp++ {
-		sampleTs := tick.Add(g.skew(src, comp))
-		for m := 0; m < spec.Metrics; m++ {
-			if g.lost(srcH, uint64(comp), uint64(m), ts) {
-				continue
-			}
-			name, value := g.sample(src, comp, m, tick, totalPower)
-			obs := schema.Observation{
-				Ts: sampleTs, System: g.cfg.Name, Source: string(src),
-				Component: g.componentName(src, comp), Metric: name, Value: value,
-			}
-			if err := sink(obs); err != nil {
-				return err
-			}
-		}
+	var sb strings.Builder
+	sb.Grow(16 * n)
+	var buf [32]byte
+	comps := make([]component, n)
+	for c := range comps {
+		start := sb.Len()
+		sb.Write(g.appendComponentName(buf[:0], src, c))
+		comps[c] = component{name: sb.String()[start:], skew: g.skew(srcH, c), streams: g.componentStreams(srcH, c)}
 	}
-	return nil
+	return comps
 }
 
-func (g *Generator) componentName(src Source, comp int) string {
+func (g *Generator) appendComponentName(b []byte, src Source, comp int) []byte {
 	switch src {
 	case SourceGPU:
-		return fmt.Sprintf("node%05d.gpu%d", comp/g.cfg.GPUsPerNode, comp%g.cfg.GPUsPerNode)
+		b = appendPadded(append(b, "node"...), comp/g.cfg.GPUsPerNode, 5)
+		return strconv.AppendInt(append(b, ".gpu"...), int64(comp%g.cfg.GPUsPerNode), 10)
 	case SourceStorageSystem:
-		return fmt.Sprintf("oss%04d", comp)
+		return appendPadded(append(b, "oss"...), comp, 4)
 	case SourceFabric:
-		return fmt.Sprintf("switch%04d", comp)
+		return appendPadded(append(b, "switch"...), comp, 4)
 	case SourceFacility:
-		return fmt.Sprintf("cep%04d", comp)
+		return appendPadded(append(b, "cep"...), comp, 4)
 	default:
-		return fmt.Sprintf("node%05d", comp)
+		return appendPadded(append(b, "node"...), comp, 5)
 	}
+}
+
+// appendPadded appends v in decimal, zero-padded to width digits: what
+// fmt's %0<width>d prints.
+func appendPadded(b []byte, v, width int) []byte {
+	var d [20]byte
+	digits := strconv.AppendInt(d[:0], int64(v), 10)
+	for i := len(digits); i < width; i++ {
+		b = append(b, '0')
+	}
+	return append(b, digits...)
 }
 
 // facility sensor channel kinds, cycled by sensor index.
@@ -160,125 +227,146 @@ var facilityKinds = []string{
 	"supply_temp_c", "return_temp_c", "flow_lps", "pump_kw", "cep_power_kw", "valve_pos_pct",
 }
 
-// sample computes (metric name, value) for one reading, including any
-// active injected anomalies.
-func (g *Generator) sample(src Source, comp, m int, tick time.Time, totalPower float64) (string, float64) {
-	name, v := g.sampleBase(src, comp, m, tick, totalPower)
-	if src == SourcePowerTemp && len(g.cfg.Anomalies) > 0 {
-		v = g.applyAnomalies(comp, name, tick, v)
+// The metric names that carry an index, formatted once.
+var (
+	gpuPowerNames = indexedNames("gpu%d_power_w", 4)
+	ctrNames      = indexedNames("ctr_%02d", perfMetrics)
+	srvCtrNames   = indexedNames("srv_ctr_%02d", storageSrvM)
+	swCtrNames    = indexedNames("sw_ctr_%02d", fabricSrvM)
+)
+
+func indexedNames(format string, n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf(format, i)
 	}
-	return name, v
+	return names
 }
 
-// sampleBase computes the anomaly-free reading.
-func (g *Generator) sampleBase(src Source, comp, m int, tick time.Time, totalPower float64) (string, float64) {
-	ts := uint64(tick.UnixNano())
-	key := []uint64{hashStr(string(src)), uint64(comp), uint64(m), ts}
+// compLoad is what every reading of one component at one tick shares:
+// its node's job and that job's load shape on a compute source, its
+// background load on a server-side one.
+type compLoad struct {
+	shape float64
+	job   *jobsched.Job
+}
+
+func (g *Generator) componentLoad(src Source, comp int, tick time.Time) compLoad {
+	switch src {
+	case SourcePowerTemp, SourcePerfCounters, SourceStorageClient, SourceFabricClient:
+		shape, j := g.jobShape(comp, tick)
+		return compLoad{shape, j}
+	case SourceGPU:
+		shape, j := g.jobShape(comp/g.cfg.GPUsPerNode, tick)
+		return compLoad{shape, j}
+	case SourceStorageSystem, SourceFabric:
+		// Server load follows a diurnal curve plus hashed per-server bias.
+		return compLoad{shape: g.background(comp, tick)}
+	default:
+		return compLoad{}
+	}
+}
+
+// sampleBase computes the anomaly-free (metric name, value) of one
+// reading from its component's load, or for the facility from the
+// machine's total power.
+func (g *Generator) sampleBase(src Source, comp, m int, k sampleKey, ld compLoad, totalPower float64) (string, float64) {
+	shape := ld.shape
 	switch src {
 	case SourcePowerTemp:
-		shape, _ := g.jobShape(comp, tick)
 		dyn := shape * (g.cfg.MaxPowerW - g.cfg.IdlePowerW)
 		switch m {
 		case 0:
-			return "node_power_w", g.noise(g.cfg.IdlePowerW+dyn, key...)
+			return "node_power_w", g.noise(g.cfg.IdlePowerW+dyn, k)
 		case 1:
-			return "cpu_power_w", g.noise(0.15*g.cfg.IdlePowerW+0.2*dyn, key...)
+			return "cpu_power_w", g.noise(0.15*g.cfg.IdlePowerW+0.2*dyn, k)
 		case 2, 3, 4, 5:
-			i := m - 2
-			return fmt.Sprintf("gpu%d_power_w", i), g.noise(0.1*g.cfg.IdlePowerW+0.18*dyn, key...)
+			return gpuPowerNames[m-2], g.noise(0.1*g.cfg.IdlePowerW+0.18*dyn, k)
 		case 6:
-			return "cpu_temp_c", g.noise(30+40*shape, key...)
+			return "cpu_temp_c", g.noise(30+40*shape, k)
 		case 7:
-			return "gpu_temp_c", g.noise(33+45*shape, key...)
+			return "gpu_temp_c", g.noise(33+45*shape, k)
 		case 8:
-			return "mem_power_w", g.noise(0.08*g.cfg.IdlePowerW+0.06*dyn, key...)
+			return "mem_power_w", g.noise(0.08*g.cfg.IdlePowerW+0.06*dyn, k)
 		default:
-			return "inlet_temp_c", g.noise(32+0.5*shape, key...)
+			return "inlet_temp_c", g.noise(32+0.5*shape, k)
 		}
 	case SourcePerfCounters:
-		shape, _ := g.jobShape(comp, tick)
 		// Counter rates scale with load; each counter has its own magnitude.
 		mag := float64(uint64(1) << (10 + m%20))
-		return fmt.Sprintf("ctr_%02d", m), g.noise(mag*(0.05+shape), key...)
+		return ctrNames[m], g.noise(mag*(0.05+shape), k)
 	case SourceGPU:
-		node := comp / g.cfg.GPUsPerNode
-		shape, _ := g.jobShape(node, tick)
 		switch m {
 		case 0:
-			return "gpu_util_pct", clamp(g.noise(100*shape, key...), 0, 100)
+			return "gpu_util_pct", clamp(g.noise(100*shape, k), 0, 100)
 		case 1:
-			return "occupancy_pct", clamp(g.noise(80*shape, key...), 0, 100)
+			return "occupancy_pct", clamp(g.noise(80*shape, k), 0, 100)
 		case 2:
-			return "mem_used_gb", clamp(g.noise(8+100*shape, key...), 0, 128)
+			return "mem_used_gb", clamp(g.noise(8+100*shape, k), 0, 128)
 		case 3:
-			return "mem_bw_gbps", clamp(g.noise(1600*shape, key...), 0, 3200)
+			return "mem_bw_gbps", clamp(g.noise(1600*shape, k), 0, 3200)
 		default:
-			return "sm_clock_mhz", clamp(g.noise(800+900*shape, key...), 500, 2100)
+			return "sm_clock_mhz", clamp(g.noise(800+900*shape, k), 500, 2100)
 		}
 	case SourceStorageClient:
-		shape, j := g.jobShape(comp, tick)
 		io := 0.1 * shape
-		if j != nil && j.Profile == jobsched.ProfileSpiky {
+		if ld.job != nil && ld.job.Profile == jobsched.ProfileSpiky {
 			io = shape // IO-bound jobs move data in their spikes
 		}
 		switch m {
 		case 0:
-			return "read_bytes_mbps", g.noise(2000*io, key...)
+			return "read_bytes_mbps", g.noise(2000*io, k)
 		case 1:
-			return "write_bytes_mbps", g.noise(1200*io, key...)
+			return "write_bytes_mbps", g.noise(1200*io, k)
 		case 2:
-			return "read_ops", g.noise(5000*io, key...)
+			return "read_ops", g.noise(5000*io, k)
 		case 3:
-			return "write_ops", g.noise(3000*io, key...)
+			return "write_ops", g.noise(3000*io, k)
 		case 4:
-			return "opens", g.noise(20*io, key...)
+			return "opens", g.noise(20*io, k)
 		default:
-			return "metadata_ops", g.noise(800*io, key...)
+			return "metadata_ops", g.noise(800*io, k)
 		}
 	case SourceFabricClient:
-		shape, _ := g.jobShape(comp, tick)
 		switch m {
 		case 0:
-			return "tx_mbps", g.noise(9000*shape, key...)
+			return "tx_mbps", g.noise(9000*shape, k)
 		case 1:
-			return "rx_mbps", g.noise(9000*shape, key...)
+			return "rx_mbps", g.noise(9000*shape, k)
 		case 2:
-			return "tx_pkts_k", g.noise(800*shape, key...)
+			return "tx_pkts_k", g.noise(800*shape, k)
 		case 3:
-			return "rx_pkts_k", g.noise(800*shape, key...)
+			return "rx_pkts_k", g.noise(800*shape, k)
 		case 4:
-			return "congestion_pct", clamp(g.noise(25*shape, key...), 0, 100)
+			return "congestion_pct", clamp(g.noise(25*shape, k), 0, 100)
 		default:
-			return "retries", g.noise(4*shape, key...)
+			return "retries", g.noise(4*shape, k)
 		}
 	case SourceStorageSystem:
-		// Server load follows a diurnal curve plus hashed per-server bias.
-		load := g.background(comp, tick)
-		return fmt.Sprintf("srv_ctr_%02d", m), g.noise(1000*load*float64(1+m%4), key...)
+		return srvCtrNames[m], g.noise(1000*shape*float64(1+m%4), k)
 	case SourceFabric:
-		load := g.background(comp, tick)
-		return fmt.Sprintf("sw_ctr_%02d", m), g.noise(5000*load*float64(1+m%3), key...)
+		return swCtrNames[m], g.noise(5000*shape*float64(1+m%3), k)
 	case SourceFacility:
 		kind := facilityKinds[comp%len(facilityKinds)]
 		mw := totalPower / 1e6
 		switch kind {
 		case "supply_temp_c":
-			return kind, g.noise(32, key...)
+			return kind, g.noise(32, k)
 		case "return_temp_c":
 			// Water heats with load: ~4 C swing across the power range.
 			span := g.cfg.MaxPowerW * float64(g.cfg.Nodes) / 1e6
-			return kind, g.noise(32+6*mw/span, key...)
+			return kind, g.noise(32+6*mw/span, k)
 		case "flow_lps":
-			return kind, g.noise(300+40*mw, key...)
+			return kind, g.noise(300+40*mw, k)
 		case "pump_kw":
-			return kind, g.noise(50+8*mw, key...)
+			return kind, g.noise(50+8*mw, k)
 		case "cep_power_kw":
-			return kind, g.noise(totalPower/1000*1.06, key...) // + conversion losses
+			return kind, g.noise(totalPower/1000*1.06, k) // + conversion losses
 		default:
-			return kind, clamp(g.noise(40+3*mw, key...), 0, 100)
+			return kind, clamp(g.noise(40+3*mw, k), 0, 100)
 		}
 	default:
-		return "value", unit(hash64(key...))
+		panic(fmt.Sprintf("telemetry: no model for source %q", src))
 	}
 }
 
@@ -310,6 +398,12 @@ func clamp(v, lo, hi float64) float64 {
 // EmitSource into the broker.
 func (g *Generator) CollectSource(src Source, from, to time.Time) ([]schema.Observation, error) {
 	var out []schema.Observation
+	if spec, ok := g.cfg.Spec(src); ok && spec.Interval > 0 {
+		if first := firstTick(from, spec.Interval); first.Before(to) {
+			ticks := int((to.Sub(first)-1)/spec.Interval) + 1
+			out = make([]schema.Observation, 0, ticks*spec.Components*spec.Metrics)
+		}
+	}
 	err := g.EmitSource(src, from, to, func(o schema.Observation) error {
 		out = append(out, o)
 		return nil

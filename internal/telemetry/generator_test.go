@@ -1,7 +1,11 @@
 package telemetry
 
 import (
+	"fmt"
 	"math"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -117,13 +121,6 @@ func TestEmitDeterministicAndOrderIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tail []int
-	for i, o := range a {
-		if !o.Ts.Before(mid.Add(g.skew(SourcePowerTemp, 0))) && i >= len(a)-len(second) {
-			tail = append(tail, i)
-		}
-	}
-	_ = tail // alignment checked below by direct comparison
 	if len(second) == 0 {
 		t.Fatal("sub-window emitted nothing")
 	}
@@ -269,8 +266,8 @@ func TestSkewIsBoundedAndStable(t *testing.T) {
 	cfg := smallConfig(8)
 	g := NewGenerator(cfg, nil)
 	for comp := 0; comp < 10; comp++ {
-		s1 := g.skew(SourcePowerTemp, comp)
-		s2 := g.skew(SourcePowerTemp, comp)
+		s1 := g.skew(hashStr(string(SourcePowerTemp)), comp)
+		s2 := g.skew(hashStr(string(SourcePowerTemp)), comp)
 		if s1 != s2 {
 			t.Fatal("skew must be a fixed per-component offset")
 		}
@@ -283,14 +280,20 @@ func TestSkewIsBoundedAndStable(t *testing.T) {
 func TestComponentNames(t *testing.T) {
 	cfg := smallConfig(9)
 	g := NewGenerator(cfg, nil)
-	if got := g.componentName(SourceGPU, cfg.GPUsPerNode+2); got != "node00001.gpu2" {
+	if got := g.components(SourceGPU, 2*cfg.GPUsPerNode)[cfg.GPUsPerNode+2].name; got != "node00001.gpu2" {
 		t.Fatalf("gpu component = %q", got)
 	}
-	if got := g.componentName(SourcePowerTemp, 3); got != "node00003" {
+	if got := g.components(SourcePowerTemp, 4)[3].name; got != "node00003" {
 		t.Fatalf("node component = %q", got)
 	}
-	if got := g.componentName(SourceFacility, 1); got != "cep0001" {
+	if got := g.components(SourceFacility, 2)[1].name; got != "cep0001" {
 		t.Fatalf("facility component = %q", got)
+	}
+	// A number wider than its padding prints whole, as %05d does.
+	for _, v := range []int{0, 7, 42, 9999, 12345, 123456} {
+		if got, want := string(appendPadded([]byte("node"), v, 5)), fmt.Sprintf("node%05d", v); got != want {
+			t.Fatalf("appendPadded(%d) = %q, want %q", v, got, want)
+		}
 	}
 }
 
@@ -384,22 +387,6 @@ type errSentinel struct{}
 
 func (errSentinel) Error() string { return "sentinel" }
 
-func BenchmarkEmitPowerTemp(b *testing.B) {
-	cfg := FrontierLike(1).Scaled(64)
-	sched := testSchedule(b, cfg.Nodes)
-	g := NewGenerator(cfg, sched)
-	b.ReportAllocs()
-	var n int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = g.EmitSource(SourcePowerTemp, t0, t0.Add(time.Second), func(schema.Observation) error {
-			n++
-			return nil
-		})
-	}
-	b.ReportMetric(float64(n)/float64(b.N), "records/op")
-}
-
 func TestEverySourceEmitsPlausibleValues(t *testing.T) {
 	cfg := smallConfig(33)
 	cfg.LossRate = 0
@@ -469,5 +456,98 @@ func TestBackgroundLoadDiurnal(t *testing.T) {
 	}
 	if afternoon, dawn := at(15), at(3); afternoon <= dawn {
 		t.Fatalf("diurnal pattern missing: 15h load %v <= 3h load %v", afternoon, dawn)
+	}
+}
+
+// emitWindow is a window of src long enough to emit at least minRecords
+// records at the generator's scale, so what an EmitSource call spends
+// once (its component names) is amortized whatever the source's size.
+func emitWindow(cfg SystemConfig, src Source, minRecords int) time.Duration {
+	spec, _ := cfg.Spec(src)
+	return spec.Interval * time.Duration(minRecords/(spec.Components*spec.Metrics)+1)
+}
+
+// TestEmitSourceAllocs bounds what generating a record allocates: nothing
+// per record. An EmitSource call builds its source's component names
+// once, so over a window of 10 000 records or more that is at most 0.01
+// allocations per record, on every source.
+func TestEmitSourceAllocs(t *testing.T) {
+	cfg := smallConfig(14)
+	g := NewGenerator(cfg, testSchedule(t, cfg.Nodes))
+	for _, src := range MetricSources {
+		win := emitWindow(cfg, src, 10000)
+		var n int
+		sink := func(schema.Observation) error { n++; return nil }
+		allocs := testing.AllocsPerRun(2, func() {
+			if err := g.EmitSource(src, t0, t0.Add(win), sink); err != nil {
+				t.Fatal(err)
+			}
+		})
+		perRecord := allocs * 3 / float64(n) // AllocsPerRun runs 3 windows
+		t.Logf("%s: %.0f allocations per window of %d records", src, allocs, n/3)
+		if perRecord > 0.01 {
+			t.Errorf("%s: %.4f allocations per record, want at most 0.01", src, perRecord)
+		}
+	}
+}
+
+// TestGeneratorConcurrentEmitIdentical emits one window from one Generator
+// on four goroutines at once: a generator keeps no mutable state, so all
+// four get the same records as a lone caller does. Run under -race.
+func TestGeneratorConcurrentEmitIdentical(t *testing.T) {
+	g, from, _ := digestGenerator(t)
+	to := from.Add(20 * time.Second)
+	for _, src := range MetricSources {
+		want, err := g.CollectSource(src, from, to)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := make([][]schema.Observation, 4)
+		errs := make([]error, len(got))
+		var wg sync.WaitGroup
+		for i := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[i], errs[i] = g.CollectSource(src, from, to)
+			}()
+		}
+		wg.Wait()
+		for i := range got {
+			if errs[i] != nil {
+				t.Fatal(errs[i])
+			}
+			if !slices.Equal(got[i], want) {
+				t.Fatalf("%s: goroutine %d emitted %d records that differ from a lone caller's %d", src, i, len(got[i]), len(want))
+			}
+		}
+	}
+}
+
+// BenchmarkEmitSource generates each metric source of a 64-node system
+// under a job schedule, a window of at least 10 000 records per op
+// stepping through the schedule, and reports what one record costs.
+func BenchmarkEmitSource(b *testing.B) {
+	cfg := FrontierLike(1).Scaled(64)
+	g := NewGenerator(cfg, testSchedule(b, cfg.Nodes))
+	for _, src := range MetricSources {
+		b.Run(string(src), func(b *testing.B) {
+			win := emitWindow(cfg, src, 10000)
+			var n int64
+			sink := func(schema.Observation) error { n++; return nil }
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				from := t0.Add(time.Duration(i%16) * win)
+				if err := g.EmitSource(src, from, from.Add(win), sink); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(n), "ns/record")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(n), "allocs/record")
+		})
 	}
 }

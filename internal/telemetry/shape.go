@@ -76,12 +76,19 @@ func ProfileShape(kind jobsched.ProfileKind, elapsed, period time.Duration, phas
 func hash64(vals ...uint64) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, v := range vals {
-		h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
-		h *= 0xbf58476d1ce4e5b9
-		h ^= h >> 27
-		h *= 0x94d049bb133111eb
-		h ^= h >> 31
+		h = mix(h, v)
 	}
+	return h
+}
+
+// mix folds one value into a hash64 state: hash64(a, b) is
+// mix(hash64(a), b), so a hash over a shared prefix can be resumed.
+func mix(h, v uint64) uint64 {
+	h ^= v + 0x9e3779b97f4a7c15 + (h << 6) + (h >> 2)
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
 	return h
 }
 

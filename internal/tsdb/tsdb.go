@@ -7,6 +7,7 @@
 package tsdb
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -50,6 +51,22 @@ func (o Options) withDefaults() Options {
 		o.QueryCacheSize = 64
 	}
 	return o
+}
+
+// CheckResync reports whether stores with these options (after the
+// defaults) can rebuild one another's stripes cell for cell. A cell is
+// filed in the chunk its bucket starts in (LoadCells), so a chunk width
+// that is not a whole multiple of the bucket width lets a bucket straddle
+// a chunk start: ingest splits it into a cell on each side, and a stripe
+// resync (ExportStripes → ImportStripes) merges the two, after which the
+// replica no longer answers as its peers do.
+func (o Options) CheckResync() error {
+	o = o.withDefaults()
+	if o.SegmentDuration%o.RollupInterval != 0 {
+		return fmt.Errorf("tsdb: SegmentDuration %v is not a whole multiple of RollupInterval %v, so a stripe resync would merge the cells of a bucket that straddles a chunk start",
+			o.SegmentDuration, o.RollupInterval)
+	}
+	return nil
 }
 
 type segment struct {

@@ -8,11 +8,13 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/exec"
+	"strings"
 	"testing"
 	"time"
 
 	oda "odakit"
 	"odakit/internal/sproc"
+	"odakit/internal/tsdb"
 )
 
 var apiT0 = time.Date(2024, 6, 1, 0, 0, 0, 0, time.UTC)
@@ -206,5 +208,33 @@ func TestBenchmarkModuleBuilds(t *testing.T) {
 	cmd.Env = append(os.Environ(), "GOPROXY=off")
 	if out, err := cmd.CombinedOutput(); err != nil {
 		t.Fatalf("go vet ./... in benchmark/: %v\n%s", err, out)
+	}
+}
+
+// TestPublicAPIClusterRefusesStraddlingBuckets: a cluster refuses LAKE
+// options whose chunk width is not a whole multiple of the rollup bucket,
+// naming both, because a stripe resync would merge a bucket that
+// straddles a chunk start. Every geometry a cluster is built with here
+// (10 min or the default hour, over 15 s buckets) is a multiple.
+func TestPublicAPIClusterRefusesStraddlingBuckets(t *testing.T) {
+	ids := []string{"n1", "n2"}
+	_, err := oda.NewCluster(ids, oda.ClusterConfig{
+		LakeOptions: tsdb.Options{SegmentDuration: 100 * time.Second, RollupInterval: 15 * time.Second},
+	})
+	if err == nil || !strings.Contains(err.Error(), "1m40s") || !strings.Contains(err.Error(), "15s") {
+		t.Fatalf("100 s chunks of 15 s buckets: err = %v, want a refusal naming both durations", err)
+	}
+	// A silver window that does not divide the default hour is refused too.
+	if _, err := oda.NewCluster(ids, oda.ClusterConfig{LakeOptions: tsdb.Options{RollupInterval: 7 * time.Second}}); err == nil {
+		t.Fatal("7 s buckets in 1 h chunks were accepted")
+	}
+	for _, o := range []tsdb.Options{
+		{SegmentDuration: 10 * time.Minute, RollupInterval: 15 * time.Second},
+		{RollupInterval: 15 * time.Second},
+		{},
+	} {
+		if _, err := oda.NewCluster(ids, oda.ClusterConfig{LakeOptions: o}); err != nil {
+			t.Fatalf("%+v: %v", o, err)
+		}
 	}
 }
