@@ -98,17 +98,18 @@ chaos:
 # only by the counted truncation), the WAL crash-point sweep (n2 crashed
 # at every append and every fsync of one schedule, one run per log and
 # count) — plus the mechanism tests: the
-# flush-wave faults (one follower / leader / stripe log failing mid-wave;
+# flush-wave faults (one follower's / leader's / stripe holder's node log failing mid-wave;
 # a replica killed after its flush still acks), a lock-order stress with
 # a deadline, and CQ-pump failover resume. All under the race detector.
 # ODA_CHAOS_SEED pins everything: a seed draws the same schedule and
 # observes the same steps every run, and `make chaos-cluster
 # ODA_CHAOS_SEED=<seed>` replays that one simulator seed and prints its
 # schedule — shrunk, one op a line, when it fails. WAL crash points are
-# keyed by (node, log, count), so although a batch flushes every log it
-# touched in one concurrent wave, the k-th wal.fsync of a log lands on
-# the same call whatever order the wave's goroutines run in; -count=2
-# runs every scenario twice all the same.
+# keyed by node (an fsync of its one log) or by (node, stream) (an
+# append), so although a batch flushes every node log it touched in one
+# concurrent wave, the k-th wal.fsync of a node lands on the same call
+# whatever order the wave's goroutines run in; -count=2 runs every
+# scenario twice all the same.
 chaos-cluster:
 	ODA_CHAOS_SEED=$(ODA_CHAOS_SEED) $(GO) test -race -count=2 -run 'ChaosCluster' ./internal/cluster -v
 

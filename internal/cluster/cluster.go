@@ -75,7 +75,7 @@ type Config struct {
 	// LakeOptions configures every node's tsdb store. All nodes must
 	// share one geometry or re-replication would re-bucket cells, and New
 	// refuses a geometry whose stripes a resync cannot rebuild
-	// (tsdb.Options.CheckResync).
+	// (tsdb.NewGeometry).
 	LakeOptions tsdb.Options
 	// Retry shapes the replication/insert/query retry loops
 	// (resilience.Policy defaults apply).
@@ -237,7 +237,7 @@ func New(nodeIDs []string, cfg Config) (*Cluster, error) {
 		seen[id] = true
 	}
 	cfg = cfg.withDefaults(len(nodeIDs))
-	if err := cfg.LakeOptions.CheckResync(); err != nil {
+	if _, err := tsdb.NewGeometry(cfg.LakeOptions.RollupInterval, cfg.LakeOptions.SegmentDuration); err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	c := &Cluster{

@@ -150,7 +150,7 @@ func (c *Cluster) finishStripeLocked(s int, si stripeInsert, w *flushWave) error
 	}
 	acks := 0
 	for _, n := range si.applied {
-		if w.failed(n, stripeLog(s)) {
+		if w.failed(n) {
 			c.markStripeUnsynced(s, n.ID)
 			continue
 		}

@@ -198,14 +198,13 @@ func (c *Cluster) shipLocked(t *topicState, ps *partitionState, lend int64, w *f
 // has crashed; the transient node-down error makes the publisher retry
 // its Failed messages on whichever replica is promoted.
 func (c *Cluster) finishCommitLocked(t *topicState, ps *partitionState, pc *pendingCommit, w *flushWave) error {
-	name := partitionLog(t.name, ps.idx)
-	if w.failed(pc.leader, name) {
+	if w.failed(pc.leader) {
 		return &nodeDownError{id: pc.leader.ID}
 	}
 	lastErr := pc.lastErr
 	acked := pc.followers[:0]
 	for _, f := range pc.followers {
-		if w.failed(f.n, name) {
+		if w.failed(f.n) {
 			lastErr = &nodeDownError{id: f.n.ID}
 			continue
 		}
@@ -240,6 +239,7 @@ func (c *Cluster) finishCommitLocked(t *topicState, ps *partitionState, pc *pend
 	// passes change nothing and write nothing. Barriers ride the next
 	// wave; a barrier failure crashes the replica (walCrash) but never
 	// undoes the quorum commit above.
+	name := partitionLog(t.name, ps.idx)
 	if advanced {
 		_ = c.walCommitBarrier(pc.leader, name, ps.hw, ps.epoch)
 	}

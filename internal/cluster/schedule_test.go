@@ -10,6 +10,7 @@ import (
 
 	"odakit/internal/faults"
 	"odakit/internal/tsdb"
+	"odakit/internal/wal"
 )
 
 // close abandons every node's WAL, so a shrink's many replays leave no
@@ -407,7 +408,7 @@ insert 50 1
 insert 50 2
 kill n2
 pub 1 a=y*4 b=z*4
-restart n2 => ok; hw [20 20 16 16]; down; recovered +32; rows +28
+restart n2 => ok; hw [20 20 16 16]; down; recovered +64; rows +28
 repair => ok; hw [20 20 16 16]; degraded; shipped +32; caught up +7`)
 }
 
@@ -424,10 +425,10 @@ cut n1>n2
 cut n2>n1
 cut n3>n2
 cut n2>n3
-restart n2 => ok; hw [40 40]; degraded; recovered +32; rows +28
+restart n2 => ok; hw [40 40]; degraded; recovered +64; rows +28
 heal n3>n2
 heal n2>n3
-repair => ok; hw [40 40]; ok; shipped +48; caught up +2
+repair => ok; hw [40 40]; ok; shipped +16; caught up +2
 heal n1>n2
 heal n2>n1
 repair => ok; hw [40 40]; ok
@@ -490,7 +491,7 @@ repair => ok; hw [0]; ok; resynced +7
 kill n1
 kill n3
 restart n1
-restart n3 => ok; hw [0]; down
+restart n3 => ok; hw [0]; down; rows +47
 repair => ok; hw [0]; ok; lost +14; caught up +2
 insert 18 252
 kill n3
@@ -529,7 +530,7 @@ func TestChaosClusterFailoverTrustsAckedPrefix(t *testing.T) {
 	runSchedule(t, 0, `cluster 4 rf=3 q=3 parts=3 wal
 crash n3 wal.append t/telemetry/1 1
 pub 0 =y
-crash n4 wal.fsync t/telemetry/2 1
+crash n4 wal.fsync node 1
 retry 0
 restart n3
 restart n4
@@ -599,24 +600,29 @@ repair
 query 1
 poll`
 
-// TestChaosClusterWALCrashPoints crashes n2 at every WAL append and every
-// fsync the workload makes, one run per (log, k): the k-th such call on
-// that log fails and kills n2. A first run counts the calls on each log
-// with points that never fire; keyed by log, k lands on the same call
-// whatever order a flush wave's goroutines run in. n2 restarts from disk
-// and the model checks every step, so what it recovers is a committed
-// prefix and the lake still answers as the model does.
+// TestChaosClusterWALCrashPoints crashes n2 at every WAL append the
+// workload makes, one run per (stream, k), and at every fsync of its node
+// log, one run per k: the k-th such call fails and kills n2. A first run
+// counts the calls with points that never fire; keyed by stream (n2
+// flushes its one log once per wave), k lands on the same call whatever
+// order a flush wave's goroutines run in. n2 restarts from disk and the
+// model checks every step, so what it recovers is a committed prefix and
+// the lake still answers as the model does.
 func TestChaosClusterWALCrashPoints(t *testing.T) {
 	const header, never = "cluster 3 rf=2 q=2 parts=2 wal\n", 1 << 30
 	for _, fault := range []string{faults.OpWALAppend, faults.OpWALFsync} {
 		t.Run(fault, func(t *testing.T) {
 			t.Parallel()
 			count := header
-			for _, log := range []string{partitionLog(simTopic, 0), partitionLog(simTopic, 1)} {
-				count += fmt.Sprintf("crash n2 %s %s %d\n", fault, log, never)
-			}
-			for st := range tsdb.NumStripes {
-				count += fmt.Sprintf("crash n2 %s %s %d\n", fault, stripeLog(st), never)
+			if fault == faults.OpWALFsync {
+				count += fmt.Sprintf("crash n2 %s %s %d\n", fault, wal.NodeLog, never)
+			} else {
+				for _, log := range []string{partitionLog(simTopic, 0), partitionLog(simTopic, 1)} {
+					count += fmt.Sprintf("crash n2 %s %s %d\n", fault, log, never)
+				}
+				for st := range tsdb.NumStripes {
+					count += fmt.Sprintf("crash n2 %s %s %d\n", fault, stripeLog(st), never)
+				}
 			}
 			points := 0
 			for _, p := range runSchedule(t, 0, count+crashWorkload).points {

@@ -81,7 +81,8 @@ func (s simShape) String() string {
 //	cut n1>n2 | heal n1>n2 a directed inter-node link
 //	insert 24 7            24 observations drawn from seed 7
 //	query 7                the random query drawn from seed 7
-//	crash n2 wal.fsync t/telemetry/0 1   n2 crashes at that log's 1st fsync from now on
+//	crash n2 wal.append t/telemetry/0 1  n2 crashes at that stream's 1st append from now on
+//	crash n2 wal.fsync node 1            n2 crashes at its node log's 1st fsync from now on
 //	crash n1 cluster.replicate 2         n1 crashes at its 2nd replicate send from now on
 //
 // A line may end in "=> observation", which the step must then report.
@@ -526,6 +527,9 @@ func (s *sim) next(rng *rand.Rand, sh simShape) op {
 			if rng.Intn(3) == 0 {
 				o.log = stripeLog(rng.Intn(tsdb.NumStripes))
 			}
+			if o.fault == faults.OpWALFsync {
+				o.log = wal.NodeLog // a node fsyncs its one log, whichever streams it carries
+			}
 		}
 		return o
 	case r < 98 && len(members) < 5:
@@ -566,10 +570,10 @@ func (s *sim) stripeHolders() (who [tsdb.NumStripes]string) {
 }
 
 // onDisk reports whether n's WAL holds stripe st's batches since its
-// last loss on disk, in order. It opens no log that does not exist yet.
+// last loss on disk, in order.
 func (s *sim) onDisk(n *Node, st int) bool {
 	w := n.WAL()
-	if w == nil || !w.Has(stripeLog(st)) {
+	if w == nil {
 		return false
 	}
 	l, err := w.Log(stripeLog(st))

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"errors"
 	"net/url"
 	"strconv"
 	"sync"
@@ -13,15 +12,15 @@ import (
 	"odakit/internal/wal"
 )
 
-// WAL log naming inside a node's directory: one log per topic partition
+// WAL stream naming inside a node's log: one stream per topic partition
 // replica, one per lake stripe replica. Topic names are path-escaped so
-// arbitrary names cannot collide or escape the directory.
+// arbitrary names cannot collide.
 func partitionLog(topic string, idx int) string {
 	return "t/" + url.PathEscape(topic) + "/" + strconv.Itoa(idx)
 }
 
-// stripeLogs holds the stripe log names, built once: the insert path asks
-// for one per stripe per batch, WAL or not.
+// stripeLogs holds the stripe stream names, built once: the insert path
+// asks for one per stripe per batch, WAL or not.
 var stripeLogs = func() (names [tsdb.NumStripes]string) {
 	for s := range names {
 		names[s] = "lake/" + strconv.Itoa(s)
@@ -30,10 +29,6 @@ var stripeLogs = func() (names [tsdb.NumStripes]string) {
 }()
 
 func stripeLog(s int) string { return stripeLogs[s] }
-
-// errStopReplay aborts a WAL replay early without reporting failure —
-// recovery trusts the contiguous prefix it has seen so far.
-var errStopReplay = errors.New("cluster: stop wal replay")
 
 // NodeWAL exposes a node's write-ahead log handle (nil when the cluster
 // runs without Config.WALDir) so chaos suites can install fault hooks
@@ -62,43 +57,45 @@ func (c *Cluster) walCrash(n *Node) error {
 }
 
 // flushWave is the durability half of a write. Staging (walAppendRecords,
-// walAppendInsert) only appends to a replica's log and notes the log
-// here; runWave then issues every noted log's Sync at once. Nodes are
-// separate machines and logs separate files, so nothing in the
+// walAppendInsert) only appends to a replica's stream and notes the
+// replica's node here; runWave then issues every noted node log's Sync
+// at once. Nodes are separate machines, so nothing in the
 // fsync-before-ack contract orders those waits — only that each
-// replica's ack comes after its own log's Sync, which the callers keep
-// by asking failed before they count it. A memory-only cluster notes
-// nothing, so its wave is empty and runs nothing.
+// replica's ack comes after its own node's Sync, which the callers keep
+// by asking failed before they count it. Every stream of a node lives in
+// its one log, so a wave flushes at most one log per node. A
+// memory-only cluster notes nothing, so its wave is empty and runs
+// nothing.
 type flushWave struct {
 	logs []dirtyLog
 }
 
-// dirtyLog is one (node, log) a batch appended to and has not flushed.
+// dirtyLog is one node log a batch appended to and has not flushed.
 type dirtyLog struct {
-	n    *Node
-	name string
-	l    *wal.Log
-	err  error // set by runWave: this log's Sync failed
+	n   *Node
+	w   *wal.NodeWAL
+	err error // set by runWave: this log's Sync failed
 }
 
-// note records that the batch dirtied l; a log appended to twice in one
-// batch (chunked follower sync, a re-staged suffix) is flushed once.
-func (w *flushWave) note(n *Node, name string, l *wal.Log) {
+// note records that the batch dirtied a node's log; a log appended to
+// many times in one batch (several partitions and stripes, a chunked
+// follower sync) is flushed once.
+func (w *flushWave) note(n *Node, nw *wal.NodeWAL) {
 	for i := range w.logs {
-		if w.logs[i].l == l {
+		if w.logs[i].w == nw {
 			return
 		}
 	}
-	w.logs = append(w.logs, dirtyLog{n: n, name: name, l: l})
+	w.logs = append(w.logs, dirtyLog{n: n, w: nw})
 }
 
-// failed reports whether the node's named log failed to flush in this
-// wave — the one condition that drops a replica's ack. It is asked of
-// the flush, not of the node: a replica whose Sync returned and whose
-// node died afterwards holds the records durably and still counts.
-func (w *flushWave) failed(n *Node, name string) bool {
+// failed reports whether the node's log failed to flush in this wave —
+// the one condition that drops a replica's ack. It is asked of the
+// flush, not of the node: a replica whose Sync returned and whose node
+// died afterwards holds the records durably and still counts.
+func (w *flushWave) failed(n *Node) bool {
 	for i := range w.logs {
-		if d := &w.logs[i]; d.err != nil && d.n == n && d.name == name {
+		if d := &w.logs[i]; d.err != nil && d.n == n {
 			return true
 		}
 	}
@@ -106,23 +103,24 @@ func (w *flushWave) failed(n *Node, name string) bool {
 }
 
 // runWave flushes every noted log concurrently and returns once all
-// have. Only the Sync calls leave the calling goroutine: every append,
-// broker write and transport call of the batch already happened on it,
-// in order. A failed Sync crashes its node, exactly as a failed append
-// does.
+// have. The calling goroutine syncs the first log itself and only the
+// other Sync calls leave it: every append, broker write and transport
+// call of the batch already happened on it, in order. A failed Sync
+// crashes its node, exactly as a failed append does.
 func (c *Cluster) runWave(w *flushWave) {
 	if len(w.logs) == 0 {
 		return
 	}
 	t0 := time.Now()
 	var wg sync.WaitGroup
-	wg.Add(len(w.logs))
-	for i := range w.logs {
+	wg.Add(len(w.logs) - 1)
+	for i := range w.logs[1:] {
 		go func(d *dirtyLog) {
 			defer wg.Done()
-			d.err = d.l.Sync()
-		}(&w.logs[i])
+			d.err = d.w.Sync()
+		}(&w.logs[i+1])
 	}
+	w.logs[0].err = w.logs[0].w.Sync()
 	wg.Wait()
 	c.flushWaves.Add(1)
 	c.flushWaveLogs.Add(int64(len(w.logs)))
@@ -134,10 +132,11 @@ func (c *Cluster) runWave(w *flushWave) {
 	}
 }
 
-// walAppend stages entries on a node's named log and notes the log in
-// the wave. Nothing is durable, and the node's ack must not count, until
-// the wave has run and failed reports false for this log. A nil wave
-// notes nothing: the entries ride the next wave that flushes this log.
+// walAppend stages entries on a node's named stream and notes the
+// node's log in the wave. Nothing is durable, and the node's ack must
+// not count, until the wave has run and failed reports false for this
+// node. A nil wave notes nothing: the entries ride the next Sync of the
+// node's log, whichever batch makes it.
 func (c *Cluster) walAppend(n *Node, name string, w *flushWave, entries ...wal.Entry) error {
 	nw := n.WAL()
 	if nw == nil {
@@ -151,7 +150,7 @@ func (c *Cluster) walAppend(n *Node, name string, w *flushWave, entries ...wal.E
 		return c.walCrash(n)
 	}
 	if w != nil {
-		w.note(n, name, l)
+		w.note(n, nw)
 	}
 	return nil
 }
@@ -172,11 +171,11 @@ func (c *Cluster) walAppendRecords(n *Node, name string, recs []stream.Record, w
 }
 
 // walCommitBarrier records how far the quorum-committed prefix reached
-// on one replica's log, and at which leadership epoch the replica
+// on one replica's stream, and at which leadership epoch the replica
 // learned it. Barriers are appended after the batch's wave and join no
-// wave of their own — the next batch's wave on this log flushes them,
-// and losing one only shrinks the prefix the next recovery trusts,
-// never corrupts it.
+// wave of their own — the next wave that flushes this node's log, a
+// publish or an insert, makes them durable, and losing one only shrinks
+// the prefix the next recovery trusts, never corrupts it.
 func (c *Cluster) walCommitBarrier(n *Node, name string, hw, epoch int64) error {
 	return c.walAppend(n, name, nil, wal.Entry{Kind: wal.KindCommit, HW: hw, Epoch: epoch})
 }
@@ -226,77 +225,129 @@ func (c *Cluster) stageOnLeaderLocked(t *topicState, ps *partitionState, msgs []
 }
 
 // recoverNode replays a freshly-reopened WAL into the node's empty
-// broker and lake — the disk half of Restart. It reports whether any
-// state was recovered (false means the WAL was empty or entirely
+// broker and lake — the disk half of Restart. The node log is read once,
+// front to back, and each entry goes to its stream's recovery: a
+// partition collects its records and barriers (recoverPartition judges
+// them after the pass), a stripe re-inserts its batch history as it
+// comes (stripeRecovery.add). The stripe locks are held, ascending as
+// InsertBatch takes them, for the pass, so a stripe's history is judged
+// against the loss count it has now. It reports whether any state was
+// recovered (false means the WAL was empty, unreadable or entirely
 // fenced, and Repair re-replicates from peers wholesale).
 func (c *Cluster) recoverNode(n *Node, w *wal.NodeWAL) bool {
-	recovered := false
+	var order []*partRecovery // topic, then partition order: recovery appends re-barriers in it
+	parts := make(map[string]*partRecovery)
 	for _, t := range c.topicList() {
 		for _, ps := range t.parts {
-			// A log the node never wrote has nothing to replay; opening it
-			// would create it.
-			if w.Has(partitionLog(t.name, ps.idx)) && c.recoverPartition(n, w, t, ps) {
-				recovered = true
-			}
+			p := &partRecovery{name: partitionLog(t.name, ps.idx), t: t, ps: ps, byOff: make(map[int64]wal.Entry), epoch: -1}
+			order = append(order, p)
+			parts[p.name] = p
 		}
 	}
-	for s := 0; s < tsdb.NumStripes; s++ {
-		if c.recoverStripe(n, w, s) {
-			recovered = true
+	var stripes [tsdb.NumStripes]stripeRecovery
+	byName := make(map[string]*stripeRecovery, tsdb.NumStripes)
+	for s := range stripes {
+		c.stripeMu[s].Lock()
+		stripes[s] = stripeRecovery{base: c.lostUpTo[s], applied: c.lostUpTo[s]}
+		byName[stripeLog(s)] = &stripes[s]
+	}
+	_, err := w.Replay(func(stream string, e wal.Entry) error {
+		if p := parts[stream]; p != nil {
+			p.add(e)
+		} else if r := byName[stream]; r != nil {
+			r.add(n, e)
 		}
+		return nil
+	})
+	if err != nil {
+		// A log that cannot be read back recovers nothing: what it
+		// re-inserted so far goes, and peers rebuild the node.
+		n.resetLake(c.cfg.LakeOptions)
+		order = nil
+	}
+	recovered := false
+	for s := range stripes {
+		r := &stripes[s]
+		if err != nil {
+			r.applied, r.rows = r.base, 0
+		}
+		n.stripeSeq[s].Store(r.applied)
+		c.walRecoveredRows.Add(r.rows)
+		if r.applied > 0 && r.applied == c.stripeSeqs[s].Load() {
+			c.markStripeSynced(s, n.ID)
+		}
+		recovered = recovered || r.applied > r.base
+		c.stripeMu[s].Unlock()
+	}
+	barriers := false
+	for _, p := range order {
+		if p.seen && c.recoverPartition(n, w, p) {
+			recovered, barriers = true, true
+		}
+	}
+	if barriers {
+		// One flush for every re-barrier. A lost one only makes the next
+		// restart derive the fence again from the older barriers.
+		_ = w.Sync()
 	}
 	return recovered
 }
 
-// recoverPartition rebuilds one partition replica from the node's WAL:
-// replay every frame (later appends at an offset win, mirroring the cut
+// partRecovery is one partition's share of the node log's replay: every
+// record by offset (a later append at an offset wins, mirroring the cut
 // of an uncommitted suffix and the appends that replaced it on this
-// replica), trust records only up to the last
-// commit barrier, fence below any truncation performed at an epoch the
-// barrier never saw, and require the surviving prefix to be contiguous
-// from offset zero. The rebuilt prefix enters the node's broker with
-// its original offsets; Repair then ships only the suffix past it from
-// the current leader. ps.mu is taken here, so recovery serializes with
-// in-flight publishes to the same partition.
-func (c *Cluster) recoverPartition(n *Node, w *wal.NodeWAL, t *topicState, ps *partitionState) bool {
+// replica) and the last commit barrier in log order.
+type partRecovery struct {
+	name      string
+	t         *topicState
+	ps        *partitionState
+	seen      bool
+	byOff     map[int64]wal.Entry
+	hw, epoch int64
+}
+
+func (p *partRecovery) add(e wal.Entry) {
+	p.seen = true
+	switch e.Kind {
+	case wal.KindRecord:
+		p.byOff[e.Offset] = e
+	case wal.KindCommit:
+		// The LAST barrier in log order wins: it is the replica's latest
+		// knowledge. A chronologically newer barrier may carry a LOWER hw
+		// (the cluster truncated beyond-quorum loss); trusting an older,
+		// higher one would resurrect superseded records.
+		p.hw, p.epoch = e.HW, e.Epoch
+	}
+}
+
+// recoverPartition rebuilds one partition replica from what the replay
+// collected: trust records only up to the last commit barrier, fence
+// below any truncation performed at an epoch the barrier never saw, and
+// require the surviving prefix to be contiguous from offset zero. The
+// rebuilt prefix enters the node's broker with its original offsets;
+// Repair then ships only the suffix past it from the current leader.
+// ps.mu is taken here, so recovery serializes with in-flight publishes
+// to the same partition. The re-barrier it appends rides recoverNode's
+// one Sync.
+func (c *Cluster) recoverPartition(n *Node, w *wal.NodeWAL, p *partRecovery) bool {
+	t, ps := p.t, p.ps
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
-	l, err := w.Log(partitionLog(t.name, ps.idx))
-	if err != nil {
-		return false
-	}
-	byOff := make(map[int64]wal.Entry)
-	walHW, walEpoch := int64(0), int64(-1)
-	if _, err := l.Replay(func(e wal.Entry) error {
-		switch e.Kind {
-		case wal.KindRecord:
-			byOff[e.Offset] = e
-		case wal.KindCommit:
-			// The LAST barrier in file order wins: it is the replica's
-			// latest knowledge. A chronologically newer barrier may carry a
-			// LOWER hw (the cluster truncated beyond-quorum loss); trusting
-			// an older, higher one would resurrect superseded records.
-			walHW, walEpoch = e.HW, e.Epoch
-		}
-		return nil
-	}); err != nil {
-		return false
-	}
 	// Fence: any truncation performed at an epoch after the barrier's
 	// means offsets ≥ its cut may have been rewritten while this replica
 	// was down. Only the prefix below every such cut is trustworthy.
-	valid := walHW
+	valid := p.hw
 	for _, tr := range ps.truncs {
-		if tr.epoch > walEpoch && tr.off < valid {
+		if tr.epoch > p.epoch && tr.off < valid {
 			valid = tr.off
 		}
 	}
 	if valid <= 0 {
 		return false
 	}
-	recs := make([]stream.Record, 0, len(byOff))
+	recs := make([]stream.Record, 0, min(valid, int64(len(p.byOff))))
 	for off := int64(0); off < valid; off++ {
-		e, ok := byOff[off]
+		e, ok := p.byOff[off]
 		if !ok {
 			valid = off // gap: trust only the contiguous prefix below it
 			break
@@ -317,59 +368,42 @@ func (c *Cluster) recoverPartition(n *Node, w *wal.NodeWAL, t *topicState, ps *p
 	c.walRecoveredRecords.Add(int64(len(recs)))
 	// Re-barrier at the recovered position under the current epoch, so
 	// the next restart replays to here without re-deriving the fence.
-	if err := l.Append(wal.Entry{Kind: wal.KindCommit, HW: valid, Epoch: ps.epoch}); err == nil {
-		_ = l.Sync()
+	if l, err := w.Log(p.name); err == nil {
+		_ = l.Append(wal.Entry{Kind: wal.KindCommit, HW: valid, Epoch: ps.epoch})
 	}
 	return true
 }
 
-// recoverStripe rebuilds one lake stripe replica by re-inserting the
-// WAL's contiguous insert-batch history (sequences 1, 2, …; after a
-// counted loss, from past it) in order — per-stripe insertion order is
-// what makes replica scans byte-identical, and replay preserves it. A
-// replica that recovers the stripe's full history re-enters the serving
-// set immediately; one that recovers a prefix waits for
-// catchupStripeFromWAL (or a wholesale resync) in the next Repair pass.
-func (c *Cluster) recoverStripe(n *Node, w *wal.NodeWAL, s int) bool {
-	c.stripeMu[s].Lock()
-	defer c.stripeMu[s].Unlock()
-	base := c.lostUpTo[s] // history up to the stripe's last counted loss is gone
-	applied, rows := base, int64(0)
-	if w.Has(stripeLog(s)) { // a stripe never written here replays nothing
-		l, err := w.Log(stripeLog(s))
-		if err != nil {
-			return false
-		}
-		if _, err := l.Replay(func(e wal.Entry) error {
-			if e.Kind != wal.KindInsert || e.Seq <= base {
-				return nil
-			}
-			if e.Seq != applied+1 {
-				// A history that does not start at base+1 (the log was reset
-				// by a wholesale resync) or has a gap cannot rebuild the stripe.
-				return errStopReplay
-			}
-			if err := n.Lake().InsertBatch(e.Obs); err != nil {
-				return errStopReplay
-			}
-			applied = e.Seq
-			rows += int64(len(e.Obs))
-			return nil
-		}); err != nil && !errors.Is(err, errStopReplay) {
-			return false
-		}
+// stripeRecovery re-inserts one lake stripe replica's contiguous
+// insert-batch history (sequences 1, 2, …; after a counted loss, from
+// past it) in order as the replay reaches it — per-stripe insertion
+// order is what makes replica scans byte-identical, and replay
+// preserves it. A replica that recovers the stripe's full history
+// re-enters the serving set immediately; one that recovers a prefix
+// waits for catchupStripeFromWAL (or a wholesale resync) in the next
+// Repair pass.
+type stripeRecovery struct {
+	base, applied, rows int64
+	stopped             bool
+}
+
+func (r *stripeRecovery) add(n *Node, e wal.Entry) {
+	if r.stopped || e.Kind != wal.KindInsert || e.Seq <= r.base {
+		return // history up to the stripe's last counted loss is gone
 	}
-	n.stripeSeq[s].Store(applied)
-	c.walRecoveredRows.Add(rows)
-	if applied > 0 && applied == c.stripeSeqs[s].Load() {
-		c.markStripeSynced(s, n.ID)
+	// A history that does not start at base+1 (the stream was reset by a
+	// wholesale resync) or has a gap cannot rebuild the stripe past it.
+	if e.Seq != r.applied+1 || n.Lake().InsertBatch(e.Obs) != nil {
+		r.stopped = true
+		return
 	}
-	return applied > base
+	r.applied = e.Seq
+	r.rows += int64(len(e.Obs))
 }
 
 // catchupStripeFromWAL brings tgt's stripe s from its applied sequence
 // up to the cluster's by replaying only the missing suffix out of a
-// live peer's WAL — the cheap path Repair tries before a wholesale
+// live peer's node log (its stripe stream alone) — the cheap path Repair tries before a wholesale
 // resync, and the one that works across a partially-partitioned
 // transport (one reachable peer suffices). Caller holds stripeMu[s], so
 // the peer's log is stable. Returns whether tgt ended in sync; false
@@ -442,7 +476,7 @@ func (c *Cluster) catchupStripeFromWAL(s int, src, tgt string) bool {
 		last = e.Seq
 	}
 	c.runWave(&wave)
-	if wave.failed(tn, stripeLog(s)) {
+	if wave.failed(tn) {
 		return false
 	}
 	tn.stripeSeq[s].Store(last)

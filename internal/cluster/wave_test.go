@@ -16,14 +16,14 @@ import (
 	"odakit/internal/wal"
 )
 
-// failMidWave arms one fsync fault on victim's named log and returns a
+// failMidWave arms one fsync fault on victim's node log and returns a
 // function reporting whether it fired. The fault fires mid-wave: the
-// victim's Sync waits until every other log the wave should flush
-// (waveLogs in total, across all nodes) has entered its own Sync, so the
-// failure lands while the rest of the wave is in flight — which a serial
-// flush loop could never satisfy. Every node's hook counts; only the
-// victim's log fails, once.
-func failMidWave(t *testing.T, c *Cluster, victim, log string, waveLogs int) (fired func() bool) {
+// victim's Sync waits until every other node log the wave should flush
+// (waveNodes in total) has entered its own Sync, so the failure lands
+// while the rest of the wave is in flight — which a serial flush loop
+// could never satisfy. Every node's hook counts; only the victim's log
+// fails, once.
+func failMidWave(t *testing.T, c *Cluster, victim string, waveNodes int) (fired func() bool) {
 	t.Helper()
 	var entered atomic.Int64
 	var hit atomic.Bool
@@ -33,14 +33,14 @@ func failMidWave(t *testing.T, c *Cluster, victim, log string, waveLogs int) (fi
 				return nil
 			}
 			entered.Add(1)
-			if id != victim || target != log || hit.Load() {
+			if id != victim || hit.Load() {
 				return nil
 			}
 			deadline := time.Now().Add(10 * time.Second)
-			for entered.Load() < int64(waveLogs) {
+			for entered.Load() < int64(waveNodes) {
 				if time.Now().After(deadline) {
-					t.Errorf("wave never put %d logs in flight at once (%d entered): flushes are serial",
-						waveLogs, entered.Load())
+					t.Errorf("wave never put %d node logs in flight at once (%d entered): flushes are serial",
+						waveNodes, entered.Load())
 					break
 				}
 				runtime.Gosched()
@@ -50,6 +50,25 @@ func failMidWave(t *testing.T, c *Cluster, victim, log string, waveLogs int) (fi
 		})
 	}
 	return hit.Load
+}
+
+// replicaNodes counts the nodes holding a replica of any of topic's
+// partitions: the node logs a publish over all of them flushes.
+func replicaNodes(c *Cluster, topic string) int {
+	t, err := c.topic(topic)
+	if err != nil {
+		panic(err)
+	}
+	nodes := map[string]bool{}
+	for _, ps := range t.parts {
+		ps.mu.Lock()
+		nodes[ps.leader] = true
+		for _, f := range ps.followers {
+			nodes[f] = true
+		}
+		ps.mu.Unlock()
+	}
+	return len(nodes)
 }
 
 func clearWALHooks(c *Cluster) {
@@ -74,31 +93,32 @@ func assertOnlyDead(t *testing.T, c *Cluster, victim string) {
 	}
 }
 
-// TestChaosClusterFlushWaveFault fails partition 0's log fsync on one
-// replica in the middle of a publish wave over four partitions — a
-// follower's log with the quorum lost (RF=2), a follower's log with the
-// quorum intact (RF=3, Quorum=2), and the leader's log — and requires the
-// wave's ack rule: partition 0 commits iff a quorum of its replicas
-// flushed, only the faulted node dies, only that replica's ack is dropped
-// (the victim's other logs in the same wave flushed, and their partitions
-// commit), and a leader fault surfaces as the node-down error whose
-// Failed messages a retry commits. The model checks every step, through
-// the restart and repair after.
+// TestChaosClusterFlushWaveFault fails one replica's node log fsync in
+// the middle of a publish wave over four partitions — a follower's with
+// the quorum lost (RF=2), a follower's with the quorum intact (RF=3,
+// Quorum=2), and the leader's — and requires the wave's ack rule: a
+// partition commits iff a quorum of its replicas' node logs flushed,
+// only the faulted node dies, and a leader fault surfaces as the
+// node-down error whose Failed messages a retry commits. One node log
+// carries every stream the node replicates, so the victim's ack drops
+// on every partition it holds (here all four: the ring puts them on n3
+// and n2). The model checks every step, through the restart and repair
+// after.
 func TestChaosClusterFlushWaveFault(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		rf, quorum int
-		victim     string // partition 0's leader is n3, its first follower n2
+		victim     string // every partition's leader is n3, its first follower n2
 		want       string // the faulted publish's outcome
 	}{
-		{name: "follower-quorum-lost", rf: 2, quorum: 2, victim: "n2", want: "published 36, failed 12: publish could not reach quorum"},
+		{name: "follower-quorum-lost", rf: 2, quorum: 2, victim: "n2", want: "published 0, failed 48: publish could not reach quorum"},
 		{name: "follower-quorum-holds", rf: 3, quorum: 2, victim: "n2", want: "published 48"},
-		{name: "leader", rf: 2, quorum: 2, victim: "n3", want: "published 36, failed 12: node down"},
+		{name: "leader", rf: 2, quorum: 2, victim: "n3", want: "published 0, failed 48: node down"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := newSim(t, simShape{nodes: 3, rf: tc.rf, quorum: tc.quorum, parts: 4, wal: true})
 			s.run(t, "pub 0 a=x*8 b=y*8 c=z*8 d=x*8\ninsert 48 1\npub 0 a=y*8 b=z*8 c=x*8 d=y*8\ninsert 48 2")
-			fired := failMidWave(t, s.c, tc.victim, partitionLog(simTopic, 0), 4*tc.rf)
+			fired := failMidWave(t, s.c, tc.victim, replicaNodes(s.c, simTopic))
 			obs := s.run(t, "pub 1 a=z*12 b=x*12 c=y*12 d=z*12")
 			clearWALHooks(s.c)
 			if !fired() {
@@ -117,10 +137,10 @@ func TestChaosClusterFlushWaveFault(t *testing.T) {
 }
 
 // TestChaosClusterFlushWaveFaultStripe is the lake half: one replica's
-// stripe-log fsync fails mid-wave. The insert still commits on the other
-// replica, only the faulted node dies, the victim leaves that stripe's
-// serving set at its OLD sequence, and the lake answers like the model
-// while degraded and after Restart + Repair.
+// node log fsync fails mid-wave during an insert. The insert still
+// commits on the other replicas, only the faulted node dies, the victim
+// leaves the serving set of stripe st at its OLD sequence, and the lake
+// answers like the model while degraded and after Restart + Repair.
 func TestChaosClusterFlushWaveFaultStripe(t *testing.T) {
 	s := newSim(t, simShape{nodes: 3, rf: 2, quorum: 2, parts: 1, wal: true})
 	c := s.c
@@ -135,7 +155,13 @@ func TestChaosClusterFlushWaveFaultStripe(t *testing.T) {
 	vn := c.node(victim)
 	seqBefore, victimSeqBefore := c.stripeSeqs[st].Load(), vn.stripeSeq[st].Load()
 
-	fired := failMidWave(t, c, victim, stripeLog(st), 2*len(touched))
+	holders := map[string]bool{}
+	for s := range touched {
+		for _, id := range c.stripeServers(s, true, nil) {
+			holders[id] = true
+		}
+	}
+	fired := failMidWave(t, c, victim, len(holders))
 	obs := s.run(t, "insert 64 3")
 	clearWALHooks(c)
 	if !fired() {
@@ -373,5 +399,61 @@ func TestClusterRestartDuringPublish(t *testing.T) {
 			defer mu.Unlock()
 			assertValues(t, c, simTopic, want, true)
 		})
+	}
+}
+
+// TestClusterWaveFlushesOneLogPerNode counts what a batch's durability
+// costs: on a 3-node RF=2 WAL cluster, one 512-record PublishBatch over
+// four partitions and one InsertBatch over all sixteen stripes each
+// fsync at most one log per node their wave touched — six for the pair,
+// where a log per partition and stripe replica made 8 + 32.
+func TestClusterWaveFlushesOneLogPerNode(t *testing.T) {
+	c := build(t, 3, Config{RF: 2, WALDir: t.TempDir()})
+	if err := c.CreateTopic(simTopic, stream.TopicConfig{Partitions: 4}); err != nil {
+		t.Fatal(err)
+	}
+	fsyncs := func() (n int64) {
+		for _, id := range c.Nodes() {
+			n += c.NodeWAL(id).Stats().Fsyncs
+		}
+		return n
+	}
+	msgs := keyedMsgs(rand.New(rand.NewSource(1)), 0, 512)
+	parts := map[int]bool{}
+	for _, m := range msgs {
+		parts[stream.KeyPartition(m.Key, 4)] = true
+	}
+	obs := seedObsBatch(rand.New(rand.NewSource(2)), 512)
+	stripes, holders := map[int]bool{}, map[string]bool{}
+	for i := range obs {
+		obs[i].Component = fmt.Sprintf("node%05d", i%200)
+		s := tsdb.StripeFor(obs[i].Component, obs[i].Metric)
+		stripes[s] = true
+		for _, id := range c.stripeServers(s, true, nil) {
+			holders[id] = true
+		}
+	}
+	if len(parts) != 4 || len(stripes) != tsdb.NumStripes {
+		t.Fatalf("the batches touch %d partitions and %d stripes, want 4 and %d", len(parts), len(stripes), tsdb.NumStripes)
+	}
+
+	before := fsyncs()
+	if _, err := c.PublishBatch(simTopic, msgs); err != nil {
+		t.Fatal(err)
+	}
+	pub := fsyncs() - before
+	if nodes := replicaNodes(c, simTopic); pub < 1 || pub > int64(nodes) {
+		t.Fatalf("the publish wave made %d fsyncs over %d replica nodes", pub, nodes)
+	}
+	before = fsyncs()
+	if err := c.InsertBatch(obs); err != nil {
+		t.Fatal(err)
+	}
+	ins := fsyncs() - before
+	if ins < 1 || ins > int64(len(holders)) {
+		t.Fatalf("the insert wave made %d fsyncs over %d replica nodes", ins, len(holders))
+	}
+	if pub+ins > 6 || c.flushWaveLogs.Load() != pub+ins {
+		t.Fatalf("%d + %d fsyncs for the pair, %d node logs in its waves; want at most 6, one per log", pub, ins, c.flushWaveLogs.Load())
 	}
 }

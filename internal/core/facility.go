@@ -166,6 +166,12 @@ type Facility struct {
 // NewFacility builds and wires a facility.
 func NewFacility(opts Options) (*Facility, error) {
 	opts = opts.withDefaults()
+	// The Lake and the CQ engine bucket by SilverWindow in tsdb's default
+	// chunks; a window that does not divide them is refused here, before
+	// either holds a cell.
+	if _, err := tsdb.NewGeometry(opts.SilverWindow, 0); err != nil {
+		return nil, fmt.Errorf("core: SilverWindow: %w", err)
+	}
 	sched := opts.Schedule
 	if sched == nil {
 		wl := jobsched.WorkloadConfig{Seed: opts.WorkloadSeed}

@@ -35,6 +35,16 @@ func testFacility(t testing.TB) *Facility {
 	return f
 }
 
+// TestFacilityRefusesStraddlingSilverWindow: a SilverWindow that does not
+// divide the Lake's hour chunks is refused before the facility exists —
+// its CQ checkpoints would not restore — naming both durations.
+func TestFacilityRefusesStraddlingSilverWindow(t *testing.T) {
+	_, err := NewFacility(Options{System: telemetry.FrontierLike(1).Scaled(2), SilverWindow: 7 * time.Second})
+	if err == nil || !strings.Contains(err.Error(), "7s") || !strings.Contains(err.Error(), "1h0m0s") {
+		t.Fatalf("a 7 s SilverWindow: err = %v, want a refusal naming 7s and the 1h chunk", err)
+	}
+}
+
 func TestFacilityWiring(t *testing.T) {
 	f := testFacility(t)
 	// All bronze topics exist.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -104,5 +105,55 @@ func TestNonFiniteAlertCheckpoints(t *testing.T) {
 	}
 	if got := v2.Alerts(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored alerts %+v, want %+v", got, want)
+	}
+}
+
+// TestStraddlingGridRefusedBeforeCheckpoint: an engine of 15 s buckets in
+// 100 s chunks splits the bucket [90 s, 105 s) at the 100 s chunk start,
+// so samples at +95 s and +102 s would become two cells of one bucket,
+// and the pump's own checkpoint would be refused on restore ("listed
+// twice"). The grid is refused at Register, naming both durations, so
+// no view of it — and no checkpoint — can exist; a checkpoint taken on a
+// legal grid does not restore into such an engine either, and leaves
+// nothing registered.
+func TestStraddlingGridRefusedBeforeCheckpoint(t *testing.T) {
+	broker := stream.NewBroker()
+	defer broker.Close()
+	if err := broker.CreateTopic("bronze.alpha", stream.TopicConfig{Partitions: 1}); err != nil {
+		t.Fatal(err)
+	}
+	spec := Spec{Name: "straddle", GroupBy: []string{tsdb.DimComponent}, Agg: tsdb.AggAvg, Window: 10 * time.Minute}
+	chunk := time.Unix(1769904000, 0).UTC() // a 100 s chunk start on the 15 s grid
+	samples := obsRows(obsAt(chunk.Add(-5*time.Second), "n1", "cpu", 1), obsAt(chunk.Add(2*time.Second), "n1", "cpu", 2))
+
+	bad := NewEngine(Config{RollupInterval: 15 * time.Second, SegmentDuration: 100 * time.Second})
+	_, err := bad.Register(spec)
+	if err == nil || !strings.Contains(err.Error(), "1m40s") || !strings.Contains(err.Error(), "15s") {
+		t.Fatalf("15 s buckets in 100 s chunks: Register err = %v, want a refusal naming both durations", err)
+	}
+	bad.Apply("bronze.alpha", 0, samples)
+	if n := len(bad.Views()); n != 0 {
+		t.Fatalf("a refused grid holds %d views", n)
+	}
+
+	good := NewEngine(Config{RollupInterval: 15 * time.Second, SegmentDuration: 10 * time.Minute})
+	if _, err := good.Register(spec); err != nil {
+		t.Fatal(err)
+	}
+	good.Apply("bronze.alpha", 0, samples)
+	pump, err := NewPumpSource(good, broker, PumpConfig{Topics: []string{"bronze.alpha"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt, err := pump.Snapshot(map[string][]int64{"bronze.alpha": {0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	into, err := NewPumpSource(bad, broker, PumpConfig{Topics: []string{"bronze.alpha"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := into.Restore(ckpt); err == nil || len(bad.Views()) != 0 {
+		t.Fatalf("a checkpoint restored into a refused grid: err %v, %d views", err, len(bad.Views()))
 	}
 }

@@ -8,12 +8,14 @@ import (
 
 	"odakit/internal/obs"
 	"odakit/internal/schema"
+	"odakit/internal/tsdb"
 )
 
 // Config sizes the engine's cell geometry. RollupInterval and
 // SegmentDuration MUST match the LAKE the views are compared against
 // (core wires both from the same facility options) or the equivalence
-// guarantee does not hold.
+// guarantee does not hold. They make one tsdb.Geometry, and an engine
+// whose grid NewGeometry refuses registers no view.
 type Config struct {
 	RollupInterval  time.Duration // default 15s (tsdb's default)
 	SegmentDuration time.Duration // default 1h (tsdb's default)
@@ -21,21 +23,12 @@ type Config struct {
 	Registry *obs.Registry
 }
 
-func (c Config) withDefaults() Config {
-	if c.RollupInterval <= 0 {
-		c.RollupInterval = 15 * time.Second
-	}
-	if c.SegmentDuration <= 0 {
-		c.SegmentDuration = time.Hour
-	}
-	return c
-}
-
 // Engine owns the registered views and fans published records out to
 // them. Safe for concurrent use; Apply serializes per view, not across
 // views.
 type Engine struct {
-	cfg Config
+	geom    tsdb.Geometry
+	geomErr error // the grid's refusal: Register returns it
 
 	mu    sync.RWMutex
 	views map[string]*View
@@ -52,7 +45,8 @@ type Engine struct {
 
 // NewEngine builds an engine and registers its metrics.
 func NewEngine(cfg Config) *Engine {
-	e := &Engine{cfg: cfg.withDefaults(), views: make(map[string]*View)}
+	e := &Engine{views: make(map[string]*View)}
+	e.geom, e.geomErr = tsdb.NewGeometry(cfg.RollupInterval, cfg.SegmentDuration)
 	if r := cfg.Registry; r != nil {
 		e.mUpdates = r.Counter("oda_cq_updates_total", "Continuous-query view updates applied.")
 		e.mReads = r.Counter("oda_cq_reads_total", "Continuous-query view reads served.")
@@ -82,8 +76,13 @@ func NewEngine(cfg Config) *Engine {
 // Register adds a standing query and returns its view. Registration is
 // idempotent and content-addressed: a spec with the same fingerprint
 // returns the existing live view (its accumulated window intact), so
-// dashboards re-registering on reload share one materialization.
+// dashboards re-registering on reload share one materialization. An
+// engine whose grid tsdb.NewGeometry refuses registers nothing, so it
+// never holds a view whose checkpoint it could not restore.
 func (e *Engine) Register(spec Spec) (*View, error) {
+	if e.geomErr != nil {
+		return nil, fmt.Errorf("cq: %w", e.geomErr)
+	}
 	if err := spec.validate(); err != nil {
 		return nil, err
 	}

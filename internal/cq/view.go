@@ -74,8 +74,8 @@ func newView(e *Engine, spec Spec) *View {
 	v := &View{
 		ID:      viewID(spec),
 		Spec:    spec,
-		rollupN: int64(e.cfg.RollupInterval),
-		segN:    int64(e.cfg.SegmentDuration),
+		rollupN: int64(e.geom.Rollup),
+		segN:    int64(e.geom.Segment),
 		plan: tsdb.Compile(tsdb.Query{
 			Filters: spec.Filters, GroupBy: spec.GroupBy,
 			Granularity: spec.Granularity, Agg: spec.Agg,

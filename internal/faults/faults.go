@@ -11,7 +11,7 @@
 //	stream.Broker     — OpBrokerFetch, OpBrokerPublish (target: the topic)
 //	objstore.Store    — OpStorePut, OpStoreAppend, OpStoreGet ("bucket/key")
 //	tsdb.DB           — OpLakeInsert (the batch's source)
-//	wal.NodeWAL       — OpWALOpen, OpWALAppend, OpWALFsync, OpWALReplay (the log name)
+//	wal.NodeWAL       — OpWALOpen, OpWALAppend, OpWALFsync, OpWALReplay (the stream, or wal.NodeLog)
 //	cluster.Transport — OpClusterReplicate … OpClusterResync (the link "from>to")
 //
 // Each surface's SetFaultHook forwards to its Hook, so Install arms any

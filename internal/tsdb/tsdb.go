@@ -40,12 +40,18 @@ type Options struct {
 	QueryCacheSize int
 }
 
+// The grid an Options or a Geometry leaves zero.
+const (
+	defaultRollup  = 15 * time.Second
+	defaultSegment = time.Hour
+)
+
 func (o Options) withDefaults() Options {
 	if o.SegmentDuration <= 0 {
-		o.SegmentDuration = time.Hour
+		o.SegmentDuration = defaultSegment
 	}
 	if o.RollupInterval <= 0 {
-		o.RollupInterval = 15 * time.Second
+		o.RollupInterval = defaultRollup
 	}
 	if o.QueryCacheSize == 0 {
 		o.QueryCacheSize = 64
@@ -53,20 +59,33 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// CheckResync reports whether stores with these options (after the
-// defaults) can rebuild one another's stripes cell for cell. A cell is
-// filed in the chunk its bucket starts in (LoadCells), so a chunk width
-// that is not a whole multiple of the bucket width lets a bucket straddle
-// a chunk start: ingest splits it into a cell on each side, and a stripe
-// resync (ExportStripes → ImportStripes) merges the two, after which the
-// replica no longer answers as its peers do.
-func (o Options) CheckResync() error {
-	o = o.withDefaults()
-	if o.SegmentDuration%o.RollupInterval != 0 {
-		return fmt.Errorf("tsdb: SegmentDuration %v is not a whole multiple of RollupInterval %v, so a stripe resync would merge the cells of a bucket that straddles a chunk start",
-			o.SegmentDuration, o.RollupInterval)
+// Geometry is a LAKE's bucket grid: rollup buckets of Rollup filed in
+// time chunks of Segment, a whole multiple of Rollup, so no bucket
+// straddles a chunk start. NewGeometry is the one constructor, and the
+// one place a grid is refused.
+type Geometry struct {
+	Rollup, Segment time.Duration
+}
+
+// NewGeometry builds a bucket grid; a zero or negative duration takes
+// the default (15 s buckets, 1 h chunks). It refuses a segment that is
+// not a whole multiple of the rollup and names both: a bucket would
+// straddle a chunk start, ingest would split it into a cell on each
+// side, and whatever files cells by the chunk their bucket starts in —
+// a stripe resync, a CQ checkpoint restore (LoadCells) — would find the
+// two listed as one.
+func NewGeometry(rollup, segment time.Duration) (Geometry, error) {
+	if rollup <= 0 {
+		rollup = defaultRollup
 	}
-	return nil
+	if segment <= 0 {
+		segment = defaultSegment
+	}
+	if segment%rollup != 0 {
+		return Geometry{}, fmt.Errorf("tsdb: a %v segment is not a whole multiple of the %v rollup, so a bucket would straddle a chunk start and its two cells could not be exported and loaded back",
+			segment, rollup)
+	}
+	return Geometry{Rollup: rollup, Segment: segment}, nil
 }
 
 type segment struct {

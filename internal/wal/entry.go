@@ -45,16 +45,30 @@ type Entry struct {
 	Obs []schema.Observation
 }
 
-// Frame layout: [u32 payload length][u32 CRC32-C of payload][payload].
+// Frame is one unit of the node log: the entries one Append call staged
+// on one stream, or (Reset) the point where Remove emptied the stream.
+type Frame struct {
+	Stream  string
+	Reset   bool
+	Entries []Entry
+}
+
+// Frame layout: [u32 payload length][u32 CRC32-C of payload][payload],
+// and the payload is [u8 tag][u32 stream length][stream][body]: a batch
+// frame's body is [u32 entry count][entry]…, a reset frame's is empty.
 // All integers are little-endian and fixed-width (no varints): the
 // encoding is canonical, so decoding a writer-produced WAL and
 // re-encoding it reproduces the exact bytes — the round-trip property
-// FuzzWALReplay pins.
+// FuzzWALReplay pins. The tags are not entry kinds, so a frame of the
+// older one-entry-per-frame layout never decodes as a frame of this one.
 const (
 	frameHeader = 8
 	// MaxFrame bounds one frame's payload so a corrupt length field can
 	// never drive a giant allocation.
 	MaxFrame = 64 << 20
+
+	tagBatch = 0x10
+	tagReset = 0x11
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -74,8 +88,8 @@ func appendStr(b []byte, s string) []byte {
 	return append(b, s...)
 }
 
-// AppendEntry appends e's canonical payload encoding to b.
-func AppendEntry(b []byte, e Entry) ([]byte, error) {
+// appendEntry appends e's canonical encoding to b.
+func appendEntry(b []byte, e Entry) ([]byte, error) {
 	b = append(b, byte(e.Kind))
 	switch e.Kind {
 	case KindRecord:
@@ -103,7 +117,12 @@ func AppendEntry(b []byte, e Entry) ([]byte, error) {
 	return b, nil
 }
 
-type decoder struct{ b []byte }
+// decoder reads canonical encodings off the front of b. With check set
+// it only walks them: nothing is copied out and no entry is built.
+type decoder struct {
+	b     []byte
+	check bool
+}
 
 func (d *decoder) u32() (uint32, bool) {
 	if len(d.b) < 4 {
@@ -133,6 +152,10 @@ func (d *decoder) blob() ([]byte, bool) {
 	if n == 0 {
 		return nil, true
 	}
+	if d.check {
+		d.b = d.b[n:]
+		return nil, true
+	}
 	out := make([]byte, n)
 	copy(out, d.b)
 	d.b = d.b[n:]
@@ -140,24 +163,31 @@ func (d *decoder) blob() ([]byte, bool) {
 }
 
 func (d *decoder) str() (string, bool) {
-	n, ok := d.u32()
-	if !ok || int64(n) > int64(len(d.b)) {
-		return "", false
+	b, ok := d.raw()
+	if !ok || d.check {
+		return "", ok
 	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s, true
+	return string(b), true
 }
 
-// DecodeEntry decodes one canonical payload. Trailing bytes after the
-// entry make the payload invalid — canonical encodings have exactly one
-// byte representation per entry.
-func DecodeEntry(p []byte) (Entry, error) {
-	if len(p) == 0 {
-		return Entry{}, errBadEntry
+// raw returns the length-prefixed bytes in place.
+func (d *decoder) raw() ([]byte, bool) {
+	n, ok := d.u32()
+	if !ok || int64(n) > int64(len(d.b)) {
+		return nil, false
 	}
-	d := &decoder{b: p[1:]}
-	e := Entry{Kind: Kind(p[0])}
+	b := d.b[:n]
+	d.b = d.b[n:]
+	return b, true
+}
+
+// entry decodes one canonical entry off the front of the buffer.
+func (d *decoder) entry() (Entry, bool) {
+	if len(d.b) == 0 {
+		return Entry{}, false
+	}
+	e := Entry{Kind: Kind(d.b[0])}
+	d.b = d.b[1:]
 	ok := true
 	switch e.Kind {
 	case KindRecord:
@@ -185,7 +215,9 @@ func DecodeEntry(p []byte) (Entry, error) {
 			ok = false
 		}
 		if ok && cnt > 0 {
-			e.Obs = make([]schema.Observation, 0, cnt)
+			if !d.check {
+				e.Obs = make([]schema.Observation, 0, cnt)
+			}
 			for i := uint32(0); i < cnt && ok; i++ {
 				var o schema.Observation
 				var ns int64
@@ -202,7 +234,7 @@ func DecodeEntry(p []byte) (Entry, error) {
 					k6 = true
 				}
 				ok = k1 && k2 && k3 && k4 && k5 && k6
-				if ok {
+				if ok && !d.check {
 					o.Ts = time.Unix(0, ns).UTC()
 					o.Value = math.Float64frombits(bits)
 					e.Obs = append(e.Obs, o)
@@ -210,57 +242,178 @@ func DecodeEntry(p []byte) (Entry, error) {
 			}
 		}
 	default:
-		return Entry{}, fmt.Errorf("%w: unknown kind %d", errBadEntry, e.Kind)
+		ok = false
 	}
-	if !ok || len(d.b) != 0 {
-		return Entry{}, errBadEntry
-	}
-	return e, nil
+	return e, ok
 }
 
-// AppendFrame appends e to b as one framed, checksummed record.
-func AppendFrame(b []byte, e Entry) ([]byte, error) {
-	start := len(b)
+// openFrame reserves a frame header and writes the payload's tag and
+// stream; a batch frame also reserves its entry count.
+func openFrame(b []byte, tag byte, stream string) []byte {
 	b = append(b, make([]byte, frameHeader)...)
-	b, err := AppendEntry(b, e)
-	if err != nil {
-		return b[:start], err
+	b = append(b, tag)
+	b = appendStr(b, stream)
+	if tag == tagBatch {
+		b = appendU32(b, 0)
 	}
+	return b
+}
+
+// closeFrame fills in the header of the frame that starts at start (and
+// a batch frame's entry count), once its payload is complete; a payload
+// over limit bytes is refused.
+func closeFrame(b []byte, start int, entries uint32, limit int) error {
 	payload := b[start+frameHeader:]
-	if len(payload) > MaxFrame {
-		return b[:start], fmt.Errorf("%w: %d-byte entry exceeds MaxFrame", errBadEntry, len(payload))
+	if len(payload) > limit {
+		return fmt.Errorf("%w: a %d-byte frame exceeds %d bytes", errBadEntry, len(payload), limit)
+	}
+	if payload[0] == tagBatch {
+		binary.LittleEndian.PutUint32(payload[5+binary.LittleEndian.Uint32(payload[1:]):], entries)
 	}
 	binary.LittleEndian.PutUint32(b[start:], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(b[start+4:], crc32.Checksum(payload, castagnoli))
+	return nil
+}
+
+// AppendFrame appends f to b as one framed, checksummed record.
+func AppendFrame(b []byte, f Frame) ([]byte, error) {
+	start := len(b)
+	if f.Reset {
+		if len(f.Entries) > 0 {
+			return b, fmt.Errorf("%w: a reset frame holds no entries", errBadEntry)
+		}
+		b = openFrame(b, tagReset, f.Stream)
+		return b, closeFrame(b, start, 0, MaxFrame)
+	}
+	b = openFrame(b, tagBatch, f.Stream)
+	var err error
+	for _, e := range f.Entries {
+		if b, err = appendEntry(b, e); err != nil {
+			return b[:start], err
+		}
+	}
+	if err := closeFrame(b, start, uint32(len(f.Entries)), MaxFrame); err != nil {
+		return b[:start], err
+	}
 	return b, nil
 }
 
+// appendBatch appends entries on one stream as batch frames whose
+// payloads fit in limit bytes (MaxFrame, but for tests): one frame,
+// unless the entries together do not fit, when each frame takes as many
+// as fit. An entry that alone does not fit is refused, and b comes back
+// as it was.
+func appendBatch(b []byte, stream string, entries []Entry, limit int) ([]byte, error) {
+	orig := len(b)
+	start, n := orig, uint32(0)
+	b = openFrame(b, tagBatch, stream)
+	for _, e := range entries {
+		mark := len(b)
+		var err error
+		if b, err = appendEntry(b, e); err != nil {
+			return b[:orig], err
+		}
+		if len(b)-start-frameHeader > limit && n > 0 {
+			// The frame is full without this entry: close it, and the
+			// entry opens the next one.
+			tail := append([]byte(nil), b[mark:]...)
+			if err := closeFrame(b[:mark], start, n, limit); err != nil {
+				return b[:orig], err
+			}
+			start, n = mark, 0
+			b = append(openFrame(b[:mark], tagBatch, stream), tail...)
+		}
+		n++
+	}
+	if err := closeFrame(b, start, n, limit); err != nil {
+		return b[:orig], err
+	}
+	return b, nil
+}
+
+// nextFrame checks the frame at the front of data — length, checksum —
+// and returns its payload and its length on disk; ok is false for a
+// torn or corrupt frame.
+func nextFrame(data []byte) (payload []byte, n int, ok bool) {
+	if len(data) < frameHeader {
+		return nil, 0, false
+	}
+	ln := binary.LittleEndian.Uint32(data)
+	if ln == 0 || ln > MaxFrame || int64(ln) > int64(len(data)-frameHeader) {
+		return nil, 0, false
+	}
+	payload = data[frameHeader : frameHeader+int(ln)]
+	if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(data[4:]) {
+		return nil, 0, false
+	}
+	return payload, frameHeader + int(ln), true
+}
+
+// frameHead reads a payload's tag and stream (in place) and returns the
+// decoder positioned at its body.
+func frameHead(p []byte) (d decoder, tag byte, stream []byte, ok bool) {
+	if len(p) == 0 {
+		return d, 0, nil, false
+	}
+	tag, d = p[0], decoder{b: p[1:]}
+	stream, ok = d.raw()
+	return d, tag, stream, ok && (tag == tagBatch || tag == tagReset)
+}
+
+// decodeFrame decodes one canonical payload. Trailing bytes make it
+// invalid: a canonical encoding has exactly one byte representation.
+// With check it only validates: the frame comes back without entries,
+// and without its stream unless it is a reset.
+func decodeFrame(p []byte, check bool) (Frame, bool) {
+	d, tag, stream, ok := frameHead(p)
+	if !ok {
+		return Frame{}, false
+	}
+	f := Frame{Reset: tag == tagReset}
+	if !check || f.Reset {
+		f.Stream = string(stream)
+	}
+	if !f.Reset {
+		cnt, ok := d.u32()
+		// An entry is at least 13 bytes (an insert of no observations).
+		if !ok || int64(cnt)*13 > int64(len(d.b)) {
+			return Frame{}, false
+		}
+		d.check = check
+		if !check {
+			f.Entries = make([]Entry, 0, cnt)
+		}
+		for range cnt {
+			e, ok := d.entry()
+			if !ok {
+				return Frame{}, false
+			}
+			if !check {
+				f.Entries = append(f.Entries, e)
+			}
+		}
+	}
+	return f, len(d.b) == 0
+}
+
 // DecodeFrames decodes every complete, checksummed frame at the front
-// of data, returning the entries and the byte length of the valid
+// of data, returning the frames and the byte length of the valid
 // prefix. It never panics on arbitrary input; the first torn, corrupt,
 // or non-canonical frame ends the scan — the same truncate-at-first-
-// bad-frame rule Open applies to a log's tail segment.
-func DecodeFrames(data []byte) ([]Entry, int) {
-	var out []Entry
+// bad-frame rule Open applies to the log's tail.
+func DecodeFrames(data []byte) ([]Frame, int) {
+	var out []Frame
 	n := 0
 	for {
-		rest := data[n:]
-		if len(rest) < frameHeader {
+		p, ln, ok := nextFrame(data[n:])
+		if !ok {
 			return out, n
 		}
-		ln := binary.LittleEndian.Uint32(rest)
-		if ln == 0 || ln > MaxFrame || int64(ln) > int64(len(rest)-frameHeader) {
+		f, ok := decodeFrame(p, false)
+		if !ok {
 			return out, n
 		}
-		payload := rest[frameHeader : frameHeader+int(ln)]
-		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(rest[4:]) {
-			return out, n
-		}
-		e, err := DecodeEntry(payload)
-		if err != nil {
-			return out, n
-		}
-		out = append(out, e)
-		n += frameHeader + int(ln)
+		out = append(out, f)
+		n += ln
 	}
 }

@@ -13,18 +13,22 @@ import (
 	"odakit/internal/schema"
 )
 
-// fuzzWALSeeds is the seed set: a clean writer-produced log plus the
+// fuzzWALSeeds is the seed set: a clean writer-produced node log (a
+// partition's records and barrier, a stripe's insert, a reset) plus the
 // interesting failure shapes (torn tail, empty, headerless length,
 // checksum flip).
 func fuzzWALSeeds() [][]byte {
 	var clean []byte
-	clean, _ = AppendFrame(clean, Entry{Kind: KindRecord, Offset: 7, Ts: 1717200000000000000,
-		Key: []byte("k1"), Value: []byte("hello")})
-	clean, _ = AppendFrame(clean, Entry{Kind: KindCommit, HW: 8, Epoch: 3})
-	clean, _ = AppendFrame(clean, Entry{Kind: KindInsert, Seq: 1, Obs: []schema.Observation{{
+	clean, _ = AppendFrame(clean, Frame{Stream: "t/telemetry/0", Entries: []Entry{
+		{Kind: KindRecord, Offset: 7, Ts: 1717200000000000000, Key: []byte("k1"), Value: []byte("hello")},
+		{Kind: KindRecord, Offset: 8, Ts: 1717200000000000001, Value: []byte("keyless")},
+	}})
+	clean, _ = AppendFrame(clean, Frame{Stream: "t/telemetry/0", Entries: []Entry{{Kind: KindCommit, HW: 9, Epoch: 3}}})
+	clean, _ = AppendFrame(clean, Frame{Stream: "lake/3", Entries: []Entry{{Kind: KindInsert, Seq: 1, Obs: []schema.Observation{{
 		Ts: time.Unix(0, 1717200000000000000).UTC(), System: "sys0", Source: "src1",
 		Component: "node00042", Metric: "node_power_w", Value: 217.5,
-	}}})
+	}}}}})
+	clean, _ = AppendFrame(clean, Frame{Stream: "lake/3", Reset: true})
 	corrupted := append([]byte(nil), clean...)
 	corrupted[11] ^= 0xff
 	return [][]byte{
@@ -52,24 +56,24 @@ func FuzzWALReplay(f *testing.F) {
 		if len(data) > 1<<16 {
 			return
 		}
-		entries, n := DecodeFrames(data)
+		frames, n := DecodeFrames(data)
 		if n < 0 || n > len(data) {
 			t.Fatalf("consumed %d of %d bytes", n, len(data))
 		}
 		var re []byte
 		var err error
-		for _, e := range entries {
-			if re, err = AppendFrame(re, e); err != nil {
-				t.Fatalf("decoded entry does not re-encode: %v", err)
+		for _, f := range frames {
+			if re, err = AppendFrame(re, f); err != nil {
+				t.Fatalf("decoded frame does not re-encode: %v", err)
 			}
 		}
 		if !bytes.Equal(re, data[:n]) {
 			t.Fatalf("re-encode diverges: %d bytes vs %d consumed", len(re), n)
 		}
-		entries2, n2 := DecodeFrames(re)
-		if n2 != len(re) || len(entries2) != len(entries) {
-			t.Fatalf("re-decode not a fixed point: %d/%d entries, %d/%d bytes",
-				len(entries2), len(entries), n2, len(re))
+		frames2, n2 := DecodeFrames(re)
+		if n2 != len(re) || len(frames2) != len(frames) {
+			t.Fatalf("re-decode not a fixed point: %d/%d frames, %d/%d bytes",
+				len(frames2), len(frames), n2, len(re))
 		}
 	})
 }

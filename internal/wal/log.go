@@ -3,12 +3,13 @@ package wal
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"odakit/internal/atomicfile"
 	"odakit/internal/faults"
@@ -43,40 +44,6 @@ func segIndex(name string) int {
 	return i
 }
 
-// Log is one append-only log within a NodeWAL (a topic partition's
-// records, or a lake stripe's insert history). Appends stage into a
-// write buffer; Sync flushes and fsyncs — acks must ride on Sync, and a
-// crash loses whatever was only buffered. Safe for concurrent use.
-type Log struct {
-	w    *NodeWAL
-	name string
-	dir  string
-
-	mu     sync.Mutex
-	closed bool
-	segs   []manifestSegment // segs[len-1] is the active (unsealed) tail
-	f      *os.File          // active segment, append-only
-	size   int64             // flushed bytes in the active segment
-	buf    []byte            // appended-but-unflushed frames (lost on crash)
-}
-
-// openLog opens (or creates) a log directory, recovering the torn tail.
-// Called with the NodeWAL's mutex held.
-func openLog(w *NodeWAL, name, dir string) (*Log, error) {
-	if err := w.faults.Fire(faults.OpWALOpen, name); err != nil {
-		return nil, err
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, err
-	}
-	_, _ = atomicfile.CleanTemps(dir)
-	l := &Log{w: w, name: name, dir: dir}
-	if err := l.recover(); err != nil {
-		return nil, err
-	}
-	return l, nil
-}
-
 func readManifest(dir string) (*manifestFile, error) {
 	b, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if os.IsNotExist(err) {
@@ -94,6 +61,10 @@ func readManifest(dir string) (*manifestFile, error) {
 	return &m, nil
 }
 
+// listSegs lists the segment files of a node's log directory. The log
+// is the directory's only content: a subdirectory is a stream's log of
+// the older one-directory-per-stream layout (t/<topic>/<partition>,
+// lake/<stripe>), which this log cannot read, so it is refused by name.
 func listSegs(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -101,7 +72,11 @@ func listSegs(dir string) ([]string, error) {
 	}
 	var names []string
 	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), segSuffix) && segIndex(e.Name()) >= 0 {
+		if e.IsDir() {
+			return nil, fmt.Errorf("wal: %s holds %s/, a per-stream log directory of an older WAL layout that this version does not read; delete %s to start an empty log",
+				dir, e.Name(), dir)
+		}
+		if strings.HasSuffix(e.Name(), segSuffix) && segIndex(e.Name()) >= 0 {
 			names = append(names, e.Name())
 		}
 	}
@@ -115,13 +90,15 @@ func listSegs(dir string) ([]string, error) {
 // recorded — a crash can land between segment creation and the
 // manifest write) is scanned and cut at the first bad frame. Anything
 // after a truncation point — including whole later segments — is
-// dropped, so the surviving log is a clean frame-aligned prefix.
-func (l *Log) recover() error {
-	m, err := readManifest(l.dir)
+// dropped, so the surviving log is a clean frame-aligned prefix. The
+// scan also finds each stream's last reset.
+func (w *NodeWAL) recover() error {
+	dir := w.cfg.Dir
+	m, err := readManifest(dir)
 	if err != nil {
 		return err
 	}
-	onDisk, err := listSegs(l.dir)
+	onDisk, err := listSegs(dir)
 	if err != nil {
 		return err
 	}
@@ -133,14 +110,15 @@ func (l *Log) recover() error {
 	}
 	var segs []manifestSegment
 	truncated := false
+	pos := int64(0)
 	for _, name := range onDisk {
+		path := filepath.Join(dir, name)
 		if truncated {
 			// Everything after a truncation point is gone.
-			l.w.truncatedBytes.Add(fileSize(filepath.Join(l.dir, name)))
-			_ = os.Remove(filepath.Join(l.dir, name))
+			w.truncatedBytes.Add(fileSize(path))
+			_ = os.Remove(path)
 			continue
 		}
-		path := filepath.Join(l.dir, name)
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return err
@@ -150,16 +128,17 @@ func (l *Log) recover() error {
 		if isKnown && rec.Sealed && rec.Bytes < limit {
 			limit = rec.Bytes
 		}
-		_, valid := DecodeFrames(data[:limit])
-		bad := int64(valid) < limit || (isKnown && rec.Sealed && int64(len(data)) < rec.Bytes)
-		if int64(len(data)) != int64(valid) {
-			if err := os.Truncate(path, int64(valid)); err != nil {
+		valid := int64(w.scan(data[:limit], pos))
+		bad := valid < limit || (isKnown && rec.Sealed && int64(len(data)) < rec.Bytes)
+		if int64(len(data)) != valid {
+			if err := os.Truncate(path, valid); err != nil {
 				return err
 			}
-			l.w.truncatedBytes.Add(int64(len(data)) - int64(valid))
-			l.w.truncatedTails.Add(1)
+			w.truncatedBytes.Add(int64(len(data)) - valid)
+			w.truncatedTails.Add(1)
 		}
-		segs = append(segs, manifestSegment{Name: name, Bytes: int64(valid)})
+		segs = append(segs, manifestSegment{Name: name, Bytes: valid})
+		pos += valid
 		if bad {
 			// This segment lost data: it becomes the new unsealed tail and
 			// every later segment is dropped.
@@ -175,33 +154,43 @@ func (l *Log) recover() error {
 	}
 	tail := &segs[len(segs)-1]
 	tail.Sealed = false
-	f, err := os.OpenFile(filepath.Join(l.dir, tail.Name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(filepath.Join(dir, tail.Name), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
-	l.segs, l.f, l.size = segs, f, tail.Bytes
+	w.segs, w.f, w.size = segs, f, tail.Bytes
+	w.staged, w.durable = pos, pos
 	tail.Bytes = 0 // only meaningful for sealed segments
 	// A clean open recomputes exactly what the manifest already records;
-	// rewriting it would put two fsyncs on every log open (recovery
-	// replays open every log, so that cost lands on restart latency).
-	// Persist only when recovery learned something: a truncation, an
-	// adopted or dropped segment, or no readable manifest at all.
-	if m != nil && manifestEqual(m.Segments, segs) {
+	// rewriting it would put two fsyncs on every open, and so on restart
+	// latency. Persist only when recovery learned something: a
+	// truncation, an adopted or dropped segment, or no readable manifest
+	// at all.
+	if m != nil && slices.Equal(m.Segments, segs) {
 		return nil
 	}
-	return l.writeManifestLocked()
+	return w.writeManifestLocked()
 }
 
-func manifestEqual(a, b []manifestSegment) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+// scan validates the frames at the front of one segment's data, which
+// starts at position pos, without building their entries, notes each
+// reset, and returns the length of the valid prefix.
+func (w *NodeWAL) scan(data []byte, pos int64) int {
+	n := 0
+	for {
+		p, ln, ok := nextFrame(data[n:])
+		if !ok {
+			return n
 		}
+		f, ok := decodeFrame(p, true)
+		if !ok {
+			return n
+		}
+		if f.Reset {
+			w.resets[f.Stream] = pos + int64(n)
+		}
+		n += ln
 	}
-	return true
 }
 
 func fileSize(path string) int64 {
@@ -212,153 +201,109 @@ func fileSize(path string) int64 {
 	return fi.Size()
 }
 
-func (l *Log) writeManifestLocked() error {
-	b, err := json.Marshal(manifestFile{Segments: l.segs})
+func (w *NodeWAL) writeManifestLocked() error {
+	b, err := json.Marshal(manifestFile{Segments: w.segs})
 	if err != nil {
 		return err
 	}
-	return atomicfile.WriteFile(filepath.Join(l.dir, manifestName), b, 0o644)
-}
-
-// Append stages entries in the log's write buffer. They become durable
-// only at the next Sync; callers must not ack until Sync returns.
-func (l *Log) Append(entries ...Entry) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if err := l.w.faults.Fire(faults.OpWALAppend, l.name); err != nil {
-		return err
-	}
-	for _, e := range entries {
-		b, err := AppendFrame(l.buf, e)
-		if err != nil {
-			return err
-		}
-		l.buf = b
-	}
-	l.w.appends.Add(int64(len(entries)))
-	return nil
-}
-
-// Sync flushes the buffer to the active segment and fsyncs it — the
-// durability barrier replication acks ride on. Segment rotation happens
-// here (never mid-buffer), so a sealed segment is always fully durable.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if err := l.w.faults.Fire(faults.OpWALFsync, l.name); err != nil {
-		return err
-	}
-	return l.syncLocked()
-}
-
-func (l *Log) syncLocked() error {
-	if len(l.buf) > 0 {
-		n, err := l.f.Write(l.buf)
-		l.size += int64(n)
-		l.w.appendedBytes.Add(int64(n))
-		if err != nil {
-			return err
-		}
-		l.buf = l.buf[:0]
-	}
-	if err := l.f.Sync(); err != nil {
-		return err
-	}
-	l.w.fsyncs.Add(1)
-	if l.size >= l.w.cfg.SegmentBytes {
-		return l.rotateLocked()
-	}
-	return nil
+	return atomicfile.WriteFile(filepath.Join(w.cfg.Dir, manifestName), b, 0o644)
 }
 
 // rotateLocked seals the active segment and opens the next one. The
 // order is crash-safe: the sealed data is already durable, the new file
 // exists before the manifest records it, and recover adopts segments
-// the manifest never saw.
-func (l *Log) rotateLocked() error {
-	next := segName(segIndex(l.segs[len(l.segs)-1].Name) + 1)
-	nf, err := os.OpenFile(filepath.Join(l.dir, next), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// the manifest never saw. syncMu held.
+func (w *NodeWAL) rotateLocked() error {
+	next := segName(segIndex(w.segs[len(w.segs)-1].Name) + 1)
+	nf, err := os.OpenFile(filepath.Join(w.cfg.Dir, next), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return err
 	}
-	tail := &l.segs[len(l.segs)-1]
-	tail.Sealed, tail.Bytes = true, l.size
-	l.segs = append(l.segs, manifestSegment{Name: next})
-	if err := l.writeManifestLocked(); err != nil {
-		l.segs = l.segs[:len(l.segs)-1]
+	tail := &w.segs[len(w.segs)-1]
+	tail.Sealed, tail.Bytes = true, w.size
+	w.segs = append(w.segs, manifestSegment{Name: next})
+	if err := w.writeManifestLocked(); err != nil {
+		w.segs = w.segs[:len(w.segs)-1]
 		tail.Sealed, tail.Bytes = false, 0
 		nf.Close()
 		return err
 	}
-	l.f.Close()
-	l.f, l.size = nf, 0
-	l.w.rotations.Add(1)
+	w.f.Close()
+	w.f, w.size = nf, 0
+	w.rotations.Add(1)
 	return nil
 }
 
-// Replay streams every entry in the log, in append order, through fn.
-// It reads from disk, not the write buffer: replay sees exactly what a
-// restarted process would. A non-nil error from fn aborts the replay.
-func (l *Log) Replay(fn func(Entry) error) (int, error) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
+// Replay streams every entry of the node log, in log order, through fn
+// with its stream: one sequential pass that recovery demultiplexes. A
+// stream's entries before its last reset are skipped. It reads from
+// disk, as Log.Replay does. A non-nil error from fn aborts the replay.
+func (w *NodeWAL) Replay(fn func(stream string, e Entry) error) (int, error) {
+	return w.replay("", fn)
+}
+
+// replay walks the flushed log; only, when set, keeps one stream and
+// skips decoding every other stream's frames.
+func (w *NodeWAL) replay(only string, fn func(stream string, e Entry) error) (int, error) {
+	target := only
+	if only == "" {
+		target = NodeLog
+	}
+	// The segment list and the resets are read together, so a reset
+	// this snapshot misses lies past every byte the replay reads.
+	w.syncMu.Lock()
+	w.mu.Lock()
+	closed := w.closed
+	segs, tailSize, resets := slices.Clone(w.segs), w.size, maps.Clone(w.resets)
+	w.mu.Unlock()
+	w.syncMu.Unlock()
+	if closed {
 		return 0, ErrClosed
 	}
-	if err := l.w.faults.Fire(faults.OpWALReplay, l.name); err != nil {
+	if err := w.faults.Fire(faults.OpWALReplay, target); err != nil {
 		return 0, err
 	}
-	total := 0
-	for i, s := range l.segs {
-		data, err := os.ReadFile(filepath.Join(l.dir, s.Name))
+	total, pos := 0, int64(0)
+	defer func() { w.replayedEntries.Add(int64(total)) }()
+	for i, s := range segs {
+		limit := s.Bytes
+		if i == len(segs)-1 {
+			limit = tailSize // the tail's flushed prefix; the buffer is not on disk
+		}
+		data, err := os.ReadFile(filepath.Join(w.cfg.Dir, s.Name))
 		if err != nil {
 			return total, err
 		}
-		limit := s.Bytes
-		if i == len(l.segs)-1 {
-			limit = l.size // the tail's flushed prefix; the buffer is not on disk
-		}
-		if limit < int64(len(data)) {
-			data = data[:limit]
-		}
-		entries, n := DecodeFrames(data)
-		l.w.replayedBytes.Add(int64(n))
-		for _, e := range entries {
-			if err := fn(e); err != nil {
-				return total, err
+		data = data[:min(limit, int64(len(data)))]
+		n := 0
+		for {
+			p, ln, ok := nextFrame(data[n:])
+			if !ok {
+				break
 			}
-			total++
+			at := pos + int64(n)
+			n += ln
+			_, tag, stream, ok := frameHead(p)
+			if !ok || tag == tagReset || only != "" && string(stream) != only {
+				continue
+			}
+			if r, ok := resets[string(stream)]; ok && at < r {
+				continue
+			}
+			f, ok := decodeFrame(p, false)
+			if !ok {
+				break
+			}
+			for _, e := range f.Entries {
+				if err := fn(f.Stream, e); err != nil {
+					w.replayedBytes.Add(int64(n))
+					return total, err
+				}
+				total++
+			}
 		}
+		w.replayedBytes.Add(int64(n))
+		pos += limit
 	}
-	l.w.replayedEntries.Add(int64(total))
 	return total, nil
-}
-
-// close finalizes the log. flush=true is a clean shutdown (buffered
-// entries are made durable first); flush=false abandons the buffer —
-// the crash-restart boundary Restart simulates.
-func (l *Log) close(flush bool) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	var err error
-	if flush {
-		err = l.syncLocked()
-	}
-	l.closed = true
-	l.buf = nil
-	if l.f != nil {
-		if cerr := l.f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	return err
 }

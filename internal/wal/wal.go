@@ -1,36 +1,48 @@
-// Package wal implements per-node, per-partition segmented write-ahead
-// logs for the replicated cluster: length-prefixed CRC32-C framed
-// records, segment rotation under a durable atomicfile manifest, and
-// torn-tail truncation on open. A NodeWAL is one node's log directory;
-// each named Log inside it (a topic partition, a lake stripe) is an
-// independent append/sync/replay unit.
+// Package wal implements one segmented write-ahead log per node for the
+// replicated cluster: length-prefixed CRC32-C framed records, segment
+// rotation under a durable atomicfile manifest, and torn-tail
+// truncation on open. A NodeWAL is one node's log directory and its one
+// log; each named stream inside it (a topic partition, a lake stripe) is
+// a tag on the frames, and a Log is a handle that appends, syncs and
+// replays one stream.
 //
 // Durability contract: Append stages frames in memory and Sync makes
 // them durable — callers ack replication only after Sync. A crash (or
 // NodeWAL.Abandon, which simulates one) loses buffered frames but never
 // corrupts the flushed prefix; open truncates at the first torn frame.
+// The log is one ordered file, so a frame is durable only once every
+// frame staged before it is: a stream's reset (Remove) is durable before
+// anything appended after it.
+//
+// Group commit: Sync writes and fsyncs everything staged so far, on
+// every stream, under the log's sync lock. A Sync whose frames a
+// concurrent Sync already flushed returns without an fsync of its own,
+// and Append takes only the append lock, so it never waits behind an
+// fsync in flight.
 //
 // What an ack rides on: the cluster stages a whole batch with Append on
-// every replica log it touches, then calls Sync on all of those logs
-// concurrently (one flush wave per batch; Log is safe for that) and
-// counts a replica's ack only once that replica's own Sync has returned
-// nil. Commit barriers are appended after the wave without a Sync of
-// their own and become durable with the next wave that flushes their
-// log.
+// every replica stream it touches, then calls Sync once on every node
+// log those streams live in, concurrently (one flush wave per batch),
+// and counts a replica's ack only once its node's Sync has returned nil.
+// Commit barriers are appended after the wave without a Sync of their
+// own and become durable with the next Sync of their node's log.
 //
-// Fault injection: the NodeWAL's faults.Hook fires wal.open, wal.append,
-// wal.fsync and wal.replay before the guarded step mutates anything.
+// Fault injection: the NodeWAL's faults.Hook fires wal.open (a stream
+// handle's first use), wal.append (with the stream), wal.fsync (under
+// the sync lock, once per real fsync, with NodeLog) and wal.replay
+// (with the stream, or NodeLog for the whole log) before the guarded
+// step mutates anything.
 package wal
 
 import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
 
+	"odakit/internal/atomicfile"
 	"odakit/internal/faults"
 )
 
@@ -41,6 +53,10 @@ const (
 	OpFsync  = faults.OpWALFsync
 	OpReplay = faults.OpWALReplay
 )
+
+// NodeLog is the fault target of the operations on the whole node log:
+// every fsync, and a replay of every stream.
+const NodeLog = "node"
 
 // ErrClosed reports an operation against a closed (or abandoned) log —
 // the write paths treat it as the node crash it represents.
@@ -54,7 +70,7 @@ const DefaultSegmentBytes = 4 << 20
 type Config struct {
 	// Dir is the node's log directory (required).
 	Dir string
-	// SegmentBytes rotates a log's active segment once its flushed size
+	// SegmentBytes rotates the active segment once its flushed size
 	// reaches this many bytes (DefaultSegmentBytes when zero).
 	SegmentBytes int64
 }
@@ -63,7 +79,7 @@ type Config struct {
 type Stats struct {
 	Appends         int64 // entries staged
 	AppendedBytes   int64 // frame bytes flushed to segments
-	Fsyncs          int64 // successful Sync barriers
+	Fsyncs          int64 // fsyncs of the node log (a Sync a concurrent flush covered makes none)
 	Rotations       int64 // segments sealed
 	ReplayedEntries int64 // entries streamed by Replay
 	ReplayedBytes   int64 // valid frame bytes read by Replay
@@ -83,25 +99,42 @@ func (s *Stats) Add(o Stats) {
 	s.TruncatedBytes += o.TruncatedBytes
 }
 
-// NodeWAL is one node's set of named logs under a shared directory.
-// Logs open lazily and are cached; Close/Abandon invalidates every
-// handle. Safe for concurrent use.
+// NodeWAL is one node's log. Positions in it are byte offsets from the
+// start of its first segment. Close/Abandon invalidates every handle.
+// Safe for concurrent use.
 type NodeWAL struct {
 	cfg Config
 
-	mu     sync.Mutex
-	logs   map[string]*Log
-	closed bool
+	// mu is the append lock. It is never held across a write or an
+	// fsync.
+	mu      sync.Mutex
+	closed  bool
+	streams map[string]*Log
+	buf     []byte           // staged frames, not yet written (lost on crash)
+	staged  int64            // the position buf ends at
+	resets  map[string]int64 // each stream's last reset, by position
 
-	faults faults.Hook // fired before every open, append, fsync and replay
+	// syncMu is the sync lock: one flush at a time writes, fsyncs and
+	// rotates. Lock order: syncMu, then mu.
+	syncMu  sync.Mutex
+	durable int64             // the position the last fsync covered
+	spare   []byte            // the last flush's buffer, the next one to stage into
+	segs    []manifestSegment // segs[len-1] is the active (unsealed) tail
+	f       *os.File          // active segment, append-only
+	size    int64             // bytes written to the active segment
+	err     error             // a failed write or fsync: nothing later can be promised
+
+	faults faults.Hook
 
 	appends, appendedBytes, fsyncs, rotations atomic.Int64
 	replayedEntries, replayedBytes            atomic.Int64
 	truncatedTails, truncatedBytes            atomic.Int64
 }
 
-// Open opens (creating if needed) a node WAL directory. Individual logs
-// are recovered lazily on first Log call.
+// Open opens (creating if needed) a node's log directory and recovers
+// its log: sealed segments checked against the manifest, the torn tail
+// cut. A directory that holds the per-stream directories of the older
+// one-log-per-stream layout is refused.
 func Open(cfg Config) (*NodeWAL, error) {
 	if cfg.Dir == "" {
 		return nil, errors.New("wal: Config.Dir required")
@@ -112,10 +145,15 @@ func Open(cfg Config) (*NodeWAL, error) {
 	if err := os.MkdirAll(cfg.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	return &NodeWAL{cfg: cfg, logs: make(map[string]*Log)}, nil
+	_, _ = atomicfile.CleanTemps(cfg.Dir)
+	w := &NodeWAL{cfg: cfg, streams: make(map[string]*Log), resets: make(map[string]int64)}
+	if err := w.recover(); err != nil {
+		return nil, err
+	}
+	return w, nil
 }
 
-// Dir returns the WAL's root directory.
+// Dir returns the WAL's directory.
 func (w *NodeWAL) Dir() string { return w.cfg.Dir }
 
 // SetFaultHook installs (or, with nil, removes) the fault-injection hook.
@@ -123,13 +161,22 @@ func (w *NodeWAL) SetFaultHook(h func(op, target string) error) { w.faults.SetFa
 
 func validName(name string) error {
 	if name == "" || strings.HasPrefix(name, "/") || strings.Contains(name, "..") {
-		return fmt.Errorf("wal: invalid log name %q", name)
+		return fmt.Errorf("wal: invalid stream name %q", name)
 	}
 	return nil
 }
 
-// Log returns the named log, opening (and crash-recovering) it on first
-// use. Names are slash-separated paths relative to the WAL directory.
+// Log is one stream of a NodeWAL (a topic partition's records, or a
+// lake stripe's insert history): Append tags its entries with the
+// stream, Sync makes the whole node log durable, Replay reads the
+// stream back. Safe for concurrent use.
+type Log struct {
+	w    *NodeWAL
+	name string
+}
+
+// Log returns the named stream's handle. Names are slash-separated,
+// like the cluster's "t/<topic>/<partition>" and "lake/<stripe>".
 func (w *NodeWAL) Log(name string) (*Log, error) {
 	if err := validName(name); err != nil {
 		return nil, err
@@ -139,64 +186,164 @@ func (w *NodeWAL) Log(name string) (*Log, error) {
 	if w.closed {
 		return nil, ErrClosed
 	}
-	if l, ok := w.logs[name]; ok {
+	if l, ok := w.streams[name]; ok {
 		return l, nil
 	}
-	l, err := openLog(w, name, filepath.Join(w.cfg.Dir, filepath.FromSlash(name)))
-	if err != nil {
+	if err := w.faults.Fire(faults.OpWALOpen, name); err != nil {
 		return nil, err
 	}
-	w.logs[name] = l
+	l := &Log{w: w, name: name}
+	w.streams[name] = l
 	return l, nil
 }
 
-// Has reports whether the named log exists on disk (an open one does),
-// without creating it as Log would.
-func (w *NodeWAL) Has(name string) bool {
-	_, err := os.Stat(filepath.Join(w.cfg.Dir, filepath.FromSlash(name)))
-	return err == nil
+// Append stages entries on the stream as one frame. They become durable
+// only at the next Sync; callers must not ack until Sync returns.
+func (l *Log) Append(entries ...Entry) error {
+	w := l.w
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.closed {
+		return ErrClosed
+	}
+	if err := w.faults.Fire(faults.OpWALAppend, l.name); err != nil {
+		return err
+	}
+	if len(entries) == 0 {
+		return nil
+	}
+	b, err := appendBatch(w.buf, l.name, entries, MaxFrame)
+	if err != nil {
+		return err
+	}
+	w.buf, w.staged = b, w.staged+int64(len(b)-len(w.buf))
+	w.appends.Add(int64(len(entries)))
+	return nil
 }
 
-// Remove deletes a log — handle, directory, and history. Used when an
-// out-of-band copy (a wholesale stripe resync) makes the on-disk
-// history no longer describe the state it was a log of.
+// Sync makes the node log durable through everything staged on any
+// stream; see NodeWAL.Sync.
+func (l *Log) Sync() error { return l.w.Sync() }
+
+// Replay streams the stream's entries since its last reset, in append
+// order, through fn. It reads from disk, not the write buffer: replay
+// sees exactly what a restarted process would, except that a reset
+// takes effect at once. A non-nil error from fn aborts the replay.
+func (l *Log) Replay(fn func(Entry) error) (int, error) {
+	return l.w.replay(l.name, func(_ string, e Entry) error { return fn(e) })
+}
+
+// Remove resets a stream: it stages a reset frame, and Replay (here,
+// and after a restart once the frame is durable) skips every entry the
+// stream held before it. Used when an out-of-band copy (a wholesale
+// stripe resync) makes the stream's history no longer describe the
+// state it was a log of.
 func (w *NodeWAL) Remove(name string) error {
 	if err := validName(name); err != nil {
 		return err
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if l, ok := w.logs[name]; ok {
-		_ = l.close(false)
-		delete(w.logs, name)
+	if w.closed {
+		return ErrClosed
 	}
-	return os.RemoveAll(filepath.Join(w.cfg.Dir, filepath.FromSlash(name)))
+	b, err := AppendFrame(w.buf, Frame{Stream: name, Reset: true})
+	if err != nil {
+		return err
+	}
+	w.resets[name] = w.staged
+	w.buf, w.staged = b, w.staged+int64(len(b)-len(w.buf))
+	return nil
 }
 
-// Close cleanly shuts the WAL down: every log flushes its buffer and
-// fsyncs before closing. Further operations return ErrClosed.
+// Sync is the durability barrier acks ride on: it writes every frame
+// staged so far, on any stream, and fsyncs the active segment. A Sync
+// whose frames a concurrent one already flushed returns without an
+// fsync of its own (group commit). Segment rotation happens here, so a
+// sealed segment is always fully durable.
+func (w *NodeWAL) Sync() error {
+	w.mu.Lock()
+	want, closed := w.staged, w.closed
+	w.mu.Unlock()
+	if closed {
+		return ErrClosed
+	}
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
+	if w.err != nil {
+		return w.err
+	}
+	if w.durable >= want {
+		return nil
+	}
+	if err := w.faults.Fire(faults.OpWALFsync, NodeLog); err != nil {
+		return err
+	}
+	return w.flushLocked()
+}
+
+// flushLocked writes what is staged and fsyncs it. syncMu held; the
+// append lock is held only to take the buffer.
+func (w *NodeWAL) flushLocked() error {
+	w.mu.Lock()
+	if w.closed {
+		w.mu.Unlock()
+		return ErrClosed
+	}
+	buf, end := w.buf, w.staged
+	w.buf, w.spare = w.spare[:0], nil
+	w.mu.Unlock()
+	n, err := w.f.Write(buf)
+	w.size += int64(n)
+	w.appendedBytes.Add(int64(n))
+	if err == nil {
+		err = w.f.Sync()
+	}
+	if err != nil {
+		w.err = fmt.Errorf("wal: %s: %w", w.cfg.Dir, err)
+		return w.err
+	}
+	w.spare, w.durable = buf[:0], end
+	w.fsyncs.Add(1)
+	if w.size >= w.cfg.SegmentBytes {
+		return w.rotateLocked()
+	}
+	return nil
+}
+
+// Close cleanly shuts the WAL down: what is staged is flushed and
+// fsynced before the segment closes. Further operations return
+// ErrClosed.
 func (w *NodeWAL) Close() error { return w.shutdown(true) }
 
-// Abandon closes the WAL the way a crash would: buffered, never-synced
-// entries are dropped on the floor and file handles close without a
+// Abandon closes the WAL the way a crash would: staged, never-synced
+// frames are dropped on the floor and the segment closes without a
 // final flush. Restart uses it as the process-death boundary before
 // reopening the directory from disk.
 func (w *NodeWAL) Abandon() { _ = w.shutdown(false) }
 
 func (w *NodeWAL) shutdown(flush bool) error {
+	w.syncMu.Lock()
+	defer w.syncMu.Unlock()
 	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.closed {
+	closed, pending := w.closed, w.staged > w.durable
+	w.mu.Unlock()
+	if closed {
 		return nil
 	}
-	w.closed = true
-	var first error
-	for _, l := range w.logs {
-		if err := l.close(flush); err != nil && first == nil {
-			first = err
+	var err error
+	if flush && pending {
+		if err = w.err; err == nil {
+			err = w.flushLocked()
 		}
 	}
-	return first
+	w.mu.Lock()
+	w.closed, w.buf = true, nil
+	w.mu.Unlock()
+	if cerr := w.f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // Stats snapshots the WAL's counters.

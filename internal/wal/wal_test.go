@@ -6,6 +6,9 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -36,14 +39,29 @@ func testEntries(n int) []Entry {
 
 func encodeAll(t *testing.T, entries []Entry) []byte {
 	t.Helper()
-	var b []byte
-	var err error
-	for _, e := range entries {
-		if b, err = AppendFrame(b, e); err != nil {
-			t.Fatal(err)
-		}
+	b, err := AppendFrame(nil, Frame{Stream: "s", Entries: entries})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return b
+}
+
+func openWAL(t *testing.T, cfg Config) *NodeWAL {
+	t.Helper()
+	w, err := Open(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
+}
+
+func stream(t *testing.T, w *NodeWAL, name string) *Log {
+	t.Helper()
+	l, err := w.Log(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
 }
 
 func replayAll(t *testing.T, l *Log) []Entry {
@@ -127,7 +145,7 @@ func TestWALSegmentRotation(t *testing.T) {
 	if r := w.Stats().Rotations; r < 4 {
 		t.Fatalf("expected several rotations, got %d", r)
 	}
-	segs, err := listSegs(filepath.Join(dir, "p0"))
+	segs, err := listSegs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,15 +177,17 @@ func TestWALTornTailTruncation(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := testEntries(20)
-	if err := l.Append(want...); err != nil {
-		t.Fatal(err)
+	for _, e := range want { // one frame each, so a torn tail loses one entry
+		if err := l.Append(e); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
 
-	seg := filepath.Join(dir, "p0", segName(0))
+	seg := filepath.Join(dir, segName(0))
 	for name, corrupt := range map[string]func([]byte) []byte{
 		"garbage-appended": func(b []byte) []byte { return append(b, 0xde, 0xad, 0xbe, 0xef, 1, 2, 3) },
 		"torn-mid-frame":   func(b []byte) []byte { return b[:len(b)-5] },
@@ -208,7 +228,7 @@ func TestWALTornTailTruncation(t *testing.T) {
 		if err := os.WriteFile(seg, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.Remove(filepath.Join(dir, "p0", manifestName)); err != nil {
+		if err := os.Remove(filepath.Join(dir, manifestName)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -237,11 +257,11 @@ func TestWALMidLogCorruptionDropsSuffix(t *testing.T) {
 		}
 	}
 	w.Close()
-	segs, err := listSegs(filepath.Join(dir, "p0"))
+	segs, err := listSegs(dir)
 	if err != nil || len(segs) < 3 {
 		t.Fatalf("need ≥3 segments (err %v, got %d)", err, len(segs))
 	}
-	mid := filepath.Join(dir, "p0", segs[1])
+	mid := filepath.Join(dir, segs[1])
 	data, err := os.ReadFile(mid)
 	if err != nil {
 		t.Fatal(err)
@@ -263,7 +283,7 @@ func TestWALMidLogCorruptionDropsSuffix(t *testing.T) {
 		t.Fatalf("recovered %d entries, want a proper prefix of %d", len(got), len(want))
 	}
 	requireSame(t, got, want[:len(got)])
-	left, err := listSegs(filepath.Join(dir, "p0"))
+	left, err := listSegs(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,6 +362,10 @@ func TestWALFaultHook(t *testing.T) {
 	if err := l.Append(want[0]); !errors.Is(err, boom) {
 		t.Fatalf("append fault: %v", err)
 	}
+	failOp = ""
+	if err := l.Append(want[0]); err != nil { // staged, so the Sync has a flush to make
+		t.Fatal(err)
+	}
 	failOp = OpFsync
 	if err := l.Sync(); !errors.Is(err, boom) {
 		t.Fatalf("fsync fault: %v", err)
@@ -372,29 +396,251 @@ func TestWALRejectsBadNames(t *testing.T) {
 	}
 }
 
-// TestWALHas: Has names the logs on disk — one Log opened, in this
-// process or an earlier one — and creates none itself.
-func TestWALHas(t *testing.T) {
+// TestWALRemoveResetsStream: Remove hides a stream's history from its
+// Replay at once, other streams keep theirs, and what the stream takes
+// after the reset is its new history. On disk the reset is one more
+// frame of the node log, so it is durable exactly when a later frame
+// is: a crash before the next Sync brings the old history back, and
+// with it nothing appended after the reset.
+func TestWALRemoveResetsStream(t *testing.T) {
 	dir := t.TempDir()
-	w, err := Open(Config{Dir: dir})
-	if err != nil {
+	w := openWAL(t, Config{Dir: dir})
+	a, b := stream(t, w, "lake/1"), stream(t, w, "lake/2")
+	old, kept, fresh := testEntries(6), testEntries(4), testEntries(3)
+	if err := a.Append(old...); err != nil {
 		t.Fatal(err)
 	}
-	if w.Has("t/x/0") || w.Has("t/x/0") {
-		t.Fatal("Has reports a log nothing opened, or created it on the first ask")
+	if err := b.Append(kept...); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := w.Log("t/x/0"); err != nil {
+	if err := w.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Remove("lake/1"); err != nil {
+		t.Fatal(err)
+	}
+	requireSame(t, replayAll(t, a), nil)
+	if err := a.Append(fresh...); err != nil {
+		t.Fatal(err)
+	}
+	w.Abandon() // the reset and fresh were only staged
+	w = openWAL(t, Config{Dir: dir})
+	a, b = stream(t, w, "lake/1"), stream(t, w, "lake/2")
+	requireSame(t, replayAll(t, a), old)
+	requireSame(t, replayAll(t, b), kept)
+
+	if err := w.Remove("lake/1"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Append(fresh...); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	w.Abandon()
-	w2, err := Open(Config{Dir: dir})
+	w = openWAL(t, Config{Dir: dir})
+	requireSame(t, replayAll(t, stream(t, w, "lake/1")), fresh)
+	requireSame(t, replayAll(t, stream(t, w, "lake/2")), kept)
+	if ents, _ := os.ReadDir(dir); len(ents) != 2 {
+		t.Fatalf("the node directory holds %d files, want one segment and the manifest", len(ents))
+	}
+}
+
+// TestWALStreamsShareOneLog: streams interleave in one log. Each
+// stream's Replay returns its own entries in append order, the node
+// log's Replay returns every entry once, in log order, with its stream,
+// and both survive a reopen across segment rotations.
+func TestWALStreamsShareOneLog(t *testing.T) {
+	dir := t.TempDir()
+	w := openWAL(t, Config{Dir: dir, SegmentBytes: 512})
+	names := []string{"t/telemetry/0", "t/telemetry/1", "lake/0"}
+	want := map[string][]Entry{}
+	var order []string
+	for i, e := range testEntries(90) {
+		name := names[i%len(names)]
+		if err := stream(t, w, name).Append(e); err != nil {
+			t.Fatal(err)
+		}
+		want[name] = append(want[name], e)
+		order = append(order, name)
+		if i%7 == 0 {
+			if err := w.Sync(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w = openWAL(t, Config{Dir: dir, SegmentBytes: 512})
+	for _, name := range names {
+		requireSame(t, replayAll(t, stream(t, w, name)), want[name])
+	}
+	var got []string
+	if _, err := w.Replay(func(s string, _ Entry) error { got = append(got, s); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, order) {
+		t.Fatalf("the node log replays streams in the order %v, want %v", got, order)
+	}
+	if segs, _ := listSegs(dir); len(segs) < 3 {
+		t.Fatalf("%d segments; the test wants rotations", len(segs))
+	}
+}
+
+// TestWALGroupCommit: two goroutines append to different streams and
+// Sync concurrently. The first Sync's fsync hook holds the sync lock
+// until the second goroutine's Append has returned — an Append never
+// waits behind an fsync in flight — so that flush carries both frames
+// and the second Sync returns without an fsync of its own. Then many
+// rounds of both: fewer fsyncs than Syncs, and after a crash a reopen
+// replays every entry whose Sync returned.
+func TestWALGroupCommit(t *testing.T) {
+	dir := t.TempDir()
+	w := openWAL(t, Config{Dir: dir})
+	a, b := stream(t, w, "t/telemetry/0"), stream(t, w, "lake/5")
+	entered, appended := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	w.SetFaultHook(func(op, target string) error {
+		if op != OpFsync {
+			return nil
+		}
+		if target != NodeLog {
+			t.Errorf("fsync fired on %q, want the node log", target)
+		}
+		once.Do(func() {
+			close(entered)
+			select {
+			case <-appended:
+			case <-time.After(10 * time.Second):
+				t.Error("an Append waited behind the fsync in flight")
+			}
+		})
+		return nil
+	})
+	e := testEntries(2)
+	if err := a.Append(e[0]); err != nil {
+		t.Fatal(err)
+	}
+	errs := make(chan error, 2)
+	go func() { errs <- a.Sync() }()
+	<-entered
+	if err := b.Append(e[1]); err != nil {
+		t.Fatal(err)
+	}
+	close(appended)
+	go func() { errs <- b.Sync() }()
+	for range 2 {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := w.Stats().Fsyncs; got != 1 {
+		t.Fatalf("two Syncs over one flush made %d fsyncs, want 1", got)
+	}
+	w.SetFaultHook(func(op, _ string) error {
+		if op == OpFsync {
+			time.Sleep(100 * time.Microsecond) // a device flush: Syncs pile up behind it
+		}
+		return nil
+	})
+
+	var mu sync.Mutex
+	acked := map[string][]Entry{"t/telemetry/0": {e[0]}, "lake/5": {e[1]}}
+	syncs := int64(2)
+	var wg sync.WaitGroup
+	for _, l := range []*Log{a, b} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, e := range testEntries(120) {
+				if err := l.Append(e); err != nil {
+					t.Error(err)
+					return
+				}
+				if err := l.Sync(); err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				acked[l.name] = append(acked[l.name], e)
+				syncs++
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if f := w.Stats().Fsyncs; f >= syncs {
+		t.Fatalf("%d fsyncs for %d Syncs: no flush was shared", f, syncs)
+	}
+	w.Abandon()
+	w = openWAL(t, Config{Dir: dir})
+	for name, want := range acked {
+		requireSame(t, replayAll(t, stream(t, w, name)), want)
+	}
+}
+
+// TestWALRefusesOldLayout: a node directory written by the older
+// one-directory-per-stream layout (testdata/oldlayout: t/telemetry/0
+// and lake/3) is refused by name, and nothing in it is touched.
+func TestWALRefusesOldLayout(t *testing.T) {
+	src, dir := filepath.Join("testdata", "oldlayout"), filepath.Join(t.TempDir(), "n2")
+	if err := filepath.WalkDir(src, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(src, path)
+		if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, rel)), 0o755); err != nil {
+			return err
+		}
+		return os.WriteFile(filepath.Join(dir, rel), data, 0o644)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	_, err := Open(Config{Dir: dir})
+	if err == nil || !strings.Contains(err.Error(), dir) || !strings.Contains(err.Error(), "delete") {
+		t.Fatalf("opening an old-layout directory: %v, want a refusal that names %s and says to delete it", err, dir)
+	}
+	if _, err := os.Stat(filepath.Join(dir, segName(0))); !os.IsNotExist(err) {
+		t.Fatalf("the refused open created a segment (%v)", err)
+	}
+	for _, seg := range []string{"t/telemetry/0/0000000000.seg", "lake/3/0000000000.seg"} {
+		want, _ := os.ReadFile(filepath.Join(src, seg))
+		if got, err := os.ReadFile(filepath.Join(dir, seg)); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("%s changed under a refused open (%v)", seg, err)
+		}
+	}
+}
+
+// TestAppendBatchSplitsAtTheFrameLimit: an Append whose entries do not
+// fit one frame becomes several frames of the stream, each within the
+// limit and together the entries in order; an entry that alone exceeds
+// the limit is refused and leaves the buffer as it was.
+func TestAppendBatchSplitsAtTheFrameLimit(t *testing.T) {
+	want := testEntries(40)
+	b, err := appendBatch([]byte("staged"), "lake/1", want, 300)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !w2.Has("t/x/0") {
-		t.Fatal("a reopened WAL does not have the log an earlier one opened")
+	frames, n := DecodeFrames(b[len("staged"):])
+	if n != len(b)-len("staged") || len(frames) < 4 {
+		t.Fatalf("%d frames over %d of %d bytes, want several covering all", len(frames), n, len(b)-len("staged"))
 	}
-	if err := w2.Remove("t/x/0"); err != nil || w2.Has("t/x/0") {
-		t.Fatalf("a removed log is still there (%v)", err)
+	var got []Entry
+	for _, f := range frames {
+		if p, err := AppendFrame(nil, f); err != nil || len(p)-frameHeader > 300 || f.Stream != "lake/1" {
+			t.Fatalf("frame of %d bytes on %q (%v), want ≤ 300 on lake/1", len(p)-frameHeader, f.Stream, err)
+		}
+		got = append(got, f.Entries...)
+	}
+	requireSame(t, got, want)
+	big := Entry{Kind: KindRecord, Value: make([]byte, 400)}
+	if b, err := appendBatch([]byte("staged"), "lake/1", []Entry{want[0], big}, 300); err == nil || string(b) != "staged" {
+		t.Fatalf("a 400-byte entry under a 300-byte limit: %v, buffer %q", err, b)
 	}
 }

@@ -2,15 +2,16 @@ package oda_test
 
 // The repository's shape rules: one STREAM reader, one LAKE read path, one
 // serialized form for rollup cells (a CQ checkpoint's included), one
-// grouping loop, one windowed fold, one sort, one log, one failure contract, one wait, one
-// consumer loop, one entry point per operation, one retry convention, one
-// fault seam, no knob nobody turns, one admission decision, one cold scan,
-// one parse per segment object, one filter test per series, one chunk
-// decoder, one interner, one series encoder, one parameter reader, a
-// series and a group that are integers, and one cluster harness. Each is
-// a structural fact a later change could quietly undo, so each is checked
-// over the parsed sources — the non-test ones, or for a test-shape rule
-// the tests — on every `go test ./...`, and each is shown to fire on a
+// grouping loop, one windowed fold, one sort, one log, one log per node,
+// one failure contract, one wait, one consumer loop, one entry point per
+// operation, one retry convention, one fault seam, no knob nobody turns,
+// one admission decision, one cold scan, one parse per segment object,
+// one filter test per series, one chunk decoder, one interner, one
+// series encoder, one parameter reader, a series and a group that are
+// integers, and one cluster harness. Each is a structural fact a later
+// change could quietly undo, so each is checked over the parsed sources —
+// the non-test ones, or for a test-shape rule the tests — on every
+// `go test ./...`, and each is shown to fire on a
 // synthetic source that breaks it.
 
 import (
@@ -371,6 +372,56 @@ func order() { slices.SortStableFunc(perm, less) }`},
 				"func Cluster.Publish")...)
 		},
 		breaks: map[string]string{"internal/cluster/publish.go": "package cluster\nfunc (c *Cluster) Publish() {}"},
+	},
+	{
+		name: "one log per node: internal/wal makes one directory and holds one segment file",
+		check: func(files []srcFile) (out []string) {
+			wal := within("internal/wal")
+			inspect(files, wal, func(s srcFile, n ast.Node) {
+				ts, ok := n.(*ast.TypeSpec)
+				if !ok {
+					return
+				}
+				st, ok := ts.Type.(*ast.StructType)
+				if !ok {
+					return
+				}
+				for _, fl := range st.Fields.List {
+					typ := exprString(fl.Type)
+					if !strings.Contains(typ, "os.File") {
+						continue
+					}
+					if ts.Name.Name != "NodeWAL" || typ != "*os.File" || len(fl.Names) != 1 {
+						out = append(out, fmt.Sprintf("%s: %s holds %v %s: a node's streams share its one log's active segment (NodeWAL.f)",
+							s.path, ts.Name.Name, fl.Names, typ))
+					}
+				}
+			})
+			mkdirs := 0
+			funcs(files, wal, func(s srcFile, name string, fd *ast.FuncDecl) {
+				ast.Inspect(fd.Body, func(n ast.Node) bool {
+					c, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					if f, ok := pkgRef(s.f, c.Fun, "os"); ok && strings.HasPrefix(f, "Mkdir") {
+						mkdirs++
+						if name != "Open" {
+							out = append(out, s.path+": "+name+" makes a directory: the node directory Open makes is the log's only one")
+						}
+					}
+					return true
+				})
+			})
+			if mkdirs > 1 {
+				out = append(out, fmt.Sprintf("internal/wal makes directories in %d places, want 1 (Open)", mkdirs))
+			}
+			return out
+		},
+		breaks: map[string]string{"internal/wal/log.go": `package wal
+import "os"
+type Log struct{ f *os.File }
+func openLog(dir string) error { return os.MkdirAll(dir, 0o755) }`},
 	},
 	{
 		name: "one failure contract: a failed publish leaves nothing for a retry to match",
