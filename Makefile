@@ -25,9 +25,10 @@ vet:
 # memoizes each series' admission and group — one chunk decoder, one interner,
 # one series encoder — httpapi appends series points, it reflects none —
 # one parameter reader, a series is an integer, a group is an integer —
-# its slot holds no string, FoldColumns builds no Series — and one cluster harness:
-# internal/cluster's tests make a cluster only in build), checked over
-# the parsed sources.
+# its slot holds no string, FoldColumns builds no Series — one cluster harness:
+# internal/cluster's tests make a cluster only in build — and one LRU in
+# tsdb: one file of it imports container/list), checked over the parsed
+# sources.
 test:
 	$(GO) test ./...
 
@@ -37,7 +38,8 @@ test:
 # here instead of in the driver's run. The cold-scan and OCF-write
 # microbenchmarks, the partition log's append + fetch, the LAKE insert
 # and cell-table growth ones, the grouped and filtered cold folds (on the
-# harness's shape and on unlapped telemetry), the replicated ingest loop, the
+# harness's shape and on unlapped telemetry; the grouped one also warm,
+# merging cached per-segment partials), the replicated ingest loop, the
 # CQ pump's checkpoint of a 61 440-cell view (B/ckpt) and the
 # Silver job's windowed fold + SQL query, and the generator's cost per
 # record on each source, run once each so they cannot rot either.
@@ -47,7 +49,7 @@ bench-smoke:
 	$(GO) test -bench 'EncodeObservationRow|DecodeObservationRow' -benchtime 1x -run xxx ./internal/schema
 	$(GO) test -bench 'PartitionAppendFetch' -benchtime 1x -run xxx ./internal/stream
 	$(GO) test -bench 'ScanColumnsCold|WriteTelemetry' -benchtime 1x -run xxx ./internal/columnar
-	$(GO) test -bench 'Insert$$|CellTableGrow|ColdFoldGrouped|ColdFoldFiltered|ColdFoldTelemetry' -benchtime 1x -run xxx ./internal/tsdb
+	$(GO) test -bench 'Insert$$|CellTableGrow|ColdFoldGrouped|ColdFoldGroupedWarm|ColdFoldFiltered|ColdFoldTelemetry' -benchtime 1x -run xxx ./internal/tsdb
 	$(GO) test -bench 'ClusterIngestBatch' -benchtime 1x -run xxx ./internal/cluster
 	$(GO) test -bench 'PumpCheckpoint' -benchtime 1x -run xxx ./internal/cq
 	$(GO) test -bench 'WindowedThroughput|SQLQuery' -benchtime 1x -run xxx ./internal/sproc

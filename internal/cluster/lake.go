@@ -209,11 +209,15 @@ func (c *Cluster) markStripeSynced(s int, id string) {
 func (c *Cluster) RunWithStats(q tsdb.Query) (*schema.Frame, tsdb.QueryStats, error) {
 	t0 := time.Now()
 	var st tsdb.QueryStats
-	parts, owners, err := c.scatter(q)
+	plan, err := tsdb.Prepare(q)
 	if err != nil {
 		return nil, st, err
 	}
-	frame, err := tsdb.MergeStripePartials(q, parts)
+	parts, owners, err := c.scatter(plan)
+	if err != nil {
+		return nil, st, err
+	}
+	frame, err := tsdb.MergeStripePartials(plan, parts)
 	if err != nil {
 		return nil, st, err
 	}
@@ -226,9 +230,10 @@ func (c *Cluster) RunWithStats(q tsdb.Query) (*schema.Frame, tsdb.QueryStats, er
 	return frame, st, nil
 }
 
-// scatter fans the query's stripe scans across the owning nodes and
-// returns the partials in ascending stripe order plus the node fan-out.
-func (c *Cluster) scatter(q tsdb.Query) ([]*tsdb.StripePartial, int, error) {
+// scatter fans the plan's stripe scans across the owning nodes, which
+// share it read-only, and returns the partials in ascending stripe order
+// plus the node fan-out.
+func (c *Cluster) scatter(plan *tsdb.Plan) ([]*tsdb.StripePartial, int, error) {
 	// Pick each stripe's scan owner: the smallest live in-sync replica,
 	// deterministic so repeated queries hit warm nodes.
 	byNode := make(map[string][]int)
@@ -262,7 +267,7 @@ func (c *Cluster) scatter(q tsdb.Query) ([]*tsdb.StripePartial, int, error) {
 						return err
 					}
 					var serr error
-					sp, serr = n.Lake().StripePartial(q, s)
+					sp, serr = n.Lake().StripePartial(plan, s)
 					return serr
 				})
 				if err != nil {

@@ -9,7 +9,7 @@
 // with one of the Op constants below, before each guarded step:
 //
 //	stream.Broker     — OpBrokerFetch, OpBrokerPublish (target: the topic)
-//	objstore.Store    — OpStorePut, OpStoreAppend, OpStoreGet ("bucket/key")
+//	objstore.Store    — OpStorePut, OpStoreAppend, OpStoreGet, OpStoreHead ("bucket/key")
 //	tsdb.DB           — OpLakeInsert (the batch's source)
 //	wal.NodeWAL       — OpWALOpen, OpWALAppend, OpWALFsync, OpWALReplay (the stream, or wal.NodeLog)
 //	cluster.Transport — OpClusterReplicate … OpClusterResync (the link "from>to")
@@ -47,6 +47,7 @@ const (
 	OpStorePut         = "store.put"
 	OpStoreAppend      = "store.append"
 	OpStoreGet         = "store.get"
+	OpStoreHead        = "store.head" // a version check that reads no data
 	OpLakeInsert       = "lake.insert"
 	OpWALOpen          = "wal.open"
 	OpWALAppend        = "wal.append"

@@ -68,6 +68,7 @@ func storeRig(t *testing.T) rig {
 		faults.OpStorePut:    func() error { _, err := s.Put("b", "k", []byte("v1")); return err },
 		faults.OpStoreAppend: func() error { _, err := s.Append("b", "k", []byte("+")); return err },
 		faults.OpStoreGet:    func() error { _, _, err := s.Get("b", "k"); return err },
+		faults.OpStoreHead:   func() error { _, err := s.Head("b", "k"); return err },
 	}, state: func() string {
 		data, info, err := s.Get("b", "k")
 		st, _ := s.Stats("b")
@@ -193,6 +194,7 @@ func TestEverySurfaceFiresEveryOp(t *testing.T) {
 		{faults.OpStorePut, storeRig},
 		{faults.OpStoreAppend, storeRig},
 		{faults.OpStoreGet, storeRig},
+		{faults.OpStoreHead, storeRig},
 		{faults.OpLakeInsert, lakeRig},
 		{faults.OpWALOpen, walRig},
 		{faults.OpWALAppend, walRig},

@@ -476,8 +476,9 @@ func writeQueryStatHeaders(w http.ResponseWriter, stats tsdb.QueryStats) {
 	w.Header().Set("X-ODA-Query-Workers", strconv.Itoa(stats.Workers))
 	w.Header().Set("X-ODA-Query-Micros", strconv.FormatInt(stats.TotalWall.Microseconds(), 10))
 	// Tier federation: which storage tiers answered, how much cold data
-	// the pruning metadata let the engine skip without decoding, and how
-	// many cold rows it decoded per cold cell it folded.
+	// the pruning metadata let the engine skip without decoding, how many
+	// cold segments were merged from their cached partials, and how many
+	// cold rows it decoded per cold cell it folded.
 	tier := "hot"
 	if stats.ColdSegmentsScanned+stats.ColdSegmentsPruned > 0 {
 		tier = "hot+cold"
@@ -488,6 +489,7 @@ func writeQueryStatHeaders(w http.ResponseWriter, stats tsdb.QueryStats) {
 	w.Header().Set("X-ODA-Query-Tier", tier)
 	w.Header().Set("X-ODA-Query-Cold-Segments-Scanned", strconv.Itoa(stats.ColdSegmentsScanned))
 	w.Header().Set("X-ODA-Query-Cold-Segments-Pruned", strconv.Itoa(stats.ColdSegmentsPruned))
+	w.Header().Set("X-ODA-Query-Cold-Segments-Cached", strconv.Itoa(stats.ColdSegmentsCached))
 	w.Header().Set("X-ODA-Query-RowGroups-Pruned", strconv.Itoa(stats.ColdRowGroupsPruned))
 	w.Header().Set("X-ODA-Query-Cold-Rows-Decoded", strconv.FormatInt(stats.ColdRowsDecoded, 10))
 	w.Header().Set("X-ODA-Query-Cold-Cells", strconv.FormatInt(stats.ColdCells, 10))

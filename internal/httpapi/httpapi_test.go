@@ -181,6 +181,45 @@ func TestLakeQueryTierHeaders(t *testing.T) {
 	}
 }
 
+// TestLakeQueryColdSegmentsCachedHeader: the second query of a shape over
+// an offloaded chunk it covers whole — a window the result cache has not
+// seen — merges the chunk's cached partial, says so in
+// X-ODA-Query-Cold-Segments-Cached, decodes nothing, and answers the same
+// body as the fold did.
+func TestLakeQueryColdSegmentsCachedHeader(t *testing.T) {
+	srv, f := testServer(t)
+	if off, err := f.Lake.Offload(t0.Add(2 * time.Hour)); err != nil || off.Segments == 0 {
+		t.Fatalf("offload moved %d chunks: %v", off.Segments, err)
+	}
+	get := func(to time.Time) (http.Header, string) {
+		t.Helper()
+		resp, err := http.Get(fmt.Sprintf("%s/api/v1/lake/query?metric=node_power_w&agg=avg&granularity=15s&from=%s&to=%s",
+			srv.URL, t0.Format(time.RFC3339), to.Format(time.RFC3339)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil || resp.StatusCode != 200 {
+			t.Fatalf("status %d: %v", resp.StatusCode, err)
+		}
+		return resp.Header, string(body)
+	}
+	h, folded := get(t0.Add(time.Hour))
+	if h.Get("X-ODA-Query-Cold-Segments-Cached") != "0" || h.Get("X-ODA-Query-Cold-Cells") == "0" {
+		t.Fatalf("first query: cached %q, cold cells %q", h.Get("X-ODA-Query-Cold-Segments-Cached"), h.Get("X-ODA-Query-Cold-Cells"))
+	}
+	h, merged := get(t0.Add(time.Hour + time.Second))
+	if h.Get("X-ODA-Query-Cold-Segments-Cached") != h.Get("X-ODA-Query-Cold-Segments-Scanned") || h.Get("X-ODA-Query-Cold-Segments-Cached") == "0" ||
+		h.Get("X-ODA-Query-Cold-Rows-Decoded") != "0" || h.Get("X-ODA-Query-Cache") == "hit" {
+		t.Fatalf("second query: cached %q of %q scanned, %q rows decoded, result cache %q", h.Get("X-ODA-Query-Cold-Segments-Cached"),
+			h.Get("X-ODA-Query-Cold-Segments-Scanned"), h.Get("X-ODA-Query-Cold-Rows-Decoded"), h.Get("X-ODA-Query-Cache"))
+	}
+	if merged != folded {
+		t.Fatalf("merged body diverges from the folded one:\nfolded: %s\nmerged: %s", folded, merged)
+	}
+}
+
 func TestLakeQueryValidation(t *testing.T) {
 	srv, _ := testServer(t)
 	cases := []string{

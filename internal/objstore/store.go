@@ -70,7 +70,7 @@ type Store struct {
 	// MaxVersions bounds retained versions per object (default 4).
 	MaxVersions int
 
-	faults faults.Hook // fired before Put, Append and Get take the store lock
+	faults faults.Hook // fired before Put, Append, Get and Head take the store lock
 	// instr holds the live obs counters (see instrument.go); nil — the
 	// default — costs one branch per op.
 	instr *instruments
@@ -309,6 +309,27 @@ func (s *Store) Get(bucketName, key string) ([]byte, ObjectInfo, error) {
 	return append([]byte(nil), v.data...), ObjectInfo{
 		Bucket: bucketName, Key: key, Version: v.id, Size: int64(len(v.data)), Modified: v.modified,
 	}, nil
+}
+
+// Head returns the current version's info without its data: what a
+// reader that keeps something derived from an object checks that version
+// against. It copies nothing and counts no get.
+func (s *Store) Head(bucketName, key string) (ObjectInfo, error) {
+	if err := s.faults.Fire(faults.OpStoreHead, bucketName+"/"+key); err != nil {
+		return ObjectInfo{}, err
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	b, ok := s.buckets[bucketName]
+	if !ok {
+		return ObjectInfo{}, fmt.Errorf("%w: %s", ErrNoBucket, bucketName)
+	}
+	obj, ok := b.objects[key]
+	if !ok || len(obj.versions) == 0 {
+		return ObjectInfo{}, fmt.Errorf("%w: %s/%s", ErrNoObject, bucketName, key)
+	}
+	v := obj.versions[len(obj.versions)-1]
+	return ObjectInfo{Bucket: bucketName, Key: key, Version: v.id, Size: int64(len(v.data)), Modified: v.modified}, nil
 }
 
 // GetVersion returns a specific retained version of an object.

@@ -21,24 +21,85 @@ type cacheKey struct {
 	gen uint64
 }
 
-type cacheEntry struct {
-	key   cacheKey
-	frame *schema.Frame
+// lru is tsdb's one least-recently-used list: the query-result cache and
+// the cold tier's per-segment partials both bound themselves with it.
+// Every entry has a cost; put evicts from the cold end until the entries'
+// total cost fits the budget, and refuses an entry that alone exceeds it.
+// It takes no lock: each owner holds its own around every call.
+type lru[K comparable, V any] struct {
+	budget, used int64
+	items        map[K]*list.Element
+	order        list.List // front = most recently used
+	evictions    uint64
+	// evicted, when set, learns of every entry put pushed out.
+	evicted func(K)
 }
+
+type lruItem[K comparable, V any] struct {
+	key  K
+	val  V
+	cost int64
+}
+
+func newLRU[K comparable, V any](budget int64) *lru[K, V] {
+	return &lru[K, V]{budget: budget, items: make(map[K]*list.Element)}
+}
+
+// get returns key's value, promoting it to most recent when promote is set.
+func (c *lru[K, V]) get(key K, promote bool) (v V, ok bool) {
+	el, ok := c.items[key]
+	if !ok {
+		return v, false
+	}
+	if promote {
+		c.order.MoveToFront(el)
+	}
+	return el.Value.(*lruItem[K, V]).val, true
+}
+
+// put stores val under key as the most recent entry, replacing any value
+// the key held, and evicts least recently used entries until the budget
+// holds. An entry whose cost alone exceeds the budget is not stored.
+func (c *lru[K, V]) put(key K, val V, cost int64) {
+	if cost > c.budget {
+		return
+	}
+	if el, ok := c.items[key]; ok {
+		it := el.Value.(*lruItem[K, V])
+		c.used += cost - it.cost
+		it.val, it.cost = val, cost
+		c.order.MoveToFront(el)
+	} else {
+		c.items[key] = c.order.PushFront(&lruItem[K, V]{key: key, val: val, cost: cost})
+		c.used += cost
+	}
+	for c.used > c.budget {
+		oldest := c.order.Back()
+		it := oldest.Value.(*lruItem[K, V])
+		c.order.Remove(oldest)
+		delete(c.items, it.key)
+		c.used -= it.cost
+		c.evictions++
+		if c.evicted != nil {
+			c.evicted(it.key)
+		}
+	}
+}
+
+// len returns the number of entries.
+func (c *lru[K, V]) len() int { return c.order.Len() }
 
 // queryCache is a small LRU over query results. Dashboards re-issue the
 // same handful of queries on refresh; when no ingest landed in between,
 // the answer is a map lookup instead of a multi-shard scan.
 type queryCache struct {
 	mu      sync.Mutex
-	cap     int
-	entries map[cacheKey]*list.Element
-	// byFP indexes the most recently stored entry per query fingerprint,
+	entries *lru[cacheKey, *schema.Frame] // one entry costs 1
+	// byFP names the most recently stored entry per query fingerprint,
 	// ignoring the version vector — the serve-stale path used for
 	// graceful degradation: when the store is overloaded, a possibly
 	// outdated answer beats a rejected request.
-	byFP   map[string]*list.Element
-	lru    list.List // front = most recently used
+	byFP   map[string]cacheKey
 	hits   uint64
 	misses uint64
 	stale  uint64 // stale (version-ignoring) lookups served
@@ -50,11 +111,13 @@ type queryCache struct {
 }
 
 func newQueryCache(capacity int) *queryCache {
-	return &queryCache{
-		cap:     capacity,
-		entries: make(map[cacheKey]*list.Element, capacity),
-		byFP:    make(map[string]*list.Element, capacity),
+	c := &queryCache{entries: newLRU[cacheKey, *schema.Frame](int64(capacity)), byFP: make(map[string]cacheKey, capacity)}
+	c.entries.evicted = func(k cacheKey) {
+		if c.byFP[k.fp] == k {
+			delete(c.byFP, k.fp)
+		}
 	}
+	return c
 }
 
 // get returns the cached frame for key, promoting it to most recent.
@@ -62,14 +125,13 @@ func newQueryCache(capacity int) *queryCache {
 func (c *queryCache) get(key cacheKey) (*schema.Frame, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[key]
+	f, ok := c.entries.get(key, true)
 	if !ok {
 		c.misses++
 		return nil, false
 	}
 	c.hits++
-	c.lru.MoveToFront(el)
-	return el.Value.(*cacheEntry).frame, true
+	return f, true
 }
 
 // getStale returns the most recently stored frame for a fingerprint,
@@ -80,37 +142,21 @@ func (c *queryCache) get(key cacheKey) (*schema.Frame, bool) {
 func (c *queryCache) getStale(fp string) (*schema.Frame, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byFP[fp]
+	f, ok := c.entries.get(c.byFP[fp], false)
 	if !ok {
 		c.staleMisses++
 		return nil, false
 	}
 	c.stale++
-	return el.Value.(*cacheEntry).frame, true
+	return f, true
 }
 
 // put stores a result, evicting the least recently used entry at cap.
 func (c *queryCache) put(key cacheKey, f *schema.Frame) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*cacheEntry).frame = f
-		c.lru.MoveToFront(el)
-		c.byFP[key.fp] = el
-		return
-	}
-	if c.lru.Len() >= c.cap {
-		oldest := c.lru.Back()
-		c.lru.Remove(oldest)
-		oldKey := oldest.Value.(*cacheEntry).key
-		delete(c.entries, oldKey)
-		if c.byFP[oldKey.fp] == oldest {
-			delete(c.byFP, oldKey.fp)
-		}
-	}
-	el := c.lru.PushFront(&cacheEntry{key: key, frame: f})
-	c.entries[key] = el
-	c.byFP[key.fp] = el
+	c.entries.put(key, f, 1)
+	c.byFP[key.fp] = key
 }
 
 // CachedStale returns the most recently cached result for a query,
@@ -146,7 +192,81 @@ func (db *DB) CacheStats() CacheStats {
 	db.cache.mu.Lock()
 	defer db.cache.mu.Unlock()
 	return CacheStats{
-		Entries: db.cache.lru.Len(), Hits: db.cache.hits, Misses: db.cache.misses,
+		Entries: db.cache.entries.len(), Hits: db.cache.hits, Misses: db.cache.misses,
 		Stale: db.cache.stale, StaleMisses: db.cache.staleMisses,
 	}
+}
+
+// coldPartialBudget bounds the bytes of frozen segment partials a cold
+// tier keeps. history_scan's grouped shape — 9 one-hour segments of 80
+// power_temp series grouped by metric into 15-minute buckets — freezes to
+// 26 KB a segment, 233 KB in all; a filtered one (a metric, two
+// components, 5-minute buckets) to 2 KB a segment. 4 MiB holds the
+// grouped shape next to ~1 900 filtered partials: a 20 s history_scan
+// run draws 256 filtered queries from 360 shapes, ~180 distinct, each
+// over 3–9 segments.
+const coldPartialBudget = 4 << 20
+
+// partialKey names one frozen partial: a segment object (its key in the
+// tier's bucket) folded under a query shape (Query.shape).
+type partialKey struct{ object, shape string }
+
+// coldPartials is a cold tier's per-segment partial cache: for each
+// (segment object, query shape) the segPartial its fold produced, with the
+// object version it was folded from. Entries are immutable and shared.
+type coldPartials struct {
+	mu           sync.Mutex
+	entries      *lru[partialKey, *segPartial] // an entry costs its bytes
+	hits, misses uint64
+}
+
+func newColdPartials(budget int64) *coldPartials {
+	return &coldPartials{entries: newLRU[partialKey, *segPartial](budget)}
+}
+
+// get returns key's partial, promoting it, or nil.
+func (c *coldPartials) get(key partialKey) *segPartial {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	sp, _ := c.entries.get(key, true)
+	return sp
+}
+
+// put caches sp under key, replacing a partial of an older version.
+func (c *coldPartials) put(key partialKey, sp *segPartial) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.entries.put(key, sp, sp.bytes()+int64(len(key.object)+len(key.shape)))
+}
+
+// note counts one cacheable segment as served from the cache or not.
+func (c *coldPartials) note(hit bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if hit {
+		c.hits++
+	} else {
+		c.misses++
+	}
+}
+
+// PartialStats reports the per-segment partial cache of a cold tier.
+type PartialStats struct {
+	// Hits and Misses count the cacheable segments queries merged from a
+	// frozen partial and those they read and folded.
+	Hits, Misses uint64
+	Evictions    uint64
+	Entries      int
+	Bytes        int64 // the resident partials' size, as the budget counts it
+}
+
+// stats returns the cache's counters; a nil cache (caching off) reads zero.
+func (c *coldPartials) stats() PartialStats {
+	if c == nil {
+		return PartialStats{}
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return PartialStats{Hits: c.hits, Misses: c.misses, Evictions: c.entries.evictions,
+		Entries: c.entries.len(), Bytes: c.entries.used}
 }

@@ -688,6 +688,31 @@ func BenchmarkColdFoldGrouped(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cold-cell")
 }
 
+// BenchmarkColdFoldGroupedWarm is BenchmarkColdFoldGrouped with the
+// tier's per-segment partial cache on: one query folds and freezes the 9
+// cold segments, and every timed one merges their partials. ns/cold-cell
+// divides by the cells that first query folded, so it reads on
+// BenchmarkColdFoldGrouped's scale; B/partial is one segment's frozen
+// partial as the cache's budget counts it.
+func BenchmarkColdFoldGroupedWarm(b *testing.B) {
+	db, q := groupedFixture(b, 10)
+	setPartialBudget(db.ColdTier(), coldPartialBudget)
+	_, st, err := db.RunWithStats(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cells := st.ColdCells
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, st, err = db.RunWithStats(q); err != nil || st.ColdSegmentsCached != 9 {
+			b.Fatalf("%d of 9 cold segments merged from cache: %v", st.ColdSegmentsCached, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells*int64(b.N)), "ns/cold-cell")
+	b.ReportMetric(float64(db.ColdStats().Partials.Bytes)/9, "B/partial")
+}
+
 // BenchmarkColdFoldFiltered is the filtered class of history_scan without
 // the harness, on BenchmarkColdFoldGrouped's fixture: one metric and two
 // components, grouped by component into 5-minute buckets, over 9 cold

@@ -63,7 +63,7 @@ func TestMergeRemapsOppositeDictionaries(t *testing.T) {
 		partials := func() []*StripePartial {
 			parts := make([]*StripePartial, NumStripes)
 			for s := range parts {
-				if parts[s], err = db.StripePartial(q, s); err != nil {
+				if parts[s], err = db.StripePartial(plan(q), s); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -83,11 +83,11 @@ func TestMergeRemapsOppositeDictionaries(t *testing.T) {
 			t.Fatal(err)
 		}
 		again := partials()
-		viaPartials, err := MergeStripePartials(q, again)
+		viaPartials, err := MergeStripePartials(plan(q), again)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := MergeStripePartials(q, again); !errors.Is(err, ErrBadQuery) {
+		if _, err := MergeStripePartials(plan(q), again); !errors.Is(err, ErrBadQuery) {
 			t.Fatalf("merging consumed partials again: %v, want ErrBadQuery", err)
 		}
 		run, err := db.Run(q)
@@ -245,12 +245,12 @@ func TestConcurrentStripeMergesShareTables(t *testing.T) {
 				}
 				parts := make([]*StripePartial, NumStripes)
 				for s := range parts {
-					if parts[s], err = db.StripePartial(q, s); err != nil {
+					if parts[s], err = db.StripePartial(plan(q), s); err != nil {
 						t.Error(err)
 						return
 					}
 				}
-				got, err := MergeStripePartials(q, parts)
+				got, err := MergeStripePartials(plan(q), parts)
 				if err != nil {
 					t.Error(err)
 					return

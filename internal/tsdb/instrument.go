@@ -106,8 +106,17 @@ func (db *DB) Instrument(reg *obs.Registry) {
 		emit(obs.Sample{Name: "oda_lake_scan_load", Kind: obs.KindGauge,
 			Help:  "Scan-helper slot occupancy in [0,1]: a bound on query fan-out, not admission.",
 			Value: float64(len(db.scanSlots)) / float64(cap(db.scanSlots))})
+		cold := db.ColdStats()
 		emit(obs.Sample{Name: "oda_tsdb_cold_index_bytes", Kind: obs.KindGauge,
-			Help: "Resident bytes of the parsed cold segment indexes queries keep.", Value: float64(db.ColdStats().IndexBytes)})
+			Help: "Resident bytes of the parsed cold segment indexes queries keep.", Value: float64(cold.IndexBytes)})
+		emit(obs.Sample{Name: "oda_tsdb_cold_partial_hits_total", Kind: obs.KindCounter,
+			Help: "Cacheable cold segments merged from a frozen per-segment partial.", Value: float64(cold.Partials.Hits)})
+		emit(obs.Sample{Name: "oda_tsdb_cold_partial_misses_total", Kind: obs.KindCounter,
+			Help: "Cacheable cold segments read and folded (their partial then frozen).", Value: float64(cold.Partials.Misses)})
+		emit(obs.Sample{Name: "oda_tsdb_cold_partial_evictions_total", Kind: obs.KindCounter,
+			Help: "Frozen per-segment partials evicted to keep the cache in its byte budget.", Value: float64(cold.Partials.Evictions)})
+		emit(obs.Sample{Name: "oda_tsdb_cold_partial_bytes", Kind: obs.KindGauge,
+			Help: "Resident bytes of the frozen per-segment partials, as the budget counts them.", Value: float64(cold.Partials.Bytes)})
 		cs := db.CacheStats()
 		emit(obs.Sample{Name: "oda_lake_query_cache_hits_total", Kind: obs.KindCounter,
 			Help: "LAKE query-result cache hits.", Value: float64(cs.Hits)})

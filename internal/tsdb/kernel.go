@@ -25,6 +25,7 @@ import (
 	"slices"
 	"strings"
 	"time"
+	"unsafe"
 
 	"odakit/internal/schema"
 )
@@ -502,6 +503,9 @@ type Plan struct {
 	groupDims   []int // dimension slot per GroupBy position
 	agg         AggKind
 	result      *schema.Schema
+	// shape is the query's Query.shape when a cold tier may key cached
+	// segment partials on it (set by RunWithStats), "" otherwise.
+	shape string
 }
 
 // Compile builds q's plan. It does not validate; a standing query
@@ -888,16 +892,80 @@ func (t *GroupTable) Merge(o *GroupTable) {
 		*t, *o = *o, *t
 		return
 	}
-	remap := slices.Grow(t.ids[:0], len(o.groups.vals))
-	for g := range o.groups.vals {
-		remap = append(remap, t.group(&o.groups.vals[g]))
+	t.mergeGroups(o.groups.vals, o.slots)
+}
+
+// mergeGroups folds groups given as slots, whose ids index tuples, into t:
+// each tuple is remapped into t's dictionary once, then every used slot
+// merges by integer key. The arguments are only read.
+func (t *GroupTable) mergeGroups(tuples [][4]string, slots []groupSlot) {
+	remap := slices.Grow(t.ids[:0], len(tuples))
+	for g := range tuples {
+		remap = append(remap, t.group(&tuples[g]))
 	}
 	t.ids = remap
-	for i := range o.slots {
-		if s := &o.slots[i]; s.used {
+	for i := range slots {
+		if s := &slots[i]; s.used {
 			t.cell(s.ts, remap[s.gid]).Merge(s.cell)
 		}
 	}
+}
+
+// segPartial is one cold segment's fold under one query shape, frozen:
+// per stripe, the groups it produced (bucket, id into the stripe's
+// tuples, aggregation state) and the object version and size it was
+// folded from. It holds no GroupTable and no decode scratch, and nothing
+// writes it once frozen, so any number of queries merge it at once.
+type segPartial struct {
+	version, size int64
+	tuples        [][4]string
+	slots         []groupSlot // all used
+	// Stripe s owns tuples[tupleOff[s]:tupleOff[s+1]] and
+	// slots[slotOff[s]:slotOff[s+1]]; a slot's gid is relative to the
+	// stripe's first tuple.
+	tupleOff, slotOff [shardCount + 1]int32
+}
+
+// freeze copies the groups of tables, one per stripe, into a partial of
+// the given object version.
+func freeze(tables *[shardCount]GroupTable, version, size int64) *segPartial {
+	nt, ns := 0, 0
+	for s := range tables {
+		nt += len(tables[s].groups.vals)
+		ns += tables[s].n
+	}
+	sp := &segPartial{version: version, size: size,
+		tuples: make([][4]string, 0, nt), slots: make([]groupSlot, 0, ns)}
+	for s := range tables {
+		t := &tables[s]
+		sp.tuples = append(sp.tuples, t.groups.vals...)
+		for i := range t.slots {
+			if t.slots[i].used {
+				sp.slots = append(sp.slots, t.slots[i])
+			}
+		}
+		sp.tupleOff[s+1], sp.slotOff[s+1] = int32(len(sp.tuples)), int32(len(sp.slots))
+	}
+	return sp
+}
+
+// mergeInto merges each stripe's groups into tables[s].
+func (sp *segPartial) mergeInto(tables *[shardCount]GroupTable) {
+	for s := range tables {
+		if lo, hi := sp.slotOff[s], sp.slotOff[s+1]; lo < hi {
+			tables[s].mergeGroups(sp.tuples[sp.tupleOff[s]:sp.tupleOff[s+1]], sp.slots[lo:hi])
+		}
+	}
+}
+
+// bytes is the partial's resident size as the cache budgets it: its
+// tuple and slot arrays plus a fixed allowance for the header, list and
+// map entry. The tuples' strings are the decoder's interned values,
+// shared with every other partial of the segment, and are not counted.
+func (sp *segPartial) bytes() int64 {
+	const overhead = 256
+	return int64(cap(sp.tuples))*int64(unsafe.Sizeof([4]string{})) +
+		int64(cap(sp.slots))*int64(unsafe.Sizeof(groupSlot{})) + overhead
 }
 
 // groupRef is one group's place in emit order: its bucket, its tuple's

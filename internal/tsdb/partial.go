@@ -57,33 +57,36 @@ func (sp *StripePartial) Groups() int {
 // slots, group dictionary or scratch per query. A table is Reset on Put.
 var partialTables = sync.Pool{New: func() any { return new(GroupTable) }}
 
-// StripePartial executes q against a single lock stripe of the hot tier
-// and returns that stripe's partial aggregation. The cold tier is not
-// consulted: clustered nodes serve the hot tier and leave OCEAN/GLACIER
-// federation to the single-facility query path.
-func (db *DB) StripePartial(q Query, stripe int) (*StripePartial, error) {
+// Prepare validates q and compiles it: the plan a scatter-gather compiles
+// once and shares, read-only, across every stripe scan and the merge.
+func Prepare(q Query) (*Plan, error) {
 	if err := q.validate(); err != nil {
 		return nil, err
 	}
+	p := Compile(q)
+	return &p, nil
+}
+
+// StripePartial executes the plan, from Prepare, against a single lock
+// stripe of the hot tier and returns that stripe's partial aggregation.
+// The cold tier is not consulted: clustered nodes serve the hot tier and
+// leave OCEAN/GLACIER federation to the single-facility query path.
+func (db *DB) StripePartial(p *Plan, stripe int) (*StripePartial, error) {
 	if stripe < 0 || stripe >= NumStripes {
 		return nil, fmt.Errorf("%w: stripe %d out of range", ErrBadQuery, stripe)
 	}
-	plan := Compile(q)
 	sp := &StripePartial{Stripe: stripe, groups: partialTables.Get().(*GroupTable)}
-	sp.Stats = db.scanShard(stripe, &plan, sp.groups)
+	sp.Stats = db.scanShard(stripe, p, sp.groups)
 	return sp, nil
 }
 
-// MergeStripePartials folds stripe partials — which must be supplied in
-// ascending stripe order, Run's fixed fold order, and are consumed: each
-// one's table goes back to partialTables — into the final result frame,
-// sorted and emitted by the same code as Run. Nil entries (stripes with
-// no live owner already reported as errors by the router) are rejected:
-// a silent gap would silently drop that stripe's groups.
-func MergeStripePartials(q Query, parts []*StripePartial) (*schema.Frame, error) {
-	if err := q.validate(); err != nil {
-		return nil, err
-	}
+// MergeStripePartials folds stripe partials of the plan — which must be
+// supplied in ascending stripe order, Run's fixed fold order, and are
+// consumed: each one's table goes back to partialTables — into the final
+// result frame, sorted and emitted by the same code as Run. Nil entries
+// (stripes with no live owner already reported as errors by the router)
+// are rejected: a silent gap would silently drop that stripe's groups.
+func MergeStripePartials(p *Plan, parts []*StripePartial) (*schema.Frame, error) {
 	total := partialTables.Get().(*GroupTable)
 	defer func() { total.Reset(); partialTables.Put(total) }()
 	prev := -1
@@ -103,8 +106,7 @@ func MergeStripePartials(q Query, parts []*StripePartial) (*schema.Frame, error)
 		partialTables.Put(sp.groups)
 		sp.groups = nil
 	}
-	plan := Compile(q)
-	return plan.Frame(total)
+	return p.Frame(total)
 }
 
 // CellExport writes cell tables as one ColdSchema frame in fold order:

@@ -23,13 +23,13 @@ func TestStripePartialMergeMatchesRun(t *testing.T) {
 		}
 		parts := make([]*StripePartial, 0, NumStripes)
 		for s := 0; s < NumStripes; s++ {
-			sp, err := db.StripePartial(q, s)
+			sp, err := db.StripePartial(plan(q), s)
 			if err != nil {
 				t.Fatalf("query %d: stripe %d: %v", i, s, err)
 			}
 			parts = append(parts, sp)
 		}
-		got, err := MergeStripePartials(q, parts)
+		got, err := MergeStripePartials(plan(q), parts)
 		if err != nil {
 			t.Fatalf("query %d: merge: %v", i, err)
 		}
@@ -66,19 +66,19 @@ func TestExportStripesRoundTripPreservesScanOrder(t *testing.T) {
 			t.Fatalf("query %d: rebuilt replica diverges\nquery: %+v", i, q)
 		}
 		s := rng.Intn(NumStripes)
-		wp, err := db.StripePartial(q, s)
+		wp, err := db.StripePartial(plan(q), s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		gp, err := re.StripePartial(q, s)
+		gp, err := re.StripePartial(plan(q), s)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wf, err := MergeStripePartials(q, []*StripePartial{wp})
+		wf, err := MergeStripePartials(plan(q), []*StripePartial{wp})
 		if err != nil {
 			t.Fatal(err)
 		}
-		gf, err := MergeStripePartials(q, []*StripePartial{gp})
+		gf, err := MergeStripePartials(plan(q), []*StripePartial{gp})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,7 +113,7 @@ func TestMergeSparseStripePartials(t *testing.T) {
 			// A merge consumes its partials, so each merge scans its own.
 			scan := func(keepEmpty bool) (parts []*StripePartial) {
 				for s := 0; s < NumStripes; s++ {
-					sp, err := db.StripePartial(q, s)
+					sp, err := db.StripePartial(plan(q), s)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -129,7 +129,7 @@ func TestMergeSparseStripePartials(t *testing.T) {
 			}
 			sawLeadingEmpty = sawLeadingEmpty || all[0].Groups() == 0
 			for name, parts := range map[string][]*StripePartial{"all stripes": all, "non-empty only": nonEmpty} {
-				got, err := MergeStripePartials(q, parts)
+				got, err := MergeStripePartials(plan(q), parts)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
@@ -143,4 +143,10 @@ func TestMergeSparseStripePartials(t *testing.T) {
 	if !sawLeadingEmpty {
 		t.Fatal("no case left stripe 0 empty: the accumulator never moved off the first partial")
 	}
+}
+
+// plan compiles a valid query for the scatter-gather surface.
+func plan(q Query) *Plan {
+	p := Compile(q)
+	return &p
 }

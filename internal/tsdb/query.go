@@ -184,6 +184,12 @@ type QueryStats struct {
 	ColdSegmentsPruned   int
 	ColdRowGroupsScanned int
 	ColdRowGroupsPruned  int
+	// ColdSegmentsCached counts the scanned segments whose fold was merged
+	// from the tier's per-segment partial cache instead of read, decoded
+	// and folded; they count in ColdSegmentsScanned too, and in none of
+	// the row-group, row and cell counters, which say what this execution
+	// decoded or folded.
+	ColdSegmentsCached int
 	// ColdRowsDecoded counts the rows of every cold row group inflated;
 	// ColdCells counts the cold rollup cells of them that were folded into
 	// the result. The ratio is what a decoded-row-group cache or finer
@@ -348,9 +354,13 @@ func (db *DB) RunWithStats(q Query) (*schema.Frame, QueryStats, error) {
 	if err := q.validate(); err != nil {
 		return nil, st, err
 	}
+	var shape string
+	if ct := db.cold.Load(); db.cache != nil || ct != nil && ct.partials != nil {
+		shape = q.shape()
+	}
 	var key cacheKey
 	if db.cache != nil {
-		key = cacheKey{fp: q.fingerprint(), vv: db.versionVector(), gen: db.coldGeneration()}
+		key = cacheKey{fp: q.rangePrefix(shape), vv: db.versionVector(), gen: db.coldGeneration()}
 		if f, ok := db.cache.get(key); ok {
 			st.CacheHit = true
 			st.Groups = f.Len()
@@ -359,6 +369,7 @@ func (db *DB) RunWithStats(q Query) (*schema.Frame, QueryStats, error) {
 		}
 	}
 	plan := Compile(q)
+	plan.shape = shape
 	total, ps, err := db.aggregate(&plan, &st)
 	defer db.putPartials(ps)
 	if err != nil {
@@ -578,15 +589,28 @@ func TopNOf(f *schema.Frame, n int) []TopNEntry {
 // content-addressed handles from it.
 func (q Query) Fingerprint() string { return q.fingerprint() }
 
-// fingerprint canonicalizes a query for the result cache: filter values
-// are length-prefixed and sorted per dimension so semantically equal
-// queries share an entry regardless of map iteration or value order.
-func (q Query) fingerprint() string {
-	b := make([]byte, 0, 128)
+// fingerprint canonicalizes a query for the result cache: its range,
+// then its shape.
+func (q Query) fingerprint() string { return q.rangePrefix(q.shape()) }
+
+// rangePrefix returns the fingerprint of q's range with shape, q's shape,
+// appended.
+func (q Query) rangePrefix(shape string) string {
+	b := make([]byte, 0, 32+len(shape))
 	b = strconv.AppendInt(b, q.From.UnixNano(), 36)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, q.To.UnixNano(), 36)
 	b = append(b, '|')
+	return string(append(b, shape...))
+}
+
+// shape canonicalizes the query minus its range — granularity, agg,
+// group-by and filters — so the cold tier's per-segment partials can key
+// on it. Filter values are length-prefixed and sorted per dimension so
+// semantically equal queries share a shape regardless of map iteration
+// or value order.
+func (q Query) shape() string {
+	b := make([]byte, 0, 96)
 	b = strconv.AppendInt(b, int64(q.Granularity), 36)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(q.Agg), 10)

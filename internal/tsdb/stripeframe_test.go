@@ -203,12 +203,12 @@ func sameAnswers(t *testing.T, a, b *DB, origin time.Time, span time.Duration) {
 					var out [2][]byte
 					var stats [2]StripeScanStats
 					for i, db := range []*DB{a, b} {
-						sp, err := db.StripePartial(q, s)
+						sp, err := db.StripePartial(plan(q), s)
 						if err != nil {
 							t.Fatalf("%s: stripe %d: %v", label, s, err)
 						}
 						stats[i] = sp.Stats
-						f, err := MergeStripePartials(q, []*StripePartial{sp})
+						f, err := MergeStripePartials(plan(q), []*StripePartial{sp})
 						if err != nil {
 							t.Fatalf("%s: stripe %d: %v", label, s, err)
 						}

@@ -157,10 +157,20 @@ type ColdTier struct {
 	cfg     ColdTierConfig
 	mu      sync.RWMutex
 	segs    []*coldSegment // chunk-ascending, manifest order within a chunk
+	segDur  int64          // the DB's SegmentDuration: a chunk's width
 	gen     atomic.Uint64
 	noPrune atomic.Bool
 	parses  atomic.Int64 // segment indexes parsed
+	// partials caches segment folds per query shape (see scanCold); nil
+	// when the DB's QueryCacheSize turns caching off.
+	partials *coldPartials
 }
+
+// segmentTables pools the per-stripe tables a cacheable segment folds
+// into before its partial is frozen: small tables, kept apart from the
+// query's partialSets, whose tables grow to a whole answer and cost
+// their capacity to reset. A set is Reset before it is Put.
+var segmentTables = sync.Pool{New: func() any { return new([shardCount]GroupTable) }}
 
 // manifestKey returns the tier's manifest object key.
 func (ct *ColdTier) manifestKey() string { return ct.cfg.Prefix + "manifest" }
@@ -192,6 +202,9 @@ type ColdStats struct {
 	Bytes      int64
 	Generation uint64
 	IndexBytes int64 // resident size of the segment indexes scans keep
+	// Partials counts the per-segment partial cache's lookups; zero when
+	// caching is off.
+	Partials PartialStats
 }
 
 // ColdStats returns tier totals (zero value when no tier is attached).
@@ -202,7 +215,7 @@ func (db *DB) ColdStats() ColdStats {
 	}
 	ct.mu.RLock()
 	defer ct.mu.RUnlock()
-	st := ColdStats{Segments: len(ct.segs), Generation: ct.gen.Load()}
+	st := ColdStats{Segments: len(ct.segs), Generation: ct.gen.Load(), Partials: ct.partials.stats()}
 	for _, s := range ct.segs {
 		st.Cells += s.meta.Cells
 		st.Rows += s.meta.Rows
@@ -225,7 +238,10 @@ func (db *DB) AttachColdTier(cfg ColdTierConfig) (*ColdTier, error) {
 	if cfg.RowGroupRows <= 0 {
 		cfg.RowGroupRows = 1024
 	}
-	ct := &ColdTier{cfg: cfg}
+	ct := &ColdTier{cfg: cfg, segDur: int64(db.opts.SegmentDuration)}
+	if db.opts.QueryCacheSize > 0 {
+		ct.partials = newColdPartials(coldPartialBudget)
+	}
 	data, _, err := cfg.Store.Get(cfg.Bucket, ct.manifestKey())
 	switch {
 	case errors.Is(err, objstore.ErrNoObject):
@@ -625,9 +641,18 @@ func (s *coldSegment) mayMatch(p *Plan) bool {
 // scanCold folds every surviving cold segment into the per-stripe
 // partial tables; ct.mu must be held (shared) by the caller across the
 // subsequent hot scan too.
+//
+// A segment the plan covers whole (cacheable) is folded once per query
+// shape: its first fold is frozen into a segPartial, and a later query of
+// the same shape merges that partial instead of reading, decoding and
+// folding the object again — after a Head confirms the object is still
+// the version folded. The merge reproduces the fold bit for bit because
+// no group a cacheable segment feeds is fed by anything folded before it
+// (see cacheable), so today's fold starts each of them from an empty
+// slot, and merging the frozen cell into an empty slot copies it.
 func (ct *ColdTier) scanCold(p *Plan, st *QueryStats, ps *partialSet) error {
 	noPrune := ct.noPrune.Load()
-	for _, seg := range ct.segs {
+	for i, seg := range ct.segs {
 		if !noPrune {
 			if seg.meta.MinTs >= p.toN || seg.meta.MaxTs < p.fromN {
 				st.ColdSegmentsPruned++
@@ -638,11 +663,57 @@ func (ct *ColdTier) scanCold(p *Plan, st *QueryStats, ps *partialSet) error {
 				continue
 			}
 		}
-		if err := ct.scanSegment(seg, p, st, ps, noPrune); err != nil {
+		var key *partialKey
+		if !noPrune && ct.cacheable(i, p) {
+			key = &partialKey{object: seg.meta.Key, shape: p.shape}
+			sp := ct.cachedPartial(seg, *key)
+			ct.partials.note(sp != nil)
+			if sp != nil {
+				sp.mergeInto(&ps.tables)
+				st.ColdSegmentsScanned++
+				st.ColdSegmentsCached++
+				continue
+			}
+		}
+		if err := ct.scanSegment(seg, p, st, ps, noPrune, key); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// cacheable reports whether segment i's fold under p may be cached and
+// merged in place of a fold: the plan has a shape to key on, buckets its
+// output by a granularity that divides the chunk width, so no output
+// bucket holds cells of two chunks, and covers the segment's chunk whole,
+// which makes the time range a no-op on its rows; the segment's cells lie
+// inside its chunk, and no other cold segment shares the chunk (a late
+// re-offload writes a second one, and both then fold as always).
+func (ct *ColdTier) cacheable(i int, p *Plan) bool {
+	if ct.partials == nil || p.shape == "" || p.granN <= 0 || ct.segDur%p.granN != 0 {
+		return false
+	}
+	m := &ct.segs[i].meta
+	if _, whole := p.Chunk(m.Chunk, ct.segDur); !whole || m.MinTs < m.Chunk || m.MaxTs-m.Chunk >= ct.segDur {
+		return false
+	}
+	return (i == 0 || ct.segs[i-1].meta.Chunk != m.Chunk) && (i+1 == len(ct.segs) || ct.segs[i+1].meta.Chunk != m.Chunk)
+}
+
+// cachedPartial returns key's partial when the segment's object is still
+// the version it was folded from; otherwise — no entry, a failed Head, an
+// object gone to GLACIER or replaced — nil, and the segment is read as
+// if nothing were cached.
+func (ct *ColdTier) cachedPartial(seg *coldSegment, key partialKey) *segPartial {
+	sp := ct.partials.get(key)
+	if sp == nil {
+		return nil
+	}
+	info, err := ct.cfg.Store.Head(ct.cfg.Bucket, seg.meta.Key)
+	if err != nil || info.Version != sp.version || info.Size != sp.size {
+		return nil
+	}
+	return sp
 }
 
 // getObject fetches a segment object, retrying transient faults. A nil
@@ -836,7 +907,10 @@ func coldColumns(f *schema.Frame) (cols Columns, stripe, seq []int64) {
 
 // scanSegment scans one segment object with predicate + projection
 // pushdown into the set's batch and folds the matches into its tables.
-func (ct *ColdTier) scanSegment(seg *coldSegment, p *Plan, st *QueryStats, ps *partialSet, noPrune bool) error {
+// With a key, and an object read from the store (not staged from
+// GLACIER, which has no version to check), the fold goes through scratch
+// tables that are frozen and cached under key before they merge.
+func (ct *ColdTier) scanSegment(seg *coldSegment, p *Plan, st *QueryStats, ps *partialSet, noPrune bool, key *partialKey) error {
 	data, info, err := ct.getObject(seg.meta.Key, st)
 	if err != nil {
 		return fmt.Errorf("tsdb: cold segment %s: %w", seg.meta.Key, err)
@@ -859,7 +933,21 @@ func (ct *ColdTier) scanSegment(seg *coldSegment, p *Plan, st *QueryStats, ps *p
 	st.ColdRowGroupsPruned += ss.GroupsTotal - ss.GroupsScanned + ss.GroupsEmptied
 	st.ColdRowsDecoded += int64(ss.RowsDecoded)
 	st.ColdWorkers = max(st.ColdWorkers, ss.Workers)
-	folded, err := ps.foldCold(names, p, noPrune)
+	var folded int64
+	if key == nil || info.Version == 0 {
+		folded, err = ps.foldCold(names, p, noPrune)
+	} else {
+		tables := segmentTables.Get().(*[shardCount]GroupTable)
+		if folded, err = ps.foldColdInto(tables, names, p, noPrune); err == nil {
+			sp := freeze(tables, info.Version, info.Size)
+			ct.partials.put(*key, sp)
+			sp.mergeInto(&ps.tables)
+		}
+		for i := range tables {
+			tables[i].Reset()
+		}
+		segmentTables.Put(tables)
+	}
 	if err != nil {
 		return fmt.Errorf("tsdb: cold segment %s: %w", seg.meta.Key, err)
 	}
@@ -868,11 +956,16 @@ func (ct *ColdTier) scanSegment(seg *coldSegment, p *Plan, st *QueryStats, ps *p
 }
 
 // foldCold folds the selected rows of the set's batch — one segment's
-// scan of the ColdSchema columns names — into the per-stripe tables in
-// (stripe, seq) order, straight from the decoded vectors, and returns how
-// many cells that was. It allocates nothing once the set's ordering
+// scan of the ColdSchema columns names — into the set's per-stripe tables
+// in (stripe, seq) order, straight from the decoded vectors, and returns
+// how many cells that was. It allocates nothing once the set's ordering
 // scratch has grown to the segment.
 func (ps *partialSet) foldCold(names []string, p *Plan, noPrune bool) (int64, error) {
+	return ps.foldColdInto(&ps.tables, names, p, noPrune)
+}
+
+// foldColdInto is foldCold into tables, one per stripe.
+func (ps *partialSet) foldColdInto(tables *[shardCount]GroupTable, names []string, p *Plan, noPrune bool) (int64, error) {
 	b := &ps.cold
 	if len(b.Sel) == 0 {
 		// Nothing survived; a fresh batch's vectors may not even exist.
@@ -924,7 +1017,7 @@ func (ps *partialSet) foldCold(names []string, p *Plan, noPrune bool) (int64, er
 	o.restore(stripe, seq)
 	for s := 0; s < shardCount; s++ {
 		if run := o.rows[o.off[s]:o.off[s+1]]; len(run) > 0 {
-			ps.tables[s].FoldColumns(&admitted, cols, &ps.tuples, run)
+			tables[s].FoldColumns(&admitted, cols, &ps.tuples, run)
 		}
 	}
 	return int64(len(o.rows)), nil

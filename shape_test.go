@@ -8,10 +8,10 @@ package oda_test
 // one admission decision, one cold scan, one parse per segment object,
 // one filter test per series, one chunk decoder, one interner, one
 // series encoder, one parameter reader, a series and a group that are
-// integers, and one cluster harness. Each is a structural fact a later
-// change could quietly undo, so each is checked over the parsed sources —
-// the non-test ones, or for a test-shape rule the tests — on every
-// `go test ./...`, and each is shown to fire on a
+// integers, one cluster harness, and one LRU in tsdb. Each is a
+// structural fact a later change could quietly undo, so each is checked
+// over the parsed sources — the non-test ones, or for a test-shape rule
+// the tests — on every `go test ./...`, and each is shown to fire on a
 // synthetic source that breaks it.
 
 import (
@@ -997,6 +997,27 @@ func (t *GroupTable) FoldColumns(p *Plan, cols *Columns, rt *rowTuples, order []
 		t.accumulate(p, cols.Bucket[r], &s)
 	}
 }`},
+	},
+	{
+		name: "one LRU in tsdb: one internal/tsdb file imports container/list",
+		check: func(files []srcFile) (out []string) {
+			var users []string
+			for _, s := range files {
+				for _, im := range s.f.Imports {
+					if within("internal/tsdb")(s) && im.Path.Value == `"container/list"` {
+						users = append(users, s.path)
+					}
+				}
+			}
+			if len(users) > 1 {
+				out = append(out, fmt.Sprintf("container/list imported by %v: bound a cache with cache.go's lru", users))
+			}
+			return out
+		},
+		breaks: map[string]string{
+			"internal/tsdb/cache.go": "package tsdb\nimport \"container/list\"",
+			"internal/tsdb/tier.go":  "package tsdb\nimport \"container/list\"",
+		},
 	},
 	{
 		name:  "one cluster harness: internal/cluster's tests make a cluster only in build",
