@@ -40,9 +40,10 @@ test:
 # and cell-table growth ones, the grouped and filtered cold folds (on the
 # harness's shape and on unlapped telemetry; the grouped one also warm,
 # merging cached per-segment partials), the replicated ingest loop, the
-# CQ pump's checkpoint of a 61 440-cell view (B/ckpt) and the
-# Silver job's windowed fold + SQL query, and the generator's cost per
-# record on each source, run once each so they cannot rot either.
+# CQ pump's checkpoint of a 61 440-cell view (B/ckpt) and its windowed
+# fold into a view with a close sink (the Silver job's shape), sproc's SQL
+# query, and the generator's cost per record on each source, run once
+# each so they cannot rot either.
 bench-smoke:
 	(cd benchmark && $(GO) vet ./... && $(GO) test ./...)
 	$(GO) test -bench 'EmitSource' -benchtime 1x -run xxx ./internal/telemetry
@@ -51,8 +52,8 @@ bench-smoke:
 	$(GO) test -bench 'ScanColumnsCold|WriteTelemetry' -benchtime 1x -run xxx ./internal/columnar
 	$(GO) test -bench 'Insert$$|CellTableGrow|ColdFoldGrouped|ColdFoldGroupedWarm|ColdFoldFiltered|ColdFoldTelemetry' -benchtime 1x -run xxx ./internal/tsdb
 	$(GO) test -bench 'ClusterIngestBatch' -benchtime 1x -run xxx ./internal/cluster
-	$(GO) test -bench 'PumpCheckpoint' -benchtime 1x -run xxx ./internal/cq
-	$(GO) test -bench 'WindowedThroughput|SQLQuery' -benchtime 1x -run xxx ./internal/sproc
+	$(GO) test -bench 'PumpCheckpoint|WindowedThroughput' -benchtime 1x -run xxx ./internal/cq
+	$(GO) test -bench 'SQLQuery' -benchtime 1x -run xxx ./internal/sproc
 
 # Net Go line delta of the working tree versus BASE — the numbers ROADMAP
 # asks every PR to state: non-test .go files outside benchmark/ on the
@@ -71,7 +72,8 @@ loc-delta:
 # pipeline that batches into both, the parallel read surfaces (log search
 # fan-out, columnar row-group decode and the schema frame primitives it
 # gathers and appends with on its workers), the resilience substrate
-# (retry/breaker/supervisor, fault injector, streaming jobs), the
+# (retry/breaker/supervisor, fault injector, supervised pipelines, and
+# sproc's operators fed by a running pump with a close sink), the
 # tier-federation path (object store gets under offload, glacier recall),
 # the serving layer (gateway token buckets + priority admission,
 # httpapi handlers + prepared-query registry), and the continuous-query

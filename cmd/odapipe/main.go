@@ -67,8 +67,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("silver: %d in -> %d out (%d windows, %d late, %d invalid) in %s\n",
-		m.RecordsIn, m.RowsOut, m.WindowsEmitted, m.RecordsLate, m.RecordsInvalid,
+	fmt.Printf("silver: %d in -> %d out (%d windows, %d late, %d dead-lettered) in %s\n",
+		m.Polled, m.RowsOut, m.WindowsEmitted, m.RecordsLate, m.Bad,
 		time.Since(start).Round(time.Millisecond))
 
 	start = time.Now()

@@ -47,7 +47,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("silver pipeline: %d records in -> %d wide rows out (%d windows)\n",
-		m.RecordsIn, m.RowsOut, m.WindowsEmitted)
+		m.Polled, m.RowsOut, m.WindowsEmitted)
 
 	// 3. Discovery: Gold artifacts — per-job power profiles and the
 	// system power series.

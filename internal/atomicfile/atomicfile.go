@@ -1,8 +1,8 @@
 // Package atomicfile writes files crash-safely: data lands in a
 // temporary sibling, is fsynced, and is renamed over the destination,
 // so readers observe either the old contents or the new — never a torn
-// half-write. The objstore persistence path and sproc checkpoints both
-// route through it; a process killed mid-write leaves only a *.tmp
+// half-write. The objstore persistence path and plane.Loop checkpoints
+// both route through it; a process killed mid-write leaves only a *.tmp
 // sibling that CleanTemps sweeps on the next open.
 package atomicfile
 

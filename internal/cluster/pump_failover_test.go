@@ -137,7 +137,7 @@ func TestChaosClusterPumpFailoverResume(t *testing.T) {
 	if err != nil {
 		t.Fatalf("pump restore after failover: %v", err)
 	}
-	if !cluPump2.Metrics().Recovered {
+	if !cluPump2.Stats().Recovered {
 		t.Fatal("restored pump found no checkpoint")
 	}
 	cluEng = cluEng2

@@ -17,7 +17,6 @@ import (
 	"odakit/internal/plane"
 	"odakit/internal/resilience"
 	"odakit/internal/schema"
-	"odakit/internal/sproc"
 	"odakit/internal/stream"
 	"odakit/internal/telemetry"
 )
@@ -50,7 +49,7 @@ type pipelineOutput struct {
 	silver   []byte
 	profiles []byte
 	series   []byte
-	metrics  sproc.Metrics
+	metrics  SilverMetrics
 	trace    *obs.Span          // sampled root covering the whole run
 	counters map[string]float64 // registry samples, snapshotted before Close
 	promText string             // the /metrics exposition, ditto
@@ -205,7 +204,7 @@ func TestChaosByteIdenticalPipeline(t *testing.T) {
 	if len(want.silver) == 0 || len(want.profiles) == 0 || len(want.series) == 0 {
 		t.Fatal("baseline produced empty outputs")
 	}
-	if want.metrics.RecordsIn != 14400 || want.metrics.Retries != 0 {
+	if want.metrics.Polled != 14400 || want.metrics.Retries != 0 {
 		t.Fatalf("baseline metrics = %+v", want.metrics)
 	}
 
@@ -253,11 +252,11 @@ func TestChaosByteIdenticalPipeline(t *testing.T) {
 	}
 	// Exactly the poison was quarantined (checked in depth by the runner);
 	// the metrics agree.
-	if got.metrics.RecordsDeadLettered != int64(len(poison)) || got.metrics.RecordsInvalid != int64(len(poison)) {
+	if got.metrics.Bad != int64(len(poison)) {
 		t.Fatalf("chaos metrics = %+v, want %d dead-lettered", got.metrics, len(poison))
 	}
-	if got.metrics.RecordsIn != want.metrics.RecordsIn+int64(len(poison)) {
-		t.Fatalf("records in = %d, want %d", got.metrics.RecordsIn, want.metrics.RecordsIn+int64(len(poison)))
+	if got.metrics.Polled != want.metrics.Polled+int64(len(poison)) {
+		t.Fatalf("records in = %d, want %d", got.metrics.Polled, want.metrics.Polled+int64(len(poison)))
 	}
 
 	// The sampled trace covers the full Bronze→Silver→Gold journey: each
@@ -305,10 +304,10 @@ func TestChaosByteIdenticalPipeline(t *testing.T) {
 
 	// The registry saw the run: migrated counters report the chaos totals
 	// and the whole exposition is valid Prometheus text.
-	if v := got.counters["oda_sproc_dead_letters_total"]; v != float64(len(poison)) {
-		t.Fatalf("oda_sproc_dead_letters_total = %v, want %d", v, len(poison))
+	if v := got.counters["oda_silver_dead_letters_total"]; v != float64(len(poison)) {
+		t.Fatalf("oda_silver_dead_letters_total = %v, want %d", v, len(poison))
 	}
-	if got.counters["oda_sproc_retries_total"]+got.counters["oda_core_retries_total"] == 0 {
+	if got.counters["oda_silver_retries_total"]+got.counters["oda_core_retries_total"] == 0 {
 		t.Fatal("no retries visible in /metrics counters after a chaos run")
 	}
 	if got.counters["oda_lake_insert_rows_total"] == 0 ||
@@ -364,8 +363,8 @@ func TestChaosBreakerAndRestartDamping(t *testing.T) {
 	if ps.Healthy() || ps.State != "failed" {
 		t.Fatalf("status = %+v", ps)
 	}
-	if ps.Metrics.Restarts != 2 {
-		t.Fatalf("restarts = %d, want 2", ps.Metrics.Restarts)
+	if ps.Supervisor.Restarts != 2 {
+		t.Fatalf("restarts = %d, want 2", ps.Supervisor.Restarts)
 	}
 	if ps.Metrics.Retries == 0 {
 		t.Fatalf("metrics = %+v: no retries recorded", ps.Metrics)

@@ -28,7 +28,6 @@ import (
 	"odakit/internal/report"
 	"odakit/internal/resilience"
 	"odakit/internal/schema"
-	"odakit/internal/sproc"
 	"odakit/internal/stream"
 	"odakit/internal/telemetry"
 	"odakit/internal/tsdb"
@@ -132,7 +131,7 @@ type Facility struct {
 
 	// Pipelines tracks supervised streaming pipelines for health and
 	// metrics endpoints (/healthz, /api/v1/pipelines, dashboard footer).
-	Pipelines *sproc.Registry
+	Pipelines *plane.Registry
 
 	// CQ maintains standing continuous queries as incremental
 	// materialized views over the bronze streams, answered at memory
@@ -149,11 +148,11 @@ type Facility struct {
 	Obs    *obs.Registry
 	Tracer *obs.Tracer
 
-	// silverInstr is the shared sproc instrument set every Silver job
-	// accumulates into; retries counts facility-level infrastructure
-	// retries (publish, insert, fetch, ocean I/O).
-	silverInstr *sproc.Instruments
-	retries     *obs.Counter
+	// silver is the Silver totals every Silver job adds to; retries
+	// counts facility-level infrastructure retries (publish, insert,
+	// fetch, ocean I/O, the Silver sink's append).
+	silver  silverCounters
+	retries *obs.Counter
 
 	// stream and lake are the data plane the facility runs on: Broker
 	// and Lake unless AttachPlane moved it. Every bronze/LAKE read and
@@ -211,7 +210,7 @@ func NewFacility(opts Options) (*Facility, error) {
 		DataRUC:   governance.NewWorkflow(),
 		ML:        ml,
 		Rats:      report.New(),
-		Pipelines: sproc.NewRegistry(),
+		Pipelines: plane.NewRegistry(),
 		Obs:       obs.NewRegistry(),
 		Tracer:    obs.NewTracer(0),
 	}
@@ -231,7 +230,7 @@ func NewFacility(opts Options) (*Facility, error) {
 	f.Broker.Instrument(f.Obs)
 	f.Ocean.Instrument(f.Obs)
 	f.Pipelines.Instrument(f.Obs)
-	f.silverInstr = sproc.NewInstruments(f.Obs)
+	f.silver = newSilverCounters(f.Obs)
 	f.retries = f.Obs.Counter("oda_core_retries_total",
 		"Facility-level infrastructure retries (publish, insert, fetch, ocean I/O).")
 	for _, src := range telemetry.MetricSources {

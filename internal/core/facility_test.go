@@ -123,7 +123,7 @@ func TestSilverPipelineEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.RecordsIn != 14400 || m.RowsOut == 0 {
+	if m.Polled != 14400 || m.RowsOut == 0 {
 		t.Fatalf("metrics = %+v", m)
 	}
 	silver, err := f.ReadSilver(context.Background(), telemetry.SourcePowerTemp, nil, time.Time{}, time.Time{})

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"odakit/internal/columnar"
@@ -15,11 +16,12 @@ import (
 	"odakit/internal/sproc"
 	"odakit/internal/stream"
 	"odakit/internal/telemetry"
+	"odakit/internal/tsdb"
 )
 
 // The Bronze→Silver→Gold pipelines of Fig 4-b, in both the streaming form
-// (a sproc job folding into a tumbling CQ view, then pivot and
-// contextualization) and the batch/backfill form (§VI-B).
+// (a cq pump folding into a tumbling view whose close sink pivots and
+// contextualizes each window) and the batch/backfill form (§VI-B).
 
 // ReplayBronzeToLake rebuilds the LAKE rollup store from the retained
 // bronze topic of a source — the recovery path after a LAKE restart, and
@@ -113,71 +115,188 @@ type SilverPipelineConfig struct {
 	Breaker *resilience.BreakerConfig
 }
 
-// NewSilverJob builds (without running) the streaming Bronze→Silver job
-// for a source: 15 s windowed averages, pivoted wide, contextualized with
-// job allocations, appended to the source's OCEAN Silver object. The
-// windows are a tumbling view on an engine of the job's own (never
-// f.CQ, whose pump would fold the topic into it a second time). The job
-// dead-letters poison records, retries transient poll/sink faults under
-// the facility retry policy, and (when configured) guards its sink with
-// a circuit breaker. It reads the bronze topic of whichever plane the
-// facility is attached to.
-func (f *Facility) NewSilverJob(cfg SilverPipelineConfig) (*sproc.Job, error) {
+// SilverMetrics counts one Silver run: its pump's loop counters (the
+// sink's retries among Retries), the records its view dropped behind a
+// closed window, and the windows and Silver rows the sink took.
+type SilverMetrics struct {
+	plane.LoopStats
+	RecordsLate    int64
+	WindowsEmitted int64
+	RowsOut        int64
+}
+
+// silverJob is one incarnation of a source's streaming Bronze→Silver
+// pipeline: a cq pump over its bronze topic into a tumbling view on an
+// engine of its own (f.CQ's pump would fold the topic in a second time),
+// whose close sink pivots each closed window wide, contextualizes it with
+// job allocations and appends it to the source's OCEAN Silver object.
+type silverJob struct {
+	*cq.Pump
+	view                       *cq.View
+	sinkRetries, windows, rows atomic.Int64
+	mirrored                   SilverMetrics // what f.silver has been given
+}
+
+// Stats is the pump's loop counters with the sink's retries (plane.Runner).
+func (j *silverJob) Stats() plane.LoopStats {
+	st := j.Pump.Stats()
+	st.Retries += j.sinkRetries.Load()
+	return st
+}
+
+func (j *silverJob) metrics() SilverMetrics {
+	return SilverMetrics{LoopStats: j.Stats(), RecordsLate: j.view.Stats().Late, WindowsEmitted: j.windows.Load(), RowsOut: j.rows.Load()}
+}
+
+// mirror adds what the job counted since its last call to f's counters.
+func (j *silverJob) mirror(c *silverCounters) {
+	m := j.metrics()
+	c.recordsIn.Add(m.Polled - j.mirrored.Polled)
+	c.late.Add(m.RecordsLate - j.mirrored.RecordsLate)
+	c.rowsOut.Add(m.RowsOut - j.mirrored.RowsOut)
+	c.deadLetters.Add(m.Bad - j.mirrored.Bad)
+	c.retries.Add(m.Retries - j.mirrored.Retries)
+	j.mirrored = m
+}
+
+// silverCounters are the facility-wide Silver totals on /metrics, which
+// every Silver job adds to after each pass.
+type silverCounters struct {
+	recordsIn, late, rowsOut, deadLetters, retries *obs.Counter
+}
+
+func newSilverCounters(reg *obs.Registry) silverCounters {
+	return silverCounters{
+		recordsIn:   reg.Counter("oda_silver_records_in_total", "Bronze records read by Silver jobs."),
+		late:        reg.Counter("oda_silver_records_late_total", "Records behind an already-closed Silver window."),
+		rowsOut:     reg.Counter("oda_silver_rows_out_total", "Silver rows appended to OCEAN."),
+		deadLetters: reg.Counter("oda_silver_dead_letters_total", "Poison records Silver jobs quarantined to DLQs."),
+		retries:     reg.Counter("oda_silver_retries_total", "Retries Silver jobs spent masking transient faults."),
+	}
+}
+
+// newSilverJob builds (without running) the Silver job for a source, on
+// whichever plane the facility is attached to. Its sink runs under the
+// facility retry policy and, when non-nil, breaker, in that nesting: a
+// retry that finds the breaker open fails fast and backs off.
+func (f *Facility) newSilverJob(cfg SilverPipelineConfig, breaker *resilience.Breaker) (*silverJob, error) {
 	w := f.Opts.SilverWindow
 	spec, lateness, pivot := medallion.SilverizeConfig{Window: w}.WindowStages()
-	view, err := cq.NewEngine(cq.Config{RollupInterval: w, SegmentDuration: w}).Register(spec)
+	eng := cq.NewEngine(cq.Config{RollupInterval: w, SegmentDuration: w})
+	view, err := eng.Register(spec)
 	if err != nil {
 		return nil, err
 	}
-	job, err := sproc.NewJob(f.stream, sproc.JobConfig{
-		Name: "silver-" + string(cfg.Source), Topic: BronzeTopic(cfg.Source),
-		View: view, Lateness: lateness, CheckpointDir: cfg.CheckpointDir,
-		Retry: f.Opts.RetryPolicy, Breaker: cfg.Breaker,
-		Instr: f.silverInstr,
+	j := &silverJob{view: view}
+	// The name names the pump's dead letters and checkpoint file.
+	name, dataset := "silver-"+string(cfg.Source), string(cfg.Source)+"_silver"
+	f.Datasets.Register(dataset, medallion.Silver, nil)
+	// A window's long frame is its start, the view's groups, then its value.
+	fields := []schema.Field{{Name: "window", Kind: schema.KindTime}}
+	for _, d := range spec.GroupBy {
+		fields = append(fields, schema.Field{Name: d, Kind: schema.KindString})
+	}
+	long := schema.New(append(fields, schema.Field{Name: "v", Kind: schema.KindFloat})...)
+	// deliver refines one window and appends it. The append fault hook
+	// rejects before mutating, so a retried append cannot double one.
+	deliver := func(ctx context.Context, fr *schema.Frame) error {
+		fr, err := pivot(fr)
+		if err == nil {
+			fr, err = medallion.Contextualize(fr, f.Sched)
+		}
+		if err != nil || fr.Len() == 0 {
+			return err
+		}
+		ctx, sp := obs.StartSpan(ctx, "silver.sink")
+		defer sp.End()
+		sp.Annotate("rows", "%d", fr.Len())
+		attempts := 0
+		err = f.retry(ctx, "silver sink", func() error {
+			attempts++
+			return breaker.Do(func() error {
+				data, err := columnar.Encode(fr, columnar.WriterOptions{})
+				if err == nil {
+					_, err = f.Ocean.Append(BucketSilver, SilverObjectKey(cfg.Source), data)
+				}
+				if err == nil {
+					err = f.Datasets.Record(dataset, int64(fr.Len()), int64(len(data)), time.Now())
+				}
+				return err
+			})
+		})
+		j.sinkRetries.Add(int64(attempts - 1))
+		if err == nil {
+			j.rows.Add(int64(fr.Len()))
+		}
+		sp.SetErr(err)
+		return err
+	}
+	view.SetSink(lateness, func(ctx context.Context, groups []tsdb.Group) error {
+		// One micro-batch span (sampled roots only; a no-op otherwise),
+		// parenting the sink spans deliver opens.
+		ctx, sp := obs.StartSpan(ctx, "silver.microbatch")
+		defer sp.End()
+		defer j.mirror(&f.silver)
+		sp.Annotate("topic", "%s", BronzeTopic(cfg.Source))
+		row := make(schema.Row, 0, long.Len())
+		for len(groups) > 0 {
+			fr := schema.NewFrame(long)
+			n := 0
+			for ; n < len(groups) && groups[n].Key.Ts == groups[0].Key.Ts; n++ {
+				row = append(row[:0], schema.TimeNanos(groups[n].Key.Ts))
+				for _, d := range groups[n].Key.Dims[:len(spec.GroupBy)] {
+					row = append(row, schema.Str(d))
+				}
+				if err := fr.AppendRow(append(row, schema.Float(groups[n].Cell.Value(spec.Agg)))); err != nil {
+					return err
+				}
+			}
+			j.windows.Add(1)
+			if err := deliver(ctx, fr); err != nil {
+				return fmt.Errorf("core: %s sink: %w", name, err)
+			}
+			groups = groups[n:]
+		}
+		return nil
+	})
+	j.Pump, err = cq.NewPumpSource(eng, f.stream, cq.PumpConfig{
+		Name: name, Topics: []string{BronzeTopic(cfg.Source)}, BatchSize: 4096, CheckpointDir: cfg.CheckpointDir,
 	})
 	if err != nil {
 		return nil, err
 	}
-	dataset := string(cfg.Source) + "_silver"
-	f.Datasets.Register(dataset, medallion.Silver, nil)
-	job.MapBatch(pivot).
-		MapBatch(func(fr *schema.Frame) (*schema.Frame, error) {
-			return medallion.Contextualize(fr, f.Sched)
-		}).
-		To(func(fr *schema.Frame) error {
-			data, err := columnar.Encode(fr, columnar.WriterOptions{})
-			if err != nil {
-				return err
-			}
-			// No extra retry here: the job's retry policy wraps the whole
-			// sink call, and the append fault hook rejects before mutating,
-			// so a retried sink cannot double-append a window.
-			if _, err := f.Ocean.Append(BucketSilver, SilverObjectKey(cfg.Source), data); err != nil {
-				return err
-			}
-			return f.Datasets.Record(dataset, int64(fr.Len()), int64(len(data)), time.Now())
-		})
-	return job, nil
+	return j, nil
+}
+
+// newSilverBreaker is the sink breaker cfg asks for, named after the
+// pipeline; nil when it asks for none.
+func newSilverBreaker(cfg SilverPipelineConfig) *resilience.Breaker {
+	if cfg.Breaker == nil {
+		return nil
+	}
+	bc := *cfg.Breaker
+	if bc.Name == "" {
+		bc.Name = "silver-" + string(cfg.Source)
+	}
+	return resilience.NewBreaker(bc)
 }
 
 // DrainSilver runs the streaming Silver pipeline until the bronze topic
 // is fully consumed, flushing every window (the test/backfill mode).
-func (f *Facility) DrainSilver(ctx context.Context, cfg SilverPipelineConfig) (sproc.Metrics, error) {
+func (f *Facility) DrainSilver(ctx context.Context, cfg SilverPipelineConfig) (SilverMetrics, error) {
 	ctx, sp := obs.StartSpan(ctx, "silver.drain")
 	defer sp.End()
 	sp.Annotate("source", "%s", cfg.Source)
-	job, err := f.NewSilverJob(cfg)
+	j, err := f.newSilverJob(cfg, newSilverBreaker(cfg))
 	if err != nil {
 		sp.SetErr(err)
-		return sproc.Metrics{}, err
+		return SilverMetrics{}, err
 	}
-	if err := job.Drain(ctx); err != nil {
-		sp.SetErr(err)
-		return job.Metrics(), err
-	}
-	m := job.Metrics()
+	err = j.Drain(ctx)
+	sp.SetErr(err)
+	m := j.metrics()
 	sp.Annotate("windows", "%d", m.WindowsEmitted)
-	return m, nil
+	return m, err
 }
 
 // ReadSilver loads a source's Silver frame back from OCEAN. columns

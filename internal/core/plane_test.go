@@ -12,7 +12,6 @@ import (
 	"odakit/internal/jobsched"
 	"odakit/internal/plane"
 	"odakit/internal/resilience"
-	"odakit/internal/sproc"
 	"odakit/internal/telemetry"
 	"odakit/internal/tsdb"
 )
@@ -144,7 +143,7 @@ func TestChaosIngestClusterPlaneExactlyOnce(t *testing.T) {
 // f, drains the streaming Silver job and returns the OCEAN object it
 // wrote with the job's counters. midDrain, when set, runs once from the
 // job's goroutine as the n-th Silver window is about to be appended.
-func silverRun(t *testing.T, f *Facility, window time.Duration, midDrain map[int]func()) ([]byte, sproc.Metrics) {
+func silverRun(t *testing.T, f *Facility, window time.Duration, midDrain map[int]func()) ([]byte, SilverMetrics) {
 	t.Helper()
 	src := telemetry.SourcePowerTemp
 	if _, err := f.IngestWindow(context.Background(), t0, t0.Add(window), src); err != nil {
@@ -172,9 +171,9 @@ func silverRun(t *testing.T, f *Facility, window time.Duration, midDrain map[int
 	return data, m
 }
 
-func sameSilver(t *testing.T, what string, got []byte, gm sproc.Metrics, want []byte, wm sproc.Metrics) {
+func sameSilver(t *testing.T, what string, got []byte, gm SilverMetrics, want []byte, wm SilverMetrics) {
 	t.Helper()
-	if gm.RecordsIn != wm.RecordsIn || gm.WindowsEmitted != wm.WindowsEmitted || gm.RowsOut != wm.RowsOut || gm.RecordsLate != 0 {
+	if gm.Polled != wm.Polled || gm.WindowsEmitted != wm.WindowsEmitted || gm.RowsOut != wm.RowsOut || gm.RecordsLate != 0 {
 		t.Fatalf("%s: cluster-plane job counted %+v, local-plane job %+v", what, gm, wm)
 	}
 	if len(want) == 0 || !bytes.Equal(got, want) {
@@ -214,8 +213,8 @@ func TestSilverOnClusterPlaneMatchesLocal(t *testing.T) {
 		attachCluster(t, f)
 		got, gm := silverRun(t, f, 2*time.Minute, nil)
 		sameSilver(t, "fig 4-b window", got, gm, want, wm)
-		if gm.RecordsIn != 19017 || gm.RowsOut != 128 {
-			t.Fatalf("cluster plane refined %d bronze records into %d silver rows, EXPERIMENTS.md says 19,017 into 128", gm.RecordsIn, gm.RowsOut)
+		if gm.Polled != 19017 || gm.RowsOut != 128 {
+			t.Fatalf("cluster plane refined %d bronze records into %d silver rows, EXPERIMENTS.md says 19,017 into 128", gm.Polled, gm.RowsOut)
 		}
 	})
 

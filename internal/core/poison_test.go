@@ -15,7 +15,7 @@ import (
 
 // TestPoisonQuarantinedOncePerConsumer: every consumer of a bronze topic
 // has one poison policy. Whichever of them reads an undecodable or
-// non-conforming record publishes it to "<topic>.dlq" exactly once, with
+// non-conforming record, or one with a null field, publishes it to "<topic>.dlq" exactly once, with
 // its topic, partition, offset and payload and a reason naming the
 // consumer, counts it, and carries on; where the consumer has a /metrics
 // family for it, that counts it too.
@@ -34,11 +34,11 @@ func TestPoisonQuarantinedOncePerConsumer(t *testing.T) {
 				return 0, err
 			}
 			err = p.Drain(ctx)
-			return p.Metrics().Bad, err
+			return p.Stats().Bad, err
 		}},
-		{"silver job", "sproc job silver-" + string(src), "oda_sproc_dead_letters_total", func(ctx context.Context, f *Facility) (int64, error) {
+		{"silver job", "cq pump silver-" + string(src), "oda_silver_dead_letters_total", func(ctx context.Context, f *Facility) (int64, error) {
 			m, err := f.DrainSilver(ctx, SilverPipelineConfig{Source: src})
-			return m.RecordsDeadLettered, err
+			return m.Bad, err
 		}},
 		{"bronze replay", "core replay", "", func(ctx context.Context, f *Facility) (int64, error) {
 			_, q, err := f.ReplayBronzeToLake(ctx, src)
@@ -52,10 +52,21 @@ func TestPoisonQuarantinedOncePerConsumer(t *testing.T) {
 				t.Fatal(err)
 			}
 			poison := map[[2]int64][]byte{} // (partition, offset) -> payload
+			// A row with a null field conforms to the schema, yet no fold
+			// has a bucket for a null time or a value for a null measure.
+			withNull := func(field int) []byte {
+				row := schema.Observation{Ts: t0, System: "frontier", Source: string(src), Component: "node00001",
+					Metric: "node_power_w", Value: 10}.Row()
+				row[field] = schema.Null
+				return schema.EncodeRow(row)
+			}
 			for i, p := range [][]byte{
 				[]byte("not a row at all"),
 				schema.EncodeRow(schema.Row{schema.Str("wrong-schema")}),
 				{0xff, 0x00, 0x01},
+				withNull(0), // ts
+				withNull(5), // value
+				withNull(3), // component
 			} {
 				off, err := f.Broker.PublishBatchTo(topic, i%TopicPartitions, []stream.Message{{Value: p}})
 				if err != nil {

@@ -6,9 +6,9 @@ import (
 	"time"
 
 	"odakit/internal/obs"
+	"odakit/internal/plane"
 	"odakit/internal/resilience"
 	"odakit/internal/schema"
-	"odakit/internal/sproc"
 	"odakit/internal/stream"
 )
 
@@ -106,13 +106,14 @@ func (f *Facility) oceanPut(ctx context.Context, bucket, key string, data []byte
 }
 
 // RunSilverSupervised runs the streaming Silver pipeline under a
-// supervisor: each incarnation rebuilds the job (a fresh reader
-// restored from its checkpoint), transient failures trigger damped
-// backed-off restarts, and the pipeline registers itself with
-// f.Pipelines so /healthz and the dashboard can see it.
+// supervisor, registered with f.Pipelines for /healthz and the dashboard:
+// transient failures trigger damped, backed-off restarts, each a fresh
+// pump restored from its checkpoint. The incarnations share one sink
+// breaker, so a restart does not close a circuit the sink opened.
 func (f *Facility) RunSilverSupervised(ctx context.Context, cfg SilverPipelineConfig, scfg resilience.SupervisorConfig) error {
-	p := sproc.NewPipeline("silver-"+string(cfg.Source), scfg, func() (*sproc.Job, error) {
-		return f.NewSilverJob(cfg)
+	breaker := newSilverBreaker(cfg)
+	p := plane.NewPipeline("silver-"+string(cfg.Source), scfg, breaker, func() (plane.Runner, error) {
+		return f.newSilverJob(cfg, breaker)
 	})
 	f.Pipelines.Register(p)
 	return p.Run(ctx)

@@ -156,14 +156,14 @@ func TestPumpAndSilverShareCheckpointDir(t *testing.T) {
 	if err := again.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if m := again.Metrics(); !m.Recovered || m.Polled != 0 {
+	if m := again.Stats(); !m.Recovered || m.Polled != 0 {
 		t.Fatalf("restarted pump: %+v, want a restore with nothing to read", m)
 	}
 	second, err := f.DrainSilver(ctx, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !second.Recovered || second.RecordsIn != 0 || first.RecordsIn == 0 {
+	if !second.Recovered || second.Polled != 0 || first.Polled == 0 {
 		t.Fatalf("restarted Silver job: %+v after %+v, want a restore with nothing to read", second, first)
 	}
 }

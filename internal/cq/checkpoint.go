@@ -1,7 +1,6 @@
 package cq
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"slices"
@@ -13,10 +12,10 @@ import (
 
 // Checkpoint layer: the pump's loop persists consumer offsets and full
 // view state (Pump.Snapshot) in ONE atomic file, and applies records
-// strictly before checkpointing. A crash between apply and checkpoint restores the
-// pre-suffix state and replays the suffix into it — exactly-once, the
-// stronger sibling of sproc's at-least-once (sproc can afford replays
-// because its sinks are idempotent; a view cell's add() is not).
+// strictly before checkpointing. A crash between apply and checkpoint
+// restores the pre-suffix state and replays the suffix into it —
+// exactly-once for the views; a view's close sink is at-least-once, as
+// its windows sunk after the last checkpoint are sunk again.
 //
 // A view's cells are stored in the one serialized form of rollup cells:
 // each (topic, partition) slice is one ColdSchema OCF blob
@@ -77,6 +76,9 @@ type ckptFile struct {
 	Format  int                `json:"format"`
 	Offsets map[string][]int64 `json:"offsets"` // topic -> per-partition cursors
 	Views   []ckptView         `json:"views"`
+	// Watermarks are a sink pump's per-partition event-time maxima (as
+	// Pump.wm); a pump with no sink view writes none.
+	Watermarks map[string][]int64 `json:"watermarks,omitempty"`
 }
 
 // snapshot captures the view's full state under its lock.
@@ -166,7 +168,7 @@ func (v *View) restoreInto(cv ckptView) error {
 		tp := topicPart{topic: sl.Topic, part: sl.Part}
 		f, err := columnar.ReadAll(sl.Cells)
 		if err == nil {
-			err = tsdb.LoadCells(f, v.segN, v.rollupN, true, func(stripe int, chunkN, _ int64) *tsdb.CellTable {
+			err = tsdb.LoadCells(f, v.geom, true, func(stripe int, chunkN, _ int64) *tsdb.CellTable {
 				return v.tableLocked(stripe, chunkN, tp)
 			})
 		}
@@ -216,23 +218,4 @@ func (a *alertState) restore(ca *ckptAlerts) {
 		}
 		a.groups[d] = gs
 	}
-}
-
-// Checkpoint returns the view's state in the form a Pump checkpoints each
-// of its views in: the cells as ColdSchema blobs, the watermark, the
-// eviction mark and the counters. An operator that owns a view keeps it
-// in its own checkpoint this way.
-func (v *View) Checkpoint() ([]byte, error) { return json.Marshal(v.snapshot()) }
-
-// Restore rebuilds the view, which must be empty, from what Checkpoint
-// returned for a view of the same spec.
-func (v *View) Restore(data []byte) error {
-	var cv ckptView
-	if err := json.Unmarshal(data, &cv); err != nil {
-		return fmt.Errorf("cq: checkpoint of view %s: parse: %w", v.ID, err)
-	}
-	if cv.ID != v.ID {
-		return fmt.Errorf("cq: checkpoint of view %s cannot restore view %s", cv.ID, v.ID)
-	}
-	return v.restoreInto(cv)
 }

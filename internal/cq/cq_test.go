@@ -310,7 +310,7 @@ func TestPumpSkipsBadRecords(t *testing.T) {
 	if err := p.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	m := p.Metrics()
+	m := p.Stats()
 	if m.Bad != 1 || m.Applied != 1 {
 		t.Fatalf("bad=%d applied=%d", m.Bad, m.Applied)
 	}
@@ -345,10 +345,10 @@ func TestPumpMetricsWhileRunning(t *testing.T) {
 		if _, err := b.PublishBatchTo(topic, i%2, []stream.Message{{Value: schema.EncodeRow(o.Row())}}); err != nil {
 			t.Fatal(err)
 		}
-		_ = p.Metrics()
+		_ = p.Stats()
 	}
 	deadline := time.Now().Add(10 * time.Second)
-	for m := p.Metrics(); m.Applied < n; m = p.Metrics() {
+	for m := p.Stats(); m.Applied < n; m = p.Stats() {
 		if time.Now().After(deadline) {
 			t.Fatalf("the running pump applied %d of %d records", m.Applied, n)
 		}
@@ -358,7 +358,7 @@ func TestPumpMetricsWhileRunning(t *testing.T) {
 	if err := <-ran; !errors.Is(err, context.Canceled) {
 		t.Fatalf("Run ended with %v, want context.Canceled", err)
 	}
-	if m := p.Metrics(); m.Polled != n || m.Applied != n || m.Checkpoints == 0 {
+	if m := p.Stats(); m.Polled != n || m.Applied != n || m.Checkpoints == 0 {
 		t.Fatalf("after Run: %+v, want %d polled and applied, and checkpoints", m, n)
 	}
 }
@@ -432,7 +432,7 @@ func TestDrainIdlesThroughTransientOutage(t *testing.T) {
 	if limit := int(outage/idle) + 5; src.refused == 0 || src.refused > limit {
 		t.Fatalf("%d fetches hit the partition during its %v outage, want 1..%d (backed off, not spinning)", src.refused, outage, limit)
 	}
-	if m := p.Metrics(); m.Polled != n || m.Applied != n || m.Bad != 0 {
+	if m := p.Stats(); m.Polled != n || m.Applied != n || m.Bad != 0 {
 		t.Fatalf("after the outage the pump had polled %d and applied %d of %d records (%d bad)", m.Polled, m.Applied, n, m.Bad)
 	}
 }
@@ -550,7 +550,7 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	}
 	foreign := (stripe(1) + 1) % tsdb.NumStripes
 	offGrid := cells.Row(1)[idx("bucket")].UnixNanos() + int64(time.Second)
-	noChunk := int64(math.MaxInt64) - math.MaxInt64%src.rollupN // its chunk ends past the int64 range
+	noChunk := int64(math.MaxInt64) - math.MaxInt64%int64(src.geom.Rollup) // its chunk ends past the int64 range
 	blob := good.Slices[0].Cells
 	for _, tc := range []struct {
 		name   string

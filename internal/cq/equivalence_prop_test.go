@@ -274,7 +274,7 @@ func TestViewSurvivesCrashRestore(t *testing.T) {
 			if err != nil {
 				t.Fatalf("restart pump: %v", err)
 			}
-			if !pump2.Metrics().Recovered {
+			if !pump2.Stats().Recovered {
 				t.Fatalf("restart did not recover from checkpoint")
 			}
 			v2, ok := eng2.Get(v.ID)

@@ -3,6 +3,7 @@ package cq
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,6 +11,7 @@ import (
 	"odakit/internal/plane"
 	"odakit/internal/schema"
 	"odakit/internal/stream"
+	"odakit/internal/tsdb"
 )
 
 // parkCounter is a plane that counts AppendRecords calls and reports every
@@ -73,51 +75,78 @@ func (s *parkCounter) nextPark(t *testing.T, parts int) {
 }
 
 // TestQuiescentPumpParks: a running pump with nothing to read is parked,
-// not polling. Between two parks with one commit between them it makes at
-// most one pass (one fetch per partition), and it checkpoints once per
-// pass that applied records.
+// not polling — a pump of plain views, and one whose view has a sink, past
+// its idle deadline. Between two parks with one commit between them it
+// makes at most one pass (one fetch per partition), and it checkpoints
+// once per pass that applied records; the sink pump, started on one
+// record, also flushes and checkpoints once at its idle deadline.
 func TestQuiescentPumpParks(t *testing.T) {
 	const (
 		topic  = "bronze.alpha"
 		parts  = 8
 		rounds = 5
 	)
-	b := stream.NewBroker()
-	defer b.Close()
-	if err := b.CreateTopic(topic, stream.TopicConfig{Partitions: parts}); err != nil {
-		t.Fatal(err)
-	}
-	e := testEngine()
-	if _, err := e.Register(Spec{Window: time.Hour}); err != nil {
-		t.Fatal(err)
-	}
-	src := newParkCounter(b)
-	p, err := NewPumpSource(e, src, PumpConfig{Topics: []string{topic}, CheckpointDir: t.TempDir()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	ran := make(chan error, 1)
-	go func() { ran <- p.Run(ctx) }()
+	for _, withSink := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sink=%v", withSink), func(t *testing.T) {
+			b := stream.NewBroker()
+			defer b.Close()
+			if err := b.CreateTopic(topic, stream.TopicConfig{Partitions: parts}); err != nil {
+				t.Fatal(err)
+			}
+			e := testEngine()
+			v, err := e.Register(Spec{Window: time.Hour})
+			if err != nil {
+				t.Fatal(err)
+			}
+			publish := func(i int) {
+				o := obsAt(unitT0.Add(time.Duration(i)*time.Second), "node01", "pow", float64(i))
+				if _, err := b.PublishBatchTo(topic, (3*i)%parts, []stream.Message{{Value: schema.EncodeRow(o.Row())}}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// The sink pump starts on one record and, before its first
+			// park, has flushed at its idle deadline and after that pass.
+			first, startCkpts := 0, int64(0)
+			if withSink {
+				v.SetSink(0, func(context.Context, []tsdb.Group) error { return nil })
+				publish(0)
+				first, startCkpts = 1, 2
+			}
+			src := newParkCounter(b)
+			p, err := NewPumpSource(e, src, PumpConfig{Topics: []string{topic}, CheckpointDir: t.TempDir()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if withSink {
+				p.idleAt = time.Now()
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			ran := make(chan error, 1)
+			go func() { ran <- p.Run(ctx) }()
 
-	src.nextPark(t, parts)
-	for i := 0; i < rounds; i++ {
-		before := src.fetches.Load()
-		o := obsAt(unitT0.Add(time.Duration(i)*time.Second), "node01", "pow", float64(i))
-		if _, err := b.PublishBatchTo(topic, (3*i)%parts, []stream.Message{{Value: schema.EncodeRow(o.Row())}}); err != nil {
-			t.Fatal(err)
-		}
-		src.nextPark(t, parts)
-		if n := src.fetches.Load() - before; n > parts {
-			t.Fatalf("round %d: %d fetches between two parks around one commit, want at most one pass (%d)", i, n, parts)
-		}
-	}
-	cancel()
-	close(src.done)
-	if err := <-ran; !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run ended with %v, want context.Canceled", err)
-	}
-	if m := p.Metrics(); m.Applied != rounds || m.Checkpoints != rounds {
-		t.Fatalf("applied %d records in %d checkpoints, want %d and %d", m.Applied, m.Checkpoints, rounds, rounds)
+			src.nextPark(t, parts)
+			if m := p.Stats(); m.Applied != int64(first) || m.Checkpoints != startCkpts {
+				t.Fatalf("before the first park: %d records in %d checkpoints, want %d and %d", m.Applied, m.Checkpoints, first, startCkpts)
+			}
+			for i := first; i < first+rounds; i++ {
+				before, ckpts := src.fetches.Load(), p.Stats().Checkpoints
+				publish(i)
+				src.nextPark(t, parts)
+				if n := src.fetches.Load() - before; n > parts {
+					t.Fatalf("round %d: %d fetches between two parks around one commit, want at most one pass (%d)", i, n, parts)
+				}
+				if n := p.Stats().Checkpoints - ckpts; n != 1 {
+					t.Fatalf("round %d: %d checkpoints between two parks around one commit, want 1", i, n)
+				}
+			}
+			cancel()
+			close(src.done)
+			if err := <-ran; !errors.Is(err, context.Canceled) {
+				t.Fatalf("Run ended with %v, want context.Canceled", err)
+			}
+			if m := p.Stats(); m.Applied != int64(first+rounds) || m.Checkpoints != startCkpts+rounds {
+				t.Fatalf("applied %d records in %d checkpoints, want %d and %d", m.Applied, m.Checkpoints, first+rounds, startCkpts+rounds)
+			}
+		})
 	}
 }

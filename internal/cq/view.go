@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -33,8 +34,7 @@ type View struct {
 	ID   string
 	Spec Spec
 
-	rollupN int64
-	segN    int64
+	geom    tsdb.Geometry
 	windowN int64 // Window rounded up to whole rollup intervals
 	// plan is the spec compiled by tsdb: apply admits records with its
 	// filters, foldRangeLocked re-targets it at the range being read.
@@ -65,17 +65,30 @@ type View struct {
 	alerts     *alertState
 	watchCount atomic.Int64
 
+	sink     func(context.Context, []tsdb.Group) error // SetSink's
+	lateness int64
+
 	engine *Engine
+}
+
+// SetSink attaches a close sink to the view, with the lateness it waits
+// for. At the end of every pass a pump hands the sink what Close closes:
+// the windows that end at or before the pump's watermark less lateness
+// (every open one on a Drain's final flush), ordered by (bucket, dims), or
+// none; an error fails the pass. A view with a sink moves no window of its
+// own: nothing is evicted and no alert scored until Close, so a record
+// behind a closed window is dropped late. Set it before building the pump.
+func (v *View) SetSink(lateness time.Duration, sink func(ctx context.Context, groups []tsdb.Group) error) {
+	v.sink, v.lateness = sink, int64(lateness)
 }
 
 const minWatermark = -1 << 62
 
 func newView(e *Engine, spec Spec) *View {
 	v := &View{
-		ID:      viewID(spec),
-		Spec:    spec,
-		rollupN: int64(e.geom.Rollup),
-		segN:    int64(e.geom.Segment),
+		ID:   viewID(spec),
+		Spec: spec,
+		geom: e.geom,
 		plan: tsdb.Compile(tsdb.Query{
 			Filters: spec.Filters, GroupBy: spec.GroupBy,
 			Granularity: spec.Granularity, Agg: spec.Agg,
@@ -83,9 +96,9 @@ func newView(e *Engine, spec Spec) *View {
 		subs:   make(map[int]chan struct{}),
 		engine: e,
 	}
-	v.windowN = ceilMul(int64(spec.Window), v.rollupN)
+	v.windowN = ceilMul(int64(spec.Window), int64(v.geom.Rollup))
 	if spec.Alert != nil {
-		v.alerts = newAlertState(spec, v.rollupN)
+		v.alerts = newAlertState(spec, int64(v.geom.Rollup))
 	}
 	v.resetLocked()
 	return v
@@ -115,22 +128,26 @@ func (v *View) windowBounds(wm int64) (fromN, toN int64, ok bool) {
 		fromN = wm - tsdb.FloorMod(wm, v.windowN)
 		return fromN, fromN + v.windowN, true
 	}
-	toN = wm - tsdb.FloorMod(wm, v.rollupN) + v.rollupN
+	rollupN := int64(v.geom.Rollup)
+	toN = wm - tsdb.FloorMod(wm, rollupN) + rollupN
 	return toN - v.windowN, toN, true
 }
 
-// apply folds one partition's page of observation rows into the view and
-// moves its window on: the chunks it has passed are evicted and alerts
-// score the buckets that closed. It reports how many rows were applied
-// and how many dropped late. Caller is the engine, which fans each page
-// out to every view, so per-partition order is preserved.
+// apply folds one partition's page of observation rows into the view and,
+// unless the view has a sink, moves its window on: the chunks it has
+// passed are evicted and alerts score the buckets that closed. It reports
+// how many rows were applied and how many dropped late. Caller is the
+// engine, which fans each page out to every view, so per-partition order
+// is preserved.
 func (v *View) apply(topic string, part int, rows []schema.Row) (appliedN, lateN int64) {
 	v.mu.Lock()
 	appliedN, lateN = v.addLocked(topic, part, rows)
-	v.evictLocked()
 	var closed []tsdb.Group
-	if v.alerts != nil {
-		closed = v.alerts.closeBuckets(v)
+	if v.sink == nil {
+		v.evictLocked()
+		if v.alerts != nil {
+			closed = v.alerts.closeBuckets(v)
+		}
 	}
 	v.mu.Unlock()
 	v.bump()
@@ -142,34 +159,19 @@ func (v *View) apply(topic string, part int, rows []schema.Row) (appliedN, lateN
 	return appliedN, lateN
 }
 
-// Fold folds one partition's page of observation rows into the view and
-// reports how many were applied and how many dropped late. Unlike the
-// engine's Apply it moves no window: nothing is evicted and no alert is
-// scored, so every bucket stays until Close hands it on. Feed a view one
-// way or the other, not both.
-func (v *View) Fold(topic string, part int, rows []schema.Row) (applied, late int64) {
-	v.mu.Lock()
-	applied, late = v.addLocked(topic, part, rows)
-	v.mu.Unlock()
-	v.bump()
-	return applied, late
-}
-
-// addLocked folds rows, which conform to schema.ObservationSchema, into
-// their cells. A row without a timestamp belongs to no bucket and is
-// skipped. Each stripe's last table is kept for the page: rows in time
-// order find it without the two map lookups.
+// addLocked folds rows, which conform to schema.ObservationSchema with no
+// null field (plane.Decoder's guarantee), into their cells. Each stripe's
+// last table is kept for the page: rows in time order find it without
+// the two map lookups.
 func (v *View) addLocked(topic string, part int, rows []schema.Row) (appliedN, lateN int64) {
 	tp := topicPart{topic: topic, part: part}
+	segN := int64(v.geom.Segment)
 	var last [tsdb.NumStripes]struct {
 		chunkN int64
 		ct     *tsdb.CellTable
 	}
 	for _, row := range rows {
 		// ObservationSchema: ts, system, source, component, metric, value.
-		if row[0].IsNull() {
-			continue
-		}
 		tsn := row[0].UnixNanos()
 		if tsn > v.watermark {
 			v.watermark = tsn
@@ -182,9 +184,9 @@ func (v *View) addLocked(topic string, part int, rows []schema.Row) (appliedN, l
 		// dictionary, exactly as the LAKE's ingest does.
 		h := tsdb.SeriesHash(series.Component, series.Metric)
 		m := &last[h%tsdb.NumStripes]
-		if m.ct == nil || uint64(tsn-m.chunkN) >= uint64(v.segN) {
-			chunkN := tsn - tsdb.FloorMod(tsn, v.segN)
-			if chunkN+v.segN <= v.evictedBefore || chunkN > tsn {
+		if m.ct == nil || uint64(tsn-m.chunkN) >= uint64(segN) {
+			chunkN := tsn - tsdb.FloorMod(tsn, segN)
+			if chunkN+segN <= v.evictedBefore || chunkN > tsn {
 				// Late record below the eviction horizon (or one within a
 				// chunk of the int64 range's ends): its chunk is gone and
 				// the window can never include it again. The batch
@@ -205,18 +207,19 @@ func (v *View) addLocked(topic string, part int, rows []schema.Row) (appliedN, l
 // Close hands on the chunks that end at or before endN and were not
 // handed on before: it returns their groups, each chunk folded as one
 // bucket, ordered by (bucket, dims), and evicts them, so a record that
-// lands in one later is dropped late. It is how a view fed through Fold
-// is emptied.
+// lands in one later is dropped late. It is how a view with a sink is
+// emptied.
 func (v *View) Close(endN int64) []tsdb.Group {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	groups, closedEnd, ok := v.closeBucketsLocked(v.evictedBefore, endN, v.segN)
+	segN := int64(v.geom.Segment)
+	groups, closedEnd, ok := v.closeBucketsLocked(v.evictedBefore, endN, segN)
 	if !ok {
 		return nil
 	}
 	v.dropChunksLocked(closedEnd)
 	if n := len(groups); n > 0 {
-		v.evictedBefore = max(v.evictedBefore, groups[n-1].Key.Ts+v.segN)
+		v.evictedBefore = max(v.evictedBefore, groups[n-1].Key.Ts+segN)
 	}
 	return groups
 }
@@ -250,7 +253,7 @@ func (v *View) tableLocked(stripe int, chunkN int64, tp topicPart) *tsdb.CellTab
 	}
 	ct := byTP[tp]
 	if ct == nil {
-		ct = tsdb.NewCellTable(chunkN, v.segN, v.rollupN)
+		ct = tsdb.NewCellTable(chunkN, v.geom)
 		byTP[tp] = ct
 		v.noteTPLocked(tp)
 	}
@@ -292,7 +295,7 @@ func (v *View) evictLocked() {
 func (v *View) dropChunksLocked(endN int64) {
 	for s := range v.stripes {
 		for chunkN := range v.stripes[s] {
-			if chunkN+v.segN <= endN {
+			if chunkN+int64(v.geom.Segment) <= endN {
 				delete(v.stripes[s], chunkN)
 			}
 		}
@@ -404,7 +407,7 @@ func (v *View) foldRangeLocked(total *tsdb.GroupTable, fromN, toN, granN int64) 
 	for s := range v.stripes {
 		part.Reset()
 		for _, chunkN := range tsdb.SortedChunks(v.stripes[s]) {
-			overlaps, contained := p.Chunk(chunkN, v.segN)
+			overlaps, contained := p.Chunk(chunkN, int64(v.geom.Segment))
 			if !overlaps {
 				continue
 			}

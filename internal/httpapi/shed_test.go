@@ -16,8 +16,8 @@ import (
 	"odakit/internal/core"
 	"odakit/internal/gateway"
 	"odakit/internal/obs"
+	"odakit/internal/plane"
 	"odakit/internal/resilience"
-	"odakit/internal/sproc"
 	"odakit/internal/telemetry"
 )
 
@@ -269,9 +269,9 @@ func TestHealthzDegradedOnFailedPipeline(t *testing.T) {
 	srv, _, f := shedServer(t)
 	// A pipeline whose job can't even build fails fatally; its corpse in
 	// the registry must flip /healthz to degraded.
-	p := sproc.NewPipeline("doomed", resilience.SupervisorConfig{
+	p := plane.NewPipeline("doomed", resilience.SupervisorConfig{
 		Backoff: resilience.Policy{BaseDelay: 50 * time.Microsecond},
-	}, func() (*sproc.Job, error) {
+	}, nil, func() (plane.Runner, error) {
 		return nil, errors.New("sink misconfigured")
 	})
 	f.Pipelines.Register(p)

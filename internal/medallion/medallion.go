@@ -158,8 +158,8 @@ func (c SilverizeConfig) withDefaults() SilverizeConfig {
 	return c
 }
 
-// WindowStages returns the stages implementing Bronze→Silver for a
-// streaming job: the tumbling CQ view that averages observations per
+// WindowStages returns the stages implementing Bronze→Silver for the
+// streaming Silver job: the tumbling CQ view that averages observations per
 // (system, component, metric) over the window, the lateness a window
 // waits for before it closes, and the pivot of metrics into columns. The
 // view's engine takes the window as its rollup interval and segment

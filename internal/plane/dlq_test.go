@@ -1,4 +1,4 @@
-package sproc_test
+package plane_test
 
 import (
 	"bytes"

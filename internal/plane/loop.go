@@ -16,8 +16,8 @@ import (
 	"odakit/internal/stream"
 )
 
-// Operator is one consumer's logic on a Loop — the CQ view engine, a
-// streaming job. The loop calls it from its one goroutine.
+// Operator is one consumer's logic on a Loop — a cq.Pump's view engine.
+// The loop calls it from its one goroutine.
 type Operator interface {
 	// Apply takes one partition's page: the rows that decoded to the
 	// loop's schema, in offset order, valid during the call only. An error
@@ -47,15 +47,14 @@ type LoopConfig struct {
 	// returns (none when zero) flushes without new records.
 	Deadline func() time.Time
 	// Registry counters the loop adds to where it counts; each optional.
-	DeadLetters, Retries, Checkpoints *obs.Counter
+	DeadLetters, Checkpoints *obs.Counter
 }
 
 // LoopStats counts a loop's work since it was built.
 type LoopStats struct {
 	Polled      int64 // records read
 	Applied     int64 // ... handed to Apply
-	Bad         int64 // ... quarantined to their topic's DLQ (decode/schema failure)
-	Passes      int64 // passes that read records
+	Bad         int64 // ... quarantined to their topic's DLQ (undecodable, off-schema or null)
 	Retries     int64 // retries spent on transient faults
 	Checkpoints int64
 	Recovered   bool // the loop started from a checkpoint
@@ -76,7 +75,7 @@ type Loop struct {
 	dec       *Decoder
 	recovered bool
 
-	polled, applied, bad, passes, retries, checkpoints atomic.Int64
+	polled, applied, bad, retries, checkpoints atomic.Int64
 }
 
 // NewLoop opens a reader over the topics and, when the checkpoint file
@@ -116,7 +115,7 @@ func NewLoop(s Stream, op Operator, cfg LoopConfig) (*Loop, error) {
 
 // Stats snapshots the loop's counters.
 func (l *Loop) Stats() LoopStats {
-	return LoopStats{Polled: l.polled.Load(), Applied: l.applied.Load(), Bad: l.bad.Load(), Passes: l.passes.Load(),
+	return LoopStats{Polled: l.polled.Load(), Applied: l.applied.Load(), Bad: l.bad.Load(),
 		Retries: l.retries.Load(), Checkpoints: l.checkpoints.Load(), Recovered: l.recovered}
 }
 
@@ -181,7 +180,6 @@ func (l *Loop) Step(ctx context.Context) error {
 			return err
 		}
 		if read > 0 {
-			l.passes.Add(1)
 			return l.flush(ctx, false)
 		}
 	}
@@ -242,7 +240,6 @@ func (l *Loop) Retry(ctx context.Context, fn func() error) error {
 	user := p.OnRetry
 	p.OnRetry = func(attempt int, err error, delay time.Duration) {
 		l.retries.Add(1)
-		l.cfg.Retries.Inc()
 		obs.SpanFromContext(ctx).Annotate("retry", "%s attempt %d: %v", l.cfg.Consumer, attempt, err)
 		if user != nil {
 			user(attempt, err, delay)
@@ -272,9 +269,12 @@ func NewDecoder(s Stream, consumer string, sch *schema.Schema, retry func(contex
 }
 
 // Decode returns one partition's page as rows conforming to the schema,
-// valid until the next call, once the bad records that do not are in
-// "<topic>.dlq" with their topic, partition, offset and a reason naming
-// the consumer. When that publish fails it returns the error and no rows.
+// with no null field, valid until the next call, once the bad records
+// that are not are in "<topic>.dlq" with their topic, partition, offset
+// and a reason naming the consumer. A null is bad because every consumer
+// reads every field of a record: a fold has no bucket for a null time
+// and no value for a null measure. When the publish fails it returns the
+// error and no rows.
 func (d *Decoder) Decode(ctx context.Context, topic string, part int, recs []stream.Record) (rows []schema.Row, bad int, err error) {
 	width := d.schema.Len()
 	if need := len(recs) * width; cap(d.vals) < need {
@@ -287,6 +287,11 @@ func (d *Decoder) Decode(ctx context.Context, topic string, part int, recs []str
 		row, _, err := schema.DecodeRowTo(d.vals[off:off], r.Value, d.intern) // in place when it conforms
 		if err == nil {
 			err = row.Conforms(d.schema)
+		}
+		for f := 0; err == nil && f < len(row); f++ {
+			if row[f].IsNull() {
+				err = fmt.Errorf("field %q is null", d.schema.Field(f).Name)
+			}
 		}
 		if err != nil {
 			dead = append(dead, DeadRecord{Topic: topic, Partition: part, Offset: r.Offset, Ts: r.Ts, Payload: r.Value,

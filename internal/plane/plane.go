@@ -21,7 +21,7 @@
 // each page, quarantines poison records to "<topic>.dlq" (Decoder, also
 // used by the bronze replay), retries transient faults under one policy,
 // writes the checkpoint and parks, while an Operator — the CQ view
-// engine, a streaming job — applies the rows and serializes its state.
+// engine of a cq.Pump — applies the rows and serializes its state.
 // Like the Loop that holds one, a Reader belongs to a single goroutine.
 package plane
 

@@ -12,7 +12,7 @@ import (
 )
 
 // Reader is a committed-prefix cursor over some of a Stream's topics:
-// every consumer of the STREAM tier — a Loop (the CQ pump, Silver jobs),
+// every consumer of the STREAM tier — a Loop (the CQ pumps, Silver's),
 // bronze replay, the dead-letter read — is one Reader, on either plane.
 // Independent consumers replaying from their own positions are one
 // Reader each; a Reader's progress lives nowhere but in the Reader until

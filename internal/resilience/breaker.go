@@ -87,8 +87,12 @@ func (b *Breaker) SetClock(now func() time.Time) {
 
 // Do runs fn through the breaker: rejected immediately with
 // ErrBreakerOpen while the circuit is open, otherwise fn's error is
-// recorded to drive the state machine and returned as-is.
+// recorded to drive the state machine and returned as-is. A nil breaker
+// runs fn.
 func (b *Breaker) Do(fn func() error) error {
+	if b == nil {
+		return fn()
+	}
 	b.mu.Lock()
 	if b.state == BreakerOpen {
 		if b.now().Sub(b.openedAt) < b.cfg.Cooldown {

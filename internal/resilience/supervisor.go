@@ -81,8 +81,8 @@ func (s SupervisorState) String() string {
 // triggers a backed-off restart, damped so a persistent failure cannot
 // hot-loop — at most MaxRestarts restarts per Window, then the
 // supervisor fails with ErrRestartStorm wrapping the last job error.
-// The job itself is responsible for resuming from durable state (the
-// sproc jobs restart from their checkpoints).
+// The job itself is responsible for resuming from durable state (a
+// pump restarts from its checkpoint).
 type Supervisor struct {
 	cfg SupervisorConfig
 

@@ -10,47 +10,55 @@ import (
 	"testing"
 	"time"
 
+	"odakit/internal/cq"
 	"odakit/internal/schema"
 	"odakit/internal/stream"
 	"odakit/internal/tsdb"
 )
 
-// TestRestoreFromPR17FormatCheckpoint: a checkpoint file written by the
-// job before its windows were a CQ view (testdata, generated by the code
-// at PR 17: a 15 s window job over one series, offsets [17 11 6 6], one
-// window open) holds the windows as aggregation states of the job's own.
-// This build cannot read them, so it refuses the file by name and format
-// and says how to recover, and leaves the file as it found it.
+// TestRestoreFromPR17FormatCheckpoint: the Silver job's checkpoint files
+// from before its windows were a pump's view are refused at the path the
+// pump now checkpoints to — the file written before the windows were a CQ
+// view (no format field: a 15 s window job over one series, offsets
+// [17 11 6 6], one window open) and the format-1 file of the streaming
+// job that folded into a view of its own (offsets [0 25], one window
+// open). Each is refused by name and format, with how to recover, and
+// left as it was found.
 func TestRestoreFromPR17FormatCheckpoint(t *testing.T) {
-	fixture, err := os.ReadFile(filepath.Join("testdata", "pr17_format.ckpt.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	path := filepath.Join(dir, "pr17.ckpt.json")
-	if err := os.WriteFile(path, fixture, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	j := windowJob(t, newBrokerWithTopic(t), "pr17", dir, func(*schema.Frame) error { return nil })
-	err = j.Drain(context.Background())
-	if err == nil {
-		t.Fatal("the PR 17 checkpoint was restored")
-	}
-	for _, want := range []string{path, "format 0", "delete it"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("refusal %q does not say %q", err, want)
+	for _, tc := range []struct{ fixture, format string }{
+		{"pr17_format.ckpt.json", "format 0"},
+		{"format1_job.ckpt.json", "format 1"},
+	} {
+		fixture, err := os.ReadFile(filepath.Join("testdata", tc.fixture))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, fixture) {
-		t.Fatalf("the refused file changed (err %v)", err)
+		dir := t.TempDir()
+		path := filepath.Join(dir, "silver.ckpt.json")
+		if err := os.WriteFile(path, fixture, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		eng := cq.NewEngine(cq.Config{RollupInterval: avgWindow.window, SegmentDuration: avgWindow.window})
+		_, err = cq.NewPumpSource(eng, newBrokerWithTopic(t), cq.PumpConfig{Name: "silver", Topics: []string{"bronze"}, CheckpointDir: dir})
+		if err == nil {
+			t.Fatalf("the %s checkpoint was restored", tc.format)
+		}
+		for _, want := range []string{path, tc.format, "delete it"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Fatalf("refusal %q does not say %q", err, want)
+			}
+		}
+		if again, err := os.ReadFile(path); err != nil || !bytes.Equal(again, fixture) {
+			t.Fatalf("the refused %s file changed (err %v)", tc.format, err)
+		}
 	}
 }
 
 // TestNonFiniteStateCheckpoints: one ±Inf observation in an open window
 // (and the NaN sum a +Inf and a -Inf leave) must checkpoint, for every
-// aggregation a window can answer: a job that cannot marshal its state
+// aggregation a window can answer: a pump that cannot marshal its state
 // fails every later step, restarting into the same record for ever. The
-// job is killed mid-window, rebuilt from the file, and must drain to the
+// pump is killed mid-window, rebuilt from the file, and must drain to the
 // frames of an uninterrupted run.
 func TestNonFiniteStateCheckpoints(t *testing.T) {
 	publish := func(b *stream.Broker, from, to int) {
@@ -69,37 +77,32 @@ func TestNonFiniteStateCheckpoints(t *testing.T) {
 	ctx := context.Background()
 	got := map[tsdb.AggKind][]schema.Row{}
 	for _, agg := range []tsdb.AggKind{tsdb.AggSum, tsdb.AggMin, tsdb.AggMax, tsdb.AggLast} {
-		job := func(b *stream.Broker, name, dir string, sink func(*schema.Frame) error) *Job {
-			v := tumblingView(t, time.Minute, agg, nil, tsdb.DimComponent)
-			return viewJob(t, b, JobConfig{Name: name, Topic: "bronze", CheckpointDir: dir}, v, sink)
-		}
+		w := windowSpec{window: time.Minute, agg: agg, groupBy: []string{tsdb.DimComponent}}
 		bRef := newBrokerWithTopic(t)
 		publish(bRef, 0, 30)
 		var ref collectSink
-		if err := job(bRef, "ref", "", ref.sink).Drain(ctx); err != nil {
+		refPump, _ := windowPump(t, bRef, "ref", "", w, ref.sink)
+		if err := refPump.Drain(ctx); err != nil {
 			t.Fatal(err)
 		}
 
 		b, dir := newBrokerWithTopic(t), t.TempDir()
 		publish(b, 0, 10)
 		var sink collectSink
-		first := job(b, "inf", dir, sink.sink)
-		if err := first.start(); err != nil {
-			t.Fatal(err)
-		}
-		if err := first.step(ctx); err != nil {
-			t.Fatalf("%v: micro-batch over ±Inf values: %v", agg, err)
+		first, _ := windowPump(t, b, "inf", dir, w, sink.sink)
+		if err := first.Step(ctx); err != nil {
+			t.Fatalf("%v: pass over ±Inf values: %v", agg, err)
 		}
 		if len(sink.frames) != 0 {
 			t.Fatal("the minute window closed before the kill: nothing non-finite was checkpointed")
 		}
 		publish(b, 10, 30)
-		second := job(b, "inf", dir, sink.sink)
+		second, _ := windowPump(t, b, "inf", dir, w, sink.sink)
 		if err := second.Drain(ctx); err != nil {
 			t.Fatal(err)
 		}
-		if m := second.Metrics(); !m.Recovered || m.RecordsIn != 40 {
-			t.Fatalf("%v: second incarnation: recovered=%v, read %d records; want a restore and only the 40 unread", agg, m.Recovered, m.RecordsIn)
+		if m := second.Stats(); !m.Recovered || m.Polled != 40 {
+			t.Fatalf("%v: second incarnation: recovered=%v, read %d records; want a restore and only the 40 unread", agg, m.Recovered, m.Polled)
 		}
 		got[agg] = sink.rows()
 		want := ref.rows()

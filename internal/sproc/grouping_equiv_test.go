@@ -14,7 +14,7 @@ import (
 	"odakit/internal/tsdb"
 )
 
-// A job's windows are a CQ view's chunks, and GroupBy and Pivot fold into
+// A sink view's windows are its chunks, and GroupBy and Pivot fold into
 // the same tsdb cell the view keeps. These tests hold the three to one
 // another over random inputs, so "one kernel" is an equality the suite
 // checks.
@@ -43,10 +43,11 @@ func randomMeasure(rng *rand.Rand) schema.Value {
 	return schema.Float(float64(rng.Intn(4000)-2000) / 4)
 }
 
-// TestWindowMatchesGroupBy runs a job through phases of records, some
-// late, some poison, some without a timestamp, steps it after each and
-// drains it, then holds what it sank to GroupBy over the rows each window
-// should have accepted, and its counters to those counted from the rows.
+// TestWindowMatchesGroupBy runs a pump with a close sink through phases of
+// records, some late, some poison, some with a null field, steps it after
+// each and drains it, then holds what it sank to GroupBy over the rows
+// each window should have accepted, and its counters to those counted
+// from the rows.
 func TestWindowMatchesGroupBy(t *testing.T) {
 	// Sum, avg and count are exact in any fold order over these values:
 	// quarters, and NaN and ±Inf poison a sum in any order alike. Min and
@@ -88,25 +89,22 @@ func windowsMatchGroupBy(t *testing.T, parts int, window, lateness time.Duration
 	}
 	var filters map[string][]string
 	if filter {
-		filters = map[string][]string{tsdb.DimSource: {"power_temp", ""}} // "" is a null source
+		filters = map[string][]string{tsdb.DimSource: {"power_temp"}}
 	}
 	var sink collectSink
-	j := viewJob(t, b, JobConfig{Name: "w", Topic: "bronze", Lateness: lateness}, tumblingView(t, window, agg, filters, keys...), sink.sink)
-	if err := j.start(); err != nil {
-		t.Fatal(err)
-	}
+	p, v := windowPump(t, b, "w", "", windowSpec{window: window, lateness: lateness, agg: agg, filters: filters, groupBy: keys}, sink.sink)
 
-	// The oracle: every row the job should accept, as one frame with its
-	// window beside it and its dimensions and value as a cell sees them (a
-	// null dimension is "", a null value NaN), and the counters, each
-	// worked out from the published rows alone.
+	// The oracle: every row the pump should fold, as one frame with its
+	// window beside it, and the counters, each worked out from the
+	// published rows alone. A row with a null field is dead-lettered.
 	oracleSchema, err := schema.ObservationSchema.Extend(schema.Field{Name: "window", Kind: schema.KindTime})
 	if err != nil {
 		t.Fatal(err)
 	}
 	oracle := schema.NewFrame(oracleSchema)
 	srcIdx := schema.ObservationSchema.MustIndex("source")
-	var want Metrics
+	type counts struct{ in, bad, late, windows, rows int64 }
+	var want counts
 	partMax := make([]int64, parts) // per-partition watermark
 	emitted := int64(math.MinInt64)
 	openWindows := map[int64]bool{}
@@ -120,13 +118,12 @@ func windowsMatchGroupBy(t *testing.T, parts int, window, lateness time.Duration
 			if seeding {
 				part = i
 			}
-			want.RecordsIn++
+			want.in++
 			if rng.Intn(25) == 0 && !seeding {
 				if _, err := b.PublishBatchTo("bronze", part, []stream.Message{{Value: []byte{0xff, 0x01}}}); err != nil {
 					t.Fatal(err)
 				}
-				want.RecordsInvalid++
-				want.RecordsDeadLettered++
+				want.bad++
 				continue
 			}
 			// Mostly the phase's own minute, sometimes far enough
@@ -143,11 +140,14 @@ func windowsMatchGroupBy(t *testing.T, parts int, window, lateness time.Duration
 				ts, schema.Str("compass"), randomDim(rng, "power_temp", "drop"),
 				randomDim(rng, "node0", "node1", "node2"), randomDim(rng, "power", "temp"), randomMeasure(rng),
 			}
+			if seeding {
+				row = schema.Row{ts, schema.Str("compass"), schema.Str("power_temp"), schema.Str("node0"), schema.Str("power"), schema.Float(1)}
+			}
 			if _, err := b.PublishBatchTo("bronze", part, []stream.Message{{Value: schema.EncodeRow(row)}}); err != nil {
 				t.Fatal(err)
 			}
-			if ts.IsNull() {
-				want.RecordsInvalid++
+			if slices.ContainsFunc(row, schema.Value.IsNull) {
+				want.bad++
 				continue
 			}
 			if ts.UnixNanos() > partMax[part] {
@@ -158,16 +158,8 @@ func windowsMatchGroupBy(t *testing.T, parts int, window, lateness time.Duration
 			}
 			w := ts.UnixNanos() - tsdb.FloorMod(ts.UnixNanos(), int64(window))
 			if w <= emitted {
-				want.RecordsLate++
+				want.late++
 				continue
-			}
-			for c := 1; c < len(row)-1; c++ {
-				if row[c].IsNull() {
-					row[c] = schema.Str("")
-				}
-			}
-			if row[len(row)-1].IsNull() {
-				row[len(row)-1] = schema.Float(math.NaN())
 			}
 			if err := oracle.AppendRow(append(slices.Clone(row), schema.TimeNanos(w))); err != nil {
 				t.Fatal(err)
@@ -175,34 +167,35 @@ func windowsMatchGroupBy(t *testing.T, parts int, window, lateness time.Duration
 			openWindows[w] = true
 		}
 		clock += 60
-		// One micro-batch takes the whole phase (BatchSize 4096 a
-		// partition), then closes what the watermark has passed.
-		if err := j.step(context.Background()); err != nil {
+		// One pass takes the whole phase (BatchSize 4096 a partition),
+		// then closes what the watermark has passed.
+		if err := p.Step(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		wm := slices.Min(partMax)
 		for w := range openWindows {
 			if w+int64(window) <= wm-int64(lateness) {
 				delete(openWindows, w)
-				want.WindowsEmitted++
+				want.windows++
 				emitted = max(emitted, w)
 			}
 		}
 	}
-	if want.RecordsLate == 0 || want.WindowsEmitted == 0 || len(openWindows) == 0 {
-		t.Fatalf("degenerate schedule: %d late rows, %d windows closed by the watermark, %d left open", want.RecordsLate, want.WindowsEmitted, len(openWindows))
+	if want.late == 0 || want.windows == 0 || len(openWindows) == 0 {
+		t.Fatalf("degenerate schedule: %d late rows, %d windows closed by the watermark, %d left open", want.late, want.windows, len(openWindows))
 	}
-	if err := j.closeWindows(context.Background(), true); err != nil {
+	if err := p.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	want.WindowsEmitted += int64(len(openWindows))
+	want.windows += int64(len(openWindows))
 
 	kind := map[tsdb.AggKind]AggKind{tsdb.AggAvg: AggAvg, tsdb.AggSum: AggSum, tsdb.AggCount: AggCount, tsdb.AggMin: AggMin, tsdb.AggMax: AggMax}[agg]
 	long, err := GroupBy(oracle, append([]string{"window"}, keys...), []Agg{{Col: "value", Kind: kind, As: "v"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFrame := schema.NewFrame(j.outSch)
+	out := windowSchema(keys)
+	wantFrame := schema.NewFrame(out)
 	for _, r := range long.Rows() {
 		if v := r[len(r)-1]; v.Kind() == schema.KindInt {
 			r[len(r)-1] = schema.Float(float64(v.IntVal()))
@@ -211,8 +204,8 @@ func windowsMatchGroupBy(t *testing.T, parts int, window, lateness time.Duration
 			t.Fatal(err)
 		}
 	}
-	want.RowsOut = int64(wantFrame.Len())
-	got := schema.NewFrame(j.outSch)
+	want.rows = int64(wantFrame.Len())
+	got := schema.NewFrame(out)
 	lastWindow := int64(math.MinInt64)
 	for _, f := range sink.frames {
 		if w := f.Col(0).Ints()[0]; w <= lastWindow {
@@ -225,12 +218,11 @@ func windowsMatchGroupBy(t *testing.T, parts int, window, lateness time.Duration
 		}
 	}
 	if !got.Equal(wantFrame) {
-		t.Fatalf("%v: windowed job and GroupBy over the same rows differ:\njob:\n%v\nGroupBy:\n%v", agg, got.Rows(), wantFrame.Rows())
+		t.Fatalf("%v: windowed pump and GroupBy over the same rows differ:\npump:\n%v\nGroupBy:\n%v", agg, got.Rows(), wantFrame.Rows())
 	}
-	m := j.Metrics()
-	want.Batches = m.Batches
-	if m != want {
-		t.Fatalf("%v: metrics = %+v\nwant counted from the rows = %+v", agg, m, want)
+	m := p.Stats()
+	if have := (counts{m.Polled, m.Bad, v.Stats().Late, int64(len(sink.frames)), int64(got.Len())}); have != want {
+		t.Fatalf("%v: counts = %+v\nwant counted from the rows = %+v", agg, have, want)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 
 	"odakit/internal/plane"
 	"odakit/internal/stream"
-	"odakit/internal/tsdb"
 )
 
 // parkCounter is a plane that counts AppendRecords calls and reports every
@@ -68,10 +67,11 @@ func (s *parkCounter) nextPark(t *testing.T, parts int) {
 	}
 }
 
-// TestQuiescentJobParks: a job past its idle deadline, with
-// nothing to read, is parked — no fetches, no checkpoints. Between two
-// parks with one commit between them it makes at most one pass (one fetch
-// per partition) and writes one checkpoint.
+// TestQuiescentJobParks: a Silver job — a pump whose tumbling view has a
+// close sink — past its idle deadline, with nothing to read, is parked:
+// no fetches, no checkpoints. Between two parks with one commit between
+// them it makes at most one pass (one fetch per partition) and writes one
+// checkpoint.
 func TestQuiescentJobParks(t *testing.T) {
 	const rounds = 5
 	b := newBrokerWithTopic(t)
@@ -82,35 +82,33 @@ func TestQuiescentJobParks(t *testing.T) {
 	publishObs(t, b, 0, "node0", "power", 0)
 	src := &parkCounter{Stream: b, readies: make(chan readyCall), done: make(chan struct{})}
 	var sink collectSink
-	j := viewJob(t, src, JobConfig{Name: "quiet", Topic: "bronze", CheckpointDir: t.TempDir()},
-		tumblingView(t, 15*time.Second, tsdb.AggCount, nil, tsdb.DimComponent), sink.sink)
-	if err := j.start(); err != nil {
-		t.Fatal(err)
-	}
-	j.idleAt = time.Now() // past its idle deadline: the next park flushes at it
+	p, _ := windowPump(t, src, "quiet", t.TempDir(), countWindow, sink.sink)
 	ctx, cancel := context.WithCancel(context.Background())
 	ran := make(chan error, 1)
-	go func() {
-		for {
-			if err := j.step(ctx); err != nil {
-				ran <- err
-				return
-			}
-		}
-	}()
+	go func() { ran <- p.Run(ctx) }()
 
-	src.nextPark(t, parts)
-	if m := j.Metrics(); m.RecordsIn != 1 || m.Checkpoints != 2 {
-		t.Fatalf("before the first park: %d records in %d checkpoints, want 1 record and 2 (the idle flush, the batch)", m.RecordsIn, m.Checkpoints)
+	// The job parks on its first record until its idle deadline, then
+	// flushes at it and parks for good.
+	for deadline := time.Now().Add(10 * time.Second); ; {
+		src.nextPark(t, parts)
+		if p.Stats().Checkpoints >= 2 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the job never flushed at its idle deadline")
+		}
+	}
+	if m := p.Stats(); m.Applied != 1 || m.Checkpoints != 2 {
+		t.Fatalf("before the first park past the idle deadline: %d records in %d checkpoints, want 1 record and 2 (the batch, the idle flush)", m.Applied, m.Checkpoints)
 	}
 	for i := 1; i <= rounds; i++ {
-		before, ckpts := src.fetches.Load(), j.Metrics().Checkpoints
+		before, ckpts := src.fetches.Load(), p.Stats().Checkpoints
 		publishObs(t, b, i, "node0", "power", float64(i))
 		src.nextPark(t, parts)
 		if n := src.fetches.Load() - before; n > int64(parts) {
 			t.Fatalf("round %d: %d fetches between two parks around one commit, want at most one pass (%d)", i, n, parts)
 		}
-		if n := j.Metrics().Checkpoints - ckpts; n != 1 {
+		if n := p.Stats().Checkpoints - ckpts; n != 1 {
 			t.Fatalf("round %d: %d checkpoints between two parks around one commit, want 1", i, n)
 		}
 	}
@@ -119,7 +117,7 @@ func TestQuiescentJobParks(t *testing.T) {
 	if err := <-ran; !errors.Is(err, context.Canceled) {
 		t.Fatalf("the job ended with %v, want context.Canceled", err)
 	}
-	if m := j.Metrics(); m.RecordsIn != rounds+1 {
-		t.Fatalf("the job read %d records, want %d", m.RecordsIn, rounds+1)
+	if m := p.Stats(); m.Applied != rounds+1 {
+		t.Fatalf("the job read %d records, want %d", m.Applied, rounds+1)
 	}
 }

@@ -1,20 +1,12 @@
-// Package sproc is the stream-processing engine of the ODA framework: the
-// role Apache Spark structured streaming plays in the paper — "SQL-based
-// real-time processing along with advanced failure and recovery
-// mechanisms" (§V-B). It has two layers:
-//
-//   - Relational operators over schema.Frame (filter, group-by, pivot,
-//     join): the SQL clauses of the paper's pipeline anatomy (Fig 4-b).
-//   - A micro-batch streaming Job that consumes a topic, folds it into
-//     the event-time windows of a CQ view under per-partition watermarks,
-//     sinks each closed window, and recovers from checkpoints after a
-//     crash, at-least-once into idempotent sinks. The job is an operator
-//     on plane.Loop, the one checkpointed consumer, which also reads,
-//     quarantines poison records and writes the file.
-//
-// Every aggregate here folds into tsdb's rollup cell, the one
-// aggregation state of the system: GroupBy, Pivot and SQL rows fold a
-// value exactly as the LAKE and the CQ views do.
+// Package sproc holds the batch half of the paper's stream processing
+// (§V-B): relational operators over schema.Frame (filter, group-by,
+// pivot, join) and a SQL dialect over them, the clauses of the pipeline
+// anatomy of Fig 4-b. The streaming half — windows, watermarks,
+// checkpoints — is a cq.Pump whose view has a close sink; the Silver job
+// hands each closed window's frame to these operators. Every aggregate
+// here folds into tsdb's rollup cell, the one aggregation state of the
+// system: GroupBy, Pivot and SQL rows fold a value exactly as the LAKE and
+// the CQ views do.
 package sproc
 
 import (

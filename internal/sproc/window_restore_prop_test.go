@@ -8,12 +8,13 @@ import (
 	"testing"
 	"time"
 
+	"odakit/internal/cq"
 	"odakit/internal/schema"
 	"odakit/internal/stream"
 	"odakit/internal/tsdb"
 )
 
-// Property: a job killed repeatedly mid-stream — open windows spanning
+// Property: a pump killed repeatedly mid-stream — open windows spanning
 // every crash — and restarted from its checkpoint sinks exactly the
 // windows an uninterrupted run sinks. (The test's name is older than the
 // deletion of sliding windows; the windows it crashes through tumble.)
@@ -26,10 +27,11 @@ import (
 // sink in ascending start order with sorted group keys, so concatenated
 // sink rows are comparable row-by-row.
 
-func crashJob(t testing.TB, b *stream.Broker, name, dir string, sink func(*schema.Frame) error) *Job {
+func crashPump(t testing.TB, b *stream.Broker, name, dir string, sink func(*schema.Frame) error) *cq.Pump {
 	t.Helper()
-	v := tumblingView(t, 20*time.Second, tsdb.AggSum, nil, tsdb.DimComponent, tsdb.DimMetric)
-	return viewJob(t, b, JobConfig{Name: name, Topic: "bronze", CheckpointDir: dir, Lateness: 10 * time.Second}, v, sink)
+	p, _ := windowPump(t, b, name, dir, windowSpec{window: 20 * time.Second, lateness: 10 * time.Second, agg: tsdb.AggSum,
+		groupBy: []string{tsdb.DimComponent, tsdb.DimMetric}}, sink)
+	return p
 }
 
 type propRecord struct {
@@ -88,13 +90,13 @@ func TestSlidingWindowCrashRestoreEmitsIdentically(t *testing.T) {
 			bRef := newBrokerWithTopic(t)
 			publishAll(t, bRef, recs)
 			var refSink collectSink
-			ref := crashJob(t, bRef, "ref", "", refSink.sink)
+			ref := crashPump(t, bRef, "ref", "", refSink.sink)
 			if err := ref.Drain(ctx); err != nil {
 				t.Fatalf("reference drain: %v", err)
 			}
 
-			// Interrupted run: publish in chunks, run a few micro-batches,
-			// then "crash" (abandon the job with windows open and, between
+			// Interrupted run: publish in chunks, run a few passes, then
+			// "crash" (abandon the pump with windows open and, between
 			// the last checkpoint and the crash, possibly unread records)
 			// and restart from the checkpoint dir.
 			b := newBrokerWithTopic(t)
@@ -112,33 +114,30 @@ func TestSlidingWindowCrashRestoreEmitsIdentically(t *testing.T) {
 
 				sink := &collectSink{}
 				sinks = append(sinks, sink)
-				j := crashJob(t, b, "crashy", dir, sink.sink)
+				p := crashPump(t, b, "crashy", dir, sink.sink)
 				if i >= len(recs) {
 					// Final incarnation: drain fully and force-close.
-					if err := j.Drain(ctx); err != nil {
+					if err := p.Drain(ctx); err != nil {
 						t.Fatalf("final drain: %v", err)
 					}
 				} else {
-					// Absorb the chunk in one micro-batch (so a checkpoint
-					// always exists for the next incarnation), park for up
-					// to two more under a deadline well inside the idle
-					// deadline, then die.
-					if err := j.start(); err != nil {
-						t.Fatalf("start: %v", err)
-					}
-					if err := j.step(ctx); err != nil {
+					// Absorb the chunk in one pass (so a checkpoint always
+					// exists for the next incarnation), park for up to two
+					// more under a deadline well inside the idle deadline,
+					// then die.
+					if err := p.Step(ctx); err != nil {
 						t.Fatalf("step: %v", err)
 					}
 					for s := rng.Intn(3); s > 0; s-- {
 						sctx, cancel := context.WithTimeout(ctx, 20*time.Millisecond)
-						err := j.step(sctx)
+						err := p.Step(sctx)
 						cancel()
 						if !errors.Is(err, context.DeadlineExceeded) {
 							t.Fatalf("parked step: %v, want its deadline", err)
 						}
 					}
 				}
-				if incarnation > 0 && !j.Metrics().Recovered {
+				if incarnation > 0 && !p.Stats().Recovered {
 					t.Fatalf("incarnation %d did not restore", incarnation)
 				}
 				incarnation++

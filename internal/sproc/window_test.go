@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +17,12 @@ import (
 	"odakit/internal/stream"
 	"odakit/internal/tsdb"
 )
+
+// The Silver shape end to end: a cq pump folds a Bronze topic into a
+// tumbling view whose close sink turns each closed window into one frame
+// (window, group columns, v) for the operators of this package. These
+// tests hold the watermark, lateness, checkpoint and sink contract the
+// Silver job runs on.
 
 func newBrokerWithTopic(t testing.TB) *stream.Broker {
 	t.Helper()
@@ -63,30 +70,75 @@ func (c *collectSink) rows() []schema.Row {
 	return out
 }
 
-// tumblingView registers, on an engine of its own, a tumbling view of agg
-// over groupBy whose chunks, and so the windows a job closes, are window
-// wide.
-func tumblingView(t testing.TB, window time.Duration, agg tsdb.AggKind, filters map[string][]string, groupBy ...string) *cq.View {
+// windowSpec is a tumbling view of agg over groupBy, filtered by filters,
+// whose windows close lateness after the watermark passes their end.
+type windowSpec struct {
+	window, lateness time.Duration
+	agg              tsdb.AggKind
+	filters          map[string][]string
+	groupBy          []string
+}
+
+// windowPump registers w's view on an engine of its own, its chunks and
+// so the windows it closes w.window wide, with a close sink that hands
+// sink each closed window as one frame (window, group columns, v); and
+// builds a pump named name over the "bronze" topic of s into it,
+// checkpointing in dir when dir is not "".
+func windowPump(t testing.TB, s plane.Stream, name, dir string, w windowSpec, sink func(*schema.Frame) error) (*cq.Pump, *cq.View) {
 	t.Helper()
-	v, err := cq.NewEngine(cq.Config{RollupInterval: window, SegmentDuration: window}).Register(cq.Spec{
-		Filters: filters, GroupBy: groupBy, Agg: agg, Granularity: window, Window: window, Kind: cq.WindowTumbling,
+	eng := cq.NewEngine(cq.Config{RollupInterval: w.window, SegmentDuration: w.window})
+	v, err := eng.Register(cq.Spec{
+		Filters: w.filters, GroupBy: w.groupBy, Agg: w.agg, Granularity: w.window, Window: w.window, Kind: cq.WindowTumbling,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return v
-}
-
-// viewJob builds a job over a fresh view; cfg names the job and its topic.
-func viewJob(t testing.TB, s plane.Stream, cfg JobConfig, v *cq.View, sink func(*schema.Frame) error) *Job {
-	t.Helper()
-	cfg.View = v
-	j, err := NewJob(s, cfg)
+	out := windowSchema(w.groupBy)
+	v.SetSink(w.lateness, func(_ context.Context, groups []tsdb.Group) error {
+		for start := 0; start < len(groups); {
+			f := schema.NewFrame(out)
+			end := start
+			for ; end < len(groups) && groups[end].Key.Ts == groups[start].Key.Ts; end++ {
+				g := &groups[end]
+				row := schema.Row{schema.TimeNanos(g.Key.Ts)}
+				for _, d := range g.Key.Dims[:len(w.groupBy)] {
+					row = append(row, schema.Str(d))
+				}
+				if err := f.AppendRow(append(row, schema.Float(g.Cell.Value(w.agg)))); err != nil {
+					return err
+				}
+			}
+			if err := sink(f); err != nil {
+				return err
+			}
+			start = end
+		}
+		return nil
+	})
+	p, err := cq.NewPumpSource(eng, s, cq.PumpConfig{Name: name, Topics: []string{"bronze"}, BatchSize: 4096, CheckpointDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return j.To(sink)
+	return p, v
 }
+
+// windowSchema is a closed window's frame: its start, the group columns,
+// then the value.
+func windowSchema(groupBy []string) *schema.Schema {
+	fields := []schema.Field{{Name: "window", Kind: schema.KindTime}}
+	for _, d := range groupBy {
+		fields = append(fields, schema.Field{Name: d, Kind: schema.KindString})
+	}
+	return schema.New(append(fields, schema.Field{Name: "v", Kind: schema.KindFloat})...)
+}
+
+// countWindow counts records per component over 15 s windows.
+var countWindow = windowSpec{window: 15 * time.Second, agg: tsdb.AggCount, groupBy: []string{tsdb.DimComponent}}
+
+// avgWindow averages per (component, metric) over 15 s windows that wait
+// 5 s for late records.
+var avgWindow = windowSpec{window: 15 * time.Second, lateness: 5 * time.Second, agg: tsdb.AggAvg,
+	groupBy: []string{tsdb.DimComponent, tsdb.DimMetric}}
 
 // TestPassthroughJob: every record reaches the sink, counted in its
 // window.
@@ -96,15 +148,14 @@ func TestPassthroughJob(t *testing.T) {
 		publishObs(t, b, i, "node0", "power", float64(i))
 	}
 	var sink collectSink
-	j := viewJob(t, b, JobConfig{Name: "pass", Topic: "bronze"}, tumblingView(t, 15*time.Second, tsdb.AggCount, nil, tsdb.DimComponent), sink.sink)
-	if err := j.Drain(context.Background()); err != nil {
+	p, _ := windowPump(t, b, "pass", "", countWindow, sink.sink)
+	if err := p.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if rows := sink.rows(); len(rows) != 1 || rows[0][2].FloatVal() != 10 {
+	if rows := sink.rows(); len(rows) != 1 || rows[0][2].FloatVal() != 10 || len(sink.frames) != 1 {
 		t.Fatalf("sunk %v, want one window counting 10 records", rows)
 	}
-	m := j.Metrics()
-	if m.RecordsIn != 10 || m.RowsOut != 1 || m.RecordsInvalid != 0 || m.WindowsEmitted != 1 {
+	if m := p.Stats(); m.Polled != 10 || m.Bad != 0 {
 		t.Fatalf("metrics = %+v", m)
 	}
 }
@@ -121,8 +172,10 @@ func TestWhereFilterJob(t *testing.T) {
 		publishObs(t, b, i, "node0", metric, float64(i))
 	}
 	var sink collectSink
-	v := tumblingView(t, 15*time.Second, tsdb.AggCount, map[string][]string{tsdb.DimMetric: {"power"}}, tsdb.DimComponent, tsdb.DimMetric)
-	if err := viewJob(t, b, JobConfig{Name: "filt", Topic: "bronze"}, v, sink.sink).Drain(context.Background()); err != nil {
+	w := windowSpec{window: 15 * time.Second, agg: tsdb.AggCount, filters: map[string][]string{tsdb.DimMetric: {"power"}},
+		groupBy: []string{tsdb.DimComponent, tsdb.DimMetric}}
+	p, _ := windowPump(t, b, "filt", "", w, sink.sink)
+	if err := p.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if rows := sink.rows(); len(rows) != 1 || rows[0][2].StrVal() != "power" || rows[0][3].FloatVal() != 5 {
@@ -130,6 +183,9 @@ func TestWhereFilterJob(t *testing.T) {
 	}
 }
 
+// TestMalformedRecordsCounted: an undecodable record, one of another
+// schema and one without a timestamp are dead-lettered, and the window
+// holds the one good record.
 func TestMalformedRecordsCounted(t *testing.T) {
 	b := newBrokerWithTopic(t)
 	publishObs(t, b, 0, "node0", "power", 1)
@@ -141,22 +197,19 @@ func TestMalformedRecordsCounted(t *testing.T) {
 	if _, err := b.PublishBatch("bronze", []stream.Message{{Value: schema.EncodeRow(ev.Row())}}); err != nil {
 		t.Fatal(err)
 	}
-	var sink collectSink
-	j := viewJob(t, b, JobConfig{Name: "mal", Topic: "bronze"}, tumblingView(t, 15*time.Second, tsdb.AggCount, nil, tsdb.DimComponent), sink.sink)
-	if err := j.Drain(context.Background()); err != nil {
+	noTs := schema.Observation{System: "compass", Source: "power_temp", Component: "node0", Metric: "power", Value: 2}.Row()
+	noTs[0] = schema.Null
+	if _, err := b.PublishBatch("bronze", []stream.Message{{Value: schema.EncodeRow(noTs)}}); err != nil {
 		t.Fatal(err)
 	}
-	m := j.Metrics()
-	if m.RecordsIn != 3 || m.RecordsInvalid != 2 || len(sink.rows()) != 1 {
+	var sink collectSink
+	p, _ := windowPump(t, b, "mal", "", countWindow, sink.sink)
+	if err := p.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if m := p.Stats(); m.Polled != 4 || m.Bad != 3 || len(sink.rows()) != 1 {
 		t.Fatalf("metrics = %+v rows=%d", m, len(sink.rows()))
 	}
-}
-
-// windowJob averages power per (component, metric) over 15 s windows that
-// wait 5 s for late records.
-func windowJob(t testing.TB, b *stream.Broker, name, dir string, sink func(*schema.Frame) error) *Job {
-	v := tumblingView(t, 15*time.Second, tsdb.AggAvg, nil, tsdb.DimComponent, tsdb.DimMetric)
-	return viewJob(t, b, JobConfig{Name: name, Topic: "bronze", CheckpointDir: dir, Lateness: 5 * time.Second}, v, sink)
 }
 
 func TestWindowedAggregation(t *testing.T) {
@@ -167,13 +220,13 @@ func TestWindowedAggregation(t *testing.T) {
 		publishObs(t, b, s, "node1", "power", 200+float64(s%15))
 	}
 	var sink collectSink
-	j := windowJob(t, b, "win", "", sink.sink)
-	if err := j.Drain(context.Background()); err != nil {
+	p, _ := windowPump(t, b, "win", "", avgWindow, sink.sink)
+	if err := p.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	rows := sink.rows()
-	if len(rows) != 8 { // 4 windows × 2 nodes
-		t.Fatalf("window rows = %d, want 8", len(rows))
+	if len(rows) != 8 || len(sink.frames) != 4 { // 4 windows × 2 nodes
+		t.Fatalf("%d window rows in %d frames, want 8 in 4", len(rows), len(sink.frames))
 	}
 	for _, r := range rows {
 		// window, component, metric, avg
@@ -191,19 +244,16 @@ func TestWindowedAggregation(t *testing.T) {
 			t.Fatalf("window start not aligned: %v", ws)
 		}
 	}
-	if m := j.Metrics(); m.WindowsEmitted != 4 || m.RowsOut != 8 {
-		t.Fatalf("metrics = %+v, want 4 windows of 2 rows", m)
-	}
 }
 
 func TestWatermarkClosesWindowsInOrder(t *testing.T) {
 	b := newBrokerWithTopic(t)
 	var sink collectSink
-	j := windowJob(t, b, "wm", "", sink.sink)
+	p, _ := windowPump(t, b, "wm", "", avgWindow, sink.sink)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- j.Run(ctx) }()
+	go func() { done <- p.Run(ctx) }()
 
 	// First window's data, then an event far enough ahead to pass the
 	// watermark (window end 15s + lateness 5s => need event time > 20s).
@@ -224,7 +274,7 @@ func TestWatermarkClosesWindowsInOrder(t *testing.T) {
 		t.Fatalf("closed window rows = %v", rows)
 	}
 	cancel()
-	if err := <-done; err != nil {
+	if err := <-done; !errors.Is(err, context.Canceled) {
 		t.Fatal(err)
 	}
 }
@@ -232,12 +282,12 @@ func TestWatermarkClosesWindowsInOrder(t *testing.T) {
 func TestLateRecordsDropped(t *testing.T) {
 	b := newBrokerWithTopic(t)
 	var sink collectSink
-	j := windowJob(t, b, "late", "", sink.sink)
+	p, v := windowPump(t, b, "late", "", avgWindow, sink.sink)
 	publishObs(t, b, 3, "node0", "power", 100)
 	publishObs(t, b, 40, "node0", "power", 100) // advances watermark to 35s: window [0,15) closes
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() { done <- j.Run(ctx) }()
+	go func() { done <- p.Run(ctx) }()
 	deadline := time.After(5 * time.Second)
 	for len(sink.rows()) == 0 {
 		select {
@@ -247,7 +297,7 @@ func TestLateRecordsDropped(t *testing.T) {
 		}
 	}
 	publishObs(t, b, 5, "node0", "power", 999) // late arrival for closed window
-	for j.Metrics().RecordsLate == 0 {
+	for v.Stats().Late == 0 {
 		select {
 		case <-deadline:
 			t.Fatal("late record never observed")
@@ -256,7 +306,7 @@ func TestLateRecordsDropped(t *testing.T) {
 	}
 	cancel()
 	<-done
-	if got := j.Metrics().RecordsLate; got != 1 {
+	if got := v.Stats().Late; got != 1 {
 		t.Fatalf("late = %d, want 1", got)
 	}
 }
@@ -268,12 +318,16 @@ func TestMapBatchPivot(t *testing.T) {
 		publishObs(t, b, s, "node0", "temp", 40)
 	}
 	var sink collectSink
-	v := tumblingView(t, 15*time.Second, tsdb.AggAvg, nil, tsdb.DimComponent, tsdb.DimMetric)
-	j := viewJob(t, b, JobConfig{Name: "piv", Topic: "bronze"}, v, sink.sink)
-	j.MapBatch(func(f *schema.Frame) (*schema.Frame, error) {
-		return Pivot(f, []string{"window", "component"}, "metric", "v", AggAvg)
+	w := avgWindow
+	w.lateness = 0
+	p, _ := windowPump(t, b, "piv", "", w, func(f *schema.Frame) error {
+		wide, err := Pivot(f, []string{"window", "component"}, "metric", "v", AggAvg)
+		if err != nil {
+			return err
+		}
+		return sink.sink(wide)
 	})
-	if err := j.Drain(context.Background()); err != nil {
+	if err := p.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	rows := sink.rows()
@@ -294,12 +348,11 @@ func TestCheckpointRecoveryResumesExactly(t *testing.T) {
 	}
 	// First incarnation drains what exists, checkpoints, "crashes".
 	var sink1 collectSink
-	j1 := windowJob(t, b, "rec", dir, sink1.sink)
-	if err := j1.Drain(context.Background()); err != nil {
+	p1, _ := windowPump(t, b, "rec", dir, avgWindow, sink1.sink)
+	if err := p1.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	firstRows := len(sink1.rows())
-	if firstRows == 0 {
+	if len(sink1.rows()) == 0 {
 		t.Fatal("first incarnation emitted nothing")
 	}
 
@@ -310,16 +363,16 @@ func TestCheckpointRecoveryResumesExactly(t *testing.T) {
 
 	// Second incarnation restores and must process only the new records.
 	var sink2 collectSink
-	j2 := windowJob(t, b, "rec", dir, sink2.sink)
-	if err := j2.Drain(context.Background()); err != nil {
+	p2, _ := windowPump(t, b, "rec", dir, avgWindow, sink2.sink)
+	if err := p2.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	m2 := j2.Metrics()
+	m2 := p2.Stats()
 	if !m2.Recovered {
 		t.Fatal("second incarnation did not restore a checkpoint")
 	}
-	if m2.RecordsIn != 30 {
-		t.Fatalf("second incarnation read %d records, want 30 (no reprocessing)", m2.RecordsIn)
+	if m2.Polled != 30 {
+		t.Fatalf("second incarnation read %d records, want 30 (no reprocessing)", m2.Polled)
 	}
 	// Drain force-closed all windows in each incarnation, so combined
 	// output must equal a single uninterrupted run.
@@ -328,8 +381,8 @@ func TestCheckpointRecoveryResumesExactly(t *testing.T) {
 		publishObs(t, b2, s, "node0", "power", float64(s))
 	}
 	var ref collectSink
-	jr := windowJob(t, b2, "ref", "", ref.sink)
-	if err := jr.Drain(context.Background()); err != nil {
+	pr, _ := windowPump(t, b2, "ref", "", avgWindow, ref.sink)
+	if err := pr.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	combined := append(sink1.rows(), sink2.rows()...)
@@ -351,29 +404,26 @@ func TestCheckpointPreservesOpenWindowState(t *testing.T) {
 	for s := 0; s < 7; s++ {
 		publishObs(t, b, s, "node0", "power", 100)
 	}
-	countJob := func(sink func(*schema.Frame) error) *Job {
-		v := tumblingView(t, 15*time.Second, tsdb.AggCount, nil, tsdb.DimComponent)
-		return viewJob(t, b, JobConfig{Name: "open", Topic: "bronze", CheckpointDir: dir}, v, sink)
-	}
 	var sink1 collectSink
-	j1 := countJob(sink1.sink)
+	p1, _ := windowPump(t, b, "open", dir, countWindow, sink1.sink)
 	// Run briefly: absorb data without force flush, then stop.
 	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
-	if err := j1.Run(ctx); err != nil {
+	if err := p1.Run(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatal(err)
 	}
 	if len(sink1.rows()) != 0 {
 		t.Fatal("window should still be open")
 	}
 
-	// Publish the rest after the crash; the recovered job must combine
+	// Publish the rest after the crash; the recovered pump must combine
 	// pre- and post-crash records into one correct window.
 	for s := 7; s < 15; s++ {
 		publishObs(t, b, s, "node0", "power", 100)
 	}
 	var sink2 collectSink
-	if err := countJob(sink2.sink).Drain(context.Background()); err != nil {
+	p2, _ := windowPump(t, b, "open", dir, countWindow, sink2.sink)
+	if err := p2.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	rows := sink2.rows()
@@ -385,83 +435,47 @@ func TestCheckpointPreservesOpenWindowState(t *testing.T) {
 	}
 }
 
-func TestJobConfigValidation(t *testing.T) {
-	b := newBrokerWithTopic(t)
-	v := tumblingView(t, 15*time.Second, tsdb.AggAvg, nil)
-	if _, err := NewJob(b, JobConfig{Topic: "bronze", View: v}); !errors.Is(err, ErrPlan) {
-		t.Fatal("missing name accepted")
-	}
-	if _, err := NewJob(b, JobConfig{Name: "x", Topic: "bronze"}); !errors.Is(err, ErrPlan) {
-		t.Fatal("missing view accepted")
-	}
-	j, _ := NewJob(b, JobConfig{Name: "x", Topic: "bronze", View: v})
-	if err := j.Drain(context.Background()); !errors.Is(err, ErrPlan) {
-		t.Fatal("missing sink accepted")
-	}
-	j3, _ := NewJob(b, JobConfig{Name: "z", Topic: "ghost", View: v})
-	j3.To(func(*schema.Frame) error { return nil })
-	if err := j3.Drain(context.Background()); !errors.Is(err, stream.ErrNoTopic) {
-		t.Fatalf("missing topic: %v", err)
-	}
-}
-
 func TestSinkErrorPropagates(t *testing.T) {
 	b := newBrokerWithTopic(t)
 	publishObs(t, b, 0, "node0", "power", 1)
 	boom := errors.New("downstream full")
-	j := viewJob(t, b, JobConfig{Name: "err", Topic: "bronze"}, tumblingView(t, 15*time.Second, tsdb.AggAvg, nil), func(*schema.Frame) error { return boom })
-	if err := j.Drain(context.Background()); !errors.Is(err, boom) {
+	p, _ := windowPump(t, b, "err", "", windowSpec{window: 15 * time.Second, agg: tsdb.AggAvg}, func(*schema.Frame) error { return boom })
+	if err := p.Drain(context.Background()); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want sink error", err)
 	}
 }
 
-// BenchmarkWindowedThroughput drains 20 000 records over 4 partitions and
-// 64 components through a job averaging each component over 15 s windows.
-func BenchmarkWindowedThroughput(b *testing.B) {
-	bk := stream.NewBroker()
-	defer bk.Close()
-	_ = bk.CreateTopic("bronze", stream.TopicConfig{Partitions: 4})
-	const records = 20000
-	for s := 0; s < records; s++ {
-		o := schema.Observation{
-			Ts: tbase.Add(time.Duration(s%600) * time.Second), System: "compass",
-			Source: "power_temp", Component: fmt.Sprintf("node%03d", s%64),
-			Metric: "power", Value: float64(s),
-		}
-		if _, err := bk.PublishBatch("bronze", []stream.Message{{Key: []byte(o.Component), Value: schema.EncodeRow(o.Row())}}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v := tumblingView(b, 15*time.Second, tsdb.AggAvg, nil, tsdb.DimComponent)
-		j := viewJob(b, bk, JobConfig{Name: fmt.Sprintf("bench%d", i), Topic: "bronze"}, v, func(*schema.Frame) error { return nil })
-		if err := j.Drain(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(records), "records/op")
-}
-
 // downPartition is a broker whose partition `bad` refuses every fetch
-// with a transient error while down is set.
+// with a transient error while down is set, calling refused first. It
+// notes the last offset it served of each partition.
 type downPartition struct {
 	*stream.Broker
-	bad  int
-	down bool
+	bad     int
+	down    bool
+	refused func()
+	served  [2]int64
 }
 
 func (s *downPartition) AppendRecords(dst []stream.Record, topic string, part int, off int64, max int) ([]stream.Record, error) {
 	if s.down && part == s.bad {
+		if s.refused != nil {
+			s.refused()
+		}
 		return dst, resilience.MarkTransient(errors.New("leader election in progress"))
 	}
-	return s.Broker.AppendRecords(dst, topic, part, off, max)
+	n := len(dst)
+	dst, err := s.Broker.AppendRecords(dst, topic, part, off, max)
+	if len(dst) > n {
+		s.served[part] = dst[len(dst)-1].Offset
+	}
+	return dst, err
 }
 
 // TestCancelMidPassLosesNothing: partition 0's page is already applied
-// when partition 1 fails transiently and the job is cancelled during the
-// retry backoff. The graceful-stop checkpoint covers exactly the page the
-// job processed: a restarted job sees every record exactly once.
+// when partition 1 fails transiently and the pump is cancelled during the
+// retry backoff. The pass never reached its checkpoint, so a restarted
+// pump reads both partitions again into the restored state, and every
+// record is sunk exactly once.
 func TestCancelMidPassLosesNothing(t *testing.T) {
 	const n = 40
 	b := newBrokerWithTopic(t)
@@ -472,26 +486,24 @@ func TestCancelMidPassLosesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	src := &downPartition{Broker: b, bad: 1, down: true}
-	dir := t.TempDir()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	src := &downPartition{Broker: b, bad: 1, down: true, refused: cancel}
+	dir := t.TempDir()
 	// One-second windows: each record is the one record of its window.
-	cfg := JobConfig{Name: "stop", Topic: "bronze", CheckpointDir: dir,
-		Retry: resilience.Policy{BaseDelay: time.Minute, MaxDelay: time.Minute,
-			OnRetry: func(int, error, time.Duration) { cancel() }}}
+	w := windowSpec{window: time.Second, agg: tsdb.AggCount}
 	var sink1, sink2 collectSink
-	j1 := viewJob(t, src, cfg, tumblingView(t, time.Second, tsdb.AggCount, nil), sink1.sink)
-	if err := j1.Run(ctx); err != nil {
+	p1, _ := windowPump(t, src, "stop", dir, w, sink1.sink)
+	if err := p1.Run(ctx); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled run: %v", err)
 	}
-	if m := j1.Metrics(); m.Retries != 1 || m.RecordsIn != n/2 {
-		t.Fatalf("first incarnation: %+v, want one retry and partition 0's page processed", m)
+	if m := p1.Stats(); m.Retries != 1 || m.Polled != n/2 || m.Checkpoints != 0 {
+		t.Fatalf("first incarnation: %+v, want one retry, partition 0's page read and no checkpoint", m)
 	}
 
 	src.down = false
-	cfg.Retry = resilience.NoRetry
-	if err := viewJob(t, src, cfg, tumblingView(t, time.Second, tsdb.AggCount, nil), sink2.sink).Drain(context.Background()); err != nil {
+	p2, _ := windowPump(t, src, "stop", dir, w, sink2.sink)
+	if err := p2.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	seen := make(map[int64]float64)
@@ -510,12 +522,15 @@ func TestCancelMidPassLosesNothing(t *testing.T) {
 // is the minimum over partitions, so no window partition 1 still feeds
 // closes, and the drain sinks every record once, none of them late.
 func TestLaggingPartitionHoldsWindowsOpen(t *testing.T) {
-	const lateness = 5 * time.Second
+	const (
+		lateness = 5 * time.Second
+		page     = 4096 // the pump's BatchSize
+	)
 	b := newBrokerWithTopic(t)
 	n := 0
 	publish := func(part int, from, to int) {
 		for i := from; i < to; i++ {
-			// One record every 100 ms: a page of jobBatchSize spans ~410 s.
+			// One record every 100 ms: a page spans ~410 s.
 			o := schema.Observation{Ts: tbase.Add(time.Duration(i) * 100 * time.Millisecond), System: "compass",
 				Source: "power_temp", Component: fmt.Sprintf("node%d", part), Metric: "power", Value: 1}
 			if _, err := b.PublishBatchTo("bronze", part, []stream.Message{{Value: schema.EncodeRow(o.Row())}}); err != nil {
@@ -527,40 +542,34 @@ func TestLaggingPartitionHoldsWindowsOpen(t *testing.T) {
 	publish(0, 0, 10)
 	publish(1, 0, 10)
 	src := &downPartition{Broker: b, bad: 1}
-	retries := 0
-	cfg := JobConfig{Name: "lag", Topic: "bronze", Lateness: lateness,
-		Retry: resilience.Policy{MaxAttempts: 10, BaseDelay: time.Microsecond, MaxDelay: time.Microsecond,
-			OnRetry: func(int, error, time.Duration) {
-				if retries++; retries == 3 {
-					src.down = false
-				}
-			}}}
+	refusals := 0
+	src.refused = func() {
+		if refusals++; refusals == 3 {
+			src.down = false
+		}
+	}
 	var (
 		sink   collectSink
-		j      *Job
 		maxLag time.Duration
 	)
-	j = viewJob(t, src, cfg, tumblingView(t, 15*time.Second, tsdb.AggCount, nil, tsdb.DimComponent), func(f *schema.Frame) error {
-		j.mu.Lock()
-		maxLag = max(maxLag, time.Duration(j.partWM[0]-j.partWM[1]))
-		j.mu.Unlock()
+	w := windowSpec{window: 15 * time.Second, lateness: lateness, agg: tsdb.AggCount, groupBy: []string{tsdb.DimComponent}}
+	p, v := windowPump(t, src, "lag", "", w, func(f *schema.Frame) error {
+		// Offset i of a partition holds event time i × 100 ms.
+		maxLag = max(maxLag, time.Duration(src.served[0]-src.served[1])*100*time.Millisecond)
 		return sink.sink(f)
 	})
 	ctx := context.Background()
-	if err := j.start(); err != nil {
+	if err := p.Step(ctx); err != nil { // both partitions carry data
 		t.Fatal(err)
 	}
-	if err := j.step(ctx); err != nil { // both partitions carry data
-		t.Fatal(err)
-	}
-	publish(0, 10, 10+3*jobBatchSize)
-	publish(1, 10, 10+3*jobBatchSize)
+	publish(0, 10, 10+3*page)
+	publish(1, 10, 10+3*page)
 	src.down = true
-	if err := j.Drain(ctx); err != nil {
+	if err := p.Drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if retries < 3 || maxLag <= lateness {
-		t.Fatalf("%d retries, partition 0 at most %v ahead of partition 1 when a window closed: no lag past the lateness", retries, maxLag)
+	if refusals < 3 || maxLag <= lateness {
+		t.Fatalf("%d refusals, partition 0 at most %v ahead of partition 1 when a window closed: no lag past the lateness", refusals, maxLag)
 	}
 	type window struct {
 		start     int64
@@ -576,24 +585,22 @@ func TestLaggingPartitionHoldsWindowsOpen(t *testing.T) {
 		sunk[key] = true
 		total += r[2].FloatVal()
 	}
-	if m := j.Metrics(); int(total) != n || m.RecordsLate != 0 {
-		t.Fatalf("sank %v of %d records, %d late", total, n, m.RecordsLate)
+	if late := v.Stats().Late; int(total) != n || late != 0 {
+		t.Fatalf("sank %v of %d records, %d late", total, n, late)
 	}
 }
 
 // TestViewResidencyBoundedByOpenWindows: draining an hour of 15 s windows
-// keeps in the view, and in its checkpoint, only the windows still open —
-// its chunks are the windows, and a closed one leaves — not the hour a
-// default SegmentDuration spans.
+// keeps in the view, and in the pump's checkpoint, only the windows still
+// open — its chunks are the windows, and a closed one leaves — not the
+// hour a default SegmentDuration spans.
 func TestViewResidencyBoundedByOpenWindows(t *testing.T) {
 	const comps = 16
 	b := newBrokerWithTopic(t)
-	v := tumblingView(t, 15*time.Second, tsdb.AggAvg, nil, tsdb.DimComponent)
+	dir := t.TempDir()
 	var sink collectSink
-	j := viewJob(t, b, JobConfig{Name: "resident", Topic: "bronze", CheckpointDir: t.TempDir(), Lateness: 5 * time.Second}, v, sink.sink)
-	if err := j.start(); err != nil {
-		t.Fatal(err)
-	}
+	w := windowSpec{window: 15 * time.Second, lateness: 5 * time.Second, agg: tsdb.AggAvg, groupBy: []string{tsdb.DimComponent}}
+	p, v := windowPump(t, b, "resident", dir, w, sink.sink)
 	var maxCells int64
 	var firstCkpt, maxCkpt int64
 	for sec := 0; sec < 3600; sec += 30 {
@@ -602,11 +609,11 @@ func TestViewResidencyBoundedByOpenWindows(t *testing.T) {
 				publishObs(t, b, s, fmt.Sprintf("node%02d", c), "power", float64(s))
 			}
 		}
-		if err := j.step(context.Background()); err != nil {
+		if err := p.Step(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		maxCells = max(maxCells, v.Stats().Cells)
-		st, err := os.Stat(j.path)
+		st, err := os.Stat(filepath.Join(dir, "resident.ckpt.json"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -617,8 +624,8 @@ func TestViewResidencyBoundedByOpenWindows(t *testing.T) {
 	}
 	// After a step the watermark sits at the end of a 30 s chunk: the
 	// window holding it and the one it waits on for lateness stay open.
-	if m := j.Metrics(); m.WindowsEmitted < 230 || maxCells > 2*comps || maxCkpt > 2*firstCkpt {
+	if windows := len(sink.frames); windows < 230 || maxCells > 2*comps || maxCkpt > 2*firstCkpt {
 		t.Fatalf("%d windows sunk; at most %d cells resident (want <= %d) and a %d-byte checkpoint (first %d)",
-			m.WindowsEmitted, maxCells, 2*comps, maxCkpt, firstCkpt)
+			windows, maxCells, 2*comps, maxCkpt, firstCkpt)
 	}
 }

@@ -75,9 +75,8 @@ func gridStream(rng *rand.Rand, g grid, chunkN, segN int64, pool []Series) (seri
 
 // TestCellTableMatchesMapReference holds the grid table to a map from
 // (bucket start, series) to cell over seeded streams (gridStream) on two
-// geometries: an hour of 15 s buckets, and 100 s chunks, which hold no
-// whole number of buckets, so most start inside a bucket that straddles
-// their start. The series share SeriesHash values on purpose — they
+// geometries: an hour of 15 s buckets, and 105 s chunks of seven. The
+// series share SeriesHash values on purpose — they
 // differ only in system or source, or are a forged FNV-1a collision on
 // (component, metric). After every record Cell returned the cell the map
 // put first at that key's insertion position, and a *Cell taken once
@@ -95,16 +94,16 @@ func TestCellTableMatchesMapReference(t *testing.T) {
 		ts int64
 		s  Series
 	}
-	straddled := 0
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		segN := []int64{int64(time.Hour), int64(100 * time.Second)}[seed%2]
-		chunkN := base.UnixNano() + seed*segN
-		ct := NewCellTable(chunkN, segN, rollup)
-		g := ct.grid
-		if g.origin < chunkN {
-			straddled++
+		segN := []int64{int64(time.Hour), int64(105 * time.Second)}[seed%2]
+		geom, err := NewGeometry(time.Duration(rollup), time.Duration(segN))
+		if err != nil {
+			t.Fatal(err)
 		}
+		chunkN := base.UnixNano() + seed*segN
+		ct := NewCellTable(chunkN, geom)
+		g := ct.grid
 		comps := []string{collA, collB}
 		for len(comps) < 4+int(1300/g.span) {
 			comps = append(comps, fmt.Sprintf("node%05d", len(comps)))
@@ -205,9 +204,6 @@ func TestCellTableMatchesMapReference(t *testing.T) {
 			}
 		}
 	}
-	if straddled == 0 {
-		t.Fatal("no table's grid started before its chunk")
-	}
 }
 
 // TestLoadCellsRefusesOffGridBuckets: a ColdSchema frame whose bucket
@@ -217,6 +213,10 @@ func TestCellTableMatchesMapReference(t *testing.T) {
 // observation there is dropped by InsertBatch, beside one that lands.
 func TestLoadCellsRefusesOffGridBuckets(t *testing.T) {
 	const segN, rollup = int64(time.Hour), int64(15 * time.Second)
+	geom, err := NewGeometry(time.Duration(rollup), time.Duration(segN))
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := Series{System: "sys", Source: "src", Component: "node00001", Metric: "m"}
 	frame := func(buckets ...int64) *schema.Frame {
 		var b cellColumns
@@ -236,9 +236,9 @@ func TestLoadCellsRefusesOffGridBuckets(t *testing.T) {
 		math.MaxInt64 - math.MaxInt64%rollup,          // its chunk ends past MaxInt64
 	} {
 		landed := 0
-		err := LoadCells(frame(good, bucket), segN, rollup, true, func(_ int, chunkN, _ int64) *CellTable {
+		err := LoadCells(frame(good, bucket), geom, true, func(_ int, chunkN, _ int64) *CellTable {
 			landed++
-			return NewCellTable(chunkN, segN, rollup)
+			return NewCellTable(chunkN, geom)
 		})
 		if err == nil || !strings.Contains(err.Error(), "no 1h0m0s chunk") || landed != 0 {
 			t.Fatalf("bucket %d: err %v after %d rows landed, want a chunk error before any", bucket, err, landed)
@@ -255,8 +255,8 @@ func TestLoadCellsRefusesOffGridBuckets(t *testing.T) {
 	if st := db.Stats(); st.RollupCells != 1 || st.RawIngested != 1 {
 		t.Fatalf("InsertBatch at both ends of the int64 range and at %v: %+v, want the one cell at %v", base, st, base)
 	}
-	other := NewCellTable(good-segN, segN, rollup)
-	err := LoadCells(frame(good), segN, rollup, false, func(int, int64, int64) *CellTable { return other })
+	other := NewCellTable(good-segN, geom)
+	err = LoadCells(frame(good), geom, false, func(int, int64, int64) *CellTable { return other })
 	if err == nil || !strings.Contains(err.Error(), "outside its table's grid") || other.Len() != 0 {
 		t.Fatalf("a table of the previous chunk: err %v, %d cells landed", err, other.Len())
 	}
@@ -444,7 +444,7 @@ func BenchmarkCellTableGrow(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ct := NewCellTable(0, int64(time.Hour), int64(15*time.Second))
+		ct := NewCellTable(0, Geometry{Rollup: 15 * time.Second, Segment: time.Hour})
 		for j := range series {
 			ct.Cell(hashes[j], ts[j], &series[j]).Count++
 		}
@@ -462,7 +462,7 @@ func TestFoldAdmitMatchesMatch(t *testing.T) {
 	collA, collB := collidingComponents(t, "m")
 	comps := []string{"node00000", "node00001", collA, collB}
 	rng := rand.New(rand.NewSource(34))
-	ct := NewCellTable(base.UnixNano(), int64(time.Hour), int64(15*time.Second))
+	ct := NewCellTable(base.UnixNano(), Geometry{Rollup: 15 * time.Second, Segment: time.Hour})
 	for i := 0; i < 3000; i++ {
 		s := Series{
 			System: []string{"sys", "sysB"}[rng.Intn(2)], Source: []string{"src0", "src1"}[rng.Intn(2)],

@@ -64,7 +64,8 @@ func TestCellCursorMatchesProbe(t *testing.T) {
 	for seed := int64(1); seed <= 24; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		obs := cursorStream(rng)
-		ct, ref := NewCellTable(chunkN, segN, rollup), NewCellTable(chunkN, segN, rollup)
+		geom := Geometry{Rollup: time.Duration(rollup), Segment: time.Duration(segN)}
+		ct, ref := NewCellTable(chunkN, geom), NewCellTable(chunkN, geom)
 		for i := range obs {
 			o := &obs[i]
 			s := Series{System: o.System, Source: o.Source, Component: o.Component, Metric: o.Metric}

@@ -24,7 +24,6 @@ import (
 	"math/bits"
 	"slices"
 	"strings"
-	"time"
 	"unsafe"
 
 	"odakit/internal/schema"
@@ -197,16 +196,14 @@ type grid struct {
 // until the series has a cell. Its capacity is runCap(n).
 type seriesRun struct{ lo, n, off uint32 }
 
-// NewCellTable returns an empty table for the chunk [chunkN, chunkN+segN)
-// of rollupN-wide buckets. Its grid starts at chunkN floored to rollupN,
-// so a bucket that straddles the chunk's start is on it.
-func NewCellTable(chunkN, segN, rollupN int64) *CellTable {
-	origin := chunkN - FloorMod(chunkN, rollupN)
-	span := (chunkN + segN - origin + rollupN - 1) / rollupN
+// NewCellTable returns an empty table for the chunk of g that starts at
+// chunkN: its grid is the chunk's Segment / Rollup buckets from chunkN.
+func NewCellTable(chunkN int64, g Geometry) *CellTable {
+	span := int64(g.Segment / g.Rollup)
 	if span > math.MaxUint32 {
-		panic(fmt.Sprintf("tsdb: a %v chunk holds %d buckets of %v", time.Duration(segN), span, time.Duration(rollupN)))
+		panic(fmt.Sprintf("tsdb: a %v chunk holds %d buckets of %v", g.Segment, span, g.Rollup))
 	}
-	return &CellTable{grid: grid{origin: origin, width: rollupN, span: uint32(span)}}
+	return &CellTable{grid: grid{origin: chunkN, width: int64(g.Rollup), span: uint32(span)}}
 }
 
 // BucketStart returns the start, in unix nanos, of the bucket a Key's

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"sync"
-	"time"
 
 	"odakit/internal/schema"
 )
@@ -137,10 +136,10 @@ func (e *CellExport) Add(stripe int, t *CellTable) {
 func (e *CellExport) Frame() (*schema.Frame, error) { return e.b.frame() }
 
 // LoadCells is the one loader of ColdSchema cells that crossed a
-// transport or came off disk, into tables of segN-wide chunks of
-// rollupN-wide buckets. A frame that is not ColdSchema, carries a null,
-// or puts a row on a stripe other than its series' own, a bucket off the
-// rollupN grid or one whose chunk is not representable is refused before
+// transport or came off disk, into tables of g's chunks. A frame that is
+// not ColdSchema, carries a null, or puts a row on a stripe other than
+// its series' own, a bucket off g's rollup grid or one whose chunk is not
+// representable is refused before
 // any cell lands. The rows then land in frame order, which cells new to
 // a table take as their insertion order: row r goes to the table that
 // table(stripe, chunk, count) returns for its bucket's chunk, count
@@ -148,7 +147,8 @@ func (e *CellExport) Frame() (*schema.Frame, error) { return e.b.frame() }
 // not hold the bucket is an error. Into existing tables a row merges;
 // into fresh ones (fresh) it is copied exactly, and a (bucket, series)
 // the table already holds is an error.
-func LoadCells(f *schema.Frame, segN, rollupN int64, fresh bool, table func(stripe int, chunkN, count int64) *CellTable) error {
+func LoadCells(f *schema.Frame, g Geometry, fresh bool, table func(stripe int, chunkN, count int64) *CellTable) error {
+	segN, rollupN := int64(g.Segment), int64(g.Rollup)
 	if !f.Schema().Equal(ColdSchema) {
 		return fmt.Errorf("tsdb: cells: frame schema %v does not conform to ColdSchema", f.Schema())
 	}
@@ -171,11 +171,11 @@ func LoadCells(f *schema.Frame, segN, rollupN int64, fresh bool, table func(stri
 		}
 		b := cols.Bucket[r]
 		if FloorMod(b, rollupN) != 0 {
-			return bad(r, "bucket %d is off the %v rollup grid", b, time.Duration(rollupN))
+			return bad(r, "bucket %d is off the %v rollup grid", b, g.Rollup)
 		}
 		// Flooring wraps within a chunk of either end of the int64 range.
-		if c := b - FloorMod(b, segN); c > b || c-FloorMod(c, rollupN) > c || c > math.MaxInt64-segN {
-			return bad(r, "bucket %d has no %v chunk", b, time.Duration(segN))
+		if c := b - FloorMod(b, segN); c > b || c > math.MaxInt64-segN {
+			return bad(r, "bucket %d has no %v chunk", b, g.Segment)
 		}
 	}
 	for r := range stripe {
@@ -234,7 +234,7 @@ func (db *DB) ImportStripes(f *schema.Frame) error {
 			held.mu.Unlock()
 		}
 	}
-	err := LoadCells(f, int64(db.opts.SegmentDuration), int64(db.opts.RollupInterval), false, func(stripe int, chunkN, count int64) *CellTable {
+	err := LoadCells(f, db.geom, false, func(stripe int, chunkN, count int64) *CellTable {
 		if sh := &db.shards[stripe]; sh != held {
 			release()
 			held = sh

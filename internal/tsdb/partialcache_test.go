@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -336,37 +337,16 @@ func TestGlacierMigratedCachedSegment(t *testing.T) {
 	}
 }
 
-// TestStraddlingChunkStartsStayUncached: on a grid whose chunks do not
-// start on a rollup bucket (100 s chunks of 15 s buckets), a chunk's first
-// cells roll up records of the bucket that began in the chunk before, so
-// they land in that chunk's output buckets; such a segment folds every
-// time, the chunks that start on a bucket are cached, and every answer
-// stays the all-hot reference's.
-func TestStraddlingChunkStartsStayUncached(t *testing.T) {
-	opts := Options{SegmentDuration: 100 * time.Second, RollupInterval: 15 * time.Second}
-	db, twin := New(opts), New(opts)
-	for _, d := range []*DB{db, twin} {
-		for s := 0; s < 1000; s++ {
-			batch := make([]schema.Observation, 0, 16)
-			for n := 0; n < 16; n++ {
-				batch = append(batch, ob(s, fmt.Sprintf("node%05d", n), "node_power_w", 1000.1+float64(s%37)/3+float64(n)/7))
-			}
-			insert(d, batch...)
+// TestNewRefusesStraddlingGrid: a store of 100 s chunks of 15 s buckets
+// would split the bucket on each chunk start into two cells, so New
+// refuses the grid, with NewGeometry's error, before any table exists.
+func TestNewRefusesStraddlingGrid(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "not a whole multiple") {
+			t.Fatalf("New on a straddling grid: %v, want NewGeometry's refusal", r)
 		}
-	}
-	attachTier(t, db, nil, ColdTierConfig{Prefix: "lake/"})
-	if off, err := db.Offload(base.Add(1000*time.Second + time.Nanosecond)); err != nil || off.Segments != 10 {
-		t.Fatalf("offloaded %d chunks: %v", off.Segments, err)
-	}
-	q := Query{From: base, To: base.Add(1100 * time.Second), Granularity: 20 * time.Second, Agg: AggSum}
-	runAgainst(t, db, twin, q)
-	for i := 1; i <= 2; i++ {
-		// Chunks at 0, 300, 600 and 900 s start on a bucket; the other six
-		// hold a cell of the bucket before them.
-		if st := runAgainst(t, db, twin, moved(q, i)); st.ColdSegmentsCached != 4 {
-			t.Fatalf("warm run %d: %d segments merged from cache, want the 4 that start on a bucket", i, st.ColdSegmentsCached)
-		}
-	}
+	}()
+	New(Options{SegmentDuration: 100 * time.Second, RollupInterval: 15 * time.Second})
 }
 
 // TestPartialCacheEvictsUnderBudget: with room for about one segment's

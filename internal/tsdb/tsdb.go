@@ -47,12 +47,6 @@ const (
 )
 
 func (o Options) withDefaults() Options {
-	if o.SegmentDuration <= 0 {
-		o.SegmentDuration = defaultSegment
-	}
-	if o.RollupInterval <= 0 {
-		o.RollupInterval = defaultRollup
-	}
 	if o.QueryCacheSize == 0 {
 		o.QueryCacheSize = 64
 	}
@@ -60,20 +54,19 @@ func (o Options) withDefaults() Options {
 }
 
 // Geometry is a LAKE's bucket grid: rollup buckets of Rollup filed in
-// time chunks of Segment, a whole multiple of Rollup, so no bucket
-// straddles a chunk start. NewGeometry is the one constructor, and the
-// one place a grid is refused.
+// time chunks of Segment, a whole multiple of Rollup, so every chunk
+// starts on a bucket. NewGeometry is the one constructor, and the one
+// place a grid is refused.
 type Geometry struct {
 	Rollup, Segment time.Duration
 }
 
 // NewGeometry builds a bucket grid; a zero or negative duration takes
 // the default (15 s buckets, 1 h chunks). It refuses a segment that is
-// not a whole multiple of the rollup and names both: a bucket would
-// straddle a chunk start, ingest would split it into a cell on each
-// side, and whatever files cells by the chunk their bucket starts in —
-// a stripe resync, a CQ checkpoint restore (LoadCells) — would find the
-// two listed as one.
+// not a whole multiple of the rollup, naming both: a bucket would cross
+// a chunk start and be split into a cell on each side, which whatever
+// files cells by their bucket's chunk (LoadCells) would find listed as
+// one.
 func NewGeometry(rollup, segment time.Duration) (Geometry, error) {
 	if rollup <= 0 {
 		rollup = defaultRollup
@@ -118,6 +111,7 @@ type dbShard struct {
 // reader (Run, ExportStripes, Stats) visits the stripes one at a time.
 type DB struct {
 	opts   Options
+	geom   Geometry // opts' grid
 	shards [shardCount]dbShard
 	// batchCursor staggers the stripe visit order across InsertBatch
 	// calls so concurrent batches don't convoy lock-for-lock.
@@ -147,9 +141,16 @@ type DB struct {
 // SetFaultHook installs (or, with nil, removes) the fault-injection hook.
 func (db *DB) SetFaultHook(h func(op, target string) error) { db.faults.SetFaultHook(h) }
 
-// New returns an empty store.
+// New returns an empty store. It panics on a grid NewGeometry refuses:
+// a caller that takes the grid from configuration checks it with
+// NewGeometry first, as core.NewFacility and cluster.New do.
 func New(opts Options) *DB {
 	db := &DB{opts: opts.withDefaults(), scanSlots: make(chan struct{}, shardCount)}
+	var err error
+	if db.geom, err = NewGeometry(opts.RollupInterval, opts.SegmentDuration); err != nil {
+		panic(err)
+	}
+	db.opts.RollupInterval, db.opts.SegmentDuration = db.geom.Rollup, db.geom.Segment
 	for i := range db.shards {
 		db.shards[i].segments = make(map[int64]*segment)
 	}
@@ -204,7 +205,7 @@ func insertLocked(sh *dbShard, seg *segment, h uint32, tsn int64, o *schema.Obse
 func (db *DB) segmentLocked(sh *dbShard, chunkN int64) *segment {
 	seg, ok := sh.segments[chunkN]
 	if !ok {
-		seg = &segment{cells: NewCellTable(chunkN, int64(db.opts.SegmentDuration), int64(db.opts.RollupInterval))}
+		seg = &segment{cells: NewCellTable(chunkN, db.geom)}
 		sh.segments[chunkN] = seg
 	}
 	return seg

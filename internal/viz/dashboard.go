@@ -10,7 +10,6 @@ import (
 	"odakit/internal/jobsched"
 	"odakit/internal/logsearch"
 	"odakit/internal/plane"
-	"odakit/internal/sproc"
 	"odakit/internal/tsdb"
 )
 
@@ -26,7 +25,7 @@ type UADashboard struct {
 	Sched *jobsched.Schedule
 	// Pipelines, when set, adds a resilience footer: per-pipeline
 	// supervisor state, restarts, retries, dead-letters, breaker opens.
-	Pipelines *sproc.Registry
+	Pipelines *plane.Registry
 	// Gateway, when set, adds a serving footer: per-tenant request and
 	// throttle counters plus the admission queue depth, so operators see
 	// who is saturating the portal next to the job data it slows down.
@@ -74,7 +73,7 @@ type JobView struct {
 	BuildLatency        time.Duration
 	// Pipelines carries the supervised pipelines' health so operators see
 	// quarantine and restart pressure next to the job data it may affect.
-	Pipelines []sproc.PipelineStatus
+	Pipelines []plane.PipelineStatus
 	// Gateway, when present, carries the serving layer's tenant snapshot.
 	Gateway *gateway.Snapshot
 	// CQViews, when present, carries the standing continuous queries.
@@ -220,7 +219,7 @@ func (v *JobView) RenderText() string {
 		v.QueriesIssued, v.CellsScanned, tier, v.CacheHits, v.BuildLatency.Round(time.Microsecond))
 	for _, p := range v.Pipelines {
 		line := fmt.Sprintf("pipeline %s: %s, restarts=%d retries=%d dead-lettered=%d",
-			p.Name, p.State, p.Metrics.Restarts, p.Metrics.Retries, p.Metrics.RecordsDeadLettered)
+			p.Name, p.State, p.Supervisor.Restarts, p.Metrics.Retries, p.Metrics.Bad)
 		if p.Breaker != nil {
 			line += fmt.Sprintf(" breaker=%s opens=%d", p.Breaker.State, p.Breaker.Opens)
 		}

@@ -41,7 +41,6 @@ import (
 	"odakit/internal/profiles"
 	"odakit/internal/resilience"
 	"odakit/internal/schema"
-	"odakit/internal/sproc"
 	"odakit/internal/telemetry"
 	"odakit/internal/tsdb"
 	"odakit/internal/twin"
@@ -214,7 +213,7 @@ type (
 	SupervisorConfig = resilience.SupervisorConfig
 	// PipelineStatus is one supervised pipeline's externally visible
 	// health (Facility.Pipelines.Snapshot, /api/v1/pipelines).
-	PipelineStatus = sproc.PipelineStatus
+	PipelineStatus = plane.PipelineStatus
 	// FaultInjector deterministically injects infrastructure faults.
 	FaultInjector = faults.Injector
 	// FaultRates configures injection for one operation.

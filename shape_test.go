@@ -3,12 +3,12 @@ package oda_test
 // The repository's shape rules: one STREAM reader, one LAKE read path, one
 // serialized form for rollup cells (a CQ checkpoint's included), one
 // grouping loop, one windowed fold, one sort, one log, one log per node,
-// one failure contract, one wait, one consumer loop, one entry point per
-// operation, one retry convention, one fault seam, no knob nobody turns,
+// one failure contract, one wait, one consumer loop, one view consumer,
+// one entry point per operation, one retry convention, one fault seam, no knob nobody turns,
 // one admission decision, one cold scan, one parse per segment object,
 // one filter test per series, one chunk decoder, one interner, one
-// series encoder, one parameter reader, a series and a group that are
-// integers, one cluster harness, and one LRU in tsdb. Each is a
+// series encoder, one parameter reader, one bucket grid, a series and a
+// group that are integers, one cluster harness, and one LRU in tsdb. Each is a
 // structural fact a later change could quietly undo, so each is checked
 // over the parsed sources — the non-test ones, or for a test-shape rule
 // the tests — on every `go test ./...`, and each is shown to fire on a
@@ -305,7 +305,7 @@ func snapshot(ct *tsdb.CellTable) { k, c := ct.At(0) }`},
 		},
 		breaks: map[string]string{
 			"internal/sproc/relational.go": "package sproc\ntype group struct{}",
-			"internal/sproc/job.go":        "package sproc\ntype group struct{}",
+			"internal/sproc/sql.go":        "package sproc\ntype group struct{}",
 		},
 	},
 	{
@@ -327,11 +327,11 @@ func snapshot(ct *tsdb.CellTable) { k, c := ct.At(0) }`},
 					out = append(out, typ+": an aggregation state outside internal/tsdb; fold into tsdb.Cell")
 				}
 			}
-			return append(out, forbid(idents(files, within("internal/sproc")), "a job's windows are a CQ view's chunks", "WindowSpec", "winState")...)
+			return append(out, forbid(idents(files, within("internal/sproc")), "a stream's windows are a CQ view's chunks", "WindowSpec", "winState")...)
 		},
 		breaks: map[string]string{
 			"internal/sproc/relational.go": "package sproc\ntype aggState struct{ count int64; sum, min, max float64 }",
-			"internal/sproc/job.go":        "package sproc\ntype WindowSpec struct{}\ntype Job struct{ winState map[int64]int }",
+			"internal/sproc/sql.go":        "package sproc\ntype WindowSpec struct{}\ntype query struct{ winState map[int64]int }",
 		},
 	},
 	{
@@ -460,13 +460,6 @@ func (r *Reader) Wait() { <-clock.After(idle) }`},
 		breaks: map[string]string{"internal/stream/partition.go": "package stream\nfunc (p *partition) fetch() {}"},
 	},
 	{
-		name: "one wait: a Silver job parks on commits, not on a poll timer",
-		check: func(files []srcFile) []string {
-			return forbid(decls(files, within("internal/sproc")), "the job waits on Stream.Ready", "JobConfig.PollWait")
-		},
-		breaks: map[string]string{"internal/sproc/job.go": "package sproc\ntype JobConfig struct{ PollWait Duration }"},
-	},
-	{
 		name: "one consumer loop: only internal/plane parks a Reader",
 		check: func(files []srcFile) (out []string) {
 			calls(files, func(s srcFile) bool { return !within("internal/plane")(s) }, func(s srcFile, c *ast.CallExpr, name string) {
@@ -489,9 +482,23 @@ func (p *Pump) run(ctx context.Context) error { return p.reader.Wait(ctx) }`},
 			})
 			return out
 		},
-		breaks: map[string]string{"internal/sproc/checkpoint.go": `package sproc
+		breaks: map[string]string{"internal/sproc/sql.go": `package sproc
 import af "odakit/internal/atomicfile"
-func (j *Job) checkpoint() error { return af.WriteFile(path, data, 0o644) }`},
+func (q *query) checkpoint() error { return af.WriteFile(path, data, 0o644) }`},
+	},
+	{
+		name: "one view consumer: only internal/cq runs a plane.Loop",
+		check: func(files []srcFile) (out []string) {
+			calls(files, func(s srcFile) bool { return within("internal")(s) && !within("internal/cq")(s) }, func(s srcFile, c *ast.CallExpr, _ string) {
+				if fn, ok := pkgRef(s.f, c.Fun, "odakit/internal/plane"); ok && fn == "NewLoop" {
+					out = append(out, s.path+": plane.NewLoop: a consumer that folds Bronze into views is a cq.Pump, a sink view's close sink its output")
+				}
+			})
+			return out
+		},
+		breaks: map[string]string{"internal/core/pipeline.go": `package core
+import "odakit/internal/plane"
+func (f *Facility) silverLoop(op plane.Operator) (*plane.Loop, error) { return plane.NewLoop(f.stream, op, plane.LoopConfig{}) }`},
 	},
 	{
 		name: "one consumer loop: a pass is applied page by page, not collected",
@@ -549,9 +556,9 @@ func (j *Job) checkpoint() error { return af.WriteFile(path, data, 0o644) }`},
 			})
 			return out
 		},
-		breaks: map[string]string{"internal/sproc/job.go": `package sproc
+		breaks: map[string]string{"internal/cq/pump.go": `package cq
 import "odakit/internal/resilience"
-type JobConfig struct{ Retry *resilience.Policy }`},
+type PumpConfig struct{ Retry *resilience.Policy }`},
 	},
 	{
 		name: "one fault seam: a surface holds a faults.Hook and fires it with a faults op",
@@ -609,9 +616,7 @@ func (s *Store) Get(bucketName, key string) error { return s.faults.Fire("store.
 		},
 		breaks: map[string]string{
 			"internal/cluster/cluster.go": "package cluster\ntype Config struct{ Clock func() time.Time }",
-			"internal/cq/pump.go":         "package cq\ntype PumpConfig struct{ Name string }",
 			"internal/columnar/writer.go": "package columnar\ntype WriterOptions struct{ FlateLevel int }",
-			"internal/sproc/job.go":       "package sproc\ntype JobConfig struct{ BatchSize int }",
 			"internal/gateway/gateway.go": "package gateway\ntype TenantConfig struct{ ScanBurst float64 }",
 			"internal/core/pipeline.go":   "package core\ntype SilverPipelineConfig struct{ Retry *resilience.Policy }",
 			"internal/tsdb/tier.go":       "package tsdb\ntype ColdTierConfig struct{ Now func() time.Time }",
@@ -860,6 +865,33 @@ type Key struct {
 }`},
 	},
 	{
+		name: "one bucket grid: tsdb and cq pass a grid as a tsdb.Geometry",
+		check: func(files []srcFile) (out []string) {
+			funcs(files, within("internal/tsdb", "internal/cq"), func(s srcFile, name string, fd *ast.FuncDecl) {
+				if !fd.Name.IsExported() {
+					return
+				}
+				var seg, rollup bool
+				for _, fl := range fd.Type.Params.List {
+					if t := lastName(fl.Type); !integerTypes[t] && t != "int" {
+						continue
+					}
+					for _, n := range fl.Names {
+						l := strings.ToLower(n.Name)
+						seg = seg || strings.Contains(l, "seg")
+						rollup = rollup || strings.Contains(l, "rollup")
+					}
+				}
+				if seg && rollup {
+					out = append(out, s.path+": func "+name+" takes a segment and a rollup width as integers: take the tsdb.Geometry NewGeometry built")
+				}
+			})
+			return out
+		},
+		breaks: map[string]string{"internal/tsdb/kernel.go": `package tsdb
+func NewCellTable(chunkN, segN, rollupN int64) *CellTable { return &CellTable{} }`},
+	},
+	{
 		name: "a cell is found by arithmetic: CellTable keeps no cell probe index",
 		check: func(files []srcFile) (out []string) {
 			tsdb := within("internal/tsdb")
@@ -1052,9 +1084,7 @@ func testClusterWAL(t *testing.T) *Cluster { c, _ := New(ids, Config{WALDir: t.T
 // or that only ever took one value.
 var removedKnobs = [][2]string{
 	{"internal/cluster", "Config.Clock"},
-	{"internal/cq", "PumpConfig.Name"},
 	{"internal/columnar", "WriterOptions.FlateLevel"},
-	{"internal/sproc", "JobConfig.BatchSize"},
 	{"internal/gateway", "TenantConfig.ScanBurst"},
 	{"internal/core", "SilverPipelineConfig.Retry"},
 	{"internal/tsdb", "ColdTierConfig.Now"},
